@@ -292,8 +292,12 @@ func TestJobsAdmissionAndErrors(t *testing.T) {
 		return resp.StatusCode, string(b)
 	}
 
-	if code, body := post("ACGT", "application/x-fasta", "?k=99"); code != http.StatusBadRequest {
-		t.Errorf("k=99: status %d (%s), want 400", code, body)
+	// k is validated at submission: seq.MaxK is 31, so 32 — one past the
+	// documented (0,31] — is a 400 here, not a job that fails later.
+	for _, k := range []string{"32", "99", "-1"} {
+		if code, body := post("ACGT", "application/x-fasta", "?k="+k); code != http.StatusBadRequest {
+			t.Errorf("k=%s: status %d (%s), want 400", k, code, body)
+		}
 	}
 	if code, body := post("ACGT", "application/x-fasta", "?x=1000000"); code != http.StatusBadRequest {
 		t.Errorf("x over max-x: status %d (%s), want 400", code, body)

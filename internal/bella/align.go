@@ -98,15 +98,20 @@ func (a GPUAligner) AlignPairs(ctx context.Context, pairs []seq.Pair, sc xdrop.S
 
 // BuildAlignmentPairs materializes the candidate pairs plus chosen seeds
 // into the flat pair list the aligners consume. Opposite-strand candidates
-// get a reverse-complemented target with the seed position remapped.
+// get a reverse-complemented target with the seed position remapped; a
+// read's reverse complement is built once and shared by all its pairs.
 func BuildAlignmentPairs(reads []genome.Read, cands []Candidate, seeds []ChosenSeed, k int) []seq.Pair {
 	pairs := make([]seq.Pair, len(cands))
+	revComp := make([]seq.Seq, len(reads))
 	for i, c := range cands {
 		ri, rj := reads[c.I], reads[c.J]
 		target := rj.Seq
 		pj := int(seeds[i].PosJ)
 		if seeds[i].Opposite {
-			target = rj.Seq.RevComp()
+			if revComp[c.J] == nil {
+				revComp[c.J] = rj.Seq.RevComp()
+			}
+			target = revComp[c.J]
 			pj = len(rj.Seq) - k - pj
 		}
 		pairs[i] = seq.Pair{

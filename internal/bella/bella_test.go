@@ -32,12 +32,12 @@ func TestCountKmersMatchesNaive(t *testing.T) {
 			naive[p.Kmer]++
 		}
 	}
-	if len(idx.Counts) != len(naive) {
-		t.Fatalf("distinct k-mers %d != naive %d", len(idx.Counts), len(naive))
+	if len(idx.Kmers) != len(naive) {
+		t.Fatalf("distinct k-mers %d != naive %d", len(idx.Kmers), len(naive))
 	}
-	for km, c := range naive {
-		if idx.Counts[km] != c {
-			t.Fatalf("k-mer %v count %d != naive %d", km, idx.Counts[km], c)
+	for i, km := range idx.Kmers {
+		if idx.Counts[i] != naive[km] {
+			t.Fatalf("k-mer %v count %d != naive %d", km, idx.Counts[i], naive[km])
 		}
 	}
 }
@@ -82,7 +82,7 @@ func TestBinomTail(t *testing.T) {
 }
 
 func TestReliableFilter(t *testing.T) {
-	idx := KmerIndex{K: 5, Counts: map[seq.Kmer]int32{1: 1, 2: 2, 3: 5, 4: 9, 5: 3}}
+	idx := KmerIndex{K: 5, Kmers: []seq.Kmer{1, 2, 3, 4, 5}, Counts: []int32{1, 2, 5, 9, 3}}
 	rel := idx.Reliable(2, 5)
 	if len(rel) != 3 {
 		t.Fatalf("reliable = %v", rel)
@@ -108,7 +108,8 @@ func TestBuildMatrixAndSpGEMM(t *testing.T) {
 	}
 	// Column occurrence lists must be sorted and within range, and no
 	// read may appear twice in one column.
-	for c, col := range mat.Cols {
+	for c := range mat.Kmers {
+		col := mat.Col(c)
 		seen := map[int32]bool{}
 		for i, occ := range col {
 			if occ.Read < 0 || int(occ.Read) >= len(rs.Reads) {
@@ -174,6 +175,44 @@ func TestChooseSeedOppositeStrand(t *testing.T) {
 	got := ChooseSeed(c, 1000, 1000, 17, 500)
 	if !got.Opposite {
 		t.Fatal("expected opposite-strand seed")
+	}
+}
+
+// TestChooseSeedNoAlloc: binning a candidate within the seed cap works on
+// the stack.
+func TestChooseSeedNoAlloc(t *testing.T) {
+	c := Candidate{I: 0, J: 1}
+	for i := int32(0); i < 16; i++ {
+		c.Seeds = append(c.Seeds, SharedSeed{PosI: 50 * i, PosJ: 40*i + 700*(i%3), Opposite: i%5 == 0})
+	}
+	if n := testing.AllocsPerRun(100, func() { ChooseSeed(c, 2000, 2000, 17, 500) }); n != 0 {
+		t.Fatalf("ChooseSeed allocated %v times per call", n)
+	}
+}
+
+// TestBuildAlignmentPairsSharesRevComp: opposite-strand pairs against one
+// read J share a single reverse complement; same-strand pairs alias the
+// read itself.
+func TestBuildAlignmentPairsSharesRevComp(t *testing.T) {
+	rs := smallReadSet(t, 4, 5000, 3, 0.05)
+	reads := rs.Reads[:4]
+	cands := []Candidate{{I: 0, J: 3}, {I: 1, J: 3}, {I: 2, J: 3}}
+	seeds := []ChosenSeed{{PosI: 5, PosJ: 10, Opposite: true}, {PosI: 7, PosJ: 20, Opposite: true}, {PosI: 9, PosJ: 30}}
+	pairs := BuildAlignmentPairs(reads, cands, seeds, 17)
+	want := reads[3].Seq.RevComp()
+	for i := 0; i < 2; i++ {
+		if string(pairs[i].Target) != string(want) {
+			t.Fatalf("pair %d target is not the reverse complement of read 3", i)
+		}
+		if wantPos := len(want) - 17 - int(seeds[i].PosJ); pairs[i].SeedTPos != wantPos {
+			t.Fatalf("pair %d seed at %d, want %d", i, pairs[i].SeedTPos, wantPos)
+		}
+	}
+	if &pairs[0].Target[0] != &pairs[1].Target[0] {
+		t.Fatal("opposite-strand pairs of one read hold separate reverse complements")
+	}
+	if &pairs[2].Target[0] != &reads[3].Seq[0] || pairs[2].SeedTPos != 30 {
+		t.Fatal("same-strand pair does not alias the read")
 	}
 }
 

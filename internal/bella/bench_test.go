@@ -17,13 +17,27 @@ func benchReadSet(b *testing.B) genome.ReadSet {
 	})
 }
 
+// benchBases times fn, which consumes rs once per call: bytes per op are
+// the bases of rs (so MB/s reads as Mbases/s, reported under that name
+// too) and allocations are reported.
+func benchBases(b *testing.B, rs genome.ReadSet, fn func()) {
+	bases := 0
+	for _, r := range rs.Reads {
+		bases += len(r.Seq)
+	}
+	b.SetBytes(int64(bases))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fn()
+	}
+	b.ReportMetric(float64(bases)*float64(b.N)/1e6/b.Elapsed().Seconds(), "Mbases/s")
+}
+
 // BenchmarkKmerCount measures the counting stage.
 func BenchmarkKmerCount(b *testing.B) {
 	rs := benchReadSet(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		CountKmers(rs.Reads, 17, 0)
-	}
+	benchBases(b, rs, func() { CountKmers(rs.Reads, 17, 0) })
 }
 
 // BenchmarkSpGEMM measures overlap detection (matrix build + multiply).
@@ -32,14 +46,26 @@ func BenchmarkSpGEMM(b *testing.B) {
 	idx := CountKmers(rs.Reads, 17, 0)
 	lo, hi := ReliableBounds(4, 0.12, 17, 1e-3)
 	rel := idx.Reliable(lo, hi)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	benchBases(b, rs, func() {
 		mat := BuildMatrix(rs.Reads, 17, rel)
 		cands := mat.SpGEMM(SpGEMMOptions{})
 		if len(cands) == 0 {
 			b.Fatal("no candidates")
 		}
-	}
+	})
+}
+
+// BenchmarkPrepare measures the whole overlap-detection front end (stages
+// 1-5: count, prune, matrix, SpGEMM, binning).
+func BenchmarkPrepare(b *testing.B) {
+	rs := benchReadSet(b)
+	cfg := DefaultConfig(4, 0.12, 25)
+	benchBases(b, rs, func() {
+		prep, err := Prepare(context.Background(), rs, cfg)
+		if err != nil || len(prep.Pairs) == 0 {
+			b.Fatalf("prepare: %d pairs, err %v", len(prep.Pairs), err)
+		}
+	})
 }
 
 // BenchmarkPipelineCPU measures the whole pipeline with the SeqAn-style

@@ -1,6 +1,9 @@
 package bella
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // ChosenSeed is the binning outcome for one candidate pair: the seed the
 // extension starts from, the orientation, and the overlap-length estimate
@@ -22,47 +25,47 @@ func ChooseSeed(c Candidate, lenI, lenJ, k, binWidth int) ChosenSeed {
 	if binWidth <= 0 {
 		binWidth = 500
 	}
-	type bin struct {
-		count int
-		seeds []SharedSeed
+	// Tag each seed with its (diagonal bin, orientation) key and sort by
+	// (key, PosI): bins become runs. MaxSeeds is small, so the tagged
+	// copy normally lives on the stack.
+	type binned struct {
+		key  int64
+		seed SharedSeed
 	}
-	bins := make(map[int64]*bin)
-	keyOf := func(s SharedSeed) int64 {
+	var stack [32]binned
+	bs := stack[:0]
+	for _, s := range c.Seeds {
 		pj := int64(s.PosJ)
 		if s.Opposite {
 			// Map the J position onto the reverse strand so the diagonal
 			// is stable for opposite-strand seeds.
-			pj = int64(lenJ-k) - int64(s.PosJ)
+			pj = int64(lenJ-k) - pj
 		}
-		diag := int64(s.PosI) - pj
-		b := diag / int64(binWidth)
+		key := (int64(s.PosI) - pj) / int64(binWidth) * 2
 		if s.Opposite {
-			b = b*2 + 1
-		} else {
-			b = b * 2
+			key++
 		}
-		return b
+		bs = append(bs, binned{key, s})
 	}
-	for _, s := range c.Seeds {
-		kb := keyOf(s)
-		if bins[kb] == nil {
-			bins[kb] = &bin{}
+	slices.SortFunc(bs, func(a, b binned) int {
+		return cmp.Or(cmp.Compare(a.key, b.key), cmp.Compare(a.seed.PosI, b.seed.PosI))
+	})
+	// Densest bin, ties to the smallest key for determinism; its median
+	// seed by PosI is the one to extend.
+	var best []binned
+	for lo := 0; lo < len(bs); {
+		hi := lo + 1
+		for hi < len(bs) && bs[hi].key == bs[lo].key {
+			hi++
 		}
-		bins[kb].count++
-		bins[kb].seeds = append(bins[kb].seeds, s)
-	}
-	// Densest bin, ties broken by key for determinism.
-	var bestKey int64
-	var best *bin
-	for kb, b := range bins {
-		if best == nil || b.count > best.count || (b.count == best.count && kb < bestKey) {
-			best, bestKey = b, kb
+		if hi-lo > len(best) {
+			best = bs[lo:hi]
 		}
+		lo = hi
 	}
-	sort.Slice(best.seeds, func(a, b int) bool { return best.seeds[a].PosI < best.seeds[b].PosI })
-	sel := best.seeds[len(best.seeds)/2]
+	sel := best[len(best)/2].seed
 
-	out := ChosenSeed{PosI: sel.PosI, PosJ: sel.PosJ, Opposite: sel.Opposite, BinSupport: best.count}
+	out := ChosenSeed{PosI: sel.PosI, PosJ: sel.PosJ, Opposite: sel.Opposite, BinSupport: len(best)}
 	// Overlap estimate: with the seed at (pi, pj) the overlap extends
 	// min(pi, pj) to the left and min(lenI-pi, lenJ-pj) to the right
 	// (using the orientation-corrected J position).

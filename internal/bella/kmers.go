@@ -10,90 +10,175 @@ package bella
 
 import (
 	"math"
+	"math/bits"
 	"runtime"
-	"sort"
 	"sync"
 
 	"logan/internal/genome"
 	"logan/internal/seq"
 )
 
-// Occurrence is one k-mer hit inside a read. Strand records whether the
-// canonical form equals the forward k-mer at this position (true = the
-// k-mer was seen reverse-complemented).
+// Occurrence is one nonzero of the reads-by-k-mers matrix: the first
+// position in read Read at which a column's k-mer occurs. RevCmp is true
+// when the read spells the reverse complement of the canonical form at Pos
+// (the forward window there is not the canonical k-mer), so two reads see
+// a k-mer on opposite strands exactly when their RevCmp flags differ.
 type Occurrence struct {
 	Read   int32
 	Pos    int32
 	RevCmp bool
 }
 
-// KmerIndex is the outcome of counting: per-k-mer occurrence lists over
-// the read set, canonical-form keyed.
+// KmerIndex is the outcome of counting: the distinct canonical k-mers of
+// the read set in ascending order, and in Counts[i] the number of windows,
+// over all reads, whose canonical form is Kmers[i].
 type KmerIndex struct {
 	K      int
-	Counts map[seq.Kmer]int32
+	Kmers  []seq.Kmer
+	Counts []int32
 }
 
-// countShard is one lock-striped slice of the global k-mer count table.
-type countShard struct {
-	mu sync.Mutex
-	m  map[seq.Kmer]int32
-}
-
-// CountKmers tallies canonical k-mer multiplicities across all reads,
-// sharded across workers. This is BELLA's first pass.
-func CountKmers(reads []genome.Read, k, workers int) KmerIndex {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	codec := seq.MustKmerCodec(k)
-	const shards = 16
-	var sh [shards]countShard
-	for i := range sh {
-		sh[i].m = make(map[seq.Kmer]int32)
-	}
+// parallelRange splits [0,n) into workers >= 1 contiguous chunks and runs
+// fn(w, lo, hi) on chunk w concurrently, returning once all are done. The
+// chunks depend on workers, so callers combine them in a way that does not.
+func parallelRange(n, workers int, fn func(w, lo, hi int)) {
 	var wg sync.WaitGroup
-	ch := make(chan int, workers)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var buf []seq.Positioned
-			local := make(map[seq.Kmer]int32)
-			for idx := range ch {
-				buf = codec.Scan(buf[:0], reads[idx].Seq, true)
-				for _, p := range buf {
-					local[p.Kmer]++
-				}
-				if len(local) > 1<<16 {
-					flushCounts(local, &sh)
-				}
-			}
-			flushCounts(local, &sh)
+			fn(w, w*n/workers, (w+1)*n/workers)
 		}()
 	}
-	for i := range reads {
-		ch <- i
-	}
-	close(ch)
 	wg.Wait()
-	total := make(map[seq.Kmer]int32)
-	for i := range sh {
-		for km, c := range sh[i].m {
-			total[km] += c
-		}
-	}
-	return KmerIndex{K: k, Counts: total}
 }
 
-func flushCounts(local map[seq.Kmer]int32, sh *[16]countShard) {
-	for km, c := range local {
-		s := &sh[int(km&15)]
-		s.mu.Lock()
-		s.m[km] += c
-		s.mu.Unlock()
+// workerCount resolves a Workers setting (<= 0 selects GOMAXPROCS).
+func workerCount(workers int) int {
+	if workers <= 0 {
+		return runtime.GOMAXPROCS(0)
 	}
-	clear(local)
+	return workers
+}
+
+// CountKmers tallies canonical k-mer multiplicities across all reads —
+// BELLA's first pass — by sorting rather than hashing. Workers scan
+// disjoint reads into flat key buffers, histogramming the top bits of each
+// key; the histograms place every (worker, partition) block in one shared
+// array, so after the scatter each partition holds all keys with its
+// prefix, contiguously. Partitions are sized to stay in cache, and each is
+// radix-sorted on its remaining bits and run-length counted on its own.
+// A sorted multiset has one order, so the index is the same for any
+// worker count.
+func CountKmers(reads []genome.Read, k, workers int) KmerIndex {
+	workers = workerCount(workers)
+	codec := seq.MustKmerCodec(k)
+	bases := 0
+	for _, r := range reads {
+		bases += len(r.Seq)
+	}
+	// ~4096 keys (32 KiB) per partition for uniformly distributed k-mers.
+	pbits := min(bits.Len(uint(bases>>12)), 16, 2*k)
+	nparts, shift := 1<<pbits, uint(2*k-pbits)
+
+	bufs := make([][]seq.Kmer, workers)
+	next := make([][]int, workers) // next[w][p]: where worker w writes its next partition-p key
+	parallelRange(len(reads), workers, func(w, lo, hi int) {
+		n := 0
+		for _, r := range reads[lo:hi] {
+			n += len(r.Seq)
+		}
+		keys, hist := make([]seq.Kmer, 0, n), make([]int, nparts)
+		var scan []seq.Positioned
+		for _, r := range reads[lo:hi] {
+			scan = codec.Scan(scan[:0], r.Seq, true)
+			for _, p := range scan {
+				keys = append(keys, p.Kmer)
+				hist[p.Kmer>>shift]++
+			}
+		}
+		bufs[w], next[w] = keys, hist
+	})
+	start := make([]int, nparts+1) // partition p is keys[start[p]:start[p+1]]
+	total := 0
+	for p := 0; p < nparts; p++ {
+		start[p] = total
+		for w := range next {
+			next[w][p], total = total, total+next[w][p]
+		}
+	}
+	start[nparts] = total
+	keys := make([]seq.Kmer, total)
+	parallelRange(workers, workers, func(w, _, _ int) {
+		for _, km := range bufs[w] {
+			keys[next[w][km>>shift]] = km
+			next[w][km>>shift]++
+		}
+		bufs[w] = nil
+	})
+
+	// Sort each partition and compact it in place to its distinct k-mers.
+	counts := make([]int32, total)
+	distinct := make([]int, nparts)
+	parallelRange(nparts, workers, func(_, lo, hi int) {
+		var tmp []seq.Kmer
+		for p := lo; p < hi; p++ {
+			part, cnt := keys[start[p]:start[p+1]], counts[start[p]:start[p+1]]
+			if len(part) > len(tmp) {
+				tmp = make([]seq.Kmer, len(part))
+			}
+			radixSort(part, tmp[:len(part)], shift)
+			d := 0 // part[:d] holds the distinct k-mers seen so far
+			for i, km := range part {
+				if i > 0 && km == part[d-1] {
+					cnt[d-1]++
+					continue
+				}
+				part[d], cnt[d] = km, 1
+				d++
+			}
+			distinct[p] = d
+		}
+	})
+	n := 0
+	for p, d := range distinct {
+		copy(keys[n:], keys[start[p]:start[p]+d])
+		copy(counts[n:], counts[start[p]:start[p]+d])
+		n += d
+	}
+	return KmerIndex{K: k, Kmers: keys[:n], Counts: counts[:n]}
+}
+
+// radixSort sorts a ascending, given that its keys differ only in their low
+// width bits, with stable byte-wise counting passes through tmp, which must
+// be as long as a.
+func radixSort(a, tmp []seq.Kmer, width uint) {
+	if len(a) < 2 {
+		return
+	}
+	src, dst := a, tmp
+	for sh := uint(0); sh < width; sh += 8 {
+		var cnt [256]int
+		for _, v := range src {
+			cnt[(v>>sh)&255]++
+		}
+		if cnt[(src[0]>>sh)&255] == len(src) {
+			continue // every key has the same byte here
+		}
+		sum := 0
+		for d, c := range cnt {
+			cnt[d], sum = sum, sum+c
+		}
+		for _, v := range src {
+			d := (v >> sh) & 255
+			dst[cnt[d]] = v
+			cnt[d]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &a[0] {
+		copy(a, src)
+	}
 }
 
 // ReliableBounds computes BELLA's reliable-k-mer multiplicity window for a
@@ -152,14 +237,13 @@ func logChoose(n, k int) float64 {
 }
 
 // Reliable filters the index down to k-mers whose multiplicity falls in
-// [lo, hi] and returns them in deterministic order.
+// [lo, hi], in ascending order: one pass over the sorted runs.
 func (idx KmerIndex) Reliable(lo, hi int32) []seq.Kmer {
 	var out []seq.Kmer
-	for km, c := range idx.Counts {
+	for i, c := range idx.Counts {
 		if c >= lo && c <= hi {
-			out = append(out, km)
+			out = append(out, idx.Kmers[i])
 		}
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
 	return out
 }

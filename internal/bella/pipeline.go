@@ -52,7 +52,7 @@ type Config struct {
 	MinShared  int     // min shared reliable k-mers per candidate
 	MaxSeeds   int     // seeds retained per pair
 	Delta      float64 // adaptive-threshold cushion (default 0.25)
-	Workers    int     // CPU workers for counting
+	Workers    int     // CPU workers for stages 1-5 (0: GOMAXPROCS); results do not depend on it
 	ReliableLo int32   // override reliable bounds when > 0
 	ReliableHi int32
 	// MinOverlap drops accepted overlaps whose aligned query extent is
@@ -191,7 +191,7 @@ func Prepare(ctx context.Context, rs genome.ReadSet, cfg Config) (Prepared, erro
 
 	// Stage 3: sparse matrix construction.
 	t0 = time.Now()
-	mat := BuildMatrix(rs.Reads, cfg.K, reliable)
+	mat := buildMatrix(rs.Reads, cfg.K, reliable, cfg.Workers)
 	out.NNZ = mat.NNZ
 	out.Times.Matrix = time.Since(t0)
 	cfg.progress(Progress{Stage: StageMatrix, ReliableKmers: out.Reliable})
@@ -212,9 +212,11 @@ func Prepare(ctx context.Context, rs genome.ReadSet, cfg Config) (Prepared, erro
 	// Stage 5: binning and seed choice.
 	t0 = time.Now()
 	out.Seeds = make([]ChosenSeed, len(out.Cands))
-	for i, c := range out.Cands {
-		out.Seeds[i] = ChooseSeed(c, len(rs.Reads[c.I].Seq), len(rs.Reads[c.J].Seq), cfg.K, cfg.BinWidth)
-	}
+	parallelRange(len(out.Cands), workerCount(cfg.Workers), func(_, lo, hi int) {
+		for i, c := range out.Cands[lo:hi] {
+			out.Seeds[lo+i] = ChooseSeed(c, len(rs.Reads[c.I].Seq), len(rs.Reads[c.J].Seq), cfg.K, cfg.BinWidth)
+		}
+	})
 	out.Pairs = BuildAlignmentPairs(rs.Reads, out.Cands, out.Seeds, cfg.K)
 	out.Times.Binning = time.Since(t0)
 	cfg.progress(Progress{

@@ -59,8 +59,8 @@ func FuzzReadPairs(f *testing.F) {
 	})
 }
 
-// FuzzKmerScan: scanning must agree with per-position encoding for any
-// byte input that validates.
+// FuzzKmerScan: the rolling two-strand scan must agree with per-position
+// encoding and the O(k) RevComp/Canonical for any byte input that validates.
 func FuzzKmerScan(f *testing.F) {
 	f.Add([]byte("ACGTACGTNNACGT"), 5)
 	f.Add([]byte("AAAA"), 2)
@@ -76,19 +76,23 @@ func FuzzKmerScan(f *testing.F) {
 			return
 		}
 		c := MustKmerCodec(k)
-		scan := c.Scan(nil, s, false)
+		scan, canon := c.Scan(nil, s, false), c.Scan(nil, s, true)
 		var naive []Positioned
 		for i := 0; i+k <= len(s); i++ {
 			if km, ok := c.Encode(s, i); ok {
-				naive = append(naive, Positioned{Kmer: km, Pos: i})
+				naive = append(naive, Positioned{Kmer: km, Pos: i, Rev: c.RevComp(km) < km})
 			}
 		}
-		if len(scan) != len(naive) {
-			t.Fatalf("scan %d k-mers, naive %d", len(scan), len(naive))
+		if len(scan) != len(naive) || len(canon) != len(naive) {
+			t.Fatalf("scan %d / canonical scan %d k-mers, naive %d", len(scan), len(canon), len(naive))
 		}
-		for i := range scan {
-			if scan[i] != naive[i] {
-				t.Fatalf("k-mer %d differs", i)
+		for i, want := range naive {
+			if scan[i] != want {
+				t.Fatalf("k-mer %d: scan %+v, naive %+v", i, scan[i], want)
+			}
+			want.Kmer = c.Canonical(want.Kmer)
+			if canon[i] != want {
+				t.Fatalf("k-mer %d: canonical scan %+v, naive %+v", i, canon[i], want)
 			}
 		}
 	})

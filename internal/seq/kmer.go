@@ -79,38 +79,46 @@ func (c KmerCodec) Canonical(km Kmer) Kmer {
 	return km
 }
 
-// Positioned is a k-mer occurrence within a read.
+// Positioned is a k-mer occurrence within a read. Rev reports that the
+// reverse complement of the window is numerically smaller than its forward
+// code, i.e. that the canonical form is the reverse-complemented one.
 type Positioned struct {
 	Kmer Kmer
 	Pos  int
+	Rev  bool
 }
 
 // Scan appends to dst every valid k-mer of s with its position, using the
 // canonical form if canonical is true, and returns the extended slice.
 // Windows containing N are skipped, matching BELLA's parser.
+//
+// Both strands roll: each base shifts into the low end of the forward code
+// and its complement into the high end of the reverse-complement code, so
+// the canonical form costs O(1) per base rather than an O(k) RevComp.
 func (c KmerCodec) Scan(dst []Positioned, s Seq, canonical bool) []Positioned {
 	if len(s) < c.K {
 		return dst
 	}
-	// Rolling encoding: shift in one base at a time, restart after an N.
-	var km Kmer
+	top := uint(2 * (c.K - 1)) // bit offset of the first base of a window
+	var fw, rc Kmer
 	run := 0 // valid bases accumulated in the current window
 	for i := 0; i < len(s); i++ {
-		if s.IsN(i) {
+		code := encode[s[i]]
+		if code >= 4 { // N restarts the window
 			run = 0
-			km = 0
 			continue
 		}
-		km = (km<<2 | Kmer(s.Code(i))) & c.mask
+		fw = (fw<<2 | Kmer(code)) & c.mask
+		rc = rc>>2 | Kmer(code^3)<<top
 		if run < c.K {
 			run++
 		}
 		if run == c.K {
-			v := km
-			if canonical {
-				v = c.Canonical(km)
+			p := Positioned{Kmer: fw, Pos: i - c.K + 1, Rev: rc < fw}
+			if canonical && p.Rev {
+				p.Kmer = rc
 			}
-			dst = append(dst, Positioned{Kmer: v, Pos: i - c.K + 1})
+			dst = append(dst, p)
 		}
 	}
 	return dst

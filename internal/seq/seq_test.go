@@ -190,7 +190,7 @@ func TestKmerScanMatchesNaive(t *testing.T) {
 	var want []Positioned
 	for i := 0; i+c.K <= len(s); i++ {
 		if km, ok := c.Encode(s, i); ok {
-			want = append(want, Positioned{Kmer: km, Pos: i})
+			want = append(want, Positioned{Kmer: km, Pos: i, Rev: c.RevComp(km) < km})
 		}
 	}
 	if len(got) != len(want) {

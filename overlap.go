@@ -85,7 +85,7 @@ type OverlapProgress struct {
 // value is not valid; start from DefaultOverlapConfig.
 type OverlapConfig struct {
 	// K is the k-mer length shared by counting, candidate detection and
-	// seeding (BELLA's default is 17; must be in (0, 32]).
+	// seeding (BELLA's default is 17; must be in (0,31]).
 	K int
 	// Coverage and ErrorRate describe the data set for the reliable-k-mer
 	// model: mean sequencing depth and per-base error rate.
@@ -115,8 +115,9 @@ type OverlapConfig struct {
 	// submitted to the engine per batch, with cancellation checks and
 	// progress updates between chunks (0 selects 2048).
 	BatchPairs int
-	// Workers bounds the CPU workers of the k-mer counting stage
-	// (0 selects GOMAXPROCS).
+	// Workers bounds the CPU workers of the overlap-detection stages
+	// before extension — k-mer counting, matrix construction, binning —
+	// (0 selects GOMAXPROCS). Results do not depend on it.
 	Workers int
 	// OnProgress, when non-nil, receives progress snapshots. It is called
 	// synchronously from the run's goroutines and must return quickly.
@@ -135,7 +136,7 @@ func DefaultOverlapConfig(coverage, errRate float64, x int32) OverlapConfig {
 }
 
 // Validate rejects configurations the pipeline cannot honor: k outside
-// (0,32], a non-linear scoring scheme, or scheme/X values the engine
+// (0,31], a non-linear scoring scheme, or scheme/X values the engine
 // itself rejects.
 func (c OverlapConfig) Validate() error {
 	if c.K <= 0 || c.K > seq.MaxK {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -160,6 +161,54 @@ func TestOverlapperRunFasta(t *testing.T) {
 	}
 	if len(faRes.Records) > 0 && !strings.HasPrefix(faRes.Records[0].QName, "read") {
 		t.Errorf("FASTA names lost: first qname %q", faRes.Records[0].QName)
+	}
+}
+
+// TestOverlapperGoldenPAF pins the whole pipeline to a file written by the
+// commit before the sort-based k-mer front end: testdata/bella_tiny_seed1.paf
+// is the output of `bella -preset tiny -seed 1 -paf ...` at that commit.
+// RunFasta must reproduce it byte for byte whatever the worker count.
+func TestOverlapperGoldenPAF(t *testing.T) {
+	want, err := os.ReadFile("testdata/bella_tiny_seed1.paf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// cmd/bella's "tiny" preset and defaults (-x 25 -k 17 -minov 500).
+	tiny := genome.Preset{
+		Name: "tiny", GenomeLen: 80_000, Coverage: 5,
+		MinLen: 1000, MaxLen: 2500, ErrorRate: 0.15, RepeatFrac: 0.02,
+	}
+	rs := tiny.Build(rand.New(rand.NewSource(1)))
+	var fa bytes.Buffer
+	if err := seq.WriteFasta(&fa, rs.Records()); err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultOverlapConfig(tiny.Coverage, tiny.ErrorRate, 25)
+	cfg.MinOverlap = 500
+
+	eng, err := NewAligner(EngineOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	ov, err := NewOverlapper(eng, OverlapperOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 8} {
+		cfg.Workers = workers
+		res, err := ov.RunFasta(context.Background(), bytes.NewReader(fa.Bytes()), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got bytes.Buffer
+		if err := WritePAF(&got, res.Records); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Errorf("Workers=%d: PAF (%d records, %d bytes) differs from the golden file (%d bytes)",
+				workers, len(res.Records), got.Len(), len(want))
+		}
 	}
 }
 
