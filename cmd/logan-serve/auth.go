@@ -102,12 +102,3 @@ func (s *server) tenantFor(r *http.Request) (*logan.Tenant, bool) {
 	ten, ok := s.keys[key]
 	return ten, ok
 }
-
-// tenantName renders a tenant for metric labels and logs; the nil
-// (unmetered) tenant reads as anonymous.
-func tenantName(ten *logan.Tenant) string {
-	if ten == nil {
-		return "anonymous"
-	}
-	return ten.Name()
-}

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -163,11 +164,11 @@ func TestClusterWorkerDeathRetry(t *testing.T) {
 		if code != http.StatusOK {
 			t.Fatalf("GET /jobs/%s: status %d", id, code)
 		}
-		if st.State == string(jobRunning) && st.Worker != "" {
+		if st.State == cluster.StateRunning && st.Worker != "" {
 			victim = st.Worker
 			break
 		}
-		if st.State != string(jobQueued) {
+		if st.State != cluster.StateQueued {
 			t.Fatalf("job %s before any kill: %s (%s)", id, st.State, st.Error)
 		}
 		if time.Now().After(deadline) {
@@ -188,7 +189,7 @@ func TestClusterWorkerDeathRetry(t *testing.T) {
 	}
 
 	st := waitJob(t, srv.URL, id, 60*time.Second)
-	if st.State != string(jobDone) {
+	if st.State != cluster.StateDone {
 		t.Fatalf("job finished %s: %s", st.State, st.Error)
 	}
 	if st.Requeues != 1 {
@@ -245,13 +246,13 @@ func TestClusterWALReplay(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("job %s lost across restart: status %d", id, code)
 	}
-	if st.State != string(jobQueued) {
+	if st.State != cluster.StateQueued {
 		t.Fatalf("replayed job state %s, want queued", st.State)
 	}
 
 	startWorker(t, srv2.URL, "w1")
 	fin := waitJob(t, srv2.URL, id, 60*time.Second)
-	if fin.State != string(jobDone) {
+	if fin.State != cluster.StateDone {
 		t.Fatalf("replayed job finished %s: %s", fin.State, fin.Error)
 	}
 	if got := getPAF(t, srv2.URL, id); !bytes.Equal(got, want) {
@@ -341,7 +342,7 @@ func TestClusterIdempotencyKey(t *testing.T) {
 		t.Error("distinct Idempotency-Key mapped onto the same job")
 	}
 
-	if st := waitJob(t, srv.URL, first.ID, 60*time.Second); st.State != string(jobDone) {
+	if st := waitJob(t, srv.URL, first.ID, 60*time.Second); st.State != cluster.StateDone {
 		t.Fatalf("job finished %s: %s", st.State, st.Error)
 	}
 	waitJob(t, srv.URL, other.ID, 60*time.Second)
@@ -380,5 +381,51 @@ func TestClusterMetricsRollup(t *testing.T) {
 			t.Fatalf("rollup never showed both workers; last scrape:\n%.2000s", text)
 		}
 		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// TestJobsSubmitFaultStatus: a fault of the store (closed for shutdown,
+// write-ahead queue refusing appends) is a 503 with Retry-After in both
+// modes, never a 400; a fault of the submitted source (unreadable, over
+// the per-job byte limit — the router reads it at admission) stays a 400.
+func TestJobsSubmitFaultStatus(t *testing.T) {
+	fasta := jobsTestFasta(t, 24, 30_000)
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "big.fa"), fasta, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	mut := func(c *serveConfig) {
+		c.jobDataDir = dir
+		c.jobBodyLimit = int64(len(fasta)) - 1
+	}
+	localSrv, localS := jobsTestServer(t, logan.EngineOptions{}, mut)
+	routerSrv, routerS, _ := clusterTestServer(t, filepath.Join(t.TempDir(), "queue.wal"), mut)
+
+	post := func(url, ct, body string) *http.Response {
+		t.Helper()
+		resp, err := http.Post(url+"/jobs", ct, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp
+	}
+	for _, body := range []string{`{"fastaPath":"missing.fa"}`, `{"fastaPath":"big.fa"}`} {
+		if resp := post(routerSrv.URL, "application/json", body); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("router, %s: status %d, want 400", body, resp.StatusCode)
+		}
+	}
+
+	for _, tc := range []struct {
+		name string
+		url  string
+		s    *server
+	}{{"local", localSrv.URL, localS}, {"router", routerSrv.URL, routerS}} {
+		tc.s.store.Close()
+		resp := post(tc.url, "application/x-fasta", ">r\nACGT\n")
+		if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
+			t.Errorf("%s, closed store: status %d Retry-After %q, want 503 with Retry-After",
+				tc.name, resp.StatusCode, resp.Header.Get("Retry-After"))
+		}
 	}
 }

@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -13,606 +12,12 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"logan"
 	"logan/internal/cluster"
 	"logan/internal/telemetry"
 )
-
-// jobState is the lifecycle of one overlap job:
-//
-//	queued -> running -> done | failed
-//	   \--------\--------> canceled (DELETE)
-type jobState string
-
-const (
-	jobQueued   jobState = "queued"
-	jobRunning  jobState = "running"
-	jobDone     jobState = "done"
-	jobFailed   jobState = "failed"
-	jobCanceled jobState = "canceled"
-)
-
-// terminal reports whether the state can never change again.
-func (s jobState) terminal() bool {
-	return s == jobDone || s == jobFailed || s == jobCanceled
-}
-
-// jobProgress mirrors logan.OverlapProgress with atomics, so the runner
-// goroutine updates it lock-free while status requests snapshot it.
-type jobProgress struct {
-	stage                             atomic.Value // logan.OverlapStage
-	readsParsed, reliableKmers        atomic.Int64
-	candidatePairs, extDone, extTotal atomic.Int64
-	overlaps                          atomic.Int64
-	shed, retries                     atomic.Int64
-}
-
-// observe folds one progress snapshot into the counters.
-func (p *jobProgress) observe(u logan.OverlapProgress) {
-	p.stage.Store(u.Stage)
-	p.readsParsed.Store(int64(u.ReadsParsed))
-	p.reliableKmers.Store(int64(u.ReliableKmers))
-	p.candidatePairs.Store(int64(u.CandidatePairs))
-	p.extDone.Store(int64(u.ExtensionsDone))
-	p.extTotal.Store(int64(u.ExtensionsTotal))
-	p.overlaps.Store(int64(u.Overlaps))
-	p.shed.Store(u.Shed)
-	p.retries.Store(u.Retries)
-}
-
-// job is one submitted overlap run.
-type job struct {
-	id        string
-	idemKey   string // client Idempotency-Key, "" when absent
-	createdAt time.Time
-	cancel    context.CancelFunc
-	progress  jobProgress
-	// tenant is the submitting principal (nil on an open server). It
-	// rides the runner's context so coalesced extension chunks are
-	// admission-controlled and attributed under the submitter, and it
-	// keys the per-tenant running-jobs gauge.
-	tenant *logan.Tenant
-
-	mu         sync.Mutex
-	state      jobState
-	err        string
-	startedAt  time.Time
-	finishedAt time.Time
-	paf        []byte // serialized PAF, set when state == jobDone
-	overlaps   int
-	reads      int
-	cells      int64
-	// removed marks a job taken out of the store (DELETE or eviction)
-	// whose runner may still be finishing: finish must not retain the
-	// PAF or count it against the result budget — nobody can fetch it
-	// and nothing would ever subtract it.
-	removed bool
-}
-
-// jobTelemetry are the job subsystem's instruments, registered in the
-// shared registry so /metrics and /statz read the same series.
-type jobTelemetry struct {
-	submitted *telemetry.Counter
-	completed *telemetry.Counter
-	failed    *telemetry.Counter
-	// canceled counts DELETEd jobs; rejected counts submissions shed by
-	// admission control (HTTP 429: store full of live jobs or upload byte
-	// budget exhausted).
-	canceled *telemetry.Counter
-	rejected *telemetry.Counter
-	// pafBytes counts result bytes produced by completed jobs.
-	pafBytes *telemetry.Counter
-	// avgDuration is the EWMA wall time of finished jobs — the drain-rate
-	// estimate behind the Retry-After header on shed submissions.
-	avgDuration *telemetry.Gauge
-}
-
-func newJobTelemetry(reg *telemetry.Registry) jobTelemetry {
-	return jobTelemetry{
-		submitted:   reg.Counter("logan_jobs_submitted_total", "Overlap jobs accepted by POST /jobs."),
-		completed:   reg.Counter("logan_jobs_completed_total", "Overlap jobs that finished successfully."),
-		failed:      reg.Counter("logan_jobs_failed_total", "Overlap jobs that finished with an error."),
-		canceled:    reg.Counter("logan_jobs_canceled_total", "Overlap jobs canceled by DELETE or shutdown."),
-		rejected:    reg.Counter("logan_jobs_rejected_total", "Job submissions shed by admission control (HTTP 429)."),
-		pafBytes:    reg.Counter("logan_jobs_paf_bytes_total", "Serialized PAF bytes produced by completed jobs."),
-		avgDuration: reg.Gauge("logan_jobs_duration_seconds_avg", "EWMA wall time of finished jobs (the Retry-After drain estimate)."),
-	}
-}
-
-// jobStore is the bounded in-process registry behind the /jobs API: at
-// most maxJobs jobs are retained (terminal jobs are evicted oldest-first
-// to make room; a store full of live jobs sheds new submissions), and at
-// most workers jobs run concurrently — the rest wait in "queued".
-type jobStore struct {
-	ov      *logan.Overlapper
-	maxJobs int
-	workers int
-	sem     chan struct{} // worker slots
-	baseCtx context.Context
-	stopAll context.CancelFunc
-	wg      sync.WaitGroup
-	t       jobTelemetry
-	// byteBudget bounds the FASTA bytes buffered by upload jobs that are
-	// still ingesting: admission counts jobs AND bytes, so a client
-	// cannot pin maxJobs × bodyLimit of heap behind two worker slots.
-	// bufferedBytes is the current reservation, released once the job's
-	// ingestion stage completes (the buffer is dead weight from then on)
-	// or its runner returns, whichever comes first.
-	byteBudget    int64
-	bufferedBytes atomic.Int64
-	// resultBudget bounds the aggregate serialized-PAF bytes retained by
-	// terminal jobs (resultBytes is the current total): PAF size is
-	// unrelated to input size — dense overlap sets are quadratic — so
-	// results need their own budget, enforced by evicting the oldest
-	// terminal jobs.
-	resultBudget int64
-	resultBytes  atomic.Int64
-
-	// reg backs the lazily registered per-tenant running-jobs gauges;
-	// tenRunning holds the live counters behind them (tenMu guards the
-	// map, the counters themselves are atomic).
-	reg        *telemetry.Registry
-	tenMu      sync.Mutex
-	tenRunning map[string]*atomic.Int64
-
-	mu    sync.Mutex
-	jobs  map[string]*job
-	order []string // insertion order, for eviction scans
-	// idem maps client Idempotency-Keys onto retained job IDs, so a
-	// retried POST lands on the original job instead of double-running.
-	idem map[string]string
-	// idemHits counts submissions deduplicated onto an existing job.
-	idemHits *telemetry.Counter
-}
-
-// runningGauge returns the tenant's running-jobs counter, registering
-// the logan_tenant_running_jobs{tenant=...} gauge on first sight.
-func (st *jobStore) runningGauge(name string) *atomic.Int64 {
-	st.tenMu.Lock()
-	defer st.tenMu.Unlock()
-	if c, ok := st.tenRunning[name]; ok {
-		return c
-	}
-	c := new(atomic.Int64)
-	st.tenRunning[name] = c
-	st.reg.GaugeFunc("logan_tenant_running_jobs", "Overlap jobs currently executing, by tenant.",
-		func() float64 { return float64(c.Load()) }, telemetry.L("tenant", name))
-	return c
-}
-
-// newJobStore builds a store running jobs on the given overlapper,
-// registering its instruments (and queued/running gauge funcs) in reg.
-func newJobStore(ov *logan.Overlapper, reg *telemetry.Registry, workers, maxJobs int, byteBudget, resultBudget int64) *jobStore {
-	if workers <= 0 {
-		workers = 2
-	}
-	if maxJobs <= 0 {
-		maxJobs = 64
-	}
-	if byteBudget <= 0 {
-		byteBudget = 256 << 20
-	}
-	if resultBudget <= 0 {
-		resultBudget = 256 << 20
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	st := &jobStore{
-		ov: ov, maxJobs: maxJobs, workers: workers,
-		sem:     make(chan struct{}, workers),
-		baseCtx: ctx, stopAll: cancel,
-		t:          newJobTelemetry(reg),
-		byteBudget: byteBudget, resultBudget: resultBudget,
-		reg:        reg,
-		tenRunning: make(map[string]*atomic.Int64),
-		jobs:       make(map[string]*job),
-		idem:       make(map[string]string),
-		idemHits:   reg.Counter("logan_jobs_idempotent_replays_total", "Submissions deduplicated onto an existing job by Idempotency-Key."),
-	}
-	reg.GaugeFunc("logan_jobs_queued", "Jobs waiting for a worker slot.", func() float64 {
-		q, _ := st.counts()
-		return float64(q)
-	})
-	reg.GaugeFunc("logan_jobs_running", "Jobs currently executing.", func() float64 {
-		_, r := st.counts()
-		return float64(r)
-	})
-	reg.GaugeFunc("logan_jobs_buffered_bytes", "FASTA bytes buffered by live upload jobs.", func() float64 {
-		return float64(st.bufferedBytes.Load())
-	})
-	reg.GaugeFunc("logan_jobs_result_bytes", "Serialized PAF bytes retained by finished jobs.", func() float64 {
-		return float64(st.resultBytes.Load())
-	})
-	return st
-}
-
-// jobDurationAlpha is the EWMA weight for the finished-job wall-time
-// estimate behind Retry-After.
-const jobDurationAlpha = 0.3
-
-// RetryAfter projects when a worker slot should free up: the average job
-// duration spread over the queue depth ahead of a new submission, floored
-// at one second and capped at a minute (an uncalibrated store — no job
-// has finished yet — advertises the floor). Implements cluster.JobStore.
-func (st *jobStore) RetryAfter() time.Duration {
-	avg := st.t.avgDuration.Value()
-	if avg <= 0 {
-		return time.Second
-	}
-	queued, running := st.counts()
-	d := time.Duration(avg * float64(queued+running+1) / float64(st.workers) * float64(time.Second))
-	return min(max(d, time.Second), time.Minute)
-}
-
-// Close cancels every live job and waits for the runners to drain. Call
-// it before closing the coalescer/engine the overlapper extends on.
-func (st *jobStore) Close() {
-	st.stopAll()
-	st.wg.Wait()
-}
-
-// add registers a new job, evicting the oldest terminal job when the
-// store is full (failing with cluster.ErrStoreFull when every retained
-// job is still live). When the job carries an idempotency key that is
-// already mapped, add registers nothing and returns the existing job —
-// the check runs under the store lock, so two concurrent retries with
-// the same key still collapse onto one job.
-func (st *jobStore) add(j *job) (*job, error) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if j.idemKey != "" {
-		if id, ok := st.idem[j.idemKey]; ok {
-			return st.jobs[id], nil
-		}
-	}
-	if len(st.jobs) >= st.maxJobs {
-		evicted := false
-		for i, id := range st.order {
-			old := st.jobs[id]
-			old.mu.Lock()
-			dead := old.state.terminal()
-			paf := len(old.paf)
-			if dead {
-				old.removed = true
-			}
-			old.mu.Unlock()
-			if dead {
-				st.forgetLocked(i, id, old, paf)
-				evicted = true
-				break
-			}
-		}
-		if !evicted {
-			return nil, cluster.ErrStoreFull
-		}
-	}
-	st.jobs[j.id] = j
-	st.order = append(st.order, j.id)
-	if j.idemKey != "" {
-		st.idem[j.idemKey] = j.id
-	}
-	return nil, nil
-}
-
-// forgetLocked removes the job at order index i from every map and
-// releases its retained result bytes. Caller holds st.mu.
-func (st *jobStore) forgetLocked(i int, id string, j *job, paf int) {
-	delete(st.jobs, id)
-	st.order = append(st.order[:i], st.order[i+1:]...)
-	if j.idemKey != "" {
-		delete(st.idem, j.idemKey)
-	}
-	if paf > 0 {
-		st.resultBytes.Add(int64(-paf))
-	}
-}
-
-// trimResults evicts the oldest terminal jobs (sparing keep, the one
-// that just finished) until retained PAF bytes fit the result budget: a
-// dense overlap set can produce results far larger than its input, so
-// the output side needs admission control of its own.
-func (st *jobStore) trimResults(keep string) {
-	if st.resultBytes.Load() <= st.resultBudget {
-		return
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	for i := 0; i < len(st.order) && st.resultBytes.Load() > st.resultBudget; {
-		id := st.order[i]
-		if id == keep {
-			i++
-			continue
-		}
-		j := st.jobs[id]
-		j.mu.Lock()
-		dead := j.state.terminal()
-		paf := len(j.paf)
-		if dead && paf > 0 {
-			j.removed = true
-		}
-		j.mu.Unlock()
-		if !dead || paf == 0 {
-			i++
-			continue
-		}
-		st.forgetLocked(i, id, j, paf)
-	}
-}
-
-// get returns the job by id.
-func (st *jobStore) get(id string) (*job, bool) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	j, ok := st.jobs[id]
-	return j, ok
-}
-
-// remove deletes the job from the registry; the runner goroutine (if any)
-// keeps running until its context cancellation lands.
-func (st *jobStore) remove(id string) (*job, bool) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	j, ok := st.jobs[id]
-	if !ok {
-		return nil, false
-	}
-	j.mu.Lock()
-	paf := len(j.paf)
-	j.removed = true // a still-running finish must not account its result
-	j.mu.Unlock()
-	for i, oid := range st.order {
-		if oid == id {
-			st.forgetLocked(i, id, j, paf)
-			break
-		}
-	}
-	return j, true
-}
-
-// counts returns the live-state gauges for /statz.
-func (st *jobStore) counts() (queued, running int) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	for _, j := range st.jobs {
-		j.mu.Lock()
-		switch j.state {
-		case jobQueued:
-			queued++
-		case jobRunning:
-			running++
-		}
-		j.mu.Unlock()
-	}
-	return queued, running
-}
-
-// submit registers and starts a job over the given FASTA source. The
-// source is opened only once a worker slot frees up, so a deep queue does
-// not hold file handles. bufSize is the source's already-buffered upload
-// bytes (0 for server-side paths, which buffer nothing); the reservation
-// is held until the job's runner returns and its buffer is unreachable.
-// A submission whose idemKey matches a retained job returns that job
-// with replayed=true instead of starting a second run.
-func (st *jobStore) submit(ten *logan.Tenant, cfg logan.OverlapConfig, src func() (io.ReadCloser, error), bufSize int64, idemKey string) (j *job, replayed bool, err error) {
-	if bufSize > 0 && st.bufferedBytes.Add(bufSize) > st.byteBudget {
-		st.bufferedBytes.Add(-bufSize)
-		return nil, false, cluster.ErrBusy
-	}
-	ctx, cancel := context.WithCancel(st.baseCtx)
-	if ten != nil {
-		// The submitter rides the runner's context: with -job-coalesce the
-		// job's extension chunks hit the coalescer's per-tenant admission
-		// (bulk class) under this identity instead of anonymously.
-		ctx = logan.WithTenant(ctx, ten)
-	}
-	j = &job{id: cluster.NewID(), idemKey: idemKey, createdAt: time.Now(), state: jobQueued, cancel: cancel, tenant: ten}
-	j.progress.stage.Store(logan.OverlapStage("queued"))
-	cfg.OnProgress = j.progress.observe
-	existing, err := st.add(j)
-	if existing != nil || err != nil {
-		cancel()
-		st.bufferedBytes.Add(-bufSize)
-		if existing != nil {
-			st.idemHits.Inc()
-			return existing, true, nil
-		}
-		return nil, false, err
-	}
-	st.t.submitted.Inc()
-	st.wg.Add(1)
-	go st.run(ctx, j, cfg, src, bufSize)
-	return j, false, nil
-}
-
-// clusterStatus snapshots the job in the store-independent wire shape.
-func (j *job) clusterStatus() cluster.JobStatus {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	stage, _ := j.progress.stage.Load().(logan.OverlapStage)
-	return cluster.JobStatus{
-		ID:    j.id,
-		State: string(j.state),
-		Error: j.err,
-		Progress: cluster.Progress{
-			Stage:           string(stage),
-			ReadsParsed:     j.progress.readsParsed.Load(),
-			ReliableKmers:   j.progress.reliableKmers.Load(),
-			CandidatePairs:  j.progress.candidatePairs.Load(),
-			ExtensionsDone:  j.progress.extDone.Load(),
-			ExtensionsTotal: j.progress.extTotal.Load(),
-			Overlaps:        j.progress.overlaps.Load(),
-			Shed:            j.progress.shed.Load(),
-			Retries:         j.progress.retries.Load(),
-		},
-		Overlaps: j.overlaps,
-		Reads:    j.reads,
-		Cells:    j.cells,
-		PAFBytes: len(j.paf),
-		Created:  j.createdAt,
-		Started:  j.startedAt,
-		Finished: j.finishedAt,
-	}
-}
-
-// Submit implements cluster.JobStore for the single-node store.
-func (st *jobStore) Submit(sub cluster.Submission) (cluster.JobStatus, bool, error) {
-	j, replayed, err := st.submit(sub.Tenant, sub.Config, sub.Open, sub.BufBytes, sub.IdempotencyKey)
-	if err != nil {
-		st.t.rejected.Inc()
-		return cluster.JobStatus{}, false, err
-	}
-	return j.clusterStatus(), replayed, nil
-}
-
-// Status implements cluster.JobStore.
-func (st *jobStore) Status(id string) (cluster.JobStatus, bool) {
-	j, ok := st.get(id)
-	if !ok {
-		return cluster.JobStatus{}, false
-	}
-	return j.clusterStatus(), true
-}
-
-// PAF implements cluster.JobStore.
-func (st *jobStore) PAF(id string) ([]byte, cluster.JobStatus, bool) {
-	j, ok := st.get(id)
-	if !ok {
-		return nil, cluster.JobStatus{}, false
-	}
-	stat := j.clusterStatus()
-	if stat.State != cluster.StateDone {
-		return nil, stat, true
-	}
-	j.mu.Lock()
-	paf := j.paf
-	j.mu.Unlock()
-	return paf, stat, true
-}
-
-// Cancel implements cluster.JobStore: abort the run if live, forget the
-// job either way.
-func (st *jobStore) Cancel(id string) bool {
-	j, ok := st.remove(id)
-	if !ok {
-		return false
-	}
-	// Cancel the run; the runner's finish marks the job canceled (it is
-	// already unreachable, but the totals must record the outcome).
-	j.cancel()
-	return true
-}
-
-// Ready implements cluster.JobStore: the single-node store can always
-// make progress once constructed.
-func (st *jobStore) Ready() bool { return true }
-
-var _ cluster.JobStore = (*jobStore)(nil)
-
-// run executes one job: wait for a worker slot, stream the FASTA through
-// the overlapper, publish the outcome.
-func (st *jobStore) run(ctx context.Context, j *job, cfg logan.OverlapConfig, src func() (io.ReadCloser, error), bufSize int64) {
-	defer st.wg.Done()
-	// Release the upload-byte reservation as soon as ingestion completes
-	// (the first post-ingest progress update): from there the body buffer
-	// is dead weight and must not count against new submissions. The
-	// deferred call covers every early-exit path; progress callbacks run
-	// on this goroutine, so the flag needs no lock.
-	released := bufSize == 0
-	release := func() {
-		if !released {
-			released = true
-			st.bufferedBytes.Add(-bufSize)
-		}
-	}
-	defer release()
-	if !released {
-		observe := cfg.OnProgress
-		cfg.OnProgress = func(p logan.OverlapProgress) {
-			if p.Stage != logan.StageIngest {
-				release()
-			}
-			observe(p)
-		}
-	}
-	defer j.cancel()
-	select {
-	case st.sem <- struct{}{}:
-		defer func() { <-st.sem }()
-	case <-ctx.Done():
-		st.finish(j, nil, ctx.Err())
-		return
-	}
-	j.mu.Lock()
-	j.state = jobRunning
-	j.startedAt = time.Now()
-	j.mu.Unlock()
-	running := st.runningGauge(tenantName(j.tenant))
-	running.Add(1)
-	defer running.Add(-1)
-
-	in, err := src()
-	if err != nil {
-		st.finish(j, nil, err)
-		return
-	}
-	res, err := st.ov.RunFasta(ctx, in, cfg)
-	in.Close()
-	st.finish(j, res, err)
-	// A completed job just added its PAF bytes; shrink the retained set
-	// back under the result budget (evicting oldest terminal jobs).
-	st.trimResults(j.id)
-}
-
-// finish publishes a job outcome exactly once.
-func (st *jobStore) finish(j *job, res *logan.OverlapResult, err error) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.state.terminal() {
-		return
-	}
-	j.finishedAt = time.Now()
-	// Jobs that actually ran feed the duration EWMA behind Retry-After;
-	// ones canceled while still queued would drag the estimate toward
-	// zero and are skipped.
-	if !j.startedAt.IsZero() {
-		st.t.avgDuration.ObserveEWMA(j.finishedAt.Sub(j.startedAt).Seconds(), jobDurationAlpha)
-	}
-	switch {
-	case err == nil:
-		var buf bytes.Buffer
-		if werr := logan.WritePAF(&buf, res.Records); werr != nil {
-			j.state = jobFailed
-			j.err = werr.Error()
-			st.t.failed.Inc()
-			return
-		}
-		j.state = jobDone
-		j.overlaps = len(res.Records)
-		j.reads = res.Stats.Reads
-		j.cells = res.Stats.Cells
-		st.t.completed.Inc()
-		if j.removed {
-			// The job was DELETEd (or evicted) while the run raced to the
-			// finish line: nobody can fetch the result and nothing would
-			// ever subtract it from the budget, so drop it.
-			return
-		}
-		j.paf = buf.Bytes()
-		st.t.pafBytes.Add(float64(len(j.paf)))
-		st.resultBytes.Add(int64(len(j.paf)))
-	case errors.Is(err, context.Canceled):
-		j.state = jobCanceled
-		j.err = err.Error()
-		st.t.canceled.Inc()
-	default:
-		j.state = jobFailed
-		j.err = err.Error()
-		st.t.failed.Inc()
-	}
-}
 
 // overlapConfigJSON is the wire form of a job's pipeline configuration:
 // every field optional, zero values replaced by the DefaultOverlapConfig
@@ -818,11 +223,9 @@ func (s *server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		Tenant: ten, Config: cfg, Open: src, BufBytes: bufSize,
 		IdempotencyKey: r.Header.Get("Idempotency-Key"),
 	})
-	if err != nil {
-		if !errors.Is(err, cluster.ErrStoreFull) && !errors.Is(err, cluster.ErrBusy) {
-			s.fail(w, http.StatusBadRequest, "bad request: %v", err)
-			return
-		}
+	switch {
+	case err == nil:
+	case errors.Is(err, cluster.ErrStoreFull), errors.Is(err, cluster.ErrBusy):
 		s.m.shed.Inc()
 		// Retry-After projects a worker slot freeing up from the measured
 		// job duration EWMA and the current queue depth, not a constant.
@@ -830,6 +233,16 @@ func (s *server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Retry-After", retryAfterSeconds(s.store.RetryAfter()))
 		w.Header().Set("X-Logan-Trace", formatTrace(tr))
 		s.fail(w, http.StatusTooManyRequests, "overloaded: %v", err)
+		return
+	case errors.Is(err, cluster.ErrUnavailable):
+		// The store's fault, not the request's: shutting down, or the
+		// durable queue refused the append.
+		w.Header().Set("Retry-After", retryAfterSeconds(s.store.RetryAfter()))
+		s.fail(w, http.StatusServiceUnavailable, "unavailable: %v", err)
+		return
+	default:
+		// The source could not be read, or exceeds the per-job limit.
+		s.fail(w, http.StatusBadRequest, "bad request: %v", err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -898,7 +311,7 @@ type jobStatusJSON struct {
 	FinishedAt string `json:"finishedAt,omitempty"`
 }
 
-// statusJSON renders a store-independent job status for the wire.
+// statusJSON renders a job status for the wire.
 func statusJSON(st cluster.JobStatus) jobStatusJSON {
 	out := jobStatusJSON{
 		ID:    st.ID,
@@ -1018,9 +431,7 @@ type jobsStatzJSON struct {
 }
 
 // jobsStatz builds the jobs block of /statz from the shared registry
-// snapshot, so it reports the same instant as every other block. Both
-// job stores register the same logan_jobs_* series, so the block is
-// store-independent.
+// snapshot, so it reports the same instant as every other block.
 func jobsStatz(snap *telemetry.Snapshot) *jobsStatzJSON {
 	return &jobsStatzJSON{
 		Submitted: snap.Int("logan_jobs_submitted_total"),

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -16,6 +17,7 @@ import (
 	"time"
 
 	"logan"
+	"logan/internal/cluster"
 	"logan/internal/genome"
 	"logan/internal/seq"
 )
@@ -60,15 +62,9 @@ func jobsTestServer(t *testing.T, opt logan.EngineOptions, mut func(*serveConfig
 	return srv, s
 }
 
-// localStore unwraps the server's JobStore as the in-process
-// implementation, for tests that assert on its internal counters.
-func localStore(t *testing.T, s *server) *jobStore {
-	t.Helper()
-	st, ok := s.store.(*jobStore)
-	if !ok {
-		t.Fatalf("server store is %T, want *jobStore", s.store)
-	}
-	return st
+// jobsSeries reads one logan_jobs_* series as /metrics would report it.
+func jobsSeries(s *server, name string) int64 {
+	return s.tele.Snapshot().Int(name)
 }
 
 // postJob submits a FASTA body and returns the job id.
@@ -87,7 +83,7 @@ func postJob(t *testing.T, url string, fasta []byte, query string) string {
 	if err := json.Unmarshal(body, &st); err != nil {
 		t.Fatalf("POST /jobs response %q: %v", body, err)
 	}
-	if st.ID == "" || st.State != string(jobQueued) {
+	if st.ID == "" || st.State != cluster.StateQueued {
 		t.Fatalf("POST /jobs response %+v", st)
 	}
 	return st.ID
@@ -121,7 +117,7 @@ func waitJob(t *testing.T, url, id string, timeout time.Duration) jobStatusJSON 
 		if code != http.StatusOK {
 			t.Fatalf("GET /jobs/%s: status %d", id, code)
 		}
-		if jobState(st.State).terminal() {
+		if cluster.TerminalState(st.State) {
 			return st
 		}
 		if time.Now().After(deadline) {
@@ -174,7 +170,7 @@ func TestJobsLifecycle(t *testing.T) {
 			id := postJob(t, srv.URL, fasta, query)
 
 			st := waitJob(t, srv.URL, id, 60*time.Second)
-			if st.State != string(jobDone) {
+			if st.State != cluster.StateDone {
 				t.Fatalf("job finished %s: %s", st.State, st.Error)
 			}
 			if st.Progress == nil || st.Progress.Stage != string(logan.StageDone) {
@@ -217,35 +213,29 @@ func TestJobsLifecycle(t *testing.T) {
 	}
 }
 
-// TestJobsCancel aborts a long-running job mid-extension and expects the
-// runner to observe the cancellation promptly.
+// TestJobsCancel DELETEs a job that is provably mid-run — its source is
+// a pipe the runner is blocked reading — and expects the job to vanish at
+// once and the run to observe the cancellation at its next FASTA record.
 func TestJobsCancel(t *testing.T) {
-	fasta := jobsTestFasta(t, 22, 120_000)
 	srv, s := jobsTestServer(t, logan.EngineOptions{}, nil)
-	// A deliberately expensive configuration: X=2000 explores wide bands.
-	id := postJob(t, srv.URL, fasta, "?x=2000&minOverlap=400&coverage=5&errorRate=0.12")
-
-	// Wait for the alignment stage to actually start.
-	deadline := time.Now().Add(60 * time.Second)
-	for {
-		st, code := getStatus(t, srv.URL, id)
-		if code != http.StatusOK {
-			t.Fatalf("GET: %d", code)
-		}
-		if jobState(st.State).terminal() {
-			t.Skipf("job finished (%s) before the cancellation point; machine too fast", st.State)
-		}
-		if st.State == string(jobRunning) && st.Progress != nil && st.Progress.ExtensionsTotal > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("job never reached the extension stage")
-		}
-		time.Sleep(5 * time.Millisecond)
+	pr, pw := io.Pipe()
+	defer pw.Close()
+	st, _, err := s.store.Submit(cluster.Submission{
+		Config: logan.DefaultOverlapConfig(5, 0.12, 15),
+		Open:   func() (io.ReadCloser, error) { return pr, nil },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Once a read arrives on the pipe the job is running, and stays so.
+	if _, err := pw.Write([]byte(">r0\nACGT\n")); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := getStatus(t, srv.URL, st.ID); got.State != cluster.StateRunning {
+		t.Fatalf("job reading its source is %q, want running", got.State)
 	}
 
-	start := time.Now()
-	req, _ := http.NewRequest(http.MethodDelete, srv.URL+"/jobs/"+id, nil)
+	req, _ := http.NewRequest(http.MethodDelete, srv.URL+"/jobs/"+st.ID, nil)
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -254,20 +244,29 @@ func TestJobsCancel(t *testing.T) {
 	if resp.StatusCode != http.StatusNoContent {
 		t.Fatalf("DELETE: status %d", resp.StatusCode)
 	}
-	if _, code := getStatus(t, srv.URL, id); code != http.StatusNotFound {
+	if _, code := getStatus(t, srv.URL, st.ID); code != http.StatusNotFound {
 		t.Fatalf("GET after DELETE: %d, want 404", code)
 	}
-
-	// The runner must observe ctx promptly (per pair on the CPU pool):
-	// poll the jobs totals until the cancellation lands.
-	for localStore(t, s).t.canceled.Value() == 0 {
-		if time.Since(start) > 10*time.Second {
-			t.Fatal("cancellation not observed within 10s")
-		}
-		time.Sleep(5 * time.Millisecond)
+	if n := jobsSeries(s, "logan_jobs_canceled_total"); n != 1 {
+		t.Fatalf("canceled total %d after DELETE, want 1", n)
 	}
-	if got := time.Since(start); got > 10*time.Second {
-		t.Fatalf("cancellation took %v", got)
+	if n := jobsSeries(s, "logan_jobs_running"); n != 0 {
+		t.Fatalf("running gauge %d after DELETE, want 0", n)
+	}
+
+	// The runner checks its context per ingested record: a canceled run
+	// stops reading and closes the source, which fails the write. A run
+	// that missed the cancellation would swallow every record.
+	for i := 1; ; i++ {
+		if _, err := fmt.Fprintf(pw, ">r%d\nACGT\n", i); err != nil {
+			if !errors.Is(err, io.ErrClosedPipe) {
+				t.Fatalf("write to canceled run: %v", err)
+			}
+			break
+		}
+		if i == 1000 {
+			t.Fatal("run kept ingesting after DELETE; cancellation not observed")
+		}
 	}
 }
 
@@ -320,7 +319,7 @@ func TestJobsAdmissionAndErrors(t *testing.T) {
 	// fails asynchronously.
 	id := postJob(t, srv.URL, []byte("not fasta at all"), "")
 	st := waitJob(t, srv.URL, id, 30*time.Second)
-	if st.State != string(jobFailed) || st.Error == "" {
+	if st.State != cluster.StateFailed || st.Error == "" {
 		t.Errorf("bad FASTA job: %+v, want failed with error", st)
 	}
 	// Its PAF is unavailable.
@@ -354,7 +353,7 @@ func TestJobsAdmissionAndErrors(t *testing.T) {
 	if code != http.StatusTooManyRequests {
 		t.Errorf("submission to full store: status %d (%.100s), want 429", code, body)
 	}
-	if localStore(t, s).t.rejected.Value() == 0 {
+	if jobsSeries(s, "logan_jobs_rejected_total") == 0 {
 		t.Error("rejected submission not counted")
 	}
 	// Drain so cleanup does not race long-running work.
@@ -384,7 +383,7 @@ func TestJobsByteBudget(t *testing.T) {
 	idA := postJob(t, srv.URL, fasta, "?x=500&coverage=5&errorRate=0.12")
 	// Wait until A's ingestion finished — its reservation is released.
 	deadline := time.Now().Add(30 * time.Second)
-	for localStore(t, s).bufferedBytes.Load() != 0 {
+	for s.tele.Snapshot().Value("logan_jobs_buffered_bytes") != 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("job A's upload reservation never released after ingestion")
 		}
@@ -437,12 +436,12 @@ func TestJobsResultBudget(t *testing.T) {
 	})
 	idA := postJob(t, srv.URL, fasta, "?x=15&minOverlap=400&coverage=5&errorRate=0.12")
 	stA := waitJob(t, srv.URL, idA, 60*time.Second)
-	if stA.State != string(jobDone) || stA.PAFBytes <= 1024 {
+	if stA.State != cluster.StateDone || stA.PAFBytes <= 1024 {
 		t.Fatalf("job A: %+v (need a PAF larger than the budget)", stA)
 	}
 	idB := postJob(t, srv.URL, fasta, "?x=15&minOverlap=400&coverage=5&errorRate=0.12")
 	stB := waitJob(t, srv.URL, idB, 60*time.Second)
-	if stB.State != string(jobDone) {
+	if stB.State != cluster.StateDone {
 		t.Fatalf("job B: %+v", stB)
 	}
 	if _, code := getStatus(t, srv.URL, idA); code != http.StatusNotFound {
@@ -499,7 +498,7 @@ func TestJobsDataDir(t *testing.T) {
 		t.Fatal(err)
 	}
 	fin := waitJob(t, srv.URL, st.ID, 60*time.Second)
-	if fin.State != string(jobDone) || fin.Overlaps == 0 {
+	if fin.State != cluster.StateDone || fin.Overlaps == 0 {
 		t.Fatalf("fastaPath job: %+v", fin)
 	}
 
@@ -512,7 +511,7 @@ func TestJobsDataDir(t *testing.T) {
 		t.Fatal(err)
 	}
 	fin = waitJob(t, srv.URL, st.ID, 30*time.Second)
-	if fin.State != string(jobFailed) {
+	if fin.State != cluster.StateFailed {
 		t.Fatalf("missing-file job: %+v", fin)
 	}
 }
@@ -544,7 +543,7 @@ func TestJobsStatz(t *testing.T) {
 	srv, _ := jobsTestServer(t, logan.EngineOptions{}, nil)
 	id := postJob(t, srv.URL, fasta, "?x=15&minOverlap=400&coverage=5&errorRate=0.12")
 	st := waitJob(t, srv.URL, id, 60*time.Second)
-	if st.State != string(jobDone) {
+	if st.State != cluster.StateDone {
 		t.Fatalf("job: %+v", st)
 	}
 

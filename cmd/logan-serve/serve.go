@@ -259,11 +259,11 @@ func defaultServeConfig() serveConfig {
 type server struct {
 	eng  *logan.Aligner
 	coal *logan.Coalescer // nil when coalescing is disabled
-	// store backs the /jobs API (nil when disabled): the in-process
-	// jobStore on a single node, the cluster Router in -cluster mode.
-	// router is the same object as store in cluster mode, typed for the
-	// rollup and /statz views only it provides.
-	store  cluster.JobStore
+	// store backs the /jobs API (nil when disabled). Its jobs run in this
+	// process on a single node; in -cluster mode router, the store's
+	// leased dispatcher, hands them to workers (and provides the worker
+	// API, the rollup and the /statz cluster block).
+	store  *cluster.Store
 	router *cluster.Router
 	// maps backs the reference-mapping API (nil when disabled): the
 	// shared Mapper plus the single-slot async index build.
@@ -364,7 +364,7 @@ func newServer(eng *logan.Aligner, cfg serveConfig) (*server, error) {
 			return nil, err
 		}
 		s.router = router
-		s.store = router
+		s.store = router.Store
 	case cfg.jobs:
 		// Jobs extend on the same engine as /align traffic. With
 		// -job-coalesce their chunks additionally flow through the merge
@@ -384,7 +384,14 @@ func newServer(eng *logan.Aligner, cfg serveConfig) (*server, error) {
 		if err != nil {
 			panic(err) // unreachable: eng is non-nil
 		}
-		s.store = newJobStore(ov, s.tele, cfg.jobWorkers, cfg.maxJobs, cfg.jobPendingBytes, cfg.jobResultBytes)
+		s.store = cluster.NewLocal(cluster.LocalOptions{
+			Overlapper:   ov,
+			Workers:      cfg.jobWorkers,
+			MaxJobs:      cfg.maxJobs,
+			PendingBytes: cfg.jobPendingBytes,
+			ResultBytes:  cfg.jobResultBytes,
+			Registry:     s.tele,
+		})
 	}
 	if cfg.maps {
 		// The mapper extends on the shared engine; with coalescing on its

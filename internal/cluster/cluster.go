@@ -4,11 +4,12 @@
 // leases — plus the worker client that registers, heartbeats, pulls
 // work, executes it on its local engine, and streams results back.
 //
-// The package also defines the JobStore interface the serve layer's
-// /jobs handlers program against: the single-node in-memory store and
-// the cluster Router are interchangeable behind it, so non-cluster
-// operation is the degenerate single-node case, not a separate code
-// path.
+// The package also owns the job lifecycle itself: Store is the one job
+// table behind the serve layer's /jobs handlers (states, admission,
+// eviction, byte budgets, idempotency, the logan_jobs_* series), and the
+// two ways of executing what it admits — NewLocal's in-process runner on
+// a single node, the leased Router in a cluster — share it and nothing
+// else.
 //
 // Dataflow of one clustered job:
 //
@@ -36,8 +37,9 @@ import (
 	"logan"
 )
 
-// Admission-control errors shared by both JobStore implementations; the
-// HTTP layer maps them to 429.
+// Store.Submit's errors. The HTTP layer maps the first two (admission
+// control) to 429 and ErrUnavailable to 503; any other error is the
+// submitted source's fault, a 400.
 var (
 	// ErrStoreFull reports a store whose every retained job is still
 	// live: nothing can be evicted to make room.
@@ -45,6 +47,10 @@ var (
 	// ErrBusy reports an exhausted byte budget (buffered uploads or
 	// queued job specs).
 	ErrBusy = errors.New("cluster: job byte budget exhausted")
+	// ErrUnavailable reports a store that cannot take work through no
+	// fault of the request: it is closed, or the durable queue refused
+	// the append.
+	ErrUnavailable = errors.New("cluster: job store unavailable")
 )
 
 // JobConfig is the serializable subset of logan.OverlapConfig that the
@@ -180,7 +186,7 @@ func (p *Progress) FromOverlap(u logan.OverlapProgress) {
 	p.Retries = u.Retries
 }
 
-// Job states shared by both stores.
+// Job states.
 const (
 	StateQueued   = "queued"
 	StateRunning  = "running"
@@ -195,8 +201,7 @@ func TerminalState(s string) bool {
 	return s == StateDone || s == StateFailed || s == StateCanceled
 }
 
-// JobStatus is one job's externally visible state, identical in shape
-// for the single-node store and the cluster router (Worker and Requeues
+// JobStatus is one job's externally visible state (Worker and Requeues
 // stay zero on a single node).
 type JobStatus struct {
 	ID       string
@@ -230,31 +235,6 @@ type Submission struct {
 	// submission whose key matches a retained job returns that job's
 	// status (replayed=true) instead of creating a second job.
 	IdempotencyKey string
-}
-
-// JobStore is the serve layer's contract for the async jobs subsystem.
-// The in-memory single-node store and the cluster Router both implement
-// it; the /jobs HTTP handlers are written against nothing else.
-type JobStore interface {
-	// Submit admits one job. replayed reports an idempotency-key hit
-	// (the returned status is the original job's). Admission rejections
-	// wrap ErrStoreFull or ErrBusy.
-	Submit(sub Submission) (st JobStatus, replayed bool, err error)
-	// Status reports the job's current state.
-	Status(id string) (JobStatus, bool)
-	// PAF returns the finished job's serialized result along with its
-	// status; a job that is not done returns its status and a nil slice.
-	PAF(id string) ([]byte, JobStatus, bool)
-	// Cancel aborts the job if live and forgets it either way; false
-	// means the ID was unknown.
-	Cancel(id string) bool
-	// RetryAfter projects when a shed submission should retry.
-	RetryAfter() time.Duration
-	// Ready reports whether the store can make progress on accepted
-	// jobs (a router with no registered workers is not ready).
-	Ready() bool
-	// Close cancels live work and releases resources.
-	Close()
 }
 
 // NewID returns a 16-hex-character random identifier, used for job IDs,

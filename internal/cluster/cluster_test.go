@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -35,6 +36,11 @@ func testFasta(t testing.TB, seed int64, genomeLen int) []byte {
 
 // testRouter boots a router on a temp WAL and serves its worker API.
 func testRouter(t *testing.T, mut func(*RouterOptions)) (*Router, *httptest.Server) {
+	return testRouterAt(t, time.Now, mut)
+}
+
+// testRouterAt is testRouter on an injected clock.
+func testRouterAt(t *testing.T, now func() time.Time, mut func(*RouterOptions)) (*Router, *httptest.Server) {
 	t.Helper()
 	opt := RouterOptions{
 		QueuePath: filepath.Join(t.TempDir(), "jobs.wal"),
@@ -44,7 +50,7 @@ func testRouter(t *testing.T, mut func(*RouterOptions)) (*Router, *httptest.Serv
 	if mut != nil {
 		mut(&opt)
 	}
-	r, err := NewRouter(opt)
+	r, err := newRouter(opt, now)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +67,7 @@ func submitBytes(t *testing.T, r *Router, fasta []byte, key string) JobStatus {
 	t.Helper()
 	st, replayed, err := r.Submit(Submission{
 		Config:         logan.DefaultOverlapConfig(5, 0.12, 15),
-		Open:           func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(fasta)), nil },
+		Open:           openBody(string(fasta)),
 		IdempotencyKey: key,
 	})
 	if err != nil {
@@ -227,23 +233,36 @@ func TestRouterLeaseLifecycle(t *testing.T) {
 	}
 }
 
+// TestLeaseExpiryRequeues drives the failure detector on an injected
+// clock: a lease nobody extends lapses after LeaseTTL, the job goes to
+// the next worker, and a job that keeps dying fails after MaxRequeues
+// retries — reporting the requeues that happened, not one more.
 func TestLeaseExpiryRequeues(t *testing.T) {
-	r, srv := testRouter(t, func(o *RouterOptions) {
-		o.LeaseTTL = 50 * time.Millisecond
+	clock := newFakeClock()
+	const ttl = 10 * time.Second
+	r, srv := testRouterAt(t, clock.Now, func(o *RouterOptions) {
+		o.LeaseTTL = ttl
 		// Registration must outlive many expired leases: a worker that
 		// leases-and-dies repeatedly is still registered, just useless.
-		o.WorkerTTL = 30 * time.Second
+		o.WorkerTTL = time.Hour
 		o.MaxRequeues = 2
 	})
 	st := submitBytes(t, r, []byte(">r\nAC\n"), "")
 	dead := registerFake(t, srv.URL, "dead")
-	if _, id, _, ok := dead.lease(1000); !ok || id != st.ID {
+	if _, id, _, ok := dead.lease(0); !ok || id != st.ID {
 		t.Fatal("dead worker failed to lease")
 	}
-	// The dead worker never extends: the job must requeue and go to the
-	// survivor with requeues=1.
+	clock.Advance(ttl - time.Second)
+	r.expire()
+	if got, _ := r.Status(st.ID); got.State != StateRunning {
+		t.Fatalf("lease expired early: %+v", got)
+	}
+	// The dead worker never extends: one second later the job requeues and
+	// goes to the survivor with requeues=1.
+	clock.Advance(time.Second)
+	r.expire()
 	survivor := registerFake(t, srv.URL, "survivor")
-	_, id, lease, ok := survivor.lease(2000)
+	_, id, lease, ok := survivor.lease(0)
 	if !ok || id != st.ID {
 		t.Fatalf("survivor lease: ok=%v id=%q", ok, id)
 	}
@@ -251,48 +270,70 @@ func TestLeaseExpiryRequeues(t *testing.T) {
 	if got.Requeues != 1 || got.Worker != "survivor" {
 		t.Fatalf("after requeue: %+v", got)
 	}
+	// Extending moves the deadline: a full TTL after the lease was taken
+	// the job is still the survivor's.
+	clock.Advance(ttl - time.Second)
+	resp := survivor.post("/cluster/jobs/"+id+"/extend", extendRequest{WorkerID: survivor.id, Lease: lease}, nil)
+	resp.Body.Close()
+	clock.Advance(2 * time.Second)
+	r.expire()
 	if code := survivor.complete(id, lease, []byte("ok\n")); code != http.StatusOK {
-		t.Fatalf("survivor complete: %d", code)
+		t.Fatalf("survivor complete after an extended lease: %d", code)
 	}
 
-	// Exhaustion: a job that keeps dying fails terminally after
-	// MaxRequeues retries.
+	// Exhaustion: MaxRequeues=2 allows three executions.
 	st2 := submitBytes(t, r, []byte(">r2\nAC\n"), "")
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if _, _, _, ok := dead.lease(500); !ok {
-			// Empty poll: either terminal already, or between requeues.
-			if got, _ := r.Status(st2.ID); got.State == StateFailed {
-				break
-			}
+	for run := 0; run < 3; run++ {
+		if _, id, _, ok := dead.lease(0); !ok || id != st2.ID {
+			t.Fatalf("execution %d: lease ok=%v id=%q", run, ok, id)
 		}
-		if time.Now().After(deadline) {
-			got, _ := r.Status(st2.ID)
-			t.Fatalf("job never exhausted its retry budget: %+v", got)
-		}
+		clock.Advance(ttl)
+		r.expire()
 	}
 	got2, _ := r.Status(st2.ID)
-	if got2.State != StateFailed || got2.Requeues != 3 || !strings.Contains(got2.Error, "gave up") {
+	if got2.State != StateFailed || got2.Requeues != 2 || !strings.Contains(got2.Error, "gave up after 2 requeues") {
 		t.Fatalf("exhausted job: %+v", got2)
+	}
+	if _, _, _, ok := dead.lease(0); ok {
+		t.Fatal("a failed job was leased again")
+	}
+	if r.wal.Pending() != 0 {
+		t.Fatalf("WAL still holds %d records after the jobs ended", r.wal.Pending())
 	}
 }
 
-func TestIdempotencyKeyDedupes(t *testing.T) {
-	r, _ := testRouter(t, nil)
-	st := submitBytes(t, r, []byte(">r\nAC\n"), "client-retry-1")
-	again, replayed, err := r.Submit(Submission{
-		Config:         logan.DefaultOverlapConfig(5, 0.12, 15),
-		Open:           func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader([]byte(">other\nGG\n"))), nil },
-		IdempotencyKey: "client-retry-1",
+// TestWorkerTTL: a worker that stops heartbeating drops out of the
+// registry (and readiness) after WorkerTTL, and is told to re-register.
+func TestWorkerTTL(t *testing.T) {
+	clock := newFakeClock()
+	r, srv := testRouterAt(t, clock.Now, func(o *RouterOptions) {
+		o.LeaseTTL = 10 * time.Second
+		o.WorkerTTL = 30 * time.Second
 	})
-	if err != nil {
-		t.Fatal(err)
+	w := registerFake(t, srv.URL, "w1")
+	clock.Advance(30 * time.Second)
+	if !r.Ready() {
+		t.Fatal("worker dropped at exactly WorkerTTL")
 	}
-	if !replayed || again.ID != st.ID {
-		t.Fatalf("retry created a second job: replayed=%v id=%q want %q", replayed, again.ID, st.ID)
+	beat := func() int {
+		resp := w.post("/cluster/heartbeat", heartbeatRequest{WorkerID: w.id}, nil)
+		resp.Body.Close()
+		return resp.StatusCode
 	}
-	if q, _ := r.counts(); q != 1 {
-		t.Fatalf("queue holds %d jobs, want 1", q)
+	if code := beat(); code != http.StatusOK {
+		t.Fatalf("heartbeat: %d", code)
+	}
+	clock.Advance(30 * time.Second)
+	if !r.Ready() {
+		t.Fatal("heartbeat did not renew the registration")
+	}
+	clock.Advance(time.Second)
+	if r.Ready() || len(r.Workers()) != 0 {
+		t.Fatal("silent worker still listed after WorkerTTL")
+	}
+	r.expire()
+	if code := beat(); code != http.StatusGone {
+		t.Fatalf("heartbeat of a dropped worker: %d, want 410", code)
 	}
 }
 
@@ -335,39 +376,6 @@ func TestWALReplayAcrossRestart(t *testing.T) {
 	spec, id, _, ok := w.lease(1000)
 	if !ok || id != st.ID || !bytes.Equal(spec.Fasta, fasta) {
 		t.Fatalf("replayed lease: ok=%v id=%q fasta=%q", ok, id, spec.Fasta)
-	}
-}
-
-func TestCancelQueuedAndRunning(t *testing.T) {
-	r, srv := testRouter(t, nil)
-	// Queued: canceled jobs are forgotten and never leased.
-	st := submitBytes(t, r, []byte(">a\nAC\n"), "")
-	if !r.Cancel(st.ID) {
-		t.Fatal("cancel of queued job failed")
-	}
-	if _, ok := r.Status(st.ID); ok {
-		t.Fatal("canceled job still visible")
-	}
-	w := registerFake(t, srv.URL, "w1")
-	if _, _, _, ok := w.lease(100); ok {
-		t.Fatal("canceled job was leased")
-	}
-	// Running: the executing worker learns on its next extend.
-	st2 := submitBytes(t, r, []byte(">b\nAC\n"), "")
-	_, id, lease, ok := w.lease(1000)
-	if !ok || id != st2.ID {
-		t.Fatal("lease of second job failed")
-	}
-	r.Cancel(st2.ID)
-	// The canceled job is forgotten, so the worker's next extend sees a
-	// stale-lease 409 — its signal to abort without publishing.
-	resp := w.post("/cluster/jobs/"+id+"/extend", extendRequest{WorkerID: w.id, Lease: lease}, nil)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusConflict {
-		t.Fatalf("extend after cancel: %s, want 409", resp.Status)
-	}
-	if code := w.complete(id, lease, []byte("late\n")); code != http.StatusConflict {
-		t.Fatalf("complete after cancel: %d, want 409", code)
 	}
 }
 
@@ -467,6 +475,87 @@ func TestWorkerExecutesJob(t *testing.T) {
 	}
 	if got.Worker != "w1" || got.Overlaps != len(res.Records) {
 		t.Fatalf("completion metadata: %+v", got)
+	}
+}
+
+// TestWorkerReportsRejectedCompletion: a PAF one byte over the router's
+// result budget is refused at /complete. The worker must report that as
+// the job's failure — once — instead of logging "done" and leaving the
+// job to expire, re-execute MaxRequeues times and fail as "lease expired".
+func TestWorkerReportsRejectedCompletion(t *testing.T) {
+	eng, err := logan.NewAligner(logan.EngineOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	ov, err := logan.NewOverlapper(eng, logan.OverlapperOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fasta := testFasta(t, 42, 30000)
+	cfg := logan.DefaultOverlapConfig(5, 0.12, 15)
+	paf, _, err := runOverlap(ov)(context.Background(), bytes.NewReader(fasta), cfg)
+	if err != nil || len(paf) < 2 {
+		t.Fatalf("reference run: %d PAF bytes, err %v", len(paf), err)
+	}
+
+	r, srv := testRouter(t, func(o *RouterOptions) {
+		o.LeaseTTL = 200 * time.Millisecond
+		o.ResultBytes = int64(len(paf)) - 1
+	})
+	wk, err := NewWorker(WorkerOptions{
+		RouterURL: srv.URL, Name: "w1", Overlapper: ov, Backend: "cpu",
+		PollWait: 200 * time.Millisecond, Logf: t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() { defer close(done); wk.Run(ctx) }()
+	defer func() { cancel(); <-done }()
+
+	st, _, err := r.Submit(Submission{Config: cfg, Open: openBody(string(fasta))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	var got JobStatus
+	for {
+		if got, _ = r.Status(st.ID); TerminalState(got.State) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job stuck: %+v", got)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	if got.State != StateFailed || !strings.Contains(got.Error, "result budget") {
+		t.Fatalf("over-budget job: state %q error %q, want failed with the size error", got.State, got.Error)
+	}
+	if got.Requeues != 0 {
+		t.Errorf("job executed %d times, want once", got.Requeues+1)
+	}
+	if ws := r.Workers(); len(ws) != 1 || ws[0].Failed != 1 || ws[0].Completed != 0 {
+		t.Errorf("worker tallies: %+v", ws)
+	}
+}
+
+// TestSubmitUnavailable: a write-ahead queue that refuses the append is
+// the store's fault, not the request's — ErrUnavailable, not a bad
+// request — and admits nothing.
+func TestSubmitUnavailable(t *testing.T) {
+	r, srv := testRouter(t, nil)
+	r.wal.Close()
+	_, _, err := r.Submit(Submission{Config: suiteConfig, Open: openBody(suiteBody)})
+	if !errors.Is(err, ErrUnavailable) {
+		t.Fatalf("submit with a dead WAL: err=%v, want ErrUnavailable", err)
+	}
+	if n := r.t.submitted.Value(); n != 0 {
+		t.Fatalf("a refused append still counted %v submissions", n)
+	}
+	if _, _, _, ok := registerFake(t, srv.URL, "w1").lease(0); ok {
+		t.Fatal("a refused append left a job in the queue")
 	}
 }
 

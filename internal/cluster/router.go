@@ -62,17 +62,8 @@ func (o *RouterOptions) defaults() {
 	if o.MaxRequeues <= 0 {
 		o.MaxRequeues = 3
 	}
-	if o.MaxJobs <= 0 {
-		o.MaxJobs = 64
-	}
 	if o.MaxJobBytes <= 0 {
 		o.MaxJobBytes = 64 << 20
-	}
-	if o.PendingBytes <= 0 {
-		o.PendingBytes = 256 << 20
-	}
-	if o.ResultBytes <= 0 {
-		o.ResultBytes = 256 << 20
 	}
 }
 
@@ -80,27 +71,12 @@ func (o *RouterOptions) defaults() {
 // name becomes the worker="..." label on every rolled-up metric series.
 var workerNameRE = regexp.MustCompile(`^[A-Za-z0-9_.-]+$`)
 
-// rjob is one routed job. All fields are guarded by Router.mu.
-type rjob struct {
-	spec     *Spec
-	payload  []byte // framed spec, as stored in the WAL
-	state    string
-	err      string
-	worker   string // executing (or last) worker name
-	leaseID  string // current lease token; "" when not leased
-	leaseExp time.Time
-	requeues int
-	progress Progress
-	paf      []byte
-	overlaps int
-	reads    int
-	cells    int64
-	created  time.Time
-	started  time.Time
-	finished time.Time
-	// canceled marks a DELETE on a leased job: the executing worker
-	// learns at its next extend and aborts.
-	canceled bool
+// lease is the leased dispatcher's state for one live job, guarded by
+// Store.mu like the record it hangs off.
+type lease struct {
+	payload []byte // framed spec, as stored in the WAL and handed to workers
+	token   string // current lease token; "" while queued
+	expires time.Time
 }
 
 // workerState is one registered worker.
@@ -116,44 +92,31 @@ type workerState struct {
 	failed   int64
 }
 
-// routerTelemetry are the router's instruments. The logan_jobs_* names
-// deliberately match the single-node store's, so the /statz jobs block
-// and dashboards read the same series in both modes.
-type routerTelemetry struct {
-	submitted, completed, failed, canceled, rejected *telemetry.Counter
-	pafBytes                                         *telemetry.Counter
-	avgDuration                                      *telemetry.Gauge
-	requeues, expired, replayedWAL, idemHits         *telemetry.Counter
-	staleLeases                                      *telemetry.Counter
-}
-
-// Router is the front tier's job store: durable admission, leased
-// dispatch to registered workers, lease-expiry requeue, and the
-// cluster-wide telemetry rollup. It implements JobStore.
+// Router is the front tier's leased dispatcher: durable admission into
+// the write-ahead queue, leased dispatch to registered workers,
+// lease-expiry requeue, and the cluster-wide telemetry rollup. The job
+// records themselves live in the embedded Store, whose mutex also guards
+// every field below it.
 type Router struct {
+	*Store
 	opt RouterOptions
 	wal *queue.WAL
-	t   routerTelemetry
+	// The dispatcher's own counters; the logan_jobs_* family is the Store's.
+	requeued, expired, replayed, staleLeases *telemetry.Counter
 
-	mu      sync.Mutex
-	jobs    map[string]*rjob
-	order   []string // insertion order, for eviction
-	idem    map[string]string
 	pending []string // queued job IDs, FIFO
 	workers map[string]*workerState
 	wake    chan struct{} // closed+replaced when work arrives
-	closed  bool
-
-	pendingBytes int64
-	resultBytes  int64
-	done         chan struct{}
-	loopWG       sync.WaitGroup
+	done    chan struct{}
+	loopWG  sync.WaitGroup
 }
 
 // NewRouter opens (or creates) the write-ahead queue at opt.QueuePath,
 // replays every pending job back into the queued state, and starts the
 // lease-expiry loop.
-func NewRouter(opt RouterOptions) (*Router, error) {
+func NewRouter(opt RouterOptions) (*Router, error) { return newRouter(opt, time.Now) }
+
+func newRouter(opt RouterOptions, now func() time.Time) (*Router, error) {
 	if opt.QueuePath == "" {
 		return nil, errors.New("cluster: RouterOptions.QueuePath is required")
 	}
@@ -165,48 +128,32 @@ func NewRouter(opt RouterOptions) (*Router, error) {
 	if err != nil {
 		return nil, err
 	}
+	reg := opt.Registry
 	r := &Router{
+		Store:   newStore(reg, opt.MaxJobs, opt.PendingBytes, opt.ResultBytes, now),
 		opt:     opt,
 		wal:     wal,
-		jobs:    make(map[string]*rjob),
-		idem:    make(map[string]string),
 		workers: make(map[string]*workerState),
 		wake:    make(chan struct{}),
 		done:    make(chan struct{}),
-	}
-	reg := opt.Registry
-	r.t = routerTelemetry{
-		submitted:   reg.Counter("logan_jobs_submitted_total", "Overlap jobs accepted by POST /jobs."),
-		completed:   reg.Counter("logan_jobs_completed_total", "Overlap jobs that finished successfully."),
-		failed:      reg.Counter("logan_jobs_failed_total", "Overlap jobs that finished with an error."),
-		canceled:    reg.Counter("logan_jobs_canceled_total", "Overlap jobs canceled by DELETE or shutdown."),
-		rejected:    reg.Counter("logan_jobs_rejected_total", "Job submissions shed by admission control (HTTP 429)."),
-		pafBytes:    reg.Counter("logan_jobs_paf_bytes_total", "Serialized PAF bytes produced by completed jobs."),
-		avgDuration: reg.Gauge("logan_jobs_duration_seconds_avg", "EWMA wall time of finished jobs (the Retry-After drain estimate)."),
-		requeues:    reg.Counter("logan_cluster_requeues_total", "Jobs requeued after a lease expired or a worker released them."),
+
+		requeued:    reg.Counter("logan_cluster_requeues_total", "Jobs requeued after a lease expired or a worker released them."),
 		expired:     reg.Counter("logan_cluster_lease_expired_total", "Leases that expired without completion."),
-		replayedWAL: reg.Counter("logan_cluster_wal_replayed_total", "Jobs replayed from the write-ahead queue at startup."),
-		idemHits:    reg.Counter("logan_jobs_idempotent_replays_total", "Submissions deduplicated onto an existing job by Idempotency-Key."),
+		replayed:    reg.Counter("logan_cluster_wal_replayed_total", "Jobs replayed from the write-ahead queue at startup."),
 		staleLeases: reg.Counter("logan_cluster_stale_lease_total", "Worker reports rejected for carrying a superseded lease token."),
 	}
+	r.Store.d = r
 	reg.GaugeFunc("logan_cluster_workers", "Live registered workers.", func() float64 {
 		return float64(len(r.Workers()))
-	})
-	reg.GaugeFunc("logan_jobs_queued", "Jobs waiting for a worker lease.", func() float64 {
-		q, _ := r.counts()
-		return float64(q)
-	})
-	reg.GaugeFunc("logan_jobs_running", "Jobs currently leased to a worker.", func() float64 {
-		_, run := r.counts()
-		return float64(run)
 	})
 	reg.GaugeFunc("logan_cluster_queue_depth", "Pending records in the write-ahead queue.", func() float64 {
 		return float64(wal.Pending())
 	})
 
-	// Replay: every unacked record becomes a queued job again. The spec
-	// carries tenant attribution and the idempotency key, so client
-	// retries keep deduplicating across the restart.
+	// Replay: every unacked record becomes a queued job again, outside
+	// admission control — it was admitted once. The spec carries tenant
+	// attribution and the idempotency key, so client retries keep
+	// deduplicating across the restart.
 	for _, rec := range recs {
 		spec, err := UnmarshalSpec(rec.Payload)
 		if err != nil || spec.ID != rec.ID {
@@ -215,20 +162,28 @@ func NewRouter(opt RouterOptions) (*Router, error) {
 			wal.Ack(rec.ID)
 			continue
 		}
-		j := &rjob{spec: spec, payload: rec.Payload, state: StateQueued, created: time.Now()}
-		r.jobs[spec.ID] = j
-		r.order = append(r.order, spec.ID)
-		r.pending = append(r.pending, spec.ID)
-		r.pendingBytes += int64(len(rec.Payload))
-		if spec.IdempotencyKey != "" {
-			r.idem[spec.IdempotencyKey] = spec.ID
-		}
-		r.t.replayedWAL.Inc()
+		j := &record{id: spec.ID, idemKey: spec.IdempotencyKey, tenantRunning: r.runningGauge(spec.Tenant)}
+		r.enqueue(j, rec.Payload)
+		r.insert(j, int64(len(rec.Payload)))
+		r.replayed.Inc()
 	}
 
 	r.loopWG.Add(1)
 	go r.expiryLoop()
 	return r, nil
+}
+
+// enqueue attaches the leased-dispatch state to a record about to be
+// inserted and puts it at the back of the queue. Caller holds mu.
+func (r *Router) enqueue(j *record, payload []byte) {
+	j.lease = &lease{payload: payload}
+	j.retire = func() {
+		// The job will never execute again: drop the payload, ack the WAL.
+		j.lease = nil
+		r.wal.Ack(j.id)
+	}
+	r.pending = append(r.pending, j.id)
+	r.wakeLocked()
 }
 
 // expiryLoop requeues jobs whose lease lapsed and forgets workers whose
@@ -243,21 +198,22 @@ func (r *Router) expiryLoop() {
 		case <-r.done:
 			return
 		case <-t.C:
-			r.expire(time.Now())
+			r.expire()
 		}
 	}
 }
 
 // expire is one sweep of the expiry loop.
-func (r *Router) expire(now time.Time) {
+func (r *Router) expire() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for id, j := range r.jobs {
-		if j.state != StateRunning || now.Before(j.leaseExp) {
+	now := r.now()
+	for _, j := range r.jobs {
+		if j.state != StateRunning || now.Before(j.lease.expires) {
 			continue
 		}
-		r.t.expired.Inc()
-		r.requeueLocked(id, j, fmt.Sprintf("lease expired on worker %q", j.worker))
+		r.expired.Inc()
+		r.requeueLocked(j, fmt.Sprintf("lease expired on worker %q", j.worker))
 	}
 	for id, w := range r.workers {
 		if now.Sub(w.seen) > r.opt.WorkerTTL {
@@ -268,32 +224,16 @@ func (r *Router) expire(now time.Time) {
 
 // requeueLocked returns a running job to the queue, or fails it once it
 // has exhausted its retry budget. Caller holds mu.
-func (r *Router) requeueLocked(id string, j *rjob, cause string) {
-	j.leaseID = ""
-	j.requeues++
-	if j.requeues > r.opt.MaxRequeues {
-		j.state = StateFailed
-		j.err = fmt.Sprintf("gave up after %d requeues: %s", j.requeues-1, cause)
-		j.finished = time.Now()
-		r.finishAccountingLocked(j)
-		r.t.failed.Inc()
+func (r *Router) requeueLocked(j *record, cause string) {
+	if j.requeues >= r.opt.MaxRequeues {
+		r.fail(j, fmt.Sprintf("gave up after %d requeues: %s", j.requeues, cause))
 		return
 	}
-	j.state = StateQueued
-	j.progress = Progress{}
-	r.pending = append(r.pending, id)
-	r.t.requeues.Inc()
+	r.requeue(j)
+	j.lease.token = ""
+	r.pending = append(r.pending, j.id)
+	r.requeued.Inc()
 	r.wakeLocked()
-}
-
-// finishAccountingLocked releases a job's pending-byte reservation and
-// acks its WAL record: it will never execute again. Caller holds mu.
-func (r *Router) finishAccountingLocked(j *rjob) {
-	if j.payload != nil {
-		r.pendingBytes -= int64(len(j.payload))
-		j.payload = nil
-	}
-	r.wal.Ack(j.spec.ID)
 }
 
 // wakeLocked signals blocked pollers that the queue may have work.
@@ -302,22 +242,18 @@ func (r *Router) wakeLocked() {
 	r.wake = make(chan struct{})
 }
 
-// Submit implements JobStore: read the FASTA source in full, frame the
-// spec, fsync it to the WAL, and queue the job. The 202 a client sees
-// implies the job survives a router crash.
-func (r *Router) Submit(sub Submission) (JobStatus, bool, error) {
-	if sub.IdempotencyKey != "" {
-		r.mu.Lock()
-		if id, ok := r.idem[sub.IdempotencyKey]; ok {
-			j := r.jobs[id]
-			st := r.statusLocked(id, j)
-			r.mu.Unlock()
-			r.t.idemHits.Inc()
-			return st, true, nil
-		}
-		r.mu.Unlock()
+// submit reads the FASTA source in full, frames the spec, fsyncs it to
+// the WAL, and queues the job. The 202 a client sees implies the job
+// survives a router crash.
+func (r *Router) submit(sub Submission) (JobStatus, bool, error) {
+	// A retry is answered before its body is read; admit re-checks under
+	// the lock for retries racing each other.
+	r.mu.Lock()
+	st, replayed := r.replay(sub.IdempotencyKey)
+	r.mu.Unlock()
+	if replayed {
+		return st, true, nil
 	}
-
 	src, err := sub.Open()
 	if err != nil {
 		return JobStatus{}, false, err
@@ -341,191 +277,24 @@ func (r *Router) Submit(sub Submission) (JobStatus, bool, error) {
 	if err != nil {
 		return JobStatus{}, false, err
 	}
-
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
-		return JobStatus{}, false, errors.New("cluster: router closed")
-	}
-	// Re-check idempotency under the lock: two concurrent retries with
-	// the same key must still collapse onto one job.
-	if sub.IdempotencyKey != "" {
-		if id, ok := r.idem[sub.IdempotencyKey]; ok {
-			r.t.idemHits.Inc()
-			return r.statusLocked(id, r.jobs[id]), true, nil
+	return r.admit(spec.ID, spec.IdempotencyKey, spec.Tenant, int64(len(payload)), func(j *record) error {
+		if err := r.wal.Append(spec.ID, payload); err != nil {
+			return err
 		}
-	}
-	if r.pendingBytes+int64(len(payload)) > r.opt.PendingBytes {
-		r.t.rejected.Inc()
-		return JobStatus{}, false, ErrBusy
-	}
-	if len(r.jobs) >= r.opt.MaxJobs && !r.evictLocked() {
-		r.t.rejected.Inc()
-		return JobStatus{}, false, ErrStoreFull
-	}
-	if err := r.wal.Append(spec.ID, payload); err != nil {
-		return JobStatus{}, false, err
-	}
-	j := &rjob{spec: spec, payload: payload, state: StateQueued, created: time.Now()}
-	r.jobs[spec.ID] = j
-	r.order = append(r.order, spec.ID)
-	r.pending = append(r.pending, spec.ID)
-	r.pendingBytes += int64(len(payload))
-	if spec.IdempotencyKey != "" {
-		r.idem[spec.IdempotencyKey] = spec.ID
-	}
-	r.t.submitted.Inc()
-	r.wakeLocked()
-	return r.statusLocked(spec.ID, j), false, nil
+		r.enqueue(j, payload)
+		return nil
+	})
 }
 
-// evictLocked drops the oldest terminal job to make room; false means
-// every retained job is live. Caller holds mu.
-func (r *Router) evictLocked() bool {
-	for i, id := range r.order {
-		j := r.jobs[id]
-		if !TerminalState(j.state) {
-			continue
-		}
-		r.dropLocked(i, id, j)
-		return true
-	}
-	return false
-}
+// slots counts live workers: a router with none would accept jobs it
+// cannot run.
+func (r *Router) slots() int { return len(r.Workers()) }
 
-// dropLocked removes job at order index i from every map. Caller holds mu.
-func (r *Router) dropLocked(i int, id string, j *rjob) {
-	delete(r.jobs, id)
-	r.order = append(r.order[:i], r.order[i+1:]...)
-	if j.spec.IdempotencyKey != "" {
-		delete(r.idem, j.spec.IdempotencyKey)
-	}
-	r.resultBytes -= int64(len(j.paf))
-}
-
-// trimResultsLocked evicts oldest terminal jobs (sparing keep) until
-// retained PAF bytes fit the budget. Caller holds mu.
-func (r *Router) trimResultsLocked(keep string) {
-	for i := 0; i < len(r.order) && r.resultBytes > r.opt.ResultBytes; {
-		id := r.order[i]
-		j := r.jobs[id]
-		if id == keep || !TerminalState(j.state) || len(j.paf) == 0 {
-			i++
-			continue
-		}
-		r.dropLocked(i, id, j)
-	}
-}
-
-// statusLocked snapshots a job. Caller holds mu.
-func (r *Router) statusLocked(id string, j *rjob) JobStatus {
-	if j == nil {
-		return JobStatus{ID: id}
-	}
-	return JobStatus{
-		ID: id, State: j.state, Error: j.err, Progress: j.progress,
-		Overlaps: j.overlaps, Reads: j.reads, Cells: j.cells,
-		PAFBytes: len(j.paf), Worker: j.worker, Requeues: j.requeues,
-		Created: j.created, Started: j.started, Finished: j.finished,
-	}
-}
-
-// Status implements JobStore.
-func (r *Router) Status(id string) (JobStatus, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	j, ok := r.jobs[id]
-	if !ok {
-		return JobStatus{}, false
-	}
-	return r.statusLocked(id, j), true
-}
-
-// PAF implements JobStore.
-func (r *Router) PAF(id string) ([]byte, JobStatus, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	j, ok := r.jobs[id]
-	if !ok {
-		return nil, JobStatus{}, false
-	}
-	st := r.statusLocked(id, j)
-	if j.state != StateDone {
-		return nil, st, true
-	}
-	return j.paf, st, true
-}
-
-// Cancel implements JobStore: the job is forgotten immediately (404
-// from here on); a leased run learns at its next extend and aborts.
-func (r *Router) Cancel(id string) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	j, ok := r.jobs[id]
-	if !ok {
-		return false
-	}
-	for i, oid := range r.order {
-		if oid == id {
-			r.dropLocked(i, id, j)
-			break
-		}
-	}
-	if !TerminalState(j.state) {
-		j.state = StateCanceled
-		j.canceled = true
-		r.finishAccountingLocked(j)
-		r.t.canceled.Inc()
-	}
-	return true
-}
-
-// jobDurationAlpha weights the finished-job wall-time EWMA behind
-// Retry-After.
-const jobDurationAlpha = 0.3
-
-// RetryAfter implements JobStore: average job duration spread over the
-// queue ahead of a new submission and the live worker count.
-func (r *Router) RetryAfter() time.Duration {
-	avg := r.t.avgDuration.Value()
-	if avg <= 0 {
-		return time.Second
-	}
-	q, run := r.counts()
-	workers := max(len(r.Workers()), 1)
-	d := time.Duration(avg * float64(q+run+1) / float64(workers) * float64(time.Second))
-	return min(max(d, time.Second), time.Minute)
-}
-
-// Ready implements JobStore: a router with no live worker would accept
-// jobs it cannot run.
-func (r *Router) Ready() bool { return len(r.Workers()) > 0 }
-
-// counts reports queued/running jobs.
-func (r *Router) counts() (queued, running int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, j := range r.jobs {
-		switch j.state {
-		case StateQueued:
-			queued++
-		case StateRunning:
-			running++
-		}
-	}
-	return queued, running
-}
-
-// Close implements JobStore: stop the expiry loop and release the WAL.
-// Queued and running jobs stay in the log for the next router.
-func (r *Router) Close() {
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return
-	}
-	r.closed = true
+// close stops the expiry loop and releases the WAL. Queued and running
+// jobs stay in the log for the next router.
+func (r *Router) close() {
 	close(r.done)
+	r.mu.Lock()
 	r.wakeLocked()
 	r.mu.Unlock()
 	r.loopWG.Wait()
@@ -548,7 +317,7 @@ type WorkerInfo struct {
 func (r *Router) Workers() []WorkerInfo {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	now := time.Now()
+	now := r.now()
 	leases := map[string]int{}
 	for _, j := range r.jobs {
 		if j.state == StateRunning {
@@ -575,7 +344,7 @@ func (r *Router) Workers() []WorkerInfo {
 func (r *Router) WorkerSnapshots() map[string]*telemetry.Snapshot {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	now := time.Now()
+	now := r.now()
 	out := map[string]*telemetry.Snapshot{}
 	for _, w := range r.workers {
 		if w.snapshot != nil && now.Sub(w.seen) <= r.opt.WorkerTTL {
@@ -612,10 +381,6 @@ type extendRequest struct {
 	WorkerID string   `json:"workerId"`
 	Lease    string   `json:"lease"`
 	Progress Progress `json:"progress"`
-}
-
-type extendResponse struct {
-	Canceled bool `json:"canceled"`
 }
 
 type failRequest struct {
@@ -671,11 +436,12 @@ func (r *Router) handleRegister(w http.ResponseWriter, req *http.Request) {
 		http.Error(w, fmt.Sprintf("worker name %q is not label-safe (want %s)", in.Name, workerNameRE), http.StatusBadRequest)
 		return
 	}
+	r.mu.Lock()
+	now := r.now()
 	ws := &workerState{
 		id: NewID(), name: in.Name, backend: in.Backend, cellsPS: in.CellsPS,
-		seen: time.Now(), joined: time.Now(),
+		seen: now, joined: now,
 	}
-	r.mu.Lock()
 	// A re-registering worker (restart, missed heartbeats) replaces its
 	// previous incarnation; the old ID's leases expire on their own.
 	for id, old := range r.workers {
@@ -700,7 +466,7 @@ func (r *Router) handleHeartbeat(w http.ResponseWriter, req *http.Request) {
 	r.mu.Lock()
 	ws, ok := r.workers[in.WorkerID]
 	if ok {
-		ws.seen = time.Now()
+		ws.seen = r.now()
 		if in.CellsPS > 0 {
 			ws.cellsPS = in.CellsPS
 		}
@@ -740,15 +506,14 @@ func (r *Router) handlePoll(w http.ResponseWriter, req *http.Request) {
 			http.Error(w, "unknown worker", http.StatusGone)
 			return
 		}
-		ws.seen = time.Now()
-		if j, id, lease := r.leaseLocked(ws.name); j != nil {
-			payload := j.payload
-			ttl := r.opt.LeaseTTL
+		ws.seen = r.now()
+		if j := r.leaseLocked(ws.name); j != nil {
+			id, lease, payload := j.id, j.lease.token, j.lease.payload
 			r.mu.Unlock()
 			w.Header().Set("Content-Type", "application/octet-stream")
 			w.Header().Set("X-Logan-Job-Id", id)
 			w.Header().Set("X-Logan-Lease", lease)
-			w.Header().Set("X-Logan-Lease-Ttl-Ms", strconv.FormatInt(ttl.Milliseconds(), 10))
+			w.Header().Set("X-Logan-Lease-Ttl-Ms", strconv.FormatInt(r.opt.LeaseTTL.Milliseconds(), 10))
 			w.Write(payload)
 			return
 		}
@@ -774,34 +539,38 @@ func (r *Router) handlePoll(w http.ResponseWriter, req *http.Request) {
 
 // leaseLocked pops the next queued job and leases it to the named
 // worker. Caller holds mu.
-func (r *Router) leaseLocked(workerName string) (*rjob, string, string) {
+func (r *Router) leaseLocked(workerName string) *record {
 	for len(r.pending) > 0 {
-		id := r.pending[0]
+		j := r.jobs[r.pending[0]]
 		r.pending = r.pending[1:]
-		j, ok := r.jobs[id]
-		if !ok || j.state != StateQueued {
-			continue // canceled or superseded while queued
+		if j == nil || !r.start(j, workerName) {
+			continue // canceled while queued
 		}
-		j.state = StateRunning
-		j.worker = workerName
-		j.leaseID = NewID()
-		j.leaseExp = time.Now().Add(r.opt.LeaseTTL)
-		if j.started.IsZero() {
-			j.started = time.Now()
-		}
-		return j, id, j.leaseID
+		j.lease.token = NewID()
+		j.lease.expires = r.now().Add(r.opt.LeaseTTL)
+		return j
 	}
-	return nil, "", ""
+	return nil
 }
 
-// leaseCheckLocked validates that (id, lease) names the current lease.
-// It returns the job when valid. Caller holds mu.
-func (r *Router) leaseCheckLocked(id, lease string) (*rjob, bool) {
-	j, ok := r.jobs[id]
-	if !ok || j.leaseID == "" || j.leaseID != lease {
+// leased reports whether (id, lease) names the job's current lease,
+// marking the reporting worker alive when it does. The record comes back
+// either way, for the duplicate-completion check. Caller holds mu.
+func (r *Router) leased(id, lease, workerID string) (*record, bool) {
+	j := r.jobs[id]
+	if j == nil || j.lease == nil || j.lease.token == "" || j.lease.token != lease {
 		return j, false
 	}
+	if ws := r.workers[workerID]; ws != nil {
+		ws.seen = r.now()
+	}
 	return j, true
+}
+
+// stale answers a report that carried a superseded lease token.
+func (r *Router) stale(w http.ResponseWriter) {
+	r.staleLeases.Inc()
+	http.Error(w, "stale lease", http.StatusConflict)
 }
 
 func (r *Router) handleExtend(w http.ResponseWriter, req *http.Request) {
@@ -809,77 +578,56 @@ func (r *Router) handleExtend(w http.ResponseWriter, req *http.Request) {
 	if !decodeJSON(w, req, &in, 1<<20) {
 		return
 	}
-	id := req.PathValue("id")
 	r.mu.Lock()
-	j, ok := r.leaseCheckLocked(id, in.Lease)
-	if !ok {
-		r.mu.Unlock()
-		r.t.staleLeases.Inc()
-		http.Error(w, "stale lease", http.StatusConflict)
-		return
+	j, ok := r.leased(req.PathValue("id"), in.Lease, in.WorkerID)
+	if ok {
+		j.lease.expires = r.now().Add(r.opt.LeaseTTL)
+		r.progress(j, in.Progress)
 	}
-	if ws := r.workers[in.WorkerID]; ws != nil {
-		ws.seen = time.Now()
-	}
-	if j.canceled || j.state != StateRunning {
-		r.mu.Unlock()
-		writeJSON(w, extendResponse{Canceled: true})
-		return
-	}
-	j.leaseExp = time.Now().Add(r.opt.LeaseTTL)
-	j.progress = in.Progress
 	r.mu.Unlock()
-	writeJSON(w, extendResponse{})
+	if !ok {
+		// Expired and requeued, or DELETEd: either way the worker's signal
+		// to abort without publishing.
+		r.stale(w)
+		return
+	}
+	writeJSON(w, struct{}{})
 }
 
 func (r *Router) handleComplete(w http.ResponseWriter, req *http.Request) {
-	id := req.PathValue("id")
-	lease := req.Header.Get("X-Logan-Lease")
-	paf, err := io.ReadAll(http.MaxBytesReader(w, req.Body, r.opt.ResultBytes))
+	paf, err := io.ReadAll(http.MaxBytesReader(w, req.Body, r.resultBudget))
 	if err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			http.Error(w, fmt.Sprintf("PAF exceeds the router's %d-byte result budget", tooBig.Limit), http.StatusRequestEntityTooLarge)
+			return
+		}
 		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	overlaps, _ := strconv.Atoi(req.Header.Get("X-Logan-Overlaps"))
-	reads, _ := strconv.Atoi(req.Header.Get("X-Logan-Reads"))
-	cells, _ := strconv.ParseInt(req.Header.Get("X-Logan-Cells"), 10, 64)
+	var sum summary
+	sum.overlaps, _ = strconv.Atoi(req.Header.Get("X-Logan-Overlaps"))
+	sum.reads, _ = strconv.Atoi(req.Header.Get("X-Logan-Reads"))
+	sum.cells, _ = strconv.ParseInt(req.Header.Get("X-Logan-Cells"), 10, 64)
 
+	workerID := req.Header.Get("X-Logan-Worker-Id")
 	r.mu.Lock()
-	j, ok := r.leaseCheckLocked(id, lease)
-	if !ok {
-		done := j != nil && j.state == StateDone
-		r.mu.Unlock()
-		if done {
-			// The job finished under another lease (or this is a network
-			// retry of an accepted completion): idempotent OK — the work
-			// must not be reported as failed to a worker that did it.
-			writeJSON(w, struct{}{})
-			return
+	j, ok := r.leased(req.PathValue("id"), req.Header.Get("X-Logan-Lease"), workerID)
+	if ok {
+		r.complete(j, paf, sum)
+		if ws := r.workers[workerID]; ws != nil {
+			ws.done++
 		}
-		r.t.staleLeases.Inc()
-		http.Error(w, "stale lease", http.StatusConflict)
+	}
+	// A job that finished under another lease (or a network retry of an
+	// accepted completion) is an idempotent OK: the work must not be
+	// reported as failed to a worker that did it.
+	ok = ok || j != nil && j.state == StateDone
+	r.mu.Unlock()
+	if !ok {
+		r.stale(w)
 		return
 	}
-	j.state = StateDone
-	j.leaseID = ""
-	j.paf = paf
-	j.overlaps = overlaps
-	j.reads = reads
-	j.cells = cells
-	j.finished = time.Now()
-	if !j.started.IsZero() {
-		r.t.avgDuration.ObserveEWMA(j.finished.Sub(j.started).Seconds(), jobDurationAlpha)
-	}
-	if ws := r.workers[req.Header.Get("X-Logan-Worker-Id")]; ws != nil {
-		ws.seen = time.Now()
-		ws.done++
-	}
-	r.resultBytes += int64(len(paf))
-	r.finishAccountingLocked(j)
-	r.t.completed.Inc()
-	r.t.pafBytes.Add(float64(len(paf)))
-	r.trimResultsLocked(id)
-	r.mu.Unlock()
 	writeJSON(w, struct{}{})
 }
 
@@ -888,30 +636,23 @@ func (r *Router) handleFail(w http.ResponseWriter, req *http.Request) {
 	if !decodeJSON(w, req, &in, 1<<20) {
 		return
 	}
-	id := req.PathValue("id")
 	r.mu.Lock()
-	j, ok := r.leaseCheckLocked(id, in.Lease)
-	if !ok {
-		r.mu.Unlock()
-		r.t.staleLeases.Inc()
-		http.Error(w, "stale lease", http.StatusConflict)
-		return
-	}
-	if ws := r.workers[in.WorkerID]; ws != nil {
-		ws.seen = time.Now()
-		ws.failed++
-	}
-	if in.Requeue {
-		r.requeueLocked(id, j, fmt.Sprintf("released by worker %q: %s", j.worker, in.Error))
-	} else {
-		j.state = StateFailed
-		j.leaseID = ""
-		j.err = in.Error
-		j.finished = time.Now()
-		r.finishAccountingLocked(j)
-		r.t.failed.Inc()
+	j, ok := r.leased(req.PathValue("id"), in.Lease, in.WorkerID)
+	if ok {
+		if ws := r.workers[in.WorkerID]; ws != nil {
+			ws.failed++
+		}
+		if in.Requeue {
+			r.requeueLocked(j, fmt.Sprintf("released by worker %q: %s", j.worker, in.Error))
+		} else {
+			r.fail(j, in.Error)
+		}
 	}
 	r.mu.Unlock()
+	if !ok {
+		r.stale(w)
+		return
+	}
 	writeJSON(w, struct{}{})
 }
 
@@ -920,5 +661,3 @@ func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(v)
 }
-
-var _ JobStore = (*Router)(nil)

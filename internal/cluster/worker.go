@@ -183,24 +183,26 @@ func (w *Worker) isKilled() bool {
 	}
 }
 
-// do issues one JSON-in request to the router, honoring the kill switch.
+// do issues one POST to the router, honoring the kill switch: a []byte
+// body travels raw, anything else as JSON.
 func (w *Worker) do(ctx context.Context, path string, body any, hdr map[string]string) (*http.Response, error) {
 	if w.isKilled() {
 		return nil, errors.New("cluster: worker killed")
 	}
-	var rd io.Reader
-	if body != nil {
-		b, err := json.Marshal(body)
-		if err != nil {
+	raw, isRaw := body.([]byte)
+	if !isRaw && body != nil {
+		var err error
+		if raw, err = json.Marshal(body); err != nil {
 			return nil, err
 		}
-		rd = bytes.NewReader(b)
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.opt.RouterURL+path, rd)
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.opt.RouterURL+path, bytes.NewReader(raw))
 	if err != nil {
 		return nil, err
 	}
-	if body != nil {
+	if isRaw {
+		req.Header.Set("Content-Type", "application/octet-stream")
+	} else if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
 	if w.opt.Token != "" {
@@ -352,9 +354,9 @@ func (w *Worker) execute(ctx context.Context, spec *Spec, jobID, lease string) {
 	w.mu.Unlock()
 	extendEvery := max(ttl/3, 10*time.Millisecond)
 
-	// canceledByRouter distinguishes "the router took the job away"
-	// (stale lease or client cancel: vanish silently) from a local error
-	// (report it).
+	// canceledByRouter distinguishes "the router took the job away" (the
+	// lease expired, or the client deleted the job: vanish silently) from
+	// a local error (report it).
 	var canceledByRouter bool
 	var extWG sync.WaitGroup
 	extWG.Add(1)
@@ -376,34 +378,21 @@ func (w *Worker) execute(ctx context.Context, spec *Spec, jobID, lease string) {
 			if err != nil {
 				continue // transient; the lease survives a missed beat or two
 			}
-			switch resp.StatusCode {
-			case http.StatusOK:
-				var out extendResponse
-				json.NewDecoder(resp.Body).Decode(&out)
-				resp.Body.Close()
-				if out.Canceled {
-					pmu.Lock()
-					canceledByRouter = true
-					pmu.Unlock()
-					cancel()
-					return
-				}
-			case http.StatusConflict:
-				// Superseded: the lease expired and the job belongs to
-				// someone else now. Abort; publishing would double-execute.
-				resp.Body.Close()
+			resp.Body.Close()
+			if resp.StatusCode == http.StatusConflict {
+				// Superseded: the job was deleted, or the lease expired and
+				// it belongs to someone else now. Abort; publishing would
+				// double-execute.
 				pmu.Lock()
 				canceledByRouter = true
 				pmu.Unlock()
 				cancel()
 				return
-			default:
-				resp.Body.Close()
 			}
 		}
 	}()
 
-	res, runErr := w.opt.Overlapper.RunFasta(runCtx, bytes.NewReader(spec.Fasta), cfg)
+	paf, sum, runErr := runOverlap(w.opt.Overlapper)(runCtx, bytes.NewReader(spec.Fasta), cfg)
 	cancel()
 	extWG.Wait()
 
@@ -414,68 +403,47 @@ func (w *Worker) execute(ctx context.Context, spec *Spec, jobID, lease string) {
 		return
 	}
 
-	if runErr != nil {
-		fr := failRequest{WorkerID: w.workerID(), Lease: lease, Error: runErr.Error()}
-		// A graceful shutdown mid-job releases the job for another
-		// worker; a genuine execution error is terminal.
-		if errors.Is(runErr, context.Canceled) && ctx.Err() != nil {
-			fr.Requeue = true
-			fr.Error = "worker shutting down"
-			// ctx is dead; report over a fresh, short-lived context.
-			rctx, rcancel := context.WithTimeout(context.Background(), 5*time.Second)
-			defer rcancel()
-			ctx = rctx
+	if runErr == nil {
+		resp, err := w.do(ctx, "/cluster/jobs/"+jobID+"/complete", paf, map[string]string{
+			"X-Logan-Lease":     lease,
+			"X-Logan-Worker-Id": w.workerID(),
+			"X-Logan-Overlaps":  strconv.Itoa(sum.overlaps),
+			"X-Logan-Reads":     strconv.Itoa(sum.reads),
+			"X-Logan-Cells":     strconv.FormatInt(sum.cells, 10),
+		})
+		if err != nil {
+			w.logf("worker %s: job %s: complete: %v", w.opt.Name, jobID, err)
+			return
 		}
-		w.logf("worker %s: job %s: %s (requeue=%v)", w.opt.Name, jobID, fr.Error, fr.Requeue)
-		if resp, err := w.do(ctx, "/cluster/jobs/"+jobID+"/fail", fr, nil); err == nil {
-			resp.Body.Close()
+		defer resp.Body.Close()
+		switch {
+		case resp.StatusCode == http.StatusOK:
+			w.logf("worker %s: job %s: done (%d overlaps, %d PAF bytes)", w.opt.Name, jobID, sum.overlaps, len(paf))
+			return
+		case resp.StatusCode == http.StatusConflict:
+			w.logf("worker %s: job %s: completion rejected (stale lease)", w.opt.Name, jobID)
+			return
 		}
-		return
+		// Any other refusal (the PAF is over the router's result budget,
+		// say) is this job's outcome: the same bytes would be refused
+		// again, and saying nothing would leave the job to expire and
+		// re-execute until it failed as "lease expired".
+		runErr = fmt.Errorf("completion rejected: %w", httpErr(resp))
 	}
 
-	var buf bytes.Buffer
-	if err := logan.WritePAF(&buf, res.Records); err != nil {
-		if resp, ferr := w.do(ctx, "/cluster/jobs/"+jobID+"/fail",
-			failRequest{WorkerID: w.workerID(), Lease: lease, Error: err.Error()}, nil); ferr == nil {
-			resp.Body.Close()
-		}
-		return
+	fr := failRequest{WorkerID: w.workerID(), Lease: lease, Error: runErr.Error()}
+	// A graceful shutdown mid-job releases the job for another worker; a
+	// genuine execution error is terminal.
+	if errors.Is(runErr, context.Canceled) && ctx.Err() != nil {
+		fr.Requeue = true
+		fr.Error = "worker shutting down"
+		// ctx is dead; report over a fresh, short-lived context.
+		rctx, rcancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer rcancel()
+		ctx = rctx
 	}
-	hdr := map[string]string{
-		"X-Logan-Lease":     lease,
-		"X-Logan-Worker-Id": w.workerID(),
-		"X-Logan-Overlaps":  strconv.Itoa(len(res.Records)),
-		"X-Logan-Reads":     strconv.Itoa(res.Stats.Reads),
-		"X-Logan-Cells":     strconv.FormatInt(res.Stats.Cells, 10),
+	w.logf("worker %s: job %s: %s (requeue=%v)", w.opt.Name, jobID, fr.Error, fr.Requeue)
+	if resp, err := w.do(ctx, "/cluster/jobs/"+jobID+"/fail", fr, nil); err == nil {
+		resp.Body.Close()
 	}
-	resp, err := w.doBytes(ctx, "/cluster/jobs/"+jobID+"/complete", buf.Bytes(), hdr)
-	if err != nil {
-		w.logf("worker %s: job %s: complete: %v", w.opt.Name, jobID, err)
-		return
-	}
-	resp.Body.Close()
-	if resp.StatusCode == http.StatusConflict {
-		w.logf("worker %s: job %s: completion rejected (stale lease)", w.opt.Name, jobID)
-	} else {
-		w.logf("worker %s: job %s: done (%d overlaps, %d PAF bytes)", w.opt.Name, jobID, len(res.Records), buf.Len())
-	}
-}
-
-// doBytes issues one raw-body POST, honoring the kill switch.
-func (w *Worker) doBytes(ctx context.Context, path string, body []byte, hdr map[string]string) (*http.Response, error) {
-	if w.isKilled() {
-		return nil, errors.New("cluster: worker killed")
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.opt.RouterURL+path, bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	if w.opt.Token != "" {
-		req.Header.Set("X-Logan-Cluster-Token", w.opt.Token)
-	}
-	for k, v := range hdr {
-		req.Header.Set(k, v)
-	}
-	return w.client.Do(req)
 }

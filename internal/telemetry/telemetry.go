@@ -96,6 +96,16 @@ type Gauge struct {
 // Set stores v.
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
+// Add moves the gauge by v (negative to decrease).
+func (g *Gauge) Add(v float64) {
+	for {
+		old := g.bits.Load()
+		if g.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
+			return
+		}
+	}
+}
+
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
