@@ -464,9 +464,7 @@ func (s *Stats) gcups(b Backend) float64 {
 // Batch is one unit of streaming work: a caller-chosen ID, its pairs, and
 // the per-batch alignment configuration. Batches on one stream may carry
 // different configs. Config is required: a zero Config fails the batch's
-// BatchResult with a Scoring-unset validation error — v1 code that still
-// constructs Batch{ID, Pairs} compiles (TrySubmit's signature is
-// unchanged) but must be updated to set Config.
+// BatchResult with a Scoring-unset validation error.
 type Batch struct {
 	ID     int64
 	Pairs  []Pair
@@ -586,80 +584,5 @@ func (s *Stream) Close() {
 	if !s.closed {
 		s.closed = true
 		close(s.jobs)
-	}
-}
-
-// engineKey identifies the resources a default engine holds; the
-// per-request Config is never part of the key.
-type engineKey struct {
-	backend Backend
-	gpus    int
-	threads int
-}
-
-// defaultEngines caches one engine per distinct resource shape for the
-// package-level Align/AlignPair, so legacy callers also stop paying pool
-// construction per call. The cache is capped: callers that sweep Threads
-// or GPUs per call get a transient engine beyond the cap instead of
-// leaking worker pools for the process lifetime.
-var (
-	defaultEnginesMu sync.Mutex
-	defaultEngines   = map[engineKey]*Aligner{}
-)
-
-const maxDefaultEngines = 8
-
-// defaultEngine returns an engine for opt's resource shape and a release
-// function the caller must invoke when the batch is done (a no-op for
-// cached engines, Close for transient overflow engines).
-func defaultEngine(opt EngineOptions) (*Aligner, func(), error) {
-	key := engineKey{backend: opt.Backend}
-	switch opt.Backend {
-	case GPU:
-		key.gpus = max(opt.GPUs, 1)
-	case Hybrid:
-		key.gpus = max(opt.GPUs, 1)
-		key.threads = opt.Threads
-	default:
-		key.threads = opt.Threads
-	}
-	defaultEnginesMu.Lock()
-	if a, ok := defaultEngines[key]; ok {
-		defaultEnginesMu.Unlock()
-		return a, func() {}, nil
-	}
-	cache := len(defaultEngines) < maxDefaultEngines
-	defaultEnginesMu.Unlock()
-
-	a, err := NewAligner(opt)
-	if err != nil {
-		return nil, nil, err
-	}
-	if !cache {
-		return a, func() { a.Close() }, nil
-	}
-	defaultEnginesMu.Lock()
-	defer defaultEnginesMu.Unlock()
-	if prior, ok := defaultEngines[key]; ok {
-		// Lost a construction race: keep the cached one.
-		go a.Close()
-		return prior, func() {}, nil
-	}
-	defaultEngines[key] = a
-	return a, func() {}, nil
-}
-
-// CloseDefaultEngines closes and discards every engine cached behind the
-// package-level Align, releasing their worker pools. Long-running
-// processes that used the package-level entry points (or hosted code that
-// did) call this at shutdown; the next Align after it simply rebuilds its
-// engine.
-func CloseDefaultEngines() {
-	defaultEnginesMu.Lock()
-	engines := defaultEngines
-	defaultEngines = map[engineKey]*Aligner{}
-	defaultEnginesMu.Unlock()
-	for _, a := range engines {
-		a.Close()
 	}
 }

@@ -54,7 +54,6 @@ func BenchmarkAlignerReused10k(b *testing.B) {
 // the original logan.Align did.
 func BenchmarkSeedPerCall10k(b *testing.B) {
 	pairs := benchPairs(10000)
-	opt := DefaultOptions(100)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -72,7 +71,7 @@ func BenchmarkSeedPerCall10k(b *testing.B) {
 			in[i] = seq.Pair{Query: q, Target: t,
 				SeedQPos: p.SeedQ, SeedTPos: p.SeedT, SeedLen: p.SeedLen, ID: i}
 		}
-		results, _, err := xdrop.ExtendBatch(in, opt.scoring(), opt.X, opt.Threads)
+		results, _, err := xdrop.ExtendBatch(in, xdrop.DefaultScoring(), 100, 0)
 		if err != nil {
 			b.Fatal(err)
 		}

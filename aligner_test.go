@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"logan/internal/loadbal"
+	"logan/internal/xdrop"
 )
 
 // ctxb is the background context used throughout the engine tests.
@@ -49,13 +50,11 @@ func TestAlignerBackendsAgree(t *testing.T) {
 	}
 }
 
+// TestAlignerMatchesLegacyAlign: the engine must agree, pair for pair,
+// with the one-shot per-pair kernel call (xdrop.ExtendSeed) that the
+// retired package-level Align/AlignPair wrappers were built on.
 func TestAlignerMatchesLegacyAlign(t *testing.T) {
 	pairs := makePairs(16)
-	opt := DefaultOptions(40)
-	want, _, err := Align(pairs, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
 	eng, err := NewAligner(EngineOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -65,9 +64,13 @@ func TestAlignerMatchesLegacyAlign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range want {
-		if want[i] != got[i] {
-			t.Fatalf("pair %d: legacy %+v != engine %+v", i, want[i], got[i])
+	for i, p := range pairs {
+		r, err := xdrop.ExtendSeed(p.Query, p.Target, p.SeedQ, p.SeedT, p.SeedLen, xdrop.DefaultScoring(), 40)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := toAlignment(r); want != got[i] {
+			t.Fatalf("pair %d: per-pair kernel %+v != engine %+v", i, want, got[i])
 		}
 	}
 }
@@ -113,7 +116,12 @@ func TestAlignerPerRequestX(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, _, err := Align(pairs, DefaultOptions(x))
+		dedicated, err := NewAligner(EngineOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _, err := dedicated.Align(ctxb, pairs, DefaultConfig(x))
+		dedicated.Close()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -703,33 +711,4 @@ func TestStatsGCUPSSemantics(t *testing.T) {
 	if got := gpuZero.gcups(GPU); got != 0 {
 		t.Fatalf("GPU with zero device time: gcups %v, want 0", got)
 	}
-}
-
-// TestCloseDefaultEngines: the cached package-level engines must be
-// releasable, and the package-level Align must transparently rebuild
-// afterwards.
-func TestCloseDefaultEngines(t *testing.T) {
-	pairs := makePairs(4)
-	opt := DefaultOptions(25)
-	if _, _, err := Align(pairs, opt); err != nil {
-		t.Fatal(err)
-	}
-	defaultEnginesMu.Lock()
-	cached := len(defaultEngines)
-	defaultEnginesMu.Unlock()
-	if cached == 0 {
-		t.Fatal("Align did not cache a default engine")
-	}
-	CloseDefaultEngines()
-	defaultEnginesMu.Lock()
-	left := len(defaultEngines)
-	defaultEnginesMu.Unlock()
-	if left != 0 {
-		t.Fatalf("%d engines still cached after CloseDefaultEngines", left)
-	}
-	// Next call rebuilds and still answers correctly.
-	if _, _, err := Align(pairs, opt); err != nil {
-		t.Fatal(err)
-	}
-	CloseDefaultEngines()
 }

@@ -7,6 +7,7 @@ package logan
 // report the reproduction's key quantities alongside ns/op.
 
 import (
+	"context"
 	"testing"
 
 	"logan/internal/bench"
@@ -136,11 +137,15 @@ func BenchmarkKernelGPUBackend(b *testing.B) {
 		pairs[i] = Pair{Query: []byte(p.Query), Target: []byte(p.Target),
 			SeedQ: p.SeedQPos, SeedT: p.SeedTPos, SeedLen: p.SeedLen}
 	}
-	opt := DefaultOptions(100)
-	opt.Backend = GPU
+	eng, err := NewAligner(EngineOptions{Backend: GPU})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer eng.Close()
+	cfg := DefaultConfig(100)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := Align(pairs, opt); err != nil {
+		if _, _, err := eng.Align(context.Background(), pairs, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

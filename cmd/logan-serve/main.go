@@ -401,7 +401,6 @@ func main() {
 	// queue before the engine goes away.
 	handler.Close()
 	eng.Close()
-	logan.CloseDefaultEngines()
 	if exitErr != nil && !errors.Is(exitErr, http.ErrServerClosed) {
 		fmt.Fprintf(os.Stderr, "logan-serve: %v\n", exitErr)
 		os.Exit(1)

@@ -103,13 +103,18 @@ func TestServeAlign(t *testing.T) {
 	if len(out.Alignments) != 1 {
 		t.Fatalf("alignments: %+v", out)
 	}
-	want, err := logan.AlignPair(
-		[]byte("ACGTACGTACGTACGT"), []byte("ACGTACGTACGTACGT"), 4, 4, 4,
-		logan.DefaultOptions(50))
+	eng, err := logan.NewAligner(logan.EngineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := out.Alignments[0]
+	defer eng.Close()
+	ref := []byte("ACGTACGTACGTACGT")
+	offline, _, err := eng.Align(context.Background(),
+		[]logan.Pair{{Query: ref, Target: ref, SeedQ: 4, SeedT: 4, SeedLen: 4}}, logan.DefaultConfig(50))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, got := offline[0], out.Alignments[0]
 	if got.Score != want.Score || got.QBegin != want.QBegin || got.QEnd != want.QEnd {
 		t.Fatalf("served %+v, want %+v", got, want)
 	}

@@ -104,7 +104,6 @@ func main() {
 	fmt.Printf("logan-worker: %s serving %s (backend %s)\n", *name, *router, *backend)
 	err = w.Run(ctx)
 	eng.Close()
-	logan.CloseDefaultEngines()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "logan-worker: %v\n", err)
 		os.Exit(1)

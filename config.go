@@ -32,9 +32,8 @@ type Config struct {
 	X int32
 	// Scoring selects the scheme; construct it with LinearScoring,
 	// AffineScoring or MatrixScoring. The zero value is invalid — a
-	// Config must state its scheme explicitly, which closes the v1
-	// footgun where an explicitly all-zero Options scheme silently
-	// became +1/-1/-1.
+	// Config must state its scheme explicitly, so an all-zero scheme is a
+	// validation error rather than a silent +1/-1/-1.
 	Scoring Scoring
 }
 

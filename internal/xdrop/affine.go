@@ -3,8 +3,8 @@ package xdrop
 // Affine-gap X-drop extension. SeqAn's extendSeed supports affine gap
 // costs alongside the linear scheme LOGAN ports to the GPU; this file
 // completes the algorithm family for the CPU engine. The anti-diagonal
-// band machinery is identical — the recurrence carries the Gotoh E/F
-// matrices through the same three-buffer rotation.
+// band machinery is the shared driver (wave) — the Gotoh E/F states ride
+// along as two extra planes of the same three rolling buffers.
 
 import (
 	"fmt"
@@ -34,198 +34,78 @@ func (s AffineScoring) Validate() error {
 }
 
 // ExtendSeedAffine is seed-and-extend under affine gaps: the Gotoh
-// analogue of ExtendSeed. The pair is split at the seed, both sides are
-// extended with ExtendAffine (left over the reversed prefixes, as in
-// Fig. 5), and the seed — an exact k-mer match from the overlapper —
-// contributes seedLen*Match, exactly as in the linear path.
+// analogue of ExtendSeed, on a pooled Workspace. The seed — an exact k-mer
+// match from the overlapper — contributes seedLen*Match, exactly as in the
+// linear path.
 func ExtendSeedAffine(q, t seq.Seq, qPos, tPos, seedLen int, sc AffineScoring, x int32) (SeedResult, error) {
-	w := wsPool.Get().(*Workspace)
-	r, err := w.ExtendSeedAffine(q, t, qPos, tPos, seedLen, sc, x)
-	wsPool.Put(w)
-	return r, err
-}
-
-// ExtendSeedAffine is the workspace form of the package-level
-// ExtendSeedAffine: the left-extension reversals are staged into the
-// workspace's buffers instead of freshly allocated, which is what keeps
-// the pooled affine batch path allocation-lean per pair. (The Gotoh
-// recurrence itself still allocates its rolling rows inside
-// ExtendAffine.)
-func (w *Workspace) ExtendSeedAffine(q, t seq.Seq, qPos, tPos, seedLen int, sc AffineScoring, x int32) (SeedResult, error) {
-	if err := sc.Validate(); err != nil {
-		return SeedResult{}, err
-	}
-	// qPos > len(q)-seedLen rather than qPos+seedLen > len(q): the sum can
-	// overflow for adversarial positions; see Workspace.ExtendSeed.
-	if qPos < 0 || tPos < 0 || seedLen <= 0 || qPos > len(q)-seedLen || tPos > len(t)-seedLen {
-		return SeedResult{}, fmt.Errorf("xdrop: seed (%d,%d,len %d) outside sequences (%d, %d)",
-			qPos, tPos, seedLen, len(q), len(t))
-	}
-	w.revQ = seq.AppendReverse(w.revQ[:0], q[:qPos])
-	w.revT = seq.AppendReverse(w.revT[:0], t[:tPos])
-	r := SeedResult{SeedLen: seedLen}
-	var err error
-	r.Left, err = ExtendAffine(w.revQ, w.revT, sc, x)
-	if err != nil {
-		return SeedResult{}, err
-	}
-	r.Right, err = ExtendAffine(q.Sub(qPos+seedLen, len(q)), t.Sub(tPos+seedLen, len(t)), sc, x)
-	if err != nil {
-		return SeedResult{}, err
-	}
-	r.Score = r.Left.Score + r.Right.Score + int32(seedLen)*sc.Match
-	r.QBegin = qPos - r.Left.QueryEnd
-	r.TBegin = tPos - r.Left.TargetEnd
-	r.QEnd = qPos + seedLen + r.Right.QueryEnd
-	r.TEnd = tPos + seedLen + r.Right.TargetEnd
-	return r, nil
+	return extendSeedPooled(q, t, qPos, tPos, seedLen, AffineScheme(sc), x)
 }
 
 // ExtendAffine computes the highest-scoring semi-global prefix alignment
-// under affine gaps with X-drop pruning, in the same anti-diagonal
-// three-buffer formulation as Extend. H is the match-ending state, E the
-// gap-in-target state (horizontal), F the gap-in-query state (vertical);
-// pruning and band trimming operate on H.
+// under affine gaps with X-drop pruning, on a pooled Workspace. H is the
+// match-ending state, E the gap-in-target state (horizontal), F the
+// gap-in-query state (vertical); pruning and band trimming operate on H.
 func ExtendAffine(q, t seq.Seq, sc AffineScoring, x int32) (Result, error) {
 	if err := sc.Validate(); err != nil {
 		return Result{}, err
 	}
-	m, n := len(q), len(t)
-	res := Result{}
-	if m == 0 || n == 0 || x < 0 {
-		return res, nil
-	}
+	return extendPooled(q, t, AffineScheme(sc), x), nil
+}
 
-	type row struct {
-		h, e, f []int32
-		lo      int
-	}
-	mk := func(w int) row {
-		return row{h: make([]int32, w), e: make([]int32, w), f: make([]int32, w)}
-	}
-	width0 := min(m, n) + 2
-	cur, prev, prev2 := mk(width0), mk(width0), mk(width0)
-	get := func(a []int32, lo, i int, n int) int32 {
-		if i < lo || i >= lo+n {
-			return NegInf
-		}
-		return a[i-lo]
-	}
+// affineRow is the Gotoh row kernel. Each diagonal buffer carries three
+// planes stride slots apart — H, then E, then F — so the E/F states share
+// the H plane's slot geometry and rotation.
+type affineRow struct {
+	AffineScoring
+	stride int // bandLen of the extension
+}
 
-	// d = 0: H(0,0) = 0.
-	prev.h[0], prev.e[0], prev.f[0] = 0, NegInf, NegInf
-	prevLen := 1
-	prev2Len := 0
-	best := int32(0)
-	bestI, bestJ := 0, 0
-	res.AntiDiags, res.Cells, res.SumBand, res.MaxBand = 1, 1, 1, 1
+func (affineRow) planes() int { return 3 }
 
-	lo, hi := 0, 1
-	for d := 1; d <= m+n; d++ {
-		if lo < d-n {
-			lo = d - n
-		}
-		if mh := min(d, m); hi > mh {
-			hi = mh
-		}
-		if lo > hi {
-			break
-		}
-		width := hi - lo + 1
-		if cap(cur.h) < width {
-			cur = mk(width)
-		} else {
-			cur.h = cur.h[:width]
-			cur.e = cur.e[:width]
-			cur.f = cur.f[:width]
-		}
-		cur.lo = lo
-		threshold := best - x
-		newBest := best
-		nbI, nbJ := bestI, bestJ
+func (a affineRow) gaps() (first, rest int32) { return a.GapOpen + a.GapExtend, a.GapExtend }
 
-		for i := lo; i <= hi; i++ {
-			j := d - i
-			// E: gap in target — from the left neighbor (i, j-1) on d-1.
-			e := NegInf
-			if j >= 1 {
-				he := get(prev.h, prev.lo, i, prevLen)
-				if he > NegInf {
-					e = he + sc.GapOpen + sc.GapExtend
-				}
-				if ee := get(prev.e, prev.lo, i, prevLen); ee > NegInf && ee+sc.GapExtend > e {
-					e = ee + sc.GapExtend
-				}
-			}
-			// F: gap in query — from above (i-1, j) on d-1.
-			f := NegInf
-			if i >= 1 {
-				hf := get(prev.h, prev.lo, i-1, prevLen)
-				if hf > NegInf {
-					f = hf + sc.GapOpen + sc.GapExtend
-				}
-				if ff := get(prev.f, prev.lo, i-1, prevLen); ff > NegInf && ff+sc.GapExtend > f {
-					f = ff + sc.GapExtend
-				}
-			}
-			// H: diagonal from (i-1, j-1) on d-2, or close a gap.
-			h := NegInf
-			if i >= 1 && j >= 1 {
-				if hd := get(prev2.h, prev2.lo, i-1, prev2Len); hd > NegInf {
-					if q[i-1] == t[j-1] {
-						h = hd + sc.Match
-					} else {
-						h = hd + sc.Mismatch
-					}
-				}
-			}
-			if e > h {
-				h = e
-			}
-			if f > h {
-				h = f
-			}
-			// X-drop on H; E/F follow (a pruned cell ends all states).
-			if h < threshold {
-				h, e, f = NegInf, NegInf, NegInf
-			} else if h > newBest {
-				newBest = h
-				nbI, nbJ = i, j
-			}
-			cur.h[i-lo], cur.e[i-lo], cur.f[i-lo] = h, e, f
-		}
-		res.Cells += int64(width)
-		res.SumBand += int64(width)
-		res.AntiDiags++
-		if width > res.MaxBand {
-			res.MaxBand = width
-		}
-		best = newBest
-		bestI, bestJ = nbI, nbJ
-
-		first, last := 0, width-1
-		for first <= last && cur.h[first] == NegInf {
-			first++
-		}
-		for last >= first && cur.h[last] == NegInf {
-			last--
-		}
-		if first > last {
-			break
-		}
-		// Rotate, keeping the trimmed bounds logically (storage intact).
-		trimmed := row{
-			h: cur.h[first : last+1], e: cur.e[first : last+1], f: cur.f[first : last+1],
-			lo: cur.lo + first,
-		}
-		prev2, prev, cur = prev, trimmed, row{h: prev2.h[:0], e: prev2.e[:0], f: prev2.f[:0]}
-		prev2Len = prevLen
-		prevLen = last - first + 1
-		lo = prev.lo
-		hi = prev.lo + prevLen
+func (a affineRow) row(d3, d2m1, out []int32, qs, ts seq.Seq, thr, best int32) (int32, int) {
+	kn := len(out)
+	s := a.stride
+	d3 = d3[:kn]
+	h2 := d2m1[1:][:kn]      // H of the left source, cell (i, j-1)
+	e2 := d2m1[s+1 : s+1+kn] // E of the left source
+	f2 := d2m1[2*s : 2*s+kn] // F of the up source, cell (i-1, j)
+	eo := out[s : s+kn]
+	fo := out[2*s : 2*s+kn]
+	qs = qs[:kn]
+	ts = ts[:kn]
+	match, mismatch := a.Match, a.Mismatch
+	open, ext := a.gaps() // cost of a gap's first base and of each later one
+	up := d2m1[0]         // H of the up source, carried like the linear kernel's
+	// The driver plants sentinels in H only. The two end sources are the
+	// only slots that can be one, so prune their E/F here.
+	if up == NegInf {
+		f2[0] = NegInf
 	}
-	res.Score = best
-	res.QueryEnd = bestI
-	res.TargetEnd = bestJ
-	return res, nil
+	if d2m1[kn] == NegInf {
+		e2[kn-1] = NegInf
+	}
+	bestK := -1
+	for k := 0; k < kn; k++ {
+		left := h2[k]
+		e := max(left+open, e2[k]+ext)
+		f := max(up+open, f2[k]+ext)
+		up = left
+		add := mismatch
+		if qs[k] == ts[k] {
+			add = match
+		}
+		h := max(d3[k]+add, e, f)
+		if h > best {
+			best = h
+			bestK = k
+		}
+		// X-drop on H; E/F follow (a pruned cell ends all states).
+		if h < thr {
+			h, e, f = NegInf, NegInf, NegInf
+		}
+		out[k], eo[k], fo[k] = h, e, f
+	}
+	return best, bestK
 }

@@ -24,18 +24,38 @@ var kernelRegimes = []struct {
 	{"xwide_x1600", 1600},
 }
 
-// BenchmarkKernel compares the three interior kernels — the scalar int32
-// anti-diagonal loop, the 8-lane int16 vector kernel, and the
-// ksw2-striped affine kernel (the minimap2 corner of the design space) —
-// on one 2000-base extension per band regime. The cells/ns metric is the
+// BenchmarkKernel compares the interior kernels — the four row kernels of
+// the wavefront driver (scalar int32, 8-lane int16 vector, Gotoh affine,
+// substitution matrix; the matrix row runs the DNA scoring as a table, so
+// it explores the same cells as scalar) and the ksw2-striped affine
+// kernel (the minimap2 corner of the design space) — on one 2000-base
+// extension per band regime. The cells/ns metric is the
 // comparable number; ns/op is not, because the kernels explore different
 // cell counts (ksw2 under Z-drop especially).
 func BenchmarkKernel(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	q, t := benchPair(rng, 2000)
 	sc := DefaultScoring()
+	aff := AffineScoring{Match: 1, Mismatch: -1, GapOpen: -1, GapExtend: -1}
+	mat := dnaMatrix(b, sc)
 	w := NewWorkspace()
 	for _, reg := range kernelRegimes {
+		b.Run(fmt.Sprintf("affine/%s", reg.name), func(b *testing.B) {
+			b.ReportAllocs()
+			var cells int64
+			for i := 0; i < b.N; i++ {
+				cells += w.extend(q, t, AffineScheme(aff), reg.x, KernelScalar).Cells
+			}
+			b.ReportMetric(float64(cells)/float64(b.Elapsed().Nanoseconds()), "cells/ns")
+		})
+		b.Run(fmt.Sprintf("matrix/%s", reg.name), func(b *testing.B) {
+			b.ReportAllocs()
+			var cells int64
+			for i := 0; i < b.N; i++ {
+				cells += w.extend(q, t, MatrixScheme(mat), reg.x, KernelScalar).Cells
+			}
+			b.ReportMetric(float64(cells)/float64(b.Elapsed().Nanoseconds()), "cells/ns")
+		})
 		b.Run(fmt.Sprintf("scalar/%s", reg.name), func(b *testing.B) {
 			b.ReportAllocs()
 			var cells int64

@@ -41,7 +41,7 @@ func BenchmarkExtendSeedWorkspace(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := w.ExtendSeed(q, t, 1000, 1000, 17, sc, 100); err != nil {
+		if _, err := w.ExtendSeedKernel(q, t, 1000, 1000, 17, sc, 100, KernelScalar); err != nil {
 			b.Fatal(err)
 		}
 	}

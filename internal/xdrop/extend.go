@@ -27,10 +27,7 @@ type Result struct {
 // O(mn). The buffers come from a pooled Workspace; hold a Workspace of
 // your own (see Pool) to make repeated extensions allocation-free.
 func Extend(q, t seq.Seq, sc Scoring, x int32) Result {
-	w := wsPool.Get().(*Workspace)
-	r := w.Extend(q, t, sc, x)
-	wsPool.Put(w)
-	return r
+	return extendPooled(q, t, LinearScheme(sc), x)
 }
 
 // ExtendExhaustive computes the same objective with no pruning: the exact

@@ -77,157 +77,22 @@ func (w *Workspace) ExtendVector(q, t seq.Seq, sc Scoring, x int32) Result {
 	if !VectorEligible(sc, x) {
 		return w.Extend(q, t, sc, x)
 	}
-	m, n := len(q), len(t)
-	res := Result{}
-	if m == 0 || n == 0 {
-		return res
-	}
-
-	// An anti-diagonal holds at most min(m,n)+1 cells, plus one sentinel
-	// slot on each side (geometry shared with the scalar kernel).
-	bufLen := min(m, n) + 3
-	a1 := w.diag16(&w.v0, bufLen)
-	a2 := w.diag16(&w.v1, bufLen)
-	a3 := w.diag16(&w.v2, bufLen)
-
-	// rt mirrors t in reverse base order so both sequences are read
-	// forward (and 8 bytes at a time) in the block loop.
-	if cap(w.rt) < n {
-		w.rt = make(seq.Seq, n)
-	}
-	rt := w.rt[:n]
-
-	match16, mismatch16, gap16 := int16(sc.Match), int16(sc.Mismatch), int16(sc.Gap)
-	x16 := int16(x)
-	tab := w.blendTab(match16, mismatch16)
-
-	// Scores are carried rebased: true score = base + lane value.
-	var base int32
-
-	var org1, org2, org3 int
-	best := int16(0)
-	bestI, bestJ := 0, 0
-	org2 = -1
-	a2[0], a2[1], a2[2] = negInf16, 0, negInf16
-	res.AntiDiags = 1
-	res.Cells = 1
-	res.SumBand = 1
-	res.MaxBand = 1
-
-	lo, hi := 0, 1
-
-	for d := 1; d <= m+n; d++ {
-		if d <= n {
-			rt[n-d] = t[d-1]
-		}
-		if lo < d-n {
-			lo = d - n
-		}
-		if hi > d {
-			hi = d
-		}
-		if hi > m {
-			hi = m
-		}
-		if lo > hi {
-			break
-		}
-
-		// Rebase between diagonals once the local best nears the rebase
-		// mark: subtract it from every live lane of the two carried
-		// diagonals so the upcoming scores stay centered near zero.
-		if best >= vectorRebaseAt {
-			delta := best
-			rebase16(a2, delta)
-			rebase16(a3, delta)
-			base += int32(delta)
-			best = 0
-		}
-
-		width := hi - lo + 1
-		org1 = lo - 1
-		threshold := best - x16
-		newBest := best
-		newBI, newBJ := bestI, bestJ
-
-		// Matrix border i = 0 (cell (0,d)), as in the scalar kernel.
-		if lo == 0 {
-			s := a2[-org2] + gap16
-			if s < threshold {
-				s = negInf16
-			} else if s > newBest {
-				newBest, newBI, newBJ = s, 0, d
-			}
-			a1[1] = s
-		}
-
-		// Interior cells in 8-lane blocks, scalar tail for the remainder.
-		uLo := max(lo, 1)
-		uHi := min(hi, d-1)
-		if uLo <= uHi {
-			kn := uHi - uLo + 1
-			nb, bk := vectorRow(
-				a3[uLo-1-org3:][:kn],
-				a2[uLo-1-org2:][:kn+1],
-				a1[uLo-org1:][:kn],
-				q[uLo-1:][:kn],
-				rt[n-d+uLo:][:kn],
-				tab,
-				int(gap16), int(threshold), int(newBest))
-			newBest = int16(nb)
-			if bk >= 0 {
-				newBI = uLo + bk
-				newBJ = d - uLo - bk
-			}
-		}
-
-		// Matrix border j = 0 (cell (d,0)), after the interior so ties
-		// keep the smallest-i cell.
-		if hi == d {
-			s := a2[d-1-org2] + gap16
-			if s < threshold {
-				s = negInf16
-			} else if s > newBest {
-				newBest, newBI, newBJ = s, d, 0
-			}
-			a1[d-org1] = s
-		}
-
-		res.Cells += int64(width)
-		res.SumBand += int64(width)
-		res.AntiDiags++
-		if width > res.MaxBand {
-			res.MaxBand = width
-		}
-		best = newBest
-		bestI, bestJ = newBI, newBJ
-
-		// Trim pruned cells from both ends; cells occupy slots 1..width.
-		first, last := 0, width-1
-		for first <= last && a1[first+1] == negInf16 {
-			first++
-		}
-		for last >= first && a1[last+1] == negInf16 {
-			last--
-		}
-		if first > last {
-			break // band empty: X-drop termination
-		}
-		a1[first] = negInf16
-		a1[last+2] = negInf16
-		a3, a2, a1 = a2, a1, a3
-		org3, org2 = org2, org1
-		hi = lo + last + 1
-		lo = lo + first
-	}
-
-	res.Score = base + int32(best)
-	res.QueryEnd = bestI
-	res.TargetEnd = bestJ
-	return res
+	tab := w.blendTab(int16(sc.Match), int16(sc.Mismatch))
+	return wave(&w.v, &w.rt, q, t, int16(x), vectorKernel{tab: tab, gap: int16(sc.Gap)})
 }
 
-// vectorRow computes the interior cells of one anti-diagonal: d3 holds
+// vectorKernel is the int16 row kernel: the batch's compare-blend table
+// and gap penalty are its only per-extension state.
+type vectorKernel struct {
+	tab *simd.BlendTable
+	gap int16
+}
+
+func (vectorKernel) planes() int { return 1 }
+
+func (v vectorKernel) gaps() (first, rest int16) { return v.gap, v.gap }
+
+// row computes the interior cells of one anti-diagonal: d3 holds
 // the substitution sources and out receives the new diagonal (both of
 // length kn), d2m1 holds the gap sources of the previous diagonal shifted
 // one cell down (length kn+1: the "up" source of cell k is d2m1[k], the
@@ -245,7 +110,8 @@ func (w *Workspace) ExtendVector(q, t seq.Seq, sc Scoring, x int32) Result {
 // row maximum; that cell's stored value is unclamped (nb > nbIn >= best-x
 // means it cleared the X-drop threshold), so the position is recovered by
 // a post-scan that runs only on rows that improve the best.
-func vectorRow(d3, d2m1, out []int16, qs, ts seq.Seq, tab *simd.BlendTable, gw, tw, nb int) (int, int) {
+func (v vectorKernel) row(d3, d2m1, out []int16, qs, ts seq.Seq, thr, best int16) (int16, int) {
+	tab, gw, tw, nb := v.tab, int(v.gap), int(thr), int(best)
 	kn := len(out)
 	nbIn := nb
 	blocks := kn / simd.Lanes
@@ -292,7 +158,7 @@ func vectorRow(d3, d2m1, out []int16, qs, ts seq.Seq, tab *simd.BlendTable, gw, 
 			}
 		}
 	}
-	return nb, bk
+	return int16(nb), bk
 }
 
 // vectorRowBlocksPortable is the pure-Go form of the 8-lane block kernel:
@@ -344,16 +210,4 @@ func vectorRowBlocksPortable(d3, d2m1, out []int16, qs, ts []byte, blocks int, t
 		}
 	}
 	return rm
-}
-
-// rebase16 subtracts delta from every live lane of a carried diagonal,
-// leaving sentinels untouched. The sweep runs over the whole buffer (the
-// live span is sentinel-bracketed inside it); it fires at most once per
-// vectorRebaseAt score gained, so its cost amortizes to nothing.
-func rebase16(a []int16, delta int16) {
-	for i := range a {
-		if a[i] > negInf16Guard {
-			a[i] -= delta
-		}
-	}
 }

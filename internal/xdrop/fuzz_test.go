@@ -99,12 +99,17 @@ func FuzzExtendVectorDifferential(f *testing.F) {
 	})
 }
 
-// FuzzExtendMatrix does the same for the protein path.
+// FuzzExtendMatrix does the same for the protein path, and pins the
+// matrix row kernel to the frozen linear oracle: over a DNA alphabet with
+// match on the diagonal and mismatch off it, a matrix is the linear
+// scheme, so ExtendMatrix must equal ExtendReference field for field.
 func FuzzExtendMatrix(f *testing.F) {
 	f.Add([]byte("MKVL"), []byte("MKVL"), int32(20))
 	f.Add([]byte("W"), []byte("W"), int32(0))
 	m := Blosum62(-6)
 	const residues = "ARNDCQEGHILKMFPSTWYV"
+	lin := Scoring{Match: 2, Mismatch: -3, Gap: -4}
+	dna := dnaMatrix(f, lin)
 	f.Fuzz(func(t *testing.T, qRaw, tRaw []byte, x int32) {
 		if len(qRaw) > 200 || len(tRaw) > 200 {
 			return
@@ -135,5 +140,34 @@ func FuzzExtendMatrix(f *testing.F) {
 		if r.Score > 11*int32(min(len(q), len(tt))) {
 			t.Fatalf("score %d exceeds matrix maximum", r.Score)
 		}
+
+		dq, dt := sanitizeDNA(qRaw), sanitizeDNA(tRaw)
+		got, err := ExtendMatrix(dq, dt, dna, x)
+		if err != nil {
+			t.Fatalf("sanitized DNA rejected: %v", err)
+		}
+		if want := ExtendReference(dq, dt, lin, x); got != want {
+			t.Fatalf("DNA-as-matrix %+v != reference %+v (x %d)", got, want, x)
+		}
 	})
+}
+
+// dnaMatrix expresses a linear DNA scoring as a substitution matrix over
+// "ACGTN": match on the diagonal, mismatch everywhere else.
+func dnaMatrix(tb testing.TB, sc Scoring) *Matrix {
+	tb.Helper()
+	const alphabet = "ACGTN"
+	rows := make([][]int8, len(alphabet))
+	for i := range rows {
+		rows[i] = make([]int8, len(alphabet))
+		for j := range rows[i] {
+			rows[i][j] = int8(sc.Mismatch)
+		}
+		rows[i][i] = int8(sc.Match)
+	}
+	m, err := NewMatrix("DNA", alphabet, rows, sc.Gap)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return m
 }

@@ -1,16 +1,16 @@
 package xdrop
 
-// Kernel identifies which interior-loop implementation a batch's seed
-// extensions run on. Selection happens once per merged batch, keyed by
+// Kernel identifies which cell width a batch's seed extensions run the
+// wavefront driver at. Selection happens once per merged batch, keyed by
 // the batch's scheme and X-drop threshold (the coalescer's config key),
 // so the per-cell loops carry no mode branches — the AnySeq-style
 // specialize-at-batch-prep discipline applied to kernel dispatch.
 type Kernel uint8
 
 const (
-	// KernelScalar is the int32 anti-diagonal kernel (Workspace.Extend):
-	// every scheme family runs on it, and it is the fallback when a
-	// linear configuration exceeds the vector envelope.
+	// KernelScalar runs the int32 row kernels: every scheme family has
+	// one, and the linear one (Workspace.Extend) is the fallback when a
+	// configuration exceeds the vector envelope.
 	KernelScalar Kernel = iota
 	// KernelVector is the 8-wide int16 lane kernel (ExtendVector): SSE2
 	// assembly on amd64, the portable lane loop elsewhere. Linear DNA

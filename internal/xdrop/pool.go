@@ -110,16 +110,9 @@ func (j *poolJob) run(ws *Workspace) {
 			return
 		}
 		p := &j.pairs[idx]
-		var r SeedResult
-		var err error
 		// The kernel was chosen once at batch submission (SelectKernel), so
-		// this is the only variant branch the batch ever takes — the per-cell
-		// loops themselves are mode-free.
-		if j.kernel == KernelVector {
-			r, err = ws.ExtendSeedKernel(p.Query, p.Target, p.SeedQPos, p.SeedTPos, p.SeedLen, j.sch.Linear, j.x, KernelVector)
-		} else {
-			r, err = ws.ExtendSeedScheme(p.Query, p.Target, p.SeedQPos, p.SeedTPos, p.SeedLen, j.sch, j.x)
-		}
+		// the per-cell loops themselves are mode-free.
+		r, err := ws.extendSeed(p.Query, p.Target, p.SeedQPos, p.SeedTPos, p.SeedLen, j.sch, j.x, j.kernel)
 		if err != nil {
 			j.fail(idx, err)
 			continue
@@ -138,11 +131,9 @@ func (p *Pool) ExtendBatch(pairs []seq.Pair, results []SeedResult, sc Scoring, x
 }
 
 // ExtendBatchScheme is ExtendBatch generalized over the scoring families
-// and a context: linear batches run on the per-worker workspaces as
-// before, affine and matrix batches fan the single-pair kernels
-// (ExtendSeedAffine, ExtendSeedMatrix) across the same workers. A
-// canceled ctx stops the batch after the in-flight pairs finish and
-// returns the context's error.
+// and a context: every family runs on the per-worker workspaces, through
+// the same seed wrapper and wavefront driver. A canceled ctx stops the
+// batch after the in-flight pairs finish and returns the context's error.
 //
 // The extension kernel is chosen once per batch from the batch's config
 // key (SelectKernel on scheme + X): eligible linear batches run the

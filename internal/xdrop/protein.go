@@ -8,6 +8,7 @@ package xdrop
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"logan/internal/seq"
@@ -21,13 +22,20 @@ type Matrix struct {
 	Name     string
 	Gap      int32
 	alphabet string
-	index    [256]int8 // byte -> residue index; -1 = invalid
-	scores   [24][24]int8
-	maxAbs   int32 // largest |entry|, for score-overflow budgeting
+	index    [256]uint8 // byte -> residue index; unknownResidue = not in the alphabet
+	// scores is padded to a power of two so lookups by masked index need no
+	// bounds check; every entry outside the alphabet's block — in particular
+	// row and column unknownResidue — holds the matrix minimum.
+	scores [32][32]int8
+	maxAbs int32 // largest |entry|, for score-overflow budgeting
 }
 
-// NewMatrix builds a Matrix over the given alphabet (<= 24 symbols) from
-// a dense score table in alphabet order.
+// unknownResidue is the index of every byte outside the alphabet.
+const unknownResidue = 31
+
+// NewMatrix builds a Matrix over the given alphabet (<= 24 distinct
+// symbols; upper-case letters also match their lower-case form) from a
+// dense score table in alphabet order.
 func NewMatrix(name, alphabet string, scores [][]int8, gap int32) (*Matrix, error) {
 	n := len(alphabet)
 	if n == 0 || n > 24 {
@@ -41,26 +49,40 @@ func NewMatrix(name, alphabet string, scores [][]int8, gap int32) (*Matrix, erro
 	}
 	m := &Matrix{Name: name, Gap: gap, alphabet: alphabet}
 	for i := range m.index {
-		m.index[i] = -1
+		m.index[i] = unknownResidue
 	}
+	claim := func(c byte, i int) error {
+		if m.index[c] != unknownResidue {
+			return fmt.Errorf("xdrop: alphabet %q repeats symbol %q", alphabet, c)
+		}
+		m.index[c] = uint8(i)
+		return nil
+	}
+	lowest := int8(math.MaxInt8)
 	for i := 0; i < n; i++ {
 		c := alphabet[i]
-		m.index[c] = int8(i)
+		if err := claim(c, i); err != nil {
+			return nil, err
+		}
 		if c >= 'A' && c <= 'Z' {
-			m.index[c|0x20] = int8(i)
+			if err := claim(c|0x20, i); err != nil {
+				return nil, err
+			}
 		}
 		if len(scores[i]) != n {
 			return nil, fmt.Errorf("xdrop: score row %d has %d entries, want %d", i, len(scores[i]), n)
 		}
-		for j := 0; j < n; j++ {
-			m.scores[i][j] = scores[i][j]
-			abs := int32(scores[i][j])
-			if abs < 0 {
-				abs = -abs
-			}
-			if abs > m.maxAbs {
-				m.maxAbs = abs
-			}
+		for _, s := range scores[i] {
+			lowest = min(lowest, s)
+			m.maxAbs = max(m.maxAbs, int32(s), -int32(s))
+		}
+	}
+	for i := range m.scores {
+		for j := range m.scores[i] {
+			m.scores[i][j] = lowest
+		}
+		if i < n {
+			copy(m.scores[i][:], scores[i])
 		}
 	}
 	return m, nil
@@ -74,17 +96,13 @@ func (m *Matrix) MaxAbsScore() int32 { return m.maxAbs }
 // Score returns the substitution score of residues a and b. Unknown
 // residues score as the matrix minimum.
 func (m *Matrix) Score(a, b byte) int32 {
-	ia, ib := m.index[a], m.index[b]
-	if ia < 0 || ib < 0 {
-		return -4
-	}
-	return int32(m.scores[ia][ib])
+	return int32(m.scores[m.index[a]&31][m.index[b]&31])
 }
 
 // ValidSeq reports whether every byte of s is in the matrix alphabet.
 func (m *Matrix) ValidSeq(s []byte) bool {
 	for _, c := range s {
-		if m.index[c] < 0 {
+		if m.index[c] == unknownResidue {
 			return false
 		}
 	}
@@ -138,160 +156,66 @@ func Blosum62(gap int32) *Matrix {
 
 // ExtendMatrix is Extend generalized to substitution-matrix scoring: the
 // highest-scoring semi-global alignment of prefixes of q and t under the
-// matrix and its linear gap penalty, with X-drop pruning. Sequences are
-// validated against the matrix alphabet.
+// matrix and its linear gap penalty, with X-drop pruning, on a pooled
+// Workspace. Sequences are validated against the matrix alphabet.
 func ExtendMatrix(q, t []byte, m *Matrix, x int32) (Result, error) {
 	if !m.ValidSeq(q) || !m.ValidSeq(t) {
 		return Result{}, fmt.Errorf("xdrop: sequence contains residues outside the %s alphabet", m.Name)
 	}
-	return extendMatrix(q, t, m, x), nil
-}
-
-func extendMatrix(q, t []byte, m *Matrix, x int32) Result {
-	mlen, n := len(q), len(t)
-	res := Result{}
-	if mlen == 0 || n == 0 || x < 0 {
-		return res
-	}
-	cap0 := min(mlen, n) + 2
-	a1 := make([]int32, 0, cap0)
-	a2 := make([]int32, 0, cap0)
-	a3 := make([]int32, 0, cap0)
-	var lo1, lo2, lo3 int
-
-	best := int32(0)
-	bestI, bestJ := 0, 0
-	a2 = append(a2, 0)
-	lo2 = 0
-	res.AntiDiags = 1
-	res.Cells = 1
-	res.SumBand = 1
-	res.MaxBand = 1
-
-	lo, hi := 0, 1
-	for d := 1; d <= mlen+n; d++ {
-		if lo < d-n {
-			lo = d - n
-		}
-		if mh := min(d, mlen); hi > mh {
-			hi = mh
-		}
-		if lo > hi {
-			break
-		}
-		width := hi - lo + 1
-		if cap(a1) < width {
-			a1 = make([]int32, width)
-		} else {
-			a1 = a1[:width]
-		}
-		lo1 = lo
-		hi2 := lo2 + len(a2) - 1
-		hi3 := lo3 + len(a3) - 1
-		threshold := best - x
-		newBest := best
-		newBI, newBJ := bestI, bestJ
-		for i := lo; i <= hi; i++ {
-			j := d - i
-			s := NegInf
-			if i >= 1 && j >= 1 && i-1 >= lo3 && i-1 <= hi3 {
-				if prev := a3[i-1-lo3]; prev > NegInf {
-					s = prev + m.Score(q[i-1], t[j-1])
-				}
-			}
-			g := NegInf
-			if j >= 1 && i >= lo2 && i <= hi2 {
-				g = a2[i-lo2]
-			}
-			if i >= 1 && i-1 >= lo2 && i-1 <= hi2 {
-				if v := a2[i-1-lo2]; v > g {
-					g = v
-				}
-			}
-			if g > NegInf && g+m.Gap > s {
-				s = g + m.Gap
-			}
-			if s < threshold {
-				s = NegInf
-			} else if s > newBest {
-				newBest = s
-				newBI, newBJ = i, j
-			}
-			a1[i-lo] = s
-		}
-		res.Cells += int64(width)
-		res.SumBand += int64(width)
-		res.AntiDiags++
-		if width > res.MaxBand {
-			res.MaxBand = width
-		}
-		best = newBest
-		bestI, bestJ = newBI, newBJ
-
-		first, last := 0, width-1
-		for first <= last && a1[first] == NegInf {
-			first++
-		}
-		for last >= first && a1[last] == NegInf {
-			last--
-		}
-		if first > last {
-			break
-		}
-		lo = lo1 + first
-		hi = lo1 + last + 1
-		a3, a2, a1 = a2, a1[first:last+1], a3[:0]
-		lo3 = lo2
-		lo2 = lo1 + first
-	}
-	res.Score = best
-	res.QueryEnd = bestI
-	res.TargetEnd = bestJ
-	return res
+	return extendPooled(q, t, MatrixScheme(m), x), nil
 }
 
 // ExtendSeedMatrix is seed-and-extend under a substitution matrix: the
 // protein analogue of ExtendSeed, scoring the seed region explicitly
 // (protein seeds are rarely exact matches, so the seed contributes its
-// actual matrix score, not length x match).
+// actual matrix score, not length x match). Unlike the batch path
+// (Workspace.ExtendSeedScheme) it scans both sequences against the
+// matrix alphabet first.
 func ExtendSeedMatrix(q, t []byte, qPos, tPos, seedLen int, m *Matrix, x int32) (SeedResult, error) {
 	if !m.ValidSeq(q) || !m.ValidSeq(t) {
 		return SeedResult{}, fmt.Errorf("xdrop: sequence contains residues outside the %s alphabet", m.Name)
 	}
-	w := wsPool.Get().(*Workspace)
-	r, err := w.extendSeedMatrix(q, t, qPos, tPos, seedLen, m, x)
-	wsPool.Put(w)
-	return r, err
+	return extendSeedPooled(q, t, qPos, tPos, seedLen, MatrixScheme(m), x)
 }
 
-// extendSeedMatrix is the workspace form of ExtendSeedMatrix, without
-// the alphabet scan: the batch path validates sequences once at
-// admission (the engine's ingest, plus the coalescer's), so re-scanning
-// every byte per extension would be pure overhead. Callers own the
-// validation contract — an unknown residue slipping through scores as
-// the matrix minimum instead of erroring. Reversals stage into the
-// workspace buffers.
-func (w *Workspace) extendSeedMatrix(q, t []byte, qPos, tPos, seedLen int, m *Matrix, x int32) (SeedResult, error) {
-	// Overflow-safe bounds (qPos+seedLen can wrap); see Workspace.ExtendSeed.
-	if qPos < 0 || tPos < 0 || seedLen <= 0 || qPos > len(q)-seedLen || tPos > len(t)-seedLen {
-		return SeedResult{}, fmt.Errorf("xdrop: seed (%d,%d,len %d) outside sequences (%d, %d)",
-			qPos, tPos, seedLen, len(q), len(t))
+// matrixRow is linearRow with the match/mismatch compare replaced by a
+// substitution-table lookup.
+type matrixRow struct{ m *Matrix }
+
+func (matrixRow) planes() int { return 1 }
+
+func (r matrixRow) gaps() (first, rest int32) { return r.m.Gap, r.m.Gap }
+
+func (r matrixRow) row(d3, d2m1, out []int32, qs, ts seq.Seq, thr, best int32) (int32, int) {
+	kn := len(out)
+	d3 = d3[:kn]
+	d2 := d2m1[1:][:kn]
+	qs = qs[:kn]
+	ts = ts[:kn]
+	index, sub, gap := &r.m.index, &r.m.scores, r.m.Gap
+	up := d2m1[0]
+	bestK := -1
+	for k := 0; k < kn; k++ {
+		s := d3[k] + int32(sub[index[qs[k]]&31][index[ts[k]]&31])
+		cur := d2[k]
+		g := up
+		if cur > g {
+			g = cur
+		}
+		up = cur
+		if g += gap; g > s {
+			s = g
+		}
+		if s > best {
+			best = s
+			bestK = k
+		}
+		if s < thr {
+			s = NegInf
+		}
+		out[k] = s
 	}
-	w.revQ = seq.AppendReverse(w.revQ[:0], q[:qPos])
-	w.revT = seq.AppendReverse(w.revT[:0], t[:tPos])
-	r := SeedResult{SeedLen: seedLen}
-	r.Left = extendMatrix(w.revQ, w.revT, m, x)
-	r.Right = extendMatrix(q[qPos+seedLen:], t[tPos+seedLen:], m, x)
-	var seedScore int32
-	for k := 0; k < seedLen; k++ {
-		seedScore += m.Score(q[qPos+k], t[tPos+k])
-	}
-	r.Score = r.Left.Score + r.Right.Score + seedScore
-	r.QBegin = qPos - r.Left.QueryEnd
-	r.TBegin = tPos - r.Left.TargetEnd
-	r.QEnd = qPos + seedLen + r.Right.QueryEnd
-	r.TEnd = tPos + seedLen + r.Right.TargetEnd
-	return r, nil
+	return best, bestK
 }
 
 // FormatMatrix renders the matrix as the classic NCBI text table, mainly

@@ -59,6 +59,50 @@ func TestNewMatrixValidation(t *testing.T) {
 	}
 }
 
+// TestNewMatrixRejectsRepeatedSymbol: a repeated alphabet symbol used to
+// silently re-point the byte at the later row; it is a construction error,
+// also when the repeat is the lower-case alias of an upper-case symbol.
+func TestNewMatrixRejectsRepeatedSymbol(t *testing.T) {
+	rows := [][]int8{{1, 0, 0}, {0, 1, 0}, {0, 0, 1}}
+	for _, alphabet := range []string{"ABA", "AAB", "ABa"} {
+		if _, err := NewMatrix("m", alphabet, rows, -1); err == nil {
+			t.Errorf("accepted alphabet %q", alphabet)
+		}
+	}
+	if _, err := NewMatrix("m", "AB*", rows, -1); err != nil {
+		t.Errorf("rejected distinct alphabet: %v", err)
+	}
+}
+
+// TestMatrixUnknownResidueScoresMinimum: bytes outside the alphabet score
+// as the matrix minimum — the documented contract of Score and of the
+// unvalidated batch path — for any matrix, not only BLOSUM62 (whose
+// minimum happens to be the -4 the code used to hard-code).
+func TestMatrixUnknownResidueScoresMinimum(t *testing.T) {
+	m, err := NewMatrix("m", "AB", [][]int8{{5, -9}, {-2, 3}}, -20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pair := range [][2]byte{{'A', '?'}, {'?', 'B'}, {'?', '?'}, {'A', 0xff}} {
+		if got := m.Score(pair[0], pair[1]); got != -9 {
+			t.Errorf("Score(%q,%q) = %d, want the matrix minimum -9", pair[0], pair[1], got)
+		}
+	}
+	if got := Blosum62(-6).Score('A', '?'); got != -4 {
+		t.Errorf("BLOSUM62 unknown residue scores %d, want -4", got)
+	}
+	// The row kernel uses the same lookup: one unknown residue in an
+	// otherwise identical pair costs the minimum, on the unvalidated path.
+	q, tt := []byte("AAAAAAAA"), []byte("AAA?AAAA")
+	r, err := NewWorkspace().ExtendSeedScheme(q, tt, 0, 0, 1, MatrixScheme(m), 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := int32(7*5 - 9); r.Score != want {
+		t.Errorf("seed extension across an unknown residue scores %d, want %d", r.Score, want)
+	}
+}
+
 func TestExtendMatrixIdenticalProtein(t *testing.T) {
 	m := Blosum62(-6)
 	p := []byte("MKVLAAGICWQRSTNDEHYF")

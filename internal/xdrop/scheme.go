@@ -78,25 +78,21 @@ func (s Scheme) Validate() error {
 	}
 }
 
-// ExtendSeedScheme runs one seed-and-extend under the scheme: the
-// single-pair dispatch the pooled batch path fans out over. Every family
-// stages through the workspace (reversal buffers; the linear family also
-// reuses its rolling anti-diagonals). The affine and matrix paths are
-// score-identical to the ExtendSeedAffine/ExtendSeedMatrix oracles the
-// batch paths are differentially tested against, with one batch-path
-// contract: matrix-mode sequences must already be validated against the
-// matrix alphabet (the engine validates at ingest, the coalescer at
-// admission) — an unvalidated unknown residue scores as the matrix
-// minimum instead of erroring.
-func (w *Workspace) ExtendSeedScheme(q, t seq.Seq, qPos, tPos, seedLen int, sch Scheme, x int32) (SeedResult, error) {
-	switch sch.Kind {
-	case SchemeLinear:
-		return w.ExtendSeed(q, t, qPos, tPos, seedLen, sch.Linear, x)
+// seedScore is the seed region's contribution to a seed-and-extend score.
+// DNA seeds are exact k-mer matches from the overlapper, so under the
+// linear and affine schemes they score length x match; protein seeds are
+// rarely exact, so a matrix scores the seed's residue pairs.
+func (s Scheme) seedScore(q, t seq.Seq) int32 {
+	switch s.Kind {
 	case SchemeAffine:
-		return w.ExtendSeedAffine(q, t, qPos, tPos, seedLen, sch.Affine, x)
+		return int32(len(q)) * s.Affine.Match
 	case SchemeMatrix:
-		return w.extendSeedMatrix(q, t, qPos, tPos, seedLen, sch.Matrix, x)
+		var sum int32
+		for k := range q {
+			sum += s.Matrix.Score(q[k], t[k])
+		}
+		return sum
 	default:
-		return SeedResult{}, fmt.Errorf("xdrop: unknown scheme kind %d", sch.Kind)
+		return int32(len(q)) * s.Linear.Match
 	}
 }

@@ -18,13 +18,7 @@ type SeedResult struct {
 func (r SeedResult) Cells() int64 { return r.Left.Cells + r.Right.Cells }
 
 // ExtendSeed splits the pair at the seed (paper Fig. 5) and extends in both
-// directions. The left extension aligns the reversed prefixes so that its
-// inner loop walks memory forward — the same transformation LOGAN applies
-// for coalescing (paper Fig. 6); here it also keeps the semantics of
-// "extend leftwards from the seed start".
+// directions under linear scoring, on a pooled Workspace.
 func ExtendSeed(q, t seq.Seq, qPos, tPos, seedLen int, sc Scoring, x int32) (SeedResult, error) {
-	w := wsPool.Get().(*Workspace)
-	r, err := w.ExtendSeed(q, t, qPos, tPos, seedLen, sc, x)
-	wsPool.Put(w)
-	return r, err
+	return extendSeedPooled(q, t, qPos, tPos, seedLen, LinearScheme(sc), x)
 }

@@ -9,19 +9,19 @@ import (
 )
 
 // Workspace is the reusable scratch of one X-drop lane: the three rolling
-// anti-diagonal buffers of Extend and the reversal staging of ExtendSeed.
-// A Workspace makes repeated extensions allocation-free once the buffers
-// have grown to the workload's sequence lengths. It is not safe for
-// concurrent use; give each worker goroutine its own (see Pool).
+// anti-diagonal buffers of the wavefront driver (wave) at both cell
+// widths and the reversal staging of the seed wrapper. A Workspace makes
+// repeated extensions allocation-free, under every scheme, once the
+// buffers have grown to the workload's sequence lengths. It is not safe
+// for concurrent use; give each worker goroutine its own (see Pool).
 type Workspace struct {
-	d0, d1, d2 []int32
-	rt         seq.Seq // reversed target, grown one base per anti-diagonal
+	d          [3][]int32 // scalar, matrix and affine (three planes) diagonals
+	v          [3][]int16 // vector-kernel diagonals
+	rt         seq.Seq    // reversed target, grown one base per anti-diagonal
 	revQ, revT seq.Seq
 
-	// Vector-kernel scratch: the int16 anti-diagonal buffers and the
-	// compare-blend table specialized to the batch's (match, mismatch)
-	// pair (see ExtendVector).
-	v0, v1, v2            []int16
+	// The vector kernel's compare-blend table, specialized to the batch's
+	// (match, mismatch) pair (see ExtendVector).
 	tab                   *simd.BlendTable
 	tabMatch, tabMismatch int16
 }
@@ -29,41 +29,52 @@ type Workspace struct {
 // NewWorkspace returns an empty workspace; buffers grow on first use.
 func NewWorkspace() *Workspace { return &Workspace{} }
 
-// wsPool backs the package-level Extend/ExtendSeed entry points so that
-// one-shot callers still reuse scratch across calls.
+// wsPool backs the package-level one-shot entry points so that their
+// callers still reuse scratch across calls.
 var wsPool = sync.Pool{New: func() any { return NewWorkspace() }}
 
-// diag returns *p resized to n int32s, growing the backing array only when
-// the workload outgrows it.
-func (w *Workspace) diag(p *[]int32, n int) []int32 {
-	if cap(*p) < n {
-		*p = make([]int32, n)
-	}
-	return (*p)[:n]
+// extendPooled backs the package-level one-shot extension entry points.
+func extendPooled(q, t seq.Seq, sch Scheme, x int32) Result {
+	w := wsPool.Get().(*Workspace)
+	r := w.extend(q, t, sch, x, KernelScalar)
+	wsPool.Put(w)
+	return r
 }
 
-// diag16 is diag for the vector kernel's int16 buffers.
-func (w *Workspace) diag16(p *[]int16, n int) []int16 {
-	if cap(*p) < n {
-		*p = make([]int16, n)
-	}
-	return (*p)[:n]
+// extendSeedPooled backs the package-level one-shot seed entry points.
+func extendSeedPooled(q, t seq.Seq, qPos, tPos, seedLen int, sch Scheme, x int32) (SeedResult, error) {
+	w := wsPool.Get().(*Workspace)
+	r, err := w.ExtendSeedScheme(q, t, qPos, tPos, seedLen, sch, x)
+	wsPool.Put(w)
+	return r, err
 }
 
-// ExtendSeed is the workspace form of the package-level ExtendSeed: the
-// left-extension reversals are staged into the workspace instead of freshly
-// allocated, and both extensions run on the workspace's anti-diagonal
-// buffers.
-func (w *Workspace) ExtendSeed(q, t seq.Seq, qPos, tPos, seedLen int, sc Scoring, x int32) (SeedResult, error) {
-	return w.ExtendSeedKernel(q, t, qPos, tPos, seedLen, sc, x, KernelScalar)
-}
-
-// ExtendSeedKernel is ExtendSeed with the extension kernel chosen by the
-// caller — the per-pair entry point of the batch-level kernel selection
-// (SelectKernel). Results are bit-identical across kernels; forcing one
-// is how the benchmarks and the fallback tests compare them.
+// ExtendSeedKernel is the workspace form of the package-level ExtendSeed
+// with the extension kernel chosen by the caller — the per-pair entry
+// point of the batch-level kernel selection (SelectKernel). Results are
+// bit-identical across kernels; forcing one is how the benchmarks and the
+// fallback tests compare them.
 func (w *Workspace) ExtendSeedKernel(q, t seq.Seq, qPos, tPos, seedLen int, sc Scoring, x int32, k Kernel) (SeedResult, error) {
-	if err := sc.Validate(); err != nil {
+	return w.extendSeed(q, t, qPos, tPos, seedLen, LinearScheme(sc), x, k)
+}
+
+// ExtendSeedScheme runs one seed-and-extend under any scheme family on
+// the scalar kernels. Matrix-mode sequences must already be validated
+// against the matrix alphabet (the engine validates at ingest, the
+// coalescer at admission; ExtendSeedMatrix scans them itself): an
+// unvalidated unknown residue scores as the matrix minimum instead of
+// erroring.
+func (w *Workspace) ExtendSeedScheme(q, t seq.Seq, qPos, tPos, seedLen int, sch Scheme, x int32) (SeedResult, error) {
+	return w.extendSeed(q, t, qPos, tPos, seedLen, sch, x, KernelScalar)
+}
+
+// extendSeed is the one seed-and-extend wrapper (paper Fig. 5): split the
+// pair at the seed, extend right over the suffixes and left over the
+// reversed prefixes — staged into the workspace, so the row kernels walk
+// memory forward in both directions, the transformation LOGAN applies for
+// coalescing (Fig. 6) — and add the seed's own score under the scheme.
+func (w *Workspace) extendSeed(q, t seq.Seq, qPos, tPos, seedLen int, sch Scheme, x int32, k Kernel) (SeedResult, error) {
+	if err := sch.Validate(); err != nil {
 		return SeedResult{}, err
 	}
 	// qPos > len(q)-seedLen rather than qPos+seedLen > len(q): the sum can
@@ -75,204 +86,86 @@ func (w *Workspace) ExtendSeedKernel(q, t seq.Seq, qPos, tPos, seedLen int, sc S
 	}
 	w.revQ = seq.AppendReverse(w.revQ[:0], q[:qPos])
 	w.revT = seq.AppendReverse(w.revT[:0], t[:tPos])
+	qEnd, tEnd := qPos+seedLen, tPos+seedLen
 	r := SeedResult{SeedLen: seedLen}
-	if k == KernelVector {
-		r.Left = w.ExtendVector(w.revQ, w.revT, sc, x)
-		r.Right = w.ExtendVector(q.Sub(qPos+seedLen, len(q)), t.Sub(tPos+seedLen, len(t)), sc, x)
-	} else {
-		r.Left = w.Extend(w.revQ, w.revT, sc, x)
-		r.Right = w.Extend(q.Sub(qPos+seedLen, len(q)), t.Sub(tPos+seedLen, len(t)), sc, x)
-	}
-	r.Score = r.Left.Score + r.Right.Score + int32(seedLen)*sc.Match
+	r.Left = w.extend(w.revQ, w.revT, sch, x, k)
+	r.Right = w.extend(q[qEnd:], t[tEnd:], sch, x, k)
+	r.Score = r.Left.Score + r.Right.Score + sch.seedScore(q[qPos:qEnd], t[tPos:tEnd])
 	r.QBegin = qPos - r.Left.QueryEnd
 	r.TBegin = tPos - r.Left.TargetEnd
-	r.QEnd = qPos + seedLen + r.Right.QueryEnd
-	r.TEnd = tPos + seedLen + r.Right.TargetEnd
+	r.QEnd = qEnd + r.Right.QueryEnd
+	r.TEnd = tEnd + r.Right.TargetEnd
 	return r, nil
 }
 
-// Extend is the workspace form of the package-level Extend. Scores, extents
-// and work counters are bit-identical to it on every input.
-//
-// The anti-diagonal buffers are sentinel-padded: each stored diagonal keeps
-// a NegInf cell immediately before its first and after its last surviving
-// cell, so the interior cell update needs no range checks — out-of-band
-// sources read the sentinel and are re-pruned by the X-drop threshold. Only
-// the matrix-border cells i=0 and j=0 (at most two per anti-diagonal) are
-// special-cased, because they have no substitution source.
+// extend runs one extension of a validated scheme through the wavefront
+// driver: the only scheme branch a pair takes, outside the per-cell loops.
+// k picks between the two linear kernels; the affine and matrix kernels
+// are scalar only.
+func (w *Workspace) extend(q, t seq.Seq, sch Scheme, x int32, k Kernel) Result {
+	switch {
+	case sch.Kind == SchemeAffine:
+		return wave(&w.d, &w.rt, q, t, x, affineRow{sch.Affine, bandLen(len(q), len(t))})
+	case sch.Kind == SchemeMatrix:
+		return wave(&w.d, &w.rt, q, t, x, matrixRow{sch.Matrix})
+	case k == KernelVector:
+		return w.ExtendVector(q, t, sch.Linear, x)
+	default:
+		return w.Extend(q, t, sch.Linear, x)
+	}
+}
+
+// Extend is the workspace form of the package-level Extend: the wavefront
+// driver over the scalar int32 row kernel. Scores, extents and work
+// counters are bit-identical to ExtendReference on every input.
 func (w *Workspace) Extend(q, t seq.Seq, sc Scoring, x int32) Result {
-	m, n := len(q), len(t)
-	res := Result{}
-	if m == 0 || n == 0 || x < 0 {
-		return res
+	return wave(&w.d, &w.rt, q, t, x, linearRow(sc))
+}
+
+// linearRow is the scalar int32 row kernel of the paper's linear DNA
+// scheme.
+type linearRow Scoring
+
+func (linearRow) planes() int { return 1 }
+
+func (l linearRow) gaps() (first, rest int32) { return l.Gap, l.Gap }
+
+func (l linearRow) row(d3, d2m1, out []int32, qs, ts seq.Seq, thr, best int32) (int32, int) {
+	kn := len(out)
+	d3 = d3[:kn]
+	d2 := d2m1[1:][:kn]
+	qs = qs[:kn]
+	ts = ts[:kn]
+	match, mismatch, gap := l.Match, l.Mismatch, l.Gap
+	// d2m1 trails d2 by one slot, so the "up" gap source is carried in a
+	// register instead of re-loaded.
+	up := d2m1[0]
+	bestK := -1
+	for k := 0; k < kn; k++ {
+		add := mismatch
+		if qs[k] == ts[k] {
+			add = match
+		}
+		s := d3[k] + add
+		cur := d2[k]
+		g := up
+		if cur > g {
+			g = cur
+		}
+		up = cur
+		if g += gap; g > s {
+			s = g
+		}
+		// s > best implies s >= thr (x >= 0), so the two tests are
+		// independent and the clamp compiles to a conditional move.
+		if s > best {
+			best = s
+			bestK = k
+		}
+		if s < thr {
+			s = NegInf
+		}
+		out[k] = s
 	}
-
-	// An anti-diagonal holds at most min(m,n)+1 cells, plus one sentinel
-	// slot on each side.
-	bufLen := min(m, n) + 3
-	a1 := w.diag(&w.d0, bufLen)
-	a2 := w.diag(&w.d1, bufLen)
-	a3 := w.diag(&w.d2, bufLen)
-
-	// rt mirrors t in reverse base order so the inner loop reads both
-	// sequences in forward direction: cell (i, j=d-i) compares q[i-1]
-	// against rt[n-d+i]. It is filled one base per anti-diagonal, so only
-	// the explored prefix of t is ever touched.
-	if cap(w.rt) < n {
-		w.rt = make(seq.Seq, n)
-	}
-	rt := w.rt[:n]
-
-	// Cell i of the diagonal stored in a_k lives at a_k[i-org_k]; the
-	// sentinels bracket the surviving cells.
-	var org1, org2, org3 int
-
-	// d = 0 holds only S(0,0) = 0, bracketed by sentinels.
-	best := int32(0)
-	bestI, bestJ := 0, 0
-	org2 = -1
-	a2[0], a2[1], a2[2] = NegInf, 0, NegInf
-	res.AntiDiags = 1
-	res.Cells = 1
-	res.SumBand = 1
-	res.MaxBand = 1
-
-	match, mismatch, gap := sc.Match, sc.Mismatch, sc.Gap
-
-	// Band bounds for the upcoming anti-diagonal (inclusive i range).
-	lo, hi := 0, 1
-
-	for d := 1; d <= m+n; d++ {
-		if d <= n {
-			rt[n-d] = t[d-1]
-		}
-		// Clip to the matrix.
-		if lo < d-n {
-			lo = d - n
-		}
-		if hi > d {
-			hi = d
-		}
-		if hi > m {
-			hi = m
-		}
-		if lo > hi {
-			break
-		}
-		width := hi - lo + 1
-		org1 = lo - 1
-		threshold := best - x
-		newBest := best
-		newBI, newBJ := bestI, bestJ
-
-		// Matrix border i = 0 (cell (0,d)): reachable only by a gap from
-		// (0,d-1). lo == 0 implies d <= n, so the cell exists.
-		if lo == 0 {
-			s := a2[-org2] + gap
-			if s < threshold {
-				s = NegInf
-			} else if s > newBest {
-				newBest, newBI, newBJ = s, 0, d
-			}
-			a1[1] = s
-		}
-		// Interior cells: i >= 1 and j = d-i >= 1. All three sources are
-		// inside the sentinel-bracketed span of their buffers, so the loop
-		// is free of range checks; NegInf is MinInt32/2, so NegInf+score
-		// stays far below threshold and is re-pruned.
-		uLo := max(lo, 1)
-		uHi := min(hi, d-1)
-		if uLo <= uHi {
-			kn := uHi - uLo + 1
-			d3 := a3[uLo-1-org3:][:kn]
-			d2 := a2[uLo-org2:][:kn]
-			out := a1[uLo-org1:][:kn]
-			qs := q[uLo-1:][:kn]
-			ts := rt[n-d+uLo:][:kn]
-			// a2[uLo-1-org2 .. ] trails d2 by one slot, so the "up" gap
-			// source is carried in a register instead of re-loaded.
-			up := a2[uLo-1-org2]
-			bestK := -1
-			for k := 0; k < kn; k++ {
-				add := mismatch
-				if qs[k] == ts[k] {
-					add = match
-				}
-				s := d3[k] + add
-				cur := d2[k]
-				g := up
-				if cur > g {
-					g = cur
-				}
-				up = cur
-				if g += gap; g > s {
-					s = g
-				}
-				// s > newBest implies s >= threshold (x >= 0), so the two
-				// tests are independent and the clamp compiles to a
-				// conditional move.
-				if s > newBest {
-					newBest = s
-					bestK = k
-				}
-				if s < threshold {
-					s = NegInf
-				}
-				out[k] = s
-			}
-			if bestK >= 0 {
-				newBI = uLo + bestK
-				newBJ = d - uLo - bestK
-			}
-		}
-
-		// Matrix border j = 0 (cell (d,0)): reachable only by a gap from
-		// (d-1,0). hi == d implies d <= m. Processed after the interior so
-		// that ties keep the smallest-i cell, like the pre-refactor code.
-		if hi == d {
-			s := a2[d-1-org2] + gap
-			if s < threshold {
-				s = NegInf
-			} else if s > newBest {
-				newBest, newBI, newBJ = s, d, 0
-			}
-			a1[d-org1] = s
-		}
-
-		res.Cells += int64(width)
-		res.SumBand += int64(width)
-		res.AntiDiags++
-		if width > res.MaxBand {
-			res.MaxBand = width
-		}
-		best = newBest
-		bestI, bestJ = newBI, newBJ
-
-		// Trim pruned cells from both ends (Alg. 1 lines 10-15). Cells of
-		// this diagonal occupy buffer slots 1..width.
-		first, last := 0, width-1
-		for first <= last && a1[first+1] == NegInf {
-			first++
-		}
-		for last >= first && a1[last+1] == NegInf {
-			last--
-		}
-		if first > last {
-			break // band empty: X-drop termination
-		}
-		// Plant the sentinels around the survivors, rotate the buffers and
-		// open the next band one wider at the top, per the anti-diagonal
-		// geometry.
-		a1[first] = NegInf
-		a1[last+2] = NegInf
-		a3, a2, a1 = a2, a1, a3
-		org3, org2 = org2, org1
-		hi = lo + last + 1
-		lo = lo + first
-	}
-
-	res.Score = best
-	res.QueryEnd = bestI
-	res.TargetEnd = bestJ
-	return res
+	return best, bestK
 }

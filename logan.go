@@ -31,23 +31,11 @@
 // affine and matrix configs run on CPU engines, route to the CPU shards
 // of a Hybrid engine, and fail with ErrUnsupportedConfig on a pure-GPU
 // engine.
-//
-// The v1 surface (Options, DefaultOptions, Align, AlignPair) remains as
-// thin deprecated wrappers over the v2 engine, so existing call sites of
-// those entry points keep compiling. The engine surface itself
-// (NewAligner, Aligner.Align/AlignInto, Stream.Submit, Coalescer.Align)
-// changed signatures — v1 callers get a compile error pointing at the
-// migration table in the README — and Batch gained a required Config
-// field (a zero Config fails the batch's result with a validation
-// error).
 package logan
 
 import (
-	"context"
-	"fmt"
 	"time"
 
-	"logan/internal/seq"
 	"logan/internal/xdrop"
 )
 
@@ -66,57 +54,6 @@ const (
 	// order. Scores are bit-identical to CPU and GPU execution.
 	Hybrid
 )
-
-// Options is the v1 configuration, conflating engine shape
-// (Backend/GPUs/Threads) with per-batch parameters (X, scoring).
-//
-// Deprecated: use EngineOptions for NewAligner and Config for Align. The
-// v1 zero-value behavior is preserved here for compatibility: an all-zero
-// scoring selects the paper's +1/-1/-1, which made an explicit
-// Match:0/Mismatch:0/Gap:0 request indistinguishable from "use the
-// default" — the footgun Config.Validate closes.
-type Options struct {
-	// X is the X-drop threshold: extension stops when the score falls
-	// more than X below the best seen (paper §III-A).
-	X int32
-	// Match, Mismatch, Gap form the linear scoring scheme. The zero
-	// value selects the paper's +1/-1/-1.
-	Match, Mismatch, Gap int32
-	// Backend selects CPU, GPU or Hybrid execution (default CPU).
-	Backend Backend
-	// GPUs is the simulated device count for the GPU and Hybrid backends
-	// (default 1).
-	GPUs int
-	// Threads is the CPU worker count for the CPU and Hybrid backends
-	// (default GOMAXPROCS).
-	Threads int
-}
-
-// DefaultOptions returns the paper's configuration for a given X.
-//
-// Deprecated: use DefaultConfig with NewAligner(EngineOptions{...}).
-func DefaultOptions(x int32) Options {
-	return Options{X: x, Match: 1, Mismatch: -1, Gap: -1}
-}
-
-func (o Options) scoring() xdrop.Scoring {
-	s := xdrop.Scoring{Match: o.Match, Mismatch: o.Mismatch, Gap: o.Gap}
-	if s == (xdrop.Scoring{}) {
-		s = xdrop.DefaultScoring()
-	}
-	return s
-}
-
-// engineOptions splits the v1 Options into the engine-shape half.
-func (o Options) engineOptions() EngineOptions {
-	return EngineOptions{Backend: o.Backend, GPUs: o.GPUs, Threads: o.Threads}
-}
-
-// config splits the v1 Options into the per-request half, preserving the
-// documented v1 zero-value fallback to +1/-1/-1.
-func (o Options) config() Config {
-	return Config{X: o.X, Scoring: Scoring{mode: scoringLinear, linear: o.scoring()}}
-}
 
 // Pair is one alignment work item: two sequences and an exact seed match
 // (positions and length), as produced by an overlapper such as BELLA.
@@ -184,46 +121,6 @@ type Stats struct {
 	// order: one entry for the CPU pool and/or each device that received
 	// pairs. Single-backend batches report a single entry.
 	PerBackend []BackendStats
-}
-
-// AlignPair aligns a single pair with the CPU engine.
-//
-// Deprecated: build an Aligner and call Align with a one-pair batch, or
-// keep using this wrapper for quick scripts; it is equivalent to the v1
-// behavior.
-func AlignPair(query, target []byte, seedQ, seedT, seedLen int, opt Options) (Alignment, error) {
-	q, err := seq.FromBytes(query)
-	if err != nil {
-		return Alignment{}, fmt.Errorf("logan: query: %w", err)
-	}
-	t, err := seq.FromBytes(target)
-	if err != nil {
-		return Alignment{}, fmt.Errorf("logan: target: %w", err)
-	}
-	r, err := xdrop.ExtendSeed(q, t, seedQ, seedT, seedLen, opt.scoring(), opt.X)
-	if err != nil {
-		return Alignment{}, err
-	}
-	return toAlignment(r), nil
-}
-
-// Align aligns a batch of pairs on the selected backend. Results are
-// positionally aligned with the input.
-//
-// Align is a thin wrapper over a cached default Aligner engine: the first
-// call for a given backend/device/thread shape builds the engine, later
-// calls reuse it.
-//
-// Deprecated: high-throughput callers should hold their own engine
-// (NewAligner) and use the context- and Config-threaded
-// Align/AlignInto/NewStream.
-func Align(pairs []Pair, opt Options) ([]Alignment, Stats, error) {
-	a, release, err := defaultEngine(opt.engineOptions())
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	defer release()
-	return a.align(context.Background(), nil, pairs, opt.config())
 }
 
 func toAlignment(r xdrop.SeedResult) Alignment {

@@ -1,16 +1,32 @@
 package logan
 
 import (
-	"bytes"
 	"math/rand"
 	"testing"
 
 	"logan/internal/seq"
 )
 
+// alignPair runs a one-pair batch under the paper's scheme on a CPU
+// engine: the one-shot shape the retired package-level AlignPair had.
+func alignPair(t *testing.T, query, target []byte, seedQ, seedT, seedLen int, x int32) (Alignment, error) {
+	t.Helper()
+	eng, err := NewAligner(EngineOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	pair := Pair{Query: query, Target: target, SeedQ: seedQ, SeedT: seedT, SeedLen: seedLen}
+	out, _, err := eng.Align(ctxb, []Pair{pair}, DefaultConfig(x))
+	if err != nil {
+		return Alignment{}, err
+	}
+	return out[0], nil
+}
+
 func TestAlignPairIdentical(t *testing.T) {
 	s := []byte("ACGTACGTACGTACGTACGT")
-	a, err := AlignPair(s, s, 0, 0, 5, DefaultOptions(20))
+	a, err := alignPair(t, s, s, 0, 0, 5, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,13 +39,13 @@ func TestAlignPairIdentical(t *testing.T) {
 }
 
 func TestAlignPairValidation(t *testing.T) {
-	if _, err := AlignPair([]byte("ACGX"), []byte("ACGT"), 0, 0, 2, DefaultOptions(10)); err == nil {
+	if _, err := alignPair(t, []byte("ACGX"), []byte("ACGT"), 0, 0, 2, 10); err == nil {
 		t.Error("accepted invalid query base")
 	}
-	if _, err := AlignPair([]byte("ACGT"), []byte("AC!T"), 0, 0, 2, DefaultOptions(10)); err == nil {
+	if _, err := alignPair(t, []byte("ACGT"), []byte("AC!T"), 0, 0, 2, 10); err == nil {
 		t.Error("accepted invalid target base")
 	}
-	if _, err := AlignPair([]byte("ACGT"), []byte("ACGT"), 3, 0, 4, DefaultOptions(10)); err == nil {
+	if _, err := alignPair(t, []byte("ACGT"), []byte("ACGT"), 3, 0, 4, 10); err == nil {
 		t.Error("accepted out-of-range seed")
 	}
 }
@@ -51,37 +67,47 @@ func makePairs(n int) []Pair {
 
 func TestAlignBackendsAgree(t *testing.T) {
 	pairs := makePairs(24)
-	opt := DefaultOptions(50)
-	cpu, cpuStats, err := Align(pairs, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt.Backend = GPU
-	opt.GPUs = 2
-	gpu, gpuStats, err := Align(pairs, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range pairs {
-		if cpu[i] != gpu[i] {
-			t.Fatalf("pair %d: cpu %+v != gpu %+v", i, cpu[i], gpu[i])
+	cfg := DefaultConfig(50)
+	stats := map[Backend]Stats{}
+	outs := map[Backend][]Alignment{}
+	for _, b := range []Backend{CPU, GPU} {
+		eng, err := NewAligner(EngineOptions{Backend: b, GPUs: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		outs[b], stats[b], err = eng.Align(ctxb, pairs, cfg)
+		eng.Close()
+		if err != nil {
+			t.Fatal(err)
 		}
 	}
-	if cpuStats.Cells != gpuStats.Cells {
-		t.Fatalf("cells: cpu %d, gpu %d", cpuStats.Cells, gpuStats.Cells)
+	for i := range pairs {
+		if outs[CPU][i] != outs[GPU][i] {
+			t.Fatalf("pair %d: cpu %+v != gpu %+v", i, outs[CPU][i], outs[GPU][i])
+		}
 	}
-	if gpuStats.DeviceTime <= 0 {
+	if stats[CPU].Cells != stats[GPU].Cells {
+		t.Fatalf("cells: cpu %d, gpu %d", stats[CPU].Cells, stats[GPU].Cells)
+	}
+	if stats[GPU].DeviceTime <= 0 {
 		t.Fatal("GPU backend reported no modeled device time")
 	}
-	if cpuStats.GCUPS <= 0 || gpuStats.GCUPS <= 0 {
+	if stats[CPU].GCUPS <= 0 || stats[GPU].GCUPS <= 0 {
 		t.Fatal("GCUPS not reported")
 	}
 }
 
 func TestAlignEmptyBatch(t *testing.T) {
-	out, stats, err := Align(nil, DefaultOptions(10))
-	if err != nil || len(out) != 0 || stats.Pairs != 0 {
-		t.Fatalf("empty batch: %v %v %v", out, stats, err)
+	for _, b := range []Backend{CPU, GPU, Hybrid} {
+		eng, err := NewAligner(EngineOptions{Backend: b})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, stats, err := eng.Align(ctxb, nil, DefaultConfig(10))
+		eng.Close()
+		if err != nil || len(out) != 0 || stats.Pairs != 0 {
+			t.Fatalf("backend %v, empty batch: %v %v %v", b, out, stats, err)
+		}
 	}
 }
 
@@ -93,31 +119,18 @@ func TestAlignScoreMeaning(t *testing.T) {
 	mut := seq.Mutate(rng, base, seq.UniformProfile(0.1))
 	// Plant the seed.
 	copy(mut[250:267], base[250:267])
-	a, err := AlignPair([]byte(base), []byte(mut), 250, 250, 17, DefaultOptions(100))
+	a, err := alignPair(t, base, mut, 250, 250, 17, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.Score <= 17 || a.Score > 500 {
 		t.Fatalf("mutated score = %d", a.Score)
 	}
-	ident, _ := AlignPair([]byte(base), []byte(base), 250, 250, 17, DefaultOptions(100))
-	if a.Score >= ident.Score {
-		t.Fatalf("mutated %d >= identical %d", a.Score, ident.Score)
-	}
-	if !bytes.Equal(base[a.QBegin:a.QBegin+1], base[a.QBegin:a.QBegin+1]) {
-		t.Fatal("unreachable")
-	}
-}
-
-func TestDefaultScoringFallback(t *testing.T) {
-	// Zero-valued scoring fields select +1/-1/-1.
-	opt := Options{X: 10}
-	s := []byte("ACGTACGTAC")
-	a, err := AlignPair(s, s, 0, 0, 4, opt)
+	ident, err := alignPair(t, base, base, 250, 250, 17, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Score != int32(len(s)) {
-		t.Fatalf("default scoring score = %d", a.Score)
+	if a.Score >= ident.Score {
+		t.Fatalf("mutated %d >= identical %d", a.Score, ident.Score)
 	}
 }
