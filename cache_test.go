@@ -1,9 +1,6 @@
 package logan
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 // TestResultCacheLRU pins the bounded-LRU mechanics: capacity, recency
 // refresh on get, eviction of the least recently used entry, and the
@@ -108,10 +105,7 @@ func TestCoalescerCacheBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	coal := eng.NewCoalescer(CoalescerOptions{
-		MaxBatchPairs: 64, MaxWait: time.Millisecond,
-		Cache: NewResultCache(1024),
-	})
+	coal := eng.NewCoalescer(CoalescerOptions{MaxBatchPairs: 64, Cache: NewResultCache(1024)})
 	defer coal.Close()
 
 	cases := []struct {
@@ -173,10 +167,7 @@ func TestCoalescerCachePartialHit(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	coal := eng.NewCoalescer(CoalescerOptions{
-		MaxBatchPairs: 64, MaxWait: time.Millisecond,
-		Cache: NewResultCache(1024),
-	})
+	coal := eng.NewCoalescer(CoalescerOptions{MaxBatchPairs: 64, Cache: NewResultCache(1024)})
 	defer coal.Close()
 
 	pairs := makePairsSeed(6, 31)
@@ -230,10 +221,7 @@ func TestCoalescerCacheEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	coal := eng.NewCoalescer(CoalescerOptions{
-		MaxBatchPairs: 64, MaxWait: time.Millisecond,
-		Cache: NewResultCache(3),
-	})
+	coal := eng.NewCoalescer(CoalescerOptions{MaxBatchPairs: 64, Cache: NewResultCache(3)})
 	defer coal.Close()
 	if _, _, err := coal.Align(ctxb, makePairsSeed(8, 41), cfgT); err != nil {
 		t.Fatal(err)
@@ -255,10 +243,7 @@ func BenchmarkCacheServe(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer eng.Close()
-	coal := eng.NewCoalescer(CoalescerOptions{
-		MaxBatchPairs: 64, MaxWait: time.Millisecond,
-		Cache: NewResultCache(1 << 12),
-	})
+	coal := eng.NewCoalescer(CoalescerOptions{MaxBatchPairs: 64, Cache: NewResultCache(1 << 12)})
 	defer coal.Close()
 	pairs := makePairsSeed(32, 51)
 	if _, _, err := coal.Align(ctxb, pairs, cfgT); err != nil { // warm the cache

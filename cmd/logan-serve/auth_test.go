@@ -9,7 +9,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"logan"
 )
@@ -119,7 +118,6 @@ beta-key  beta 0.001 4
 	}
 	cfg := defaultServeConfig()
 	cfg.defCfg = logan.DefaultConfig(50)
-	cfg.maxWait = time.Millisecond
 	cfg.apiKeys = keys
 	srv, _, _ := testServerCfg(t, cfg)
 

@@ -9,7 +9,6 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-	"time"
 
 	"logan"
 	"logan/internal/seq"
@@ -39,7 +38,6 @@ func benchServe(b *testing.B, coalesce bool) {
 	cfg.defCfg = logan.DefaultConfig(50)
 	cfg.coalesce = coalesce
 	cfg.coalescePairs = 512
-	cfg.maxWait = time.Millisecond
 	s, err := newServer(eng, cfg)
 	if err != nil {
 		b.Fatal(err)

@@ -28,7 +28,6 @@ func clusterTestServer(t *testing.T, queuePath string, mut func(*serveConfig)) (
 		t.Fatal(err)
 	}
 	cfg := defaultServeConfig()
-	cfg.maxWait = time.Millisecond
 	cfg.cluster = true
 	cfg.clusterQueue = queuePath
 	cfg.leaseTTL = 200 * time.Millisecond

@@ -44,7 +44,6 @@ func jobsTestServer(t *testing.T, opt logan.EngineOptions, mut func(*serveConfig
 		t.Fatal(err)
 	}
 	cfg := defaultServeConfig()
-	cfg.maxWait = time.Millisecond
 	if mut != nil {
 		mut(&cfg)
 	}

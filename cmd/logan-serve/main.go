@@ -4,9 +4,9 @@
 // every request.
 //
 // By default concurrent /align requests are coalesced: a logan.Coalescer
-// merges them into engine-sized batches (higher aggregate throughput, up
-// to -max-wait of added latency per request) and sheds overload with
-// HTTP 429 + Retry-After. Admission is adaptive by default: requests shed
+// merges whatever arrives while the engine is busy into the next batch
+// (an idle server adds no wait; under load batches fill by themselves)
+// and sheds overload with HTTP 429 + Retry-After. Admission is adaptive by default: requests shed
 // when the projected queue delay at the measured drain rate exceeds
 // -target-delay (or the request's own deadline); -max-pending switches to
 // the legacy fixed pending-pair budget instead. -coalesce=false restores
@@ -19,9 +19,9 @@
 // tenant with an optional pairs/sec token-bucket quota and a fair-share
 // weight, and the coalescer schedules per-(tenant, class, config) lanes
 // by deficit round robin — a flooding tenant exhausts its own share and
-// sheds while other tenants' deadline flushes stay on time. Interactive
-// /align traffic is scheduled ahead of bulk job-extension chunks (the
-// bulk class flushes within -bulk-max-wait instead of -max-wait).
+// sheds while other tenants' requests stay on time. Interactive /align
+// traffic is scheduled ahead of bulk job-extension chunks, which still
+// get at least every fifth batch.
 // Unknown keys get 401; requests without credentials share the
 // "anonymous" tenant. Without -api-keys everything is anonymous and
 // unmetered, as before.
@@ -120,8 +120,8 @@
 //
 //	logan-serve [-addr :8080] [-x 100] [-backend cpu|gpu|hybrid] [-gpus 1]
 //	            [-threads 0] [-max-pairs 100000]
-//	            [-coalesce] [-coalesce-pairs 4096] [-max-wait 2ms]
-//	            [-max-pending 0] [-target-delay 20ms] [-bulk-max-wait 8ms]
+//	            [-coalesce] [-coalesce-pairs 4096]
+//	            [-max-pending 0] [-target-delay 20ms]
 //	            [-api-keys keys.conf] [-cache-entries 8192]
 //	            [-jobs] [-job-workers 2] [-max-jobs 64]
 //	            [-job-body-limit 67108864] [-job-pending-bytes 268435456]
@@ -132,8 +132,8 @@
 //	            [-cluster -cluster-queue jobs.wal] [-lease-ttl 10s]
 //	            [-worker-ttl 30s] [-max-requeues 3] [-cluster-token secret]
 //
-// SIGINT/SIGTERM drain in-flight requests, cancel live jobs and flush the
-// coalescer queue, then release the engine and every cached default
+// SIGINT/SIGTERM drain in-flight requests, cancel live jobs and run the
+// coalescer queue dry, then release the engine and every cached default
 // engine before exiting.
 package main
 
@@ -165,15 +165,11 @@ func main() {
 		coalesce = flag.Bool("coalesce", true,
 			"merge concurrent requests into engine-sized batches")
 		coalescePairs = flag.Int("coalesce-pairs", 0,
-			"merged-batch pair target (0 = 4096)")
-		maxWait = flag.Duration("max-wait", 0,
-			"longest a request may wait for its merged batch to fill (0 = 2ms)")
+			"merged-batch pair cap (0 = 4096)")
 		maxPending = flag.Int("max-pending", 0,
 			"fixed pending-pair budget before requests shed with 429 (0 = adaptive admission)")
 		targetDelay = flag.Duration("target-delay", 0,
-			"adaptive admission sheds once projected queue delay exceeds this (0 = 10x max-wait)")
-		bulkMaxWait = flag.Duration("bulk-max-wait", 0,
-			"flush deadline for bulk-class lanes (coalesced job extension chunks; 0 = 4x max-wait)")
+			"adaptive admission sheds once projected queue delay exceeds this (0 = 20ms)")
 		apiKeys = flag.String("api-keys", "",
 			"API key file (\"key name [pairsPerSec [burst [weight]]]\" per line) enabling per-tenant quotas and fair-share scheduling (empty = open single-tenant server)")
 		cacheEntries = flag.Int("cache-entries", 8192,
@@ -270,10 +266,8 @@ func main() {
 	cfg.maxX = int32(*maxX)
 	cfg.coalesce = *coalesce
 	cfg.coalescePairs = *coalescePairs
-	cfg.maxWait = *maxWait
 	cfg.maxPending = *maxPending
 	cfg.targetDelay = *targetDelay
-	cfg.bulkMaxWait = *bulkMaxWait
 	cfg.cacheEntries = *cacheEntries
 	cfg.jobs = *jobs
 	cfg.jobWorkers = *jobWorkers

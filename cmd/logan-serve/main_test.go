@@ -70,9 +70,37 @@ func testServer(t *testing.T) (*httptest.Server, *logan.Aligner) {
 	cfg := defaultServeConfig()
 	cfg.defCfg = logan.DefaultConfig(50)
 	cfg.maxPairs = 1000
-	cfg.maxWait = time.Millisecond
 	srv, _, eng := testServerCfg(t, cfg)
 	return srv, eng
+}
+
+// holdEngine posts one slow single-pair request — a wide X-drop band over
+// 16 kb sequences, a few hundred milliseconds of DP — and returns once the
+// coalescer's flusher has taken it: until it completes, every coalesced
+// request queues behind it. The returned channel yields its HTTP status.
+func holdEngine(t *testing.T, url string, s *server) <-chan int {
+	t.Helper()
+	long := strings.Repeat("ACGT", 4000)
+	body := fmt.Sprintf(`{"pairs":[{"query":%q,"target":%q,"seedLen":4}],"x":10000}`, long, long)
+	status := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(url+"/align", "application/json", strings.NewReader(body))
+		if err != nil {
+			status <- -1
+			return
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		status <- resp.StatusCode
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for m := s.coal.Metrics(); m.Enqueued != 1 || m.QueuedRequests != 0; m = s.coal.Metrics() {
+		if time.Now().After(deadline) {
+			t.Fatalf("slow request never reached the engine: %+v", m)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	return status
 }
 
 func postAlign(t *testing.T, url string, body string) (*http.Response, []byte) {
@@ -165,7 +193,6 @@ func TestServeErrors(t *testing.T) {
 func TestServeOversizedBody(t *testing.T) {
 	cfg := defaultServeConfig()
 	cfg.bodyLimit = 128
-	cfg.maxWait = time.Millisecond
 	srv, _, _ := testServerCfg(t, cfg)
 
 	big := fmt.Sprintf(`{"pairs":[{"query":%q,"target":%q,"seedLen":4}]}`,
@@ -205,7 +232,6 @@ func TestServeWriteErrors(t *testing.T) {
 	defer eng.Close()
 	cfg := defaultServeConfig()
 	cfg.defCfg = logan.DefaultConfig(50)
-	cfg.maxWait = time.Millisecond
 	s, err := newServer(eng, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -237,13 +263,14 @@ func TestServeWriteErrors(t *testing.T) {
 
 // TestServeShed pins the admission-control contract: once the pending
 // budget is full, requests get 429 with a Retry-After header, and the
-// queued requests still complete when the coalescer drains.
+// queued requests still complete when the engine frees up.
 func TestServeShed(t *testing.T) {
 	cfg := defaultServeConfig()
-	cfg.coalescePairs = 1000 // never size-flush
-	cfg.maxWait = 10 * time.Second
 	cfg.maxPending = 4
 	srv, s, _ := testServerCfg(t, cfg)
+	// The queue fills behind one slow batch (which, once executing, no
+	// longer counts against the budget).
+	held := holdEngine(t, srv.URL, s)
 
 	pairBody := func(n int) string {
 		var b strings.Builder
@@ -293,8 +320,10 @@ func TestServeShed(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("overflow status %d (want 429): %s", resp.StatusCode, data)
 	}
-	if ra := resp.Header.Get("Retry-After"); ra != "10" {
-		t.Fatalf("Retry-After %q, want %q", ra, "10")
+	// No batch has completed, so there is no drain rate to project from
+	// yet: the header is the one-second minimum.
+	if ra := resp.Header.Get("Retry-After"); ra != "1" {
+		t.Fatalf("Retry-After %q, want %q", ra, "1")
 	}
 	// Every shed response closes its trace with a shed span and ships it,
 	// so a 429'd client sees where admission control stopped it.
@@ -302,8 +331,10 @@ func TestServeShed(t *testing.T) {
 		t.Fatalf("shed response X-Logan-Trace %q missing shed span", trh)
 	}
 
-	// Draining the coalescer completes the queued request with 200.
-	s.Close()
+	// The slow batch ends and the queued request completes with 200.
+	if st := <-held; st != http.StatusOK {
+		t.Fatalf("slow request: status %d", st)
+	}
 	r := <-queued
 	if r.status != http.StatusOK {
 		t.Fatalf("queued request: status %d: %s", r.status, r.body)
@@ -318,8 +349,8 @@ func TestServeShed(t *testing.T) {
 	if totals.Shed != 1 || totals.Coalescer == nil || totals.Coalescer.Shed != 1 {
 		t.Fatalf("statz shed accounting: %+v (coalescer %+v)", totals, totals.Coalescer)
 	}
-	if totals.Coalescer.DrainFlushes == 0 {
-		t.Fatalf("statz drain flush missing: %+v", totals.Coalescer)
+	if totals.Coalescer.MergedBatches != 2 {
+		t.Fatalf("statz merged batches: %+v, want the slow batch and the queued one", totals.Coalescer)
 	}
 }
 
@@ -590,7 +621,6 @@ func TestServeGPURejectsNonLinear(t *testing.T) {
 	}
 	cfg := defaultServeConfig()
 	cfg.defCfg = logan.DefaultConfig(50)
-	cfg.maxWait = time.Millisecond
 	s, err := newServer(eng, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -616,8 +646,10 @@ func TestServeGPURejectsNonLinear(t *testing.T) {
 func TestServeMixedConfigCoalescing(t *testing.T) {
 	cfg := defaultServeConfig()
 	cfg.defCfg = logan.DefaultConfig(50)
-	cfg.maxWait = 20 * time.Millisecond
 	srv, s, _ := testServerCfg(t, cfg)
+	// The traffic arrives while one slow batch is executing, so what merges
+	// does not depend on how the clients interleave.
+	held := holdEngine(t, srv.URL, s)
 
 	bodies := []struct {
 		body string
@@ -652,9 +684,12 @@ func TestServeMixedConfigCoalescing(t *testing.T) {
 		}
 	}
 	wg.Wait()
+	if st := <-held; st != http.StatusOK {
+		t.Fatalf("slow request: status %d", st)
+	}
 
 	m := s.coal.Metrics()
-	total := int64(len(bodies) * perBody)
+	total := int64(len(bodies)*perBody) + 1
 	if m.MergedRequests != total {
 		t.Fatalf("metrics %+v: want %d merged requests", m, total)
 	}

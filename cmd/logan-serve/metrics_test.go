@@ -10,7 +10,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"logan/internal/telemetry"
 )
@@ -320,7 +319,6 @@ func TestMetricsStatzAgree(t *testing.T) {
 // for the whole telemetry spine.
 func TestMetricsConcurrentScrape(t *testing.T) {
 	cfg := defaultServeConfig()
-	cfg.maxWait = time.Millisecond
 	srv, _, _ := testServerCfg(t, cfg)
 
 	const (

@@ -166,19 +166,14 @@ type serveConfig struct {
 	// the DP band, so an unbounded client value would amplify per-pair
 	// work to full quadratic DP.
 	maxX int32
-	// coalesce enables the cross-request batching layer; maxWait,
-	// coalescePairs, maxPending and targetDelay map onto
-	// logan.CoalescerOptions (zero values select that type's defaults:
-	// maxPending 0 means adaptive admission bounded by targetDelay).
+	// coalesce enables the cross-request batching layer; coalescePairs,
+	// maxPending and targetDelay map onto logan.CoalescerOptions (zero
+	// values select that type's defaults: maxPending 0 means adaptive
+	// admission bounded by targetDelay).
 	coalesce      bool
-	maxWait       time.Duration
 	coalescePairs int
 	maxPending    int
 	targetDelay   time.Duration
-	// bulkMaxWait is the flush deadline for bulk-class lanes (job
-	// extension chunks routed through the coalescer); zero selects the
-	// coalescer's default of 4x maxWait.
-	bulkMaxWait time.Duration
 	// apiKeys maps client API keys onto tenants (parsed from -api-keys
 	// by loadAPIKeys); empty means the open single-tenant deployment
 	// where every request is anonymous and unmetered.
@@ -333,10 +328,8 @@ func newServer(eng *logan.Aligner, cfg serveConfig) (*server, error) {
 		s.cache = logan.NewResultCache(cfg.cacheEntries)
 		s.coal = eng.NewCoalescer(logan.CoalescerOptions{
 			MaxBatchPairs: cfg.coalescePairs,
-			MaxWait:       cfg.maxWait,
 			MaxPending:    cfg.maxPending,
 			TargetDelay:   cfg.targetDelay,
-			BulkMaxWait:   cfg.bulkMaxWait,
 			Cache:         s.cache,
 		})
 	}
@@ -466,8 +459,8 @@ func retryAfterSeconds(d time.Duration) string {
 }
 
 // alignRetryAfter is the Retry-After advertised on a shed /align request:
-// the coalescer's live queue-drain projection, or one MaxWait's worth of
-// slack on the direct path.
+// the coalescer's live queue-drain projection, or the one-second minimum
+// on the direct path.
 func (s *server) alignRetryAfter() string {
 	if s.coal != nil {
 		return retryAfterSeconds(s.coal.RetryAfter())
@@ -758,9 +751,6 @@ type coalescerStatzJSON struct {
 	ShedQuota       int64   `json:"shedQuota"`
 	Direct          int64   `json:"direct"`
 	MergedBatches   int64   `json:"mergedBatches"`
-	SizeFlushes     int64   `json:"sizeFlushes"`
-	DeadlineFlushes int64   `json:"deadlineFlushes"`
-	DrainFlushes    int64   `json:"drainFlushes"`
 	MergedPairs     int64   `json:"mergedPairs"`
 	MergedRequests  int64   `json:"mergedRequests"`
 	MaxMergedPairs  int64   `json:"maxMergedPairs"`
@@ -908,9 +898,6 @@ func coalescerStatz(snap *telemetry.Snapshot) *coalescerStatzJSON {
 	shedDelay := snap.Int("logan_coalescer_shed_total", telemetry.L("reason", "delay"))
 	shedDeadline := snap.Int("logan_coalescer_shed_total", telemetry.L("reason", "deadline"))
 	shedQuota := snap.Int("logan_coalescer_shed_total", telemetry.L("reason", "quota"))
-	sizeFlushes := snap.Int("logan_coalescer_merged_batches_total", telemetry.L("trigger", "size"))
-	deadlineFlushes := snap.Int("logan_coalescer_merged_batches_total", telemetry.L("trigger", "deadline"))
-	drainFlushes := snap.Int("logan_coalescer_merged_batches_total", telemetry.L("trigger", "drain"))
 	return &coalescerStatzJSON{
 		Enqueued:        snap.Int("logan_coalescer_enqueued_total"),
 		Shed:            shedBudget + shedDelay + shedDeadline + shedQuota,
@@ -919,10 +906,7 @@ func coalescerStatz(snap *telemetry.Snapshot) *coalescerStatzJSON {
 		ShedDeadline:    shedDeadline,
 		ShedQuota:       shedQuota,
 		Direct:          snap.Int("logan_coalescer_direct_total"),
-		MergedBatches:   sizeFlushes + deadlineFlushes + drainFlushes,
-		SizeFlushes:     sizeFlushes,
-		DeadlineFlushes: deadlineFlushes,
-		DrainFlushes:    drainFlushes,
+		MergedBatches:   snap.Int("logan_coalescer_merged_batches_total"),
 		MergedPairs:     snap.Int("logan_coalescer_merged_pairs_total"),
 		MergedRequests:  snap.Int("logan_coalescer_merged_requests_total"),
 		MaxMergedPairs:  snap.Int("logan_coalescer_max_merged_pairs"),

@@ -30,31 +30,30 @@ var ErrOverloaded = errors.New("logan: coalescer overloaded")
 // handle it with no change.
 var ErrDeadlineInfeasible = fmt.Errorf("%w: request deadline infeasible under projected queue delay", ErrOverloaded)
 
+// Defaults and scheduling constants of the Coalescer.
+const (
+	// defaultTargetDelay is CoalescerOptions.TargetDelay's default.
+	defaultTargetDelay = 20 * time.Millisecond
+	// minRetryAfter floors Coalescer.RetryAfter: an uncalibrated or empty
+	// queue still tells a shed caller to back off for a moment.
+	minRetryAfter = 2 * time.Millisecond
+	// maxBulkPassOver is how many consecutive batches may go to
+	// interactive lanes while bulk work is queued before the next batch is
+	// a bulk one: interactive traffic has priority, bulk never starves.
+	maxBulkPassOver = 4
+)
+
 // CoalescerOptions tunes a Coalescer. The zero value selects the defaults
 // documented on each field.
 type CoalescerOptions struct {
-	// MaxBatchPairs is the merged-batch target: the flusher submits as
-	// soon as at least this many pairs of one lane are queued, taking
-	// whole requests until the target is reached (a merged batch can
-	// exceed it by at most one request). It is also the DRR quantum: each
-	// size-ready lane earns one MaxBatchPairs of service credit per
+	// MaxBatchPairs is the merged-batch cap: a batch takes whole requests
+	// of one lane until at least this many pairs are covered (so it can
+	// exceed the cap by at most one request). It is also the DRR quantum:
+	// each queued lane earns one MaxBatchPairs of service credit per
 	// scheduler rotation. Requests carrying MaxBatchPairs or more pairs
 	// bypass the queue entirely — they are already engine-sized. Default
 	// 4096.
 	MaxBatchPairs int
-
-	// MaxWait bounds the queueing latency of interactive requests: a
-	// merged batch is flushed no later than MaxWait after its oldest
-	// request enqueued, full or not. Smaller values favor latency, larger
-	// values favor merged-batch size and therefore throughput. Default
-	// 2ms.
-	MaxWait time.Duration
-
-	// BulkMaxWait is MaxWait for the bulk priority class (the /jobs
-	// overlap extension chunks): bulk lanes tolerate a longer merge
-	// window in exchange for fuller batches, and their deadline never
-	// preempts an interactive lane's size flush. Default 4*MaxWait.
-	BulkMaxWait time.Duration
 
 	// MaxPending, when positive, is a fixed admission budget in pairs.
 	// The budget is shared fairly rather than first-come-first-served:
@@ -78,7 +77,7 @@ type CoalescerOptions struct {
 	// are shed early with ErrDeadlineInfeasible regardless of
 	// TargetDelay. One engine batch (MaxBatchPairs) per tenant is always
 	// admissible, and so is everything until the first batch has
-	// calibrated the estimates. Default 10*MaxWait.
+	// calibrated the estimates. Default 20ms.
 	TargetDelay time.Duration
 
 	// Cache, when non-nil, is the content-addressed result cache
@@ -88,14 +87,6 @@ type CoalescerOptions struct {
 	// cache across every Coalescer of a process so /align and /jobs
 	// traffic deduplicate against each other.
 	Cache *ResultCache
-
-	// OnFlush, when non-nil, observes every engine batch the Coalescer
-	// submits — merged flushes and large-request bypasses alike — with the
-	// batch-level Stats (including Stats.PerBackend, which per-request
-	// results omit) and the number of requests it served. It is called
-	// synchronously from the flusher (or, for bypasses, the caller)
-	// goroutine; keep it fast.
-	OnFlush func(st Stats, requests int)
 }
 
 // Coalescer merges concurrent small Align requests into engine-sized
@@ -103,25 +94,28 @@ type CoalescerOptions struct {
 // alignments are in flight at once, but service traffic arrives as many
 // small independent requests; the Coalescer is the traffic-shaping layer
 // between the two. Concurrent callers enqueue their pairs into per-lane
-// queues; a single flusher goroutine submits one merged engine batch
-// when either MaxBatchPairs pairs are waiting in some lane or the lane's
-// oldest request has waited out its class's merge window
-// (deadline-bounded flush), then scatters the results and per-request
-// stats back to each caller in submission order.
+// queues, and a single flusher goroutine is work-conserving over them:
+// it never sleeps while any lane is non-empty. It pops the next batch
+// (whole requests of one lane, FIFO, up to MaxBatchPairs), runs it on the
+// engine, scatters the results and per-request stats back to each caller
+// in submission order, and whatever arrived meanwhile forms the next
+// batch. A request on an idle Coalescer therefore runs at once, and
+// merging comes from engine busy time — the fuller the engine, the
+// fuller the batches — never from a timer.
 //
 // Queued work is organized into lanes keyed by (tenant, priority class,
 // configuration): only same-config requests merge into one engine batch
 // — batch composition never changes per-pair parameters, so results
 // stay bit-identical to a dedicated engine per configuration — and the
-// tenant/class split is the scheduling fabric. Size-ready lanes are
+// tenant/class split is the scheduling fabric. The lanes of a class are
 // served deficit-round-robin (quantum MaxBatchPairs), so a tenant
 // flooding one lane cannot monopolize the flusher; interactive lanes
-// (the /align path) always drain ahead of bulk lanes (the /jobs overlap
-// extension chunks, which ride a longer BulkMaxWait window); and each
-// lane's deadline flush is tracked in a min-heap, so wake-ups stay cheap
-// with many live lanes. Admission is tenant-aware: each tenant owns a
-// pairs/sec token-bucket quota and a fair share of the pending budget,
-// so the flooder is shed, not the victim.
+// (the /align path) are picked ahead of bulk lanes (the /jobs overlap
+// extension chunks), except that queued bulk work is never passed over
+// for more than maxBulkPassOver consecutive batches. Admission is
+// tenant-aware: each tenant owns a pairs/sec token-bucket quota and a
+// fair share of the pending budget, so the flooder is shed, not the
+// victim.
 //
 // When CoalescerOptions.Cache is set, admission first consults the
 // content-addressed result cache: pairs already computed under the same
@@ -131,7 +125,7 @@ type CoalescerOptions struct {
 // against the tenant quota, and reach the engine; the scatter fills the
 // cache with what the batch computed.
 //
-// A Coalescer is safe for concurrent use. Close flushes the remaining
+// A Coalescer is safe for concurrent use. Close runs the remaining
 // queue and stops the flusher; it does not close the underlying Aligner.
 type Coalescer struct {
 	eng *Aligner
@@ -143,12 +137,12 @@ type Coalescer struct {
 	lanes      map[laneKey]*lane   // every non-empty lane
 	rings      [numClasses][]*lane // DRR rings per class, in lane-creation order
 	cursor     [numClasses]int     // DRR rotation position per class
-	heap       []*lane             // min-heap on lane.dl: the deadline index
+	bulkPassed int                 // consecutive interactive batches taken while bulk work was queued
 	tenPending map[*Tenant]int     // queued pairs per tenant (fair-share admission)
 	pending    int                 // pairs queued across all lanes
 	closed     bool
 
-	kick chan struct{} // nudges the flusher after an enqueue
+	kick chan struct{} // wakes the idle flusher after an enqueue
 	done chan struct{} // closed by Close; flusher drains and exits
 	wg   sync.WaitGroup
 
@@ -163,7 +157,7 @@ type Coalescer struct {
 
 	// flusher-goroutine scratch: the merged input batch (pairs already
 	// converted at admission). Only the flusher touches it. (Results are
-	// not pooled: each flush allocates one exact-size slice whose
+	// not pooled: each batch allocates one exact-size slice whose
 	// subranges are handed to the waiters, so the scatter is copy-free.)
 	mergeBuf []seq.Pair
 }
@@ -178,27 +172,23 @@ type laneKey struct {
 }
 
 // lane is the pending queue of one (tenant, class, config): its waiters
-// in FIFO order, their pair count, the DRR deficit credit, and the
-// cached flush deadline of its head waiter. Lanes exist only while
-// non-empty; a live lane is always in its class ring and in the
-// deadline heap.
+// in FIFO order, their pair count and the DRR deficit credit. Lanes
+// exist only while non-empty; a live lane is always in its class ring.
 type lane struct {
 	key     laneKey
 	cfg     Config
 	waiters []*coalesceWaiter
 	pending int
 	// deficit is the DRR service credit in pairs: each scheduler
-	// rotation grants a size-ready lane one MaxBatchPairs quantum, and
-	// every flush debits what the batch actually took, so a lane whose
-	// flush overshot the quantum (batches take whole requests) sits out
-	// a turn while its debt amortizes.
+	// rotation grants the lane one MaxBatchPairs quantum, and every batch
+	// debits what it actually took, so a lane whose batch overshot the
+	// quantum (batches take whole requests) sits out a turn while its
+	// debt amortizes.
 	deficit int
-	dl      time.Time // head waiter's enqueue time + its class's merge window
-	heapIdx int       // position in Coalescer.heap; -1 when not enqueued
 }
 
 // coalesceWaiter is one queued request: its cache-miss pairs — validated
-// and converted at admission, so the flush never re-scans them — the
+// and converted at admission, so the batch never re-scans them — the
 // enqueue time, and the buffered channel its result is delivered on
 // (buffered so the flusher never blocks on an abandoned caller).
 type coalesceWaiter struct {
@@ -232,15 +222,14 @@ type coalesceResult struct {
 // lock-free; the queue-depth gauges are GaugeFuncs taking c.mu at
 // snapshot time.
 type coalescerTelemetry struct {
-	enqueued, direct                     *telemetry.Counter
-	shedBudget, shedDelay, shedDeadline  *telemetry.Counter
-	shedQuota                            *telemetry.Counter
-	flushSize, flushDeadline, flushDrain *telemetry.Counter
-	mergedPairs, mergedRequests          *telemetry.Counter
-	cacheHits, cacheMisses, cacheEvict   *telemetry.Counter
-	queueWait                            *telemetry.Counter // seconds
-	maxMergedPairs                       *telemetry.Gauge   // written only by the flusher
-	cellsPerPair                         *telemetry.Gauge   // EWMA, the drain-rate divisor
+	enqueued, direct                           *telemetry.Counter
+	shedBudget, shedDelay, shedDeadline        *telemetry.Counter
+	shedQuota                                  *telemetry.Counter
+	mergedBatches, mergedPairs, mergedRequests *telemetry.Counter
+	cacheHits, cacheMisses, cacheEvict         *telemetry.Counter
+	queueWait                                  *telemetry.Counter // seconds
+	maxMergedPairs                             *telemetry.Gauge   // written only by the flusher
+	cellsPerPair                               *telemetry.Gauge   // EWMA, the drain-rate divisor
 }
 
 // tenantTele is one tenant's attribution bundle: who was served, who was
@@ -266,59 +255,54 @@ type CoalescerMetrics struct {
 	// ShedQuota the tenant's pairs/sec token bucket (ErrQuotaExceeded).
 	ShedBudget, ShedDelay, ShedDeadline, ShedQuota int64
 
-	// MergedBatches counts engine batches submitted by the flusher,
-	// broken down by trigger: SizeFlushes reached MaxBatchPairs,
-	// DeadlineFlushes hit the oldest request's merge-window deadline, and
-	// DrainFlushes happened during Close.
-	MergedBatches, SizeFlushes, DeadlineFlushes, DrainFlushes int64
-
+	// MergedBatches counts engine batches submitted by the flusher;
 	// MergedPairs and MergedRequests total the pairs and requests across
-	// all merged batches; MaxMergedPairs is the largest single merged
-	// batch. MergedPairs/MergedBatches is the realized batching factor.
-	MergedPairs, MergedRequests, MaxMergedPairs int64
+	// them, and MaxMergedPairs is the largest single one.
+	// MergedPairs/MergedBatches is the realized batching factor.
+	MergedBatches, MergedPairs, MergedRequests, MaxMergedPairs int64
 
 	// CacheHits and CacheMisses count result-cache probes by outcome
 	// (pairs, not requests); CacheEvictions counts LRU evictions. All
 	// zero when no cache is attached.
 	CacheHits, CacheMisses, CacheEvictions int64
 
-	// WaitNS totals the enqueue-to-flush wait across admitted requests;
+	// WaitNS totals the enqueue-to-batch wait across admitted requests;
 	// WaitNS/Enqueued approximates the mean coalescing latency.
 	WaitNS int64
 
 	// QueuedRequests and QueuedPairs are current-depth gauges;
 	// QueuedLanes counts the distinct (tenant, class, config) lanes
-	// currently queued (each flushes as its own merged batch).
+	// currently queued (each runs as its own merged batches).
 	QueuedRequests, QueuedPairs, QueuedLanes int
 }
 
 // NewCoalescer starts a coalescing layer over the engine. Zero fields of
 // opt select the defaults documented on CoalescerOptions. Close the
-// Coalescer to flush the residual queue and stop its flusher goroutine.
+// Coalescer to run the residual queue and stop its flusher goroutine.
 func (a *Aligner) NewCoalescer(opt CoalescerOptions) *Coalescer {
 	c := a.newCoalescer(opt)
-	c.wg.Add(1)
-	go c.run()
+	c.start()
 	return c
 }
 
+// start launches the flusher goroutine; Close waits for it.
+func (c *Coalescer) start() {
+	c.wg.Add(1)
+	go c.run()
+}
+
 // newCoalescer builds a fully-instrumented Coalescer without starting
-// its flusher goroutine (tests drive take/execute directly).
+// its flusher goroutine: tests drive take/execute directly, or let
+// requests pile up before calling start.
 func (a *Aligner) newCoalescer(opt CoalescerOptions) *Coalescer {
 	if opt.MaxBatchPairs <= 0 {
 		opt.MaxBatchPairs = 4096
-	}
-	if opt.MaxWait <= 0 {
-		opt.MaxWait = 2 * time.Millisecond
-	}
-	if opt.BulkMaxWait <= 0 {
-		opt.BulkMaxWait = 4 * opt.MaxWait
 	}
 	if opt.MaxPending < 0 {
 		opt.MaxPending = 0
 	}
 	if opt.TargetDelay <= 0 {
-		opt.TargetDelay = 10 * opt.MaxWait
+		opt.TargetDelay = defaultTargetDelay
 	}
 	c := &Coalescer{
 		eng:        a,
@@ -338,15 +322,13 @@ func (a *Aligner) newCoalescer(opt CoalescerOptions) *Coalescer {
 		shedDelay:      reg.Counter("logan_coalescer_shed_total", "Requests rejected by admission control, by reason.", telemetry.L("reason", "delay")),
 		shedDeadline:   reg.Counter("logan_coalescer_shed_total", "Requests rejected by admission control, by reason.", telemetry.L("reason", "deadline")),
 		shedQuota:      reg.Counter("logan_coalescer_shed_total", "Requests rejected by admission control, by reason.", telemetry.L("reason", "quota")),
-		flushSize:      reg.Counter("logan_coalescer_merged_batches_total", "Merged batches submitted to the engine, by flush trigger.", telemetry.L("trigger", "size")),
-		flushDeadline:  reg.Counter("logan_coalescer_merged_batches_total", "Merged batches submitted to the engine, by flush trigger.", telemetry.L("trigger", "deadline")),
-		flushDrain:     reg.Counter("logan_coalescer_merged_batches_total", "Merged batches submitted to the engine, by flush trigger.", telemetry.L("trigger", "drain")),
+		mergedBatches:  reg.Counter("logan_coalescer_merged_batches_total", "Merged batches submitted to the engine."),
 		mergedPairs:    reg.Counter("logan_coalescer_merged_pairs_total", "Pairs across all merged batches."),
 		mergedRequests: reg.Counter("logan_coalescer_merged_requests_total", "Requests across all merged batches."),
 		cacheHits:      reg.Counter("logan_cache_hits_total", "Pairs answered from the content-addressed result cache."),
 		cacheMisses:    reg.Counter("logan_cache_misses_total", "Pairs that missed the result cache and reached the engine."),
 		cacheEvict:     reg.Counter("logan_cache_evictions_total", "Result-cache entries evicted by the LRU bound."),
-		queueWait:      reg.Counter("logan_coalescer_queue_wait_seconds_total", "Total enqueue-to-flush wait across admitted requests."),
+		queueWait:      reg.Counter("logan_coalescer_queue_wait_seconds_total", "Total enqueue-to-batch wait across admitted requests."),
 		maxMergedPairs: reg.Gauge("logan_coalescer_max_merged_pairs", "Largest single merged batch in pairs."),
 		cellsPerPair:   reg.Gauge("logan_coalescer_cells_per_pair", "EWMA DP cells per pair of recent merged batches (the admission controller's work estimate)."),
 	}
@@ -413,15 +395,6 @@ func (c *Coalescer) tenantTele(ten *Tenant) *tenantTele {
 	return tt
 }
 
-// classWait is the merge window of a priority class: MaxWait for
-// interactive lanes, BulkMaxWait for bulk lanes.
-func (c *Coalescer) classWait(cl priorityClass) time.Duration {
-	if cl == classBulk {
-		return c.opt.BulkMaxWait
-	}
-	return c.opt.MaxWait
-}
-
 // drainPairsPerSec is the measured queue drain rate: the backend layer's
 // live throughput estimate (cells/s) divided by the EWMA cells-per-pair
 // of recent merged batches. Zero until the first batch calibrates the
@@ -440,14 +413,13 @@ func (c *Coalescer) drainPairsPerSec() float64 {
 
 // RetryAfter estimates how long a shed caller should wait before
 // retrying: the projected time to drain the current queue at the
-// measured rate, floored at MaxWait (the minimum useful retry interval)
-// and capped at 30s. HTTP front ends render it as the Retry-After header
-// on 429 responses.
+// measured rate, floored at 2ms and capped at 30s. HTTP front ends render
+// it as the Retry-After header on 429 responses.
 func (c *Coalescer) RetryAfter() time.Duration {
 	c.mu.Lock()
 	pending := c.pending
 	c.mu.Unlock()
-	d := c.opt.MaxWait
+	d := minRetryAfter
 	if rate := c.drainPairsPerSec(); rate > 0 {
 		if proj := time.Duration(float64(pending) / rate * float64(time.Second)); proj > d {
 			d = proj
@@ -487,7 +459,7 @@ func (c *Coalescer) activeWeightLocked(ten *Tenant) int {
 // transiently overshoot a static budget while shares rebalance (a new
 // tenant's arrival halves the incumbent's cap only for subsequent
 // requests); the overshoot is bounded by the pre-arrival share split and
-// drains within one flush cycle.
+// drains within one batch cycle.
 //
 // In fixed mode (MaxPending > 0) only the share of the pair budget
 // applies. In adaptive mode one engine batch per tenant is always
@@ -495,9 +467,8 @@ func (c *Coalescer) activeWeightLocked(ten *Tenant) int {
 // calibration); beyond that floor the controller sheds when the
 // projected drain time of the tenant's queue at its share of the
 // measured rate exceeds TargetDelay, or — even under the target — when
-// the request's own deadline cannot survive the projected wait plus its
-// class's merge window.
-func (c *Coalescer) admitLocked(ctx context.Context, ten *Tenant, class priorityClass, n int) (shedReason, bool) {
+// the request's own deadline cannot survive the projected wait.
+func (c *Coalescer) admitLocked(ctx context.Context, ten *Tenant, n int) (shedReason, bool) {
 	tp := c.tenPending[ten]
 	w, totalW := ten.weight, c.activeWeightLocked(ten)
 	if c.opt.MaxPending > 0 {
@@ -515,14 +486,14 @@ func (c *Coalescer) admitLocked(ctx context.Context, ten *Tenant, class priority
 	}
 	rate := c.drainPairsPerSec()
 	if rate <= 0 {
-		return 0, true // uncalibrated: admit and let the first flushes measure
+		return 0, true // uncalibrated: admit and let the first batches measure
 	}
 	shareRate := rate * float64(w) / float64(totalW)
 	projected := time.Duration(float64(tp+n) / shareRate * float64(time.Second))
 	if projected > c.opt.TargetDelay {
 		return shedDelay, false
 	}
-	if dl, ok := ctx.Deadline(); ok && time.Until(dl) < projected+c.classWait(class) {
+	if dl, ok := ctx.Deadline(); ok && time.Until(dl) < projected {
 		return shedDeadline, false
 	}
 	return 0, true
@@ -548,8 +519,7 @@ func (c *Coalescer) Options() CoalescerOptions { return c.opt }
 // Pairs and Cells are the request's own, while WallTime and DeviceTime
 // cover the whole merged batch the request rode in (the request's pairs
 // were not separately timed; a fully cache-served request reports zero
-// time). Stats.PerBackend is batch-scoped and therefore omitted here;
-// observe it via CoalescerOptions.OnFlush.
+// time). Stats.PerBackend is batch-scoped and therefore omitted here.
 //
 // Error contract: cfg and pairs are validated at admission, so an invalid
 // configuration or pair fails only its own request and never the batch it
@@ -576,7 +546,7 @@ func (c *Coalescer) Align(ctx context.Context, pairs []Pair, cfg Config) ([]Alig
 		ctx = context.Background()
 	}
 	// Shed configs the engine's backend cannot run at admission: letting
-	// them queue would burn budget and a flush cycle only to fan the same
+	// them queue would burn budget and a batch cycle only to fan the same
 	// error out at execute time (and starve valid traffic into 429s under
 	// sustained unsupported spam).
 	if !c.eng.Supports(cfg) {
@@ -603,9 +573,6 @@ func (c *Coalescer) Align(ctx context.Context, pairs []Pair, cfg Config) ([]Alig
 		if err == nil {
 			tt.requests.Inc()
 			tt.pairs.Add(float64(len(pairs)))
-			if c.opt.OnFlush != nil {
-				c.opt.OnFlush(st, 1)
-			}
 		} else if errors.Is(err, ErrOverloaded) {
 			c.t.shedQuota.Inc()
 			tt.shed.Inc()
@@ -693,7 +660,7 @@ func (c *Coalescer) Align(ctx context.Context, pairs []Pair, cfg Config) ([]Alig
 		tt.shed.Inc()
 		return nil, Stats{}, ErrQuotaExceeded
 	}
-	if reason, ok := c.admitLocked(ctx, ten, class, nmiss); !ok {
+	if reason, ok := c.admitLocked(ctx, ten, nmiss); !ok {
 		c.mu.Unlock()
 		tt.shed.Inc()
 		switch reason {
@@ -713,8 +680,8 @@ func (c *Coalescer) Align(ctx context.Context, pairs []Pair, cfg Config) ([]Alig
 	c.mu.Unlock()
 	c.t.enqueued.Inc()
 
-	// Nudge the flusher: it re-reads queue state on every wake, so a
-	// dropped send (buffer already full) is never a lost update.
+	// Wake the flusher if it is idle: it re-reads queue state before every
+	// sleep, so a dropped send (buffer already full) is never a lost update.
 	select {
 	case c.kick <- struct{}{}:
 	default:
@@ -725,7 +692,7 @@ func (c *Coalescer) Align(ctx context.Context, pairs []Pair, cfg Config) ([]Alig
 		return r.out, r.st, r.err
 	case <-ctx.Done():
 		if c.abandon(key, w) {
-			// Still queued: removed before any flush touched it, so the
+			// Still queued: removed before any batch took it, so the
 			// caller may reuse its buffers immediately (the zero-copy
 			// aliasing contract of Pair).
 			return nil, Stats{}, ctx.Err()
@@ -739,13 +706,13 @@ func (c *Coalescer) Align(ctx context.Context, pairs []Pair, cfg Config) ([]Alig
 	}
 }
 
-// enqueueLocked appends w to its lane, creating the lane (ring + heap
+// enqueueLocked appends w to its lane, creating the lane (and its ring
 // membership) on first use, and charges the pending gauges. Callers hold
 // c.mu and have stamped w.enq.
 func (c *Coalescer) enqueueLocked(key laneKey, cfg Config, w *coalesceWaiter) {
 	l := c.lanes[key]
 	if l == nil {
-		l = &lane{key: key, cfg: cfg, heapIdx: -1}
+		l = &lane{key: key, cfg: cfg}
 		c.lanes[key] = l
 		c.rings[key.class] = append(c.rings[key.class], l)
 	}
@@ -754,10 +721,6 @@ func (c *Coalescer) enqueueLocked(key laneKey, cfg Config, w *coalesceWaiter) {
 	l.pending += n
 	c.pending += n
 	c.tenPending[key.ten] += n
-	if len(l.waiters) == 1 {
-		l.dl = w.enq.Add(c.classWait(key.class))
-		c.heapPush(l)
-	}
 }
 
 // abandon removes a still-queued waiter after its caller's context fired,
@@ -781,10 +744,6 @@ func (c *Coalescer) abandon(key laneKey, w *coalesceWaiter) bool {
 			c.chargeTenantLocked(key.ten, -n)
 			if len(l.waiters) == 0 {
 				c.dropLaneLocked(l)
-			} else if i == 0 {
-				// New head, new deadline.
-				l.dl = l.waiters[0].enq.Add(c.classWait(key.class))
-				c.heapFix(l)
 			}
 			return true
 		}
@@ -814,33 +773,29 @@ func (c *Coalescer) Metrics() CoalescerMetrics {
 	qp, ql := c.pending, len(c.lanes)
 	c.mu.Unlock()
 	sb, sd, sdl, sq := int64(c.t.shedBudget.Value()), int64(c.t.shedDelay.Value()), int64(c.t.shedDeadline.Value()), int64(c.t.shedQuota.Value())
-	fs, fd, fdr := int64(c.t.flushSize.Value()), int64(c.t.flushDeadline.Value()), int64(c.t.flushDrain.Value())
 	return CoalescerMetrics{
-		Enqueued:        int64(c.t.enqueued.Value()),
-		Shed:            sb + sd + sdl + sq,
-		ShedBudget:      sb,
-		ShedDelay:       sd,
-		ShedDeadline:    sdl,
-		ShedQuota:       sq,
-		Direct:          int64(c.t.direct.Value()),
-		MergedBatches:   fs + fd + fdr,
-		SizeFlushes:     fs,
-		DeadlineFlushes: fd,
-		DrainFlushes:    fdr,
-		MergedPairs:     int64(c.t.mergedPairs.Value()),
-		MergedRequests:  int64(c.t.mergedRequests.Value()),
-		MaxMergedPairs:  int64(c.t.maxMergedPairs.Value()),
-		CacheHits:       int64(c.t.cacheHits.Value()),
-		CacheMisses:     int64(c.t.cacheMisses.Value()),
-		CacheEvictions:  int64(c.t.cacheEvict.Value()),
-		WaitNS:          int64(c.t.queueWait.Value() * 1e9),
-		QueuedRequests:  qr,
-		QueuedPairs:     qp,
-		QueuedLanes:     ql,
+		Enqueued:       int64(c.t.enqueued.Value()),
+		Shed:           sb + sd + sdl + sq,
+		ShedBudget:     sb,
+		ShedDelay:      sd,
+		ShedDeadline:   sdl,
+		ShedQuota:      sq,
+		Direct:         int64(c.t.direct.Value()),
+		MergedBatches:  int64(c.t.mergedBatches.Value()),
+		MergedPairs:    int64(c.t.mergedPairs.Value()),
+		MergedRequests: int64(c.t.mergedRequests.Value()),
+		MaxMergedPairs: int64(c.t.maxMergedPairs.Value()),
+		CacheHits:      int64(c.t.cacheHits.Value()),
+		CacheMisses:    int64(c.t.cacheMisses.Value()),
+		CacheEvictions: int64(c.t.cacheEvict.Value()),
+		WaitNS:         int64(c.t.queueWait.Value() * 1e9),
+		QueuedRequests: qr,
+		QueuedPairs:    qp,
+		QueuedLanes:    ql,
 	}
 }
 
-// Close stops admission, flushes every queued request, and waits for the
+// Close stops admission, runs every queued request, and waits for the
 // flusher goroutine to exit. Idempotent. The underlying Aligner stays
 // open — the Coalescer is a layer over it, not an owner.
 func (c *Coalescer) Close() error {
@@ -861,126 +816,32 @@ func (c *Coalescer) isClosed() bool {
 	return c.closed
 }
 
-// flushReason tags what triggered a merged batch, for the metrics split.
-type flushReason int
-
-const (
-	flushSize flushReason = iota
-	flushDeadline
-	flushDrain
-)
-
-// run is the flusher goroutine: it sleeps until kicked by an enqueue, the
-// earliest lane deadline fires, or Close drains it; on every wake it
-// submits merged batches while some lane is flushable and re-arms the
-// deadline timer for whatever remains.
+// run is the flusher goroutine. It is work-conserving: while any lane is
+// non-empty it takes and executes batches back to back, and it sleeps only
+// on an empty queue, until an enqueue kicks it or Close drains it.
 func (c *Coalescer) run() {
 	defer c.wg.Done()
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	defer timer.Stop()
+	closing := false
 	for {
+		if cfg, ws, npairs, ok := c.take(); ok {
+			c.execute(cfg, ws, npairs)
+			continue
+		}
+		if closing {
+			// Close stopped admission before closing done, so a queue
+			// found empty after that stays empty.
+			return
+		}
 		select {
 		case <-c.kick:
-		case <-timer.C:
 		case <-c.done:
-			for {
-				cfg, ws, npairs, reason, ok := c.take(true)
-				if !ok {
-					return
-				}
-				c.execute(cfg, ws, npairs, reason)
-			}
-		}
-		for {
-			cfg, ws, npairs, reason, ok := c.take(false)
-			if ok {
-				c.execute(cfg, ws, npairs, reason)
-				continue
-			}
-			if delay := c.nextDeadline(); delay > 0 {
-				// Stop-then-reset is safe on Go 1.23+ timers even if the
-				// timer already fired; a stale wake just re-reads state.
-				timer.Stop()
-				timer.Reset(delay)
-			}
-			break
+			closing = true
 		}
 	}
 }
 
-// Deadline min-heap over lanes (keyed by lane.dl, the head waiter's
-// flush deadline): the flusher's wake-up schedule reads the earliest
-// deadline in O(1) instead of scanning every lane. All heap operations
-// are called under c.mu.
-
-// heapPush adds l to the deadline heap. Callers hold c.mu.
-func (c *Coalescer) heapPush(l *lane) {
-	l.heapIdx = len(c.heap)
-	c.heap = append(c.heap, l)
-	c.heapUp(l.heapIdx)
-}
-
-// heapRemove deletes l from the deadline heap. Callers hold c.mu.
-func (c *Coalescer) heapRemove(l *lane) {
-	i := l.heapIdx
-	last := len(c.heap) - 1
-	c.heapSwap(i, last)
-	c.heap[last] = nil
-	c.heap = c.heap[:last]
-	l.heapIdx = -1
-	if i < last {
-		c.heapDown(i)
-		c.heapUp(i)
-	}
-}
-
-// heapFix restores heap order after l.dl changed. Callers hold c.mu.
-func (c *Coalescer) heapFix(l *lane) {
-	c.heapDown(l.heapIdx)
-	c.heapUp(l.heapIdx)
-}
-
-func (c *Coalescer) heapSwap(i, j int) {
-	c.heap[i], c.heap[j] = c.heap[j], c.heap[i]
-	c.heap[i].heapIdx = i
-	c.heap[j].heapIdx = j
-}
-
-func (c *Coalescer) heapUp(i int) {
-	for i > 0 {
-		p := (i - 1) / 2
-		if !c.heap[i].dl.Before(c.heap[p].dl) {
-			return
-		}
-		c.heapSwap(i, p)
-		i = p
-	}
-}
-
-func (c *Coalescer) heapDown(i int) {
-	n := len(c.heap)
-	for {
-		s := i
-		if l := 2*i + 1; l < n && c.heap[l].dl.Before(c.heap[s].dl) {
-			s = l
-		}
-		if r := 2*i + 2; r < n && c.heap[r].dl.Before(c.heap[s].dl) {
-			s = r
-		}
-		if s == i {
-			return
-		}
-		c.heapSwap(i, s)
-		i = s
-	}
-}
-
-// dropLaneLocked removes an emptied lane from the lane map, its class
-// ring (keeping the DRR cursor on the same neighbor) and the deadline
-// heap. Callers hold c.mu.
+// dropLaneLocked removes an emptied lane from the lane map and its class
+// ring (keeping the DRR cursor on the same neighbor). Callers hold c.mu.
 func (c *Coalescer) dropLaneLocked(l *lane) {
 	delete(c.lanes, l.key)
 	cl := l.key.class
@@ -1003,73 +864,58 @@ func (c *Coalescer) dropLaneLocked(l *lane) {
 	} else if c.cursor[cl] >= n {
 		c.cursor[cl] %= n
 	}
-	if l.heapIdx >= 0 {
-		c.heapRemove(l)
-	}
 }
 
-// drrPickLocked selects the next size-ready lane by deficit round-robin:
-// the interactive ring is scanned one full rotation before the bulk ring
-// is considered at all (strict priority between the two classes), each
-// size-ready lane earns one quantum (MaxBatchPairs) of credit per visit,
-// and the first lane whose credit covers a full batch wins. Flushes
-// debit actual pairs served (see take), so a lane whose previous batch
-// overshot the quantum — batches take whole requests — sits out a
-// rotation while the debt amortizes: that is what keeps many same-size
-// lanes within one batch of equal service. Callers hold c.mu; returns
-// nil when no lane is size-ready.
-func (c *Coalescer) drrPickLocked() *lane {
+// pickLocked selects the lane the next batch is taken from, or nil when
+// the queue is empty. Interactive lanes go first, but once bulk work has
+// been passed over for maxBulkPassOver consecutive batches the next batch
+// is a bulk one. Inside a class the lanes are served deficit round-robin:
+// each visit earns a lane one quantum (MaxBatchPairs) of credit, and the
+// first lane whose credit covers a full batch wins. Batches debit actual
+// pairs served (see take), so a lane whose previous batch overshot the
+// quantum — batches take whole requests — sits out a rotation while the
+// debt amortizes: that is what keeps many same-size lanes within one
+// batch of equal service. Callers hold c.mu.
+func (c *Coalescer) pickLocked() *lane {
+	inter, bulk := len(c.rings[classInteractive]) > 0, len(c.rings[classBulk]) > 0
+	if !inter && !bulk {
+		return nil
+	}
+	class := classInteractive
+	if !inter || (bulk && c.bulkPassed >= maxBulkPassOver) {
+		class = classBulk
+	}
+	if class == classInteractive && bulk {
+		c.bulkPassed++
+	} else {
+		c.bulkPassed = 0
+	}
 	quantum := c.opt.MaxBatchPairs
-	for class := range c.rings {
-		ring := c.rings[class]
-		for i := range ring {
-			idx := (c.cursor[class] + i) % len(ring)
-			l := ring[idx]
-			if l.pending < quantum {
-				continue
-			}
-			l.deficit = min(l.deficit+quantum, 2*quantum)
-			if l.deficit >= quantum {
-				c.cursor[class] = (idx + 1) % len(ring)
-				return l
-			}
+	ring := c.rings[class]
+	// A batch is under two quanta (queued requests are under one each), so
+	// no debt exceeds one quantum and the second rotation at the latest
+	// finds a lane in credit.
+	for idx := c.cursor[class]; ; idx = (idx + 1) % len(ring) {
+		l := ring[idx]
+		l.deficit = min(l.deficit+quantum, 2*quantum)
+		if l.deficit >= quantum {
+			c.cursor[class] = (idx + 1) % len(ring)
+			return l
 		}
 	}
-	return nil
 }
 
 // take pops the next merged batch under the lock: whole requests of ONE
-// lane in FIFO order until MaxBatchPairs is covered. Without force it
-// only pops when a flush trigger holds — the earliest lane deadline has
-// passed (the heap top; per-request latency is a guarantee, so deadlines
-// preempt size flushes), or the DRR scheduler found a size-ready lane.
-func (c *Coalescer) take(force bool) (Config, []*coalesceWaiter, int, flushReason, bool) {
+// lane in FIFO order until MaxBatchPairs is covered. It reports false only
+// when nothing is queued.
+func (c *Coalescer) take() (Config, []*coalesceWaiter, int, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if len(c.heap) == 0 {
-		return Config{}, nil, 0, 0, false
+	l := c.pickLocked()
+	if l == nil {
+		return Config{}, nil, 0, false
 	}
 	now := time.Now()
-	reason := flushDrain
-	var l *lane
-	if force {
-		l = c.heap[0]
-	} else {
-		// The deadline trigger is checked first: the merge-window bound is
-		// a per-request guarantee, and a lane saturating the size target
-		// must not starve another lane's overdue request (the take loop
-		// flushes the size-ready lane right after anyway).
-		if top := c.heap[0]; !now.Before(top.dl) {
-			l, reason = top, flushDeadline
-			if l.pending >= c.opt.MaxBatchPairs {
-				reason = flushSize
-			}
-		} else if l = c.drrPickLocked(); l != nil {
-			reason = flushSize
-		} else {
-			return Config{}, nil, 0, 0, false
-		}
-	}
 	n, npairs := 0, 0
 	for n < len(l.waiters) && npairs < c.opt.MaxBatchPairs {
 		npairs += len(l.waiters[n].in)
@@ -1083,16 +929,10 @@ func (c *Coalescer) take(force bool) (Config, []*coalesceWaiter, int, flushReaso
 	l.pending -= npairs
 	c.pending -= npairs
 	c.chargeTenantLocked(l.key.ten, -npairs)
-	// DRR service accounting: debit what the batch actually took. A
-	// deadline flush counts too — it is service — and since a
-	// deadline-flushed lane is under the size target its debt stays
-	// within one quantum.
+	// DRR service accounting: debit what the batch actually took.
 	l.deficit -= npairs
 	if len(l.waiters) == 0 {
 		c.dropLaneLocked(l)
-	} else {
-		l.dl = l.waiters[0].enq.Add(c.classWait(l.key.class))
-		c.heapFix(l)
 	}
 
 	var wait time.Duration
@@ -1109,7 +949,7 @@ func (c *Coalescer) take(force bool) (Config, []*coalesceWaiter, int, flushReaso
 		}
 	}
 	c.t.queueWait.Add(wait.Seconds())
-	return l.cfg, ws, npairs, reason, true
+	return l.cfg, ws, npairs, true
 }
 
 // execute runs one merged same-config batch on the engine and scatters
@@ -1118,7 +958,7 @@ func (c *Coalescer) take(force bool) (Config, []*coalesceWaiter, int, flushReaso
 // point are systemic (e.g. ErrClosed) — per-pair and per-config problems
 // were rejected at admission — so they fan out to every request in the
 // batch.
-func (c *Coalescer) execute(cfg Config, ws []*coalesceWaiter, npairs int, reason flushReason) {
+func (c *Coalescer) execute(cfg Config, ws []*coalesceWaiter, npairs int) {
 	merged := c.mergeBuf[:0]
 	traced := false
 	for _, w := range ws {
@@ -1135,7 +975,7 @@ func (c *Coalescer) execute(cfg Config, ws []*coalesceWaiter, npairs int, reason
 		btr = c.eng.stages.StartTrace()
 		ctx = telemetry.WithTrace(ctx, btr)
 	}
-	// One exact-size result allocation per flush: alignPrepared fills it,
+	// One exact-size result allocation per batch: alignPrepared fills it,
 	// and the scatter below hands each waiter its capped subrange instead
 	// of copying. The array is shared but the ranges are disjoint, and the
 	// Coalescer never touches it again after the scatter. The pairs were
@@ -1145,14 +985,7 @@ func (c *Coalescer) execute(cfg Config, ws []*coalesceWaiter, npairs int, reason
 	clear(merged) // drop sequence refs so the scratch doesn't pin callers
 	c.mergeBuf = merged[:0]
 
-	switch reason {
-	case flushSize:
-		c.t.flushSize.Inc()
-	case flushDeadline:
-		c.t.flushDeadline.Inc()
-	default:
-		c.t.flushDrain.Inc()
-	}
+	c.t.mergedBatches.Inc()
 	c.t.mergedPairs.Add(float64(npairs))
 	c.t.mergedRequests.Add(float64(len(ws)))
 	if float64(npairs) > c.t.maxMergedPairs.Value() { // flusher is the only writer
@@ -1167,11 +1000,6 @@ func (c *Coalescer) execute(cfg Config, ws []*coalesceWaiter, npairs int, reason
 	var ck configKey
 	if c.cache != nil {
 		ck = cfg.key()
-	}
-	// Report the batch before scattering results: a caller must not be
-	// able to see its response while the flush is still unaccounted.
-	if err == nil && c.opt.OnFlush != nil {
-		c.opt.OnFlush(st, len(ws))
 	}
 	off := 0
 	for _, w := range ws {
@@ -1221,21 +1049,10 @@ func (c *Coalescer) execute(cfg Config, ws []*coalesceWaiter, npairs int, reason
 	}
 }
 
-// nextDeadline returns how long until the earliest lane's flush
-// deadline (the heap top), or 0 when the queue is empty.
-func (c *Coalescer) nextDeadline() time.Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.heap) == 0 {
-		return 0
-	}
-	return max(time.Until(c.heap[0].dl), time.Nanosecond)
-}
-
 // preparePairs applies the engine's per-pair checks (sequence alphabet
 // under the config's scheme, seed bounds) and conversion before a request
 // may merge with others, so one bad pair fails its own request instead of
-// the whole merged batch — and the flush reuses the converted pairs
+// the whole merged batch — and the batch reuses the converted pairs
 // instead of re-ingesting every byte. The messages mirror Aligner.Align's,
 // with request-relative pair indices.
 func preparePairs(pairs []Pair, cfg Config) ([]seq.Pair, error) {

@@ -3,7 +3,6 @@ package logan
 import (
 	"context"
 	"errors"
-	"sync"
 	"testing"
 	"time"
 )
@@ -36,18 +35,18 @@ func TestAdmissionFixedBudget(t *testing.T) {
 	}
 	defer eng.Close()
 	c := calibratedCoalescer(t, eng, CoalescerOptions{
-		MaxBatchPairs: 4, MaxWait: time.Millisecond, MaxPending: 10,
+		MaxBatchPairs: 4, MaxPending: 10,
 		TargetDelay: time.Nanosecond, // must be ignored in fixed mode
 	})
 
 	c.pending = 8
 	c.tenPending[anonymousTenant] = 8
-	if reason, ok := c.admitLocked(context.Background(), anonymousTenant, classInteractive, 3); ok || reason != shedBudget {
+	if reason, ok := c.admitLocked(context.Background(), anonymousTenant, 3); ok || reason != shedBudget {
 		t.Fatalf("over budget: reason %v ok %v, want shedBudget", reason, ok)
 	}
 	// Under the budget everything is admitted, even though the calibrated
 	// delay projection is far past the (ignored) 1ns target.
-	if _, ok := c.admitLocked(context.Background(), anonymousTenant, classInteractive, 2); !ok {
+	if _, ok := c.admitLocked(context.Background(), anonymousTenant, 2); !ok {
 		t.Fatal("within budget: not admitted")
 	}
 }
@@ -63,21 +62,21 @@ func TestAdmissionAdaptive(t *testing.T) {
 	defer eng.Close()
 	const target = 100 * time.Millisecond
 	c := calibratedCoalescer(t, eng, CoalescerOptions{
-		MaxBatchPairs: 4, MaxWait: time.Millisecond, TargetDelay: target,
+		MaxBatchPairs: 4, TargetDelay: target,
 	})
 	rate := c.drainPairsPerSec()
 
 	// One engine batch always fits, regardless of the projection.
 	c.pending = 0
 	delete(c.tenPending, anonymousTenant)
-	if _, ok := c.admitLocked(context.Background(), anonymousTenant, classInteractive, 4); !ok {
+	if _, ok := c.admitLocked(context.Background(), anonymousTenant, 4); !ok {
 		t.Fatal("one-batch floor: not admitted")
 	}
 
 	// Pending far past what drains within the target: shed by delay.
 	c.pending = int(rate*target.Seconds()) + 100
 	c.tenPending[anonymousTenant] = c.pending
-	if reason, ok := c.admitLocked(context.Background(), anonymousTenant, classInteractive, 1); ok || reason != shedDelay {
+	if reason, ok := c.admitLocked(context.Background(), anonymousTenant, 1); ok || reason != shedDelay {
 		t.Fatalf("past target: reason %v ok %v, want shedDelay", reason, ok)
 	}
 
@@ -87,14 +86,14 @@ func TestAdmissionAdaptive(t *testing.T) {
 	if under > c.opt.MaxBatchPairs {
 		c.pending = under
 		c.tenPending[anonymousTenant] = under
-		if reason, ok := c.admitLocked(context.Background(), anonymousTenant, classInteractive, 1); !ok {
+		if reason, ok := c.admitLocked(context.Background(), anonymousTenant, 1); !ok {
 			t.Fatalf("under target: reason %v, want admit", reason)
 		}
 		// Same queue, but the request's own deadline cannot survive the
 		// projected wait: shed as infeasible even under the target.
 		ctx, cancel := context.WithDeadline(context.Background(), time.Now())
 		defer cancel()
-		if reason, ok := c.admitLocked(ctx, anonymousTenant, classInteractive, 1); ok || reason != shedDeadline {
+		if reason, ok := c.admitLocked(ctx, anonymousTenant, 1); ok || reason != shedDeadline {
 			t.Fatalf("infeasible deadline: reason %v ok %v, want shedDeadline", reason, ok)
 		}
 	}
@@ -111,89 +110,91 @@ func TestAdmissionAdaptive(t *testing.T) {
 	fresh.t.cellsPerPair.Set(0)
 	fresh.pending = 1 << 20
 	fresh.tenPending[anonymousTenant] = 1 << 20
-	if reason, ok := fresh.admitLocked(context.Background(), anonymousTenant, classInteractive, 1); !ok {
+	if reason, ok := fresh.admitLocked(context.Background(), anonymousTenant, 1); !ok {
 		t.Fatalf("uncalibrated: reason %v, want admit", reason)
 	}
 }
 
 // TestCoalescerAdaptiveVsFixedOverload is the synthetic-overload
-// comparison: under the same burst, a generous fixed-cap coalescer queues
-// everything (no sheds, every request served), while the adaptive
-// controller with a tight delay target sheds the excess with
-// ErrOverloaded instead of letting the queue grow.
+// comparison: under the same burst against a busy engine, a generous
+// fixed-cap coalescer queues everything (no sheds, every request served),
+// while the adaptive controller with a tight delay target sheds the
+// excess with ErrOverloaded instead of letting the queue grow.
 func TestCoalescerAdaptiveVsFixedOverload(t *testing.T) {
 	eng, err := NewAligner(EngineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Close()
+	g := holdBatches(eng)
 
 	// Each request stays below MaxBatchPairs (engine-sized requests bypass
 	// the queue and its admission control entirely) but above half of it,
-	// so one pending request already blocks the one-batch floor for the
-	// rest of the burst until its deadline flush — otherwise a fast
-	// flusher can drain between admissions and nothing ever sheds.
+	// so one queued request already uses up the adaptive one-batch floor.
+	// The burst arrives while a batch is held in flight — an idle flusher
+	// would drain between admissions and nothing would ever shed — and
+	// every client reports its result as it gets one.
 	const clients = 16
 	const pairsPerClient = 7
-	burst := func(coal *Coalescer) (served, shed int) {
-		var mu sync.Mutex
-		var wg sync.WaitGroup
-		start := make(chan struct{})
+	burst := func(coal *Coalescer) <-chan error {
+		g.held.Store(true)
+		results := make(chan error, clients+1)
+		go func() {
+			_, _, err := coal.Align(context.Background(), makePairsSeed(1, 99), cfgT)
+			results <- err
+		}()
+		<-g.entered
 		for i := 0; i < clients; i++ {
-			wg.Add(1)
 			go func(i int) {
-				defer wg.Done()
-				<-start
 				_, _, err := coal.Align(context.Background(), makePairsSeed(pairsPerClient, int64(i)), cfgT)
-				mu.Lock()
-				defer mu.Unlock()
-				switch {
-				case err == nil:
-					served++
-				case errors.Is(err, ErrOverloaded):
-					shed++
-				default:
-					t.Errorf("client %d: %v", i, err)
-				}
+				results <- err
 			}(i)
 		}
-		close(start)
-		wg.Wait()
-		return served, shed
+		return results
 	}
 
-	// Baseline: fixed cap far above the burst — admission never sheds.
-	fixed := eng.NewCoalescer(CoalescerOptions{
-		MaxBatchPairs: 8, MaxWait: time.Millisecond, MaxPending: 1 << 20,
-	})
-	served, shed := burst(fixed)
-	fixed.Close()
-	if served != clients || shed != 0 {
-		t.Fatalf("fixed cap: served %d shed %d, want %d/0", served, shed, clients)
+	// Baseline: fixed cap far above the burst — admission never sheds, so
+	// nothing returns until the engine is released, and then everything is
+	// served.
+	fixed := eng.NewCoalescer(CoalescerOptions{MaxBatchPairs: 8, MaxPending: 1 << 20})
+	results := burst(fixed)
+	waitFor(t, func() bool { return fixed.Metrics().QueuedRequests == clients })
+	g.open()
+	for i := 0; i <= clients; i++ {
+		if err := <-results; err != nil {
+			t.Fatalf("fixed cap: %v, want every request served", err)
+		}
 	}
+	fixed.Close()
 
 	// Adaptive with a delay target no real queue can meet: once the first
-	// warmup batches calibrate the drain rate, everything beyond the
-	// one-batch floor is shed.
-	adaptive := eng.NewCoalescer(CoalescerOptions{
-		MaxBatchPairs: 8, MaxWait: time.Millisecond, TargetDelay: time.Nanosecond,
-	})
+	// warmup batches calibrate the drain rate, the one-batch floor admits
+	// one request of the burst and everything beyond it is shed at once.
+	adaptive := eng.NewCoalescer(CoalescerOptions{MaxBatchPairs: 8, TargetDelay: time.Nanosecond})
 	defer adaptive.Close()
-	for i := 0; i < 2; i++ { // calibrate cells-per-pair via real flushes
+	for i := 0; i < 2; i++ { // calibrate cells-per-pair via real batches
 		if _, _, err := adaptive.Align(context.Background(), makePairsSeed(4, int64(100+i)), cfgT); err != nil {
 			t.Fatal(err)
 		}
 	}
-	served, shed = burst(adaptive)
-	if served+shed != clients || shed == 0 {
-		t.Fatalf("adaptive: served %d shed %d, want sheds under overload", served, shed)
-	}
-	m := adaptive.Metrics()
-	if m.ShedDelay == 0 || m.ShedDelay != m.Shed {
-		t.Fatalf("metrics %+v: want every shed attributed to the delay target", m)
+	results = burst(adaptive)
+	for i := 0; i < clients-1; i++ {
+		if err := <-results; !errors.Is(err, ErrOverloaded) {
+			t.Fatalf("adaptive: %v, want ErrOverloaded for all but one of the burst", err)
+		}
 	}
 	// The shed callers get a live drain estimate to retry against.
-	if ra := adaptive.RetryAfter(); ra < adaptive.Options().MaxWait || ra > 30*time.Second {
-		t.Fatalf("RetryAfter %v outside [MaxWait, 30s]", ra)
+	if ra := adaptive.RetryAfter(); ra < minRetryAfter || ra > 30*time.Second {
+		t.Fatalf("RetryAfter %v outside [%v, 30s]", ra, minRetryAfter)
+	}
+	g.open()
+	for i := 0; i < 2; i++ { // the held request and the one the floor admitted
+		if err := <-results; err != nil {
+			t.Fatal(err)
+		}
+	}
+	m := adaptive.Metrics()
+	if m.ShedDelay != clients-1 || m.ShedDelay != m.Shed {
+		t.Fatalf("metrics %+v: want every shed attributed to the delay target", m)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
-	"time"
 
 	"logan/internal/seq"
 )
@@ -27,9 +26,7 @@ func benchCoalescer(b *testing.B, coalesce bool) {
 	const clients, pairsPer = 64, 16
 	var coal *Coalescer
 	if coalesce {
-		coal = eng.NewCoalescer(CoalescerOptions{
-			MaxBatchPairs: 512, MaxWait: time.Millisecond,
-		})
+		coal = eng.NewCoalescer(CoalescerOptions{MaxBatchPairs: 512})
 		defer coal.Close()
 	}
 	// Short pairs: the request shape where per-batch overhead, not DP

@@ -7,10 +7,14 @@ import (
 	"math/rand"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"logan/internal/backend"
+	"logan/internal/core"
 	"logan/internal/seq"
+	"logan/internal/xdrop"
 )
 
 // cfgT is the default per-request configuration of the coalescer tests.
@@ -31,6 +35,66 @@ func makePairsSeed(n int, seed int64) []Pair {
 		}
 	}
 	return out
+}
+
+// gatedBackend lets a test keep an engine batch in flight: while held is
+// set, every batch announces itself on entered and then waits for one
+// token on release before it runs.
+type gatedBackend struct {
+	backend.Backend
+	held             atomic.Bool
+	entered, release chan struct{}
+}
+
+func (g *gatedBackend) ExtendBatch(ctx context.Context, pairs []seq.Pair, out []xdrop.SeedResult, cfg core.Config) (backend.BatchStats, error) {
+	if g.held.Load() {
+		g.entered <- struct{}{}
+		<-g.release
+	}
+	return g.Backend.ExtendBatch(ctx, pairs, out, cfg)
+}
+
+// open lets the batch in flight run and stops holding later ones.
+func (g *gatedBackend) open() {
+	g.held.Store(false)
+	g.release <- struct{}{}
+}
+
+// holdBatches puts a holding gatedBackend under eng. Call it before the
+// engine is shared with another goroutine.
+func holdBatches(eng *Aligner) *gatedBackend {
+	g := &gatedBackend{Backend: eng.be, entered: make(chan struct{}), release: make(chan struct{})}
+	g.held.Store(true)
+	eng.be = g
+	return g
+}
+
+// enqueue queues a request of n pairs on the (ten, class, cfg) lane the way
+// Align does after admission, but from the test's own goroutine, so queue
+// states are built deterministically. With seed < 0 the pairs are blanks
+// for tests that only call take; otherwise they are real, and the result
+// arrives on the returned waiter's channel.
+func enqueue(t *testing.T, c *Coalescer, ten *Tenant, class priorityClass, cfg Config, n int, seed int64) *coalesceWaiter {
+	t.Helper()
+	in := make([]seq.Pair, n)
+	if seed >= 0 {
+		var err error
+		if in, err = preparePairs(makePairsSeed(n, seed), cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w := &coalesceWaiter{
+		in: in, npairs: n, enq: time.Now(),
+		tt: c.tenantTele(ten), ch: make(chan coalesceResult, 1),
+	}
+	c.mu.Lock()
+	c.enqueueLocked(laneKey{ten: ten, class: class, cfg: cfg.key()}, cfg, w)
+	c.mu.Unlock()
+	select {
+	case c.kick <- struct{}{}:
+	default:
+	}
+	return w
 }
 
 // TestCoalescerBitIdentical is the scatter-correctness acceptance test:
@@ -67,7 +131,7 @@ func TestCoalescerBitIdentical(t *testing.T) {
 			}
 
 			coal := eng.NewCoalescer(CoalescerOptions{
-				MaxBatchPairs: 16, MaxWait: time.Millisecond,
+				MaxBatchPairs: 16,
 				// This test pins bit-identity, not admission: the tiny batch
 				// target makes the adaptive one-batch floor smaller than the
 				// concurrent load, so give the controller unlimited delay.
@@ -172,8 +236,12 @@ func TestCoalescerMixedConfigs(t *testing.T) {
 		cl[c] = client{pairs: pairs, cfg: cfg, want: want}
 	}
 
+	// The first batch is held in flight until every client's first request
+	// has arrived, so the merge assertion below does not depend on how the
+	// scheduler interleaves the clients.
+	g := holdBatches(eng)
 	coal := eng.NewCoalescer(CoalescerOptions{
-		MaxBatchPairs: 12, MaxWait: 2 * time.Millisecond,
+		MaxBatchPairs: 12,
 		// All clients may be queued at once across four config groups:
 		// give admission control room so nothing sheds.
 		MaxPending: 1 << 20,
@@ -202,6 +270,9 @@ func TestCoalescerMixedConfigs(t *testing.T) {
 			}
 		}(c)
 	}
+	<-g.entered
+	waitFor(t, func() bool { return coal.Metrics().Enqueued == clients })
+	g.open()
 	wg.Wait()
 
 	m := coal.Metrics()
@@ -217,111 +288,105 @@ func TestCoalescerMixedConfigs(t *testing.T) {
 	}
 }
 
-// TestCoalescerSizeFlush checks the size trigger: two 4-pair requests
-// against an 8-pair target must merge into one batch and return long
-// before the (deliberately huge) deadline.
+// TestCoalescerSizeFlush checks where a batch is cut: whole requests in
+// arrival order until MaxBatchPairs is covered. Three 4-pair requests
+// waiting against an 8-pair cap run as one batch of two and one of one.
 func TestCoalescerSizeFlush(t *testing.T) {
 	eng, err := NewAligner(EngineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	coal := eng.NewCoalescer(CoalescerOptions{MaxBatchPairs: 8, MaxWait: time.Hour})
-	defer coal.Close()
-
-	start := time.Now()
-	var wg sync.WaitGroup
-	for c := 0; c < 2; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			if _, _, err := coal.Align(ctxb, makePairsSeed(4, int64(c)), cfgT); err != nil {
-				t.Error(err)
-			}
-		}(c)
+	// No flusher yet: the requests pile up first.
+	coal := eng.newCoalescer(CoalescerOptions{MaxBatchPairs: 8})
+	var ws []*coalesceWaiter
+	for c := 0; c < 3; c++ {
+		ws = append(ws, enqueue(t, coal, anonymousTenant, classInteractive, cfgT, 4, int64(c)))
 	}
-	wg.Wait()
-	if elapsed := time.Since(start); elapsed > 30*time.Second {
-		t.Fatalf("size-triggered flush took %v; deadline flush must not be the trigger", elapsed)
+	coal.start()
+	for _, w := range ws {
+		if r := <-w.ch; r.err != nil || len(r.out) != 4 {
+			t.Fatalf("result %+v", r)
+		}
 	}
+	coal.Close()
 	m := coal.Metrics()
-	if m.SizeFlushes == 0 || m.DeadlineFlushes != 0 {
-		t.Fatalf("metrics %+v: want a size flush and no deadline flush", m)
-	}
-	if m.MaxMergedPairs != 8 || m.MergedRequests != 2 {
-		t.Fatalf("metrics %+v: want one 8-pair merge of 2 requests", m)
+	if m.MergedBatches != 2 || m.MaxMergedPairs != 8 || m.MergedRequests != 3 {
+		t.Fatalf("metrics %+v: want an 8-pair batch of 2 requests, then the third alone", m)
 	}
 }
 
-// TestCoalescerSizeFlushPerConfig: the size trigger counts pairs per
-// configuration group, so two configs at half the target each must not
-// flush on size — only the deadline releases them, in two batches.
+// TestCoalescerSizeFlushPerConfig: only requests of one configuration
+// share a batch, so two waiting requests under different configs run as
+// two batches even though together they fit the cap.
 func TestCoalescerSizeFlushPerConfig(t *testing.T) {
 	eng, err := NewAligner(EngineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	const wait = 50 * time.Millisecond
-	coal := eng.NewCoalescer(CoalescerOptions{MaxBatchPairs: 8, MaxWait: wait})
-	defer coal.Close()
-
-	other := DefaultConfig(77)
-	var wg sync.WaitGroup
-	for c := 0; c < 2; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			cfg := cfgT
-			if c == 1 {
-				cfg = other
-			}
-			if _, _, err := coal.Align(ctxb, makePairsSeed(4, int64(c)), cfg); err != nil {
-				t.Error(err)
-			}
-		}(c)
+	coal := eng.newCoalescer(CoalescerOptions{MaxBatchPairs: 8})
+	a := enqueue(t, coal, anonymousTenant, classInteractive, cfgT, 4, 0)
+	b := enqueue(t, coal, anonymousTenant, classInteractive, DefaultConfig(77), 4, 1)
+	coal.start()
+	for _, w := range []*coalesceWaiter{a, b} {
+		if r := <-w.ch; r.err != nil {
+			t.Fatal(r.err)
+		}
 	}
-	wg.Wait()
-	m := coal.Metrics()
-	if m.SizeFlushes != 0 {
-		t.Fatalf("metrics %+v: cross-config pairs must not satisfy the size target", m)
-	}
-	if m.MergedBatches != 2 || m.DeadlineFlushes != 2 {
-		t.Fatalf("metrics %+v: want two deadline-flushed single-config batches", m)
+	coal.Close()
+	if m := coal.Metrics(); m.MergedBatches != 2 || m.MaxMergedPairs != 4 {
+		t.Fatalf("metrics %+v: want two single-config 4-pair batches", m)
 	}
 }
 
-// TestCoalescerDeadlineFlush checks the deadline trigger: a lone request
-// far below the size target must still flush about MaxWait after enqueue.
-func TestCoalescerDeadlineFlush(t *testing.T) {
+// TestCoalescerIdleRunsAtOnce is the work-conserving half of the flush
+// rule: a lone request on an idle Coalescer, far below the batch cap, runs
+// with no second arrival and no timer to release it. (A flusher that
+// waited for either would hang here until the test timeout.)
+func TestCoalescerIdleRunsAtOnce(t *testing.T) {
 	eng, err := NewAligner(EngineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	const wait = 50 * time.Millisecond
-	coal := eng.NewCoalescer(CoalescerOptions{MaxBatchPairs: 1 << 20, MaxWait: wait})
+	coal := eng.NewCoalescer(CoalescerOptions{MaxBatchPairs: 1 << 20})
 	defer coal.Close()
-
-	start := time.Now()
 	if _, _, err := coal.Align(ctxb, makePairsSeed(2, 42), cfgT); err != nil {
 		t.Fatal(err)
 	}
-	elapsed := time.Since(start)
-	// Allow generous scheduler skew on both sides, but the request must
-	// have waited for the deadline, not returned immediately.
-	if elapsed < wait/2 {
-		t.Fatalf("flushed after %v, before the %v deadline", elapsed, wait)
+	if m := coal.Metrics(); m.MergedBatches != 1 || m.MergedRequests != 1 || m.Enqueued != 1 {
+		t.Fatalf("metrics %+v: want the lone request as its own batch", m)
 	}
-	if elapsed > 10*time.Second {
-		t.Fatalf("deadline flush took %v", elapsed)
+}
+
+// TestCoalescerMergesWhileBusy is the other half: requests that arrive
+// while a batch is executing leave together in the next one.
+func TestCoalescerMergesWhileBusy(t *testing.T) {
+	eng, err := NewAligner(EngineOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	g := holdBatches(eng)
+	coal := eng.NewCoalescer(CoalescerOptions{MaxBatchPairs: 64})
+	defer coal.Close()
+
+	first := enqueue(t, coal, anonymousTenant, classInteractive, cfgT, 2, 1)
+	<-g.entered // the first request is executing, alone
+	var late []*coalesceWaiter
+	for i := 0; i < 3; i++ {
+		late = append(late, enqueue(t, coal, anonymousTenant, classInteractive, cfgT, 3, int64(10+i)))
+	}
+	g.open()
+	for _, w := range append(late, first) {
+		if r := <-w.ch; r.err != nil {
+			t.Fatal(r.err)
+		}
 	}
 	m := coal.Metrics()
-	if m.DeadlineFlushes != 1 || m.MergedBatches != 1 {
-		t.Fatalf("metrics %+v: want exactly one deadline flush", m)
-	}
-	if m.WaitNS < (wait / 2).Nanoseconds() {
-		t.Fatalf("metrics %+v: wait latency not recorded", m)
+	if m.MergedBatches != 2 || m.MergedRequests != 4 || m.MaxMergedPairs != 9 {
+		t.Fatalf("metrics %+v: want the 3 late requests merged into one 9-pair batch", m)
 	}
 }
 
@@ -334,9 +399,8 @@ func TestCoalescerShed(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	coal := eng.NewCoalescer(CoalescerOptions{
-		MaxBatchPairs: 100, MaxWait: time.Hour, MaxPending: 4,
-	})
+	// No flusher until the end, so the queue holds what is admitted.
+	coal := eng.newCoalescer(CoalescerOptions{MaxBatchPairs: 100, MaxPending: 4})
 
 	queued := make(chan error, 1)
 	go func() {
@@ -349,8 +413,8 @@ func TestCoalescerShed(t *testing.T) {
 	if _, _, err := coal.Align(ctxb, makePairsSeed(2, 2), DefaultConfig(99)); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("over-budget request: err %v, want ErrOverloaded", err)
 	}
-	// A request that still fits the budget is admitted; it rides the
-	// drain flush below.
+	// A request that still fits the budget is admitted; Close runs it
+	// below.
 	fits := make(chan error, 1)
 	go func() {
 		_, _, err := coal.Align(ctxb, makePairsSeed(1, 3), cfgT)
@@ -358,6 +422,7 @@ func TestCoalescerShed(t *testing.T) {
 	}()
 	waitFor(t, func() bool { return coal.Metrics().QueuedPairs == 4 })
 
+	coal.start()
 	coal.Close()
 	if err := <-queued; err != nil {
 		t.Fatalf("queued request not drained on Close: %v", err)
@@ -366,8 +431,8 @@ func TestCoalescerShed(t *testing.T) {
 		t.Fatalf("fitting request not drained on Close: %v", err)
 	}
 	m := coal.Metrics()
-	if m.Shed != 1 || m.DrainFlushes == 0 {
-		t.Fatalf("metrics %+v: want 1 shed and a drain flush", m)
+	if m.Shed != 1 || m.MergedRequests != 2 {
+		t.Fatalf("metrics %+v: want 1 shed and both admitted requests run", m)
 	}
 	if _, _, err := coal.Align(ctxb, makePairsSeed(1, 4), cfgT); !errors.Is(err, ErrClosed) {
 		t.Fatalf("align after Close: err %v, want ErrClosed", err)
@@ -376,14 +441,14 @@ func TestCoalescerShed(t *testing.T) {
 
 // TestCoalescerValidation checks that admission-time validation confines a
 // bad pair or config to its own request: a concurrent valid request in
-// the same flush window still succeeds.
+// the same lane still succeeds.
 func TestCoalescerValidation(t *testing.T) {
 	eng, err := NewAligner(EngineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	coal := eng.NewCoalescer(CoalescerOptions{MaxBatchPairs: 1 << 20, MaxWait: 20 * time.Millisecond})
+	coal := eng.NewCoalescer(CoalescerOptions{MaxBatchPairs: 1 << 20})
 	defer coal.Close()
 
 	good := make(chan error, 1)
@@ -417,16 +482,15 @@ func TestCoalescerValidation(t *testing.T) {
 }
 
 // TestCoalescerDirectBypass checks that engine-sized requests skip the
-// queue: they must return promptly despite an hour-long deadline, and be
-// counted as direct.
+// queue: they return with no flusher running at all, and are counted as
+// direct.
 func TestCoalescerDirectBypass(t *testing.T) {
 	eng, err := NewAligner(EngineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	coal := eng.NewCoalescer(CoalescerOptions{MaxBatchPairs: 4, MaxWait: time.Hour})
-	defer coal.Close()
+	coal := eng.newCoalescer(CoalescerOptions{MaxBatchPairs: 4})
 
 	pairs := makePairsSeed(4, 5)
 	want, _, err := eng.Align(ctxb, pairs, cfgT)
@@ -453,15 +517,14 @@ func TestCoalescerDirectBypass(t *testing.T) {
 
 // TestCoalescerContextCancel checks that a caller can abandon the wait: a
 // canceled context returns immediately even though the pairs are queued
-// behind an hour-long deadline.
+// with no flusher to run them.
 func TestCoalescerContextCancel(t *testing.T) {
 	eng, err := NewAligner(EngineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	coal := eng.NewCoalescer(CoalescerOptions{MaxBatchPairs: 1 << 20, MaxWait: time.Hour})
-	defer coal.Close()
+	coal := eng.newCoalescer(CoalescerOptions{MaxBatchPairs: 1 << 20})
 
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
@@ -505,47 +568,6 @@ func waitFor(t *testing.T, cond func() bool) {
 	}
 }
 
-// TestCoalescerDeadlineBeatsSizeStarvation pins the take() trigger order:
-// when one config group is size-ready but another group's request is
-// overdue, the overdue group must flush first — a saturated config must
-// not starve another config past its MaxWait bound.
-func TestCoalescerDeadlineBeatsSizeStarvation(t *testing.T) {
-	eng, err := NewAligner(EngineOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	// newCoalescer: fully instrumented but no flusher goroutine, so the
-	// test owns take() and the hand-built queue state below cannot race.
-	c := eng.newCoalescer(CoalescerOptions{MaxBatchPairs: 4, MaxWait: 10 * time.Millisecond})
-	mk := func(cfg Config, npairs int, enq time.Time) {
-		w := &coalesceWaiter{
-			in: make([]seq.Pair, npairs), npairs: npairs, enq: enq,
-			tt: c.tenantTele(anonymousTenant), ch: make(chan coalesceResult, 1),
-		}
-		c.mu.Lock()
-		c.enqueueLocked(laneKey{ten: anonymousTenant, class: classInteractive, cfg: cfg.key()}, cfg, w)
-		c.mu.Unlock()
-	}
-	full := DefaultConfig(50)
-	starved := DefaultConfig(99)
-	mk(full, 8, time.Now())                      // size-ready, fresh
-	mk(starved, 1, time.Now().Add(-time.Minute)) // tiny, long overdue
-
-	cfg, ws, npairs, reason, ok := c.take(false)
-	if !ok || cfg.key() != starved.key() || reason != flushDeadline || npairs != 1 {
-		t.Fatalf("first take: cfg X=%d reason %v npairs %d ok %v; want the overdue group via deadline",
-			cfg.X, reason, npairs, ok)
-	}
-	_ = ws
-	// The size-ready group flushes immediately after.
-	cfg, _, npairs, reason, ok = c.take(false)
-	if !ok || cfg.key() != full.key() || reason != flushSize || npairs != 8 {
-		t.Fatalf("second take: cfg X=%d reason %v npairs %d ok %v; want the size-ready group",
-			cfg.X, reason, npairs, ok)
-	}
-}
-
 // TestCoalescerUnsupportedConfigShedsAtAdmission: a config the engine's
 // backend cannot run must fail immediately with ErrUnsupportedConfig —
 // never queueing, never consuming the MaxPending budget.
@@ -561,16 +583,12 @@ func TestCoalescerUnsupportedConfigShedsAtAdmission(t *testing.T) {
 	if !eng.Supports(DefaultConfig(1)) {
 		t.Fatal("GPU engine denies linear support")
 	}
-	coal := eng.NewCoalescer(CoalescerOptions{MaxBatchPairs: 1 << 20, MaxWait: time.Hour})
-	defer coal.Close()
+	// No flusher: a request that queued instead of failing would hang.
+	coal := eng.newCoalescer(CoalescerOptions{MaxBatchPairs: 1 << 20})
 
-	start := time.Now()
 	_, _, err = coal.Align(ctxb, makePairsSeed(2, 1), Config{X: 30, Scoring: AffineScoring(1, -1, -2, -1)})
 	if !errors.Is(err, ErrUnsupportedConfig) {
 		t.Fatalf("err %v, want ErrUnsupportedConfig", err)
-	}
-	if time.Since(start) > 5*time.Second {
-		t.Fatal("unsupported config waited for a flush instead of failing at admission")
 	}
 	m := coal.Metrics()
 	if m.Enqueued != 0 || m.QueuedPairs != 0 {
@@ -588,10 +606,8 @@ func TestCoalescerAbandonReleasesQueue(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	coal := eng.NewCoalescer(CoalescerOptions{
-		MaxBatchPairs: 1 << 20, MaxWait: time.Hour, MaxPending: 4,
-	})
-	defer coal.Close()
+	// No flusher until the end, so the queue holds what is admitted.
+	coal := eng.newCoalescer(CoalescerOptions{MaxBatchPairs: 1 << 20, MaxPending: 4})
 
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
@@ -609,13 +625,14 @@ func TestCoalescerAbandonReleasesQueue(t *testing.T) {
 		t.Fatalf("abandoned request still queued: %+v", m)
 	}
 	// The full budget is available again: a 4-pair request is admitted
-	// (not shed) and rides the drain flush.
+	// (not shed) and runs when the flusher starts.
 	ok := make(chan error, 1)
 	go func() {
 		_, _, err := coal.Align(ctxb, makePairsSeed(4, 12), cfgT)
 		ok <- err
 	}()
 	waitFor(t, func() bool { return coal.Metrics().QueuedPairs == 4 })
+	coal.start()
 	coal.Close()
 	if err := <-ok; err != nil {
 		t.Fatalf("budget not released: %v", err)

@@ -2,12 +2,9 @@ package bella
 
 import (
 	"context"
-	"fmt"
 	"time"
 
-	"logan/internal/core"
 	"logan/internal/genome"
-	"logan/internal/loadbal"
 	"logan/internal/seq"
 	"logan/internal/xdrop"
 )
@@ -19,7 +16,7 @@ type AlignerStats struct {
 	MaxBand    int
 	MeanBand   float64
 	WallTime   time.Duration // measured Go wall time
-	DeviceTime time.Duration // modeled GPU time (GPU aligner only)
+	DeviceTime time.Duration // modeled GPU time (engines with device shards only)
 }
 
 // Aligner is the pluggable pairwise-alignment stage: BELLA ships with
@@ -58,42 +55,6 @@ func (a CPUAligner) AlignPairs(ctx context.Context, pairs []seq.Pair, sc xdrop.S
 		MeanBand: stats.MeanBand(),
 		WallTime: time.Since(start),
 	}, nil
-}
-
-// GPUAligner batches the whole alignment set onto the simulated GPU pool —
-// the modification the paper makes to BELLA (§V): instead of aligning
-// pair-by-pair per CPU thread, the entire set is shipped to the devices.
-type GPUAligner struct {
-	Pool *loadbal.Pool
-}
-
-// Name identifies the aligner in reports.
-func (a GPUAligner) Name() string { return fmt.Sprintf("logan-gpu-x%d", len(a.Pool.Devices)) }
-
-// AlignPairs dispatches the batch through the load balancer. Cancellation
-// is observed at device memory-chunk boundaries.
-func (a GPUAligner) AlignPairs(ctx context.Context, pairs []seq.Pair, sc xdrop.Scoring, x int32) ([]xdrop.SeedResult, AlignerStats, error) {
-	start := time.Now()
-	cfg := core.Config{Scoring: sc, X: x}
-	res, err := a.Pool.AlignIntoContext(ctx, nil, pairs, cfg, loadbal.ByLength)
-	if err != nil {
-		return nil, AlignerStats{}, err
-	}
-	st := AlignerStats{
-		Pairs:      len(pairs),
-		Cells:      res.Cells,
-		WallTime:   time.Since(start),
-		DeviceTime: res.TotalTime,
-	}
-	for i := range res.Results {
-		if b := res.Results[i].Left.MaxBand; b > st.MaxBand {
-			st.MaxBand = b
-		}
-		if b := res.Results[i].Right.MaxBand; b > st.MaxBand {
-			st.MaxBand = b
-		}
-	}
-	return res.Results, st, nil
 }
 
 // BuildAlignmentPairs materializes the candidate pairs plus chosen seeds

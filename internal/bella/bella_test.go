@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"logan/internal/genome"
-	"logan/internal/loadbal"
 	"logan/internal/seq"
 )
 
@@ -255,37 +254,6 @@ func TestPipelineEndToEndCPU(t *testing.T) {
 	}
 	if res.Align.Cells == 0 || res.Times.Total() <= 0 {
 		t.Fatal("missing stage accounting")
-	}
-}
-
-func TestPipelineGPUMatchesCPU(t *testing.T) {
-	rs := smallReadSet(t, 4, 40000, 4, 0.10)
-	cfg := DefaultConfig(4, 0.10, 30)
-	cpuRes, err := Run(context.Background(), rs, cfg, CPUAligner{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool, err := loadbal.NewV100Pool(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gpuRes, err := Run(context.Background(), rs, cfg, GPUAligner{Pool: pool})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The paper: "Our optimized BELLA version with LOGAN integration
-	// produces equivalent results as the original version."
-	if len(cpuRes.Overlaps) != len(gpuRes.Overlaps) {
-		t.Fatalf("overlap counts differ: cpu %d, gpu %d", len(cpuRes.Overlaps), len(gpuRes.Overlaps))
-	}
-	for i := range cpuRes.Overlaps {
-		a, b := cpuRes.Overlaps[i], gpuRes.Overlaps[i]
-		if a != b {
-			t.Fatalf("overlap %d differs: cpu %+v, gpu %+v", i, a, b)
-		}
-	}
-	if gpuRes.Align.DeviceTime <= 0 {
-		t.Fatal("GPU aligner reported no modeled device time")
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
-	"time"
 
 	"logan/internal/genome"
 	"logan/internal/seq"
@@ -192,7 +191,7 @@ func TestMapperCoalescerRouteIdentical(t *testing.T) {
 	if _, err := direct.Build(context.Background(), strings.NewReader(genomeFasta(g)), IndexOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	coal := eng.NewCoalescer(CoalescerOptions{MaxWait: time.Millisecond})
+	coal := eng.NewCoalescer(CoalescerOptions{})
 	defer coal.Close()
 	routed, err := NewMapper(eng, MapperOptions{Coalescer: coal})
 	if err != nil {

@@ -490,9 +490,8 @@ const overlapMaxRetries = 10
 // AlignPairs submits one chunk via the coalescer, retrying shed chunks.
 func (e *coalescedExtender) AlignPairs(ctx context.Context, pairs []seq.Pair, sc xdrop.Scoring, x int32) ([]xdrop.SeedResult, bella.AlignerStats, error) {
 	start := time.Now()
-	// Extension chunks ride the bulk priority class: they tolerate the
-	// longer BulkMaxWait merge window, and interactive /align lanes drain
-	// ahead of them under contention.
+	// Extension chunks ride the bulk priority class: interactive /align
+	// lanes are picked ahead of them under contention.
 	ctx = withPriority(ctx, classBulk)
 	lp := make([]Pair, len(pairs))
 	for i := range pairs {

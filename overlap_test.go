@@ -9,7 +9,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"logan/internal/bella"
 	"logan/internal/genome"
@@ -44,8 +43,10 @@ func overlapTestConfig(x int32) OverlapConfig {
 
 // TestOverlapperMatchesInternalPipeline is the golden identity: the public
 // Overlapper and the internal bella pipeline must produce byte-identical
-// PAF on the same reads, for the engine-direct path on CPU and Hybrid
-// engines and for the coalescer-routed path.
+// PAF on the same reads, for the engine-direct path on CPU, GPU and Hybrid
+// engines and for the coalescer-routed path — the paper's "our optimized
+// BELLA version with LOGAN integration produces equivalent results as the
+// original version".
 func TestOverlapperMatchesInternalPipeline(t *testing.T) {
 	rs := overlapTestSet(t, 11, 60_000)
 	cfg := overlapTestConfig(20)
@@ -70,6 +71,7 @@ func TestOverlapperMatchesInternalPipeline(t *testing.T) {
 		coalesced bool
 	}{
 		{"cpu-direct", EngineOptions{Backend: CPU}, false},
+		{"gpu-direct", EngineOptions{Backend: GPU, GPUs: 2}, false},
 		{"hybrid-direct", EngineOptions{Backend: Hybrid, GPUs: 2}, false},
 		{"cpu-coalesced", EngineOptions{Backend: CPU}, true},
 	} {
@@ -81,7 +83,7 @@ func TestOverlapperMatchesInternalPipeline(t *testing.T) {
 			defer eng.Close()
 			var oopt OverlapperOptions
 			if tc.coalesced {
-				coal := eng.NewCoalescer(CoalescerOptions{MaxWait: time.Millisecond})
+				coal := eng.NewCoalescer(CoalescerOptions{})
 				defer coal.Close()
 				oopt.Coalescer = coal
 			}
@@ -105,6 +107,9 @@ func TestOverlapperMatchesInternalPipeline(t *testing.T) {
 			if res.Stats.CandidatePairs != ref.Candidates || res.Stats.ReliableKmers != ref.Reliable {
 				t.Errorf("stats diverge: got %d cands/%d kmers, want %d/%d",
 					res.Stats.CandidatePairs, res.Stats.ReliableKmers, ref.Candidates, ref.Reliable)
+			}
+			if tc.opt.Backend == GPU && res.Stats.DeviceTime <= 0 {
+				t.Error("GPU engine reported no modeled device time")
 			}
 		})
 	}
@@ -333,7 +338,7 @@ func TestOverlapperValidation(t *testing.T) {
 		t.Error("invalid base accepted")
 	}
 
-	coal := eng.NewCoalescer(CoalescerOptions{MaxWait: time.Millisecond})
+	coal := eng.NewCoalescer(CoalescerOptions{})
 	defer coal.Close()
 	ovc, _ := NewOverlapper(eng, OverlapperOptions{Coalescer: coal})
 	tb := overlapTestConfig(10)

@@ -1,20 +1,36 @@
 #!/usr/bin/env bash
 # Bench smoke + perf trajectory artifact: run one iteration of every
 # benchmark (catching benchmarks that no longer compile or crash, without
-# paying for a real measurement) and convert the output into a
-# machine-readable BENCH_*.json so each CI run leaves a comparable perf
-# record instead of scroll-away logs. Usage: scripts/bench-smoke.sh
-# [out.json]; CI uploads the file as an artifact.
+# paying for a real measurement) and convert the output into
+# machine-readable BENCH_*.json files so each CI run leaves a comparable
+# perf record instead of scroll-away logs. Usage: scripts/bench-smoke.sh
+# [smoke.json [kernel.json [cache.json [map.json]]]]; CI uploads the files
+# as an artifact.
 set -euo pipefail
 
-OUT="${1:-BENCH_smoke.json}"
 RAW="$(mktemp)"
 trap 'rm -f "$RAW"' EXIT
 
-go test -run='^$' -bench=. -benchtime=1x ./... | tee "$RAW"
-
-awk -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" \
-    -v commit="${GITHUB_SHA:-$(git rev-parse HEAD 2>/dev/null || echo unknown)}" '
+# bench_json REGEX PACKAGE BENCHTIME OUT DERIVED runs the benchmarks
+# matching REGEX in PACKAGE for BENCHTIME and writes OUT: date, commit,
+# and a "benchmarks" array with one object per result line — name,
+# iterations, and every value/unit pair after the iteration count as a
+# field ("BenchmarkX-8  1  123 ns/op  45 B/op ..."), plus "pkg" when
+# PACKAGE spans several packages. DERIVED is awk code run after the array
+# closes to append top-level fields; it can read goos, goarch and cpu, and
+# v(NAME_REGEX, UNIT), the value the last benchmark matching NAME_REGEX
+# reported in UNIT (0 when none did).
+bench_json() {
+  local regex="$1" pkg="$2" benchtime="$3" out="$4" derived="$5"
+  go test -run='^$' -bench="$regex" -benchtime="$benchtime" "$pkg" | tee "$RAW"
+  awk -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" \
+      -v commit="${GITHUB_SHA:-$(git rev-parse HEAD 2>/dev/null || echo unknown)}" \
+      -v multi="$([ "${pkg%...}" != "$pkg" ] && echo 1 || echo 0)" '
+function v(re, unit,    i, r) {
+  r = 0
+  for (i = 1; i <= n; i++) if (names[i] ~ re && ((i, unit) in val)) r = val[i, unit]
+  return r
+}
 BEGIN {
   printf("{\n  \"date\": \"%s\",\n  \"commit\": \"%s\",\n", date, commit)
   printf("  \"benchmarks\": [")
@@ -25,172 +41,60 @@ BEGIN {
 /^pkg: /    { pkg = $2 }
 /^cpu: /    { sub(/^cpu: /, ""); cpu = $0 }
 /^Benchmark/ && NF >= 4 {
-  # "BenchmarkX-8  1  123 ns/op  45 B/op  6 allocs/op ..." — every
-  # value/unit pair after the iteration count becomes a JSON field.
-  name = $1; iters = $2
-  fields = ""
+  if (n++) printf(",")
+  names[n] = $1
+  printf("\n    {")
+  if (multi) printf("\"pkg\": \"%s\", ", pkg)
+  printf("\"name\": \"%s\", \"iterations\": %s", $1, $2)
   for (i = 3; i + 1 <= NF; i += 2) {
     unit = $(i + 1)
+    val[n, unit] = $i
     gsub(/[^A-Za-z0-9_\/.]/, "_", unit)
-    fields = fields sprintf(", \"%s\": %s", unit, $i)
+    printf(", \"%s\": %s", unit, $i)
   }
-  if (n++) printf(",")
-  printf("\n    {\"pkg\": \"%s\", \"name\": \"%s\", \"iterations\": %s%s}",
-         pkg, name, iters, fields)
-}
-END {
-  if (n == 0) exit 1
-  printf("\n  ],\n")
-  printf("  \"goos\": \"%s\", \"goarch\": \"%s\", \"cpu\": \"%s\"\n}\n",
-         goos, goarch, cpu)
-}' "$RAW" > "$OUT" || {
-  echo "bench-smoke: no benchmark lines found" >&2
-  exit 1
-}
-
-# The artifact is only useful if it parses; fail the build otherwise.
-python3 -c 'import json,sys; json.load(open(sys.argv[1]))' "$OUT" 2>/dev/null \
-  || { echo "bench-smoke: $OUT is not valid JSON" >&2; exit 1; }
-echo "bench-smoke: wrote $OUT ($(grep -c '"name"' "$OUT") benchmarks)"
-
-# Kernel-comparison artifact: the scalar / vector / ksw2-striped sweep
-# across band regimes plus the 10k-pair forced-kernel batch run, with the
-# vector-over-scalar speedup computed from the batch cells/ns. The
-# speedup is the acceptance number for the vector kernel (>= 1.3x).
-KOUT="${2:-BENCH_kernel.json}"
-KRAW="$(mktemp)"
-trap 'rm -f "$RAW" "$KRAW"' EXIT
-
-go test -run='^$' -bench='^(BenchmarkKernel|BenchmarkPoolKernel10k)$' -benchtime=1x \
-  ./internal/xdrop/ | tee "$KRAW"
-
-awk -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" \
-    -v commit="${GITHUB_SHA:-$(git rev-parse HEAD 2>/dev/null || echo unknown)}" '
-BEGIN {
-  printf("{\n  \"date\": \"%s\",\n  \"commit\": \"%s\",\n", date, commit)
-  printf("  \"benchmarks\": [")
-  n = 0
-}
-/^Benchmark/ && NF >= 4 {
-  name = $1; iters = $2
-  fields = ""
-  for (i = 3; i + 1 <= NF; i += 2) {
-    unit = $(i + 1)
-    if (unit == "cells/ns") {
-      if (name ~ /PoolKernel10k\/scalar/) scalar = $i
-      if (name ~ /PoolKernel10k\/vector/) vector = $i
-    }
-    gsub(/[^A-Za-z0-9_\/.]/, "_", unit)
-    fields = fields sprintf(", \"%s\": %s", unit, $i)
-  }
-  if (n++) printf(",")
-  printf("\n    {\"name\": \"%s\", \"iterations\": %s%s}", name, iters, fields)
+  printf("}")
 }
 END {
   if (n == 0) exit 1
   printf("\n  ]")
-  if (scalar > 0 && vector > 0)
-    printf(",\n  \"vector_speedup_10k\": %.3f", vector / scalar)
+  '"$derived"'
   printf("\n}\n")
-}' "$KRAW" > "$KOUT" || {
-  echo "bench-smoke: no kernel benchmark lines found" >&2
-  exit 1
-}
-
-python3 -c 'import json,sys; json.load(open(sys.argv[1]))' "$KOUT" 2>/dev/null \
-  || { echo "bench-smoke: $KOUT is not valid JSON" >&2; exit 1; }
-echo "bench-smoke: wrote $KOUT (speedup $(python3 -c 'import json,sys; print(json.load(open(sys.argv[1])).get("vector_speedup_10k", "n/a"))' "$KOUT"))"
-
-# Result-cache artifact: serving a warm repeated request from the
-# content-addressed cache vs recomputing the identical pairs on the
-# engine. cache_speedup = recompute ns/op over hit ns/op — the headline
-# number for the serve-path cache (a hit skips queueing, scheduling and
-# the whole DP).
-COUT="${3:-BENCH_cache.json}"
-CRAW="$(mktemp)"
-trap 'rm -f "$RAW" "$KRAW" "$CRAW"' EXIT
-
-go test -run='^$' -bench='^BenchmarkCacheServe$' -benchtime=20x . | tee "$CRAW"
-
-awk -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" \
-    -v commit="${GITHUB_SHA:-$(git rev-parse HEAD 2>/dev/null || echo unknown)}" '
-BEGIN {
-  printf("{\n  \"date\": \"%s\",\n  \"commit\": \"%s\",\n", date, commit)
-  printf("  \"benchmarks\": [")
-  n = 0
-}
-/^Benchmark/ && NF >= 4 {
-  name = $1; iters = $2
-  fields = ""
-  for (i = 3; i + 1 <= NF; i += 2) {
-    unit = $(i + 1)
-    if (unit == "ns/op") {
-      if (name ~ /CacheServe\/hit/) hit = $i
-      if (name ~ /CacheServe\/recompute/) recompute = $i
-    }
-    gsub(/[^A-Za-z0-9_\/.]/, "_", unit)
-    fields = fields sprintf(", \"%s\": %s", unit, $i)
+}' "$RAW" > "$out" || {
+    echo "bench-smoke: no benchmark lines found for $out" >&2
+    exit 1
   }
-  if (n++) printf(",")
-  printf("\n    {\"name\": \"%s\", \"iterations\": %s%s}", name, iters, fields)
-}
-END {
-  if (n == 0) exit 1
-  printf("\n  ]")
-  if (hit > 0 && recompute > 0)
-    printf(",\n  \"cache_speedup\": %.3f", recompute / hit)
-  printf("\n}\n")
-}' "$CRAW" > "$COUT" || {
-  echo "bench-smoke: no cache benchmark lines found" >&2
-  exit 1
+  # The artifact is only useful if it parses; fail the build otherwise.
+  python3 -c 'import json,sys; json.load(open(sys.argv[1]))' "$out" 2>/dev/null \
+    || { echo "bench-smoke: $out is not valid JSON" >&2; exit 1; }
+  echo "bench-smoke: wrote $out ($(grep -c '"name"' "$out") benchmarks), ending:"
+  sed -n '/^  ]/,$p' "$out"
 }
 
-python3 -c 'import json,sys; json.load(open(sys.argv[1]))' "$COUT" 2>/dev/null \
-  || { echo "bench-smoke: $COUT is not valid JSON" >&2; exit 1; }
-echo "bench-smoke: wrote $COUT (cache speedup $(python3 -c 'import json,sys; print(json.load(open(sys.argv[1])).get("cache_speedup", "n/a"))' "$COUT"))"
+# One iteration of everything, with the platform the numbers came from.
+bench_json . ./... 1x "${1:-BENCH_smoke.json}" '
+  printf(",\n  \"goos\": \"%s\", \"goarch\": \"%s\", \"cpu\": \"%s\"", goos, goarch, cpu)'
 
-# Mapping artifact: the minimize -> chain -> extend pipeline placing a
-# simulated read set against a 1 Mbp synthetic reference. reads/sec is
-# the mapping tier's throughput headline; anchors/read guards the
-# seeding density (a collapse there means the minimizer index regressed
-# even if throughput held up).
-MOUT="${4:-BENCH_map.json}"
-MRAW="$(mktemp)"
-trap 'rm -f "$RAW" "$KRAW" "$CRAW" "$MRAW"' EXIT
+# Kernel comparison: the scalar / vector / ksw2-striped sweep across band
+# regimes plus the 10k-pair forced-kernel batch run. The vector-over-scalar
+# speedup of the batch cells/ns is the acceptance number for the vector
+# kernel (>= 1.3x).
+bench_json '^(BenchmarkKernel|BenchmarkPoolKernel10k)$' ./internal/xdrop/ 1x "${2:-BENCH_kernel.json}" '
+  scalar = v("PoolKernel10k/scalar", "cells/ns"); vector = v("PoolKernel10k/vector", "cells/ns")
+  if (scalar > 0 && vector > 0) printf(",\n  \"vector_speedup_10k\": %.3f", vector / scalar)'
 
-go test -run='^$' -bench='^BenchmarkMap$' -benchtime=1x . | tee "$MRAW"
+# Result cache: serving a warm repeated request from the content-addressed
+# cache vs recomputing the identical pairs on the engine (a hit skips
+# queueing, scheduling and the whole DP).
+bench_json '^BenchmarkCacheServe$' . 20x "${3:-BENCH_cache.json}" '
+  hit = v("CacheServe/hit", "ns/op"); recompute = v("CacheServe/recompute", "ns/op")
+  if (hit > 0 && recompute > 0) printf(",\n  \"cache_speedup\": %.3f", recompute / hit)'
 
-awk -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" \
-    -v commit="${GITHUB_SHA:-$(git rev-parse HEAD 2>/dev/null || echo unknown)}" '
-BEGIN {
-  printf("{\n  \"date\": \"%s\",\n  \"commit\": \"%s\",\n", date, commit)
-  printf("  \"benchmarks\": [")
-  n = 0
-}
-/^Benchmark/ && NF >= 4 {
-  name = $1; iters = $2
-  fields = ""
-  for (i = 3; i + 1 <= NF; i += 2) {
-    unit = $(i + 1)
-    if (unit == "reads/sec")     rps = $i
-    if (unit == "anchors/read")  apr = $i
-    gsub(/[^A-Za-z0-9_\/.]/, "_", unit)
-    fields = fields sprintf(", \"%s\": %s", unit, $i)
-  }
-  if (n++) printf(",")
-  printf("\n    {\"name\": \"%s\", \"iterations\": %s%s}", name, iters, fields)
-}
-END {
-  if (n == 0) exit 1
-  printf("\n  ]")
+# Mapping: the minimize -> chain -> extend pipeline placing a simulated
+# read set against a 1 Mbp synthetic reference. reads/sec is the mapping
+# tier's throughput headline; anchors/read guards the seeding density (a
+# collapse there means the minimizer index regressed even if throughput
+# held up).
+bench_json '^BenchmarkMap$' . 1x "${4:-BENCH_map.json}" '
+  rps = v(".", "reads/sec"); apr = v(".", "anchors/read")
   if (rps > 0) printf(",\n  \"reads_per_sec\": %s", rps)
-  if (apr > 0) printf(",\n  \"anchors_per_read\": %s", apr)
-  printf("\n}\n")
-}' "$MRAW" > "$MOUT" || {
-  echo "bench-smoke: no mapping benchmark lines found" >&2
-  exit 1
-}
-
-python3 -c 'import json,sys; json.load(open(sys.argv[1]))' "$MOUT" 2>/dev/null \
-  || { echo "bench-smoke: $MOUT is not valid JSON" >&2; exit 1; }
-echo "bench-smoke: wrote $MOUT (reads/sec $(python3 -c 'import json,sys; print(json.load(open(sys.argv[1])).get("reads_per_sec", "n/a"))' "$MOUT"))"
+  if (apr > 0) printf(",\n  \"anchors_per_read\": %s", apr)'

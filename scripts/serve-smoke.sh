@@ -33,10 +33,7 @@ alpha-key alpha
 bravo-key bravo  50000 100000 2
 EOF
 
-# A generous max-wait keeps the merge window open long enough that the
-# 50-request burst reliably coalesces even on a slow CI runner.
-"$BIN" -addr "$ADDR" -backend cpu -coalesce -max-wait 50ms \
-  -api-keys "$WORK/keys.conf" &
+"$BIN" -addr "$ADDR" -backend cpu -coalesce -api-keys "$WORK/keys.conf" &
 SERVER_PID=$!
 
 # Wait for liveness.

@@ -136,9 +136,9 @@ func TenantFrom(ctx context.Context) *Tenant {
 }
 
 // priorityClass separates the coalescer's two service classes:
-// interactive requests (the /align path; latency-bounded by MaxWait)
-// drain ahead of bulk work (the /jobs overlap extension chunks, which
-// tolerate BulkMaxWait in exchange for fuller batches).
+// interactive requests (the /align path) are picked ahead of bulk work
+// (the /jobs overlap extension chunks), which still gets a batch after
+// being passed over maxBulkPassOver times.
 type priorityClass uint8
 
 const (
