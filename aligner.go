@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"logan/internal/backend"
-	"logan/internal/core"
 	"logan/internal/seq"
 	"logan/internal/telemetry"
 	"logan/internal/xdrop"
@@ -17,9 +16,6 @@ import (
 
 // ErrClosed reports use of an Aligner after Close.
 var ErrClosed = errors.New("logan: aligner is closed")
-
-// ErrStreamClosed reports a submission to a Stream after its Close.
-var ErrStreamClosed = errors.New("logan: stream is closed")
 
 // EngineOptions configures the resources an Aligner keeps alive — the
 // engine's shape, fixed for its lifetime. Per-request parameters (X and
@@ -261,7 +257,7 @@ func (a *Aligner) Engine() EngineOptions { return a.opt }
 // ErrUnsupportedConfig). Callers multiplexing mixed traffic can probe
 // this to route requests instead of paying a failed call.
 func (a *Aligner) Supports(cfg Config) bool {
-	return a.be.Supports(cfg.schemeKind())
+	return a.be.Supports(cfg.scheme().Kind)
 }
 
 // Close releases the engine's workers. In-flight batches finish; further
@@ -342,14 +338,8 @@ func (a *Aligner) align(ctx context.Context, dst []Alignment, pairs []Pair, cfg 
 // converted under cfg (the coalescer converts at admission, so the flush
 // does not re-scan every sequence byte). cfg must already be validated.
 func (a *Aligner) alignPrepared(ctx context.Context, dst []Alignment, in []seq.Pair, cfg Config) ([]Alignment, Stats, error) {
-	if a.closed.Load() {
-		return nil, Stats{}, ErrClosed
-	}
 	if ctx == nil {
 		ctx = context.Background()
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, Stats{}, err
 	}
 	start := time.Now()
 	sc := a.scratch.Get().(*batchScratch)
@@ -357,14 +347,16 @@ func (a *Aligner) alignPrepared(ctx context.Context, dst []Alignment, in []seq.P
 	return a.run(ctx, dst, sc, in, cfg, start)
 }
 
-// extendPrepared runs one batch of already-validated engine-level pairs
-// straight on the engine's backend, exposing the raw seed-extension
-// results (scores plus per-direction band/cell accounting) that the
-// public Alignment type compresses away. It is the overlap subsystem's
-// entry point: bella-pipeline extension chunks share the engine's worker
-// pools, device locks and scheduler with the Align/Coalescer traffic, and
-// the extra detail (band widths) feeds the traceback post-pass.
-func (a *Aligner) extendPrepared(ctx context.Context, in []seq.Pair, out []xdrop.SeedResult, cc core.Config) (backend.BatchStats, error) {
+// extendPrepared is the engine's one dispatch onto its backend: it runs a
+// batch of already-validated engine-level pairs and exposes the raw
+// seed-extension results (scores plus per-direction band/cell accounting)
+// that the public Alignment type compresses away. Every path ends here —
+// Align/AlignInto and the coalescer through run, and the overlap
+// subsystem directly: bella-pipeline extension chunks share the engine's
+// worker pools, device locks and scheduler with the Align/Coalescer
+// traffic, and the extra detail (band widths) feeds the traceback
+// post-pass. It owns the batch IDs: every pair is renumbered by position.
+func (a *Aligner) extendPrepared(ctx context.Context, in []seq.Pair, out []xdrop.SeedResult, sch xdrop.Scheme, x int32) (backend.BatchStats, error) {
 	if a.closed.Load() {
 		return backend.BatchStats{}, ErrClosed
 	}
@@ -378,7 +370,7 @@ func (a *Aligner) extendPrepared(ctx context.Context, in []seq.Pair, out []xdrop
 		in[i].ID = i
 	}
 	execStart := time.Now()
-	bst, err := a.be.ExtendBatch(ctx, in, out, cc)
+	bst, err := a.be.ExtendBatch(ctx, in, out, sch, x)
 	if err != nil {
 		return backend.BatchStats{}, mapBackendErr(err)
 	}
@@ -395,36 +387,27 @@ func (a *Aligner) extendPrepared(ctx context.Context, in []seq.Pair, out []xdrop
 // internal sentinels never leak to callers.
 func mapBackendErr(err error) error {
 	switch {
-	case errors.Is(err, xdrop.ErrPoolClosed) || errors.Is(err, backend.ErrClosed):
+	case errors.Is(err, backend.ErrClosed):
 		return ErrClosed
-	case errors.Is(err, core.ErrUnsupportedScheme):
+	case errors.Is(err, backend.ErrUnsupportedScheme):
 		return ErrUnsupportedConfig
 	}
 	return err
 }
 
-// run is the execution half of a batch: dispatch to the backend using
-// sc's pooled result staging, then convert results into dst and assemble
-// the stats.
+// run is the execution half of a batch: extendPrepared into sc's pooled
+// result staging, then scatter — convert the results into dst and
+// assemble the stats.
 func (a *Aligner) run(ctx context.Context, dst []Alignment, sc *batchScratch, in []seq.Pair, cfg Config, start time.Time) ([]Alignment, Stats, error) {
-	for i := range in {
-		in[i].ID = i
-	}
 	if cap(sc.res) < len(in) {
 		sc.res = make([]xdrop.SeedResult, len(in))
 	}
 	results := sc.res[:len(in)]
 	sc.res = results
-	execStart := time.Now()
-	bst, err := a.be.ExtendBatch(ctx, in, results, cfg.coreConfig())
+	bst, err := a.extendPrepared(ctx, in, results, cfg.scheme(), cfg.X)
 	if err != nil {
-		return nil, Stats{}, mapBackendErr(err)
+		return nil, Stats{}, err
 	}
-	execWall := time.Since(execStart)
-	tr := telemetry.TraceFrom(ctx)
-	a.observeStage(tr, telemetry.StagePartition, bst.PartitionTime)
-	a.observeStage(tr, telemetry.StageKernel, execWall-bst.PartitionTime)
-	a.recordBatch(&bst, execWall)
 
 	scatterStart := time.Now()
 	st := Stats{Pairs: len(in), Cells: bst.Cells, DeviceTime: bst.DeviceTime}
@@ -441,7 +424,7 @@ func (a *Aligner) run(ctx context.Context, dst []Alignment, sc *batchScratch, in
 	for i := range results {
 		dst[i] = toAlignment(results[i])
 	}
-	a.observeStage(tr, telemetry.StageScatter, time.Since(scatterStart))
+	a.observeStage(telemetry.TraceFrom(ctx), telemetry.StageScatter, time.Since(scatterStart))
 	st.WallTime = time.Since(start)
 	st.GCUPS = st.gcups(a.opt.Backend)
 	return dst, st, nil
@@ -459,130 +442,4 @@ func (s *Stats) gcups(b Backend) float64 {
 		return 0
 	}
 	return float64(s.Cells) / denom.Seconds() / 1e9
-}
-
-// Batch is one unit of streaming work: a caller-chosen ID, its pairs, and
-// the per-batch alignment configuration. Batches on one stream may carry
-// different configs. Config is required: a zero Config fails the batch's
-// BatchResult with a Scoring-unset validation error.
-type Batch struct {
-	ID     int64
-	Pairs  []Pair
-	Config Config
-}
-
-// BatchResult is the outcome of one streamed batch, delivered in
-// submission order.
-type BatchResult struct {
-	ID         int64
-	Alignments []Alignment
-	Stats      Stats
-	Err        error
-}
-
-// Stream pipelines batches through an Aligner: Submit enqueues (ingest),
-// a dedicated goroutine aligns, and Results delivers outcomes in
-// submission order (emit). At most `inflight` batches buffer at each end,
-// so a fast producer cannot outrun the engine unboundedly.
-type Stream struct {
-	jobs chan Batch
-	out  chan BatchResult
-	// mu guards closed and the job-channel sends the same way xdrop.Pool
-	// guards its submissions: Submit holds the read side for the send,
-	// Close takes the write side, so a close can never race a blocked
-	// send and a post-Close Submit fails cleanly instead of panicking.
-	mu     sync.RWMutex
-	closed bool
-}
-
-// NewStream starts a stream over the engine with the given in-flight bound
-// (0 selects 2). Close the stream to flush; Results closes once drained.
-func (a *Aligner) NewStream(inflight int) *Stream {
-	if inflight <= 0 {
-		inflight = 2
-	}
-	s := &Stream{
-		jobs: make(chan Batch, inflight),
-		out:  make(chan BatchResult, inflight),
-	}
-	go func() {
-		for b := range s.jobs {
-			// An accepted batch always runs to completion: the Submit
-			// context governed only the enqueue wait.
-			al, st, err := a.align(context.Background(), nil, b.Pairs, b.Config)
-			s.out <- BatchResult{ID: b.ID, Alignments: al, Stats: st, Err: err}
-		}
-		close(s.out)
-	}()
-	return s
-}
-
-// Submit enqueues a batch, blocking while the in-flight bound is reached;
-// a canceled ctx abandons the enqueue wait and returns the context's
-// error. Safe for concurrent use; submissions after Close return
-// ErrStreamClosed. The batch's sequence buffers are aliased, not copied
-// (see Pair): do not overwrite them until the batch's BatchResult
-// arrives.
-func (s *Stream) Submit(ctx context.Context, b Batch) error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed {
-		return ErrStreamClosed
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	// Check upfront: with both select cases ready (free queue slot and a
-	// canceled ctx) Go picks randomly, and an already-canceled submission
-	// must never enqueue.
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	select {
-	case s.jobs <- b:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-// TrySubmit is the non-blocking Submit: it reports false when the
-// in-flight bound is reached, letting producers shed load instead of
-// stalling, and returns ErrStreamClosed after Close. Unlike Submit it
-// never waits, not even for the close lock: if a Close is in progress
-// (which would make any later submission fail anyway), it fails fast
-// with ErrStreamClosed.
-func (s *Stream) TrySubmit(b Batch) (bool, error) {
-	if !s.mu.TryRLock() {
-		// The only writer is Close, so a held write lock (or a pending
-		// writer blocking new readers) means the stream is closing.
-		return false, ErrStreamClosed
-	}
-	defer s.mu.RUnlock()
-	if s.closed {
-		return false, ErrStreamClosed
-	}
-	select {
-	case s.jobs <- b:
-		return true, nil
-	default:
-		return false, nil
-	}
-}
-
-// Results returns the ordered result channel. It closes after Close once
-// every submitted batch has been delivered.
-func (s *Stream) Results() <-chan BatchResult { return s.out }
-
-// Close ends submission; it is idempotent. Pending batches still flow to
-// Results. Close waits for concurrently blocked Submits to enqueue first,
-// so a producer stalled on a full stream must be unblocked (keep draining
-// Results) before Close returns.
-func (s *Stream) Close() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.closed {
-		s.closed = true
-		close(s.jobs)
-	}
 }

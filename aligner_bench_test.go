@@ -86,34 +86,6 @@ func BenchmarkSeedPerCall10k(b *testing.B) {
 	}
 }
 
-// BenchmarkAlignerStream10k drives the same workload through the
-// streaming API in 10 batches of 1k with 4 in flight.
-func BenchmarkAlignerStream10k(b *testing.B) {
-	pairs := benchPairs(10000)
-	cfg := DefaultConfig(100)
-	eng, err := NewAligner(EngineOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer eng.Close()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s := eng.NewStream(4)
-		go func() {
-			for off := 0; off < len(pairs); off += 1000 {
-				s.Submit(context.Background(), Batch{ID: int64(off), Pairs: pairs[off : off+1000], Config: cfg})
-			}
-			s.Close()
-		}()
-		for r := range s.Results() {
-			if r.Err != nil {
-				b.Fatal(r.Err)
-			}
-		}
-	}
-}
-
 // BenchmarkBackends2k compares the execution backends on one 2k-pair
 // batch through the same engine path: the CPU pool, single- and dual-GPU
 // simulated devices, and the hybrid CPU+GPU scheduler.

@@ -3,12 +3,12 @@ package logan
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
-	"logan/internal/loadbal"
+	"logan/internal/backend"
 	"logan/internal/xdrop"
 )
 
@@ -257,128 +257,6 @@ func TestAlignerRejectsInvalidConfig(t *testing.T) {
 	}
 }
 
-func TestStreamOrderedResults(t *testing.T) {
-	eng, err := NewAligner(EngineOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	cfg := DefaultConfig(40)
-	s := eng.NewStream(3)
-	const batches = 10
-	go func() {
-		for b := 0; b < batches; b++ {
-			if err := s.Submit(ctxb, Batch{ID: int64(b), Pairs: makePairs(4), Config: cfg}); err != nil {
-				t.Error(err)
-			}
-		}
-		s.Close()
-	}()
-	got := 0
-	for r := range s.Results() {
-		if r.Err != nil {
-			t.Errorf("batch %d: %v", r.ID, r.Err)
-		}
-		if r.ID != int64(got) {
-			t.Fatalf("result %d has ID %d: out of order", got, r.ID)
-		}
-		if len(r.Alignments) != 4 || r.Stats.Pairs != 4 {
-			t.Fatalf("batch %d: %d alignments, stats %+v", r.ID, len(r.Alignments), r.Stats)
-		}
-		got++
-	}
-	if got != batches {
-		t.Fatalf("received %d of %d batches", got, batches)
-	}
-}
-
-func TestStreamConcurrentSubmit(t *testing.T) {
-	// Many producers share one stream; every batch must come back exactly
-	// once. Run under -race this also vets the engine's internal pooling.
-	eng, err := NewAligner(EngineOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	cfg := DefaultConfig(30)
-	s := eng.NewStream(4)
-	const producers, perProducer = 4, 5
-	var wg sync.WaitGroup
-	for p := 0; p < producers; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			for b := 0; b < perProducer; b++ {
-				if err := s.Submit(ctxb, Batch{ID: int64(p*perProducer + b), Pairs: makePairs(3), Config: cfg}); err != nil {
-					t.Error(err)
-				}
-			}
-		}(p)
-	}
-	go func() {
-		wg.Wait()
-		s.Close()
-	}()
-	seen := make(map[int64]bool)
-	for r := range s.Results() {
-		if r.Err != nil {
-			t.Errorf("batch %d: %v", r.ID, r.Err)
-		}
-		if seen[r.ID] {
-			t.Fatalf("batch %d delivered twice", r.ID)
-		}
-		seen[r.ID] = true
-	}
-	if len(seen) != producers*perProducer {
-		t.Fatalf("received %d of %d batches", len(seen), producers*perProducer)
-	}
-}
-
-// TestStreamMixedConfigs: batches on one stream may carry different
-// configs, and each result must match a dedicated-engine run of that
-// batch's config.
-func TestStreamMixedConfigs(t *testing.T) {
-	eng, err := NewAligner(EngineOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	pairs := makePairs(6)
-	configs := []Config{
-		DefaultConfig(30),
-		{X: 30, Scoring: AffineScoring(1, -1, -2, -1)},
-		{X: 80, Scoring: LinearScoring(2, -3, -2)},
-	}
-	want := make([][]Alignment, len(configs))
-	for i, cfg := range configs {
-		w, _, err := eng.Align(ctxb, pairs, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = w
-	}
-	s := eng.NewStream(2)
-	go func() {
-		for i, cfg := range configs {
-			if err := s.Submit(ctxb, Batch{ID: int64(i), Pairs: pairs, Config: cfg}); err != nil {
-				t.Error(err)
-			}
-		}
-		s.Close()
-	}()
-	for r := range s.Results() {
-		if r.Err != nil {
-			t.Fatalf("batch %d: %v", r.ID, r.Err)
-		}
-		for i := range r.Alignments {
-			if r.Alignments[i] != want[r.ID][i] {
-				t.Fatalf("config %d pair %d: stream %+v != dedicated %+v",
-					r.ID, i, r.Alignments[i], want[r.ID][i])
-			}
-		}
-	}
-}
-
 func TestAlignerConcurrentAlign(t *testing.T) {
 	for _, backend := range []Backend{CPU, GPU, Hybrid} {
 		eng, err := NewAligner(EngineOptions{Backend: backend})
@@ -490,44 +368,33 @@ func TestPerBackendStats(t *testing.T) {
 
 // TestConcurrentAlignNotSerializedAcrossDevices is the scheduler
 // acceptance check (run under -race in CI): two concurrent Align calls on
-// a 2-GPU engine must both be inside the device pool at the same time —
-// impossible under the old engine-wide gpuMu, which admitted one batch at
-// a time. The loadbal test hook acts as a 2-party barrier with a timeout:
-// if either call held an engine-wide lock across its batch, the other
-// could never arrive and the barrier would time out.
+// a two-device engine must both be inside device workers at the same
+// time — impossible if the engine or the executor held a lock across a
+// batch. The engine's executor is rebuilt over two gated V100 workers:
+// every shard announces itself and waits, so all four shard entries (two
+// batches on two devices) must arrive before anything is released.
 func TestConcurrentAlignNotSerializedAcrossDevices(t *testing.T) {
 	eng, err := NewAligner(EngineOptions{Backend: GPU, GPUs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Close()
+	entered, release := make(chan struct{}), make(chan struct{})
+	var gated [2]*gatedBackend
+	for d := range gated {
+		dev, err := backend.NewV100(fmt.Sprintf("gpu%d", d))
+		if err != nil {
+			t.Fatal(err)
+		}
+		gated[d] = &gatedBackend{Backend: dev, entered: entered, release: release}
+		gated[d].held.Store(true)
+	}
+	eng.be.Close()
+	if eng.be, err = backend.NewHybridOver(gated[0], gated[1]); err != nil {
+		t.Fatal(err)
+	}
 
 	const callers = 2
-	arrived := make(chan struct{}, callers)
-	proceed := make(chan struct{})
-	var barrierOnce sync.Once
-	var timedOut atomic.Bool
-	loadbal.TestHookAlignStart = func() {
-		arrived <- struct{}{}
-		barrierOnce.Do(func() {
-			go func() {
-				// Release everyone once both calls are in the pool; fail
-				// them out (rather than deadlocking the test) if the
-				// second never shows up.
-				for i := 0; i < callers; i++ {
-					select {
-					case <-arrived:
-					case <-time.After(30 * time.Second):
-						timedOut.Store(true)
-					}
-				}
-				close(proceed)
-			}()
-		})
-		<-proceed
-	}
-	defer func() { loadbal.TestHookAlignStart = nil }()
-
 	pairs := makePairs(8)
 	var wg sync.WaitGroup
 	for c := 0; c < callers; c++ {
@@ -539,10 +406,17 @@ func TestConcurrentAlignNotSerializedAcrossDevices(t *testing.T) {
 			}
 		}()
 	}
-	wg.Wait()
-	if timedOut.Load() {
-		t.Fatal("second Align call never entered the device pool: batches serialized on an engine-wide lock")
+	for i := 0; i < callers*len(gated); i++ {
+		select {
+		case <-entered:
+		case <-time.After(30 * time.Second):
+			t.Fatalf("%d of %d shards in flight together: batches serialized on an engine-wide lock", i, callers*len(gated))
+		}
 	}
+	for i := 0; i < callers*len(gated); i++ {
+		release <- struct{}{}
+	}
+	wg.Wait()
 }
 
 // TestHybridConcurrentAlign exercises the hybrid scheduler under
@@ -578,109 +452,6 @@ func TestHybridConcurrentAlign(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-}
-
-// TestStreamSubmitAfterClose: submissions after Close must fail with
-// ErrStreamClosed instead of panicking on a closed channel, and TrySubmit
-// must shed load without blocking.
-func TestStreamSubmitAfterClose(t *testing.T) {
-	eng, err := NewAligner(EngineOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	cfg := DefaultConfig(20)
-	s := eng.NewStream(1)
-	if err := s.Submit(ctxb, Batch{ID: 1, Pairs: makePairs(2), Config: cfg}); err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
-	s.Close() // idempotent
-	if err := s.Submit(ctxb, Batch{ID: 2, Pairs: makePairs(2), Config: cfg}); !errors.Is(err, ErrStreamClosed) {
-		t.Fatalf("Submit after Close: %v, want ErrStreamClosed", err)
-	}
-	if ok, err := s.TrySubmit(Batch{ID: 3}); ok || !errors.Is(err, ErrStreamClosed) {
-		t.Fatalf("TrySubmit after Close: ok=%v err=%v", ok, err)
-	}
-	// The pre-Close batch still flows to Results, which then closes.
-	n := 0
-	for r := range s.Results() {
-		if r.Err != nil {
-			t.Fatal(r.Err)
-		}
-		n++
-	}
-	if n != 1 {
-		t.Fatalf("drained %d batches, want 1", n)
-	}
-}
-
-func TestStreamTrySubmitShedsLoad(t *testing.T) {
-	eng, err := NewAligner(EngineOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	cfg := DefaultConfig(20)
-	s := eng.NewStream(1)
-	defer s.Close()
-	// Saturate the in-flight bound: with a 1-deep queue, repeated
-	// non-blocking submissions must eventually report a full queue
-	// rather than blocking forever.
-	shed := false
-	for i := 0; i < 1000 && !shed; i++ {
-		ok, err := s.TrySubmit(Batch{ID: int64(i), Pairs: makePairs(2), Config: cfg})
-		if err != nil {
-			t.Fatal(err)
-		}
-		shed = !ok
-	}
-	if !shed {
-		t.Fatal("TrySubmit never reported a full queue at inflight=1")
-	}
-	go func() {
-		for range s.Results() {
-		}
-	}()
-}
-
-// TestStreamSubmitContextCanceled: a canceled context must abandon the
-// enqueue wait on a full stream instead of blocking forever.
-func TestStreamSubmitContextCanceled(t *testing.T) {
-	eng, err := NewAligner(EngineOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	cfg := DefaultConfig(20)
-	s := eng.NewStream(1)
-	// Fill the queue without draining results.
-	for i := 0; i < 3; i++ {
-		if ok, _ := s.TrySubmit(Batch{ID: int64(i), Pairs: makePairs(2), Config: cfg}); !ok {
-			break
-		}
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(10 * time.Millisecond)
-		cancel()
-	}()
-	// Keep submitting until one blocks and the cancel releases it.
-	for {
-		err := s.Submit(ctx, Batch{ID: 99, Pairs: makePairs(2), Config: cfg})
-		if err == nil {
-			continue
-		}
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("blocked Submit returned %v, want context.Canceled", err)
-		}
-		break
-	}
-	go func() {
-		for range s.Results() {
-		}
-	}()
-	s.Close()
 }
 
 // TestStatsGCUPSSemantics pins the per-backend denominator contract

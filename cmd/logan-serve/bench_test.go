@@ -14,21 +14,18 @@ import (
 	"logan/internal/seq"
 )
 
-// benchServe measures aggregate serve-path throughput under the workload
-// the coalescer exists for: 64 concurrent clients, each keeping one small
+// BenchmarkServeCoalesced measures aggregate serve-path throughput under
+// the workload the coalescer exists for: 64 concurrent clients, each keeping one small
 // 16-pair request in flight at all times (closed-loop per client, open
 // queue overall). Requests are driven straight through the handler
 // (ServeHTTP, no sockets) so the comparison isolates the serve path —
 // JSON decode, batching policy, engine, JSON encode — from network
 // jitter. The backend is the hybrid CPU+2×GPU scheduler, where every
-// per-request 16-pair batch pays its own partition/staging round; with
-// coalescing on, the flusher merges whatever accumulates while the
-// previous engine batch runs, so the engine sees hundreds-of-pairs
-// batches instead of 64 independent 16-pair ones.
-//
-// The pairs/s metric is the comparison that matters between the two
-// benchmarks below.
-func benchServe(b *testing.B, coalesce bool) {
+// per-request 16-pair batch would pay its own partition/staging round;
+// the flusher merges whatever accumulates while the previous engine batch
+// runs, so the engine sees hundreds-of-pairs batches instead of 64
+// independent 16-pair ones. pairs/s is the metric that matters.
+func BenchmarkServeCoalesced(b *testing.B) {
 	eng, err := logan.NewAligner(logan.EngineOptions{Backend: logan.Hybrid, GPUs: 2})
 	if err != nil {
 		b.Fatal(err)
@@ -36,7 +33,6 @@ func benchServe(b *testing.B, coalesce bool) {
 	defer eng.Close()
 	cfg := defaultServeConfig()
 	cfg.defCfg = logan.DefaultConfig(50)
-	cfg.coalesce = coalesce
 	cfg.coalescePairs = 512
 	s, err := newServer(eng, cfg)
 	if err != nil {
@@ -91,11 +87,3 @@ func benchServe(b *testing.B, coalesce bool) {
 	b.StopTimer()
 	b.ReportMetric(float64(b.N*pairsPer)/b.Elapsed().Seconds(), "pairs/s")
 }
-
-// BenchmarkServePerRequest is the pre-coalescer serve path: every request
-// becomes its own engine batch.
-func BenchmarkServePerRequest(b *testing.B) { benchServe(b, false) }
-
-// BenchmarkServeCoalesced routes the same traffic through the coalescing
-// layer: concurrent requests merge into engine-sized batches.
-func BenchmarkServeCoalesced(b *testing.B) { benchServe(b, true) }

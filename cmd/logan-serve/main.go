@@ -3,16 +3,15 @@
 // without per-call setup. One engine is built at startup and shared by
 // every request.
 //
-// By default concurrent /align requests are coalesced: a logan.Coalescer
-// merges whatever arrives while the engine is busy into the next batch
-// (an idle server adds no wait; under load batches fill by themselves)
-// and sheds overload with HTTP 429 + Retry-After. Admission is adaptive by default: requests shed
-// when the projected queue delay at the measured drain rate exceeds
-// -target-delay (or the request's own deadline); -max-pending switches to
-// the legacy fixed pending-pair budget instead. -coalesce=false restores
-// the direct per-request path. Shed responses carry an X-Logan-Trace
-// header ending in a shed span, so a 429'd client sees exactly where
-// admission control stopped it.
+// Concurrent /align requests are coalesced: a logan.Coalescer merges
+// whatever arrives while the engine is busy into the next batch (an idle
+// server adds no wait; under load batches fill by themselves) and sheds
+// overload with HTTP 429 + Retry-After. Admission is adaptive by default:
+// requests shed when the projected queue delay at the measured drain rate
+// exceeds -target-delay (or the request's own deadline); -max-pending
+// switches to the legacy fixed pending-pair budget instead. Shed responses
+// carry an X-Logan-Trace header ending in a shed span, so a 429'd client
+// sees exactly where admission control stopped it.
 //
 // With -api-keys the server is multi-tenant: requests authenticate via
 // X-API-Key (or Authorization: Bearer), each key resolves to a named
@@ -120,7 +119,7 @@
 //
 //	logan-serve [-addr :8080] [-x 100] [-backend cpu|gpu|hybrid] [-gpus 1]
 //	            [-threads 0] [-max-pairs 100000]
-//	            [-coalesce] [-coalesce-pairs 4096]
+//	            [-coalesce-pairs 4096]
 //	            [-max-pending 0] [-target-delay 20ms]
 //	            [-api-keys keys.conf] [-cache-entries 8192]
 //	            [-jobs] [-job-workers 2] [-max-jobs 64]
@@ -162,8 +161,6 @@ func main() {
 		maxPairs = flag.Int("max-pairs", 100_000, "largest accepted batch")
 		maxX     = flag.Int("max-x", 10_000, "largest per-request X (caps client-controlled DP work)")
 
-		coalesce = flag.Bool("coalesce", true,
-			"merge concurrent requests into engine-sized batches")
 		coalescePairs = flag.Int("coalesce-pairs", 0,
 			"merged-batch pair cap (0 = 4096)")
 		maxPending = flag.Int("max-pending", 0,
@@ -173,7 +170,7 @@ func main() {
 		apiKeys = flag.String("api-keys", "",
 			"API key file (\"key name [pairsPerSec [burst [weight]]]\" per line) enabling per-tenant quotas and fair-share scheduling (empty = open single-tenant server)")
 		cacheEntries = flag.Int("cache-entries", 8192,
-			"content-addressed result cache capacity in alignments (0 = disabled; requires -coalesce)")
+			"content-addressed result cache capacity in alignments (0 = disabled)")
 		debugAddr = flag.String("debug-addr", "",
 			"separate listen address for net/http/pprof profiling endpoints (empty = disabled)")
 
@@ -247,13 +244,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "logan-serve: -x %d exceeds -max-x %d\n", *x, *maxX)
 		os.Exit(2)
 	}
-	// -job-coalesce routes job chunks through the request coalescer; with
-	// -coalesce=false there is none, and silently falling back to the
-	// direct path would ignore an explicit operator request.
-	if *jobCoalesce && !*coalesce {
-		fmt.Fprintln(os.Stderr, "logan-serve: -job-coalesce requires -coalesce")
-		os.Exit(2)
-	}
 	if *apiKeys != "" {
 		keys, err := loadAPIKeys(*apiKeys)
 		if err != nil {
@@ -264,7 +254,6 @@ func main() {
 	}
 	cfg.maxPairs = *maxPairs
 	cfg.maxX = int32(*maxX)
-	cfg.coalesce = *coalesce
 	cfg.coalescePairs = *coalescePairs
 	cfg.maxPending = *maxPending
 	cfg.targetDelay = *targetDelay
@@ -374,8 +363,7 @@ func main() {
 	defer stop()
 	done := make(chan error, 1)
 	go func() { done <- srv.ListenAndServe() }()
-	fmt.Printf("logan-serve: listening on %s (backend %s, X=%d, coalesce %v)\n",
-		*addr, *backend, *x, *coalesce)
+	fmt.Printf("logan-serve: listening on %s (backend %s, X=%d)\n", *addr, *backend, *x)
 
 	var exitErr error
 	select {

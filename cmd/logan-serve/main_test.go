@@ -500,34 +500,6 @@ func TestServeConcurrentRequests(t *testing.T) {
 	}
 }
 
-// TestServePerRequestPath checks the -coalesce=false escape hatch still
-// serves correctly and reports per-backend stats from the handler path.
-func TestServePerRequestPath(t *testing.T) {
-	cfg := defaultServeConfig()
-	cfg.coalesce = false
-	srv, _, _ := testServerCfg(t, cfg)
-	resp, data := postAlign(t, srv.URL,
-		`{"pairs":[{"query":"ACGTACGTACGTACGT","target":"ACGTACGTACGTACGT","seedQ":4,"seedT":4,"seedLen":4}]}`)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, data)
-	}
-	var totals statzJSON
-	r2, err := http.Get(srv.URL + "/statz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r2.Body.Close()
-	if err := json.NewDecoder(r2.Body).Decode(&totals); err != nil {
-		t.Fatal(err)
-	}
-	if totals.Coalescer != nil {
-		t.Fatalf("coalescer stats present with coalescing off: %+v", totals.Coalescer)
-	}
-	if cpu, ok := totals.Backends["cpu"]; !ok || cpu.Pairs < 1 {
-		t.Fatalf("per-request backend stats missing: %+v", totals.Backends)
-	}
-}
-
 // TestServePerRequestConfig pins the request-scoped parameters end to
 // end: "x" and "scoring" must reach the engine (scores change
 // accordingly), with exact known values. The pair has 4 substitutions

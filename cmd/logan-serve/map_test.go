@@ -127,7 +127,7 @@ func TestMapEndpointMatchesOffline(t *testing.T) {
 	}
 
 	// Offline reference: same engine family, a coalescer-routed mapper
-	// (matching the server's default coalesce=true) over an index built
+	// (as the server's is) over an index built
 	// from the same FASTA with the same parameters.
 	offline, err := logan.NewMapper(eng, logan.MapperOptions{Coalescer: s.coal})
 	if err != nil {

@@ -166,11 +166,11 @@ type serveConfig struct {
 	// the DP band, so an unbounded client value would amplify per-pair
 	// work to full quadratic DP.
 	maxX int32
-	// coalesce enables the cross-request batching layer; coalescePairs,
-	// maxPending and targetDelay map onto logan.CoalescerOptions (zero
-	// values select that type's defaults: maxPending 0 means adaptive
-	// admission bounded by targetDelay).
-	coalesce      bool
+	// coalescePairs, maxPending and targetDelay map onto
+	// logan.CoalescerOptions of the cross-request batching layer every
+	// /align request goes through (zero values select that type's
+	// defaults: maxPending 0 means adaptive admission bounded by
+	// targetDelay).
 	coalescePairs int
 	maxPending    int
 	targetDelay   time.Duration
@@ -233,7 +233,6 @@ func defaultServeConfig() serveConfig {
 		bodyLimit:       256 << 20,
 		defCfg:          logan.DefaultConfig(100),
 		maxX:            10_000,
-		coalesce:        true,
 		cacheEntries:    8192,
 		jobs:            true,
 		jobWorkers:      2,
@@ -321,18 +320,16 @@ func newServer(eng *logan.Aligner, cfg serveConfig) (*server, error) {
 	s.stages = telemetry.NewStages(s.tele, "logan_stage_duration_seconds",
 		"Pipeline stage latency by stage (admit, coalesce_wait, partition, kernel, scatter).")
 	s.m = newServerTelemetry(s.tele)
-	if cfg.coalesce {
-		// The result cache lives inside the coalescer: probes happen at
-		// admission (hits bypass queue and quota) and fills at scatter,
-		// so a cached response is always the bytes a real batch produced.
-		s.cache = logan.NewResultCache(cfg.cacheEntries)
-		s.coal = eng.NewCoalescer(logan.CoalescerOptions{
-			MaxBatchPairs: cfg.coalescePairs,
-			MaxPending:    cfg.maxPending,
-			TargetDelay:   cfg.targetDelay,
-			Cache:         s.cache,
-		})
-	}
+	// The result cache lives inside the coalescer: probes happen at
+	// admission (hits bypass queue and quota) and fills at scatter, so a
+	// cached response is always the bytes a real batch produced.
+	s.cache = logan.NewResultCache(cfg.cacheEntries)
+	s.coal = eng.NewCoalescer(logan.CoalescerOptions{
+		MaxBatchPairs: cfg.coalescePairs,
+		MaxPending:    cfg.maxPending,
+		TargetDelay:   cfg.targetDelay,
+		Cache:         s.cache,
+	})
 	switch {
 	case cfg.jobs && cfg.cluster:
 		// Router mode: this node admits and persists jobs, registered
@@ -351,9 +348,7 @@ func newServer(eng *logan.Aligner, cfg serveConfig) (*server, error) {
 			Registry:     s.tele,
 		})
 		if err != nil {
-			if s.coal != nil {
-				s.coal.Close()
-			}
+			s.coal.Close()
 			return nil, err
 		}
 		s.router = router
@@ -365,12 +360,6 @@ func newServer(eng *logan.Aligner, cfg serveConfig) (*server, error) {
 		// is the engine-direct path for per-pair cancellation.
 		var oopt logan.OverlapperOptions
 		if cfg.jobCoalesce {
-			if s.coal == nil {
-				// main rejects this flag combination; reaching it here is
-				// a programming error that must not silently downgrade to
-				// the direct path.
-				panic("logan-serve: jobCoalesce requires coalesce")
-			}
 			oopt.Coalescer = s.coal
 		}
 		ov, err := logan.NewOverlapper(eng, oopt)
@@ -387,8 +376,8 @@ func newServer(eng *logan.Aligner, cfg serveConfig) (*server, error) {
 		})
 	}
 	if cfg.maps {
-		// The mapper extends on the shared engine; with coalescing on its
-		// batches ride the same QoS lanes as /align and /jobs traffic.
+		// The mapper extends on the shared engine; its batches ride the
+		// same QoS lanes as /align and /jobs traffic.
 		mapper, err := logan.NewMapper(eng, logan.MapperOptions{Coalescer: s.coal})
 		if err != nil {
 			panic(err) // unreachable: eng is non-nil
@@ -442,9 +431,7 @@ func (s *server) Close() {
 	if s.store != nil {
 		s.store.Close()
 	}
-	if s.coal != nil {
-		s.coal.Close()
-	}
+	s.coal.Close()
 }
 
 func (s *server) fail(w http.ResponseWriter, code int, format string, args ...any) {
@@ -459,13 +446,9 @@ func retryAfterSeconds(d time.Duration) string {
 }
 
 // alignRetryAfter is the Retry-After advertised on a shed /align request:
-// the coalescer's live queue-drain projection, or the one-second minimum
-// on the direct path.
+// the coalescer's live queue-drain projection.
 func (s *server) alignRetryAfter() string {
-	if s.coal != nil {
-		return retryAfterSeconds(s.coal.RetryAfter())
-	}
-	return "1"
+	return retryAfterSeconds(s.coal.RetryAfter())
 }
 
 func (s *server) handleAlign(w http.ResponseWriter, r *http.Request) {
@@ -525,20 +508,11 @@ func (s *server) handleAlign(w http.ResponseWriter, r *http.Request) {
 	ctx := telemetry.WithTrace(r.Context(), tr)
 	if ten != nil {
 		// The tenant rides the context into the coalescer (per-tenant
-		// fair-share admission, quota, shed attribution) or — on the
-		// direct path — into the engine's own quota check.
+		// fair-share admission, quota, shed attribution).
 		ctx = logan.WithTenant(ctx, ten)
 	}
 
-	var (
-		out []logan.Alignment
-		st  logan.Stats
-	)
-	if s.coal != nil {
-		out, st, err = s.coal.Align(ctx, pairs, cfg)
-	} else {
-		out, st, err = s.eng.Align(ctx, pairs, cfg)
-	}
+	out, st, err := s.coal.Align(ctx, pairs, cfg)
 	if err != nil {
 		switch {
 		case errors.Is(err, logan.ErrOverloaded):
@@ -776,9 +750,7 @@ func (s *server) handleStatz(w http.ResponseWriter, _ *http.Request) {
 		Backends:    backendStatz(snap),
 		Kernels:     kernelStatz(snap),
 	}
-	if s.coal != nil {
-		out.Coalescer = coalescerStatz(snap)
-	}
+	out.Coalescer = coalescerStatz(snap)
 	if s.cache != nil {
 		out.Cache = &cacheStatzJSON{
 			Hits:      snap.Int("logan_cache_hits_total"),

@@ -499,10 +499,6 @@ func (c *Coalescer) admitLocked(ctx context.Context, ten *Tenant, n int) (shedRe
 	return 0, true
 }
 
-// Options returns the Coalescer's resolved configuration (zero fields
-// replaced by their defaults).
-func (c *Coalescer) Options() CoalescerOptions { return c.opt }
-
 // Align submits pairs under cfg and blocks until their merged batch has
 // run or ctx is done. Results are positionally aligned with pairs and
 // bit-identical to a direct Aligner.Align of the same pairs under the

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"logan/internal/backend"
-	"logan/internal/core"
 	"logan/internal/seq"
 	"logan/internal/xdrop"
 )
@@ -46,12 +45,12 @@ type gatedBackend struct {
 	entered, release chan struct{}
 }
 
-func (g *gatedBackend) ExtendBatch(ctx context.Context, pairs []seq.Pair, out []xdrop.SeedResult, cfg core.Config) (backend.BatchStats, error) {
+func (g *gatedBackend) ExtendBatch(ctx context.Context, pairs []seq.Pair, out []xdrop.SeedResult, sch xdrop.Scheme, x int32) (backend.BatchStats, error) {
 	if g.held.Load() {
 		g.entered <- struct{}{}
 		<-g.release
 	}
-	return g.Backend.ExtendBatch(ctx, pairs, out, cfg)
+	return g.Backend.ExtendBatch(ctx, pairs, out, sch, x)
 }
 
 // open lets the batch in flight run and stops holding later ones.

@@ -6,7 +6,6 @@ import (
 	"math"
 	"sync"
 
-	"logan/internal/core"
 	"logan/internal/seq"
 	"logan/internal/xdrop"
 )
@@ -243,64 +242,37 @@ func Blosum62(gap int32) *Matrix {
 	return m
 }
 
+// scheme lowers the Config's scoring onto xdrop.Scheme, the one form the
+// family takes below this package: the backend argument, the CPU pool's
+// batch parameter and (with X) the coalescer lane and result-cache key are
+// all this value. Only the live payload is populated, so two Configs that
+// select the same scheme lower to equal values. An unset Scoring lowers to
+// the (invalid) all-zero linear scheme; Validate rejects it before any
+// execution.
+func (c Config) scheme() xdrop.Scheme {
+	switch c.Scoring.mode {
+	case scoringAffine:
+		return xdrop.AffineScheme(c.Scoring.affine)
+	case scoringMatrix:
+		if c.Scoring.matrix == nil {
+			return xdrop.MatrixScheme(nil)
+		}
+		return xdrop.MatrixScheme(c.Scoring.matrix.m)
+	default:
+		return xdrop.LinearScheme(c.Scoring.linear)
+	}
+}
+
 // configKey is the comparable identity of a Config — the coalescer's
 // grouping key. Two requests merge into one engine batch exactly when
 // their keys are equal; matrix configs compare by matrix identity, which
 // the Blosum62 cache makes work across independent callers.
 type configKey struct {
-	x      int32
-	mode   scoringMode
-	linear xdrop.Scoring
-	affine xdrop.AffineScoring
-	matrix *xdrop.Matrix
+	x   int32
+	sch xdrop.Scheme
 }
 
-func (c Config) key() configKey {
-	k := configKey{x: c.X, mode: c.Scoring.mode}
-	switch c.Scoring.mode {
-	case scoringLinear:
-		k.linear = c.Scoring.linear
-	case scoringAffine:
-		k.affine = c.Scoring.affine
-	case scoringMatrix:
-		if c.Scoring.matrix != nil {
-			k.matrix = c.Scoring.matrix.m
-		}
-	}
-	return k
-}
-
-// schemeKind maps the Scoring mode onto the execution layer's family
-// enum (unset maps to linear; it never reaches execution because
-// Validate rejects it first).
-func (c Config) schemeKind() xdrop.SchemeKind {
-	switch c.Scoring.mode {
-	case scoringAffine:
-		return xdrop.SchemeAffine
-	case scoringMatrix:
-		return xdrop.SchemeMatrix
-	default:
-		return xdrop.SchemeLinear
-	}
-}
-
-// coreConfig lowers the Config onto the execution layer's carrier.
-func (c Config) coreConfig() core.Config {
-	cc := core.Config{X: c.X}
-	switch c.Scoring.mode {
-	case scoringAffine:
-		cc.Mode = xdrop.SchemeAffine
-		cc.Affine = c.Scoring.affine
-	case scoringMatrix:
-		cc.Mode = xdrop.SchemeMatrix
-		if c.Scoring.matrix != nil {
-			cc.Matrix = c.Scoring.matrix.m
-		}
-	default:
-		cc.Scoring = c.Scoring.linear
-	}
-	return cc
-}
+func (c Config) key() configKey { return configKey{x: c.X, sch: c.scheme()} }
 
 // ingestPair validates one Pair under the Config's alphabet and converts
 // it to the engine's representation. Linear and affine configs speak DNA

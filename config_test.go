@@ -77,6 +77,28 @@ func TestBlosum62Interned(t *testing.T) {
 	}
 }
 
+// TestConfigKeyIgnoresDeadPayload: the key is {X, lowered scheme}, and the
+// lowering populates only the live payload — two configs that select the
+// same scheme share a coalescer lane and cache entries whatever is left in
+// the fields their mode does not read, and the key is exactly the value
+// the backend receives.
+func TestConfigKeyIgnoresDeadPayload(t *testing.T) {
+	clean := Config{X: 40, Scoring: AffineScoring(1, -1, -2, -1)}
+	dirty := clean
+	dirty.Scoring.linear = xdrop.Scoring{Match: 7, Mismatch: -7, Gap: -7}
+	dirty.Scoring.matrix = Blosum62(-6)
+	if clean.key() != dirty.key() {
+		t.Fatalf("dead payload leaked into the key: %+v != %+v", clean.key(), dirty.key())
+	}
+	want := xdrop.AffineScheme(xdrop.AffineScoring{Match: 1, Mismatch: -1, GapOpen: -2, GapExtend: -1})
+	if k := dirty.key(); k.sch != want || k.sch != dirty.scheme() || k.x != 40 {
+		t.Fatalf("key %+v, want {40 %+v}", k, want)
+	}
+	if lin := DefaultConfig(40); lin.key() == clean.key() || lin.scheme() != xdrop.LinearScheme(xdrop.DefaultScoring()) {
+		t.Fatalf("linear config lowered to %+v", lin.scheme())
+	}
+}
+
 // makeProteinPairs builds seeded protein pairs over the BLOSUM62
 // alphabet: diverged copies sharing a conserved (planted) seed region.
 func makeProteinPairs(n int, seed int64) []Pair {
@@ -371,28 +393,6 @@ func TestMatrixZeroValueAccessors(t *testing.T) {
 	}
 	if err := (Config{X: 1, Scoring: MatrixScoring(&m)}).Validate(); err == nil {
 		t.Fatal("zero Matrix accepted by Validate")
-	}
-}
-
-func TestStreamSubmitPreCanceled(t *testing.T) {
-	eng, err := NewAligner(EngineOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	s := eng.NewStream(2)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	// With a free queue slot and a canceled ctx, Submit must refuse —
-	// never enqueue on the 50/50 select race.
-	for i := 0; i < 50; i++ {
-		if err := s.Submit(ctx, Batch{ID: int64(i), Pairs: makePairs(1), Config: DefaultConfig(10)}); !errors.Is(err, context.Canceled) {
-			t.Fatalf("pre-canceled Submit: %v", err)
-		}
-	}
-	s.Close()
-	for range s.Results() {
-		t.Fatal("a pre-canceled submission was enqueued")
 	}
 }
 

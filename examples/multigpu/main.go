@@ -1,19 +1,40 @@
 // Multigpu: the load-balancer scaling demo (paper §IV-C, Fig. 7). One
-// batch of length-skewed pairs is aligned on pools of 1..8 simulated
-// V100s under both partition strategies, showing why LOGAN weights by
-// sequence length: with a few giant reads in the mix, round-robin leaves
-// one device holding the bag.
+// batch of length-skewed pairs is aligned on 1..8 simulated V100s through
+// the engine's partitioned executor, and the work each device received is
+// compared with a count-based round-robin deal of the same pairs, showing
+// why LOGAN weights by sequence length: with a few giant reads in the mix,
+// round-robin leaves one device holding the bag.
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
 
-	"logan/internal/core"
+	"logan/internal/backend"
 	"logan/internal/loadbal"
 	"logan/internal/seq"
+	"logan/internal/xdrop"
 )
+
+func must[B backend.Backend](be B, err error) B {
+	if err != nil {
+		log.Fatal(err)
+	}
+	return be
+}
+
+// align runs one batch on be and closes it.
+func align(be backend.Backend, pairs []seq.Pair, sch xdrop.Scheme, x int32) ([]xdrop.SeedResult, backend.BatchStats) {
+	defer be.Close()
+	out := make([]xdrop.SeedResult, len(pairs))
+	st, err := be.ExtendBatch(context.Background(), pairs, out, sch, x)
+	if err != nil {
+		log.Fatal(err)
+	}
+	return out, st
+}
 
 func main() {
 	rng := rand.New(rand.NewSource(3))
@@ -31,39 +52,32 @@ func main() {
 	// would coming out of an overlapper.
 	rng.Shuffle(len(pairs), func(i, j int) { pairs[i], pairs[j] = pairs[j], pairs[i] })
 
-	// Part 1: real execution across pools — results must be identical to
-	// single-device alignment, and the balancer reports its imbalance.
-	cfg := core.DefaultConfig(100)
-	single, err := loadbal.NewV100Pool(1)
-	if err != nil {
-		log.Fatal(err)
+	// Part 1: real execution through the partitioned executor — results
+	// must be identical to single-device alignment. The by-length
+	// imbalance is what the devices actually computed (per-shard cells);
+	// the round-robin column deals the same per-pair cells out by count.
+	sch, x := xdrop.LinearScheme(xdrop.DefaultScoring()), int32(100)
+	ref, _ := align(must(backend.NewV100("gpu0")), pairs, sch, x)
+	cells := make([]int64, len(pairs))
+	for i := range ref {
+		cells[i] = ref[i].Cells()
 	}
-	ref, err := single.Align(pairs, cfg, loadbal.ByLength)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println("GPUs  strategy      identical-scores  work-imbalance")
+	fmt.Println("GPUs  identical-scores  by-length  round-robin   (work imbalance)")
 	for _, g := range []int{2, 4, 8} {
-		for _, strat := range []struct {
-			name string
-			s    loadbal.Strategy
-		}{{"by-length", loadbal.ByLength}, {"round-robin", loadbal.RoundRobin}} {
-			pool, err := loadbal.NewV100Pool(g)
-			if err != nil {
-				log.Fatal(err)
+		res, st := align(must(backend.NewV100MultiGPU(g)), pairs, sch, x)
+		same := 0
+		for i := range ref {
+			if res[i].Score == ref[i].Score {
+				same++
 			}
-			res, err := pool.Align(pairs, cfg, strat.s)
-			if err != nil {
-				log.Fatal(err)
-			}
-			same := 0
-			for i := range ref.Results {
-				if res.Results[i].Score == ref.Results[i].Score {
-					same++
-				}
-			}
-			fmt.Printf("%4d  %-12s  %13d/%d  %14.3f\n", g, strat.name, same, len(pairs), res.Imbalance)
 		}
+		var maxCells int64
+		for _, sh := range st.Shards {
+			maxCells = max(maxCells, sh.Cells)
+		}
+		lpt := float64(maxCells) * float64(g) / float64(st.Cells)
+		rr := loadbal.ImbalanceOf(cells, loadbal.Partition(pairs, g, loadbal.RoundRobin))
+		fmt.Printf("%4d  %13d/%d  %9.3f  %11.3f\n", g, same, len(pairs), lpt, rr)
 	}
 
 	// Part 2: partition quality at the paper's workload size (100K

@@ -1,12 +1,13 @@
 // Package backend defines the pluggable execution layer of the alignment
 // engine: a Backend turns a validated batch of seeded pairs into seed
 // extension results, and the engine (package logan) dispatches over the
-// interface instead of hard-coding the execution substrates. Adapters wrap
-// the existing substrates — the CPU worker pool (internal/xdrop.Pool), a
-// single simulated GPU (internal/cuda.Device via internal/core), and the
-// multi-GPU load-balancing pool (internal/loadbal.Pool) — and Hybrid
-// composes a CPU pool with every GPU as one heterogeneous worker set,
-// split by the capacity-weighted LPT scheduler of internal/loadbal.
+// interface instead of hard-coding the execution substrates. Two adapters
+// wrap the substrates — the CPU worker pool (internal/xdrop.Pool) and a
+// single simulated GPU (internal/cuda.Device via internal/core) — and
+// Hybrid is the one partitioned executor over any set of them: the
+// multi-GPU node of the paper's §IV-C (N devices, equal capacities) and
+// the CPU+GPU scheduler (live throughput capacities) are the same
+// scatter/gather loop over the LPT partitioner of internal/loadbal.
 //
 // Contract shared by all implementations:
 //
@@ -25,11 +26,11 @@
 //     starts from a perfmodel-derived estimate and is corrected online
 //     from observed batches.
 //   - Batches are request-scoped: every ExtendBatch call carries its own
-//     core.Config (X and scoring family) and context, so one backend
-//     serves mixed configurations concurrently. Backends advertise the
-//     scoring families they implement via Supports; the GPU backends are
-//     linear-DNA only (the paper's kernel), and non-linear batches on
-//     them fail with core.ErrUnsupportedScheme.
+//     xdrop.Scheme, X and context, so one backend serves mixed
+//     configurations concurrently. Backends advertise the scoring families
+//     they implement via Supports; the GPU backends are linear-DNA only
+//     (the paper's kernel), and non-linear batches on them fail with
+//     ErrUnsupportedScheme.
 package backend
 
 import (
@@ -39,12 +40,12 @@ import (
 	"sync/atomic"
 	"time"
 
-	"logan/internal/core"
 	"logan/internal/seq"
 	"logan/internal/xdrop"
 )
 
-// ErrClosed reports an ExtendBatch on a closed Backend.
+// ErrClosed reports an ExtendBatch on a closed Backend. Every
+// implementation checks it before anything else about the batch.
 var ErrClosed = errors.New("backend: closed")
 
 // ShardStats is the per-worker breakdown of one batch: which backend
@@ -89,10 +90,10 @@ type Backend interface {
 	// ExtendBatch aligns pairs into out (len(out) must equal len(pairs))
 	// under ctx: cancellation stops the batch at the backend's natural
 	// granularity (per pair on the CPU pool, per memory chunk on a
-	// device) and returns the context's error. Batches whose cfg selects
-	// a scoring mode the backend does not Support fail with an error
-	// wrapping core.ErrUnsupportedScheme.
-	ExtendBatch(ctx context.Context, pairs []seq.Pair, out []xdrop.SeedResult, cfg core.Config) (BatchStats, error)
+	// device) and returns the context's error. Batches whose scheme is of
+	// a family the backend does not Support fail with an error wrapping
+	// ErrUnsupportedScheme.
+	ExtendBatch(ctx context.Context, pairs []seq.Pair, out []xdrop.SeedResult, sch xdrop.Scheme, x int32) (BatchStats, error)
 	// Supports reports whether the backend can execute batches under the
 	// given scoring family. The CPU pool supports every family; the GPU
 	// backends support only xdrop.SchemeLinear, reproducing the paper's

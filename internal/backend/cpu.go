@@ -2,10 +2,11 @@ package backend
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"sync/atomic"
 	"time"
 
-	"logan/internal/core"
 	"logan/internal/perfmodel"
 	"logan/internal/seq"
 	"logan/internal/xdrop"
@@ -15,8 +16,9 @@ import (
 // SeqAn-style multi-threaded baseline. Concurrent batches interleave
 // across the shared workers.
 type CPU struct {
-	pool *xdrop.Pool
-	rate *rate
+	pool   *xdrop.Pool
+	rate   *rate
+	closed atomic.Bool
 }
 
 // NewCPU builds a CPU backend with the given worker count (0 =
@@ -39,7 +41,10 @@ func (c *CPU) Supports(xdrop.SchemeKind) bool { return true }
 // ExtendBatch implements Backend. GCUPS accounting: the shard time is
 // measured host wall time, the only meaningful denominator for real CPU
 // execution.
-func (c *CPU) ExtendBatch(ctx context.Context, pairs []seq.Pair, out []xdrop.SeedResult, cfg core.Config) (BatchStats, error) {
+func (c *CPU) ExtendBatch(ctx context.Context, pairs []seq.Pair, out []xdrop.SeedResult, sch xdrop.Scheme, x int32) (BatchStats, error) {
+	if c.closed.Load() {
+		return BatchStats{}, ErrClosed
+	}
 	if len(out) != len(pairs) {
 		return BatchStats{}, fmt.Errorf("backend: cpu: out length %d != pairs %d", len(out), len(pairs))
 	}
@@ -47,7 +52,10 @@ func (c *CPU) ExtendBatch(ctx context.Context, pairs []seq.Pair, out []xdrop.See
 		return BatchStats{}, nil
 	}
 	start := time.Now()
-	st, err := c.pool.ExtendBatchScheme(ctx, pairs, out, cfg.Scheme(), cfg.X)
+	st, err := c.pool.ExtendBatchScheme(ctx, pairs, out, sch, x)
+	if errors.Is(err, xdrop.ErrPoolClosed) { // Close raced the check above
+		err = ErrClosed
+	}
 	if err != nil {
 		return BatchStats{}, err
 	}
@@ -58,7 +66,7 @@ func (c *CPU) ExtendBatch(ctx context.Context, pairs []seq.Pair, out []xdrop.See
 	// weight is moot), and the affine/matrix kernels run at a very
 	// different cells/second — folding them in would skew the linear
 	// split under mixed traffic.
-	if cfg.Mode == xdrop.SchemeLinear {
+	if sch.Kind == xdrop.SchemeLinear {
 		c.rate.observe(st.Cells, wall)
 	}
 	return BatchStats{
@@ -75,8 +83,9 @@ func (c *CPU) ExtendBatch(ctx context.Context, pairs []seq.Pair, out []xdrop.See
 func (c *CPU) Throughput() float64 { return c.rate.estimate() }
 
 // Close implements Backend. The pool's own Close is idempotent and
-// race-safe; ExtendBatch after Close fails with xdrop.ErrPoolClosed.
+// race-safe.
 func (c *CPU) Close() error {
+	c.closed.Store(true)
 	c.pool.Close()
 	return nil
 }

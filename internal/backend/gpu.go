@@ -2,6 +2,7 @@ package backend
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -9,11 +10,17 @@ import (
 
 	"logan/internal/core"
 	"logan/internal/cuda"
-	"logan/internal/loadbal"
 	"logan/internal/perfmodel"
 	"logan/internal/seq"
 	"logan/internal/xdrop"
 )
+
+// ErrUnsupportedScheme reports a non-linear scoring family submitted to a
+// device backend. The paper's kernel hard-wires linear DNA scoring (§VIII
+// names protein support as future work), so core.Config can only express
+// a linear batch; affine and matrix batches belong on the CPU pool, which
+// the executor's routing guarantees for mixed worker sets.
+var ErrUnsupportedScheme = errors.New("backend: scoring scheme not supported by the GPU kernel (linear DNA only; affine and matrix modes run on the CPU engine)")
 
 // GPU executes batches on one simulated device via the LOGAN kernel
 // pipeline of internal/core. The device's batch timeline is single-use,
@@ -31,9 +38,9 @@ type GPU struct {
 // NewGPU wraps a single device. name distinguishes devices in per-shard
 // stats ("gpu0", "gpu1", ...). The throughput seed is the wall-clock
 // estimate of the simulator on this host (perfmodel.LocalSimGPUThroughput),
-// not the modeled-device ceiling core.PeakCellRate: the scheduler's
-// currency is host wall time, and a modeled-seconds seed would be ~1000x
-// off in the wrong unit.
+// not the modeled device's cell rate: the scheduler's currency is host
+// wall time, and a modeled-seconds seed would be ~1000x off in the wrong
+// unit.
 func NewGPU(dev *cuda.Device, name string) *GPU {
 	if name == "" {
 		name = "gpu"
@@ -59,29 +66,27 @@ func (g *GPU) Name() string { return g.name }
 // paper (§VIII names protein support as future work).
 func (g *GPU) Supports(kind xdrop.SchemeKind) bool { return kind == xdrop.SchemeLinear }
 
-// Device exposes the wrapped device.
-func (g *GPU) Device() *cuda.Device { return g.dev }
-
 // ExtendBatch implements Backend. GCUPS accounting: the shard time is the
 // modeled device completion time of the batch, matching the paper's
-// device-side throughput metric. Non-linear scoring modes fail with
-// core.ErrUnsupportedScheme (see Supports).
-func (g *GPU) ExtendBatch(ctx context.Context, pairs []seq.Pair, out []xdrop.SeedResult, cfg core.Config) (BatchStats, error) {
+// device-side throughput metric. This is the one place a scheme is lowered
+// onto the kernel configuration, so it is also the one family check:
+// non-linear schemes fail with ErrUnsupportedScheme (see Supports).
+func (g *GPU) ExtendBatch(ctx context.Context, pairs []seq.Pair, out []xdrop.SeedResult, sch xdrop.Scheme, x int32) (BatchStats, error) {
+	if g.closed.Load() {
+		return BatchStats{}, ErrClosed
+	}
 	if len(out) != len(pairs) {
 		return BatchStats{}, fmt.Errorf("backend: %s: out length %d != pairs %d", g.name, len(out), len(pairs))
 	}
-	if cfg.Mode != xdrop.SchemeLinear {
-		return BatchStats{}, fmt.Errorf("backend: %s: %w", g.name, core.ErrUnsupportedScheme)
-	}
-	if g.closed.Load() {
-		return BatchStats{}, ErrClosed
+	if !g.Supports(sch.Kind) {
+		return BatchStats{}, fmt.Errorf("backend: %s: %w (got %v)", g.name, ErrUnsupportedScheme, sch.Kind)
 	}
 	if len(pairs) == 0 {
 		return BatchStats{}, nil
 	}
 	start := time.Now()
 	g.mu.Lock()
-	res, err := core.AlignBatchContext(ctx, g.dev, pairs, cfg)
+	res, err := core.AlignBatchContext(ctx, g.dev, pairs, core.Config{Scoring: sch.Linear, X: x})
 	g.mu.Unlock()
 	if err != nil {
 		return BatchStats{}, err
@@ -105,93 +110,5 @@ func (g *GPU) Throughput() float64 { return g.rate.estimate() }
 // beyond their ledgers, so Close only bars further use.
 func (g *GPU) Close() error {
 	g.closed.Store(true)
-	return nil
-}
-
-// MultiGPU executes batches across a loadbal.Pool, LOGAN's §IV-C
-// multi-GPU node: each batch is length-weight partitioned across the
-// devices and the per-device shards run concurrently, serialized only on
-// their own device's lock. Two concurrent batches therefore interleave
-// across devices instead of queueing behind the backend.
-type MultiGPU struct {
-	pool   *loadbal.Pool
-	strat  loadbal.Strategy
-	rate   *rate
-	closed atomic.Bool
-}
-
-// NewMultiGPU wraps an existing pool with the given partition strategy.
-func NewMultiGPU(pool *loadbal.Pool, strat loadbal.Strategy) *MultiGPU {
-	seed := float64(len(pool.Devices)) * perfmodel.LocalSimGPUThroughput()
-	return &MultiGPU{pool: pool, strat: strat, rate: newRate(seed)}
-}
-
-// NewV100MultiGPU builds a MultiGPU backend over n fresh Tesla V100s with
-// LOGAN's by-length partitioning.
-func NewV100MultiGPU(n int) (*MultiGPU, error) {
-	pool, err := loadbal.NewV100Pool(n)
-	if err != nil {
-		return nil, err
-	}
-	return NewMultiGPU(pool, loadbal.ByLength), nil
-}
-
-// Name implements Backend.
-func (m *MultiGPU) Name() string { return fmt.Sprintf("gpu[%d]", len(m.pool.Devices)) }
-
-// Supports implements Backend: linear-DNA only, like every device kernel
-// in the repository.
-func (m *MultiGPU) Supports(kind xdrop.SchemeKind) bool { return kind == xdrop.SchemeLinear }
-
-// ExtendBatch implements Backend. GCUPS accounting: DeviceTime is the
-// slowest device shard, the multi-GPU completion time of §IV-C.
-// Non-linear scoring modes fail with core.ErrUnsupportedScheme.
-func (m *MultiGPU) ExtendBatch(ctx context.Context, pairs []seq.Pair, out []xdrop.SeedResult, cfg core.Config) (BatchStats, error) {
-	if len(out) != len(pairs) {
-		return BatchStats{}, fmt.Errorf("backend: %s: out length %d != pairs %d", m.Name(), len(out), len(pairs))
-	}
-	if cfg.Mode != xdrop.SchemeLinear {
-		return BatchStats{}, fmt.Errorf("backend: %s: %w", m.Name(), core.ErrUnsupportedScheme)
-	}
-	if m.closed.Load() {
-		return BatchStats{}, ErrClosed
-	}
-	if len(pairs) == 0 {
-		return BatchStats{}, nil
-	}
-	start := time.Now()
-	res, err := m.pool.AlignIntoContext(ctx, out, pairs, cfg, m.strat)
-	if err != nil {
-		return BatchStats{}, err
-	}
-	st := BatchStats{
-		Pairs:         len(pairs),
-		Cells:         res.Cells,
-		DeviceTime:    res.DeviceTime,
-		PartitionTime: res.PartitionTime,
-	}
-	for d := range res.PerDevice {
-		pd := &res.PerDevice[d]
-		if len(pd.Results) == 0 && pd.Cells == 0 {
-			continue
-		}
-		st.Shards = append(st.Shards, ShardStats{
-			Backend: fmt.Sprintf("gpu%d", d),
-			Pairs:   len(pd.Results),
-			Cells:   pd.Cells,
-			Time:    pd.DeviceTime,
-			Kernel:  "gpu",
-		})
-	}
-	m.rate.observe(res.Cells, time.Since(start))
-	return st, nil
-}
-
-// Throughput implements Backend.
-func (m *MultiGPU) Throughput() float64 { return m.rate.estimate() }
-
-// Close implements Backend.
-func (m *MultiGPU) Close() error {
-	m.closed.Store(true)
 	return nil
 }

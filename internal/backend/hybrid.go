@@ -7,29 +7,41 @@ import (
 	"sync/atomic"
 	"time"
 
-	"logan/internal/core"
 	"logan/internal/loadbal"
 	"logan/internal/seq"
 	"logan/internal/xdrop"
 )
 
-// Hybrid schedules each batch across a heterogeneous worker set — by
-// construction the CPU worker pool plus one single-device GPU backend per
-// simulated V100, though any Backend mix composes. It generalizes LOGAN's
-// length-weighted LPT split (paper §IV-C) via
-// loadbal.PartitionCapacities, weighting each worker by its current
-// Throughput estimate, runs all shards concurrently through the workers'
-// own ExtendBatch (the CPU shard interleaves on the shared pool, each GPU
-// shard serializes on its own device), and merges the results in input
-// order. Scores are bit-identical to single-backend execution because
-// partitioning never changes per-pair results.
+// Hybrid is the partitioned executor: the one place a batch is split,
+// run on several workers and gathered. It weighs pairs by length, splits
+// them with loadbal's LPT greedy (paper §IV-C, Fig. 7), runs every shard
+// concurrently through the worker's own ExtendBatch (a CPU shard
+// interleaves on the shared pool, a GPU shard serializes on its own
+// device's lock — the only device lock in the tree), and merges the
+// results in input order. Scores are bit-identical to single-backend
+// execution because partitioning never changes per-pair results.
+//
+// Two capacity rules cover the two worker sets the engine builds, and the
+// constructor picks between them from the set itself:
+//
+//   - a homogeneous device set (NewV100MultiGPU, "gpu[N]") splits with
+//     equal capacities — exactly the paper's multi-GPU node, so the split,
+//     the per-shard cells and the modeled DeviceTime are a deterministic
+//     function of the batch;
+//   - any other set (NewHybrid: the CPU pool plus one GPU per device,
+//     "hybrid") splits by the workers' live Throughput estimates, which
+//     generalizes the same LPT to workers of unequal speed.
 //
 // Concurrent ExtendBatch calls are safe and do not serialize on the
 // Hybrid: every worker's own concurrency contract applies shard-wise.
 type Hybrid struct {
+	name    string
 	workers []Backend
-	closed  atomic.Bool
-	scratch sync.Pool // *hybridScratch
+	// equalCaps selects the homogeneous rule: every eligible worker weighs
+	// 1 instead of its Throughput estimate.
+	equalCaps bool
+	closed    atomic.Bool
+	scratch   sync.Pool // *hybridScratch
 }
 
 // hybridScratch recycles the per-batch staging of one ExtendBatch call:
@@ -53,30 +65,53 @@ type shardOut struct {
 	err   error
 }
 
-// NewHybrid builds a hybrid backend over a fresh CPU pool of the given
-// width (0 = GOMAXPROCS) and gpus simulated V100s (minimum 1).
+// NewHybrid builds the CPU+GPU executor over a fresh CPU pool of the
+// given width (0 = GOMAXPROCS) and gpus simulated V100s (minimum 1).
 func NewHybrid(threads, gpus int) (*Hybrid, error) {
-	if gpus <= 0 {
-		gpus = 1
+	devs, err := newV100s(max(gpus, 1))
+	if err != nil {
+		return nil, err
 	}
-	workers := []Backend{NewCPU(threads)}
-	for d := 0; d < gpus; d++ {
+	return NewHybridOver(append([]Backend{NewCPU(threads)}, devs...)...)
+}
+
+// NewV100MultiGPU builds the paper's multi-GPU node: the executor over n
+// fresh Tesla V100s ("gpu0"...), split by length with equal capacities.
+func NewV100MultiGPU(n int) (*Hybrid, error) {
+	devs, err := newV100s(n)
+	if err != nil {
+		return nil, err
+	}
+	return NewHybridOver(devs...)
+}
+
+func newV100s(n int) ([]Backend, error) {
+	devs := make([]Backend, max(n, 0))
+	for d := range devs {
 		g, err := NewV100(fmt.Sprintf("gpu%d", d))
 		if err != nil {
 			return nil, err
 		}
-		workers = append(workers, g)
+		devs[d] = g
 	}
-	return NewHybridOver(workers...)
+	return devs, nil
 }
 
 // NewHybridOver composes existing backends into one scheduled worker set.
-// The Hybrid takes ownership: its Close closes every worker.
+// The Hybrid takes ownership: its Close closes every worker. A set made
+// only of GPU backends is the homogeneous "gpu[N]" node (equal
+// capacities); anything else is "hybrid" (throughput capacities).
 func NewHybridOver(workers ...Backend) (*Hybrid, error) {
 	if len(workers) == 0 {
 		return nil, fmt.Errorf("backend: hybrid needs at least one worker")
 	}
-	h := &Hybrid{workers: workers}
+	h := &Hybrid{name: fmt.Sprintf("gpu[%d]", len(workers)), workers: workers, equalCaps: true}
+	for _, w := range workers {
+		if _, ok := w.(*GPU); !ok {
+			h.name, h.equalCaps = "hybrid", false
+			break
+		}
+	}
 	h.scratch.New = func() any {
 		return &hybridScratch{
 			caps: make([]float64, len(workers)),
@@ -88,12 +123,12 @@ func NewHybridOver(workers ...Backend) (*Hybrid, error) {
 }
 
 // Name implements Backend.
-func (h *Hybrid) Name() string { return "hybrid" }
+func (h *Hybrid) Name() string { return h.name }
 
-// Supports implements Backend: the hybrid can run any family at least one
-// of its workers supports. By construction that is every family — the CPU
-// pool is always part of the worker set — so affine and matrix batches
-// simply route to the CPU shard (see ExtendBatch).
+// Supports implements Backend: the executor can run any family at least
+// one of its workers supports — every family when a CPU pool is part of
+// the set (affine and matrix batches route to it, see ExtendBatch), linear
+// only for a device set.
 func (h *Hybrid) Supports(kind xdrop.SchemeKind) bool {
 	for _, w := range h.workers {
 		if w.Supports(kind) {
@@ -104,23 +139,24 @@ func (h *Hybrid) Supports(kind xdrop.SchemeKind) bool {
 }
 
 // ExtendBatch implements Backend. GCUPS accounting: shard times mix
-// denominators (measured wall for the CPU shard, modeled device time for
-// GPU shards), so batch-level throughput must be taken over wall time —
-// see the Stats.GCUPS contract in package logan. DeviceTime reports the
-// slowest GPU shard.
+// denominators (measured wall for a CPU shard, modeled device time for
+// GPU shards), so batch-level throughput of a mixed set must be taken
+// over wall time — see the Stats.GCUPS contract in package logan.
+// DeviceTime reports the slowest GPU shard, the multi-GPU completion time
+// of §IV-C.
 //
-// Scoring-mode routing: workers that do not Support cfg.Mode receive a
-// zero capacity, so the partition sends non-linear (affine, matrix)
-// batches entirely to the CPU shards — the GPU kernel stays linear-DNA,
-// as in the paper — and mixed traffic on one engine still schedules
-// linear batches across every worker. A mode no worker supports fails
-// with core.ErrUnsupportedScheme.
-func (h *Hybrid) ExtendBatch(ctx context.Context, pairs []seq.Pair, out []xdrop.SeedResult, cfg core.Config) (BatchStats, error) {
-	if len(out) != len(pairs) {
-		return BatchStats{}, fmt.Errorf("backend: hybrid: out length %d != pairs %d", len(out), len(pairs))
-	}
+// Scoring-family routing: workers that do not Support the scheme's family
+// are excluded from the partition, so non-linear (affine, matrix) batches
+// go entirely to the CPU shards — the GPU kernel stays linear-DNA, as in
+// the paper — and mixed traffic on one engine still schedules linear
+// batches across every worker. A family no worker supports fails with
+// ErrUnsupportedScheme before any worker is called.
+func (h *Hybrid) ExtendBatch(ctx context.Context, pairs []seq.Pair, out []xdrop.SeedResult, sch xdrop.Scheme, x int32) (BatchStats, error) {
 	if h.closed.Load() {
 		return BatchStats{}, ErrClosed
+	}
+	if len(out) != len(pairs) {
+		return BatchStats{}, fmt.Errorf("backend: %s: out length %d != pairs %d", h.name, len(out), len(pairs))
 	}
 	st := BatchStats{Pairs: len(pairs)}
 	if len(pairs) == 0 {
@@ -137,7 +173,7 @@ func (h *Hybrid) ExtendBatch(ctx context.Context, pairs []seq.Pair, out []xdrop.
 	partStart := time.Now()
 	eligible := 0
 	for w, worker := range h.workers {
-		if !worker.Supports(cfg.Mode) {
+		if !worker.Supports(sch.Kind) {
 			// Negative capacity is loadbal's exclusion signal: the bucket
 			// never receives items, even if every estimate degrades to
 			// zero — a non-linear pair must not reach a GPU kernel.
@@ -145,12 +181,16 @@ func (h *Hybrid) ExtendBatch(ctx context.Context, pairs []seq.Pair, out []xdrop.
 			continue
 		}
 		eligible++
+		if h.equalCaps {
+			sc.caps[w] = 1
+			continue
+		}
 		// Clamp to the "no estimate" zero rather than exclusion, should a
 		// throughput estimate ever go non-positive.
 		sc.caps[w] = max(worker.Throughput(), 0)
 	}
 	if eligible == 0 {
-		return BatchStats{}, fmt.Errorf("backend: hybrid: %w", core.ErrUnsupportedScheme)
+		return BatchStats{}, fmt.Errorf("backend: %s: %w (got %v)", h.name, ErrUnsupportedScheme, sch.Kind)
 	}
 	sc.weights = loadbal.PairWeights(pairs, sc.weights)
 	buckets := loadbal.PartitionCapacities(sc.weights, sc.caps, loadbal.ByLength)
@@ -178,9 +218,9 @@ func (h *Hybrid) ExtendBatch(ctx context.Context, pairs []seq.Pair, out []xdrop.
 				sub.res = make([]xdrop.SeedResult, len(bucket))
 			}
 			sub.res = sub.res[:len(bucket)]
-			bst, err := h.workers[w].ExtendBatch(ctx, sub.pairs, sub.res, cfg)
+			bst, err := h.workers[w].ExtendBatch(ctx, sub.pairs, sub.res, sch, x)
 			if err != nil {
-				outs[w].err = fmt.Errorf("backend: hybrid %s shard: %w", h.workers[w].Name(), err)
+				outs[w].err = fmt.Errorf("backend: %s: %s shard: %w", h.name, h.workers[w].Name(), err)
 				return
 			}
 			for k, idx := range bucket {

@@ -66,20 +66,6 @@ var TableVPaper = map[int32]PaperRow3{
 	100: {7385.3, 1753.3, 1080.9},
 }
 
-// TableIPaper: parallelism ablation (paper Table I), X=100.
-var TableIPaper = []struct {
-	Parallelism string
-	Pairs       int
-	Threads     int
-	Blocks      int
-	Seconds     float64
-}{
-	{"None", 1, 1, 1, 1.50},
-	{"Intra-sequence", 1, 128, 1, 0.16},
-	{"Intra-sequence", 100000, 128, 1, 45 * 3600},
-	{"Intra- and inter-sequence", 100000, 128, 100000, 7.35},
-}
-
 // Fig12Paper: headline GCUPS levels (paper §VI-B / Fig. 12).
 var Fig12Paper = struct {
 	LoganGPU1  float64 // LOGAN single GPU

@@ -112,10 +112,6 @@ func MeasureImbalance(scale Scale, x int32, gpus int) (float64, error) {
 	return imb, nil
 }
 
-// workingSetSeqAn is the per-pair cache working set of the anti-diagonal
-// X-drop code: three int32 rolling buffers at the mean band width.
-func workingSetSeqAn(meanBand float64) int { return int(meanBand) * 12 }
-
 // workingSetKsw2 is ksw2's per-pair working set: H/E int16 row arrays plus
 // the query profile at the maximum band (the row arrays are full-width).
 func workingSetKsw2(maxBand int) int { return maxBand * 6 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -11,13 +10,6 @@ import (
 	"logan/internal/seq"
 	"logan/internal/xdrop"
 )
-
-// ErrUnsupportedScheme reports a non-linear scoring mode submitted to the
-// GPU kernel. The simulated device code reproduces the paper's kernel,
-// which hard-wires linear DNA scoring (§VIII names protein alignment as
-// future work); affine and substitution-matrix batches must run on the
-// CPU engine, which the hybrid scheduler arranges automatically.
-var ErrUnsupportedScheme = errors.New("core: scoring scheme not supported by the GPU kernel (linear DNA only; affine and matrix modes run on the CPU engine)")
 
 // BatchResult is the outcome of aligning a batch on one simulated GPU.
 type BatchResult struct {
@@ -59,9 +51,6 @@ func AlignBatch(dev *cuda.Device, pairs []seq.Pair, cfg Config) (BatchResult, er
 // error.
 func AlignBatchContext(ctx context.Context, dev *cuda.Device, pairs []seq.Pair, cfg Config) (BatchResult, error) {
 	out := BatchResult{}
-	if cfg.Mode != xdrop.SchemeLinear {
-		return out, fmt.Errorf("%w (got %v)", ErrUnsupportedScheme, cfg.Mode)
-	}
 	if err := cfg.Scoring.Validate(); err != nil {
 		return out, err
 	}

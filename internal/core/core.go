@@ -23,10 +23,7 @@
 // is counted by the simulator for the performance model.
 package core
 
-import (
-	"logan/internal/cuda"
-	"logan/internal/xdrop"
-)
+import "logan/internal/xdrop"
 
 // CellOps is the INT32 lane-operation cost of one DP cell update in the
 // kernel inner loop (Alg. 2): two sequence loads, the comparison, the
@@ -37,31 +34,15 @@ import (
 // Table III's X=5000 row; see EXPERIMENTS.md).
 const CellOps = 22
 
-// Config parameterizes a LOGAN batch run.
+// Config is the paper's kernel configuration: the linear scoring scheme
+// the device code hard-wires (§III; protein support is its §VIII future
+// work, so no other family is representable here), the X-drop threshold,
+// the launch geometry and the two design-ablation switches. The scoring
+// family of a request is decided above this package — internal/backend
+// lowers an xdrop.Scheme onto a Config and rejects non-linear families.
 type Config struct {
-	// Scoring is the linear scheme, live when Mode is SchemeLinear (the
-	// zero value) — the only family the GPU kernel implements, exactly as
-	// in the paper's device code.
 	Scoring xdrop.Scoring
-	// Mode selects the scoring family. Non-linear modes (SchemeAffine,
-	// SchemeMatrix) are CPU-engine-only: the paper names protein support
-	// as future work (§VIII) and its kernel hard-wires linear DNA
-	// scoring, so AlignBatch rejects them with ErrUnsupportedScheme and
-	// the hybrid scheduler routes them to CPU shards.
-	//
-	// Mode/Affine/Matrix are deliberately flat fields rather than an
-	// embedded xdrop.Scheme: the zero value must keep meaning "linear
-	// with the Scoring field" so the many internal Config{Scoring: …}
-	// literals (bench, kernel and scheduler code) stay valid. The cost is
-	// that a new family must extend both this struct and xdrop.Scheme;
-	// Scheme() passes unknown Modes through so a missed arm fails
-	// validation instead of silently running linear.
-	Mode xdrop.SchemeKind
-	// Affine is the Gotoh scheme, live when Mode is SchemeAffine.
-	Affine xdrop.AffineScoring
-	// Matrix is the substitution matrix, live when Mode is SchemeMatrix.
-	Matrix *xdrop.Matrix
-	X      int32
+	X       int32
 	// ThreadsPerBlock overrides the X-proportional schedule when > 0.
 	ThreadsPerBlock int
 	// BandAllocSlack pads the per-alignment anti-diagonal allocation;
@@ -81,20 +62,6 @@ type Config struct {
 	NoQueryReversal bool
 }
 
-// PeakCellRate returns the device's DP-cell throughput ceiling in
-// cells/second: every INT32 lane busy at base clock, divided by the
-// per-cell lane-operation cost of the kernel inner loop (~320 GCUPS for
-// the Tesla V100 — the ideal-utilization bound above the paper's ~181
-// GCUPS measured peak, which pays reduction and partial-warp overheads;
-// see the adapted ceiling in internal/roofline). Note this is modeled
-// device time, a different clock from the host-wall priors the hybrid
-// scheduler seeds with (perfmodel.LocalSimGPUThroughput) — the backend
-// tests assert the two stay orders of magnitude apart so the units are
-// never conflated.
-func PeakCellRate(spec cuda.DeviceSpec) float64 {
-	return float64(spec.INT32Lanes()) * spec.BaseClockGHz * 1e9 / CellOps
-}
-
 // DefaultBandSlack covers the band's score-fluctuation transient: `best`
 // is only updated between anti-diagonals and interior cells are never
 // re-pruned, so the band runs wider than the asymptotic 2X by a margin
@@ -107,24 +74,6 @@ const DefaultBandSlack = 64
 // thread count scheduled from X.
 func DefaultConfig(x int32) Config {
 	return Config{Scoring: xdrop.DefaultScoring(), X: x}
-}
-
-// Scheme assembles the generalized scoring scheme the Config selects,
-// the batch-level carrier the CPU pool executes. An unknown Mode is
-// passed through rather than defaulting to linear, so a future family
-// that misses an arm here fails Scheme.Validate instead of silently
-// running the wrong recurrence.
-func (c Config) Scheme() xdrop.Scheme {
-	switch c.Mode {
-	case xdrop.SchemeLinear:
-		return xdrop.LinearScheme(c.Scoring)
-	case xdrop.SchemeAffine:
-		return xdrop.AffineScheme(c.Affine)
-	case xdrop.SchemeMatrix:
-		return xdrop.MatrixScheme(c.Matrix)
-	default:
-		return xdrop.Scheme{Kind: c.Mode}
-	}
 }
 
 // ThreadsForX returns the block size LOGAN schedules for a given X: the

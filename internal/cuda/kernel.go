@@ -43,11 +43,6 @@ type BlockCtx struct {
 // Threads returns the number of threads in this block.
 func (b *BlockCtx) Threads() int { return b.BlockDim }
 
-// Warps returns the number of (possibly partially filled) warps.
-func (b *BlockCtx) Warps() int {
-	return (b.BlockDim + b.spec.WarpSize - 1) / b.spec.WarpSize
-}
-
 // Step records one synchronized SIMT step of the block in which `active`
 // lanes each execute `opsPerLane` INT32 operations — for LOGAN, one
 // anti-diagonal segment sweep. Inactive lanes within a warp still consume

@@ -1,10 +1,9 @@
-// Package loadbal implements LOGAN's multi-GPU load balancer (paper §IV-C,
-// Fig. 7): the host divides the alignment batch across devices, weighting
-// by sequence length so each GPU receives a comparable amount of DP work,
-// launches every device's batch, and collects the results. The modeled
-// completion time is the slowest device plus the per-GPU setup overhead —
-// the overhead that makes the paper's multi-GPU scaling sub-linear at
-// small X.
+// Package loadbal holds the partitioners of LOGAN's multi-GPU load
+// balancer (paper §IV-C, Fig. 7): the host divides the alignment batch
+// across devices, weighting by sequence length so each GPU receives a
+// comparable amount of DP work. It is pure index arithmetic — running the
+// shards and gathering the results is the partitioned executor of
+// internal/backend, the only caller that owns devices.
 //
 // Beyond the paper's equal-device split, PartitionCapacities generalizes
 // the length-weighted LPT assignment to workers of unequal throughput
@@ -13,85 +12,10 @@
 package loadbal
 
 import (
-	"context"
-	"fmt"
 	"sort"
-	"sync"
-	"time"
 
-	"logan/internal/core"
-	"logan/internal/cuda"
-	"logan/internal/perfmodel"
 	"logan/internal/seq"
-	"logan/internal/xdrop"
 )
-
-// TestHookAlignStart, when non-nil, is invoked at the start of every
-// Pool.Align/AlignInto call, after the call has entered the pool but
-// before any device work. Tests use it to prove that concurrent batches
-// enter the pool simultaneously (no engine-wide mutex) and interleave on
-// per-device locks. Must only be set while no batches are in flight.
-var TestHookAlignStart func()
-
-// subPool recycles the per-device sub-batch staging across Align calls, so
-// a long-lived Pool serves batch after batch without reallocating it. The
-// slices are cleared before pooling so they don't pin caller sequences.
-var subPool = sync.Pool{New: func() any { return new([]seq.Pair) }}
-
-// Pool is a set of simulated devices acting as one multi-GPU node.
-//
-// Ownership is per device, not per pool: each device has its own lock, so
-// two concurrent batches interleave across the devices (batch A on device
-// 0 while batch B is on device 1) instead of serializing on the pool.
-// Devices must not be mutated after the first Align/AlignDevice call.
-type Pool struct {
-	Devices []*cuda.Device
-	Host    perfmodel.HostModel
-
-	lockInit sync.Once
-	devLocks []sync.Mutex
-}
-
-// NewV100Pool builds a pool of n Tesla V100s with the calibrated timer
-// installed, mirroring the paper's 6- and 8-GPU test nodes.
-func NewV100Pool(n int) (*Pool, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("loadbal: pool size %d must be positive", n)
-	}
-	p := &Pool{Host: perfmodel.DefaultHostModel()}
-	for i := 0; i < n; i++ {
-		d, err := cuda.NewDevice(cuda.TeslaV100())
-		if err != nil {
-			return nil, err
-		}
-		d.Timer = perfmodel.NewV100Timer()
-		p.Devices = append(p.Devices, d)
-	}
-	return p, nil
-}
-
-// lock returns the mutex owning device d.
-func (p *Pool) lock(d int) *sync.Mutex {
-	p.lockInit.Do(func() { p.devLocks = make([]sync.Mutex, len(p.Devices)) })
-	return &p.devLocks[d]
-}
-
-// Result is the outcome of a multi-GPU batch.
-type Result struct {
-	Results   []xdrop.SeedResult // in input order
-	PerDevice []core.BatchResult
-	// DeviceTime is the modeled GPU completion time: the slowest device.
-	DeviceTime time.Duration
-	// TotalTime adds the host-side prep, per-GPU setup and collection.
-	TotalTime time.Duration
-	// PartitionTime is the host time spent deciding the split (the
-	// Partition call), separated out so callers can attribute scheduling
-	// overhead apart from kernel work.
-	PartitionTime time.Duration
-	Cells         int64
-	// Imbalance is maxDeviceWork/meanDeviceWork in cells (1.0 = perfect).
-	Imbalance float64
-}
 
 // Strategy selects how pairs are divided across devices.
 type Strategy int
@@ -274,128 +198,4 @@ func ImbalanceOf(weights []int64, buckets [][]int) float64 {
 	}
 	mean := float64(total) / float64(len(buckets))
 	return float64(maxW) / mean
-}
-
-// AlignDevice runs one sub-batch on device d alone, serialized on that
-// device's lock (never on the pool). It is the per-device primitive the
-// hybrid scheduler in internal/backend composes with a CPU shard.
-func (p *Pool) AlignDevice(d int, pairs []seq.Pair, cfg core.Config) (core.BatchResult, error) {
-	return p.AlignDeviceContext(context.Background(), d, pairs, cfg)
-}
-
-// AlignDeviceContext is AlignDevice under a context, forwarded to the
-// device batch so cancellation takes effect at chunk boundaries.
-func (p *Pool) AlignDeviceContext(ctx context.Context, d int, pairs []seq.Pair, cfg core.Config) (core.BatchResult, error) {
-	if d < 0 || d >= len(p.Devices) {
-		return core.BatchResult{}, fmt.Errorf("loadbal: device %d outside pool of %d", d, len(p.Devices))
-	}
-	mu := p.lock(d)
-	mu.Lock()
-	defer mu.Unlock()
-	return core.AlignBatchContext(ctx, p.Devices[d], pairs, cfg)
-}
-
-// Align runs the batch across the pool's devices and merges the results in
-// input order.
-func (p *Pool) Align(pairs []seq.Pair, cfg core.Config, strat Strategy) (Result, error) {
-	return p.AlignIntoContext(context.Background(), nil, pairs, cfg, strat)
-}
-
-// AlignInto is Align writing the merged results into dst when it has
-// capacity, so a long-lived caller can keep the steady state free of
-// result allocations. The per-device shards run concurrently, each
-// serialized only on its own device's lock: independent batches submitted
-// by different goroutines interleave across devices instead of queueing
-// behind one pool-wide mutex.
-func (p *Pool) AlignInto(dst []xdrop.SeedResult, pairs []seq.Pair, cfg core.Config, strat Strategy) (Result, error) {
-	return p.AlignIntoContext(context.Background(), dst, pairs, cfg, strat)
-}
-
-// AlignIntoContext is AlignInto under a context: every device shard
-// forwards ctx, so a canceled batch stops at the shards' next chunk
-// boundaries.
-func (p *Pool) AlignIntoContext(ctx context.Context, dst []xdrop.SeedResult, pairs []seq.Pair, cfg core.Config, strat Strategy) (Result, error) {
-	if hook := TestHookAlignStart; hook != nil {
-		hook()
-	}
-	out := Result{}
-	if len(p.Devices) == 0 {
-		return out, fmt.Errorf("loadbal: empty pool")
-	}
-	if len(pairs) == 0 {
-		return out, nil
-	}
-	partStart := time.Now()
-	buckets := Partition(pairs, len(p.Devices), strat)
-	out.PartitionTime = time.Since(partStart)
-	if cap(dst) < len(pairs) {
-		dst = make([]xdrop.SeedResult, len(pairs))
-	}
-	out.Results = dst[:len(pairs)]
-	out.PerDevice = make([]core.BatchResult, len(p.Devices))
-
-	var (
-		wg       sync.WaitGroup
-		errMu    sync.Mutex
-		firstErr error
-	)
-	for d, bucket := range buckets {
-		if len(bucket) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(d int, bucket []int) {
-			defer wg.Done()
-			subp := subPool.Get().(*[]seq.Pair)
-			defer func() {
-				clear((*subp)[:cap(*subp)])
-				subPool.Put(subp)
-			}()
-			if cap(*subp) < len(bucket) {
-				*subp = make([]seq.Pair, len(bucket))
-			}
-			sub := (*subp)[:len(bucket)]
-			*subp = sub
-			for k, idx := range bucket {
-				sub[k] = pairs[idx]
-			}
-			res, err := p.AlignDeviceContext(ctx, d, sub, cfg)
-			if err != nil {
-				errMu.Lock()
-				if firstErr == nil {
-					firstErr = fmt.Errorf("loadbal: device %d: %w", d, err)
-				}
-				errMu.Unlock()
-				return
-			}
-			for k, idx := range bucket {
-				out.Results[idx] = res.Results[k]
-			}
-			out.PerDevice[d] = res
-		}(d, bucket)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return out, firstErr
-	}
-
-	var maxCells int64
-	for d := range out.PerDevice {
-		res := &out.PerDevice[d]
-		out.Cells += res.Cells
-		if res.DeviceTime > out.DeviceTime {
-			out.DeviceTime = res.DeviceTime
-		}
-		if res.Cells > maxCells {
-			maxCells = res.Cells
-		}
-	}
-	if mean := float64(out.Cells) / float64(len(p.Devices)); mean > 0 {
-		out.Imbalance = float64(maxCells) / mean
-	}
-	out.TotalTime = p.Host.PrepTime(len(pairs)) +
-		p.Host.SetupTime(len(p.Devices)) +
-		out.DeviceTime +
-		p.Host.CollectTime(len(pairs))
-	return out, nil
 }

@@ -2,14 +2,10 @@ package loadbal
 
 import (
 	"math/rand"
-	"sync"
 	"testing"
 	"testing/quick"
 
-	"logan/internal/core"
-	"logan/internal/cuda"
 	"logan/internal/seq"
-	"logan/internal/xdrop"
 )
 
 func makePairs(seed int64, n int) []seq.Pair {
@@ -92,98 +88,6 @@ func TestPartitionBalanceByLength(t *testing.T) {
 	}
 }
 
-func TestMultiGPUMatchesSingle(t *testing.T) {
-	pairs := makePairs(1, 30)
-	cfg := core.DefaultConfig(50)
-
-	single := cuda.MustV100()
-	want, err := core.AlignBatch(single, pairs, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, g := range []int{1, 2, 4} {
-		pool, err := NewV100Pool(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := pool.Align(pairs, cfg, ByLength)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range pairs {
-			if got.Results[i].Score != want.Results[i].Score {
-				t.Fatalf("g=%d pair %d: %d != %d", g, i, got.Results[i].Score, want.Results[i].Score)
-			}
-			if got.Results[i].QEnd != want.Results[i].QEnd {
-				t.Fatalf("g=%d pair %d: extent mismatch", g, i)
-			}
-		}
-		if got.Cells != want.Cells {
-			t.Fatalf("g=%d: cells %d != %d", g, got.Cells, want.Cells)
-		}
-	}
-}
-
-func TestMultiGPUScalesDeviceTime(t *testing.T) {
-	pairs := makePairs(2, 64)
-	cfg := core.DefaultConfig(100)
-	t1pool, _ := NewV100Pool(1)
-	t4pool, _ := NewV100Pool(4)
-	r1, err := t1pool.Align(pairs, cfg, ByLength)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r4, err := t4pool.Align(pairs, cfg, ByLength)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r4.DeviceTime >= r1.DeviceTime {
-		t.Fatalf("4-GPU device time %v not faster than 1-GPU %v", r4.DeviceTime, r1.DeviceTime)
-	}
-	// Total time includes per-GPU setup: the gap between total and device
-	// time must grow with the pool (the paper's load-balancing overhead).
-	oh1 := r1.TotalTime - r1.DeviceTime
-	oh4 := r4.TotalTime - r4.DeviceTime
-	if oh4 <= oh1 {
-		t.Fatalf("4-GPU host overhead %v not larger than 1-GPU %v", oh4, oh1)
-	}
-	if r1.Imbalance < 0.999 || r1.Imbalance > 1.001 {
-		t.Fatalf("single-device imbalance = %v, want 1", r1.Imbalance)
-	}
-	if r4.Imbalance < 1.0-1e-9 {
-		t.Fatalf("imbalance %v < 1", r4.Imbalance)
-	}
-}
-
-func TestPoolValidation(t *testing.T) {
-	if _, err := NewV100Pool(0); err == nil {
-		t.Error("accepted empty pool")
-	}
-	pool, _ := NewV100Pool(2)
-	if _, err := pool.Align(nil, core.DefaultConfig(10), ByLength); err != nil {
-		t.Errorf("empty batch: %v", err)
-	}
-	empty := &Pool{}
-	if _, err := empty.Align(makePairs(3, 2), core.DefaultConfig(10), ByLength); err == nil {
-		t.Error("accepted pool with no devices")
-	}
-}
-
-func TestMoreGPUsThanPairs(t *testing.T) {
-	pairs := makePairs(4, 3)
-	pool, _ := NewV100Pool(6)
-	res, err := pool.Align(pairs, core.DefaultConfig(20), ByLength)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _, _ := xdrop.ExtendBatch(pairs, xdrop.DefaultScoring(), 20, 0)
-	for i := range pairs {
-		if res.Results[i].Score != want[i].Score {
-			t.Fatalf("pair %d mismatch", i)
-		}
-	}
-}
-
 func TestImbalanceOfEdgeCases(t *testing.T) {
 	if got := ImbalanceOf(nil, nil); got != 1 {
 		t.Fatalf("empty imbalance = %v", got)
@@ -201,28 +105,6 @@ func TestImbalanceOfEdgeCases(t *testing.T) {
 	// loads 10/50, mean 30 -> 50/30
 	if got := ImbalanceOf(w, skewed); got < 1.66 || got > 1.67 {
 		t.Fatalf("skewed = %v", got)
-	}
-}
-
-func TestAlignRoundRobinStrategy(t *testing.T) {
-	pairs := makePairs(9, 12)
-	pool, err := NewV100Pool(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rr, err := pool.Align(pairs, core.DefaultConfig(25), RoundRobin)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool2, _ := NewV100Pool(3)
-	lpt, err := pool2.Align(pairs, core.DefaultConfig(25), ByLength)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range pairs {
-		if rr.Results[i].Score != lpt.Results[i].Score {
-			t.Fatalf("strategy changed scores at pair %d", i)
-		}
 	}
 }
 
@@ -363,59 +245,6 @@ func TestPartitionNoBucketsPanics(t *testing.T) {
 		}
 	}()
 	PartitionCapacities([]int64{1, 2}, nil, ByLength)
-}
-
-// TestAlignDeviceBounds: the per-device primitive must reject indexes
-// outside the pool.
-func TestAlignDeviceBounds(t *testing.T) {
-	pool, err := NewV100Pool(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := pool.AlignDevice(2, makePairs(5, 2), core.DefaultConfig(20)); err == nil {
-		t.Fatal("accepted out-of-range device")
-	}
-	if _, err := pool.AlignDevice(-1, makePairs(5, 2), core.DefaultConfig(20)); err == nil {
-		t.Fatal("accepted negative device")
-	}
-}
-
-// TestPoolConcurrentBatches drives one pool from several goroutines; with
-// per-device locks this interleaves shards across devices, and under
-// -race it vets the pool's concurrent staging and merge paths.
-func TestPoolConcurrentBatches(t *testing.T) {
-	pool, err := NewV100Pool(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pairs := makePairs(21, 24)
-	cfg := core.DefaultConfig(40)
-	want, err := pool.Align(pairs, cfg, ByLength)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			got, err := pool.Align(pairs, cfg, ByLength)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			for i := range pairs {
-				if got.Results[i] != want.Results[i] {
-					t.Errorf("concurrent result diverged at %d", i)
-					return
-				}
-			}
-			if got.DeviceTime != want.DeviceTime {
-				t.Errorf("DeviceTime not stable: %v vs %v", got.DeviceTime, want.DeviceTime)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // TestPartitionCapacitiesExclusion pins the negative-capacity contract:

@@ -1,112 +1,6 @@
 package perfmodel
 
-import (
-	"math"
-	"runtime"
-	"time"
-)
-
-// CPUPlatform models one of the paper's host machines for batch pairwise
-// alignment: aggregate DP-cell throughput with a working-set (cache
-// pressure) penalty, plus per-pair and fixed overheads. The per-pair
-// overhead is what makes both SeqAn and ksw2 spend several seconds on 100K
-// alignments even at tiny X (Tables II/III first rows); the cache penalty
-// is what collapses ksw2 at large band widths (Table III last rows).
-type CPUPlatform struct {
-	Name    string
-	Threads int
-
-	// CellRatePerThread is the DP-cell throughput of one thread when the
-	// working set fits in L1 (cells/second).
-	CellRatePerThread float64
-	// ParallelEff is the scaling efficiency across all threads (SMT
-	// sharing, NUMA, OpenMP overhead).
-	ParallelEff float64
-
-	// L1Bytes/L2Bytes are per-core cache capacities; CachePenaltyL2 and
-	// CachePenaltyDRAM are the rate divisors applied when a pair's DP
-	// working set spills past L1 into L2 or past L2 entirely. Penalties
-	// interpolate on a log scale between the three regimes.
-	L1Bytes          int
-	L2Bytes          int
-	CachePenaltyL2   float64
-	CachePenaltyDRAM float64
-
-	// PerPairOverhead is the host-side cost per alignment (object setup,
-	// scheduling, result handling). Startup is the fixed batch cost
-	// (thread pool spin-up, memory arenas).
-	PerPairOverhead time.Duration
-	Startup         time.Duration
-}
-
-// POWER9x2 models the paper's SeqAn platform: a dual-socket IBM POWER9
-// server, 2 x 22 SMT4 cores, 168 worker threads (paper §VI-A). The cell
-// rate is calibrated against Table II's X=5000 row (SeqAn 176.6 s for the
-// measured X-drop cell volume); overheads against the X=10 row.
-func POWER9x2() CPUPlatform {
-	return CPUPlatform{
-		Name:              "2x IBM POWER9 (168 threads)",
-		Threads:           168,
-		CellRatePerThread: 1.5e8,
-		ParallelEff:       0.9,
-		L1Bytes:           32 << 10,
-		L2Bytes:           512 << 10,
-		CachePenaltyL2:    1.6,
-		CachePenaltyDRAM:  4.0,
-		PerPairOverhead:   45 * time.Microsecond,
-		Startup:           400 * time.Millisecond,
-	}
-}
-
-// SkylakeGold models the paper's ksw2 platform: dual Intel Xeon Gold 6148,
-// 2 x 20 cores, 80 threads (paper §VI-A). The vectorised cell rate is
-// calibrated against Table III's X=100 row; the cache penalties against
-// the X=2500/5000 rows, where ksw2's ~60 KB-per-row band arrays thrash L1
-// and collapse throughput by an order of magnitude.
-func SkylakeGold() CPUPlatform {
-	return CPUPlatform{
-		Name:              "2x Intel Xeon Gold 6148 (80 threads)",
-		Threads:           80,
-		CellRatePerThread: 1.35e8,
-		ParallelEff:       0.92,
-		L1Bytes:           32 << 10,
-		L2Bytes:           1 << 20,
-		CachePenaltyL2:    3.0,
-		CachePenaltyDRAM:  14.0,
-		PerPairOverhead:   55 * time.Microsecond,
-		Startup:           400 * time.Millisecond,
-	}
-}
-
-// cachePenalty returns the throughput divisor for a per-pair DP working set
-// of the given size. Below L1 the penalty is 1; it ramps log-linearly to
-// CachePenaltyL2 at the L2 boundary and on to CachePenaltyDRAM at 8x L2,
-// beyond which it is flat (streaming from DRAM).
-func (p CPUPlatform) cachePenalty(workingSetBytes int) float64 {
-	ws := float64(workingSetBytes)
-	l1, l2 := float64(p.L1Bytes), float64(p.L2Bytes)
-	switch {
-	case ws <= l1 || l1 <= 0:
-		return 1
-	case ws <= l2:
-		f := math.Log(ws/l1) / math.Log(l2/l1)
-		return math.Exp(math.Log(1)*(1-f) + math.Log(p.CachePenaltyL2)*f)
-	default:
-		hi := 8 * l2
-		if ws >= hi {
-			return p.CachePenaltyDRAM
-		}
-		f := math.Log(ws/l2) / math.Log(hi/l2)
-		return math.Exp(math.Log(p.CachePenaltyL2)*(1-f) + math.Log(p.CachePenaltyDRAM)*f)
-	}
-}
-
-// AggregateRate returns the platform's DP-cell throughput in cells/second
-// for a per-pair working set of the given size.
-func (p CPUPlatform) AggregateRate(workingSetBytes int) float64 {
-	base := p.CellRatePerThread * float64(p.Threads) * p.ParallelEff
-	return base / p.cachePenalty(workingSetBytes)
-}
+import "runtime"
 
 // LocalCellRatePerWorker is a conservative prior for the DP-cell
 // throughput of one worker of this repository's own Go X-drop pool
@@ -131,21 +25,9 @@ func LocalCPUThroughput(workers int) float64 {
 // run on a GOMAXPROCS-wide host pool through the counting simulator,
 // whose accounting roughly halves the plain kernel rate. Deliberately in
 // the same unit (and order of magnitude) as LocalCPUThroughput, unlike
-// the modeled-device ceiling core.PeakCellRate: seeding the scheduler
-// with modeled device seconds would starve the CPU pool for the dozens of
+// the modeled device's cell rate: seeding the scheduler with modeled
+// device seconds would starve the CPU pool for the dozens of
 // batches the EWMA needs to unwind a ~1000x unit mismatch.
 func LocalSimGPUThroughput() float64 {
 	return LocalCPUThroughput(runtime.GOMAXPROCS(0)) / 2
-}
-
-// BatchTime models aligning nPairs with the given total DP-cell count and
-// per-pair working set. The per-pair overhead is charged serially: it is
-// the non-parallelizable host work (object construction, result handling)
-// that Amdahl's law leaves exposed even on 168 threads, and it is why the
-// small-X rows of Tables II/III cost seconds on the CPU platforms.
-func (p CPUPlatform) BatchTime(nPairs int, cells int64, workingSetBytes int) time.Duration {
-	compute := float64(cells) / p.AggregateRate(workingSetBytes)
-	overhead := float64(nPairs) * p.PerPairOverhead.Seconds()
-	sec := p.Startup.Seconds() + overhead + compute
-	return time.Duration(sec * 1e9)
 }

@@ -114,56 +114,6 @@ func TestGCUPS(t *testing.T) {
 	}
 }
 
-func TestCPUCachePenaltyMonotonic(t *testing.T) {
-	p := SkylakeGold()
-	prev := 0.0
-	for _, ws := range []int{1 << 10, 16 << 10, 32 << 10, 64 << 10, 256 << 10, 1 << 20, 4 << 20, 16 << 20, 64 << 20} {
-		pen := p.cachePenalty(ws)
-		if pen < prev-1e-9 {
-			t.Fatalf("cache penalty decreased at ws=%d: %v < %v", ws, pen, prev)
-		}
-		prev = pen
-	}
-	if got := p.cachePenalty(1 << 10); got != 1 {
-		t.Errorf("penalty under L1 = %v, want 1", got)
-	}
-	if got := p.cachePenalty(1 << 30); got != p.CachePenaltyDRAM {
-		t.Errorf("penalty far past L2 = %v, want %v", got, p.CachePenaltyDRAM)
-	}
-}
-
-func TestCPUBatchTimeComposition(t *testing.T) {
-	p := POWER9x2()
-	small := p.BatchTime(100000, 0, 1<<10)
-	// Pure overhead: 100K * 45us + 0.4s startup = 4.9s.
-	if small < 4*time.Second || small > 6*time.Second {
-		t.Errorf("overhead-only batch = %v, want ~4.9s", small)
-	}
-	withWork := p.BatchTime(100000, 4e12, 1<<10)
-	if withWork <= small {
-		t.Error("adding cells did not increase batch time")
-	}
-	// 4e12 cells at ~2.3e10 cells/s aggregate is ~177s.
-	if withWork < 100*time.Second || withWork > 400*time.Second {
-		t.Errorf("batch with 4e12 cells = %v, want O(200s)", withWork)
-	}
-}
-
-func TestCPUPlatformsDiffer(t *testing.T) {
-	p9, sk := POWER9x2(), SkylakeGold()
-	if p9.Threads != 168 {
-		t.Errorf("POWER9 threads = %d, want 168 (paper)", p9.Threads)
-	}
-	if sk.Threads != 80 {
-		t.Errorf("Skylake threads = %d, want 80 (paper)", sk.Threads)
-	}
-	// ksw2's platform must show a much deeper cache collapse than the
-	// anti-diagonal SeqAn code path: that asymmetry is Table III's story.
-	if sk.CachePenaltyDRAM <= p9.CachePenaltyDRAM {
-		t.Error("Skylake ksw2 cache collapse should exceed POWER9 SeqAn penalty")
-	}
-}
-
 func TestHostModel(t *testing.T) {
 	h := DefaultHostModel()
 	if got := h.PrepTime(100000); got < time.Second || got > 3*time.Second {

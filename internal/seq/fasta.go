@@ -8,11 +8,10 @@ import (
 	"strings"
 )
 
-// Record is a named sequence, as parsed from FASTA/FASTQ input.
+// Record is a named sequence, as parsed from FASTA input.
 type Record struct {
 	Name string
 	Seq  Seq
-	Qual []byte // nil for FASTA
 }
 
 // FastaReader streams FASTA records from an io.Reader one at a time, so a
@@ -124,8 +123,8 @@ func (fr *FastaReader) setHeader(b []byte) {
 // fastaBase maps an input FASTA base to its normalized form: upper-case
 // ACGT pass through (lower-case is upcased), U becomes T, N and every
 // IUPAC ambiguity code collapse to N, and 0 marks an invalid character.
-// The table is shared by the FASTA and FASTQ ingestion paths so the
-// overlap and mapping pipelines accept the same inputs.
+// Every ingestion path shares the table, so the overlap and mapping
+// pipelines accept the same inputs.
 var fastaBase [256]byte
 
 func init() {
@@ -194,59 +193,4 @@ func WriteFasta(w io.Writer, recs []Record) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// ReadFastq parses FASTQ records (4-line layout) from r.
-func ReadFastq(r io.Reader) ([]Record, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<26)
-	var recs []Record
-	line := 0
-	next := func() ([]byte, bool) {
-		for sc.Scan() {
-			line++
-			b := bytes.TrimSpace(sc.Bytes())
-			if len(b) > 0 {
-				out := make([]byte, len(b))
-				copy(out, b)
-				return out, true
-			}
-		}
-		return nil, false
-	}
-	for {
-		hdr, ok := next()
-		if !ok {
-			break
-		}
-		if hdr[0] != '@' {
-			return nil, fmt.Errorf("seq: line %d: FASTQ header must start with '@'", line)
-		}
-		sq, ok := next()
-		if !ok {
-			return nil, fmt.Errorf("seq: line %d: truncated FASTQ record", line)
-		}
-		if err := normalizeFasta(sq); err != nil {
-			return nil, fmt.Errorf("seq: line %d: %v", line, err)
-		}
-		plus, ok := next()
-		if !ok || plus[0] != '+' {
-			return nil, fmt.Errorf("seq: line %d: missing FASTQ separator", line)
-		}
-		qual, ok := next()
-		if !ok {
-			return nil, fmt.Errorf("seq: line %d: missing FASTQ quality", line)
-		}
-		if len(qual) != len(sq) {
-			return nil, fmt.Errorf("seq: line %d: quality length %d != sequence length %d", line, len(qual), len(sq))
-		}
-		name := strings.Fields(string(hdr[1:]))
-		rec := Record{Qual: qual}
-		if len(name) > 0 {
-			rec.Name = name[0]
-		}
-		rec.Seq, _ = New(string(sq))
-		recs = append(recs, rec)
-	}
-	return recs, nil
 }

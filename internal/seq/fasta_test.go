@@ -124,21 +124,6 @@ func TestFastaReaderBaseNormalization(t *testing.T) {
 	}
 }
 
-func TestFastqBaseNormalization(t *testing.T) {
-	// FASTQ rides the same table so both ingestion formats agree.
-	in := "@r\nacgurY\n+\n!!!!!!\n"
-	recs, err := ReadFastq(strings.NewReader(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := recs[0].Seq.String(); got != "ACGTNN" {
-		t.Fatalf("FASTQ normalized to %q, want ACGTNN", got)
-	}
-	if _, err := ReadFastq(strings.NewReader("@r\nAC-T\n+\n!!!!\n")); err == nil {
-		t.Fatal("FASTQ accepted a gap character")
-	}
-}
-
 func TestFastaReaderEmptyInput(t *testing.T) {
 	if _, err := NewFastaReader(strings.NewReader("")).Next(); err != io.EOF {
 		t.Errorf("empty input: err = %v, want io.EOF", err)

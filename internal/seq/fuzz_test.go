@@ -68,9 +68,6 @@ func FuzzKmerScan(f *testing.F) {
 		if k < 1 || k > MaxK || len(raw) > 500 {
 			return
 		}
-		if !Valid(raw) {
-			return
-		}
 		s, err := New(string(raw))
 		if err != nil {
 			return

@@ -13,17 +13,6 @@ type Packed struct {
 	n     int
 }
 
-// Pack converts s into a Packed sequence. It returns an error if s contains
-// an N, since packing would silently change the sequence.
-func Pack(s Seq) (Packed, error) {
-	for i := range s {
-		if s.IsN(i) {
-			return Packed{}, fmt.Errorf("seq: cannot pack N at position %d", i)
-		}
-	}
-	return PackLossy(s), nil
-}
-
 // PackLossy converts s into a Packed sequence mapping N to A.
 func PackLossy(s Seq) Packed {
 	p := Packed{words: make([]byte, (len(s)+3)/4), n: len(s)}
@@ -56,16 +45,3 @@ func (p Packed) Unpack() Seq {
 	}
 	return out
 }
-
-// Reverse returns a new Packed with base order reversed.
-func (p Packed) Reverse() Packed {
-	out := Packed{words: make([]byte, len(p.words)), n: p.n}
-	for i := 0; i < p.n; i++ {
-		out.words[(p.n-1-i)/4] |= p.Code(i) << uint(2*((p.n-1-i)%4))
-	}
-	return out
-}
-
-// SizeBytes returns the storage footprint in bytes, the quantity the GPU
-// memory accounting charges for a device-resident sequence.
-func (p Packed) SizeBytes() int { return len(p.words) }

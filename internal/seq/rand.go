@@ -162,13 +162,3 @@ func RandPairSet(rng *rand.Rand, opt PairSetOptions) []Pair {
 	}
 	return pairs
 }
-
-// TotalBases returns the summed length of all sequences in the pair set,
-// used by the GCUPS accounting.
-func TotalBases(pairs []Pair) int {
-	total := 0
-	for _, p := range pairs {
-		total += len(p.Query) + len(p.Target)
-	}
-	return total
-}

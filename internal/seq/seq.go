@@ -1,6 +1,6 @@
 // Package seq provides the DNA sequence toolkit used throughout LOGAN-Go:
 // byte and 2-bit packed sequence representations, reverse and
-// reverse-complement transforms, k-mer encoding, FASTA/FASTQ I/O, random
+// reverse-complement transforms, k-mer encoding, FASTA I/O, random
 // sequence generation and sequencing-error channels.
 //
 // The alphabet is the DNA alphabet {A, C, G, T} plus the ambiguity
@@ -169,15 +169,6 @@ func (s Seq) Reverse() Seq {
 	return out
 }
 
-// Complement returns the base-wise complement without reversing.
-func (s Seq) Complement() Seq {
-	out := make(Seq, len(s))
-	for i, c := range s {
-		out[i] = complementTab[c]
-	}
-	return out
-}
-
 // RevComp returns the reverse complement of s.
 func (s Seq) RevComp() Seq {
 	out := make(Seq, len(s))
@@ -215,30 +206,6 @@ func Identity(a, b Seq) float64 {
 		}
 	}
 	return float64(same) / float64(n)
-}
-
-// GC returns the GC fraction of s (N counts as neither).
-func GC(s Seq) float64 {
-	if len(s) == 0 {
-		return 0
-	}
-	gc := 0
-	for _, c := range s {
-		if c == 'G' || c == 'C' {
-			gc++
-		}
-	}
-	return float64(gc) / float64(len(s))
-}
-
-// Valid reports whether every character of s is in the ACGTN alphabet.
-func Valid(s []byte) bool {
-	for _, c := range s {
-		if encode[c] == 0xFF {
-			return false
-		}
-	}
-	return true
 }
 
 // Format wraps s into lines of the given width, FASTA style.

@@ -1,13 +1,8 @@
-// Package simd emulates the fixed-width integer SIMD operations that ksw2's
-// SSE2 kernel uses: 128-bit vectors of eight int16 lanes. The emulation is
-// functional (plain Go loops over lanes) but preserves the structural
-// properties that matter for the reproduction — fixed lane count, saturating
-// arithmetic, lane-wise max/compare/blend — so the ksw2 baseline in
-// internal/ksw2 exhibits the same vector-granularity behaviour as the SSE2
-// original, and its operation counts can be fed to the CPU time model.
-//
-// Only the subset of SSE2 intrinsics ksw2's extension kernel needs is
-// provided. Names follow the _mm_* intrinsics they stand in for.
+// Package simd holds the two data-parallel building blocks the 8-lane
+// int16 X-drop row kernel (internal/xdrop) is written in, in portable Go:
+// a SWAR byte compare that yields one bit per lane, and a blend table that
+// turns that bit mask into a vector of match/mismatch scores. Lanes is the
+// vector width both it and the ksw2 baseline's cost model count in.
 package simd
 
 // Lanes is the number of int16 lanes per vector (128-bit SSE2 register).
@@ -16,221 +11,16 @@ const Lanes = 8
 // I16x8 is a 128-bit vector of eight int16 lanes.
 type I16x8 [Lanes]int16
 
-// Splat returns a vector with every lane set to v (_mm_set1_epi16).
-func Splat(v int16) I16x8 {
-	var out I16x8
-	for i := range out {
-		out[i] = v
-	}
-	return out
-}
-
-// Load gathers the first 8 elements of s into a vector (_mm_load_si128).
-// Missing elements (len(s) < 8) are filled with pad.
-func Load(s []int16, pad int16) I16x8 {
-	out := Splat(pad)
-	n := len(s)
-	if n > Lanes {
-		n = Lanes
-	}
-	copy(out[:n], s[:n])
-	return out
-}
-
-// Store scatters v into the first min(8, len(d)) elements of d.
-func Store(d []int16, v I16x8) {
-	n := len(d)
-	if n > Lanes {
-		n = Lanes
-	}
-	copy(d[:n], v[:n])
-}
-
-// Add returns lane-wise a+b with int16 wraparound (_mm_add_epi16).
-func Add(a, b I16x8) I16x8 {
-	var out I16x8
-	for i := range out {
-		out[i] = a[i] + b[i]
-	}
-	return out
-}
-
-// AddSat returns lane-wise saturating a+b (_mm_adds_epi16).
-func AddSat(a, b I16x8) I16x8 {
-	var out I16x8
-	for i := range out {
-		s := int32(a[i]) + int32(b[i])
-		out[i] = clamp16(s)
-	}
-	return out
-}
-
-// Sub returns lane-wise a-b with wraparound (_mm_sub_epi16).
-func Sub(a, b I16x8) I16x8 {
-	var out I16x8
-	for i := range out {
-		out[i] = a[i] - b[i]
-	}
-	return out
-}
-
-// SubSat returns lane-wise saturating a-b (_mm_subs_epi16).
-func SubSat(a, b I16x8) I16x8 {
-	var out I16x8
-	for i := range out {
-		out[i] = clamp16(int32(a[i]) - int32(b[i]))
-	}
-	return out
-}
-
-// Max returns the lane-wise maximum (_mm_max_epi16).
-func Max(a, b I16x8) I16x8 {
-	var out I16x8
-	for i := range out {
-		if a[i] > b[i] {
-			out[i] = a[i]
-		} else {
-			out[i] = b[i]
-		}
-	}
-	return out
-}
-
-// Min returns the lane-wise minimum (_mm_min_epi16).
-func Min(a, b I16x8) I16x8 {
-	var out I16x8
-	for i := range out {
-		if a[i] < b[i] {
-			out[i] = a[i]
-		} else {
-			out[i] = b[i]
-		}
-	}
-	return out
-}
-
-// CmpGT returns all-ones lanes where a>b, zero lanes elsewhere
-// (_mm_cmpgt_epi16).
-func CmpGT(a, b I16x8) I16x8 {
-	var out I16x8
-	for i := range out {
-		if a[i] > b[i] {
-			out[i] = -1
-		}
-	}
-	return out
-}
-
-// CmpEQ returns all-ones lanes where a==b (_mm_cmpeq_epi16).
-func CmpEQ(a, b I16x8) I16x8 {
-	var out I16x8
-	for i := range out {
-		if a[i] == b[i] {
-			out[i] = -1
-		}
-	}
-	return out
-}
-
-// Blend selects t lanes where mask is non-zero, f lanes elsewhere
-// (_mm_blendv style; mask lanes must be 0 or -1).
-func Blend(mask, t, f I16x8) I16x8 {
-	var out I16x8
-	for i := range out {
-		if mask[i] != 0 {
-			out[i] = t[i]
-		} else {
-			out[i] = f[i]
-		}
-	}
-	return out
-}
-
-// And returns the bit-wise conjunction (_mm_and_si128).
-func And(a, b I16x8) I16x8 {
-	var out I16x8
-	for i := range out {
-		out[i] = a[i] & b[i]
-	}
-	return out
-}
-
-// Or returns the bit-wise disjunction (_mm_or_si128).
-func Or(a, b I16x8) I16x8 {
-	var out I16x8
-	for i := range out {
-		out[i] = a[i] | b[i]
-	}
-	return out
-}
-
-// ShiftLanesLeft shifts lanes toward higher indices by n, filling vacated
-// low lanes with fill (_mm_slli_si128 by 2n bytes, plus fill).
-func ShiftLanesLeft(a I16x8, n int, fill int16) I16x8 {
-	out := Splat(fill)
-	for i := Lanes - 1; i >= n; i-- {
-		out[i] = a[i-n]
-	}
-	return out
-}
-
-// ShiftLanesRight shifts lanes toward lower indices by n, filling vacated
-// high lanes with fill (_mm_srli_si128 by 2n bytes, plus fill).
-func ShiftLanesRight(a I16x8, n int, fill int16) I16x8 {
-	out := Splat(fill)
-	for i := 0; i+n < Lanes; i++ {
-		out[i] = a[i+n]
-	}
-	return out
-}
-
-// HMax returns the horizontal maximum across lanes.
-func HMax(a I16x8) int16 {
-	m := a[0]
-	for _, v := range a[1:] {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-// MoveMask returns a bit per lane, set when the lane is negative
-// (_mm_movemask_epi8 folded to lane granularity).
-func MoveMask(a I16x8) uint8 {
-	var m uint8
-	for i, v := range a {
-		if v < 0 {
-			m |= 1 << uint(i)
-		}
-	}
-	return m
-}
-
-// SWAR constants for the byte-granularity operations below: per-byte low
-// bits, per-byte high bits, the 0x7F mask, and the movemask gather
-// multiplier that collects the eight per-byte high bits into the top byte
-// of a 64-bit product.
+// SWAR constants of EqMask64: per-byte low bits, per-byte high bits, and
+// the movemask gather multiplier that collects the eight per-byte high
+// bits into the top byte of a 64-bit product.
 const (
 	swarLow7   uint64 = 0x7f7f7f7f7f7f7f7f
 	swarHigh   uint64 = 0x8080808080808080
 	swarGather uint64 = 0x0002040810204081
 )
 
-// EqMask8 compares the first 8 bytes of a and b lane-wise and returns a
-// bit per lane, set where the bytes are equal (bit l for a[l] == b[l]).
-// Both slices must hold at least 8 bytes. Hot loops that already have the
-// two 64-bit words loaded should call EqMask64 directly — it inlines.
-func EqMask8(a, b []byte) uint8 {
-	_, _ = a[7], b[7]
-	return EqMask64(
-		uint64(a[0])|uint64(a[1])<<8|uint64(a[2])<<16|uint64(a[3])<<24|
-			uint64(a[4])<<32|uint64(a[5])<<40|uint64(a[6])<<48|uint64(a[7])<<56,
-		uint64(b[0])|uint64(b[1])<<8|uint64(b[2])<<16|uint64(b[3])<<24|
-			uint64(b[4])<<32|uint64(b[5])<<40|uint64(b[6])<<48|uint64(b[7])<<56)
-}
-
-// EqMask64 is the word form of EqMask8: a and b each pack 8 byte lanes
+// EqMask64 compares 8 byte lanes at once: a and b each pack 8 bytes
 // little-endian, and the result has bit l set where lane l is equal — the
 // _mm_cmpeq_epi8 + _mm_movemask_epi8 pair of the SSE2 kernel, emulated as
 // one SWAR pass over a 64-bit word instead of eight byte compares.
@@ -247,8 +37,8 @@ func EqMask64(a, b uint64) uint8 {
 
 // BlendTable is a compare-blend specialized at batch-prep time: entry m is
 // the I16x8 whose lane l holds `on` when bit l of m is set and `off`
-// otherwise. Indexing it with an EqMask8 result replaces the per-lane
-// CmpEQ + Blend pair of the generic emulation with one 16-byte table load,
+// otherwise. Indexing it with an EqMask64 result replaces a per-lane
+// compare + blend pair with one 16-byte table load,
 // the partial-evaluation trick (AnySeq-style) the vector X-drop kernel
 // uses to turn match/mismatch scoring into data.
 type BlendTable [256]I16x8
@@ -266,33 +56,4 @@ func NewBlendTable(on, off int16) *BlendTable {
 		}
 	}
 	return &t
-}
-
-func clamp16(v int32) int16 {
-	if v > 32767 {
-		return 32767
-	}
-	if v < -32768 {
-		return -32768
-	}
-	return int16(v)
-}
-
-// OpCounter tallies emulated vector instructions so the CPU time model can
-// convert a vectorised kernel's work into Skylake cycles. Counting is the
-// caller's responsibility (the emulation functions are pure); ksw2's kernel
-// increments the counter once per intrinsic it would have issued.
-type OpCounter struct {
-	VecOps     int64 // 128-bit ALU operations
-	ScalarOps  int64 // scalar bookkeeping operations
-	LoadBytes  int64 // bytes loaded
-	StoreBytes int64 // bytes stored
-}
-
-// Add accumulates other into c.
-func (c *OpCounter) Add(other OpCounter) {
-	c.VecOps += other.VecOps
-	c.ScalarOps += other.ScalarOps
-	c.LoadBytes += other.LoadBytes
-	c.StoreBytes += other.StoreBytes
 }

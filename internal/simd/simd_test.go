@@ -1,182 +1,57 @@
 package simd
 
 import (
+	"encoding/binary"
+	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
-// scalarRef applies op lane-wise as the reference implementation.
-func scalarRef(a, b I16x8, op func(x, y int16) int16) I16x8 {
-	var out I16x8
-	for i := range out {
-		out[i] = op(a[i], b[i])
-	}
-	return out
-}
-
-func TestLaneOpsMatchScalar(t *testing.T) {
-	cases := []struct {
-		name string
-		vec  func(a, b I16x8) I16x8
-		ref  func(x, y int16) int16
-	}{
-		{"Add", Add, func(x, y int16) int16 { return x + y }},
-		{"Sub", Sub, func(x, y int16) int16 { return x - y }},
-		{"Max", Max, func(x, y int16) int16 {
-			if x > y {
-				return x
-			}
-			return y
-		}},
-		{"Min", Min, func(x, y int16) int16 {
-			if x < y {
-				return x
-			}
-			return y
-		}},
-		{"And", And, func(x, y int16) int16 { return x & y }},
-		{"Or", Or, func(x, y int16) int16 { return x | y }},
-	}
-	for _, tc := range cases {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
-			f := func(a, b I16x8) bool {
-				return tc.vec(a, b) == scalarRef(a, b, tc.ref)
-			}
-			if err := quick.Check(f, nil); err != nil {
-				t.Error(err)
-			}
-		})
-	}
-}
-
-func TestSaturatingOps(t *testing.T) {
-	big := Splat(30000)
-	if got := AddSat(big, big); got != Splat(32767) {
-		t.Errorf("AddSat overflow = %v, want saturation at 32767", got)
-	}
-	small := Splat(-30000)
-	if got := SubSat(small, big); got != Splat(-32768) {
-		t.Errorf("SubSat underflow = %v, want saturation at -32768", got)
-	}
-	f := func(a, b I16x8) bool {
-		s := AddSat(a, b)
-		for i := range s {
-			want := int32(a[i]) + int32(b[i])
-			if want > 32767 {
-				want = 32767
-			}
-			if want < -32768 {
-				want = -32768
-			}
-			if int32(s[i]) != want {
-				return false
+// TestEqMask64MatchesByteCompare holds the SWAR compare to the obvious
+// per-byte loop, on random words and on words that differ only in a high
+// or a low bit of single lanes (the carry cases the SWAR must not smear).
+func TestEqMask64MatchesByteCompare(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	check := func(a, b [8]byte) {
+		var want uint8
+		for l := range a {
+			if a[l] == b[l] {
+				want |= 1 << l
 			}
 		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestCompareAndBlend(t *testing.T) {
-	a := I16x8{1, 5, 3, 3, -2, 9, 0, 7}
-	b := I16x8{2, 4, 3, 1, -3, 9, 0, 8}
-	gt := CmpGT(a, b)
-	want := I16x8{0, -1, 0, -1, -1, 0, 0, 0}
-	if gt != want {
-		t.Fatalf("CmpGT = %v, want %v", gt, want)
-	}
-	eq := CmpEQ(a, b)
-	wantEq := I16x8{0, 0, -1, 0, 0, -1, -1, 0}
-	if eq != wantEq {
-		t.Fatalf("CmpEQ = %v, want %v", eq, wantEq)
-	}
-	bl := Blend(gt, a, b)
-	for i := range bl {
-		wantLane := b[i]
-		if a[i] > b[i] {
-			wantLane = a[i]
-		}
-		if bl[i] != wantLane {
-			t.Fatalf("Blend lane %d = %d, want %d", i, bl[i], wantLane)
+		got := EqMask64(binary.LittleEndian.Uint64(a[:]), binary.LittleEndian.Uint64(b[:]))
+		if got != want {
+			t.Fatalf("EqMask64(%v, %v) = %08b, want %08b", a, b, got, want)
 		}
 	}
-}
-
-func TestShifts(t *testing.T) {
-	a := I16x8{1, 2, 3, 4, 5, 6, 7, 8}
-	if got := ShiftLanesLeft(a, 1, -9); got != (I16x8{-9, 1, 2, 3, 4, 5, 6, 7}) {
-		t.Fatalf("ShiftLanesLeft = %v", got)
-	}
-	if got := ShiftLanesRight(a, 2, -9); got != (I16x8{3, 4, 5, 6, 7, 8, -9, -9}) {
-		t.Fatalf("ShiftLanesRight = %v", got)
-	}
-	if got := ShiftLanesLeft(a, 0, 0); got != a {
-		t.Fatalf("ShiftLanesLeft(0) = %v, want identity", got)
-	}
-	if got := ShiftLanesLeft(a, Lanes, 0); got != Splat(0) {
-		t.Fatalf("ShiftLanesLeft(full) = %v, want all fill", got)
-	}
-}
-
-func TestHMaxAndMoveMask(t *testing.T) {
-	a := I16x8{-5, 2, 9, -1, 9, 0, 3, 4}
-	if got := HMax(a); got != 9 {
-		t.Fatalf("HMax = %d, want 9", got)
-	}
-	if got := MoveMask(a); got != 0b00001001 {
-		t.Fatalf("MoveMask = %08b", got)
-	}
-	f := func(a I16x8) bool {
-		m := HMax(a)
-		for _, v := range a {
-			if v > m {
-				return false
+	for i := 0; i < 2000; i++ {
+		var a, b [8]byte
+		for l := range a {
+			a[l] = "ACGTN"[rng.Intn(5)]
+			b[l] = a[l]
+			switch rng.Intn(4) {
+			case 0:
+				b[l] = byte(rng.Intn(256))
+			case 1:
+				b[l] ^= 0x80
+			case 2:
+				b[l] ^= 0x01
 			}
 		}
-		found := false
-		for _, v := range a {
-			if v == m {
-				found = true
+		check(a, b)
+	}
+}
+
+func TestBlendTable(t *testing.T) {
+	tab := NewBlendTable(5, -3)
+	for m := range tab {
+		for l := 0; l < Lanes; l++ {
+			want := int16(-3)
+			if m>>l&1 != 0 {
+				want = 5
+			}
+			if tab[m][l] != want {
+				t.Fatalf("entry %08b lane %d = %d, want %d", m, l, tab[m][l], want)
 			}
 		}
-		return found
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestLoadStore(t *testing.T) {
-	s := []int16{1, 2, 3}
-	v := Load(s, -7)
-	if v != (I16x8{1, 2, 3, -7, -7, -7, -7, -7}) {
-		t.Fatalf("Load short = %v", v)
-	}
-	long := []int16{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	v = Load(long, 0)
-	if v != (I16x8{1, 2, 3, 4, 5, 6, 7, 8}) {
-		t.Fatalf("Load long = %v", v)
-	}
-	d := make([]int16, 4)
-	Store(d, v)
-	if d[0] != 1 || d[3] != 4 {
-		t.Fatalf("Store short = %v", d)
-	}
-	d2 := make([]int16, 10)
-	Store(d2, v)
-	if d2[7] != 8 || d2[8] != 0 {
-		t.Fatalf("Store long = %v", d2)
-	}
-}
-
-func TestOpCounter(t *testing.T) {
-	var c OpCounter
-	c.Add(OpCounter{VecOps: 3, ScalarOps: 2, LoadBytes: 16, StoreBytes: 8})
-	c.Add(OpCounter{VecOps: 1})
-	if c.VecOps != 4 || c.ScalarOps != 2 || c.LoadBytes != 16 || c.StoreBytes != 8 {
-		t.Fatalf("counter = %+v", c)
 	}
 }

@@ -1,13 +1,11 @@
 // Package stats provides the small reporting toolkit the experiment
 // harness uses: aligned text tables with optional paper-reference columns,
-// CSV export, log-log ASCII charts for the figures, and summary
-// statistics.
+// CSV export and log-log ASCII charts for the figures.
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -202,45 +200,4 @@ func (c *Chart) Render(width, height int) string {
 		fmt.Fprintf(&b, "  y: %s\n", c.YLabel)
 	}
 	return b.String()
-}
-
-// Mean returns the arithmetic mean (0 for empty input).
-func Mean(v []float64) float64 {
-	if len(v) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range v {
-		s += x
-	}
-	return s / float64(len(v))
-}
-
-// Median returns the middle value (0 for empty input).
-func Median(v []float64) float64 {
-	if len(v) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), v...)
-	sort.Float64s(s)
-	mid := len(s) / 2
-	if len(s)%2 == 1 {
-		return s[mid]
-	}
-	return (s[mid-1] + s[mid]) / 2
-}
-
-// GeoMean returns the geometric mean of positive values (0 otherwise).
-func GeoMean(v []float64) float64 {
-	if len(v) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range v {
-		if x <= 0 {
-			return 0
-		}
-		s += math.Log(x)
-	}
-	return math.Exp(s / float64(len(v)))
 }

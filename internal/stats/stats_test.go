@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"math"
 	"strings"
 	"testing"
 )
@@ -67,24 +66,5 @@ func TestChartRender(t *testing.T) {
 	empty := Chart{Title: "none"}
 	if got := empty.Render(40, 10); !strings.Contains(got, "no data") {
 		t.Fatalf("empty chart: %q", got)
-	}
-}
-
-func TestSummaries(t *testing.T) {
-	v := []float64{1, 2, 3, 4}
-	if Mean(v) != 2.5 {
-		t.Errorf("mean = %v", Mean(v))
-	}
-	if Median(v) != 2.5 {
-		t.Errorf("median = %v", Median(v))
-	}
-	if Median([]float64{3, 1, 2}) != 2 {
-		t.Error("odd median")
-	}
-	if g := GeoMean([]float64{1, 100}); math.Abs(g-10) > 1e-9 {
-		t.Errorf("geomean = %v", g)
-	}
-	if GeoMean([]float64{1, -1}) != 0 || GeoMean(nil) != 0 || Mean(nil) != 0 || Median(nil) != 0 {
-		t.Error("degenerate summaries")
 	}
 }

@@ -2,9 +2,20 @@ package sw
 
 import (
 	"fmt"
+	"strings"
 
 	"logan/internal/seq"
 	"logan/internal/xdrop"
+)
+
+// Op is one alignment operation in a traceback.
+type Op byte
+
+const (
+	OpMatch    Op = '='
+	OpMismatch Op = 'X'
+	OpInsert   Op = 'I' // gap in target (consumes query)
+	OpDelete   Op = 'D' // gap in query (consumes target)
 )
 
 // GlobalAlignment is a full global alignment with traceback, the
@@ -17,9 +28,19 @@ type GlobalAlignment struct {
 	Cells int64
 }
 
-// CIGAR renders the operations run-length encoded.
+// CIGAR renders the operations run-length encoded, extended CIGAR style.
 func (a GlobalAlignment) CIGAR() string {
-	return Alignment{Ops: a.Ops}.CIGAR()
+	var b strings.Builder
+	i := 0
+	for i < len(a.Ops) {
+		j := i
+		for j < len(a.Ops) && a.Ops[j] == a.Ops[i] {
+			j++
+		}
+		fmt.Fprintf(&b, "%d%c", j-i, a.Ops[i])
+		i = j
+	}
+	return b.String()
 }
 
 // Identity returns matches over alignment columns.

@@ -65,6 +65,8 @@ func Local(q, t seq.Seq, sc xdrop.Scoring) Result {
 }
 
 // Global computes the Needleman-Wunsch global alignment score of q and t.
+// It is the exact reference the tests hold GlobalAlignBanded (the overlap
+// pipeline's traceback pass) to.
 func Global(q, t seq.Seq, sc xdrop.Scoring) Result {
 	m, n := len(q), len(t)
 	prev := make([]int32, n+1)

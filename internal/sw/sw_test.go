@@ -2,13 +2,11 @@ package sw
 
 import (
 	"math/rand"
-	"strings"
 	"testing"
 	"testing/quick"
 
 	"logan/internal/cuda"
 	"logan/internal/seq"
-	"logan/internal/simd"
 	"logan/internal/xdrop"
 )
 
@@ -124,101 +122,6 @@ func TestBandedCellsScaleWithWidth(t *testing.T) {
 	}
 }
 
-func TestLocalAlignTraceback(t *testing.T) {
-	q := seq.MustNew("TTACGTACGTTT")
-	tt := seq.MustNew("GGACGTACGAGG")
-	a := LocalAlign(q, tt, sc())
-	if a.Score != Local(q, tt, sc()).Score {
-		t.Fatalf("traceback score %d != score-only %d", a.Score, Local(q, tt, sc()).Score)
-	}
-	if len(a.Ops) == 0 {
-		t.Fatal("no operations in traceback")
-	}
-	// Re-score the traceback operations: must equal the score.
-	var rescore int32
-	qi, tj := a.QBegin, a.TBegin
-	for _, op := range a.Ops {
-		switch op {
-		case OpMatch:
-			if q[qi] != tt[tj] {
-				t.Fatalf("op = at (%d,%d) but bases differ", qi, tj)
-			}
-			rescore += sc().Match
-			qi++
-			tj++
-		case OpMismatch:
-			if q[qi] == tt[tj] {
-				t.Fatalf("op X at (%d,%d) but bases equal", qi, tj)
-			}
-			rescore += sc().Mismatch
-			qi++
-			tj++
-		case OpInsert:
-			rescore += sc().Gap
-			qi++
-		case OpDelete:
-			rescore += sc().Gap
-			tj++
-		}
-	}
-	if rescore != a.Score {
-		t.Fatalf("rescored ops = %d, want %d", rescore, a.Score)
-	}
-	if qi != a.QueryEnd || tj != a.TargetEnd {
-		t.Fatalf("ops end at (%d,%d), reported (%d,%d)", qi, tj, a.QueryEnd, a.TargetEnd)
-	}
-	if !strings.Contains(a.CIGAR(), "=") {
-		t.Fatalf("CIGAR %q has no matches", a.CIGAR())
-	}
-	if a.Identity() <= 0.5 {
-		t.Fatalf("identity %v too low for a match-dominated alignment", a.Identity())
-	}
-}
-
-func TestLocalAlignPropertyRescore(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		q := seq.RandSeq(rng, 1+rng.Intn(40))
-		tt := seq.RandSeq(rng, 1+rng.Intn(40))
-		a := LocalAlign(q, tt, sc())
-		return a.Score == Local(q, tt, sc()).Score
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestLocalSIMDMatchesScalar(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	var ops simd.OpCounter
-	for trial := 0; trial < 50; trial++ {
-		q := seq.RandSeq(rng, 1+rng.Intn(120))
-		tt := seq.RandSeq(rng, 1+rng.Intn(120))
-		v := LocalSIMD(q, tt, sc(), &ops)
-		s := Local(q, tt, sc())
-		if v.Score != s.Score {
-			t.Fatalf("trial %d: simd %d != scalar %d\nq=%s\nt=%s", trial, v.Score, s.Score, q, tt)
-		}
-	}
-	if ops.VecOps == 0 {
-		t.Fatal("no vector ops accounted")
-	}
-}
-
-func TestLocalSIMDRelatedPair(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	base := seq.RandSeq(rng, 800)
-	mut := seq.Mutate(rng, base, seq.PacBioProfile(0.15))
-	v := LocalSIMD(base, mut, sc(), nil)
-	s := Local(base, mut, sc())
-	if v.Score != s.Score {
-		t.Fatalf("simd %d != scalar %d on related pair", v.Score, s.Score)
-	}
-	if v.Cells != s.Cells {
-		t.Fatalf("simd cells %d != scalar %d", v.Cells, s.Cells)
-	}
-}
-
 func TestCUDASWBatchMatchesLocal(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	pairs := seq.RandPairSet(rng, seq.PairSetOptions{N: 12, MinLen: 60, MaxLen: 150, ErrorRate: 0.15, SeedLen: 11})
@@ -293,15 +196,5 @@ func BenchmarkLocal1K(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Local(q, tt, sc())
-	}
-}
-
-func BenchmarkLocalSIMD1K(b *testing.B) {
-	rng := rand.New(rand.NewSource(11))
-	q := seq.RandSeq(rng, 1000)
-	tt := seq.RandSeq(rng, 1000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		LocalSIMD(q, tt, sc(), nil)
 	}
 }

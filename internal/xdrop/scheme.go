@@ -4,8 +4,11 @@ package xdrop
 // repository implements: the paper's linear DNA scheme (the only one the
 // GPU kernel speaks, §III), Gotoh affine gaps (affine.go), and residue
 // substitution matrices (protein.go, the §VIII future-work item). A Scheme
-// is the batch-level carrier: one value parameterizes a whole pool batch,
-// the way core.Config parameterizes a GPU batch.
+// is the batch-level carrier — the only form the scoring family takes
+// below the public logan.Config: one value parameterizes a whole backend
+// batch, keys the coalescer lane and the result cache, and is lowered
+// onto the GPU kernel's linear-only core.Config in exactly one place
+// (internal/backend).
 
 import (
 	"fmt"

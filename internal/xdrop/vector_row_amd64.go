@@ -17,9 +17,8 @@ func vectorRowBlocks(d3, d2m1, out []int16, qs, ts []byte, blocks int, tab *simd
 
 // vectorRowBlocksSSE is implemented in vector_row_amd64.s. It processes
 // blocks*8 interior cells of one anti-diagonal with SSE2 128-bit integer
-// instructions — the real form of the 8×int16 lane model that
-// internal/simd emulates — and returns the maximum stored (post-clamp)
-// value. It is bit-identical to vectorRowBlocksPortable on every input
+// instructions — the real form of the 8×int16 lane model of the
+// portable kernel — and returns the maximum stored (post-clamp) value. It is bit-identical to vectorRowBlocksPortable on every input
 // (pinned by TestVectorRowBlocksSSE and the kernel fuzz target).
 //
 //go:noescape

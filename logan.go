@@ -20,12 +20,14 @@
 //	pro := logan.Config{X: 40, Scoring: logan.MatrixScoring(logan.Blosum62(-6))}
 //	out, stats, err = eng.Align(ctx, protPairs, pro)
 //
-//	s := eng.NewStream(4)                           // pipelined ingest→align→emit
 //	c := eng.NewCoalescer(logan.CoalescerOptions{}) // merge concurrent callers
 //
-// Execution is pluggable (internal/backend): CPU worker pool, simulated
-// multi-GPU node, or the Hybrid scheduler that shards each batch across
-// both. All backends produce bit-identical scores; GPU-backed batches
+// Execution is pluggable (internal/backend): CPU worker pool, one
+// simulated GPU, or the partitioned executor that shards each batch
+// across several devices (the paper's multi-GPU node) or across the CPU
+// pool and every device (Hybrid). Below this package the scoring family
+// travels in one form, xdrop.Scheme, which Config lowers to once per
+// request. All backends produce bit-identical scores; GPU-backed batches
 // additionally report the modeled device time on NVIDIA Tesla V100s. The
 // GPU kernel is linear-DNA only, exactly like the paper's device code:
 // affine and matrix configs run on CPU engines, route to the CPU shards
@@ -61,8 +63,7 @@ const (
 // Ingestion is zero-copy: canonical sequences (upper-case ACGTN for the
 // linear and affine schemes, the matrix alphabet for matrix scoring) are
 // aliased, not copied, so the caller must not mutate Query or Target until
-// the call that received the Pair has returned — or, for Stream.Submit,
-// until the batch's result has been delivered.
+// the call that received the Pair has returned.
 type Pair struct {
 	Query, Target []byte
 	SeedQ, SeedT  int

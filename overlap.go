@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"logan/internal/bella"
-	"logan/internal/core"
 	"logan/internal/genome"
 	"logan/internal/seq"
 	"logan/internal/telemetry"
@@ -448,7 +447,7 @@ func (e *engineExtender) Name() string { return "logan-engine" }
 func (e *engineExtender) AlignPairs(ctx context.Context, pairs []seq.Pair, sc xdrop.Scoring, x int32) ([]xdrop.SeedResult, bella.AlignerStats, error) {
 	start := time.Now()
 	out := make([]xdrop.SeedResult, len(pairs))
-	bst, err := e.eng.extendPrepared(ctx, pairs, out, core.Config{Scoring: sc, X: x})
+	bst, err := e.eng.extendPrepared(ctx, pairs, out, xdrop.LinearScheme(sc), x)
 	if err != nil {
 		return nil, bella.AlignerStats{}, err
 	}

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Serve-level smoke test: boot logan-serve with coalescing on and an API
-# key file, fire 50 concurrent small /align requests, and assert that
+# Serve-level smoke test: boot logan-serve with an API key file, fire 50
+# concurrent small /align requests, and assert that
 # every request succeeded and that the coalescer actually merged
 # cross-request batches (non-zero mergedBatches in /statz). Then drive
 # two authenticated tenants and assert the per-tenant metric series and
@@ -33,7 +33,7 @@ alpha-key alpha
 bravo-key bravo  50000 100000 2
 EOF
 
-"$BIN" -addr "$ADDR" -backend cpu -coalesce -api-keys "$WORK/keys.conf" &
+"$BIN" -addr "$ADDR" -backend cpu -api-keys "$WORK/keys.conf" &
 SERVER_PID=$!
 
 # Wait for liveness.
