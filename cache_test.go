@@ -235,8 +235,7 @@ func TestCoalescerCacheEviction(t *testing.T) {
 // BenchmarkCacheServe compares the cache hit path against recomputation
 // of the same request: "hit" serves a warm repeated request entirely
 // from the result cache, "recompute" runs the identical pairs straight
-// on the engine. The ratio is the cache_speedup figure bench-smoke.sh
-// records in BENCH_cache.json.
+// on the engine. The ratio of the two is the cache speedup.
 func BenchmarkCacheServe(b *testing.B) {
 	eng, err := NewAligner(EngineOptions{})
 	if err != nil {

@@ -7,11 +7,8 @@
 // (paper §V). PAF output is byte-identical to logan-serve's /jobs API on
 // the same inputs (both run the same Overlapper).
 //
-// Usage:
-//
-//	bella [-preset ecoli-sim|celegans-sim|tiny] [-x 25]
-//	      [-backend cpu|gpu|hybrid] [-gpus 6] [-seed 1] [-k 17]
-//	      [-fasta reads.fa] [-paf out.paf] [-cigar] [-progress]
+// bella -h lists the flags; -k, -cov, -errrate, -x and -minov are rows of
+// logan.OverlapConfig's parameter table.
 package main
 
 import (
@@ -34,23 +31,27 @@ func fatal(err error) {
 }
 
 func main() {
+	// The pipeline flags are rows of the overlap parameter table, bound to
+	// the configuration the run uses: -cov/-errrate matter for -fasta
+	// input only (a simulated data set knows its own).
+	cfg := logan.DefaultOverlapConfig(logan.DefaultCoverage, logan.DefaultErrorRate, 25)
+	cfg.MinOverlap = 500
+	cfg.Params().Flags(flag.CommandLine, map[string]string{
+		"coverage": "cov", "errorRate": "errrate", "x": "x", "k": "k", "minOverlap": "minov",
+	})
+	opt := logan.EngineOptions{GPUs: 1}
+	flag.TextVar(&opt.Backend, "backend", logan.CPU, "alignment backend: cpu, gpu or hybrid")
+	flag.IntVar(&opt.GPUs, "gpus", opt.GPUs, "simulated GPU count")
 	var (
 		presetName = flag.String("preset", "tiny", "data set preset: ecoli-sim, celegans-sim or tiny")
-		fasta      = flag.String("fasta", "", "align reads from this FASTA file instead of simulating (no ground-truth accuracy)")
-		coverage   = flag.Float64("cov", 6, "assumed coverage for -fasta input (reliable k-mer model)")
-		errRate    = flag.Float64("errrate", 0.15, "assumed per-read error rate for -fasta input")
-		x          = flag.Int("x", 25, "X-drop threshold for the alignment stage")
-		backend    = flag.String("backend", "cpu", "alignment backend: cpu, gpu or hybrid")
-		gpus       = flag.Int("gpus", 1, "simulated GPU count")
+		fasta      = flag.String("fasta", "", "align reads from this FASTA file instead of simulating (no ground-truth accuracy; the data set is described by -cov and -errrate)")
 		seed       = flag.Int64("seed", 1, "simulation RNG seed")
-		k          = flag.Int("k", 17, "k-mer length")
-		minOv      = flag.Int("minov", 500, "minimum reported overlap length (bases)")
-		cigar      = flag.Bool("cigar", false, "recover CIGAR strings for accepted overlaps (CPU post-pass)")
 		pafOut     = flag.String("paf", "", "write accepted overlaps to this file in PAF format")
 		dumpReads  = flag.String("dump-reads", "", "write the simulated reads as FASTA and exit")
 		dumpGenome = flag.String("dump-genome", "", "also write the simulated genome as FASTA (the mapping reference for logan-map / POST /map)")
 		progress   = flag.Bool("progress", false, "print pipeline progress to stderr")
 	)
+	flag.BoolVar(&cfg.Traceback, "cigar", false, "recover CIGAR strings for accepted overlaps (CPU post-pass)")
 	flag.Parse()
 
 	var preset genome.Preset
@@ -82,14 +83,13 @@ func main() {
 			fatal(err)
 		}
 		rs = genome.FromRecords(recs)
-		preset.Coverage = *coverage
-		preset.ErrorRate = *errRate
 		fmt.Printf("loaded %d reads from %s\n", len(rs.Reads), *fasta)
 	} else {
 		rng := rand.New(rand.NewSource(*seed))
 		fmt.Printf("simulating %s: genome %d bp, coverage %.1f, error %.0f%%\n",
 			preset.Name, preset.GenomeLen, preset.Coverage, preset.ErrorRate*100)
 		rs = preset.Build(rng)
+		cfg.Coverage, cfg.ErrorRate = preset.Coverage, preset.ErrorRate
 		haveTruth = true
 		fmt.Printf("  %d reads sampled\n", len(rs.Reads))
 	}
@@ -121,18 +121,6 @@ func main() {
 		return
 	}
 
-	opt := logan.EngineOptions{GPUs: *gpus}
-	switch *backend {
-	case "cpu":
-		opt.Backend = logan.CPU
-	case "gpu":
-		opt.Backend = logan.GPU
-	case "hybrid":
-		opt.Backend = logan.Hybrid
-	default:
-		fmt.Fprintf(os.Stderr, "unknown backend %q (want cpu, gpu or hybrid)\n", *backend)
-		os.Exit(2)
-	}
 	eng, err := logan.NewAligner(opt)
 	if err != nil {
 		fatal(err)
@@ -143,10 +131,6 @@ func main() {
 		fatal(err)
 	}
 
-	cfg := logan.DefaultOverlapConfig(preset.Coverage, preset.ErrorRate, int32(*x))
-	cfg.K = *k
-	cfg.MinOverlap = *minOv
-	cfg.Traceback = *cigar
 	if *progress {
 		cfg.OnProgress = func(p logan.OverlapProgress) {
 			fmt.Fprintf(os.Stderr, "\rstage=%-8s kmers=%d cands=%d extended=%d/%d",
@@ -168,7 +152,7 @@ func main() {
 		fatal(err)
 	}
 	st := res.Stats
-	fmt.Printf("pipeline (%s backend) in %v:\n", *backend, time.Since(start).Round(time.Millisecond))
+	fmt.Printf("pipeline (%s backend) in %v:\n", opt.Backend, time.Since(start).Round(time.Millisecond))
 	fmt.Printf("  reliable k-mers:  %d\n", st.ReliableKmers)
 	fmt.Printf("  matrix nnz:       %d\n", st.MatrixNNZ)
 	fmt.Printf("  candidate pairs:  %d\n", st.CandidatePairs)
@@ -182,7 +166,7 @@ func main() {
 	if st.DeviceTime > 0 {
 		fmt.Printf("  modeled GPU time: %v\n", st.DeviceTime.Round(time.Microsecond))
 	}
-	if *cigar && len(res.Records) > 0 {
+	if cfg.Traceback && len(res.Records) > 0 {
 		n := min(3, len(res.Records))
 		fmt.Printf("first %d overlaps with traceback:\n", n)
 		for _, r := range res.Records[:n] {
@@ -213,8 +197,8 @@ func main() {
 		for i, r := range res.Records {
 			evs[i] = bella.Overlap{I: int32(r.QIndex), J: int32(r.TIndex)}
 		}
-		acc := bella.Evaluate(rs, evs, *minOv)
-		fmt.Printf("accuracy vs ground truth (overlap >= %d bp):\n", *minOv)
+		acc := bella.Evaluate(rs, evs, cfg.MinOverlap)
+		fmt.Printf("accuracy vs ground truth (overlap >= %d bp):\n", cfg.MinOverlap)
 		fmt.Printf("  recall %.3f  precision %.3f  F1 %.3f  (tp=%d, truth=%d, predicted=%d)\n",
 			acc.Recall, acc.Precision, acc.F1, acc.TruePositives, acc.TruePairs, acc.PredictedPairs)
 	}

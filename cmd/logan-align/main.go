@@ -28,8 +28,6 @@ func main() {
 	var (
 		nPairs  = flag.Int("pairs", 1000, "number of read pairs to align")
 		x       = flag.Int("x", 100, "X-drop threshold")
-		backend = flag.String("backend", "cpu", "alignment backend: cpu, gpu or hybrid")
-		gpus    = flag.Int("gpus", 1, "simulated GPU count (gpu and hybrid backends)")
 		seed    = flag.Int64("seed", 42, "workload RNG seed")
 		minLen  = flag.Int("minlen", 2500, "minimum read length")
 		maxLen  = flag.Int("maxlen", 7500, "maximum read length")
@@ -45,6 +43,9 @@ func main() {
 		gapExt   = flag.Int("gap-extend", 0, "affine gap-extend penalty (< 0)")
 		matrix   = flag.String("matrix", "", `substitution matrix ("blosum62"); scores with the matrix and -gap as its gap penalty (CPU and hybrid backends only)`)
 	)
+	var opt logan.EngineOptions
+	flag.TextVar(&opt.Backend, "backend", logan.CPU, "alignment backend: cpu, gpu or hybrid")
+	flag.IntVar(&opt.GPUs, "gpus", 1, "simulated GPU count (gpu and hybrid backends)")
 	flag.Parse()
 
 	cfg := logan.Config{X: int32(*x)}
@@ -117,17 +118,6 @@ func main() {
 		}
 	}
 
-	opt := logan.EngineOptions{GPUs: *gpus}
-	switch *backend {
-	case "cpu":
-	case "gpu":
-		opt.Backend = logan.GPU
-	case "hybrid":
-		opt.Backend = logan.Hybrid
-	default:
-		fmt.Fprintf(os.Stderr, "unknown backend %q (want cpu, gpu or hybrid)\n", *backend)
-		os.Exit(2)
-	}
 	eng, err := logan.NewAligner(opt)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "logan-align: %v\n", err)
@@ -148,11 +138,11 @@ func main() {
 		}
 	}
 	fmt.Printf("aligned %d pairs with X=%d (%s scoring) on %s backend\n",
-		stats.Pairs, *x, cfg.Scoring.Mode(), *backend)
+		stats.Pairs, *x, cfg.Scoring.Mode(), opt.Backend)
 	fmt.Printf("  DP cells:     %d\n", stats.Cells)
 	fmt.Printf("  wall time:    %v\n", time.Since(start).Round(time.Millisecond))
 	if stats.DeviceTime > 0 {
-		fmt.Printf("  modeled time: %v on %d simulated V100(s)\n", stats.DeviceTime.Round(time.Microsecond), *gpus)
+		fmt.Printf("  modeled time: %v on %d simulated V100(s)\n", stats.DeviceTime.Round(time.Microsecond), opt.GPUs)
 	}
 	fmt.Printf("  GCUPS:        %.2f\n", stats.GCUPS)
 }

@@ -7,10 +7,13 @@
 //
 // Usage:
 //
-//	logan-map build-index -ref ref.fa -o ref.lgi [-k 15] [-w 10] [-max-occ 256]
+//	logan-map build-index -ref ref.fa -o ref.lgi [-k K] [-w W] [-max-occ N]
 //	logan-map map (-index ref.lgi | -ref ref.fa) [reads.fa ...]
-//	          [-x 100] [-backend cpu|gpu|hybrid] [-gpus 1] [-threads 0]
-//	          [-max-secondary -1] [-o out.paf] [-stats]
+//	          [-x X] [-backend cpu|gpu|hybrid] [-gpus N] [-threads N]
+//	          [-max-secondary N] [-o out.paf] [-stats]
+//
+// (-k, -w, -max-occ, -x and -max-secondary are rows of logan's index and
+// mapping parameter tables; "logan-map <subcommand> -h" prints defaults.)
 //
 // build-index streams the reference FASTA, extracts its minimizers and
 // writes the versioned binary index (CRC-verified on load). map loads a
@@ -59,22 +62,26 @@ func main() {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
-  logan-map build-index -ref ref.fa -o ref.lgi [-k 15] [-w 10] [-max-occ 256]
-  logan-map map (-index ref.lgi | -ref ref.fa) [reads.fa ...] [-x 100]
-            [-backend cpu|gpu|hybrid] [-max-secondary -1] [-o out.paf] [-stats]`)
+  logan-map build-index -ref ref.fa -o ref.lgi [-k K] [-w W] [-max-occ N]
+  logan-map map (-index ref.lgi | -ref ref.fa) [reads.fa ...] [-x X]
+            [-backend cpu|gpu|hybrid] [-max-secondary N] [-o out.paf] [-stats]
+  logan-map <subcommand> -h lists every flag with its default`)
 }
+
+// indexFlags names the index parameter table's rows on both subcommands
+// (map uses them for its in-memory -ref build).
+var indexFlags = map[string]string{"k": "k", "w": "w", "maxOcc": "max-occ"}
 
 // runBuildIndex is the build-index subcommand: reference FASTA in,
 // versioned binary minimizer index out.
 func runBuildIndex(args []string) error {
 	fs := flag.NewFlagSet("build-index", flag.ExitOnError)
 	var (
-		ref    = fs.String("ref", "", "reference FASTA to index (required)")
-		out    = fs.String("o", "", "output index path (required)")
-		k      = fs.Int("k", 0, "minimizer k-mer length (0 = 15)")
-		w      = fs.Int("w", 0, "minimizer window (0 = 10)")
-		maxOcc = fs.Int("max-occ", 0, "mask minimizers occurring more than this (0 = 256, negative = no masking)")
+		ref = fs.String("ref", "", "reference FASTA to index (required)")
+		out = fs.String("o", "", "output index path (required)")
+		opt logan.IndexOptions
 	)
+	opt.Params().Flags(fs, indexFlags)
 	fs.Parse(args)
 	if *ref == "" || *out == "" {
 		return fmt.Errorf("build-index requires -ref and -o")
@@ -95,7 +102,7 @@ func runBuildIndex(args []string) error {
 		return err
 	}
 	start := time.Now()
-	st, err := m.Build(context.Background(), f, logan.IndexOptions{K: *k, W: *w, MaxOccurrence: *maxOcc})
+	st, err := m.Build(context.Background(), f, opt)
 	f.Close()
 	if err != nil {
 		return err
@@ -122,32 +129,22 @@ func runBuildIndex(args []string) error {
 func runMap(args []string) error {
 	fs := flag.NewFlagSet("map", flag.ExitOnError)
 	var (
-		index   = fs.String("index", "", "saved minimizer index (from build-index)")
-		ref     = fs.String("ref", "", "reference FASTA to index in memory instead of -index")
-		x       = fs.Int("x", 100, "X-drop threshold of the extension stage")
-		backend = fs.String("backend", "cpu", "alignment backend: cpu, gpu or hybrid")
-		gpus    = fs.Int("gpus", 1, "simulated GPU count (gpu and hybrid backends)")
-		threads = fs.Int("threads", 0, "CPU worker count (0 = GOMAXPROCS)")
-		k       = fs.Int("k", 0, "minimizer k-mer length for -ref (0 = 15)")
-		w       = fs.Int("w", 0, "minimizer window for -ref (0 = 10)")
-		maxOcc  = fs.Int("max-occ", 0, "mask -ref minimizers occurring more than this (0 = 256)")
-		maxSec  = fs.Int("max-secondary", -1, "secondary placements per primary locus (negative = 5, 0 = primaries only)")
-		out     = fs.String("o", "", "output PAF path (empty = stdout)")
-		stats   = fs.Bool("stats", false, "print run statistics to stderr")
+		index  = fs.String("index", "", "saved minimizer index (from build-index)")
+		ref    = fs.String("ref", "", "reference FASTA to index in memory instead of -index")
+		out    = fs.String("o", "", "output PAF path (empty = stdout)")
+		stats  = fs.Bool("stats", false, "print run statistics to stderr")
+		opt    logan.EngineOptions
+		idxOpt logan.IndexOptions
+		cfg    = logan.DefaultMapConfig(100)
 	)
+	fs.TextVar(&opt.Backend, "backend", logan.CPU, "alignment backend: cpu, gpu or hybrid")
+	fs.IntVar(&opt.GPUs, "gpus", 1, "simulated GPU count (gpu and hybrid backends)")
+	fs.IntVar(&opt.Threads, "threads", 0, "CPU worker count (0 = GOMAXPROCS)")
+	cfg.Params().Flags(fs, map[string]string{"x": "x", "maxSecondary": "max-secondary"})
+	idxOpt.Params().Flags(fs, indexFlags)
 	fs.Parse(args)
 	if (*index == "") == (*ref == "") {
 		return fmt.Errorf("map requires exactly one of -index and -ref")
-	}
-	opt := logan.EngineOptions{Threads: *threads, GPUs: *gpus}
-	switch *backend {
-	case "cpu":
-	case "gpu":
-		opt.Backend = logan.GPU
-	case "hybrid":
-		opt.Backend = logan.Hybrid
-	default:
-		return fmt.Errorf("unknown backend %q (want cpu, gpu or hybrid)", *backend)
 	}
 	eng, err := logan.NewAligner(opt)
 	if err != nil {
@@ -173,15 +170,12 @@ func runMap(args []string) error {
 		if err != nil {
 			return err
 		}
-		_, err = m.Build(context.Background(), f, logan.IndexOptions{K: *k, W: *w, MaxOccurrence: *maxOcc})
+		_, err = m.Build(context.Background(), f, idxOpt)
 		f.Close()
 		if err != nil {
 			return err
 		}
 	}
-
-	cfg := logan.DefaultMapConfig(int32(*x))
-	cfg.MaxSecondary = *maxSec
 
 	dst := io.Writer(os.Stdout)
 	if *out != "" {

@@ -301,7 +301,7 @@ func TestClusterIdempotencyKey(t *testing.T) {
 	srv, _, _ := clusterTestServer(t, filepath.Join(t.TempDir(), "queue.wal"), nil)
 	startWorker(t, srv.URL, "w1")
 
-	post := func(key string) (jobStatusJSON, *http.Response) {
+	post := func(key string) (cluster.JobStatus, *http.Response) {
 		req, err := http.NewRequest(http.MethodPost,
 			srv.URL+"/jobs?x=20&minOverlap=400&coverage=5&errorRate=0.12", bytes.NewReader(fasta))
 		if err != nil {
@@ -318,7 +318,7 @@ func TestClusterIdempotencyKey(t *testing.T) {
 		if resp.StatusCode != http.StatusAccepted {
 			t.Fatalf("POST /jobs: status %d: %s", resp.StatusCode, body)
 		}
-		var st jobStatusJSON
+		var st cluster.JobStatus
 		if err := json.Unmarshal(body, &st); err != nil {
 			t.Fatalf("POST /jobs response %q: %v", body, err)
 		}

@@ -12,120 +12,61 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
-	"time"
 
 	"logan"
 	"logan/internal/cluster"
 	"logan/internal/telemetry"
 )
 
-// overlapConfigJSON is the wire form of a job's pipeline configuration:
-// every field optional, zero values replaced by the DefaultOverlapConfig
-// defaults (coverage 6, error rate 0.15, the paper's +1/-1/-1 scoring).
-// The same fields are accepted as query parameters on raw-FASTA
-// submissions.
-type overlapConfigJSON struct {
-	K          int     `json:"k"`
-	Coverage   float64 `json:"coverage"`
-	ErrorRate  float64 `json:"errorRate"`
-	X          *int32  `json:"x"`
-	MinOverlap int     `json:"minOverlap"`
-	MinShared  int     `json:"minShared"`
-	MaxSeeds   int     `json:"maxSeeds"`
-	BinWidth   int     `json:"binWidth"`
-	Delta      float64 `json:"delta"`
-}
-
 // jobRequestJSON is the application/json POST /jobs payload: a
 // server-side FASTA path (relative to -job-data-dir) plus the pipeline
-// configuration.
+// configuration — the same request parameters raw-FASTA submissions send
+// in the query string, each field's JSON text handed to the same setter.
 type jobRequestJSON struct {
-	FastaPath string            `json:"fastaPath"`
-	Config    overlapConfigJSON `json:"config"`
+	FastaPath string                     `json:"fastaPath"`
+	Config    map[string]json.RawMessage `json:"config"`
 }
 
-// overlapConfig resolves the wire configuration against the server's
-// defaults and caps.
-func (s *server) overlapConfig(req overlapConfigJSON) (logan.OverlapConfig, error) {
-	cov, er := req.Coverage, req.ErrorRate
-	if cov == 0 {
-		cov = 6
+// params is the config object as the query string it is another spelling
+// of; a null field reads as absent.
+func (r jobRequestJSON) params() url.Values {
+	q := url.Values{}
+	for name, raw := range r.Config {
+		if string(raw) != "null" {
+			q.Set(name, string(raw))
+		}
 	}
-	if er == 0 {
-		er = 0.15
-	}
-	if cov < 0 || er < 0 || er >= 1 {
-		return logan.OverlapConfig{}, fmt.Errorf("coverage %g / errorRate %g out of range", cov, er)
-	}
-	x := s.defCfg.X
-	if req.X != nil {
-		x = *req.X
-	}
-	if x > s.maxX {
-		return logan.OverlapConfig{}, fmt.Errorf("x %d exceeds the server's %d limit", x, s.maxX)
-	}
-	cfg := logan.DefaultOverlapConfig(cov, er, x)
-	if req.K != 0 {
-		cfg.K = req.K
-	}
-	cfg.MinOverlap = req.MinOverlap
-	if req.MinShared != 0 {
-		cfg.MinShared = req.MinShared
-	}
-	if req.MaxSeeds != 0 {
-		cfg.MaxSeeds = req.MaxSeeds
-	}
-	if req.BinWidth != 0 {
-		cfg.BinWidth = req.BinWidth
-	}
-	if req.Delta != 0 {
-		cfg.Delta = req.Delta
-	}
-	if err := cfg.Validate(); err != nil {
-		return logan.OverlapConfig{}, err
-	}
-	return cfg, nil
+	return q
 }
 
-// queryOverlapConfig parses the overlapConfigJSON fields from URL query
-// parameters (the raw-FASTA submission form).
-func queryOverlapConfig(q url.Values) (overlapConfigJSON, error) {
-	var out overlapConfigJSON
-	var err error
-	geti := func(key string, dst *int) {
-		if v := q.Get(key); v != "" && err == nil {
-			*dst, err = strconv.Atoi(v)
-			if err != nil {
-				err = fmt.Errorf("query parameter %s=%q: %w", key, v, err)
+// setParams is the one place a request parameter becomes a value: every
+// query key of /jobs, /map and /map/index goes through the bound table's
+// setter, so an unknown name, a malformed number and a value outside its
+// row's bounds are the same 400 on every endpoint. A key without a value
+// (?k=) reads as absent. x, where the table has one, then meets the one
+// bound the table cannot know: this server's -max-x.
+func (s *server) setParams(ps logan.Params, q url.Values, x *int32) error {
+	for name, vals := range q {
+		if v := vals[0]; v != "" {
+			if err := ps.Set(name, v); err != nil {
+				return err
 			}
 		}
 	}
-	getf := func(key string, dst *float64) {
-		if v := q.Get(key); v != "" && err == nil {
-			*dst, err = strconv.ParseFloat(v, 64)
-			if err != nil {
-				err = fmt.Errorf("query parameter %s=%q: %w", key, v, err)
-			}
-		}
+	if x != nil && *x > s.maxX {
+		return fmt.Errorf("x %d exceeds the server's %d limit", *x, s.maxX)
 	}
-	geti("k", &out.K)
-	getf("coverage", &out.Coverage)
-	getf("errorRate", &out.ErrorRate)
-	if v := q.Get("x"); v != "" && err == nil {
-		xv, perr := strconv.ParseInt(v, 10, 32)
-		if perr != nil {
-			err = fmt.Errorf("query parameter x=%q: %w", v, perr)
-		} else {
-			x32 := int32(xv)
-			out.X = &x32
-		}
+	return nil
+}
+
+// jobConfig resolves a submission's configuration: the table's defaults
+// under the server's -x, then the request's parameters, then Validate.
+func (s *server) jobConfig(q url.Values) (logan.OverlapConfig, error) {
+	cfg := logan.DefaultOverlapConfig(logan.DefaultCoverage, logan.DefaultErrorRate, s.defCfg.X)
+	if err := s.setParams(cfg.Params(), q, &cfg.X); err != nil {
+		return cfg, err
 	}
-	geti("minOverlap", &out.MinOverlap)
-	geti("minShared", &out.MinShared)
-	geti("maxSeeds", &out.MaxSeeds)
-	geti("binWidth", &out.BinWidth)
-	getf("delta", &out.Delta)
-	return out, err
+	return cfg, cfg.Validate()
 }
 
 // handleJobSubmit is POST /jobs. An application/json body names a
@@ -159,16 +100,13 @@ func (s *server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	if ct == "application/json" {
 		var req jobRequestJSON
 		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-		if err := dec.Decode(&req); err != nil {
-			s.fail(w, http.StatusBadRequest, "bad request: %v", err)
-			return
+		err := dec.Decode(&req)
+		if err == nil && !errors.Is(dec.Decode(&struct{}{}), io.EOF) {
+			err = errors.New("trailing data after JSON document")
 		}
-		if err := dec.Decode(&struct{}{}); !errors.Is(err, io.EOF) {
-			s.fail(w, http.StatusBadRequest, "bad request: trailing data after JSON document")
-			return
+		if err == nil {
+			cfg, err = s.jobConfig(req.params())
 		}
-		var err error
-		cfg, err = s.overlapConfig(req.Config)
 		if err != nil {
 			s.fail(w, http.StatusBadRequest, "bad request: %v", err)
 			return
@@ -180,12 +118,8 @@ func (s *server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 		src = func() (io.ReadCloser, error) { return os.Open(path) }
 	} else {
-		q, err := queryOverlapConfig(r.URL.Query())
-		if err != nil {
-			s.fail(w, http.StatusBadRequest, "bad request: %v", err)
-			return
-		}
-		cfg, err = s.overlapConfig(q)
+		var err error
+		cfg, err = s.jobConfig(r.URL.Query())
 		if err != nil {
 			s.fail(w, http.StatusBadRequest, "bad request: %v", err)
 			return
@@ -253,7 +187,7 @@ func (s *server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("X-Logan-Replayed", "true")
 	}
 	w.WriteHeader(http.StatusAccepted)
-	if err := json.NewEncoder(w).Encode(statusJSON(stat)); err != nil {
+	if err := json.NewEncoder(w).Encode(stat); err != nil {
 		s.m.writeErrors.Inc()
 	}
 }
@@ -279,74 +213,6 @@ func (s *server) resolveDataPath(p string) (string, error) {
 	return filepath.Join(s.dataDir, clean), nil
 }
 
-// jobProgressJSON is the progress block of GET /jobs/{id}.
-type jobProgressJSON struct {
-	Stage           string `json:"stage"`
-	ReadsParsed     int64  `json:"readsParsed"`
-	ReliableKmers   int64  `json:"reliableKmers"`
-	CandidatePairs  int64  `json:"candidatePairs"`
-	ExtensionsDone  int64  `json:"extensionsDone"`
-	ExtensionsTotal int64  `json:"extensionsTotal"`
-	Shed            int64  `json:"shed"`
-	Retries         int64  `json:"retries"`
-}
-
-// jobStatusJSON is the GET /jobs/{id} payload (also returned by POST).
-// Worker and Requeues only appear in router mode: which node holds (or
-// held) the job's lease, and how many retries it survived.
-type jobStatusJSON struct {
-	ID       string           `json:"id"`
-	State    string           `json:"state"`
-	Error    string           `json:"error,omitempty"`
-	Progress *jobProgressJSON `json:"progress,omitempty"`
-	// Overlaps/Reads/Cells/PAFBytes summarize a finished job.
-	Overlaps   int    `json:"overlaps,omitempty"`
-	Reads      int    `json:"reads,omitempty"`
-	Cells      int64  `json:"cells,omitempty"`
-	PAFBytes   int    `json:"pafBytes,omitempty"`
-	Worker     string `json:"worker,omitempty"`
-	Requeues   int    `json:"requeues,omitempty"`
-	CreatedAt  string `json:"createdAt"`
-	StartedAt  string `json:"startedAt,omitempty"`
-	FinishedAt string `json:"finishedAt,omitempty"`
-}
-
-// statusJSON renders a job status for the wire.
-func statusJSON(st cluster.JobStatus) jobStatusJSON {
-	out := jobStatusJSON{
-		ID:    st.ID,
-		State: st.State,
-		Error: st.Error,
-		Progress: &jobProgressJSON{
-			Stage:           st.Progress.Stage,
-			ReadsParsed:     st.Progress.ReadsParsed,
-			ReliableKmers:   st.Progress.ReliableKmers,
-			CandidatePairs:  st.Progress.CandidatePairs,
-			ExtensionsDone:  st.Progress.ExtensionsDone,
-			ExtensionsTotal: st.Progress.ExtensionsTotal,
-			Shed:            st.Progress.Shed,
-			Retries:         st.Progress.Retries,
-		},
-		Overlaps:  st.Overlaps,
-		Reads:     st.Reads,
-		Cells:     st.Cells,
-		PAFBytes:  st.PAFBytes,
-		Worker:    st.Worker,
-		Requeues:  st.Requeues,
-		CreatedAt: st.Created.UTC().Format(time.RFC3339Nano),
-	}
-	if out.Progress.Stage == "" {
-		out.Progress.Stage = st.State
-	}
-	if !st.Started.IsZero() {
-		out.StartedAt = st.Started.UTC().Format(time.RFC3339Nano)
-	}
-	if !st.Finished.IsZero() {
-		out.FinishedAt = st.Finished.UTC().Format(time.RFC3339Nano)
-	}
-	return out
-}
-
 // handleJobStatus is GET /jobs/{id}.
 func (s *server) handleJobStatus(w http.ResponseWriter, r *http.Request) {
 	s.m.requests.Inc()
@@ -355,7 +221,7 @@ func (s *server) handleJobStatus(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(statusJSON(stat)); err != nil {
+	if err := json.NewEncoder(w).Encode(stat); err != nil {
 		s.m.writeErrors.Inc()
 	}
 }

@@ -78,7 +78,7 @@ func postJob(t *testing.T, url string, fasta []byte, query string) string {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("POST /jobs: status %d: %s", resp.StatusCode, body)
 	}
-	var st jobStatusJSON
+	var st cluster.JobStatus
 	if err := json.Unmarshal(body, &st); err != nil {
 		t.Fatalf("POST /jobs response %q: %v", body, err)
 	}
@@ -89,7 +89,7 @@ func postJob(t *testing.T, url string, fasta []byte, query string) string {
 }
 
 // getStatus fetches GET /jobs/{id}.
-func getStatus(t *testing.T, url, id string) (jobStatusJSON, int) {
+func getStatus(t *testing.T, url, id string) (cluster.JobStatus, int) {
 	t.Helper()
 	resp, err := http.Get(url + "/jobs/" + id)
 	if err != nil {
@@ -98,9 +98,9 @@ func getStatus(t *testing.T, url, id string) (jobStatusJSON, int) {
 	defer resp.Body.Close()
 	body, _ := io.ReadAll(resp.Body)
 	if resp.StatusCode != http.StatusOK {
-		return jobStatusJSON{}, resp.StatusCode
+		return cluster.JobStatus{}, resp.StatusCode
 	}
-	var st jobStatusJSON
+	var st cluster.JobStatus
 	if err := json.Unmarshal(body, &st); err != nil {
 		t.Fatalf("status %q: %v", body, err)
 	}
@@ -108,7 +108,7 @@ func getStatus(t *testing.T, url, id string) (jobStatusJSON, int) {
 }
 
 // waitJob polls until the job reaches a terminal state.
-func waitJob(t *testing.T, url, id string, timeout time.Duration) jobStatusJSON {
+func waitJob(t *testing.T, url, id string, timeout time.Duration) cluster.JobStatus {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
 	for {
@@ -172,7 +172,7 @@ func TestJobsLifecycle(t *testing.T) {
 			if st.State != cluster.StateDone {
 				t.Fatalf("job finished %s: %s", st.State, st.Error)
 			}
-			if st.Progress == nil || st.Progress.Stage != string(logan.StageDone) {
+			if st.Progress.Stage != logan.StageDone {
 				t.Fatalf("done job progress %+v", st.Progress)
 			}
 			if st.Progress.ReadsParsed == 0 || st.Progress.CandidatePairs == 0 ||
@@ -492,7 +492,7 @@ func TestJobsDataDir(t *testing.T) {
 	if code != http.StatusAccepted {
 		t.Fatalf("fastaPath submit: status %d (%s)", code, body)
 	}
-	var st jobStatusJSON
+	var st cluster.JobStatus
 	if err := json.Unmarshal([]byte(body), &st); err != nil {
 		t.Fatal(err)
 	}

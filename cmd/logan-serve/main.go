@@ -115,21 +115,8 @@
 // net/http/pprof profiles under /debug/pprof/ — kept off the public
 // address so profiling endpoints are never exposed to clients.
 //
-// Usage:
-//
-//	logan-serve [-addr :8080] [-x 100] [-backend cpu|gpu|hybrid] [-gpus 1]
-//	            [-threads 0] [-max-pairs 100000]
-//	            [-coalesce-pairs 4096]
-//	            [-max-pending 0] [-target-delay 20ms]
-//	            [-api-keys keys.conf] [-cache-entries 8192]
-//	            [-jobs] [-job-workers 2] [-max-jobs 64]
-//	            [-job-body-limit 67108864] [-job-pending-bytes 268435456]
-//	            [-job-result-bytes 268435456] [-job-data-dir dir]
-//	            [-job-coalesce] [-debug-addr 127.0.0.1:6060]
-//	            [-map] [-map-ref ref.fa | -map-index ref.lgi]
-//	            [-map-k 15] [-map-w 10] [-map-max-occ 256]
-//	            [-cluster -cluster-queue jobs.wal] [-lease-ttl 10s]
-//	            [-worker-ttl 30s] [-max-requeues 3] [-cluster-token secret]
+// logan-serve -h lists the flags with their defaults; docs/SERVING.md
+// carries the same table, generated from it.
 //
 // SIGINT/SIGTERM drain in-flight requests, cancel live jobs and run the
 // coalescer queue dry, then release the engine and every cached default
@@ -152,84 +139,76 @@ import (
 )
 
 func main() {
+	// Flags bind straight into the structures they configure: the engine
+	// options, the serve configuration (whose defaults are
+	// defaultServeConfig's) and the startup index options (whose three
+	// flags are the index parameter table's rows).
+	cfg := defaultServeConfig()
 	var (
-		addr     = flag.String("addr", ":8080", "listen address")
-		x        = flag.Int("x", 100, "X-drop threshold")
-		backend  = flag.String("backend", "cpu", "alignment backend: cpu, gpu or hybrid")
-		gpus     = flag.Int("gpus", 1, "simulated GPU count (gpu and hybrid backends)")
-		threads  = flag.Int("threads", 0, "CPU worker count (0 = GOMAXPROCS)")
-		maxPairs = flag.Int("max-pairs", 100_000, "largest accepted batch")
-		maxX     = flag.Int("max-x", 10_000, "largest per-request X (caps client-controlled DP work)")
-
-		coalescePairs = flag.Int("coalesce-pairs", 0,
-			"merged-batch pair cap (0 = 4096)")
-		maxPending = flag.Int("max-pending", 0,
-			"fixed pending-pair budget before requests shed with 429 (0 = adaptive admission)")
-		targetDelay = flag.Duration("target-delay", 0,
-			"adaptive admission sheds once projected queue delay exceeds this (0 = 20ms)")
-		apiKeys = flag.String("api-keys", "",
-			"API key file (\"key name [pairsPerSec [burst [weight]]]\" per line) enabling per-tenant quotas and fair-share scheduling (empty = open single-tenant server)")
-		cacheEntries = flag.Int("cache-entries", 8192,
-			"content-addressed result cache capacity in alignments (0 = disabled)")
-		debugAddr = flag.String("debug-addr", "",
-			"separate listen address for net/http/pprof profiling endpoints (empty = disabled)")
-
-		jobs       = flag.Bool("jobs", true, "enable the async /jobs overlap API")
-		jobWorkers = flag.Int("job-workers", 2, "overlap jobs running concurrently")
-		maxJobs    = flag.Int("max-jobs", 64, "retained job records before submissions shed with 429")
-		jobBody    = flag.Int64("job-body-limit", 64<<20, "largest accepted FASTA upload in bytes")
-		jobPending = flag.Int64("job-pending-bytes", 256<<20,
-			"aggregate FASTA bytes buffered by ingesting upload jobs before submissions shed with 429")
-		jobResults = flag.Int64("job-result-bytes", 256<<20,
-			"aggregate PAF bytes retained by finished jobs before the oldest are evicted")
-		jobDataDir = flag.String("job-data-dir", "",
-			"root directory for server-side fastaPath submissions (empty = uploads only)")
-		jobCoalesce = flag.Bool("job-coalesce", false,
-			"merge job extension chunks with /align traffic via the coalescer (coarsens DELETE cancellation to whole merged batches)")
-
-		mapAPI = flag.Bool("map", true, "enable the reference-mapping /map API")
-		mapRef = flag.String("map-ref", "",
-			"reference FASTA to index at startup for /map (empty = build via POST /map/index)")
-		mapIndex = flag.String("map-index", "",
-			"saved minimizer index (from logan-map build-index) to load at startup for /map")
-		mapK      = flag.Int("map-k", 0, "minimizer k-mer length for the -map-ref startup build (0 = 15)")
-		mapW      = flag.Int("map-w", 0, "minimizer window for the -map-ref startup build (0 = 10)")
-		mapMaxOcc = flag.Int("map-max-occ", 0,
-			"mask -map-ref minimizers occurring more than this (0 = 256, negative = no masking)")
-
-		clusterMode = flag.Bool("cluster", false,
-			"router mode: accepted /jobs are persisted to a durable queue and executed by logan-worker processes instead of the local engine (requires -jobs)")
-		clusterQueue = flag.String("cluster-queue", "",
-			"path of the durable job queue file (router mode; required with -cluster)")
-		leaseTTL = flag.Duration("lease-ttl", 0,
-			"work lease duration before an unextended job is requeued (router mode; 0 = 10s)")
-		workerTTL = flag.Duration("worker-ttl", 0,
-			"silence after which a worker is dropped from the registry (router mode; 0 = 3x lease TTL)")
-		maxRequeues = flag.Int("max-requeues", 0,
-			"lease expiries tolerated per job before it fails terminally (router mode; 0 = 3)")
-		clusterToken = flag.String("cluster-token", "",
-			"shared secret workers must present as X-Logan-Cluster-Token (empty = open worker endpoints)")
+		opt    logan.EngineOptions
+		mapOpt logan.IndexOptions
 	)
+	addr := flag.String("addr", ":8080", "listen address")
+	x := flag.Int("x", int(cfg.defCfg.X), "X-drop threshold")
+	flag.TextVar(&opt.Backend, "backend", logan.CPU, "alignment backend: cpu, gpu or hybrid")
+	flag.IntVar(&opt.GPUs, "gpus", 1, "simulated GPU count (gpu and hybrid backends)")
+	flag.IntVar(&opt.Threads, "threads", 0, "CPU worker count (0 = GOMAXPROCS)")
+	flag.IntVar(&cfg.maxPairs, "max-pairs", cfg.maxPairs, "largest accepted batch")
+	flag.IntVar(&cfg.maxX, "max-x", cfg.maxX, "largest per-request X (caps client-controlled DP work)")
+
+	flag.IntVar(&cfg.coalescePairs, "coalesce-pairs", 0,
+		"merged-batch pair cap (0 = 4096)")
+	flag.IntVar(&cfg.maxPending, "max-pending", 0,
+		"fixed pending-pair budget before requests shed with 429 (0 = adaptive admission)")
+	flag.DurationVar(&cfg.targetDelay, "target-delay", 0,
+		"adaptive admission sheds once projected queue delay exceeds this (0 = 20ms)")
+	apiKeys := flag.String("api-keys", "",
+		"API key file (\"key name [pairsPerSec [burst [weight]]]\" per line) enabling per-tenant quotas and fair-share scheduling (empty = open single-tenant server)")
+	flag.IntVar(&cfg.cacheEntries, "cache-entries", cfg.cacheEntries,
+		"content-addressed result cache capacity in alignments (0 = disabled)")
+	debugAddr := flag.String("debug-addr", "",
+		"separate listen address for net/http/pprof profiling endpoints (empty = disabled)")
+
+	flag.BoolVar(&cfg.jobs, "jobs", cfg.jobs, "enable the async /jobs overlap API")
+	flag.IntVar(&cfg.jobWorkers, "job-workers", cfg.jobWorkers, "overlap jobs running concurrently")
+	flag.IntVar(&cfg.maxJobs, "max-jobs", cfg.maxJobs, "retained job records before submissions shed with 429")
+	flag.Int64Var(&cfg.jobBodyLimit, "job-body-limit", cfg.jobBodyLimit, "largest accepted FASTA upload in bytes")
+	flag.Int64Var(&cfg.jobPendingBytes, "job-pending-bytes", cfg.jobPendingBytes,
+		"aggregate FASTA bytes buffered by ingesting upload jobs before submissions shed with 429")
+	flag.Int64Var(&cfg.jobResultBytes, "job-result-bytes", cfg.jobResultBytes,
+		"aggregate PAF bytes retained by finished jobs before the oldest are evicted")
+	flag.StringVar(&cfg.jobDataDir, "job-data-dir", "",
+		"root directory for server-side fastaPath submissions (empty = uploads only)")
+	flag.BoolVar(&cfg.jobCoalesce, "job-coalesce", false,
+		"merge job extension chunks with /align traffic via the coalescer (coarsens DELETE cancellation to whole merged batches)")
+
+	flag.BoolVar(&cfg.maps, "map", cfg.maps, "enable the reference-mapping /map API")
+	mapRef := flag.String("map-ref", "",
+		"reference FASTA to index at startup for /map (empty = build via POST /map/index)")
+	mapIndex := flag.String("map-index", "",
+		"saved minimizer index (from logan-map build-index) to load at startup for /map")
+	mapOpt.Params().Flags(flag.CommandLine, map[string]string{"k": "map-k", "w": "map-w", "maxOcc": "map-max-occ"})
+
+	flag.BoolVar(&cfg.cluster, "cluster", false,
+		"router mode: accepted /jobs are persisted to a durable queue and executed by logan-worker processes instead of the local engine (requires -jobs)")
+	flag.StringVar(&cfg.clusterQueue, "cluster-queue", "",
+		"path of the durable job queue file (router mode; required with -cluster)")
+	flag.DurationVar(&cfg.leaseTTL, "lease-ttl", 0,
+		"work lease duration before an unextended job is requeued (router mode; 0 = 10s)")
+	flag.DurationVar(&cfg.workerTTL, "worker-ttl", 0,
+		"silence after which a worker is dropped from the registry (router mode; 0 = 3x lease TTL)")
+	flag.IntVar(&cfg.maxRequeues, "max-requeues", 0,
+		"lease expiries tolerated per job before it fails terminally (router mode; 0 = 3)")
+	flag.StringVar(&cfg.clusterToken, "cluster-token", "",
+		"shared secret workers must present as X-Logan-Cluster-Token (empty = open worker endpoints)")
 	flag.Parse()
 
-	opt := logan.EngineOptions{Threads: *threads, GPUs: *gpus}
-	switch *backend {
-	case "cpu":
-	case "gpu":
-		opt.Backend = logan.GPU
-	case "hybrid":
-		opt.Backend = logan.Hybrid
-	default:
-		fmt.Fprintf(os.Stderr, "logan-serve: unknown backend %q\n", *backend)
-		os.Exit(2)
-	}
 	eng, err := logan.NewAligner(opt)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "logan-serve: %v\n", err)
 		os.Exit(1)
 	}
 
-	cfg := defaultServeConfig()
 	cfg.defCfg = logan.DefaultConfig(int32(*x))
 	// Fail fast on a misconfigured default: without this a -x -5 server
 	// boots healthy and turns the operator error into per-request 400s.
@@ -240,8 +219,8 @@ func main() {
 	// The default must sit inside the per-request cap, or a client
 	// explicitly sending the server's own X would be rejected while the
 	// identical implicit config is served.
-	if *x > *maxX {
-		fmt.Fprintf(os.Stderr, "logan-serve: -x %d exceeds -max-x %d\n", *x, *maxX)
+	if *x > cfg.maxX {
+		fmt.Fprintf(os.Stderr, "logan-serve: -x %d exceeds -max-x %d\n", *x, cfg.maxX)
 		os.Exit(2)
 	}
 	if *apiKeys != "" {
@@ -252,35 +231,20 @@ func main() {
 		}
 		cfg.apiKeys = keys
 	}
-	cfg.maxPairs = *maxPairs
-	cfg.maxX = int32(*maxX)
-	cfg.coalescePairs = *coalescePairs
-	cfg.maxPending = *maxPending
-	cfg.targetDelay = *targetDelay
-	cfg.cacheEntries = *cacheEntries
-	cfg.jobs = *jobs
-	cfg.jobWorkers = *jobWorkers
-	cfg.maxJobs = *maxJobs
-	cfg.jobBodyLimit = *jobBody
-	cfg.jobPendingBytes = *jobPending
-	cfg.jobResultBytes = *jobResults
-	cfg.jobDataDir = *jobDataDir
-	cfg.jobCoalesce = *jobCoalesce
 	// Router mode replaces the local job store: it only makes sense with
 	// the /jobs API on, and it cannot run without somewhere durable to
 	// put accepted work.
-	if *clusterMode {
-		if !*jobs {
+	if cfg.cluster {
+		if !cfg.jobs {
 			fmt.Fprintln(os.Stderr, "logan-serve: -cluster requires -jobs")
 			os.Exit(2)
 		}
-		if *clusterQueue == "" {
+		if cfg.clusterQueue == "" {
 			fmt.Fprintln(os.Stderr, "logan-serve: -cluster requires -cluster-queue")
 			os.Exit(2)
 		}
 	}
-	cfg.maps = *mapAPI
-	if (*mapRef != "" || *mapIndex != "") && !*mapAPI {
+	if (*mapRef != "" || *mapIndex != "") && !cfg.maps {
 		fmt.Fprintln(os.Stderr, "logan-serve: -map-ref/-map-index require -map")
 		os.Exit(2)
 	}
@@ -288,12 +252,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "logan-serve: -map-ref and -map-index are mutually exclusive")
 		os.Exit(2)
 	}
-	cfg.cluster = *clusterMode
-	cfg.clusterQueue = *clusterQueue
-	cfg.leaseTTL = *leaseTTL
-	cfg.workerTTL = *workerTTL
-	cfg.maxRequeues = *maxRequeues
-	cfg.clusterToken = *clusterToken
 	handler, err := newServer(eng, cfg)
 	if err != nil {
 		eng.Close()
@@ -311,8 +269,7 @@ func main() {
 		f, err := os.Open(path)
 		if err == nil {
 			if *mapRef != "" {
-				_, err = handler.maps.mapper.Build(context.Background(), f,
-					logan.IndexOptions{K: *mapK, W: *mapW, MaxOccurrence: *mapMaxOcc})
+				_, err = handler.maps.mapper.Build(context.Background(), f, mapOpt)
 			} else {
 				_, err = handler.maps.mapper.Load(f)
 			}
@@ -363,7 +320,7 @@ func main() {
 	defer stop()
 	done := make(chan error, 1)
 	go func() { done <- srv.ListenAndServe() }()
-	fmt.Printf("logan-serve: listening on %s (backend %s, X=%d)\n", *addr, *backend, *x)
+	fmt.Printf("logan-serve: listening on %s (backend %s, X=%d)\n", *addr, opt.Backend, *x)
 
 	var exitErr error
 	select {

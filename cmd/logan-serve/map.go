@@ -94,62 +94,13 @@ func (mt *mapTier) finishBuild(err error) {
 	}
 }
 
-// queryIndexOptions parses k/w/maxOcc from URL query parameters.
-func queryIndexOptions(q url.Values) (logan.IndexOptions, error) {
-	var opt logan.IndexOptions
-	var err error
-	geti := func(key string, dst *int) {
-		if v := q.Get(key); v != "" && err == nil {
-			*dst, err = strconv.Atoi(v)
-			if err != nil {
-				err = fmt.Errorf("query parameter %s=%q: %w", key, v, err)
-			}
-		}
-	}
-	geti("k", &opt.K)
-	geti("w", &opt.W)
-	geti("maxOcc", &opt.MaxOccurrence)
-	return opt, err
-}
-
-// queryMapConfig resolves a /map request's configuration: the server's
+// mapConfig resolves a /map request's configuration: the server's
 // default X (overridable per request, capped at -max-x like /align) with
-// the chaining and placement knobs exposed as query parameters.
-func (s *server) queryMapConfig(q url.Values) (logan.MapConfig, error) {
+// the chaining and placement rows of the mapping table as query
+// parameters.
+func (s *server) mapConfig(q url.Values) (logan.MapConfig, error) {
 	cfg := logan.DefaultMapConfig(s.defCfg.X)
-	var err error
-	geti := func(key string, dst *int) {
-		if v := q.Get(key); v != "" && err == nil {
-			*dst, err = strconv.Atoi(v)
-			if err != nil {
-				err = fmt.Errorf("query parameter %s=%q: %w", key, v, err)
-			}
-		}
-	}
-	if v := q.Get("x"); v != "" {
-		xv, perr := strconv.ParseInt(v, 10, 32)
-		if perr != nil {
-			return cfg, fmt.Errorf("query parameter x=%q: %w", v, perr)
-		}
-		if int32(xv) > s.maxX {
-			return cfg, fmt.Errorf("x %d exceeds the server's %d limit", xv, s.maxX)
-		}
-		cfg.X = int32(xv)
-	}
-	var maxGap int
-	geti("maxGap", &maxGap)
-	cfg.MaxGap = int32(maxGap)
-	var minScore int
-	geti("minChainScore", &minScore)
-	cfg.MinChainScore = int32(minScore)
-	geti("minChainAnchors", &cfg.MinChainAnchors)
-	if v := q.Get("maxSecondary"); v != "" && err == nil {
-		cfg.MaxSecondary, err = strconv.Atoi(v)
-		if err != nil {
-			err = fmt.Errorf("query parameter maxSecondary=%q: %w", v, err)
-		}
-	}
-	if err != nil {
+	if err := s.setParams(cfg.Params(), q, &cfg.X); err != nil {
 		return cfg, err
 	}
 	return cfg, cfg.Validate()
@@ -169,7 +120,7 @@ func (s *server) handleMap(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusConflict, "no reference index installed (POST /map/index or start with -map-ref)")
 		return
 	}
-	cfg, err := s.queryMapConfig(r.URL.Query())
+	cfg, err := s.mapConfig(r.URL.Query())
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, "bad request: %v", err)
 		return
@@ -212,8 +163,8 @@ func (s *server) handleMapIndexBuild(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusNotFound, "mapping API disabled (-map=false)")
 		return
 	}
-	opt, err := queryIndexOptions(r.URL.Query())
-	if err != nil {
+	var opt logan.IndexOptions
+	if err := s.setParams(opt.Params(), r.URL.Query(), nil); err != nil {
 		s.fail(w, http.StatusBadRequest, "bad request: %v", err)
 		return
 	}

@@ -205,11 +205,16 @@ func TestMapEndpointErrors(t *testing.T) {
 	if resp := post("/map", ">r\nAC!T\n"); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad FASTA: status %d, want 400", resp.StatusCode)
 	}
-	if resp := post("/map/index?k=99", refFasta); resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("bad k: status %d, want 202 (async failure)", resp.StatusCode)
+	// k is checked at submission like /jobs' (the index table's bounds):
+	// 99 exceeds the packer's limit and never becomes a build.
+	if resp := post("/map/index?k=99", refFasta); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("bad k: status %d, want 400", resp.StatusCode)
 	}
-	// k=99 exceeds the packer's limit: the build must land in "failed"
-	// while the previously installed index keeps serving.
+	if resp := post("/map/index", ">ref\nAC!T\n"); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("bad reference FASTA: status %d, want 202 (async failure)", resp.StatusCode)
+	}
+	// Parsing the reference is part of the build: it must land in
+	// "failed" while the previously installed index keeps serving.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		st := func() mapStatusJSON {
@@ -231,7 +236,7 @@ func TestMapEndpointErrors(t *testing.T) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("build with k=99 never failed (state %q)", st.State)
+			t.Fatalf("build of a malformed reference never failed (state %q)", st.State)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

@@ -165,7 +165,7 @@ type serveConfig struct {
 	// maxX caps the per-request "x" field (0 selects 10000): X scales
 	// the DP band, so an unbounded client value would amplify per-pair
 	// work to full quadratic DP.
-	maxX int32
+	maxX int
 	// coalescePairs, maxPending and targetDelay map onto
 	// logan.CoalescerOptions of the cross-request batching layer every
 	// /align request goes through (zero values select that type's
@@ -309,7 +309,7 @@ func newServer(eng *logan.Aligner, cfg serveConfig) (*server, error) {
 	if cfg.jobBodyLimit <= 0 {
 		cfg.jobBodyLimit = def.jobBodyLimit
 	}
-	s := &server{eng: eng, defCfg: cfg.defCfg, maxX: cfg.maxX, maxPairs: cfg.maxPairs,
+	s := &server{eng: eng, defCfg: cfg.defCfg, maxX: int32(cfg.maxX), maxPairs: cfg.maxPairs,
 		bodyLimit: cfg.bodyLimit, jobBodyLimit: cfg.jobBodyLimit, keys: cfg.apiKeys,
 		dataDir: cfg.jobDataDir}
 	// The HTTP layer registers its instruments in the engine's registry:

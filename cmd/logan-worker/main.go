@@ -43,11 +43,12 @@ func main() {
 		router  = flag.String("router", "", "router base URL, e.g. http://router:8080 (required)")
 		name    = flag.String("name", "", "worker name, the worker=\"...\" label in the cluster rollup (default: hostname)")
 		token   = flag.String("token", "", "shared cluster secret (the router's -cluster-token)")
-		backend = flag.String("backend", "cpu", "alignment backend: cpu, gpu or hybrid")
-		gpus    = flag.Int("gpus", 1, "simulated GPU count (gpu and hybrid backends)")
-		threads = flag.Int("threads", 0, "CPU worker count (0 = GOMAXPROCS)")
 		cellsPS = flag.Float64("cells-per-sec", 0, "advertised throughput estimate in DP cells/second (0 = unreported)")
+		opt     logan.EngineOptions
 	)
+	flag.TextVar(&opt.Backend, "backend", logan.CPU, "alignment backend: cpu, gpu or hybrid")
+	flag.IntVar(&opt.GPUs, "gpus", 1, "simulated GPU count (gpu and hybrid backends)")
+	flag.IntVar(&opt.Threads, "threads", 0, "CPU worker count (0 = GOMAXPROCS)")
 	flag.Parse()
 
 	if *router == "" {
@@ -62,17 +63,6 @@ func main() {
 		*name = labelSafe(host)
 	}
 
-	opt := logan.EngineOptions{Threads: *threads, GPUs: *gpus}
-	switch *backend {
-	case "cpu":
-	case "gpu":
-		opt.Backend = logan.GPU
-	case "hybrid":
-		opt.Backend = logan.Hybrid
-	default:
-		fmt.Fprintf(os.Stderr, "logan-worker: unknown backend %q\n", *backend)
-		os.Exit(2)
-	}
 	eng, err := logan.NewAligner(opt)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "logan-worker: %v\n", err)
@@ -89,7 +79,7 @@ func main() {
 		Name:       *name,
 		Token:      *token,
 		Overlapper: ov,
-		Backend:    *backend,
+		Backend:    opt.Backend.String(),
 		CellsPS:    *cellsPS,
 		Registry:   eng.Telemetry(),
 		Logf:       log.Printf,
@@ -101,7 +91,7 @@ func main() {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	fmt.Printf("logan-worker: %s serving %s (backend %s)\n", *name, *router, *backend)
+	fmt.Printf("logan-worker: %s serving %s (backend %s)\n", *name, *router, opt.Backend)
 	err = w.Run(ctx)
 	eng.Close()
 	if err != nil {

@@ -123,7 +123,7 @@ func TestBuildMatrixAndSpGEMM(t *testing.T) {
 			}
 		}
 	}
-	cands := mat.SpGEMM(SpGEMMOptions{})
+	cands := mat.SpGEMM(SpGEMMOptions{MaxSeedsPerPair: 16, MinShared: 1})
 	if len(cands) == 0 {
 		t.Fatal("no overlap candidates")
 	}
@@ -136,7 +136,7 @@ func TestBuildMatrixAndSpGEMM(t *testing.T) {
 		}
 	}
 	// MinShared=2 must be a subset.
-	strict := mat.SpGEMM(SpGEMMOptions{MinShared: 2})
+	strict := mat.SpGEMM(SpGEMMOptions{MaxSeedsPerPair: 16, MinShared: 2})
 	if len(strict) > len(cands) {
 		t.Fatal("stricter MinShared produced more candidates")
 	}

@@ -48,7 +48,7 @@ func BenchmarkSpGEMM(b *testing.B) {
 	rel := idx.Reliable(lo, hi)
 	benchBases(b, rs, func() {
 		mat := BuildMatrix(rs.Reads, 17, rel)
-		cands := mat.SpGEMM(SpGEMMOptions{})
+		cands := mat.SpGEMM(SpGEMMOptions{MaxSeedsPerPair: 16, MinShared: 1})
 		if len(cands) == 0 {
 			b.Fatal("no candidates")
 		}

@@ -20,11 +20,8 @@ type ChosenSeed struct {
 // bin width, separately per orientation; the densest bin wins (a repeat
 // k-mer lands on a stray diagonal and is outvoted), and its median seed is
 // the one the aligner extends. The overlap length is estimated from the
-// winning diagonal and the read lengths.
+// winning diagonal and the read lengths. binWidth must be positive.
 func ChooseSeed(c Candidate, lenI, lenJ, k, binWidth int) ChosenSeed {
-	if binWidth <= 0 {
-		binWidth = 500
-	}
 	// Tag each seed with its (diagonal bin, orientation) key and sort by
 	// (key, PosI): bins become runs. MaxSeeds is small, so the tagged
 	// copy normally lives on the stack.

@@ -143,7 +143,8 @@ type Candidate struct {
 	Seeds []SharedSeed
 }
 
-// SpGEMMOptions bounds the multiply.
+// SpGEMMOptions bounds the multiply. Both fields are resolved values
+// (DefaultConfig holds the defaults): a zero cap keeps no seed.
 type SpGEMMOptions struct {
 	MaxSeedsPerPair int // cap stored seeds per pair (BELLA keeps a handful)
 	MinShared       int // minimum shared k-mers to emit a candidate
@@ -158,12 +159,6 @@ type SpGEMMOptions struct {
 // k-mer pruning bounds the column lengths, which is what keeps this near
 // linear — the point of BELLA's pruning stage.
 func (m *SparseMatrix) SpGEMM(opt SpGEMMOptions) []Candidate {
-	if opt.MaxSeedsPerPair <= 0 {
-		opt.MaxSeedsPerPair = 16
-	}
-	if opt.MinShared <= 0 {
-		opt.MinShared = 1
-	}
 	// One (I, J, seed) triple per shared k-mer, sorted by (I, J) with two
 	// stable counting passes over the read ids — J, then I — so that each
 	// candidate's seeds stay in emission order, which is ascending k-mer

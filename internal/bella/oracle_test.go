@@ -71,12 +71,6 @@ func oracleBuildMatrix(reads []genome.Read, k int, reliable []seq.Kmer) [][]Occu
 }
 
 func oracleSpGEMM(cols [][]Occurrence, opt SpGEMMOptions) []Candidate {
-	if opt.MaxSeedsPerPair <= 0 {
-		opt.MaxSeedsPerPair = 16
-	}
-	if opt.MinShared <= 0 {
-		opt.MinShared = 1
-	}
 	type key struct{ i, j int32 }
 	acc := make(map[key]*Candidate)
 	for _, col := range cols {
@@ -180,7 +174,7 @@ func checkFrontEnd(t testing.TB, reads []genome.Read, k, workers int, lo, hi int
 		t.Fatalf("k=%d workers=%d: NNZ %d, len(Occ) %d, oracle %d", k, workers, mat.NNZ, len(mat.Occ), nnz)
 	}
 
-	for _, opt := range []SpGEMMOptions{{}, {MaxSeedsPerPair: 2, MinShared: 2}, {MaxSeedsPerPair: 1, MinShared: 3}} {
+	for _, opt := range []SpGEMMOptions{{MaxSeedsPerPair: 16, MinShared: 1}, {MaxSeedsPerPair: 2, MinShared: 2}, {MaxSeedsPerPair: 1, MinShared: 3}} {
 		cands, wantCands := mat.SpGEMM(opt), oracleSpGEMM(wantCols, opt)
 		if len(cands) != len(wantCands) {
 			t.Fatalf("k=%d workers=%d %+v: %d candidates, oracle %d", k, workers, opt, len(cands), len(wantCands))

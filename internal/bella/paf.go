@@ -112,13 +112,3 @@ func WriteRecords(w io.Writer, recs []PAFRecord) error {
 	}
 	return bw.Flush()
 }
-
-// WritePAF emits the accepted overlaps in PAF, so downstream assemblers
-// and viewers can consume BELLA-Go's output directly.
-//
-// Columns: qname qlen qstart qend strand tname tlen tstart tend matches
-// block mapq, plus the AS:i (score) tag and, when traceback ran, de:f
-// (gap-compressed divergence proxy) and cg:Z (CIGAR) tags.
-func WritePAF(w io.Writer, reads []genome.Read, overlaps []Overlap) error {
-	return WriteRecords(w, PAFRecords(reads, overlaps))
-}

@@ -21,7 +21,7 @@ func TestWritePAF(t *testing.T) {
 		t.Fatal("no overlaps")
 	}
 	var buf bytes.Buffer
-	if err := WritePAF(&buf, rs.Reads, res.Overlaps); err != nil {
+	if err := WriteRecords(&buf, PAFRecords(rs.Reads, res.Overlaps)); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
@@ -67,7 +67,7 @@ func TestWritePAF(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf.Reset()
-	if err := WritePAF(&buf, rs.Reads, res2.Overlaps); err != nil {
+	if err := WriteRecords(&buf, PAFRecords(rs.Reads, res2.Overlaps)); err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(buf.String(), "cg:Z:") {

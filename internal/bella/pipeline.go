@@ -30,28 +30,39 @@ const (
 // Progress is one pipeline progress update, emitted via Config.OnProgress
 // when a stage completes and, during the alignment stage, after every
 // aligned chunk (see Config.AlignBatch). Counter fields are cumulative and
-// only ever grow; fields a stage has not reached yet are zero.
+// only ever grow; fields a stage has not reached yet are zero. It is also
+// the one progress record of the layers above — package logan re-exposes
+// it as OverlapProgress and the JSON tags are the progress block of
+// GET /jobs/{id} and of a cluster lease extension — which is why it
+// carries three fields the pipeline itself never sets: ReadsParsed, Shed
+// and Retries belong to the caller's ingestion and admission control.
 type Progress struct {
-	Stage         Stage
-	ReliableKmers int // after StagePrune
-	Candidates    int // after StageSpGEMM
-	// PairsAligned/PairsTotal track the alignment stage; PairsTotal is set
-	// from StageBinning on (the candidate pairs the aligner will extend).
-	PairsAligned, PairsTotal int
-	Overlaps                 int // accepted overlaps, after StageFilter
+	Stage          Stage `json:"stage"`
+	ReadsParsed    int   `json:"readsParsed"`
+	ReliableKmers  int   `json:"reliableKmers"`  // after StagePrune
+	CandidatePairs int   `json:"candidatePairs"` // after StageSpGEMM
+	// ExtensionsDone/ExtensionsTotal track the alignment stage pair by
+	// pair; the total is set from StageBinning on (the candidate pairs the
+	// aligner will extend).
+	ExtensionsDone  int `json:"extensionsDone"`
+	ExtensionsTotal int `json:"extensionsTotal"`
+	// Overlaps is the accepted overlap count, set by the filter stage.
+	Overlaps int   `json:"overlaps,omitempty"`
+	Shed     int64 `json:"shed"`
+	Retries  int64 `json:"retries"`
 }
 
 // Config parameterizes the pipeline.
 type Config struct {
-	K          int     // k-mer length (BELLA default 17)
+	K          int     // k-mer length
 	Coverage   float64 // data set coverage, for the reliable-k-mer model
 	ErrorRate  float64 // per-read error rate
 	X          int32   // X-drop threshold for the alignment stage
 	Scoring    xdrop.Scoring
-	BinWidth   int     // binning diagonal width (default 500)
+	BinWidth   int     // binning diagonal width
 	MinShared  int     // min shared reliable k-mers per candidate
 	MaxSeeds   int     // seeds retained per pair
-	Delta      float64 // adaptive-threshold cushion (default 0.25)
+	Delta      float64 // adaptive-threshold cushion
 	Workers    int     // CPU workers for stages 1-5 (0: GOMAXPROCS); results do not depend on it
 	ReliableLo int32   // override reliable bounds when > 0
 	ReliableHi int32
@@ -82,7 +93,11 @@ func (c *Config) progress(p Progress) {
 	}
 }
 
-// DefaultConfig mirrors BELLA's defaults for a long-read set.
+// DefaultConfig mirrors BELLA's defaults for a long-read set: k = 17,
+// 500-wide diagonal bins, one shared k-mer, 16 seeds per pair, delta =
+// 0.25 (paper §V). This is the one place those five numbers are written;
+// package logan's parameter table reads them from here, and every stage
+// below takes them as resolved values.
 func DefaultConfig(coverage, errRate float64, x int32) Config {
 	return Config{
 		K: 17, Coverage: coverage, ErrorRate: errRate, X: x,
@@ -204,7 +219,7 @@ func Prepare(ctx context.Context, rs genome.ReadSet, cfg Config) (Prepared, erro
 	out.Cands = mat.SpGEMM(SpGEMMOptions{MaxSeedsPerPair: cfg.MaxSeeds, MinShared: cfg.MinShared})
 	out.Candidates = len(out.Cands)
 	out.Times.SpGEMM = time.Since(t0)
-	cfg.progress(Progress{Stage: StageSpGEMM, ReliableKmers: out.Reliable, Candidates: out.Candidates})
+	cfg.progress(Progress{Stage: StageSpGEMM, ReliableKmers: out.Reliable, CandidatePairs: out.Candidates})
 	if err := ctx.Err(); err != nil {
 		return out, err
 	}
@@ -221,7 +236,7 @@ func Prepare(ctx context.Context, rs genome.ReadSet, cfg Config) (Prepared, erro
 	out.Times.Binning = time.Since(t0)
 	cfg.progress(Progress{
 		Stage: StageBinning, ReliableKmers: out.Reliable,
-		Candidates: out.Candidates, PairsTotal: len(out.Pairs),
+		CandidatePairs: out.Candidates, ExtensionsTotal: len(out.Pairs),
 	})
 	return out, ctx.Err()
 }
@@ -294,8 +309,8 @@ func Run(ctx context.Context, rs genome.ReadSet, cfg Config, aligner Aligner) (R
 	}
 	out.Times.Filter = time.Since(t0)
 	done := Progress{
-		Stage: StageFilter, ReliableKmers: out.Reliable, Candidates: out.Candidates,
-		PairsAligned: len(pairs), PairsTotal: len(pairs), Overlaps: len(out.Overlaps),
+		Stage: StageFilter, ReliableKmers: out.Reliable, CandidatePairs: out.Candidates,
+		ExtensionsDone: len(pairs), ExtensionsTotal: len(pairs), Overlaps: len(out.Overlaps),
 	}
 	cfg.progress(done)
 	done.Stage = StageDone
@@ -340,8 +355,8 @@ func alignChunked(ctx context.Context, pairs []seq.Pair, cfg Config, aligner Ali
 		stats.WallTime += st.WallTime
 		stats.DeviceTime += st.DeviceTime
 		cfg.progress(Progress{
-			Stage: StageAlign, ReliableKmers: prep.Reliable, Candidates: prep.Candidates,
-			PairsAligned: hi, PairsTotal: len(pairs),
+			Stage: StageAlign, ReliableKmers: prep.Reliable, CandidatePairs: prep.Candidates,
+			ExtensionsDone: hi, ExtensionsTotal: len(pairs),
 		})
 	}
 	return aligned, stats, nil

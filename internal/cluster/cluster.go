@@ -53,64 +53,38 @@ var (
 	ErrUnavailable = errors.New("cluster: job store unavailable")
 )
 
-// JobConfig is the serializable subset of logan.OverlapConfig that the
-// serve-layer jobs API exposes: the numeric pipeline parameters. The
-// scoring scheme is always the paper's +1/-1/-1 linear family (the only
-// one the overlap pipeline validates), so it does not travel.
-type JobConfig struct {
-	K          int     `json:"k"`
-	Coverage   float64 `json:"coverage"`
-	ErrorRate  float64 `json:"errorRate"`
-	X          int32   `json:"x"`
-	BinWidth   int     `json:"binWidth"`
-	MinShared  int     `json:"minShared"`
-	MaxSeeds   int     `json:"maxSeeds"`
-	Delta      float64 `json:"delta"`
-	MinOverlap int     `json:"minOverlap"`
-	BatchPairs int     `json:"batchPairs"`
-	Workers    int     `json:"workers"`
-}
+// JobConfig is an overlap configuration as a Spec header carries it: a
+// logan.OverlapConfig whose JSON form is its parameter table (one field
+// per logan.OverlapConfig.Params row), so a parameter added to the table
+// travels to workers without an edit here. The scoring scheme is always
+// the paper's +1/-1/-1 linear family (the only one the overlap pipeline
+// validates), and the hooks (OnProgress, Traceback) are per-process, so
+// neither travels.
+type JobConfig logan.OverlapConfig
 
 // ConfigFromOverlap projects an overlap configuration onto the wire
-// form, dropping the non-serializable hooks (OnProgress, Traceback).
+// form, dropping the non-serializable hooks.
 func ConfigFromOverlap(c logan.OverlapConfig) JobConfig {
-	return JobConfig{
-		K: c.K, Coverage: c.Coverage, ErrorRate: c.ErrorRate, X: c.X,
-		BinWidth: c.BinWidth, MinShared: c.MinShared, MaxSeeds: c.MaxSeeds,
-		Delta: c.Delta, MinOverlap: c.MinOverlap, BatchPairs: c.BatchPairs,
-		Workers: c.Workers,
-	}
+	c.OnProgress, c.Traceback = nil, false
+	return JobConfig(c)
 }
 
-// Overlap reconstructs the executable configuration on the worker side.
-func (c JobConfig) Overlap() logan.OverlapConfig {
-	cov, er := c.Coverage, c.ErrorRate
-	if cov == 0 {
-		cov = 6
-	}
-	if er == 0 {
-		er = 0.15
-	}
-	out := logan.DefaultOverlapConfig(cov, er, c.X)
-	if c.K != 0 {
-		out.K = c.K
-	}
-	if c.BinWidth != 0 {
-		out.BinWidth = c.BinWidth
-	}
-	if c.MinShared != 0 {
-		out.MinShared = c.MinShared
-	}
-	if c.MaxSeeds != 0 {
-		out.MaxSeeds = c.MaxSeeds
-	}
-	if c.Delta != 0 {
-		out.Delta = c.Delta
-	}
-	out.MinOverlap = c.MinOverlap
-	out.BatchPairs = c.BatchPairs
-	out.Workers = c.Workers
-	return out
+// Overlap returns the executable configuration on the worker side.
+func (c JobConfig) Overlap() logan.OverlapConfig { return logan.OverlapConfig(c) }
+
+// MarshalJSON emits the parameter table as one JSON object.
+func (c JobConfig) MarshalJSON() ([]byte, error) {
+	return (*logan.OverlapConfig)(&c).Params().MarshalJSON()
+}
+
+// UnmarshalJSON reads the parameter table back over the defaults, through
+// the table's own setter: a WAL record or a lease body is foreign bytes,
+// and a value outside a row's bounds fails the decode like it fails a
+// request. A field the table does not know is skipped, so records written
+// before or after a table change still replay.
+func (c *JobConfig) UnmarshalJSON(b []byte) error {
+	*c = JobConfig(logan.DefaultOverlapConfig(logan.DefaultCoverage, logan.DefaultErrorRate, 0))
+	return (*logan.OverlapConfig)(c).Params().UnmarshalJSON(b)
 }
 
 // Spec is the self-contained, durable description of one job: what the
@@ -159,32 +133,10 @@ func UnmarshalSpec(b []byte) (*Spec, error) {
 	return &s, nil
 }
 
-// Progress is the wire form of a job's pipeline progress, pushed by the
-// executing worker with each lease extension.
-type Progress struct {
-	Stage           string `json:"stage"`
-	ReadsParsed     int64  `json:"readsParsed"`
-	ReliableKmers   int64  `json:"reliableKmers"`
-	CandidatePairs  int64  `json:"candidatePairs"`
-	ExtensionsDone  int64  `json:"extensionsDone"`
-	ExtensionsTotal int64  `json:"extensionsTotal"`
-	Overlaps        int64  `json:"overlaps"`
-	Shed            int64  `json:"shed"`
-	Retries         int64  `json:"retries"`
-}
-
-// FromOverlap folds a pipeline progress snapshot into the wire form.
-func (p *Progress) FromOverlap(u logan.OverlapProgress) {
-	p.Stage = string(u.Stage)
-	p.ReadsParsed = int64(u.ReadsParsed)
-	p.ReliableKmers = int64(u.ReliableKmers)
-	p.CandidatePairs = int64(u.CandidatePairs)
-	p.ExtensionsDone = int64(u.ExtensionsDone)
-	p.ExtensionsTotal = int64(u.ExtensionsTotal)
-	p.Overlaps = int64(u.Overlaps)
-	p.Shed = u.Shed
-	p.Retries = u.Retries
-}
+// Progress is a job's pipeline progress — the overlapper's own record,
+// whose JSON form a worker pushes with each lease extension and
+// GET /jobs/{id} reports.
+type Progress = logan.OverlapProgress
 
 // Job states.
 const (
@@ -201,25 +153,37 @@ func TerminalState(s string) bool {
 	return s == StateDone || s == StateFailed || s == StateCanceled
 }
 
-// JobStatus is one job's externally visible state (Worker and Requeues
-// stay zero on a single node).
+// JobStatus is one job's externally visible state, and by its JSON form
+// the GET /jobs/{id} body. Worker (the node holding or having held the
+// job's lease) and Requeues (the retries it survived) stay zero on a
+// single node; Overlaps/Reads/Cells/PAFBytes summarize a finished job.
 type JobStatus struct {
-	ID       string
-	State    string
-	Error    string
-	Progress Progress
-	// Overlaps/Reads/Cells/PAFBytes summarize a finished job.
-	Overlaps int
-	Reads    int
-	Cells    int64
-	PAFBytes int
-	// Worker names the node executing (or having executed) the job;
-	// Requeues counts lease-expiry or shutdown retries it survived.
-	Worker   string
-	Requeues int
-	Created  time.Time
-	Started  time.Time
-	Finished time.Time
+	ID       string    `json:"id"`
+	State    string    `json:"state"`
+	Error    string    `json:"error,omitempty"`
+	Progress Progress  `json:"progress"`
+	Overlaps int       `json:"overlaps,omitempty"`
+	Reads    int       `json:"reads,omitempty"`
+	Cells    int64     `json:"cells,omitempty"`
+	PAFBytes int       `json:"pafBytes,omitempty"`
+	Worker   string    `json:"worker,omitempty"`
+	Requeues int       `json:"requeues,omitempty"`
+	Created  time.Time `json:"createdAt"`
+	Started  time.Time `json:"startedAt,omitzero"`
+	Finished time.Time `json:"finishedAt,omitzero"`
+}
+
+// MarshalJSON renders the status for the wire: timestamps in UTC, a job
+// without progress yet reporting its state as the stage, and the
+// accepted-overlap count once, at the top level.
+func (st JobStatus) MarshalJSON() ([]byte, error) {
+	type wire JobStatus
+	st.Progress.Overlaps = 0
+	if st.Progress.Stage == "" {
+		st.Progress.Stage = logan.OverlapStage(st.State)
+	}
+	st.Created, st.Started, st.Finished = st.Created.UTC(), st.Started.UTC(), st.Finished.UTC()
+	return json.Marshal(wire(st))
 }
 
 // Submission is one POST /jobs, resolved by the HTTP layer: the

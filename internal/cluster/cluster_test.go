@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -10,7 +11,9 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -178,7 +181,7 @@ func TestSpecRoundtrip(t *testing.T) {
 	if out.ID != in.ID || out.Tenant != in.Tenant || out.IdempotencyKey != in.IdempotencyKey {
 		t.Fatalf("roundtrip mangled identity: %+v", out)
 	}
-	if out.Config != in.Config {
+	if !reflect.DeepEqual(out.Config, in.Config) {
 		t.Fatalf("roundtrip mangled config: %+v vs %+v", out.Config, in.Config)
 	}
 	if !bytes.Equal(out.Fasta, in.Fasta) {
@@ -187,11 +190,59 @@ func TestSpecRoundtrip(t *testing.T) {
 	// The reconstructed executable config must match a direct default.
 	want := logan.DefaultOverlapConfig(6, 0.15, 21)
 	got := out.Config.Overlap()
-	if ConfigFromOverlap(got) != ConfigFromOverlap(want) || got.Scoring != want.Scoring {
+	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("Overlap() reconstruction drifted:\n got %+v\nwant %+v", got, want)
 	}
 	if _, err := UnmarshalSpec(b[:3]); err == nil {
 		t.Fatal("truncated spec decoded")
+	}
+}
+
+// TestSpecHeaderFixture decodes a Spec header written by the commit
+// before the parameter table (testdata/spec_header.json; the served
+// replay is cmd/logan-serve's TestClusterReplaysParentSpec): every field
+// must land where the old hand-kept JobConfig put it. A header is
+// foreign bytes, so the same decode refuses values outside a row's
+// bounds; a field no row knows is skipped, so a record written under a
+// different table still replays.
+func TestSpecHeaderFixture(t *testing.T) {
+	hdr, err := os.ReadFile("testdata/spec_header.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := func(hdr []byte) []byte {
+		b := binary.LittleEndian.AppendUint32(nil, uint32(len(hdr)))
+		return append(append(b, hdr...), ">r1\nACGT\n"...)
+	}
+	spec, err := UnmarshalSpec(frame(hdr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if spec.ID != "0123456789abcdef" || spec.Tenant != "acme" || spec.IdempotencyKey != "retry-7" || string(spec.Fasta) != ">r1\nACGT\n" {
+		t.Errorf("identity: %+v", spec)
+	}
+	want := logan.DefaultOverlapConfig(5, 0.12, 20)
+	want.MinOverlap = 400
+	if got := spec.Config.Overlap(); !reflect.DeepEqual(got, want) {
+		t.Errorf("config:\n got %+v\nwant %+v", got, want)
+	}
+	for _, bad := range []string{
+		`{"id":"a","config":{"coverage":1000000}}`,
+		`{"id":"a","config":{"errorRate":1}}`,
+		`{"id":"a","config":{"maxSeeds":-1}}`,
+		`{"id":"a","config":{"x":4294967297}}`,
+		`{"id":"a","config":{"workers":-1}}`,
+	} {
+		if _, err := UnmarshalSpec(frame([]byte(bad))); err == nil {
+			t.Errorf("%s decoded", bad)
+		}
+	}
+	later, err := UnmarshalSpec(frame([]byte(`{"id":"a","config":{"minOverlap":400,"rowOfALaterTable":7,"workers":3}}`)))
+	if err != nil {
+		t.Fatalf("header with an unknown config field: %v", err)
+	}
+	if got := later.Config.Overlap(); got.MinOverlap != 400 || got.Workers != 3 || got.Coverage != logan.DefaultCoverage || got.K != 17 {
+		t.Errorf("header with an unknown config field decoded to %+v", got)
 	}
 }
 

@@ -130,12 +130,10 @@ func (l *local) exec(ctx context.Context, j *record, sub Submission) {
 		return
 	}
 	cfg := sub.Config
-	cfg.OnProgress = func(u logan.OverlapProgress) {
-		var p Progress
-		p.FromOverlap(u)
+	cfg.OnProgress = func(p Progress) {
 		st.mu.Lock()
 		defer st.mu.Unlock()
-		if u.Stage != logan.StageIngest {
+		if p.Stage != logan.StageIngest {
 			// Ingestion is over: the upload buffer is dead weight from here
 			// on and must not count against new submissions.
 			st.release(j)

@@ -212,11 +212,7 @@ func (e *localExec) id() string {
 	return e.h.byBody[e.body]
 }
 
-func (e *localExec) progress(p Progress) {
-	e.cfg.OnProgress(logan.OverlapProgress{
-		Stage: logan.OverlapStage(p.Stage), ReadsParsed: int(p.ReadsParsed), ExtensionsTotal: int(p.ExtensionsTotal),
-	})
-}
+func (e *localExec) progress(p Progress) { e.cfg.OnProgress(p) }
 
 func (e *localExec) complete(paf string) { e.outcome <- localOutcome{paf: paf}; e.h.settle() }
 func (e *localExec) fail(msg string)     { e.outcome <- localOutcome{err: errors.New(msg)}; e.h.settle() }
@@ -656,7 +652,7 @@ func TestLocalReleasesUploadAfterIngest(t *testing.T) {
 	e := &suiteEnv{t: t, h: h, st: h.store(), clock: clock, reg: reg}
 	e.submit(">a\nACGT\n")
 	ex := h.begin()
-	ex.progress(Progress{Stage: string(logan.StageIngest), ReadsParsed: 1})
+	ex.progress(Progress{Stage: logan.StageIngest, ReadsParsed: 1})
 	if e.series("logan_jobs_buffered_bytes") == 0 {
 		t.Fatal("reservation released while still ingesting")
 	}

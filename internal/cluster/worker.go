@@ -343,9 +343,9 @@ func (w *Worker) execute(ctx context.Context, spec *Spec, jobID, lease string) {
 	var pmu sync.Mutex
 	var prog Progress
 	cfg := spec.Config.Overlap()
-	cfg.OnProgress = func(u logan.OverlapProgress) {
+	cfg.OnProgress = func(p Progress) {
 		pmu.Lock()
-		prog.FromOverlap(u)
+		prog = p
 		pmu.Unlock()
 	}
 

@@ -86,8 +86,8 @@ func BenchmarkKernel(b *testing.B) {
 
 // BenchmarkPoolKernel10k is the batch-level acceptance comparison: the
 // 10k-pair BELLA-style workload on a reused pool, once per kernel forced
-// via ExtendBatchKernel. The vector/scalar cells/ns ratio is the speedup
-// the bench-smoke artifact (BENCH_kernel.json) records.
+// via ExtendBatchKernel. The vector/scalar cells/ns ratio is the
+// vector kernel's speedup.
 func BenchmarkPoolKernel10k(b *testing.B) {
 	rng := rand.New(rand.NewSource(11))
 	pairs := seq.RandPairSet(rng, seq.PairSetOptions{

@@ -36,6 +36,7 @@
 package logan
 
 import (
+	"fmt"
 	"time"
 
 	"logan/internal/xdrop"
@@ -56,6 +57,34 @@ const (
 	// order. Scores are bit-identical to CPU and GPU execution.
 	Hybrid
 )
+
+// backendNames are the spellings of a Backend on every command line.
+var backendNames = [...]string{CPU: "cpu", GPU: "gpu", Hybrid: "hybrid"}
+
+// String returns the backend's command-line spelling: "cpu", "gpu" or
+// "hybrid".
+func (b Backend) String() string {
+	if b < 0 || int(b) >= len(backendNames) {
+		return fmt.Sprintf("backend(%d)", int(b))
+	}
+	return backendNames[b]
+}
+
+// MarshalText implements encoding.TextMarshaler with String's spelling.
+func (b Backend) MarshalText() ([]byte, error) { return []byte(b.String()), nil }
+
+// UnmarshalText implements encoding.TextUnmarshaler — the one place a
+// -backend flag value is parsed (every binary binds it with
+// flag.TextVar).
+func (b *Backend) UnmarshalText(text []byte) error {
+	for i, name := range backendNames {
+		if string(text) == name {
+			*b = Backend(i)
+			return nil
+		}
+	}
+	return fmt.Errorf("unknown backend %q (want cpu, gpu or hybrid)", text)
+}
 
 // Pair is one alignment work item: two sequences and an exact seed match
 // (positions and length), as produced by an overlapper such as BELLA.

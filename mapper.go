@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"sync"
 	"time"
@@ -23,13 +24,24 @@ var ErrNoIndex = errors.New("logan: mapper has no reference index (call Build or
 
 // IndexOptions parameterizes reference index construction, mirroring the
 // minimizer sampling scheme: (w,k)-minimizers over the reference with
-// high-occurrence masking. Zero fields select the package defaults
-// (k=15, w=10, mask above 256 occurrences); a negative MaxOccurrence
-// disables masking.
+// high-occurrence masking. Zero fields select the defaults its Params
+// rows declare; a negative MaxOccurrence disables masking.
 type IndexOptions struct {
 	K             int
 	W             int
 	MaxOccurrence int
+}
+
+// Params returns the index parameter table bound to o's fields.
+func (o *IndexOptions) Params() Params {
+	return Params{
+		{name: "k", ptr: &o.K, def: minidx.DefaultK, zero: zeroAbsent, min: 1, max: seq.MaxK,
+			doc: "minimizer k-mer length"},
+		{name: "w", ptr: &o.W, def: minidx.DefaultW, zero: zeroAbsent, min: 1, max: 1 << 16,
+			doc: "minimizer window: consecutive k-mers per sampled minimum"},
+		{name: "maxOcc", ptr: &o.MaxOccurrence, def: minidx.DefaultMaxOccurrence, zero: zeroAbsent, min: math.MinInt32, max: math.MaxInt32,
+			doc: "mask minimizers occurring more often than this across the reference (negative = no masking)"},
+	}
 }
 
 // IndexStats describes a built or loaded reference index: its sampling
@@ -89,7 +101,9 @@ type MapProgress struct {
 
 // MapConfig parameterizes one mapping run: chaining bounds, placement
 // selection, and the X-drop extension configuration. The zero value is
-// not valid; start from DefaultMapConfig.
+// not valid; start from DefaultMapConfig. The numeric fields are the rows
+// of Params, which declares each one's default, bounds and whether 0
+// selects the default.
 type MapConfig struct {
 	// X is the X-drop termination threshold of the extension stage.
 	X int32
@@ -98,46 +112,66 @@ type MapConfig struct {
 	// LinearScoring configurations validate.
 	Scoring Scoring
 	// MaxGap bounds the query/target gap and diagonal drift between
-	// chained anchors (0 selects the chaining default of 5000).
+	// chained anchors.
 	MaxGap int32
-	// MinChainScore drops chains scoring below it (0 selects the default
-	// of 30; negative disables the floor).
+	// MinChainScore drops chains scoring below it (negative disables the
+	// floor).
 	MinChainScore int32
-	// MinChainAnchors drops chains with fewer anchors (0 selects the
-	// default of 3; negative disables the floor).
+	// MinChainAnchors drops chains with fewer anchors (negative disables
+	// the floor).
 	MinChainAnchors int
 	// MaxSecondary caps reported secondary placements per primary locus
 	// (0 reports primaries only; negative selects the default of 5).
 	MaxSecondary int
 	// BatchReads processes reads in batches of this size, with
 	// cancellation checks, progress updates, and one batched extension
-	// submission per batch (0 selects 512).
+	// submission per batch.
 	BatchReads int
 	// OnProgress, when non-nil, receives progress snapshots. It is called
 	// synchronously and must return quickly.
 	OnProgress func(MapProgress)
 }
 
+// defaultMapSecondaries is the per-primary secondary placement cap a
+// negative MaxSecondary (the default) selects.
+const defaultMapSecondaries = 5
+
+// Params returns the mapping parameter table bound to c's fields.
+func (c *MapConfig) Params() Params {
+	return Params{
+		{name: "x", ptr: &c.X, min: 0, max: math.MaxInt32,
+			doc: "X-drop termination threshold of the extension stage"},
+		{name: "maxGap", ptr: &c.MaxGap, def: chain.DefaultMaxGap, zero: zeroAbsent, min: 1, max: math.MaxInt32,
+			doc: "largest query/target gap and diagonal drift between chained anchors"},
+		{name: "minChainScore", ptr: &c.MinChainScore, def: chain.DefaultMinScore, zero: zeroAbsent, min: math.MinInt32, max: math.MaxInt32,
+			doc: "drop chains scoring below this (negative = no floor)"},
+		{name: "minChainAnchors", ptr: &c.MinChainAnchors, def: chain.DefaultMinAnchors, zero: zeroAbsent, min: math.MinInt32, max: math.MaxInt32,
+			doc: "drop chains with fewer anchors (negative = no floor)"},
+		{name: "maxSecondary", ptr: &c.MaxSecondary, def: -1, min: math.MinInt32, max: math.MaxInt32,
+			doc: fmt.Sprintf("secondary placements reported per primary locus (0 = primaries only, negative = %d)", defaultMapSecondaries)},
+		{name: "batchReads", server: true, ptr: &c.BatchReads, def: 512, zero: zeroAbsent, min: 1, max: 1 << 20,
+			doc: "reads seeded, then extended in one engine submission, per batch"},
+	}
+}
+
 // DefaultMapConfig returns the default mapping configuration with the
 // paper's +1/-1/-1 scoring at the given X-drop threshold.
 func DefaultMapConfig(x int32) MapConfig {
-	return MapConfig{X: x, Scoring: LinearScoring(1, -1, -1), MaxSecondary: -1}
+	c := MapConfig{Scoring: LinearScoring(1, -1, -1)}
+	c.Params().defaults()
+	c.X = x
+	return c
 }
 
-// defaultMapBatch is the read batch size when BatchReads is unset.
-const defaultMapBatch = 512
-
-// defaultMapSecondaries is the per-primary secondary placement cap when
-// MaxSecondary is negative (the "use defaults" value).
-const defaultMapSecondaries = 5
-
-// Validate rejects configurations the mapping pipeline cannot honor.
+// Validate rejects configurations the mapping pipeline cannot honor: a
+// field outside its Params row's bounds, a non-linear scoring scheme, or
+// scheme/X values the engine itself rejects.
 func (c MapConfig) Validate() error {
+	if err := c.Params().check(); err != nil {
+		return fmt.Errorf("logan: mapping %w", err)
+	}
 	if c.Scoring.mode != scoringLinear {
 		return fmt.Errorf("logan: mapping scoring must be linear (got %q): mapping quality and match estimates are calibrated for the match/mismatch/gap family", c.Scoring.Mode())
-	}
-	if c.MaxGap < 0 {
-		return fmt.Errorf("logan: mapping MaxGap %d must be >= 0", c.MaxGap)
 	}
 	return Config{X: c.X, Scoring: c.Scoring}.Validate()
 }
@@ -287,6 +321,11 @@ func (m *Mapper) IndexStats() (st IndexStats, ok bool) {
 // matching the engine's 2-bit packing. Cancelling ctx abandons the build
 // between records.
 func (m *Mapper) Build(ctx context.Context, r io.Reader, opt IndexOptions) (IndexStats, error) {
+	ps := opt.Params()
+	if err := ps.check(); err != nil {
+		return IndexStats{}, fmt.Errorf("logan: index %w", err)
+	}
+	ps.resolve()
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -406,10 +445,8 @@ func (m *Mapper) run(ctx context.Context, reads []Read, rs []seq.Seq, cfg MapCon
 	if idx == nil {
 		return nil, ErrNoIndex
 	}
+	cfg.Params().resolve()
 	batch := cfg.BatchReads
-	if batch <= 0 {
-		batch = defaultMapBatch
-	}
 	maxSec := cfg.MaxSecondary
 	if maxSec < 0 {
 		maxSec = defaultMapSecondaries

@@ -12,7 +12,7 @@ import (
 // BenchmarkMap is the mapping throughput acceptance benchmark: a
 // simulated long-read set placed against a 1 Mbp synthetic reference
 // through the full minimize -> chain -> extend pipeline. The custom
-// metrics are the headline numbers for BENCH_map.json: reads/sec for
+// metrics are its headline numbers: reads/sec for
 // throughput and anchors/read for seeding density (a collapse in
 // anchors/read means the index or the minimizer extraction regressed,
 // even if throughput looks fine).

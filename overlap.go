@@ -1,11 +1,11 @@
 package logan
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sync/atomic"
 	"time"
 
@@ -37,54 +37,40 @@ type Read struct {
 // pruning), "matrix", "spgemm" (candidate detection), "binning" (seed
 // choice), "align" (batched X-drop extension, the stage LOGAN
 // accelerates), "filter" (adaptive threshold) and "done".
-type OverlapStage string
+type OverlapStage = bella.Stage
 
 // Overlap pipeline stages, plus the ingestion pseudo-stage reported while
 // RunFasta is still parsing records.
 const (
 	StageIngest  OverlapStage = "ingest"
-	StageCount   OverlapStage = OverlapStage(bella.StageCount)
-	StagePrune   OverlapStage = OverlapStage(bella.StagePrune)
-	StageMatrix  OverlapStage = OverlapStage(bella.StageMatrix)
-	StageSpGEMM  OverlapStage = OverlapStage(bella.StageSpGEMM)
-	StageBinning OverlapStage = OverlapStage(bella.StageBinning)
-	StageAlign   OverlapStage = OverlapStage(bella.StageAlign)
-	StageFilter  OverlapStage = OverlapStage(bella.StageFilter)
-	StageDone    OverlapStage = OverlapStage(bella.StageDone)
+	StageCount                = bella.StageCount
+	StagePrune                = bella.StagePrune
+	StageMatrix               = bella.StageMatrix
+	StageSpGEMM               = bella.StageSpGEMM
+	StageBinning              = bella.StageBinning
+	StageAlign                = bella.StageAlign
+	StageFilter               = bella.StageFilter
+	StageDone                 = bella.StageDone
 )
 
 // OverlapProgress is one progress snapshot of an overlap run, delivered
-// via OverlapConfig.OnProgress. Counters are cumulative; fields whose
-// stage has not run yet are zero.
-type OverlapProgress struct {
-	// Stage is the phase the pipeline is in (just finished, for stage
-	// boundaries; mid-stage for "ingest" and "align" updates).
-	Stage OverlapStage
-	// ReadsParsed counts input records ingested so far (grows during
-	// "ingest" for RunFasta; set once up front for Run).
-	ReadsParsed int
-	// ReliableKmers is the size of the pruned k-mer set.
-	ReliableKmers int
-	// CandidatePairs is the number of read pairs the SpGEMM detected.
-	CandidatePairs int
-	// ExtensionsDone/ExtensionsTotal track the batched X-drop extension
-	// stage pair by pair (updated after every extension chunk).
-	ExtensionsDone, ExtensionsTotal int
-	// Overlaps is the accepted overlap count, set by the filter stage.
-	Overlaps int
-	// Shed counts extension chunks the engine's admission control
-	// rejected (coalescer-routed Overlappers only); Retries counts the
-	// re-submissions that followed. A completed run has re-submitted
-	// every shed chunk successfully.
-	Shed, Retries int64
-}
+// via OverlapConfig.OnProgress: the pipeline's own record (its fields
+// are documented there), whose JSON form is also the progress block of
+// GET /jobs/{id} and of a cluster worker's lease extension. ReadsParsed
+// grows during "ingest" for RunFasta and is set up front for Run; Shed
+// and Retries count coalescer admission rejections of extension chunks
+// and their re-submissions.
+type OverlapProgress = bella.Progress
 
 // OverlapConfig parameterizes one overlap run: the BELLA pipeline's
 // detection parameters plus the X-drop extension configuration. The zero
-// value is not valid; start from DefaultOverlapConfig.
+// value is not valid; start from DefaultOverlapConfig. The numeric
+// fields are the rows of Params, which declares each one's default and
+// bounds. K, Coverage, ErrorRate, Delta, X, MinOverlap and Workers are
+// taken as written; 0 in any other numeric field selects its default.
 type OverlapConfig struct {
 	// K is the k-mer length shared by counting, candidate detection and
-	// seeding (BELLA's default is 17; must be in (0,31]).
+	// seeding.
 	K int
 	// Coverage and ErrorRate describe the data set for the reliable-k-mer
 	// model: mean sequencing depth and per-base error rate.
@@ -95,14 +81,13 @@ type OverlapConfig struct {
 	// threshold is calibrated for linear DNA scoring (the paper's
 	// +1/-1/-1 family); only LinearScoring configurations validate.
 	Scoring Scoring
-	// BinWidth is the diagonal width of seed binning (default 500).
+	// BinWidth is the diagonal width of seed binning.
 	BinWidth int
-	// MinShared is the minimum shared reliable k-mers per candidate pair
-	// (default 1).
+	// MinShared is the minimum shared reliable k-mers per candidate pair.
 	MinShared int
-	// MaxSeeds caps the seeds retained per candidate pair (default 16).
+	// MaxSeeds caps the seeds retained per candidate pair.
 	MaxSeeds int
-	// Delta is the adaptive-threshold cushion (default 0.25).
+	// Delta is the adaptive-threshold cushion.
 	Delta float64
 	// MinOverlap drops overlaps whose aligned query extent is shorter
 	// than this many bases.
@@ -112,7 +97,7 @@ type OverlapConfig struct {
 	Traceback bool
 	// BatchPairs chunks the extension stage: at most this many pairs are
 	// submitted to the engine per batch, with cancellation checks and
-	// progress updates between chunks (0 selects 2048).
+	// progress updates between chunks.
 	BatchPairs int
 	// Workers bounds the CPU workers of the overlap-detection stages
 	// before extension — k-mer counting, matrix construction, binning —
@@ -123,23 +108,68 @@ type OverlapConfig struct {
 	OnProgress func(OverlapProgress)
 }
 
-// DefaultOverlapConfig mirrors BELLA's defaults for a long-read set with
-// the given coverage and per-base error rate, extending with the paper's
-// +1/-1/-1 scoring at the given X.
-func DefaultOverlapConfig(coverage, errRate float64, x int32) OverlapConfig {
-	return OverlapConfig{
-		K: 17, Coverage: coverage, ErrorRate: errRate, X: x,
-		Scoring:  LinearScoring(1, -1, -1),
-		BinWidth: 500, MinShared: 1, MaxSeeds: 16, Delta: 0.25,
+// DefaultCoverage and DefaultErrorRate are the data-set assumptions a
+// job that states neither is run under: the defaults of the coverage and
+// errorRate rows.
+const (
+	DefaultCoverage  = 6.0
+	DefaultErrorRate = 0.15
+)
+
+// bellaDefaults holds BELLA's five detection defaults, declared once
+// beside the pipeline where internal/bench reads them too.
+var bellaDefaults = bella.DefaultConfig(0, 0, 0)
+
+// Params returns the overlap parameter table bound to c's fields, in
+// wire order. K, Coverage, ErrorRate and Delta are taken as written in a
+// struct and on a flag — 0 is error-free reads, no cushion, and no k at
+// all — while their query, JSON and Spec header forms read 0 as absent,
+// as they always did.
+func (c *OverlapConfig) Params() Params {
+	return Params{
+		{name: "k", ptr: &c.K, def: float64(bellaDefaults.K), zero: zeroAbsentOnWire, min: 1, max: seq.MaxK,
+			doc: "k-mer length shared by counting, candidate detection and seeding"},
+		{name: "coverage", ptr: &c.Coverage, def: DefaultCoverage, zero: zeroAbsentOnWire, min: 0, max: 1000,
+			doc: "mean sequencing depth of the data set, for the reliable-k-mer model"},
+		{name: "errorRate", ptr: &c.ErrorRate, def: DefaultErrorRate, zero: zeroAbsentOnWire, min: 0, max: 1, openMax: true,
+			doc: "per-base error rate of the data set"},
+		{name: "x", ptr: &c.X, min: 0, max: math.MaxInt32,
+			doc: "X-drop termination threshold of the extension stage"},
+		{name: "binWidth", ptr: &c.BinWidth, def: float64(bellaDefaults.BinWidth), zero: zeroAbsent, min: 1, max: 1 << 20,
+			doc: "diagonal width of seed binning"},
+		{name: "minShared", ptr: &c.MinShared, def: float64(bellaDefaults.MinShared), zero: zeroAbsent, min: 1, max: 1 << 16,
+			doc: "minimum shared reliable k-mers per candidate pair"},
+		{name: "maxSeeds", ptr: &c.MaxSeeds, def: float64(bellaDefaults.MaxSeeds), zero: zeroAbsent, min: 1, max: 1 << 10,
+			doc: "seeds retained per candidate pair"},
+		{name: "delta", ptr: &c.Delta, def: bellaDefaults.Delta, zero: zeroAbsentOnWire, min: -1e9, max: 1e9,
+			doc: "adaptive-threshold cushion"},
+		{name: "minOverlap", ptr: &c.MinOverlap, min: 0, max: math.MaxInt32,
+			doc: "drop overlaps whose aligned query extent is shorter than this many bases"},
+		// 2048 amortizes per-batch scheduling while cancellation and
+		// progress stay prompt and chunks fit typical merge targets.
+		{name: "batchPairs", server: true, ptr: &c.BatchPairs, def: 2048, zero: zeroAbsent, min: 1, max: 1 << 20,
+			doc: "extension pairs submitted to the engine per chunk"},
+		{name: "workers", server: true, ptr: &c.Workers, min: 0, max: 1 << 10,
+			doc: "CPU workers of the detection stages before extension (0 = GOMAXPROCS); results do not depend on it"},
 	}
 }
 
-// Validate rejects configurations the pipeline cannot honor: k outside
-// (0,31], a non-linear scoring scheme, or scheme/X values the engine
-// itself rejects.
+// DefaultOverlapConfig mirrors BELLA's defaults for a long-read set with
+// the given coverage and per-base error rate — both taken as written —
+// extending with the paper's +1/-1/-1 scoring at the given X.
+func DefaultOverlapConfig(coverage, errRate float64, x int32) OverlapConfig {
+	c := OverlapConfig{Scoring: LinearScoring(1, -1, -1)}
+	c.Params().defaults()
+	c.Coverage, c.ErrorRate, c.X = coverage, errRate, x
+	return c
+}
+
+// Validate rejects configurations the pipeline cannot honor: a field
+// outside its Params row's bounds (or not a number), a non-linear scoring
+// scheme, or scheme/X values the engine itself rejects.
 func (c OverlapConfig) Validate() error {
-	if c.K <= 0 || c.K > seq.MaxK {
-		return fmt.Errorf("logan: overlap k=%d outside (0,%d]", c.K, seq.MaxK)
+	if err := c.Params().check(); err != nil {
+		return fmt.Errorf("logan: overlap %w", err)
 	}
 	if c.Scoring.mode != scoringLinear {
 		return fmt.Errorf("logan: overlap scoring must be linear (got %q): the adaptive threshold is calibrated for the paper's match/mismatch/gap family", c.Scoring.Mode())
@@ -147,94 +177,32 @@ func (c OverlapConfig) Validate() error {
 	return Config{X: c.X, Scoring: c.Scoring}.Validate()
 }
 
-// bellaConfig lowers the public configuration onto the internal pipeline.
+// bellaConfig lowers the public configuration, already resolved, onto
+// the internal pipeline.
 func (c OverlapConfig) bellaConfig() bella.Config {
-	batch := c.BatchPairs
-	if batch <= 0 {
-		batch = defaultOverlapBatch
-	}
 	return bella.Config{
 		K: c.K, Coverage: c.Coverage, ErrorRate: c.ErrorRate,
 		X: c.X, Scoring: c.Scoring.linear,
 		BinWidth: c.BinWidth, MinShared: c.MinShared, MaxSeeds: c.MaxSeeds,
 		Delta: c.Delta, Workers: c.Workers,
 		MinOverlap: c.MinOverlap, Traceback: c.Traceback,
-		AlignBatch: batch,
+		AlignBatch: c.BatchPairs,
 	}
 }
 
-// defaultOverlapBatch is the extension chunk size when BatchPairs is
-// unset: big enough to amortize per-batch scheduling, small enough that
-// cancellation and progress land promptly and that coalescer-routed
-// chunks stay below typical merge targets.
-const defaultOverlapBatch = 2048
-
 // OverlapRecord is one accepted overlap in PAF (Pairwise mApping Format)
-// coordinates — the minimap2-ecosystem interchange representation emitted
-// by WritePAF. Target coordinates are always on the forward strand;
-// Strand records which strand of the target the query aligns to.
-type OverlapRecord struct {
-	QName        string
-	QLen         int
-	QStart, QEnd int
-	Strand       byte // '+' or '-'
-	TName        string
-	TLen         int
-	TStart, TEnd int
-	// Matches approximates PAF column 10 (residue matches): exact when
-	// the traceback post-pass ran, estimated from the linear score
-	// otherwise.
-	Matches int
-	// BlockLen is PAF column 11, the alignment block length.
-	BlockLen int
-	// MapQ is PAF column 12; the pipeline does not compute mapping
-	// quality, so it is always 255 (missing).
-	MapQ int
-	// Score is the X-drop alignment score, emitted as the AS:i tag.
-	Score int32
-	// Divergence and CIGAR fill the de:f and cg:Z tags when
-	// OverlapConfig.Traceback ran; CIGAR == "" omits both.
-	Divergence float64
-	CIGAR      string
-	// QIndex/TIndex are the input-order indices of the two reads, for
-	// callers that key on positions rather than names (they are not part
-	// of the PAF serialization).
-	QIndex, TIndex int
-}
-
-// AppendText appends the record's PAF line (including the trailing
-// newline) to buf: the 12 mandatory columns, the AS:i score tag, and the
-// de:f/cg:Z tags when a CIGAR is present. The struct conversion onto the
-// internal serializer is the single source of truth for PAF bytes.
-func (r OverlapRecord) AppendText(buf []byte) []byte {
-	return bella.PAFRecord(r).AppendText(buf)
-}
+// coordinates, the minimap2-ecosystem interchange form WritePAF emits. It
+// is the pipeline's own record type (fields documented there), so
+// offline and served PAF bytes come from one serializer, AppendText.
+type OverlapRecord = bella.PAFRecord
 
 // WritePAF serializes the records to w in PAF, buffered. The bytes are
 // identical to the offline cmd/bella pipeline's output for the same run —
 // both paths share one serializer.
-func WritePAF(w io.Writer, recs []OverlapRecord) error {
-	bw := bufio.NewWriter(w)
-	var line []byte
-	for _, rec := range recs {
-		line = rec.AppendText(line[:0])
-		if _, err := bw.Write(line); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
+func WritePAF(w io.Writer, recs []OverlapRecord) error { return bella.WriteRecords(w, recs) }
 
 // OverlapStageTimes records measured wall time per pipeline stage.
-type OverlapStageTimes struct {
-	Count     time.Duration
-	Prune     time.Duration
-	Matrix    time.Duration
-	SpGEMM    time.Duration
-	Binning   time.Duration
-	Alignment time.Duration
-	Filter    time.Duration
-}
+type OverlapStageTimes = bella.StageTimes
 
 // OverlapStats summarizes one overlap run.
 type OverlapStats struct {
@@ -368,22 +336,15 @@ func (o *Overlapper) run(ctx context.Context, rs genome.ReadSet, cfg OverlapConf
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	cfg.Params().resolve()
 	var counters overlapCounters
 	bcfg := cfg.bellaConfig()
 	if cfg.OnProgress != nil {
 		nReads := len(rs.Reads)
-		bcfg.OnProgress = func(p bella.Progress) {
-			cfg.OnProgress(OverlapProgress{
-				Stage:           OverlapStage(p.Stage),
-				ReadsParsed:     nReads,
-				ReliableKmers:   p.ReliableKmers,
-				CandidatePairs:  p.Candidates,
-				ExtensionsDone:  p.PairsAligned,
-				ExtensionsTotal: p.PairsTotal,
-				Overlaps:        p.Overlaps,
-				Shed:            counters.shed.Load(),
-				Retries:         counters.retries.Load(),
-			})
+		bcfg.OnProgress = func(p OverlapProgress) {
+			p.ReadsParsed = nReads
+			p.Shed, p.Retries = counters.shed.Load(), counters.retries.Load()
+			cfg.OnProgress(p)
 		}
 	}
 	var al bella.Aligner
@@ -403,9 +364,8 @@ func (o *Overlapper) run(ctx context.Context, rs genome.ReadSet, cfg OverlapConf
 	if err != nil {
 		return nil, err
 	}
-	recs := bella.PAFRecords(rs.Reads, res.Overlaps)
-	out := &OverlapResult{
-		Records: make([]OverlapRecord, len(recs)),
+	return &OverlapResult{
+		Records: bella.PAFRecords(rs.Reads, res.Overlaps),
 		Stats: OverlapStats{
 			Reads:          len(rs.Reads),
 			ReliableKmers:  res.Reliable,
@@ -413,24 +373,12 @@ func (o *Overlapper) run(ctx context.Context, rs genome.ReadSet, cfg OverlapConf
 			MatrixNNZ:      res.NNZ,
 			Cells:          res.Align.Cells,
 			DeviceTime:     res.Align.DeviceTime,
-			Times: OverlapStageTimes{
-				Count: res.Times.Count, Prune: res.Times.Prune,
-				Matrix: res.Times.Matrix, SpGEMM: res.Times.SpGEMM,
-				Binning: res.Times.Binning, Alignment: res.Times.Alignment,
-				Filter: res.Times.Filter,
-			},
-			Shed:    counters.shed.Load(),
-			Retries: counters.retries.Load(),
+			Times:          res.Times,
+			WallTime:       time.Since(start),
+			Shed:           counters.shed.Load(),
+			Retries:        counters.retries.Load(),
 		},
-	}
-	for i, r := range recs {
-		// Structural conversion: OverlapRecord mirrors bella.PAFRecord
-		// field for field, so a drifting field is a compile error, not a
-		// silently dropped value.
-		out.Records[i] = OverlapRecord(r)
-	}
-	out.Stats.WallTime = time.Since(start)
-	return out, nil
+	}, nil
 }
 
 // engineExtender feeds extension chunks straight onto the shared engine's

@@ -61,7 +61,7 @@ func TestOverlapperMatchesInternalPipeline(t *testing.T) {
 		t.Fatal("reference pipeline produced no overlaps; test set too small")
 	}
 	var want bytes.Buffer
-	if err := bella.WritePAF(&want, rs.Reads, ref.Overlaps); err != nil {
+	if err := bella.WriteRecords(&want, bella.PAFRecords(rs.Reads, ref.Overlaps)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -367,7 +367,7 @@ func TestOverlapperTraceback(t *testing.T) {
 		t.Fatal(err)
 	}
 	var want bytes.Buffer
-	if err := bella.WritePAF(&want, rs.Reads, ref.Overlaps); err != nil {
+	if err := bella.WriteRecords(&want, bella.PAFRecords(rs.Reads, ref.Overlaps)); err != nil {
 		t.Fatal(err)
 	}
 

@@ -3,8 +3,10 @@
 # comment, and every exported symbol of the public root package must be
 # documented — and every documented logan_jobs_* series must have one
 # owner, the X-drop band loop one driver, the device batch one executor,
-# and the root package no view of the kernel configuration. Run from the
-# repo root; CI runs it alongside the unit tests.
+# the root package no view of the kernel configuration, the generated
+# tables of docs/SERVING.md their generators' output, and request
+# parameters one parser. Run from the repo root; CI runs it alongside the
+# unit tests.
 # The doc checker itself is scripts/doclint.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -56,6 +58,35 @@ leaks=$(grep -lE '"logan/internal/core"' $(ls ./*.go | grep -v '_test\.go$') || 
 if [ -n "$leaks" ]; then
 	echo "doc-lint: root-package sources import logan/internal/core (lower to xdrop.Scheme instead):" >&2
 	echo "$leaks" >&2
+	exit 1
+fi
+
+# The /jobs, /map and /map/index parameter tables and the logan-serve
+# flag table in docs/SERVING.md are generated: from the rows of logan's
+# parameter tables and from `logan-serve -h`. A stale block means a row
+# or a flag changed without the operator guide: paste the lines diff
+# marks ">" over the block they name.
+if ! sed -n '/^<!-- generated:/,/^<!-- \/generated -->/p' docs/SERVING.md |
+	diff - <(go run ./cmd/logan-serve -h 2>&1 | go run ./scripts/doclint serving); then
+	echo "doc-lint: the generated blocks of docs/SERVING.md are stale (< file, > generated)" >&2
+	exit 1
+fi
+
+# cmd/logan-serve turns request text into parameter values at exactly one
+# call site — setParams handing a query key to the bound table's setter —
+# and the hand-kept mirrors the parameter table replaced stay gone.
+sets=$(grep -rnE --include='*.go' --exclude='*_test.go' '\.Set\([a-z]+, [a-z]+\)' cmd/logan-serve || true)
+parses=$(grep -rnE --include='*.go' --exclude='*_test.go' 'Query\(\)\.Get\(|strconv\.(Atoi|ParseInt|ParseFloat)' cmd/logan-serve |
+	grep -v '^cmd/logan-serve/auth\.go:' || true)
+if [ "$(printf '%s' "$sets" | grep -c .)" -ne 1 ] || [ -n "$parses" ]; then
+	echo "doc-lint: cmd/logan-serve must parse request parameters at one call site (setParams -> logan.Params.Set):" >&2
+	printf '%s\n%s\n' "$sets" "$parses" >&2
+	exit 1
+fi
+mirrors=$(grep -rnE --include='*.go' '\b(overlapConfigJSON|queryOverlapConfig|jobProgressJSON|FromOverlap)\b' . | grep -v '^./benchmark/' || true)
+if [ -n "$mirrors" ]; then
+	echo "doc-lint: a hand-kept mirror of the parameter table or the progress record is back:" >&2
+	echo "$mirrors" >&2
 	exit 1
 fi
 

@@ -8,6 +8,9 @@
 //
 // It exits non-zero listing each violation as file:line, so CI can gate
 // on it (scripts/doc-lint.sh).
+//
+// A second mode, "logan-serve -h 2>&1 | doclint serving", prints the
+// generated blocks of docs/SERVING.md (see serving.go).
 package main
 
 import (
@@ -29,6 +32,9 @@ type violation struct {
 }
 
 func main() {
+	if len(os.Args) > 1 && os.Args[1] == "serving" {
+		os.Exit(serving())
+	}
 	root := "."
 	if len(os.Args) > 1 {
 		root = os.Args[1]
