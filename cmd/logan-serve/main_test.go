@@ -259,6 +259,11 @@ func TestServeWriteErrors(t *testing.T) {
 	if totals.Pairs != 1 {
 		t.Fatalf("statz pairs = %d, want 1", totals.Pairs)
 	}
+	switch totals.SIMD {
+	case "avx2", "sse2", "portable":
+	default:
+		t.Fatalf("statz simd = %q, want the vector kernel's instruction set", totals.SIMD)
+	}
 }
 
 // TestServeShed pins the admission-control contract: once the pending

@@ -16,6 +16,7 @@ import (
 	"logan"
 	"logan/internal/cluster"
 	"logan/internal/telemetry"
+	"logan/internal/xdrop"
 )
 
 // alignRequest is the POST /align payload: a batch of seeded pairs plus
@@ -613,7 +614,9 @@ func (s *server) handleReady(w http.ResponseWriter, _ *http.Request) {
 // cross-request batching is enabled. Every number is read from a single
 // atomic registry snapshot — the same snapshot a concurrent /metrics
 // scrape would see — so the JSON view and the Prometheus view of one
-// instant agree.
+// instant agree. SIMD is not a counter: it names the instruction set the
+// vector kernel's rows run on in this process ("avx2", "sse2",
+// "portable"), so a recorded number can say which path produced it.
 type statzJSON struct {
 	Requests    int64                       `json:"requests"`
 	Pairs       int64                       `json:"pairs"`
@@ -623,6 +626,7 @@ type statzJSON struct {
 	WriteErrors int64                       `json:"writeErrors"`
 	Backends    map[string]backendStatzJSON `json:"backends"`
 	Kernels     map[string]kernelStatzJSON  `json:"kernels,omitempty"`
+	SIMD        string                      `json:"simd"`
 	Coalescer   *coalescerStatzJSON         `json:"coalescer,omitempty"`
 	Cache       *cacheStatzJSON             `json:"cache,omitempty"`
 	Tenants     map[string]tenantStatzJSON  `json:"tenants,omitempty"`
@@ -749,6 +753,7 @@ func (s *server) handleStatz(w http.ResponseWriter, _ *http.Request) {
 		WriteErrors: snap.Int("logan_http_write_errors_total"),
 		Backends:    backendStatz(snap),
 		Kernels:     kernelStatz(snap),
+		SIMD:        xdrop.VectorISA(),
 	}
 	out.Coalescer = coalescerStatz(snap)
 	if s.cache != nil {

@@ -39,6 +39,7 @@ func BenchmarkKernel(b *testing.B) {
 	aff := AffineScoring{Match: 1, Mismatch: -1, GapOpen: -1, GapExtend: -1}
 	mat := dnaMatrix(b, sc)
 	w := NewWorkspace()
+	fmt.Printf("vector rows: %s\n", VectorISA())
 	for _, reg := range kernelRegimes {
 		b.Run(fmt.Sprintf("affine/%s", reg.name), func(b *testing.B) {
 			b.ReportAllocs()
@@ -80,6 +81,37 @@ func BenchmarkKernel(b *testing.B) {
 				cells += ksw2.ExtendZ(q, t, p).Cells
 			}
 			b.ReportMetric(float64(cells)/float64(b.Elapsed().Nanoseconds()), "cells/ns")
+		})
+	}
+}
+
+// BenchmarkKernelRow times the active whole-row routine alone, per band
+// width: ns/row is the fixed-plus-per-block cost model of the vector
+// kernel as a re-runnable number (the driver's share of a row is
+// BenchmarkKernel's ns per anti-diagonal minus this), and the width where
+// cells/ns flattens is where an inter-pair kernel would have to beat it.
+// A third of the rows improve best and so pay the position scan.
+func BenchmarkKernelRow(b *testing.B) {
+	rng := rand.New(rand.NewSource(5))
+	w := NewWorkspace()
+	for _, kn := range []int{4, 8, 12, 16, 24, 32, 64, 128, 256} {
+		rows := make([]rowCase, 64)
+		for i := range rows {
+			rows[i] = randRowCase(rng, kn, 0)
+			if i%3 != 0 {
+				rows[i].best = 17000
+			}
+		}
+		out := make([]int16, kn)
+		k := w.vectorKernelFor(DefaultScoring())
+		b.Run(fmt.Sprintf("%s/band%d", VectorISA(), kn), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				rc := &rows[i%len(rows)]
+				k.row(rc.d3, rc.d2m1, out, rc.qs, rc.ts, rc.thr, rc.best)
+			}
+			ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+			b.ReportMetric(ns, "ns/row")
+			b.ReportMetric(float64(kn)/ns, "cells/ns")
 		})
 	}
 }

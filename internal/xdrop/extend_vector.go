@@ -33,7 +33,7 @@ const (
 	VectorMaxScore int32 = 255
 )
 
-// VectorEligible reports whether the 8-lane int16 kernel can run this
+// VectorEligible reports whether the int16 SIMD kernel can run this
 // linear scoring configuration bit-identically: parameter magnitudes must
 // fit the rebased int16 range and x must leave saturation headroom. The
 // kernel-selection layer (SelectKernel, chosen once per batch) consults
@@ -46,149 +46,154 @@ func VectorEligible(sc Scoring, x int32) bool {
 		sc.Gap < 0 && sc.Gap >= -VectorMaxScore
 }
 
-// blendTab returns the workspace's cached compare-blend table for this
-// (match, mismatch) pair, building it on first use. Batches share a
-// scoring configuration, so the steady state is one pointer compare.
-func (w *Workspace) blendTab(match, mismatch int16) *simd.BlendTable {
-	if w.tab == nil || w.tabMatch != match || w.tabMismatch != mismatch {
-		w.tab = simd.NewBlendTable(match, mismatch)
-		w.tabMatch, w.tabMismatch = match, mismatch
-	}
-	return w.tab
+// rowISA names the whole-row routine vectorKernel.row dispatches to. It is
+// set once at package init from the CPU (see detectISA) and never changes
+// afterwards; only tests flip it, to drive every variant on one host.
+type rowISA int8
+
+const (
+	isaPortable rowISA = iota // pure Go: every non-amd64 build, and the oracle
+	isaSSE2                   // 8-lane rows, the amd64 baseline
+	isaAVX2                   // 16-lane rows for kn >= 16, SSE2 below
+)
+
+var vectorISA = detectISA()
+
+// VectorISA names the instruction set the vector kernel's rows run on in
+// this process: "avx2", "sse2" or "portable".
+func VectorISA() string {
+	return [...]string{isaPortable: "portable", isaSSE2: "sse2", isaAVX2: "avx2"}[vectorISA]
 }
 
-// ExtendVector is the 8-wide int16 lane-block form of Workspace.Extend:
-// scores, extents and work counters are bit-identical to the scalar
-// kernel (and so to ExtendReference) on every input. Inputs outside the
-// vector envelope (VectorEligible) fall back to the scalar kernel.
-//
-// Per 8-cell block the interior update is branch-lean: the match/mismatch
-// substitution add is one simd.EqMask64 SWAR compare over two 8-byte
-// sequence words plus one 16-byte load from the batch-specialized
-// compare-blend table (simd.BlendTable), replacing eight data-dependent
-// byte compares — the one unpredictable branch of the scalar loop. The
-// gap sources are the diagonal's int16 loads with the "up" value carried
-// in a register (the lane shift falls out of the anti-diagonal memory
-// layout), and the three-way max, X-drop clamp and best tracking run per
-// lane in the fused block loop. Score-offset rebasing (see the constants
-// above) keeps lane values exact in int16, so no saturating clamp can
-// ever touch a live score.
+// rowConsts is the per-extension constants block of the assembly rows:
+// four int16 values broadcast to 16 lanes each, so a row loads them instead
+// of re-broadcasting (the SSE2 rows read the low 8 lanes).
+type rowConsts [4][16]int16
+
+// Rows of rowConsts. The substitution add is mismatch + (eq & matchDiff).
+const (
+	rcMatchDiff = iota // match - mismatch
+	rcMismatch
+	rcGap
+	rcNegInf
+)
+
+// vectorKernelFor returns the int16 row kernel for sc, refreshing the
+// workspace's constants block (and, on the portable path only, its 4 KiB
+// compare-blend table) when the scoring changed. Batches share a scoring
+// configuration, so the steady state is one compare.
+func (w *Workspace) vectorKernelFor(sc Scoring) vectorKernel {
+	if w.vsc != sc {
+		w.vsc = sc
+		w.tab = nil
+		for l := range w.vc[0] {
+			w.vc[rcMatchDiff][l] = int16(sc.Match - sc.Mismatch)
+			w.vc[rcMismatch][l] = int16(sc.Mismatch)
+			w.vc[rcGap][l] = int16(sc.Gap)
+			w.vc[rcNegInf][l] = negInf16
+		}
+	}
+	if vectorISA == isaPortable && w.tab == nil {
+		w.tab = simd.NewBlendTable(int16(sc.Match), int16(sc.Mismatch))
+	}
+	return vectorKernel{c: &w.vc, tab: w.tab,
+		match: int16(sc.Match), mismatch: int16(sc.Mismatch), gap: int16(sc.Gap)}
+}
+
+// ExtendVector is the int16 SIMD form of Workspace.Extend: scores, extents
+// and work counters are bit-identical to the scalar kernel (and so to
+// ExtendReference) on every input. Inputs outside the vector envelope
+// (VectorEligible) fall back to the scalar kernel. Score-offset rebasing
+// (see the constants above) keeps lane values exact in int16, so no
+// saturating clamp can ever touch a live score.
 func (w *Workspace) ExtendVector(q, t seq.Seq, sc Scoring, x int32) Result {
 	if !VectorEligible(sc, x) {
 		return w.Extend(q, t, sc, x)
 	}
-	tab := w.blendTab(int16(sc.Match), int16(sc.Mismatch))
-	return wave(&w.v, &w.rt, q, t, int16(x), vectorKernel{tab: tab, gap: int16(sc.Gap)})
+	return wave(&w.v, &w.rt, q, t, int16(x), w.vectorKernelFor(sc))
 }
 
-// vectorKernel is the int16 row kernel: the batch's compare-blend table
-// and gap penalty are its only per-extension state.
+// vectorKernel is the int16 row kernel. Its row method computes a whole
+// anti-diagonal in one call: d3 holds the substitution sources and out
+// receives the new diagonal (both of length kn), d2m1 holds the gap
+// sources of the previous diagonal shifted one cell down (length kn+1: the
+// "up" source of cell k is d2m1[k], the "left" source is d2m1[k+1] — the
+// lane shift of the classic striped kernel falls out of the anti-diagonal
+// memory layout as two overlapping loads), and qs/ts are the forward-read
+// sequence spans. It returns the updated running best and the index of the
+// first cell holding it (-1 and best unchanged if the row did not improve
+// on it), the scalar kernel's tie order exactly.
+//
+// The dispatch is per row, on its width: kn >= 16 with AVX2 runs 16-lane
+// blocks, kn >= 8 runs 8-lane blocks (SSE2 on amd64, vectorRowPortable
+// elsewhere), narrower rows run rowNarrow. A row that is not a lane
+// multiple ends in one block re-anchored at kn - lanes that overlaps the
+// previous one: a cell depends only on d3[k], d2m1[k], d2m1[k+1], qs[k]
+// and ts[k], and out never aliases a source (the three rolling buffers of
+// wave), so recomputing a cell stores the same value again — and nothing
+// outside [0, kn) of d3/out/qs/ts and [0, kn] of d2m1 is read or written.
 type vectorKernel struct {
-	tab *simd.BlendTable
-	gap int16
+	c                    *rowConsts
+	tab                  *simd.BlendTable // portable rows only
+	match, mismatch, gap int16
 }
 
 func (vectorKernel) planes() int { return 1 }
 
 func (v vectorKernel) gaps() (first, rest int16) { return v.gap, v.gap }
 
-// row computes the interior cells of one anti-diagonal: d3 holds
-// the substitution sources and out receives the new diagonal (both of
-// length kn), d2m1 holds the gap sources of the previous diagonal shifted
-// one cell down (length kn+1: the "up" source of cell k is d2m1[k], the
-// "left" source is d2m1[k+1] — the lane shift of the classic striped
-// kernel falls out of the anti-diagonal memory layout as two overlapping
-// loads), and qs/ts are the forward-read sequence spans. It returns the
-// updated running best and the index of the last strict improvement (-1
-// if none), preserving the scalar kernel's tie-breaking scan order
-// exactly.
-//
-// Full 8-lane blocks go through vectorRowBlocks (SSE2 assembly on amd64,
-// the portable lane loop elsewhere), which tracks only the running
-// maximum — not its position. The running max updates only on strict
-// increase, so its final update happened at the FIRST cell holding the
-// row maximum; that cell's stored value is unclamped (nb > nbIn >= best-x
-// means it cleared the X-drop threshold), so the position is recovered by
-// a post-scan that runs only on rows that improve the best.
-func (v vectorKernel) row(d3, d2m1, out []int16, qs, ts seq.Seq, thr, best int16) (int16, int) {
-	tab, gw, tw, nb := v.tab, int(v.gap), int(thr), int(best)
+// rowNarrow is the scalar loop for rows narrower than one vector
+// (kn < simd.Lanes): the band's first and last few anti-diagonals.
+func (v vectorKernel) rowNarrow(d3, d2m1, out []int16, qs, ts seq.Seq, thr, best int16) (int16, int) {
 	kn := len(out)
-	nbIn := nb
-	blocks := kn / simd.Lanes
-	if blocks > 0 {
-		if rm := vectorRowBlocks(d3, d2m1, out, qs, ts, blocks, tab, gw, tw); rm > nb {
-			nb = rm
+	d3, d2, qs, ts := d3[:kn], d2m1[1:][:kn], qs[:kn], ts[:kn]
+	up := d2m1[0]
+	bestK := -1
+	for k := range out {
+		add := v.mismatch
+		if qs[k] == ts[k] {
+			add = v.match
 		}
-	}
-	// Scalar tail for the remaining kn mod 8 cells; the blend table's
-	// all-ones and all-zeros entries supply the match/mismatch adds.
-	if k := blocks * simd.Lanes; k < kn {
-		nw := int(negInf16)
-		up := int(d2m1[k])
-		for ; k < kn; k++ {
-			add := int(tab[0][0])
-			if qs[k] == ts[k] {
-				add = int(tab[255][0])
-			}
-			c := int(d2m1[k+1])
-			g := up
-			if c > g {
-				g = c
-			}
-			up = c
-			s := int(d3[k]) + add
-			if g+gw > s {
-				s = g + gw
-			}
-			if s > nb {
-				nb = s
-			}
-			if s < tw {
-				s = nw
-			}
-			out[k] = int16(s)
+		s := d3[k] + add
+		g := max(up, d2[k]) + v.gap
+		up = d2[k]
+		if g > s {
+			s = g
 		}
-	}
-	bk := -1
-	if nb > nbIn {
-		for i := range out {
-			if int(out[i]) == nb {
-				bk = i
-				break
-			}
+		if s > best {
+			best, bestK = s, k
 		}
+		if s < thr {
+			s = negInf16
+		}
+		out[k] = s
 	}
-	return int16(nb), bk
+	return best, bestK
 }
 
-// vectorRowBlocksPortable is the pure-Go form of the 8-lane block kernel:
-// the reference for the amd64 assembly (pinned bit-identical by test and
-// fuzz differentials) and the implementation on every other architecture.
-// It processes blocks*8 cells and returns the maximum stored value —
-// pruned cells store negInf16, so they can never win. The match/mismatch
-// substitution add is one simd.EqMask64 SWAR compare over two 8-byte
-// sequence words plus one 16-byte load from the batch-specialized
-// compare-blend table. All lane arithmetic runs in full-width registers
-// (loads sign-extend, stores truncate): values are exact in int16 range
-// by the rebase invariant, and 16-bit ALU ops would hit
-// length-changing-prefix stalls on x86.
-func vectorRowBlocksPortable(d3, d2m1, out []int16, qs, ts []byte, blocks int, tab *simd.BlendTable, gw, tw int) int {
-	kn := blocks * simd.Lanes
-	d3 = d3[:kn]
-	d2m1 = d2m1[:kn+1]
-	out = out[:kn]
-	qs = qs[:kn]
-	ts = ts[:kn]
-	nw := int(negInf16)
+// vectorRowPortable is the pure-Go whole-row routine: the oracle the
+// assembly rows are pinned bit-identical to (test and fuzz differentials)
+// and the implementation on every architecture without one. It needs
+// kn >= simd.Lanes. Per 8-cell block the match/mismatch substitution add
+// is one simd.EqMask64 SWAR compare over two 8-byte sequence words plus one
+// 16-byte load from the batch-specialized compare-blend table. All lane
+// arithmetic runs in full-width registers (loads sign-extend, stores
+// truncate): values are exact in int16 range by the rebase invariant, and
+// 16-bit ALU ops would hit length-changing-prefix stalls on x86.
+func vectorRowPortable(d3, d2m1, out []int16, qs, ts []byte, tab *simd.BlendTable, gap, thr, best int16) (int16, int) {
+	kn := len(out)
+	d3, d2m1, qs, ts = d3[:kn], d2m1[:kn+1], qs[:kn], ts[:kn]
+	gw, tw, nw := int(gap), int(thr), int(negInf16)
 	rm := nw
-	up := int(d2m1[0])
-	for k := 0; k+simd.Lanes <= kn; k += simd.Lanes {
+	for k := 0; k < kn; k += simd.Lanes {
+		k = min(k, kn-simd.Lanes) // the final block overlaps its predecessor
 		av := &tab[simd.EqMask64(
 			binary.LittleEndian.Uint64(qs[k:]),
 			binary.LittleEndian.Uint64(ts[k:]))]
 		d3b := (*[simd.Lanes]int16)(d3[k:])
 		d2b := (*[simd.Lanes + 1]int16)(d2m1[k:])
 		ob := (*[simd.Lanes]int16)(out[k:])
+		up := int(d2b[0])
 		for l := 0; l < simd.Lanes; l++ {
 			c := int(d2b[l+1])
 			g := up
@@ -209,5 +214,15 @@ func vectorRowBlocksPortable(d3, d2m1, out []int16, qs, ts []byte, blocks int, t
 			ob[l] = int16(s)
 		}
 	}
-	return rm
+	// The running best moves only on strict increase, so it would have
+	// settled on the first cell holding the row maximum; that cell cleared
+	// the threshold (rm > best >= thr), so its stored value is unclamped.
+	if rm <= int(best) {
+		return best, -1
+	}
+	for i := 0; ; i++ {
+		if int(out[i]) == rm {
+			return int16(rm), i
+		}
+	}
 }

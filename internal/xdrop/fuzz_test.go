@@ -59,6 +59,16 @@ func FuzzExtend(f *testing.F) {
 	})
 }
 
+// fuzzScoring maps three raw bytes onto a vector-eligible scoring, the
+// envelope edges (magnitude VectorMaxScore) included.
+func fuzzScoring(m, mm, g uint8) Scoring {
+	return Scoring{
+		Match:    int32(m)%VectorMaxScore + 1,
+		Mismatch: -int32(mm)%VectorMaxScore - 1,
+		Gap:      -int32(g)%VectorMaxScore - 1,
+	}
+}
+
 // FuzzExtendVectorDifferential pins the vector kernel bit-identical to
 // the reference scalar implementation: same score, same end cell, same
 // work counters, on arbitrary sequences under arbitrary eligible
@@ -86,16 +96,60 @@ func FuzzExtendVectorDifferential(f *testing.F) {
 		}
 		q := sanitizeDNA(qRaw)
 		tt := sanitizeDNA(tRaw)
-		sc := Scoring{
-			Match:    int32(mRaw)%VectorMaxScore + 1,
-			Mismatch: -int32(mmRaw)%VectorMaxScore - 1,
-			Gap:      -int32(gRaw)%VectorMaxScore - 1,
-		}
+		sc := fuzzScoring(mRaw, mmRaw, gRaw)
 		want := ExtendReference(q, tt, sc, x)
-		got := ws.ExtendVector(q, tt, sc, x)
-		if got != want {
-			t.Fatalf("vector %+v != reference %+v (sc %+v x %d)", got, want, sc, x)
+		eachISA(func() {
+			if got := ws.ExtendVector(q, tt, sc, x); got != want {
+				t.Fatalf("%s vector %+v != reference %+v (sc %+v x %d)", VectorISA(), got, want, sc, x)
+			}
+		})
+	})
+}
+
+// FuzzVectorRow pins the whole-row routines — portable, SSE2 and, where
+// the CPU has it, AVX2, in one invocation — to the scalar row on arbitrary
+// rows: raw bytes become the two source diagonals (live rebased-range
+// values and sentinels) and the two base spans of a row of width kn.
+func FuzzVectorRow(f *testing.F) {
+	f.Add([]byte("ACGTACGTTTGACA"), uint8(8), int16(-100), uint16(50), uint8(1), uint8(1), uint8(1))
+	f.Add([]byte{0, 0, 1, 2, 3, 250, 251, 252, 5, 10, 255}, uint8(37), int16(-8192), uint16(8192), uint8(255), uint8(255), uint8(255))
+	f.Add([]byte{7}, uint8(16), int16(16638), uint16(0), uint8(2), uint8(3), uint8(4))
+	ws := NewWorkspace()
+	f.Fuzz(func(t *testing.T, data []byte, knRaw uint8, thr int16, xRaw uint16, mRaw, mmRaw, gRaw uint8) {
+		kn := int(knRaw)%96 + 1
+		used := 0
+		next := func() int { // the fuzzer's bytes, cycled
+			if len(data) == 0 {
+				return 0
+			}
+			used++
+			return int(data[(used-1)%len(data)])
 		}
+		cell := func() int16 {
+			if v := next()<<8 | next(); v%5 != 0 {
+				return int16(-8192 + v%(8192+16638))
+			}
+			return negInf16
+		}
+		rc := rowCase{
+			d3: make([]int16, kn), d2m1: make([]int16, kn+1),
+			qs: make([]byte, kn), ts: make([]byte, kn),
+			sc: fuzzScoring(mRaw, mmRaw, gRaw),
+		}
+		for i := range rc.d3 {
+			rc.d3[i] = cell()
+		}
+		for i := range rc.d2m1 {
+			rc.d2m1[i] = cell()
+		}
+		for i := range rc.qs {
+			rc.qs[i] = seq.Alphabet[next()%4]
+			rc.ts[i] = seq.Alphabet[next()%4]
+		}
+		// The driver's envelope: thr = best - x with 0 <= x <= VectorMaxX.
+		rc.thr = max(-int16(VectorMaxX), min(thr, vectorRebaseAt+int16(VectorMaxScore)-1))
+		rc.best = rc.thr + int16(int32(xRaw)%(VectorMaxX+1))
+		rc.check(t, ws)
 	})
 }
 

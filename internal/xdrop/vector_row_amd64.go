@@ -2,24 +2,48 @@
 
 package xdrop
 
-import "logan/internal/simd"
+import (
+	"logan/internal/seq"
+	"logan/internal/simd"
+)
 
-// vectorRowBlocks dispatches the 8-lane block kernel to the SSE2 assembly
-// implementation (vector_row_amd64.s). SSE2 is part of the amd64 baseline,
-// so no runtime feature detection is needed. The match/mismatch lane adds
-// are taken from the blend table's all-ones and all-zeros entries; the
-// assembly rebuilds the broadcast vectors itself, which is cheaper than
-// one 4 KiB table per scheme and identical in effect.
-func vectorRowBlocks(d3, d2m1, out []int16, qs, ts []byte, blocks int, tab *simd.BlendTable, gw, tw int) int {
-	return vectorRowBlocksSSE(d3, d2m1, out, qs, ts, blocks,
-		int(tab[255][0]), int(tab[0][0]), gw, tw, int(negInf16))
+// detectISA picks the widest assembly row the CPU and the OS support. SSE2
+// is part of the amd64 baseline; AVX2 needs the CPUID/XGETBV check.
+func detectISA() rowISA {
+	if cpuHasAVX2() {
+		return isaAVX2
+	}
+	return isaSSE2
 }
 
-// vectorRowBlocksSSE is implemented in vector_row_amd64.s. It processes
-// blocks*8 interior cells of one anti-diagonal with SSE2 128-bit integer
-// instructions — the real form of the 8×int16 lane model of the
-// portable kernel — and returns the maximum stored (post-clamp) value. It is bit-identical to vectorRowBlocksPortable on every input
-// (pinned by TestVectorRowBlocksSSE and the kernel fuzz target).
+func (v vectorKernel) row(d3, d2m1, out []int16, qs, ts seq.Seq, thr, best int16) (int16, int) {
+	kn := len(out)
+	switch {
+	case kn < simd.Lanes:
+		return v.rowNarrow(d3, d2m1, out, qs, ts, thr, best)
+	case vectorISA == isaPortable:
+		return vectorRowPortable(d3, d2m1, out, qs, ts, v.tab, v.gap, thr, best)
+	case vectorISA == isaAVX2 && kn >= 2*simd.Lanes:
+		return vectorRowAVX2(&d3[0], &d2m1[0], &out[0], &qs[0], &ts[0], kn, v.c, thr, best)
+	}
+	return vectorRowSSE2(&d3[0], &d2m1[0], &out[0], &qs[0], &ts[0], kn, v.c, thr, best)
+}
+
+// vectorRowSSE2 and vectorRowAVX2 (vector_row_amd64.s) are the whole-row
+// routines: all kn interior cells of one anti-diagonal in 8-lane (kn >= 8)
+// or 16-lane (kn >= 16) blocks, the last one overlapped, then the
+// horizontal maximum and — only when it beats best — the scan of out for
+// the first cell holding it. Both are bit-identical to vectorRowPortable on
+// every input (TestVectorRow, FuzzVectorRow) and touch nothing outside
+// [0, kn) of d3/out/qs/ts and [0, kn] of d2m1 (TestVectorRowGuardPages).
 //
 //go:noescape
-func vectorRowBlocksSSE(d3, d2m1, out []int16, qs, ts []byte, blocks, match, mism, gw, tw, ninf int) int
+func vectorRowSSE2(d3, d2m1, out *int16, qs, ts *byte, kn int, c *rowConsts, thr, best int16) (nb int16, pos int)
+
+//go:noescape
+func vectorRowAVX2(d3, d2m1, out *int16, qs, ts *byte, kn int, c *rowConsts, thr, best int16) (nb int16, pos int)
+
+// cpuHasAVX2 reports whether AVX2 instructions may be used: CPUID leaf 7
+// EBX bit 5, and the OS saves the YMM state (leaf 1 OSXSAVE and AVX, XCR0
+// bits 1 and 2).
+func cpuHasAVX2() bool

@@ -2,10 +2,17 @@
 
 package xdrop
 
-import "logan/internal/simd"
+import (
+	"logan/internal/seq"
+	"logan/internal/simd"
+)
 
-// vectorRowBlocks runs the portable 8-lane block kernel on architectures
-// without an assembly implementation.
-func vectorRowBlocks(d3, d2m1, out []int16, qs, ts []byte, blocks int, tab *simd.BlendTable, gw, tw int) int {
-	return vectorRowBlocksPortable(d3, d2m1, out, qs, ts, blocks, tab, gw, tw)
+// detectISA: architectures without an assembly row run the portable one.
+func detectISA() rowISA { return isaPortable }
+
+func (v vectorKernel) row(d3, d2m1, out []int16, qs, ts seq.Seq, thr, best int16) (int16, int) {
+	if len(out) < simd.Lanes {
+		return v.rowNarrow(d3, d2m1, out, qs, ts, thr, best)
+	}
+	return vectorRowPortable(d3, d2m1, out, qs, ts, v.tab, v.gap, thr, best)
 }

@@ -7,7 +7,7 @@ import (
 )
 
 // cell is the element width of one wavefront instantiation: int32 for the
-// scalar, matrix and affine kernels, int16 for the 8-lane vector kernel.
+// scalar, matrix and affine kernels, int16 for the SIMD vector kernel.
 type cell interface{ int16 | int32 }
 
 // rowKernel is everything that differs between the production X-drop
@@ -17,8 +17,13 @@ type cell interface{ int16 | int32 }
 // The seam is per anti-diagonal, not per cell, on measurement: a scorer
 // type parameter whose method runs per cell is not inlined under Go's
 // GC-shape stenciling and halved the scalar kernel (0.296 -> 0.137
-// cells/ns at x=25, 0.435 -> 0.180 at x=400), while one dictionary call
-// per row is lost in the row's own work.
+// cells/ns at x=25, 0.435 -> 0.180 at x=400). One dictionary call per
+// row is what the seam costs instead, and it is not free at narrow bands:
+// with the whole-row vector kernel a 21-cell row at x=25 is ~30 ns, of
+// which this driver (the call, clipping, borders, trimming, sentinels) is
+// ~48 % and the SIMD row ~40 % (cpuprofile of BenchmarkKernel/vector; at
+// x=100 the driver is ~38 %). BenchmarkKernelRow has the row's side of
+// that split per band width.
 type rowKernel[C cell] interface {
 	// planes is how many score planes a diagonal carries: 1 for the
 	// linear-gap kernels (H only), 3 for Gotoh (H, E, F). Plane p of a
@@ -32,7 +37,7 @@ type rowKernel[C cell] interface {
 	// origin (d = 1, which opens the gap), rest along the border after it.
 	gaps() (first, rest C)
 	// row computes the interior cells (i >= 1, j >= 1) of one
-	// anti-diagonal, in the slice layout documented at vectorKernel.row:
+	// anti-diagonal, in the slice layout documented at vectorKernel:
 	// d3 the substitution sources, d2m1 the previous diagonal with a
 	// one-cell lead ("up" source of cell k at d2m1[k], "left" at
 	// d2m1[k+1]), out the new diagonal, qs/ts the forward-read sequence
@@ -42,6 +47,12 @@ type rowKernel[C cell] interface {
 	// as the sentinel. row returns the updated running best and the index
 	// of the first cell holding it (-1 if the row did not improve on
 	// best) — the tie order of an in-order scan.
+	//
+	// out shares no memory with d3 or d2m1 — they are slices of the three
+	// distinct rolling buffers — and a row may rely on it: the vector
+	// kernel recomputes the cells of an overlapped final block, which is
+	// idempotent only while no store can reach a source
+	// (TestWaveNeverAliasesRow).
 	row(d3, d2m1, out []C, qs, ts seq.Seq, thr, best C) (C, int)
 }
 

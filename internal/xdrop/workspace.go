@@ -20,10 +20,13 @@ type Workspace struct {
 	rt         seq.Seq    // reversed target, grown one base per anti-diagonal
 	revQ, revT seq.Seq
 
-	// The vector kernel's compare-blend table, specialized to the batch's
-	// (match, mismatch) pair (see ExtendVector).
-	tab                   *simd.BlendTable
-	tabMatch, tabMismatch int16
+	// The vector kernel's per-scoring state (see vectorKernelFor): the
+	// scoring it was built for, the broadcast constants of the assembly
+	// rows, and the compare-blend table of the portable rows (nil until a
+	// portable row needs it).
+	vsc Scoring
+	vc  rowConsts
+	tab *simd.BlendTable
 }
 
 // NewWorkspace returns an empty workspace; buffers grow on first use.
