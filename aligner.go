@@ -305,7 +305,7 @@ func (a *Aligner) align(ctx context.Context, dst []Alignment, pairs []Pair, cfg 
 	// extension chunks are internal work the /jobs store already
 	// admission-controls at job granularity.
 	if ten := TenantFrom(ctx); ten != nil {
-		if ok, _ := ten.takePairs(len(pairs)); !ok {
+		if !ten.takePairs(len(pairs), time.Now()) {
 			return nil, Stats{}, ErrQuotaExceeded
 		}
 	}

@@ -6,12 +6,11 @@
 // Concurrent /align requests are coalesced: a logan.Coalescer merges
 // whatever arrives while the engine is busy into the next batch (an idle
 // server adds no wait; under load batches fill by themselves) and sheds
-// overload with HTTP 429 + Retry-After. Admission is adaptive by default:
-// requests shed when the projected queue delay at the measured drain rate
-// exceeds -target-delay (or the request's own deadline); -max-pending
-// switches to the legacy fixed pending-pair budget instead. Shed responses
-// carry an X-Logan-Trace header ending in a shed span, so a 429'd client
-// sees exactly where admission control stopped it.
+// overload with HTTP 429 + Retry-After. Admission is adaptive: requests
+// shed when the projected queue delay at the measured drain rate exceeds
+// -target-delay (or the request's own deadline). Shed responses carry an
+// X-Logan-Trace header ending in a shed span, so a 429'd client sees
+// exactly where admission control stopped it.
 //
 // With -api-keys the server is multi-tenant: requests authenticate via
 // X-API-Key (or Authorization: Bearer), each key resolves to a named
@@ -73,9 +72,8 @@
 // and POST /map places FASTA reads against it, returning PAF that is
 // byte-identical to the offline logan.Mapper.Map output for the same
 // reads and index. Mapping extension batches run on the shared engine
-// and — with coalescing on — through the same QoS lanes as /align and
-// job traffic; logan_map_* series land in /metrics and a "map" block
-// in /statz.
+// through the same QoS lanes as /align and job traffic; logan_map_*
+// series land in /metrics and a "map" block in /statz.
 //
 // Endpoints:
 //
@@ -158,8 +156,6 @@ func main() {
 
 	flag.IntVar(&cfg.coalescePairs, "coalesce-pairs", 0,
 		"merged-batch pair cap (0 = 4096)")
-	flag.IntVar(&cfg.maxPending, "max-pending", 0,
-		"fixed pending-pair budget before requests shed with 429 (0 = adaptive admission)")
 	flag.DurationVar(&cfg.targetDelay, "target-delay", 0,
 		"adaptive admission sheds once projected queue delay exceeds this (0 = 20ms)")
 	apiKeys := flag.String("api-keys", "",

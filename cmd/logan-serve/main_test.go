@@ -83,6 +83,7 @@ func holdEngine(t *testing.T, url string, s *server) <-chan int {
 	long := strings.Repeat("ACGT", 4000)
 	body := fmt.Sprintf(`{"pairs":[{"query":%q,"target":%q,"seedLen":4}],"x":10000}`, long, long)
 	status := make(chan int, 1)
+	before := s.coal.Metrics().Enqueued
 	go func() {
 		resp, err := http.Post(url+"/align", "application/json", strings.NewReader(body))
 		if err != nil {
@@ -94,7 +95,7 @@ func holdEngine(t *testing.T, url string, s *server) <-chan int {
 		status <- resp.StatusCode
 	}()
 	deadline := time.Now().Add(10 * time.Second)
-	for m := s.coal.Metrics(); m.Enqueued != 1 || m.QueuedRequests != 0; m = s.coal.Metrics() {
+	for m := s.coal.Metrics(); m.Enqueued != before+1 || m.QueuedRequests != 0; m = s.coal.Metrics() {
 		if time.Now().After(deadline) {
 			t.Fatalf("slow request never reached the engine: %+v", m)
 		}
@@ -266,15 +267,21 @@ func TestServeWriteErrors(t *testing.T) {
 	}
 }
 
-// TestServeShed pins the admission-control contract: once the pending
-// budget is full, requests get 429 with a Retry-After header, and the
-// queued requests still complete when the engine frees up.
+// TestServeShed pins the admission-control contract: once a tenant's
+// share of the queue is full, requests get 429 with a Retry-After header,
+// and the queued requests still complete when the engine frees up.
 func TestServeShed(t *testing.T) {
 	cfg := defaultServeConfig()
-	cfg.maxPending = 4
+	// A delay target no queue can meet leaves exactly the one-batch floor
+	// of 4 pairs, once a first batch has measured a drain rate.
+	cfg.coalescePairs = 4
+	cfg.targetDelay = time.Nanosecond
 	srv, s, _ := testServerCfg(t, cfg)
+	if resp, data := postAlign(t, srv.URL, `{"pairs":[{"query":"TTGCATTGCATTGCAT","target":"TTGCATTGCATTGCAT","seedQ":4,"seedT":4,"seedLen":4}]}`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("calibrating request: status %d: %s", resp.StatusCode, data)
+	}
 	// The queue fills behind one slow batch (which, once executing, no
-	// longer counts against the budget).
+	// longer counts against the share).
 	held := holdEngine(t, srv.URL, s)
 
 	pairBody := func(n int) string {
@@ -325,8 +332,8 @@ func TestServeShed(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("overflow status %d (want 429): %s", resp.StatusCode, data)
 	}
-	// No batch has completed, so there is no drain rate to project from
-	// yet: the header is the one-second minimum.
+	// Three short pairs drain in microseconds at the measured rate: the
+	// header is the one-second minimum.
 	if ra := resp.Header.Get("Retry-After"); ra != "1" {
 		t.Fatalf("Retry-After %q, want %q", ra, "1")
 	}
@@ -351,11 +358,11 @@ func TestServeShed(t *testing.T) {
 	if err := json.NewDecoder(rec.Body).Decode(&totals); err != nil {
 		t.Fatal(err)
 	}
-	if totals.Shed != 1 || totals.Coalescer == nil || totals.Coalescer.Shed != 1 {
+	if totals.Shed != 1 || totals.Coalescer == nil || totals.Coalescer.Shed != 1 || totals.Coalescer.ShedDelay != 1 {
 		t.Fatalf("statz shed accounting: %+v (coalescer %+v)", totals, totals.Coalescer)
 	}
-	if totals.Coalescer.MergedBatches != 2 {
-		t.Fatalf("statz merged batches: %+v, want the slow batch and the queued one", totals.Coalescer)
+	if totals.Coalescer.MergedBatches != 3 {
+		t.Fatalf("statz merged batches: %+v, want the calibrating batch, the slow one and the queued one", totals.Coalescer)
 	}
 }
 

@@ -17,9 +17,8 @@ import (
 )
 
 // mapTier is the server's reference-mapping subsystem: one shared
-// logan.Mapper over the engine (coalescer-routed when coalescing is on,
-// so mapping extension batches share QoS lanes with /align and /jobs
-// traffic) plus the single-slot asynchronous index build behind
+// logan.Mapper over the engine (coalescer-routed, so mapping extension
+// batches share QoS lanes with /align and /jobs traffic) plus the single-slot asynchronous index build behind
 // POST /map/index. Index installation is an atomic swap inside the
 // Mapper, so /map requests keep serving the previous index while a
 // rebuild runs.

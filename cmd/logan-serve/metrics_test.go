@@ -234,8 +234,8 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	// Shed counters exist (zero here) so dashboards can rate() them from
 	// the first scrape.
-	if len(samples["logan_coalescer_shed_total"]) != 4 {
-		t.Errorf("logan_coalescer_shed_total: want 4 reason series, got %v",
+	if len(samples["logan_coalescer_shed_total"]) != 3 {
+		t.Errorf("logan_coalescer_shed_total: want 3 reason series (delay, deadline, quota), got %v",
 			samples["logan_coalescer_shed_total"])
 	}
 	// The three identical requests hit the result cache after the first:

@@ -167,13 +167,10 @@ type serveConfig struct {
 	// the DP band, so an unbounded client value would amplify per-pair
 	// work to full quadratic DP.
 	maxX int
-	// coalescePairs, maxPending and targetDelay map onto
-	// logan.CoalescerOptions of the cross-request batching layer every
-	// /align request goes through (zero values select that type's
-	// defaults: maxPending 0 means adaptive admission bounded by
-	// targetDelay).
+	// coalescePairs and targetDelay map onto logan.CoalescerOptions of
+	// the cross-request batching layer every /align request goes through
+	// (zero values select that type's defaults).
 	coalescePairs int
-	maxPending    int
 	targetDelay   time.Duration
 	// apiKeys maps client API keys onto tenants (parsed from -api-keys
 	// by loadAPIKeys); empty means the open single-tenant deployment
@@ -245,15 +242,12 @@ func defaultServeConfig() serveConfig {
 	}
 }
 
-// server wires one shared Aligner engine into the HTTP surface. With
-// coalescing on (the default), handler goroutines enqueue into a shared
-// logan.Coalescer that merges concurrent requests into engine-sized
-// batches and sheds overload with 429; with it off, each handler calls
-// the engine directly and concurrency is per resource (CPU batches
-// interleave across the worker pool, GPU batches serialize per device).
+// server wires one shared Aligner engine into the HTTP surface. Handler
+// goroutines enqueue into a shared logan.Coalescer that merges concurrent
+// requests into engine-sized batches and sheds overload with 429.
 type server struct {
 	eng  *logan.Aligner
-	coal *logan.Coalescer // nil when coalescing is disabled
+	coal *logan.Coalescer
 	// store backs the /jobs API (nil when disabled). Its jobs run in this
 	// process on a single node; in -cluster mode router, the store's
 	// leased dispatcher, hands them to workers (and provides the worker
@@ -327,7 +321,6 @@ func newServer(eng *logan.Aligner, cfg serveConfig) (*server, error) {
 	s.cache = logan.NewResultCache(cfg.cacheEntries)
 	s.coal = eng.NewCoalescer(logan.CoalescerOptions{
 		MaxBatchPairs: cfg.coalescePairs,
-		MaxPending:    cfg.maxPending,
 		TargetDelay:   cfg.targetDelay,
 		Cache:         s.cache,
 	})
@@ -719,11 +712,10 @@ type kernelStatzJSON struct {
 }
 
 // coalescerStatzJSON mirrors logan.CoalescerMetrics on the wire, plus the
-// per-reason shed breakdown the adaptive admission controller produces.
+// per-reason shed breakdown the admission controller produces.
 type coalescerStatzJSON struct {
 	Enqueued        int64   `json:"enqueued"`
 	Shed            int64   `json:"shed"`
-	ShedBudget      int64   `json:"shedBudget"`
 	ShedDelay       int64   `json:"shedDelay"`
 	ShedDeadline    int64   `json:"shedDeadline"`
 	ShedQuota       int64   `json:"shedQuota"`
@@ -871,14 +863,12 @@ func tenantStatz(snap *telemetry.Snapshot) map[string]tenantStatzJSON {
 
 // coalescerStatz builds the coalescer block from the same snapshot.
 func coalescerStatz(snap *telemetry.Snapshot) *coalescerStatzJSON {
-	shedBudget := snap.Int("logan_coalescer_shed_total", telemetry.L("reason", "budget"))
 	shedDelay := snap.Int("logan_coalescer_shed_total", telemetry.L("reason", "delay"))
 	shedDeadline := snap.Int("logan_coalescer_shed_total", telemetry.L("reason", "deadline"))
 	shedQuota := snap.Int("logan_coalescer_shed_total", telemetry.L("reason", "quota"))
 	return &coalescerStatzJSON{
 		Enqueued:        snap.Int("logan_coalescer_enqueued_total"),
-		Shed:            shedBudget + shedDelay + shedDeadline + shedQuota,
-		ShedBudget:      shedBudget,
+		Shed:            shedDelay + shedDeadline + shedQuota,
 		ShedDelay:       shedDelay,
 		ShedDeadline:    shedDeadline,
 		ShedQuota:       shedQuota,

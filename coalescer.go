@@ -12,13 +12,12 @@ import (
 )
 
 // ErrOverloaded reports a Coalescer submission rejected by admission
-// control: the tenant's pairs/sec quota is exhausted (ErrQuotaExceeded),
-// the projected queue delay exceeds the adaptive target
-// (CoalescerOptions.TargetDelay), or the tenant's share of the fixed
-// pending-pair budget (CoalescerOptions.MaxPending, when set) is
-// exhausted. The request was not queued and did no alignment work;
-// callers should retry after roughly Coalescer.RetryAfter (an HTTP front
-// end translates this to 429 with a Retry-After header, as
+// control: the projected queue delay exceeds the target
+// (CoalescerOptions.TargetDelay) or cannot meet the request's deadline
+// (ErrDeadlineInfeasible), or the tenant's pairs/sec quota is exhausted
+// (ErrQuotaExceeded). The request was not queued and did no alignment
+// work; callers should retry after roughly Coalescer.RetryAfter (an HTTP
+// front end translates this to 429 with a Retry-After header, as
 // cmd/logan-serve does).
 var ErrOverloaded = errors.New("logan: coalescer overloaded")
 
@@ -30,6 +29,17 @@ var ErrOverloaded = errors.New("logan: coalescer overloaded")
 // handle it with no change.
 var ErrDeadlineInfeasible = fmt.Errorf("%w: request deadline infeasible under projected queue delay", ErrOverloaded)
 
+// sheds is the shed vocabulary: per shedReason, the reason label of
+// logan_coalescer_shed_total and the error Align returns.
+var sheds = [...]struct {
+	label string
+	err   error
+}{
+	shedDelay:    {"delay", ErrOverloaded},
+	shedDeadline: {"deadline", ErrDeadlineInfeasible},
+	shedQuota:    {"quota", ErrQuotaExceeded},
+}
+
 // Defaults and scheduling constants of the Coalescer.
 const (
 	// defaultTargetDelay is CoalescerOptions.TargetDelay's default.
@@ -37,10 +47,6 @@ const (
 	// minRetryAfter floors Coalescer.RetryAfter: an uncalibrated or empty
 	// queue still tells a shed caller to back off for a moment.
 	minRetryAfter = 2 * time.Millisecond
-	// maxBulkPassOver is how many consecutive batches may go to
-	// interactive lanes while bulk work is queued before the next batch is
-	// a bulk one: interactive traffic has priority, bulk never starves.
-	maxBulkPassOver = 4
 )
 
 // CoalescerOptions tunes a Coalescer. The zero value selects the defaults
@@ -55,24 +61,13 @@ type CoalescerOptions struct {
 	// 4096.
 	MaxBatchPairs int
 
-	// MaxPending, when positive, is a fixed admission budget in pairs.
-	// The budget is shared fairly rather than first-come-first-served:
-	// each tenant with queued work may hold up to
-	// MaxPending*weight/total-active-weight pairs, so a tenant flooding
-	// its own share is shed (ErrOverloaded) without consuming the
-	// headroom of well-behaved tenants. With a single (anonymous) tenant
-	// this degrades to the plain global budget. Zero (the default)
-	// selects adaptive admission instead: the controller bounds each
-	// tenant's projected share-weighted queue delay by TargetDelay using
-	// the backend layer's live throughput estimate.
-	MaxPending int
-
-	// TargetDelay is the adaptive admission bound (used when MaxPending
-	// is zero): a request is shed with ErrOverloaded when the tenant's
-	// queue, including the request itself, is projected to take longer
-	// than TargetDelay to drain at the tenant's fair share of the
-	// measured rate (backend throughput in cells/s divided by the EWMA
-	// cells-per-pair of recent batches, weighted by tenant share).
+	// TargetDelay is the admission bound: a request is shed with
+	// ErrOverloaded when the tenant's queue, including the request
+	// itself, is projected to take longer than TargetDelay to drain at
+	// the tenant's fair share of the measured rate (backend throughput in
+	// cells/s divided by the EWMA cells-per-pair of recent batches,
+	// weighted by tenant share), so a tenant flooding its own share is
+	// shed without consuming the headroom of well-behaved tenants.
 	// Requests whose context deadline falls inside the projected delay
 	// are shed early with ErrDeadlineInfeasible regardless of
 	// TargetDelay. One engine batch (MaxBatchPairs) per tenant is always
@@ -114,7 +109,7 @@ type CoalescerOptions struct {
 // extension chunks), except that queued bulk work is never passed over
 // for more than maxBulkPassOver consecutive batches. Admission is
 // tenant-aware: each tenant owns a pairs/sec token-bucket quota and a
-// fair share of the pending budget, so the flooder is shed, not the
+// weight share of the drain rate, so the flooder is shed, not the
 // victim.
 //
 // When CoalescerOptions.Cache is set, admission first consults the
@@ -131,16 +126,13 @@ type Coalescer struct {
 	eng *Aligner
 	opt CoalescerOptions
 
-	cache *ResultCache // nil: caching disabled
+	// now is the one clock of the Coalescer and the policy under it
+	// (time.Now; tests substitute a virtual one).
+	now func() time.Time
 
-	mu         sync.Mutex
-	lanes      map[laneKey]*lane   // every non-empty lane
-	rings      [numClasses][]*lane // DRR rings per class, in lane-creation order
-	cursor     [numClasses]int     // DRR rotation position per class
-	bulkPassed int                 // consecutive interactive batches taken while bulk work was queued
-	tenPending map[*Tenant]int     // queued pairs per tenant (fair-share admission)
-	pending    int                 // pairs queued across all lanes
-	closed     bool
+	mu     sync.Mutex
+	q      laneSched // queued requests and their service order
+	closed bool
 
 	kick chan struct{} // wakes the idle flusher after an enqueue
 	done chan struct{} // closed by Close; flusher drains and exits
@@ -160,31 +152,6 @@ type Coalescer struct {
 	// not pooled: each batch allocates one exact-size slice whose
 	// subranges are handed to the waiters, so the scatter is copy-free.)
 	mergeBuf []seq.Pair
-}
-
-// laneKey identifies one scheduling lane: a tenant's stream of
-// same-config requests in one priority class. Tenants compare by
-// identity, configurations by configKey (matrices by interned pointer).
-type laneKey struct {
-	ten   *Tenant
-	class priorityClass
-	cfg   configKey
-}
-
-// lane is the pending queue of one (tenant, class, config): its waiters
-// in FIFO order, their pair count and the DRR deficit credit. Lanes
-// exist only while non-empty; a live lane is always in its class ring.
-type lane struct {
-	key     laneKey
-	cfg     Config
-	waiters []*coalesceWaiter
-	pending int
-	// deficit is the DRR service credit in pairs: each scheduler
-	// rotation grants the lane one MaxBatchPairs quantum, and every batch
-	// debits what it actually took, so a lane whose batch overshot the
-	// quantum (batches take whole requests) sits out a turn while its
-	// debt amortizes.
-	deficit int
 }
 
 // coalesceWaiter is one queued request: its cache-miss pairs — validated
@@ -223,8 +190,7 @@ type coalesceResult struct {
 // snapshot time.
 type coalescerTelemetry struct {
 	enqueued, direct                           *telemetry.Counter
-	shedBudget, shedDelay, shedDeadline        *telemetry.Counter
-	shedQuota                                  *telemetry.Counter
+	shed                                       [len(sheds)]*telemetry.Counter // by shedReason
 	mergedBatches, mergedPairs, mergedRequests *telemetry.Counter
 	cacheHits, cacheMisses, cacheEvict         *telemetry.Counter
 	queueWait                                  *telemetry.Counter // seconds
@@ -249,11 +215,10 @@ type CoalescerMetrics struct {
 	// (>= MaxBatchPairs pairs).
 	Enqueued, Shed, Direct int64
 
-	// The shed breakdown: ShedBudget hit the tenant's share of the fixed
-	// MaxPending budget, ShedDelay the adaptive TargetDelay bound,
+	// The shed breakdown: ShedDelay hit the TargetDelay bound,
 	// ShedDeadline an infeasible request deadline (ErrDeadlineInfeasible),
 	// ShedQuota the tenant's pairs/sec token bucket (ErrQuotaExceeded).
-	ShedBudget, ShedDelay, ShedDeadline, ShedQuota int64
+	ShedDelay, ShedDeadline, ShedQuota int64
 
 	// MergedBatches counts engine batches submitted by the flusher;
 	// MergedPairs and MergedRequests total the pairs and requests across
@@ -298,30 +263,22 @@ func (a *Aligner) newCoalescer(opt CoalescerOptions) *Coalescer {
 	if opt.MaxBatchPairs <= 0 {
 		opt.MaxBatchPairs = 4096
 	}
-	if opt.MaxPending < 0 {
-		opt.MaxPending = 0
-	}
 	if opt.TargetDelay <= 0 {
 		opt.TargetDelay = defaultTargetDelay
 	}
 	c := &Coalescer{
-		eng:        a,
-		opt:        opt,
-		cache:      opt.Cache,
-		lanes:      make(map[laneKey]*lane),
-		tenPending: make(map[*Tenant]int),
-		ttele:      make(map[*Tenant]*tenantTele),
-		kick:       make(chan struct{}, 1),
-		done:       make(chan struct{}),
+		eng:   a,
+		opt:   opt,
+		now:   time.Now,
+		q:     newLaneSched(),
+		ttele: make(map[*Tenant]*tenantTele),
+		kick:  make(chan struct{}, 1),
+		done:  make(chan struct{}),
 	}
 	reg := a.tele
 	c.t = coalescerTelemetry{
 		enqueued:       reg.Counter("logan_coalescer_enqueued_total", "Requests admitted to the coalescing queue."),
 		direct:         reg.Counter("logan_coalescer_direct_total", "Engine-sized requests that bypassed the queue."),
-		shedBudget:     reg.Counter("logan_coalescer_shed_total", "Requests rejected by admission control, by reason.", telemetry.L("reason", "budget")),
-		shedDelay:      reg.Counter("logan_coalescer_shed_total", "Requests rejected by admission control, by reason.", telemetry.L("reason", "delay")),
-		shedDeadline:   reg.Counter("logan_coalescer_shed_total", "Requests rejected by admission control, by reason.", telemetry.L("reason", "deadline")),
-		shedQuota:      reg.Counter("logan_coalescer_shed_total", "Requests rejected by admission control, by reason.", telemetry.L("reason", "quota")),
 		mergedBatches:  reg.Counter("logan_coalescer_merged_batches_total", "Merged batches submitted to the engine."),
 		mergedPairs:    reg.Counter("logan_coalescer_merged_pairs_total", "Pairs across all merged batches."),
 		mergedRequests: reg.Counter("logan_coalescer_merged_requests_total", "Requests across all merged batches."),
@@ -332,39 +289,24 @@ func (a *Aligner) newCoalescer(opt CoalescerOptions) *Coalescer {
 		maxMergedPairs: reg.Gauge("logan_coalescer_max_merged_pairs", "Largest single merged batch in pairs."),
 		cellsPerPair:   reg.Gauge("logan_coalescer_cells_per_pair", "EWMA DP cells per pair of recent merged batches (the admission controller's work estimate)."),
 	}
+	for r, sh := range sheds {
+		c.t.shed[r] = reg.Counter("logan_coalescer_shed_total", "Requests rejected by admission control, by reason.", telemetry.L("reason", sh.label))
+	}
 	reg.GaugeFunc("logan_cache_entries", "Result-cache entries currently resident.", func() float64 {
-		return float64(c.cache.Len())
+		return float64(c.opt.Cache.Len())
 	})
-	reg.GaugeFunc("logan_coalescer_queued_pairs", "Pairs currently queued across all lanes.", func() float64 {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		return float64(c.pending)
-	})
-	reg.GaugeFunc("logan_coalescer_queued_requests", "Requests currently queued across all lanes.", func() float64 {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		n := 0
-		for _, l := range c.lanes {
-			n += len(l.waiters)
-		}
-		return float64(n)
-	})
-	reg.GaugeFunc("logan_coalescer_queued_configs", "Distinct (tenant, class, config) lanes currently queued.", func() float64 {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		return float64(len(c.lanes))
-	})
+	queueGauge := func(name, help string, read func(q *laneSched) int) {
+		reg.GaugeFunc(name, help, func() float64 {
+			c.mu.Lock()
+			defer c.mu.Unlock()
+			return float64(read(&c.q))
+		})
+	}
+	queueGauge("logan_coalescer_queued_pairs", "Pairs currently queued across all lanes.", func(q *laneSched) int { return q.pending })
+	queueGauge("logan_coalescer_queued_requests", "Requests currently queued across all lanes.", (*laneSched).queuedRequests)
+	queueGauge("logan_coalescer_queued_configs", "Distinct (tenant, class, config) lanes currently queued.", func(q *laneSched) int { return len(q.lanes) })
 	reg.GaugeFunc("logan_coalescer_drain_pairs_per_second", "Measured queue drain rate: backend throughput over cells-per-pair (0 until calibrated).", c.drainPairsPerSec)
-	reg.GaugeFunc("logan_coalescer_projected_delay_seconds", "Projected time to drain the current queue at the measured rate (the adaptive admission signal).", func() float64 {
-		c.mu.Lock()
-		pending := c.pending
-		c.mu.Unlock()
-		rate := c.drainPairsPerSec()
-		if rate <= 0 {
-			return 0
-		}
-		return float64(pending) / rate
-	})
+	reg.GaugeFunc("logan_coalescer_projected_delay_seconds", "Projected time to drain the current queue at the measured rate (the adaptive admission signal).", c.projectedDelay)
 	return c
 }
 
@@ -383,13 +325,13 @@ func (c *Coalescer) tenantTele(ten *Tenant) *tenantTele {
 	tt := &tenantTele{
 		requests:  reg.Counter("logan_tenant_requests_total", "Requests completed per tenant (direct, coalesced and cache-only).", lab),
 		pairs:     reg.Counter("logan_tenant_pairs_total", "Pairs served per tenant.", lab),
-		shed:      reg.Counter("logan_tenant_shed_total", "Requests shed per tenant (quota, budget, delay and deadline).", lab),
+		shed:      reg.Counter("logan_tenant_shed_total", "Requests shed per tenant (quota, delay and deadline).", lab),
 		cacheHits: reg.Counter("logan_tenant_cache_hits_total", "Pairs served from the result cache per tenant.", lab),
 	}
 	reg.GaugeFunc("logan_tenant_queued_pairs", "Pairs currently queued per tenant.", func() float64 {
 		c.mu.Lock()
 		defer c.mu.Unlock()
-		return float64(c.tenPending[ten])
+		return float64(c.q.tenPending[ten])
 	}, lab)
 	c.ttele[ten] = tt
 	return tt
@@ -411,92 +353,25 @@ func (c *Coalescer) drainPairsPerSec() float64 {
 	return thr / cpp
 }
 
+// projectedDelay is the time, in seconds, the current queue takes to
+// drain at the measured rate (0 until calibrated).
+func (c *Coalescer) projectedDelay() float64 {
+	c.mu.Lock()
+	pending := c.q.pending
+	c.mu.Unlock()
+	if rate := c.drainPairsPerSec(); rate > 0 {
+		return float64(pending) / rate
+	}
+	return 0
+}
+
 // RetryAfter estimates how long a shed caller should wait before
 // retrying: the projected time to drain the current queue at the
 // measured rate, floored at 2ms and capped at 30s. HTTP front ends render
 // it as the Retry-After header on 429 responses.
 func (c *Coalescer) RetryAfter() time.Duration {
-	c.mu.Lock()
-	pending := c.pending
-	c.mu.Unlock()
-	d := minRetryAfter
-	if rate := c.drainPairsPerSec(); rate > 0 {
-		if proj := time.Duration(float64(pending) / rate * float64(time.Second)); proj > d {
-			d = proj
-		}
-	}
-	return min(d, 30*time.Second)
-}
-
-// shedReason tags why admission control rejected a request.
-type shedReason int
-
-const (
-	shedBudget shedReason = iota
-	shedDelay
-	shedDeadline
-	shedQuota
-)
-
-// activeWeightLocked sums the fair-share weights of tenants with queued
-// pairs, always counting the requester (who is about to have some).
-// Callers hold c.mu.
-func (c *Coalescer) activeWeightLocked(ten *Tenant) int {
-	w := ten.weight
-	for t2, p := range c.tenPending {
-		if p > 0 && t2 != ten {
-			w += t2.weight
-		}
-	}
-	return w
-}
-
-// admitLocked decides whether ten may queue n more pairs under ctx.
-// Callers hold c.mu. Admission is per-tenant share based — the budget a
-// tenant competes for is its weight's fraction of the whole, so a
-// flooding tenant exhausts its own share and is shed while a
-// well-behaved tenant's share stays open. The global total may
-// transiently overshoot a static budget while shares rebalance (a new
-// tenant's arrival halves the incumbent's cap only for subsequent
-// requests); the overshoot is bounded by the pre-arrival share split and
-// drains within one batch cycle.
-//
-// In fixed mode (MaxPending > 0) only the share of the pair budget
-// applies. In adaptive mode one engine batch per tenant is always
-// admissible (coalescing must keep working at low load and before
-// calibration); beyond that floor the controller sheds when the
-// projected drain time of the tenant's queue at its share of the
-// measured rate exceeds TargetDelay, or — even under the target — when
-// the request's own deadline cannot survive the projected wait.
-func (c *Coalescer) admitLocked(ctx context.Context, ten *Tenant, n int) (shedReason, bool) {
-	tp := c.tenPending[ten]
-	w, totalW := ten.weight, c.activeWeightLocked(ten)
-	if c.opt.MaxPending > 0 {
-		share := c.opt.MaxPending * w / totalW
-		if share < 1 {
-			share = 1
-		}
-		if tp+n > share {
-			return shedBudget, false
-		}
-		return 0, true
-	}
-	if tp+n <= c.opt.MaxBatchPairs {
-		return 0, true
-	}
-	rate := c.drainPairsPerSec()
-	if rate <= 0 {
-		return 0, true // uncalibrated: admit and let the first batches measure
-	}
-	shareRate := rate * float64(w) / float64(totalW)
-	projected := time.Duration(float64(tp+n) / shareRate * float64(time.Second))
-	if projected > c.opt.TargetDelay {
-		return shedDelay, false
-	}
-	if dl, ok := ctx.Deadline(); ok && time.Until(dl) < projected {
-		return shedDeadline, false
-	}
-	return 0, true
+	proj := time.Duration(c.projectedDelay() * float64(time.Second))
+	return min(max(proj, minRetryAfter), 30*time.Second)
 }
 
 // Align submits pairs under cfg and blocks until their merged batch has
@@ -507,7 +382,7 @@ func (c *Coalescer) admitLocked(ctx context.Context, ten *Tenant, n int) (shedRe
 // are served from the result cache without reaching the engine.
 //
 // The request's tenant (WithTenant; anonymous when absent) selects its
-// scheduling lane, pairs/sec quota and share of the admission budget;
+// scheduling lane, pairs/sec quota and share of the drain rate;
 // its priority class is interactive unless the overlap subsystem tagged
 // it bulk.
 //
@@ -542,9 +417,9 @@ func (c *Coalescer) Align(ctx context.Context, pairs []Pair, cfg Config) ([]Alig
 		ctx = context.Background()
 	}
 	// Shed configs the engine's backend cannot run at admission: letting
-	// them queue would burn budget and a batch cycle only to fan the same
-	// error out at execute time (and starve valid traffic into 429s under
-	// sustained unsupported spam).
+	// them queue would burn queue share and a batch cycle only to fan the
+	// same error out at execute time (and starve valid traffic into 429s
+	// under sustained unsupported spam).
 	if !c.eng.Supports(cfg) {
 		return nil, Stats{}, ErrUnsupportedConfig
 	}
@@ -557,9 +432,9 @@ func (c *Coalescer) Align(ctx context.Context, pairs []Pair, cfg Config) ([]Alig
 	}
 	tt := c.tenantTele(ten)
 	// Engine-sized requests gain nothing from merging: run them directly,
-	// keeping the queue (and its pending budget) for the small requests
-	// coalescing exists to serve. The engine meters the tenant quota
-	// itself from ctx.
+	// keeping the queue (and the tenant's share of it) for the small
+	// requests coalescing exists to serve. The engine meters the tenant
+	// quota itself from ctx.
 	if len(pairs) >= c.opt.MaxBatchPairs {
 		if c.isClosed() {
 			return nil, Stats{}, ErrClosed
@@ -570,7 +445,7 @@ func (c *Coalescer) Align(ctx context.Context, pairs []Pair, cfg Config) ([]Alig
 			tt.requests.Inc()
 			tt.pairs.Add(float64(len(pairs)))
 		} else if errors.Is(err, ErrOverloaded) {
-			c.t.shedQuota.Inc()
+			c.t.shed[shedQuota].Inc()
 			tt.shed.Inc()
 		}
 		return out, st, err
@@ -588,7 +463,7 @@ func (c *Coalescer) Align(ctx context.Context, pairs []Pair, cfg Config) ([]Alig
 		missIdx []int
 		digests [][32]byte
 	)
-	if c.cache != nil {
+	if c.opt.Cache != nil {
 		ck := cfg.key()
 		allD := make([][32]byte, total)
 		hit := make([]bool, total)
@@ -596,7 +471,7 @@ func (c *Coalescer) Align(ctx context.Context, pairs []Pair, cfg Config) ([]Alig
 		nhit := 0
 		for i := range in {
 			allD[i] = pairDigest(in[i])
-			if r, ok := c.cache.get(cacheKey{digest: allD[i], cfg: ck}); ok {
+			if r, ok := c.opt.Cache.get(cacheKey{digest: allD[i], cfg: ck}); ok {
 				hit[i], res[i] = true, r
 				nhit++
 			}
@@ -633,47 +508,34 @@ func (c *Coalescer) Align(ctx context.Context, pairs []Pair, cfg Config) ([]Alig
 			digests = allD
 		}
 	}
-	nmiss := len(in)
 
-	class := priorityFrom(ctx)
 	w := &coalesceWaiter{
 		in: in, full: full, missIdx: missIdx, digests: digests,
 		npairs: total, tt: tt,
 		ch: make(chan coalesceResult, 1), tr: telemetry.TraceFrom(ctx),
 	}
-	key := laneKey{ten: ten, class: class, cfg: cfg.key()}
+	key := laneKey{ten: ten, class: priorityFrom(ctx), cfg: cfg.key()}
+	// Admission meters work that would reach the engine: misses only.
+	now := c.now()
+	adm := admission{
+		floor: c.opt.MaxBatchPairs, rate: c.drainPairsPerSec(),
+		target: c.opt.TargetDelay, timeLeft: noDeadline,
+	}
+	if dl, ok := ctx.Deadline(); ok {
+		adm.timeLeft = dl.Sub(now)
+	}
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
 		return nil, Stats{}, ErrClosed
 	}
-	// The pairs/sec quota meters work that would reach the engine:
-	// misses only, probed before the share-based queue admission so a
-	// quota-starved tenant is attributed precisely.
-	if ok, _ := ten.takePairs(nmiss); !ok {
-		c.mu.Unlock()
-		c.t.shedQuota.Inc()
-		tt.shed.Inc()
-		return nil, Stats{}, ErrQuotaExceeded
-	}
-	if reason, ok := c.admitLocked(ctx, ten, nmiss); !ok {
-		c.mu.Unlock()
-		tt.shed.Inc()
-		switch reason {
-		case shedDelay:
-			c.t.shedDelay.Inc()
-			return nil, Stats{}, ErrOverloaded
-		case shedDeadline:
-			c.t.shedDeadline.Inc()
-			return nil, Stats{}, ErrDeadlineInfeasible
-		default:
-			c.t.shedBudget.Inc()
-			return nil, Stats{}, ErrOverloaded
-		}
-	}
-	w.enq = time.Now()
-	c.enqueueLocked(key, cfg, w)
+	reason, ok := c.q.submit(key, cfg, w, adm, now)
 	c.mu.Unlock()
+	if !ok {
+		tt.shed.Inc()
+		c.t.shed[reason].Inc()
+		return nil, Stats{}, sheds[reason].err
+	}
 	c.t.enqueued.Inc()
 
 	// Wake the flusher if it is idle: it re-reads queue state before every
@@ -687,7 +549,10 @@ func (c *Coalescer) Align(ctx context.Context, pairs []Pair, cfg Config) ([]Alig
 	case r := <-w.ch:
 		return r.out, r.st, r.err
 	case <-ctx.Done():
-		if c.abandon(key, w) {
+		c.mu.Lock()
+		queued := c.q.abandon(key, w)
+		c.mu.Unlock()
+		if queued {
 			// Still queued: removed before any batch took it, so the
 			// caller may reuse its buffers immediately (the zero-copy
 			// aliasing contract of Pair).
@@ -702,77 +567,15 @@ func (c *Coalescer) Align(ctx context.Context, pairs []Pair, cfg Config) ([]Alig
 	}
 }
 
-// enqueueLocked appends w to its lane, creating the lane (and its ring
-// membership) on first use, and charges the pending gauges. Callers hold
-// c.mu and have stamped w.enq.
-func (c *Coalescer) enqueueLocked(key laneKey, cfg Config, w *coalesceWaiter) {
-	l := c.lanes[key]
-	if l == nil {
-		l = &lane{key: key, cfg: cfg}
-		c.lanes[key] = l
-		c.rings[key.class] = append(c.rings[key.class], l)
-	}
-	l.waiters = append(l.waiters, w)
-	n := len(w.in)
-	l.pending += n
-	c.pending += n
-	c.tenPending[key.ten] += n
-}
-
-// abandon removes a still-queued waiter after its caller's context fired,
-// releasing its buffers and budget. It reports false when the flusher has
-// already taken the waiter (its batch is executing).
-func (c *Coalescer) abandon(key laneKey, w *coalesceWaiter) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	l := c.lanes[key]
-	if l == nil {
-		return false
-	}
-	for i, cand := range l.waiters {
-		if cand == w {
-			copy(l.waiters[i:], l.waiters[i+1:])
-			l.waiters[len(l.waiters)-1] = nil
-			l.waiters = l.waiters[:len(l.waiters)-1]
-			n := len(w.in)
-			l.pending -= n
-			c.pending -= n
-			c.chargeTenantLocked(key.ten, -n)
-			if len(l.waiters) == 0 {
-				c.dropLaneLocked(l)
-			}
-			return true
-		}
-	}
-	return false
-}
-
-// chargeTenantLocked adjusts a tenant's queued-pair count, dropping the
-// entry at zero so the active-weight scan only visits tenants with work.
-// Callers hold c.mu.
-func (c *Coalescer) chargeTenantLocked(ten *Tenant, delta int) {
-	v := c.tenPending[ten] + delta
-	if v <= 0 {
-		delete(c.tenPending, ten)
-		return
-	}
-	c.tenPending[ten] = v
-}
-
 // Metrics snapshots the Coalescer's counters and queue gauges.
 func (c *Coalescer) Metrics() CoalescerMetrics {
 	c.mu.Lock()
-	qr := 0
-	for _, l := range c.lanes {
-		qr += len(l.waiters)
-	}
-	qp, ql := c.pending, len(c.lanes)
+	qr, qp, ql := c.q.queuedRequests(), c.q.pending, len(c.q.lanes)
 	c.mu.Unlock()
-	sb, sd, sdl, sq := int64(c.t.shedBudget.Value()), int64(c.t.shedDelay.Value()), int64(c.t.shedDeadline.Value()), int64(c.t.shedQuota.Value())
+	sd, sdl, sq := int64(c.t.shed[shedDelay].Value()), int64(c.t.shed[shedDeadline].Value()), int64(c.t.shed[shedQuota].Value())
 	return CoalescerMetrics{
 		Enqueued:       int64(c.t.enqueued.Value()),
-		Shed:           sb + sd + sdl + sq,
-		ShedBudget:     sb,
+		Shed:           sd + sdl + sq,
 		ShedDelay:      sd,
 		ShedDeadline:   sdl,
 		ShedQuota:      sq,
@@ -836,101 +639,17 @@ func (c *Coalescer) run() {
 	}
 }
 
-// dropLaneLocked removes an emptied lane from the lane map and its class
-// ring (keeping the DRR cursor on the same neighbor). Callers hold c.mu.
-func (c *Coalescer) dropLaneLocked(l *lane) {
-	delete(c.lanes, l.key)
-	cl := l.key.class
-	ring := c.rings[cl]
-	for i, cand := range ring {
-		if cand == l {
-			copy(ring[i:], ring[i+1:])
-			// Clear the vacated tail slot so the ring array does not pin
-			// the dropped lane (and its config/matrix) until overwritten.
-			ring[len(ring)-1] = nil
-			c.rings[cl] = ring[:len(ring)-1]
-			if c.cursor[cl] > i {
-				c.cursor[cl]--
-			}
-			break
-		}
-	}
-	if n := len(c.rings[cl]); n == 0 {
-		c.cursor[cl] = 0
-	} else if c.cursor[cl] >= n {
-		c.cursor[cl] %= n
-	}
-}
-
-// pickLocked selects the lane the next batch is taken from, or nil when
-// the queue is empty. Interactive lanes go first, but once bulk work has
-// been passed over for maxBulkPassOver consecutive batches the next batch
-// is a bulk one. Inside a class the lanes are served deficit round-robin:
-// each visit earns a lane one quantum (MaxBatchPairs) of credit, and the
-// first lane whose credit covers a full batch wins. Batches debit actual
-// pairs served (see take), so a lane whose previous batch overshot the
-// quantum — batches take whole requests — sits out a rotation while the
-// debt amortizes: that is what keeps many same-size lanes within one
-// batch of equal service. Callers hold c.mu.
-func (c *Coalescer) pickLocked() *lane {
-	inter, bulk := len(c.rings[classInteractive]) > 0, len(c.rings[classBulk]) > 0
-	if !inter && !bulk {
-		return nil
-	}
-	class := classInteractive
-	if !inter || (bulk && c.bulkPassed >= maxBulkPassOver) {
-		class = classBulk
-	}
-	if class == classInteractive && bulk {
-		c.bulkPassed++
-	} else {
-		c.bulkPassed = 0
-	}
-	quantum := c.opt.MaxBatchPairs
-	ring := c.rings[class]
-	// A batch is under two quanta (queued requests are under one each), so
-	// no debt exceeds one quantum and the second rotation at the latest
-	// finds a lane in credit.
-	for idx := c.cursor[class]; ; idx = (idx + 1) % len(ring) {
-		l := ring[idx]
-		l.deficit = min(l.deficit+quantum, 2*quantum)
-		if l.deficit >= quantum {
-			c.cursor[class] = (idx + 1) % len(ring)
-			return l
-		}
-	}
-}
-
-// take pops the next merged batch under the lock: whole requests of ONE
-// lane in FIFO order until MaxBatchPairs is covered. It reports false only
-// when nothing is queued.
+// take pops the next merged batch the scheduler hands out (whole requests
+// of ONE lane in FIFO order until MaxBatchPairs is covered) and stamps its
+// riders' queue waits. It reports false only when nothing is queued.
 func (c *Coalescer) take() (Config, []*coalesceWaiter, int, bool) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	l := c.pickLocked()
+	l, ws, npairs := c.q.take(c.opt.MaxBatchPairs)
+	c.mu.Unlock()
 	if l == nil {
 		return Config{}, nil, 0, false
 	}
-	now := time.Now()
-	n, npairs := 0, 0
-	for n < len(l.waiters) && npairs < c.opt.MaxBatchPairs {
-		npairs += len(l.waiters[n].in)
-		n++
-	}
-	ws := make([]*coalesceWaiter, n)
-	copy(ws, l.waiters)
-	rest := copy(l.waiters, l.waiters[n:])
-	clear(l.waiters[rest:]) // drop waiter refs so the lane array doesn't pin them
-	l.waiters = l.waiters[:rest]
-	l.pending -= npairs
-	c.pending -= npairs
-	c.chargeTenantLocked(l.key.ten, -npairs)
-	// DRR service accounting: debit what the batch actually took.
-	l.deficit -= npairs
-	if len(l.waiters) == 0 {
-		c.dropLaneLocked(l)
-	}
-
+	now := c.now()
 	var wait time.Duration
 	for _, w := range ws {
 		d := now.Sub(w.enq)
@@ -994,7 +713,7 @@ func (c *Coalescer) execute(cfg Config, ws []*coalesceWaiter, npairs int) {
 	}
 
 	var ck configKey
-	if c.cache != nil {
+	if c.opt.Cache != nil {
 		ck = cfg.key()
 	}
 	off := 0
@@ -1006,10 +725,10 @@ func (c *Coalescer) execute(cfg Config, ws []*coalesceWaiter, npairs int) {
 		}
 		res := out[off : off+n : off+n]
 		off += n
-		if c.cache != nil && w.digests != nil {
+		if c.opt.Cache != nil && w.digests != nil {
 			evicted := 0
 			for j := range res {
-				evicted += c.cache.put(cacheKey{digest: w.digests[j], cfg: ck}, res[j])
+				evicted += c.opt.Cache.put(cacheKey{digest: w.digests[j], cfg: ck}, res[j])
 			}
 			if evicted > 0 {
 				c.t.cacheEvict.Add(float64(evicted))

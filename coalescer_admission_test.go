@@ -7,10 +7,10 @@ import (
 	"time"
 )
 
-// calibrate runs one engine batch so the backend layer has a throughput
-// estimate, then returns a coalescer whose cells-per-pair EWMA is seeded —
-// the two inputs of the drain-rate projection — without a flusher
-// goroutine, so the tests below own the queue state.
+// calibratedCoalescer runs one engine batch so the backend layer has a
+// throughput estimate, then returns a coalescer whose cells-per-pair EWMA
+// is seeded — the two inputs of the drain-rate projection — without a
+// flusher goroutine, so the tests below own the queue state.
 func calibratedCoalescer(t *testing.T, eng *Aligner, opt CoalescerOptions) *Coalescer {
 	t.Helper()
 	if _, _, err := eng.Align(context.Background(), makePairsSeed(8, 7), cfgT); err != nil {
@@ -26,101 +26,46 @@ func calibratedCoalescer(t *testing.T, eng *Aligner, opt CoalescerOptions) *Coal
 	return c
 }
 
-// TestAdmissionFixedBudget: MaxPending > 0 selects the legacy fixed
-// pair-budget mode — the delay projection never sheds, only the budget.
-func TestAdmissionFixedBudget(t *testing.T) {
+// TestCoalescerDelayShedKeepsQuota: a request shed for delay must not
+// draw on its tenant's token bucket — the tenant is already being refused
+// once. After any number of delay sheds the full burst is still there.
+func TestCoalescerDelayShedKeepsQuota(t *testing.T) {
 	eng, err := NewAligner(EngineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	c := calibratedCoalescer(t, eng, CoalescerOptions{
-		MaxBatchPairs: 4, MaxPending: 10,
-		TargetDelay: time.Nanosecond, // must be ignored in fixed mode
-	})
+	// No flusher: the tenant's share (the 8-pair floor) stays taken.
+	c := calibratedCoalescer(t, eng, CoalescerOptions{MaxBatchPairs: 8, TargetDelay: time.Nanosecond})
+	// A rate too low to refill anything during the test.
+	ten := NewTenant(TenantOptions{Name: "metered", PairsPerSec: 0.001, Burst: 12})
+	held := enqueue(t, c, ten, classInteractive, cfgT, 6, -1)
 
-	c.pending = 8
-	c.tenPending[anonymousTenant] = 8
-	if reason, ok := c.admitLocked(context.Background(), anonymousTenant, 3); ok || reason != shedBudget {
-		t.Fatalf("over budget: reason %v ok %v, want shedBudget", reason, ok)
+	ctx := WithTenant(ctxb, ten)
+	for i := 0; i < 5; i++ {
+		_, _, err := c.Align(ctx, makePairsSeed(6, int64(i)), cfgT)
+		if !errors.Is(err, ErrOverloaded) || errors.Is(err, ErrQuotaExceeded) {
+			t.Fatalf("request %d behind a full share: err %v, want a delay shed", i, err)
+		}
 	}
-	// Under the budget everything is admitted, even though the calibrated
-	// delay projection is far past the (ignored) 1ns target.
-	if _, ok := c.admitLocked(context.Background(), anonymousTenant, 2); !ok {
-		t.Fatal("within budget: not admitted")
+	if m := c.Metrics(); m.ShedDelay != 5 || m.ShedQuota != 0 {
+		t.Fatalf("metrics %+v: want 5 delay sheds, no quota shed", m)
+	}
+	if !ten.takePairs(12, c.now()) {
+		t.Fatal("delay sheds drained the tenant's token bucket")
+	}
+	// With the share free the bucket is what refuses, and says so.
+	c.q.abandon(laneKey{ten: ten, class: classInteractive, cfg: cfgT.key()}, held)
+	if _, _, err := c.Align(ctx, makePairsSeed(6, 9), cfgT); !errors.Is(err, ErrQuotaExceeded) {
+		t.Fatalf("empty bucket: err %v, want ErrQuotaExceeded", err)
 	}
 }
 
-// TestAdmissionAdaptive covers the adaptive controller's decision table:
-// the one-batch floor, the target-delay shed, the deadline-infeasible
-// shed, and the uncalibrated fallback.
-func TestAdmissionAdaptive(t *testing.T) {
-	eng, err := NewAligner(EngineOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	const target = 100 * time.Millisecond
-	c := calibratedCoalescer(t, eng, CoalescerOptions{
-		MaxBatchPairs: 4, TargetDelay: target,
-	})
-	rate := c.drainPairsPerSec()
-
-	// One engine batch always fits, regardless of the projection.
-	c.pending = 0
-	delete(c.tenPending, anonymousTenant)
-	if _, ok := c.admitLocked(context.Background(), anonymousTenant, 4); !ok {
-		t.Fatal("one-batch floor: not admitted")
-	}
-
-	// Pending far past what drains within the target: shed by delay.
-	c.pending = int(rate*target.Seconds()) + 100
-	c.tenPending[anonymousTenant] = c.pending
-	if reason, ok := c.admitLocked(context.Background(), anonymousTenant, 1); ok || reason != shedDelay {
-		t.Fatalf("past target: reason %v ok %v, want shedDelay", reason, ok)
-	}
-
-	// Above the floor but projected well under the target: admitted —
-	// unless the measured rate is so low the regime does not exist.
-	under := int(rate * target.Seconds() / 2)
-	if under > c.opt.MaxBatchPairs {
-		c.pending = under
-		c.tenPending[anonymousTenant] = under
-		if reason, ok := c.admitLocked(context.Background(), anonymousTenant, 1); !ok {
-			t.Fatalf("under target: reason %v, want admit", reason)
-		}
-		// Same queue, but the request's own deadline cannot survive the
-		// projected wait: shed as infeasible even under the target.
-		ctx, cancel := context.WithDeadline(context.Background(), time.Now())
-		defer cancel()
-		if reason, ok := c.admitLocked(ctx, anonymousTenant, 1); ok || reason != shedDeadline {
-			t.Fatalf("infeasible deadline: reason %v ok %v, want shedDeadline", reason, ok)
-		}
-	}
-
-	// ErrDeadlineInfeasible must still satisfy the ErrOverloaded checks
-	// HTTP front ends map to 429.
-	if !errors.Is(ErrDeadlineInfeasible, ErrOverloaded) {
-		t.Fatal("ErrDeadlineInfeasible does not wrap ErrOverloaded")
-	}
-
-	// Uncalibrated controller (fresh coalescer, cells-per-pair unknown):
-	// admit and let the first flushes measure.
-	fresh := eng.newCoalescer(CoalescerOptions{MaxBatchPairs: 4, TargetDelay: time.Nanosecond})
-	fresh.t.cellsPerPair.Set(0)
-	fresh.pending = 1 << 20
-	fresh.tenPending[anonymousTenant] = 1 << 20
-	if reason, ok := fresh.admitLocked(context.Background(), anonymousTenant, 1); !ok {
-		t.Fatalf("uncalibrated: reason %v, want admit", reason)
-	}
-}
-
-// TestCoalescerAdaptiveVsFixedOverload is the synthetic-overload
-// comparison: under the same burst against a busy engine, a generous
-// fixed-cap coalescer queues everything (no sheds, every request served),
-// while the adaptive controller with a tight delay target sheds the
-// excess with ErrOverloaded instead of letting the queue grow.
-func TestCoalescerAdaptiveVsFixedOverload(t *testing.T) {
+// TestCoalescerOverload is the synthetic-overload test: a burst against a
+// busy engine is queued whole and served when the delay target has room
+// for it, and shed down to the one-batch floor with ErrOverloaded — instead
+// of letting the queue grow — when it has not.
+func TestCoalescerOverload(t *testing.T) {
 	eng, err := NewAligner(EngineOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -130,13 +75,20 @@ func TestCoalescerAdaptiveVsFixedOverload(t *testing.T) {
 
 	// Each request stays below MaxBatchPairs (engine-sized requests bypass
 	// the queue and its admission control entirely) but above half of it,
-	// so one queued request already uses up the adaptive one-batch floor.
-	// The burst arrives while a batch is held in flight — an idle flusher
-	// would drain between admissions and nothing would ever shed — and
-	// every client reports its result as it gets one.
+	// so one queued request already uses up the one-batch floor. The burst
+	// arrives while a batch is held in flight — an idle flusher would drain
+	// between admissions and nothing would ever shed — and every client
+	// reports its result as it gets one.
 	const clients = 16
 	const pairsPerClient = 7
-	burst := func(coal *Coalescer) <-chan error {
+	burst := func(target time.Duration) (*Coalescer, <-chan error) {
+		g.held.Store(false)
+		coal := eng.NewCoalescer(CoalescerOptions{MaxBatchPairs: 8, TargetDelay: target})
+		for i := 0; i < 2; i++ { // calibrate cells-per-pair via real batches
+			if _, _, err := coal.Align(context.Background(), makePairsSeed(4, int64(100+i)), cfgT); err != nil {
+				t.Fatal(err)
+			}
+		}
 		g.held.Store(true)
 		results := make(chan error, clients+1)
 		go func() {
@@ -150,41 +102,33 @@ func TestCoalescerAdaptiveVsFixedOverload(t *testing.T) {
 				results <- err
 			}(i)
 		}
-		return results
+		return coal, results
 	}
 
-	// Baseline: fixed cap far above the burst — admission never sheds, so
+	// A target far above what the burst needs: admission never sheds, so
 	// nothing returns until the engine is released, and then everything is
 	// served.
-	fixed := eng.NewCoalescer(CoalescerOptions{MaxBatchPairs: 8, MaxPending: 1 << 20})
-	results := burst(fixed)
-	waitFor(t, func() bool { return fixed.Metrics().QueuedRequests == clients })
+	roomy, results := burst(time.Hour)
+	waitFor(t, func() bool { return roomy.Metrics().QueuedRequests == clients })
 	g.open()
 	for i := 0; i <= clients; i++ {
 		if err := <-results; err != nil {
-			t.Fatalf("fixed cap: %v, want every request served", err)
+			t.Fatalf("roomy target: %v, want every request served", err)
 		}
 	}
-	fixed.Close()
+	roomy.Close()
 
-	// Adaptive with a delay target no real queue can meet: once the first
-	// warmup batches calibrate the drain rate, the one-batch floor admits
-	// one request of the burst and everything beyond it is shed at once.
-	adaptive := eng.NewCoalescer(CoalescerOptions{MaxBatchPairs: 8, TargetDelay: time.Nanosecond})
-	defer adaptive.Close()
-	for i := 0; i < 2; i++ { // calibrate cells-per-pair via real batches
-		if _, _, err := adaptive.Align(context.Background(), makePairsSeed(4, int64(100+i)), cfgT); err != nil {
-			t.Fatal(err)
-		}
-	}
-	results = burst(adaptive)
+	// A target no real queue can meet: the one-batch floor admits one
+	// request of the burst and everything beyond it is shed at once.
+	tight, results := burst(time.Nanosecond)
+	defer tight.Close()
 	for i := 0; i < clients-1; i++ {
 		if err := <-results; !errors.Is(err, ErrOverloaded) {
-			t.Fatalf("adaptive: %v, want ErrOverloaded for all but one of the burst", err)
+			t.Fatalf("tight target: %v, want ErrOverloaded for all but one of the burst", err)
 		}
 	}
 	// The shed callers get a live drain estimate to retry against.
-	if ra := adaptive.RetryAfter(); ra < minRetryAfter || ra > 30*time.Second {
+	if ra := tight.RetryAfter(); ra < minRetryAfter || ra > 30*time.Second {
 		t.Fatalf("RetryAfter %v outside [%v, 30s]", ra, minRetryAfter)
 	}
 	g.open()
@@ -193,7 +137,7 @@ func TestCoalescerAdaptiveVsFixedOverload(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	m := adaptive.Metrics()
+	m := tight.Metrics()
 	if m.ShedDelay != clients-1 || m.ShedDelay != m.Shed {
 		t.Fatalf("metrics %+v: want every shed attributed to the delay target", m)
 	}

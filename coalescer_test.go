@@ -87,7 +87,7 @@ func enqueue(t *testing.T, c *Coalescer, ten *Tenant, class priorityClass, cfg C
 		tt: c.tenantTele(ten), ch: make(chan coalesceResult, 1),
 	}
 	c.mu.Lock()
-	c.enqueueLocked(laneKey{ten: ten, class: class, cfg: cfg.key()}, cfg, w)
+	c.q.enqueue(laneKey{ten: ten, class: class, cfg: cfg.key()}, cfg, w)
 	c.mu.Unlock()
 	select {
 	case c.kick <- struct{}{}:
@@ -241,9 +241,6 @@ func TestCoalescerMixedConfigs(t *testing.T) {
 	g := holdBatches(eng)
 	coal := eng.NewCoalescer(CoalescerOptions{
 		MaxBatchPairs: 12,
-		// All clients may be queued at once across four config groups:
-		// give admission control room so nothing sheds.
-		MaxPending: 1 << 20,
 	})
 	defer coal.Close()
 
@@ -389,37 +386,40 @@ func TestCoalescerMergesWhileBusy(t *testing.T) {
 	}
 }
 
-// TestCoalescerShed checks admission control: once MaxPending pairs are
-// queued (across all configs), further requests fail fast with
-// ErrOverloaded, and Close still drains the queued ones.
+// TestCoalescerShed checks admission control end to end: once a tenant's
+// share of the queue is full (across all its configs), further requests
+// fail fast with ErrOverloaded, and Close still drains the queued ones.
 func TestCoalescerShed(t *testing.T) {
 	eng, err := NewAligner(EngineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	// No flusher until the end, so the queue holds what is admitted.
-	coal := eng.newCoalescer(CoalescerOptions{MaxBatchPairs: 100, MaxPending: 4})
+	// No flusher until the end, so the queue holds what is admitted; a
+	// target no queue can meet leaves exactly the one-batch floor, 4 pairs.
+	coal := calibratedCoalescer(t, eng, CoalescerOptions{MaxBatchPairs: 4, TargetDelay: time.Nanosecond})
 
 	queued := make(chan error, 1)
 	go func() {
 		_, _, err := coal.Align(ctxb, makePairsSeed(3, 1), cfgT)
 		queued <- err
 	}()
-	waitFor(t, func() bool { return coal.Metrics().QueuedPairs == 3 })
+	<-coal.kick // the 3 pairs are queued
 
-	// The budget is global: a different config cannot squeeze past it.
+	// The share is the tenant's: a different config cannot squeeze past it.
 	if _, _, err := coal.Align(ctxb, makePairsSeed(2, 2), DefaultConfig(99)); !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("over-budget request: err %v, want ErrOverloaded", err)
+		t.Fatalf("over-share request: err %v, want ErrOverloaded", err)
 	}
-	// A request that still fits the budget is admitted; Close runs it
-	// below.
+	// A request that still fits the floor is admitted; Close runs it below.
 	fits := make(chan error, 1)
 	go func() {
 		_, _, err := coal.Align(ctxb, makePairsSeed(1, 3), cfgT)
 		fits <- err
 	}()
-	waitFor(t, func() bool { return coal.Metrics().QueuedPairs == 4 })
+	<-coal.kick
+	if m := coal.Metrics(); m.QueuedPairs != 4 || m.QueuedRequests != 2 {
+		t.Fatalf("metrics %+v: want both admitted requests queued", m)
+	}
 
 	coal.start()
 	coal.Close()
@@ -430,8 +430,8 @@ func TestCoalescerShed(t *testing.T) {
 		t.Fatalf("fitting request not drained on Close: %v", err)
 	}
 	m := coal.Metrics()
-	if m.Shed != 1 || m.MergedRequests != 2 {
-		t.Fatalf("metrics %+v: want 1 shed and both admitted requests run", m)
+	if m.Shed != 1 || m.ShedDelay != 1 || m.MergedRequests != 2 {
+		t.Fatalf("metrics %+v: want 1 delay shed and both admitted requests run", m)
 	}
 	if _, _, err := coal.Align(ctxb, makePairsSeed(1, 4), cfgT); !errors.Is(err, ErrClosed) {
 		t.Fatalf("align after Close: err %v, want ErrClosed", err)
@@ -527,12 +527,7 @@ func TestCoalescerContextCancel(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
-		// Cancel once the request is visibly queued (or after a long
-		// fallback so the test can't hang).
-		deadline := time.Now().Add(10 * time.Second)
-		for coal.Metrics().QueuedPairs == 0 && time.Now().Before(deadline) {
-			time.Sleep(time.Millisecond)
-		}
+		<-coal.kick // the request is queued
 		cancel()
 	}()
 	if _, _, err := coal.Align(ctx, makePairsSeed(1, 6), cfgT); !errors.Is(err, context.Canceled) {
@@ -555,7 +550,9 @@ func TestCoalescerEmptyRequest(t *testing.T) {
 	}
 }
 
-// waitFor polls cond until it holds or a long deadline expires.
+// waitFor polls cond until it holds or a long deadline expires: for
+// states reached by client goroutines racing a live flusher. With no
+// flusher started, receive the enqueue's wake-up from c.kick instead.
 func waitFor(t *testing.T, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
@@ -569,7 +566,7 @@ func waitFor(t *testing.T, cond func() bool) {
 
 // TestCoalescerUnsupportedConfigShedsAtAdmission: a config the engine's
 // backend cannot run must fail immediately with ErrUnsupportedConfig —
-// never queueing, never consuming the MaxPending budget.
+// never queueing, never consuming queue share.
 func TestCoalescerUnsupportedConfigShedsAtAdmission(t *testing.T) {
 	eng, err := NewAligner(EngineOptions{Backend: GPU})
 	if err != nil {
@@ -596,25 +593,28 @@ func TestCoalescerUnsupportedConfigShedsAtAdmission(t *testing.T) {
 }
 
 // TestCoalescerAbandonReleasesQueue: a ctx-canceled queued request must
-// leave the queue entirely — gauges drop to zero and its budget is
-// returned — so the caller may immediately reuse its buffers and later
-// requests see the freed MaxPending budget.
+// leave the queue entirely — gauges drop to zero and its tenant's share
+// is returned — so the caller may immediately reuse its buffers and the
+// next request is admitted where it was shed a moment before.
 func TestCoalescerAbandonReleasesQueue(t *testing.T) {
 	eng, err := NewAligner(EngineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	// No flusher until the end, so the queue holds what is admitted.
-	coal := eng.newCoalescer(CoalescerOptions{MaxBatchPairs: 1 << 20, MaxPending: 4})
+	// No flusher until the end; the share is the one-batch floor, 8 pairs.
+	coal := calibratedCoalescer(t, eng, CoalescerOptions{MaxBatchPairs: 8, TargetDelay: time.Nanosecond})
 
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := coal.Align(ctx, makePairsSeed(4, 11), cfgT)
+		_, _, err := coal.Align(ctx, makePairsSeed(6, 11), cfgT)
 		done <- err
 	}()
-	waitFor(t, func() bool { return coal.Metrics().QueuedPairs == 4 })
+	<-coal.kick // the 6 pairs are queued
+	if _, _, err := coal.Align(ctxb, makePairsSeed(6, 12), cfgT); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("second request behind a held share: err %v, want ErrOverloaded", err)
+	}
 	cancel()
 	if err := <-done; !errors.Is(err, context.Canceled) {
 		t.Fatalf("err %v, want context.Canceled", err)
@@ -623,17 +623,17 @@ func TestCoalescerAbandonReleasesQueue(t *testing.T) {
 	if m.QueuedPairs != 0 || m.QueuedRequests != 0 || m.QueuedLanes != 0 {
 		t.Fatalf("abandoned request still queued: %+v", m)
 	}
-	// The full budget is available again: a 4-pair request is admitted
-	// (not shed) and runs when the flusher starts.
+	// The share is free again: the same request is admitted (not shed) and
+	// runs when the flusher starts.
 	ok := make(chan error, 1)
 	go func() {
-		_, _, err := coal.Align(ctxb, makePairsSeed(4, 12), cfgT)
+		_, _, err := coal.Align(ctxb, makePairsSeed(6, 12), cfgT)
 		ok <- err
 	}()
-	waitFor(t, func() bool { return coal.Metrics().QueuedPairs == 4 })
+	<-coal.kick
 	coal.start()
 	coal.Close()
 	if err := <-ok; err != nil {
-		t.Fatalf("budget not released: %v", err)
+		t.Fatalf("share not released: %v", err)
 	}
 }

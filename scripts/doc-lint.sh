@@ -4,8 +4,9 @@
 # documented — and every documented logan_jobs_* series must have one
 # owner, the X-drop band loop one driver, the device batch one executor,
 # the root package no view of the kernel configuration, the generated
-# tables of docs/SERVING.md their generators' output, and request
-# parameters one parser. Run from the repo root; CI runs it alongside the
+# tables of docs/SERVING.md their generators' output, request
+# parameters one parser, and the coalescer one admission policy in pure,
+# clock-free code. Run from the repo root; CI runs it alongside the
 # unit tests.
 # The doc checker itself is scripts/doclint.
 set -euo pipefail
@@ -87,6 +88,30 @@ mirrors=$(grep -rnE --include='*.go' '\b(overlapConfigJSON|queryOverlapConfig|jo
 if [ -n "$mirrors" ]; then
 	echo "doc-lint: a hand-kept mirror of the parameter table or the progress record is back:" >&2
 	echo "$mirrors" >&2
+	exit 1
+fi
+
+# The coalescer's policy is pure: policy.go (admit and the lane scheduler)
+# knows no lock, no context and no clock, and tenant.go reads no clock
+# either (it keeps sync for the bucket mutex and context for WithTenant);
+# time comes in as an argument from the Coalescer's one injected clock.
+impure=$(grep -nE 'time\.(Now|Since|Until|After|Sleep)|^\s*"(sync|context)"$' policy.go || true)
+clock=$(grep -nE 'time\.(Now|Since|Until|After|Sleep)' tenant.go || true)
+if [ -n "$impure$clock" ]; then
+	echo "doc-lint: the coalescer's policy files must stay lock-, context- and clock-free:" >&2
+	printf 'policy.go: %s\ntenant.go: %s\n' "$impure" "$clock" >&2
+	exit 1
+fi
+
+# There is one admission policy: the fixed pending-pair budget, its flag
+# and its shed counter (deleted in ISSUE 24) stay gone. The names are
+# split here so that this file does not match itself.
+gone='Max''Pending|max-''pending|max''Pending|[sS]hed''Budget'
+back=$(grep -rnE --include='*.go' --include='*.md' --include='*.sh' --include='*.txt' --include='*.yml' "$gone" . |
+	grep -vE '^\./(CHANGES|ROADMAP|ISSUE)\.md:' || true)
+if [ -n "$back" ]; then
+	echo "doc-lint: the fixed admission budget is back (one admission policy: admit in policy.go):" >&2
+	echo "$back" >&2
 	exit 1
 fi
 

@@ -34,9 +34,9 @@ type TenantOptions struct {
 	// PairsPerSec. Ignored when PairsPerSec is unlimited.
 	Burst int
 
-	// Weight is the tenant's share weight for the coalescer's
-	// per-tenant pending budget: when tenants contend, each may hold up
-	// to budget*weight/total-active-weight queued pairs. Zero or
+	// Weight is the tenant's fair-share weight: when tenants contend,
+	// admission projects each one's queue against
+	// weight/total-active-weight of the measured drain rate. Zero or
 	// negative selects 1.
 	Weight int
 }
@@ -53,7 +53,9 @@ type Tenant struct {
 	name   string
 	weight int
 
-	// Token bucket state; rate <= 0 disables the quota.
+	// Token bucket state; rate <= 0 disables the quota. The bucket starts
+	// full, so the first refill — from the zero last to the first
+	// caller's clock — is capped to a no-op and no clock is read here.
 	mu     sync.Mutex
 	rate   float64
 	burst  float64
@@ -78,7 +80,6 @@ func NewTenant(opt TenantOptions) *Tenant {
 			t.burst = 2 * opt.PairsPerSec
 		}
 		t.tokens = t.burst
-		t.last = time.Now()
 	}
 	return t
 }
@@ -98,23 +99,25 @@ var anonymousTenant = NewTenant(TenantOptions{Name: "anonymous"})
 // whose context carries no tenant (unlimited quota, weight 1).
 func AnonymousTenant() *Tenant { return anonymousTenant }
 
-// takePairs consumes n pairs from the tenant's token bucket. It reports
-// whether the quota admitted them, and — when it did not — roughly how
-// long until n tokens will have refilled (a Retry-After hint).
-func (t *Tenant) takePairs(n int) (bool, time.Duration) {
+// takePairs consumes n pairs from the tenant's token bucket as of now
+// (the caller's clock, read outside t.mu: concurrent callers may arrive
+// slightly out of order, and an earlier time refills nothing) and reports
+// whether the quota admitted them.
+func (t *Tenant) takePairs(n int, now time.Time) bool {
 	if t == nil || t.rate <= 0 {
-		return true, 0
+		return true
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	now := time.Now()
-	t.tokens = min(t.burst, t.tokens+t.rate*now.Sub(t.last).Seconds())
-	t.last = now
-	if t.tokens >= float64(n) {
-		t.tokens -= float64(n)
-		return true, 0
+	if dt := now.Sub(t.last).Seconds(); dt > 0 {
+		t.tokens = min(t.burst, t.tokens+t.rate*dt)
+		t.last = now
 	}
-	return false, time.Duration((float64(n) - t.tokens) / t.rate * float64(time.Second))
+	if t.tokens < float64(n) {
+		return false
+	}
+	t.tokens -= float64(n)
+	return true
 }
 
 // tenantKeyT is the context key type for WithTenant.

@@ -11,36 +11,40 @@ import (
 	"time"
 )
 
-// TestTenantTokenBucket covers the pairs/sec quota mechanics: burst
-// capacity, exhaustion with a positive retry hint, refill over time, and
-// the unlimited defaults (zero options, nil tenant).
+// TestTenantTokenBucket covers the pairs/sec quota mechanics on an
+// injected clock: burst capacity, exhaustion, refill at exactly the
+// configured rate, the cap at Burst, and the unlimited defaults (zero
+// options, nil tenant).
 func TestTenantTokenBucket(t *testing.T) {
+	now := time.Unix(1_000_000, 0)
 	ten := NewTenant(TenantOptions{Name: "t", PairsPerSec: 1000, Burst: 10})
-	if ok, _ := ten.takePairs(10); !ok {
+	if !ten.takePairs(10, now) {
 		t.Fatal("burst capacity not admitted")
 	}
-	ok, retry := ten.takePairs(5)
-	if ok || retry <= 0 {
-		t.Fatalf("exhausted bucket: ok %v retry %v, want shed with positive hint", ok, retry)
+	if ten.takePairs(5, now) {
+		t.Fatal("exhausted bucket admitted 5 pairs")
 	}
-	// 1000 pairs/sec refills 5 tokens in 5ms; poll with slack for CI.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if ok, _ := ten.takePairs(5); ok {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("bucket never refilled")
-		}
-		time.Sleep(time.Millisecond)
+	// 1000 pairs/sec refills 5 tokens in 5ms, not in 4.
+	if now = now.Add(4 * time.Millisecond); ten.takePairs(5, now) {
+		t.Fatal("admitted 5 pairs 4ms after exhaustion")
+	}
+	if now = now.Add(time.Millisecond); !ten.takePairs(5, now) {
+		t.Fatal("bucket did not refill 5 pairs in 5ms")
+	}
+	// An idle hour refills to Burst and no further.
+	now = now.Add(time.Hour)
+	if ten.takePairs(11, now) {
+		t.Fatal("bucket refilled past its burst")
+	}
+	if !ten.takePairs(10, now) {
+		t.Fatal("bucket did not refill to its burst")
 	}
 
-	unlimited := NewTenant(TenantOptions{Name: "u"})
-	if ok, _ := unlimited.takePairs(1 << 30); !ok {
+	if !NewTenant(TenantOptions{Name: "u"}).takePairs(1<<30, now) {
 		t.Fatal("unlimited tenant metered")
 	}
 	var nilTen *Tenant
-	if ok, _ := nilTen.takePairs(1); !ok {
+	if !nilTen.takePairs(1, now) {
 		t.Fatal("nil tenant metered")
 	}
 }
@@ -196,10 +200,10 @@ func TestCoalescerPriorityClasses(t *testing.T) {
 
 // TestCoalescerFairShare is the fairness regression test of the
 // multi-tenant scheduler (run under -race in CI): a tenant flooding the
-// coalescer at ~10x its fair rate must neither shed nor delay a
+// coalescer at several times its share must neither shed nor delay a
 // well-behaved tenant — the victim's requests all succeed and its p99
 // wall latency stays within a few engine batches plus generous CI slack,
-// while every budget shed is attributed to the flooder.
+// while every shed is a delay shed attributed to the flooder.
 func TestCoalescerFairShare(t *testing.T) {
 	eng, err := NewAligner(EngineOptions{})
 	if err != nil {
@@ -207,13 +211,19 @@ func TestCoalescerFairShare(t *testing.T) {
 	}
 	defer eng.Close()
 	coal := eng.NewCoalescer(CoalescerOptions{
-		MaxBatchPairs: 64,
-		// Fixed budget keeps the test deterministic: the flooder's share
-		// is at most MaxPending — four of its 8-pair requests queued behind
-		// the up to four executing — so twelve clients always overrun it.
-		MaxPending: 32,
+		MaxBatchPairs: 16,
+		// A target no queue can meet leaves each tenant exactly its
+		// one-batch floor: two of the flooder's 8-pair requests queued
+		// behind the two executing, so twelve clients always overrun it,
+		// while the victim's single pairs always fit its own floor.
+		TargetDelay: time.Nanosecond,
 	})
 	defer coal.Close()
+	for i := 0; i < 2; i++ { // measure a drain rate: nothing sheds before one exists
+		if _, _, err := coal.Align(ctxb, makePairsSeed(4, int64(100+i)), cfgT); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	flooder := NewTenant(TenantOptions{Name: "flooder"})
 	victim := NewTenant(TenantOptions{Name: "victim"})
@@ -271,11 +281,11 @@ func TestCoalescerFairShare(t *testing.T) {
 		t.Fatalf("victim p99 latency %v exceeds %v; flooder delayed the victim", p99, bound)
 	}
 	if floodShed.Load() == 0 {
-		t.Fatalf("flooder was never shed (served %d): the budget share did not bind", floodServed.Load())
+		t.Fatalf("flooder was never shed (served %d): its share did not bind", floodServed.Load())
 	}
 	m := coal.Metrics()
-	if m.ShedBudget != floodShed.Load() {
-		t.Fatalf("shed attribution: coalescer %d budget sheds, flooder observed %d", m.ShedBudget, floodShed.Load())
+	if m.ShedDelay != floodShed.Load() || m.Shed != m.ShedDelay {
+		t.Fatalf("shed attribution: coalescer %+v, flooder observed %d delay sheds", m, floodShed.Load())
 	}
 	if v := coal.tenantTele(victim).shed.Value(); v != 0 {
 		t.Fatalf("victim shed counter %v, want 0", v)
