@@ -71,7 +71,10 @@ func BenchmarkSeedPerCall10k(b *testing.B) {
 			in[i] = seq.Pair{Query: q, Target: t,
 				SeedQPos: p.SeedQ, SeedTPos: p.SeedT, SeedLen: p.SeedLen, ID: i}
 		}
-		results, _, err := xdrop.ExtendBatch(in, xdrop.DefaultScoring(), 100, 0)
+		pool := xdrop.NewPool(0)
+		results := make([]xdrop.SeedResult, len(in))
+		_, err := pool.ExtendBatch(in, results, xdrop.DefaultScoring(), 100)
+		pool.Close()
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -115,10 +115,13 @@ func BenchmarkKernelCPU(b *testing.B) {
 	scale := benchScale()
 	pairs := scale.PairSet()
 	sc := xdrop.DefaultScoring()
+	pool := xdrop.NewPool(0)
+	defer pool.Close()
+	results := make([]xdrop.SeedResult, len(pairs))
 	b.ResetTimer()
 	var cells int64
 	for i := 0; i < b.N; i++ {
-		_, stats, err := xdrop.ExtendBatch(pairs, sc, 100, 0)
+		stats, err := pool.ExtendBatch(pairs, results, sc, 100)
 		if err != nil {
 			b.Fatal(err)
 		}

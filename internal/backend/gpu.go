@@ -23,10 +23,13 @@ import (
 var ErrUnsupportedScheme = errors.New("backend: scoring scheme not supported by the GPU kernel (linear DNA only; affine and matrix modes run on the CPU engine)")
 
 // GPU executes batches on one simulated device via the LOGAN kernel
-// pipeline of internal/core. The device's batch timeline is single-use,
-// so concurrent batches serialize on this one device — per-device
-// ownership, not an engine-wide lock (a second GPU backend over a second
-// device proceeds independently).
+// pipeline of internal/core: each block takes its scores from the xdrop
+// wavefront and replays the recorded band trace as the work the time
+// model prices, so results are the CPU backend's by construction and
+// DeviceTime is modeled from the same bands. The device's batch timeline
+// is single-use, so concurrent batches serialize on this one device —
+// per-device ownership, not an engine-wide lock (a second GPU backend
+// over a second device proceeds independently).
 type GPU struct {
 	dev    *cuda.Device
 	name   string

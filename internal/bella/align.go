@@ -40,11 +40,15 @@ type CPUAligner struct {
 // Name identifies the aligner in reports.
 func (a CPUAligner) Name() string { return "seqan-cpu" }
 
-// AlignPairs runs the serial X-drop kernel across the worker pool.
-// Cancellation is observed per pair by the pool's workers.
+// AlignPairs runs the serial X-drop kernel on a pool of a.Workers
+// workers (0 = GOMAXPROCS) held for this call. Cancellation is observed
+// per pair by the pool's workers.
 func (a CPUAligner) AlignPairs(ctx context.Context, pairs []seq.Pair, sc xdrop.Scoring, x int32) ([]xdrop.SeedResult, AlignerStats, error) {
 	start := time.Now()
-	res, stats, err := xdrop.ExtendBatchContext(ctx, pairs, sc, x, a.Workers)
+	pool := xdrop.NewPool(a.Workers)
+	defer pool.Close()
+	res := make([]xdrop.SeedResult, len(pairs))
+	stats, err := pool.ExtendBatchScheme(ctx, pairs, res, xdrop.LinearScheme(sc), x)
 	if err != nil {
 		return nil, AlignerStats{}, err
 	}

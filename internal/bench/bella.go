@@ -55,8 +55,11 @@ func RunBella(scale Scale, preset genome.Preset, paper map[int32]PaperRow3, titl
 	}
 	var pts []point
 	dev := cuda.MustV100()
+	pool := xdrop.NewPool(0)
+	defer pool.Close()
+	cpuRes := make([]xdrop.SeedResult, len(prep.Pairs))
 	for _, x := range scale.BellaXValues {
-		_, cpuStats, err := xdrop.ExtendBatch(prep.Pairs, cfg.Scoring, x, 0)
+		cpuStats, err := pool.ExtendBatch(prep.Pairs, cpuRes, cfg.Scoring, x)
 		if err != nil {
 			return out, err
 		}

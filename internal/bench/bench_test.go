@@ -155,8 +155,9 @@ func TestTableIIIShape(t *testing.T) {
 	// quick scale LOGAN's fixed host cost weighs more, so the margin is
 	// checked at 1.2x — DefaultScale reproduces the full gap, see
 	// EXPERIMENTS.md).
-	if res.PeakGCUPS < 1.2*PaperGCUPS.Ksw2X100 {
-		t.Fatalf("LOGAN peak GCUPS %.1f not above ksw2's %.1f", res.PeakGCUPS, PaperGCUPS.Ksw2X100)
+	const paperKsw2PeakGCUPS = 77.6 // paper §VI-B, at X=100
+	if res.PeakGCUPS < 1.2*paperKsw2PeakGCUPS {
+		t.Fatalf("LOGAN peak GCUPS %.1f not above ksw2's %.1f", res.PeakGCUPS, paperKsw2PeakGCUPS)
 	}
 }
 
@@ -227,7 +228,7 @@ func TestFig12Shape(t *testing.T) {
 	}
 	// Paper: 8-GPU LOGAN ~3.2x GPU-only CUDASW++. At quick scale LOGAN's
 	// host share compresses the gap; require dominance plus a sane band
-	// (DefaultScale lands near 2x, see EXPERIMENTS.md).
+	// (DefaultScale lands at 1.6x, see EXPERIMENTS.md).
 	ratio := res.Logan[n-1] / res.CUDASW[n-1]
 	if ratio < 1.0 || ratio > 8 {
 		t.Fatalf("LOGAN/CUDASW++ ratio %.2f outside [1, 8] (paper 3.2)", ratio)

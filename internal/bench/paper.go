@@ -73,9 +73,3 @@ var Fig12Paper = struct {
 	ManymapMax float64 // manymap best (single GPU)
 	Logan8xVs  float64 // LOGAN 8-GPU GCUPS over GPU-only CUDASW++ 8-GPU
 }{181.0, 70.0, 96.0, 3.2}
-
-// PaperGCUPS headline numbers (paper §VI-B).
-var PaperGCUPS = struct {
-	LoganX5000 float64 // 181.4 GCUPS at X=5000, 1 GPU
-	Ksw2X100   float64 // ksw2 peak, 77.6 GCUPS at X=100
-}{181.4, 77.6}

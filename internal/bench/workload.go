@@ -47,11 +47,14 @@ type SweepPoint struct {
 func MeasureSweep(scale Scale, withKsw2 bool) ([]SweepPoint, error) {
 	pairs := scale.PairSet()
 	dev := cuda.MustV100()
+	pool := xdrop.NewPool(0)
+	defer pool.Close()
+	cpuRes := make([]xdrop.SeedResult, len(pairs))
 	points := make([]SweepPoint, 0, len(scale.XValues))
 	for _, x := range scale.XValues {
 		p := SweepPoint{X: x}
 
-		cpuRes, cpuStats, err := xdrop.ExtendBatch(pairs, xdrop.DefaultScoring(), x, 0)
+		cpuStats, err := pool.ExtendBatch(pairs, cpuRes, xdrop.DefaultScoring(), x)
 		if err != nil {
 			return nil, fmt.Errorf("bench: seqan sweep X=%d: %w", x, err)
 		}
@@ -112,8 +115,10 @@ func MeasureImbalance(scale Scale, x int32, gpus int) (float64, error) {
 	return imb, nil
 }
 
-// workingSetKsw2 is ksw2's per-pair working set: H/E int16 row arrays plus
-// the query profile at the maximum band (the row arrays are full-width).
+// workingSetKsw2 is ksw2's per-pair cache working set, the quantity the
+// Skylake cache model keys on: the H and E int16 row arrays of the SSE2
+// kernel plus the query profile, two bytes each per cell of the widest
+// band.
 func workingSetKsw2(maxBand int) int { return maxBand * 6 }
 
 // totalBases sums sequence lengths for GCUPS-style normalization.

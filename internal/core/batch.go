@@ -15,7 +15,7 @@ import (
 type BatchResult struct {
 	// Results are positionally aligned with the input pairs and carry the
 	// same structure the CPU baseline produces — scores are bit-identical
-	// to xdrop.ExtendBatch on the same input.
+	// to an xdrop.Pool batch on the same input.
 	Results []xdrop.SeedResult
 	// Stats merges the accounting of every kernel launch in the batch.
 	Stats cuda.KernelStats
@@ -32,8 +32,10 @@ type BatchResult struct {
 	Chunks int
 }
 
-// extension field layout in the device result buffer.
-const extFields = 8
+// resultRecordBytes is the device-side result record of one extension
+// (score, both ends, the work counters and a flag, as eight int64s): each
+// block writes one, and each side's records are copied back once.
+const resultRecordBytes = 8 * 8
 
 // AlignBatch aligns all pairs on the device with the LOGAN kernel:
 // seed-split into left/right extension tasks, sequences staged into device
@@ -97,12 +99,12 @@ func AlignBatchContext(ctx context.Context, dev *cuda.Device, pairs []seq.Pair, 
 			maxPairBytes = b
 		}
 	}
-	bandAlloc := BandAlloc(cfg.X, maxExtLen, cfg.BandAllocSlack)
+	bandAlloc := BandAlloc(cfg.X, maxExtLen)
 	// Conservative per-pair footprint (worst pair), so a chunk sized from
 	// it always fits the remaining capacity.
 	perPair := maxPairBytes + // staged bases
 		2*3*int64(bandAlloc)*4 + // anti-diagonals, both extensions
-		2*extFields*8 // result records
+		2*resultRecordBytes // result records
 	free := dev.Spec.HBMBytes - dev.Allocated()
 	chunkPairs := int(free * 9 / 10 / max64(perPair, 1))
 	if chunkPairs < 1 {
@@ -129,24 +131,94 @@ func AlignBatchContext(ctx context.Context, dev *cuda.Device, pairs []seq.Pair, 
 }
 
 // hostScratch is the reusable host-side staging of one extension side:
-// the sequence arena, its offset tables and the result records. Pooled so
-// that repeated batches on a long-lived device stage without allocating.
+// the sequence arena, its offset tables and the extension results. Pooled
+// so that repeated batches on a long-lived device stage without
+// allocating.
 type hostScratch struct {
 	arena                  []byte
 	qOff, qLen, tOff, tLen []int32
-	hostRes                []int64
-	exts                   []extResult
+	exts                   []xdrop.Result
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(hostScratch) }}
 
-// growInt32 returns *p resized to n, reusing the backing array when wide
+// grow returns *p resized to n, reusing the backing array when wide
 // enough.
-func growInt32(p *[]int32, n int) []int32 {
+func grow[T any](p *[]T, n int) []T {
 	if cap(*p) < n {
-		*p = make([]int32, n)
+		*p = make([]T, n)
 	}
 	return (*p)[:n]
+}
+
+// stage lays one extension side of pairs out in the arena with offset
+// tables: left extensions reversed (Figs. 5-6), right extensions forward.
+func (sc *hostScratch) stage(pairs []seq.Pair, leftSide bool) {
+	n := len(pairs)
+	sc.qOff = grow(&sc.qOff, n)
+	sc.qLen = grow(&sc.qLen, n)
+	sc.tOff = grow(&sc.tOff, n)
+	sc.tLen = grow(&sc.tLen, n)
+	total := 0
+	for i := range pairs {
+		p := &pairs[i]
+		if leftSide {
+			total += p.SeedQPos + p.SeedTPos
+		} else {
+			total += len(p.Query) + len(p.Target) - 2*p.SeedLen - p.SeedQPos - p.SeedTPos
+		}
+	}
+	if cap(sc.arena) < total {
+		sc.arena = make([]byte, 0, total)
+	}
+	arena := sc.arena[:0]
+	for i := range pairs {
+		p := &pairs[i]
+		var q, t seq.Seq
+		if leftSide {
+			q = p.Query.Sub(0, p.SeedQPos)
+			t = p.Target.Sub(0, p.SeedTPos)
+		} else {
+			q = p.Query.Sub(p.SeedQPos+p.SeedLen, len(p.Query))
+			t = p.Target.Sub(p.SeedTPos+p.SeedLen, len(p.Target))
+		}
+		sc.qOff[i], sc.qLen[i] = int32(len(arena)), int32(len(q))
+		if leftSide {
+			arena = seq.AppendReverse(arena, q)
+		} else {
+			arena = append(arena, q...)
+		}
+		sc.tOff[i], sc.tLen[i] = int32(len(arena)), int32(len(t))
+		if leftSide {
+			arena = seq.AppendReverse(arena, t)
+		} else {
+			arena = append(arena, t...)
+		}
+	}
+	sc.arena = arena
+}
+
+// extension returns the staged query and target of extension i.
+func (sc *hostScratch) extension(i int) (q, t []byte) {
+	return sc.arena[sc.qOff[i] : sc.qOff[i]+sc.qLen[i]], sc.arena[sc.tOff[i] : sc.tOff[i]+sc.tLen[i]]
+}
+
+// sideKernel returns the launch shape and ablation switches of one
+// extension side's grid.
+func sideKernel(cfg Config, leftSide bool) (extKernelOpts, int) {
+	opts := extKernelOpts{
+		sharedAntidiags: cfg.SharedMemAntidiags,
+		// Without the Fig. 6 reversal, the left extension's streams run
+		// against the memory direction.
+		uncoalescedSeq: cfg.NoQueryReversal && leftSide,
+	}
+	sharedBytes := 0
+	if cfg.SharedMemAntidiags {
+		// Worst-case per-block reservation (§IV-B): collapses SM
+		// residency to one block.
+		sharedBytes = 60 << 10
+	}
+	return opts, sharedBytes
 }
 
 // alignChunk stages one memory-sized chunk and runs the two extension
@@ -155,112 +227,42 @@ func alignChunk(dev *cuda.Device, left, right *cuda.Stream, pairs []seq.Pair, re
 	cfg Config, threads, bandAlloc int, out *BatchResult) error {
 	n := len(pairs)
 
-	// Host-side staging: left extensions reversed (Figs. 5-6), then right
-	// extensions, all in one arena per side with offset tables.
-	stage := func(sc *hostScratch, leftSide bool) {
-		sc.qOff = growInt32(&sc.qOff, n)
-		sc.qLen = growInt32(&sc.qLen, n)
-		sc.tOff = growInt32(&sc.tOff, n)
-		sc.tLen = growInt32(&sc.tLen, n)
-		total := 0
-		for i := range pairs {
-			p := &pairs[i]
-			if leftSide {
-				total += p.SeedQPos + p.SeedTPos
-			} else {
-				total += len(p.Query) + len(p.Target) - 2*p.SeedLen - p.SeedQPos - p.SeedTPos
-			}
-		}
-		if cap(sc.arena) < total {
-			sc.arena = make([]byte, 0, total)
-		}
-		arena := sc.arena[:0]
-		for i := range pairs {
-			p := &pairs[i]
-			var q, t seq.Seq
-			if leftSide {
-				q = p.Query.Sub(0, p.SeedQPos)
-				t = p.Target.Sub(0, p.SeedTPos)
-			} else {
-				q = p.Query.Sub(p.SeedQPos+p.SeedLen, len(p.Query))
-				t = p.Target.Sub(p.SeedTPos+p.SeedLen, len(p.Target))
-			}
-			sc.qOff[i], sc.qLen[i] = int32(len(arena)), int32(len(q))
-			if leftSide {
-				arena = seq.AppendReverse(arena, q)
-			} else {
-				arena = append(arena, q...)
-			}
-			sc.tOff[i], sc.tLen[i] = int32(len(arena)), int32(len(t))
-			if leftSide {
-				arena = seq.AppendReverse(arena, t)
-			} else {
-				arena = append(arena, t...)
-			}
-		}
-		sc.arena = arena
-	}
-
 	runSide := func(sc *hostScratch, stream *cuda.Stream, leftSide bool) error {
-		stage(sc, leftSide)
-		arena, off := sc.arena, sc
+		sc.stage(pairs, leftSide)
 		name := "logan-right-ext"
 		if leftSide {
 			name = "logan-left-ext"
 		}
-		opts := extKernelOpts{
-			sharedAntidiags: cfg.SharedMemAntidiags,
-			// Without the Fig. 6 reversal, the left extension's streams
-			// run against the memory direction.
-			uncoalescedSeq: cfg.NoQueryReversal && leftSide,
+		opts, sharedBytes := sideKernel(cfg, leftSide)
+		// Device memory is a ledger: the staged bases, every block's three
+		// rolling anti-diagonals and the result records hold HBM for the
+		// launch, and the transfers occupy the copy engine, but the blocks
+		// read the host arena.
+		for _, a := range []struct {
+			what  string
+			bytes int64
+		}{
+			{"sequences", int64(max(len(sc.arena), 1))},
+			{"anti-diagonals", int64(n) * 3 * int64(bandAlloc) * 4},
+			{"results", int64(n) * resultRecordBytes},
+		} {
+			buf, err := dev.Alloc(a.bytes)
+			if err != nil {
+				return fmt.Errorf("core: %s %s: %w", name, a.what, err)
+			}
+			defer buf.Free()
 		}
-		sharedBytes := 0
-		if cfg.SharedMemAntidiags {
-			// Worst-case per-block reservation (§IV-B): collapses SM
-			// residency to one block.
-			sharedBytes = 60 << 10
-		}
-		seqBuf, err := cuda.Alloc[byte](dev, max(len(arena), 1))
-		if err != nil {
-			return fmt.Errorf("core: %s sequences: %w", name, err)
-		}
-		defer seqBuf.Free()
-		scratch, err := cuda.Alloc[int32](dev, n*3*bandAlloc)
-		if err != nil {
-			return fmt.Errorf("core: %s anti-diagonals: %w", name, err)
-		}
-		defer scratch.Free()
-		resBuf, err := cuda.Alloc[int64](dev, n*extFields)
-		if err != nil {
-			return fmt.Errorf("core: %s results: %w", name, err)
-		}
-		defer resBuf.Free()
 
-		cuda.MemcpyHtoD(stream, seqBuf, arena)
-		out.TransferBytes += int64(len(arena))
+		stream.Memcpy(int64(len(sc.arena)))
+		out.TransferBytes += int64(len(sc.arena))
 
-		seqData := seqBuf.Data()
-		scratchData := scratch.Data()
-		resData := resBuf.Data()
+		sc.exts = grow(&sc.exts, n)
 		stats, err := stream.LaunchAsync(cuda.LaunchConfig{
 			Name: name, Grid: n, Block: threads, Shared: sharedBytes,
 		}, func(b *cuda.BlockCtx) {
-			i := b.BlockIdx
-			q := seqData[off.qOff[i] : off.qOff[i]+off.qLen[i]]
-			t := seqData[off.tOff[i] : off.tOff[i]+off.tLen[i]]
-			r := extendOnBlock(b, q, t, cfg.Scoring, cfg.X, scratchData[i*3*bandAlloc:(i+1)*3*bandAlloc], bandAlloc, opts)
-			rec := resData[i*extFields : (i+1)*extFields]
-			rec[0] = int64(r.score)
-			rec[1] = int64(r.qEnd)
-			rec[2] = int64(r.tEnd)
-			rec[3] = r.cells
-			rec[4] = int64(r.antiDiags)
-			rec[5] = int64(r.maxBand)
-			rec[6] = r.sumBand
-			if r.overflow {
-				rec[7] = 1
-			}
-			b.GlobalWrite(cuda.TrafficStream, extFields*8, true)
+			q, t := sc.extension(b.BlockIdx)
+			sc.exts[b.BlockIdx] = extendOnBlock(b, q, t, cfg.Scoring, cfg.X, opts)
+			b.GlobalWrite(cuda.TrafficStream, resultRecordBytes, true)
 		})
 		if err != nil {
 			return err
@@ -268,26 +270,8 @@ func alignChunk(dev *cuda.Device, left, right *cuda.Stream, pairs []seq.Pair, re
 		out.Stats.Accumulate(stats)
 		out.Launches++
 
-		if cap(sc.hostRes) < n*extFields {
-			sc.hostRes = make([]int64, n*extFields)
-		}
-		hostRes := sc.hostRes[:n*extFields]
-		cuda.MemcpyDtoH(stream, hostRes, resBuf)
-		out.TransferBytes += int64(n * extFields * 8)
-
-		if cap(sc.exts) < n {
-			sc.exts = make([]extResult, n)
-		}
-		exts := sc.exts[:n]
-		for i := range exts {
-			rec := hostRes[i*extFields : (i+1)*extFields]
-			exts[i] = extResult{
-				score: int32(rec[0]), qEnd: int32(rec[1]), tEnd: int32(rec[2]),
-				cells: rec[3], antiDiags: int32(rec[4]), maxBand: int32(rec[5]),
-				sumBand: rec[6], overflow: rec[7] != 0,
-			}
-		}
-		sc.exts = exts
+		stream.Memcpy(int64(n) * resultRecordBytes)
+		out.TransferBytes += int64(n) * resultRecordBytes
 		return nil
 	}
 
@@ -308,12 +292,7 @@ func alignChunk(dev *cuda.Device, left, right *cuda.Stream, pairs []seq.Pair, re
 
 	for i := range pairs {
 		p := &pairs[i]
-		l, r := ls.exts[i], rs.exts[i]
-		sr := xdrop.SeedResult{
-			Left:    toXdropResult(l),
-			Right:   toXdropResult(r),
-			SeedLen: p.SeedLen,
-		}
+		sr := xdrop.SeedResult{Left: ls.exts[i], Right: rs.exts[i], SeedLen: p.SeedLen}
 		sr.Score = sr.Left.Score + sr.Right.Score + int32(p.SeedLen)*cfg.Scoring.Match
 		sr.QBegin = p.SeedQPos - sr.Left.QueryEnd
 		sr.TBegin = p.SeedTPos - sr.Left.TargetEnd
@@ -322,18 +301,6 @@ func alignChunk(dev *cuda.Device, left, right *cuda.Stream, pairs []seq.Pair, re
 		results[i] = sr
 	}
 	return nil
-}
-
-func toXdropResult(e extResult) xdrop.Result {
-	return xdrop.Result{
-		Score:     e.score,
-		QueryEnd:  int(e.qEnd),
-		TargetEnd: int(e.tEnd),
-		Cells:     e.cells,
-		AntiDiags: int(e.antiDiags),
-		MaxBand:   int(e.maxBand),
-		SumBand:   e.sumBand,
-	}
 }
 
 func max64(a, b int64) int64 {

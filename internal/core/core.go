@@ -18,9 +18,12 @@
 //   - The number of threads per block is scheduled from X, since the band
 //     width is proportional to X (§IV-B).
 //
-// Scores are bit-identical to the serial reference internal/xdrop — the
-// reproduction's "equivalent accuracy" guarantee — and every launch's work
-// is counted by the simulator for the performance model.
+// The device runs no DP loop of its own: each block takes its scores and
+// the width of every anti-diagonal from the internal/xdrop wavefront
+// (Workspace.ExtendTrace), so device results are the CPU engine's bit for
+// bit — the reproduction's "equivalent accuracy" guarantee — and replays
+// that band trace as the work the paper's kernel does, which the
+// simulator counts for the performance model.
 package core
 
 import "logan/internal/xdrop"
@@ -45,10 +48,6 @@ type Config struct {
 	X       int32
 	// ThreadsPerBlock overrides the X-proportional schedule when > 0.
 	ThreadsPerBlock int
-	// BandAllocSlack pads the per-alignment anti-diagonal allocation;
-	// zero selects DefaultBandSlack, negative values shrink the
-	// reservation (exercising the kernel's graceful overflow path).
-	BandAllocSlack int
 
 	// SharedMemAntidiags is the design ablation the paper argues against
 	// in §IV-B: keep the three anti-diagonals in shared memory, reserving
@@ -62,13 +61,13 @@ type Config struct {
 	NoQueryReversal bool
 }
 
-// DefaultBandSlack covers the band's score-fluctuation transient: `best`
+// BandSlack covers the band's score-fluctuation transient: `best`
 // is only updated between anti-diagonals and interior cells are never
 // re-pruned, so the band runs wider than the asymptotic 2X by a margin
 // that depends on the error bursts of the pair (~tens of cells at 15%
-// error). Overflowing the reservation is handled gracefully by the
-// kernel, so this is a performance knob, not a correctness bound.
-const DefaultBandSlack = 64
+// error). The reservation is a ledger entry sizing how many pairs a
+// memory chunk holds; no score depends on it.
+const BandSlack = 64
 
 // DefaultConfig returns the paper's configuration: +1/-1/-1 scoring and
 // thread count scheduled from X.
@@ -94,14 +93,10 @@ func ThreadsForX(x int32) int {
 }
 
 // BandAlloc returns the per-extension anti-diagonal buffer length (in
-// cells) reserved in HBM: the asymptotic X-drop band 2X+3 plus slack,
-// capped by the longest possible anti-diagonal of the extension. A slack
-// of zero selects DefaultBandSlack.
-func BandAlloc(x int32, maxExtLen, slack int) int {
-	if slack == 0 {
-		slack = DefaultBandSlack
-	}
-	b := int(2*x) + 3 + slack
+// cells) charged against HBM: the asymptotic X-drop band 2X+3 plus slack,
+// capped by the longest possible anti-diagonal of the extension.
+func BandAlloc(x int32, maxExtLen int) int {
+	b := int(2*x) + 3 + BandSlack
 	if maxExtLen+2 < b {
 		b = maxExtLen + 2
 	}

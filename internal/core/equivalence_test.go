@@ -15,6 +15,8 @@ import (
 // the simulated-GPU kernel must match the serial reference exactly.
 func TestGPUEquivalenceRandomScoring(t *testing.T) {
 	dev := cuda.MustV100()
+	pool := xdrop.NewPool(1)
+	defer pool.Close()
 	f := func(seed int64, matchRaw, misRaw, gapRaw, xRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		sc := xdrop.Scoring{
@@ -34,8 +36,8 @@ func TestGPUEquivalenceRandomScoring(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		cpu, _, err := xdrop.ExtendBatch(pairs, sc, x, 1)
-		if err != nil {
+		cpu := make([]xdrop.SeedResult, len(pairs))
+		if _, err := pool.ExtendBatch(pairs, cpu, sc, x); err != nil {
 			return false
 		}
 		for i := range pairs {
@@ -78,10 +80,7 @@ func TestGPUEquivalenceExtremeShapes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("X=%d: %v", x, err)
 		}
-		cpu, _, err := xdrop.ExtendBatch(pairs, sc, x, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
+		cpu := cpuResults(t, pairs, sc, x)
 		for i := range pairs {
 			if gpu.Results[i].Score != cpu[i].Score {
 				t.Fatalf("X=%d pair %d: gpu %d != cpu %d", x, i, gpu.Results[i].Score, cpu[i].Score)

@@ -1,145 +1,62 @@
 package core
 
 import (
-	"math"
+	"sync"
 
 	"logan/internal/cuda"
 	"logan/internal/xdrop"
 )
 
-const negInf int32 = math.MinInt32 / 2
-
-// extResult is the device-side outcome of one extension (one block).
-type extResult struct {
-	score      int32
-	qEnd, tEnd int32
-	cells      int64
-	antiDiags  int32
-	maxBand    int32
-	sumBand    int64
-	overflow   bool // band outgrew the HBM reservation (should not happen)
-}
-
-// extKernelOpts carries the design-ablation switches into the kernel.
+// extKernelOpts carries the design-ablation switches into the block
+// accounting.
 type extKernelOpts struct {
 	sharedAntidiags bool // anti-diagonals in shared memory, not HBM
 	uncoalescedSeq  bool // sequence reads against the memory direction
 }
 
-// extendOnBlock runs one X-drop extension inside a simulated GPU block,
-// writing the rolling anti-diagonals into the block's HBM scratch region
-// (three buffers of bandAlloc cells each). The DP is semantically identical
-// to xdrop.Extend; what differs is the execution shape: cells are updated
-// in segments of blockDim lanes (paper Fig. 3), the anti-diagonal maximum
-// comes from an in-warp reduction (Alg. 2), and every step is accounted on
-// the BlockCtx.
+// laneScratch is the host state a launch worker reuses from block to
+// block: the wavefront's workspace and the band trace it records into.
+type laneScratch struct {
+	ws    *xdrop.Workspace
+	trace []int32
+}
+
+var lanePool = sync.Pool{New: func() any { return &laneScratch{ws: xdrop.NewWorkspace()} }}
+
+// extendOnBlock runs one X-drop extension as one simulated GPU block. The
+// scores and the width of every anti-diagonal come from the xdrop
+// wavefront (Workspace.ExtendTrace), so the device computes exactly what
+// the CPU engine computes; the block then charges the work the paper's
+// kernel does for that band (see replay).
 //
 // q and t are raw base bytes; for left extensions the caller has already
 // reversed them (paper Figs. 5-6), which is also why every sequence read
-// here is coalesced (unless the ablation switch says otherwise).
-func extendOnBlock(b *cuda.BlockCtx, q, t []byte, sc xdrop.Scoring, x int32, scratch []int32, bandAlloc int, opts extKernelOpts) extResult {
-	res := extResult{}
-	m, n := len(q), len(t)
-	if m == 0 || n == 0 || x < 0 {
-		return res
+// is coalesced unless the ablation switch says otherwise.
+func extendOnBlock(b *cuda.BlockCtx, q, t []byte, sc xdrop.Scoring, x int32, opts extKernelOpts) xdrop.Result {
+	ls := lanePool.Get().(*laneScratch)
+	r, trace := ls.ws.ExtendTrace(q, t, sc, x, ls.trace[:0])
+	ls.trace = trace
+	if r.AntiDiags > 0 { // an empty extension returns before touching memory
+		replay(b, len(q)+len(t), trace, r.MaxBand, opts)
 	}
+	lanePool.Put(ls)
+	return r
+}
 
-	// Three rolling anti-diagonal buffers carved from the block's HBM
-	// scratch region. base*: the i-index stored at region offset 0.
-	// v*lo/v*hi: the valid (un-pruned) i range; empty when vlo > vhi.
-	region := [3][]int32{}
-	if len(scratch) >= 3*bandAlloc {
-		region[0] = scratch[0:bandAlloc]
-		region[1] = scratch[bandAlloc : 2*bandAlloc]
-		region[2] = scratch[2*bandAlloc : 3*bandAlloc]
-	} else {
-		// Defensive fallback; flagged so tests catch sizing bugs.
-		res.overflow = true
-		region[0] = make([]int32, bandAlloc)
-		region[1] = make([]int32, bandAlloc)
-		region[2] = make([]int32, bandAlloc)
-	}
-	cur, prev, prev2 := 0, 1, 2 // rotating region indices
-
-	// Anti-diagonal 0: S(0,0) = 0.
-	region[prev][0] = 0
-	base2, v2lo, v2hi := 0, 0, 0
-	base3, v3lo, v3hi := 0, 0, -1 // empty
-	best := int32(0)
-	bestI, bestJ := int32(0), int32(0)
-	res.antiDiags = 1
-	res.cells = 1
-	res.sumBand = 1
-	res.maxBand = 1
-
-	// Compulsory sequence traffic: each block streams its pair once.
-	b.GlobalRead(cuda.TrafficStream, int64(m+n), true)
-
-	lo, hi := 0, 1
+// replay charges one extension's work to its block in the order the
+// paper's kernel issues it: the compulsory sequence stream (each block
+// reads its pair once), then per anti-diagonal of the trace the segment
+// sweeps of blockDim lanes (Fig. 3) with their traffic, the Alg. 2
+// reduction and the barrier, and finally the reuse footprint of the
+// widest band. Traffic is charged per segment: each segment issues one
+// dependent round of global accesses (anti-diagonal reads, sequence
+// window, result write), which is what exposes memory latency when
+// occupancy cannot hide it — the single-thread row of Table I.
+func replay(b *cuda.BlockCtx, seqBytes int, widths []int32, maxBand int, opts extKernelOpts) {
+	b.GlobalRead(cuda.TrafficStream, int64(seqBytes), true)
 	threads := b.Threads()
-	for d := 1; d <= m+n; d++ {
-		if lo < d-n {
-			lo = d - n
-		}
-		if mh := min(d, m); hi > mh {
-			hi = mh
-		}
-		if lo > hi {
-			break
-		}
-		width := hi - lo + 1
-		if width > len(region[cur]) {
-			// Band outgrew its reservation: grow host-side and flag.
-			res.overflow = true
-			region[cur] = make([]int32, width)
-		}
-		a1 := region[cur][:width]
-		a2 := region[prev]
-		a3 := region[prev2]
-		threshold := best - x
-
-		newBest := best
-		newBI, newBJ := bestI, bestJ
-		for i := lo; i <= hi; i++ {
-			j := d - i
-			s := negInf
-			if i >= 1 && j >= 1 && i-1 >= v3lo && i-1 <= v3hi {
-				p := a3[i-1-base3]
-				if p > negInf {
-					if q[i-1] == t[j-1] {
-						s = p + sc.Match
-					} else {
-						s = p + sc.Mismatch
-					}
-				}
-			}
-			g := negInf
-			if j >= 1 && i >= v2lo && i <= v2hi {
-				g = a2[i-base2]
-			}
-			if i >= 1 && i-1 >= v2lo && i-1 <= v2hi {
-				if v := a2[i-1-base2]; v > g {
-					g = v
-				}
-			}
-			if g > negInf && g+sc.Gap > s {
-				s = g + sc.Gap
-			}
-			if s < threshold {
-				s = negInf
-			} else if s > newBest {
-				newBest = s
-				newBI, newBJ = int32(i), int32(j)
-			}
-			a1[i-lo] = s
-		}
-
-		// Accounting: segment sweeps (Fig. 3), rolling-buffer traffic,
-		// the Alg. 2 reduction, and the barrier. Traffic is charged per
-		// segment: each segment issues one dependent round of global
-		// accesses (anti-diagonal reads, sequence window, result write),
-		// which is what exposes memory latency when occupancy cannot
-		// hide it — the single-thread row of Table I.
+	for _, w := range widths {
+		width := int(w)
 		for off := 0; off < width; off += threads {
 			active := min(threads, width-off)
 			b.Step(active, CellOps)
@@ -156,44 +73,13 @@ func extendOnBlock(b *cuda.BlockCtx, q, t []byte, sc xdrop.Scoring, x int32, scr
 				b.GlobalRead(cuda.TrafficReuse, int64(2*active), true) // sequence windows
 			}
 		}
-		b.ReduceMax32(a1)
+		b.ReduceMax32(width)
 		b.Sync()
-
-		res.cells += int64(width)
-		res.sumBand += int64(width)
-		res.antiDiags++
-		if int32(width) > res.maxBand {
-			res.maxBand = int32(width)
-		}
-		best = newBest
-		bestI, bestJ = newBI, newBJ
-
-		// Band trim (Alg. 1 lines 10-15).
-		first, last := 0, width-1
-		for first <= last && a1[first] == negInf {
-			first++
-		}
-		for last >= first && a1[last] == negInf {
-			last--
-		}
-		if first > last {
-			break // X-drop termination
-		}
-
-		// Rotate: current becomes previous; the old prev2 region is
-		// overwritten next iteration.
-		base3, v3lo, v3hi = base2, v2lo, v2hi
-		base2, v2lo, v2hi = lo, lo+first, lo+last
-		prev2, prev, cur = prev, cur, prev2
-		lo, hi = v2lo, v2hi+1
 	}
 
-	footprint := 2 * int64(res.maxBand) // sequence windows
+	footprint := 2 * int64(maxBand) // sequence windows
 	if !opts.sharedAntidiags {
-		footprint += int64(3 * 4 * int(res.maxBand))
+		footprint += 3 * 4 * int64(maxBand) // the three anti-diagonals
 	}
 	b.DeclareReuseFootprint(footprint)
-	res.score = best
-	res.qEnd, res.tEnd = bestI, bestJ
-	return res
 }

@@ -18,10 +18,11 @@ type Timer interface {
 	CopyTime(spec DeviceSpec, bytes int64) time.Duration
 }
 
-// Device is one simulated GPU. It owns a memory-allocation ledger, a set of
-// streams, and the launch machinery. Devices are safe for concurrent use by
-// multiple goroutines only through independent streams; the allocation
-// ledger is internally locked.
+// Device is one simulated GPU. It owns a memory-allocation ledger, the
+// compute and copy engine timelines its streams contend on, and the
+// launch machinery. Devices are safe for concurrent use by multiple
+// goroutines only through independent streams; the ledger and the
+// timelines are internally locked.
 type Device struct {
 	Spec  DeviceSpec
 	Timer Timer
@@ -33,9 +34,9 @@ type Device struct {
 
 	mu        sync.Mutex
 	allocated int64
-	peak      int64
-	launches  []KernelStats
-	nextID    int
+	// computeAt and copyAt are the modeled times at which the compute and
+	// copy engines fall idle (see Stream).
+	computeAt, copyAt time.Duration
 }
 
 // NewDevice constructs a device with the given spec.
@@ -63,47 +64,6 @@ func (d *Device) Allocated() int64 {
 	return d.allocated
 }
 
-// PeakAllocated returns the allocation high-water mark.
-func (d *Device) PeakAllocated() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.peak
-}
-
-// Launches returns the accounting of every kernel launched so far.
-func (d *Device) Launches() []KernelStats {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	out := make([]KernelStats, len(d.launches))
-	copy(out, d.launches)
-	return out
-}
-
-// ResetStats clears the launch history (allocations are untouched).
-func (d *Device) ResetStats() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.launches = nil
-}
-
-// TotalStats folds all launch records into one aggregate.
-func (d *Device) TotalStats() KernelStats {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	var total KernelStats
-	total.Name = "total"
-	for _, l := range d.launches {
-		total.Accumulate(l)
-	}
-	return total
-}
-
-func (d *Device) recordLaunch(s KernelStats) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.launches = append(d.launches, s)
-}
-
 // ErrOutOfMemory is returned when an allocation exceeds device capacity.
 type ErrOutOfMemory struct {
 	Requested, Free int64
@@ -113,38 +73,29 @@ func (e ErrOutOfMemory) Error() string {
 	return fmt.Sprintf("cuda: out of device memory: requested %d bytes, %d free", e.Requested, e.Free)
 }
 
-// Buffer is a typed device allocation. Data lives in host memory (this is a
-// simulator) but its size is charged against the device's HBM capacity, so
-// batching code hits the same memory wall the real LOGAN host code manages
-// around.
-type Buffer[T any] struct {
+// Buffer is a device allocation. Device memory is a ledger: no storage
+// stands behind a Buffer (kernels read host memory), but its size is
+// charged against the device's HBM capacity until Free, so batching code
+// hits the same memory wall the real LOGAN host code manages around.
+type Buffer struct {
 	dev   *Device
-	data  []T
 	bytes int64
 	freed bool
 }
 
-// Alloc reserves a device buffer of n elements of type T.
-func Alloc[T any](d *Device, n int) (*Buffer[T], error) {
-	var zero T
-	elem := int64(sizeofAny(zero))
-	bytes := elem * int64(n)
+// Alloc reserves bytes of device memory.
+func (d *Device) Alloc(bytes int64) (*Buffer, error) {
 	d.mu.Lock()
+	defer d.mu.Unlock()
 	if d.allocated+bytes > d.Spec.HBMBytes {
-		free := d.Spec.HBMBytes - d.allocated
-		d.mu.Unlock()
-		return nil, ErrOutOfMemory{Requested: bytes, Free: free}
+		return nil, ErrOutOfMemory{Requested: bytes, Free: d.Spec.HBMBytes - d.allocated}
 	}
 	d.allocated += bytes
-	if d.allocated > d.peak {
-		d.peak = d.allocated
-	}
-	d.mu.Unlock()
-	return &Buffer[T]{dev: d, data: make([]T, n), bytes: bytes}, nil
+	return &Buffer{dev: d, bytes: bytes}, nil
 }
 
 // Free releases the buffer's reservation. Double frees are no-ops.
-func (b *Buffer[T]) Free() {
+func (b *Buffer) Free() {
 	if b == nil || b.freed {
 		return
 	}
@@ -152,35 +103,6 @@ func (b *Buffer[T]) Free() {
 	b.dev.mu.Lock()
 	b.dev.allocated -= b.bytes
 	b.dev.mu.Unlock()
-	b.data = nil
-}
-
-// Data exposes the backing slice. Kernels index it directly; the traffic
-// they generate is accounted separately via the BlockCtx methods.
-func (b *Buffer[T]) Data() []T { return b.data }
-
-// Len returns the element count.
-func (b *Buffer[T]) Len() int { return len(b.data) }
-
-// Bytes returns the allocation size in bytes.
-func (b *Buffer[T]) Bytes() int64 { return b.bytes }
-
-// sizeofAny returns the size of a value of a small scalar/struct type used
-// in device buffers. It intentionally supports only types without Go
-// pointers (device memory cannot hold host pointers).
-func sizeofAny(v any) int {
-	switch v.(type) {
-	case int8, uint8, bool:
-		return 1
-	case int16, uint16:
-		return 2
-	case int32, uint32, float32:
-		return 4
-	case int64, uint64, float64, int, uint:
-		return 8
-	default:
-		panic(fmt.Sprintf("cuda: unsupported device element type %T", v))
-	}
 }
 
 func (d *Device) workerCount() int {

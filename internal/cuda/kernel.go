@@ -2,7 +2,6 @@ package cuda
 
 import (
 	"fmt"
-	"math"
 	"sync"
 )
 
@@ -36,8 +35,6 @@ type BlockCtx struct {
 	streamRead, streamWrite int64
 	reuseRead, reuseWrite   int64
 	reuseFootprint          int64
-	sharedUsed              int
-	sharedLimit             int
 }
 
 // Threads returns the number of threads in this block.
@@ -73,30 +70,24 @@ func (b *BlockCtx) Sync() {
 	b.stats.Barriers++
 }
 
-// ReduceMax32 performs the in-warp parallel max-reduction LOGAN uses to
-// find the best score on an anti-diagonal (paper Alg. 2 discussion): values
-// are reduced warp-by-warp with shuffle instructions, then across warps via
-// shared memory. It returns the true maximum of v (or math.MinInt32 for an
-// empty slice) and accounts ceil(n/32)*log2(32) + log2(warps) warp
-// instructions.
-func (b *BlockCtx) ReduceMax32(v []int32) int32 {
-	if len(v) == 0 {
-		return math.MinInt32
-	}
-	m := v[0]
-	for _, x := range v[1:] {
-		if x > m {
-			m = x
-		}
+// ReduceMax32 accounts the in-warp parallel max-reduction LOGAN uses to
+// find the best score on an anti-diagonal of n int32 values (paper Alg. 2
+// discussion): values are reduced warp-by-warp with shuffle instructions,
+// then across warps via shared memory, for ceil(n/32)*log2(32) +
+// log2(warps) warp instructions. Only the cost is simulated — the kernels
+// take their scores from the host implementation — and an empty
+// reduction costs nothing.
+func (b *BlockCtx) ReduceMax32(n int) {
+	if n <= 0 {
+		return
 	}
 	ws := b.spec.WarpSize
-	warps := (len(v) + ws - 1) / ws
+	warps := (n + ws - 1) / ws
 	logW := bitsLen(ws - 1)
 	instr := int64(warps)*int64(logW) + int64(bitsLen(warps-1))
 	b.stats.WarpInstrs += instr
 	b.stats.LaneOps += instr * int64(ws) / 2 // shuffle halves active lanes per step
 	b.stats.Reductions++
-	return m
 }
 
 // GlobalRead accounts a global-memory read of the given byte count as one
@@ -137,19 +128,6 @@ func (b *BlockCtx) DeclareReuseFootprint(bytes int64) {
 	if bytes > b.reuseFootprint {
 		b.reuseFootprint = bytes
 	}
-}
-
-// SharedAlloc reserves n bytes of the block's shared memory and returns nil
-// (the simulator does not hand out real storage — kernels use ordinary Go
-// locals — but the reservation participates in the occupancy calculation
-// and is validated against the per-block limit).
-func (b *BlockCtx) SharedAlloc(n int) error {
-	if b.sharedUsed+n > b.sharedLimit {
-		return fmt.Errorf("cuda: shared memory overflow: %d + %d > %d bytes",
-			b.sharedUsed, n, b.sharedLimit)
-	}
-	b.sharedUsed += n
-	return nil
 }
 
 func bitsLen(x int) int {
@@ -204,14 +182,10 @@ func (d *Device) Launch(cfg LaunchConfig, kernel KernelFunc) (KernelStats, error
 			local := &locals[w]
 			for blk := range next {
 				ctx := BlockCtx{
-					BlockIdx:    blk,
-					GridDim:     cfg.Grid,
-					BlockDim:    cfg.Block,
-					spec:        &d.Spec,
-					sharedLimit: d.Spec.SharedPerBlock,
-				}
-				if cfg.Shared > 0 {
-					ctx.sharedUsed = cfg.Shared
+					BlockIdx: blk,
+					GridDim:  cfg.Grid,
+					BlockDim: cfg.Block,
+					spec:     &d.Spec,
 				}
 				kernel(&ctx)
 				local.WarpInstrs += ctx.stats.WarpInstrs
@@ -277,7 +251,6 @@ func (d *Device) Launch(cfg LaunchConfig, kernel KernelFunc) (KernelStats, error
 	}
 
 	d.applyCacheModel(&stats)
-	d.recordLaunch(stats)
 	return stats, nil
 }
 

@@ -2,18 +2,19 @@
 // runs its "GPU" kernels on, standing in for CUDA on an NVIDIA Tesla V100.
 //
 // Kernels are ordinary Go functions executed once per block on a host worker
-// pool. They perform the real computation (the alignment scores produced on
-// the simulated device are bit-identical to the serial reference) while the
-// simulator counts the work a V100 would do: warp instructions at 32-lane
-// granularity, lane occupancy per synchronized step, shared-memory footprint,
-// and DRAM/L2 traffic split into streaming and reuse classes. A hardware
+// pool. They take their results from the host implementation (LOGAN's
+// blocks run the internal/xdrop wavefront, so device scores are the CPU
+// engine's bit for bit) while the simulator counts the work a V100 would
+// do: warp instructions at 32-lane granularity, lane occupancy per
+// synchronized step, shared-memory footprint, and DRAM/L2 traffic split
+// into streaming and reuse classes. A hardware
 // time model (internal/perfmodel) converts those counts into modeled kernel
 // time using the same bound-and-bottleneck reasoning as the paper's Roofline
 // section; the counts themselves are exact, not sampled.
 //
 // The package intentionally mirrors the CUDA host API surface LOGAN uses:
-// device discovery, memory allocation, asynchronous streams with events, and
-// kernel launch with a grid/block geometry.
+// device discovery, memory allocation (a capacity ledger), asynchronous
+// streams, and kernel launch with a grid/block geometry.
 package cuda
 
 import "fmt"

@@ -51,14 +51,6 @@ func (a *IterAgg) add(other IterAgg) {
 	a.Count += other.Count
 }
 
-// MeanWarpFill returns the op-weighted average warp fill fraction in [0,1].
-func (a IterAgg) MeanWarpFill() float64 {
-	if a.SumNop == 0 {
-		return 1
-	}
-	return a.SumNopFill / a.SumNop
-}
-
 // MeanActiveLanes returns the op-weighted average number of active lanes
 // per iteration across the grid.
 func (a IterAgg) MeanActiveLanes() float64 {

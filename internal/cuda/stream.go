@@ -1,9 +1,6 @@
 package cuda
 
-import (
-	"sync"
-	"time"
-)
+import "time"
 
 // Stream is an ordered queue of device operations with a modeled timeline,
 // the analogue of a CUDA stream. Operations execute immediately (the
@@ -17,20 +14,6 @@ type Stream struct {
 	now time.Duration
 }
 
-// engine timelines shared by all streams of a device.
-type engines struct {
-	mu      sync.Mutex
-	compute time.Duration
-	copy    time.Duration
-}
-
-var deviceEngines sync.Map // *Device -> *engines
-
-func (d *Device) engines() *engines {
-	e, _ := deviceEngines.LoadOrStore(d, &engines{})
-	return e.(*engines)
-}
-
 // NewStream creates a stream whose timeline starts at the device's origin.
 func (d *Device) NewStream() *Stream { return &Stream{dev: d} }
 
@@ -38,21 +21,10 @@ func (d *Device) NewStream() *Stream { return &Stream{dev: d} }
 // modeled time starts from zero. Streams created before the reset must not
 // be reused afterwards.
 func (d *Device) ResetTimeline() {
-	e := d.engines()
-	e.mu.Lock()
-	e.compute, e.copy = 0, 0
-	e.mu.Unlock()
+	d.mu.Lock()
+	d.computeAt, d.copyAt = 0, 0
+	d.mu.Unlock()
 }
-
-// Elapsed returns the stream's modeled completion time for all enqueued
-// work.
-func (s *Stream) Elapsed() time.Duration { return s.now }
-
-// Event marks a point in a stream's modeled timeline.
-type Event struct{ At time.Duration }
-
-// Record returns an event capturing the stream's current modeled time.
-func (s *Stream) Record() Event { return Event{At: s.now} }
 
 // LaunchAsync executes the kernel (synchronously in host terms) and
 // advances the stream's modeled clock by the kernel's modeled duration,
@@ -66,47 +38,30 @@ func (s *Stream) LaunchAsync(cfg LaunchConfig, kernel KernelFunc) (KernelStats, 
 	if s.dev.Timer != nil {
 		dur = s.dev.Timer.KernelTime(s.dev.Spec, stats)
 	}
-	e := s.dev.engines()
-	e.mu.Lock()
-	start := s.now
-	if e.compute > start {
-		start = e.compute
-	}
-	end := start + dur
-	e.compute = end
-	e.mu.Unlock()
-	s.now = end
+	s.enqueue(&s.dev.computeAt, dur)
 	return stats, nil
 }
 
-// MemcpyHtoD copies src into the device buffer and advances the stream's
-// clock by the modeled transfer time on the copy engine.
-func MemcpyHtoD[T any](s *Stream, dst *Buffer[T], src []T) {
-	copy(dst.data, src)
-	s.accountCopy(int64(len(src)) * int64(sizeofAny(*new(T))))
-}
-
-// MemcpyDtoH copies the device buffer into dst with the same timing rules.
-func MemcpyDtoH[T any](s *Stream, dst []T, src *Buffer[T]) {
-	copy(dst, src.data)
-	s.accountCopy(int64(min(len(dst), len(src.data))) * int64(sizeofAny(*new(T))))
-}
-
-func (s *Stream) accountCopy(bytes int64) {
+// Memcpy charges a host<->device transfer of the given size: the stream's
+// clock advances by the modeled transfer time on the device's copy
+// engine. No data moves; device memory is a ledger (see Buffer).
+func (s *Stream) Memcpy(bytes int64) {
 	var dur time.Duration
 	if s.dev.Timer != nil {
 		dur = s.dev.Timer.CopyTime(s.dev.Spec, bytes)
 	}
-	e := s.dev.engines()
-	e.mu.Lock()
-	start := s.now
-	if e.copy > start {
-		start = e.copy
-	}
-	end := start + dur
-	e.copy = end
-	e.mu.Unlock()
-	s.now = end
+	s.enqueue(&s.dev.copyAt, dur)
+}
+
+// enqueue places an operation of duration dur on one of the device's
+// engines: it starts once both the stream's previous work and the
+// engine's current occupant are done.
+func (s *Stream) enqueue(engine *time.Duration, dur time.Duration) {
+	s.dev.mu.Lock()
+	start := max(s.now, *engine)
+	*engine = start + dur
+	s.dev.mu.Unlock()
+	s.now = start + dur
 }
 
 // SyncAll returns the modeled time at which every given stream has drained,

@@ -53,11 +53,6 @@ type Result struct {
 	VecOps    int64 // 128-bit vector operations the SSE2 kernel would issue
 }
 
-// WorkingSetBytes returns the per-pair cache working set of the row
-// arrays (H and E as int16 in the SSE2 kernel, plus the query profile),
-// the quantity the Skylake cache model keys on.
-func (r Result) WorkingSetBytes() int { return r.MaxBand * (2 + 2 + 2) }
-
 // RowVectorOps is the number of 128-bit operations per DP cell chunk the
 // SSE2 kernel issues per 8 cells: loads, shifts, compare/blend for the
 // score, adds and maxes for H/E/F, and the store.

@@ -22,12 +22,15 @@ func LocalCPUThroughput(workers int) float64 {
 // LocalSimGPUThroughput returns the seed wall-clock throughput estimate
 // for one simulated device executing on this host. The scheduler compares
 // workers in one currency — host wall time — and a simulated GPU's blocks
-// run on a GOMAXPROCS-wide host pool through the counting simulator,
-// whose accounting roughly halves the plain kernel rate. Deliberately in
-// the same unit (and order of magnitude) as LocalCPUThroughput, unlike
-// the modeled device's cell rate: seeding the scheduler with modeled
-// device seconds would starve the CPU pool for the dozens of
-// batches the EWMA needs to unwind a ~1000x unit mismatch.
+// run the CPU pool's own X-drop wavefront on a GOMAXPROCS-wide host pool,
+// then replay its band trace through the counting simulator; staging,
+// replay and the serial launches leave the device at about half the CPU
+// pool's rate (BenchmarkBackends2k, x=100, 2-core host: gpu1 ~119 ms
+// against cpu ~66 ms per 2k-pair batch). Deliberately in the same unit
+// (and order of magnitude) as LocalCPUThroughput, unlike the modeled
+// device's cell rate: seeding the scheduler with modeled device seconds
+// would starve the CPU pool for the dozens of batches the EWMA needs to
+// unwind a ~1000x unit mismatch.
 func LocalSimGPUThroughput() float64 {
 	return LocalCPUThroughput(runtime.GOMAXPROCS(0)) / 2
 }

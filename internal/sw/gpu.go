@@ -65,7 +65,6 @@ func CUDASWBatch(dev *cuda.Device, pairs []seq.Pair, sc xdrop.Scoring, threads i
 			}
 			b.GlobalRead(cuda.TrafficReuse, 2*rowBytes*int64(w), true)
 			b.GlobalWrite(cuda.TrafficReuse, rowBytes*int64(w), true)
-			b.ReduceMax32(nil)
 			b.Sync()
 		}
 		b.DeclareReuseFootprint(3 * rowBytes * int64(min(m, n)+1))

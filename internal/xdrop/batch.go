@@ -1,12 +1,5 @@
 package xdrop
 
-import (
-	"context"
-	"runtime"
-
-	"logan/internal/seq"
-)
-
 // BatchStats summarizes the DP work of a batch of seed extensions, the
 // inputs to the CPU time model and the GCUPS metric.
 type BatchStats struct {
@@ -40,33 +33,4 @@ func (s *BatchStats) Accumulate(r SeedResult) {
 	if r.Right.MaxBand > s.MaxBand {
 		s.MaxBand = r.Right.MaxBand
 	}
-}
-
-// ExtendBatch aligns every pair with ExtendSeed in parallel over `workers`
-// goroutines (0 = GOMAXPROCS). This mirrors BELLA's use of SeqAn under
-// OpenMP: one independent pairwise alignment per CPU thread (paper §V).
-// Results are positionally aligned with the input; the error of the first
-// failing pair (invalid seed) is returned with a nil result slice.
-func ExtendBatch(pairs []seq.Pair, sc Scoring, x int32, workers int) ([]SeedResult, BatchStats, error) {
-	return ExtendBatchContext(context.Background(), pairs, sc, x, workers)
-}
-
-// ExtendBatchContext is ExtendBatch under a context: the pool's workers
-// check ctx per pair, so a canceled batch stops promptly and returns the
-// context's error.
-func ExtendBatchContext(ctx context.Context, pairs []seq.Pair, sc Scoring, x int32, workers int) ([]SeedResult, BatchStats, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(pairs) && len(pairs) > 0 {
-		workers = len(pairs)
-	}
-	p := NewPool(workers)
-	defer p.Close()
-	results := make([]SeedResult, len(pairs))
-	stats, err := p.ExtendBatchScheme(ctx, pairs, results, LinearScheme(sc), x)
-	if err != nil {
-		return nil, BatchStats{}, err
-	}
-	return results, stats, nil
 }

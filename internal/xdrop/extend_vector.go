@@ -110,7 +110,25 @@ func (w *Workspace) ExtendVector(q, t seq.Seq, sc Scoring, x int32) Result {
 	if !VectorEligible(sc, x) {
 		return w.Extend(q, t, sc, x)
 	}
-	return wave(&w.v, &w.rt, q, t, int16(x), w.vectorKernelFor(sc))
+	return wave(&w.v, &w.rt, q, t, int16(x), w.vectorKernelFor(sc), nil)
+}
+
+// ExtendTrace is the linear extension with its band trace: it runs the
+// kernel SelectKernel picks for sc and x (this vector kernel inside its
+// envelope, the scalar one outside), appends to trace the width of every
+// anti-diagonal after the origin in the order they were computed, and
+// returns the result and the grown trace. The trace grows by
+// AntiDiags-1 widths (none for an empty extension) that sum to Cells-1,
+// none wider than MaxBand. Its caller is the simulated device
+// (internal/core), which replays the trace as a block's work accounting.
+func (w *Workspace) ExtendTrace(q, t seq.Seq, sc Scoring, x int32, trace []int32) (Result, []int32) {
+	var r Result
+	if VectorEligible(sc, x) {
+		r = wave(&w.v, &w.rt, q, t, int16(x), w.vectorKernelFor(sc), &trace)
+	} else {
+		r = wave(&w.d, &w.rt, q, t, x, linearRow(sc), &trace)
+	}
+	return r, trace
 }
 
 // vectorKernel is the int16 row kernel. Its row method computes a whole

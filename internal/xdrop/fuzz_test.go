@@ -1,6 +1,7 @@
 package xdrop
 
 import (
+	"slices"
 	"testing"
 
 	"logan/internal/seq"
@@ -72,7 +73,9 @@ func fuzzScoring(m, mm, g uint8) Scoring {
 // FuzzExtendVectorDifferential pins the vector kernel bit-identical to
 // the reference scalar implementation: same score, same end cell, same
 // work counters, on arbitrary sequences under arbitrary eligible
-// scoring. The fuzzed parameters deliberately reach the envelope edges —
+// scoring; and the band trace ExtendTrace hands the simulated device
+// identical across the scalar and vector kernels, consistent with the
+// work counters. The fuzzed parameters deliberately reach the envelope edges —
 // match weights up to VectorMaxScore drive long extensions across the
 // int16 rebase threshold, and X values above VectorMaxX exercise the
 // scalar fallback path inside ExtendVector.
@@ -98,12 +101,48 @@ func FuzzExtendVectorDifferential(f *testing.F) {
 		tt := sanitizeDNA(tRaw)
 		sc := fuzzScoring(mRaw, mmRaw, gRaw)
 		want := ExtendReference(q, tt, sc, x)
+		var scalar []int32
+		if got := wave(&ws.d, &ws.rt, q, tt, x, linearRow(sc), &scalar); got != want {
+			t.Fatalf("scalar %+v != reference %+v (sc %+v x %d)", got, want, sc, x)
+		}
+		checkTrace(t, scalar, want)
 		eachISA(func() {
 			if got := ws.ExtendVector(q, tt, sc, x); got != want {
 				t.Fatalf("%s vector %+v != reference %+v (sc %+v x %d)", VectorISA(), got, want, sc, x)
 			}
+			got, trace := ws.ExtendTrace(q, tt, sc, x, nil)
+			if got != want {
+				t.Fatalf("%s traced %+v != reference %+v (sc %+v x %d)", VectorISA(), got, want, sc, x)
+			}
+			if !slices.Equal(trace, scalar) {
+				t.Fatalf("%s trace %v != scalar kernel's %v (sc %+v x %d)", VectorISA(), trace, scalar, sc, x)
+			}
 		})
 	})
+}
+
+// checkTrace asserts the band-trace invariants of one extension: one
+// width per anti-diagonal after the origin, the widths summing to the
+// cells after the origin, none wider than MaxBand.
+func checkTrace(t *testing.T, trace []int32, r Result) {
+	t.Helper()
+	var sum int64
+	for _, w := range trace {
+		if w < 1 || int(w) > r.MaxBand {
+			t.Fatalf("trace width %d outside [1, MaxBand %d]", w, r.MaxBand)
+		}
+		sum += int64(w)
+	}
+	if r.AntiDiags == 0 {
+		if len(trace) != 0 {
+			t.Fatalf("empty extension traced %d anti-diagonals", len(trace))
+		}
+		return
+	}
+	if len(trace) != r.AntiDiags-1 || sum != r.Cells-1 {
+		t.Fatalf("trace of %d widths summing to %d, want AntiDiags-1 = %d and Cells-1 = %d",
+			len(trace), sum, r.AntiDiags-1, r.Cells-1)
+	}
 }
 
 // FuzzVectorRow pins the whole-row routines — portable, SSE2 and, where

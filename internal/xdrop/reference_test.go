@@ -40,17 +40,23 @@ func TestExtendMatchesReference(t *testing.T) {
 	}
 }
 
-// TestPoolMatchesExtendBatch checks the persistent pool against the
-// one-shot batch path, including reuse across batches.
+// TestPoolMatchesExtendBatch checks the persistent pool's batches against
+// one-shot per-pair ExtendSeed, including reuse across batches.
 func TestPoolMatchesExtendBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	pairs := seq.RandPairSet(rng, seq.PairSetOptions{
 		N: 40, MinLen: 80, MaxLen: 300, ErrorRate: 0.2, SeedLen: 13,
 	})
 	sc := DefaultScoring()
-	want, wantStats, err := ExtendBatch(pairs, sc, 50, 0)
-	if err != nil {
-		t.Fatal(err)
+	want := make([]SeedResult, len(pairs))
+	wantStats := BatchStats{Kernel: SelectKernel(LinearScheme(sc), 50)}
+	for i, pr := range pairs {
+		r, err := ExtendSeed(pr.Query, pr.Target, pr.SeedQPos, pr.SeedTPos, pr.SeedLen, sc, 50)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = r
+		wantStats.Accumulate(r)
 	}
 	p := NewPool(3)
 	defer p.Close()

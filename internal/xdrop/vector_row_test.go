@@ -194,7 +194,7 @@ func TestWaveNeverAliasesRow(t *testing.T) {
 		tt := seq.Mutate(rng, q, seq.UniformProfile(0.15))
 		sc := Scoring{Match: 200, Mismatch: -150, Gap: -180} // rebases often
 		x := int32(rng.Intn(1000))
-		got := wave(&w.v, &w.rt, q, tt, int16(x), aliasGuard{w.vectorKernelFor(sc), t})
+		got := wave(&w.v, &w.rt, q, tt, int16(x), aliasGuard{w.vectorKernelFor(sc), t}, nil)
 		if want := ExtendReference(q, tt, sc, x); got != want {
 			t.Fatalf("trial %d: got %+v want %+v", trial, got, want)
 		}

@@ -117,7 +117,11 @@ func rebase[C cell](a []C, delta, guard C) {
 // bufs and rtBuf are the caller's scratch (see Workspace); they grow to
 // the workload and are never cleared — every slot read was written by
 // this extension.
-func wave[C cell, K rowKernel[C]](bufs *[3][]C, rtBuf *seq.Seq, q, t seq.Seq, x C, k K) Result {
+//
+// A non-nil trace receives the width of every anti-diagonal computed
+// after d = 0, in order (see ExtendTrace); the served paths pass nil and
+// pay one nil check per anti-diagonal.
+func wave[C cell, K rowKernel[C]](bufs *[3][]C, rtBuf *seq.Seq, q, t seq.Seq, x C, k K, trace *[]int32) Result {
 	m, n := len(q), len(t)
 	if m == 0 || n == 0 || x < 0 {
 		return Result{}
@@ -247,6 +251,9 @@ func wave[C cell, K rowKernel[C]](bufs *[3][]C, rtBuf *seq.Seq, q, t seq.Seq, x 
 		res.AntiDiags++
 		if width > res.MaxBand {
 			res.MaxBand = width
+		}
+		if trace != nil {
+			*trace = append(*trace, int32(width))
 		}
 		best = newBest
 		bestI, bestJ = newBI, newBJ

@@ -108,9 +108,9 @@ func (w *Workspace) extendSeed(q, t seq.Seq, qPos, tPos, seedLen int, sch Scheme
 func (w *Workspace) extend(q, t seq.Seq, sch Scheme, x int32, k Kernel) Result {
 	switch {
 	case sch.Kind == SchemeAffine:
-		return wave(&w.d, &w.rt, q, t, x, affineRow{sch.Affine, bandLen(len(q), len(t))})
+		return wave(&w.d, &w.rt, q, t, x, affineRow{sch.Affine, bandLen(len(q), len(t))}, nil)
 	case sch.Kind == SchemeMatrix:
-		return wave(&w.d, &w.rt, q, t, x, matrixRow{sch.Matrix})
+		return wave(&w.d, &w.rt, q, t, x, matrixRow{sch.Matrix}, nil)
 	case k == KernelVector:
 		return w.ExtendVector(q, t, sch.Linear, x)
 	default:
@@ -122,7 +122,7 @@ func (w *Workspace) extend(q, t seq.Seq, sch Scheme, x int32, k Kernel) Result {
 // driver over the scalar int32 row kernel. Scores, extents and work
 // counters are bit-identical to ExtendReference on every input.
 func (w *Workspace) Extend(q, t seq.Seq, sc Scoring, x int32) Result {
-	return wave(&w.d, &w.rt, q, t, x, linearRow(sc))
+	return wave(&w.d, &w.rt, q, t, x, linearRow(sc), nil)
 }
 
 // linearRow is the scalar int32 row kernel of the paper's linear DNA

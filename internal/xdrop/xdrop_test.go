@@ -265,14 +265,18 @@ func TestExtendBatchMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	pairs := seq.RandPairSet(rng, seq.PairSetOptions{N: 64, MinLen: 100, MaxLen: 300, ErrorRate: 0.15, SeedLen: 17})
 	sc := DefaultScoring()
-	parallel, stats, err := ExtendBatch(pairs, sc, 30, 8)
-	if err != nil {
-		t.Fatal(err)
+	run := func(workers int) ([]SeedResult, BatchStats) {
+		p := NewPool(workers)
+		defer p.Close()
+		out := make([]SeedResult, len(pairs))
+		stats, err := p.ExtendBatch(pairs, out, sc, 30)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out, stats
 	}
-	serial, _, err := ExtendBatch(pairs, sc, 30, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	parallel, stats := run(8)
+	serial, _ := run(1)
 	for i := range pairs {
 		if parallel[i].Score != serial[i].Score {
 			t.Fatalf("pair %d: parallel score %d != serial %d", i, parallel[i].Score, serial[i].Score)
@@ -288,12 +292,14 @@ func TestExtendBatchMatchesSerial(t *testing.T) {
 
 func TestExtendBatchEmptyAndErrors(t *testing.T) {
 	sc := DefaultScoring()
-	res, stats, err := ExtendBatch(nil, sc, 10, 4)
-	if err != nil || len(res) != 0 || stats.Pairs != 0 {
-		t.Fatalf("empty batch: res=%v stats=%+v err=%v", res, stats, err)
+	p := NewPool(4)
+	defer p.Close()
+	stats, err := p.ExtendBatch(nil, nil, sc, 10)
+	if err != nil || stats.Pairs != 0 {
+		t.Fatalf("empty batch: stats=%+v err=%v", stats, err)
 	}
 	bad := []seq.Pair{{Query: seq.MustNew("ACGT"), Target: seq.MustNew("ACGT"), SeedQPos: 3, SeedTPos: 0, SeedLen: 4}}
-	if _, _, err := ExtendBatch(bad, sc, 10, 2); err == nil {
+	if _, err := p.ExtendBatch(bad, make([]SeedResult, len(bad)), sc, 10); err == nil {
 		t.Fatal("batch accepted out-of-range seed")
 	}
 }

@@ -2,12 +2,13 @@
 # Documentation gate: every package must carry a package-level doc
 # comment, and every exported symbol of the public root package must be
 # documented — and every documented logan_jobs_* series must have one
-# owner, the X-drop band loop one driver, the device batch one executor,
-# the root package no view of the kernel configuration, the generated
-# tables of docs/SERVING.md their generators' output, request
-# parameters one parser, and the coalescer one admission policy in pure,
-# clock-free code. Run from the repo root; CI runs it alongside the
-# unit tests.
+# owner, the X-drop band loop one driver (the simulated device replays
+# its trace), EXPERIMENTS.md the committed reproduction CSV, the device
+# batch one executor, the root package no view of the kernel
+# configuration, the generated tables of docs/SERVING.md their
+# generators' output, request parameters one parser, and the coalescer
+# one admission policy in pure, clock-free code. Run from the repo root;
+# CI runs it alongside the unit tests.
 # The doc checker itself is scripts/doclint.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -30,6 +31,26 @@ loops=$(grep -rnE --include='*.go' --exclude='*_test.go' 'd <= (m|mlen)\+n' inte
 if [ "$(printf '%s' "$loops" | grep -c .)" -gt 2 ]; then
 	echo "doc-lint: internal/xdrop holds the anti-diagonal loop more than twice (want: wave, ExtendReference):" >&2
 	echo "$loops" >&2
+	exit 1
+fi
+
+# Nothing outside internal/xdrop runs an X-drop band of its own: the
+# simulated device replays the wavefront's band trace (ExtendTrace) as its
+# accounting. internal/sw is exempt — its CUDASW++ comparator walks the
+# full Smith-Waterman matrix, not an X-drop band.
+forks=$(grep -rnE --include='*.go' --exclude='*_test.go' 'd <= (m|mlen)\+n' . |
+	grep -vE '^\./internal/(xdrop|sw)/' || true)
+if [ -n "$forks" ]; then
+	echo "doc-lint: an X-drop anti-diagonal loop outside internal/xdrop (the simulated device replays xdrop's band trace):" >&2
+	echo "$forks" >&2
+	exit 1
+fi
+
+# EXPERIMENTS.md carries the committed reproduction tables; the CSV it
+# embeds must be testdata/logan_bench_quick.csv byte for byte (CI diffs
+# that file against a fresh `logan-bench -quick -csv`).
+if ! awk '/^```csv$/{f=1; next} /^```$/{f=0} f' EXPERIMENTS.md | diff testdata/logan_bench_quick.csv -; then
+	echo "doc-lint: the CSV embedded in EXPERIMENTS.md differs from testdata/logan_bench_quick.csv (< file, > EXPERIMENTS.md)" >&2
 	exit 1
 fi
 
