@@ -300,10 +300,10 @@ func (a *Aligner) align(ctx context.Context, dst []Alignment, pairs []Pair, cfg 
 	}
 	// Direct submissions are metered against the context tenant's
 	// pairs/sec quota here; coalesced traffic was metered at coalescer
-	// admission (its flushes run under a background context, so the two
-	// never double-charge). extendPrepared stays unmetered: overlap
-	// extension chunks are internal work the /jobs store already
-	// admission-controls at job granularity.
+	// admission (its batches run under contexts that carry no tenant, so
+	// the two never double-charge). extendPrepared stays unmetered: the
+	// pipelines' extension chunks are internal work the /jobs store
+	// already admission-controls at job granularity.
 	if ten := TenantFrom(ctx); ten != nil {
 		if !ten.takePairs(len(pairs), time.Now()) {
 			return nil, Stats{}, ErrQuotaExceeded
@@ -331,31 +331,50 @@ func (a *Aligner) align(ctx context.Context, dst []Alignment, pairs []Pair, cfg 
 		in[i] = p
 	}
 	a.observeStage(telemetry.TraceFrom(ctx), telemetry.StageAdmit, time.Since(start))
-	return a.run(ctx, dst, sc, in, cfg, start)
-}
 
-// alignPrepared runs one batch whose pairs were already validated and
-// converted under cfg (the coalescer converts at admission, so the flush
-// does not re-scan every sequence byte). cfg must already be validated.
-func (a *Aligner) alignPrepared(ctx context.Context, dst []Alignment, in []seq.Pair, cfg Config) ([]Alignment, Stats, error) {
-	if ctx == nil {
-		ctx = context.Background()
+	// Execute into the pooled result staging, then scatter: convert the
+	// results into dst and assemble the stats.
+	if cap(sc.res) < len(in) {
+		sc.res = make([]xdrop.SeedResult, len(in))
 	}
-	start := time.Now()
-	sc := a.scratch.Get().(*batchScratch)
-	defer a.scratch.Put(sc) // sc.in untouched on this path
-	return a.run(ctx, dst, sc, in, cfg, start)
+	results := sc.res[:len(in)]
+	sc.res = results
+	bst, err := a.extendPrepared(ctx, in, results, cfg.scheme(), cfg.X)
+	if err != nil {
+		return nil, Stats{}, err
+	}
+
+	scatterStart := time.Now()
+	st := Stats{Pairs: len(in), Cells: bst.Cells, DeviceTime: bst.DeviceTime}
+	for _, sh := range bst.Shards {
+		st.PerBackend = append(st.PerBackend, BackendStats{
+			Name: sh.Backend, Pairs: sh.Pairs, Cells: sh.Cells, Time: sh.Time,
+		})
+	}
+
+	if cap(dst) < len(results) {
+		dst = make([]Alignment, len(results))
+	}
+	dst = dst[:len(results)]
+	for i := range results {
+		dst[i] = toAlignment(results[i])
+	}
+	a.observeStage(telemetry.TraceFrom(ctx), telemetry.StageScatter, time.Since(scatterStart))
+	st.WallTime = time.Since(start)
+	st.GCUPS = st.gcups(a.opt.Backend)
+	return dst, st, nil
 }
 
 // extendPrepared is the engine's one dispatch onto its backend: it runs a
 // batch of already-validated engine-level pairs and exposes the raw
 // seed-extension results (scores plus per-direction band/cell accounting)
 // that the public Alignment type compresses away. Every path ends here —
-// Align/AlignInto and the coalescer through run, and the overlap
-// subsystem directly: bella-pipeline extension chunks share the engine's
-// worker pools, device locks and scheduler with the Align/Coalescer
-// traffic, and the extra detail (band widths) feeds the traceback
-// post-pass. It owns the batch IDs: every pair is renumbered by position.
+// Align/AlignInto, the coalescer's flusher, and the overlap
+// and mapping pipelines, directly or through the coalescer's bulk entry
+// (which has this signature): their extension chunks share the engine's
+// worker pools, device locks and scheduler with Align traffic, and the
+// extra detail (band widths) feeds the traceback post-pass. It owns the
+// batch IDs: every pair is renumbered by position.
 func (a *Aligner) extendPrepared(ctx context.Context, in []seq.Pair, out []xdrop.SeedResult, sch xdrop.Scheme, x int32) (backend.BatchStats, error) {
 	if a.closed.Load() {
 		return backend.BatchStats{}, ErrClosed
@@ -393,41 +412,6 @@ func mapBackendErr(err error) error {
 		return ErrUnsupportedConfig
 	}
 	return err
-}
-
-// run is the execution half of a batch: extendPrepared into sc's pooled
-// result staging, then scatter — convert the results into dst and
-// assemble the stats.
-func (a *Aligner) run(ctx context.Context, dst []Alignment, sc *batchScratch, in []seq.Pair, cfg Config, start time.Time) ([]Alignment, Stats, error) {
-	if cap(sc.res) < len(in) {
-		sc.res = make([]xdrop.SeedResult, len(in))
-	}
-	results := sc.res[:len(in)]
-	sc.res = results
-	bst, err := a.extendPrepared(ctx, in, results, cfg.scheme(), cfg.X)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-
-	scatterStart := time.Now()
-	st := Stats{Pairs: len(in), Cells: bst.Cells, DeviceTime: bst.DeviceTime}
-	for _, sh := range bst.Shards {
-		st.PerBackend = append(st.PerBackend, BackendStats{
-			Name: sh.Backend, Pairs: sh.Pairs, Cells: sh.Cells, Time: sh.Time,
-		})
-	}
-
-	if cap(dst) < len(results) {
-		dst = make([]Alignment, len(results))
-	}
-	dst = dst[:len(results)]
-	for i := range results {
-		dst[i] = toAlignment(results[i])
-	}
-	a.observeStage(telemetry.TraceFrom(ctx), telemetry.StageScatter, time.Since(scatterStart))
-	st.WallTime = time.Since(start)
-	st.GCUPS = st.gcups(a.opt.Backend)
-	return dst, st, nil
 }
 
 // gcups applies the per-backend denominator contract documented on

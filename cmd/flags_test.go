@@ -93,7 +93,7 @@ func TestFlagSurface(t *testing.T) {
 		args []string
 		want int
 	}{
-		{"logan-serve", []string{"-h"}, 32},
+		{"logan-serve", []string{"-h"}, 31},
 		{"logan-worker", []string{"-h"}, 7},
 		{"bella", []string{"-h"}, 15},
 		{"logan-align", []string{"-h"}, 17},

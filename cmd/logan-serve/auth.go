@@ -87,7 +87,7 @@ func loadAPIKeys(path string) (map[string]*logan.Tenant, error) {
 // means the caller must answer 401, never silently downgrade a typo'd
 // key to the anonymous quota.
 func (s *server) tenantFor(r *http.Request) (*logan.Tenant, bool) {
-	if len(s.keys) == 0 {
+	if len(s.cfg.apiKeys) == 0 {
 		return nil, true
 	}
 	key := r.Header.Get("X-API-Key")
@@ -99,6 +99,6 @@ func (s *server) tenantFor(r *http.Request) (*logan.Tenant, bool) {
 	if key == "" {
 		return logan.AnonymousTenant(), true
 	}
-	ten, ok := s.keys[key]
+	ten, ok := s.cfg.apiKeys[key]
 	return ten, ok
 }

@@ -53,8 +53,8 @@ func (s *server) setParams(ps logan.Params, q url.Values, x *int32) error {
 			}
 		}
 	}
-	if x != nil && *x > s.maxX {
-		return fmt.Errorf("x %d exceeds the server's %d limit", *x, s.maxX)
+	if x != nil && int(*x) > s.cfg.maxX {
+		return fmt.Errorf("x %d exceeds the server's %d limit", *x, s.cfg.maxX)
 	}
 	return nil
 }
@@ -62,7 +62,7 @@ func (s *server) setParams(ps logan.Params, q url.Values, x *int32) error {
 // jobConfig resolves a submission's configuration: the table's defaults
 // under the server's -x, then the request's parameters, then Validate.
 func (s *server) jobConfig(q url.Values) (logan.OverlapConfig, error) {
-	cfg := logan.DefaultOverlapConfig(logan.DefaultCoverage, logan.DefaultErrorRate, s.defCfg.X)
+	cfg := logan.DefaultOverlapConfig(logan.DefaultCoverage, logan.DefaultErrorRate, s.cfg.defCfg.X)
 	if err := s.setParams(cfg.Params(), q, &cfg.X); err != nil {
 		return cfg, err
 	}
@@ -126,7 +126,7 @@ func (s *server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 		// The upload is buffered at admission (bounded by -job-body-limit)
 		// so the job holds bytes, not the client connection.
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.jobBodyLimit))
+		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.jobBodyLimit))
 		if err != nil {
 			var tooBig *http.MaxBytesError
 			if errors.As(err, &tooBig) {
@@ -197,7 +197,7 @@ func (s *server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 // read router-side at admission: workers receive the bytes in the spec,
 // never a path.
 func (s *server) resolveDataPath(p string) (string, error) {
-	if s.dataDir == "" {
+	if s.cfg.jobDataDir == "" {
 		return "", errors.New("server-side FASTA paths are disabled (start with -job-data-dir)")
 	}
 	if p == "" {
@@ -210,7 +210,7 @@ func (s *server) resolveDataPath(p string) (string, error) {
 	if clean == ".." || len(clean) >= 3 && clean[:3] == ".."+string(filepath.Separator) {
 		return "", fmt.Errorf("fastaPath %q escapes the server's data directory", p)
 	}
-	return filepath.Join(s.dataDir, clean), nil
+	return filepath.Join(s.cfg.jobDataDir, clean), nil
 }
 
 // handleJobStatus is GET /jobs/{id}.

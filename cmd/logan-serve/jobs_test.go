@@ -129,7 +129,7 @@ func waitJob(t *testing.T, url, id string, timeout time.Duration) cluster.JobSta
 // TestJobsLifecycle is the acceptance path: POST FASTA, poll status
 // through completion, fetch PAF bit-identical to an offline Overlapper
 // run of the same configuration, then DELETE and observe 404 — on both a
-// CPU and a Hybrid engine, with and without the coalescer.
+// CPU and a Hybrid engine.
 func TestJobsLifecycle(t *testing.T) {
 	fasta := jobsTestFasta(t, 21, 50_000)
 	const query = "?x=20&minOverlap=400&coverage=5&errorRate=0.12"
@@ -158,14 +158,12 @@ func TestJobsLifecycle(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		opt  logan.EngineOptions
-		mut  func(*serveConfig)
 	}{
-		{"cpu-direct", logan.EngineOptions{}, nil},
-		{"cpu-coalesced", logan.EngineOptions{}, func(c *serveConfig) { c.jobCoalesce = true }},
-		{"hybrid", logan.EngineOptions{Backend: logan.Hybrid, GPUs: 2}, nil},
+		{"cpu", logan.EngineOptions{}},
+		{"hybrid", logan.EngineOptions{Backend: logan.Hybrid, GPUs: 2}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			srv, _ := jobsTestServer(t, tc.opt, tc.mut)
+			srv, _ := jobsTestServer(t, tc.opt, nil)
 			id := postJob(t, srv.URL, fasta, query)
 
 			st := waitJob(t, srv.URL, id, 60*time.Second)
@@ -565,4 +563,49 @@ func TestJobsStatz(t *testing.T) {
 		t.Errorf("jobs gauges not drained: %+v", out.Jobs)
 	}
 	_ = fmt.Sprintf("%v", out)
+}
+
+// TestJobsMeteredTenantBucketUntouched: a metered tenant's job extends
+// through the coalescer's bulk lanes, which draw no pairs/sec quota. The
+// job completes although its extension work far exceeds the tenant's
+// bucket, and the whole burst is still there for /align afterwards.
+func TestJobsMeteredTenantBucketUntouched(t *testing.T) {
+	fasta := jobsTestFasta(t, 25, 30_000)
+	const burst = 16 // alignBody has 28 distinct pairs: the probes below must all miss the cache
+	// A rate too low to refill anything during the test.
+	ten := logan.NewTenant(logan.TenantOptions{Name: "metered", PairsPerSec: 0.001, Burst: burst})
+	srv, _ := jobsTestServer(t, logan.EngineOptions{}, func(c *serveConfig) {
+		c.apiKeys = map[string]*logan.Tenant{"k-metered": ten}
+	})
+	post := func(path, body string) (int, string) {
+		t.Helper()
+		req, _ := http.NewRequest(http.MethodPost, srv.URL+path, strings.NewReader(body))
+		req.Header.Set("X-API-Key", "k-metered")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(b)
+	}
+
+	code, body := post("/jobs?x=15&minOverlap=400&coverage=5&errorRate=0.12", string(fasta))
+	if code != http.StatusAccepted {
+		t.Fatalf("POST /jobs: status %d: %s", code, body)
+	}
+	var sub cluster.JobStatus
+	if err := json.Unmarshal([]byte(body), &sub); err != nil {
+		t.Fatal(err)
+	}
+	st := waitJob(t, srv.URL, sub.ID, 60*time.Second)
+	if st.State != cluster.StateDone || st.Overlaps == 0 {
+		t.Fatalf("metered tenant's job finished %s with %d overlaps: %s", st.State, st.Overlaps, st.Error)
+	}
+	if code, body := post("/align", alignBody(burst, 0)); code != http.StatusOK {
+		t.Fatalf("a full burst after the job: status %d (%s), want 200 — the job drew on the bucket", code, body)
+	}
+	if code, _ := post("/align", alignBody(1, burst)); code != http.StatusTooManyRequests {
+		t.Fatalf("one pair past the burst: status %d, want 429 (the bucket is live)", code)
+	}
 }

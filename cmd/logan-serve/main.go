@@ -44,12 +44,13 @@
 //
 // The server also hosts the async overlap-job API: POST a FASTA data set
 // to /jobs and the BELLA overlap pipeline (logan.Overlapper) runs it on
-// the same shared engine — extension batches interleave with /align
-// traffic on the same worker pools and devices, and -job-coalesce
-// additionally merges them into the request coalescer's batches. Jobs
-// are bounded (-max-jobs retained records, -job-workers concurrent runs)
-// and cancellable: DELETE aborts a running job promptly (the backend
-// observes the job's context per pair). Retried submissions can carry an
+// the same shared engine — its extension chunks ride the request
+// coalescer's bulk lanes, scheduled behind /align traffic on the same
+// worker pools and devices. Jobs are bounded (-max-jobs retained
+// records, -job-workers concurrent runs) and cancellable: DELETE aborts
+// a running job promptly (a chunk running alone observes the job's
+// context per pair; one merged with another job's chunk finishes that
+// batch first). Retried submissions can carry an
 // Idempotency-Key header: a repeat of a key the server still remembers
 // maps onto the existing job (original ID, X-Logan-Replayed: true)
 // instead of double-executing. See docs/SERVING.md for the full API
@@ -72,7 +73,7 @@
 // and POST /map places FASTA reads against it, returning PAF that is
 // byte-identical to the offline logan.Mapper.Map output for the same
 // reads and index. Mapping extension batches run on the shared engine
-// through the same QoS lanes as /align and job traffic; logan_map_*
+// through the coalescer's bulk lanes, as job chunks do; logan_map_*
 // series land in /metrics and a "map" block in /statz.
 //
 // Endpoints:
@@ -175,8 +176,6 @@ func main() {
 		"aggregate PAF bytes retained by finished jobs before the oldest are evicted")
 	flag.StringVar(&cfg.jobDataDir, "job-data-dir", "",
 		"root directory for server-side fastaPath submissions (empty = uploads only)")
-	flag.BoolVar(&cfg.jobCoalesce, "job-coalesce", false,
-		"merge job extension chunks with /align traffic via the coalescer (coarsens DELETE cancellation to whole merged batches)")
 
 	flag.BoolVar(&cfg.maps, "map", cfg.maps, "enable the reference-mapping /map API")
 	mapRef := flag.String("map-ref", "",

@@ -98,7 +98,7 @@ func (mt *mapTier) finishBuild(err error) {
 // the chaining and placement rows of the mapping table as query
 // parameters.
 func (s *server) mapConfig(q url.Values) (logan.MapConfig, error) {
-	cfg := logan.DefaultMapConfig(s.defCfg.X)
+	cfg := logan.DefaultMapConfig(s.cfg.defCfg.X)
 	if err := s.setParams(cfg.Params(), q, &cfg.X); err != nil {
 		return cfg, err
 	}
@@ -124,7 +124,7 @@ func (s *server) handleMap(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, "bad request: %v", err)
 		return
 	}
-	res, err := s.maps.mapper.MapFasta(r.Context(), http.MaxBytesReader(w, r.Body, s.bodyLimit), cfg)
+	res, err := s.maps.mapper.MapFasta(r.Context(), http.MaxBytesReader(w, r.Body, s.cfg.bodyLimit), cfg)
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		switch {
@@ -174,7 +174,7 @@ func (s *server) handleMapIndexBuild(w http.ResponseWriter, r *http.Request) {
 	// Buffer the upload before returning 202: the request body dies with
 	// the handler, but the build outlives it. Malformed FASTA surfaces as
 	// state "failed" on GET /map/index, like any other build error.
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.bodyLimit))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.bodyLimit))
 	if err != nil {
 		s.maps.finishBuild(nil)
 		var tooBig *http.MaxBytesError

@@ -67,10 +67,10 @@ const scoreParamLimit = 1 << 20
 // per-pair cost at O(band*length) instead of O(n*m) — so it is capped at
 // -max-x just like body size and batch size are capped.
 func (s *server) requestConfig(req *alignRequest) (logan.Config, error) {
-	cfg := s.defCfg
+	cfg := s.cfg.defCfg
 	if req.X != nil {
-		if *req.X > s.maxX {
-			return logan.Config{}, fmt.Errorf("x %d exceeds the server's %d limit", *req.X, s.maxX)
+		if int(*req.X) > s.cfg.maxX {
+			return logan.Config{}, fmt.Errorf("x %d exceeds the server's %d limit", *req.X, s.cfg.maxX)
 		}
 		cfg.X = *req.X
 	}
@@ -200,13 +200,6 @@ type serveConfig struct {
 	jobPendingBytes int64
 	jobResultBytes  int64
 	jobDataDir      string
-	// jobCoalesce routes job extension chunks through the request
-	// coalescer (merging them with same-config /align traffic) instead of
-	// straight onto the engine's backend. The default is direct: the
-	// backend observes a canceled job per pair, while a coalesced chunk
-	// already executing must finish its whole merged batch first — with
-	// large X that postpones DELETE by a full batch.
-	jobCoalesce bool
 	// maps enables the reference-mapping API: POST /map places FASTA
 	// reads against the installed minimizer index (built asynchronously
 	// via POST /map/index, or at startup from -map-ref/-map-index).
@@ -258,25 +251,17 @@ type server struct {
 	// shared Mapper plus the single-slot async index build.
 	maps *mapTier
 	mux  *http.ServeMux
-	// dataDir roots server-side fastaPath submissions ("" disables them).
-	dataDir string
+	// cfg is the server's configuration, defaulted by newServer.
+	cfg serveConfig
 	// ready flips once the warmup alignment completes; /readyz also
 	// requires store.Ready() (in router mode: ≥1 registered worker).
 	ready atomic.Bool
 	// tele is the engine's registry — the one store behind /metrics and
 	// /statz; stages is a handle on the engine's stage-latency histogram
 	// family, used to start per-request traces.
-	tele         *telemetry.Registry
-	stages       *telemetry.Stages
-	m            serverTelemetry
-	defCfg       logan.Config
-	maxX         int32
-	maxPairs     int
-	bodyLimit    int64
-	jobBodyLimit int64
-	// keys maps API keys onto tenants; empty means the open deployment
-	// (tenantFor resolves every request to the nil tenant).
-	keys map[string]*logan.Tenant
+	tele   *telemetry.Registry
+	stages *telemetry.Stages
+	m      serverTelemetry
 	// cache is the content-addressed result cache handed to the
 	// coalescer; retained here for the /statz cache block.
 	cache *logan.ResultCache
@@ -304,9 +289,7 @@ func newServer(eng *logan.Aligner, cfg serveConfig) (*server, error) {
 	if cfg.jobBodyLimit <= 0 {
 		cfg.jobBodyLimit = def.jobBodyLimit
 	}
-	s := &server{eng: eng, defCfg: cfg.defCfg, maxX: int32(cfg.maxX), maxPairs: cfg.maxPairs,
-		bodyLimit: cfg.bodyLimit, jobBodyLimit: cfg.jobBodyLimit, keys: cfg.apiKeys,
-		dataDir: cfg.jobDataDir}
+	s := &server{eng: eng, cfg: cfg}
 	// The HTTP layer registers its instruments in the engine's registry:
 	// NewStages get-or-creates the engine's own stage histogram family, so
 	// the traces this layer starts and the stages the engine observes land
@@ -348,15 +331,11 @@ func newServer(eng *logan.Aligner, cfg serveConfig) (*server, error) {
 		s.router = router
 		s.store = router.Store
 	case cfg.jobs:
-		// Jobs extend on the same engine as /align traffic. With
-		// -job-coalesce their chunks additionally flow through the merge
-		// queue (and shed/retry under its admission control); the default
-		// is the engine-direct path for per-pair cancellation.
-		var oopt logan.OverlapperOptions
-		if cfg.jobCoalesce {
-			oopt.Coalescer = s.coal
-		}
-		ov, err := logan.NewOverlapper(eng, oopt)
+		// Jobs extend on the same engine as /align traffic, their chunks
+		// riding the coalescer's bulk lanes behind it. A chunk that runs
+		// alone runs under its job's context, so DELETE stops the engine
+		// per pair.
+		ov, err := logan.NewOverlapper(eng, logan.OverlapperOptions{Coalescer: s.coal})
 		if err != nil {
 			panic(err) // unreachable: eng is non-nil
 		}
@@ -371,7 +350,7 @@ func newServer(eng *logan.Aligner, cfg serveConfig) (*server, error) {
 	}
 	if cfg.maps {
 		// The mapper extends on the shared engine; its batches ride the
-		// same QoS lanes as /align and /jobs traffic.
+		// coalescer's bulk lanes, as job chunks do.
 		mapper, err := logan.NewMapper(eng, logan.MapperOptions{Coalescer: s.coal})
 		if err != nil {
 			panic(err) // unreachable: eng is non-nil
@@ -412,7 +391,7 @@ func (s *server) warmup() {
 		Target:  []byte("ACGTACGTACGTACGT"),
 		SeedLen: 8,
 	}}
-	s.eng.Align(context.Background(), pairs, s.defCfg)
+	s.eng.Align(context.Background(), pairs, s.cfg.defCfg)
 	s.ready.Store(true)
 }
 
@@ -457,7 +436,7 @@ func (s *server) handleAlign(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req alignRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.bodyLimit))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.bodyLimit))
 	if err := dec.Decode(&req); err != nil {
 		// A body over the wire limit surfaces as a decode error; report it
 		// as 413 naming the limit, not a generic 400.
@@ -476,9 +455,9 @@ func (s *server) handleAlign(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, "bad request: trailing data after JSON document")
 		return
 	}
-	if len(req.Pairs) > s.maxPairs {
+	if len(req.Pairs) > s.cfg.maxPairs {
 		s.fail(w, http.StatusRequestEntityTooLarge,
-			"batch of %d pairs exceeds the %d-pair limit", len(req.Pairs), s.maxPairs)
+			"batch of %d pairs exceeds the %d-pair limit", len(req.Pairs), s.cfg.maxPairs)
 		return
 	}
 	cfg, err := s.requestConfig(&req)

@@ -7,8 +7,10 @@ import (
 	"sync"
 	"time"
 
+	"logan/internal/backend"
 	"logan/internal/seq"
 	"logan/internal/telemetry"
+	"logan/internal/xdrop"
 )
 
 // ErrOverloaded reports a Coalescer submission rejected by admission
@@ -75,12 +77,14 @@ type CoalescerOptions struct {
 	// calibrated the estimates. Default 20ms.
 	TargetDelay time.Duration
 
-	// Cache, when non-nil, is the content-addressed result cache
-	// consulted at admission and filled at scatter: pairs whose
+	// Cache, when non-nil, is the content-addressed result cache of
+	// Align, consulted at admission and filled at scatter: pairs whose
 	// (digest, config) is cached are answered without queueing, quota
-	// charge or engine work, byte-identical to recomputation. Share one
-	// cache across every Coalescer of a process so /align and /jobs
-	// traffic deduplicate against each other.
+	// charge or engine work, byte-identical to recomputation. It answers
+	// Align requests only: the extension chunks of Overlappers and
+	// Mappers routed through the Coalescer neither probe nor fill it.
+	// Share one cache across every Coalescer of a process so their Align
+	// traffic deduplicates.
 	Cache *ResultCache
 }
 
@@ -105,12 +109,13 @@ type CoalescerOptions struct {
 // tenant/class split is the scheduling fabric. The lanes of a class are
 // served deficit-round-robin (quantum MaxBatchPairs), so a tenant
 // flooding one lane cannot monopolize the flusher; interactive lanes
-// (the /align path) are picked ahead of bulk lanes (the /jobs overlap
-// extension chunks), except that queued bulk work is never passed over
-// for more than maxBulkPassOver consecutive batches. Admission is
+// (Align, the /align path) are picked ahead of bulk lanes (the extension
+// chunks of an Overlapper or Mapper built with this Coalescer, the /jobs
+// and /map paths), except that queued bulk work is never passed over for
+// more than maxBulkPassOver consecutive batches. Admission is
 // tenant-aware: each tenant owns a pairs/sec token-bucket quota and a
 // weight share of the drain rate, so the flooder is shed, not the
-// victim.
+// victim. Bulk chunks draw no quota.
 //
 // When CoalescerOptions.Cache is set, admission first consults the
 // content-addressed result cache: pairs already computed under the same
@@ -148,18 +153,25 @@ type Coalescer struct {
 	ttele map[*Tenant]*tenantTele
 
 	// flusher-goroutine scratch: the merged input batch (pairs already
-	// converted at admission). Only the flusher touches it. (Results are
-	// not pooled: each batch allocates one exact-size slice whose
-	// subranges are handed to the waiters, so the scatter is copy-free.)
+	// converted at admission) and its engine results. Only the flusher
+	// touches them. (Align results are not pooled: each interactive batch
+	// allocates one exact-size slice whose subranges are handed to the
+	// waiters.)
 	mergeBuf []seq.Pair
+	resBuf   []xdrop.SeedResult
 }
 
-// coalesceWaiter is one queued request: its cache-miss pairs — validated
-// and converted at admission, so the batch never re-scans them — the
-// enqueue time, and the buffered channel its result is delivered on
-// (buffered so the flusher never blocks on an abandoned caller).
+// coalesceWaiter is one queued request: its pairs — validated and
+// converted at admission (or built by the pipeline that submits them), so
+// the batch never re-scans them — the enqueue time, and the buffered
+// channel its result is delivered on (buffered so the flusher never
+// blocks on an abandoned caller).
 type coalesceWaiter struct {
 	in []seq.Pair // pairs the engine must compute (cache misses)
+	// out is a bulk request's result slice, filled in place by the
+	// flusher; nil on an Align request, whose results arrive as
+	// Alignments on ch.
+	out []xdrop.SeedResult
 	// Partial-hit layout (nil on a cache-off or all-miss request): full
 	// is the request-sized result slice with cache hits pre-filled, and
 	// full[missIdx[j]] receives the computed result of in[j].
@@ -169,7 +181,10 @@ type coalesceWaiter struct {
 	npairs  int        // total request size including cache hits
 	tt      *tenantTele
 	enq     time.Time
-	ch      chan coalesceResult
+	// ctx is the request's context: a batch the request rides alone runs
+	// under its cancellation.
+	ctx context.Context
+	ch  chan coalesceResult
 	// tr is the request's trace (nil when the caller attached none): the
 	// flusher stamps the queue wait and copies the merged batch's stage
 	// spans onto it before delivering the result, so the channel receive
@@ -195,7 +210,7 @@ type coalescerTelemetry struct {
 	cacheHits, cacheMisses, cacheEvict         *telemetry.Counter
 	queueWait                                  *telemetry.Counter // seconds
 	maxMergedPairs                             *telemetry.Gauge   // written only by the flusher
-	cellsPerPair                               *telemetry.Gauge   // EWMA, the drain-rate divisor
+	cellsPerPair                               *telemetry.Gauge   // EWMA of interactive batches, the drain-rate divisor
 }
 
 // tenantTele is one tenant's attribution bundle: who was served, who was
@@ -235,7 +250,8 @@ type CoalescerMetrics struct {
 	// WaitNS/Enqueued approximates the mean coalescing latency.
 	WaitNS int64
 
-	// QueuedRequests and QueuedPairs are current-depth gauges;
+	// QueuedRequests and QueuedPairs are current-depth gauges (bulk
+	// extension chunks included);
 	// QueuedLanes counts the distinct (tenant, class, config) lanes
 	// currently queued (each runs as its own merged batches).
 	QueuedRequests, QueuedPairs, QueuedLanes int
@@ -287,7 +303,7 @@ func (a *Aligner) newCoalescer(opt CoalescerOptions) *Coalescer {
 		cacheEvict:     reg.Counter("logan_cache_evictions_total", "Result-cache entries evicted by the LRU bound."),
 		queueWait:      reg.Counter("logan_coalescer_queue_wait_seconds_total", "Total enqueue-to-batch wait across admitted requests."),
 		maxMergedPairs: reg.Gauge("logan_coalescer_max_merged_pairs", "Largest single merged batch in pairs."),
-		cellsPerPair:   reg.Gauge("logan_coalescer_cells_per_pair", "EWMA DP cells per pair of recent merged batches (the admission controller's work estimate)."),
+		cellsPerPair:   reg.Gauge("logan_coalescer_cells_per_pair", "EWMA DP cells per pair of recent interactive batches (the admission controller's work estimate)."),
 	}
 	for r, sh := range sheds {
 		c.t.shed[r] = reg.Counter("logan_coalescer_shed_total", "Requests rejected by admission control, by reason.", telemetry.L("reason", sh.label))
@@ -339,8 +355,9 @@ func (c *Coalescer) tenantTele(ten *Tenant) *tenantTele {
 
 // drainPairsPerSec is the measured queue drain rate: the backend layer's
 // live throughput estimate (cells/s) divided by the EWMA cells-per-pair
-// of recent merged batches. Zero until the first batch calibrates the
-// cells-per-pair estimate.
+// of recent interactive batches. Zero until the first interactive batch
+// calibrates the cells-per-pair estimate; bulk admission reads the same
+// rate.
 func (c *Coalescer) drainPairsPerSec() float64 {
 	cpp := c.t.cellsPerPair.Value()
 	if cpp <= 0 {
@@ -382,9 +399,8 @@ func (c *Coalescer) RetryAfter() time.Duration {
 // are served from the result cache without reaching the engine.
 //
 // The request's tenant (WithTenant; anonymous when absent) selects its
-// scheduling lane, pairs/sec quota and share of the drain rate;
-// its priority class is interactive unless the overlap subsystem tagged
-// it bulk.
+// scheduling lane, pairs/sec quota and share of the drain rate; its
+// priority class is interactive.
 //
 // The returned Stats describe this request's share of the merged batch:
 // Pairs and Cells are the request's own, while WallTime and DeviceTime
@@ -400,11 +416,13 @@ func (c *Coalescer) RetryAfter() time.Duration {
 // scheme the engine's backend cannot run. A ctx error on a queued request
 // removes it from the queue and returns the ctx error — its buffers are
 // free for reuse the moment Align returns, preserving Pair's zero-copy
-// aliasing contract. If the request's merged batch is already executing
-// when ctx fires, Align instead waits for that batch (bounded by one
-// engine batch) and returns its result. Engine-sized requests that bypass
-// the queue run alone, so there ctx is forwarded into the engine and
-// cancellation aborts the work itself.
+// aliasing contract. If the request's batch is already executing when ctx
+// fires, Align waits for that batch (bounded by one engine batch): a
+// batch the request rides alone runs under ctx, so cancellation aborts
+// the work itself and Align returns the ctx error, while a batch merged
+// with other requests runs to completion and Align returns its result.
+// Engine-sized requests that bypass the queue run alone, with ctx
+// forwarded into the engine.
 func (c *Coalescer) Align(ctx context.Context, pairs []Pair, cfg Config) ([]Alignment, Stats, error) {
 	// Validate cfg before the empty-batch fast path, mirroring
 	// Aligner.Align: an invalid configuration fails even with no pairs.
@@ -426,10 +444,7 @@ func (c *Coalescer) Align(ctx context.Context, pairs []Pair, cfg Config) ([]Alig
 	if len(pairs) == 0 {
 		return []Alignment{}, Stats{}, nil
 	}
-	ten := TenantFrom(ctx)
-	if ten == nil {
-		ten = anonymousTenant
-	}
+	ten := tenantOf(ctx)
 	tt := c.tenantTele(ten)
 	// Engine-sized requests gain nothing from merging: run them directly,
 	// keeping the queue (and the tenant's share of it) for the small
@@ -509,12 +524,49 @@ func (c *Coalescer) Align(ctx context.Context, pairs []Pair, cfg Config) ([]Alig
 		}
 	}
 
-	w := &coalesceWaiter{
-		in: in, full: full, missIdx: missIdx, digests: digests,
-		npairs: total, tt: tt,
-		ch: make(chan coalesceResult, 1), tr: telemetry.TraceFrom(ctx),
+	r := c.submit(ctx, laneKey{ten: ten, class: classInteractive, cfg: cfg.key()}, &coalesceWaiter{
+		in: in, full: full, missIdx: missIdx, digests: digests, npairs: total, tt: tt,
+	})
+	return r.out, r.st, r.err
+}
+
+// extendBulk is the Coalescer's bulk entry, with the signature of
+// Aligner.extendPrepared so an Overlapper or Mapper holds either one as
+// its extend function. The pipeline built and checked the pairs itself,
+// so the chunk skips the re-ingest, the result cache and the quota: it
+// queues on the bulk lane of ctx's tenant, behind interactive work, and
+// returns once its batch has run and out holds its results (Cells are
+// the chunk's own, DeviceTime the whole batch's). Admission sheds it with ErrOverloaded
+// like any request, and the pipelines' extender retries. Engine-sized
+// chunks run directly on the engine, as engine-sized Align requests do.
+func (c *Coalescer) extendBulk(ctx context.Context, in []seq.Pair, out []xdrop.SeedResult, sch xdrop.Scheme, x int32) (backend.BatchStats, error) {
+	if len(in) >= c.opt.MaxBatchPairs {
+		if c.isClosed() {
+			return backend.BatchStats{}, ErrClosed
+		}
+		c.t.direct.Inc()
+		return c.eng.extendPrepared(ctx, in, out, sch, x)
 	}
-	key := laneKey{ten: ten, class: priorityFrom(ctx), cfg: cfg.key()}
+	ten := tenantOf(ctx)
+	r := c.submit(ctx, laneKey{ten: ten, class: classBulk, cfg: configKey{x: x, sch: sch}}, &coalesceWaiter{
+		in: in, out: out, npairs: len(in), tt: c.tenantTele(ten),
+	})
+	return backend.BatchStats{Pairs: r.st.Pairs, Cells: r.st.Cells, DeviceTime: r.st.DeviceTime}, r.err
+}
+
+// tenantOf is ctx's tenant, the anonymous one when none is attached.
+func tenantOf(ctx context.Context) *Tenant {
+	if ten := TenantFrom(ctx); ten != nil {
+		return ten
+	}
+	return anonymousTenant
+}
+
+// submit runs w, a request of either class, through admission onto
+// key's lane and blocks until its batch has run or ctx is done.
+func (c *Coalescer) submit(ctx context.Context, key laneKey, w *coalesceWaiter) coalesceResult {
+	w.ctx, w.tr = ctx, telemetry.TraceFrom(ctx)
+	w.ch = make(chan coalesceResult, 1)
 	// Admission meters work that would reach the engine: misses only.
 	now := c.now()
 	adm := admission{
@@ -527,14 +579,14 @@ func (c *Coalescer) Align(ctx context.Context, pairs []Pair, cfg Config) ([]Alig
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		return nil, Stats{}, ErrClosed
+		return coalesceResult{err: ErrClosed}
 	}
-	reason, ok := c.q.submit(key, cfg, w, adm, now)
+	reason, ok := c.q.submit(key, w, adm, now)
 	c.mu.Unlock()
 	if !ok {
-		tt.shed.Inc()
+		w.tt.shed.Inc()
 		c.t.shed[reason].Inc()
-		return nil, Stats{}, sheds[reason].err
+		return coalesceResult{err: sheds[reason].err}
 	}
 	c.t.enqueued.Inc()
 
@@ -547,7 +599,7 @@ func (c *Coalescer) Align(ctx context.Context, pairs []Pair, cfg Config) ([]Alig
 
 	select {
 	case r := <-w.ch:
-		return r.out, r.st, r.err
+		return r
 	case <-ctx.Done():
 		c.mu.Lock()
 		queued := c.q.abandon(key, w)
@@ -556,14 +608,12 @@ func (c *Coalescer) Align(ctx context.Context, pairs []Pair, cfg Config) ([]Alig
 			// Still queued: removed before any batch took it, so the
 			// caller may reuse its buffers immediately (the zero-copy
 			// aliasing contract of Pair).
-			return nil, Stats{}, ctx.Err()
+			return coalesceResult{err: ctx.Err()}
 		}
-		// The flusher already took the request: its merged batch is
-		// reading the caller's buffers right now, so honor the aliasing
-		// contract by waiting out that batch (bounded by one engine
-		// batch) and return its result.
-		r := <-w.ch
-		return r.out, r.st, r.err
+		// The flusher already took the request: its batch is reading the
+		// caller's buffers right now, so honor the aliasing contract by
+		// waiting out that batch (bounded by one engine batch).
+		return <-w.ch
 	}
 }
 
@@ -622,8 +672,8 @@ func (c *Coalescer) run() {
 	defer c.wg.Done()
 	closing := false
 	for {
-		if cfg, ws, npairs, ok := c.take(); ok {
-			c.execute(cfg, ws, npairs)
+		if key, ws, npairs, ok := c.take(); ok {
+			c.execute(key, ws, npairs)
 			continue
 		}
 		if closing {
@@ -642,12 +692,12 @@ func (c *Coalescer) run() {
 // take pops the next merged batch the scheduler hands out (whole requests
 // of ONE lane in FIFO order until MaxBatchPairs is covered) and stamps its
 // riders' queue waits. It reports false only when nothing is queued.
-func (c *Coalescer) take() (Config, []*coalesceWaiter, int, bool) {
+func (c *Coalescer) take() (laneKey, []*coalesceWaiter, int, bool) {
 	c.mu.Lock()
 	l, ws, npairs := c.q.take(c.opt.MaxBatchPairs)
 	c.mu.Unlock()
 	if l == nil {
-		return Config{}, nil, 0, false
+		return laneKey{}, nil, 0, false
 	}
 	now := c.now()
 	var wait time.Duration
@@ -664,39 +714,53 @@ func (c *Coalescer) take() (Config, []*coalesceWaiter, int, bool) {
 		}
 	}
 	c.t.queueWait.Add(wait.Seconds())
-	return l.cfg, ws, npairs, true
+	return l.key, ws, npairs, true
 }
 
-// execute runs one merged same-config batch on the engine and scatters
-// the results back to each waiting request in submission order, filling
-// the result cache with what the batch computed. Engine errors at this
-// point are systemic (e.g. ErrClosed) — per-pair and per-config problems
-// were rejected at admission — so they fan out to every request in the
-// batch.
-func (c *Coalescer) execute(cfg Config, ws []*coalesceWaiter, npairs int) {
+// cancelOnly carries a context's cancellation and deadline but none of
+// its values (tenant, trace): the flusher's context for a batch of one
+// request.
+type cancelOnly struct{ context.Context }
+
+func (cancelOnly) Value(any) any { return nil }
+
+// execute runs one merged batch of key's lane through the engine's one
+// dispatch, Aligner.extendPrepared, and scatters the results back to each
+// waiting request in submission order: a bulk request's subrange is
+// copied into its own result slice, an Align request gets Alignments and
+// fills the result cache. Engine errors at this point are systemic (e.g.
+// ErrClosed) or the lone rider's cancellation — per-pair and per-config
+// problems were rejected at admission — so they fan out to every request
+// in the batch.
+func (c *Coalescer) execute(key laneKey, ws []*coalesceWaiter, npairs int) {
 	merged := c.mergeBuf[:0]
 	traced := false
 	for _, w := range ws {
 		merged = append(merged, w.in...)
 		traced = traced || w.tr != nil
 	}
+	// A batch of one request runs under that request's cancellation, so
+	// abandoning it (a DELETEd job's chunk) stops the engine per pair; a
+	// merged batch serves other callers too and runs to completion.
+	ctx := context.Background()
+	if len(ws) == 1 {
+		ctx = cancelOnly{ws[0].ctx}
+	}
 	// When any rider carries a trace, run the batch under a batch-level
 	// trace: the engine observes the partition/kernel/scatter stages onto
 	// it exactly once (batch-scoped, same as the untraced path), and the
 	// scatter below copies its spans span-only onto every rider's trace.
-	ctx := context.Background()
 	var btr *telemetry.Trace
 	if traced {
 		btr = c.eng.stages.StartTrace()
 		ctx = telemetry.WithTrace(ctx, btr)
 	}
-	// One exact-size result allocation per batch: alignPrepared fills it,
-	// and the scatter below hands each waiter its capped subrange instead
-	// of copying. The array is shared but the ranges are disjoint, and the
-	// Coalescer never touches it again after the scatter. The pairs were
-	// validated and converted at admission, so the engine runs them
-	// without a second ingest pass.
-	out, st, err := c.eng.alignPrepared(ctx, make([]Alignment, 0, npairs), merged, cfg)
+	start := time.Now()
+	if cap(c.resBuf) < npairs {
+		c.resBuf = make([]xdrop.SeedResult, npairs)
+	}
+	res := c.resBuf[:npairs]
+	bst, err := c.eng.extendPrepared(ctx, merged, res, key.cfg.sch, key.cfg.x)
 	clear(merged) // drop sequence refs so the scratch doesn't pin callers
 	c.mergeBuf = merged[:0]
 
@@ -706,50 +770,72 @@ func (c *Coalescer) execute(cfg Config, ws []*coalesceWaiter, npairs int) {
 	if float64(npairs) > c.t.maxMergedPairs.Value() { // flusher is the only writer
 		c.t.maxMergedPairs.Set(float64(npairs))
 	}
-	if err == nil && npairs > 0 {
-		// Calibrate the admission controller's work estimate from what the
-		// batch actually cost.
-		c.t.cellsPerPair.ObserveEWMA(float64(st.Cells)/float64(npairs), telemetryAlpha)
+	if err != nil {
+		for _, w := range ws {
+			w.ch <- coalesceResult{err: err}
+		}
+		return
 	}
 
-	var ck configKey
-	if c.opt.Cache != nil {
-		ck = cfg.key()
+	var alns []Alignment
+	if key.class == classInteractive {
+		// Calibrate interactive admission's work estimate from what the
+		// batch actually cost. Bulk batches do not feed it: one pipeline
+		// chunk of long pairs would cut the drain rate interactive
+		// admission projects with by an order of magnitude.
+		if npairs > 0 {
+			c.t.cellsPerPair.ObserveEWMA(float64(bst.Cells)/float64(npairs), telemetryAlpha)
+		}
+		// One exact-size allocation per batch: each request is handed its
+		// capped subrange. The array is shared but the ranges are
+		// disjoint, and the Coalescer never touches it after the scatter.
+		scatterStart := time.Now()
+		alns = make([]Alignment, npairs)
+		for i := range res {
+			alns[i] = toAlignment(res[i])
+		}
+		c.eng.observeStage(btr, telemetry.StageScatter, time.Since(scatterStart))
 	}
+	wall := time.Since(start)
+
 	off := 0
 	for _, w := range ws {
 		n := len(w.in)
-		if err != nil {
-			w.ch <- coalesceResult{err: err}
-			continue
-		}
-		res := out[off : off+n : off+n]
-		off += n
-		if c.opt.Cache != nil && w.digests != nil {
-			evicted := 0
-			for j := range res {
-				evicted += c.opt.Cache.put(cacheKey{digest: w.digests[j], cfg: ck}, res[j])
-			}
-			if evicted > 0 {
-				c.t.cacheEvict.Add(float64(evicted))
-			}
-		}
-		final := res
-		if w.full != nil {
-			// Partial cache hit: merge the computed misses into the
-			// request-sized slice whose hit slots were filled at admission.
-			for j, idx := range w.missIdx {
-				w.full[idx] = res[j]
-			}
-			final = w.full
-		}
+		var final []Alignment
 		var cells int64
-		for i := range final {
-			cells += final[i].Cells
+		if w.out != nil {
+			copy(w.out, res[off:off+n])
+			for i := range w.out {
+				cells += w.out[i].Cells()
+			}
+		} else {
+			final = alns[off : off+n : off+n]
+			if c.opt.Cache != nil && w.digests != nil {
+				evicted := 0
+				for j := range final {
+					evicted += c.opt.Cache.put(cacheKey{digest: w.digests[j], cfg: key.cfg}, final[j])
+				}
+				if evicted > 0 {
+					c.t.cacheEvict.Add(float64(evicted))
+				}
+			}
+			if w.full != nil {
+				// Partial cache hit: merge the computed misses into the
+				// request-sized slice whose hit slots were filled at
+				// admission.
+				for j, idx := range w.missIdx {
+					w.full[idx] = final[j]
+				}
+				final = w.full
+			}
+			for i := range final {
+				cells += final[i].Cells
+			}
 		}
+		off += n
 		rst := Stats{
 			Pairs: w.npairs, Cells: cells,
-			WallTime: st.WallTime, DeviceTime: st.DeviceTime,
+			WallTime: wall, DeviceTime: bst.DeviceTime,
 		}
 		rst.GCUPS = rst.gcups(c.eng.opt.Backend)
 		w.tt.requests.Inc()

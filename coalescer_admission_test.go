@@ -3,8 +3,12 @@ package logan
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"testing"
 	"time"
+
+	"logan/internal/seq"
+	"logan/internal/xdrop"
 )
 
 // calibratedCoalescer runs one engine batch so the backend layer has a
@@ -140,5 +144,79 @@ func TestCoalescerOverload(t *testing.T) {
 	m := tight.Metrics()
 	if m.ShedDelay != clients-1 || m.ShedDelay != m.Shed {
 		t.Fatalf("metrics %+v: want every shed attributed to the delay target", m)
+	}
+}
+
+// TestCoalescerBulkKeepsInteractiveCalibration: interactive admission's
+// work estimate is calibrated from interactive batches only. One heavy
+// bulk batch (a pipeline chunk of long pairs, orders of magnitude more
+// cells per pair) must not cut the drain rate interactive admission
+// projects with, so a request admissible before it is still admitted
+// after it.
+func TestCoalescerBulkKeepsInteractiveCalibration(t *testing.T) {
+	eng, err := NewAligner(EngineOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	// No flusher: the test runs each batch itself.
+	const floor = 8
+	c := eng.newCoalescer(CoalescerOptions{MaxBatchPairs: floor})
+	runBatch := func() {
+		t.Helper()
+		key, ws, n, ok := c.take()
+		if !ok {
+			t.Fatal("take found nothing queued")
+		}
+		c.execute(key, ws, n)
+		if r := <-ws[0].ch; r.err != nil {
+			t.Fatal(r.err)
+		}
+	}
+	enqueue(t, c, anonymousTenant, classInteractive, cfgT, 4, 1)
+	runBatch()
+	rate := c.drainPairsPerSec()
+	if rate <= 0 {
+		t.Fatal("drain rate not calibrated by an interactive batch")
+	}
+	// A target ten times what a floor's worth of queue plus the probe
+	// takes at the calibrated rate.
+	c.opt.TargetDelay = time.Duration(10 * float64(floor+2) / rate * float64(time.Second))
+
+	long := seq.RandPairSet(rand.New(rand.NewSource(2)), seq.PairSetOptions{
+		N: 2, MinLen: 20_000, MaxLen: 20_000, ErrorRate: 0.15, SeedLen: 17,
+	})
+	w := &coalesceWaiter{in: long, out: make([]xdrop.SeedResult, len(long)), npairs: len(long),
+		enq: time.Now(), ctx: ctxb, tt: c.tenantTele(anonymousTenant), ch: make(chan coalesceResult, 1)}
+	c.mu.Lock()
+	c.q.enqueue(laneKey{ten: anonymousTenant, class: classBulk, cfg: cfgT.key()}, w)
+	c.mu.Unlock()
+	runBatch()
+	if w.out[0].Cells() < 100*int64(cfgT.X) {
+		t.Fatalf("bulk batch computed %d cells for a 20 kb pair: not heavy", w.out[0].Cells())
+	}
+
+	// A floor's worth of interactive work queued, then a 2-pair probe:
+	// past the floor, so admission projects it.
+	enqueue(t, c, anonymousTenant, classInteractive, cfgT, floor, 4)
+	select { // the enqueues' wake-up, so the next one is the probe's
+	case <-c.kick:
+	default:
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := c.Align(ctxb, makePairsSeed(2, 3), cfgT)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		t.Fatalf("probe answered without queueing (%v): the heavy bulk batch cut the drain rate from %.0f to %.0f pairs/s",
+			err, rate, c.drainPairsPerSec())
+	case <-c.kick:
+	}
+	c.start()
+	c.Close()
+	if err := <-done; err != nil {
+		t.Fatal(err)
 	}
 }

@@ -14,6 +14,8 @@ import (
 // — laneSched.submit (admit, then Tenant.takePairs, then enqueue) and
 // laneSched.take — against a fake backend that drains a fixed number of
 // pairs per second, in virtual time: no goroutines, no sleeps, no engine.
+// Open-loop sources arrive on a Poisson schedule; closed-loop ones are
+// pipelines keeping one extension chunk in flight.
 // What the Coalescer adds around the policy (lock, channels, cache filter,
 // telemetry) is not modeled; the drain-rate estimate is exact once the
 // first batch has completed and zero before, as in the mechanism.
@@ -49,6 +51,11 @@ type simSource struct {
 	phases []simPhase
 	// deadline, when positive, is each request's time budget.
 	deadline time.Duration
+	// closed makes the source a closed loop with no phases: its first
+	// request arrives at time 0 and each next one when the previous
+	// completes, or one batch time after it was shed (the pipelines'
+	// extender retrying).
+	closed bool
 }
 
 // key is the lane the source's requests queue on.
@@ -88,8 +95,9 @@ func bucketAt(t *Tenant, now time.Time) float64 {
 	return min(t.burst, t.tokens+t.rate*now.Sub(t.last).Seconds())
 }
 
-// simulate replays the sources for simLength of virtual time.
-func simulate(seed int64, sources []simSource) *simResult {
+// simulate replays the sources for simLength of virtual time under the
+// admission target.
+func simulate(seed int64, target time.Duration, sources []simSource) *simResult {
 	rng := rand.New(rand.NewSource(seed))
 	epoch := time.Unix(1_000_000, 0)
 	res := &simResult{lanes: make(map[laneKey]*simLane)}
@@ -123,8 +131,13 @@ func simulate(seed int64, sources []simSource) *simResult {
 		if sources[i].cfg == (Config{}) {
 			sources[i].cfg = cfgT
 		}
-		advance(i, 0)
+		if !sources[i].closed {
+			advance(i, 0)
+		}
 	}
+	// owner maps a closed-loop source's queued or running request back to
+	// the source.
+	owner := make(map[*coalesceWaiter]int)
 	lane := func(k laneKey) *simLane {
 		l := res.lanes[k]
 		if l == nil {
@@ -139,7 +152,8 @@ func simulate(seed int64, sources []simSource) *simResult {
 		busy      bool
 		busyUntil time.Duration
 		inFlight  simBatchRec
-		rate      float64 // the drain estimate admission sees
+		running   []*coalesceWaiter // the requests of inFlight
+		rate      float64           // the drain estimate admission sees
 		passOver  int
 	)
 	for {
@@ -165,6 +179,13 @@ func simulate(seed int64, sources []simSource) *simResult {
 				inFlight.done = at
 				res.batches = append(res.batches, inFlight)
 			}
+			for _, w := range running {
+				if i, ok := owner[w]; ok {
+					next[i] = at
+					delete(owner, w)
+				}
+			}
+			running = nil
 		} else {
 			s := &sources[src]
 			key := s.key()
@@ -185,20 +206,29 @@ func simulate(seed int64, sources []simSource) *simResult {
 					st.lastShed = at
 				}
 			} else {
-				adm := admission{floor: simBatch, rate: rate, target: simTarget, timeLeft: noDeadline}
+				adm := admission{floor: simBatch, rate: rate, target: target, timeLeft: noDeadline}
 				if s.deadline > 0 {
 					adm.timeLeft = s.deadline
 				}
-				if reason, ok := q.submit(key, s.cfg, blankWaiter(s.pairs), adm, now); ok {
+				w := blankWaiter(s.pairs)
+				if reason, ok := q.submit(key, w, adm, now); ok {
 					st.enqueued += s.pairs
+					if s.closed {
+						owner[w], next[src] = src, math.MaxInt64
+					}
 				} else {
 					st.shed[reason]++
 					st.lastShed = at
+					if s.closed {
+						next[src] = at + simBatchTime
+					}
 				}
 			}
 			st.tokens += before - bucketAt(s.ten, now)
 			res.maxQueued = max(res.maxQueued, q.pending)
-			advance(src, at)
+			if !s.closed {
+				advance(src, at)
+			}
 		}
 		if !busy {
 			bulkQueued := len(q.rings[classBulk]) > 0
@@ -215,7 +245,7 @@ func simulate(seed int64, sources []simSource) *simResult {
 					st.waits = append(st.waits, now.Sub(w.enq))
 				}
 				busy, busyUntil = true, at+time.Duration(float64(n)/simDrain*float64(time.Second))
-				inFlight = simBatchRec{pairs: n, class: l.key.class}
+				inFlight, running = simBatchRec{pairs: n, class: l.key.class}, ws
 			}
 		}
 	}
@@ -314,7 +344,7 @@ func simTenant(name string, weight int) *Tenant {
 func TestCoalescerOverloadReplay(t *testing.T) {
 	rep := &simReport{}
 	run := func(name string, seed int64, sources ...simSource) *simResult {
-		r := simulate(seed, sources)
+		r := simulate(seed, simTarget, sources)
 		checkConservation(t, name, r)
 		return r
 	}
@@ -516,6 +546,34 @@ func TestCoalescerOverloadReplay(t *testing.T) {
 		}
 		if w := r.wait(1, key(hurried)); w > simTarget/4+simBatchTime+simBatchTime {
 			t.Errorf("h: a request with a %v budget was queued for %v", simTarget/4, w)
+		}
+	}
+
+	// (i) The served default's shape: one tenant for everything (the open
+	// deployment's anonymous one), light interactive traffic, and two
+	// pipelines each keeping one extension chunk of half the floor in
+	// flight, under a target worth a quarter of the floor (the default
+	// 4096-pair floor against the ≈600 pairs 20ms drains). Bulk is served
+	// after interactive work, so the chunks must not count against it:
+	// nothing interactive is shed, and its p99 wait stays within one batch
+	// of the run without the pipelines.
+	{
+		tight := simBatchTime / 4
+		light := simSource{ten: simTenant("anon", 1), phases: steady(0.3)}
+		chunk := simSource{ten: light.ten, class: classBulk, pairs: simBatch / 2, closed: true}
+		alone := simulate(10, tight, []simSource{light})
+		piped := simulate(10, tight, []simSource{light, chunk, chunk})
+		checkConservation(t, "i", piped)
+		rep.add("i 0.3x, target floor/4", alone, -1)
+		rep.add("i  ... beside 2 pipelines", piped, -1, key(light))
+		if len(piped.lanes[key(chunk)].waits) == 0 {
+			t.Error("i: no extension chunk was served")
+		}
+		if n := piped.lanes[key(light)].shed; n != [len(sheds)]int{} {
+			t.Errorf("i: interactive requests shed beside two pipelines (delay, deadline, quota): %v", n)
+		}
+		if a, b := alone.wait(0.99, key(light)), piped.wait(0.99, key(light)); b > a+simBatchTime {
+			t.Errorf("i: the pipelines raised interactive p99 wait from %v to %v, more than one batch (%v)", a, b, simBatchTime)
 		}
 	}
 

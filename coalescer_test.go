@@ -83,11 +83,14 @@ func enqueue(t *testing.T, c *Coalescer, ten *Tenant, class priorityClass, cfg C
 		}
 	}
 	w := &coalesceWaiter{
-		in: in, npairs: n, enq: time.Now(),
+		in: in, npairs: n, enq: time.Now(), ctx: ctxb,
 		tt: c.tenantTele(ten), ch: make(chan coalesceResult, 1),
 	}
+	if class == classBulk {
+		w.out = make([]xdrop.SeedResult, n)
+	}
 	c.mu.Lock()
-	c.q.enqueue(laneKey{ten: ten, class: class, cfg: cfg.key()}, cfg, w)
+	c.q.enqueue(laneKey{ten: ten, class: class, cfg: cfg.key()}, w)
 	c.mu.Unlock()
 	select {
 	case c.kick <- struct{}{}:
@@ -635,5 +638,58 @@ func TestCoalescerAbandonReleasesQueue(t *testing.T) {
 	coal.Close()
 	if err := <-ok; err != nil {
 		t.Fatalf("share not released: %v", err)
+	}
+}
+
+// cellTally counts the DP cells its backend writes into the result slots
+// of every batch, finished or abandoned.
+type cellTally struct {
+	backend.Backend
+	cells atomic.Int64
+}
+
+func (c *cellTally) ExtendBatch(ctx context.Context, pairs []seq.Pair, out []xdrop.SeedResult, sch xdrop.Scheme, x int32) (backend.BatchStats, error) {
+	st, err := c.Backend.ExtendBatch(ctx, pairs, out, sch, x)
+	for i := range out {
+		c.cells.Add(out[i].Cells())
+	}
+	return st, err
+}
+
+// TestCoalescerLoneBulkChunkCancel: a bulk chunk executing alone runs
+// under its caller's cancellation. Canceled while the engine holds its
+// batch, it computes no cell once released, and the caller gets the
+// context's error — as a DELETEd job's chunk does on the engine-direct
+// path.
+func TestCoalescerLoneBulkChunkCancel(t *testing.T) {
+	eng, err := NewAligner(EngineOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	g := holdBatches(eng)
+	tally := &cellTally{Backend: eng.be}
+	eng.be = tally
+	coal := eng.NewCoalescer(CoalescerOptions{})
+	defer coal.Close()
+
+	in, err := preparePairs(makePairsSeed(16, 1), cfgT)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(ctxb)
+	done := make(chan error, 1)
+	go func() {
+		_, err := coal.extendBulk(ctx, in, make([]xdrop.SeedResult, len(in)), cfgT.scheme(), cfgT.X)
+		done <- err
+	}()
+	<-g.entered // the chunk is executing, alone
+	cancel()
+	g.open()
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled lone chunk: err %v, want context.Canceled", err)
+	}
+	if n := tally.cells.Load(); n != 0 {
+		t.Fatalf("the engine computed %d cells of a chunk canceled before it ran", n)
 	}
 }

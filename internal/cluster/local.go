@@ -91,14 +91,9 @@ func (l *local) close() {
 // handles.
 func (l *local) submit(sub Submission) (JobStatus, bool, error) {
 	ctx, cancel := context.WithCancel(l.baseCtx)
-	if sub.Tenant != nil {
-		// The submitter rides the runner's context: with -job-coalesce the
-		// job's extension chunks hit the coalescer's per-tenant admission
-		// (bulk class) under this identity instead of anonymously.
-		ctx = logan.WithTenant(ctx, sub.Tenant)
-	}
 	st, replayed, err := l.st.admit(NewID(), sub.IdempotencyKey, TenantName(sub.Tenant), sub.BufBytes, func(j *record) error {
-		// DELETE lands here: the overlapper observes ctx per pair.
+		// DELETE lands here: a queued extension chunk is dropped at
+		// once, and one running alone stops per pair.
 		j.retire = cancel
 		l.wg.Add(1)
 		go l.exec(ctx, j, sub)

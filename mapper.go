@@ -10,7 +10,6 @@ import (
 	"sync"
 	"time"
 
-	"logan/internal/bella"
 	"logan/internal/chain"
 	"logan/internal/minidx"
 	"logan/internal/seq"
@@ -213,9 +212,10 @@ type MapResult struct {
 // MapperOptions tunes how a Mapper submits extension work.
 type MapperOptions struct {
 	// Coalescer, when non-nil, routes extension batches through the given
-	// request coalescer instead of straight onto the engine's backend, so
-	// mapping traffic shares QoS lanes with /align and /jobs work of the
-	// same configuration. The coalescer must belong to the same engine.
+	// request coalescer's bulk lanes instead of straight onto the
+	// engine's backend, so mapping work is scheduled behind concurrent
+	// Align traffic under one admission policy; results are identical
+	// either way. The coalescer must belong to the same engine.
 	Coalescer *Coalescer
 }
 
@@ -227,7 +227,7 @@ type MapperOptions struct {
 // run uses the index installed when it started.
 type Mapper struct {
 	eng  *Aligner
-	coal *Coalescer
+	path extendPath
 
 	mu  sync.RWMutex
 	idx *minidx.Index
@@ -252,7 +252,7 @@ func NewMapper(eng *Aligner, opt MapperOptions) (*Mapper, error) {
 	t := eng.tele
 	return &Mapper{
 		eng:  eng,
-		coal: opt.Coalescer,
+		path: newExtendPath(eng, opt.Coalescer, "map", "mapping extension batches"),
 
 		mReads:      t.Counter("logan_map_reads_total", "Reads processed by the mapping pipeline."),
 		mMapped:     t.Counter("logan_map_reads_mapped_total", "Reads that produced at least one placement."),
@@ -457,18 +457,7 @@ func (m *Mapper) run(ctx context.Context, reads []Read, rs []seq.Seq, cfg MapCon
 		MinAnchors: cfg.MinChainAnchors,
 	}
 
-	var counters overlapCounters
-	var al bella.Aligner
-	if m.coal != nil {
-		al = &coalescedExtender{
-			coal:       m.coal,
-			counters:   &counters,
-			shedTotal:  m.eng.tele.Counter("logan_map_shed_total", "Mapping extension batches shed by coalescer admission control."),
-			retryTotal: m.eng.tele.Counter("logan_map_retries_total", "Re-submissions of shed mapping extension batches."),
-		}
-	} else {
-		al = &engineExtender{eng: m.eng}
-	}
+	ext := &extender{extendPath: m.path}
 
 	res := &MapResult{}
 	st := &res.Stats
@@ -484,7 +473,7 @@ func (m *Mapper) run(ctx context.Context, reads []Read, rs []seq.Seq, cfg MapCon
 			Anchors: st.Anchors, Chains: st.Chains,
 			ExtensionsDone: extDone, ExtensionsTotal: extTotal,
 			Mapped: st.Mapped,
-			Shed:   counters.shed.Load(), Retries: counters.retries.Load(),
+			Shed:   ext.shed.Load(), Retries: ext.retries.Load(),
 		})
 	}
 	extDone := 0
@@ -510,7 +499,7 @@ func (m *Mapper) run(ctx context.Context, reads []Read, rs []seq.Seq, cfg MapCon
 		for i, j := range jobs {
 			pairs[i] = j.pair
 		}
-		out, ast, err := al.AlignPairs(ctx, pairs, cfg.Scoring.linear, cfg.X)
+		out, ast, err := ext.AlignPairs(ctx, pairs, cfg.Scoring.linear, cfg.X)
 		if err != nil {
 			return nil, err
 		}
@@ -534,8 +523,8 @@ func (m *Mapper) run(ctx context.Context, reads []Read, rs []seq.Seq, cfg MapCon
 		}
 		progress(MapStageExtend, extDone, extDone)
 	}
-	st.Shed = counters.shed.Load()
-	st.Retries = counters.retries.Load()
+	st.Shed = ext.shed.Load()
+	st.Retries = ext.retries.Load()
 	st.WallTime = time.Since(start)
 
 	m.mReads.Add(float64(st.Reads))

@@ -6,22 +6,17 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"strings"
 	"sync/atomic"
 	"time"
 
+	"logan/internal/backend"
 	"logan/internal/bella"
 	"logan/internal/genome"
 	"logan/internal/seq"
 	"logan/internal/telemetry"
 	"logan/internal/xdrop"
 )
-
-// ErrTracebackUnavailable reports an OverlapConfig requesting the CIGAR
-// traceback post-pass on an Overlapper whose extensions are routed through
-// a Coalescer: the coalescer's public result type carries scores and
-// extents but not the per-direction band widths the banded traceback
-// needs. Run traceback overlaps on an engine-direct Overlapper instead.
-var ErrTracebackUnavailable = errors.New("logan: traceback requires an engine-direct Overlapper (not a coalescer-routed one)")
 
 // Read is one input sequence of an overlap run: a record name (reported in
 // the PAF output) and its bases in the upper- or lower-case ACGTN
@@ -93,7 +88,7 @@ type OverlapConfig struct {
 	// than this many bases.
 	MinOverlap int
 	// Traceback recovers base-level CIGAR strings for accepted overlaps
-	// in a CPU post-pass (engine-direct Overlappers only).
+	// in a CPU post-pass.
 	Traceback bool
 	// BatchPairs chunks the extension stage: at most this many pairs are
 	// submitted to the engine per batch, with cancellation checks and
@@ -236,11 +231,12 @@ type OverlapResult struct {
 // OverlapperOptions tunes how an Overlapper submits extension work.
 type OverlapperOptions struct {
 	// Coalescer, when non-nil, routes extension chunks through the given
-	// request coalescer instead of straight onto the engine's backend, so
-	// overlap traffic merges with concurrent Align traffic of the same
-	// configuration. Shed chunks (ErrOverloaded) are re-submitted with
-	// backoff and counted in the run's Shed/Retries. The coalescer must
-	// belong to the same engine.
+	// request coalescer's bulk lanes instead of straight onto the
+	// engine's backend, so overlap work is scheduled behind concurrent
+	// Align traffic under one admission policy. Results, traceback
+	// included, are identical either way. Shed chunks (ErrOverloaded) are
+	// re-submitted with backoff and counted in the run's Shed/Retries.
+	// The coalescer must belong to the same engine.
 	Coalescer *Coalescer
 }
 
@@ -257,7 +253,7 @@ type OverlapperOptions struct {
 // with ErrClosed; the Overlapper itself has nothing to close.
 type Overlapper struct {
 	eng  *Aligner
-	coal *Coalescer
+	path extendPath
 }
 
 // NewOverlapper builds an overlap front end over the engine.
@@ -265,7 +261,7 @@ func NewOverlapper(eng *Aligner, opt OverlapperOptions) (*Overlapper, error) {
 	if eng == nil {
 		return nil, errors.New("logan: NewOverlapper requires an engine")
 	}
-	return &Overlapper{eng: eng, coal: opt.Coalescer}, nil
+	return &Overlapper{eng: eng, path: newExtendPath(eng, opt.Coalescer, "overlap", "overlap extension chunks")}, nil
 }
 
 // Engine returns the engine the Overlapper extends on.
@@ -277,9 +273,6 @@ func (o *Overlapper) Engine() *Aligner { return o.eng }
 func (o *Overlapper) Run(ctx context.Context, reads []Read, cfg OverlapConfig) (*OverlapResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
-	}
-	if cfg.Traceback && o.coal != nil {
-		return nil, ErrTracebackUnavailable
 	}
 	start := time.Now()
 	rs := genome.ReadSet{}
@@ -302,9 +295,6 @@ func (o *Overlapper) Run(ctx context.Context, reads []Read, cfg OverlapConfig) (
 func (o *Overlapper) RunFasta(ctx context.Context, r io.Reader, cfg OverlapConfig) (*OverlapResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
-	}
-	if cfg.Traceback && o.coal != nil {
-		return nil, ErrTracebackUnavailable
 	}
 	if ctx == nil {
 		ctx = context.Background()
@@ -337,30 +327,17 @@ func (o *Overlapper) run(ctx context.Context, rs genome.ReadSet, cfg OverlapConf
 		ctx = context.Background()
 	}
 	cfg.Params().resolve()
-	var counters overlapCounters
+	ext := &extender{extendPath: o.path}
 	bcfg := cfg.bellaConfig()
 	if cfg.OnProgress != nil {
 		nReads := len(rs.Reads)
 		bcfg.OnProgress = func(p OverlapProgress) {
 			p.ReadsParsed = nReads
-			p.Shed, p.Retries = counters.shed.Load(), counters.retries.Load()
+			p.Shed, p.Retries = ext.shed.Load(), ext.retries.Load()
 			cfg.OnProgress(p)
 		}
 	}
-	var al bella.Aligner
-	if o.coal != nil {
-		al = &coalescedExtender{
-			coal:     o.coal,
-			counters: &counters,
-			// Mirror the run-local counters into the engine registry so the
-			// /metrics view sees overlap back-pressure across all runs.
-			shedTotal:  o.eng.tele.Counter("logan_overlap_shed_total", "Overlap extension chunks shed by coalescer admission control."),
-			retryTotal: o.eng.tele.Counter("logan_overlap_retries_total", "Re-submissions of shed overlap extension chunks."),
-		}
-	} else {
-		al = &engineExtender{eng: o.eng}
-	}
-	res, err := bella.Run(ctx, rs, bcfg, al)
+	res, err := bella.Run(ctx, rs, bcfg, ext)
 	if err != nil {
 		return nil, err
 	}
@@ -375,27 +352,89 @@ func (o *Overlapper) run(ctx context.Context, rs genome.ReadSet, cfg OverlapConf
 			DeviceTime:     res.Align.DeviceTime,
 			Times:          res.Times,
 			WallTime:       time.Since(start),
-			Shed:           counters.shed.Load(),
-			Retries:        counters.retries.Load(),
+			Shed:           ext.shed.Load(),
+			Retries:        ext.retries.Load(),
 		},
 	}, nil
 }
 
-// engineExtender feeds extension chunks straight onto the shared engine's
-// backend (worker pools, devices, hybrid scheduler) and keeps the raw
-// per-direction results, so the traceback post-pass can band itself.
-type engineExtender struct {
-	eng *Aligner
+// extendFunc is the signature of the engine's one dispatch,
+// Aligner.extendPrepared, and of the Coalescer's bulk entry,
+// Coalescer.extendBulk: a pipeline holds one or the other.
+type extendFunc func(ctx context.Context, in []seq.Pair, out []xdrop.SeedResult, sch xdrop.Scheme, x int32) (backend.BatchStats, error)
+
+// extendPath is how a pipeline (Overlapper, Mapper) reaches the engine:
+// its extend function and the registry totals of its shed chunks.
+type extendPath struct {
+	extend                extendFunc
+	shedTotal, retryTotal *telemetry.Counter
+}
+
+// newExtendPath picks the engine-direct dispatch, or coal's bulk entry
+// when coal is non-nil, and registers the pipeline's shed and retry
+// totals, logan_<pipeline>_shed_total and logan_<pipeline>_retries_total,
+// in the engine registry; chunks names the pipeline's work units.
+func newExtendPath(eng *Aligner, coal *Coalescer, pipeline, chunks string) extendPath {
+	p := extendPath{
+		extend: eng.extendPrepared,
+		shedTotal: eng.tele.Counter("logan_"+pipeline+"_shed_total",
+			strings.ToUpper(chunks[:1])+chunks[1:]+" shed by coalescer admission control."),
+		retryTotal: eng.tele.Counter("logan_"+pipeline+"_retries_total",
+			"Re-submissions of shed "+chunks+"."),
+	}
+	if coal != nil {
+		p.extend = coal.extendBulk
+	}
+	return p
+}
+
+// extender is the one bella.Aligner of the overlap and mapping
+// pipelines: it extends each chunk through the path's extend function
+// and keeps the raw per-direction results, so the traceback post-pass
+// can band itself. Chunks the coalescer's admission control sheds are
+// re-submitted with exponential backoff; every shed and retry is counted
+// for the run (shed, retries) and in the registry.
+type extender struct {
+	extendPath
+	shed, retries atomic.Int64
 }
 
 // Name identifies the aligner in reports.
-func (e *engineExtender) Name() string { return "logan-engine" }
+func (e *extender) Name() string { return "logan-engine" }
 
-// AlignPairs dispatches one chunk through the engine's backend.
-func (e *engineExtender) AlignPairs(ctx context.Context, pairs []seq.Pair, sc xdrop.Scoring, x int32) ([]xdrop.SeedResult, bella.AlignerStats, error) {
+// overlapMaxRetries bounds re-submissions of one shed chunk before the
+// run fails with ErrOverloaded: sustained overload should fail the job,
+// not wedge it.
+const overlapMaxRetries = 10
+
+// AlignPairs extends one chunk, retrying it while it is shed.
+func (e *extender) AlignPairs(ctx context.Context, pairs []seq.Pair, sc xdrop.Scoring, x int32) ([]xdrop.SeedResult, bella.AlignerStats, error) {
 	start := time.Now()
 	out := make([]xdrop.SeedResult, len(pairs))
-	bst, err := e.eng.extendPrepared(ctx, pairs, out, xdrop.LinearScheme(sc), x)
+	var (
+		bst backend.BatchStats
+		err error
+	)
+	backoff := time.Millisecond
+	for attempt := 0; ; attempt++ {
+		bst, err = e.extend(ctx, pairs, out, xdrop.LinearScheme(sc), x)
+		if !errors.Is(err, ErrOverloaded) {
+			break
+		}
+		e.shed.Add(1)
+		e.shedTotal.Inc()
+		if attempt == overlapMaxRetries {
+			return nil, bella.AlignerStats{}, fmt.Errorf("logan: extension chunk shed %d times: %w", attempt+1, err)
+		}
+		select {
+		case <-ctx.Done():
+			return nil, bella.AlignerStats{}, ctx.Err()
+		case <-time.After(backoff):
+		}
+		backoff = min(2*backoff, 100*time.Millisecond)
+		e.retries.Add(1)
+		e.retryTotal.Inc()
+	}
 	if err != nil {
 		return nil, bella.AlignerStats{}, err
 	}
@@ -407,89 +446,4 @@ func (e *engineExtender) AlignPairs(ctx context.Context, pairs []seq.Pair, sc xd
 		st.MaxBand = max(st.MaxBand, out[i].Left.MaxBand, out[i].Right.MaxBand)
 	}
 	return out, st, nil
-}
-
-// coalescedExtender routes extension chunks through a request Coalescer,
-// merging overlap traffic with same-config Align requests. Chunks the
-// admission control sheds are re-submitted with exponential backoff;
-// every shed and retry is counted.
-type coalescedExtender struct {
-	coal     *Coalescer
-	counters *overlapCounters
-	// Registry mirrors of the run-local counters (lifetime totals).
-	shedTotal, retryTotal *telemetry.Counter
-}
-
-// overlapCounters aggregates a run's shed/retry accounting across the
-// extension goroutine and concurrent progress snapshots.
-type overlapCounters struct {
-	shed, retries atomic.Int64
-}
-
-// Name identifies the aligner in reports.
-func (e *coalescedExtender) Name() string { return "logan-coalesced" }
-
-// overlapMaxRetries bounds re-submissions of one shed chunk before the
-// run fails with ErrOverloaded: sustained overload should fail the job,
-// not wedge it.
-const overlapMaxRetries = 10
-
-// AlignPairs submits one chunk via the coalescer, retrying shed chunks.
-func (e *coalescedExtender) AlignPairs(ctx context.Context, pairs []seq.Pair, sc xdrop.Scoring, x int32) ([]xdrop.SeedResult, bella.AlignerStats, error) {
-	start := time.Now()
-	// Extension chunks ride the bulk priority class: interactive /align
-	// lanes are picked ahead of them under contention.
-	ctx = withPriority(ctx, classBulk)
-	lp := make([]Pair, len(pairs))
-	for i := range pairs {
-		lp[i] = Pair{
-			Query: pairs[i].Query, Target: pairs[i].Target,
-			SeedQ: pairs[i].SeedQPos, SeedT: pairs[i].SeedTPos, SeedLen: pairs[i].SeedLen,
-		}
-	}
-	cfg := Config{X: x, Scoring: Scoring{mode: scoringLinear, linear: sc}}
-	var (
-		out []Alignment
-		st  Stats
-		err error
-	)
-	backoff := time.Millisecond
-	for attempt := 0; ; attempt++ {
-		out, st, err = e.coal.Align(ctx, lp, cfg)
-		if !errors.Is(err, ErrOverloaded) {
-			break
-		}
-		e.counters.shed.Add(1)
-		e.shedTotal.Inc()
-		if attempt == overlapMaxRetries {
-			return nil, bella.AlignerStats{}, fmt.Errorf("logan: overlap extension chunk shed %d times: %w", attempt+1, err)
-		}
-		select {
-		case <-ctx.Done():
-			return nil, bella.AlignerStats{}, ctx.Err()
-		case <-time.After(backoff):
-		}
-		backoff = min(2*backoff, 100*time.Millisecond)
-		e.counters.retries.Add(1)
-		e.retryTotal.Inc()
-	}
-	if err != nil {
-		return nil, bella.AlignerStats{}, err
-	}
-	res := make([]xdrop.SeedResult, len(out))
-	for i, a := range out {
-		res[i] = xdrop.SeedResult{
-			Score:  a.Score,
-			QBegin: a.QBegin, QEnd: a.QEnd,
-			TBegin: a.TBegin, TEnd: a.TEnd,
-		}
-		// The public Alignment compresses the per-direction split away;
-		// park the cell total on one side so SeedResult.Cells stays right.
-		res[i].Left.Cells = a.Cells
-	}
-	ast := bella.AlignerStats{
-		Pairs: st.Pairs, Cells: st.Cells,
-		WallTime: time.Since(start), DeviceTime: st.DeviceTime,
-	}
-	return res, ast, nil
 }

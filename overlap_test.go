@@ -338,15 +338,6 @@ func TestOverlapperValidation(t *testing.T) {
 		t.Error("invalid base accepted")
 	}
 
-	coal := eng.NewCoalescer(CoalescerOptions{})
-	defer coal.Close()
-	ovc, _ := NewOverlapper(eng, OverlapperOptions{Coalescer: coal})
-	tb := overlapTestConfig(10)
-	tb.Traceback = true
-	if _, err := ovc.Run(context.Background(), nil, tb); err != ErrTracebackUnavailable {
-		t.Errorf("coalesced traceback: err = %v, want ErrTracebackUnavailable", err)
-	}
-
 	// Empty input is a valid, empty run.
 	res, err := ov.Run(context.Background(), nil, okCfg)
 	if err != nil || len(res.Records) != 0 {
@@ -354,8 +345,8 @@ func TestOverlapperValidation(t *testing.T) {
 	}
 }
 
-// TestOverlapperTraceback checks the CIGAR post-pass on the engine-direct
-// path agrees with the internal pipeline.
+// TestOverlapperTraceback checks the CIGAR post-pass agrees with the
+// internal pipeline byte for byte, engine-direct and coalescer-routed.
 func TestOverlapperTraceback(t *testing.T) {
 	rs := overlapTestSet(t, 15, 30_000)
 	cfg := overlapTestConfig(15)
@@ -376,27 +367,37 @@ func TestOverlapperTraceback(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	ov, _ := NewOverlapper(eng, OverlapperOptions{})
-	res, err := ov.Run(context.Background(), readsOf(rs), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got bytes.Buffer
-	if err := WritePAF(&got, res.Records); err != nil {
-		t.Fatal(err)
-	}
-	if got.String() != want.String() {
-		t.Error("traceback PAF diverges from the internal pipeline")
-	}
-	foundCigar := false
-	for _, r := range res.Records {
-		if r.CIGAR != "" {
-			foundCigar = true
-			break
+	coal := eng.NewCoalescer(CoalescerOptions{})
+	defer coal.Close()
+	for _, tc := range []struct {
+		name string
+		opt  OverlapperOptions
+	}{{"engine-direct", OverlapperOptions{}}, {"coalesced", OverlapperOptions{Coalescer: coal}}} {
+		ov, _ := NewOverlapper(eng, tc.opt)
+		res, err := ov.Run(context.Background(), readsOf(rs), cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		var got bytes.Buffer
+		if err := WritePAF(&got, res.Records); err != nil {
+			t.Fatal(err)
+		}
+		if got.String() != want.String() {
+			t.Errorf("%s: traceback PAF diverges from the internal pipeline", tc.name)
+		}
+		foundCigar := false
+		for _, r := range res.Records {
+			if r.CIGAR != "" {
+				foundCigar = true
+				break
+			}
+		}
+		if len(res.Records) > 0 && !foundCigar {
+			t.Errorf("%s: traceback requested but no record carries a CIGAR", tc.name)
 		}
 	}
-	if len(res.Records) > 0 && !foundCigar {
-		t.Error("traceback requested but no record carries a CIGAR")
+	if coal.Metrics().MergedBatches == 0 {
+		t.Error("the coalesced run's chunks never reached the coalescer")
 	}
 }
 

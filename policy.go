@@ -28,7 +28,7 @@ const noDeadline = time.Duration(math.MaxInt64)
 // admission is everything the admission policy reads. The mechanism
 // fills floor, rate, target and timeLeft; submit fills the queue state.
 type admission struct {
-	queued       int           // pairs the tenant already has queued
+	queued       int           // pairs the tenant has queued ahead of this request (only interactive ones for an interactive request)
 	n            int           // pairs of this request
 	weight       int           // the tenant's fair-share weight
 	activeWeight int           // summed weight of tenants with queued work, requester included
@@ -49,20 +49,19 @@ type admission struct {
 // Shares move only for later arrivals: what a tenant queued while it was
 // the only active one drains at its smaller share once others join, so
 // its admitted requests can overstay the target (replay scenario d).
-// projected is 0 for a request admitted without one.
-func admit(in admission) (ok bool, reason shedReason, projected time.Duration) {
+func admit(in admission) (ok bool, reason shedReason) {
 	if in.queued+in.n <= in.floor || in.rate <= 0 {
-		return true, 0, 0
+		return true, 0
 	}
 	shareRate := in.rate * float64(in.weight) / float64(in.activeWeight)
-	projected = time.Duration(float64(in.queued+in.n) / shareRate * float64(time.Second))
+	projected := time.Duration(float64(in.queued+in.n) / shareRate * float64(time.Second))
 	switch {
 	case projected > in.target:
-		return false, shedDelay, projected
+		return false, shedDelay
 	case in.timeLeft < projected:
-		return false, shedDeadline, projected
+		return false, shedDeadline
 	}
-	return true, 0, projected
+	return true, 0
 }
 
 // maxBulkPassOver is how many consecutive batches may go to interactive
@@ -72,7 +71,8 @@ const maxBulkPassOver = 4
 
 // laneKey identifies one scheduling lane: a tenant's stream of
 // same-config requests in one priority class. Tenants compare by
-// identity, configurations by configKey (matrices by interned pointer).
+// identity, configurations by configKey (matrices by interned pointer);
+// the configKey is also all the flusher needs to run the lane's batches.
 type laneKey struct {
 	ten   *Tenant
 	class priorityClass
@@ -84,7 +84,6 @@ type laneKey struct {
 // exist only while non-empty; a live lane is always in its class ring.
 type lane struct {
 	key     laneKey
-	cfg     Config
 	waiters []*coalesceWaiter
 	pending int
 	// deficit is the DRR service credit in pairs: each scheduler visit
@@ -108,30 +107,39 @@ type laneSched struct {
 	cursor     [numClasses]int     // DRR rotation position per class
 	bulkPassed int                 // consecutive interactive batches taken while bulk work was queued
 	tenPending map[*Tenant]int     // queued pairs per tenant with any
+	tenInter   map[*Tenant]int     // the interactive share of tenPending
 	pending    int                 // pairs queued across all lanes
 }
 
 func newLaneSched() laneSched {
-	return laneSched{lanes: make(map[laneKey]*lane), tenPending: make(map[*Tenant]int)}
+	return laneSched{lanes: make(map[laneKey]*lane), tenPending: make(map[*Tenant]int), tenInter: make(map[*Tenant]int)}
 }
 
 // submit is the one admission sequence: the policy decides first, and
-// only a request it admits draws on its tenant's token bucket (so a
-// request shed for delay or deadline costs its tenant no quota; a bucket
-// that then refuses reports shedQuota), and only one that passed both is
-// queued, stamped with its arrival time. a carries what the mechanism
-// knows; the queue state is filled in here.
-func (s *laneSched) submit(key laneKey, cfg Config, w *coalesceWaiter, a admission, now time.Time) (shedReason, bool) {
+// only an interactive request it admits draws on its tenant's token
+// bucket (so a request shed for delay or deadline costs its tenant no
+// quota; a bucket that then refuses reports shedQuota), and only one that
+// passed both is queued, stamped with its arrival time. Bulk work — the
+// pipelines' extension chunks — draws no quota. An interactive request is
+// projected against its tenant's interactive queue alone, since bulk is
+// served after it; a bulk one against everything its tenant has queued.
+// Either drains at the tenant's weight share among all tenants with
+// queued work, as queued bulk still takes a batch after maxBulkPassOver.
+// a carries what the mechanism knows; the queue state is filled in here.
+func (s *laneSched) submit(key laneKey, w *coalesceWaiter, a admission, now time.Time) (shedReason, bool) {
 	a.queued, a.n = s.tenPending[key.ten], len(w.in)
+	if key.class == classInteractive {
+		a.queued = s.tenInter[key.ten]
+	}
 	a.weight, a.activeWeight = key.ten.weight, s.activeWeight(key.ten)
-	if ok, reason, _ := admit(a); !ok {
+	if ok, reason := admit(a); !ok {
 		return reason, false
 	}
-	if !key.ten.takePairs(a.n, now) {
+	if key.class == classInteractive && !key.ten.takePairs(a.n, now) {
 		return shedQuota, false
 	}
 	w.enq = now
-	s.enqueue(key, cfg, w)
+	s.enqueue(key, w)
 	return 0, true
 }
 
@@ -149,10 +157,10 @@ func (s *laneSched) activeWeight(ten *Tenant) int {
 
 // enqueue appends w to its lane, creating the lane (and its ring
 // membership) on first use.
-func (s *laneSched) enqueue(key laneKey, cfg Config, w *coalesceWaiter) {
+func (s *laneSched) enqueue(key laneKey, w *coalesceWaiter) {
 	l := s.lanes[key]
 	if l == nil {
-		l = &lane{key: key, cfg: cfg}
+		l = &lane{key: key}
 		s.lanes[key] = l
 		s.rings[key.class] = append(s.rings[key.class], l)
 	}
@@ -161,18 +169,27 @@ func (s *laneSched) enqueue(key laneKey, cfg Config, w *coalesceWaiter) {
 }
 
 // charge adjusts the queued-pair counts of l, its tenant and the whole
-// queue; a tenant's entry is dropped at zero so activeWeight only visits
-// tenants with work, and an emptied lane leaves the map and its ring.
+// queue; a tenant's entries are dropped at zero so activeWeight only
+// visits tenants with work, and an emptied lane leaves the map and its
+// ring.
 func (s *laneSched) charge(l *lane, delta int) {
 	l.pending += delta
 	s.pending += delta
-	if v := s.tenPending[l.key.ten] + delta; v > 0 {
-		s.tenPending[l.key.ten] = v
-	} else {
-		delete(s.tenPending, l.key.ten)
+	addPending(s.tenPending, l.key.ten, delta)
+	if l.key.class == classInteractive {
+		addPending(s.tenInter, l.key.ten, delta)
 	}
 	if len(l.waiters) == 0 {
 		s.dropLane(l)
+	}
+}
+
+// addPending moves ten's entry of pending by delta, dropping it at zero.
+func addPending(pending map[*Tenant]int, ten *Tenant, delta int) {
+	if v := pending[ten] + delta; v > 0 {
+		pending[ten] = v
+	} else {
+		delete(pending, ten)
 	}
 }
 

@@ -26,7 +26,7 @@ func FuzzLaneScheduler(f *testing.F) {
 			switch op & 3 {
 			case 0, 1:
 				w := blankWaiter(1 + arg%(quantum-1))
-				s.enqueue(key, cfg, w)
+				s.enqueue(key, w)
 				model[key] = append(model[key], w)
 			case 2:
 				// Abandon the arg-th waiter of the lane, or — past its end —
@@ -88,7 +88,7 @@ func FuzzLaneScheduler(f *testing.F) {
 func checkLaneSched(t *testing.T, s *laneSched, model map[laneKey][]*coalesceWaiter, quantum int) {
 	t.Helper()
 	total := 0
-	perTenant := make(map[*Tenant]int)
+	perTenant, perInter := make(map[*Tenant]int), make(map[*Tenant]int)
 	for key, q := range model {
 		l := s.lanes[key]
 		if l == nil || len(l.waiters) != len(q) {
@@ -112,6 +112,9 @@ func checkLaneSched(t *testing.T, s *laneSched, model map[laneKey][]*coalesceWai
 		}
 		total += n
 		perTenant[key.ten] += n
+		if key.class == classInteractive {
+			perInter[key.ten] += n
+		}
 	}
 	if len(s.lanes) != len(model) || s.pending != total {
 		t.Fatalf("scheduler holds %d lanes and %d pairs, model %d and %d", len(s.lanes), s.pending, len(model), total)
@@ -122,6 +125,14 @@ func checkLaneSched(t *testing.T, s *laneSched, model map[laneKey][]*coalesceWai
 	for ten, n := range perTenant {
 		if s.tenPending[ten] != n {
 			t.Fatalf("tenant %s: pending %d, want %d", ten.name, s.tenPending[ten], n)
+		}
+	}
+	if len(s.tenInter) != len(perInter) {
+		t.Fatalf("tenInter %v, want exactly the tenants with queued interactive pairs %v", s.tenInter, perInter)
+	}
+	for ten, n := range perInter {
+		if s.tenInter[ten] != n {
+			t.Fatalf("tenant %s: interactive pending %d, want %d", ten.name, s.tenInter[ten], n)
 		}
 	}
 	// A lane is in its class ring exactly while it is non-empty.

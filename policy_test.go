@@ -50,18 +50,9 @@ func TestAdmissionAdaptive(t *testing.T) {
 		{"1:3 heavy share sheds past three quarters", with(func(a *admission) { a.queued, a.n, a.weight, a.activeWeight = 66, 10, 3, 4 }), false, shedDelay},
 		{"a lone tenant's weight cancels", with(func(a *admission) { a.queued, a.n, a.weight, a.activeWeight = 90, 10, 5, 5 }), true, 0},
 	} {
-		ok, reason, projected := admit(tc.in)
+		ok, reason := admit(tc.in)
 		if ok != tc.ok || (!ok && reason != tc.reason) {
 			t.Errorf("%s: admit(%+v) = %v, reason %d; want %v, reason %d", tc.name, tc.in, ok, reason, tc.ok, tc.reason)
-		}
-		// The projection is the share-weighted drain time, to rounding.
-		want := time.Duration(0)
-		if tc.in.queued+tc.in.n > tc.in.floor && tc.in.rate > 0 {
-			want = time.Duration(tc.in.queued+tc.in.n) * time.Second * time.Duration(tc.in.activeWeight) /
-				time.Duration(tc.in.rate) / time.Duration(tc.in.weight)
-		}
-		if d := projected - want; d < -time.Microsecond || d > time.Microsecond {
-			t.Errorf("%s: projected %v, want %v", tc.name, projected, want)
 		}
 	}
 	// ErrDeadlineInfeasible must still satisfy the ErrOverloaded checks
@@ -92,7 +83,7 @@ func TestLaneSchedEqualService(t *testing.T) {
 		for step := 0; step < 400; step++ {
 			for _, k := range keys { // keep every lane two batches deep
 				for s.tenPending[k.ten] < 4*quantum {
-					s.enqueue(k, cfgT, blankWaiter(size))
+					s.enqueue(k, blankWaiter(size))
 				}
 			}
 			l, _, n := s.take(quantum)
@@ -123,7 +114,7 @@ func TestLaneSchedWeightedService(t *testing.T) {
 		for step := 0; step < 700; step++ {
 			for _, k := range keys {
 				for s.tenPending[k.ten] < 4*quantum {
-					s.enqueue(k, cfgT, blankWaiter(size))
+					s.enqueue(k, blankWaiter(size))
 				}
 			}
 			l, _, n := s.take(quantum)
@@ -145,8 +136,8 @@ func TestLaneSchedOvershootSitsOut(t *testing.T) {
 	s := newLaneSched()
 	keys := laneKeys(classInteractive, "over", "exact")
 	for i := 0; i < 8; i++ {
-		s.enqueue(keys[0], cfgT, blankWaiter(7))
-		s.enqueue(keys[1], cfgT, blankWaiter(4))
+		s.enqueue(keys[0], blankWaiter(7))
+		s.enqueue(keys[1], blankWaiter(4))
 	}
 	var got []string
 	for i := 0; i < 7; i++ {
@@ -169,10 +160,10 @@ func TestLaneSchedBulkPassOver(t *testing.T) {
 	inter := laneKeys(classInteractive, "i")[0]
 	bulk := laneKeys(classBulk, "b")[0]
 	for i := 0; i < 40; i++ {
-		s.enqueue(inter, cfgT, blankWaiter(4))
+		s.enqueue(inter, blankWaiter(4))
 	}
 	for i := 0; i < 4; i++ {
-		s.enqueue(bulk, cfgT, blankWaiter(4))
+		s.enqueue(bulk, blankWaiter(4))
 	}
 	for round := 0; round < 4; round++ {
 		for i := 0; i <= maxBulkPassOver; i++ {
@@ -212,7 +203,7 @@ func TestLaneSchedDropKeepsCursor(t *testing.T) {
 		ws := make([]*coalesceWaiter, len(keys))
 		for i, k := range keys {
 			ws[i] = blankWaiter(4)
-			s.enqueue(k, cfgT, ws[i])
+			s.enqueue(k, ws[i])
 		}
 		s.cursor[classInteractive] = tc.cursor
 		if !s.abandon(keys[tc.drop], ws[tc.drop]) {

@@ -6,8 +6,9 @@
 # its trace), EXPERIMENTS.md the committed reproduction CSV, the device
 # batch one executor, the root package no view of the kernel
 # configuration, the generated tables of docs/SERVING.md their
-# generators' output, request parameters one parser, and the coalescer
-# one admission policy in pure, clock-free code. Run from the repo root;
+# generators' output, request parameters one parser, the coalescer
+# one admission policy in pure, clock-free code, and pipeline work one
+# extension path. Run from the repo root;
 # CI runs it alongside the unit tests.
 # The doc checker itself is scripts/doclint.
 set -euo pipefail
@@ -132,6 +133,21 @@ back=$(grep -rnE --include='*.go' --include='*.md' --include='*.sh' --include='*
 	grep -vE '^\./(CHANGES|ROADMAP|ISSUE)\.md:' || true)
 if [ -n "$back" ]; then
 	echo "doc-lint: the fixed admission budget is back (one admission policy: admit in policy.go):" >&2
+	echo "$back" >&2
+	exit 1
+fi
+
+# Pipeline work has one extension path: an Overlapper or Mapper holds one
+# extend function, the engine's dispatch or the Coalescer's bulk entry,
+# and the flusher runs every batch through that same dispatch. The two
+# extender adapters, the context-carried service class, the flusher's
+# second engine entry, the traceback refusal and the job flag they served
+# stay gone. The names are split so that this file does not match itself.
+gone='engine''Extender|coalesced''Extender|with''Priority|priority''From|align''Prepared|ErrTraceback''Unavailable|job''Coalesce|job-''coalesce'
+back=$(grep -rnE --include='*.go' --include='*.md' --include='*.sh' --include='*.txt' --include='*.yml' "$gone" . |
+	grep -vE '^\./(CHANGES|ROADMAP|ISSUE)\.md:' || true)
+if [ -n "$back" ]; then
+	echo "doc-lint: a second extension path is back (pipelines extend through one extend function):" >&2
 	echo "$back" >&2
 	exit 1
 fi

@@ -139,9 +139,10 @@ func TenantFrom(ctx context.Context) *Tenant {
 }
 
 // priorityClass separates the coalescer's two service classes:
-// interactive requests (the /align path) are picked ahead of bulk work
-// (the /jobs overlap extension chunks), which still gets a batch after
-// being passed over maxBulkPassOver times.
+// interactive requests (Coalescer.Align, the /align path) are picked
+// ahead of bulk work (the extension chunks of the overlap and mapping
+// pipelines, /jobs and /map), which still gets a batch after being
+// passed over maxBulkPassOver times.
 type priorityClass uint8
 
 const (
@@ -156,20 +157,4 @@ func (p priorityClass) String() string {
 		return "bulk"
 	}
 	return "interactive"
-}
-
-// classKeyT is the context key type for withPriority.
-type classKeyT struct{}
-
-// withPriority tags the context's coalescer service class; the
-// overlap subsystem marks its extension chunks bulk, everything else
-// defaults to interactive.
-func withPriority(ctx context.Context, c priorityClass) context.Context {
-	return context.WithValue(ctx, classKeyT{}, c)
-}
-
-// priorityFrom reads the context's service class (interactive default).
-func priorityFrom(ctx context.Context) priorityClass {
-	c, _ := ctx.Value(classKeyT{}).(priorityClass)
-	return c
 }

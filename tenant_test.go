@@ -66,12 +66,6 @@ func TestTenantDefaults(t *testing.T) {
 	if TenantFrom(ctx) != ten {
 		t.Fatal("WithTenant/TenantFrom round trip failed")
 	}
-	if priorityFrom(ctx) != classInteractive {
-		t.Fatal("default priority class is not interactive")
-	}
-	if priorityFrom(withPriority(ctx, classBulk)) != classBulk {
-		t.Fatal("withPriority/priorityFrom round trip failed")
-	}
 	if !errors.Is(ErrQuotaExceeded, ErrOverloaded) {
 		t.Fatal("ErrQuotaExceeded does not wrap ErrOverloaded")
 	}
@@ -156,14 +150,11 @@ func TestCoalescerPriorityClasses(t *testing.T) {
 	bulkCfg, interCfg := DefaultConfig(60), DefaultConfig(70)
 	takeClass := func() priorityClass {
 		t.Helper()
-		cfg, _, _, ok := c.take()
+		key, _, _, ok := c.take()
 		if !ok {
 			t.Fatal("take found nothing queued")
 		}
-		if cfg.key() == bulkCfg.key() {
-			return classBulk
-		}
-		return classInteractive
+		return key.class
 	}
 
 	enqueue(t, c, anonymousTenant, classBulk, bulkCfg, 4, -1) // enqueued FIRST
