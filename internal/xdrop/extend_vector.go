@@ -46,57 +46,35 @@ func VectorEligible(sc Scoring, x int32) bool {
 		sc.Gap < 0 && sc.Gap >= -VectorMaxScore
 }
 
-// rowISA names the whole-row routine vectorKernel.row dispatches to. It is
-// set once at package init from the CPU (see detectISA) and never changes
-// afterwards; only tests flip it, to drive every variant on one host.
+// rowISA names the routine an int16 extension runs on. It is set once at
+// package init from the CPU (see detectISA) and never changes afterwards;
+// only tests flip it, to drive every variant on one host.
 type rowISA int8
 
 const (
-	isaPortable rowISA = iota // pure Go: every non-amd64 build, and the oracle
-	isaSSE2                   // 8-lane rows, the amd64 baseline
-	isaAVX2                   // 16-lane rows for kn >= 16, SSE2 below
+	isaPortable rowISA = iota // wave over the Go rows: every non-amd64 build, and the spec
+	isaSSE2                   // the fused routine with 8-lane blocks, the amd64 baseline
+	isaAVX2                   // the fused routine with 16-lane blocks for rows >= 32 cells
 )
 
 var vectorISA = detectISA()
 
-// VectorISA names the instruction set the vector kernel's rows run on in
-// this process: "avx2", "sse2" or "portable".
+// VectorISA names the instruction set the vector kernel runs on in this
+// process: "avx2", "sse2" or "portable".
 func VectorISA() string {
 	return [...]string{isaPortable: "portable", isaSSE2: "sse2", isaAVX2: "avx2"}[vectorISA]
 }
 
-// rowConsts is the per-extension constants block of the assembly rows:
-// four int16 values broadcast to 16 lanes each, so a row loads them instead
-// of re-broadcasting (the SSE2 rows read the low 8 lanes).
-type rowConsts [4][16]int16
-
-// Rows of rowConsts. The substitution add is mismatch + (eq & matchDiff).
-const (
-	rcMatchDiff = iota // match - mismatch
-	rcMismatch
-	rcGap
-	rcNegInf
-)
-
-// vectorKernelFor returns the int16 row kernel for sc, refreshing the
-// workspace's constants block (and, on the portable path only, its 4 KiB
-// compare-blend table) when the scoring changed. Batches share a scoring
-// configuration, so the steady state is one compare.
+// vectorKernelFor returns the portable int16 row kernel for sc, rebuilding
+// the workspace's 4 KiB compare-blend table when the scoring changed.
+// Batches share a scoring configuration, so the steady state is one
+// compare.
 func (w *Workspace) vectorKernelFor(sc Scoring) vectorKernel {
-	if w.vsc != sc {
+	if w.vsc != sc || w.tab == nil {
 		w.vsc = sc
-		w.tab = nil
-		for l := range w.vc[0] {
-			w.vc[rcMatchDiff][l] = int16(sc.Match - sc.Mismatch)
-			w.vc[rcMismatch][l] = int16(sc.Mismatch)
-			w.vc[rcGap][l] = int16(sc.Gap)
-			w.vc[rcNegInf][l] = negInf16
-		}
-	}
-	if vectorISA == isaPortable && w.tab == nil {
 		w.tab = simd.NewBlendTable(int16(sc.Match), int16(sc.Mismatch))
 	}
-	return vectorKernel{c: &w.vc, tab: w.tab,
+	return vectorKernel{tab: w.tab,
 		match: int16(sc.Match), mismatch: int16(sc.Mismatch), gap: int16(sc.Gap)}
 }
 
@@ -110,7 +88,7 @@ func (w *Workspace) ExtendVector(q, t seq.Seq, sc Scoring, x int32) Result {
 	if !VectorEligible(sc, x) {
 		return w.Extend(q, t, sc, x)
 	}
-	return wave(&w.v, &w.rt, q, t, int16(x), w.vectorKernelFor(sc), nil)
+	return w.extendVector(q, t, sc, int16(x), nil)
 }
 
 // ExtendTrace is the linear extension with its band trace: it runs the
@@ -124,41 +102,48 @@ func (w *Workspace) ExtendVector(q, t seq.Seq, sc Scoring, x int32) Result {
 func (w *Workspace) ExtendTrace(q, t seq.Seq, sc Scoring, x int32, trace []int32) (Result, []int32) {
 	var r Result
 	if VectorEligible(sc, x) {
-		r = wave(&w.v, &w.rt, q, t, int16(x), w.vectorKernelFor(sc), &trace)
+		r = w.extendVector(q, t, sc, int16(x), &trace)
 	} else {
 		r = wave(&w.d, &w.rt, q, t, x, linearRow(sc), &trace)
 	}
 	return r, trace
 }
 
-// vectorKernel is the int16 row kernel. Its row method computes a whole
-// anti-diagonal in one call: d3 holds the substitution sources and out
-// receives the new diagonal (both of length kn), d2m1 holds the gap
-// sources of the previous diagonal shifted one cell down (length kn+1: the
-// "up" source of cell k is d2m1[k], the "left" source is d2m1[k+1] — the
-// lane shift of the classic striped kernel falls out of the anti-diagonal
-// memory layout as two overlapping loads), and qs/ts are the forward-read
-// sequence spans. It returns the updated running best and the index of the
-// first cell holding it (-1 and best unchanged if the row did not improve
-// on it), the scalar kernel's tie order exactly.
+// vectorKernel is the int16 row kernel of wave: the portable form of the
+// fused routine, and the spec that routine is pinned to. Its row method
+// computes a whole anti-diagonal in one call: d3 holds the substitution
+// sources and out receives the new diagonal (both of length kn), d2m1
+// holds the gap sources of the previous diagonal shifted one cell down
+// (length kn+1: the "up" source of cell k is d2m1[k], the "left" source is
+// d2m1[k+1] — the lane shift of the classic striped kernel falls out of
+// the anti-diagonal memory layout as two overlapping loads), and qs/ts are
+// the forward-read sequence spans. It returns the updated running best and
+// the index of the first cell holding it (-1 and best unchanged if the row
+// did not improve on it), the scalar kernel's tie order exactly.
 //
-// The dispatch is per row, on its width: kn >= 16 with AVX2 runs 16-lane
-// blocks, kn >= 8 runs 8-lane blocks (SSE2 on amd64, vectorRowPortable
-// elsewhere), narrower rows run rowNarrow. A row that is not a lane
-// multiple ends in one block re-anchored at kn - lanes that overlaps the
-// previous one: a cell depends only on d3[k], d2m1[k], d2m1[k+1], qs[k]
-// and ts[k], and out never aliases a source (the three rolling buffers of
-// wave), so recomputing a cell stores the same value again — and nothing
-// outside [0, kn) of d3/out/qs/ts and [0, kn] of d2m1 is read or written.
+// Rows of kn >= simd.Lanes run vectorRowPortable's 8-lane blocks,
+// narrower rows rowNarrow. A row that is not a lane multiple ends in one
+// block re-anchored at kn - lanes that overlaps the previous one: a cell
+// depends only on d3[k], d2m1[k], d2m1[k+1], qs[k] and ts[k], and out never
+// aliases a source (the three rolling buffers of wave), so recomputing a
+// cell stores the same value again — and nothing outside [0, kn) of
+// d3/out/qs/ts and [0, kn] of d2m1 is read or written. The fused routine
+// blocks its rows the same way, with 16 lanes on AVX2 for wide rows.
 type vectorKernel struct {
-	c                    *rowConsts
-	tab                  *simd.BlendTable // portable rows only
+	tab                  *simd.BlendTable
 	match, mismatch, gap int16
 }
 
 func (vectorKernel) planes() int { return 1 }
 
 func (v vectorKernel) gaps() (first, rest int16) { return v.gap, v.gap }
+
+func (v vectorKernel) row(d3, d2m1, out []int16, qs, ts seq.Seq, thr, best int16) (int16, int) {
+	if len(out) < simd.Lanes {
+		return v.rowNarrow(d3, d2m1, out, qs, ts, thr, best)
+	}
+	return vectorRowPortable(d3, d2m1, out, qs, ts, v.tab, v.gap, thr, best)
+}
 
 // rowNarrow is the scalar loop for rows narrower than one vector
 // (kn < simd.Lanes): the band's first and last few anti-diagonals.
@@ -189,9 +174,8 @@ func (v vectorKernel) rowNarrow(d3, d2m1, out []int16, qs, ts seq.Seq, thr, best
 	return best, bestK
 }
 
-// vectorRowPortable is the pure-Go whole-row routine: the oracle the
-// assembly rows are pinned bit-identical to (test and fuzz differentials)
-// and the implementation on every architecture without one. It needs
+// vectorRowPortable is the pure-Go whole-row routine, the implementation
+// on every architecture without a fused routine. It needs
 // kn >= simd.Lanes. Per 8-cell block the match/mismatch substitution add
 // is one simd.EqMask64 SWAR compare over two 8-byte sequence words plus one
 // 16-byte load from the batch-specialized compare-blend table. All lane

@@ -72,13 +72,15 @@ func fuzzScoring(m, mm, g uint8) Scoring {
 
 // FuzzExtendVectorDifferential pins the vector kernel bit-identical to
 // the reference scalar implementation: same score, same end cell, same
-// work counters, on arbitrary sequences under arbitrary eligible
-// scoring; and the band trace ExtendTrace hands the simulated device
-// identical across the scalar and vector kernels, consistent with the
-// work counters. The fuzzed parameters deliberately reach the envelope edges —
-// match weights up to VectorMaxScore drive long extensions across the
-// int16 rebase threshold, and X values above VectorMaxX exercise the
-// scalar fallback path inside ExtendVector.
+// work counters, on arbitrary sequences under arbitrary eligible scoring,
+// on every variant of this host — wave over the portable rows and each
+// fused routine; and the band trace ExtendTrace hands the simulated
+// device identical across the scalar kernel and every vector variant,
+// consistent with the work counters. The fuzzed parameters deliberately
+// reach the envelope edges — match weights up to VectorMaxScore drive
+// long extensions across the int16 rebase threshold (the fused routine
+// returns to Go and resumes there), and X values above VectorMaxX
+// exercise the scalar fallback path inside ExtendVector.
 func FuzzExtendVectorDifferential(f *testing.F) {
 	f.Add([]byte("ACGTACGT"), []byte("ACGAACGT"), int32(10), uint8(1), uint8(1), uint8(1))
 	f.Add([]byte("ACACACACACAC"), []byte("CACACACACACA"), int32(100), uint8(255), uint8(1), uint8(1))
@@ -145,10 +147,11 @@ func checkTrace(t *testing.T, trace []int32, r Result) {
 	}
 }
 
-// FuzzVectorRow pins the whole-row routines — portable, SSE2 and, where
-// the CPU has it, AVX2, in one invocation — to the scalar row on arbitrary
-// rows: raw bytes become the two source diagonals (live rebased-range
-// values and sentinels) and the two base spans of a row of width kn.
+// FuzzVectorRow pins the portable row kernel (vectorRowPortable and
+// rowNarrow, the rows of wave on architectures without a fused routine) to
+// the scalar row on arbitrary rows: raw bytes become the two source
+// diagonals (live rebased-range values and sentinels) and the two base
+// spans of a row of width kn.
 func FuzzVectorRow(f *testing.F) {
 	f.Add([]byte("ACGTACGTTTGACA"), uint8(8), int16(-100), uint16(50), uint8(1), uint8(1), uint8(1))
 	f.Add([]byte{0, 0, 1, 2, 3, 250, 251, 252, 5, 10, 255}, uint8(37), int16(-8192), uint16(8192), uint8(255), uint8(255), uint8(255))

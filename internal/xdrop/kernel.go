@@ -12,9 +12,10 @@ const (
 	// one, and the linear one (Workspace.Extend) is the fallback when a
 	// configuration exceeds the vector envelope.
 	KernelScalar Kernel = iota
-	// KernelVector is the 8-wide int16 lane kernel (ExtendVector): SSE2
-	// assembly on amd64, the portable lane loop elsewhere. Linear DNA
-	// configurations inside the vector envelope only.
+	// KernelVector is the int16 lane kernel (ExtendVector): on amd64 the
+	// fused assembly extension, 16-lane AVX2 or 8-lane SSE2 by CPU
+	// (VectorISA), elsewhere the wavefront driver over the portable 8-lane
+	// rows. Linear DNA configurations inside the vector envelope only.
 	KernelVector
 )
 

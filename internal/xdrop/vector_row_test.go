@@ -9,8 +9,9 @@ import (
 	"logan/internal/simd"
 )
 
-// rowISAs lists the row variants this host can run: the portable row
-// everywhere, plus every assembly row up to the one detectISA picked.
+// rowISAs lists the vector-kernel variants this host can run: wave over
+// the portable rows everywhere, plus every fused routine up to the one
+// detectISA picked.
 func rowISAs() []rowISA {
 	isas := []rowISA{isaPortable}
 	for isa := isaSSE2; isa <= detectISA(); isa++ {
@@ -19,8 +20,8 @@ func rowISAs() []rowISA {
 	return isas
 }
 
-// eachISA calls f once per row variant of this host, the dispatch pointed
-// at it, and restores the dispatch afterwards.
+// eachISA calls f once per vector-kernel variant of this host, the
+// dispatch pointed at it, and restores the dispatch afterwards.
 func eachISA(f func()) {
 	defer func(prev rowISA) { vectorISA = prev }(vectorISA)
 	for _, isa := range rowISAs() {
@@ -30,11 +31,11 @@ func eachISA(f func()) {
 }
 
 // forEachISA is eachISA with one named subtest per variant; it says so
-// when the host cannot run the AVX2 rows.
+// when the host cannot run the AVX2 routine.
 func forEachISA(t *testing.T, f func(t *testing.T)) {
 	eachISA(func() { t.Run(VectorISA(), f) })
 	if detectISA() != isaAVX2 {
-		t.Log("no AVX2 on this host: the 16-lane rows were not exercised")
+		t.Log("no AVX2 on this host: the 16-lane blocks were not exercised")
 	}
 }
 
@@ -47,8 +48,8 @@ type rowCase struct {
 }
 
 // want computes the row on the scalar int32 kernel (linearRow.row, itself
-// pinned to ExtendReference): the oracle that is independent of every
-// int16 row, the portable one and rowNarrow included.
+// pinned to ExtendReference): the oracle that is independent of the int16
+// rows, vectorRowPortable and rowNarrow.
 func (rc rowCase) want() (out []int16, nb int16, pos int) {
 	widen := func(a []int16) []int32 {
 		w := make([]int32, len(a))
@@ -70,7 +71,7 @@ func (rc rowCase) want() (out []int16, nb int16, pos int) {
 	return out, int16(nb32), pos
 }
 
-// check runs rc under every row variant and compares stored diagonal,
+// check runs rc on the portable row kernel and compares stored diagonal,
 // returned best and position with the oracle. out sits between canaries:
 // the overlapped final block may write nothing outside [0, kn).
 func (rc rowCase) check(tb testing.TB, w *Workspace) {
@@ -79,24 +80,22 @@ func (rc rowCase) check(tb testing.TB, w *Workspace) {
 	kn := len(rc.qs)
 	wantOut, wantNB, wantPos := rc.want()
 	buf := make([]int16, pad+kn+pad)
-	eachISA(func() {
-		for i := range buf {
-			buf[i] = canary
+	for i := range buf {
+		buf[i] = canary
+	}
+	nb, pos := w.vectorKernelFor(rc.sc).row(rc.d3, rc.d2m1, buf[pad:pad+kn], rc.qs, rc.ts, rc.thr, rc.best)
+	if nb != wantNB || pos != wantPos {
+		tb.Fatalf("kn=%d: (best, pos) = (%d, %d), want (%d, %d)\n%+v", kn, nb, pos, wantNB, wantPos, rc)
+	}
+	for i, v := range buf {
+		want := canary
+		if i >= pad && i < pad+kn {
+			want = wantOut[i-pad]
 		}
-		nb, pos := w.vectorKernelFor(rc.sc).row(rc.d3, rc.d2m1, buf[pad:pad+kn], rc.qs, rc.ts, rc.thr, rc.best)
-		if nb != wantNB || pos != wantPos {
-			tb.Fatalf("%s kn=%d: (best, pos) = (%d, %d), want (%d, %d)\n%+v", VectorISA(), kn, nb, pos, wantNB, wantPos, rc)
+		if v != want {
+			tb.Fatalf("kn=%d: slot %d (out[%d]) = %d, want %d\n%+v", kn, i, i-pad, v, want, rc)
 		}
-		for i, v := range buf {
-			want := canary
-			if i >= pad && i < pad+kn {
-				want = wantOut[i-pad]
-			}
-			if v != want {
-				tb.Fatalf("%s kn=%d: slot %d (out[%d]) = %d, want %d\n%+v", VectorISA(), kn, i, i-pad, v, want, rc)
-			}
-		}
-	})
+	}
 }
 
 // randRowCase draws one row of width kn. shape picks the population:
@@ -141,9 +140,8 @@ func randRowCase(rng *rand.Rand, kn, shape int) rowCase {
 	return rc
 }
 
-// TestVectorRowBlocks pins every whole-row variant at lane-multiple
-// widths (kn = blocks*8: no overlapped block on the 8-lane rows, one on
-// the 16-lane rows when blocks is odd) to the scalar oracle.
+// TestVectorRowBlocks pins the portable row at lane-multiple widths
+// (kn = blocks*8: no overlapped block) to the scalar oracle.
 func TestVectorRowBlocks(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	w := NewWorkspace()
@@ -153,8 +151,8 @@ func TestVectorRowBlocks(t *testing.T) {
 }
 
 // TestVectorRow is the general row-level differential: every width from 1
-// through 80 cells — scalar rows, one 8-lane block, overlapped 8- and
-// 16-lane blocks — times 200 random rows of every shape.
+// through 80 cells — rowNarrow, one 8-lane block, overlapped blocks —
+// times 200 random rows of every shape.
 func TestVectorRow(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	w := NewWorkspace()

@@ -18,12 +18,14 @@ type cell interface{ int16 | int32 }
 // type parameter whose method runs per cell is not inlined under Go's
 // GC-shape stenciling and halved the scalar kernel (0.296 -> 0.137
 // cells/ns at x=25, 0.435 -> 0.180 at x=400). One dictionary call per
-// row is what the seam costs instead, and it is not free at narrow bands:
-// with the whole-row vector kernel a 21-cell row at x=25 is ~30 ns, of
-// which this driver (the call, clipping, borders, trimming, sentinels) is
-// ~48 % and the SIMD row ~40 % (cpuprofile of BenchmarkKernel/vector; at
-// x=100 the driver is ~38 %). BenchmarkKernelRow has the row's side of
-// that split per band width.
+// row is what the seam costs instead, and at narrow bands that was most of
+// the int16 kernel's work: through this driver an x=25 anti-diagonal (21
+// cells on average) cost 58 ns, against 29 ns with the whole loop in one
+// assembly call (BenchmarkKernel/vector ns/antidiag, 2-core Xeon; 71 -> 37
+// ns at x=100). So on amd64 the int16 instantiation runs as the fused
+// routine (extendFused), and wave is what it reproduces bit for bit; wave
+// itself drives the int32 kernels and, over the portable rows, the int16
+// kernel elsewhere.
 type rowKernel[C cell] interface {
 	// planes is how many score planes a diagonal carries: 1 for the
 	// linear-gap kernels (H only), 3 for Gotoh (H, E, F). Plane p of a
@@ -97,7 +99,7 @@ func rebase[C cell](a []C, delta, guard C) {
 	}
 }
 
-// wave is the one anti-diagonal X-drop driver (paper Alg. 1, Fig. 1):
+// wave is the one anti-diagonal X-drop driver in Go (paper Alg. 1, Fig. 1):
 // three rolling anti-diagonals, band clipping to the matrix, the two
 // matrix-border cells, the work counters, end trimming, and — for int16
 // cells — score rebasing. The interior cells of each anti-diagonal are

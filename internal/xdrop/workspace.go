@@ -9,8 +9,9 @@ import (
 )
 
 // Workspace is the reusable scratch of one X-drop lane: the three rolling
-// anti-diagonal buffers of the wavefront driver (wave) at both cell
-// widths and the reversal staging of the seed wrapper. A Workspace makes
+// anti-diagonal buffers of the wavefront (wave, and the fused routine for
+// int16 cells) at both cell widths and the reversal staging of the seed
+// wrapper. A Workspace makes
 // repeated extensions allocation-free, under every scheme, once the
 // buffers have grown to the workload's sequence lengths. It is not safe
 // for concurrent use; give each worker goroutine its own (see Pool).
@@ -20,12 +21,9 @@ type Workspace struct {
 	rt         seq.Seq    // reversed target, grown one base per anti-diagonal
 	revQ, revT seq.Seq
 
-	// The vector kernel's per-scoring state (see vectorKernelFor): the
-	// scoring it was built for, the broadcast constants of the assembly
-	// rows, and the compare-blend table of the portable rows (nil until a
-	// portable row needs it).
+	// The portable rows' compare-blend table and the scoring it was built
+	// for (see vectorKernelFor); nil until a portable row needs it.
 	vsc Scoring
-	vc  rowConsts
 	tab *simd.BlendTable
 }
 

@@ -3,7 +3,7 @@
 # comment, and every exported symbol of the public root package must be
 # documented — and every documented logan_jobs_* series must have one
 # owner, the X-drop band loop one driver (the simulated device replays
-# its trace), EXPERIMENTS.md the committed reproduction CSV, the device
+# its trace) and in assembly one fused loop, EXPERIMENTS.md the committed reproduction CSV, the device
 # batch one executor, the root package no view of the kernel
 # configuration, the generated tables of docs/SERVING.md their
 # generators' output, request parameters one parser, the coalescer
@@ -32,6 +32,17 @@ loops=$(grep -rnE --include='*.go' --exclude='*_test.go' 'd <= (m|mlen)\+n' inte
 if [ "$(printf '%s' "$loops" | grep -c .)" -gt 2 ]; then
 	echo "doc-lint: internal/xdrop holds the anti-diagonal loop more than twice (want: wave, ExtendReference):" >&2
 	echo "$loops" >&2
+	exit 1
+fi
+
+# The assembly of internal/xdrop is cpuHasAVX2 and the fused extension:
+# one routine per ISA, both expanded from one body that holds the one
+# anti-diagonal loop. Another TEXT symbol (a per-row routine coming back)
+# or a second loop label means the wavefront has forked in assembly.
+asm=$(grep -hoE '^TEXT [^(]+' internal/xdrop/*.s internal/xdrop/*.h | sed 's/^TEXT ·//' | sort | tr '\n' ' ')
+asmloops=$(cat internal/xdrop/*.s internal/xdrop/*.h | grep -cE '^loop:' || true)
+if [ "$asm" != "cpuHasAVX2 vectorExtendAVX2 vectorExtendSSE2 " ] || [ "$asmloops" != 1 ]; then
+	echo "doc-lint: internal/xdrop assembly defines [$asm] with $asmloops loop label(s) (want: cpuHasAVX2 vectorExtendAVX2 vectorExtendSSE2, one loop)" >&2
 	exit 1
 fi
 
