@@ -11,10 +11,9 @@ package bella
 import (
 	"math"
 	"math/bits"
-	"runtime"
-	"sync"
 
 	"logan/internal/genome"
+	"logan/internal/par"
 	"logan/internal/seq"
 )
 
@@ -38,29 +37,6 @@ type KmerIndex struct {
 	Counts []int32
 }
 
-// parallelRange splits [0,n) into workers >= 1 contiguous chunks and runs
-// fn(w, lo, hi) on chunk w concurrently, returning once all are done. The
-// chunks depend on workers, so callers combine them in a way that does not.
-func parallelRange(n, workers int, fn func(w, lo, hi int)) {
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			fn(w, w*n/workers, (w+1)*n/workers)
-		}()
-	}
-	wg.Wait()
-}
-
-// workerCount resolves a Workers setting (<= 0 selects GOMAXPROCS).
-func workerCount(workers int) int {
-	if workers <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return workers
-}
-
 // CountKmers tallies canonical k-mer multiplicities across all reads —
 // BELLA's first pass — by sorting rather than hashing. Workers scan
 // disjoint reads into flat key buffers, histogramming the top bits of each
@@ -71,7 +47,7 @@ func workerCount(workers int) int {
 // A sorted multiset has one order, so the index is the same for any
 // worker count.
 func CountKmers(reads []genome.Read, k, workers int) KmerIndex {
-	workers = workerCount(workers)
+	workers = par.Workers(workers)
 	codec := seq.MustKmerCodec(k)
 	bases := 0
 	for _, r := range reads {
@@ -83,7 +59,7 @@ func CountKmers(reads []genome.Read, k, workers int) KmerIndex {
 
 	bufs := make([][]seq.Kmer, workers)
 	next := make([][]int, workers) // next[w][p]: where worker w writes its next partition-p key
-	parallelRange(len(reads), workers, func(w, lo, hi int) {
+	par.Range(len(reads), workers, func(w, lo, hi int) {
 		n := 0
 		for _, r := range reads[lo:hi] {
 			n += len(r.Seq)
@@ -109,7 +85,7 @@ func CountKmers(reads []genome.Read, k, workers int) KmerIndex {
 	}
 	start[nparts] = total
 	keys := make([]seq.Kmer, total)
-	parallelRange(workers, workers, func(w, _, _ int) {
+	par.Range(workers, workers, func(w, _, _ int) {
 		for _, km := range bufs[w] {
 			keys[next[w][km>>shift]] = km
 			next[w][km>>shift]++
@@ -120,7 +96,7 @@ func CountKmers(reads []genome.Read, k, workers int) KmerIndex {
 	// Sort each partition and compact it in place to its distinct k-mers.
 	counts := make([]int32, total)
 	distinct := make([]int, nparts)
-	parallelRange(nparts, workers, func(_, lo, hi int) {
+	par.Range(nparts, workers, func(_, lo, hi int) {
 		var tmp []seq.Kmer
 		for p := lo; p < hi; p++ {
 			part, cnt := keys[start[p]:start[p+1]], counts[start[p]:start[p+1]]

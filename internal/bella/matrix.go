@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"logan/internal/genome"
+	"logan/internal/par"
 	"logan/internal/seq"
 )
 
@@ -80,7 +81,7 @@ func BuildMatrix(reads []genome.Read, k int, reliable []seq.Kmer) *SparseMatrix 
 // column over the lists in worker order then yields every column in
 // ascending read order whatever the split was.
 func buildMatrix(reads []genome.Read, k int, reliable []seq.Kmer, workers int) *SparseMatrix {
-	workers = workerCount(workers)
+	workers = par.Workers(workers)
 	codec := seq.MustKmerCodec(k)
 	table := newColTable(reliable)
 	type hit struct {
@@ -88,7 +89,7 @@ func buildMatrix(reads []genome.Read, k int, reliable []seq.Kmer, workers int) *
 		occ Occurrence
 	}
 	hits := make([][]hit, workers)
-	parallelRange(len(reads), workers, func(w, lo, hi int) {
+	par.Range(len(reads), workers, func(w, lo, hi int) {
 		// lastRead[c] is the last read (id + 1) of this range that hit
 		// column c: the once-per-read rule without a per-read set.
 		lastRead := make([]int32, len(reliable))

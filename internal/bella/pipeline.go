@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"logan/internal/genome"
+	"logan/internal/par"
 	"logan/internal/seq"
 	"logan/internal/sw"
 	"logan/internal/xdrop"
@@ -227,7 +228,7 @@ func Prepare(ctx context.Context, rs genome.ReadSet, cfg Config) (Prepared, erro
 	// Stage 5: binning and seed choice.
 	t0 = time.Now()
 	out.Seeds = make([]ChosenSeed, len(out.Cands))
-	parallelRange(len(out.Cands), workerCount(cfg.Workers), func(_, lo, hi int) {
+	par.Range(len(out.Cands), par.Workers(cfg.Workers), func(_, lo, hi int) {
 		for i, c := range out.Cands[lo:hi] {
 			out.Seeds[lo+i] = ChooseSeed(c, len(rs.Reads[c.I].Seq), len(rs.Reads[c.J].Seq), cfg.K, cfg.BinWidth)
 		}

@@ -21,8 +21,8 @@ func fuzzSeq(data []byte) seq.Seq {
 	return s
 }
 
-// FuzzMinimizersDifferential cross-checks the O(n) monotonic-queue
-// extractor against the quadratic reference on arbitrary inputs and
+// FuzzMinimizersDifferential cross-checks the running-minimum sweep
+// against the quadratic reference on arbitrary inputs and
 // parameters, then asserts the two extraction properties the mapper
 // relies on: window invariance (no window of w eligible k-mers is left
 // without a minimizer) and reverse-complement canonicality (the reverse
@@ -34,7 +34,7 @@ func FuzzMinimizersDifferential(f *testing.F) {
 	f.Add([]byte("ATATATATATATATATAT"), uint8(2), uint8(5))
 	f.Fuzz(func(t *testing.T, data []byte, kb, wb uint8) {
 		k := int(kb)%seq.MaxK + 1 // 1..31
-		w := int(wb)%12 + 1       // 1..12
+		w := int(wb)%64 + 1       // 1..64: both the fixed ring and the allocated one
 		if len(data) > 2048 {
 			data = data[:2048]
 		}

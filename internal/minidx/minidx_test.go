@@ -113,7 +113,7 @@ func checkRevCompCanonicality(t *testing.T, s seq.Seq, k, w int, fwd []Minimizer
 
 func TestExtractMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	cases := []struct{ k, w int }{{3, 1}, {3, 4}, {5, 5}, {15, 10}, {31, 3}, {11, 16}}
+	cases := []struct{ k, w int }{{3, 1}, {3, 4}, {5, 5}, {15, 10}, {31, 3}, {11, 16}, {15, 33}, {5, 64}}
 	for _, c := range cases {
 		for trial := 0; trial < 30; trial++ {
 			n := rng.Intn(400)

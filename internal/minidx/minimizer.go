@@ -41,14 +41,6 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// winEntry is one eligible k-mer inside the sliding window.
-type winEntry struct {
-	hash    uint64
-	pos     int32
-	rev     bool
-	emitted bool
-}
-
 // ValidateKW rejects parameter combinations extraction cannot honor.
 func ValidateKW(k, w int) error {
 	if k < 1 || k > seq.MaxK {
@@ -71,9 +63,12 @@ func ValidateKW(k, w int) error {
 // are ineligible and break the run — windows never span them, matching
 // the k-mer scanner in internal/seq.
 //
-// The implementation is the O(n) monotonic-queue sweep; ExtractNaive is
-// the O(n·w) reference the differential tests and fuzzers compare
-// against.
+// The implementation is minimap2's running-minimum sweep: a ring of the
+// window's w k-mers, the window minimum and the last position holding
+// it. A new k-mer that ties or beats the minimum is emitted at once and
+// becomes its last holder; the ring is rescanned only when that holder
+// leaves the window. ExtractNaive is the O(n·w) reference the
+// differential tests and fuzzers compare against.
 func Extract(dst []Minimizer, s seq.Seq, k, w int) []Minimizer {
 	if err := ValidateKW(k, w); err != nil {
 		panic(err)
@@ -81,58 +76,74 @@ func Extract(dst []Minimizer, s seq.Seq, k, w int) []Minimizer {
 	if len(s) < k {
 		return dst
 	}
+	var small [32]Minimizer // the ring when the window fits: no allocation
+	var ring []Minimizer
+	if w <= len(small) {
+		ring = small[:w]
+	} else {
+		ring = make([]Minimizer, w)
+	}
 	mask := uint64(1)<<(2*k) - 1
+	shift := uint(2 * (k - 1))
 	var fwd, rc uint64
-	run := 0 // consecutive eligible bases ending at i
-	// deque holds window entries with non-decreasing hash from the front;
-	// head indexes the live front inside the backing slice.
-	deque := make([]winEntry, 0, w+1)
-	head := 0
+	run := 0 // consecutive eligible bases ending at i, capped at k+w
+	bp := 0  // ring slot of the newest k-mer
+	// minHash is the window minimum and minSlot the ring slot of the last
+	// (newest) k-mer holding it; every holder in the window has been
+	// emitted. When that holder leaves, every earlier window that held a
+	// k-mer of the new window held it too, so no k-mer of the new window
+	// above the old minimum was ever a window minimum: the holders a
+	// rescan finds are all new, and emission stays in position order.
+	var minHash uint64
+	minSlot := 0
 	for i := 0; i < len(s); i++ {
 		if s.IsN(i) {
 			run = 0
 			fwd, rc = 0, 0
-			deque = deque[:0]
-			head = 0
 			continue
 		}
 		c := uint64(s.Code(i))
 		fwd = (fwd<<2 | c) & mask
-		rc = (rc >> 2) | (3^c)<<uint(2*(k-1))
-		if run < k+w-1 {
+		rc = rc>>2 | (3^c)<<shift
+		if run < k+w {
 			run++
 		}
 		if run < k {
 			continue
 		}
-		start := int32(i - k + 1)
 		canon, rev := fwd, false
 		if rc < fwd {
 			canon, rev = rc, true
 		}
-		e := winEntry{hash: mix64(canon), pos: start, rev: rev}
-		// Strictly-greater pops keep equal hashes: ties stay in the queue
-		// so every position attaining the window minimum can be emitted.
-		for len(deque) > head && deque[len(deque)-1].hash > e.hash {
-			deque = deque[:len(deque)-1]
+		if bp++; bp == w {
+			bp = 0
 		}
-		if head > 0 && len(deque) == head {
-			// Queue drained to its head offset: reclaim the dead prefix.
-			deque = deque[:0]
-			head = 0
-		}
-		deque = append(deque, e)
-		for deque[head].pos < start-int32(w-1) {
-			head++
-		}
-		if run < k+w-1 {
-			continue // first window not complete yet
-		}
-		// All entries tied with the front are this window's minimizers.
-		for j := head; j < len(deque) && deque[j].hash == deque[head].hash; j++ {
-			if !deque[j].emitted {
-				deque[j].emitted = true
-				dst = append(dst, Minimizer{Hash: deque[j].hash, Pos: deque[j].pos, Rev: deque[j].rev})
+		h := mix64(canon)
+		ring[bp] = Minimizer{Hash: h, Pos: int32(i - k + 1), Rev: rev}
+		switch {
+		case run < k+w-1:
+			// The run's first window is not complete yet.
+		case run == k+w && h <= minHash:
+			// A new minimum, or a tie with a holder still in the window.
+			minHash, minSlot = h, bp
+			dst = append(dst, ring[bp])
+		case run == k+w-1 || minSlot == bp:
+			// The run's first window, or the last holder just left it:
+			// rescan, emitting in position order (ring[bp+1:], then
+			// ring[:bp+1]).
+			minHash = ring[0].Hash
+			for _, e := range ring[1:] {
+				minHash = min(minHash, e.Hash)
+			}
+			for j, e := range ring[bp+1:] {
+				if e.Hash == minHash {
+					dst, minSlot = append(dst, e), bp+1+j
+				}
+			}
+			for j, e := range ring[:bp+1] {
+				if e.Hash == minHash {
+					dst, minSlot = append(dst, e), j
+				}
 			}
 		}
 	}

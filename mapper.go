@@ -6,12 +6,14 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"time"
 
 	"logan/internal/chain"
 	"logan/internal/minidx"
+	"logan/internal/par"
 	"logan/internal/seq"
 	"logan/internal/telemetry"
 	"logan/internal/xdrop"
@@ -175,7 +177,10 @@ func (c MapConfig) Validate() error {
 	return Config{X: c.X, Scoring: c.Scoring}.Validate()
 }
 
-// MapStageTimes records measured wall time per mapping stage.
+// MapStageTimes records measured wall time per mapping stage. Seed is
+// the wall time of the parallel seeding stage (minimizer extraction,
+// index lookup, chaining and selection, one worker per GOMAXPROCS), not
+// the sum of its workers' busy time.
 type MapStageTimes struct {
 	Seed   time.Duration
 	Extend time.Duration
@@ -462,14 +467,18 @@ func (m *Mapper) run(ctx context.Context, reads []Read, rs []seq.Seq, cfg MapCon
 	res := &MapResult{}
 	st := &res.Stats
 	st.Reads = len(reads)
-	seeder := mapSeeder{idx: idx, opt: chOpt, x: cfg.X, maxSec: maxSec}
+	seeders := make([]mapSeeder, par.Workers(0))
+	for w := range seeders {
+		seeders[w] = mapSeeder{idx: idx, opt: chOpt, x: cfg.X, maxSec: maxSec}
+	}
+	seeded := 0
 	progress := func(stage MapStage, extDone, extTotal int) {
 		if cfg.OnProgress == nil {
 			return
 		}
 		cfg.OnProgress(MapProgress{
 			Stage:       stage,
-			ReadsParsed: len(reads), ReadsSeeded: seeder.seeded,
+			ReadsParsed: len(reads), ReadsSeeded: seeded,
 			Anchors: st.Anchors, Chains: st.Chains,
 			ExtensionsDone: extDone, ExtensionsTotal: extTotal,
 			Mapped: st.Mapped,
@@ -483,12 +492,14 @@ func (m *Mapper) run(ctx context.Context, reads []Read, rs []seq.Seq, cfg MapCon
 		}
 		hi := min(lo+batch, len(reads))
 		seedStart := time.Now()
-		var jobs []mapJob
-		for i := lo; i < hi; i++ {
-			jobs = seeder.seedRead(jobs, i, rs[i])
-		}
+		jobs := seedBatch(seeders, rs, lo, hi)
 		st.Times.Seed += time.Since(seedStart)
-		st.Anchors, st.Chains = seeder.anchors, seeder.chains
+		seeded = hi
+		st.Anchors, st.Chains = 0, 0
+		for _, sd := range seeders {
+			st.Anchors += sd.anchors
+			st.Chains += sd.chains
+		}
 		progress(MapStageSeed, extDone, extDone+len(jobs))
 
 		if len(jobs) == 0 {
@@ -537,16 +548,30 @@ func (m *Mapper) run(ctx context.Context, reads []Read, rs []seq.Seq, cfg MapCon
 	return res, nil
 }
 
-// mapSeeder carries the per-run seeding state: minimizer extraction,
-// index lookup, per-(reference,strand) chaining, and placement
-// selection, emitting extension jobs.
+// seedBatch seeds reads [lo,hi) on up to one goroutine per seeder, each
+// over a contiguous range of reads, and returns the ranges' jobs
+// concatenated in read order: the same jobs, in the same order, whatever
+// the number of seeders.
+func seedBatch(seeders []mapSeeder, rs []seq.Seq, lo, hi int) []mapJob {
+	parts := make([][]mapJob, min(len(seeders), hi-lo))
+	par.Range(hi-lo, len(parts), func(w, a, b int) {
+		for i := lo + a; i < lo+b; i++ {
+			parts[w] = seeders[w].seedRead(parts[w], i, rs[i])
+		}
+	})
+	return slices.Concat(parts...)
+}
+
+// mapSeeder carries one seeding worker's state for a run: minimizer
+// extraction, index lookup, per-(reference,strand) chaining, and
+// placement selection, emitting extension jobs. Its counters are the
+// worker's share of the run's totals.
 type mapSeeder struct {
 	idx    *minidx.Index
 	opt    chain.Options
 	x      int32
 	maxSec int
 
-	seeded  int
 	anchors int64
 	chains  int64
 
@@ -555,7 +580,6 @@ type mapSeeder struct {
 
 // seedRead appends the extension jobs of one read to jobs.
 func (s *mapSeeder) seedRead(jobs []mapJob, readIdx int, rd seq.Seq) []mapJob {
-	s.seeded++
 	k := s.idx.K()
 	qlen := len(rd)
 	if qlen < k {

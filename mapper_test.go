@@ -3,9 +3,13 @@ package logan
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -428,5 +432,115 @@ func TestMapperSecondaryPlacements(t *testing.T) {
 	}
 	if len(res.Records) != 1 {
 		t.Fatalf("MaxSecondary=0 produced %d records", len(res.Records))
+	}
+}
+
+// mapGoldenSet is the input of the golden mapping pins: a 60 kbp genome
+// with 10 % of it in planted 2 kbp repeats (so some reads place twice)
+// and 15 % error reads from both strands.
+func mapGoldenSet(t testing.TB) (genome.Genome, []Read) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(3))
+	g := genome.Synthetic(rng, "golden", genome.SyntheticOptions{Length: 60_000, RepeatFrac: 0.1})
+	rs := genome.Simulate(rng, g, genome.SimOptions{
+		Coverage: 1.5, MinLen: 1000, MaxLen: 3000, ErrorRate: 0.15,
+	})
+	return g, mapReadsOf(rs)
+}
+
+// mapGoldenIndexSHA256 is the SHA-256 of the Save bytes of mapGoldenSet's
+// default index, written by the commit before the running-minimum
+// minimizer sweep.
+const mapGoldenIndexSHA256 = "470801e395928a006539804e9ca80abb22968a39dcf207f2b9785a70b9755a8c"
+
+// TestMapperGoldenPAF pins the mapping pipeline to files written by the
+// commit before parallel seeding and the running-minimum minimizer sweep:
+// the index's Save bytes by their digest, and testdata/mapper_golden.paf,
+// Map's PAF at x=100. Unlike served == offline, neither side of these
+// comparisons moves with the code under test.
+func TestMapperGoldenPAF(t *testing.T) {
+	want, err := os.ReadFile("testdata/mapper_golden.paf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, reads := mapGoldenSet(t)
+	m, _ := newTestMapper(t, CPU)
+	if _, err := m.Build(context.Background(), strings.NewReader(genomeFasta(g)), IndexOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	var idx bytes.Buffer
+	if err := m.Save(&idx); err != nil {
+		t.Fatal(err)
+	}
+	if sum := fmt.Sprintf("%x", sha256.Sum256(idx.Bytes())); sum != mapGoldenIndexSHA256 {
+		t.Errorf("index Save bytes (%d) have SHA-256 %s, want %s", idx.Len(), sum, mapGoldenIndexSHA256)
+	}
+	res, err := m.Map(context.Background(), reads, DefaultMapConfig(100))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if err := WritePAF(&got, res.Records); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("PAF (%d records, %d bytes) differs from the golden file (%d bytes)",
+			len(res.Records), got.Len(), len(want))
+	}
+	// The pin is only worth having if it covers both strands and
+	// secondary placements.
+	strands := map[byte]bool{}
+	perRead := map[int]int{}
+	for _, rec := range res.Records {
+		strands[rec.Strand] = true
+		perRead[rec.QIndex]++
+	}
+	secondaries := len(res.Records) - len(perRead)
+	if !strands['+'] || !strands['-'] || secondaries == 0 {
+		t.Errorf("golden set covers strands %v with %d secondaries; want both strands and a secondary", strands, secondaries)
+	}
+}
+
+// TestMapSeedingWorkerInvariance is the mapper's metamorphic test: the
+// number of seeding workers (GOMAXPROCS) and the batch size may change
+// how reads are split, never what Map returns — the same records and the
+// same Anchors, Chains, Extensions, Cells and Mapped counters — and the
+// last progress update has seeded every read.
+func TestMapSeedingWorkerInvariance(t *testing.T) {
+	g, reads := mapGoldenSet(t)
+	m, _ := newTestMapper(t, CPU)
+	if _, err := m.Build(context.Background(), strings.NewReader(genomeFasta(g)), IndexOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var want *MapResult
+	for _, procs := range []int{1, 2, 8} {
+		for _, batch := range []int{1, 7, 512} {
+			runtime.GOMAXPROCS(procs)
+			cfg := DefaultMapConfig(100)
+			cfg.BatchReads = batch
+			var last MapProgress
+			cfg.OnProgress = func(p MapProgress) { last = p }
+			res, err := m.Map(context.Background(), reads, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if last.ReadsSeeded != len(reads) {
+				t.Errorf("GOMAXPROCS=%d BatchReads=%d: last progress seeded %d of %d reads", procs, batch, last.ReadsSeeded, len(reads))
+			}
+			if want == nil {
+				want = res
+				continue
+			}
+			got, exp := res.Stats, want.Stats
+			if got.Anchors != exp.Anchors || got.Chains != exp.Chains || got.Extensions != exp.Extensions ||
+				got.Cells != exp.Cells || got.Mapped != exp.Mapped {
+				t.Errorf("GOMAXPROCS=%d BatchReads=%d: stats %+v, want %+v", procs, batch, got, exp)
+			}
+			if !reflect.DeepEqual(res.Records, want.Records) {
+				t.Errorf("GOMAXPROCS=%d BatchReads=%d: %d records differ from GOMAXPROCS=1 BatchReads=1 (%d)",
+					procs, batch, len(res.Records), len(want.Records))
+			}
+		}
 	}
 }

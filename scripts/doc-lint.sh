@@ -7,8 +7,8 @@
 # batch one executor, the root package no view of the kernel
 # configuration, the generated tables of docs/SERVING.md their
 # generators' output, request parameters one parser, the coalescer
-# one admission policy in pure, clock-free code, and pipeline work one
-# extension path. Run from the repo root;
+# one admission policy in pure, clock-free code, pipeline work one
+# extension path, and minimizer extraction one sweep. Run from the repo root;
 # CI runs it alongside the unit tests.
 # The doc checker itself is scripts/doclint.
 set -euo pipefail
@@ -160,6 +160,20 @@ back=$(grep -rnE --include='*.go' --include='*.md' --include='*.sh' --include='*
 if [ -n "$back" ]; then
 	echo "doc-lint: a second extension path is back (pipelines extend through one extend function):" >&2
 	echo "$back" >&2
+	exit 1
+fi
+
+# Minimizer extraction is one sweep (Extract, the running minimum) and
+# its oracle (ExtractNaive): another function in internal/minidx that is
+# named for extraction or returns []Minimizer, or the deque entry type
+# the sweep replaced, means the extractor has forked again.
+src=$(ls internal/minidx/*.go | grep -v '_test\.go$')
+fns=$(grep -hoE '^func [A-Za-z0-9_]+\([^)]*\) \[\]Minimizer|^func [A-Za-z0-9_]*[Ee]xtract[A-Za-z0-9_]*' $src |
+	sed -E 's/^func ([A-Za-z0-9_]+).*/\1/' | sort -u | tr '\n' ' ')
+deque=$(grep -nE '\bwinEntry\b' $src || true)
+if [ "$fns" != "Extract ExtractNaive " ] || [ -n "$deque" ]; then
+	echo "doc-lint: internal/minidx defines extraction functions [$fns] (want: Extract ExtractNaive) and no deque entry type:" >&2
+	printf '%s\n' "$deque" >&2
 	exit 1
 fi
 
