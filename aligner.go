@@ -373,7 +373,7 @@ func (a *Aligner) align(ctx context.Context, dst []Alignment, pairs []Pair, cfg 
 // and mapping pipelines, directly or through the coalescer's bulk entry
 // (which has this signature): their extension chunks share the engine's
 // worker pools, device locks and scheduler with Align traffic, and the
-// extra detail (band widths) feeds the traceback post-pass. It owns the
+// extra detail (band widths) feeds their band statistics. It owns the
 // batch IDs: every pair is renumbered by position.
 func (a *Aligner) extendPrepared(ctx context.Context, in []seq.Pair, out []xdrop.SeedResult, sch xdrop.Scheme, x int32) (backend.BatchStats, error) {
 	if a.closed.Load() {

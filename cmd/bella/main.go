@@ -51,7 +51,7 @@ func main() {
 		dumpGenome = flag.String("dump-genome", "", "also write the simulated genome as FASTA (the mapping reference for logan-map / POST /map)")
 		progress   = flag.Bool("progress", false, "print pipeline progress to stderr")
 	)
-	flag.BoolVar(&cfg.Traceback, "cigar", false, "recover CIGAR strings for accepted overlaps (CPU post-pass)")
+	flag.BoolVar(&cfg.Traceback, "cigar", false, "recover CIGAR strings for accepted overlaps")
 	flag.Parse()
 
 	var preset genome.Preset

@@ -118,8 +118,7 @@
 // carries the same table, generated from it.
 //
 // SIGINT/SIGTERM drain in-flight requests, cancel live jobs and run the
-// coalescer queue dry, then release the engine and every cached default
-// engine before exiting.
+// coalescer queue dry, then release the engine before exiting.
 package main
 
 import (
@@ -321,9 +320,9 @@ func main() {
 	select {
 	case exitErr = <-done:
 	case <-ctx.Done():
-		// Drain in-flight requests, then release the engine's worker
-		// pools and any engines cached behind the package-level Align so
-		// the process exits with nothing still running.
+		// Drain in-flight requests; the engine's worker pools are
+		// released below, so the process exits with nothing still
+		// running.
 		shutdownCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		exitErr = srv.Shutdown(shutdownCtx)
 		cancel()

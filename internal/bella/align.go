@@ -9,14 +9,11 @@ import (
 	"logan/internal/xdrop"
 )
 
-// AlignerStats summarizes the alignment stage for the time models.
+// AlignerStats is the work of the alignment stage: DP cells, and the
+// modeled GPU time of engines with device shards (zero otherwise).
 type AlignerStats struct {
-	Pairs      int
 	Cells      int64
-	MaxBand    int
-	MeanBand   float64
-	WallTime   time.Duration // measured Go wall time
-	DeviceTime time.Duration // modeled GPU time (engines with device shards only)
+	DeviceTime time.Duration
 }
 
 // Aligner is the pluggable pairwise-alignment stage: BELLA ships with
@@ -44,7 +41,6 @@ func (a CPUAligner) Name() string { return "seqan-cpu" }
 // workers (0 = GOMAXPROCS) held for this call. Cancellation is observed
 // per pair by the pool's workers.
 func (a CPUAligner) AlignPairs(ctx context.Context, pairs []seq.Pair, sc xdrop.Scoring, x int32) ([]xdrop.SeedResult, AlignerStats, error) {
-	start := time.Now()
 	pool := xdrop.NewPool(a.Workers)
 	defer pool.Close()
 	res := make([]xdrop.SeedResult, len(pairs))
@@ -52,13 +48,7 @@ func (a CPUAligner) AlignPairs(ctx context.Context, pairs []seq.Pair, sc xdrop.S
 	if err != nil {
 		return nil, AlignerStats{}, err
 	}
-	return res, AlignerStats{
-		Pairs:    stats.Pairs,
-		Cells:    stats.Cells,
-		MaxBand:  stats.MaxBand,
-		MeanBand: stats.MeanBand(),
-		WallTime: time.Since(start),
-	}, nil
+	return res, AlignerStats{Cells: stats.Cells}, nil
 }
 
 // BuildAlignmentPairs materializes the candidate pairs plus chosen seeds

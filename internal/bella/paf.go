@@ -23,9 +23,10 @@ type PAFRecord struct {
 	TName        string
 	TLen         int
 	TStart, TEnd int
-	// Matches approximates PAF column 10 (number of residue matches):
-	// recovered exactly from the traceback identity when available,
-	// otherwise estimated from the +1/-1/-1 score.
+	// Matches is PAF column 10, the number of residue matches: exact —
+	// the CIGAR's = columns — when a CIGAR is present, otherwise estimated
+	// from the score as if it were +1/-1/-1, (BlockLen+Score)/2 clamped
+	// to [0, BlockLen].
 	Matches int
 	// BlockLen is PAF column 11: the alignment block length.
 	BlockLen int
@@ -34,8 +35,8 @@ type PAFRecord struct {
 	MapQ int
 	// Score is the X-drop alignment score, emitted as the AS:i tag.
 	Score int32
-	// Divergence and CIGAR fill the de:f and cg:Z tags when the traceback
-	// post-pass ran; CIGAR == "" omits both.
+	// Divergence and CIGAR fill the de:f and cg:Z tags when traceback
+	// ran; CIGAR == "" omits both.
 	Divergence float64
 	CIGAR      string
 	// QIndex/TIndex are the input-order read indices behind QName/TName.
@@ -64,21 +65,14 @@ func PAFRecords(reads []genome.Read, overlaps []Overlap) []PAFRecord {
 			rec.TEnd = len(t.Seq) - ov.TBegin
 		}
 		rec.BlockLen = max(ov.QEnd-ov.QBegin, ov.TEnd-ov.TBegin)
-		// Without traceback, estimate matches from the +1/-1/-1 score:
-		// score = matches - errors, block ~ matches + errors.
-		rec.Matches = (rec.BlockLen + int(ov.Score)) / 2
-		if ov.Identity > 0 {
-			rec.Matches = int(float64(rec.BlockLen) * ov.Identity)
-		}
-		if rec.Matches < 0 {
-			rec.Matches = 0
-		}
-		if rec.Matches > rec.BlockLen {
-			rec.Matches = rec.BlockLen
-		}
 		if ov.CIGAR != "" {
+			rec.Matches = ov.Matches
 			rec.Divergence = 1 - ov.Identity
 			rec.CIGAR = ov.CIGAR
+		} else {
+			// Without traceback, estimate matches from the +1/-1/-1 score:
+			// score = matches - errors, block ~ matches + errors.
+			rec.Matches = min(max((rec.BlockLen+int(ov.Score))/2, 0), rec.BlockLen)
 		}
 		recs[i] = rec
 	}

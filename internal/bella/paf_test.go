@@ -56,8 +56,13 @@ func TestWritePAF(t *testing.T) {
 		if !strings.HasPrefix(f[12], "AS:i:") {
 			t.Fatalf("line %d: missing score tag", ln)
 		}
-		if !strings.Contains(line, "cg:Z:") {
+		_, cigar, ok := strings.Cut(line, "\tcg:Z:")
+		if !ok {
 			t.Fatalf("line %d: missing CIGAR tag under Traceback", ln)
+		}
+		// Column 10 is exact under traceback: the CIGAR's = columns.
+		if n := strings.Count(string(parseCIGAR(t, cigar)), "="); matches != n {
+			t.Fatalf("line %d: matches %d, CIGAR has %d", ln, matches, n)
 		}
 	}
 	// Without traceback, no CIGAR tags but valid PAF.

@@ -1,14 +1,15 @@
 package bella
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"strconv"
 	"time"
 
 	"logan/internal/genome"
 	"logan/internal/par"
 	"logan/internal/seq"
-	"logan/internal/sw"
 	"logan/internal/xdrop"
 )
 
@@ -64,16 +65,16 @@ type Config struct {
 	MinShared  int     // min shared reliable k-mers per candidate
 	MaxSeeds   int     // seeds retained per pair
 	Delta      float64 // adaptive-threshold cushion
-	Workers    int     // CPU workers for stages 1-5 (0: GOMAXPROCS); results do not depend on it
+	Workers    int     // CPU workers for stages 1-5 and traceback (0: GOMAXPROCS); results do not depend on it
 	ReliableLo int32   // override reliable bounds when > 0
 	ReliableHi int32
 	// MinOverlap drops accepted overlaps whose aligned query extent is
 	// shorter than this many bases (BELLA reports >= 2 kb on real data).
 	MinOverlap int
 	// Traceback recovers base-level alignments (CIGAR) for the accepted
-	// overlaps in a CPU post-pass. LOGAN itself is score-only (paper
-	// §IV-A); real pipelines recompute alignments only for survivors,
-	// which is what this does.
+	// overlaps. LOGAN itself is score-only (paper §IV-A); real pipelines
+	// recompute alignments only for survivors, which is what this does,
+	// by re-running each survivor's X-drop extension with traceback.
 	Traceback bool
 	// AlignBatch chunks the alignment stage: candidate pairs are handed to
 	// the Aligner at most AlignBatch at a time, with a context check and a
@@ -115,9 +116,11 @@ type Overlap struct {
 	// Extents of the alignment on both reads.
 	QBegin, QEnd, TBegin, TEnd int
 	EstOverlap                 int
-	// CIGAR and Identity are filled when Config.Traceback is set.
+	// CIGAR, Identity (matches over columns) and Matches (the CIGAR's =
+	// columns) are filled when Config.Traceback is set.
 	CIGAR    string
 	Identity float64
+	Matches  int
 }
 
 // StageTimes records measured wall time per pipeline stage.
@@ -276,9 +279,10 @@ func Run(ctx context.Context, rs genome.ReadSet, cfg Config, aligner Aligner) (R
 	out.Align = astats
 	out.Times.Alignment = time.Since(t0)
 
-	// Stage 7: adaptive-threshold filtering, plus the optional traceback
-	// post-pass on survivors.
+	// Stage 7: adaptive-threshold filtering, then the optional traceback
+	// of the survivors.
 	t0 = time.Now()
+	var src []int // the candidate behind each accepted overlap
 	for i, c := range cands {
 		th := AdaptiveThreshold(cfg.ErrorRate, cfg.Delta, seeds[i].EstOverlap)
 		if aligned[i].QEnd-aligned[i].QBegin < cfg.MinOverlap {
@@ -287,26 +291,20 @@ func Run(ctx context.Context, rs genome.ReadSet, cfg Config, aligner Aligner) (R
 		if aligned[i].Score < th {
 			continue
 		}
-		ov := Overlap{
+		out.Overlaps = append(out.Overlaps, Overlap{
 			I: c.I, J: c.J,
 			Score:    aligned[i].Score,
 			Opposite: seeds[i].Opposite,
 			QBegin:   aligned[i].QBegin, QEnd: aligned[i].QEnd,
 			TBegin: aligned[i].TBegin, TEnd: aligned[i].TEnd,
 			EstOverlap: seeds[i].EstOverlap,
+		})
+		src = append(src, i)
+	}
+	if cfg.Traceback {
+		if err := traceback(ctx, out.Overlaps, src, pairs, aligned, cfg); err != nil {
+			return out, err
 		}
-		if cfg.Traceback {
-			p := pairs[i]
-			band := max(64, (aligned[i].Left.MaxBand+aligned[i].Right.MaxBand)/2+16)
-			ga, err := sw.GlobalAlignBanded(
-				p.Query[ov.QBegin:ov.QEnd], p.Target[ov.TBegin:ov.TEnd], cfg.Scoring, band)
-			if err != nil {
-				return out, fmt.Errorf("bella: traceback for pair (%d,%d): %w", c.I, c.J, err)
-			}
-			ov.CIGAR = ga.CIGAR()
-			ov.Identity = ga.Identity()
-		}
-		out.Overlaps = append(out.Overlaps, ov)
 	}
 	out.Times.Filter = time.Since(t0)
 	done := Progress{
@@ -317,6 +315,64 @@ func Run(ctx context.Context, rs genome.ReadSet, cfg Config, aligner Aligner) (R
 	done.Stage = StageDone
 	cfg.progress(done)
 	return out, nil
+}
+
+// traceback fills CIGAR, Identity and Matches of every accepted overlap
+// by re-running its seed-and-extend with traceback (ExtendSeedOps), on
+// cfg.Workers workers with one Workspace each. The re-extension is stage
+// 6's wavefront, so a result that differs from stage 6's, or columns
+// that do not rescore to its score over exactly its intervals, is an
+// error. src maps each overlap to its candidate in pairs and aligned.
+func traceback(ctx context.Context, ovs []Overlap, src []int, pairs []seq.Pair, aligned []xdrop.SeedResult, cfg Config) error {
+	errs := make([]error, par.Workers(cfg.Workers))
+	par.Range(len(ovs), len(errs), func(w, lo, hi int) {
+		ws := xdrop.NewWorkspace()
+		var ops []xdrop.Op
+		for k := lo; k < hi && errs[w] == nil; k++ {
+			if errs[w] = ctx.Err(); errs[w] != nil {
+				return
+			}
+			ov, p := &ovs[k], pairs[src[k]]
+			r, o, err := ws.ExtendSeedOps(p.Query, p.Target, p.SeedQPos, p.SeedTPos, p.SeedLen, cfg.Scoring, cfg.X, ops[:0])
+			ops = o
+			var score int32
+			if err == nil && r != aligned[src[k]] {
+				err = fmt.Errorf("re-extension %+v differs from stage 6's %+v", r, aligned[src[k]])
+			}
+			if err == nil {
+				score, err = xdrop.Rescore(ops, p.Query[r.QBegin:r.QEnd], p.Target[r.TBegin:r.TEnd], cfg.Scoring)
+			}
+			if err == nil && score != r.Score {
+				err = fmt.Errorf("CIGAR rescores to %d, score %d", score, r.Score)
+			}
+			if err != nil {
+				errs[w] = fmt.Errorf("bella: traceback for pair (%d,%d): %w", ov.I, ov.J, err)
+				return
+			}
+			ov.CIGAR, ov.Matches = cigarOf(ops)
+			ov.Identity = float64(ov.Matches) / float64(len(ops))
+		}
+	})
+	return cmp.Or(errs...)
+}
+
+// cigarOf run-length encodes alignment columns, extended-CIGAR style,
+// and counts their matches.
+func cigarOf(ops []xdrop.Op) (string, int) {
+	var buf []byte
+	matches := 0
+	for i := 0; i < len(ops); {
+		j := i + 1
+		for j < len(ops) && ops[j] == ops[i] {
+			j++
+		}
+		if ops[i] == xdrop.OpMatch {
+			matches += j - i
+		}
+		buf = append(strconv.AppendInt(buf, int64(j-i), 10), byte(ops[i]))
+		i = j
+	}
+	return string(buf), matches
 }
 
 // alignChunked feeds the candidate pairs to the aligner in AlignBatch-sized
@@ -342,18 +398,7 @@ func alignChunked(ctx context.Context, pairs []seq.Pair, cfg Config, aligner Ali
 			return nil, AlignerStats{}, fmt.Errorf("bella: aligner returned %d results for %d pairs", len(res), hi-lo)
 		}
 		aligned = append(aligned, res...)
-		// Merge stats; MeanBand is re-weighted by per-chunk pair counts (an
-		// approximation of the exact anti-diagonal weighting, which the
-		// chunk boundary discards).
-		if st.MaxBand > stats.MaxBand {
-			stats.MaxBand = st.MaxBand
-		}
-		if stats.Pairs+st.Pairs > 0 {
-			stats.MeanBand = (stats.MeanBand*float64(stats.Pairs) + st.MeanBand*float64(st.Pairs)) / float64(stats.Pairs+st.Pairs)
-		}
-		stats.Pairs += st.Pairs
 		stats.Cells += st.Cells
-		stats.WallTime += st.WallTime
 		stats.DeviceTime += st.DeviceTime
 		cfg.progress(Progress{
 			Stage: StageAlign, ReliableKmers: prep.Reliable, CandidatePairs: prep.Candidates,

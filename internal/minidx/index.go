@@ -49,9 +49,13 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Stats summarizes the shape of a built index; it feeds the
-// logan_map_index_* telemetry gauges and /statz.
+// Stats describes a built or loaded index: its sampling parameters and
+// the shape of the minimizer table. It feeds the logan_map_index_*
+// telemetry gauges and /statz, and is the public logan.IndexStats.
 type Stats struct {
+	K               int     `json:"k"`
+	W               int     `json:"w"`
+	MaxOccurrence   int     `json:"maxOccurrence"` // masking threshold (<0: masking disabled)
 	Refs            int     `json:"refs"`
 	Bases           int64   `json:"bases"`
 	Minimizers      int64   `json:"minimizers"`      // extracted occurrences
@@ -76,24 +80,22 @@ type slot struct {
 // hash-grouped positions array addressed by an open-addressing table.
 // It is immutable after Build/Load and safe for concurrent lookups.
 type Index struct {
-	k, w   int
-	maxOcc int
-	refs   []Ref
-	pos    []uint64 // packed (ref,pos,rev), grouped by key
-	slots  []slot
-	mask   uint64
-	stats  Stats
+	refs  []Ref
+	pos   []uint64 // packed (ref,pos,rev), grouped by key
+	slots []slot
+	mask  uint64
+	stats Stats
 }
 
 // K returns the k-mer length the index was built with.
-func (x *Index) K() int { return x.k }
+func (x *Index) K() int { return x.stats.K }
 
 // W returns the minimizer window size the index was built with.
-func (x *Index) W() int { return x.w }
+func (x *Index) W() int { return x.stats.W }
 
 // MaxOccurrence returns the masking threshold the index was built with
 // (<0 when masking was disabled).
-func (x *Index) MaxOccurrence() int { return x.maxOcc }
+func (x *Index) MaxOccurrence() int { return x.stats.MaxOccurrence }
 
 // Refs returns the reference sequences; callers must not mutate them.
 func (x *Index) Refs() []Ref { return x.refs }
@@ -132,7 +134,7 @@ func Build(refs []Ref, opt Options) (*Index, error) {
 	if len(refs) >= 1<<31 {
 		return nil, fmt.Errorf("minidx: %d references exceed the 31-bit ordinal space", len(refs))
 	}
-	x := &Index{k: opt.K, w: opt.W, maxOcc: opt.MaxOccurrence}
+	x := &Index{stats: Stats{K: opt.K, W: opt.W, MaxOccurrence: opt.MaxOccurrence}}
 	x.refs = make([]Ref, len(refs))
 	type rec struct {
 		hash uint64

@@ -60,9 +60,9 @@ func (x *Index) Save(w io.Writer) error {
 		le.PutUint64(u64[:], v)
 		payload.Write(u64[:])
 	}
-	put32(uint32(x.k))
-	put32(uint32(x.w))
-	put32(uint32(int32(x.maxOcc)))
+	put32(uint32(x.stats.K))
+	put32(uint32(x.stats.W))
+	put32(uint32(int32(x.stats.MaxOccurrence)))
 	put32(uint32(len(x.refs)))
 	for _, r := range x.refs {
 		put32(uint32(len(r.Name)))
@@ -173,11 +173,11 @@ func (c *cursor) u64() uint64 {
 func parsePayload(payload []byte) (*Index, error) {
 	c := &cursor{b: payload}
 	x := &Index{}
-	x.k = int(c.u32())
-	x.w = int(c.u32())
-	x.maxOcc = int(int32(c.u32()))
+	x.stats.K = int(c.u32())
+	x.stats.W = int(c.u32())
+	x.stats.MaxOccurrence = int(int32(c.u32()))
 	if c.err == nil {
-		if err := ValidateKW(x.k, x.w); err != nil {
+		if err := ValidateKW(x.stats.K, x.stats.W); err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 		}
 	}

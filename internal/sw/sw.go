@@ -1,10 +1,9 @@
-// Package sw provides the exact quadratic alignment baselines the paper
-// compares against: Smith-Waterman local alignment and Needleman-Wunsch
-// global alignment (§I), a fixed-band Smith-Waterman (the "banded" search
-// space of Fig. 2), an anti-diagonal SIMD variant, and the two GPU
-// comparators of Fig. 12 — a CUDASW++-like full-matrix kernel and a
-// manymap-like fixed-band seed-extension kernel — implemented on the
-// simulated device.
+// Package sw provides the alignment baselines the paper compares X-drop
+// against: the two GPU comparators of Fig. 12 — a CUDASW++-like
+// full-matrix kernel and a manymap-like fixed-band seed-extension kernel,
+// implemented on the simulated device — and their exact oracles,
+// Smith-Waterman local alignment (§I) and a fixed-band Smith-Waterman
+// (the "banded" search space of Fig. 2). No pipeline aligns with it.
 package sw
 
 import (
@@ -62,41 +61,6 @@ func Local(q, t seq.Seq, sc xdrop.Scoring) Result {
 		cur[0] = 0
 	}
 	return Result{Score: best, QueryEnd: bi, TargetEnd: bj, Cells: int64(m) * int64(n)}
-}
-
-// Global computes the Needleman-Wunsch global alignment score of q and t.
-// It is the exact reference the tests hold GlobalAlignBanded (the overlap
-// pipeline's traceback pass) to.
-func Global(q, t seq.Seq, sc xdrop.Scoring) Result {
-	m, n := len(q), len(t)
-	prev := make([]int32, n+1)
-	cur := make([]int32, n+1)
-	for j := 0; j <= n; j++ {
-		prev[j] = int32(j) * sc.Gap
-	}
-	if m == 0 {
-		return Result{Score: prev[n], QueryEnd: 0, TargetEnd: n}
-	}
-	for i := 1; i <= m; i++ {
-		cur[0] = int32(i) * sc.Gap
-		for j := 1; j <= n; j++ {
-			s := prev[j-1]
-			if q[i-1] == t[j-1] {
-				s += sc.Match
-			} else {
-				s += sc.Mismatch
-			}
-			if v := prev[j] + sc.Gap; v > s {
-				s = v
-			}
-			if v := cur[j-1] + sc.Gap; v > s {
-				s = v
-			}
-			cur[j] = s
-		}
-		prev, cur = cur, prev
-	}
-	return Result{Score: prev[n], QueryEnd: m, TargetEnd: n, Cells: int64(m) * int64(n)}
 }
 
 // Banded computes Smith-Waterman restricted to a fixed band of half-width w

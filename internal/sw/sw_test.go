@@ -46,40 +46,6 @@ func TestLocalNonNegativeProperty(t *testing.T) {
 	}
 }
 
-func TestGlobalKnownValues(t *testing.T) {
-	// Classic check: identical sequences score len*match; empty vs s
-	// scores len*gap.
-	s := seq.MustNew("ACGTAC")
-	if r := Global(s, s, sc()); r.Score != 6 {
-		t.Fatalf("global self = %d, want 6", r.Score)
-	}
-	if r := Global(nil, s, sc()); r.Score != -6 {
-		t.Fatalf("global vs empty = %d, want -6", r.Score)
-	}
-	a := seq.MustNew("ACGT")
-	b := seq.MustNew("AGT")
-	// Best: align A-GT with C deleted: 3 matches - 1 gap = 2.
-	if r := Global(a, b, sc()); r.Score != 2 {
-		t.Fatalf("ACGT vs AGT global = %d, want 2", r.Score)
-	}
-}
-
-func TestGlobalVsLocalRelation(t *testing.T) {
-	// Local >= Global for nonneg... not in general, but local >= 0 and
-	// local >= global when global is the best full-length alignment of a
-	// substring pair. Check local >= global for equal-length related pairs.
-	rng := rand.New(rand.NewSource(2))
-	for trial := 0; trial < 30; trial++ {
-		base := seq.RandSeq(rng, 60)
-		mut := seq.Mutate(rng, base, seq.UniformProfile(0.1))
-		l := Local(base, mut, sc())
-		g := Global(base, mut, sc())
-		if l.Score < g.Score {
-			t.Fatalf("local %d < global %d", l.Score, g.Score)
-		}
-	}
-}
-
 func TestBandedFullWidthEqualsLocal(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 40; trial++ {

@@ -112,7 +112,7 @@ func (j *poolJob) run(ws *Workspace) {
 		p := &j.pairs[idx]
 		// The kernel was chosen once at batch submission (SelectKernel), so
 		// the per-cell loops themselves are mode-free.
-		r, err := ws.extendSeed(p.Query, p.Target, p.SeedQPos, p.SeedTPos, p.SeedLen, j.sch, j.x, j.kernel)
+		r, err := ws.extendSeed(p.Query, p.Target, p.SeedQPos, p.SeedTPos, p.SeedLen, j.sch, j.x, j.kernel, nil)
 		if err != nil {
 			j.fail(idx, err)
 			continue

@@ -10,16 +10,22 @@ import (
 
 // Workspace is the reusable scratch of one X-drop lane: the three rolling
 // anti-diagonal buffers of the wavefront (wave, and the fused routine for
-// int16 cells) at both cell widths and the reversal staging of the seed
-// wrapper. A Workspace makes
-// repeated extensions allocation-free, under every scheme, once the
-// buffers have grown to the workload's sequence lengths. It is not safe
-// for concurrent use; give each worker goroutine its own (see Pool).
+// int16 cells) at both cell widths, the reversal staging of the seed
+// wrapper and the direction arena of traceback (ExtendSeedOps). A
+// Workspace makes repeated extensions allocation-free, under every
+// scheme, once the buffers have grown to the workload's sequence lengths.
+// It is not safe for concurrent use; give each worker goroutine its own
+// (see Pool).
 type Workspace struct {
 	d          [3][]int32 // scalar, matrix and affine (three planes) diagonals
 	v          [3][]int16 // vector-kernel diagonals
 	rt         seq.Seq    // reversed target, grown one base per anti-diagonal
 	revQ, revT seq.Seq
+
+	// Traceback directions: one byte per interior cell, located per
+	// anti-diagonal by rows (see opsRow).
+	dirs []byte
+	rows []dirRow
 
 	// The portable rows' compare-blend table and the scoring it was built
 	// for (see vectorKernelFor); nil until a portable row needs it.
@@ -56,7 +62,7 @@ func extendSeedPooled(q, t seq.Seq, qPos, tPos, seedLen int, sch Scheme, x int32
 // bit-identical across kernels; forcing one is how the benchmarks and the
 // fallback tests compare them.
 func (w *Workspace) ExtendSeedKernel(q, t seq.Seq, qPos, tPos, seedLen int, sc Scoring, x int32, k Kernel) (SeedResult, error) {
-	return w.extendSeed(q, t, qPos, tPos, seedLen, LinearScheme(sc), x, k)
+	return w.extendSeed(q, t, qPos, tPos, seedLen, LinearScheme(sc), x, k, nil)
 }
 
 // ExtendSeedScheme runs one seed-and-extend under any scheme family on
@@ -66,7 +72,7 @@ func (w *Workspace) ExtendSeedKernel(q, t seq.Seq, qPos, tPos, seedLen int, sc S
 // unvalidated unknown residue scores as the matrix minimum instead of
 // erroring.
 func (w *Workspace) ExtendSeedScheme(q, t seq.Seq, qPos, tPos, seedLen int, sch Scheme, x int32) (SeedResult, error) {
-	return w.extendSeed(q, t, qPos, tPos, seedLen, sch, x, KernelScalar)
+	return w.extendSeed(q, t, qPos, tPos, seedLen, sch, x, KernelScalar, nil)
 }
 
 // extendSeed is the one seed-and-extend wrapper (paper Fig. 5): split the
@@ -74,7 +80,9 @@ func (w *Workspace) ExtendSeedScheme(q, t seq.Seq, qPos, tPos, seedLen int, sch 
 // reversed prefixes — staged into the workspace, so the row kernels walk
 // memory forward in both directions, the transformation LOGAN applies for
 // coalescing (Fig. 6) — and add the seed's own score under the scheme.
-func (w *Workspace) extendSeed(q, t seq.Seq, qPos, tPos, seedLen int, sch Scheme, x int32, k Kernel) (SeedResult, error) {
+// A non-nil ops takes the traceback path (seedOps, linear schemes only);
+// the served paths pass nil.
+func (w *Workspace) extendSeed(q, t seq.Seq, qPos, tPos, seedLen int, sch Scheme, x int32, k Kernel, ops *[]Op) (SeedResult, error) {
 	if err := sch.Validate(); err != nil {
 		return SeedResult{}, err
 	}
@@ -89,8 +97,12 @@ func (w *Workspace) extendSeed(q, t seq.Seq, qPos, tPos, seedLen int, sch Scheme
 	w.revT = seq.AppendReverse(w.revT[:0], t[:tPos])
 	qEnd, tEnd := qPos+seedLen, tPos+seedLen
 	r := SeedResult{SeedLen: seedLen}
-	r.Left = w.extend(w.revQ, w.revT, sch, x, k)
-	r.Right = w.extend(q[qEnd:], t[tEnd:], sch, x, k)
+	if ops != nil {
+		r.Left, r.Right = w.seedOps(q[qPos:qEnd], t[tPos:tEnd], q[qEnd:], t[tEnd:], sch.Linear, x, ops)
+	} else {
+		r.Left = w.extend(w.revQ, w.revT, sch, x, k)
+		r.Right = w.extend(q[qEnd:], t[tEnd:], sch, x, k)
+	}
 	r.Score = r.Left.Score + r.Right.Score + sch.seedScore(q[qPos:qEnd], t[tPos:tEnd])
 	r.QBegin = qPos - r.Left.QueryEnd
 	r.TBegin = tPos - r.Left.TargetEnd

@@ -49,19 +49,7 @@ func (o *IndexOptions) Params() Params {
 // parameters and the shape of the minimizer table, including the
 // open-addressing occupancy exported as the logan_map_index_occupancy
 // gauge.
-type IndexStats struct {
-	K             int     `json:"k"`
-	W             int     `json:"w"`
-	MaxOccurrence int     `json:"maxOccurrence"`
-	Refs          int     `json:"refs"`
-	Bases         int64   `json:"bases"`
-	Minimizers    int64   `json:"minimizers"`
-	Distinct      int64   `json:"distinct"`
-	Kept          int64   `json:"kept"`
-	MaskedKmers   int64   `json:"maskedKmers"`
-	TableSize     int     `json:"tableSize"`
-	Occupancy     float64 `json:"occupancy"`
-}
+type IndexStats = minidx.Stats
 
 // MapStage names a phase of the mapping pipeline in progress updates:
 // "ingest" (MapFasta parsing), "seed" (minimizer lookup + chaining),
@@ -275,23 +263,12 @@ func NewMapper(eng *Aligner, opt MapperOptions) (*Mapper, error) {
 // Engine returns the engine the Mapper extends on.
 func (m *Mapper) Engine() *Aligner { return m.eng }
 
-// indexStats lowers internal index statistics onto the public view.
-func indexStats(x *minidx.Index) IndexStats {
-	st := x.Stats()
-	return IndexStats{
-		K: x.K(), W: x.W(), MaxOccurrence: x.MaxOccurrence(),
-		Refs: st.Refs, Bases: st.Bases, Minimizers: st.Minimizers,
-		Distinct: st.Distinct, Kept: st.Kept, MaskedKmers: st.MaskedKmers,
-		TableSize: st.TableSize, Occupancy: st.Occupancy,
-	}
-}
-
 // setIndex installs a new index and refreshes the index gauges.
 func (m *Mapper) setIndex(x *minidx.Index) IndexStats {
 	m.mu.Lock()
 	m.idx = x
 	m.mu.Unlock()
-	st := indexStats(x)
+	st := x.Stats()
 	m.gRefs.Set(float64(st.Refs))
 	m.gBases.Set(float64(st.Bases))
 	m.gKept.Set(float64(st.Kept))
@@ -316,7 +293,7 @@ func (m *Mapper) IndexStats() (st IndexStats, ok bool) {
 	if x == nil {
 		return IndexStats{}, false
 	}
-	return indexStats(x), true
+	return x.Stats(), true
 }
 
 // Build constructs a reference index from streamed FASTA input and

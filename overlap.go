@@ -88,7 +88,8 @@ type OverlapConfig struct {
 	// than this many bases.
 	MinOverlap int
 	// Traceback recovers base-level CIGAR strings for accepted overlaps
-	// in a CPU post-pass.
+	// by re-running their X-drop extensions with traceback, so every
+	// CIGAR rescores to its record's score.
 	Traceback bool
 	// BatchPairs chunks the extension stage: at most this many pairs are
 	// submitted to the engine per batch, with cancellation checks and
@@ -389,11 +390,10 @@ func newExtendPath(eng *Aligner, coal *Coalescer, pipeline, chunks string) exten
 }
 
 // extender is the one bella.Aligner of the overlap and mapping
-// pipelines: it extends each chunk through the path's extend function
-// and keeps the raw per-direction results, so the traceback post-pass
-// can band itself. Chunks the coalescer's admission control sheds are
-// re-submitted with exponential backoff; every shed and retry is counted
-// for the run (shed, retries) and in the registry.
+// pipelines: it extends each chunk through the path's extend function.
+// Chunks the coalescer's admission control sheds are re-submitted with
+// exponential backoff; every shed and retry is counted for the run
+// (shed, retries) and in the registry.
 type extender struct {
 	extendPath
 	shed, retries atomic.Int64
@@ -409,7 +409,6 @@ const overlapMaxRetries = 10
 
 // AlignPairs extends one chunk, retrying it while it is shed.
 func (e *extender) AlignPairs(ctx context.Context, pairs []seq.Pair, sc xdrop.Scoring, x int32) ([]xdrop.SeedResult, bella.AlignerStats, error) {
-	start := time.Now()
 	out := make([]xdrop.SeedResult, len(pairs))
 	var (
 		bst backend.BatchStats
@@ -438,12 +437,5 @@ func (e *extender) AlignPairs(ctx context.Context, pairs []seq.Pair, sc xdrop.Sc
 	if err != nil {
 		return nil, bella.AlignerStats{}, err
 	}
-	st := bella.AlignerStats{
-		Pairs: len(pairs), Cells: bst.Cells,
-		WallTime: time.Since(start), DeviceTime: bst.DeviceTime,
-	}
-	for i := range out {
-		st.MaxBand = max(st.MaxBand, out[i].Left.MaxBand, out[i].Right.MaxBand)
-	}
-	return out, st, nil
+	return out, bella.AlignerStats{Cells: bst.Cells, DeviceTime: bst.DeviceTime}, nil
 }

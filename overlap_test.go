@@ -14,6 +14,7 @@ import (
 	"logan/internal/bella"
 	"logan/internal/genome"
 	"logan/internal/seq"
+	"logan/internal/xdrop"
 )
 
 // overlapTestSet builds a deterministic simulated read set with enough
@@ -351,8 +352,11 @@ func TestOverlapperValidation(t *testing.T) {
 	}
 }
 
-// TestOverlapperTraceback checks the CIGAR post-pass agrees with the
-// internal pipeline byte for byte, engine-direct and coalescer-routed.
+// TestOverlapperTraceback checks traceback through the public API: the
+// PAF agrees with the internal pipeline byte for byte, engine-direct and
+// coalescer-routed, and every record's CIGAR, rescored against the
+// reads, equals its AS:i over exactly its query and target intervals,
+// with column 10 counting the CIGAR's matches.
 func TestOverlapperTraceback(t *testing.T) {
 	rs := overlapTestSet(t, 15, 30_000)
 	cfg := overlapTestConfig(15)
@@ -391,20 +395,51 @@ func TestOverlapperTraceback(t *testing.T) {
 		if got.String() != want.String() {
 			t.Errorf("%s: traceback PAF diverges from the internal pipeline", tc.name)
 		}
-		foundCigar := false
-		for _, r := range res.Records {
-			if r.CIGAR != "" {
-				foundCigar = true
-				break
-			}
+		if len(res.Records) == 0 {
+			t.Fatalf("%s: no records to trace", tc.name)
 		}
-		if len(res.Records) > 0 && !foundCigar {
-			t.Errorf("%s: traceback requested but no record carries a CIGAR", tc.name)
+		for i, r := range res.Records {
+			q := rs.Reads[r.QIndex].Seq[r.QStart:r.QEnd]
+			tgt := rs.Reads[r.TIndex].Seq[r.TStart:r.TEnd]
+			if r.Strand == '-' {
+				tgt = tgt.RevComp()
+			}
+			ops := expandCIGAR(t, r.CIGAR)
+			score, err := xdrop.Rescore(ops, q, tgt, cfg.Scoring.linear)
+			if err != nil || score != r.Score {
+				t.Fatalf("%s: record %d CIGAR rescores to %d, %v; AS:i:%d", tc.name, i, score, err, r.Score)
+			}
+			if n := strings.Count(string(ops), "="); r.Matches != n {
+				t.Fatalf("%s: record %d column 10 is %d, the CIGAR has %d matches", tc.name, i, r.Matches, n)
+			}
 		}
 	}
 	if coal.Metrics().MergedBatches == 0 {
 		t.Error("the coalesced run's chunks never reached the coalescer")
 	}
+}
+
+// expandCIGAR expands an extended CIGAR into its columns.
+func expandCIGAR(t *testing.T, cigar string) []xdrop.Op {
+	t.Helper()
+	var ops []xdrop.Op
+	n := 0
+	for _, c := range []byte(cigar) {
+		if c >= '0' && c <= '9' {
+			n = n*10 + int(c-'0')
+			continue
+		}
+		if n == 0 {
+			t.Fatalf("CIGAR %q: op %c without a length", cigar, c)
+		}
+		for ; n > 0; n-- {
+			ops = append(ops, xdrop.Op(c))
+		}
+	}
+	if n != 0 || len(ops) == 0 {
+		t.Fatalf("malformed CIGAR %q", cigar)
+	}
+	return ops
 }
 
 // TestOverlapSharesEngine proves overlap and Align traffic interleave on

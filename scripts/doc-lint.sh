@@ -8,7 +8,8 @@
 # configuration, the generated tables of docs/SERVING.md their
 # generators' output, request parameters one parser, the coalescer
 # one admission policy in pure, clock-free code, pipeline work one
-# extension path, and minimizer extraction one sweep. Run from the repo root;
+# extension path, minimizer extraction one sweep, and the pipelines one
+# alignment algorithm. Run from the repo root;
 # CI runs it alongside the unit tests.
 # The doc checker itself is scripts/doclint.
 set -euo pipefail
@@ -174,6 +175,20 @@ deque=$(grep -nE '\bwinEntry\b' $src || true)
 if [ "$fns" != "Extract ExtractNaive " ] || [ -n "$deque" ]; then
 	echo "doc-lint: internal/minidx defines extraction functions [$fns] (want: Extract ExtractNaive) and no deque entry type:" >&2
 	printf '%s\n' "$deque" >&2
+	exit 1
+fi
+
+# The pipelines align with one algorithm, X-drop: a CIGAR comes from the
+# wavefront that scored it (xdrop.Workspace.ExtendSeedOps), so it agrees
+# with its score by construction. internal/sw holds only the paper's
+# comparators and their oracles; non-test code importing it outside the
+# reproduction harness (internal/bench) means a second alignment is back
+# in a pipeline.
+sw=$(grep -rlE --include='*.go' --exclude='*_test.go' '"logan/internal/sw"' . |
+	grep -vE '^\./internal/(bench|sw)/' || true)
+if [ -n "$sw" ]; then
+	echo "doc-lint: non-test code outside internal/bench imports logan/internal/sw (pipelines align with X-drop alone):" >&2
+	echo "$sw" >&2
 	exit 1
 fi
 
