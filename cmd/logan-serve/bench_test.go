@@ -19,7 +19,7 @@ import (
 // 16-pair request in flight at all times (closed-loop per client, open
 // queue overall). Requests are driven straight through the handler
 // (ServeHTTP, no sockets) so the comparison isolates the serve path —
-// JSON decode, batching policy, engine, JSON encode — from network
+// request scan, batching policy, engine, JSON encode — from network
 // jitter. The backend is the hybrid CPU+2×GPU scheduler, where every
 // per-request 16-pair batch would pay its own partition/staging round;
 // the flusher merges whatever accumulates while the previous engine batch
@@ -86,4 +86,37 @@ func BenchmarkServeCoalesced(b *testing.B) {
 	})
 	b.StopTimer()
 	b.ReportMetric(float64(b.N*pairsPer)/b.Elapsed().Seconds(), "pairs/s")
+}
+
+// BenchmarkAlignDecode times one align-bulk-shaped /align body (128 pairs
+// of 2.5–7.5 kb) through the request scanner and through the encoding/json
+// decode it replaced (the test oracle), from body bytes to engine-ready
+// pairs and configuration. MB/s and allocs/op of the two sub-benchmarks
+// are the decode ratio.
+func BenchmarkAlignDecode(b *testing.B) {
+	rng := rand.New(rand.NewSource(7))
+	raw := seq.RandPairSet(rng, seq.PairSetOptions{
+		N: 128, MinLen: 2500, MaxLen: 7500, ErrorRate: 0.15, SeedLen: 17,
+	})
+	js := make([]string, len(raw))
+	for i, p := range raw {
+		js[i] = fmt.Sprintf(`{"query":%q,"target":%q,"seedQ":%d,"seedT":%d,"seedLen":%d}`,
+			p.Query, p.Target, p.SeedQPos, p.SeedTPos, p.SeedLen)
+	}
+	body := []byte(`{"pairs":[` + strings.Join(js, ",") + `],"x":100}`)
+	s := &server{cfg: defaultServeConfig()}
+	for _, c := range []struct {
+		name   string
+		decode func(*server, []byte) decoded
+	}{{"scanner", scannerDecode}, {"encoding-json", oracleDecode}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.SetBytes(int64(len(body)))
+			b.ReportAllocs()
+			for b.Loop() {
+				if d := c.decode(s, body); d.status != http.StatusOK || len(d.pairs) != len(raw) {
+					b.Fatalf("status %d, %d pairs", d.status, len(d.pairs))
+				}
+			}
+		})
+	}
 }

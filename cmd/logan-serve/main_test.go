@@ -164,6 +164,10 @@ func TestServeErrors(t *testing.T) {
 		{"invalid base", `{"pairs":[{"query":"AXGT","target":"ACGT","seedLen":2}]}`, http.StatusUnprocessableEntity},
 		{"seed out of range", `{"pairs":[{"query":"ACGT","target":"ACGT","seedQ":3,"seedLen":4}]}`, http.StatusUnprocessableEntity},
 		{"seed position overflow", `{"pairs":[{"query":"ACGT","target":"ACGT","seedQ":9223372036854775806,"seedLen":4}]}`, http.StatusUnprocessableEntity},
+		{"upper-case keys", `{"PAIRS":[{"QUERY":"ACGT","Target":"ACGT","SEEDLEN":2}],"X":50}`, http.StatusOK},
+		{"unknown top-level key", `{"client":{"name":"x","tags":[1,2]},"pairs":[{"query":"ACGT","target":"ACGT","seedLen":2}]}`, http.StatusOK},
+		{"fraction in an integer field", `{"pairs":[{"query":"ACGT","target":"ACGT","seedLen":2.0}]}`, http.StatusBadRequest},
+		{"x over int32", `{"pairs":[],"x":2147483648}`, http.StatusBadRequest},
 		{"oversized batch", func() string {
 			var b strings.Builder
 			b.WriteString(`{"pairs":[`)
@@ -187,6 +191,21 @@ func TestServeErrors(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("trailing whitespace: status %d: %s", resp.StatusCode, data)
 	}
+	// An escaped base decodes to the base itself: the escaped spelling of
+	// a pair scores exactly like the plain one.
+	score := func(query string) alignmentJSON {
+		t.Helper()
+		resp, data := postAlign(t, srv.URL,
+			`{"pairs":[{"query":"`+query+`","target":"ACGTTGCAACGT","seedQ":4,"seedT":4,"seedLen":4}]}`)
+		var out alignResponse
+		if resp.StatusCode != http.StatusOK || json.Unmarshal(data, &out) != nil || len(out.Alignments) != 1 {
+			t.Fatalf("query %s: status %d: %s", query, resp.StatusCode, data)
+		}
+		return out.Alignments[0]
+	}
+	if plain, escaped := score("ACGTTGCAACGT"), score(`\u0041CGTTGC\u0061ACGT`); escaped != plain || plain.Score != 12 {
+		t.Errorf("escaped query scored %+v, plain %+v (want score 12)", escaped, plain)
+	}
 }
 
 // TestServeOversizedBody pins the 413 contract: a body over the wire limit
@@ -204,6 +223,14 @@ func TestServeOversizedBody(t *testing.T) {
 	}
 	if !strings.Contains(string(data), "128-byte limit") {
 		t.Fatalf("413 body does not name the limit: %s", data)
+	}
+	// Over the limit is 413 even when a JSON document inside the body
+	// ends early and only padding crosses the limit.
+	for _, pad := range []string{"GARBAGE", " "} {
+		resp, data = postAlign(t, srv.URL, `{"pairs":[]}`+strings.Repeat(pad, 200))
+		if resp.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(string(data), "128-byte limit") {
+			t.Errorf("document padded with %q past the limit: status %d (want 413 naming the limit): %s", pad, resp.StatusCode, data)
+		}
 	}
 	// A body under the limit still works.
 	resp, data = postAlign(t, srv.URL, `{"pairs":[]}`)

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
 	"strconv"
@@ -18,40 +17,6 @@ import (
 	"logan/internal/telemetry"
 	"logan/internal/xdrop"
 )
-
-// alignRequest is the POST /align payload: a batch of seeded pairs plus
-// optional request-scoped alignment parameters. Omitted fields fall back
-// to the server's defaults (the -x flag and linear +1/-1/-1), so v1
-// clients keep working unchanged.
-type alignRequest struct {
-	Pairs []pairJSON `json:"pairs"`
-	// X overrides the server's default X-drop threshold for this request.
-	X *int32 `json:"x"`
-	// Scoring overrides the server's default scheme for this request.
-	Scoring *scoringJSON `json:"scoring"`
-}
-
-// scoringJSON selects a scoring scheme per request. Mode is "linear"
-// (default; match/mismatch/gap required), "affine" (match/mismatch/
-// gapOpen/gapExtend) or "blosum62" (gap). Invalid schemes are rejected
-// with 400 before any pair is queued; affine and blosum62 requests on a
-// pure-GPU server fail with 422 (the kernel is linear-DNA only).
-type scoringJSON struct {
-	Mode      string `json:"mode"`
-	Match     int32  `json:"match"`
-	Mismatch  int32  `json:"mismatch"`
-	Gap       int32  `json:"gap"`
-	GapOpen   int32  `json:"gapOpen"`
-	GapExtend int32  `json:"gapExtend"`
-}
-
-type pairJSON struct {
-	Query   string `json:"query"`
-	Target  string `json:"target"`
-	SeedQ   int    `json:"seedQ"`
-	SeedT   int    `json:"seedT"`
-	SeedLen int    `json:"seedLen"`
-}
 
 // scoreParamLimit is a sanity bound on the magnitude of client-supplied
 // score parameters; any real scheme is orders of magnitude below it. The
@@ -66,16 +31,15 @@ const scoreParamLimit = 1 << 20
 // attacker-controlled work amplification — X-drop pruning is what keeps
 // per-pair cost at O(band*length) instead of O(n*m) — so it is capped at
 // -max-x just like body size and batch size are capped.
-func (s *server) requestConfig(req *alignRequest) (logan.Config, error) {
+func (s *server) requestConfig(x *int32, sc *scoringJSON) (logan.Config, error) {
 	cfg := s.cfg.defCfg
-	if req.X != nil {
-		if int(*req.X) > s.cfg.maxX {
-			return logan.Config{}, fmt.Errorf("x %d exceeds the server's %d limit", *req.X, s.cfg.maxX)
+	if x != nil {
+		if int(*x) > s.cfg.maxX {
+			return logan.Config{}, fmt.Errorf("x %d exceeds the server's %d limit", *x, s.cfg.maxX)
 		}
-		cfg.X = *req.X
+		cfg.X = *x
 	}
-	if req.Scoring != nil {
-		sc := req.Scoring
+	if sc != nil {
 		for _, v := range []int32{sc.Match, sc.Mismatch, sc.Gap, sc.GapOpen, sc.GapExtend} {
 			if v > scoreParamLimit || v < -scoreParamLimit {
 				return logan.Config{}, fmt.Errorf("score parameter %d outside [%d, %d]", v, -scoreParamLimit, scoreParamLimit)
@@ -435,11 +399,8 @@ func (s *server) handleAlign(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusUnauthorized, "unknown API key")
 		return
 	}
-	var req alignRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.bodyLimit))
-	if err := dec.Decode(&req); err != nil {
-		// A body over the wire limit surfaces as a decode error; report it
-		// as 413 naming the limit, not a generic 400.
+	body, err := readBody(w, r, s.cfg.bodyLimit)
+	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			s.fail(w, http.StatusRequestEntityTooLarge,
@@ -449,33 +410,27 @@ func (s *server) handleAlign(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, "bad request: %v", err)
 		return
 	}
-	// Exactly one JSON document: trailing garbage after it is a client bug
-	// that must not be silently accepted.
-	if err := dec.Decode(&struct{}{}); !errors.Is(err, io.EOF) {
-		s.fail(w, http.StatusBadRequest, "bad request: trailing data after JSON document")
+	req, err := decodeAlignRequest(body, s.cfg.maxPairs)
+	if err != nil {
+		s.fail(w, http.StatusBadRequest, "bad request: %v", err)
 		return
 	}
-	if len(req.Pairs) > s.cfg.maxPairs {
+	if req.n > s.cfg.maxPairs {
 		s.fail(w, http.StatusRequestEntityTooLarge,
-			"batch of %d pairs exceeds the %d-pair limit", len(req.Pairs), s.cfg.maxPairs)
+			"batch of %d pairs exceeds the %d-pair limit", req.n, s.cfg.maxPairs)
 		return
 	}
-	cfg, err := s.requestConfig(&req)
+	cfg, err := s.requestConfig(req.x, req.scoring)
 	if err != nil {
 		// Invalid schemes are a client error, rejected before any pair
 		// queues — a malformed configuration never reaches the engine.
 		s.fail(w, http.StatusBadRequest, "bad request: %v", err)
 		return
 	}
-	pairs := make([]logan.Pair, len(req.Pairs))
-	for i, p := range req.Pairs {
-		pairs[i] = logan.Pair{
-			Query:  []byte(p.Query),
-			Target: []byte(p.Target),
-			SeedQ:  p.SeedQ, SeedT: p.SeedT, SeedLen: p.SeedLen,
-		}
-	}
-	// Decode + validation + pair conversion is this layer's share of the
+	// The pairs are views into body (see alignRequest): body must not be
+	// reused before Align returns.
+	pairs := req.pairs[:req.n]
+	// Read + decode + validation is this layer's share of the
 	// admit stage; the engine's ingest adds its own admit observation.
 	tr.Step(telemetry.StageAdmit)
 	ctx := telemetry.WithTrace(r.Context(), tr)
