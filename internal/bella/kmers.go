@@ -10,7 +10,6 @@ package bella
 
 import (
 	"math"
-	"math/bits"
 
 	"logan/internal/genome"
 	"logan/internal/par"
@@ -39,71 +38,37 @@ type KmerIndex struct {
 
 // CountKmers tallies canonical k-mer multiplicities across all reads —
 // BELLA's first pass — by sorting rather than hashing. Workers scan
-// disjoint reads into flat key buffers, histogramming the top bits of each
-// key; the histograms place every (worker, partition) block in one shared
-// array, so after the scatter each partition holds all keys with its
-// prefix, contiguously. Partitions are sized to stay in cache, and each is
-// radix-sorted on its remaining bits and run-length counted on its own.
-// A sorted multiset has one order, so the index is the same for any
-// worker count.
+// disjoint reads into flat key buffers, which par.RadixSort scatters into
+// cache-sized partitions by their top bits and radix-sorts on the rest;
+// each partition is then run-length counted on its own. A sorted multiset
+// has one order, so the index is the same for any worker count.
 func CountKmers(reads []genome.Read, k, workers int) KmerIndex {
 	workers = par.Workers(workers)
 	codec := seq.MustKmerCodec(k)
-	bases := 0
-	for _, r := range reads {
-		bases += len(r.Seq)
-	}
-	// ~4096 keys (32 KiB) per partition for uniformly distributed k-mers.
-	pbits := min(bits.Len(uint(bases>>12)), 16, 2*k)
-	nparts, shift := 1<<pbits, uint(2*k-pbits)
-
 	bufs := make([][]seq.Kmer, workers)
-	next := make([][]int, workers) // next[w][p]: where worker w writes its next partition-p key
 	par.Range(len(reads), workers, func(w, lo, hi int) {
 		n := 0
 		for _, r := range reads[lo:hi] {
 			n += len(r.Seq)
 		}
-		keys, hist := make([]seq.Kmer, 0, n), make([]int, nparts)
+		keys := make([]seq.Kmer, 0, n)
 		var scan []seq.Positioned
 		for _, r := range reads[lo:hi] {
 			scan = codec.Scan(scan[:0], r.Seq, true)
 			for _, p := range scan {
 				keys = append(keys, p.Kmer)
-				hist[p.Kmer>>shift]++
 			}
 		}
-		bufs[w], next[w] = keys, hist
+		bufs[w] = keys
 	})
-	start := make([]int, nparts+1) // partition p is keys[start[p]:start[p+1]]
-	total := 0
-	for p := 0; p < nparts; p++ {
-		start[p] = total
-		for w := range next {
-			next[w][p], total = total, total+next[w][p]
-		}
-	}
-	start[nparts] = total
-	keys := make([]seq.Kmer, total)
-	par.Range(workers, workers, func(w, _, _ int) {
-		for _, km := range bufs[w] {
-			keys[next[w][km>>shift]] = km
-			next[w][km>>shift]++
-		}
-		bufs[w] = nil
-	})
+	keys, _, start := par.RadixSort(bufs, nil, uint(2*k), workers)
 
-	// Sort each partition and compact it in place to its distinct k-mers.
-	counts := make([]int32, total)
-	distinct := make([]int, nparts)
-	par.Range(nparts, workers, func(_, lo, hi int) {
-		var tmp []seq.Kmer
+	// Compact each sorted partition in place to its distinct k-mers.
+	counts := make([]int32, len(keys))
+	distinct := make([]int, len(start)-1)
+	par.Range(len(distinct), workers, func(_, lo, hi int) {
 		for p := lo; p < hi; p++ {
 			part, cnt := keys[start[p]:start[p+1]], counts[start[p]:start[p+1]]
-			if len(part) > len(tmp) {
-				tmp = make([]seq.Kmer, len(part))
-			}
-			radixSort(part, tmp[:len(part)], shift)
 			d := 0 // part[:d] holds the distinct k-mers seen so far
 			for i, km := range part {
 				if i > 0 && km == part[d-1] {
@@ -123,38 +88,6 @@ func CountKmers(reads []genome.Read, k, workers int) KmerIndex {
 		n += d
 	}
 	return KmerIndex{K: k, Kmers: keys[:n], Counts: counts[:n]}
-}
-
-// radixSort sorts a ascending, given that its keys differ only in their low
-// width bits, with stable byte-wise counting passes through tmp, which must
-// be as long as a.
-func radixSort(a, tmp []seq.Kmer, width uint) {
-	if len(a) < 2 {
-		return
-	}
-	src, dst := a, tmp
-	for sh := uint(0); sh < width; sh += 8 {
-		var cnt [256]int
-		for _, v := range src {
-			cnt[(v>>sh)&255]++
-		}
-		if cnt[(src[0]>>sh)&255] == len(src) {
-			continue // every key has the same byte here
-		}
-		sum := 0
-		for d, c := range cnt {
-			cnt[d], sum = sum, sum+c
-		}
-		for _, v := range src {
-			d := (v >> sh) & 255
-			dst[cnt[d]] = v
-			cnt[d]++
-		}
-		src, dst = dst, src
-	}
-	if &src[0] != &a[0] {
-		copy(a, src)
-	}
 }
 
 // ReliableBounds computes BELLA's reliable-k-mer multiplicity window for a

@@ -239,11 +239,21 @@ func TestFrontEndMatchesOracles(t *testing.T) {
 	}
 }
 
-// TestCountKmersPartitioned covers the partitioned path at a size where
-// the key space splits 256 ways, including k-mers that recur across reads
-// scanned by different workers.
+// TestCountKmersPartitioned covers the partitioned path, including
+// k-mers that recur across reads scanned by different workers.
+// par.RadixSort gives n keys at least bits.Len(n>>12) partition bits, so
+// the read set holds at least 2^13 windows: at least 4 partitions, each
+// left with 16 or more of a 13-mer's 26 bits, two byte-wise passes or
+// more.
 func TestCountKmersPartitioned(t *testing.T) {
-	rs := smallReadSet(t, 5, 40000, 15, 0.05)
+	rs := smallReadSet(t, 5, 4000, 3, 0.05)
+	windows := 0
+	for _, r := range rs.Reads {
+		windows += max(len(r.Seq)-12, 0)
+	}
+	if windows < 1<<13 {
+		t.Fatalf("%d windows: too few for 4 partitions", windows)
+	}
 	for _, workers := range []int{1, 3} {
 		checkFrontEnd(t, rs.Reads, 13, workers, 2, 30)
 	}

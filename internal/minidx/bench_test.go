@@ -3,6 +3,8 @@ package minidx
 import (
 	"math/rand"
 	"testing"
+
+	"logan/internal/genome"
 )
 
 // BenchmarkExtract times minimizer extraction at the index defaults
@@ -18,4 +20,21 @@ func BenchmarkExtract(b *testing.B) {
 		dst = Extract(dst[:0], s, 15, 10)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(s)), "ns/base")
+}
+
+// BenchmarkBuild times Build over the map-reads workload's reference
+// shape (one 2 Mbp synthetic genome, 2 % repeats) at the index defaults
+// and reports Mbases/s and allocs/op.
+func BenchmarkBuild(b *testing.B) {
+	g := genome.Synthetic(rand.New(rand.NewSource(7)), "ref0", genome.SyntheticOptions{Length: 2_000_000, RepeatFrac: 0.02})
+	refs := []Ref{{Name: g.Name, Seq: g.Seq}}
+	b.SetBytes(int64(len(g.Seq)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Build(refs, Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(g.Seq))*float64(b.N)/1e6/b.Elapsed().Seconds(), "Mbases/s")
 }

@@ -1,7 +1,13 @@
 package minidx
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
+	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"logan/internal/seq"
@@ -79,6 +85,69 @@ func FuzzMinimizersDifferential(f *testing.F) {
 			if m.Hash != fm.Hash || m.Pos != int32(len(s)-k)-fm.Pos {
 				t.Fatalf("revcomp minimizer %d = %+v, want mirror of %+v", i, m, fm)
 			}
+		}
+	})
+}
+
+// withHeader frames payload as an index file whose header is valid for it:
+// magic, version, length and the payload's CRC.
+func withHeader(payload []byte) []byte {
+	file := make([]byte, 20, 20+len(payload))
+	copy(file, indexMagic)
+	binary.LittleEndian.PutUint32(file[4:], formatVersion)
+	binary.LittleEndian.PutUint64(file[8:], uint64(len(payload)))
+	binary.LittleEndian.PutUint32(file[16:], crc32.ChecksumIEEE(payload))
+	return append(file, payload...)
+}
+
+// FuzzIndexLoad mutates the payload of valid index files and frames it
+// with a recomputed CRC, so every input gets past the checksum: a CRC-valid
+// file is not necessarily a structurally valid one. Load must return
+// ErrCorrupt or an index whose Save∘Load∘Save is stable and whose Lookup
+// stays in bounds and terminates, for the stored keys and absent ones. It must not
+// panic, and it must not allocate in proportion to a length the file
+// claims rather than holds. The seed corpus is testdata/fuzz/FuzzIndexLoad.
+func FuzzIndexLoad(f *testing.F) {
+	rng := rand.New(rand.NewSource(1))
+	refs := []Ref{{Name: "a", Seq: randomSeq(rng, 300, 0.01)}, {Name: "bb", Seq: randomSeq(rng, 50, 0)}}
+	for _, opt := range []Options{{K: 5, W: 3}, {K: 11, W: 5, MaxOccurrence: 1}} {
+		x, err := Build(refs, opt)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(saveBytes(f, x)[20:])
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		file := withHeader(payload)
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		x, err := Load(bytes.NewReader(file))
+		runtime.ReadMemStats(&ms)
+		if alloc := ms.TotalAlloc - before; alloc > 32*uint64(len(file))+1<<20 {
+			t.Fatalf("Load of a %d-byte file allocated %d bytes", len(file), alloc)
+		}
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("Load error %v is not ErrCorrupt", err)
+			}
+			return
+		}
+		saved := saveBytes(t, x)
+		y, err := Load(bytes.NewReader(saved))
+		if err != nil {
+			t.Fatalf("reloading a loaded index: %v", err)
+		}
+		if again := saveBytes(t, y); !bytes.Equal(saved, again) {
+			t.Fatalf("Save∘Load∘Save not stable: %d vs %d bytes", len(saved), len(again))
+		}
+		// A key stored off its probe chain is not found, but no lookup
+		// may panic or probe forever.
+		for _, s := range x.slots {
+			x.Lookup(s.key)
+		}
+		for _, h := range []uint64{0, 1, 0xdeadbeefdeadbeef, ^uint64(0)} {
+			x.Lookup(h)
 		}
 	})
 }

@@ -3,8 +3,8 @@ package minidx
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 
+	"logan/internal/par"
 	"logan/internal/seq"
 )
 
@@ -120,10 +120,33 @@ func UnpackPos(v uint64) (ref, pos int32, rev bool) {
 }
 
 // Build constructs an index over refs. Reference sequences are
-// normalized in place of the returned index (N→A via 2-bit packing)
-// after minimizer extraction, so extraction still skips ambiguous
-// windows but extension targets match a saved-then-loaded index exactly.
+// normalized in place of the returned index (N→A, the 2-bit packing's
+// lossy view) after minimizer extraction, so extraction still skips
+// ambiguous windows but extension targets match a saved-then-loaded index
+// exactly.
+//
+// Extraction and normalization run on every core, over contiguous units
+// of at most buildUnit bases in (reference, position) order. A unit
+// [a,b) extracts over [a-(w-1), b+(w-1)+k-1), every window that can
+// select a position in [a,b), and keeps the minimizers at positions in
+// [a,b): the concatenation is exactly each reference's serial Extract.
+// par.RadixSort then orders the (hash, packed position) records by hash
+// alone. It is stable and the units arrive in ascending packed position,
+// so equal hashes stay in position order. The masking pass and the table
+// insert are serial, so the index, and its Save bytes, are the same for
+// any worker count.
 func Build(refs []Ref, opt Options) (*Index, error) {
+	return build(refs, opt, par.Workers(0), buildUnit)
+}
+
+// buildUnit is the reference span one extraction unit covers: large
+// enough that the 2(w-1)+k-1 bases a unit re-reads are noise, small
+// enough that one long reference splits over many workers.
+const buildUnit = 1 << 16
+
+// build is Build on a given worker count and unit length, which the tests
+// vary; neither changes the index.
+func build(refs []Ref, opt Options, workers, unitLen int) (*Index, error) {
 	opt = opt.withDefaults()
 	if err := ValidateKW(opt.K, opt.W); err != nil {
 		return nil, err
@@ -134,14 +157,10 @@ func Build(refs []Ref, opt Options) (*Index, error) {
 	if len(refs) >= 1<<31 {
 		return nil, fmt.Errorf("minidx: %d references exceed the 31-bit ordinal space", len(refs))
 	}
-	x := &Index{stats: Stats{K: opt.K, W: opt.W, MaxOccurrence: opt.MaxOccurrence}}
+	x := &Index{stats: Stats{K: opt.K, W: opt.W, MaxOccurrence: opt.MaxOccurrence, Refs: len(refs)}}
 	x.refs = make([]Ref, len(refs))
-	type rec struct {
-		hash uint64
-		val  uint64
-	}
-	var recs []rec
-	var scratch []Minimizer
+	type unit struct{ ref, lo, hi int }
+	var units []unit
 	for i, r := range refs {
 		if r.Name == "" {
 			return nil, fmt.Errorf("minidx: reference %d has an empty name", i)
@@ -149,63 +168,100 @@ func Build(refs []Ref, opt Options) (*Index, error) {
 		if len(r.Seq) >= 1<<31 {
 			return nil, fmt.Errorf("minidx: reference %q length %d exceeds the 31-bit position space", r.Name, len(r.Seq))
 		}
-		scratch = Extract(scratch[:0], r.Seq, opt.K, opt.W)
-		for _, m := range scratch {
-			recs = append(recs, rec{hash: m.Hash, val: PackPos(int32(i), m.Pos, m.Rev)})
-		}
 		x.stats.Bases += int64(len(r.Seq))
-		// Normalize the stored copy: PackLossy maps N→A, the same lossy
-		// view the X-drop backends see, making built and reloaded
-		// indexes extend against identical bases.
-		x.refs[i] = Ref{Name: r.Name, Seq: seq.PackLossy(r.Seq).Unpack()}
-	}
-	x.stats.Refs = len(refs)
-	x.stats.Minimizers = int64(len(recs))
-	sort.Slice(recs, func(a, b int) bool {
-		if recs[a].hash != recs[b].hash {
-			return recs[a].hash < recs[b].hash
+		x.refs[i] = Ref{Name: r.Name, Seq: make(seq.Seq, len(r.Seq))}
+		for lo := 0; lo < len(r.Seq); lo += unitLen {
+			units = append(units, unit{i, lo, min(lo+unitLen, len(r.Seq))})
 		}
-		return recs[a].val < recs[b].val
-	})
-	type run struct {
-		key uint64
-		off uint32
-		cnt uint32
 	}
-	var runs []run
-	for i := 0; i < len(recs); {
-		j := i
-		for j < len(recs) && recs[j].hash == recs[i].hash {
+
+	hashes := make([][]uint64, workers)
+	vals := make([][]uint64, workers)
+	par.Range(len(units), workers, func(w, lo, hi int) {
+		n := 0
+		for _, u := range units[lo:hi] {
+			n += u.hi - u.lo
+		}
+		// A random sequence has about 2/(w+1) minimizers per base; a
+		// sixteenth on top leaves room for ties before append must grow.
+		est := n/(opt.W+1)*2 + n/(opt.W+1)/8 + 16
+		hs, vs := make([]uint64, 0, est), make([]uint64, 0, est)
+		var scratch []Minimizer
+		for _, u := range units[lo:hi] {
+			s := refs[u.ref].Seq
+			from := max(0, u.lo-(opt.W-1))
+			scratch = Extract(scratch[:0], s[from:min(len(s), u.hi+opt.W-1+opt.K-1)], opt.K, opt.W)
+			for _, m := range scratch {
+				p := from + int(m.Pos)
+				if p >= u.hi {
+					break
+				}
+				if p >= u.lo {
+					hs = append(hs, m.Hash)
+					vs = append(vs, PackPos(int32(u.ref), int32(p), m.Rev))
+				}
+			}
+			dst := x.refs[u.ref].Seq[u.lo:u.hi]
+			for j, c := range s[u.lo:u.hi] {
+				dst[j] = lossy[c]
+			}
+		}
+		hashes[w], vals[w] = hs, vs
+	})
+	keys, pos, _ := par.RadixSort(hashes, vals, 64, workers)
+	x.stats.Minimizers = int64(len(keys))
+
+	// Two serial passes over the runs of equal hashes: count the kept
+	// ones to size the table, then insert them in hash order, compacting
+	// their positions in place.
+	masked := func(n int) bool { return opt.MaxOccurrence >= 0 && n > opt.MaxOccurrence }
+	runEnd := func(i int) int {
+		j := i + 1
+		for j < len(keys) && keys[j] == keys[i] {
 			j++
 		}
-		x.stats.Distinct++
-		n := j - i
-		if opt.MaxOccurrence >= 0 && n > opt.MaxOccurrence {
-			x.stats.MaskedKmers++
-			x.stats.MaskedPositions += int64(n)
-			i = j
-			continue
-		}
-		runs = append(runs, run{key: recs[i].hash, off: uint32(len(x.pos)), cnt: uint32(n)})
-		for ; i < j; i++ {
-			x.pos = append(x.pos, recs[i].val)
+		return j
+	}
+	runs := 0
+	for i, j := 0, 0; i < len(keys); i = j {
+		if j = runEnd(i); !masked(j - i) {
+			runs++
 		}
 	}
-	x.stats.Kept = int64(len(x.pos))
-	size := nextPow2(2 * len(runs))
+	size := nextPow2(2 * runs)
 	x.slots = make([]slot, size)
 	x.mask = uint64(size - 1)
-	for _, r := range runs {
-		p := r.key & x.mask
+	kept := 0
+	for i, j := 0, 0; i < len(keys); i = j {
+		j = runEnd(i)
+		x.stats.Distinct++
+		if n := j - i; masked(n) {
+			x.stats.MaskedKmers++
+			x.stats.MaskedPositions += int64(n)
+			continue
+		}
+		p := keys[i] & x.mask
 		for x.slots[p].cnt != 0 {
 			p = (p + 1) & x.mask
 		}
-		x.slots[p] = slot{key: r.key, off: r.off, cnt: r.cnt}
+		x.slots[p] = slot{key: keys[i], off: uint32(kept), cnt: uint32(j - i)}
+		kept += copy(pos[kept:], pos[i:j])
 	}
+	x.pos = pos[:kept:kept]
+	x.stats.Kept = int64(kept)
 	x.stats.TableSize = size
-	x.stats.Occupancy = float64(len(runs)) / float64(size)
+	x.stats.Occupancy = float64(runs) / float64(size)
 	return x, nil
 }
+
+// lossy maps every byte a Seq may hold to the base PackLossy stores for
+// it: ACGT in either case to upper case, anything else (N) to A.
+var lossy = func() (t [256]byte) {
+	for b := range t {
+		t[b] = seq.Alphabet[seq.Seq{byte(b)}.Code(0)]
+	}
+	return t
+}()
 
 func nextPow2(n int) int {
 	if n < 1 {

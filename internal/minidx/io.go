@@ -209,7 +209,7 @@ func parsePayload(payload []byte) (*Index, error) {
 	x.stats.MaskedKmers = int64(c.u64())
 	x.stats.MaskedPositions = int64(c.u64())
 	nPos := c.u64()
-	if c.err == nil && nPos*8 > uint64(len(payload)) {
+	if c.err == nil && nPos > uint64(len(payload))/8 {
 		return nil, fmt.Errorf("%w: position count %d exceeds payload", ErrCorrupt, nPos)
 	}
 	x.pos = make([]uint64, 0, int(nPos))
@@ -219,7 +219,7 @@ func parsePayload(payload []byte) (*Index, error) {
 	x.stats.Kept = int64(len(x.pos))
 	nSlots := c.u64()
 	if c.err == nil {
-		if nSlots == 0 || nSlots*16 > uint64(len(payload)) || nSlots&(nSlots-1) != 0 {
+		if nSlots == 0 || nSlots > uint64(len(payload))/16 || nSlots&(nSlots-1) != 0 {
 			return nil, fmt.Errorf("%w: bad table size %d", ErrCorrupt, nSlots)
 		}
 	}
@@ -240,6 +240,11 @@ func parsePayload(payload []byte) (*Index, error) {
 	}
 	if c.off != len(payload) {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(payload)-c.off)
+	}
+	if occupied == len(x.slots) {
+		// Build keeps at least half the table empty; without an empty
+		// slot, a lookup of an absent key would probe forever.
+		return nil, fmt.Errorf("%w: table of %d slots has no empty slot", ErrCorrupt, occupied)
 	}
 	x.mask = nSlots - 1
 	x.stats.TableSize = int(nSlots)

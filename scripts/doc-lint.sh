@@ -8,8 +8,8 @@
 # configuration, the generated tables of docs/SERVING.md their
 # generators' output, request parameters one parser, the coalescer
 # one admission policy in pure, clock-free code, pipeline work one
-# extension path, minimizer extraction one sweep, and the pipelines one
-# alignment algorithm. Run from the repo root;
+# extension path, minimizer extraction one sweep, the pipelines one
+# radix sort and one alignment algorithm. Run from the repo root;
 # CI runs it alongside the unit tests.
 # The doc checker itself is scripts/doclint.
 set -euo pipefail
@@ -175,6 +175,20 @@ deque=$(grep -nE '\bwinEntry\b' $src || true)
 if [ "$fns" != "Extract ExtractNaive " ] || [ -n "$deque" ]; then
 	echo "doc-lint: internal/minidx defines extraction functions [$fns] (want: Extract ExtractNaive) and no deque entry type:" >&2
 	printf '%s\n' "$deque" >&2
+	exit 1
+fi
+
+# Both pipelines sort through one radix sort, par.RadixSort (BELLA's
+# k-mer count and the minimizer index build): a byte-wise counting pass
+# (a histogram indexed by a masked key byte) in non-test code outside
+# internal/par means a second radix sort is back, and non-test
+# internal/minidx sorts nothing by comparison.
+passes=$(grep -rnE --include='*.go' --exclude='*_test.go' '\[[^]]*&[[:space:]]*(255|0[xX][fF][fF])\][[:space:]]*\+\+' . |
+	grep -vE '^\./internal/par/' || true)
+cmpsort=$(grep -nE '^[[:space:]]*(import[[:space:]]+)?([A-Za-z_.]+[[:space:]]+)?"sort"$|\bslices\.Sort' $src || true)
+if [ -n "$passes$cmpsort" ]; then
+	echo "doc-lint: a second radix sort outside internal/par, or a comparison sort in internal/minidx (sort through par.RadixSort):" >&2
+	printf '%s\n%s\n' "$passes" "$cmpsort" >&2
 	exit 1
 fi
 
