@@ -2,6 +2,9 @@ package bella
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"math/rand"
 	"testing"
@@ -297,5 +300,46 @@ func TestEvaluateMetrics(t *testing.T) {
 	}
 	if acc.F1 <= 0.6 || acc.F1 >= 0.7 {
 		t.Fatalf("F1 = %v, want 2/3", acc.F1)
+	}
+}
+
+// TestPrepareCountsPinned pins the front end's counts on overlap-job-shaped
+// read sets: reliable k-mers, matrix entries, candidate pairs and a digest
+// of every candidate's chosen seed, at one worker and at more workers than
+// the machine has. The values are those of the two-scan front end (count,
+// then a hashed matrix scan) that the one k-mer pass replaced.
+func TestPrepareCountsPinned(t *testing.T) {
+	for _, want := range []struct {
+		seed                 int64
+		reliable, candidates int
+		nnz                  int64
+		seeds                string
+	}{
+		{1, 14589, 1736, 32956, "dd3139f23ae5aa89"},
+		{2, 14568, 1701, 32265, "5fd7058fc3f7390e"},
+		{3, 14599, 1807, 32600, "7b4fc21a70e5bf89"},
+	} {
+		rs := overlapJobReads(want.seed)
+		for _, workers := range []int{1, 7} {
+			cfg := DefaultConfig(8, 0.15, 25)
+			cfg.Workers = workers
+			prep, err := Prepare(context.Background(), rs, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := sha256.New()
+			for i, s := range prep.Seeds {
+				c := prep.Cands[i]
+				for _, v := range []int64{int64(c.I), int64(c.J), int64(s.PosI), int64(s.PosJ), int64(s.EstOverlap), int64(s.BinSupport)} {
+					binary.Write(h, binary.LittleEndian, v)
+				}
+				binary.Write(h, binary.LittleEndian, s.Opposite)
+			}
+			got := hex.EncodeToString(h.Sum(nil))[:16]
+			if prep.Reliable != want.reliable || prep.NNZ != want.nnz || prep.Candidates != want.candidates || got != want.seeds {
+				t.Errorf("seed %d, %d workers: reliable %d, nnz %d, candidates %d, seeds %s; want %d, %d, %d, %s",
+					want.seed, workers, prep.Reliable, prep.NNZ, prep.Candidates, got, want.reliable, want.nnz, want.candidates, want.seeds)
+			}
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"testing"
+	"time"
 
 	"logan/internal/genome"
 )
@@ -55,17 +56,40 @@ func BenchmarkSpGEMM(b *testing.B) {
 	})
 }
 
-// BenchmarkPrepare measures the whole overlap-detection front end (stages
-// 1-5: count, prune, matrix, SpGEMM, binning).
+// overlapJobReads is one read set of the overlap-job workload's shape: an
+// 80 kbp genome with 5 % of it in repeats, read at 8x coverage in 1.5-4.5
+// kb reads with 15 % error.
+func overlapJobReads(seed int64) genome.ReadSet {
+	rng := rand.New(rand.NewSource(seed))
+	g := genome.Synthetic(rng, "job", genome.SyntheticOptions{Length: 80_000, RepeatFrac: 0.05})
+	return genome.Simulate(rng, g, genome.SimOptions{Coverage: 8, MinLen: 1500, MaxLen: 4500, ErrorRate: 0.15})
+}
+
+// BenchmarkPrepare measures the overlap-detection front end (stages 1-5)
+// on one overlap-job-shaped read set at BELLA's defaults, and reports the
+// mean milliseconds of each stage and of the k-mer pass (count + prune +
+// matrix) as front-ms. Prepare runs on GOMAXPROCS workers: compare at
+// -cpu 1,2.
 func BenchmarkPrepare(b *testing.B) {
-	rs := benchReadSet(b)
-	cfg := DefaultConfig(4, 0.12, 25)
+	rs := overlapJobReads(1)
+	cfg := DefaultConfig(8, 0.15, 25)
+	var sum StageTimes
 	benchBases(b, rs, func() {
 		prep, err := Prepare(context.Background(), rs, cfg)
 		if err != nil || len(prep.Pairs) == 0 {
 			b.Fatalf("prepare: %d pairs, err %v", len(prep.Pairs), err)
 		}
+		t := prep.Times
+		sum.Count, sum.Prune, sum.Matrix = sum.Count+t.Count, sum.Prune+t.Prune, sum.Matrix+t.Matrix
+		sum.SpGEMM, sum.Binning = sum.SpGEMM+t.SpGEMM, sum.Binning+t.Binning
 	})
+	ms := func(d time.Duration) float64 { return d.Seconds() * 1e3 / float64(b.N) }
+	b.ReportMetric(ms(sum.Count), "count-ms")
+	b.ReportMetric(ms(sum.Prune), "prune-ms")
+	b.ReportMetric(ms(sum.Matrix), "matrix-ms")
+	b.ReportMetric(ms(sum.Count+sum.Prune+sum.Matrix), "front-ms")
+	b.ReportMetric(ms(sum.SpGEMM), "spgemm-ms")
+	b.ReportMetric(ms(sum.Binning), "binning-ms")
 }
 
 // BenchmarkPipelineCPU measures the whole pipeline with the SeqAn-style

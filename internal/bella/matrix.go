@@ -1,9 +1,6 @@
 package bella
 
 import (
-	"math/bits"
-	"slices"
-
 	"logan/internal/genome"
 	"logan/internal/par"
 	"logan/internal/seq"
@@ -28,104 +25,62 @@ type SparseMatrix struct {
 // Col returns the occurrences of column c.
 func (m *SparseMatrix) Col(c int) []Occurrence { return m.Occ[m.ColStart[c]:m.ColStart[c+1]] }
 
-// colTable resolves a canonical k-mer to its column id: a flat
-// open-addressing table (linear probing, at most half full) whose slots
-// hold the key inline, so a miss — most windows of a noisy read — costs
-// one cache line.
-type colTable struct {
-	slots []colSlot
-	shift uint
-}
-
-type colSlot struct {
-	key seq.Kmer
-	col int32 // column id + 1; 0 marks an empty slot
-}
-
-func newColTable(kmers []seq.Kmer) colTable {
-	width := uint(bits.Len(uint(2 * len(kmers)))) // 2^width > 2*len(kmers)
-	t := colTable{slots: make([]colSlot, 1<<width), shift: 64 - width}
-	for c, km := range kmers {
-		i := t.slot(km)
-		for t.slots[i].col != 0 && t.slots[i].key != km {
-			i = (i + 1) & (len(t.slots) - 1)
-		}
-		t.slots[i] = colSlot{key: km, col: int32(c) + 1}
+// matrix assembles the pruned records into the sparse matrix: partition
+// p's kept records become its columns, after every earlier partition's,
+// so the columns ascend by k-mer. Partitions are written in parallel.
+func (r *kmerRuns) matrix(k, reads, workers int) *SparseMatrix {
+	np := len(r.kept)
+	col0, occ0 := make([]int, np+1), make([]int, np+1)
+	for p := range np {
+		col0[p+1], occ0[p+1] = col0[p]+r.cols[p], occ0[p]+r.kept[p]
 	}
-	return t
-}
-
-// slot is km's home slot (Fibonacci hashing: the top bits of a multiply by
-// 2^64/phi, which spreads the low-entropy high bits of short k-mers).
-func (t colTable) slot(km seq.Kmer) int { return int(uint64(km) * 0x9E3779B97F4A7C15 >> t.shift) }
-
-// lookup returns km's column id, or -1 when km is not a column.
-func (t colTable) lookup(km seq.Kmer) int32 {
-	for i := t.slot(km); ; i = (i + 1) & (len(t.slots) - 1) {
-		if s := t.slots[i]; s.col == 0 || s.key == km {
-			return s.col - 1
-		}
+	cols, nnz := col0[np], occ0[np]
+	m := &SparseMatrix{
+		K: k, Reads: reads, Kmers: make([]seq.Kmer, cols),
+		ColStart: make([]int, cols+1), Occ: make([]Occurrence, nnz), NNZ: int64(nnz),
 	}
+	m.ColStart[cols] = nnz
+	par.Range(np, workers, func(_, lo, hi int) {
+		for p := lo; p < hi; p++ {
+			a := r.bounds[p]
+			keys, occ := r.keys[a:a+r.kept[p]], r.occ[a:a+r.kept[p]]
+			c, o := col0[p], occ0[p]
+			for i, km := range keys {
+				if i == 0 || km != keys[i-1] {
+					m.Kmers[c], m.ColStart[c] = km, o+i
+					c++
+				}
+				m.Occ[o+i] = Occurrence{Read: int32(occ[i] >> 32), Pos: int32(uint32(occ[i]) >> 1), RevCmp: occ[i]&1 != 0}
+			}
+		}
+	})
+	return m
 }
 
-// BuildMatrix scans every read for reliable k-mers and assembles the
-// sparse matrix. Each read records at most one occurrence per k-mer, its
-// first (later duplicates within a read are skipped, as BELLA does to
-// suppress simple tandem repeats).
+// BuildMatrix assembles the sparse matrix over the given reliable k-mers
+// (ascending, as Reliable returns them): one k-mer pass whose runs are
+// merge-joined with reliable. Each read records at most one occurrence
+// per k-mer, its first. A reliable k-mer no read holds gets an empty
+// column.
 func BuildMatrix(reads []genome.Read, k int, reliable []seq.Kmer) *SparseMatrix {
 	return buildMatrix(reads, k, reliable, 0)
 }
 
-// buildMatrix is BuildMatrix on the given worker count. Workers scan
-// contiguous read ranges into hit lists in read order; a counting sort by
-// column over the lists in worker order then yields every column in
-// ascending read order whatever the split was.
+// buildMatrix is BuildMatrix on the given worker count.
 func buildMatrix(reads []genome.Read, k int, reliable []seq.Kmer, workers int) *SparseMatrix {
 	workers = par.Workers(workers)
-	codec := seq.MustKmerCodec(k)
-	table := newColTable(reliable)
-	type hit struct {
-		col int32
-		occ Occurrence
-	}
-	hits := make([][]hit, workers)
-	par.Range(len(reads), workers, func(w, lo, hi int) {
-		// lastRead[c] is the last read (id + 1) of this range that hit
-		// column c: the once-per-read rule without a per-read set.
-		lastRead := make([]int32, len(reliable))
-		var scan []seq.Positioned
-		var out []hit
-		for ri := lo; ri < hi; ri++ {
-			scan = codec.Scan(scan[:0], reads[ri].Seq, true)
-			for _, p := range scan {
-				col := table.lookup(p.Kmer)
-				if col < 0 || lastRead[col] == int32(ri)+1 {
-					continue
-				}
-				lastRead[col] = int32(ri) + 1
-				out = append(out, hit{col, Occurrence{Read: int32(ri), Pos: int32(p.Pos), RevCmp: p.Rev}})
-			}
+	r := sortKmers(reads, k, workers, 0, true)
+	r.prune(workers, 0, 0, reliable)
+	m := r.matrix(k, len(reads), workers)
+	colStart := make([]int, len(reliable)+1)
+	c := 0 // the next column of m
+	for j, km := range reliable {
+		if c < len(m.Kmers) && m.Kmers[c] == km {
+			c++
 		}
-		hits[w] = out
-	})
-	m := &SparseMatrix{K: k, Reads: len(reads), Kmers: reliable, ColStart: make([]int, len(reliable)+1)}
-	for _, hs := range hits {
-		for _, h := range hs {
-			m.ColStart[h.col+1]++
-		}
-		m.NNZ += int64(len(hs))
+		colStart[j+1] = m.ColStart[c]
 	}
-	for c := range reliable {
-		m.ColStart[c+1] += m.ColStart[c]
-	}
-	m.Occ = make([]Occurrence, m.NNZ)
-	next := slices.Clone(m.ColStart)
-	for _, hs := range hits {
-		for _, h := range hs {
-			m.Occ[next[h.col]] = h.occ
-			next[h.col]++
-		}
-	}
+	m.Kmers, m.ColStart = reliable, colStart
 	return m
 }
 

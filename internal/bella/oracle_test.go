@@ -1,11 +1,16 @@
 package bella
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"slices"
 	"sort"
+	"strconv"
+	"strings"
 	"testing"
 
 	"logan/internal/genome"
@@ -161,18 +166,28 @@ func checkFrontEnd(t testing.TB, reads []genome.Read, k, workers int, lo, hi int
 		t.Fatalf("k=%d workers=%d: reliable set differs: %d k-mers, oracle %d", k, workers, len(reliable), len(wantRel))
 	}
 
-	mat := buildMatrix(reads, k, reliable, workers)
+	// The matrix two ways: BuildMatrix over the reliable list, and the
+	// pipeline's one pass (prefilter, sort, prune, assembly) on [lo, hi].
 	wantCols := oracleBuildMatrix(reads, k, reliable)
-	nnz := 0
-	for c, wantCol := range wantCols {
-		if !slices.Equal(mat.Col(c), wantCol) {
-			t.Fatalf("k=%d workers=%d: column %d = %v, oracle %v", k, workers, c, mat.Col(c), wantCol)
+	runs := sortKmers(reads, k, workers, lo, true)
+	runs.prune(workers, lo, hi, nil)
+	onePass := runs.matrix(k, len(reads), workers)
+	if !slices.Equal(onePass.Kmers, reliable) {
+		t.Fatalf("k=%d workers=%d: one pass has %d columns, oracle %d", k, workers, len(onePass.Kmers), len(reliable))
+	}
+	for name, mat := range map[string]*SparseMatrix{"BuildMatrix": buildMatrix(reads, k, reliable, workers), "one pass": onePass} {
+		nnz := 0
+		for c, wantCol := range wantCols {
+			if !slices.Equal(mat.Col(c), wantCol) {
+				t.Fatalf("k=%d workers=%d %s: column %d = %v, oracle %v", k, workers, name, c, mat.Col(c), wantCol)
+			}
+			nnz += len(wantCol)
 		}
-		nnz += len(wantCol)
+		if mat.NNZ != int64(nnz) || len(mat.Occ) != nnz || mat.Reads != len(reads) {
+			t.Fatalf("k=%d workers=%d %s: NNZ %d, len(Occ) %d, reads %d; oracle %d, %d", k, workers, name, mat.NNZ, len(mat.Occ), mat.Reads, nnz, len(reads))
+		}
 	}
-	if mat.NNZ != int64(nnz) || len(mat.Occ) != nnz {
-		t.Fatalf("k=%d workers=%d: NNZ %d, len(Occ) %d, oracle %d", k, workers, mat.NNZ, len(mat.Occ), nnz)
-	}
+	mat := onePass
 
 	for _, opt := range []SpGEMMOptions{{MaxSeedsPerPair: 16, MinShared: 1}, {MaxSeedsPerPair: 2, MinShared: 2}, {MaxSeedsPerPair: 1, MinShared: 3}} {
 		cands, wantCands := mat.SpGEMM(opt), oracleSpGEMM(wantCols, opt)
@@ -259,24 +274,77 @@ func TestCountKmersPartitioned(t *testing.T) {
 	}
 }
 
-// FuzzCountKmersDifferential: for arbitrary bytes cut into reads and an
-// arbitrary k, the sort-based front end must equal the map-based oracles.
-// Every byte maps onto ACGTN so window restarts are exercised. The seed
-// corpus is testdata/fuzz/FuzzCountKmersDifferential.
+// fuzzReads cuts raw into 1-8 reads, mapping every byte onto ACGTN so
+// that window restarts are exercised, and derives from nreads' high bits
+// and the input length the worker count (1-4) and the reliable window
+// lo in {1, 2, 3}, hi in [lo, lo+5].
+func fuzzReads(raw []byte, nreads int) (reads []genome.Read, workers int, lo, hi int32) {
+	s := make(seq.Seq, len(raw))
+	for i, c := range raw {
+		s[i] = "ACGTN"[int(c)%5]
+	}
+	reads = make([]genome.Read, 1+(nreads&0x7fff)%8)
+	for i := range reads {
+		reads[i] = genome.Read{ID: i, Seq: s[i*len(s)/len(reads) : (i+1)*len(s)/len(reads)]}
+	}
+	sel := uint(nreads>>15) + uint(len(raw))
+	lo = 1 + int32(sel/4%3)
+	return reads, 1 + int(sel%4), lo, lo + int32(sel/12%6)
+}
+
+// FuzzCountKmersDifferential: for arbitrary bytes cut into reads, an
+// arbitrary k and reliable window, and 1-4 workers, the sort-based front
+// end (CountKmers, Reliable, BuildMatrix and the pipeline's one pass,
+// prefilter included) must equal the map-based oracles. The seed corpus
+// is testdata/fuzz/FuzzCountKmersDifferential.
 func FuzzCountKmersDifferential(f *testing.F) {
 	f.Fuzz(func(t *testing.T, raw []byte, k, nreads int) {
 		if k < 1 || k > seq.MaxK || len(raw) > 2000 {
 			return
 		}
-		nreads = 1 + (nreads&0x7fff)%8
-		s := make(seq.Seq, len(raw))
-		for i, c := range raw {
-			s[i] = "ACGTN"[int(c)%5]
-		}
-		reads := make([]genome.Read, nreads)
-		for i := range reads {
-			reads[i] = genome.Read{ID: i, Seq: s[i*len(s)/nreads : (i+1)*len(s)/nreads]}
-		}
-		checkFrontEnd(t, reads, k, 1+len(raw)%3, 1, 4)
+		reads, workers, lo, hi := fuzzReads(raw, nreads)
+		checkFrontEnd(t, reads, k, workers, lo, hi)
 	})
+}
+
+// TestPrefilterAdmitsSingletons makes sure the fuzzer's seeds reach the
+// prefilter's collision path: at least one seed input has a k-mer that
+// occurs once but shares its filter slot with another, so the pass keeps
+// it, and its count of 1 must then fail the reliable test by itself.
+func TestPrefilterAdmitsSingletons(t *testing.T) {
+	dir := "testdata/fuzz/FuzzCountKmersDifferential"
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var admitted []string
+	for _, e := range entries {
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// go test fuzz v1, then []byte("..."), int(k), int(nreads).
+		lines := strings.Split(strings.TrimSpace(string(b)), "\n")
+		if len(lines) != 4 {
+			t.Fatalf("%s: %d lines", e.Name(), len(lines))
+		}
+		raw, err1 := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lines[1], "[]byte("), ")"))
+		k, err2 := strconv.Atoi(strings.TrimSuffix(strings.TrimPrefix(lines[2], "int("), ")"))
+		nreads, err3 := strconv.Atoi(strings.TrimSuffix(strings.TrimPrefix(lines[3], "int("), ")"))
+		if err := cmp.Or(err1, err2, err3); err != nil {
+			t.Fatalf("%s: %v", e.Name(), err)
+		}
+		reads, workers, _, _ := fuzzReads([]byte(raw), nreads)
+		counts := oracleCountKmers(reads, k)
+		for _, km := range sortKmers(reads, k, workers, 2, false).keys {
+			if counts[km] == 1 {
+				admitted = append(admitted, e.Name())
+				break
+			}
+		}
+	}
+	if len(admitted) == 0 {
+		t.Fatal("no seed input makes the prefilter admit a k-mer that occurs once")
+	}
+	t.Logf("seeds with an admitted singleton: %v", admitted)
 }

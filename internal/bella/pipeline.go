@@ -123,10 +123,17 @@ type Overlap struct {
 	Matches  int
 }
 
-// StageTimes records measured wall time per pipeline stage.
+// StageTimes records measured wall time per pipeline stage. Count, Prune
+// and Matrix split the one k-mer pass of stages 1-3.
 type StageTimes struct {
-	Count     time.Duration
-	Prune     time.Duration
+	// Count is the pass's scans and sort: the prefilter scan (when the
+	// lower reliable bound is 2 or more), the scan that emits the
+	// admitted windows and the radix sort of their records.
+	Count time.Duration
+	// Prune is the walk over the sorted runs: exact counts, the reliable
+	// test and the cut to one occurrence per read.
+	Prune time.Duration
+	// Matrix is the assembly of the kept runs into the SparseMatrix.
 	Matrix    time.Duration
 	SpGEMM    time.Duration
 	Binning   time.Duration
@@ -165,10 +172,11 @@ type Prepared struct {
 	Times      StageTimes // alignment/filter left zero
 }
 
-// Prepare runs k-mer counting, pruning, matrix construction, SpGEMM and
-// binning — BELLA's overlap-detection phase. The context is checked
-// between stages, so a cancelled preparation stops at the next stage
-// boundary and returns the context's error.
+// Prepare runs k-mer counting, pruning and matrix construction (one k-mer
+// pass: see StageTimes), SpGEMM and binning — BELLA's overlap-detection
+// phase. The context is checked between stages, so a cancelled
+// preparation stops at the next stage boundary and returns the context's
+// error.
 func Prepare(ctx context.Context, rs genome.ReadSet, cfg Config) (Prepared, error) {
 	var out Prepared
 	if cfg.K <= 0 || cfg.K > seq.MaxK {
@@ -184,33 +192,38 @@ func Prepare(ctx context.Context, rs genome.ReadSet, cfg Config) (Prepared, erro
 		return out, nil
 	}
 
-	// Stage 1: k-mer counting.
+	// Stages 1-3 are one k-mer pass. Stage 1 scans the reads, behind the
+	// prefilter when singletons are not reliable, and sorts the k-mers.
 	t0 := time.Now()
-	idx := CountKmers(rs.Reads, cfg.K, cfg.Workers)
+	workers := par.Workers(cfg.Workers)
+	lo, hi := cfg.ReliableLo, cfg.ReliableHi
+	if lo <= 0 || hi <= 0 {
+		lo, hi = ReliableBounds(cfg.Coverage, cfg.ErrorRate, cfg.K, 1e-3)
+	}
+	out.Bounds = [2]int32{lo, hi}
+	runs := sortKmers(rs.Reads, cfg.K, workers, lo, true)
 	out.Times.Count = time.Since(t0)
 	cfg.progress(Progress{Stage: StageCount})
 	if err := ctx.Err(); err != nil {
 		return out, err
 	}
 
-	// Stage 2: reliable-k-mer pruning.
+	// Stage 2: reliable-k-mer pruning, on the exact counts the sorted
+	// runs give.
 	t0 = time.Now()
-	lo, hi := cfg.ReliableLo, cfg.ReliableHi
-	if lo <= 0 || hi <= 0 {
-		lo, hi = ReliableBounds(cfg.Coverage, cfg.ErrorRate, cfg.K, 1e-3)
+	runs.prune(workers, lo, hi, nil)
+	for _, c := range runs.cols {
+		out.Reliable += c
 	}
-	out.Bounds = [2]int32{lo, hi}
-	reliable := idx.Reliable(lo, hi)
-	out.Reliable = len(reliable)
 	out.Times.Prune = time.Since(t0)
 	cfg.progress(Progress{Stage: StagePrune, ReliableKmers: out.Reliable})
 	if err := ctx.Err(); err != nil {
 		return out, err
 	}
 
-	// Stage 3: sparse matrix construction.
+	// Stage 3: sparse matrix assembly from the kept runs.
 	t0 = time.Now()
-	mat := buildMatrix(rs.Reads, cfg.K, reliable, cfg.Workers)
+	mat := runs.matrix(cfg.K, len(rs.Reads), workers)
 	out.NNZ = mat.NNZ
 	out.Times.Matrix = time.Since(t0)
 	cfg.progress(Progress{Stage: StageMatrix, ReliableKmers: out.Reliable})
@@ -231,7 +244,7 @@ func Prepare(ctx context.Context, rs genome.ReadSet, cfg Config) (Prepared, erro
 	// Stage 5: binning and seed choice.
 	t0 = time.Now()
 	out.Seeds = make([]ChosenSeed, len(out.Cands))
-	par.Range(len(out.Cands), par.Workers(cfg.Workers), func(_, lo, hi int) {
+	par.Range(len(out.Cands), workers, func(_, lo, hi int) {
 		for i, c := range out.Cands[lo:hi] {
 			out.Seeds[lo+i] = ChooseSeed(c, len(rs.Reads[c.I].Seq), len(rs.Reads[c.J].Seq), cfg.K, cfg.BinWidth)
 		}

@@ -83,8 +83,14 @@ func (c JobConfig) MarshalJSON() ([]byte, error) {
 // request. A field the table does not know is skipped, so records written
 // before or after a table change still replay.
 func (c *JobConfig) UnmarshalJSON(b []byte) error {
-	*c = JobConfig(logan.DefaultOverlapConfig(logan.DefaultCoverage, logan.DefaultErrorRate, 0))
+	*c = defaultJobConfig()
 	return (*logan.OverlapConfig)(c).Params().UnmarshalJSON(b)
+}
+
+// defaultJobConfig is the configuration a header's config object is read
+// over, and the one a header without a config object gets.
+func defaultJobConfig() JobConfig {
+	return JobConfig(logan.DefaultOverlapConfig(logan.DefaultCoverage, logan.DefaultErrorRate, 0))
 }
 
 // Spec is the self-contained, durable description of one job: what the
@@ -125,7 +131,7 @@ func UnmarshalSpec(b []byte) (*Spec, error) {
 	if hlen <= 0 || hlen > maxSpecHeader || len(b) < 4+hlen {
 		return nil, fmt.Errorf("cluster: spec header length %d invalid", hlen)
 	}
-	var s Spec
+	s := Spec{Config: defaultJobConfig()}
 	if err := json.Unmarshal(b[4:4+hlen], &s); err != nil {
 		return nil, fmt.Errorf("cluster: unmarshal spec: %w", err)
 	}

@@ -1,9 +1,9 @@
 // Package par is the parallel machinery the pipelines share: the
 // fan-out, an index range split into contiguous chunks with one goroutine
 // each, and on it the one partitioned radix sort. The overlap front end
-// (k-mer counting, matrix build, binning), the mapper's seeding stage and
-// the minimizer index build run on the fan-out; k-mer counting and the
-// index build sort through RadixSort.
+// (its one k-mer pass, binning), the mapper's seeding stage and the
+// minimizer index build run on the fan-out; the k-mer pass and the index
+// build sort through RadixSort.
 package par
 
 import (

@@ -197,7 +197,11 @@ type OverlapRecord = bella.PAFRecord
 // both paths share one serializer.
 func WritePAF(w io.Writer, recs []OverlapRecord) error { return bella.WriteRecords(w, recs) }
 
-// OverlapStageTimes records measured wall time per pipeline stage.
+// OverlapStageTimes records measured wall time per pipeline stage. Count,
+// Prune and Matrix split BELLA's one k-mer pass: Count is its scans (the
+// singleton prefilter's and the emitting one) and the radix sort, Prune
+// the walk over the sorted runs (exact counts, the reliable test, one
+// occurrence per read), and Matrix the assembly of the sparse matrix.
 type OverlapStageTimes = bella.StageTimes
 
 // OverlapStats summarizes one overlap run.

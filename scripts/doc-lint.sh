@@ -9,7 +9,8 @@
 # generators' output, request parameters one parser, the coalescer
 # one admission policy in pure, clock-free code, pipeline work one
 # extension path, minimizer extraction one sweep, the pipelines one
-# radix sort and one alignment algorithm. Run from the repo root;
+# radix sort and one alignment algorithm, BELLA's front end one k-mer
+# pass. Run from the repo root;
 # CI runs it alongside the unit tests.
 # The doc checker itself is scripts/doclint.
 set -euo pipefail
@@ -189,6 +190,21 @@ cmpsort=$(grep -nE '^[[:space:]]*(import[[:space:]]+)?([A-Za-z_.]+[[:space:]]+)?
 if [ -n "$passes$cmpsort" ]; then
 	echo "doc-lint: a second radix sort outside internal/par, or a comparison sort in internal/minidx (sort through par.RadixSort):" >&2
 	printf '%s\n%s\n' "$passes" "$cmpsort" >&2
+	exit 1
+fi
+
+# BELLA's front end is one k-mer pass (count, prune and matrix from one
+# scan and one sort): non-test internal/bella reads bases for k-mers in
+# one function, roll, and keeps no open-addressing k-mer table (a slot or
+# table type, or a linear-probing step). A second function that rolls or
+# encodes k-mers, or a hashed column lookup, means the second read scan
+# is back.
+bsrc=$(ls internal/bella/*.go | grep -v '_test\.go$')
+readers=$(awk '/^func /{fn=$0} /\.(IsN|Code|Encode|Scan)\(|KmerCodec|<< ?2 ?\|/{print FILENAME": "fn}' $bsrc | sort -u)
+tables=$(grep -nE '^type [A-Za-z_]*([Ss]lot|[Tt]able)\b|\+ *1\) *& *\(?(len\(|mask)' $bsrc || true)
+if [ "$(printf '%s' "$readers" | grep -c .)" -ne 1 ] || [ -n "$tables" ]; then
+	echo "doc-lint: internal/bella must read bases for k-mers in one function and keep no open-addressing k-mer table:" >&2
+	printf '%s\n%s\n' "$readers" "$tables" >&2
 	exit 1
 fi
 
