@@ -61,7 +61,7 @@ type Aligner struct {
 	opt    EngineOptions
 	be     backend.Backend
 	closed atomic.Bool
-	// scratch pools the per-batch conversion and result staging.
+	// scratch pools the per-request conversion and result staging.
 	scratch sync.Pool
 
 	// tele is the engine's metric registry — the single source every view
@@ -104,8 +104,8 @@ type kernelTelemetry struct {
 // the same weight the backend layer uses for its throughput estimates.
 const telemetryAlpha = 0.3
 
-// batchScratch is the reusable per-batch staging: the validated sequence
-// pairs handed to the backend and the raw seed-extension results.
+// batchScratch is the reusable per-request staging: the validated
+// sequence pairs handed to the backend and the raw seed-extension results.
 type batchScratch struct {
 	in  []seq.Pair
 	res []xdrop.SeedResult
@@ -310,59 +310,87 @@ func (a *Aligner) align(ctx context.Context, dst []Alignment, pairs []Pair, cfg 
 		}
 	}
 	start := time.Now()
-
-	sc := a.scratch.Get().(*batchScratch)
-	defer func() {
-		// Drop sequence references so pooled scratch does not pin caller
-		// buffers between batches.
-		clear(sc.in[:cap(sc.in)])
-		a.scratch.Put(sc)
-	}()
-	if cap(sc.in) < len(pairs) {
-		sc.in = make([]seq.Pair, len(pairs))
-	}
-	in := sc.in[:len(pairs)]
-	sc.in = in
-	for i := range pairs {
-		p, err := cfg.ingestPair(&pairs[i], i)
-		if err != nil {
-			return nil, Stats{}, err
-		}
-		in[i] = p
-	}
-	a.observeStage(telemetry.TraceFrom(ctx), telemetry.StageAdmit, time.Since(start))
-
-	// Execute into the pooled result staging, then scatter: convert the
-	// results into dst and assemble the stats.
-	if cap(sc.res) < len(in) {
-		sc.res = make([]xdrop.SeedResult, len(in))
-	}
-	results := sc.res[:len(in)]
-	sc.res = results
-	bst, err := a.extendPrepared(ctx, in, results, cfg.scheme(), cfg.X)
+	sc, err := a.ingest(pairs, cfg)
 	if err != nil {
 		return nil, Stats{}, err
 	}
+	defer a.release(sc)
+	tr := telemetry.TraceFrom(ctx)
+	a.observeStage(tr, telemetry.StageAdmit, time.Since(start))
 
-	scatterStart := time.Now()
-	st := Stats{Pairs: len(in), Cells: bst.Cells, DeviceTime: bst.DeviceTime}
+	bst, err := a.extendPrepared(ctx, sc.in, sc.res, cfg.scheme(), cfg.X)
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	if cap(dst) < len(pairs) {
+		dst = make([]Alignment, len(pairs))
+	}
+	dst = dst[:len(pairs)]
+	st := a.finish(tr, dst, nil, sc.res, time.Since(start), bst.DeviceTime)
 	for _, sh := range bst.Shards {
 		st.PerBackend = append(st.PerBackend, BackendStats{
 			Name: sh.Backend, Pairs: sh.Pairs, Cells: sh.Cells, Time: sh.Time,
 		})
 	}
-
-	if cap(dst) < len(results) {
-		dst = make([]Alignment, len(results))
-	}
-	dst = dst[:len(results)]
-	for i := range results {
-		dst[i] = toAlignment(results[i])
-	}
-	a.observeStage(telemetry.TraceFrom(ctx), telemetry.StageScatter, time.Since(scatterStart))
-	st.WallTime = time.Since(start)
-	st.GCUPS = st.gcups(a.opt.Backend)
 	return dst, st, nil
+}
+
+// ingest is the one ingest loop of every request path, Aligner.Align and
+// Coalescer.Align: it validates and converts pairs under cfg into pooled
+// scratch before any work runs, so one bad pair fails its own request,
+// with a request-relative index, and never a batch it would have shared.
+// sc.in holds the converted pairs and sc.res has room for their results;
+// hand the scratch back with release once the results are converted.
+func (a *Aligner) ingest(pairs []Pair, cfg Config) (*batchScratch, error) {
+	sc := a.scratch.Get().(*batchScratch)
+	if cap(sc.in) < len(pairs) {
+		sc.in = make([]seq.Pair, len(pairs))
+	}
+	if cap(sc.res) < len(pairs) {
+		sc.res = make([]xdrop.SeedResult, len(pairs))
+	}
+	sc.in, sc.res = sc.in[:len(pairs)], sc.res[:len(pairs)]
+	for i := range pairs {
+		p, err := cfg.ingestPair(&pairs[i], i)
+		if err != nil {
+			a.release(sc)
+			return nil, err
+		}
+		sc.in[i] = p
+	}
+	return sc, nil
+}
+
+// release returns ingest's scratch to the pool, dropping its sequence
+// references first so pooled scratch does not pin caller buffers between
+// batches.
+func (a *Aligner) release(sc *batchScratch) {
+	clear(sc.in[:cap(sc.in)])
+	a.scratch.Put(sc)
+}
+
+// finish is the last step of every request path: it converts the engine
+// results of one request into its Alignments — res[j] into dst[idx[j]],
+// or into dst[j] when idx is nil — observes the scatter stage onto tr,
+// and returns the request's Stats: the pairs and cells of all of dst, and
+// the wall and device time of the batch that computed res with GCUPS
+// over them.
+func (a *Aligner) finish(tr *telemetry.Trace, dst []Alignment, idx []int, res []xdrop.SeedResult, wall, device time.Duration) Stats {
+	start := time.Now()
+	for j := range res {
+		i := j
+		if idx != nil {
+			i = idx[j]
+		}
+		dst[i] = toAlignment(res[j])
+	}
+	st := Stats{Pairs: len(dst), WallTime: wall, DeviceTime: device}
+	for i := range dst {
+		st.Cells += dst[i].Cells
+	}
+	st.GCUPS = st.gcups(a.opt.Backend)
+	a.observeStage(tr, telemetry.StageScatter, time.Since(start))
+	return st
 }
 
 // extendPrepared is the engine's one dispatch onto its backend: it runs a

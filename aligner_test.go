@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -181,6 +183,42 @@ func TestAlignerSeedAtBoundary(t *testing.T) {
 	}
 	if out[0].Score != int32(len(s)) || out[0].QEnd != len(s) {
 		t.Fatalf("end seed: %+v", out[0])
+	}
+}
+
+// TestAlignerSeedRejectedAtIngest: a seed outside its sequences, and one
+// whose end overflows int, fail Aligner.Align at ingest with the
+// request-relative error on every engine, before any batch reaches the
+// backend.
+func TestAlignerSeedRejectedAtIngest(t *testing.T) {
+	for _, bk := range []struct {
+		name string
+		opt  EngineOptions
+	}{
+		{"CPU", EngineOptions{}},
+		{"GPU", EngineOptions{Backend: GPU}},
+		{"Hybrid", EngineOptions{Backend: Hybrid}},
+	} {
+		t.Run(bk.name, func(t *testing.T) {
+			eng, err := NewAligner(bk.opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer eng.Close()
+			for _, bad := range []Pair{
+				{Query: []byte("ACGT"), Target: []byte("ACGT"), SeedQ: 3, SeedLen: 4},
+				{Query: []byte("ACGT"), Target: []byte("ACGT"), SeedQ: math.MaxInt - 1, SeedLen: 4},
+			} {
+				pairs := append(makePairsSeed(2, 8), bad)
+				_, _, err := eng.Align(ctxb, pairs, cfgT)
+				if err == nil || !strings.HasPrefix(err.Error(), "logan: pair 2: seed") {
+					t.Fatalf("seed (%d,%d,len %d): err %v, want logan: pair 2: seed ...", bad.SeedQ, bad.SeedT, bad.SeedLen, err)
+				}
+			}
+			if n := eng.mBatches.Value(); n != 0 {
+				t.Fatalf("%v batches reached the backend", n)
+			}
+		})
 	}
 }
 

@@ -15,9 +15,9 @@ import (
 // and the scoring configuration, so a hit returns a result
 // byte-identical to recomputation by construction — the coalescer
 // consults it at admission (hits never enter the queue or the tenant
-// quota) and fills it at scatter. Safe for concurrent use; share one
-// cache across every path of a process so /align and /jobs traffic
-// deduplicate against each other.
+// quota) and each caller fills it before its Align returns. Safe for
+// concurrent use; share one cache across every path of a process so
+// /align and /jobs traffic deduplicate against each other.
 type ResultCache struct {
 	mu      sync.Mutex
 	max     int

@@ -65,11 +65,11 @@ func TestPairDigestCanonical(t *testing.T) {
 		return Pair{Query: []byte("ACGTACGTACGT"), Target: []byte("ACGTACGTACGT"), SeedQ: 2, SeedT: 2, SeedLen: 4}
 	}
 	prep := func(p Pair) [32]byte {
-		in, err := preparePairs([]Pair{p}, cfgT)
+		in, err := cfgT.ingestPair(&p, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return pairDigest(in[0])
+		return pairDigest(in)
 	}
 	d0 := prep(base())
 	if d0 != prep(base()) {
@@ -160,7 +160,8 @@ func TestCoalescerCacheBitIdentical(t *testing.T) {
 
 // TestCoalescerCachePartialHit: a request overlapping a cached one is
 // answered with its hits pre-filled and only the misses computed, and
-// the merged result is position-exact.
+// the merged result and its cell count are position-exact and
+// bit-identical to a cold engine run.
 func TestCoalescerCachePartialHit(t *testing.T) {
 	eng, err := NewAligner(EngineOptions{})
 	if err != nil {
@@ -194,13 +195,15 @@ func TestCoalescerCachePartialHit(t *testing.T) {
 	if misses := after.CacheMisses - before.CacheMisses; misses != 2 {
 		t.Fatalf("partial request: %d misses, want 2", misses)
 	}
-	if st.Pairs != 4 {
-		t.Fatalf("stats %+v, want 4 pairs", st)
-	}
+	var cells int64
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("pair %d: %+v != %+v", i, got[i], want[i])
 		}
+		cells += want[i].Cells
+	}
+	if st.Pairs != 4 || st.Cells != cells {
+		t.Fatalf("stats %+v, want 4 pairs and the cold run's %d cells", st, cells)
 	}
 	// The two fresh pairs are now cached too: repeating the request is
 	// all hits.

@@ -78,9 +78,10 @@ type CoalescerOptions struct {
 	TargetDelay time.Duration
 
 	// Cache, when non-nil, is the content-addressed result cache of
-	// Align, consulted at admission and filled at scatter: pairs whose
-	// (digest, config) is cached are answered without queueing, quota
-	// charge or engine work, byte-identical to recomputation. It answers
+	// Align, consulted at admission and filled by each caller once its
+	// batch has run: pairs whose (digest, config) is cached are answered
+	// without queueing, quota charge or engine work, byte-identical to
+	// recomputation. It answers
 	// Align requests only: the extension chunks of Overlappers and
 	// Mappers routed through the Coalescer neither probe nor fill it.
 	// Share one cache across every Coalescer of a process so their Align
@@ -96,11 +97,13 @@ type CoalescerOptions struct {
 // queues, and a single flusher goroutine is work-conserving over them:
 // it never sleeps while any lane is non-empty. It pops the next batch
 // (whole requests of one lane, FIFO, up to MaxBatchPairs), runs it on the
-// engine, scatters the results and per-request stats back to each caller
-// in submission order, and whatever arrived meanwhile forms the next
-// batch. A request on an idle Coalescer therefore runs at once, and
-// merging comes from engine busy time — the fuller the engine, the
-// fuller the batches — never from a timer.
+// engine, copies each request's results into the request's own slice and
+// hands back the batch's wall and device time, and whatever arrived
+// meanwhile forms the next batch. The flusher runs batches, not requests:
+// each caller finishes its own request on its own goroutine (Alignment
+// conversion, cache fill, Stats). A request on an idle Coalescer
+// therefore runs at once, and merging comes from engine busy time — the
+// fuller the engine, the fuller the batches — never from a timer.
 //
 // Queued work is organized into lanes keyed by (tenant, priority class,
 // configuration): only same-config requests merge into one engine batch
@@ -122,8 +125,8 @@ type CoalescerOptions struct {
 // configuration are answered immediately (byte-identical by
 // construction — an alignment is a pure function of pair bytes, seed
 // placement and configuration) and only the misses queue, are metered
-// against the tenant quota, and reach the engine; the scatter fills the
-// cache with what the batch computed.
+// against the tenant quota, and reach the engine; the caller fills the
+// cache with what its batch computed before its Align returns.
 //
 // A Coalescer is safe for concurrent use. Close runs the remaining
 // queue and stops the flusher; it does not close the underlying Aligner.
@@ -154,33 +157,24 @@ type Coalescer struct {
 
 	// flusher-goroutine scratch: the merged input batch (pairs already
 	// converted at admission) and its engine results. Only the flusher
-	// touches them. (Align results are not pooled: each interactive batch
-	// allocates one exact-size slice whose subranges are handed to the
-	// waiters.)
+	// touches them.
 	mergeBuf []seq.Pair
 	resBuf   []xdrop.SeedResult
 }
 
-// coalesceWaiter is one queued request: its pairs — validated and
-// converted at admission (or built by the pipeline that submits them), so
-// the batch never re-scans them — the enqueue time, and the buffered
-// channel its result is delivered on (buffered so the flusher never
-// blocks on an abandoned caller).
+// coalesceWaiter is one queued request of either class, interactive or
+// bulk: the pairs the engine must compute — validated and converted at
+// admission (or built by the pipeline that submits them), so the batch
+// never re-scans them — and the slice their results are copied into, the
+// enqueue time, and the buffered channel the batch's outcome is delivered
+// on (buffered so the flusher never blocks on an abandoned caller). The
+// flusher reads nothing else of a request: whatever the caller does with
+// out, it does on its own goroutine once ch has delivered.
 type coalesceWaiter struct {
-	in []seq.Pair // pairs the engine must compute (cache misses)
-	// out is a bulk request's result slice, filled in place by the
-	// flusher; nil on an Align request, whose results arrive as
-	// Alignments on ch.
-	out []xdrop.SeedResult
-	// Partial-hit layout (nil on a cache-off or all-miss request): full
-	// is the request-sized result slice with cache hits pre-filled, and
-	// full[missIdx[j]] receives the computed result of in[j].
-	full    []Alignment
-	missIdx []int
-	digests [][32]byte // content digests of in, for the scatter-side cache fill (nil: cache off)
-	npairs  int        // total request size including cache hits
-	tt      *tenantTele
-	enq     time.Time
+	in  []seq.Pair
+	out []xdrop.SeedResult // len(in) slots, filled by the flusher before delivery
+	tt  *tenantTele
+	enq time.Time
 	// ctx is the request's context: a batch the request rides alone runs
 	// under its cancellation.
 	ctx context.Context
@@ -192,10 +186,11 @@ type coalesceWaiter struct {
 	tr *telemetry.Trace
 }
 
+// coalesceResult is a batch's outcome as its riders receive it: the wall
+// and device time of the whole merged batch, or the error that failed it.
 type coalesceResult struct {
-	out []Alignment
-	st  Stats
-	err error
+	wall, device time.Duration
+	err          error
 }
 
 // coalescerTelemetry is the Coalescer's instrument bundle, registered in
@@ -218,6 +213,12 @@ type coalescerTelemetry struct {
 // submission through this Coalescer.
 type tenantTele struct {
 	requests, pairs, shed, cacheHits *telemetry.Counter
+}
+
+// served counts one completed request of n pairs.
+func (tt *tenantTele) served(n int) {
+	tt.requests.Inc()
+	tt.pairs.Add(float64(n))
 }
 
 // CoalescerMetrics is a snapshot of a Coalescer's lifetime counters and
@@ -423,7 +424,7 @@ func (c *Coalescer) RetryAfter() time.Duration {
 // with other requests runs to completion and Align returns its result.
 // Engine-sized requests that bypass the queue run alone, with ctx
 // forwarded into the engine.
-func (c *Coalescer) Align(ctx context.Context, pairs []Pair, cfg Config) ([]Alignment, Stats, error) {
+func (c *Coalescer) Align(ctx context.Context, pairs []Pair, cfg Config) (out []Alignment, st Stats, err error) {
 	// Validate cfg before the empty-batch fast path, mirroring
 	// Aligner.Align: an invalid configuration fails even with no pairs.
 	if err := cfg.Validate(); err != nil {
@@ -446,6 +447,11 @@ func (c *Coalescer) Align(ctx context.Context, pairs []Pair, cfg Config) ([]Alig
 	}
 	ten := tenantOf(ctx)
 	tt := c.tenantTele(ten)
+	defer func() {
+		if err == nil {
+			tt.served(len(pairs))
+		}
+	}()
 	// Engine-sized requests gain nothing from merging: run them directly,
 	// keeping the queue (and the tenant's share of it) for the small
 	// requests coalescing exists to serve. The engine meters the tenant
@@ -455,79 +461,69 @@ func (c *Coalescer) Align(ctx context.Context, pairs []Pair, cfg Config) ([]Alig
 			return nil, Stats{}, ErrClosed
 		}
 		c.t.direct.Inc()
-		out, st, err := c.eng.Align(ctx, pairs, cfg)
-		if err == nil {
-			tt.requests.Inc()
-			tt.pairs.Add(float64(len(pairs)))
-		} else if errors.Is(err, ErrOverloaded) {
+		out, st, err = c.eng.Align(ctx, pairs, cfg)
+		if errors.Is(err, ErrOverloaded) {
 			c.t.shed[shedQuota].Inc()
 			tt.shed.Inc()
 		}
 		return out, st, err
 	}
-	in, err := preparePairs(pairs, cfg)
+	sc, err := c.eng.ingest(pairs, cfg)
 	if err != nil {
 		return nil, Stats{}, err
 	}
+	// Align blocks until the flusher is done with sc (see submit), so the
+	// scratch goes back to the pool only after its last reader.
+	defer c.eng.release(sc)
+	in, res := sc.in, sc.res
+	out = make([]Alignment, len(pairs))
 
-	// Result-cache probe: hits are answered without queueing, quota
-	// charge or engine work; only the misses continue to admission.
-	total := len(in)
+	// Result-cache probe: hits land in out at once, without queueing,
+	// quota charge or engine work. The misses move to the front of in,
+	// and in[j] is the request's pair idx[j]: only they continue.
+	ck := cfg.key()
 	var (
-		full    []Alignment
-		missIdx []int
-		digests [][32]byte
+		idx     []int
+		digests [][32]byte // of the misses, for the cache fill
 	)
 	if c.opt.Cache != nil {
-		ck := cfg.key()
-		allD := make([][32]byte, total)
-		hit := make([]bool, total)
-		res := make([]Alignment, total)
-		nhit := 0
+		idx = make([]int, 0, len(in))
+		digests = make([][32]byte, 0, len(in))
 		for i := range in {
-			allD[i] = pairDigest(in[i])
-			if r, ok := c.opt.Cache.get(cacheKey{digest: allD[i], cfg: ck}); ok {
-				hit[i], res[i] = true, r
-				nhit++
+			d := pairDigest(in[i])
+			if r, ok := c.opt.Cache.get(cacheKey{digest: d, cfg: ck}); ok {
+				out[i] = r
+				continue
 			}
+			in[len(idx)] = in[i]
+			idx = append(idx, i)
+			digests = append(digests, d)
 		}
+		nhit := len(in) - len(idx)
 		c.t.cacheHits.Add(float64(nhit))
-		c.t.cacheMisses.Add(float64(total - nhit))
+		c.t.cacheMisses.Add(float64(len(idx)))
 		if nhit > 0 {
 			tt.cacheHits.Add(float64(nhit))
 		}
-		if nhit == total {
-			var cells int64
-			for i := range res {
-				cells += res[i].Cells
-			}
-			tt.requests.Inc()
-			tt.pairs.Add(float64(total))
-			return res, Stats{Pairs: total, Cells: cells}, nil
-		}
-		if nhit > 0 {
-			full = res
-			miss := make([]seq.Pair, 0, total-nhit)
-			missIdx = make([]int, 0, total-nhit)
-			digests = make([][32]byte, 0, total-nhit)
-			for i := range in {
-				if hit[i] {
-					continue
-				}
-				miss = append(miss, in[i])
-				missIdx = append(missIdx, i)
-				digests = append(digests, allD[i])
-			}
-			in = miss
-		} else {
-			digests = allD
-		}
+		in, res = in[:len(idx)], res[:len(idx)]
 	}
 
-	r := c.submit(ctx, laneKey{ten: ten, class: classInteractive, cfg: cfg.key()}, &coalesceWaiter{
-		in: in, full: full, missIdx: missIdx, digests: digests, npairs: total, tt: tt,
-	})
-	return r.out, r.st, r.err
+	var r coalesceResult
+	if len(in) > 0 {
+		r = c.submit(ctx, laneKey{ten: ten, class: classInteractive, cfg: ck}, &coalesceWaiter{in: in, out: res, tt: tt})
+		if r.err != nil {
+			return nil, Stats{}, r.err
+		}
+	}
+	st = c.eng.finish(telemetry.TraceFrom(ctx), out, idx, res, r.wall, r.device)
+	evicted := 0
+	for j, i := range idx { // idx is nil without a cache
+		evicted += c.opt.Cache.put(cacheKey{digest: digests[j], cfg: ck}, out[i])
+	}
+	if evicted > 0 {
+		c.t.cacheEvict.Add(float64(evicted))
+	}
+	return out, st, nil
 }
 
 // extendBulk is the Coalescer's bulk entry, with the signature of
@@ -548,10 +544,17 @@ func (c *Coalescer) extendBulk(ctx context.Context, in []seq.Pair, out []xdrop.S
 		return c.eng.extendPrepared(ctx, in, out, sch, x)
 	}
 	ten := tenantOf(ctx)
-	r := c.submit(ctx, laneKey{ten: ten, class: classBulk, cfg: configKey{x: x, sch: sch}}, &coalesceWaiter{
-		in: in, out: out, npairs: len(in), tt: c.tenantTele(ten),
-	})
-	return backend.BatchStats{Pairs: r.st.Pairs, Cells: r.st.Cells, DeviceTime: r.st.DeviceTime}, r.err
+	tt := c.tenantTele(ten)
+	r := c.submit(ctx, laneKey{ten: ten, class: classBulk, cfg: configKey{x: x, sch: sch}}, &coalesceWaiter{in: in, out: out, tt: tt})
+	if r.err != nil {
+		return backend.BatchStats{}, r.err
+	}
+	tt.served(len(in))
+	bst := backend.BatchStats{Pairs: len(in), DeviceTime: r.device}
+	for i := range out {
+		bst.Cells += out[i].Cells()
+	}
+	return bst, nil
 }
 
 // tenantOf is ctx's tenant, the anonymous one when none is attached.
@@ -725,13 +728,14 @@ type cancelOnly struct{ context.Context }
 func (cancelOnly) Value(any) any { return nil }
 
 // execute runs one merged batch of key's lane through the engine's one
-// dispatch, Aligner.extendPrepared, and scatters the results back to each
-// waiting request in submission order: a bulk request's subrange is
-// copied into its own result slice, an Align request gets Alignments and
-// fills the result cache. Engine errors at this point are systemic (e.g.
-// ErrClosed) or the lone rider's cancellation — per-pair and per-config
-// problems were rejected at admission — so they fan out to every request
-// in the batch.
+// dispatch, Aligner.extendPrepared, copies each request's subrange of the
+// results into its out, and delivers the batch's wall and device time to
+// each request in submission order. It runs batches, not requests: every
+// rider is in and out alike, and the one class-specific step is the
+// calibration of interactive admission. Engine errors at this point are
+// systemic (e.g. ErrClosed) or the lone rider's cancellation — per-pair
+// and per-config problems were rejected at admission — so they fan out to
+// every request in the batch.
 func (c *Coalescer) execute(key laneKey, ws []*coalesceWaiter, npairs int) {
 	merged := c.mergeBuf[:0]
 	traced := false
@@ -747,9 +751,9 @@ func (c *Coalescer) execute(key laneKey, ws []*coalesceWaiter, npairs int) {
 		ctx = cancelOnly{ws[0].ctx}
 	}
 	// When any rider carries a trace, run the batch under a batch-level
-	// trace: the engine observes the partition/kernel/scatter stages onto
-	// it exactly once (batch-scoped, same as the untraced path), and the
-	// scatter below copies its spans span-only onto every rider's trace.
+	// trace: the engine observes the partition and kernel stages onto it
+	// exactly once (batch-scoped, same as the untraced path), and the
+	// delivery below copies its spans span-only onto every rider's trace.
 	var btr *telemetry.Trace
 	if traced {
 		btr = c.eng.stages.StartTrace()
@@ -761,6 +765,7 @@ func (c *Coalescer) execute(key laneKey, ws []*coalesceWaiter, npairs int) {
 	}
 	res := c.resBuf[:npairs]
 	bst, err := c.eng.extendPrepared(ctx, merged, res, key.cfg.sch, key.cfg.x)
+	wall := time.Since(start)
 	clear(merged) // drop sequence refs so the scratch doesn't pin callers
 	c.mergeBuf = merged[:0]
 
@@ -776,103 +781,22 @@ func (c *Coalescer) execute(key laneKey, ws []*coalesceWaiter, npairs int) {
 		}
 		return
 	}
-
-	var alns []Alignment
-	if key.class == classInteractive {
-		// Calibrate interactive admission's work estimate from what the
-		// batch actually cost. Bulk batches do not feed it: one pipeline
-		// chunk of long pairs would cut the drain rate interactive
-		// admission projects with by an order of magnitude.
-		if npairs > 0 {
-			c.t.cellsPerPair.ObserveEWMA(float64(bst.Cells)/float64(npairs), telemetryAlpha)
-		}
-		// One exact-size allocation per batch: each request is handed its
-		// capped subrange. The array is shared but the ranges are
-		// disjoint, and the Coalescer never touches it after the scatter.
-		scatterStart := time.Now()
-		alns = make([]Alignment, npairs)
-		for i := range res {
-			alns[i] = toAlignment(res[i])
-		}
-		c.eng.observeStage(btr, telemetry.StageScatter, time.Since(scatterStart))
+	// Calibrate interactive admission's work estimate from what the batch
+	// actually cost. Bulk batches do not feed it: one pipeline chunk of
+	// long pairs would cut the drain rate interactive admission projects
+	// with by an order of magnitude.
+	if key.class == classInteractive && npairs > 0 {
+		c.t.cellsPerPair.ObserveEWMA(float64(bst.Cells)/float64(npairs), telemetryAlpha)
 	}
-	wall := time.Since(start)
-
 	off := 0
 	for _, w := range ws {
-		n := len(w.in)
-		var final []Alignment
-		var cells int64
-		if w.out != nil {
-			copy(w.out, res[off:off+n])
-			for i := range w.out {
-				cells += w.out[i].Cells()
-			}
-		} else {
-			final = alns[off : off+n : off+n]
-			if c.opt.Cache != nil && w.digests != nil {
-				evicted := 0
-				for j := range final {
-					evicted += c.opt.Cache.put(cacheKey{digest: w.digests[j], cfg: key.cfg}, final[j])
-				}
-				if evicted > 0 {
-					c.t.cacheEvict.Add(float64(evicted))
-				}
-			}
-			if w.full != nil {
-				// Partial cache hit: merge the computed misses into the
-				// request-sized slice whose hit slots were filled at
-				// admission.
-				for j, idx := range w.missIdx {
-					w.full[idx] = final[j]
-				}
-				final = w.full
-			}
-			for i := range final {
-				cells += final[i].Cells
-			}
-		}
-		off += n
-		rst := Stats{
-			Pairs: w.npairs, Cells: cells,
-			WallTime: wall, DeviceTime: bst.DeviceTime,
-		}
-		rst.GCUPS = rst.gcups(c.eng.opt.Backend)
-		w.tt.requests.Inc()
-		w.tt.pairs.Add(float64(w.npairs))
-		if w.tr != nil && btr != nil {
+		off += copy(w.out, res[off:])
+		if w.tr != nil {
 			// Span-only copy: the histograms counted the batch once above.
 			for _, sp := range btr.Spans() {
 				w.tr.AddSpan(sp.Stage, sp.D)
 			}
 		}
-		w.ch <- coalesceResult{out: final, st: rst}
+		w.ch <- coalesceResult{wall: wall, device: bst.DeviceTime}
 	}
-}
-
-// preparePairs applies the engine's per-pair checks (sequence alphabet
-// under the config's scheme, seed bounds) and conversion before a request
-// may merge with others, so one bad pair fails its own request instead of
-// the whole merged batch — and the batch reuses the converted pairs
-// instead of re-ingesting every byte. The messages mirror Aligner.Align's,
-// with request-relative pair indices.
-func preparePairs(pairs []Pair, cfg Config) ([]seq.Pair, error) {
-	in := make([]seq.Pair, len(pairs))
-	for i := range pairs {
-		p := &pairs[i]
-		sp, err := cfg.ingestPair(p, i)
-		if err != nil {
-			return nil, err
-		}
-		// Overflow-safe bounds: SeedQ+SeedLen can wrap for adversarial
-		// inputs, and a pair that slips through here would panic in the
-		// flusher goroutine, not the caller's.
-		if p.SeedQ < 0 || p.SeedT < 0 || p.SeedLen <= 0 ||
-			p.SeedQ > len(sp.Query)-p.SeedLen || p.SeedT > len(sp.Target)-p.SeedLen {
-			return nil, fmt.Errorf("logan: pair %d: seed (%d,%d,len %d) outside sequences (%d, %d)",
-				i, p.SeedQ, p.SeedT, p.SeedLen, len(sp.Query), len(sp.Target))
-		}
-		in[i] = sp
-	}
-	return in, nil
 }

@@ -186,7 +186,7 @@ func TestCoalescerBulkKeepsInteractiveCalibration(t *testing.T) {
 	long := seq.RandPairSet(rand.New(rand.NewSource(2)), seq.PairSetOptions{
 		N: 2, MinLen: 20_000, MaxLen: 20_000, ErrorRate: 0.15, SeedLen: 17,
 	})
-	w := &coalesceWaiter{in: long, out: make([]xdrop.SeedResult, len(long)), npairs: len(long),
+	w := &coalesceWaiter{in: long, out: make([]xdrop.SeedResult, len(long)),
 		enq: time.Now(), ctx: ctxb, tt: c.tenantTele(anonymousTenant), ch: make(chan coalesceResult, 1)}
 	c.mu.Lock()
 	c.q.enqueue(laneKey{ten: anonymousTenant, class: classBulk, cfg: cfgT.key()}, w)

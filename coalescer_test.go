@@ -13,6 +13,7 @@ import (
 
 	"logan/internal/backend"
 	"logan/internal/seq"
+	"logan/internal/telemetry"
 	"logan/internal/xdrop"
 )
 
@@ -77,17 +78,15 @@ func enqueue(t *testing.T, c *Coalescer, ten *Tenant, class priorityClass, cfg C
 	t.Helper()
 	in := make([]seq.Pair, n)
 	if seed >= 0 {
-		var err error
-		if in, err = preparePairs(makePairsSeed(n, seed), cfg); err != nil {
+		sc, err := c.eng.ingest(makePairsSeed(n, seed), cfg)
+		if err != nil {
 			t.Fatal(err)
 		}
+		in = sc.in
 	}
 	w := &coalesceWaiter{
-		in: in, npairs: n, enq: time.Now(), ctx: ctxb,
+		in: in, out: make([]xdrop.SeedResult, n), enq: time.Now(), ctx: ctxb,
 		tt: c.tenantTele(ten), ch: make(chan coalesceResult, 1),
-	}
-	if class == classBulk {
-		w.out = make([]xdrop.SeedResult, n)
 	}
 	c.mu.Lock()
 	c.q.enqueue(laneKey{ten: ten, class: class, cfg: cfg.key()}, w)
@@ -304,8 +303,8 @@ func TestCoalescerSizeFlush(t *testing.T) {
 	}
 	coal.start()
 	for _, w := range ws {
-		if r := <-w.ch; r.err != nil || len(r.out) != 4 {
-			t.Fatalf("result %+v", r)
+		if r := <-w.ch; r.err != nil || w.out[3].Cells() == 0 {
+			t.Fatalf("result %+v, last cells %d", r, w.out[3].Cells())
 		}
 	}
 	coal.Close()
@@ -336,6 +335,65 @@ func TestCoalescerSizeFlushPerConfig(t *testing.T) {
 	coal.Close()
 	if m := coal.Metrics(); m.MergedBatches != 2 || m.MaxMergedPairs != 4 {
 		t.Fatalf("metrics %+v: want two single-config 4-pair batches", m)
+	}
+}
+
+// TestCoalescerScatterPerRequest: the flusher runs a merged batch once
+// and each rider finishes its own request, so k traced riders add one
+// kernel sample and k scatter samples to the stage family, and every
+// rider's trace shows the batch's partition and kernel spans and its own
+// scatter.
+func TestCoalescerScatterPerRequest(t *testing.T) {
+	eng, err := NewAligner(EngineOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	coal := eng.newCoalescer(CoalescerOptions{MaxBatchPairs: 64})
+	count := func(stage string) int64 {
+		return eng.tele.Histogram("logan_stage_duration_seconds", "", nil, telemetry.L("stage", stage)).Count()
+	}
+	kernel0, scatter0 := count(telemetry.StageKernel), count(telemetry.StageScatter)
+
+	const k = 4
+	trs := make([]*telemetry.Trace, k)
+	errs := make(chan error, k)
+	for i := range trs {
+		trs[i] = eng.stages.StartTrace()
+		ctx := telemetry.WithTrace(ctxb, trs[i])
+		pairs := makePairsSeed(3, int64(60+i))
+		go func() {
+			_, _, err := coal.Align(ctx, pairs, cfgT)
+			errs <- err
+		}()
+	}
+	waitFor(t, func() bool { return coal.Metrics().QueuedRequests == k })
+	coal.start()
+	for range trs {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	coal.Close()
+	if m := coal.Metrics(); m.MergedBatches != 1 || m.MergedRequests != k {
+		t.Fatalf("metrics %+v: want the %d riders in one batch", m, k)
+	}
+	if d := count(telemetry.StageKernel) - kernel0; d != 1 {
+		t.Fatalf("%d kernel samples, want 1 for the one batch", d)
+	}
+	if d := count(telemetry.StageScatter) - scatter0; d != k {
+		t.Fatalf("%d scatter samples, want %d, one per rider", d, k)
+	}
+	for i, tr := range trs {
+		seen := map[string]int{}
+		for _, sp := range tr.Spans() {
+			seen[sp.Stage]++
+		}
+		for _, stage := range []string{telemetry.StagePartition, telemetry.StageKernel, telemetry.StageScatter} {
+			if seen[stage] != 1 {
+				t.Fatalf("rider %d: trace %v has %d %s spans, want 1", i, tr.Spans(), seen[stage], stage)
+			}
+		}
 	}
 }
 
@@ -673,10 +731,11 @@ func TestCoalescerLoneBulkChunkCancel(t *testing.T) {
 	coal := eng.NewCoalescer(CoalescerOptions{})
 	defer coal.Close()
 
-	in, err := preparePairs(makePairsSeed(16, 1), cfgT)
+	sc, err := eng.ingest(makePairsSeed(16, 1), cfgT)
 	if err != nil {
 		t.Fatal(err)
 	}
+	in := sc.in
 	ctx, cancel := context.WithCancel(ctxb)
 	done := make(chan error, 1)
 	go func() {

@@ -274,10 +274,11 @@ type configKey struct {
 
 func (c Config) key() configKey { return configKey{x: c.X, sch: c.scheme()} }
 
-// ingestPair validates one Pair under the Config's alphabet and converts
-// it to the engine's representation. Linear and affine configs speak DNA
-// (upper-case ACGTN, zero-copy when already canonical); matrix configs
-// validate against the matrix alphabet and always alias the raw bytes.
+// ingestPair validates one Pair under the Config's alphabet and seed
+// bounds and converts it to the engine's representation. Linear and
+// affine configs speak DNA (upper-case ACGTN, zero-copy when already
+// canonical); matrix configs validate against the matrix alphabet and
+// always alias the raw bytes.
 func (c Config) ingestPair(p *Pair, i int) (seq.Pair, error) {
 	var q, t seq.Seq
 	if c.Scoring.mode == scoringMatrix {
@@ -299,6 +300,14 @@ func (c Config) ingestPair(p *Pair, i int) (seq.Pair, error) {
 		if err != nil {
 			return seq.Pair{}, fmt.Errorf("logan: pair %d target: %w", i, err)
 		}
+	}
+	// Overflow-safe seed bounds: SeedQ+SeedLen can wrap for adversarial
+	// inputs, and a pair that slips through here would fail deep in the
+	// backend, or inside a merged batch it shares with other requests.
+	if p.SeedQ < 0 || p.SeedT < 0 || p.SeedLen <= 0 ||
+		p.SeedQ > len(q)-p.SeedLen || p.SeedT > len(t)-p.SeedLen {
+		return seq.Pair{}, fmt.Errorf("logan: pair %d: seed (%d,%d,len %d) outside sequences (%d, %d)",
+			i, p.SeedQ, p.SeedT, p.SeedLen, len(q), len(t))
 	}
 	// Overflow budget, enforced here so every entry point (engine,
 	// coalescer, serve, CLI) shares it: a score accumulates at most

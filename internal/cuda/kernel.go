@@ -28,13 +28,10 @@ type BlockCtx struct {
 	GridDim  int // total blocks
 	BlockDim int // threads per block
 
-	spec  *DeviceSpec
-	stats BlockStats
-	iter  IterAgg
-	// traffic accumulators (bytes)
-	streamRead, streamWrite int64
-	reuseRead, reuseWrite   int64
-	reuseFootprint          int64
+	spec *DeviceSpec
+	// acc is the block's accounting in the shape of a launch's, so Launch
+	// folds it in with KernelStats.merge.
+	acc KernelStats
 }
 
 // Threads returns the number of threads in this block.
@@ -50,15 +47,15 @@ func (b *BlockCtx) Step(active, opsPerLane int) {
 	}
 	ws := b.spec.WarpSize
 	warps := (active + ws - 1) / ws
-	b.stats.WarpInstrs += int64(warps) * int64(opsPerLane)
-	b.stats.LaneOps += int64(active) * int64(opsPerLane)
-	b.stats.Iterations++
+	b.acc.WarpInstrs += int64(warps) * int64(opsPerLane)
+	b.acc.LaneOps += int64(active) * int64(opsPerLane)
+	b.acc.Iterations++
 	fill := float64(active) / float64(warps*ws)
 	nop := float64(opsPerLane)
-	b.iter.SumNop += nop
-	b.iter.SumNopFill += nop * fill
-	b.iter.SumNopAct += nop * float64(active)
-	b.iter.Count++
+	b.acc.Iter.SumNop += nop
+	b.acc.Iter.SumNopFill += nop * fill
+	b.acc.Iter.SumNopAct += nop * float64(active)
+	b.acc.Iter.Count++
 }
 
 // Sync models __syncthreads(); the barrier itself is free in counts (its
@@ -66,8 +63,8 @@ func (b *BlockCtx) Step(active, opsPerLane int) {
 // resident blocks) but is tallied so the model knows the block's
 // dependent-step count.
 func (b *BlockCtx) Sync() {
-	b.stats.Iterations++
-	b.stats.Barriers++
+	b.acc.Iterations++
+	b.acc.Barriers++
 }
 
 // ReduceMax32 accounts the in-warp parallel max-reduction LOGAN uses to
@@ -85,9 +82,9 @@ func (b *BlockCtx) ReduceMax32(n int) {
 	warps := (n + ws - 1) / ws
 	logW := bitsLen(ws - 1)
 	instr := int64(warps)*int64(logW) + int64(bitsLen(warps-1))
-	b.stats.WarpInstrs += instr
-	b.stats.LaneOps += instr * int64(ws) / 2 // shuffle halves active lanes per step
-	b.stats.Reductions++
+	b.acc.WarpInstrs += instr
+	b.acc.LaneOps += instr * int64(ws) / 2 // shuffle halves active lanes per step
+	b.acc.Reductions++
 }
 
 // GlobalRead accounts a global-memory read of the given byte count as one
@@ -100,11 +97,11 @@ func (b *BlockCtx) GlobalRead(class TrafficClass, bytes int64, coalesced bool) {
 		bytes *= UncoalescedFactor
 	}
 	if class == TrafficStream {
-		b.streamRead += bytes
+		b.acc.StreamReadBytes += bytes
 	} else {
-		b.reuseRead += bytes
+		b.acc.ReuseReadBytes += bytes
 	}
-	b.stats.AccessEvents++
+	b.acc.AccessEvents++
 }
 
 // GlobalWrite accounts a global-memory write as one access event.
@@ -113,11 +110,11 @@ func (b *BlockCtx) GlobalWrite(class TrafficClass, bytes int64, coalesced bool) 
 		bytes *= UncoalescedFactor
 	}
 	if class == TrafficStream {
-		b.streamWrite += bytes
+		b.acc.StreamWriteBytes += bytes
 	} else {
-		b.reuseWrite += bytes
+		b.acc.ReuseWriteBytes += bytes
 	}
-	b.stats.AccessEvents++
+	b.acc.AccessEvents++
 }
 
 // DeclareReuseFootprint tells the cache model how many bytes of this
@@ -125,9 +122,7 @@ func (b *BlockCtx) GlobalWrite(class TrafficClass, bytes int64, coalesced bool) 
 // buffers). The maximum over blocks, multiplied by device residency, is the
 // working set the L2 must hold for reuse traffic to hit.
 func (b *BlockCtx) DeclareReuseFootprint(bytes int64) {
-	if bytes > b.reuseFootprint {
-		b.reuseFootprint = bytes
-	}
+	b.acc.ReuseFootprint = max(b.acc.ReuseFootprint, bytes)
 }
 
 func bitsLen(x int) int {
@@ -188,31 +183,15 @@ func (d *Device) Launch(cfg LaunchConfig, kernel KernelFunc) (KernelStats, error
 					spec:     &d.Spec,
 				}
 				kernel(&ctx)
-				local.WarpInstrs += ctx.stats.WarpInstrs
-				local.LaneOps += ctx.stats.LaneOps
-				local.Iterations += ctx.stats.Iterations
-				local.Barriers += ctx.stats.Barriers
-				local.Reductions += ctx.stats.Reductions
-				local.AccessEvents += ctx.stats.AccessEvents
-				if ctx.stats.WarpInstrs > local.MaxBlockWarpInstrs {
-					local.MaxBlockWarpInstrs = ctx.stats.WarpInstrs
-				}
-				if ctx.stats.Iterations > local.MaxBlockIters {
-					local.MaxBlockIters = ctx.stats.Iterations
-				}
-				if ctx.stats.AccessEvents > local.MaxBlockAccesses {
-					local.MaxBlockAccesses = ctx.stats.AccessEvents
-				}
-				local.StreamReadBytes += ctx.streamRead
-				local.StreamWriteBytes += ctx.streamWrite
-				local.ReuseReadBytes += ctx.reuseRead
-				local.ReuseWriteBytes += ctx.reuseWrite
-				if ctx.reuseFootprint > local.ReuseFootprint {
-					local.ReuseFootprint = ctx.reuseFootprint
-				}
-				local.Iter.add(ctx.iter)
+				b := &ctx.acc
+				// A block's own totals are its per-block maxima.
+				b.MaxBlockWarpInstrs, b.MaxBlockIters, b.MaxBlockAccesses = b.WarpInstrs, b.Iterations, b.AccessEvents
+				local.merge(b)
 				if stats.PerBlock != nil {
-					stats.PerBlock[blk] = ctx.stats
+					stats.PerBlock[blk] = BlockStats{
+						WarpInstrs: b.WarpInstrs, LaneOps: b.LaneOps, Iterations: b.Iterations,
+						Barriers: b.Barriers, Reductions: b.Reductions, AccessEvents: b.AccessEvents,
+					}
 				}
 			}
 		}(w)
@@ -224,30 +203,7 @@ func (d *Device) Launch(cfg LaunchConfig, kernel KernelFunc) (KernelStats, error
 	wg.Wait()
 
 	for i := range locals {
-		l := &locals[i]
-		stats.WarpInstrs += l.WarpInstrs
-		stats.LaneOps += l.LaneOps
-		stats.Iterations += l.Iterations
-		stats.Barriers += l.Barriers
-		stats.Reductions += l.Reductions
-		stats.AccessEvents += l.AccessEvents
-		if l.MaxBlockWarpInstrs > stats.MaxBlockWarpInstrs {
-			stats.MaxBlockWarpInstrs = l.MaxBlockWarpInstrs
-		}
-		if l.MaxBlockIters > stats.MaxBlockIters {
-			stats.MaxBlockIters = l.MaxBlockIters
-		}
-		if l.MaxBlockAccesses > stats.MaxBlockAccesses {
-			stats.MaxBlockAccesses = l.MaxBlockAccesses
-		}
-		stats.StreamReadBytes += l.StreamReadBytes
-		stats.StreamWriteBytes += l.StreamWriteBytes
-		stats.ReuseReadBytes += l.ReuseReadBytes
-		stats.ReuseWriteBytes += l.ReuseWriteBytes
-		if l.ReuseFootprint > stats.ReuseFootprint {
-			stats.ReuseFootprint = l.ReuseFootprint
-		}
-		stats.Iter.add(l.Iter)
+		stats.merge(&locals[i])
 	}
 
 	d.applyCacheModel(&stats)

@@ -111,35 +111,36 @@ func (k KernelStats) OperationalIntensity() float64 {
 	return float64(k.WarpInstrs) / float64(b)
 }
 
-// Accumulate folds another launch's stats into k (used when one logical
-// operation issues several launches, e.g. the two extension streams).
-func (k *KernelStats) Accumulate(o KernelStats) {
-	k.Grid += o.Grid
+// merge folds o into k: the extensive counters, the raw traffic and Iter
+// add, and the per-block maxima and the reuse footprint keep the larger
+// value. It is the one list of the fields a launch gathers from its
+// blocks: Launch folds each block into its worker's tally and each tally
+// into the launch with it, and Accumulate folds whole launches.
+func (k *KernelStats) merge(o *KernelStats) {
 	k.WarpInstrs += o.WarpInstrs
 	k.LaneOps += o.LaneOps
 	k.Iterations += o.Iterations
 	k.Barriers += o.Barriers
 	k.Reductions += o.Reductions
 	k.AccessEvents += o.AccessEvents
-	if o.MaxBlockWarpInstrs > k.MaxBlockWarpInstrs {
-		k.MaxBlockWarpInstrs = o.MaxBlockWarpInstrs
-	}
-	if o.MaxBlockIters > k.MaxBlockIters {
-		k.MaxBlockIters = o.MaxBlockIters
-	}
-	if o.MaxBlockAccesses > k.MaxBlockAccesses {
-		k.MaxBlockAccesses = o.MaxBlockAccesses
-	}
+	k.MaxBlockWarpInstrs = max(k.MaxBlockWarpInstrs, o.MaxBlockWarpInstrs)
+	k.MaxBlockIters = max(k.MaxBlockIters, o.MaxBlockIters)
+	k.MaxBlockAccesses = max(k.MaxBlockAccesses, o.MaxBlockAccesses)
 	k.StreamReadBytes += o.StreamReadBytes
 	k.StreamWriteBytes += o.StreamWriteBytes
 	k.ReuseReadBytes += o.ReuseReadBytes
 	k.ReuseWriteBytes += o.ReuseWriteBytes
-	if o.ReuseFootprint > k.ReuseFootprint {
-		k.ReuseFootprint = o.ReuseFootprint
-	}
+	k.ReuseFootprint = max(k.ReuseFootprint, o.ReuseFootprint)
+	k.Iter.add(o.Iter)
+}
+
+// Accumulate folds another launch's stats into k (used when one logical
+// operation issues several launches, e.g. the two extension streams).
+func (k *KernelStats) Accumulate(o KernelStats) {
+	k.merge(&o)
+	k.Grid += o.Grid
 	k.DRAMReadBytes += o.DRAMReadBytes
 	k.DRAMWriteBytes += o.DRAMWriteBytes
-	k.Iter.add(o.Iter)
 	if o.Block > k.Block {
 		k.Block = o.Block
 		k.Occupancy = o.Occupancy

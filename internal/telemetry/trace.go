@@ -147,15 +147,6 @@ func (t *Trace) Step(stage string) {
 	t.mark = now
 }
 
-// SkipTo resets the step clock without recording, for gaps that belong
-// to no stage. Nil-safe.
-func (t *Trace) SkipTo(now time.Time) {
-	if t == nil {
-		return
-	}
-	t.mark = now
-}
-
 // Spans returns the recorded spans in order. The caller must not retain
 // the slice beyond the request.
 func (t *Trace) Spans() []Span {

@@ -10,7 +10,8 @@
 # one admission policy in pure, clock-free code, pipeline work one
 # extension path, minimizer extraction one sweep, the pipelines one
 # radix sort and one alignment algorithm, BELLA's front end one k-mer
-# pass. Run from the repo root;
+# pass, the coalescer's flusher batches and no per-request work. Run
+# from the repo root;
 # CI runs it alongside the unit tests.
 # The doc checker itself is scripts/doclint.
 set -euo pipefail
@@ -219,6 +220,24 @@ sw=$(grep -rlE --include='*.go' --exclude='*_test.go' '"logan/internal/sw"' . |
 if [ -n "$sw" ]; then
 	echo "doc-lint: non-test code outside internal/bench imports logan/internal/sw (pipelines align with X-drop alone):" >&2
 	echo "$sw" >&2
+	exit 1
+fi
+
+# The coalescer's flusher runs batches, not requests: every rider is
+# {in, out}, and each caller finishes its own request (Alignment
+# conversion, cache probe and fill, partial-hit merge, Stats) through the
+# ingest and finish helpers it shares with Aligner.Align. Coalescer.execute
+# naming Alignment or the result cache, or the flusher-era second ingest
+# loop coming back, means per-request work is on the flusher again. The
+# name is split so that this file does not match itself.
+exec_body=$(awk '/^func \(c \*Coalescer\) execute\(/{f=1} f{print FILENAME":"FNR": "$0} f&&/^}/{exit}' coalescer.go)
+exec_req=$(printf '%s\n' "$exec_body" | grep -E 'Alignment|[Cc]ache' || true)
+gone='prepare''Pairs'
+back=$(grep -rnE --include='*.go' --include='*.md' --include='*.sh' "$gone" . |
+	grep -vE '^\./(CHANGES|ROADMAP|ISSUE)\.md:' || true)
+if [ -z "$exec_body" ] || [ -n "$exec_req$back" ]; then
+	echo "doc-lint: the coalescer's flusher must run batches, not requests (Coalescer.execute in coalescer.go names no Alignment or result cache, and the second ingest loop stays gone):" >&2
+	printf '%s\n%s\n' "$exec_req" "$back" >&2
 	exit 1
 fi
 
