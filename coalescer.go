@@ -533,18 +533,23 @@ func (c *Coalescer) Align(ctx context.Context, pairs []Pair, cfg Config) (out []
 // queues on the bulk lane of ctx's tenant, behind interactive work, and
 // returns once its batch has run and out holds its results (Cells are
 // the chunk's own, DeviceTime the whole batch's). Admission sheds it with ErrOverloaded
-// like any request, and the pipelines' extender retries. Engine-sized
-// chunks run directly on the engine, as engine-sized Align requests do.
+// like any request, and the pipelines' extend path retries. Engine-sized
+// chunks run directly on the engine, as engine-sized Align requests do;
+// either way a chunk that ran counts as one request of its tenant.
 func (c *Coalescer) extendBulk(ctx context.Context, in []seq.Pair, out []xdrop.SeedResult, sch xdrop.Scheme, x int32) (backend.BatchStats, error) {
+	ten := tenantOf(ctx)
+	tt := c.tenantTele(ten)
 	if len(in) >= c.opt.MaxBatchPairs {
 		if c.isClosed() {
 			return backend.BatchStats{}, ErrClosed
 		}
 		c.t.direct.Inc()
-		return c.eng.extendPrepared(ctx, in, out, sch, x)
+		bst, err := c.eng.extendPrepared(ctx, in, out, sch, x)
+		if err == nil {
+			tt.served(len(in))
+		}
+		return bst, err
 	}
-	ten := tenantOf(ctx)
-	tt := c.tenantTele(ten)
 	r := c.submit(ctx, laneKey{ten: ten, class: classBulk, cfg: configKey{x: x, sch: sch}}, &coalesceWaiter{in: in, out: out, tt: tt})
 	if r.err != nil {
 		return backend.BatchStats{}, r.err

@@ -54,7 +54,7 @@ type simSource struct {
 	// closed makes the source a closed loop with no phases: its first
 	// request arrives at time 0 and each next one when the previous
 	// completes, or one batch time after it was shed (the pipelines'
-	// extender retrying).
+	// extend path retrying).
 	closed bool
 }
 

@@ -699,6 +699,35 @@ func TestCoalescerAbandonReleasesQueue(t *testing.T) {
 	}
 }
 
+// TestCoalescerBulkDirectCountsTenant: an engine-sized bulk chunk runs
+// directly on the engine, and it still counts as one request of its
+// tenant, as a queued chunk and Align's bypass do.
+func TestCoalescerBulkDirectCountsTenant(t *testing.T) {
+	eng, err := NewAligner(EngineOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	coal := eng.NewCoalescer(CoalescerOptions{MaxBatchPairs: 4})
+	defer coal.Close()
+	sc, err := eng.ingest(makePairsSeed(8, 1), cfgT)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.release(sc)
+	ten := NewTenant(TenantOptions{Name: "pipeline"})
+	if _, err := coal.extendBulk(WithTenant(ctxb, ten), sc.in, sc.res, cfgT.scheme(), cfgT.X); err != nil {
+		t.Fatal(err)
+	}
+	if m := coal.Metrics(); m.Direct != 1 || m.Enqueued != 0 {
+		t.Fatalf("metrics %+v: want the 8-pair chunk direct, nothing queued", m)
+	}
+	tt := coal.tenantTele(ten)
+	if r, p := tt.requests.Value(), tt.pairs.Value(); r != 1 || p != 8 {
+		t.Fatalf("tenant counted %v requests, %v pairs; want 1 and 8", r, p)
+	}
+}
+
 // cellTally counts the DP cells its backend writes into the result slots
 // of every batch, finished or abandoned.
 type cellTally struct {

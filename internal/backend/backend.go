@@ -83,6 +83,13 @@ type BatchStats struct {
 	Shards []ShardStats
 }
 
+// ExtendFunc is the one dispatch signature, that of Backend.ExtendBatch:
+// it aligns in into the caller's out (len(out) == len(in)) under ctx.
+// The engine's dispatch and the coalescer's bulk entry have it too, and
+// the overlap and mapping pipelines extend through a value of it, so
+// pairs go in, results come out, and nothing else crosses.
+type ExtendFunc func(ctx context.Context, in []seq.Pair, out []xdrop.SeedResult, sch xdrop.Scheme, x int32) (BatchStats, error)
+
 // Backend executes batches of seed extensions.
 type Backend interface {
 	// Name identifies the backend ("cpu", "gpu0", "gpu[2]", "hybrid"...).

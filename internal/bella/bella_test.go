@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"logan/internal/backend"
 	"logan/internal/genome"
 	"logan/internal/seq"
 )
@@ -237,11 +238,19 @@ func TestAdaptiveThreshold(t *testing.T) {
 	}
 }
 
+// cpuExtend is BELLA's SeqAn-style CPU baseline for the alignment stage:
+// a CPU backend's ExtendBatch on GOMAXPROCS workers, closed with the test.
+func cpuExtend(tb testing.TB) backend.ExtendFunc {
+	cpu := backend.NewCPU(0)
+	tb.Cleanup(func() { cpu.Close() })
+	return cpu.ExtendBatch
+}
+
 func TestPipelineEndToEndCPU(t *testing.T) {
 	rs := smallReadSet(t, 3, 60000, 5, 0.10)
 	cfg := DefaultConfig(5, 0.10, 50)
 	cfg.MinOverlap = 650
-	res, err := Run(context.Background(), rs, cfg, CPUAligner{})
+	res, err := Run(context.Background(), rs, cfg, cpuExtend(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +264,7 @@ func TestPipelineEndToEndCPU(t *testing.T) {
 	if acc.Precision < 0.80 {
 		t.Fatalf("precision %.3f below floor", acc.Precision)
 	}
-	if res.Align.Cells == 0 || res.Times.Total() <= 0 {
+	if res.Cells == 0 || res.Times.Total() <= 0 {
 		t.Fatal("missing stage accounting")
 	}
 }
@@ -264,15 +273,15 @@ func TestPipelineValidation(t *testing.T) {
 	rs := smallReadSet(t, 5, 20000, 2, 0.1)
 	cfg := DefaultConfig(2, 0.1, 20)
 	cfg.K = 0
-	if _, err := Run(context.Background(), rs, cfg, CPUAligner{}); err == nil {
+	if _, err := Run(context.Background(), rs, cfg, cpuExtend(t)); err == nil {
 		t.Error("accepted k=0")
 	}
 	cfg = DefaultConfig(2, 0.1, 20)
 	cfg.Scoring.Gap = 1
-	if _, err := Run(context.Background(), rs, cfg, CPUAligner{}); err == nil {
+	if _, err := Run(context.Background(), rs, cfg, cpuExtend(t)); err == nil {
 		t.Error("accepted invalid scoring")
 	}
-	empty, err := Run(context.Background(), genome.ReadSet{}, DefaultConfig(2, 0.1, 20), CPUAligner{})
+	empty, err := Run(context.Background(), genome.ReadSet{}, DefaultConfig(2, 0.1, 20), cpuExtend(t))
 	if err != nil || len(empty.Overlaps) != 0 {
 		t.Errorf("empty read set: %+v, %v", empty, err)
 	}

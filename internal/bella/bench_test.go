@@ -93,14 +93,15 @@ func BenchmarkPrepare(b *testing.B) {
 }
 
 // BenchmarkPipelineCPU measures the whole pipeline with the SeqAn-style
-// aligner — BELLA's 90%-alignment-time profile shows up here.
+// CPU baseline — BELLA's 90%-alignment-time profile shows up here.
 func BenchmarkPipelineCPU(b *testing.B) {
 	rs := benchReadSet(b)
 	cfg := DefaultConfig(4, 0.12, 25)
+	extend := cpuExtend(b)
 	b.ResetTimer()
 	var alignFrac float64
 	for i := 0; i < b.N; i++ {
-		res, err := Run(context.Background(), rs, cfg, CPUAligner{})
+		res, err := Run(context.Background(), rs, cfg, extend)
 		if err != nil {
 			b.Fatal(err)
 		}

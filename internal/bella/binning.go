@@ -3,6 +3,9 @@ package bella
 import (
 	"cmp"
 	"slices"
+
+	"logan/internal/genome"
+	"logan/internal/seq"
 )
 
 // ChosenSeed is the binning outcome for one candidate pair: the seed the
@@ -77,4 +80,35 @@ func ChooseSeed(c Candidate, lenI, lenJ, k, binWidth int) ChosenSeed {
 		out.EstOverlap = k
 	}
 	return out
+}
+
+// BuildAlignmentPairs materializes the candidate pairs plus chosen seeds
+// into the flat pair list the alignment stage extends. Opposite-strand
+// candidates get a reverse-complemented target with the seed position
+// remapped; a read's reverse complement is built once and shared by all
+// its pairs.
+func BuildAlignmentPairs(reads []genome.Read, cands []Candidate, seeds []ChosenSeed, k int) []seq.Pair {
+	pairs := make([]seq.Pair, len(cands))
+	revComp := make([]seq.Seq, len(reads))
+	for i, c := range cands {
+		ri, rj := reads[c.I], reads[c.J]
+		target := rj.Seq
+		pj := int(seeds[i].PosJ)
+		if seeds[i].Opposite {
+			if revComp[c.J] == nil {
+				revComp[c.J] = rj.Seq.RevComp()
+			}
+			target = revComp[c.J]
+			pj = len(rj.Seq) - k - pj
+		}
+		pairs[i] = seq.Pair{
+			Query:    ri.Seq,
+			Target:   target,
+			SeedQPos: int(seeds[i].PosI),
+			SeedTPos: pj,
+			SeedLen:  k,
+			ID:       i,
+		}
+	}
+	return pairs
 }

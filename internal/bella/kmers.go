@@ -2,10 +2,11 @@
 // overlapper and aligner that the paper integrates LOGAN into (§V): k-mer
 // counting over the read set, reliable-k-mer pruning with a binomial
 // occurrence model, sparse-matrix (SpGEMM) overlap detection, k-mer binning
-// to pick the seed each pair extends from, a pluggable pairwise-alignment
-// stage (SeqAn-style CPU threads or batched LOGAN on simulated GPUs), and
-// the adaptive score threshold that separates true overlaps from spurious
-// ones.
+// to pick the seed each pair extends from, a pairwise-alignment stage
+// that hands the pairs to one extend function (backend.ExtendFunc: a CPU
+// backend's SeqAn-style threads, or the LOGAN engine on simulated GPUs),
+// and the adaptive score threshold that separates true overlaps from
+// spurious ones.
 package bella
 
 import (

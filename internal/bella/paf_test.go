@@ -13,7 +13,7 @@ func TestWritePAF(t *testing.T) {
 	cfg := DefaultConfig(5, 0.10, 50)
 	cfg.MinOverlap = 600
 	cfg.Traceback = true
-	res, err := Run(context.Background(), rs, cfg, CPUAligner{})
+	res, err := Run(context.Background(), rs, cfg, cpuExtend(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestWritePAF(t *testing.T) {
 	}
 	// Without traceback, no CIGAR tags but valid PAF.
 	cfg.Traceback = false
-	res2, err := Run(context.Background(), rs, cfg, CPUAligner{})
+	res2, err := Run(context.Background(), rs, cfg, cpuExtend(t))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"time"
 
+	"logan/internal/backend"
 	"logan/internal/genome"
 	"logan/internal/par"
 	"logan/internal/seq"
@@ -77,10 +78,10 @@ type Config struct {
 	// by re-running each survivor's X-drop extension with traceback.
 	Traceback bool
 	// AlignBatch chunks the alignment stage: candidate pairs are handed to
-	// the Aligner at most AlignBatch at a time, with a context check and a
-	// Progress update between chunks, so long alignment stages cancel
-	// promptly and report incremental progress. 0 aligns everything in one
-	// batch (the original behavior).
+	// Run's extend function at most AlignBatch at a time, with a context
+	// check and a Progress update between chunks, so long alignment stages
+	// cancel promptly and report incremental progress. 0 aligns everything
+	// in one batch (the original behavior).
 	AlignBatch int
 	// OnProgress, when non-nil, receives pipeline progress updates. It is
 	// called synchronously from Run's goroutine and must be fast; results
@@ -153,7 +154,10 @@ type Result struct {
 	Reliable   int
 	NNZ        int64
 	Times      StageTimes
-	Align      AlignerStats
+	// Cells is the DP work of the alignment stage; DeviceTime its modeled
+	// GPU time, summed over the chunks (zero on pure-CPU extension).
+	Cells      int64
+	DeviceTime time.Duration
 	Bounds     [2]int32
 }
 
@@ -258,11 +262,16 @@ func Prepare(ctx context.Context, rs genome.ReadSet, cfg Config) (Prepared, erro
 	return out, ctx.Err()
 }
 
-// Run executes the full BELLA pipeline over the read set with the given
-// alignment backend. Cancelling ctx stops the pipeline at the next stage
-// boundary — or, with Config.AlignBatch set, at the next alignment chunk —
-// and returns the context's error.
-func Run(ctx context.Context, rs genome.ReadSet, cfg Config, aligner Aligner) (Result, error) {
+// Run executes the full BELLA pipeline over the read set. Its alignment
+// stage hands the candidate pairs to extend, in Config.AlignBatch chunks,
+// and extend writes each chunk's results into the one result slice Run
+// sized for them: that is the stage LOGAN replaces (§V). Offline callers
+// pass a backend's ExtendBatch (backend.NewCPU(w).ExtendBatch is BELLA's
+// SeqAn-style CPU baseline); package logan passes its engine's extend path.
+// Cancelling ctx stops the pipeline at the next stage boundary — or, with
+// Config.AlignBatch set, at the next alignment chunk — and returns the
+// context's error.
+func Run(ctx context.Context, rs genome.ReadSet, cfg Config, extend backend.ExtendFunc) (Result, error) {
 	var out Result
 	if ctx == nil {
 		ctx = context.Background()
@@ -285,11 +294,10 @@ func Run(ctx context.Context, rs genome.ReadSet, cfg Config, aligner Aligner) (R
 	// to the GPU), chunked by AlignBatch so cancellation is observed and
 	// progress reported mid-stage.
 	t0 := time.Now()
-	aligned, astats, err := alignChunked(ctx, pairs, cfg, aligner, prep)
-	if err != nil {
+	aligned := make([]xdrop.SeedResult, len(pairs))
+	if err := alignChunked(ctx, pairs, aligned, cfg, extend, &out); err != nil {
 		return out, fmt.Errorf("bella: alignment stage: %w", err)
 	}
-	out.Align = astats
 	out.Times.Alignment = time.Since(t0)
 
 	// Stage 7: adaptive-threshold filtering, then the optional traceback
@@ -388,35 +396,30 @@ func cigarOf(ops []xdrop.Op) (string, int) {
 	return string(buf), matches
 }
 
-// alignChunked feeds the candidate pairs to the aligner in AlignBatch-sized
-// chunks (one batch when AlignBatch <= 0), checking ctx and emitting a
-// Progress update between chunks, and merges the per-chunk stats.
-func alignChunked(ctx context.Context, pairs []seq.Pair, cfg Config, aligner Aligner, prep Prepared) ([]xdrop.SeedResult, AlignerStats, error) {
+// alignChunked extends pairs into aligned in AlignBatch-sized chunks (one
+// batch when AlignBatch <= 0), checking ctx and emitting a Progress update
+// between chunks, and adds each chunk's work to out.
+func alignChunked(ctx context.Context, pairs []seq.Pair, aligned []xdrop.SeedResult, cfg Config, extend backend.ExtendFunc, out *Result) error {
 	chunk := cfg.AlignBatch
 	if chunk <= 0 || chunk > len(pairs) {
 		chunk = len(pairs)
 	}
-	var stats AlignerStats
-	aligned := make([]xdrop.SeedResult, 0, len(pairs))
+	sch := xdrop.LinearScheme(cfg.Scoring)
 	for lo := 0; lo < len(pairs); lo += chunk {
 		if err := ctx.Err(); err != nil {
-			return nil, AlignerStats{}, err
+			return err
 		}
 		hi := min(lo+chunk, len(pairs))
-		res, st, err := aligner.AlignPairs(ctx, pairs[lo:hi], cfg.Scoring, cfg.X)
+		st, err := extend(ctx, pairs[lo:hi], aligned[lo:hi], sch, cfg.X)
 		if err != nil {
-			return nil, AlignerStats{}, err
+			return err
 		}
-		if len(res) != hi-lo {
-			return nil, AlignerStats{}, fmt.Errorf("bella: aligner returned %d results for %d pairs", len(res), hi-lo)
-		}
-		aligned = append(aligned, res...)
-		stats.Cells += st.Cells
-		stats.DeviceTime += st.DeviceTime
+		out.Cells += st.Cells
+		out.DeviceTime += st.DeviceTime
 		cfg.progress(Progress{
-			Stage: StageAlign, ReliableKmers: prep.Reliable, CandidatePairs: prep.Candidates,
+			Stage: StageAlign, ReliableKmers: out.Reliable, CandidatePairs: out.Candidates,
 			ExtensionsDone: hi, ExtensionsTotal: len(pairs),
 		})
 	}
-	return aligned, stats, nil
+	return nil
 }

@@ -93,7 +93,7 @@ func TestPipelineTraceback(t *testing.T) {
 	} {
 		cfg := tc.cfg
 		cfg.MinOverlap = 600
-		plain, err := Run(context.Background(), tc.rs, cfg, CPUAligner{})
+		plain, err := Run(context.Background(), tc.rs, cfg, cpuExtend(t))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,7 +104,7 @@ func TestPipelineTraceback(t *testing.T) {
 		var traced []Overlap
 		for _, workers := range tc.workers {
 			cfg.Workers = workers
-			res, err := Run(context.Background(), tc.rs, cfg, CPUAligner{})
+			res, err := Run(context.Background(), tc.rs, cfg, cpuExtend(t))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -141,7 +141,7 @@ func TestTracebackCancelled(t *testing.T) {
 			cancel()
 		}
 	}
-	if _, err := Run(ctx, rs, cfg, CPUAligner{}); !errors.Is(err, context.Canceled) {
+	if _, err := Run(ctx, rs, cfg, cpuExtend(t)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled run: %v", err)
 	}
 }

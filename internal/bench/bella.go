@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"logan/internal/backend"
 	"logan/internal/bella"
 	"logan/internal/core"
 	"logan/internal/cuda"
@@ -55,11 +56,11 @@ func RunBella(scale Scale, preset genome.Preset, paper map[int32]PaperRow3, titl
 	}
 	var pts []point
 	dev := cuda.MustV100()
-	pool := xdrop.NewPool(0)
-	defer pool.Close()
+	cpu := backend.NewCPU(0) // BELLA's SeqAn-style CPU baseline
+	defer cpu.Close()
 	cpuRes := make([]xdrop.SeedResult, len(prep.Pairs))
 	for _, x := range scale.BellaXValues {
-		cpuStats, err := pool.ExtendBatch(prep.Pairs, cpuRes, cfg.Scoring, x)
+		cpuStats, err := cpu.ExtendBatch(context.Background(), prep.Pairs, cpuRes, xdrop.LinearScheme(cfg.Scoring), x)
 		if err != nil {
 			return out, err
 		}
@@ -135,7 +136,7 @@ func RunBella(scale Scale, preset genome.Preset, paper map[int32]PaperRow3, titl
 	midX := scale.BellaXValues[len(scale.BellaXValues)/2]
 	acfg := bella.DefaultConfig(preset.Coverage, preset.ErrorRate, midX)
 	acfg.MinOverlap = preset.MinLen / 2
-	res, err := bella.Run(context.Background(), rs, acfg, bella.CPUAligner{})
+	res, err := bella.Run(context.Background(), rs, acfg, cpu.ExtendBatch)
 	if err != nil {
 		return out, err
 	}

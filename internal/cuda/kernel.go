@@ -2,7 +2,8 @@ package cuda
 
 import (
 	"fmt"
-	"sync"
+
+	"logan/internal/par"
 )
 
 // LaunchConfig is the kernel launch geometry, the analogue of CUDA's
@@ -168,39 +169,25 @@ func (d *Device) Launch(cfg LaunchConfig, kernel KernelFunc) (KernelStats, error
 	}
 	// Each worker accumulates locally; merge afterwards (sums commute).
 	locals := make([]KernelStats, workers)
-	var wg sync.WaitGroup
-	next := make(chan int, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			local := &locals[w]
-			for blk := range next {
-				ctx := BlockCtx{
-					BlockIdx: blk,
-					GridDim:  cfg.Grid,
-					BlockDim: cfg.Block,
-					spec:     &d.Spec,
-				}
-				kernel(&ctx)
-				b := &ctx.acc
-				// A block's own totals are its per-block maxima.
-				b.MaxBlockWarpInstrs, b.MaxBlockIters, b.MaxBlockAccesses = b.WarpInstrs, b.Iterations, b.AccessEvents
-				local.merge(b)
-				if stats.PerBlock != nil {
-					stats.PerBlock[blk] = BlockStats{
-						WarpInstrs: b.WarpInstrs, LaneOps: b.LaneOps, Iterations: b.Iterations,
-						Barriers: b.Barriers, Reductions: b.Reductions, AccessEvents: b.AccessEvents,
-					}
-				}
+	par.Claim(cfg.Grid, workers, func(w, blk int) {
+		ctx := BlockCtx{
+			BlockIdx: blk,
+			GridDim:  cfg.Grid,
+			BlockDim: cfg.Block,
+			spec:     &d.Spec,
+		}
+		kernel(&ctx)
+		b := &ctx.acc
+		// A block's own totals are its per-block maxima.
+		b.MaxBlockWarpInstrs, b.MaxBlockIters, b.MaxBlockAccesses = b.WarpInstrs, b.Iterations, b.AccessEvents
+		locals[w].merge(b)
+		if stats.PerBlock != nil {
+			stats.PerBlock[blk] = BlockStats{
+				WarpInstrs: b.WarpInstrs, LaneOps: b.LaneOps, Iterations: b.Iterations,
+				Barriers: b.Barriers, Reductions: b.Reductions, AccessEvents: b.AccessEvents,
 			}
-		}(w)
-	}
-	for blk := 0; blk < cfg.Grid; blk++ {
-		next <- blk
-	}
-	close(next)
-	wg.Wait()
+		}
+	})
 
 	for i := range locals {
 		stats.merge(&locals[i])

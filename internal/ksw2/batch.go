@@ -1,9 +1,7 @@
 package ksw2
 
 import (
-	"runtime"
-	"sync"
-
+	"logan/internal/par"
 	"logan/internal/seq"
 )
 
@@ -36,30 +34,15 @@ func (s BatchStats) MeanBand() float64 {
 // goroutines (0 = GOMAXPROCS), the multi-threaded harness the paper's
 // Skylake runs use.
 func ExtendBatch(pairs []seq.Pair, p Params, workers int) ([]PairResult, BatchStats) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers = par.Workers(workers)
 	if workers > len(pairs) && len(pairs) > 0 {
 		workers = len(pairs)
 	}
 	results := make([]PairResult, len(pairs))
-	var wg sync.WaitGroup
-	idxCh := make(chan int, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for idx := range idxCh {
-				l, r, score := ExtendSeed(pairs[idx], p)
-				results[idx] = PairResult{Left: l, Right: r, Score: score}
-			}
-		}()
-	}
-	for i := range pairs {
-		idxCh <- i
-	}
-	close(idxCh)
-	wg.Wait()
+	par.Claim(len(pairs), workers, func(_, i int) {
+		l, r, score := ExtendSeed(pairs[i], p)
+		results[i] = PairResult{Left: l, Right: r, Score: score}
+	})
 
 	var stats BatchStats
 	stats.Pairs = len(pairs)

@@ -51,43 +51,6 @@ func (o *IndexOptions) Params() Params {
 // gauge.
 type IndexStats = minidx.Stats
 
-// MapStage names a phase of the mapping pipeline in progress updates:
-// "ingest" (MapFasta parsing), "seed" (minimizer lookup + chaining),
-// "extend" (batched X-drop extension of selected chains) and "done".
-type MapStage string
-
-// Mapping pipeline stages.
-const (
-	MapStageIngest MapStage = "ingest"
-	MapStageSeed   MapStage = "seed"
-	MapStageExtend MapStage = "extend"
-	MapStageDone   MapStage = "done"
-)
-
-// MapProgress is one progress snapshot of a mapping run, delivered via
-// MapConfig.OnProgress. Counters are cumulative over the run; reads are
-// processed in batches, so Seeded/ExtensionsTotal grow as the run
-// streams through its input.
-type MapProgress struct {
-	// Stage is the phase that just produced this update.
-	Stage MapStage
-	// ReadsParsed counts input records ingested (grows during "ingest"
-	// for MapFasta; set once up front for Map).
-	ReadsParsed int
-	// ReadsSeeded counts reads through minimizer lookup and chaining.
-	ReadsSeeded int
-	// Anchors and Chains are cumulative seeding outcomes.
-	Anchors, Chains int64
-	// ExtensionsDone/ExtensionsTotal track X-drop extensions of selected
-	// chains; the total grows batch by batch as reads are seeded.
-	ExtensionsDone, ExtensionsTotal int
-	// Mapped counts reads with at least one accepted placement so far.
-	Mapped int
-	// Shed/Retries count coalescer admission rejections of extension
-	// batches and their re-submissions (coalescer-routed Mappers only).
-	Shed, Retries int64
-}
-
 // MapConfig parameterizes one mapping run: chaining bounds, placement
 // selection, and the X-drop extension configuration. The zero value is
 // not valid; start from DefaultMapConfig. The numeric fields are the rows
@@ -112,13 +75,9 @@ type MapConfig struct {
 	// MaxSecondary caps reported secondary placements per primary locus
 	// (0 reports primaries only; negative selects the default of 5).
 	MaxSecondary int
-	// BatchReads processes reads in batches of this size, with
-	// cancellation checks, progress updates, and one batched extension
-	// submission per batch.
+	// BatchReads processes reads in batches of this size, with a
+	// cancellation check and one batched extension submission per batch.
 	BatchReads int
-	// OnProgress, when non-nil, receives progress snapshots. It is called
-	// synchronously and must return quickly.
-	OnProgress func(MapProgress)
 }
 
 // defaultMapSecondaries is the per-primary secondary placement cap a
@@ -190,7 +149,8 @@ type MapStats struct {
 	// ingestion.
 	Times    MapStageTimes
 	WallTime time.Duration
-	// Shed/Retries mirror the final MapProgress counters.
+	// Shed/Retries count coalescer admission rejections of extension
+	// batches and their re-submissions (coalescer-routed Mappers only).
 	Shed, Retries int64
 }
 
@@ -215,9 +175,11 @@ type MapperOptions struct {
 // Mapper is the public reference mapping subsystem: a minimizer index
 // over a reference set (Build/Load/Save) and a minimap2-style
 // minimize → chain → extend pipeline (Map) whose extension stage is the
-// shared Aligner engine's batched X-drop. The index is swapped
-// atomically, so Map calls may run concurrently with Build/Load; each
-// run uses the index installed when it started.
+// shared Aligner engine's batched X-drop: each read batch's pairs go to
+// the same extend path the Overlapper uses, into result buffers the run
+// reuses batch to batch. The index is swapped atomically, so Map calls
+// may run concurrently with Build/Load; each run uses the index installed
+// when it started.
 type Mapper struct {
 	eng  *Aligner
 	path extendPath
@@ -311,20 +273,12 @@ func (m *Mapper) Build(ctx context.Context, r io.Reader, opt IndexOptions) (Inde
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	fr := seq.NewFastaReader(r)
 	var refs []minidx.Ref
-	for {
-		if err := ctx.Err(); err != nil {
-			return IndexStats{}, err
-		}
-		rec, err := fr.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return IndexStats{}, fmt.Errorf("logan: index fasta: %w", err)
-		}
+	err := readFasta(ctx, r, "index fasta", func(rec seq.Record) {
 		refs = append(refs, minidx.Ref{Name: rec.Name, Seq: rec.Seq})
+	})
+	if err != nil {
+		return IndexStats{}, err
 	}
 	x, err := minidx.Build(refs, minidx.Options{K: opt.K, W: opt.W, MaxOccurrence: opt.MaxOccurrence})
 	if err != nil {
@@ -384,9 +338,9 @@ func (m *Mapper) Map(ctx context.Context, reads []Read, cfg MapConfig) (*MapResu
 	return m.run(ctx, reads, rs, cfg, start)
 }
 
-// MapFasta is Map over streamed FASTA input, reporting "ingest" progress
-// per read. The parse enforces no size limits; callers admitting
-// untrusted input should wrap r with an io.LimitReader.
+// MapFasta is Map over streamed FASTA input. The parse enforces no size
+// limits; callers admitting untrusted input should wrap r with an
+// io.LimitReader.
 func (m *Mapper) MapFasta(ctx context.Context, r io.Reader, cfg MapConfig) (*MapResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -395,25 +349,14 @@ func (m *Mapper) MapFasta(ctx context.Context, r io.Reader, cfg MapConfig) (*Map
 		ctx = context.Background()
 	}
 	start := time.Now()
-	fr := seq.NewFastaReader(r)
 	var reads []Read
 	var rs []seq.Seq
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		rec, err := fr.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("logan: fasta: %w", err)
-		}
+	err := readFasta(ctx, r, "fasta", func(rec seq.Record) {
 		reads = append(reads, Read{Name: rec.Name, Seq: rec.Seq})
 		rs = append(rs, rec.Seq)
-		if cfg.OnProgress != nil {
-			cfg.OnProgress(MapProgress{Stage: MapStageIngest, ReadsParsed: len(reads)})
-		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	return m.run(ctx, reads, rs, cfg, start)
 }
@@ -439,7 +382,9 @@ func (m *Mapper) run(ctx context.Context, reads []Read, rs []seq.Seq, cfg MapCon
 		MinAnchors: cfg.MinChainAnchors,
 	}
 
-	ext := &extender{extendPath: m.path}
+	var n shedCount
+	extend := m.path.retrying(&n)
+	sch := xdrop.LinearScheme(cfg.Scoring.linear)
 
 	res := &MapResult{}
 	st := &res.Stats
@@ -448,21 +393,11 @@ func (m *Mapper) run(ctx context.Context, reads []Read, rs []seq.Seq, cfg MapCon
 	for w := range seeders {
 		seeders[w] = mapSeeder{idx: idx, opt: chOpt, x: cfg.X, maxSec: maxSec}
 	}
-	seeded := 0
-	progress := func(stage MapStage, extDone, extTotal int) {
-		if cfg.OnProgress == nil {
-			return
-		}
-		cfg.OnProgress(MapProgress{
-			Stage:       stage,
-			ReadsParsed: len(reads), ReadsSeeded: seeded,
-			Anchors: st.Anchors, Chains: st.Chains,
-			ExtensionsDone: extDone, ExtensionsTotal: extTotal,
-			Mapped: st.Mapped,
-			Shed:   ext.shed.Load(), Retries: ext.retries.Load(),
-		})
-	}
-	extDone := 0
+	// One engine submission per batch, into buffers reused batch to batch.
+	var (
+		pairs []seq.Pair
+		out   []xdrop.SeedResult
+	)
 	for lo := 0; lo < len(reads); lo += batch {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -471,31 +406,23 @@ func (m *Mapper) run(ctx context.Context, reads []Read, rs []seq.Seq, cfg MapCon
 		seedStart := time.Now()
 		jobs := seedBatch(seeders, rs, lo, hi)
 		st.Times.Seed += time.Since(seedStart)
-		seeded = hi
-		st.Anchors, st.Chains = 0, 0
-		for _, sd := range seeders {
-			st.Anchors += sd.anchors
-			st.Chains += sd.chains
-		}
-		progress(MapStageSeed, extDone, extDone+len(jobs))
-
 		if len(jobs) == 0 {
 			continue
 		}
 		extStart := time.Now()
-		pairs := make([]seq.Pair, len(jobs))
-		for i, j := range jobs {
-			pairs[i] = j.pair
+		pairs = slices.Grow(pairs[:0], len(jobs))
+		for _, j := range jobs {
+			pairs = append(pairs, j.pair)
 		}
-		out, ast, err := ext.AlignPairs(ctx, pairs, cfg.Scoring.linear, cfg.X)
+		out = slices.Grow(out[:0], len(jobs))[:len(jobs)]
+		bst, err := extend(ctx, pairs, out, sch, cfg.X)
 		if err != nil {
 			return nil, err
 		}
 		st.Times.Extend += time.Since(extStart)
 		st.Extensions += int64(len(jobs))
-		st.Cells += ast.Cells
-		st.DeviceTime += ast.DeviceTime
-		extDone += len(jobs)
+		st.Cells += bst.Cells
+		st.DeviceTime += bst.DeviceTime
 
 		mappedRead := -1
 		for i, j := range jobs {
@@ -509,10 +436,13 @@ func (m *Mapper) run(ctx context.Context, reads []Read, rs []seq.Seq, cfg MapCon
 				st.Mapped++
 			}
 		}
-		progress(MapStageExtend, extDone, extDone)
 	}
-	st.Shed = ext.shed.Load()
-	st.Retries = ext.retries.Load()
+	for _, sd := range seeders {
+		st.Anchors += sd.anchors
+		st.Chains += sd.chains
+	}
+	st.Shed = n.shed.Load()
+	st.Retries = n.retries.Load()
 	st.WallTime = time.Since(start)
 
 	m.mReads.Add(float64(st.Reads))
@@ -521,7 +451,6 @@ func (m *Mapper) run(ctx context.Context, reads []Read, rs []seq.Seq, cfg MapCon
 	m.mChains.Add(float64(st.Chains))
 	m.mExtensions.Add(float64(st.Extensions))
 	m.mRecords.Add(float64(len(res.Records)))
-	progress(MapStageDone, extDone, extDone)
 	return res, nil
 }
 

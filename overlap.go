@@ -249,7 +249,10 @@ type OverlapperOptions struct {
 // seeding, candidate detection, binning) over a shared Aligner engine's
 // batched X-drop extension, producing PAF records. It is the workload the
 // paper integrates LOGAN into (§V) — many-to-many long-read overlap — as
-// a first-class API.
+// a first-class API. The pipeline hands its extension chunks to one
+// extend function with the engine dispatch's signature (the engine's own,
+// or the Coalescer's bulk entry) and gets their results back in its own
+// result slice; shed chunks are retried on the way.
 //
 // An Overlapper is a thin stateless front end over its engine: it is safe
 // for concurrent Run calls, and the engine keeps serving Align traffic
@@ -305,25 +308,37 @@ func (o *Overlapper) RunFasta(ctx context.Context, r io.Reader, cfg OverlapConfi
 		ctx = context.Background()
 	}
 	start := time.Now()
-	fr := seq.NewFastaReader(r)
 	rs := genome.ReadSet{}
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		rec, err := fr.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("logan: fasta: %w", err)
-		}
+	err := readFasta(ctx, r, "fasta", func(rec seq.Record) {
 		rs.Reads = append(rs.Reads, genome.Read{ID: len(rs.Reads), Seq: rec.Seq, Label: rec.Name})
 		if cfg.OnProgress != nil {
 			cfg.OnProgress(OverlapProgress{Stage: StageIngest, ReadsParsed: len(rs.Reads)})
 		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	return o.run(ctx, rs, cfg, start)
+}
+
+// readFasta is the one FASTA ingest loop, of RunFasta, MapFasta and
+// Mapper.Build: it hands each record of r to fn, checking ctx before
+// every record, and wraps a parse error as "logan: <what>: ...".
+func readFasta(ctx context.Context, r io.Reader, what string, fn func(seq.Record)) error {
+	fr := seq.NewFastaReader(r)
+	for {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		rec, err := fr.Next()
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return fmt.Errorf("logan: %s: %w", what, err)
+		}
+		fn(rec)
+	}
 }
 
 // run executes the pipeline over an ingested read set.
@@ -332,17 +347,17 @@ func (o *Overlapper) run(ctx context.Context, rs genome.ReadSet, cfg OverlapConf
 		ctx = context.Background()
 	}
 	cfg.Params().resolve()
-	ext := &extender{extendPath: o.path}
+	var n shedCount
 	bcfg := cfg.bellaConfig()
 	if cfg.OnProgress != nil {
 		nReads := len(rs.Reads)
 		bcfg.OnProgress = func(p OverlapProgress) {
 			p.ReadsParsed = nReads
-			p.Shed, p.Retries = ext.shed.Load(), ext.retries.Load()
+			p.Shed, p.Retries = n.shed.Load(), n.retries.Load()
 			cfg.OnProgress(p)
 		}
 	}
-	res, err := bella.Run(ctx, rs, bcfg, ext)
+	res, err := bella.Run(ctx, rs, bcfg, o.path.retrying(&n))
 	if err != nil {
 		return nil, err
 	}
@@ -353,25 +368,21 @@ func (o *Overlapper) run(ctx context.Context, rs genome.ReadSet, cfg OverlapConf
 			ReliableKmers:  res.Reliable,
 			CandidatePairs: res.Candidates,
 			MatrixNNZ:      res.NNZ,
-			Cells:          res.Align.Cells,
-			DeviceTime:     res.Align.DeviceTime,
+			Cells:          res.Cells,
+			DeviceTime:     res.DeviceTime,
 			Times:          res.Times,
 			WallTime:       time.Since(start),
-			Shed:           ext.shed.Load(),
-			Retries:        ext.retries.Load(),
+			Shed:           n.shed.Load(),
+			Retries:        n.retries.Load(),
 		},
 	}, nil
 }
 
-// extendFunc is the signature of the engine's one dispatch,
-// Aligner.extendPrepared, and of the Coalescer's bulk entry,
-// Coalescer.extendBulk: a pipeline holds one or the other.
-type extendFunc func(ctx context.Context, in []seq.Pair, out []xdrop.SeedResult, sch xdrop.Scheme, x int32) (backend.BatchStats, error)
-
 // extendPath is how a pipeline (Overlapper, Mapper) reaches the engine:
-// its extend function and the registry totals of its shed chunks.
+// its extend function, the engine's dispatch or the Coalescer's bulk
+// entry, and the registry totals of its shed chunks.
 type extendPath struct {
-	extend                extendFunc
+	extend                backend.ExtendFunc
 	shedTotal, retryTotal *telemetry.Counter
 }
 
@@ -393,53 +404,39 @@ func newExtendPath(eng *Aligner, coal *Coalescer, pipeline, chunks string) exten
 	return p
 }
 
-// extender is the one bella.Aligner of the overlap and mapping
-// pipelines: it extends each chunk through the path's extend function.
-// Chunks the coalescer's admission control sheds are re-submitted with
-// exponential backoff; every shed and retry is counted for the run
-// (shed, retries) and in the registry.
-type extender struct {
-	extendPath
-	shed, retries atomic.Int64
-}
-
-// Name identifies the aligner in reports.
-func (e *extender) Name() string { return "logan-engine" }
+// shedCount tallies one run's shed chunks and their re-submissions.
+type shedCount struct{ shed, retries atomic.Int64 }
 
 // overlapMaxRetries bounds re-submissions of one shed chunk before the
 // run fails with ErrOverloaded: sustained overload should fail the job,
 // not wedge it.
 const overlapMaxRetries = 10
 
-// AlignPairs extends one chunk, retrying it while it is shed.
-func (e *extender) AlignPairs(ctx context.Context, pairs []seq.Pair, sc xdrop.Scoring, x int32) ([]xdrop.SeedResult, bella.AlignerStats, error) {
-	out := make([]xdrop.SeedResult, len(pairs))
-	var (
-		bst backend.BatchStats
-		err error
-	)
-	backoff := time.Millisecond
-	for attempt := 0; ; attempt++ {
-		bst, err = e.extend(ctx, pairs, out, xdrop.LinearScheme(sc), x)
-		if !errors.Is(err, ErrOverloaded) {
-			break
+// retrying returns the path's extend function for one run, with the
+// pipelines' one shed-retry loop: a chunk the coalescer's admission
+// control sheds is re-submitted with exponential backoff, and every shed
+// and retry is counted in n and in the registry.
+func (p extendPath) retrying(n *shedCount) backend.ExtendFunc {
+	return func(ctx context.Context, in []seq.Pair, out []xdrop.SeedResult, sch xdrop.Scheme, x int32) (backend.BatchStats, error) {
+		backoff := time.Millisecond
+		for attempt := 0; ; attempt++ {
+			bst, err := p.extend(ctx, in, out, sch, x)
+			if !errors.Is(err, ErrOverloaded) {
+				return bst, err
+			}
+			n.shed.Add(1)
+			p.shedTotal.Inc()
+			if attempt == overlapMaxRetries {
+				return backend.BatchStats{}, fmt.Errorf("logan: extension chunk shed %d times: %w", attempt+1, err)
+			}
+			select {
+			case <-ctx.Done():
+				return backend.BatchStats{}, ctx.Err()
+			case <-time.After(backoff):
+			}
+			backoff = min(2*backoff, 100*time.Millisecond)
+			n.retries.Add(1)
+			p.retryTotal.Inc()
 		}
-		e.shed.Add(1)
-		e.shedTotal.Inc()
-		if attempt == overlapMaxRetries {
-			return nil, bella.AlignerStats{}, fmt.Errorf("logan: extension chunk shed %d times: %w", attempt+1, err)
-		}
-		select {
-		case <-ctx.Done():
-			return nil, bella.AlignerStats{}, ctx.Err()
-		case <-time.After(backoff):
-		}
-		backoff = min(2*backoff, 100*time.Millisecond)
-		e.retries.Add(1)
-		e.retryTotal.Inc()
 	}
-	if err != nil {
-		return nil, bella.AlignerStats{}, err
-	}
-	return out, bella.AlignerStats{Cells: bst.Cells, DeviceTime: bst.DeviceTime}, nil
 }

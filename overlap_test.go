@@ -4,13 +4,17 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"os"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"logan/internal/backend"
 	"logan/internal/bella"
 	"logan/internal/genome"
 	"logan/internal/seq"
@@ -53,9 +57,11 @@ func TestOverlapperMatchesInternalPipeline(t *testing.T) {
 	rs := overlapTestSet(t, 11, 60_000)
 	cfg := overlapTestConfig(20)
 
-	// Reference: the internal pipeline with the internal CPU aligner.
+	// Reference: the internal pipeline on a bare CPU backend.
 	bcfg := cfg.bellaConfig()
-	ref, err := bella.Run(context.Background(), rs, bcfg, bella.CPUAligner{})
+	cpu := backend.NewCPU(0)
+	defer cpu.Close()
+	ref, err := bella.Run(context.Background(), rs, bcfg, cpu.ExtendBatch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,7 +369,9 @@ func TestOverlapperTraceback(t *testing.T) {
 	cfg.Traceback = true
 
 	bcfg := cfg.bellaConfig()
-	ref, err := bella.Run(context.Background(), rs, bcfg, bella.CPUAligner{})
+	cpu := backend.NewCPU(0)
+	defer cpu.Close()
+	ref, err := bella.Run(context.Background(), rs, bcfg, cpu.ExtendBatch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -491,5 +499,143 @@ func TestOverlapSharesEngine(t *testing.T) {
 	}
 	if len(res.Records) == 0 {
 		t.Error("overlap run under concurrent Align traffic found nothing")
+	}
+}
+
+// shedding wraps extend so that its first k calls are shed with
+// ErrOverloaded, as coalescer admission sheds a chunk, and later calls
+// run through to extend. onShed, when non-nil, runs at every shed call
+// with the call's number, from 1.
+func shedding(k int64, extend backend.ExtendFunc, onShed func(call int64)) (backend.ExtendFunc, *atomic.Int64) {
+	calls := new(atomic.Int64)
+	return func(ctx context.Context, in []seq.Pair, out []xdrop.SeedResult, sch xdrop.Scheme, x int32) (backend.BatchStats, error) {
+		if c := calls.Add(1); c <= k {
+			if onShed != nil {
+				onShed(c)
+			}
+			return backend.BatchStats{}, ErrOverloaded
+		}
+		return extend(ctx, in, out, sch, x)
+	}, calls
+}
+
+// TestExtendPathShedRetry drives the pipelines' shed-retry loop with an
+// extend function that is shed k times before it lets chunks through:
+// both pipelines return the results of a run that was never shed, count
+// k sheds and k retries in their stats (and the Overlapper in its last
+// progress update), and grow logan_overlap_shed_total and
+// logan_map_retries_total by k.
+func TestExtendPathShedRetry(t *testing.T) {
+	const k = 3
+	eng, err := NewAligner(EngineOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+
+	t.Run("overlap", func(t *testing.T) {
+		rs := overlapTestSet(t, 13, 40_000)
+		cfg := overlapTestConfig(15)
+		ov, _ := NewOverlapper(eng, OverlapperOptions{})
+		want, err := ov.Run(context.Background(), readsOf(rs), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ov.path.extend, _ = shedding(k, eng.extendPrepared, nil)
+		var last OverlapProgress
+		cfg.OnProgress = func(p OverlapProgress) { last = p }
+		shedBefore := ov.path.shedTotal.Value()
+		got, err := ov.Run(context.Background(), readsOf(rs), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got.Records) == 0 || !reflect.DeepEqual(got.Records, want.Records) {
+			t.Errorf("%d records after %d sheds, want the unshed run's %d", len(got.Records), k, len(want.Records))
+		}
+		if st := got.Stats; st.Shed != k || st.Retries != k {
+			t.Errorf("stats shed %d, retries %d; want %d each", st.Shed, st.Retries, k)
+		}
+		if last.Stage != StageDone || last.Shed != k || last.Retries != k {
+			t.Errorf("last progress %+v; want stage done with %d sheds and retries", last, k)
+		}
+		if d := ov.path.shedTotal.Value() - shedBefore; d != k {
+			t.Errorf("logan_overlap_shed_total grew by %v, want %d", d, k)
+		}
+	})
+
+	t.Run("map", func(t *testing.T) {
+		g, rs := mapTestSet(t, 29, 40_000)
+		m, err := NewMapper(eng, MapperOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Build(context.Background(), strings.NewReader(genomeFasta(g)), IndexOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		cfg := DefaultMapConfig(80)
+		cfg.BatchReads = 8
+		want, err := m.Map(context.Background(), mapReadsOf(rs), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.path.extend, _ = shedding(k, eng.extendPrepared, nil)
+		retriesBefore := m.path.retryTotal.Value()
+		got, err := m.Map(context.Background(), mapReadsOf(rs), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got.Records) == 0 || !reflect.DeepEqual(got.Records, want.Records) {
+			t.Errorf("%d records after %d sheds, want the unshed run's %d", len(got.Records), k, len(want.Records))
+		}
+		if st := got.Stats; st.Shed != k || st.Retries != k || st.Cells != want.Stats.Cells {
+			t.Errorf("stats %+v; want %d sheds and retries and the unshed run's %d cells", st, k, want.Stats.Cells)
+		}
+		if d := m.path.retryTotal.Value() - retriesBefore; d != k {
+			t.Errorf("logan_map_retries_total grew by %v, want %d", d, k)
+		}
+	})
+}
+
+// TestExtendPathShedLimit: a chunk shed on every submission fails after
+// overlapMaxRetries re-submissions with an error wrapping ErrOverloaded,
+// and a context cancelled while a shed chunk backs off ends the loop at
+// once with the context's error: cancelled 10 ms into the 100 ms backoff
+// after the eighth shed, the loop never submits a ninth time.
+func TestExtendPathShedLimit(t *testing.T) {
+	eng, err := NewAligner(EngineOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	sch := xdrop.LinearScheme(xdrop.DefaultScoring())
+
+	p := newExtendPath(eng, nil, "overlap", "overlap extension chunks")
+	extend, calls := shedding(math.MaxInt64, eng.extendPrepared, nil)
+	p.extend = extend
+	var n shedCount
+	_, err = p.retrying(&n)(context.Background(), nil, nil, sch, 20)
+	if !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("err %v, want one wrapping ErrOverloaded", err)
+	}
+	if c, s, r := calls.Load(), n.shed.Load(), n.retries.Load(); c != overlapMaxRetries+1 || s != c || r != overlapMaxRetries {
+		t.Errorf("%d submissions, %d sheds, %d retries; want %d, %d, %d",
+			c, s, r, overlapMaxRetries+1, overlapMaxRetries+1, overlapMaxRetries)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	extend, calls = shedding(math.MaxInt64, eng.extendPrepared, func(call int64) {
+		if call == 8 {
+			time.AfterFunc(10*time.Millisecond, cancel)
+		}
+	})
+	p.extend = extend
+	n = shedCount{}
+	_, err = p.retrying(&n)(ctx, nil, nil, sch, 20)
+	if err != ctx.Err() || !errors.Is(err, context.Canceled) {
+		t.Fatalf("err %v, want the context's error %v", err, ctx.Err())
+	}
+	if c, s, r := calls.Load(), n.shed.Load(), n.retries.Load(); c != 8 || s != 8 || r != 7 {
+		t.Errorf("%d submissions, %d sheds, %d retries after a cancel in the eighth backoff; want 8, 8, 7", c, s, r)
 	}
 }

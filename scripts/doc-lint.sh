@@ -8,7 +8,8 @@
 # configuration, the generated tables of docs/SERVING.md their
 # generators' output, request parameters one parser, the coalescer
 # one admission policy in pure, clock-free code, pipeline work one
-# extension path, minimizer extraction one sweep, the pipelines one
+# extension path, the root package one FASTA ingest loop, minimizer
+# extraction one sweep, the pipelines one
 # radix sort and one alignment algorithm, BELLA's front end one k-mer
 # pass, the coalescer's flusher batches and no per-request work. Run
 # from the repo root;
@@ -156,13 +157,28 @@ fi
 # and the flusher runs every batch through that same dispatch. The two
 # extender adapters, the context-carried service class, the flusher's
 # second engine entry, the traceback refusal and the job flag they served
-# stay gone. The names are split so that this file does not match itself.
+# stay gone. So do the layers that sat between bella.Run and that one
+# signature (backend.ExtendFunc): BELLA's aligner interface, its CPU
+# aligner and stats, the root package's private copy of the signature,
+# and the mapping progress API no program read (MapStageTimes stays).
+# The names are split so that this file does not match itself.
 gone='engine''Extender|coalesced''Extender|with''Priority|priority''From|align''Prepared|ErrTraceback''Unavailable|job''Coalesce|job-''coalesce'
+gone="$gone"'|CPU''Aligner|Aligner''Stats|Align''Pairs|\bextend''Func\b|Map''Progress|Map''Stage($|[^T])'
 back=$(grep -rnE --include='*.go' --include='*.md' --include='*.sh' --include='*.txt' --include='*.yml' "$gone" . |
 	grep -vE '^\./(CHANGES|ROADMAP|ISSUE)\.md:' || true)
 if [ -n "$back" ]; then
 	echo "doc-lint: a second extension path is back (pipelines extend through one extend function):" >&2
 	echo "$back" >&2
+	exit 1
+fi
+
+# The root package reads FASTA in one loop, readFasta, shared by
+# RunFasta, MapFasta and Mapper.Build: a second non-test call site of
+# seq.NewFastaReader means an ingest loop has been pasted again.
+fasta=$(grep -nE 'seq\.NewFastaReader\(' $(ls *.go | grep -v '_test\.go$') || true)
+if [ "$(printf '%s' "$fasta" | grep -c .)" -ne 1 ]; then
+	echo "doc-lint: non-test root-package code must call seq.NewFastaReader at exactly one site (readFasta):" >&2
+	echo "$fasta" >&2
 	exit 1
 fi
 
