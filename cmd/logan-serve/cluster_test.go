@@ -355,7 +355,7 @@ func TestClusterMetricsRollup(t *testing.T) {
 	startWorker(t, srv.URL, "w1")
 	startWorker(t, srv.URL, "w2")
 
-	// Worker snapshots arrive with heartbeats; poll until both appear.
+	// Worker snapshots arrive with their polls; scrape until both appear.
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		resp, err := http.Get(srv.URL + "/metrics")

@@ -60,9 +60,10 @@
 // cluster: the front door (auth, quotas, admission) is unchanged, but
 // accepted /jobs are persisted to a durable file-backed queue
 // (-cluster-queue; replayed on restart) and executed by logan-worker
-// processes that register over HTTP, heartbeat, and pull work under
-// expiring leases (-lease-ttl). A worker that dies mid-job simply stops
-// extending its lease; the router requeues the job (at most
+// processes that register over HTTP and pull work under expiring
+// leases (-lease-ttl); a worker's polls and lease extensions are its
+// liveness and carry its telemetry. A worker that dies mid-job simply
+// stops extending its lease; the router requeues the job (at most
 // -max-requeues times) and a surviving worker produces byte-identical
 // output. /statz gains a "cluster" block and /metrics becomes the
 // fleet rollup: every worker's series re-exported under a
@@ -98,8 +99,8 @@
 //	GET    /readyz       readiness: 503 until the engine has run its
 //	                     warm-up alignment (and, in router mode, until at
 //	                     least one worker is registered), then 200
-//	POST   /cluster/...  worker protocol (register, heartbeat, poll,
-//	                     extend, complete, fail) — router mode only,
+//	POST   /cluster/...  worker protocol (register, poll, extend,
+//	                     complete, fail) — router mode only,
 //	                     guarded by -cluster-token
 //	GET    /statz        process-lifetime totals (requests, pairs, cells,
 //	                     errors, shed, writeErrors), the per-backend
@@ -190,7 +191,7 @@ func main() {
 	flag.DurationVar(&cfg.leaseTTL, "lease-ttl", 0,
 		"work lease duration before an unextended job is requeued (router mode; 0 = 10s)")
 	flag.DurationVar(&cfg.workerTTL, "worker-ttl", 0,
-		"silence after which a worker is dropped from the registry (router mode; 0 = 3x lease TTL)")
+		"silence (no poll, no lease report) after which a worker is dropped from the registry; a long-poll is held at most a third of it (router mode; 0 = 3x lease TTL; never below the lease TTL)")
 	flag.IntVar(&cfg.maxRequeues, "max-requeues", 0,
 		"lease expiries tolerated per job before it fails terminally (router mode; 0 = 3)")
 	flag.StringVar(&cfg.clusterToken, "cluster-token", "",

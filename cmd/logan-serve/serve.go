@@ -823,8 +823,9 @@ func coalescerStatz(snap *telemetry.Snapshot) *coalescerStatzJSON {
 // handleMetrics serves the whole registry in Prometheus text exposition
 // format (version 0.0.4): one atomic snapshot, the same numbers a
 // concurrent /statz request would report. In router mode the scrape is
-// the cluster rollup: every live worker's heartbeat-pushed series are
-// merged in under a worker="<name>" label, so one scrape of the router
+// the cluster rollup: the series every live worker sent with its last
+// poll or lease extension are merged in under a worker="<name>" label,
+// so one scrape of the router
 // covers the fleet's backend/kernel/tenant breakdowns.
 func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	s.m.requests.Inc()

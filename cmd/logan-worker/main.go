@@ -4,9 +4,11 @@
 // expiring leases: each leased job's FASTA payload runs through the
 // BELLA overlap pipeline (logan.Overlapper) on the local engine and the
 // resulting PAF streams back to the router. While a job executes, the
-// worker extends its lease on a cadence the router dictates; heartbeats
-// push the worker's full telemetry snapshot so a single scrape of the
-// router's /metrics covers the fleet under worker="<name>" labels.
+// worker extends its lease at a third of the lease's TTL; idle, it
+// long-polls for work. The router knows the worker is alive from those
+// two requests alone, and each carries the worker's full telemetry
+// snapshot, so a single scrape of the router's /metrics covers the fleet
+// under worker="<name>" labels.
 //
 // Failure semantics: if the process dies abruptly (SIGKILL, panic,
 // power loss) it simply stops extending its leases, and the router

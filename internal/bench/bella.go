@@ -86,10 +86,7 @@ func RunBella(scale Scale, preset genome.Preset, paper map[int32]PaperRow3, titl
 	// overlap-phase cost and the per-cell composition gap between the
 	// synthetic preset and the paper's data.
 	platform.Host = BellaHostModel()
-	imb, err := MeasureImbalance(scale, 25, gpus)
-	if err != nil {
-		return out, err
-	}
+	imb := MeasureImbalance(scale, gpus)
 	loganStage := func(p point, g int, im float64) float64 {
 		scaled := ScaleStats(p.gpuStats, factor)
 		tr := int64(float64(p.transfer) * factor)

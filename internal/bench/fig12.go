@@ -66,10 +66,7 @@ func RunFig12(scale Scale) (Fig12Result, error) {
 	transferSW := int64(totalBases(pairs))
 	var gx []float64
 	for _, g := range scale.GPUCounts {
-		imb, err := MeasureImbalance(scale, 5000, g)
-		if err != nil {
-			return out, err
-		}
+		imb := MeasureImbalance(scale, g)
 		lg := gcups(logan.Stats, logan.Cells, logan.TransferBytes, g, imb)
 		cw := gcups(cudasw.Stats, cudasw.Cells, transferSW, g, imb)
 		out.GPUCounts = append(out.GPUCounts, g)

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"math"
 	"time"
 
 	"logan/internal/cuda"
@@ -130,8 +131,8 @@ func FitPower(cellsLo, cellsHi, tLo, tHi float64) PowerFit {
 	if cellsLo <= 0 || cellsHi <= cellsLo || tLo <= 0 || tHi <= tLo {
 		return PowerFit{A: tLo, Beta: 0}
 	}
-	beta := logOf(tHi/tLo) / logOf(cellsHi/cellsLo)
-	return PowerFit{A: tLo / expOf(beta*logOf(cellsLo)), Beta: beta}
+	beta := math.Log(tHi/tLo) / math.Log(cellsHi/cellsLo)
+	return PowerFit{A: tLo / math.Exp(beta*math.Log(cellsLo)), Beta: beta}
 }
 
 // Predict returns the modeled time for a cell count.
@@ -139,7 +140,7 @@ func (f PowerFit) Predict(cells float64) float64 {
 	if f.Beta == 0 || cells <= 0 {
 		return f.A
 	}
-	return f.A * expOf(f.Beta*logOf(cells))
+	return f.A * math.Exp(f.Beta*math.Log(cells))
 }
 
 // BellaHostModel returns the host model for the BELLA integration runs:
@@ -176,8 +177,8 @@ func (f CachedAnchorFit) Predict(cells, ws float64) float64 {
 	case ws >= f.WsHi:
 		pen = f.Penalty
 	default:
-		frac := (logOf(ws) - logOf(f.WsLo)) / (logOf(f.WsHi) - logOf(f.WsLo))
-		pen = expOf(logOf(f.Penalty) * frac)
+		frac := (math.Log(ws) - math.Log(f.WsLo)) / (math.Log(f.WsHi) - math.Log(f.WsLo))
+		pen = math.Exp(math.Log(f.Penalty) * frac)
 	}
 	return f.Overhead + cells*pen/f.BaseRate
 }

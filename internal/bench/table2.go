@@ -122,10 +122,7 @@ func buildSweep(scale Scale, points []SweepPoint, spec sweepSpec) (SweepResult, 
 	out := SweepResult{}
 	f := scale.Factor()
 	predict := spec.baseFit(points, f)
-	imb, err := MeasureImbalance(scale, points[len(points)/2].X, spec.gpus)
-	if err != nil {
-		return out, err
-	}
+	imb := MeasureImbalance(scale, spec.gpus)
 
 	t := stats.Table{
 		Title: spec.title,

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"logan/internal/core"
@@ -12,9 +11,6 @@ import (
 	"logan/internal/seq"
 	"logan/internal/xdrop"
 )
-
-func logOf(x float64) float64 { return math.Log(x) }
-func expOf(x float64) float64 { return math.Exp(x) }
 
 // SweepPoint is the measured work at one X value on the sample pair set:
 // everything the models need, from all three implementations run on the
@@ -91,12 +87,11 @@ func MeasureSweep(scale Scale, withKsw2 bool) ([]SweepPoint, error) {
 // MeasureImbalance evaluates the load balancer's partition quality at the
 // full paper workload size: pair weights are drawn from the scale's
 // length distribution (no sequences materialized) and the LPT partition's
-// max/mean bucket ratio is returned. Kept as a function of x for
-// interface stability (the partition is length-based, not X-based).
-func MeasureImbalance(scale Scale, x int32, gpus int) (float64, error) {
-	_ = x
+// max/mean bucket ratio is returned. The partition is length-based, so
+// X does not enter.
+func MeasureImbalance(scale Scale, gpus int) float64 {
 	if gpus <= 1 {
-		return 1, nil
+		return 1
 	}
 	rng := rand.New(rand.NewSource(scale.Seed + int64(gpus)))
 	weights := make([]int64, scale.PaperPairs)
@@ -108,11 +103,7 @@ func MeasureImbalance(scale Scale, x int32, gpus int) (float64, error) {
 		weights[i] = 2 * int64(ln)
 	}
 	buckets := loadbal.PartitionWeights(weights, gpus, loadbal.ByLength)
-	imb := loadbal.ImbalanceOf(weights, buckets)
-	if imb < 1 {
-		return 1, nil
-	}
-	return imb, nil
+	return max(loadbal.ImbalanceOf(weights, buckets), 1)
 }
 
 // workingSetKsw2 is ksw2's per-pair cache working set, the quantity the

@@ -1,8 +1,9 @@
 // Package cluster is the distributed scale-out layer: a router tier
 // that admits overlap jobs, persists them to a durable write-ahead
 // queue, and hands them to a fleet of alignment workers under expiring
-// leases — plus the worker client that registers, heartbeats, pulls
-// work, executes it on its local engine, and streams results back.
+// leases — plus the worker client that registers, pulls work (its polls
+// and lease extensions are its liveness and carry its telemetry),
+// executes it on its local engine, and streams results back.
 //
 // The package also owns the job lifecycle itself: Store is the one job
 // table behind the serve layer's /jobs handlers (states, admission,

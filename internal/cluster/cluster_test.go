@@ -133,7 +133,7 @@ func (f *fakeWorker) post(path string, body any, hdr map[string]string) *http.Re
 // lease long-polls one job; ok=false on an empty poll.
 func (f *fakeWorker) lease(waitMs int64) (spec *Spec, jobID, lease string, ok bool) {
 	f.t.Helper()
-	resp := f.post("/cluster/poll", map[string]any{"workerId": f.id, "waitMs": waitMs}, nil)
+	resp := f.post("/cluster/poll", pollRequest{WorkerID: f.id, WaitMs: waitMs}, nil)
 	defer resp.Body.Close()
 	if resp.StatusCode == http.StatusNoContent {
 		return nil, "", "", false
@@ -150,6 +150,23 @@ func (f *fakeWorker) lease(waitMs int64) (spec *Spec, jobID, lease string, ok bo
 		f.t.Fatal(err)
 	}
 	return spec, resp.Header.Get("X-Logan-Job-Id"), resp.Header.Get("X-Logan-Lease"), true
+}
+
+// poll sends one poll carrying snap and returns its status, discarding
+// any lease it grants.
+func (f *fakeWorker) poll(waitMs int64, snap *telemetry.Snapshot) int {
+	f.t.Helper()
+	resp := f.post("/cluster/poll", pollRequest{WorkerID: f.id, WaitMs: waitMs, Snapshot: snap}, nil)
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
+// extend renews a lease, carrying snap, and returns the status.
+func (f *fakeWorker) extend(jobID, lease string, snap *telemetry.Snapshot) int {
+	f.t.Helper()
+	resp := f.post("/cluster/jobs/"+jobID+"/extend", extendRequest{WorkerID: f.id, Lease: lease, Snapshot: snap}, nil)
+	resp.Body.Close()
+	return resp.StatusCode
 }
 
 func (f *fakeWorker) complete(jobID, lease string, paf []byte) int {
@@ -353,8 +370,9 @@ func TestLeaseExpiryRequeues(t *testing.T) {
 	}
 }
 
-// TestWorkerTTL: a worker that stops heartbeating drops out of the
-// registry (and readiness) after WorkerTTL, and is told to re-register.
+// TestWorkerTTL: a worker is alive while it polls or extends a lease —
+// there is no other liveness message. One silent for more than WorkerTTL
+// drops out of the registry (and readiness) and is told to re-register.
 func TestWorkerTTL(t *testing.T) {
 	clock := newFakeClock()
 	r, srv := testRouterAt(t, clock.Now, func(o *RouterOptions) {
@@ -366,25 +384,156 @@ func TestWorkerTTL(t *testing.T) {
 	if !r.Ready() {
 		t.Fatal("worker dropped at exactly WorkerTTL")
 	}
-	beat := func() int {
-		resp := w.post("/cluster/heartbeat", heartbeatRequest{WorkerID: w.id}, nil)
-		resp.Body.Close()
-		return resp.StatusCode
-	}
-	if code := beat(); code != http.StatusOK {
-		t.Fatalf("heartbeat: %d", code)
+	if code := w.poll(0, nil); code != http.StatusNoContent {
+		t.Fatalf("idle poll: %d", code)
 	}
 	clock.Advance(30 * time.Second)
+	r.expire()
 	if !r.Ready() {
-		t.Fatal("heartbeat did not renew the registration")
+		t.Fatal("a poll did not renew the registration")
+	}
+
+	// A busy worker only extends its lease: its last poll was the one that
+	// leased the job, and the extensions alone keep it listed well past
+	// WorkerTTL from that poll.
+	st := submitBytes(t, r, []byte(">r\nAC\n"), "")
+	_, id, lease, ok := w.lease(0)
+	if !ok || id != st.ID {
+		t.Fatalf("lease: ok=%v id=%q", ok, id)
+	}
+	for i := 1; i <= 4; i++ {
+		clock.Advance(9 * time.Second)
+		if code := w.extend(id, lease, nil); code != http.StatusOK {
+			t.Fatalf("extend %d: %d", i, code)
+		}
+		r.expire()
+		if ws := r.Workers(); len(ws) != 1 || ws[0].Leases != 1 {
+			t.Fatalf("%v after the leasing poll, extending worker listed as %+v", time.Duration(i)*9*time.Second, ws)
+		}
+	}
+	if code := w.complete(id, lease, []byte("ok\n")); code != http.StatusOK {
+		t.Fatalf("complete: %d", code)
+	}
+
+	clock.Advance(30 * time.Second)
+	if !r.Ready() {
+		t.Fatal("worker dropped at exactly WorkerTTL after its last report")
 	}
 	clock.Advance(time.Second)
 	if r.Ready() || len(r.Workers()) != 0 {
 		t.Fatal("silent worker still listed after WorkerTTL")
 	}
-	r.expire()
-	if code := beat(); code != http.StatusGone {
-		t.Fatalf("heartbeat of a dropped worker: %d, want 410", code)
+	// 410 before the expiry sweep has run as well as after it: a dropped
+	// worker must register again, not be revived by its next poll.
+	for sweep := 0; sweep < 2; sweep++ {
+		if code := w.poll(0, nil); code != http.StatusGone {
+			t.Fatalf("poll of a dropped worker (sweeps run: %d): %d, want 410", sweep, code)
+		}
+		r.expire()
+	}
+	if len(r.Workers()) != 0 {
+		t.Fatal("a refused poll revived the dropped worker")
+	}
+}
+
+// TestWorkerTTLNotBelowLeaseTTL: a WorkerTTL shorter than the lease is
+// raised to it, or a busy worker — seen only at its extensions, a third
+// of a lease apart — would drop out of the registry between them.
+func TestWorkerTTLNotBelowLeaseTTL(t *testing.T) {
+	clock := newFakeClock()
+	r, srv := testRouterAt(t, clock.Now, func(o *RouterOptions) {
+		o.LeaseTTL = 9 * time.Second
+		o.WorkerTTL = time.Second
+	})
+	submitBytes(t, r, []byte(">r\nAC\n"), "")
+	w := registerFake(t, srv.URL, "w1")
+	_, id, lease, ok := w.lease(0)
+	if !ok {
+		t.Fatal("no lease")
+	}
+	for i := 0; i < 3; i++ {
+		clock.Advance(3 * time.Second)
+		r.expire()
+		if len(r.Workers()) != 1 {
+			t.Fatalf("busy worker dropped %v after its last report", 3*time.Second)
+		}
+		if code := w.extend(id, lease, nil); code != http.StatusOK {
+			t.Fatalf("extend: %d", code)
+		}
+	}
+}
+
+// TestWorkerSnapshotsRidePollAndExtend: the telemetry snapshot a worker
+// sends with a poll is what the rollup reads, a later lease extension's
+// snapshot replaces it, and a worker the router does not know stores
+// nothing.
+func TestWorkerSnapshotsRidePollAndExtend(t *testing.T) {
+	r, srv := testRouter(t, func(o *RouterOptions) { o.LeaseTTL = time.Minute })
+	snap := func(v float64) *telemetry.Snapshot {
+		reg := telemetry.NewRegistry()
+		reg.Counter("logan_test_reports_total", "h").Add(v)
+		return reg.Snapshot()
+	}
+	reported := func() (workers int, v float64) {
+		got := r.WorkerSnapshots()
+		if s := got["w1"]; s != nil {
+			v = s.Value("logan_test_reports_total")
+		}
+		return len(got), v
+	}
+	w := registerFake(t, srv.URL, "w1")
+	if n, _ := reported(); n != 0 {
+		t.Fatalf("%d snapshots before any poll", n)
+	}
+	if code := w.poll(0, snap(1)); code != http.StatusNoContent {
+		t.Fatalf("poll: %d", code)
+	}
+	if n, v := reported(); n != 1 || v != 1 {
+		t.Fatalf("after a poll: %d snapshots, w1 reports %v; want 1, 1", n, v)
+	}
+
+	submitBytes(t, r, []byte(">r\nAC\n"), "")
+	_, id, lease, ok := w.lease(0)
+	if !ok {
+		t.Fatal("no lease")
+	}
+	if code := w.extend(id, lease, snap(2)); code != http.StatusOK {
+		t.Fatalf("extend: %d", code)
+	}
+	if n, v := reported(); n != 1 || v != 2 {
+		t.Fatalf("after an extend: %d snapshots, w1 reports %v; want 1, 2", n, v)
+	}
+
+	ghost := &fakeWorker{t: t, url: srv.URL, id: "not-registered", name: "ghost"}
+	if code := ghost.poll(0, snap(3)); code != http.StatusGone {
+		t.Fatalf("unknown worker's poll: %d, want 410", code)
+	}
+	if code := ghost.extend(id, lease, snap(4)); code != http.StatusOK {
+		t.Fatalf("unknown worker's extend of a live lease: %d", code)
+	}
+	if n, v := reported(); n != 1 || v != 2 {
+		t.Fatalf("after an unknown worker's reports: %d snapshots, w1 reports %v; want 1, 2", n, v)
+	}
+}
+
+// TestPollCappedAtWorkerTTL: on the real clock, a long-poll on an empty
+// queue is held for a third of WorkerTTL whatever wait the worker asks
+// for, so an idle worker re-polls before the router would drop it.
+func TestPollCappedAtWorkerTTL(t *testing.T) {
+	const ttl = 300 * time.Millisecond
+	r, srv := testRouter(t, func(o *RouterOptions) { o.WorkerTTL = ttl })
+	w := registerFake(t, srv.URL, "w1")
+	start := time.Now()
+	code := w.poll(30_000, nil)
+	took := time.Since(start)
+	if code != http.StatusNoContent {
+		t.Fatalf("poll: %d", code)
+	}
+	if took < ttl/3 || took >= ttl {
+		t.Fatalf("a 30 s poll returned after %v, want within [%v, %v)", took, ttl/3, ttl)
+	}
+	if len(r.Workers()) != 1 {
+		t.Fatal("an idle, polling worker was dropped")
 	}
 }
 

@@ -25,9 +25,12 @@ type RouterOptions struct {
 	// its lease before the job requeues (default 10s). Workers extend
 	// at TTL/3, so a dead worker delays its job by at most one TTL.
 	LeaseTTL time.Duration
-	// WorkerTTL is how long a registered worker may go without a
-	// heartbeat before it is dropped from the registry and the
-	// readiness/rollup views (default 3x LeaseTTL).
+	// WorkerTTL is how long a registered worker may go without a poll
+	// or a lease report before it is dropped from the registry and the
+	// readiness/rollup views (default 3x LeaseTTL, never less than
+	// LeaseTTL). A long-poll is held at most WorkerTTL/3, so an idle
+	// worker re-polls well inside it; a busy one is seen only at its
+	// lease extensions, every LeaseTTL/3.
 	WorkerTTL time.Duration
 	// MaxRequeues bounds lease-expiry retries per job before it fails
 	// terminally (default 3): a job that kills every worker it lands on
@@ -59,6 +62,7 @@ func (o *RouterOptions) defaults() {
 	if o.WorkerTTL <= 0 {
 		o.WorkerTTL = 3 * o.LeaseTTL
 	}
+	o.WorkerTTL = max(o.WorkerTTL, o.LeaseTTL) // or busy workers drop out between extensions
 	if o.MaxRequeues <= 0 {
 		o.MaxRequeues = 3
 	}
@@ -87,7 +91,7 @@ type workerState struct {
 	cellsPS  float64 // worker-reported throughput estimate
 	seen     time.Time
 	joined   time.Time
-	snapshot *telemetry.Snapshot // latest pushed registry snapshot
+	snapshot *telemetry.Snapshot // latest registry snapshot from a poll or extend
 	done     int64
 	failed   int64
 }
@@ -186,8 +190,8 @@ func (r *Router) enqueue(j *record, payload []byte) {
 	r.wakeLocked()
 }
 
-// expiryLoop requeues jobs whose lease lapsed and forgets workers whose
-// heartbeats stopped.
+// expiryLoop requeues jobs whose lease lapsed and forgets workers that
+// fell silent.
 func (r *Router) expiryLoop() {
 	defer r.loopWG.Done()
 	tick := max(r.opt.LeaseTTL/4, 10*time.Millisecond)
@@ -313,7 +317,7 @@ type WorkerInfo struct {
 	Leases    int
 }
 
-// Workers lists live workers (heartbeat within WorkerTTL).
+// Workers lists live workers (seen within WorkerTTL).
 func (r *Router) Workers() []WorkerInfo {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -339,8 +343,8 @@ func (r *Router) Workers() []WorkerInfo {
 }
 
 // WorkerSnapshots returns the latest telemetry snapshot each live
-// worker pushed, keyed by worker name — the input to the /metrics
-// rollup.
+// worker sent with a poll or lease extension, keyed by worker name — the
+// input to the /metrics rollup.
 func (r *Router) WorkerSnapshots() map[string]*telemetry.Snapshot {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -364,23 +368,24 @@ type registerRequest struct {
 }
 
 type registerResponse struct {
-	WorkerID    string `json:"workerId"`
-	LeaseTTLMs  int64  `json:"leaseTtlMs"`
-	HeartbeatMs int64  `json:"heartbeatMs"`
+	WorkerID string `json:"workerId"`
 }
 
-type heartbeatRequest struct {
-	WorkerID string  `json:"workerId"`
-	CellsPS  float64 `json:"cellsPerSec,omitempty"`
-	// Snapshot is the worker's whole telemetry registry; the router
-	// re-labels it with worker=<name> in the cluster rollup.
+// A poll and an extend are how the router knows a worker is alive, idle
+// or busy. Each carries the worker's whole telemetry registry as
+// Snapshot, which the router re-labels with worker=<name> in the cluster
+// rollup.
+type pollRequest struct {
+	WorkerID string              `json:"workerId"`
+	WaitMs   int64               `json:"waitMs"`
 	Snapshot *telemetry.Snapshot `json:"snapshot,omitempty"`
 }
 
 type extendRequest struct {
-	WorkerID string   `json:"workerId"`
-	Lease    string   `json:"lease"`
-	Progress Progress `json:"progress"`
+	WorkerID string              `json:"workerId"`
+	Lease    string              `json:"lease"`
+	Progress Progress            `json:"progress"`
+	Snapshot *telemetry.Snapshot `json:"snapshot,omitempty"`
 }
 
 type failRequest struct {
@@ -396,7 +401,6 @@ type failRequest struct {
 func (r *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /cluster/register", r.auth(r.handleRegister))
-	mux.HandleFunc("POST /cluster/heartbeat", r.auth(r.handleHeartbeat))
 	mux.HandleFunc("POST /cluster/poll", r.auth(r.handlePoll))
 	mux.HandleFunc("POST /cluster/jobs/{id}/extend", r.auth(r.handleExtend))
 	mux.HandleFunc("POST /cluster/jobs/{id}/complete", r.auth(r.handleComplete))
@@ -442,8 +446,8 @@ func (r *Router) handleRegister(w http.ResponseWriter, req *http.Request) {
 		id: NewID(), name: in.Name, backend: in.Backend, cellsPS: in.CellsPS,
 		seen: now, joined: now,
 	}
-	// A re-registering worker (restart, missed heartbeats) replaces its
-	// previous incarnation; the old ID's leases expire on their own.
+	// A re-registering worker (restart, silence past WorkerTTL) replaces
+	// its previous incarnation; the old ID's leases expire on their own.
 	for id, old := range r.workers {
 		if old.name == in.Name {
 			delete(r.workers, id)
@@ -451,62 +455,33 @@ func (r *Router) handleRegister(w http.ResponseWriter, req *http.Request) {
 	}
 	r.workers[ws.id] = ws
 	r.mu.Unlock()
-	writeJSON(w, registerResponse{
-		WorkerID:    ws.id,
-		LeaseTTLMs:  r.opt.LeaseTTL.Milliseconds(),
-		HeartbeatMs: (r.opt.WorkerTTL / 3).Milliseconds(),
-	})
+	writeJSON(w, registerResponse{WorkerID: ws.id})
 }
 
-func (r *Router) handleHeartbeat(w http.ResponseWriter, req *http.Request) {
-	var in heartbeatRequest
+func (r *Router) handlePoll(w http.ResponseWriter, req *http.Request) {
+	var in pollRequest
 	if !decodeJSON(w, req, &in, 8<<20) {
 		return
 	}
-	r.mu.Lock()
-	ws, ok := r.workers[in.WorkerID]
-	if ok {
-		ws.seen = r.now()
-		if in.CellsPS > 0 {
-			ws.cellsPS = in.CellsPS
-		}
-		if in.Snapshot != nil {
-			ws.snapshot = in.Snapshot
-		}
-	}
-	r.mu.Unlock()
-	if !ok {
-		// Tell the worker to re-register (router restarted, or the
-		// worker was declared dead); 410 distinguishes "you are unknown"
-		// from a malformed request.
-		http.Error(w, "unknown worker", http.StatusGone)
-		return
-	}
-	writeJSON(w, struct{}{})
-}
-
-// pollWaitLimit caps a long-poll request.
-const pollWaitLimit = 30 * time.Second
-
-func (r *Router) handlePoll(w http.ResponseWriter, req *http.Request) {
-	var in struct {
-		WorkerID string `json:"workerId"`
-		WaitMs   int64  `json:"waitMs"`
-	}
-	if !decodeJSON(w, req, &in, 1<<20) {
-		return
-	}
-	wait := min(time.Duration(in.WaitMs)*time.Millisecond, pollWaitLimit)
+	// An idle worker is known alive only by its polls, so one is never
+	// held past a third of WorkerTTL.
+	wait := min(time.Duration(in.WaitMs)*time.Millisecond, r.opt.WorkerTTL/3)
 	deadline := time.Now().Add(wait)
 	for {
 		r.mu.Lock()
 		ws, known := r.workers[in.WorkerID]
-		if !known {
+		if !known || r.now().Sub(ws.seen) > r.opt.WorkerTTL {
 			r.mu.Unlock()
+			// Tell the worker to re-register (router restarted, or the
+			// worker was declared dead, swept or not yet); 410
+			// distinguishes "you are unknown" from a malformed request.
 			http.Error(w, "unknown worker", http.StatusGone)
 			return
 		}
 		ws.seen = r.now()
+		if in.Snapshot != nil {
+			ws.snapshot = in.Snapshot
+		}
 		if j := r.leaseLocked(ws.name); j != nil {
 			id, lease, payload := j.id, j.lease.token, j.lease.payload
 			r.mu.Unlock()
@@ -554,17 +529,19 @@ func (r *Router) leaseLocked(workerName string) *record {
 }
 
 // leased reports whether (id, lease) names the job's current lease,
-// marking the reporting worker alive when it does. The record comes back
+// marking the reporting worker alive when it does and returning its
+// state (nil when the router no longer knows it). The record comes back
 // either way, for the duplicate-completion check. Caller holds mu.
-func (r *Router) leased(id, lease, workerID string) (*record, bool) {
+func (r *Router) leased(id, lease, workerID string) (*record, *workerState, bool) {
 	j := r.jobs[id]
 	if j == nil || j.lease == nil || j.lease.token == "" || j.lease.token != lease {
-		return j, false
+		return j, nil, false
 	}
-	if ws := r.workers[workerID]; ws != nil {
+	ws := r.workers[workerID]
+	if ws != nil {
 		ws.seen = r.now()
 	}
-	return j, true
+	return j, ws, true
 }
 
 // stale answers a report that carried a superseded lease token.
@@ -575,14 +552,17 @@ func (r *Router) stale(w http.ResponseWriter) {
 
 func (r *Router) handleExtend(w http.ResponseWriter, req *http.Request) {
 	var in extendRequest
-	if !decodeJSON(w, req, &in, 1<<20) {
+	if !decodeJSON(w, req, &in, 8<<20) {
 		return
 	}
 	r.mu.Lock()
-	j, ok := r.leased(req.PathValue("id"), in.Lease, in.WorkerID)
+	j, ws, ok := r.leased(req.PathValue("id"), in.Lease, in.WorkerID)
 	if ok {
 		j.lease.expires = r.now().Add(r.opt.LeaseTTL)
 		r.progress(j, in.Progress)
+		if ws != nil && in.Snapshot != nil {
+			ws.snapshot = in.Snapshot
+		}
 	}
 	r.mu.Unlock()
 	if !ok {
@@ -612,10 +592,10 @@ func (r *Router) handleComplete(w http.ResponseWriter, req *http.Request) {
 
 	workerID := req.Header.Get("X-Logan-Worker-Id")
 	r.mu.Lock()
-	j, ok := r.leased(req.PathValue("id"), req.Header.Get("X-Logan-Lease"), workerID)
+	j, ws, ok := r.leased(req.PathValue("id"), req.Header.Get("X-Logan-Lease"), workerID)
 	if ok {
 		r.complete(j, paf, sum)
-		if ws := r.workers[workerID]; ws != nil {
+		if ws != nil {
 			ws.done++
 		}
 	}
@@ -637,9 +617,9 @@ func (r *Router) handleFail(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	r.mu.Lock()
-	j, ok := r.leased(req.PathValue("id"), in.Lease, in.WorkerID)
+	j, ws, ok := r.leased(req.PathValue("id"), in.Lease, in.WorkerID)
 	if ok {
-		if ws := r.workers[in.WorkerID]; ws != nil {
+		if ws != nil {
 			ws.failed++
 		}
 		if in.Requeue {

@@ -31,16 +31,17 @@ type WorkerOptions struct {
 	// Backend names the local engine backend in capability reports.
 	Backend string
 	// CellsPS is the worker's advertised throughput estimate
-	// (cells/second); zero omits the report.
+	// (cells/second), sent at registration; zero omits the report.
 	CellsPS float64
-	// Registry, when non-nil, is snapshotted into each heartbeat so the
-	// router can roll this worker's series into the cluster /metrics.
+	// Registry, when non-nil, is snapshotted into each poll and lease
+	// extension so the router can roll this worker's series into the
+	// cluster /metrics.
 	Registry *telemetry.Registry
 	// Client overrides the HTTP client (tests); nil uses a client with
 	// no overall timeout (long-polls hold connections open).
 	Client *http.Client
 	// PollWait is the long-poll duration per work request (default 10s,
-	// capped router-side at 30s).
+	// capped router-side at a third of its WorkerTTL).
 	PollWait time.Duration
 	// Logf, when non-nil, receives operational log lines.
 	Logf func(format string, args ...any)
@@ -53,10 +54,11 @@ type Worker struct {
 	opt    WorkerOptions
 	client *http.Client
 
+	// id is the current registration, written only by Run's goroutine
+	// (register) before the executions that read it start.
+	id string
+
 	mu        sync.Mutex
-	id        string
-	leaseTTL  time.Duration
-	beatEvery time.Duration
 	killCancl []context.CancelFunc
 
 	killed chan struct{}
@@ -83,7 +85,7 @@ func NewWorker(opt WorkerOptions) (*Worker, error) {
 
 // Kill simulates SIGKILL: every in-flight execution stops and the worker
 // never contacts the router again — no release, no fail report, no
-// heartbeat. The router must discover the death by lease expiry. Run
+// poll. The router must discover the death by lease expiry. Run
 // returns after Kill.
 func (w *Worker) Kill() {
 	w.kill.Do(func() {
@@ -116,29 +118,19 @@ func (w *Worker) Run(ctx context.Context) error {
 	if err := w.register(ctx); err != nil {
 		return err
 	}
-	hbCtx, hbCancel := context.WithCancel(ctx)
-	var hbWG sync.WaitGroup
-	hbWG.Add(1)
-	go func() {
-		defer hbWG.Done()
-		w.heartbeatLoop(hbCtx)
-	}()
-	defer hbWG.Wait()
-	defer hbCancel() // LIFO: cancel fires before the Wait above
-
 	for {
 		if err := ctx.Err(); err != nil {
 			return nil
 		}
-		spec, jobID, lease, ok, err := w.poll(ctx)
+		job, err := w.poll(ctx)
 		if err != nil {
 			if ctx.Err() != nil || w.isKilled() {
 				return nil
 			}
 			var re *reregisterError
 			if errors.As(err, &re) {
-				// The router forgot us (restart or missed heartbeats);
-				// re-register and carry on.
+				// The router forgot us (restart, or silent past its
+				// WorkerTTL); re-register and carry on.
 				if err := w.register(ctx); err != nil {
 					return err
 				}
@@ -150,10 +142,10 @@ func (w *Worker) Run(ctx context.Context) error {
 			}
 			continue
 		}
-		if !ok {
+		if job == nil {
 			continue // long-poll timed out empty
 		}
-		w.execute(ctx, spec, jobID, lease)
+		w.execute(ctx, job)
 	}
 }
 
@@ -220,8 +212,8 @@ func httpErr(resp *http.Response) error {
 	return fmt.Errorf("router returned %s: %s", resp.Status, bytes.TrimSpace(b))
 }
 
-// register announces the worker and adopts the router's lease/heartbeat
-// cadence, retrying until the router answers or ctx cancels.
+// register announces the worker, retrying until the router answers or
+// ctx cancels.
 func (w *Worker) register(ctx context.Context) error {
 	req := registerRequest{Name: w.opt.Name, Backend: w.opt.Backend, CellsPS: w.opt.CellsPS}
 	for {
@@ -233,12 +225,8 @@ func (w *Worker) register(ctx context.Context) error {
 			if err != nil {
 				return err
 			}
-			w.mu.Lock()
 			w.id = out.WorkerID
-			w.leaseTTL = time.Duration(out.LeaseTTLMs) * time.Millisecond
-			w.beatEvery = max(time.Duration(out.HeartbeatMs)*time.Millisecond, 10*time.Millisecond)
-			w.mu.Unlock()
-			w.logf("worker %s: registered as %s (lease TTL %v)", w.opt.Name, out.WorkerID, w.leaseTTL)
+			w.logf("worker %s: registered as %s", w.opt.Name, out.WorkerID)
 			return nil
 		}
 		if err == nil {
@@ -260,99 +248,76 @@ func (w *Worker) register(ctx context.Context) error {
 	}
 }
 
-// workerID reads the current registration.
-func (w *Worker) workerID() string {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.id
-}
-
-// heartbeatLoop pushes liveness plus the local telemetry snapshot at the
-// router-assigned cadence.
-func (w *Worker) heartbeatLoop(ctx context.Context) {
-	w.mu.Lock()
-	every := w.beatEvery
-	w.mu.Unlock()
-	t := time.NewTicker(every)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-		}
-		hb := heartbeatRequest{WorkerID: w.workerID(), CellsPS: w.opt.CellsPS}
-		if w.opt.Registry != nil {
-			hb.Snapshot = w.opt.Registry.Snapshot()
-		}
-		resp, err := w.do(ctx, "/cluster/heartbeat", hb, nil)
-		if err != nil {
-			continue
-		}
-		resp.Body.Close()
+// snapshot is the local telemetry registry's snapshot, nil without one.
+func (w *Worker) snapshot() *telemetry.Snapshot {
+	if w.opt.Registry == nil {
+		return nil
 	}
+	return w.opt.Registry.Snapshot()
 }
 
-// poll long-polls the router for one leased job. ok=false means the
-// poll returned empty.
-func (w *Worker) poll(ctx context.Context) (spec *Spec, jobID, lease string, ok bool, err error) {
-	body := struct {
-		WorkerID string `json:"workerId"`
-		WaitMs   int64  `json:"waitMs"`
-	}{w.workerID(), w.opt.PollWait.Milliseconds()}
-	resp, err := w.do(ctx, "/cluster/poll", body, nil)
+// leasedJob is one job the router leased to this worker.
+type leasedJob struct {
+	spec      *Spec
+	id, lease string
+	ttl       time.Duration // extend at a third of it
+}
+
+// poll long-polls the router for one leased job, carrying the telemetry
+// snapshot. A nil job means the poll returned empty.
+func (w *Worker) poll(ctx context.Context) (*leasedJob, error) {
+	resp, err := w.do(ctx, "/cluster/poll", pollRequest{
+		WorkerID: w.id, WaitMs: w.opt.PollWait.Milliseconds(), Snapshot: w.snapshot(),
+	}, nil)
 	if err != nil {
-		return nil, "", "", false, err
+		return nil, err
 	}
 	defer resp.Body.Close()
 	switch resp.StatusCode {
 	case http.StatusNoContent:
-		return nil, "", "", false, nil
+		return nil, nil
 	case http.StatusGone:
-		return nil, "", "", false, &reregisterError{}
+		return nil, &reregisterError{}
 	case http.StatusOK:
 	default:
-		return nil, "", "", false, httpErr(resp)
+		return nil, httpErr(resp)
 	}
 	payload, err := io.ReadAll(resp.Body)
 	if err != nil {
-		return nil, "", "", false, err
+		return nil, err
 	}
-	spec, err = UnmarshalSpec(payload)
+	spec, err := UnmarshalSpec(payload)
 	if err != nil {
-		return nil, "", "", false, err
+		return nil, err
 	}
-	jobID = resp.Header.Get("X-Logan-Job-Id")
-	lease = resp.Header.Get("X-Logan-Lease")
-	if ttlMs, _ := strconv.ParseInt(resp.Header.Get("X-Logan-Lease-Ttl-Ms"), 10, 64); ttlMs > 0 {
-		w.mu.Lock()
-		w.leaseTTL = time.Duration(ttlMs) * time.Millisecond
-		w.mu.Unlock()
-	}
-	return spec, jobID, lease, true, nil
+	ttlMs, _ := strconv.ParseInt(resp.Header.Get("X-Logan-Lease-Ttl-Ms"), 10, 64)
+	return &leasedJob{
+		spec:  spec,
+		id:    resp.Header.Get("X-Logan-Job-Id"),
+		lease: resp.Header.Get("X-Logan-Lease"),
+		ttl:   time.Duration(ttlMs) * time.Millisecond,
+	}, nil
 }
 
 // execute runs one leased job: the overlap pipeline on the local engine,
-// a lease-extension loop at TTL/3 publishing progress, and the final
-// complete (or fail) report. Errors are reported to the router, never
-// returned — the worker keeps serving.
-func (w *Worker) execute(ctx context.Context, spec *Spec, jobID, lease string) {
+// a lease-extension loop at TTL/3 publishing progress and telemetry, and
+// the final complete (or fail) report. Errors are reported to the
+// router, never returned — the worker keeps serving.
+func (w *Worker) execute(ctx context.Context, job *leasedJob) {
+	jobID, lease := job.id, job.lease
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
 	var pmu sync.Mutex
 	var prog Progress
-	cfg := spec.Config.Overlap()
+	cfg := job.spec.Config.Overlap()
 	cfg.OnProgress = func(p Progress) {
 		pmu.Lock()
 		prog = p
 		pmu.Unlock()
 	}
 
-	w.mu.Lock()
-	ttl := w.leaseTTL
-	w.mu.Unlock()
-	extendEvery := max(ttl/3, 10*time.Millisecond)
+	extendEvery := max(job.ttl/3, 10*time.Millisecond)
 
 	// canceledByRouter distinguishes "the router took the job away" (the
 	// lease expired, or the client deleted the job: vanish silently) from
@@ -374,7 +339,7 @@ func (w *Worker) execute(ctx context.Context, spec *Spec, jobID, lease string) {
 			p := prog
 			pmu.Unlock()
 			resp, err := w.do(runCtx, "/cluster/jobs/"+jobID+"/extend",
-				extendRequest{WorkerID: w.workerID(), Lease: lease, Progress: p}, nil)
+				extendRequest{WorkerID: w.id, Lease: lease, Progress: p, Snapshot: w.snapshot()}, nil)
 			if err != nil {
 				continue // transient; the lease survives a missed beat or two
 			}
@@ -392,7 +357,7 @@ func (w *Worker) execute(ctx context.Context, spec *Spec, jobID, lease string) {
 		}
 	}()
 
-	paf, sum, runErr := runOverlap(w.opt.Overlapper)(runCtx, bytes.NewReader(spec.Fasta), cfg)
+	paf, sum, runErr := runOverlap(w.opt.Overlapper)(runCtx, bytes.NewReader(job.spec.Fasta), cfg)
 	cancel()
 	extWG.Wait()
 
@@ -406,7 +371,7 @@ func (w *Worker) execute(ctx context.Context, spec *Spec, jobID, lease string) {
 	if runErr == nil {
 		resp, err := w.do(ctx, "/cluster/jobs/"+jobID+"/complete", paf, map[string]string{
 			"X-Logan-Lease":     lease,
-			"X-Logan-Worker-Id": w.workerID(),
+			"X-Logan-Worker-Id": w.id,
 			"X-Logan-Overlaps":  strconv.Itoa(sum.overlaps),
 			"X-Logan-Reads":     strconv.Itoa(sum.reads),
 			"X-Logan-Cells":     strconv.FormatInt(sum.cells, 10),
@@ -431,7 +396,7 @@ func (w *Worker) execute(ctx context.Context, spec *Spec, jobID, lease string) {
 		runErr = fmt.Errorf("completion rejected: %w", httpErr(resp))
 	}
 
-	fr := failRequest{WorkerID: w.workerID(), Lease: lease, Error: runErr.Error()}
+	fr := failRequest{WorkerID: w.id, Lease: lease, Error: runErr.Error()}
 	// A graceful shutdown mid-job releases the job for another worker; a
 	// genuine execution error is terminal.
 	if errors.Is(runErr, context.Canceled) && ctx.Err() != nil {

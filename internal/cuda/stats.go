@@ -1,5 +1,7 @@
 package cuda
 
+import "math"
+
 // TrafficClass distinguishes global-memory accesses by their reuse pattern,
 // which decides whether the analytic L2 model may convert them into cache
 // hits.
@@ -96,6 +98,23 @@ type KernelStats struct {
 	Occupancy Occupancy // residency of this launch's block shape
 
 	PerBlock []BlockStats // optional per-block summaries (see LaunchConfig)
+}
+
+// CoreRounds evaluates the utilization term of the paper's Eq. (1) for
+// this launch on a device of sms SMs and maxr INT32 cores (MAXR). x is
+// the op-weighted mean active lanes per iteration times the blocks
+// resident at once, min(BlocksPerSM * sms, Grid); u = x / (maxr *
+// ceil(x/maxr)) is the fraction of the INT32 core rounds those lanes
+// fill, and 0 when x is. The roofline's adapted ceiling and the GPU
+// timing model both read this one term, each with its own rule below
+// saturation.
+func (k KernelStats) CoreRounds(sms, maxr int) (x, u float64) {
+	resident := max(k.Occupancy.BlocksPerSM, 1)
+	x = k.Iter.MeanActiveLanes() * float64(min(resident*sms, k.Grid))
+	if x <= 0 {
+		return x, 0
+	}
+	return x, x / (float64(maxr) * math.Ceil(x/float64(maxr)))
 }
 
 // DRAMBytes returns total modeled DRAM traffic.

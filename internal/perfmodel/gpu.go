@@ -156,31 +156,19 @@ func (t *GPUTimer) KernelTime(spec cuda.DeviceSpec, s cuda.KernelStats) time.Dur
 	return time.Duration(sec*1e9)*time.Nanosecond + t.LaunchOverhead
 }
 
-// coreRoundUtil mirrors roofline.AdaptedCeiling's utilization term:
-// x / (MAXR * ceil(x/MAXR)) for x = mean active lanes per iteration times
-// the concurrently resident block count.
+// coreRoundUtil is Eq. (1)'s core-round utilization
+// (cuda.KernelStats.CoreRounds, the term of roofline.AdaptedCeiling) past
+// saturation, and 1 below it: on an unsaturated device the throughput
+// term's SM/warp scaling and the critical-path term already model
+// underutilization, so the round-rounding penalty applies only once the
+// active lanes fill MAXR.
 func coreRoundUtil(spec cuda.DeviceSpec, s cuda.KernelStats) float64 {
-	if s.Iter.SumNop == 0 {
+	maxr := spec.INT32Lanes()
+	x, u := s.CoreRounds(spec.SMs, maxr)
+	if x < float64(maxr) {
 		return 1
 	}
-	resident := s.Occupancy.BlocksPerSM
-	if resident < 1 {
-		resident = 1
-	}
-	conc := resident * spec.SMs
-	if conc > s.Grid {
-		conc = s.Grid
-	}
-	x := s.Iter.MeanActiveLanes() * float64(conc)
-	maxr := float64(spec.INT32Lanes())
-	if x < maxr {
-		// Unsaturated device: the throughput term's SM/warp scaling and
-		// the critical-path term already model underutilization; the
-		// round-rounding penalty applies only past saturation.
-		return 1
-	}
-	rounds := math.Ceil(x / maxr)
-	return x / (maxr * rounds)
+	return u
 }
 
 // CopyTime models a host<->device transfer at link bandwidth plus latency.

@@ -22,6 +22,7 @@ type Model struct {
 	INT32GIPS  float64 // attainable INT32 warp GIPS (paper: 220.8)
 	MemBW      float64 // bytes/second
 	INT32Lanes int     // MAXR in Eq. (1)
+	SMs        int     // streaming multiprocessors, for the resident grid
 }
 
 // ForDevice extracts the model from a device spec.
@@ -32,6 +33,7 @@ func ForDevice(spec cuda.DeviceSpec) Model {
 		INT32GIPS:  spec.INT32WarpGIPS(),
 		MemBW:      spec.HBMBandwidth,
 		INT32Lanes: spec.INT32Lanes(),
+		SMs:        spec.SMs,
 	}
 }
 
@@ -59,41 +61,19 @@ func (m Model) Attainable(oi float64) float64 {
 //
 // and the ceiling is f * sum(Nop_i * u_i) / sum(Nop_i). The kernel's
 // iteration aggregates provide the op-weighted mean active-lane count per
-// block; the resident block count comes from the launch occupancy. (The
-// exact per-iteration sum is replaced by its op-weighted mean-field value,
-// which is what the aggregate counters support; for LOGAN's near-constant
-// band widths within a launch the two agree closely.)
+// block; the resident block count comes from the launch occupancy and
+// the SM count. The term is cuda.KernelStats.CoreRounds, which the GPU
+// timing model shares. (The exact per-iteration sum is replaced by its
+// op-weighted mean-field value, which is what the aggregate counters
+// support; for LOGAN's near-constant band widths within a launch the two
+// agree closely.)
 func AdaptedCeiling(m Model, s cuda.KernelStats) float64 {
 	if s.Iter.SumNop == 0 {
 		return m.INT32GIPS
 	}
-	resident := s.Occupancy.BlocksPerSM
-	if resident < 1 {
-		resident = 1
-	}
-	concBlocks := resident * residentSMs(m, s)
-	if concBlocks > s.Grid {
-		concBlocks = s.Grid
-	}
-	x := s.Iter.MeanActiveLanes() * float64(concBlocks)
-	if x <= 0 {
-		return 0
-	}
-	rounds := math.Ceil(x / float64(m.INT32Lanes))
-	u := x / (float64(m.INT32Lanes) * rounds)
+	// No active lane (x <= 0) is a zero ceiling: CoreRounds returns u = 0.
+	_, u := s.CoreRounds(m.SMs, m.INT32Lanes)
 	return m.INT32GIPS * u
-}
-
-func residentSMs(m Model, s cuda.KernelStats) int {
-	// The model does not carry the SM count separately; recover it from
-	// lanes per SM (INT32Lanes / lanes-per-SM is not available either),
-	// so approximate via grid clamping: every device this package models
-	// has INT32Lanes/64 SMs (64 INT32 cores per SM on Volta).
-	sms := m.INT32Lanes / 64
-	if sms < 1 {
-		sms = 1
-	}
-	return sms
 }
 
 // Report is the Fig. 13 data for one kernel.

@@ -71,7 +71,7 @@ if [ -z "$READY" ]; then
   exit 1
 fi
 
-# The rollup shows both workers once their heartbeats carry snapshots.
+# The rollup shows both workers once their polls carry snapshots.
 ROLLUP=""
 for _ in $(seq 1 100); do
   curl -sf -o "$WORK/metrics.txt" "http://$ADDR/metrics"

@@ -11,8 +11,8 @@
 # extension path, the root package one FASTA ingest loop, minimizer
 # extraction one sweep, the pipelines one
 # radix sort and one alignment algorithm, BELLA's front end one k-mer
-# pass, the coalescer's flusher batches and no per-request work. Run
-# from the repo root;
+# pass, the coalescer's flusher batches and no per-request work, and a
+# cluster worker no message but its work. Run from the repo root;
 # CI runs it alongside the unit tests.
 # The doc checker itself is scripts/doclint.
 set -euo pipefail
@@ -254,6 +254,21 @@ back=$(grep -rnE --include='*.go' --include='*.md' --include='*.sh' "$gone" . |
 if [ -z "$exec_body" ] || [ -n "$exec_req$back" ]; then
 	echo "doc-lint: the coalescer's flusher must run batches, not requests (Coalescer.execute in coalescer.go names no Alignment or result cache, and the second ingest loop stays gone):" >&2
 	printf '%s\n%s\n' "$exec_req" "$back" >&2
+	exit 1
+fi
+
+# A cluster worker talks to the router only about work: its polls (idle)
+# and lease extensions (busy) are its liveness and carry its telemetry
+# snapshot, and the lease TTL travels with each lease. The heartbeat
+# endpoint, its request type, the worker's loop and the register-time
+# cadence stay gone. The names are split so that this file does not
+# match itself.
+gone='/cluster/''heartbeat|heartbeat''Request|heartbeat''Loop|Heartbeat''Ms'
+back=$(grep -rnE --include='*.go' --include='*.md' --include='*.sh' "$gone" . |
+	grep -vE '^\./(CHANGES|ROADMAP|ISSUE)\.md:' || true)
+if [ -n "$back" ]; then
+	echo "doc-lint: a worker liveness message besides poll and extend is back (the heartbeat stays deleted):" >&2
+	echo "$back" >&2
 	exit 1
 fi
 
