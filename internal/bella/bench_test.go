@@ -7,6 +7,8 @@ import (
 	"time"
 
 	"logan/internal/genome"
+	"logan/internal/seq"
+	"logan/internal/xdrop"
 )
 
 func benchReadSet(b *testing.B) genome.ReadSet {
@@ -90,6 +92,42 @@ func BenchmarkPrepare(b *testing.B) {
 	b.ReportMetric(ms(sum.Count+sum.Prune+sum.Matrix), "front-ms")
 	b.ReportMetric(ms(sum.SpGEMM), "spgemm-ms")
 	b.ReportMetric(ms(sum.Binning), "binning-ms")
+}
+
+// BenchmarkExtendCandidates times the alignment stage's kernel alone on
+// the overlap-job shape: every candidate pair of overlapJobReads(1..3),
+// seed-extended on one workspace with the int16 kernel at x=25, BELLA's
+// defaults otherwise. It reports the milliseconds of one pass over the
+// three read sets (single-threaded, so the number is kernel time, not
+// throughput) and what one anti-diagonal costs, for the vector ISA this
+// host runs.
+func BenchmarkExtendCandidates(b *testing.B) {
+	cfg := DefaultConfig(8, 0.15, 25)
+	var pairs []seq.Pair
+	for seed := int64(1); seed <= 3; seed++ {
+		prep, err := Prepare(context.Background(), overlapJobReads(seed), cfg)
+		if err != nil || len(prep.Pairs) == 0 {
+			b.Fatalf("prepare seed %d: %d pairs, err %v", seed, len(prep.Pairs), err)
+		}
+		pairs = append(pairs, prep.Pairs...)
+	}
+	w := xdrop.NewWorkspace()
+	b.ReportAllocs()
+	b.ResetTimer()
+	var diags int64
+	for i := 0; i < b.N; i++ {
+		for _, p := range pairs {
+			r, err := w.ExtendSeedKernel(p.Query, p.Target, p.SeedQPos, p.SeedTPos, p.SeedLen, cfg.Scoring, cfg.X, xdrop.KernelVector)
+			if err != nil {
+				b.Fatal(err)
+			}
+			diags += int64(r.Left.AntiDiags + r.Right.AntiDiags)
+		}
+	}
+	ns := float64(b.Elapsed().Nanoseconds())
+	b.ReportMetric(ns/1e6/float64(b.N), "ms")
+	b.ReportMetric(ns/float64(diags), "ns/antidiag")
+	b.Logf("%d pairs on %s", len(pairs), xdrop.VectorISA())
 }
 
 // BenchmarkPipelineCPU measures the whole pipeline with the SeqAn-style

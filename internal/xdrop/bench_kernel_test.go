@@ -19,15 +19,17 @@ var kernelRegimes = []struct {
 	x    int32
 }{
 	{"narrow_x25", 25},
+	{"small_x50", 50},
 	{"medium_x100", 100},
 	{"wide_x400", 400},
 	{"xwide_x1600", 1600},
 }
 
 // BenchmarkKernel compares the interior kernels — the four kernels of the
-// X-drop wavefront (scalar int32, int16 vector on this host's VectorISA,
-// Gotoh affine, substitution matrix; the matrix row runs the DNA scoring
-// as a table, so it explores the same cells as scalar) and the
+// X-drop wavefront (scalar int32, int16 vector on every variant this host
+// runs, named vector-<isa>, Gotoh affine, substitution matrix; the matrix
+// row runs the DNA scoring as a table, so it explores the same cells as
+// scalar) and the
 // ksw2-striped affine kernel (the minimap2 corner of the design space) —
 // on one 2000-base extension per band regime. The cells/ns metric is the
 // comparable number; ns/op is not, because the kernels explore different
@@ -41,7 +43,6 @@ func BenchmarkKernel(b *testing.B) {
 	aff := AffineScoring{Match: 1, Mismatch: -1, GapOpen: -1, GapExtend: -1}
 	mat := dnaMatrix(b, sc)
 	w := NewWorkspace()
-	fmt.Printf("vector kernel: %s\n", VectorISA())
 	wavefront := func(ext func(x int32) Result, x int32) func(b *testing.B) {
 		return func(b *testing.B) {
 			b.ReportAllocs()
@@ -67,9 +68,11 @@ func BenchmarkKernel(b *testing.B) {
 		b.Run(fmt.Sprintf("scalar/%s", reg.name), wavefront(func(x int32) Result {
 			return w.Extend(q, t, sc, x)
 		}, reg.x))
-		b.Run(fmt.Sprintf("vector/%s", reg.name), wavefront(func(x int32) Result {
-			return w.ExtendVector(q, t, sc, x)
-		}, reg.x))
+		eachISA(func() {
+			b.Run(fmt.Sprintf("vector-%s/%s", VectorISA(), reg.name), wavefront(func(x int32) Result {
+				return w.ExtendVector(q, t, sc, x)
+			}, reg.x))
+		})
 		b.Run(fmt.Sprintf("ksw2/%s", reg.name), func(b *testing.B) {
 			p := ksw2.MinimapParams(reg.x)
 			b.ReportAllocs()

@@ -55,14 +55,15 @@ const (
 	isaPortable rowISA = iota // wave over the Go rows: every non-amd64 build, and the spec
 	isaSSE2                   // the fused routine with 8-lane blocks, the amd64 baseline
 	isaAVX2                   // the fused routine with 16-lane blocks for rows >= 32 cells
+	isaAVX512                 // isaAVX2 plus the register mode for bands of up to 64 cells
 )
 
 var vectorISA = detectISA()
 
 // VectorISA names the instruction set the vector kernel runs on in this
-// process: "avx2", "sse2" or "portable".
+// process: "avx512", "avx2", "sse2" or "portable".
 func VectorISA() string {
-	return [...]string{isaPortable: "portable", isaSSE2: "sse2", isaAVX2: "avx2"}[vectorISA]
+	return [...]string{isaPortable: "portable", isaSSE2: "sse2", isaAVX2: "avx2", isaAVX512: "avx512"}[vectorISA]
 }
 
 // vectorKernelFor returns the portable int16 row kernel for sc, rebuilding

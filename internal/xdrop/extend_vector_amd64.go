@@ -9,9 +9,13 @@ import (
 )
 
 // detectISA picks the widest fused routine the CPU and the OS support.
-// SSE2 is part of the amd64 baseline; AVX2 needs the CPUID/XGETBV check.
+// SSE2 is part of the amd64 baseline; AVX2 and AVX-512 need the
+// CPUID/XGETBV check.
 func detectISA() rowISA {
-	if cpuHasAVX2() {
+	switch {
+	case cpuHasAVX512():
+		return isaAVX512
+	case cpuHasAVX2():
 		return isaAVX2
 	}
 	return isaSSE2
@@ -24,8 +28,15 @@ func (w *Workspace) extendVector(q, t seq.Seq, sc Scoring, x int16, trace *[]int
 	if vectorISA == isaPortable {
 		return wave(&w.v, &w.rt, q, t, x, w.vectorKernelFor(sc), trace)
 	}
-	return w.extendFused(q, t, sc, x, trace, vectorISA == isaAVX2)
+	return w.extendFused(q, t, sc, x, trace, vectorISA)
 }
+
+// regReload is the widest band at which the AVX-512 routine moves the
+// carried anti-diagonals from memory back into registers, where they stay
+// while the band fits 64 cells. It must leave each frame two spare lanes
+// (at most 62), and sits well below 64 so that a band hovering near the
+// edge does not move back and forth on every anti-diagonal.
+const regReload = 48
 
 // fusedBudget is how many cells the fused routine computes before it
 // returns to Go, so that a long extension still reaches a preemption point
@@ -54,6 +65,13 @@ type fusedState struct {
 	done              bool
 
 	thr, uHi int
+
+	// The AVX-512 routine's register mode: regs while the carried
+	// anti-diagonals live in registers (never across a return to Go), and
+	// how many anti-diagonals it computed there and how often it moved
+	// the rows into and out of them.
+	regs                   bool
+	regRows, toRegs, toMem int
 }
 
 // extendFused is wave for int16 cells with the whole loop in one assembly
@@ -61,8 +79,8 @@ type fusedState struct {
 // over vectorKernel, bit for bit (FuzzExtendVectorDifferential). The call
 // returns early only to pause — once the band-local best reaches the
 // rebase mark, or once fusedBudget cells have run — and resumes from
-// fusedState. wide selects the routine with 16-lane blocks.
-func (w *Workspace) extendFused(q, t seq.Seq, sc Scoring, x int16, trace *[]int32, wide bool) Result {
+// fusedState. isa selects the routine.
+func (w *Workspace) extendFused(q, t seq.Seq, sc Scoring, x int16, trace *[]int32, isa rowISA) Result {
 	m, n := len(q), len(t)
 	if m == 0 || n == 0 {
 		return Result{}
@@ -98,9 +116,12 @@ func (w *Workspace) extendFused(q, t seq.Seq, sc Scoring, x int16, trace *[]int3
 	var base int32
 	for {
 		st.limit = st.cells + fusedBudget
-		if wide {
+		switch isa {
+		case isaAVX512:
+			vectorExtendAVX512(&st, &w.v, &q[0], &t[0], &w.rt[0], tr)
+		case isaAVX2:
 			vectorExtendAVX2(&st, &w.v, &q[0], &t[0], &w.rt[0], tr)
-		} else {
+		default:
 			vectorExtendSSE2(&st, &w.v, &q[0], &t[0], &w.rt[0], tr)
 		}
 		if st.done {
@@ -116,6 +137,9 @@ func (w *Workspace) extendFused(q, t seq.Seq, sc Scoring, x int16, trace *[]int3
 			st.best = 0
 		}
 	}
+	w.modes.rows += st.regRows
+	w.modes.toRegs += st.toRegs
+	w.modes.toMem += st.toMem
 	// Anti-diagonals 0 .. st.d-1 ran; the trace holds the ones after 0.
 	if trace != nil {
 		*trace = (*trace)[:traced+st.d-1]
@@ -126,15 +150,18 @@ func (w *Workspace) extendFused(q, t seq.Seq, sc Scoring, x int16, trace *[]int3
 	}
 }
 
-// vectorExtendSSE2 and vectorExtendAVX2 (extend_vector_amd64.s) are the
-// fused routine: every anti-diagonal of the extension from st.d on, in one
-// call, until the band empties, the matrix ends, or a pause condition (see
-// extendFused) holds at the top of an anti-diagonal. They differ only in
-// the interior blocks of rows 16 cells or wider, 16-lane AVX2 against
-// 8-lane SSE2. Neither touches q, t or rt outside the bases the extension
-// reads (TestExtendVectorGuardPages), nor the diagonal buffers outside
-// their first bandLen(m, n) slots. trace, when not nil, receives one
-// width per anti-diagonal d at trace[d-1], and must have room for m+n.
+// vectorExtendSSE2, vectorExtendAVX2 and vectorExtendAVX512
+// (extend_vector_amd64.s) are the fused routine: every anti-diagonal of
+// the extension from st.d on, in one call, until the band empties, the
+// matrix ends, or a pause condition (see extendFused) holds at the top of
+// an anti-diagonal. The first two differ only in the interior blocks of
+// rows 16 cells or wider, 16-lane AVX2 against 8-lane SSE2. None reads q
+// or t outside [0, m) and [0, n) (the AVX-512 routine's 64-byte windows
+// may cover bases its band does not use), touches rt outside the bases
+// the extension reads, or the diagonal buffers outside their first
+// bandLen(m, n) slots (TestExtendVectorGuardPages). trace, when not nil,
+// receives one width per anti-diagonal d at trace[d-1], and must have
+// room for m+n.
 //
 //go:noescape
 func vectorExtendSSE2(st *fusedState, diags *[3][]int16, q, t, rt *byte, trace *int32)
@@ -142,7 +169,20 @@ func vectorExtendSSE2(st *fusedState, diags *[3][]int16, q, t, rt *byte, trace *
 //go:noescape
 func vectorExtendAVX2(st *fusedState, diags *[3][]int16, q, t, rt *byte, trace *int32)
 
+// vectorExtendAVX512 is vectorExtendAVX2 with a register mode: while the
+// band fits 64 cells, the two carried anti-diagonals live in ZMM registers
+// and each new one is computed from them with no store or reload (see
+// extend_vector_amd64.s).
+//
+//go:noescape
+func vectorExtendAVX512(st *fusedState, diags *[3][]int16, q, t, rt *byte, trace *int32)
+
 // cpuHasAVX2 reports whether AVX2 instructions may be used: CPUID leaf 7
 // EBX bit 5, and the OS saves the YMM state (leaf 1 OSXSAVE and AVX, XCR0
 // bits 1 and 2).
 func cpuHasAVX2() bool
+
+// cpuHasAVX512 reports whether the AVX-512 routine may run: CPUID leaf 7
+// EBX AVX512F, AVX512BW, AVX2, BMI1 and BMI2, and the OS saves the opmask
+// and ZMM state (leaf 1 OSXSAVE and AVX, XCR0 bits 1, 2 and 5-7).
+func cpuHasAVX512() bool

@@ -4,12 +4,13 @@
 // extend_vector_amd64.go; the fields of fusedState are reached through the
 // offsets go_asm.h generates from its declaration.
 //
-// Per anti-diagonal d, in wave's order: fill rt[n-d], clip the band to the
-// matrix, stop on an empty band, pause (return to Go) if the band-local
-// best reached the rebase mark or the cell budget ran out, then the border
-// cell i = 0, the interior cells, the border cell j = 0, the work counters
-// and the trace, the trim of both band ends, the sentinels around the
-// survivors, and the rotation of the three diagonal buffers.
+// Per anti-diagonal d, in wave's order: fill rt[n-d], stop on an empty
+// band, pause (return to Go) if the band-local best reached the rebase
+// mark or the cell budget ran out, the work counters and the trace, then
+// the border cell i = 0, the interior cells, the border cell j = 0, the
+// trim of both band ends, the sentinels around the survivors, the
+// rotation of the three diagonal buffers, and the next band's clip to the
+// matrix.
 //
 // Interior rows run in blocks exactly as vectorRowPortable does: 8 lanes
 // (rows of 8 cells or more) or, in the AVX2 routine, 16 lanes for rows of
@@ -47,9 +48,50 @@
 // The body is written once, in extend_vector_amd64.h, with two-operand
 // vector pseudo-mnemonics that this file defines twice: as legacy SSE2
 // instructions for vectorExtendSSE2 and as their VEX forms for
-// vectorExtendAVX2, which therefore keeps its 256-bit constants in
-// registers for the whole call and never runs a legacy-encoded
-// instruction while the upper YMM halves are dirty.
+// vectorExtendAVX2 and vectorExtendAVX512, which therefore keep their
+// 256-bit constants in registers for the whole call and never run a
+// legacy-encoded instruction while the upper YMM halves are dirty.
+//
+// vectorExtendAVX512 adds a register mode (FUSED_AVX512). While the band
+// fits 64 cells, the two carried anti-diagonals a2 and a3 live in two ZMM
+// registers each, in a frame: lane l of anti-diagonal d holds cell
+// F_d + l, where F_d = F_{d-1} + 1 for even d and F_{d-1} for odd d, so
+// that F_{d-2} = F_d - 1 and the frame follows the main diagonal. Each
+// anti-diagonal is then computed from registers alone:
+//
+//	q, t  = 64-byte loads of q[F_d-1..] and t[..d-F_d-1], the latter
+//	        reversed (VPSHUFB, VSHUFI64X2) so lane l holds cell F_d+l's
+//	        bases; rt is still filled, for the memory mode
+//	sub   = a3 + (q == t ? match : mismatch)     VPCMPEQB to a k-mask
+//	g     = max(a2, a2 moved one lane) + gap     VPERMI2W: up one lane
+//	                                             for odd d, down for even
+//	s     = max(sub, g)
+//	live  = band & (s >= thr)                    VPCMPW under the band mask
+//	new   = live ? s : ninf                      VPBLENDMW
+//
+// The border cells need no code: their missing sources are sentinel
+// lanes. Only a row with a cell above best in its band (VPCMPW against
+// best in every lane) folds its maximum to every lane, which gives best,
+// the threshold and the first lane holding it. The next band is the
+// survivors' span, one lane longer at the top (BSF/BSR of the live mask),
+// in the next frame and clipped to the matrix, as k-masks K1/K2.
+//
+// The register mode runs only while both 64-byte windows lie inside q and
+// t, a base short of their far ends: no load reaches past the sequences
+// (a masked load whose masked-off bytes cross into another page costs a
+// microcode assist, which measured ~100 ns per anti-diagonal), and no
+// band there needs a clip to the matrix. The first ~64 anti-diagonals of
+// an extension and its end run in memory.
+//
+// The handoff: after a memory anti-diagonal whose next band is at most
+// regReload cells wide, the cells the next one reads of a2 and a3 are
+// loaded into a frame that centers the band (reload). When a band does
+// not fit its frame — wider than 64 cells, or drifted off the main
+// diagonal by indels — or the windows reach an end of q or t, or the
+// routine pauses, those cells go back to their buffers in the memory
+// layout (spill) and the loop continues on the AVX2 blocks; the next
+// narrow band reloads them, in a new frame. The gap between regReload
+// and 64 is the hysteresis.
 //
 // Registers, for the whole call:
 //
@@ -66,6 +108,16 @@
 //	X8   match - mismatch, X9 mismatch, X10 gap, X12 ninf (Y8..Y12 on AVX2)
 //	X11  the threshold of this anti-diagonal (Y11 on AVX2)
 //	AX, CX, DX, SI, X0..X6, X13: scratch
+//
+// and in the register mode, where R8 is F_d, R9 t, R10 scratch, and the
+// buffer roles (X14, X15, X7) stand still:
+//
+//	Z16, Z17  a2, lanes 0..31 and 32..63; Z18, Z19 a3
+//	Z20 ninf, Z21 match, Z22 mismatch, Z23 gap, Z27 x in every lane
+//	Z24, Z25  the VPERMI2W indexes (up, down); Z28 the byte reversal
+//	Z26  the threshold, Z31 best, in every lane
+//	K1, K2  the band
+//	Z0..Z5, Z29, Z30, K3..K6: scratch
 
 #include "go_asm.h"
 #include "textflag.h"
@@ -114,13 +166,7 @@ TEXT ·vectorExtendSSE2(SB), NOSPLIT, $0-48
 #undef MOVMSKB
 #undef SPLATW
 
-// func vectorExtendAVX2(st *fusedState, diags *[3][]int16, q, t, rt *byte, trace *int32)
-//
-// VEX-encoded throughout, so the 256-bit constants stay in Y8..Y12 for the
-// whole call, and ends in VZEROUPPER: one legacy-encoded SSE instruction
-// while the upper YMM halves are dirty costs a state transition per use.
-#define FUSED_AVX2
-TEXT ·vectorExtendAVX2(SB), NOSPLIT, $0-48
+// The VEX forms, for vectorExtendAVX2 and vectorExtendAVX512.
 #define LOADU(m, x)     VMOVDQU m, x
 #define STOREU(x, m)    VMOVDQU x, m
 #define LOADQ(m, x)     VMOVQ m, x
@@ -141,7 +187,56 @@ TEXT ·vectorExtendAVX2(SB), NOSPLIT, $0-48
 #define SHUFLW(i, a, x) VPSHUFLW i, a, x
 #define MOVMSKB(x, r)   VPMOVMSKB x, r
 #define SPLATW(r, x, y) VMOVQ r, x; VPBROADCASTW x, y
+#define FUSED_AVX2
+
+// func vectorExtendAVX2(st *fusedState, diags *[3][]int16, q, t, rt *byte, trace *int32)
+//
+// VEX-encoded throughout, so the 256-bit constants stay in Y8..Y12 for the
+// whole call, and ends in VZEROUPPER: one legacy-encoded SSE instruction
+// while the upper YMM halves are dirty costs a state transition per use.
+TEXT ·vectorExtendAVX2(SB), NOSPLIT, $0-48
 #include "extend_vector_amd64.h"
+
+// The register mode's constants: VPERMI2W indexes that move every lane of
+// a two-register row one lane up (31..62 over sentinel||lo and lo||hi)
+// and one lane down (1..32 over lo||hi and hi||sentinel), and the VPSHUFB
+// control that reverses the bytes of each 128-bit lane.
+DATA regsConst<>+0(SB)/8, $0x002200210020001f
+DATA regsConst<>+8(SB)/8, $0x0026002500240023
+DATA regsConst<>+16(SB)/8, $0x002a002900280027
+DATA regsConst<>+24(SB)/8, $0x002e002d002c002b
+DATA regsConst<>+32(SB)/8, $0x003200310030002f
+DATA regsConst<>+40(SB)/8, $0x0036003500340033
+DATA regsConst<>+48(SB)/8, $0x003a003900380037
+DATA regsConst<>+56(SB)/8, $0x003e003d003c003b
+DATA regsConst<>+64(SB)/8, $0x0004000300020001
+DATA regsConst<>+72(SB)/8, $0x0008000700060005
+DATA regsConst<>+80(SB)/8, $0x000c000b000a0009
+DATA regsConst<>+88(SB)/8, $0x0010000f000e000d
+DATA regsConst<>+96(SB)/8, $0x0014001300120011
+DATA regsConst<>+104(SB)/8, $0x0018001700160015
+DATA regsConst<>+112(SB)/8, $0x001c001b001a0019
+DATA regsConst<>+120(SB)/8, $0x0020001f001e001d
+DATA regsConst<>+128(SB)/8, $0x08090a0b0c0d0e0f
+DATA regsConst<>+136(SB)/8, $0x0001020304050607
+DATA regsConst<>+144(SB)/8, $0x08090a0b0c0d0e0f
+DATA regsConst<>+152(SB)/8, $0x0001020304050607
+DATA regsConst<>+160(SB)/8, $0x08090a0b0c0d0e0f
+DATA regsConst<>+168(SB)/8, $0x0001020304050607
+DATA regsConst<>+176(SB)/8, $0x08090a0b0c0d0e0f
+DATA regsConst<>+184(SB)/8, $0x0001020304050607
+GLOBL regsConst<>(SB), RODATA|NOPTR, $192
+
+// func vectorExtendAVX512(st *fusedState, diags *[3][]int16, q, t, rt *byte, trace *int32)
+//
+// The AVX2 routine plus the register mode for bands of up to 64 cells
+// (FUSED_AVX512 in the body): EVEX-encoded there, in Z16..Z31 and K1..K6,
+// which the VEX blocks never touch.
+#define FUSED_AVX512
+TEXT ·vectorExtendAVX512(SB), NOSPLIT, $0-48
+#include "extend_vector_amd64.h"
+#undef FUSED_AVX512
+#undef FUSED_AVX2
 #undef LOADU
 #undef STOREU
 #undef LOADQ
@@ -162,7 +257,6 @@ TEXT ·vectorExtendAVX2(SB), NOSPLIT, $0-48
 #undef SHUFLW
 #undef MOVMSKB
 #undef SPLATW
-#undef FUSED_AVX2
 
 // func cpuHasAVX2() bool
 TEXT ·cpuHasAVX2(SB), NOSPLIT, $0-1
@@ -186,6 +280,33 @@ TEXT ·cpuHasAVX2(SB), NOSPLIT, $0-1
 	CPUID
 	TESTL $0x20, BX       // leaf 7 EBX bit 5: AVX2
 	JZ   no
+	MOVB $1, ret+0(FP)
+no:
+	RET
+
+// func cpuHasAVX512() bool
+TEXT ·cpuHasAVX512(SB), NOSPLIT, $0-1
+	MOVB $0, ret+0(FP)
+	XORL AX, AX
+	CPUID
+	CMPL AX, $7           // highest basic leaf
+	JLT  no
+	MOVL $1, AX
+	CPUID
+	ANDL $0x18000000, CX  // leaf 1 ECX: OSXSAVE (27) and AVX (28)
+	CMPL CX, $0x18000000
+	JNE  no
+	XORL CX, CX
+	XGETBV
+	ANDL $0xE6, AX        // XCR0: XMM, YMM, opmask, ZMM0-15 upper and ZMM16-31 state
+	CMPL AX, $0xE6
+	JNE  no
+	MOVL $7, AX
+	XORL CX, CX
+	CPUID
+	ANDL $0x40010128, BX  // leaf 7 EBX: BMI1 (3), AVX2 (5), BMI2 (8), AVX512F (16), AVX512BW (30)
+	CMPL BX, $0x40010128
+	JNE  no
 	MOVB $1, ret+0(FP)
 no:
 	RET

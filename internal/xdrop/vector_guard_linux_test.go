@@ -67,17 +67,30 @@ func guardedWorkspace(t *testing.T, m, n int, tail bool) *Workspace {
 // against a PROT_NONE page, first at its end, then at its start, and
 // still equal the scalar kernel. The X values put rows of every block
 // shape on every ISA: scalar (< 8 cells), one or two 8-lane blocks,
-// 16-lane blocks, and widths that are no lane multiple.
+// 16-lane blocks, and widths that are no lane multiple; on an AVX-512
+// host they also put anti-diagonals in registers and in memory, and move
+// the carried rows between the two both ways (x = 100 outgrows 64 cells).
+// Each X also runs pairs with one sequence 100 bases longer, so that the
+// band reaches the end of the shorter one far from the matrix corner.
 func TestExtendVectorGuardPages(t *testing.T) {
 	const seedLen = 17
 	rng := rand.New(rand.NewSource(15))
 	sc := DefaultScoring()
 	ref := NewWorkspace()
-	var shapes [5]int // widths < 8, 8-15, 16-31, >= 32, not a multiple of 8
+	var shapes [5]int  // widths < 8, 8-15, 16-31, >= 32, not a multiple of 8
+	var modes regModes // the AVX-512 routine's, over all its extensions
+	memRows := 0       // its anti-diagonals after the origin, less modes.rows
 	for _, tail := range []bool{true, false} {
-		for _, x := range []int32{3, 12, 25, 100} {
+		for pair := 0; pair < 12; pair++ {
+			x := []int32{3, 12, 25, 100}[pair/3]
 			q0 := seq.RandSeq(rng, 200+rng.Intn(200))
 			t0 := seq.Mutate(rng, q0, seq.UniformProfile(0.15))
+			switch pair % 3 {
+			case 1:
+				t0 = append(t0, seq.RandSeq(rng, 100)...)
+			case 2:
+				q0 = append(q0, seq.RandSeq(rng, 100)...)
+			}
 			q, tt := guardedSeq(t, q0, tail), guardedSeq(t, t0, tail)
 			want := ExtendReference(q0, t0, sc, x)
 			var wantTrace []int32
@@ -90,6 +103,7 @@ func TestExtendVectorGuardPages(t *testing.T) {
 			w := guardedWorkspace(t, len(q0), len(t0), tail)
 			ws := guardedWorkspace(t, len(q0)-seedLen, len(t0)-seedLen, tail)
 			eachISA(func() {
+				w.modes, ws.modes = regModes{}, regModes{}
 				if got := w.ExtendVector(q, tt, sc, x); got != want {
 					t.Fatalf("%s tail=%v x=%d: got %+v want %+v", VectorISA(), tail, x, got, want)
 				}
@@ -101,6 +115,19 @@ func TestExtendVectorGuardPages(t *testing.T) {
 					got, err := ws.ExtendSeedKernel(q, tt, p[0], p[1], seedLen, sc, x, KernelVector)
 					if err != nil || got != wantSeed[i] {
 						t.Fatalf("%s tail=%v x=%d seed at %v: got %+v, %v want %+v", VectorISA(), tail, x, p, got, err, wantSeed[i])
+					}
+				}
+				if vectorISA == isaAVX512 {
+					// Its four extensions ran want's anti-diagonals.
+					memRows += 2 * (want.AntiDiags - 1)
+					for _, r := range wantSeed {
+						memRows += max(r.Left.AntiDiags-1, 0) + max(r.Right.AntiDiags-1, 0)
+					}
+					for _, m := range []regModes{w.modes, ws.modes} {
+						modes.rows += m.rows
+						modes.toRegs += m.toRegs
+						modes.toMem += m.toMem
+						memRows -= m.rows
 					}
 				}
 			})
@@ -126,4 +153,13 @@ func TestExtendVectorGuardPages(t *testing.T) {
 			t.Errorf("no anti-diagonal of shape %d (widths < 8, 8-15, 16-31, >= 32, not a multiple of 8): pick other X values", i)
 		}
 	}
+	if detectISA() != isaAVX512 {
+		t.Log("no AVX-512 on this host: the register mode was not exercised")
+		return
+	}
+	if modes.rows == 0 || modes.toRegs == 0 || modes.toMem == 0 || memRows <= 0 {
+		t.Errorf("AVX-512 routine: %d register rows, %d memory rows, %d moves into registers, %d back to memory; want all > 0: pick other X values",
+			modes.rows, memRows, modes.toRegs, modes.toMem)
+	}
+	t.Logf("AVX-512 routine: %d register rows, %d memory rows, %d moves into registers, %d back to memory", modes.rows, memRows, modes.toRegs, modes.toMem)
 }

@@ -31,11 +31,14 @@ func eachISA(f func()) {
 }
 
 // forEachISA is eachISA with one named subtest per variant; it says so
-// when the host cannot run the AVX2 routine.
+// when the host cannot run the AVX2 or the AVX-512 routine.
 func forEachISA(t *testing.T, f func(t *testing.T)) {
 	eachISA(func() { t.Run(VectorISA(), f) })
-	if detectISA() != isaAVX2 {
+	if detectISA() < isaAVX2 {
 		t.Log("no AVX2 on this host: the 16-lane blocks were not exercised")
+	}
+	if detectISA() < isaAVX512 {
+		t.Log("no AVX-512 on this host: the register mode was not exercised")
 	}
 }
 

@@ -38,6 +38,40 @@ func TestExtendVectorMatchesReference(t *testing.T) {
 	})
 }
 
+// TestExtendVectorHandoffs keeps bands near the AVX-512 routine's
+// register limit, where it moves the carried anti-diagonals between
+// registers and memory: bands that outgrow 64 cells and shrink back
+// below regReload, and bands that drift off the main diagonal through
+// indels until they leave their register frame. Every extension must equal
+// the reference on every ISA; on an AVX-512 host the handoffs must have
+// happened many times over.
+func TestExtendVectorHandoffs(t *testing.T) {
+	forEachISA(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(43))
+		w := NewWorkspace()
+		// A large match lets a cell live on its substitution source alone,
+		// so every carried cell a handoff moves can decide a result.
+		schemes := []Scoring{
+			DefaultScoring(),
+			{Match: 5, Mismatch: -1, Gap: -2},
+			{Match: 9, Mismatch: -4, Gap: -3},
+		}
+		for trial := 0; trial < 600; trial++ {
+			q := seq.RandSeq(rng, 200+rng.Intn(400))
+			tt := seq.Mutate(rng, q, seq.UniformProfile(0.05+0.15*rng.Float64()))
+			sc := schemes[trial%len(schemes)]
+			x := int32(35+rng.Intn(60)) * -sc.Gap
+			want := ExtendReference(q, tt, sc, x)
+			if got := w.ExtendVector(q, tt, sc, x); got != want {
+				t.Fatalf("trial %d (lens %d/%d, sc %+v, x %d):\n got %+v\nwant %+v", trial, len(q), len(tt), sc, x, got, want)
+			}
+		}
+		if vectorISA == isaAVX512 && (w.modes.toRegs < 300 || w.modes.toMem < 300) {
+			t.Errorf("AVX-512 routine moved rows into registers %d times and back %d times; want >= 300 each", w.modes.toRegs, w.modes.toMem)
+		}
+	})
+}
+
 // TestExtendVectorRebase drives the local best far past the int16 range so
 // the score-offset rebase must fire (repeatedly), and checks exactness.
 func TestExtendVectorRebase(t *testing.T) {

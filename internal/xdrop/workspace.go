@@ -31,7 +31,15 @@ type Workspace struct {
 	// for (see vectorKernelFor); nil until a portable row needs it.
 	vsc Scoring
 	tab *simd.BlendTable
+
+	// What the AVX-512 routine's register mode did over the extensions
+	// this workspace ran; tests read it to prove every path ran.
+	modes regModes
 }
+
+// regModes counts the anti-diagonals the AVX-512 routine computed in
+// registers and its handoffs between registers and memory.
+type regModes struct{ rows, toRegs, toMem int }
 
 // NewWorkspace returns an empty workspace; buffers grow on first use.
 func NewWorkspace() *Workspace { return &Workspace{} }

@@ -380,10 +380,12 @@ func (o *Overlapper) run(ctx context.Context, rs genome.ReadSet, cfg OverlapConf
 
 // extendPath is how a pipeline (Overlapper, Mapper) reaches the engine:
 // its extend function, the engine's dispatch or the Coalescer's bulk
-// entry, and the registry totals of its shed chunks.
+// entry, the registry totals of its shed chunks, and how a shed chunk
+// waits out its backoff (sleepCtx; tests count the waits instead).
 type extendPath struct {
 	extend                backend.ExtendFunc
 	shedTotal, retryTotal *telemetry.Counter
+	wait                  func(ctx context.Context, d time.Duration) error
 }
 
 // newExtendPath picks the engine-direct dispatch, or coal's bulk entry
@@ -397,6 +399,7 @@ func newExtendPath(eng *Aligner, coal *Coalescer, pipeline, chunks string) exten
 			strings.ToUpper(chunks[:1])+chunks[1:]+" shed by coalescer admission control."),
 		retryTotal: eng.tele.Counter("logan_"+pipeline+"_retries_total",
 			"Re-submissions of shed "+chunks+"."),
+		wait: sleepCtx,
 	}
 	if coal != nil {
 		p.extend = coal.extendBulk
@@ -411,6 +414,19 @@ type shedCount struct{ shed, retries atomic.Int64 }
 // run fails with ErrOverloaded: sustained overload should fail the job,
 // not wedge it.
 const overlapMaxRetries = 10
+
+// sleepCtx waits d on a real timer, or until ctx is done and then
+// returns its error.
+func sleepCtx(ctx context.Context, d time.Duration) error {
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-ctx.Done():
+		return ctx.Err()
+	case <-t.C:
+		return nil
+	}
+}
 
 // retrying returns the path's extend function for one run, with the
 // pipelines' one shed-retry loop: a chunk the coalescer's admission
@@ -429,10 +445,8 @@ func (p extendPath) retrying(n *shedCount) backend.ExtendFunc {
 			if attempt == overlapMaxRetries {
 				return backend.BatchStats{}, fmt.Errorf("logan: extension chunk shed %d times: %w", attempt+1, err)
 			}
-			select {
-			case <-ctx.Done():
-				return backend.BatchStats{}, ctx.Err()
-			case <-time.After(backoff):
+			if err := p.wait(ctx, backoff); err != nil {
+				return backend.BatchStats{}, err
 			}
 			backoff = min(2*backoff, 100*time.Millisecond)
 			n.retries.Add(1)

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -504,15 +505,11 @@ func TestOverlapSharesEngine(t *testing.T) {
 
 // shedding wraps extend so that its first k calls are shed with
 // ErrOverloaded, as coalescer admission sheds a chunk, and later calls
-// run through to extend. onShed, when non-nil, runs at every shed call
-// with the call's number, from 1.
-func shedding(k int64, extend backend.ExtendFunc, onShed func(call int64)) (backend.ExtendFunc, *atomic.Int64) {
+// run through to extend.
+func shedding(k int64, extend backend.ExtendFunc) (backend.ExtendFunc, *atomic.Int64) {
 	calls := new(atomic.Int64)
 	return func(ctx context.Context, in []seq.Pair, out []xdrop.SeedResult, sch xdrop.Scheme, x int32) (backend.BatchStats, error) {
-		if c := calls.Add(1); c <= k {
-			if onShed != nil {
-				onShed(c)
-			}
+		if calls.Add(1) <= k {
 			return backend.BatchStats{}, ErrOverloaded
 		}
 		return extend(ctx, in, out, sch, x)
@@ -541,7 +538,7 @@ func TestExtendPathShedRetry(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ov.path.extend, _ = shedding(k, eng.extendPrepared, nil)
+		ov.path.extend, _ = shedding(k, eng.extendPrepared)
 		var last OverlapProgress
 		cfg.OnProgress = func(p OverlapProgress) { last = p }
 		shedBefore := ov.path.shedTotal.Value()
@@ -578,7 +575,7 @@ func TestExtendPathShedRetry(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m.path.extend, _ = shedding(k, eng.extendPrepared, nil)
+		m.path.extend, _ = shedding(k, eng.extendPrepared)
 		retriesBefore := m.path.retryTotal.Value()
 		got, err := m.Map(context.Background(), mapReadsOf(rs), cfg)
 		if err != nil {
@@ -598,9 +595,11 @@ func TestExtendPathShedRetry(t *testing.T) {
 
 // TestExtendPathShedLimit: a chunk shed on every submission fails after
 // overlapMaxRetries re-submissions with an error wrapping ErrOverloaded,
-// and a context cancelled while a shed chunk backs off ends the loop at
-// once with the context's error: cancelled 10 ms into the 100 ms backoff
-// after the eighth shed, the loop never submits a ninth time.
+// backing off 1, 2, 4, ... 64 ms and then 100 ms before each; and a
+// context cancelled while a shed chunk backs off ends the loop at once
+// with the context's error: cancelled inside the (100 ms) backoff after
+// the eighth shed, the loop never submits a ninth time. The backoffs are
+// recorded, not slept.
 func TestExtendPathShedLimit(t *testing.T) {
 	eng, err := NewAligner(EngineOptions{})
 	if err != nil {
@@ -610,8 +609,13 @@ func TestExtendPathShedLimit(t *testing.T) {
 	sch := xdrop.LinearScheme(xdrop.DefaultScoring())
 
 	p := newExtendPath(eng, nil, "overlap", "overlap extension chunks")
-	extend, calls := shedding(math.MaxInt64, eng.extendPrepared, nil)
+	extend, calls := shedding(math.MaxInt64, eng.extendPrepared)
 	p.extend = extend
+	var waits []time.Duration
+	p.wait = func(ctx context.Context, d time.Duration) error {
+		waits = append(waits, d)
+		return ctx.Err()
+	}
 	var n shedCount
 	_, err = p.retrying(&n)(context.Background(), nil, nil, sch, 20)
 	if !errors.Is(err, ErrOverloaded) {
@@ -621,15 +625,25 @@ func TestExtendPathShedLimit(t *testing.T) {
 		t.Errorf("%d submissions, %d sheds, %d retries; want %d, %d, %d",
 			c, s, r, overlapMaxRetries+1, overlapMaxRetries+1, overlapMaxRetries)
 	}
+	want := []time.Duration{1, 2, 4, 8, 16, 32, 64, 100, 100, 100}
+	for i := range want {
+		want[i] *= time.Millisecond
+	}
+	if !slices.Equal(waits, want) {
+		t.Errorf("backoffs %v, want %v", waits, want)
+	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	extend, calls = shedding(math.MaxInt64, eng.extendPrepared, func(call int64) {
-		if call == 8 {
-			time.AfterFunc(10*time.Millisecond, cancel)
-		}
-	})
+	extend, calls = shedding(math.MaxInt64, eng.extendPrepared)
 	p.extend = extend
+	waits = nil
+	p.wait = func(ctx context.Context, d time.Duration) error {
+		if waits = append(waits, d); len(waits) == 8 {
+			cancel()
+		}
+		return ctx.Err()
+	}
 	n = shedCount{}
 	_, err = p.retrying(&n)(ctx, nil, nil, sch, 20)
 	if err != ctx.Err() || !errors.Is(err, context.Canceled) {
@@ -637,5 +651,8 @@ func TestExtendPathShedLimit(t *testing.T) {
 	}
 	if c, s, r := calls.Load(), n.shed.Load(), n.retries.Load(); c != 8 || s != 8 || r != 7 {
 		t.Errorf("%d submissions, %d sheds, %d retries after a cancel in the eighth backoff; want 8, 8, 7", c, s, r)
+	}
+	if !slices.Equal(waits, want[:8]) {
+		t.Errorf("backoffs %v, want %v", waits, want[:8])
 	}
 }

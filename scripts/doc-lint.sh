@@ -39,14 +39,17 @@ if [ "$(printf '%s' "$loops" | grep -c .)" -gt 2 ]; then
 	exit 1
 fi
 
-# The assembly of internal/xdrop is cpuHasAVX2 and the fused extension:
-# one routine per ISA, both expanded from one body that holds the one
-# anti-diagonal loop. Another TEXT symbol (a per-row routine coming back)
-# or a second loop label means the wavefront has forked in assembly.
+# The assembly of internal/xdrop is one detection probe per ISA past the
+# SSE2 baseline and the fused extension: one routine per ISA, all
+# expanded from one body that holds the one anti-diagonal loop (the
+# AVX-512 register mode included). Another TEXT symbol (a per-row routine
+# coming back) or a second loop label means the wavefront has forked in
+# assembly.
 asm=$(grep -hoE '^TEXT [^(]+' internal/xdrop/*.s internal/xdrop/*.h | sed 's/^TEXT ·//' | sort | tr '\n' ' ')
 asmloops=$(cat internal/xdrop/*.s internal/xdrop/*.h | grep -cE '^loop:' || true)
-if [ "$asm" != "cpuHasAVX2 vectorExtendAVX2 vectorExtendSSE2 " ] || [ "$asmloops" != 1 ]; then
-	echo "doc-lint: internal/xdrop assembly defines [$asm] with $asmloops loop label(s) (want: cpuHasAVX2 vectorExtendAVX2 vectorExtendSSE2, one loop)" >&2
+want="cpuHasAVX2 cpuHasAVX512 vectorExtendAVX2 vectorExtendAVX512 vectorExtendSSE2 "
+if [ "$asm" != "$want" ] || [ "$asmloops" != 1 ]; then
+	echo "doc-lint: internal/xdrop assembly defines [$asm] with $asmloops loop label(s) (want: ${want}and one loop)" >&2
 	exit 1
 fi
 
