@@ -288,7 +288,7 @@ func TestServeWriteErrors(t *testing.T) {
 		t.Fatalf("statz pairs = %d, want 1", totals.Pairs)
 	}
 	switch totals.SIMD {
-	case "avx512", "avx2", "sse2", "portable":
+	case "avx512", "avx2", "sse2", "none":
 	default:
 		t.Fatalf("statz simd = %q, want the vector kernel's instruction set", totals.SIMD)
 	}

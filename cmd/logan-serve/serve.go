@@ -542,8 +542,9 @@ func (s *server) handleReady(w http.ResponseWriter, _ *http.Request) {
 // atomic registry snapshot — the same snapshot a concurrent /metrics
 // scrape would see — so the JSON view and the Prometheus view of one
 // instant agree. SIMD is not a counter: it names the instruction set the
-// vector kernel's rows run on in this process ("avx512", "avx2", "sse2",
-// "portable"), so a recorded number can say which path produced it.
+// vector kernel runs on in this process ("avx512", "avx2", "sse2", or
+// "none" off amd64, where the vector kernel is the scalar one), so a
+// recorded number can say which path produced it.
 type statzJSON struct {
 	Requests    int64                       `json:"requests"`
 	Pairs       int64                       `json:"pairs"`

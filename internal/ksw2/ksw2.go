@@ -17,7 +17,6 @@ import (
 	"math"
 
 	"logan/internal/seq"
-	"logan/internal/simd"
 )
 
 // NegInf is the dead-cell sentinel, kept far from the int32 edge.
@@ -57,6 +56,10 @@ type Result struct {
 // SSE2 kernel issues per 8 cells: loads, shifts, compare/blend for the
 // score, adds and maxes for H/E/F, and the store.
 const RowVectorOps = 10
+
+// lanes is the number of int16 cells in one 128-bit SSE2 register, the
+// chunk RowVectorOps counts per.
+const lanes = 8
 
 // ExtendZ extends the alignment of q and t from their origins, maximizing
 // the affine-gap score over all prefix pairs, with ksw2's Z-drop rule: let
@@ -170,7 +173,7 @@ func ExtendZ(q, t seq.Seq, p Params) Result {
 		if width > res.MaxBand {
 			res.MaxBand = width
 		}
-		res.VecOps += int64((width+simd.Lanes-1)/simd.Lanes) * RowVectorOps
+		res.VecOps += int64((width+lanes-1)/lanes) * RowVectorOps
 
 		if rowBest > best {
 			best = rowBest

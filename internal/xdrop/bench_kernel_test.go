@@ -85,36 +85,6 @@ func BenchmarkKernel(b *testing.B) {
 	}
 }
 
-// BenchmarkKernelRow times the portable whole-row routine alone, per band
-// width — the per-row cost model of wave's int16 path on architectures
-// without a fused routine (on amd64 the fused routine has no per-row call
-// to time; BenchmarkKernel's ns/antidiag is its number). A third of the
-// rows improve best and so pay the position scan.
-func BenchmarkKernelRow(b *testing.B) {
-	rng := rand.New(rand.NewSource(5))
-	w := NewWorkspace()
-	for _, kn := range []int{4, 8, 12, 16, 24, 32, 64, 128, 256} {
-		rows := make([]rowCase, 64)
-		for i := range rows {
-			rows[i] = randRowCase(rng, kn, 0)
-			if i%3 != 0 {
-				rows[i].best = 17000
-			}
-		}
-		out := make([]int16, kn)
-		k := w.vectorKernelFor(DefaultScoring())
-		b.Run(fmt.Sprintf("portable/band%d", kn), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				rc := &rows[i%len(rows)]
-				k.row(rc.d3, rc.d2m1, out, rc.qs, rc.ts, rc.thr, rc.best)
-			}
-			ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-			b.ReportMetric(ns, "ns/row")
-			b.ReportMetric(float64(kn)/ns, "cells/ns")
-		})
-	}
-}
-
 // BenchmarkPoolKernel10k is the batch-level acceptance comparison: the
 // 10k-pair BELLA-style workload on a reused pool, once per kernel forced
 // via ExtendBatchKernel. The vector/scalar cells/ns ratio is the

@@ -1,11 +1,6 @@
 package xdrop
 
-import (
-	"encoding/binary"
-
-	"logan/internal/seq"
-	"logan/internal/simd"
-)
+import "logan/internal/seq"
 
 // The vector kernel's int16 working range. Band-local scores are stored
 // rebased (score - base) so they fit int16 lanes: the rebase fires between
@@ -52,39 +47,28 @@ func VectorEligible(sc Scoring, x int32) bool {
 type rowISA int8
 
 const (
-	isaPortable rowISA = iota // wave over the Go rows: every non-amd64 build, and the spec
-	isaSSE2                   // the fused routine with 8-lane blocks, the amd64 baseline
-	isaAVX2                   // the fused routine with 16-lane blocks for rows >= 32 cells
-	isaAVX512                 // isaAVX2 plus the register mode for bands of up to 64 cells
+	isaNone   rowISA = iota // no fused routine (every non-amd64 build): the vector kernel is the scalar one
+	isaSSE2                 // the fused routine with 8-lane blocks, the amd64 baseline
+	isaAVX2                 // the fused routine with 16-lane blocks for rows >= 32 cells
+	isaAVX512               // isaAVX2 plus the register mode for bands of up to 64 cells
 )
 
 var vectorISA = detectISA()
 
 // VectorISA names the instruction set the vector kernel runs on in this
-// process: "avx512", "avx2", "sse2" or "portable".
+// process: "avx512", "avx2", "sse2", or "none" where there is no fused
+// routine and the vector kernel is the scalar one.
 func VectorISA() string {
-	return [...]string{isaPortable: "portable", isaSSE2: "sse2", isaAVX2: "avx2", isaAVX512: "avx512"}[vectorISA]
-}
-
-// vectorKernelFor returns the portable int16 row kernel for sc, rebuilding
-// the workspace's 4 KiB compare-blend table when the scoring changed.
-// Batches share a scoring configuration, so the steady state is one
-// compare.
-func (w *Workspace) vectorKernelFor(sc Scoring) vectorKernel {
-	if w.vsc != sc || w.tab == nil {
-		w.vsc = sc
-		w.tab = simd.NewBlendTable(int16(sc.Match), int16(sc.Mismatch))
-	}
-	return vectorKernel{tab: w.tab,
-		match: int16(sc.Match), mismatch: int16(sc.Mismatch), gap: int16(sc.Gap)}
+	return [...]string{isaNone: "none", isaSSE2: "sse2", isaAVX2: "avx2", isaAVX512: "avx512"}[vectorISA]
 }
 
 // ExtendVector is the int16 SIMD form of Workspace.Extend: scores, extents
 // and work counters are bit-identical to the scalar kernel (and so to
 // ExtendReference) on every input. Inputs outside the vector envelope
-// (VectorEligible) fall back to the scalar kernel. Score-offset rebasing
-// (see the constants above) keeps lane values exact in int16, so no
-// saturating clamp can ever touch a live score.
+// (VectorEligible) fall back to the scalar kernel, and so does every
+// input where there is no fused routine (VectorISA "none"). Score-offset
+// rebasing (see the constants above) keeps lane values exact in int16, so
+// no saturating clamp can ever touch a live score.
 func (w *Workspace) ExtendVector(q, t seq.Seq, sc Scoring, x int32) Result {
 	if !VectorEligible(sc, x) {
 		return w.Extend(q, t, sc, x)
@@ -108,124 +92,4 @@ func (w *Workspace) ExtendTrace(q, t seq.Seq, sc Scoring, x int32, trace []int32
 		r = wave(&w.d, &w.rt, q, t, x, linearRow(sc), &trace)
 	}
 	return r, trace
-}
-
-// vectorKernel is the int16 row kernel of wave: the portable form of the
-// fused routine, and the spec that routine is pinned to. Its row method
-// computes a whole anti-diagonal in one call: d3 holds the substitution
-// sources and out receives the new diagonal (both of length kn), d2m1
-// holds the gap sources of the previous diagonal shifted one cell down
-// (length kn+1: the "up" source of cell k is d2m1[k], the "left" source is
-// d2m1[k+1] — the lane shift of the classic striped kernel falls out of
-// the anti-diagonal memory layout as two overlapping loads), and qs/ts are
-// the forward-read sequence spans. It returns the updated running best and
-// the index of the first cell holding it (-1 and best unchanged if the row
-// did not improve on it), the scalar kernel's tie order exactly.
-//
-// Rows of kn >= simd.Lanes run vectorRowPortable's 8-lane blocks,
-// narrower rows rowNarrow. A row that is not a lane multiple ends in one
-// block re-anchored at kn - lanes that overlaps the previous one: a cell
-// depends only on d3[k], d2m1[k], d2m1[k+1], qs[k] and ts[k], and out never
-// aliases a source (the three rolling buffers of wave), so recomputing a
-// cell stores the same value again — and nothing outside [0, kn) of
-// d3/out/qs/ts and [0, kn] of d2m1 is read or written. The fused routine
-// blocks its rows the same way, with 16 lanes on AVX2 for wide rows.
-type vectorKernel struct {
-	tab                  *simd.BlendTable
-	match, mismatch, gap int16
-}
-
-func (vectorKernel) planes() int { return 1 }
-
-func (v vectorKernel) gaps() (first, rest int16) { return v.gap, v.gap }
-
-func (v vectorKernel) row(d3, d2m1, out []int16, qs, ts seq.Seq, thr, best int16) (int16, int) {
-	if len(out) < simd.Lanes {
-		return v.rowNarrow(d3, d2m1, out, qs, ts, thr, best)
-	}
-	return vectorRowPortable(d3, d2m1, out, qs, ts, v.tab, v.gap, thr, best)
-}
-
-// rowNarrow is the scalar loop for rows narrower than one vector
-// (kn < simd.Lanes): the band's first and last few anti-diagonals.
-func (v vectorKernel) rowNarrow(d3, d2m1, out []int16, qs, ts seq.Seq, thr, best int16) (int16, int) {
-	kn := len(out)
-	d3, d2, qs, ts := d3[:kn], d2m1[1:][:kn], qs[:kn], ts[:kn]
-	up := d2m1[0]
-	bestK := -1
-	for k := range out {
-		add := v.mismatch
-		if qs[k] == ts[k] {
-			add = v.match
-		}
-		s := d3[k] + add
-		g := max(up, d2[k]) + v.gap
-		up = d2[k]
-		if g > s {
-			s = g
-		}
-		if s > best {
-			best, bestK = s, k
-		}
-		if s < thr {
-			s = negInf16
-		}
-		out[k] = s
-	}
-	return best, bestK
-}
-
-// vectorRowPortable is the pure-Go whole-row routine, the implementation
-// on every architecture without a fused routine. It needs
-// kn >= simd.Lanes. Per 8-cell block the match/mismatch substitution add
-// is one simd.EqMask64 SWAR compare over two 8-byte sequence words plus one
-// 16-byte load from the batch-specialized compare-blend table. All lane
-// arithmetic runs in full-width registers (loads sign-extend, stores
-// truncate): values are exact in int16 range by the rebase invariant, and
-// 16-bit ALU ops would hit length-changing-prefix stalls on x86.
-func vectorRowPortable(d3, d2m1, out []int16, qs, ts []byte, tab *simd.BlendTable, gap, thr, best int16) (int16, int) {
-	kn := len(out)
-	d3, d2m1, qs, ts = d3[:kn], d2m1[:kn+1], qs[:kn], ts[:kn]
-	gw, tw, nw := int(gap), int(thr), int(negInf16)
-	rm := nw
-	for k := 0; k < kn; k += simd.Lanes {
-		k = min(k, kn-simd.Lanes) // the final block overlaps its predecessor
-		av := &tab[simd.EqMask64(
-			binary.LittleEndian.Uint64(qs[k:]),
-			binary.LittleEndian.Uint64(ts[k:]))]
-		d3b := (*[simd.Lanes]int16)(d3[k:])
-		d2b := (*[simd.Lanes + 1]int16)(d2m1[k:])
-		ob := (*[simd.Lanes]int16)(out[k:])
-		up := int(d2b[0])
-		for l := 0; l < simd.Lanes; l++ {
-			c := int(d2b[l+1])
-			g := up
-			if c > g {
-				g = c
-			}
-			up = c
-			s := int(d3b[l]) + int(av[l])
-			if g+gw > s {
-				s = g + gw
-			}
-			if s < tw {
-				s = nw
-			}
-			if s > rm {
-				rm = s
-			}
-			ob[l] = int16(s)
-		}
-	}
-	// The running best moves only on strict increase, so it would have
-	// settled on the first cell holding the row maximum; that cell cleared
-	// the threshold (rm > best >= thr), so its stored value is unclamped.
-	if rm <= int(best) {
-		return best, -1
-	}
-	for i := 0; ; i++ {
-		if int(out[i]) == rm {
-			return int16(rm), i
-		}
-	}
 }

@@ -21,13 +21,9 @@ func detectISA() rowISA {
 	return isaSSE2
 }
 
-// extendVector runs one int16 extension on the routine vectorISA names:
-// the fused assembly wavefront, or wave over the portable rows when a test
-// has pointed the dispatch there.
+// extendVector runs one int16 extension on the fused routine vectorISA
+// names.
 func (w *Workspace) extendVector(q, t seq.Seq, sc Scoring, x int16, trace *[]int32) Result {
-	if vectorISA == isaPortable {
-		return wave(&w.v, &w.rt, q, t, x, w.vectorKernelFor(sc), trace)
-	}
 	return w.extendFused(q, t, sc, x, trace, vectorISA)
 }
 
@@ -75,8 +71,8 @@ type fusedState struct {
 }
 
 // extendFused is wave for int16 cells with the whole loop in one assembly
-// call: scores, extents, tie order, work counters and trace are wave's
-// over vectorKernel, bit for bit (FuzzExtendVectorDifferential). The call
+// call: scores, extents, tie order, work counters and trace are those of
+// wave over linearRow, bit for bit (FuzzExtendVectorDifferential). The call
 // returns early only to pause — once the band-local best reaches the
 // rebase mark, or once fusedBudget cells have run — and resumes from
 // fusedState. isa selects the routine.
@@ -128,10 +124,12 @@ func (w *Workspace) extendFused(q, t seq.Seq, sc Scoring, x int16, trace *[]int3
 			break
 		}
 		if best := int16(st.best); best >= vectorRebaseAt {
-			// The diagonal being written next is rewritten before it is
-			// read, so sweeping all three buffers is as exact as wave's two.
+			// Subtract the best from the two carried diagonals so the
+			// upcoming scores stay centered near zero; the diagonal being
+			// written next is rewritten before it is read, so sweeping it
+			// too is harmless.
 			for i := range w.v {
-				rebase(w.v[i], best, negInf16Guard)
+				rebase(w.v[i], best)
 			}
 			base += int32(best)
 			st.best = 0
@@ -186,3 +184,16 @@ func cpuHasAVX2() bool
 // EBX AVX512F, AVX512BW, AVX2, BMI1 and BMI2, and the OS saves the opmask
 // and ZMM state (leaf 1 OSXSAVE and AVX, XCR0 bits 1, 2 and 5-7).
 func cpuHasAVX512() bool
+
+// rebase subtracts delta from every live cell of a carried int16
+// diagonal, leaving sentinels (everything at or below negInf16Guard)
+// untouched. The sweep runs over the whole buffer — the live span is
+// sentinel-bracketed inside it — and fires at most once per rebase mark
+// of score gained, so its cost amortizes to nothing.
+func rebase(a []int16, delta int16) {
+	for i := range a {
+		if a[i] > negInf16Guard {
+			a[i] -= delta
+		}
+	}
+}

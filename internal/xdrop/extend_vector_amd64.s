@@ -1,7 +1,7 @@
-// The fused int16 X-drop extension: wave (wave.go) over vectorKernel
-// (extend_vector.go), the whole anti-diagonal loop in one call. The Go
-// declarations and the driver that pauses and resumes it are in
-// extend_vector_amd64.go; the fields of fusedState are reached through the
+// The fused int16 X-drop extension: wave (wave.go) over linearRow
+// (workspace.go) in int16 lanes, the whole anti-diagonal loop in one
+// call. The Go declarations and the driver that pauses and resumes it are
+// in extend_vector_amd64.go; the fields of fusedState are reached through the
 // offsets go_asm.h generates from its declaration.
 //
 // Per anti-diagonal d, in wave's order: fill rt[n-d], stop on an empty
@@ -12,11 +12,12 @@
 // rotation of the three diagonal buffers, and the next band's clip to the
 // matrix.
 //
-// Interior rows run in blocks exactly as vectorRowPortable does: 8 lanes
-// (rows of 8 cells or more) or, in the AVX2 routine, 16 lanes for rows of
-// 32 cells or more (below that 8 lanes measured faster); a row that is not
-// a lane multiple ends in one block re-anchored at its last cell that
-// overlaps its predecessor; rows narrower than 8 cells run a scalar loop.
+// Interior rows run in blocks: 8 lanes (rows of 8 cells or more) or, in
+// the AVX2 routine, 16 lanes for rows of 32 cells or more (below that 8
+// lanes measured faster); a row that is not a lane multiple ends in one
+// block re-anchored at its last cell that overlaps its predecessor, which
+// is idempotent because the row never aliases a source (see rowKernel);
+// rows narrower than 8 cells run a scalar loop.
 // Per block of L cells at cell i (SSE2 mnemonics; the 16-lane blocks are
 // the same dataflow on YMM):
 //

@@ -4,10 +4,11 @@ package xdrop
 
 import "logan/internal/seq"
 
-// detectISA: architectures without a fused routine run the portable rows.
-func detectISA() rowISA { return isaPortable }
+// detectISA: there is no fused routine off amd64.
+func detectISA() rowISA { return isaNone }
 
-// extendVector runs one int16 extension: wave over the portable rows.
+// extendVector runs one int16-eligible extension where there is no fused
+// routine: wave over the scalar row, the same result and band trace.
 func (w *Workspace) extendVector(q, t seq.Seq, sc Scoring, x int16, trace *[]int32) Result {
-	return wave(&w.v, &w.rt, q, t, x, w.vectorKernelFor(sc), trace)
+	return wave(&w.d, &w.rt, q, t, int32(x), linearRow(sc), trace)
 }

@@ -73,8 +73,8 @@ func fuzzScoring(m, mm, g uint8) Scoring {
 // FuzzExtendVectorDifferential pins the vector kernel bit-identical to
 // the reference scalar implementation: same score, same end cell, same
 // work counters, on arbitrary sequences under arbitrary eligible scoring,
-// on every variant of this host — wave over the portable rows and each
-// fused routine; and the band trace ExtendTrace hands the simulated
+// on every fused routine of this host (the scalar kernel itself where
+// there is none); and the band trace ExtendTrace hands the simulated
 // device identical across the scalar kernel and every vector variant,
 // consistent with the work counters. The fuzzed parameters deliberately
 // reach the envelope edges — match weights up to VectorMaxScore drive
@@ -145,54 +145,6 @@ func checkTrace(t *testing.T, trace []int32, r Result) {
 		t.Fatalf("trace of %d widths summing to %d, want AntiDiags-1 = %d and Cells-1 = %d",
 			len(trace), sum, r.AntiDiags-1, r.Cells-1)
 	}
-}
-
-// FuzzVectorRow pins the portable row kernel (vectorRowPortable and
-// rowNarrow, the rows of wave on architectures without a fused routine) to
-// the scalar row on arbitrary rows: raw bytes become the two source
-// diagonals (live rebased-range values and sentinels) and the two base
-// spans of a row of width kn.
-func FuzzVectorRow(f *testing.F) {
-	f.Add([]byte("ACGTACGTTTGACA"), uint8(8), int16(-100), uint16(50), uint8(1), uint8(1), uint8(1))
-	f.Add([]byte{0, 0, 1, 2, 3, 250, 251, 252, 5, 10, 255}, uint8(37), int16(-8192), uint16(8192), uint8(255), uint8(255), uint8(255))
-	f.Add([]byte{7}, uint8(16), int16(16638), uint16(0), uint8(2), uint8(3), uint8(4))
-	ws := NewWorkspace()
-	f.Fuzz(func(t *testing.T, data []byte, knRaw uint8, thr int16, xRaw uint16, mRaw, mmRaw, gRaw uint8) {
-		kn := int(knRaw)%96 + 1
-		used := 0
-		next := func() int { // the fuzzer's bytes, cycled
-			if len(data) == 0 {
-				return 0
-			}
-			used++
-			return int(data[(used-1)%len(data)])
-		}
-		cell := func() int16 {
-			if v := next()<<8 | next(); v%5 != 0 {
-				return int16(-8192 + v%(8192+16638))
-			}
-			return negInf16
-		}
-		rc := rowCase{
-			d3: make([]int16, kn), d2m1: make([]int16, kn+1),
-			qs: make([]byte, kn), ts: make([]byte, kn),
-			sc: fuzzScoring(mRaw, mmRaw, gRaw),
-		}
-		for i := range rc.d3 {
-			rc.d3[i] = cell()
-		}
-		for i := range rc.d2m1 {
-			rc.d2m1[i] = cell()
-		}
-		for i := range rc.qs {
-			rc.qs[i] = seq.Alphabet[next()%4]
-			rc.ts[i] = seq.Alphabet[next()%4]
-		}
-		// The driver's envelope: thr = best - x with 0 <= x <= VectorMaxX.
-		rc.thr = max(-int16(VectorMaxX), min(thr, vectorRebaseAt+int16(VectorMaxScore)-1))
-		rc.best = rc.thr + int16(int32(xRaw)%(VectorMaxX+1))
-		rc.check(t, ws)
-	})
 }
 
 // FuzzExtendMatrix does the same for the protein path, and pins the

@@ -12,10 +12,11 @@ const (
 	// one, and the linear one (Workspace.Extend) is the fallback when a
 	// configuration exceeds the vector envelope.
 	KernelScalar Kernel = iota
-	// KernelVector is the int16 lane kernel (ExtendVector): on amd64 the
-	// fused assembly extension, 16-lane AVX2 or 8-lane SSE2 by CPU
-	// (VectorISA), elsewhere the wavefront driver over the portable 8-lane
-	// rows. Linear DNA configurations inside the vector envelope only.
+	// KernelVector is the int16 lane kernel (ExtendVector): the fused
+	// assembly extension on amd64, AVX-512, AVX2 or SSE2 by CPU
+	// (VectorISA). Linear DNA configurations inside the vector envelope
+	// only; where there is no fused routine SelectKernel never picks it,
+	// and forcing it runs the scalar kernel.
 	KernelVector
 )
 
@@ -28,12 +29,13 @@ func (k Kernel) String() string {
 }
 
 // SelectKernel picks the kernel for one merged batch: linear DNA schemes
-// inside the vector envelope (VectorEligible) get the vector fast path,
-// everything else — affine, matrix, out-of-envelope linear — keeps the
-// scalar kernel. Both kernels are bit-identical on every input, so the
-// choice affects throughput only.
+// inside the vector envelope (VectorEligible) get the vector fast path
+// when this host has a fused routine, everything else — affine, matrix,
+// out-of-envelope linear, and every scheme off amd64 — keeps the scalar
+// kernel. Both kernels are bit-identical on every input, so the choice
+// affects throughput only.
 func SelectKernel(sch Scheme, x int32) Kernel {
-	if sch.Kind == SchemeLinear && VectorEligible(sch.Linear, x) {
+	if vectorISA != isaNone && sch.Kind == SchemeLinear && VectorEligible(sch.Linear, x) {
 		return KernelVector
 	}
 	return KernelScalar

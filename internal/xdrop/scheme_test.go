@@ -3,6 +3,7 @@ package xdrop
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -82,7 +83,7 @@ func TestExtendSeedAffineReducesToLinear(t *testing.T) {
 func TestExtendSeedAffineBounds(t *testing.T) {
 	s := seq.MustNew("ACGTACGT")
 	sc := AffineScoring{Match: 1, Mismatch: -1, GapOpen: -2, GapExtend: -1}
-	for _, tc := range [][3]int{{7, 0, 4}, {0, 7, 4}, {-1, 0, 4}, {0, 0, 0}, {1 << 62, 0, 4}} {
+	for _, tc := range [][3]int{{7, 0, 4}, {0, 7, 4}, {-1, 0, 4}, {0, 0, 0}, {math.MaxInt, 0, 4}} {
 		if _, err := ExtendSeedAffine(s, s, tc[0], tc[1], tc[2], sc, 10); err == nil {
 			t.Fatalf("seed %v accepted", tc)
 		}

@@ -2,10 +2,44 @@ package xdrop
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"logan/internal/seq"
 )
+
+// rowISAs lists the vector-kernel variants this host can run: every fused
+// routine up to the one detectISA picked, or isaNone alone where there is
+// no fused routine.
+func rowISAs() []rowISA {
+	var isas []rowISA
+	for isa := min(isaSSE2, detectISA()); isa <= detectISA(); isa++ {
+		isas = append(isas, isa)
+	}
+	return isas
+}
+
+// eachISA calls f once per vector-kernel variant of this host, the
+// dispatch pointed at it, and restores the dispatch afterwards.
+func eachISA(f func()) {
+	defer func(prev rowISA) { vectorISA = prev }(vectorISA)
+	for _, isa := range rowISAs() {
+		vectorISA = isa
+		f()
+	}
+}
+
+// forEachISA is eachISA with one named subtest per variant; it says so
+// when the host cannot run the AVX2 or the AVX-512 routine.
+func forEachISA(t *testing.T, f func(t *testing.T)) {
+	eachISA(func() { t.Run(VectorISA(), f) })
+	if detectISA() < isaAVX2 {
+		t.Log("no AVX2 on this host: the 16-lane blocks were not exercised")
+	}
+	if detectISA() < isaAVX512 {
+		t.Log("no AVX-512 on this host: the register mode was not exercised")
+	}
+}
 
 // TestExtendVectorMatchesReference pins the vector kernel bit-identical to
 // ExtendReference (and therefore to the scalar Workspace.Extend) across
@@ -106,7 +140,10 @@ func TestExtendVectorRebase(t *testing.T) {
 }
 
 // TestExtendVectorFallback checks that inputs outside the vector envelope
-// are executed (exactly) by the scalar fallback rather than rejected.
+// are executed (exactly) by the scalar fallback rather than rejected, and
+// that where there is no fused routine (off amd64) the vector kernel is
+// the scalar one: never selected, and the same result and band trace when
+// forced.
 func TestExtendVectorFallback(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	w := NewWorkspace()
@@ -129,5 +166,22 @@ func TestExtendVectorFallback(t *testing.T) {
 		if got != want {
 			t.Fatalf("%s: fallback got %+v want %+v", tc.name, got, want)
 		}
+	}
+
+	if VectorISA() != "none" {
+		return
+	}
+	sc, x := DefaultScoring(), int32(100)
+	if k := SelectKernel(LinearScheme(sc), x); k != KernelScalar {
+		t.Fatalf("no fused routine: SelectKernel picked %v on an eligible scheme", k)
+	}
+	var wantTrace []int32
+	want := wave(&w.d, &w.rt, q, tt, x, linearRow(sc), &wantTrace)
+	if got := w.ExtendVector(q, tt, sc, x); got != want {
+		t.Fatalf("no fused routine: ExtendVector %+v, want Extend's %+v", got, want)
+	}
+	got, trace := w.ExtendTrace(q, tt, sc, x, nil)
+	if got != want || !slices.Equal(trace, wantTrace) {
+		t.Fatalf("no fused routine: ExtendTrace %+v (trace %v), want %+v (trace %v)", got, trace, want, wantTrace)
 	}
 }

@@ -1,14 +1,6 @@
 package xdrop
 
-import (
-	"math"
-
-	"logan/internal/seq"
-)
-
-// cell is the element width of one wavefront instantiation: int32 for the
-// scalar, matrix and affine kernels, int16 for the SIMD vector kernel.
-type cell interface{ int16 | int32 }
+import "logan/internal/seq"
 
 // rowKernel is everything that differs between the production X-drop
 // paths: what one anti-diagonal's interior cells cost. The band machinery
@@ -18,15 +10,15 @@ type cell interface{ int16 | int32 }
 // type parameter whose method runs per cell is not inlined under Go's
 // GC-shape stenciling and halved the scalar kernel (0.296 -> 0.137
 // cells/ns at x=25, 0.435 -> 0.180 at x=400). One dictionary call per
-// row is what the seam costs instead, and at narrow bands that was most of
-// the int16 kernel's work: through this driver an x=25 anti-diagonal (21
-// cells on average) cost 58 ns, against 29 ns with the whole loop in one
-// assembly call (BenchmarkKernel/vector ns/antidiag, 2-core Xeon; 71 -> 37
-// ns at x=100). So on amd64 the int16 instantiation runs as the fused
-// routine (extendFused), and wave is what it reproduces bit for bit; wave
-// itself drives the int32 kernels and, over the portable rows, the int16
-// kernel elsewhere.
-type rowKernel[C cell] interface {
+// row is what the seam costs instead. For int16 cells even that was most
+// of the work at narrow bands: through this driver an x=25 anti-diagonal
+// (21 cells on average) cost 58 ns, against 29 ns with the whole loop in
+// one assembly call (BenchmarkKernel/vector ns/antidiag, 2-core Xeon; 71
+// -> 37 ns at x=100). So wave drives the int32 kernels only; the int16
+// vector kernel is the fused routine (extendFused on amd64), which
+// reproduces wave over linearRow bit for bit, and where there is no fused
+// routine the vector kernel is wave over linearRow itself.
+type rowKernel interface {
 	// planes is how many score planes a diagonal carries: 1 for the
 	// linear-gap kernels (H only), 3 for Gotoh (H, E, F). Plane p of a
 	// diagonal buffer starts at p*bandLen(m, n), so a kernel reaches the
@@ -37,25 +29,25 @@ type rowKernel[C cell] interface {
 	planes() int
 	// gaps returns the cost of a matrix-border step: first out of the
 	// origin (d = 1, which opens the gap), rest along the border after it.
-	gaps() (first, rest C)
+	gaps() (first, rest int32)
 	// row computes the interior cells (i >= 1, j >= 1) of one
-	// anti-diagonal, in the slice layout documented at vectorKernel:
-	// d3 the substitution sources, d2m1 the previous diagonal with a
-	// one-cell lead ("up" source of cell k at d2m1[k], "left" at
-	// d2m1[k+1]), out the new diagonal, qs/ts the forward-read sequence
-	// spans. Every source lies inside the sentinel-bracketed span of its
-	// buffer, so row needs no range checks: a sentinel-sourced cell lands
-	// far below thr and is re-pruned. Cells scoring below thr are stored
+	// anti-diagonal: d3 the substitution sources and out the new diagonal
+	// (both of length kn), d2m1 the previous diagonal with a one-cell lead
+	// (length kn+1: "up" source of cell k at d2m1[k], "left" at
+	// d2m1[k+1]), qs/ts the forward-read sequence spans. Every source lies
+	// inside the sentinel-bracketed span of its buffer, so row needs no
+	// range checks: a sentinel-sourced cell lands far below thr and is
+	// re-pruned. Cells scoring below thr are stored
 	// as the sentinel. row returns the updated running best and the index
 	// of the first cell holding it (-1 if the row did not improve on
 	// best) — the tie order of an in-order scan.
 	//
 	// out shares no memory with d3 or d2m1 — they are slices of the three
-	// distinct rolling buffers — and a row may rely on it: the vector
-	// kernel recomputes the cells of an overlapped final block, which is
-	// idempotent only while no store can reach a source
-	// (TestWaveNeverAliasesRow).
-	row(d3, d2m1, out []C, qs, ts seq.Seq, thr, best C) (C, int)
+	// distinct rolling buffers — and a row may rely on it, storing cells
+	// while later ones still read their sources (TestWaveNeverAliasesRow).
+	// The fused routine keeps the same layout and recomputes the cells of
+	// an overlapped final block, which is idempotent for the same reason.
+	row(d3, d2m1, out []int32, qs, ts seq.Seq, thr, best int32) (int32, int)
 }
 
 // bandLen is the slot count of one plane of a diagonal buffer: an
@@ -63,48 +55,22 @@ type rowKernel[C cell] interface {
 // each side.
 func bandLen(m, n int) int { return min(m, n) + 3 }
 
-// limits returns the pruned-cell sentinel and the rebase mark of a cell
-// width. int16 scores are carried rebased (see extend_vector.go); int32
-// scores never reach their mark, because callers budget sequence length
-// times score magnitude against int32 overflow.
-func limits[C cell]() (neg, rebaseAt C) {
-	if _, narrow := any(neg).(int16); narrow {
-		n, r := negInf16, vectorRebaseAt
-		return C(n), C(r)
-	}
-	n, r := NegInf, int32(math.MaxInt32)
-	return C(n), C(r)
-}
-
 // plant stores a matrix-border cell: v in slot s of plane 0 and the
 // sentinel in the same slot of every extra plane (the cell is live, so the
 // kernel would otherwise trust them).
-func plant[C cell](a []C, s, stride int, v, neg C) {
+func plant(a []int32, s, stride int, v int32) {
 	a[s] = v
 	for p := s + stride; p < len(a); p += stride {
-		a[p] = neg
-	}
-}
-
-// rebase subtracts delta from every live cell of a carried diagonal,
-// leaving sentinels (everything at or below guard) untouched. The sweep
-// runs over the whole buffer — the live span is sentinel-bracketed inside
-// it — and fires at most once per rebase mark of score gained, so its
-// cost amortizes to nothing.
-func rebase[C cell](a []C, delta, guard C) {
-	for i := range a {
-		if a[i] > guard {
-			a[i] -= delta
-		}
+		a[p] = NegInf
 	}
 }
 
 // wave is the one anti-diagonal X-drop driver in Go (paper Alg. 1, Fig. 1):
 // three rolling anti-diagonals, band clipping to the matrix, the two
-// matrix-border cells, the work counters, end trimming, and — for int16
-// cells — score rebasing. The interior cells of each anti-diagonal are
-// the row kernel's. Scores, extents and work counters are bit-identical
-// to ExtendReference for the linear kernels on every input.
+// matrix-border cells, the work counters and end trimming. The interior
+// cells of each anti-diagonal are the row kernel's. Scores, extents and
+// work counters are bit-identical to ExtendReference for the linear
+// kernels on every input.
 //
 // The diagonal buffers are sentinel-padded: each stored diagonal keeps a
 // sentinel immediately before its first and after its last surviving
@@ -123,19 +89,18 @@ func rebase[C cell](a []C, delta, guard C) {
 // A non-nil trace receives the width of every anti-diagonal computed
 // after d = 0, in order (see ExtendTrace); the served paths pass nil and
 // pay one nil check per anti-diagonal.
-func wave[C cell, K rowKernel[C]](bufs *[3][]C, rtBuf *seq.Seq, q, t seq.Seq, x C, k K, trace *[]int32) Result {
+func wave[K rowKernel](bufs *[3][]int32, rtBuf *seq.Seq, q, t seq.Seq, x int32, k K, trace *[]int32) Result {
 	m, n := len(q), len(t)
 	if m == 0 || n == 0 || x < 0 {
 		return Result{}
 	}
-	neg, rebaseAt := limits[C]()
 	gapFirst, gapRest := k.gaps()
 
 	stride := bandLen(m, n)
 	size := stride * k.planes()
 	for i := range bufs {
 		if cap(bufs[i]) < size {
-			bufs[i] = make([]C, size)
+			bufs[i] = make([]int32, size)
 		}
 	}
 	a1, a2, a3 := bufs[0][:size], bufs[1][:size], bufs[2][:size]
@@ -153,14 +118,11 @@ func wave[C cell, K rowKernel[C]](bufs *[3][]C, rtBuf *seq.Seq, q, t seq.Seq, x 
 	// sentinels bracket the surviving cells.
 	var org1, org2, org3 int
 
-	// Scores are carried rebased: true score = base + cell value.
-	var base int32
-
 	// d = 0 holds only S(0,0) = 0, bracketed by sentinels.
-	best := C(0)
+	best := int32(0)
 	bestI, bestJ := 0, 0
 	org2 = -1
-	a2[0], a2[1], a2[2] = neg, 0, neg
+	a2[0], a2[1], a2[2] = NegInf, 0, NegInf
 	res := Result{AntiDiags: 1, Cells: 1, SumBand: 1, MaxBand: 1}
 
 	// Band bounds for the upcoming anti-diagonal (inclusive i range).
@@ -184,16 +146,6 @@ func wave[C cell, K rowKernel[C]](bufs *[3][]C, rtBuf *seq.Seq, q, t seq.Seq, x 
 			break
 		}
 
-		// Rebase between diagonals once the local best nears the mark:
-		// subtract it from every live cell of the two carried diagonals so
-		// the upcoming scores stay centered near zero.
-		if best >= rebaseAt {
-			rebase(a2, best, neg/2)
-			rebase(a3, best, neg/2)
-			base += int32(best)
-			best = 0
-		}
-
 		width := hi - lo + 1
 		org1 = lo - 1
 		threshold := best - x
@@ -209,11 +161,11 @@ func wave[C cell, K rowKernel[C]](bufs *[3][]C, rtBuf *seq.Seq, q, t seq.Seq, x 
 		if lo == 0 {
 			s := a2[-org2] + gap
 			if s < threshold {
-				s = neg
+				s = NegInf
 			} else if s > newBest {
 				newBest, newBI, newBJ = s, 0, d
 			}
-			plant(a1, 1, stride, s, neg)
+			plant(a1, 1, stride, s)
 		}
 
 		// Interior cells: i >= 1 and j = d-i >= 1.
@@ -241,11 +193,11 @@ func wave[C cell, K rowKernel[C]](bufs *[3][]C, rtBuf *seq.Seq, q, t seq.Seq, x 
 		if hi == d {
 			s := a2[d-1-org2] + gap
 			if s < threshold {
-				s = neg
+				s = NegInf
 			} else if s > newBest {
 				newBest, newBI, newBJ = s, d, 0
 			}
-			plant(a1, d-org1, stride, s, neg)
+			plant(a1, d-org1, stride, s)
 		}
 
 		res.Cells += int64(width)
@@ -263,10 +215,10 @@ func wave[C cell, K rowKernel[C]](bufs *[3][]C, rtBuf *seq.Seq, q, t seq.Seq, x 
 		// Trim pruned cells from both ends (Alg. 1 lines 10-15). Cells of
 		// this diagonal occupy buffer slots 1..width.
 		first, last := 0, width-1
-		for first <= last && a1[first+1] == neg {
+		for first <= last && a1[first+1] == NegInf {
 			first++
 		}
-		for last >= first && a1[last+1] == neg {
+		for last >= first && a1[last+1] == NegInf {
 			last--
 		}
 		if first > last {
@@ -275,15 +227,15 @@ func wave[C cell, K rowKernel[C]](bufs *[3][]C, rtBuf *seq.Seq, q, t seq.Seq, x 
 		// Plant the sentinels around the survivors, rotate the buffers and
 		// open the next band one wider at the top, per the anti-diagonal
 		// geometry.
-		a1[first] = neg
-		a1[last+2] = neg
+		a1[first] = NegInf
+		a1[last+2] = NegInf
 		a3, a2, a1 = a2, a1, a3
 		org3, org2 = org2, org1
 		hi = lo + last + 1
 		lo = lo + first
 	}
 
-	res.Score = base + int32(best)
+	res.Score = best
 	res.QueryEnd = bestI
 	res.TargetEnd = bestJ
 	return res

@@ -5,12 +5,11 @@ import (
 	"sync"
 
 	"logan/internal/seq"
-	"logan/internal/simd"
 )
 
 // Workspace is the reusable scratch of one X-drop lane: the three rolling
-// anti-diagonal buffers of the wavefront (wave, and the fused routine for
-// int16 cells) at both cell widths, the reversal staging of the seed
+// anti-diagonal buffers of the wavefront at both cell widths (wave's int32
+// ones and the fused routine's int16 ones), the reversal staging of the seed
 // wrapper and the direction arena of traceback (ExtendSeedOps). A
 // Workspace makes repeated extensions allocation-free, under every
 // scheme, once the buffers have grown to the workload's sequence lengths.
@@ -18,7 +17,7 @@ import (
 // (see Pool).
 type Workspace struct {
 	d          [3][]int32 // scalar, matrix and affine (three planes) diagonals
-	v          [3][]int16 // vector-kernel diagonals
+	v          [3][]int16 // fused-routine diagonals (amd64 only)
 	rt         seq.Seq    // reversed target, grown one base per anti-diagonal
 	revQ, revT seq.Seq
 
@@ -26,11 +25,6 @@ type Workspace struct {
 	// anti-diagonal by rows (see opsRow).
 	dirs []byte
 	rows []dirRow
-
-	// The portable rows' compare-blend table and the scoring it was built
-	// for (see vectorKernelFor); nil until a portable row needs it.
-	vsc Scoring
-	tab *simd.BlendTable
 
 	// What the AVX-512 routine's register mode did over the extensions
 	// this workspace ran; tests read it to prove every path ran.

@@ -39,6 +39,16 @@ if [ "$(printf '%s' "$loops" | grep -c .)" -gt 2 ]; then
 	exit 1
 fi
 
+# The int16 kernel is the fused routine alone: wave runs int32 cells, and
+# the portable int16 rows and the SWAR helpers of internal/simd they were
+# written in are gone (off amd64 the vector kernel is the scalar one).
+int16rows=$(grep -rnE --include='*.go' '"logan/internal/simd"|vectorRowPortable|func wave\[[^]]*(,|cell|int16)' . || true)
+if [ -n "$int16rows" ]; then
+	echo "doc-lint: a portable int16 row or a second cell width on wave is back (the fused routine is the only int16 kernel):" >&2
+	echo "$int16rows" >&2
+	exit 1
+fi
+
 # The assembly of internal/xdrop is one detection probe per ISA past the
 # SSE2 baseline and the fused extension: one routine per ISA, all
 # expanded from one body that holds the one anti-diagonal loop (the
