@@ -132,11 +132,12 @@ func ablation(name string, base, variant time.Duration, note string) Ablation {
 func heavyTailWeights(scale Scale) []int64 {
 	weights := make([]int64, scale.PaperPairs)
 	for i := range weights {
-		ln := scale.MinLen + (i*2654435761)%(scale.MaxLen-scale.MinLen+1)
+		// int64 so that the hash product fits on 32-bit targets too.
+		ln := int64(scale.MinLen) + (int64(i)*2654435761)%int64(scale.MaxLen-scale.MinLen+1)
 		if i%50 == 0 {
 			ln *= 4
 		}
-		weights[i] = int64(2 * ln)
+		weights[i] = 2 * ln
 	}
 	return weights
 }

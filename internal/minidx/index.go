@@ -154,7 +154,7 @@ func build(refs []Ref, opt Options, workers, unitLen int) (*Index, error) {
 	if len(refs) == 0 {
 		return nil, fmt.Errorf("minidx: no reference sequences")
 	}
-	if len(refs) >= 1<<31 {
+	if int64(len(refs)) >= 1<<31 {
 		return nil, fmt.Errorf("minidx: %d references exceed the 31-bit ordinal space", len(refs))
 	}
 	x := &Index{stats: Stats{K: opt.K, W: opt.W, MaxOccurrence: opt.MaxOccurrence, Refs: len(refs)}}
@@ -165,7 +165,7 @@ func build(refs []Ref, opt Options, workers, unitLen int) (*Index, error) {
 		if r.Name == "" {
 			return nil, fmt.Errorf("minidx: reference %d has an empty name", i)
 		}
-		if len(r.Seq) >= 1<<31 {
+		if int64(len(r.Seq)) >= 1<<31 {
 			return nil, fmt.Errorf("minidx: reference %q length %d exceeds the 31-bit position space", r.Name, len(r.Seq))
 		}
 		x.stats.Bases += int64(len(r.Seq))

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"logan/internal/ksw2"
@@ -46,16 +47,23 @@ func BenchmarkKernel(b *testing.B) {
 	wavefront := func(ext func(x int32) Result, x int32) func(b *testing.B) {
 		return func(b *testing.B) {
 			b.ReportAllocs()
+			w.modes = regModes{}
 			var cells int64
-			var diags int
+			var diags, computed int
 			for i := 0; i < b.N; i++ {
 				r := ext(x)
 				cells += r.Cells
 				diags += r.AntiDiags
+				computed += max(r.AntiDiags-1, 0) // d = 0 is never computed
 			}
 			ns := float64(b.Elapsed().Nanoseconds())
 			b.ReportMetric(float64(cells)/ns, "cells/ns")
 			b.ReportMetric(ns/float64(diags), "ns/antidiag")
+			if strings.HasPrefix(b.Name(), "BenchmarkKernel/vector-") {
+				// The share of anti-diagonals the AVX-512 routine computed
+				// in registers; 0 on every other routine.
+				b.ReportMetric(float64(w.modes.rows)/float64(max(computed, 1)), "regs")
+			}
 		}
 	}
 	for _, reg := range kernelRegimes {

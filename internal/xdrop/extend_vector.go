@@ -41,6 +41,14 @@ func VectorEligible(sc Scoring, x int32) bool {
 		sc.Gap < 0 && sc.Gap >= -VectorMaxScore
 }
 
+// fusedPad is the readable slack on each side of the sequences the
+// AVX-512 routine's register mode reads, its padded copy of q and rt: a
+// 128-lane frame reads 128 bases of each from up to 128 bases before their
+// start to up to 128 after their end. Only the bases its band compares
+// need to be filled; the rest never reach a score. The fused routines
+// take rt at fusedPad bytes into a buffer of n+2*fusedPad.
+const fusedPad = 128
+
 // rowISA names the routine an int16 extension runs on. It is set once at
 // package init from the CPU (see detectISA) and never changes afterwards;
 // only tests flip it, to drive every variant on one host.

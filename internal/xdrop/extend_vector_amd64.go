@@ -28,11 +28,20 @@ func (w *Workspace) extendVector(q, t seq.Seq, sc Scoring, x int16, trace *[]int
 }
 
 // regReload is the widest band at which the AVX-512 routine moves the
-// carried anti-diagonals from memory back into registers, where they stay
-// while the band fits 64 cells. It must leave each frame two spare lanes
-// (at most 62), and sits well below 64 so that a band hovering near the
-// edge does not move back and forth on every anti-diagonal.
-const regReload = 48
+// carried anti-diagonals from memory into registers, where they stay while
+// the band fits the 128-lane frame. It must leave the frame two spare
+// lanes (at most 126), and sits well below 128 so that a band hovering
+// near the edge does not move back and forth on every anti-diagonal; at
+// 112 it takes x=100's bands (78 cells on a 15 %-divergent pair) with 25
+// lanes a side for indels to drift the band off the main diagonal.
+const regReload = 112
+
+// regNarrow is the widest band that enters a 64-lane frame instead: a
+// 64-lane row does half the vector work, and at x=25 and x=50 the
+// 128-lane one measured slower (see extend_vector_amd64.s). A band that
+// outgrows the 64 lanes goes back to memory for one anti-diagonal and
+// returns in a 128-lane frame.
+const regNarrow = 48
 
 // fusedBudget is how many cells the fused routine computes before it
 // returns to Go, so that a long extension still reaches a preemption point
@@ -62,12 +71,14 @@ type fusedState struct {
 
 	thr, uHi int
 
-	// The AVX-512 routine's register mode: regs while the carried
-	// anti-diagonals live in registers (never across a return to Go), and
-	// how many anti-diagonals it computed there and how often it moved
-	// the rows into and out of them.
-	regs                   bool
-	regRows, toRegs, toMem int
+	// The AVX-512 routine's register mode: lanes is the width of its frame
+	// (64 or 128) while the carried anti-diagonals live in registers, 0
+	// while they are in memory (always across a return to Go); how many
+	// anti-diagonals it computed there, how often it moved the rows into
+	// and out of them, and how many of the moves in were into a 128-lane
+	// frame. thr and uHi are its scratch at the handoffs.
+	lanes                          int
+	regRows, toRegs, toMem, toWide int
 }
 
 // extendFused is wave for int16 cells with the whole loop in one assembly
@@ -88,8 +99,16 @@ func (w *Workspace) extendFused(q, t seq.Seq, sc Scoring, x int16, trace *[]int3
 		}
 		w.v[i] = w.v[i][:stride]
 	}
-	if cap(w.rt) < n {
-		w.rt = make(seq.Seq, n)
+	if cap(w.rt) < n+2*fusedPad {
+		w.rt = make(seq.Seq, n+2*fusedPad)
+	}
+	rt := &w.rt[:n+2*fusedPad][fusedPad]
+	var qp *byte
+	if isa == isaAVX512 {
+		if cap(w.qp) < m+2*fusedPad {
+			w.qp = make(seq.Seq, m+2*fusedPad)
+		}
+		qp = &w.qp[:m+2*fusedPad][fusedPad]
 	}
 	// The trace gains at most one width per anti-diagonal after d = 0.
 	var tr *int32
@@ -114,11 +133,11 @@ func (w *Workspace) extendFused(q, t seq.Seq, sc Scoring, x int16, trace *[]int3
 		st.limit = st.cells + fusedBudget
 		switch isa {
 		case isaAVX512:
-			vectorExtendAVX512(&st, &w.v, &q[0], &t[0], &w.rt[0], tr)
+			vectorExtendAVX512(&st, &w.v, &q[0], &t[0], rt, tr, qp)
 		case isaAVX2:
-			vectorExtendAVX2(&st, &w.v, &q[0], &t[0], &w.rt[0], tr)
+			vectorExtendAVX2(&st, &w.v, &q[0], &t[0], rt, tr)
 		default:
-			vectorExtendSSE2(&st, &w.v, &q[0], &t[0], &w.rt[0], tr)
+			vectorExtendSSE2(&st, &w.v, &q[0], &t[0], rt, tr)
 		}
 		if st.done {
 			break
@@ -138,6 +157,7 @@ func (w *Workspace) extendFused(q, t seq.Seq, sc Scoring, x int16, trace *[]int3
 	w.modes.rows += st.regRows
 	w.modes.toRegs += st.toRegs
 	w.modes.toMem += st.toMem
+	w.modes.toWide += st.toWide
 	// Anti-diagonals 0 .. st.d-1 ran; the trace holds the ones after 0.
 	if trace != nil {
 		*trace = (*trace)[:traced+st.d-1]
@@ -154,12 +174,13 @@ func (w *Workspace) extendFused(q, t seq.Seq, sc Scoring, x int16, trace *[]int3
 // matrix ends, or a pause condition (see extendFused) holds at the top of
 // an anti-diagonal. The first two differ only in the interior blocks of
 // rows 16 cells or wider, 16-lane AVX2 against 8-lane SSE2. None reads q
-// or t outside [0, m) and [0, n) (the AVX-512 routine's 64-byte windows
-// may cover bases its band does not use), touches rt outside the bases
-// the extension reads, or the diagonal buffers outside their first
-// bandLen(m, n) slots (TestExtendVectorGuardPages). trace, when not nil,
-// receives one width per anti-diagonal d at trace[d-1], and must have
-// room for m+n.
+// or t outside [0, m) and [0, n), touches rt outside
+// [-fusedPad, n+fusedPad) (the AVX-512 routine's windows read the slack;
+// the others touch only the bases the extension reads), or the diagonal
+// buffers outside their first bandLen(m, n) slots
+// (TestExtendVectorGuardPages). rt points fusedPad bytes into a buffer
+// of n+2*fusedPad. trace, when not nil, receives one width per
+// anti-diagonal d at trace[d-1], and must have room for m+n.
 //
 //go:noescape
 func vectorExtendSSE2(st *fusedState, diags *[3][]int16, q, t, rt *byte, trace *int32)
@@ -168,12 +189,15 @@ func vectorExtendSSE2(st *fusedState, diags *[3][]int16, q, t, rt *byte, trace *
 func vectorExtendAVX2(st *fusedState, diags *[3][]int16, q, t, rt *byte, trace *int32)
 
 // vectorExtendAVX512 is vectorExtendAVX2 with a register mode: while the
-// band fits 64 cells, the two carried anti-diagonals live in ZMM registers
-// and each new one is computed from them with no store or reload (see
-// extend_vector_amd64.s).
+// band fits a 64- or 128-lane frame, the two carried anti-diagonals live in ZMM
+// registers and each new one is computed from them with no store or
+// reload, from d = 1 to the matrix edge (see extend_vector_amd64.s). Its
+// windows read q from qp, a copy of q at fusedPad bytes into a buffer of
+// m+2*fusedPad that the routine fills one base per anti-diagonal, as it
+// fills rt, and never touch the buffers outside them.
 //
 //go:noescape
-func vectorExtendAVX512(st *fusedState, diags *[3][]int16, q, t, rt *byte, trace *int32)
+func vectorExtendAVX512(st *fusedState, diags *[3][]int16, q, t, rt *byte, trace *int32, qp *byte)
 
 // cpuHasAVX2 reports whether AVX2 instructions may be used: CPUID leaf 7
 // EBX bit 5, and the OS saves the YMM state (leaf 1 OSXSAVE and AVX, XCR0
@@ -181,7 +205,8 @@ func vectorExtendAVX512(st *fusedState, diags *[3][]int16, q, t, rt *byte, trace
 func cpuHasAVX2() bool
 
 // cpuHasAVX512 reports whether the AVX-512 routine may run: CPUID leaf 7
-// EBX AVX512F, AVX512BW, AVX2, BMI1 and BMI2, and the OS saves the opmask
+// EBX AVX512F, AVX512BW, AVX512VL (its register rows compare 32-byte
+// windows into k-masks), AVX2, BMI1 and BMI2, and the OS saves the opmask
 // and ZMM state (leaf 1 OSXSAVE and AVX, XCR0 bits 1, 2 and 5-7).
 func cpuHasAVX512() bool
 

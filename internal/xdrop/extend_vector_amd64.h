@@ -20,19 +20,25 @@
 	SPLATW(AX, X12, Y12)
 
 #ifdef FUSED_AVX512
-	MOVQ $const_negInf16, AX
-	VPBROADCASTW AX, Z20
+	// The same constants at full width, for the register mode; the VEX
+	// blocks read their low halves.
 	MOVQ fusedState_match(DI), AX
-	VPBROADCASTW AX, Z21
+	SUBQ fusedState_mismatch(DI), AX
+	VPBROADCASTW AX, Z8
 	MOVQ fusedState_mismatch(DI), AX
-	VPBROADCASTW AX, Z22
+	VPBROADCASTW AX, Z9
 	MOVQ fusedState_gap(DI), AX
-	VPBROADCASTW AX, Z23
+	VPBROADCASTW AX, Z10
+	MOVQ $const_negInf16, AX
+	VPBROADCASTW AX, Z12
 	MOVQ fusedState_x(DI), AX
 	VPBROADCASTW AX, Z27
 	VMOVDQU64 regsConst<>+0(SB), Z24
 	VMOVDQU64 regsConst<>+64(SB), Z25
 	VMOVDQU64 regsConst<>+128(SB), Z28
+	VMOVDQU64 regsConst<>+192(SB), Z29
+	// q is read from its padded copy.
+	MOVQ qp+48(FP), R11
 #endif
 
 	MOVQ fusedState_d(DI), R13
@@ -71,6 +77,16 @@
 	SHLQ $1, AX
 	SUBQ AX, R10
 
+#ifdef FUSED_AVX512
+	// The first band of the call may already fit the register frame: at
+	// d = 1 it is two cells wide.
+	MOVQ R15, AX
+	SUBQ R14, AX
+	INCQ AX
+	CMPQ AX, $const_regReload
+	JLE  reload
+#endif
+
 loop:
 	// rt mirrors t in reverse, filled one base per anti-diagonal.
 	CMPQ R13, fusedState_n(DI)
@@ -80,8 +96,19 @@ loop:
 	MOVB AX, (R12)
 
 filled:
-	// The band arrives inside the matrix (plant clips it; a register-mode
-	// band needs no clip, see INSIDE); past d = m+n it is empty.
+#ifdef FUSED_AVX512
+	// So is the padded copy of q, in order: q[d-1], the last base a cell
+	// of d can compare.
+	CMPQ R13, fusedState_m(DI)
+	JGT  qfilled
+	MOVQ q+16(FP), AX
+	MOVBLZX -1(AX)(R13*1), AX
+	MOVB AX, -1(R11)(R13*1)
+
+qfilled:
+#endif
+	// The band arrives inside the matrix (plant and the register mode's
+	// trim clip it); past d = m+n it is empty.
 	CMPQ R14, R15
 	JGT  done
 
@@ -107,7 +134,7 @@ traced:
 
 rows:
 #ifdef FUSED_AVX512
-	CMPB fusedState_regs(DI), $0
+	CMPQ fusedState_lanes(DI), $0
 	JNE  regs
 #endif
 	// The anti-diagonal being written is slot i-(lo-1) of its buffer.
@@ -404,6 +431,7 @@ plant:
 #ifdef FUSED_AVX512
 	MOVQ R15, AX
 	SUBQ R14, AX
+	JLT  loop // empty: the loop top ends the extension
 	INCQ AX
 	CMPQ AX, $const_regReload
 	JLE  reload
@@ -411,223 +439,187 @@ plant:
 	JMP  loop
 
 #ifdef FUSED_AVX512
-// INSIDE(out) jumps to out unless the 64-byte windows of the frame F_d
-// lie inside q and t, q[F_d-1, F_d+63) and t[d-F_d-64, d-F_d), with one
-// more base of each beyond them (F_d+64 <= m, d-F_d < n). Then a band in
-// the frame of this or the previous anti-diagonal, or one lane past it,
-// lies inside the matrix: cells from F_d-1 >= d-n, up to F_d+64 <= m.
-#define INSIDE(out) \
+// LANES(k0, k1, k2, k3) sets the mask of lanes [AX, CX) in k0 (lanes
+// 0..31) to k3 (96..127), dropping the lanes outside the frame (from 0
+// to fusedState.lanes-1). Clobbers AX, CX, DX and SI.
+#define LANES(k0, k1, k2, k3) \
+	CMPQ CX, fusedState_lanes(DI); \
+	CMOVQGT fusedState_lanes(DI), CX; \
+	XORL DX, DX; \
+	CMPQ AX, DX; \
+	CMOVQLT DX, AX; \
+	CMPQ CX, DX; \
+	CMOVQLT DX, CX; \
+	MOVQ $-1, SI; \
+	BZHIQ CX, SI, DX; \
+	BZHIQ AX, SI, SI; \
+	ANDNQ DX, SI, DX; \
+	KMOVD DX, k0; \
+	SHRQ $32, DX; \
+	KMOVD DX, k1; \
+	XORL DX, DX; \
+	MOVQ $-1, SI; \
+	SUBQ $64, CX; \
+	CMOVQLT DX, CX; \
+	SUBQ $64, AX; \
+	CMOVQLT DX, AX; \
+	BZHIQ CX, SI, CX; \
+	BZHIQ AX, SI, AX; \
+	ANDNQ CX, AX, CX; \
+	KMOVD CX, k2; \
+	SHRQ $32, CX; \
+	KMOVD CX, k3
+
+// LOADROW(r, z0, z1, z2, z3) loads the 128 lanes at r under K1..K4 into
+// z0..z3, the sentinel in every other lane; STOREROW stores them.
+#define LOADROW(r, z0, z1, z2, z3) \
+	VMOVDQA64 Z12, z0; \
+	VMOVDQU16 (r), K1, z0; \
+	VMOVDQA64 Z12, z1; \
+	VMOVDQU16 64(r), K2, z1; \
+	VMOVDQA64 Z12, z2; \
+	VMOVDQU16 128(r), K3, z2; \
+	VMOVDQA64 Z12, z3; \
+	VMOVDQU16 192(r), K4, z3
+
+#define STOREROW(r, z0, z1, z2, z3) \
+	VMOVDQU16 z0, K1, (r); \
+	VMOVDQU16 z1, K2, 64(r); \
+	VMOVDQU16 z2, K3, 128(r); \
+	VMOVDQU16 z3, K4, 192(r)
+
+// SWAPROWS exchanges the two carried rows, Z16..Z19 and Z20..Z23.
+#define SWAPROWS \
+	VMOVDQA64 Z16, Z0; \
+	VMOVDQA64 Z17, Z1; \
+	VMOVDQA64 Z18, Z2; \
+	VMOVDQA64 Z19, Z3; \
+	VMOVDQA64 Z20, Z16; \
+	VMOVDQA64 Z21, Z17; \
+	VMOVDQA64 Z22, Z18; \
+	VMOVDQA64 Z23, Z19; \
+	VMOVDQA64 Z0, Z20; \
+	VMOVDQA64 Z1, Z21; \
+	VMOVDQA64 Z2, Z22; \
+	VMOVDQA64 Z3, Z23
+
+// CELLS(qo, to, a, b, r, k, g) computes lanes 32j..32j+31 of the
+// anti-diagonal, qo = 32j-1 and to = 32j the offsets of their bases in
+// the q and t windows: a the previous anti-diagonal's register, r the
+// same shifted one lane (the other gap source), b the register of the one
+// before, which receives the new cells, k the band and g the survivors.
+#define CELLS(qo, to, a, b, r, k, g) \
+	VPMAXSW a, r, r; \
+	VPADDW Z10, r, r; \
+	VPADDW Z9, b, Z13; \
+	VMOVDQU qo(R11)(R8*1), Y11; \
+	VPCMPEQB to(R12)(R8*1), Y11, K5; \
+	VPADDW Z8, Z13, K5, Z13; \
+	VPMAXSW r, Z13, Z13; \
+	VPCMPW $5, Z26, Z13, k, K6; \
+	VPBLENDMW Z13, Z12, K6, b; \
+	KMOVD K6, g
+
+// ROT(i, a, r) rotates the 32 lanes of a one lane by the VPERMW index i
+// into r; FIX(mask, a, r) replaces the lane of r that mask selects by a's
+// (the lane the rotation brought in from the wrong end).
+#define ROT(i, a, r) VPERMW a, i, r
+#define FIX(mask, a, r) VPTERNLOGQ $0xd8, mask, a, r
+
+// ROWMAX2(b0, b1) and ROWMAX4(b0, b1, b2, b3) leave in K7 the lanes of the
+// new anti-diagonal's maximum, in Z4, that beat best: none, unless the row
+// moves best.
+#define ROWMAX2(b0, b1) \
+	VPMAXSW b0, b1, Z4; \
+	VPCMPW $6, Z31, Z4, K7; \
+	KORTESTD K7, K7
+
+#define ROWMAX4(b0, b1, b2, b3) \
+	VPMAXSW b0, b1, Z4; \
+	VPMAXSW b2, b3, Z5; \
+	VPMAXSW Z5, Z4, Z4; \
+	VPCMPW $6, Z31, Z4, K7; \
+	KORTESTD K7, K7
+
+// FOLD folds the row maximum in Z4 to every lane: the new best (Z31,
+// BX) and the next threshold (Z26). BEST(b0, b1, b2, b3) and BEST2(b0,
+// b1) add the first lane holding it (bestI, bestJ) among four and two
+// registers. A pruned cell is below the threshold and so below best: only
+// a survivor can hold it.
+#define FOLD \
+	VSHUFI64X2 $0x4E, Z4, Z4, Z5; \
+	VPMAXSW Z5, Z4, Z4; \
+	VSHUFI64X2 $0xB1, Z4, Z4, Z5; \
+	VPMAXSW Z5, Z4, Z4; \
+	VPSHUFD $0x4E, Z4, Z5; \
+	VPMAXSW Z5, Z4, Z4; \
+	VPSHUFD $0xB1, Z4, Z5; \
+	VPMAXSW Z5, Z4, Z4; \
+	VPROLD $16, Z4, Z5; \
+	VPMAXSW Z5, Z4, Z31; \
+	VPSUBW Z27, Z31, Z26; \
+	VMOVD X31, AX; \
+	MOVWQSX AX, BX
+
+#define BEST(b0, b1, b2, b3) \
+	FOLD; \
+	VPCMPEQW Z31, b0, K5; \
+	VPCMPEQW Z31, b1, K6; \
+	KMOVD K5, AX; \
+	KMOVD K6, SI; \
+	SHLQ $32, SI; \
+	ORQ  SI, AX; \
+	VPCMPEQW Z31, b2, K5; \
+	VPCMPEQW Z31, b3, K6; \
+	KMOVD K5, R14; \
+	KMOVD K6, SI; \
+	SHLQ $32, SI; \
+	ORQ  SI, R14; \
+	TZCNTQ AX, SI; \
+	TZCNTQ R14, R15; \
+	ADDQ $64, R15; \
+	TESTQ AX, AX; \
+	CMOVQEQ R15, SI; \
+	ADDQ R8, SI; \
+	MOVQ SI, fusedState_bestI(DI); \
 	MOVQ R13, AX; \
-	SUBQ R8, AX; \
-	CMPQ AX, $64; \
-	JLT  out; \
-	CMPQ AX, fusedState_n(DI); \
-	JGE  out; \
-	CMPQ R8, $1; \
-	JLT  out; \
-	LEAQ 64(R8), AX; \
-	CMPQ AX, fusedState_m(DI); \
-	JGT  out
+	SUBQ SI, AX; \
+	MOVQ AX, fusedState_bestJ(DI)
+
+#define BEST2(b0, b1) \
+	FOLD; \
+	VPCMPEQW Z31, b0, K5; \
+	VPCMPEQW Z31, b1, K6; \
+	KMOVD K5, AX; \
+	KMOVD K6, SI; \
+	SHLQ $32, SI; \
+	ORQ  SI, AX; \
+	TZCNTQ AX, SI; \
+	ADDQ R8, SI; \
+	MOVQ SI, fusedState_bestI(DI); \
+	MOVQ R13, AX; \
+	SUBQ SI, AX; \
+	MOVQ AX, fusedState_bestJ(DI)
 
 reload:
-	// Memory to register mode after anti-diagonal d-1, AX = the width of
-	// d's band <= regReload, if the q and t windows of the frame F_d that
-	// centers the band lie inside q and t: the cells d reads of the two
-	// carried rows (a2 [A, B] and a3 [A, B-1], with A = max(lo-1, 0) and
-	// B = min(hi, d-1)) are loaded into lanes that hold the sentinel
-	// everywhere else. The buffers hold those cells: they lie within what
-	// d-1 read and wrote.
+	// Memory to register mode before anti-diagonal d, AX = the width of
+	// its band <= regReload: the cells d reads of the two carried rows (a2
+	// [A, B] and a3 [A, B-1], with A = max(lo-1, 0) and B = min(hi, d-1))
+	// are loaded into a frame F_d that centers the band, in lanes that
+	// hold the sentinel everywhere else. The buffers hold those cells:
+	// they lie within what d-1 read and wrote. The frame is 64 lanes for a
+	// band of at most regNarrow cells, 128 for a wider one.
 	MOVQ $64, CX
+	CMPQ AX, $const_regNarrow
+	JLE  reload_frame
+	MOVQ $128, CX
+	INCQ fusedState_toWide(DI)
+reload_frame:
+	MOVQ CX, fusedState_lanes(DI)
 	SUBQ AX, CX
 	SHRQ $1, CX
 	MOVQ R14, R8
-	SUBQ CX, R8 // F_d = lo - (64-width)/2
-	INSIDE(loop)
-	LEAQ -1(R14), SI
-	XORL CX, CX
-	CMPQ SI, CX
-	CMOVQLT CX, SI // A
-	LEAQ -1(R13), CX
-	CMPQ CX, R15
-	CMOVQGT R15, CX
-	SUBQ SI, CX // B - A
-	SUBQ R8, SI // A - F_d
-	// a3 in frame F_d - 1: B - A cells from lane A - F_d + 1.
-	MOVQ $-1, DX
-	BZHIQ CX, DX, DX
-	LEAQ 1(SI), AX
-	SHLXQ AX, DX, DX
-	KMOVQ DX, K1
-	KSHIFTRQ $32, K1, K2
-	VMOVDQA64 Z20, Z18
-	VMOVDQA64 Z20, Z19
-	VMOVDQU16 -2(R10)(R8*2), K1, Z18
-	VMOVDQU16 62(R10)(R8*2), K2, Z19
-	// a2 in frame F_{d-1} = F_d - (d even): B - A + 1 cells from lane
-	// A - F_{d-1}.
-	INCQ CX
-	MOVQ $-1, DX
-	BZHIQ CX, DX, DX
-	MOVQ R13, AX
-	NOTQ AX
-	ANDQ $1, AX // d even
-	ADDQ AX, SI
-	SHLXQ SI, DX, DX
-	KMOVQ DX, K1
-	KSHIFTRQ $32, K1, K2
-	LEAQ (R9)(R8*2), DX
-	SUBQ AX, DX
-	SUBQ AX, DX
-	VMOVDQA64 Z20, Z16
-	VMOVDQA64 Z20, Z17
-	VMOVDQU16 (DX), K1, Z16
-	VMOVDQU16 64(DX), K2, Z17
-	VPBROADCASTW BX, Z31
-	VPSUBW Z27, Z31, Z26 // best - x
-	MOVQ t+24(FP), R9
-	MOVB $1, fusedState_regs(DI)
-	INCQ fusedState_toRegs(DI)
-	SUBQ R13, fusedState_regRows(DI)
-	JMP  regs_band
-
-regs:
-	// One anti-diagonal in registers, its band in K1 (lanes 0..31) and K2
-	// (32..63). Lane l holds cell F_d + l, and F_{d-2} = F_d - 1, so the
-	// substitution source of lane l is lane l of a3, and its gap sources
-	// are lanes l-1 and l of a2 when d is odd (F_{d-1} = F_d), lanes l and
-	// l+1 when it is even. Byte k of the t window at t[d-F_d-64] is the
-	// base of lane 63-k.
-	MOVQ R13, AX
-	SUBQ R8, AX
-	VMOVDQU64 -1(R11)(R8*1), Z0
-	VMOVDQU64 -64(R9)(AX*1), Z1
-	VPSHUFB Z28, Z1, Z1
-	VSHUFI64X2 $0x1B, Z1, Z1, Z1
-	VPCMPEQB Z1, Z0, K5
-	KSHIFTRQ $32, K5, K6
-	VPBLENDMW Z21, Z22, K5, Z2
-	VPBLENDMW Z21, Z22, K6, Z3
-	VPADDW Z18, Z2, Z2 // substitution
-	VPADDW Z19, Z3, Z3
-	TESTQ $1, R13
-	JZ   regs_even
-	VMOVDQA64 Z24, Z4
-	VPERMI2W Z16, Z20, Z4 // lane l: a2 lane l-1, the sentinel at 0
-	VMOVDQA64 Z24, Z5
-	VPERMI2W Z17, Z16, Z5
-	JMP  regs_gap
-regs_even:
-	VMOVDQA64 Z25, Z4
-	VPERMI2W Z17, Z16, Z4 // lane l: a2 lane l+1, the sentinel at 63
-	VMOVDQA64 Z25, Z5
-	VPERMI2W Z20, Z17, Z5
-regs_gap:
-	VPMAXSW Z16, Z4, Z4
-	VPMAXSW Z17, Z5, Z5
-	VPADDW Z23, Z4, Z4
-	VPADDW Z23, Z5, Z5
-	VPMAXSW Z4, Z2, Z2 // cell scores
-	VPMAXSW Z5, Z3, Z3
-	// Survivors: in the band and at or above the threshold; every other
-	// lane holds the sentinel.
-	VPCMPW $5, Z26, Z2, K1, K5
-	VPCMPW $5, Z26, Z3, K2, K6
-	VPBLENDMW Z2, Z20, K5, Z29
-	VPBLENDMW Z3, Z20, K6, Z30
-	// Only a row with a cell above best in its band moves best and the
-	// threshold: a pruned cell is below the threshold and so below best.
-	// Z31 holds best in every lane.
-	VPCMPW $6, Z31, Z2, K1, K3
-	VPCMPW $6, Z31, Z3, K2, K4
-	KORTESTD K3, K4
-	JZ   regs_trim
-	// The row maximum over the band, folded to every lane, is the new
-	// best; the first lane holding it cleared the threshold.
-	VPBLENDMW Z2, Z20, K1, Z0
-	VPMAXSW Z3, Z0, K2, Z0
-	VSHUFI64X2 $0x4E, Z0, Z0, Z1
-	VPMAXSW Z1, Z0, Z0
-	VSHUFI64X2 $0xB1, Z0, Z0, Z1
-	VPMAXSW Z1, Z0, Z0
-	VPSHUFD $0x4E, Z0, Z1
-	VPMAXSW Z1, Z0, Z0
-	VPSHUFD $0xB1, Z0, Z1
-	VPMAXSW Z1, Z0, Z0
-	VPROLD $16, Z0, Z1
-	VPMAXSW Z1, Z0, Z31
-	VPSUBW Z27, Z31, Z26 // the next threshold, best - x
-	VMOVD X31, AX
-	MOVWQSX AX, BX
-	VPCMPEQW Z31, Z29, K3
-	VPCMPEQW Z31, Z30, K4
-	KMOVD K3, AX
-	KMOVD K4, CX
-	SHLQ $32, CX
-	ORQ  CX, AX
-	BSFQ AX, AX
-	ADDQ R8, AX
-	MOVQ AX, fusedState_bestI(DI)
-	MOVQ R13, CX
-	SUBQ AX, CX
-	MOVQ CX, fusedState_bestJ(DI)
-regs_trim:
-	// The survivors' ends give the next band, one cell longer at the top;
-	// the next frame is F_{d+1} = F_d + e (e = 1 if d+1 is even).
-	KMOVD K5, AX
-	KMOVD K6, CX
-	SHLQ $32, CX
-	ORQ  CX, AX
-	JZ   emptied
-	BSFQ AX, SI
-	BSRQ AX, DX
-	LEAQ (R8)(SI*1), R14
-	LEAQ 1(R8)(DX*1), R15
-	VMOVDQA64 Z16, Z18
-	VMOVDQA64 Z17, Z19
-	VMOVDQA64 Z29, Z16
-	VMOVDQA64 Z30, Z17
-	INCQ R13
-	DECQ R12
-	MOVQ R13, AX
-	NOTQ AX
-	ANDQ $1, AX
-	ADDQ AX, R8
-
-regs_band:
-	// Before anti-diagonal d: K1 and K2 get its band, in lanes of F_d.
-	// The register mode runs only where the q and t windows lie inside q
-	// and t (INSIDE), so the band needs no clip to the matrix. Elsewhere,
-	// and for a band that does not fit the frame, the rows go to memory
-	// before the loop top sees d.
-	INSIDE(spill)
-	MOVQ R14, DX
-	SUBQ R8, DX
-	JLT  spill
-	MOVQ R15, AX
-	SUBQ R8, AX
-	CMPQ AX, $63
-	JGT  spill
-	SUBQ DX, AX
-	INCQ AX
-	MOVQ $-1, CX
-	BZHIQ AX, CX, CX
-	SHLXQ DX, CX, CX
-	KMOVQ CX, K1
-	SHRQ $32, CX
-	KMOVD CX, K2
-	JMP  loop
-
-spill:
-	// Register to memory mode before d: the cells d reads of a2 (frame
-	// F_d - e, e = 1 if d is even) and a3 (frame F_d - 1) go to their
-	// buffers in the memory layout, cell A at slot 0 of each. A cell of
-	// those ranges outside its row's frame is dead (every live cell
-	// entered the frame with its band): the sentinel stored first at both
-	// ends of each range stands for it. The band needs no clip to the
-	// matrix (see INSIDE), also when it has left the frame by a lane.
-	MOVB $0, fusedState_regs(DI)
-	INCQ fusedState_toMem(DI)
-	ADDQ R13, fusedState_regRows(DI)
+	SUBQ CX, R8 // F_d = lo - (lanes-width)/2
 	LEAQ -1(R14), SI
 	XORL CX, CX
 	CMPQ SI, CX
@@ -637,37 +629,209 @@ spill:
 	CMOVQGT R15, CX // B
 	SUBQ R8, SI
 	SUBQ R8, CX
-	MOVQ $-1, R10
-	XORL R9, R9
-	// a3: lanes [A-F_d+1, B-F_d] clipped to 0..63, as the bits below the
-	// top count that are not below the bottom one.
+	MOVQ SI, fusedState_thr(DI) // A - F_d
+	MOVQ CX, fusedState_uHi(DI) // B - F_d
+	// a3 in frame F_{d-2} = F_d - 1: lanes [A-F_d+1, B-F_d+1).
 	LEAQ 1(SI), AX
-	CMPQ AX, R9
-	CMOVQLT R9, AX
-	BZHIQ AX, R10, AX
-	LEAQ 1(CX), DX
-	CMPQ DX, R9
-	CMOVQLT R9, DX
-	BZHIQ DX, R10, DX
-	ANDNQ DX, AX, AX
-	KMOVQ AX, K3
-	KSHIFTRQ $32, K3, K4
-	// a2: lanes [A-F_d+e, B-F_d+e] clipped.
-	MOVQ R13, DX
-	NOTQ DX
-	ANDQ $1, DX // e
-	ADDQ DX, SI
-	LEAQ 1(CX)(DX*1), CX
-	CMPQ SI, R9
-	CMOVQLT R9, SI
-	BZHIQ SI, R10, SI
-	CMPQ CX, R9
+	INCQ CX
+	LANES(K1, K2, K3, K4)
+	LEAQ -2(R10)(R8*2), AX
+	LOADROW(AX, Z20, Z21, Z22, Z23)
+	// a2 in frame F_{d-1} = F_d - e, e = 1 if d is even: lanes
+	// [A-F_d+e, B-F_d+e+1).
+	MOVQ R13, SI
+	NOTQ SI
+	ANDQ $1, SI
+	LEAQ (R9)(R8*2), R9
+	SUBQ SI, R9
+	SUBQ SI, R9
+	MOVQ fusedState_thr(DI), AX
+	MOVQ fusedState_uHi(DI), CX
+	ADDQ SI, AX
+	LEAQ 1(CX)(SI*1), CX
+	LANES(K1, K2, K3, K4)
+	LOADROW(R9, Z16, Z17, Z18, Z19)
+	// Odd d reads a2 from Z16..Z19, even d from Z20..Z23.
+	TESTQ $1, R13
+	JNZ  reloaded
+	SWAPROWS
+reloaded:
+	VPBROADCASTW BX, Z31
+	VPSUBW Z27, Z31, Z26 // best - x
+	INCQ fusedState_toRegs(DI)
+	SUBQ R13, fusedState_regRows(DI)
+	JMP  regs_band
+
+regs:
+	// One anti-diagonal in registers, its band in K1..K4 (K1 and K2 in a
+	// 64-lane frame). Lane l holds cell F_d + l, and F_{d-2} = F_d - 1, so
+	// the substitution source of lane l is lane l of a3, and its gap
+	// sources are lanes l-1 and l of a2 when d is odd (F_{d-1} = F_d),
+	// lanes l and l+1 when it is even. The rows take turns in Z16..Z19
+	// and Z20..Z23: odd d reads a2 from the first and a3 from the second,
+	// and writes the new row over a3; a 64-lane frame uses the first two
+	// registers of each. Byte l of the q window at q[F_d-1] and of the t
+	// window at rt[n-d+F_d] are the bases of lane l.
+	//
+	// a2 moves one lane up for odd d: each register rotated, then lane 0
+	// taken from the register below (lane 31 rotated into its lane 0),
+	// the sentinel for the first; one lane down for even d, lane 31 taken
+	// from the register above, the sentinel for the last.
+	CMPQ fusedState_lanes(DI), $64
+	JNE  regs128
+	TESTQ $1, R13
+	JZ   regs64_even
+	ROT(Z24, Z16, Z0)
+	ROT(Z24, Z17, Z1)
+	FIX(Z28, Z0, Z1)
+	FIX(Z28, Z12, Z0)
+	CELLS(-1, 0, Z16, Z20, Z0, K1, R9)
+	CELLS(31, 32, Z17, Z21, Z1, K2, CX)
+	ROWMAX2(Z20, Z21)
+	JZ   regs_trim64
+	BEST2(Z20, Z21)
+	JMP  regs_trim64
+regs64_even:
+	ROT(Z25, Z20, Z0)
+	ROT(Z25, Z21, Z1)
+	FIX(Z29, Z1, Z0)
+	FIX(Z29, Z12, Z1)
+	CELLS(-1, 0, Z20, Z16, Z0, K1, R9)
+	CELLS(31, 32, Z21, Z17, Z1, K2, CX)
+	ROWMAX2(Z16, Z17)
+	JZ   regs_trim64
+	BEST2(Z16, Z17)
+regs_trim64:
+	// The survivors' ends give the next band, one cell longer at the top.
+	SHLQ $32, CX
+	ORQ  CX, R9
+	JZ   emptied
+	BSFQ R9, SI // the first survivor
+	BSRQ R9, DX // the last
+	JMP  regs_next
+regs128:
+	TESTQ $1, R13
+	JZ   regs128_even
+	ROT(Z24, Z16, Z0)
+	ROT(Z24, Z17, Z1)
+	ROT(Z24, Z18, Z2)
+	ROT(Z24, Z19, Z3)
+	FIX(Z28, Z2, Z3)
+	FIX(Z28, Z1, Z2)
+	FIX(Z28, Z0, Z1)
+	FIX(Z28, Z12, Z0)
+	CELLS(-1, 0, Z16, Z20, Z0, K1, R9)
+	CELLS(31, 32, Z17, Z21, Z1, K2, CX)
+	CELLS(63, 64, Z18, Z22, Z2, K3, R10)
+	CELLS(95, 96, Z19, Z23, Z3, K4, DX)
+	ROWMAX4(Z20, Z21, Z22, Z23)
+	JZ   regs_trim128
+	BEST(Z20, Z21, Z22, Z23)
+	JMP  regs_trim128
+regs128_even:
+	ROT(Z25, Z20, Z0)
+	ROT(Z25, Z21, Z1)
+	ROT(Z25, Z22, Z2)
+	ROT(Z25, Z23, Z3)
+	FIX(Z29, Z1, Z0)
+	FIX(Z29, Z2, Z1)
+	FIX(Z29, Z3, Z2)
+	FIX(Z29, Z12, Z3)
+	CELLS(-1, 0, Z20, Z16, Z0, K1, R9)
+	CELLS(31, 32, Z21, Z17, Z1, K2, CX)
+	CELLS(63, 64, Z22, Z18, Z2, K3, R10)
+	CELLS(95, 96, Z23, Z19, Z3, K4, DX)
+	ROWMAX4(Z16, Z17, Z18, Z19)
+	JZ   regs_trim128
+	BEST(Z16, Z17, Z18, Z19)
+regs_trim128:
+	SHLQ $32, CX
+	ORQ  CX, R9 // lanes 0..63
+	SHLQ $32, DX
+	ORQ  DX, R10 // lanes 64..127
+	MOVQ R9, AX
+	ORQ  R10, AX
+	JZ   emptied
+	TZCNTQ R9, SI
+	TZCNTQ R10, AX
+	ADDQ $64, AX
+	TESTQ R9, R9
+	CMOVQEQ AX, SI // the first survivor
+	BSRQ R9, DX
+	BSRQ R10, CX
+	ADDQ $64, CX
+	TESTQ R10, R10
+	CMOVQNE CX, DX // the last
+regs_next:
+	// The next frame is F_{d+1} = F_d + e (e = 1 if d+1 is even).
+	LEAQ (R8)(SI*1), R14
+	LEAQ 1(R8)(DX*1), R15
+	INCQ R13
+	DECQ R12
+	MOVQ R13, AX
+	NOTQ AX
+	ANDQ $1, AX
+	ADDQ AX, R8
+	// Clip the band to the matrix, as plant does.
+	MOVQ R13, AX
+	SUBQ fusedState_n(DI), AX
+	CMPQ R14, AX
+	CMOVQLT AX, R14
+	MOVQ fusedState_m(DI), AX
+	CMPQ R15, AX
+	CMOVQGT AX, R15
+
+regs_band:
+	// Before anti-diagonal d: K1..K4 get its band, in lanes of F_d. An
+	// empty band ends the extension at the loop top; a band that does not
+	// fit the frame sends the rows to memory first.
+	CMPQ R14, R15
+	JGT  loop
+	MOVQ R14, AX
+	SUBQ R8, AX
+	JLT  spill
+	MOVQ R15, CX
+	SUBQ R8, CX
+	CMPQ CX, fusedState_lanes(DI)
+	JGE  spill
+	// The mask of lanes [AX, CX], inside the frame: lanes 0..63, and in a
+	// 128-lane frame 64..127.
+	INCQ CX
+	MOVQ $-1, SI
+	BZHIQ CX, SI, DX
+	BZHIQ AX, SI, R9
+	ANDNQ DX, R9, DX
+	KMOVD DX, K1
+	SHRQ $32, DX
+	KMOVD DX, K2
+	CMPQ fusedState_lanes(DI), $64
+	JEQ  loop
+	XORL R9, R9
+	SUBQ $64, CX
 	CMOVQLT R9, CX
-	BZHIQ CX, R10, CX
-	ANDNQ CX, SI, SI
-	KMOVQ SI, K1
-	KSHIFTRQ $32, K1, K2
-	// The buffers: a2's is Workspace.v[phase+1], a3's v[phase+2].
+	SUBQ $64, AX
+	CMOVQLT R9, AX
+	BZHIQ CX, SI, CX
+	BZHIQ AX, SI, AX
+	ANDNQ CX, AX, CX
+	KMOVD CX, K3
+	SHRQ $32, CX
+	KMOVD CX, K4
+	JMP  loop
+
+spill:
+	// Register to memory mode before d: the cells d reads of a2 (frame
+	// F_d - e, e = 1 if d is even) and a3 (frame F_d - 1) go to their
+	// buffers in the memory layout, cell A at slot 0 of each. A cell of
+	// those ranges outside its row's frame is dead (every live cell
+	// entered the frame with its band), and lies at one end of its range:
+	// the sentinel stored first at both ends of each range stands for it.
+	INCQ fusedState_toMem(DI)
+	ADDQ R13, fusedState_regRows(DI)
+	TESTQ $1, R13
+	JNZ  spill_odd
+	SWAPROWS // a2 in Z16..Z19, a3 in Z20..Z23
+spill_odd:
 	LEAQ -1(R14), SI
 	XORL CX, CX
 	CMPQ SI, CX
@@ -675,6 +839,7 @@ spill:
 	LEAQ -1(R13), CX
 	CMPQ CX, R15
 	CMOVQGT R15, CX // B
+	// The buffers: a2's is Workspace.v[phase+1], a3's v[phase+2].
 	VMOVQ X15, R9
 	SUBQ SI, R9
 	SUBQ SI, R9
@@ -688,14 +853,46 @@ spill:
 	JEQ  spill_rows
 	MOVW $const_negInf16, -2(R10)(CX*2)
 spill_rows:
-	NEGQ DX
-	ADDQ R8, DX // F_{d-1}
-	VMOVDQU16 Z16, K1, (R9)(DX*2)
-	VMOVDQU16 Z17, K2, 64(R9)(DX*2)
-	VMOVDQU16 Z18, K3, -2(R10)(R8*2)
-	VMOVDQU16 Z19, K4, 62(R10)(R8*2)
+	SUBQ R8, SI
+	SUBQ R8, CX
+	MOVQ SI, fusedState_thr(DI) // A - F_d
+	MOVQ CX, fusedState_uHi(DI) // B - F_d
+	// a3: lanes [A-F_d+1, B-F_d+1).
+	LEAQ 1(SI), AX
+	INCQ CX
+	LANES(K1, K2, K3, K4)
+	LEAQ -2(R10)(R8*2), AX
+	STOREROW(AX, Z20, Z21, Z22, Z23)
+	// a2: lanes [A-F_d+e, B-F_d+e+1).
+	MOVQ R13, SI
+	NOTQ SI
+	ANDQ $1, SI
+	MOVQ fusedState_thr(DI), AX
+	MOVQ fusedState_uHi(DI), CX
+	ADDQ SI, AX
+	LEAQ 1(CX)(SI*1), CX
+	LANES(K1, K2, K3, K4)
+	MOVQ R13, SI
+	NOTQ SI
+	ANDQ $1, SI
+	LEAQ (R9)(R8*2), AX
+	SUBQ SI, AX
+	SUBQ SI, AX
+	STOREROW(AX, Z16, Z17, Z18, Z19)
+	MOVQ $0, fusedState_lanes(DI)
 	JMP  loop
-#undef INSIDE
+#undef LANES
+#undef LOADROW
+#undef STOREROW
+#undef SWAPROWS
+#undef ROT
+#undef FIX
+#undef CELLS
+#undef ROWMAX2
+#undef ROWMAX4
+#undef BEST
+#undef BEST2
+#undef FOLD
 #endif
 
 emptied:
@@ -703,9 +900,9 @@ emptied:
 done:
 	MOVB $1, fusedState_done(DI)
 #ifdef FUSED_AVX512
-	CMPB fusedState_regs(DI), $0
+	CMPQ fusedState_lanes(DI), $0
 	JEQ  paused
-	MOVB $0, fusedState_regs(DI)
+	MOVQ $0, fusedState_lanes(DI)
 	ADDQ R13, fusedState_regRows(DI)
 #endif
 	JMP  paused
@@ -713,7 +910,7 @@ pause:
 #ifdef FUSED_AVX512
 	// Go sees the carried rows only in memory: spill them first; the loop
 	// top then pauses again, in memory mode.
-	CMPB fusedState_regs(DI), $0
+	CMPQ fusedState_lanes(DI), $0
 	JNE  spill
 #endif
 paused:

@@ -4,7 +4,8 @@
 // in extend_vector_amd64.go; the fields of fusedState are reached through the
 // offsets go_asm.h generates from its declaration.
 //
-// Per anti-diagonal d, in wave's order: fill rt[n-d], stop on an empty
+// Per anti-diagonal d, in wave's order: fill rt[n-d] (and, on AVX-512,
+// the copy of q[d-1]), stop on an empty
 // band, pause (return to Go) if the band-local best reached the rebase
 // mark or the cell budget ran out, the work counters and the trace, then
 // the border cell i = 0, the interior cells, the border cell j = 0, the
@@ -38,7 +39,8 @@
 // and BSR from the back, in overlapped 8-lane blocks when the band is 8
 // cells or wider. Nothing outside the cells an extension reads is touched:
 // q[0, m), t and rt[0, n), and the first bandLen(m, n) slots of each
-// diagonal buffer.
+// diagonal buffer; the AVX-512 routine's register mode also reads the
+// fusedPad bytes of padding around rt and around its copy of q.
 //
 // All lane adds wrap (PADDW/PSUBW): the rebase invariant keeps live lanes
 // in (-8193, 16638) and sentinel-sourced lanes above -29256, so no int16
@@ -54,45 +56,54 @@
 // legacy-encoded instruction while the upper YMM halves are dirty.
 //
 // vectorExtendAVX512 adds a register mode (FUSED_AVX512). While the band
-// fits 64 cells, the two carried anti-diagonals a2 and a3 live in two ZMM
-// registers each, in a frame: lane l of anti-diagonal d holds cell
-// F_d + l, where F_d = F_{d-1} + 1 for even d and F_{d-1} for odd d, so
-// that F_{d-2} = F_d - 1 and the frame follows the main diagonal. Each
-// anti-diagonal is then computed from registers alone:
+// fits a frame of 64 or 128 lanes, the two carried anti-diagonals a2 and
+// a3 live in two or four ZMM registers each: lane l of anti-diagonal d
+// holds cell F_d + l, where F_d = F_{d-1} + 1 for even d and F_{d-1} for
+// odd d, so that F_{d-2} = F_d - 1 and the frame follows the main
+// diagonal. Each anti-diagonal is then computed from registers alone, in
+// 32-lane registers:
 //
-//	q, t  = 64-byte loads of q[F_d-1..] and t[..d-F_d-1], the latter
-//	        reversed (VPSHUFB, VSHUFI64X2) so lane l holds cell F_d+l's
-//	        bases; rt is still filled, for the memory mode
-//	sub   = a3 + (q == t ? match : mismatch)     VPCMPEQB to a k-mask
-//	g     = max(a2, a2 moved one lane) + gap     VPERMI2W: up one lane
-//	                                             for odd d, down for even
+//	q, t  = 32-byte loads of the padded copy of q at q[F_d-1+32j] and of
+//	        rt at rt[n-d+F_d+32j]: byte l is lane l's base, as in the
+//	        memory rows
+//	sub   = a3 + mismatch, + (match - mismatch) where q == t
+//	                                             VPCMPEQB to a k-mask
+//	g     = max(a2, a2 moved one lane) + gap     up one lane for odd d,
+//	                                             down for even: VPERMW
+//	                                             rotates each register,
+//	                                             VPTERNLOGQ takes the lane
+//	                                             at its end from the next
 //	s     = max(sub, g)
 //	live  = band & (s >= thr)                    VPCMPW under the band mask
 //	new   = live ? s : ninf                      VPBLENDMW
 //
 // The border cells need no code: their missing sources are sentinel
-// lanes. Only a row with a cell above best in its band (VPCMPW against
-// best in every lane) folds its maximum to every lane, which gives best,
-// the threshold and the first lane holding it. The next band is the
-// survivors' span, one lane longer at the top (BSF/BSR of the live mask),
-// in the next frame and clipped to the matrix, as k-masks K1/K2.
+// lanes. Only a row whose maximum beats best (one VPCMPW) folds it to
+// every lane, which gives best, the threshold and the first lane holding
+// it. The next band is the survivors' span, one lane longer at the top
+// (TZCNT/BSR of the live masks), in the next frame and clipped to the
+// matrix as plant clips it, as k-masks K1..K4. Lanes outside the matrix
+// are never in the band, so the bytes the windows read beyond the
+// sequences never reach a score: the windows read the padding of the two
+// copies, fusedPad bytes before and after them, and the register mode
+// runs from d = 1 to the matrix edge. The copy of q is filled one base
+// per anti-diagonal, as rt is: no extension copies more of q than its
+// band reaches.
 //
-// The register mode runs only while both 64-byte windows lie inside q and
-// t, a base short of their far ends: no load reaches past the sequences
-// (a masked load whose masked-off bytes cross into another page costs a
-// microcode assist, which measured ~100 ns per anti-diagonal), and no
-// band there needs a clip to the matrix. The first ~64 anti-diagonals of
-// an extension and its end run in memory.
-//
-// The handoff: after a memory anti-diagonal whose next band is at most
-// regReload cells wide, the cells the next one reads of a2 and a3 are
-// loaded into a frame that centers the band (reload). When a band does
-// not fit its frame — wider than 64 cells, or drifted off the main
-// diagonal by indels — or the windows reach an end of q or t, or the
-// routine pauses, those cells go back to their buffers in the memory
-// layout (spill) and the loop continues on the AVX2 blocks; the next
-// narrow band reloads them, in a new frame. The gap between regReload
-// and 64 is the hysteresis.
+// A 128-lane row does twice the vector work of a 64-lane one, and at
+// x=25 and x=50 measured slower than the 64-lane row: a band of at most
+// regNarrow cells enters a 64-lane frame, a wider one a 128-lane frame,
+// and the two rows are the same macros (CELLS per register) expanded for
+// two and for four registers. The handoff: after a memory anti-diagonal
+// whose next band is at most regReload cells wide, and at the start of
+// every call, the cells the next one reads of a2 and a3 are loaded into a
+// frame that centers the band (reload). When a band does not fit its
+// frame — wider than the frame, or drifted off the main diagonal by
+// indels — or the routine pauses, those cells go back to their buffers in
+// the memory layout (spill) and the loop continues on the AVX2 blocks;
+// the next band of at most regReload cells reloads them, in a new frame.
+// The gaps between regNarrow and 64 and between regReload and 128 are the
+// hysteresis.
 //
 // Registers, for the whole call:
 //
@@ -100,25 +111,27 @@
 //	R8   cell 0 of the diagonal being written (cell i at (R8)(i*2))
 //	R9   cell 0 of the previous diagonal (a2)
 //	R10  cell 0 of the one before (a3)
-//	R11  q (q[i-1] at -1(R11)(i*1))
+//	R11  q (q[i-1] at -1(R11)(i*1)); the padded copy in vectorExtendAVX512
 //	R12  &rt[n-d] (rt[n-d+i] at (R12)(i*1))
 //	R13  d
 //	R14  lo, R15 hi: the band, as cell indices i
 //	BX   the running best (after this anti-diagonal's cells so far)
 //	X14, X15, X7  the buffers being written, holding a2 and holding a3
-//	X8   match - mismatch, X9 mismatch, X10 gap, X12 ninf (Y8..Y12 on AVX2)
+//	X8   match - mismatch, X9 mismatch, X10 gap, X12 ninf (Y8..Y12 on
+//	     AVX2, Z8..Z12 on AVX-512)
 //	X11  the threshold of this anti-diagonal (Y11 on AVX2)
 //	AX, CX, DX, SI, X0..X6, X13: scratch
 //
-// and in the register mode, where R8 is F_d, R9 t, R10 scratch, and the
-// buffer roles (X14, X15, X7) stand still:
+// and in the register mode, where R8 is F_d, R9, R10, CX and DX take the
+// survivors of the four registers, and the buffer roles (X14, X15, X7)
+// stand still:
 //
-//	Z16, Z17  a2, lanes 0..31 and 32..63; Z18, Z19 a3
-//	Z20 ninf, Z21 match, Z22 mismatch, Z23 gap, Z27 x in every lane
-//	Z24, Z25  the VPERMI2W indexes (up, down); Z28 the byte reversal
-//	Z26  the threshold, Z31 best, in every lane
-//	K1, K2  the band
-//	Z0..Z5, Z29, Z30, K3..K6: scratch
+//	Z16..Z19, Z20..Z23  the two carried rows, taking turns as a2 (odd d
+//	     reads a2 from Z16..Z19) and a3, which the new row overwrites
+//	Z27 x in every lane, Z26 the threshold, Z31 best
+//	Z24, Z25  the VPERMW rotations (up, down); Z28, Z29 their end lanes
+//	K1..K4  the band
+//	Z0..Z5, Z11, Z13, K5..K7: scratch
 
 #include "go_asm.h"
 #include "textflag.h"
@@ -198,18 +211,18 @@ TEXT ·vectorExtendSSE2(SB), NOSPLIT, $0-48
 TEXT ·vectorExtendAVX2(SB), NOSPLIT, $0-48
 #include "extend_vector_amd64.h"
 
-// The register mode's constants: VPERMI2W indexes that move every lane of
-// a two-register row one lane up (31..62 over sentinel||lo and lo||hi)
-// and one lane down (1..32 over lo||hi and hi||sentinel), and the VPSHUFB
-// control that reverses the bytes of each 128-bit lane.
-DATA regsConst<>+0(SB)/8, $0x002200210020001f
-DATA regsConst<>+8(SB)/8, $0x0026002500240023
-DATA regsConst<>+16(SB)/8, $0x002a002900280027
-DATA regsConst<>+24(SB)/8, $0x002e002d002c002b
-DATA regsConst<>+32(SB)/8, $0x003200310030002f
-DATA regsConst<>+40(SB)/8, $0x0036003500340033
-DATA regsConst<>+48(SB)/8, $0x003a003900380037
-DATA regsConst<>+56(SB)/8, $0x003e003d003c003b
+// The register mode's constants: VPERMW indexes that rotate the 32
+// lanes of a register one lane up and one lane down, and masks of its
+// lane 0 and of its lane 31, where the rotation brings in the lane that
+// belongs to the neighbouring register.
+DATA regsConst<>+0(SB)/8, $0x000200010000001f
+DATA regsConst<>+8(SB)/8, $0x0006000500040003
+DATA regsConst<>+16(SB)/8, $0x000a000900080007
+DATA regsConst<>+24(SB)/8, $0x000e000d000c000b
+DATA regsConst<>+32(SB)/8, $0x001200110010000f
+DATA regsConst<>+40(SB)/8, $0x0016001500140013
+DATA regsConst<>+48(SB)/8, $0x001a001900180017
+DATA regsConst<>+56(SB)/8, $0x001e001d001c001b
 DATA regsConst<>+64(SB)/8, $0x0004000300020001
 DATA regsConst<>+72(SB)/8, $0x0008000700060005
 DATA regsConst<>+80(SB)/8, $0x000c000b000a0009
@@ -217,24 +230,33 @@ DATA regsConst<>+88(SB)/8, $0x0010000f000e000d
 DATA regsConst<>+96(SB)/8, $0x0014001300120011
 DATA regsConst<>+104(SB)/8, $0x0018001700160015
 DATA regsConst<>+112(SB)/8, $0x001c001b001a0019
-DATA regsConst<>+120(SB)/8, $0x0020001f001e001d
-DATA regsConst<>+128(SB)/8, $0x08090a0b0c0d0e0f
-DATA regsConst<>+136(SB)/8, $0x0001020304050607
-DATA regsConst<>+144(SB)/8, $0x08090a0b0c0d0e0f
-DATA regsConst<>+152(SB)/8, $0x0001020304050607
-DATA regsConst<>+160(SB)/8, $0x08090a0b0c0d0e0f
-DATA regsConst<>+168(SB)/8, $0x0001020304050607
-DATA regsConst<>+176(SB)/8, $0x08090a0b0c0d0e0f
-DATA regsConst<>+184(SB)/8, $0x0001020304050607
-GLOBL regsConst<>(SB), RODATA|NOPTR, $192
+DATA regsConst<>+120(SB)/8, $0x0000001f001e001d
+DATA regsConst<>+128(SB)/8, $0x000000000000ffff
+DATA regsConst<>+136(SB)/8, $0x0000000000000000
+DATA regsConst<>+144(SB)/8, $0x0000000000000000
+DATA regsConst<>+152(SB)/8, $0x0000000000000000
+DATA regsConst<>+160(SB)/8, $0x0000000000000000
+DATA regsConst<>+168(SB)/8, $0x0000000000000000
+DATA regsConst<>+176(SB)/8, $0x0000000000000000
+DATA regsConst<>+184(SB)/8, $0x0000000000000000
+DATA regsConst<>+192(SB)/8, $0x0000000000000000
+DATA regsConst<>+200(SB)/8, $0x0000000000000000
+DATA regsConst<>+208(SB)/8, $0x0000000000000000
+DATA regsConst<>+216(SB)/8, $0x0000000000000000
+DATA regsConst<>+224(SB)/8, $0x0000000000000000
+DATA regsConst<>+232(SB)/8, $0x0000000000000000
+DATA regsConst<>+240(SB)/8, $0x0000000000000000
+DATA regsConst<>+248(SB)/8, $0xffff000000000000
+GLOBL regsConst<>(SB), RODATA|NOPTR, $256
 
-// func vectorExtendAVX512(st *fusedState, diags *[3][]int16, q, t, rt *byte, trace *int32)
+// func vectorExtendAVX512(st *fusedState, diags *[3][]int16, q, t, rt *byte, trace *int32, qp *byte)
 //
-// The AVX2 routine plus the register mode for bands of up to 64 cells
-// (FUSED_AVX512 in the body): EVEX-encoded there, in Z16..Z31 and K1..K6,
-// which the VEX blocks never touch.
+// The AVX2 routine plus the register mode for bands of up to 128 cells
+// (FUSED_AVX512 in the body): EVEX-encoded there, in Z0..Z6, Z8..Z13,
+// Z16..Z29, Z31 and K1..K7. The VEX blocks read the constants in Y8..Y12
+// and never touch Z16..Z31.
 #define FUSED_AVX512
-TEXT ·vectorExtendAVX512(SB), NOSPLIT, $0-48
+TEXT ·vectorExtendAVX512(SB), NOSPLIT, $0-56
 #include "extend_vector_amd64.h"
 #undef FUSED_AVX512
 #undef FUSED_AVX2
@@ -305,8 +327,8 @@ TEXT ·cpuHasAVX512(SB), NOSPLIT, $0-1
 	MOVL $7, AX
 	XORL CX, CX
 	CPUID
-	ANDL $0x40010128, BX  // leaf 7 EBX: BMI1 (3), AVX2 (5), BMI2 (8), AVX512F (16), AVX512BW (30)
-	CMPL BX, $0x40010128
+	ANDL $0xC0010128, BX  // leaf 7 EBX: BMI1 (3), AVX2 (5), BMI2 (8), AVX512F (16), AVX512BW (30), AVX512VL (31)
+	CMPL BX, $0xC0010128
 	JNE  no
 	MOVB $1, ret+0(FP)
 no:

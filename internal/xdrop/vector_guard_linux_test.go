@@ -47,14 +47,17 @@ func guardedSeq(t *testing.T, s seq.Seq, tail bool) seq.Seq {
 
 // guardedWorkspace returns a workspace whose every buffer an m x n vector
 // extension touches — the three diagonals, the reversed target and the
-// reversal staging of a seed extension — is exactly as long as that
-// extension needs and flush against a guard page.
+// padded copy of the query, and the reversal staging of a seed extension —
+// is exactly as long as that extension needs and flush against a guard
+// page: the padded copies by exactly the fusedPad bytes of slack the fused
+// routines claim on each side.
 func guardedWorkspace(t *testing.T, m, n int, tail bool) *Workspace {
 	w := NewWorkspace()
 	for i := range w.v {
 		w.v[i] = guardedInt16(t, bandLen(m, n), tail)
 	}
-	w.rt = guarded(t, n, tail)
+	w.rt = guarded(t, n+2*fusedPad, tail)
+	w.qp = guarded(t, m+2*fusedPad, tail)
 	w.revQ, w.revT = guarded(t, m, tail)[:0], guarded(t, n, tail)[:0]
 	return w
 }
@@ -65,7 +68,9 @@ func guardedWorkspace(t *testing.T, m, n int, tail bool) *Workspace {
 // reads the caller's suffixes and the other the workspace's reversed
 // prefixes — run with every operand and every workspace buffer flush
 // against a PROT_NONE page, first at its end, then at its start, and
-// still equal the scalar kernel. The X values put rows of every block
+// still equal the scalar kernel. The caller's q and t are read only
+// inside [0, m) and [0, n); the padded copies (rt, and the AVX-512
+// routine's copy of q) are read only inside their fusedPad slack. The X values put rows of every block
 // shape on every ISA: scalar (< 8 cells), one or two 8-lane blocks,
 // 16-lane blocks, and widths that are no lane multiple; on an AVX-512
 // host they also put anti-diagonals in registers and in memory, and move
@@ -127,6 +132,7 @@ func TestExtendVectorGuardPages(t *testing.T) {
 						modes.rows += m.rows
 						modes.toRegs += m.toRegs
 						modes.toMem += m.toMem
+						modes.toWide += m.toWide
 						memRows -= m.rows
 					}
 				}
@@ -157,9 +163,9 @@ func TestExtendVectorGuardPages(t *testing.T) {
 		t.Log("no AVX-512 on this host: the register mode was not exercised")
 		return
 	}
-	if modes.rows == 0 || modes.toRegs == 0 || modes.toMem == 0 || memRows <= 0 {
-		t.Errorf("AVX-512 routine: %d register rows, %d memory rows, %d moves into registers, %d back to memory; want all > 0: pick other X values",
-			modes.rows, memRows, modes.toRegs, modes.toMem)
+	if modes.rows == 0 || modes.toRegs == modes.toWide || modes.toWide == 0 || modes.toMem == 0 || memRows <= 0 {
+		t.Errorf("AVX-512 routine: %d register rows, %d memory rows, %d moves into registers (%d into a 128-lane frame), %d back to memory; want all > 0, and moves into both frames: pick other X values",
+			modes.rows, memRows, modes.toRegs, modes.toWide, modes.toMem)
 	}
-	t.Logf("AVX-512 routine: %d register rows, %d memory rows, %d moves into registers, %d back to memory", modes.rows, memRows, modes.toRegs, modes.toMem)
+	t.Logf("AVX-512 routine: %d register rows, %d memory rows, %d moves into registers (%d into a 128-lane frame), %d back to memory", modes.rows, memRows, modes.toRegs, modes.toWide, modes.toMem)
 }

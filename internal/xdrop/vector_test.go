@@ -73,12 +73,14 @@ func TestExtendVectorMatchesReference(t *testing.T) {
 }
 
 // TestExtendVectorHandoffs keeps bands near the AVX-512 routine's
-// register limit, where it moves the carried anti-diagonals between
-// registers and memory: bands that outgrow 64 cells and shrink back
-// below regReload, and bands that drift off the main diagonal through
-// indels until they leave their register frame. Every extension must equal
-// the reference on every ISA; on an AVX-512 host the handoffs must have
-// happened many times over.
+// register limits, where it moves the carried anti-diagonals between
+// registers and memory: bands that outgrow a 64-lane frame and come back
+// in a 128-lane one (regNarrow < width <= regReload), bands held around
+// the 128-lane frame's edge that outgrow it and shrink back below
+// regReload, and bands that drift off the main diagonal through indels
+// until they leave their frame. Every extension must equal the reference
+// on every ISA; on an AVX-512 host the handoffs must have happened many
+// times over, in both frames, and bands over 128 cells must have run.
 func TestExtendVectorHandoffs(t *testing.T) {
 	forEachISA(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(43))
@@ -90,18 +92,32 @@ func TestExtendVectorHandoffs(t *testing.T) {
 			{Match: 5, Mismatch: -1, Gap: -2},
 			{Match: 9, Mismatch: -4, Gap: -3},
 		}
-		for trial := 0; trial < 600; trial++ {
+		over128 := 0
+		for trial := 0; trial < 900; trial++ {
 			q := seq.RandSeq(rng, 200+rng.Intn(400))
 			tt := seq.Mutate(rng, q, seq.UniformProfile(0.05+0.15*rng.Float64()))
 			sc := schemes[trial%len(schemes)]
+			// Alternately bands around the 64-lane frame (48..64 cells)
+			// and around the 128-lane one (112..128).
 			x := int32(35+rng.Intn(60)) * -sc.Gap
+			if trial/len(schemes)%2 == 1 {
+				x = int32(140+rng.Intn(60)) * -sc.Gap
+			}
 			want := ExtendReference(q, tt, sc, x)
 			if got := w.ExtendVector(q, tt, sc, x); got != want {
 				t.Fatalf("trial %d (lens %d/%d, sc %+v, x %d):\n got %+v\nwant %+v", trial, len(q), len(tt), sc, x, got, want)
 			}
+			if want.MaxBand > 128 {
+				over128++
+			}
 		}
-		if vectorISA == isaAVX512 && (w.modes.toRegs < 300 || w.modes.toMem < 300) {
-			t.Errorf("AVX-512 routine moved rows into registers %d times and back %d times; want >= 300 each", w.modes.toRegs, w.modes.toMem)
+		if vectorISA != isaAVX512 {
+			return
+		}
+		m := w.modes
+		if m.toRegs < 600 || m.toMem < 300 || m.toWide < 300 || m.toRegs-m.toWide < 600 || over128 < 50 {
+			t.Errorf("AVX-512 routine moved rows into registers %d times (%d into a 128-lane frame) and back %d times, over %d extensions with bands over 128 cells; want >= 600 (>= 300, and >= 600 into a 64-lane frame), >= 300 and >= 50",
+				m.toRegs, m.toWide, m.toMem, over128)
 		}
 	})
 }
@@ -183,5 +199,45 @@ func TestExtendVectorFallback(t *testing.T) {
 	got, trace := w.ExtendTrace(q, tt, sc, x, nil)
 	if got != want || !slices.Equal(trace, wantTrace) {
 		t.Fatalf("no fused routine: ExtendTrace %+v (trace %v), want %+v (trace %v)", got, trace, want, wantTrace)
+	}
+}
+
+// TestRegisterModeCoverage pins where the AVX-512 routine computes the
+// anti-diagonals of the two served alignment shapes: seed extensions of
+// align-bulk-shaped pairs (2.5-7.5 kb, 15 % error, x=100) and of
+// align-small-shaped ones (100-400 bases, x=50) must run at least 95 % of
+// them in registers, from the first anti-diagonal to the matrix edge. On
+// a host without AVX-512 there is no register mode, and the test says so.
+func TestRegisterModeCoverage(t *testing.T) {
+	if detectISA() != isaAVX512 {
+		t.Skip("no AVX-512 on this host: there is no register mode")
+	}
+	defer func(prev rowISA) { vectorISA = prev }(vectorISA)
+	vectorISA = isaAVX512
+	for _, tc := range []struct {
+		name           string
+		n, minLen, max int
+		x              int32
+	}{
+		{"align-bulk", 64, 2500, 7500, 100},
+		{"align-small", 256, 100, 400, 50},
+	} {
+		rng := rand.New(rand.NewSource(45))
+		pairs := seq.RandPairSet(rng, seq.PairSetOptions{N: tc.n, MinLen: tc.minLen, MaxLen: tc.max, ErrorRate: 0.15, SeedLen: 17})
+		w := NewWorkspace()
+		computed := 0 // anti-diagonals after the origin
+		for _, p := range pairs {
+			r, err := w.ExtendSeedKernel(p.Query, p.Target, p.SeedQPos, p.SeedTPos, p.SeedLen, DefaultScoring(), tc.x, KernelVector)
+			if err != nil {
+				t.Fatal(err)
+			}
+			computed += max(r.Left.AntiDiags-1, 0) + max(r.Right.AntiDiags-1, 0)
+		}
+		frac := float64(w.modes.rows) / float64(computed)
+		t.Logf("%s: %d of %d anti-diagonals in registers (%.1f %%), %d moves into registers, %d back to memory",
+			tc.name, w.modes.rows, computed, 100*frac, w.modes.toRegs, w.modes.toMem)
+		if frac < 0.95 {
+			t.Errorf("%s: %.1f %% of the anti-diagonals ran in registers, want >= 95 %%", tc.name, 100*frac)
+		}
 	}
 }

@@ -18,7 +18,8 @@ import (
 type Workspace struct {
 	d          [3][]int32 // scalar, matrix and affine (three planes) diagonals
 	v          [3][]int16 // fused-routine diagonals (amd64 only)
-	rt         seq.Seq    // reversed target, grown one base per anti-diagonal
+	rt         seq.Seq    // reversed target, grown one base per anti-diagonal; padded by fusedPad for the fused routine
+	qp         seq.Seq    // the AVX-512 routine's padded copy of the query, grown one base per anti-diagonal
 	revQ, revT seq.Seq
 
 	// Traceback directions: one byte per interior cell, located per
@@ -32,8 +33,9 @@ type Workspace struct {
 }
 
 // regModes counts the anti-diagonals the AVX-512 routine computed in
-// registers and its handoffs between registers and memory.
-type regModes struct{ rows, toRegs, toMem int }
+// registers, its handoffs between registers and memory, and the handoffs
+// into a 128-lane frame among the moves into registers.
+type regModes struct{ rows, toRegs, toMem, toWide int }
 
 // NewWorkspace returns an empty workspace; buffers grow on first use.
 func NewWorkspace() *Workspace { return &Workspace{} }
