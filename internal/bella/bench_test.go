@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+	_ "unsafe" // for go:linkname
 
 	"logan/internal/genome"
 	"logan/internal/seq"
@@ -95,12 +96,16 @@ func BenchmarkPrepare(b *testing.B) {
 }
 
 // BenchmarkExtendCandidates times the alignment stage's kernel alone on
-// the overlap-job shape: every candidate pair of overlapJobReads(1..3),
-// seed-extended on one workspace with the int16 kernel at x=25, BELLA's
-// defaults otherwise. It reports the milliseconds of one pass over the
-// three read sets (single-threaded, so the number is kernel time, not
-// throughput) and what one anti-diagonal costs, for the vector ISA this
-// host runs.
+// the overlap-job shape: every candidate pair of overlapJobReads(1..3)
+// (5,244 pairs), seed-extended with the int16 kernel at x=25, BELLA's
+// defaults otherwise, single-threaded, so the number is kernel time, not
+// throughput. workspace runs the pairs one by one on one Workspace (the
+// solo routine); pool1 runs them as one batch on a one-worker Pool, whose
+// worker streams the extensions two at a time through the paired routine
+// on AVX-512. Each reports the milliseconds of one pass over the three
+// read sets and what one anti-diagonal costs, for the vector ISA this
+// host runs; pool1 also the share of the anti-diagonals the paired
+// routine computed.
 func BenchmarkExtendCandidates(b *testing.B) {
 	cfg := DefaultConfig(8, 0.15, 25)
 	var pairs []seq.Pair
@@ -111,24 +116,57 @@ func BenchmarkExtendCandidates(b *testing.B) {
 		}
 		pairs = append(pairs, prep.Pairs...)
 	}
-	w := xdrop.NewWorkspace()
-	b.ReportAllocs()
-	b.ResetTimer()
-	var diags int64
-	for i := 0; i < b.N; i++ {
-		for _, p := range pairs {
-			r, err := w.ExtendSeedKernel(p.Query, p.Target, p.SeedQPos, p.SeedTPos, p.SeedLen, cfg.Scoring, cfg.X, xdrop.KernelVector)
+	report := func(b *testing.B, diags int64) {
+		ns := float64(b.Elapsed().Nanoseconds())
+		b.ReportMetric(ns/1e6/float64(b.N), "ms")
+		b.ReportMetric(ns/float64(diags), "ns/antidiag")
+	}
+	b.Run("workspace", func(b *testing.B) {
+		w := xdrop.NewWorkspace()
+		b.ReportAllocs()
+		var diags int64
+		for i := 0; i < b.N; i++ {
+			for _, p := range pairs {
+				r, err := w.ExtendSeedKernel(p.Query, p.Target, p.SeedQPos, p.SeedTPos, p.SeedLen, cfg.Scoring, cfg.X, xdrop.KernelVector)
+				if err != nil {
+					b.Fatal(err)
+				}
+				diags += int64(r.Left.AntiDiags + r.Right.AntiDiags)
+			}
+		}
+		report(b, diags)
+		b.Logf("%d pairs on %s", len(pairs), xdrop.VectorISA())
+	})
+	b.Run("pool1", func(b *testing.B) {
+		p := xdrop.NewPool(1)
+		defer p.Close()
+		results := make([]xdrop.SeedResult, len(pairs))
+		sch := xdrop.LinearScheme(cfg.Scoring)
+		b.ReportAllocs()
+		var diags, computed int64
+		for i := 0; i < b.N; i++ {
+			st, err := p.ExtendBatchKernel(context.Background(), pairs, results, sch, cfg.X, xdrop.KernelVector)
 			if err != nil {
 				b.Fatal(err)
 			}
-			diags += int64(r.Left.AntiDiags + r.Right.AntiDiags)
+			diags += st.AntiDiags
+			for _, r := range results {
+				computed += int64(max(r.Left.AntiDiags-1, 0) + max(r.Right.AntiDiags-1, 0))
+			}
 		}
-	}
-	ns := float64(b.Elapsed().Nanoseconds())
-	b.ReportMetric(ns/1e6/float64(b.N), "ms")
-	b.ReportMetric(ns/float64(diags), "ns/antidiag")
-	b.Logf("%d pairs on %s", len(pairs), xdrop.VectorISA())
+		report(b, diags)
+		_, paired := poolRegRows(p)
+		b.ReportMetric(float64(paired)/float64(computed), "paired")
+	})
 }
+
+// poolRegRows is xdrop's count, over a Pool's workers, of the
+// anti-diagonals its AVX-512 routines computed in registers and, of
+// those, in the paired routine. It is read through a linkname so that the
+// kernel's counters stay out of xdrop's API.
+//
+//go:linkname poolRegRows logan/internal/xdrop.poolRegRows
+func poolRegRows(p *xdrop.Pool) (rows, paired int)
 
 // BenchmarkPipelineCPU measures the whole pipeline with the SeqAn-style
 // CPU baseline — BELLA's 90%-alignment-time profile shows up here.

@@ -15,6 +15,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -816,5 +817,72 @@ func TestSubmitLimits(t *testing.T) {
 	})
 	if err == nil || !strings.Contains(err.Error(), "byte limit") {
 		t.Fatalf("oversized submit: %v", err)
+	}
+}
+
+// TestWorkerStopDuringRegister: a worker canceled or killed while its
+// register (or re-register, after the router forgot it) is in flight
+// stops gracefully — Run returns nil, as it does when the stop lands in a
+// poll. The router stub holds each register reply on a channel until the
+// stop has happened, so the stop always lands inside the request.
+func TestWorkerStopDuringRegister(t *testing.T) {
+	eng, err := logan.NewAligner(logan.EngineOptions{Threads: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	ov, err := logan.NewOverlapper(eng, logan.OverlapperOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name       string
+		reregister bool // the stop lands in the register that follows a 410 poll
+		kill       bool // Kill instead of a context cancel
+	}{
+		{"register/cancel", false, false},
+		{"register/kill", false, true},
+		{"reregister/cancel", true, false},
+		{"reregister/kill", true, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			arrived := make(chan struct{}, 2)
+			hold := make(chan struct{})
+			var registers atomic.Int32
+			mux := http.NewServeMux()
+			mux.HandleFunc("POST /cluster/register", func(w http.ResponseWriter, r *http.Request) {
+				if tc.reregister && registers.Add(1) == 1 {
+					writeJSON(w, registerResponse{WorkerID: "w-1"})
+					return
+				}
+				arrived <- struct{}{}
+				<-hold
+				writeJSON(w, registerResponse{WorkerID: "w-2"})
+			})
+			mux.HandleFunc("POST /cluster/poll", func(w http.ResponseWriter, r *http.Request) {
+				w.WriteHeader(http.StatusGone)
+			})
+			srv := httptest.NewServer(mux)
+			defer srv.Close()
+			defer close(hold)
+
+			wk, err := NewWorker(WorkerOptions{RouterURL: srv.URL, Name: "w", Overlapper: ov})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			ran := make(chan error, 1)
+			go func() { ran <- wk.Run(ctx) }()
+			<-arrived
+			if tc.kill {
+				wk.Kill()
+			} else {
+				cancel()
+			}
+			if err := <-ran; err != nil {
+				t.Fatalf("Run after a stop during register: %v, want nil", err)
+			}
+		})
 	}
 }

@@ -116,7 +116,7 @@ func (w *Worker) Run(ctx context.Context) error {
 	w.mu.Unlock()
 
 	if err := w.register(ctx); err != nil {
-		return err
+		return w.stopped(ctx, err)
 	}
 	for {
 		if err := ctx.Err(); err != nil {
@@ -132,7 +132,7 @@ func (w *Worker) Run(ctx context.Context) error {
 				// The router forgot us (restart, or silent past its
 				// WorkerTTL); re-register and carry on.
 				if err := w.register(ctx); err != nil {
-					return err
+					return w.stopped(ctx, err)
 				}
 				continue
 			}
@@ -147,6 +147,16 @@ func (w *Worker) Run(ctx context.Context) error {
 		}
 		w.execute(ctx, job)
 	}
+}
+
+// stopped is what Run returns for an error from register: nil when the
+// worker was canceled or killed meanwhile (the error is then that stop,
+// not a failure), err otherwise.
+func (w *Worker) stopped(ctx context.Context, err error) error {
+	if ctx.Err() != nil || w.isKilled() {
+		return nil
+	}
+	return err
 }
 
 // reregisterError marks a 410 from the router: this worker ID is gone.

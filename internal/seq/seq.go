@@ -10,8 +10,10 @@
 package seq
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -186,10 +188,19 @@ func (s Seq) Sub(lo, hi int) Seq { return s[lo:hi:hi] }
 // the Fig. 6 staging reversal, shared by the CPU workspace and the GPU
 // host pipeline so neither allocates an intermediate sequence.
 func AppendReverse(dst, s []byte) []byte {
-	for i := len(s) - 1; i >= 0; i-- {
-		dst = append(dst, s[i])
+	n := len(s)
+	dst = slices.Grow(dst, n)
+	out := dst[len(dst) : len(dst)+n]
+	// Eight bases at a time: a word read little-endian and written
+	// big-endian comes out byte-reversed.
+	i := 0
+	for ; i+8 <= n; i += 8 {
+		binary.BigEndian.PutUint64(out[n-8-i:], binary.LittleEndian.Uint64(s[i:]))
 	}
-	return dst
+	for ; i < n; i++ {
+		out[n-1-i] = s[i]
+	}
+	return dst[:len(dst)+n]
 }
 
 // Identity returns the fraction of equal bases at equal offsets of a and b

@@ -326,3 +326,23 @@ func TestFromBytesMatchesNew(t *testing.T) {
 		}
 	}
 }
+
+// TestAppendReverse checks the word-at-a-time reversal against the
+// byte loop at every length around the word size, appended after a
+// prefix that must stay in place.
+func TestAppendReverse(t *testing.T) {
+	for n := 0; n <= 40; n++ {
+		s := make([]byte, n)
+		for i := range s {
+			s[i] = byte('a' + i)
+		}
+		got := AppendReverse([]byte("xy"), s)
+		want := []byte("xy")
+		for i := n - 1; i >= 0; i-- {
+			want = append(want, s[i])
+		}
+		if string(got) != string(want) {
+			t.Fatalf("n=%d: %q, want %q", n, got, want)
+		}
+	}
+}

@@ -36,7 +36,11 @@ var kernelRegimes = []struct {
 // comparable number; ns/op is not, because the kernels explore different
 // cell counts (ksw2 under Z-drop especially). ns/antidiag is what one
 // anti-diagonal of the wavefront costs, fixed work included: the number
-// the narrow regimes are bound by.
+// the narrow regimes are bound by. On an AVX-512 host, paired-avx512 runs
+// the extension and the same pair reversed (an independent extension of
+// the same shape) together through the paired routine; its ns/antidiag
+// is per anti-diagonal of either, and paired the share of them the
+// paired routine computed.
 func BenchmarkKernel(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	q, t := benchPair(rng, 2000)
@@ -81,6 +85,27 @@ func BenchmarkKernel(b *testing.B) {
 				return w.ExtendVector(q, t, sc, x)
 			}, reg.x))
 		})
+		if pairDriver != nil && detectISA() == isaAVX512 {
+			b.Run(fmt.Sprintf("paired-avx512/%s", reg.name), func(b *testing.B) {
+				cs := [2]pairCase{{q, t, false, sc, reg.x}, {q, t, true, sc, reg.x}}
+				b.ReportAllocs()
+				w.modes = regModes{}
+				var cells int64
+				var diags, computed int
+				for i := 0; i < b.N; i++ {
+					for _, r := range pairDriver(w, &cs, nil) {
+						cells += r.Cells
+						diags += r.AntiDiags
+						computed += max(r.AntiDiags-1, 0)
+					}
+				}
+				ns := float64(b.Elapsed().Nanoseconds())
+				b.ReportMetric(float64(cells)/ns, "cells/ns")
+				b.ReportMetric(ns/float64(diags), "ns/antidiag")
+				b.ReportMetric(float64(w.modes.rows)/float64(max(computed, 1)), "regs")
+				b.ReportMetric(float64(w.modes.paired)/float64(max(computed, 1)), "paired")
+			})
+		}
 		b.Run(fmt.Sprintf("ksw2/%s", reg.name), func(b *testing.B) {
 			p := ksw2.MinimapParams(reg.x)
 			b.ReportAllocs()

@@ -49,6 +49,81 @@ func VectorEligible(sc Scoring, x int32) bool {
 // take rt at fusedPad bytes into a buffer of n+2*fusedPad.
 const fusedPad = 128
 
+// fusedState is what a fused routine and its Go driver share: the
+// extension's constants and the pointers the routine reads through, set
+// once; wave's loop variables, saved whenever the routine returns and
+// reloaded when it resumes; and two values the routine keeps per
+// anti-diagonal where its registers cannot. The assembly reaches the
+// fields by the offsets go_asm.h generates from this declaration.
+type fusedState struct {
+	m, n, x              int
+	match, mismatch, gap int
+	limit                int64 // pause once cells reaches this (the paired routine: once d passes it)
+
+	d, lo, hi          int // the next anti-diagonal and its unclipped band
+	best, bestI, bestJ int // best is band-local (rebased)
+	// v[phase] is written next, v[(phase+1)%3] holds the previous
+	// anti-diagonal and v[(phase+2)%3] the one before; cell i of those two
+	// is slot i-org of their buffer.
+	phase, org2, org3 int
+	cells             int64
+	maxBand           int
+	done              bool
+
+	thr, uHi int
+
+	// The AVX-512 register mode: lanes is the width of the frame (64 or
+	// 128) while the carried anti-diagonals live in registers, or in frame
+	// below between two calls of the paired routine; 0 while they are in
+	// the diagonal buffers (always across a return of the solo routine).
+	// How many anti-diagonals ran in registers, how many of those in the
+	// paired routine, how often the rows moved into and out of a frame,
+	// and how many of the moves in were into a 128-lane frame. thr and
+	// uHi are the solo routine's scratch at its handoffs.
+	lanes                                  int
+	regRows, paired, toRegs, toMem, toWide int
+
+	// What the routines read: the diagonal buffers; q (on AVX-512 its
+	// padded copy), t, and rt at fusedPad into its buffer of n+2*fusedPad,
+	// which the solo routines fill, rt[n-d] = t[d-1], while d <= fill (0
+	// once the driver has filled it whole); the trace, nil when untraced,
+	// else room for m+n widths with the one of anti-diagonal d at
+	// trace[d-1].
+	v        *[3][]int16
+	q, t, rt *byte
+	fill     int
+	trace    *int32
+
+	// The paired routine's 64-lane frame while lanes is 64: F_d (lane l of
+	// anti-diagonal d holds cell F_d + l), the band of d as a lane mask,
+	// and the two carried anti-diagonals, frame[0] the one odd d reads as
+	// the previous (the other as the one before) and frame[1] the one even
+	// d reads as the previous.
+	f     int
+	band  uint64
+	frame [2][64]int16
+	// edge is the last anti-diagonal whose band the paired routine need
+	// not clip to the matrix (every lane of the frame the band is found in
+	// lies inside) and that does not pass limit: it checks both only
+	// beyond.
+	edge int
+}
+
+// fusedSlot is one extension's place on the fused routines: its state,
+// its three diagonal buffers, its padded copies of q (AVX-512) and of the
+// reversed target, the reversal staging of a left extension, and what
+// the rebase took off its scores. A Workspace has two: the solo routine
+// runs in the first, a Pool worker's paired stream in both.
+type fusedSlot struct {
+	st         fusedState
+	v          [3][]int16
+	rt, qp     seq.Seq
+	revQ, revT seq.Seq
+	base       int32
+	trace      *[]int32
+	traced     int // len(*trace) when the extension started
+}
+
 // rowISA names the routine an int16 extension runs on. It is set once at
 // package init from the CPU (see detectISA) and never changes afterwards;
 // only tests flip it, to drive every variant on one host.
@@ -81,7 +156,7 @@ func (w *Workspace) ExtendVector(q, t seq.Seq, sc Scoring, x int32) Result {
 	if !VectorEligible(sc, x) {
 		return w.Extend(q, t, sc, x)
 	}
-	return w.extendVector(q, t, sc, int16(x), nil)
+	return w.extendVector(q, t, false, sc, int16(x), nil)
 }
 
 // ExtendTrace is the linear extension with its band trace: it runs the
@@ -95,7 +170,7 @@ func (w *Workspace) ExtendVector(q, t seq.Seq, sc Scoring, x int32) Result {
 func (w *Workspace) ExtendTrace(q, t seq.Seq, sc Scoring, x int32, trace []int32) (Result, []int32) {
 	var r Result
 	if VectorEligible(sc, x) {
-		r = w.extendVector(q, t, sc, int16(x), &trace)
+		r = w.extendVector(q, t, false, sc, int16(x), &trace)
 	} else {
 		r = wave(&w.d, &w.rt, q, t, x, linearRow(sc), &trace)
 	}

@@ -6,8 +6,8 @@
 // Two-operand forms throughout: OP(a, x) is x = x OP a.
 
 	MOVQ st+0(FP), DI
-	MOVQ q+16(FP), R11
-	MOVQ rt+32(FP), R12
+	MOVQ fusedState_q(DI), R11
+	MOVQ fusedState_rt(DI), R12
 
 	MOVQ fusedState_match(DI), AX
 	SUBQ fusedState_mismatch(DI), AX
@@ -37,8 +37,6 @@
 	VMOVDQU64 regsConst<>+64(SB), Z25
 	VMOVDQU64 regsConst<>+128(SB), Z28
 	VMOVDQU64 regsConst<>+192(SB), Z29
-	// q is read from its padded copy.
-	MOVQ qp+48(FP), R11
 #endif
 
 	MOVQ fusedState_d(DI), R13
@@ -51,7 +49,7 @@
 	// Buffer bases by role: Workspace.v[phase] is being written, the next
 	// (mod 3) holds the previous anti-diagonal, the one after that the
 	// anti-diagonal before.
-	MOVQ diags+8(FP), SI
+	MOVQ fusedState_v(DI), SI
 	MOVQ fusedState_phase(DI), AX
 	XORL DX, DX
 	LEAQ (AX)(AX*2), CX
@@ -88,25 +86,15 @@
 #endif
 
 loop:
-	// rt mirrors t in reverse, filled one base per anti-diagonal.
-	CMPQ R13, fusedState_n(DI)
+	// rt mirrors t in reverse, filled one base per anti-diagonal (unless
+	// the driver filled it whole).
+	CMPQ R13, fusedState_fill(DI)
 	JGT  filled
-	MOVQ t+24(FP), AX
+	MOVQ fusedState_t(DI), AX
 	MOVBLZX -1(AX)(R13*1), AX
 	MOVB AX, (R12)
 
 filled:
-#ifdef FUSED_AVX512
-	// So is the padded copy of q, in order: q[d-1], the last base a cell
-	// of d can compare.
-	CMPQ R13, fusedState_m(DI)
-	JGT  qfilled
-	MOVQ q+16(FP), AX
-	MOVBLZX -1(AX)(R13*1), AX
-	MOVB AX, -1(R11)(R13*1)
-
-qfilled:
-#endif
 	// The band arrives inside the matrix (plant and the register mode's
 	// trim clip it); past d = m+n it is empty.
 	CMPQ R14, R15
@@ -127,7 +115,7 @@ qfilled:
 	JLE  traced
 	MOVQ AX, fusedState_maxBand(DI)
 traced:
-	MOVQ trace+40(FP), DX
+	MOVQ fusedState_trace(DI), DX
 	TESTQ DX, DX
 	JZ   rows
 	MOVL AX, -4(DX)(R13*4)
@@ -503,20 +491,39 @@ plant:
 	VMOVDQA64 Z2, Z22; \
 	VMOVDQA64 Z3, Z23
 
+// The register rows below are written once for one extension, its side:
+// S_ST its fusedState, S_F its F_d and S_D its d; S_DIFF, S_MISM, S_GAP
+// and S_X match - mismatch, mismatch, gap and x in every lane; S_THR the
+// threshold and S_BEST the best (S_BESTX its low lane) in every lane. The
+// solo routine has one side; the paired routine redefines them for each
+// of its two.
+#define S_ST DI
+#define S_F R8
+#define S_D R13
+#define S_DIFF Z8
+#define S_MISM Z9
+#define S_GAP Z10
+#define S_X Z27
+#define S_THR Z26
+#define S_BEST Z31
+#define S_BESTX X31
+#define S_TMP DX
+
 // CELLS(qo, to, a, b, r, k, g) computes lanes 32j..32j+31 of the
 // anti-diagonal, qo = 32j-1 and to = 32j the offsets of their bases in
-// the q and t windows: a the previous anti-diagonal's register, r the
-// same shifted one lane (the other gap source), b the register of the one
-// before, which receives the new cells, k the band and g the survivors.
+// the q and t windows at R11 and R12 (in lanes of S_F): a the previous
+// anti-diagonal's register, r the same shifted one lane (the other gap
+// source), b the register of the one before, which receives the new
+// cells, k the band and g the survivors.
 #define CELLS(qo, to, a, b, r, k, g) \
 	VPMAXSW a, r, r; \
-	VPADDW Z10, r, r; \
-	VPADDW Z9, b, Z13; \
-	VMOVDQU qo(R11)(R8*1), Y11; \
-	VPCMPEQB to(R12)(R8*1), Y11, K5; \
-	VPADDW Z8, Z13, K5, Z13; \
+	VPADDW S_GAP, r, r; \
+	VPADDW S_MISM, b, Z13; \
+	VMOVDQU qo(R11)(S_F*1), Y11; \
+	VPCMPEQB to(R12)(S_F*1), Y11, K5; \
+	VPADDW S_DIFF, Z13, K5, Z13; \
 	VPMAXSW r, Z13, Z13; \
-	VPCMPW $5, Z26, Z13, k, K6; \
+	VPCMPW $5, S_THR, Z13, k, K6; \
 	VPBLENDMW Z13, Z12, K6, b; \
 	KMOVD K6, g
 
@@ -531,7 +538,7 @@ plant:
 // moves best.
 #define ROWMAX2(b0, b1) \
 	VPMAXSW b0, b1, Z4; \
-	VPCMPW $6, Z31, Z4, K7; \
+	VPCMPW $6, S_BEST, Z4, K7; \
 	KORTESTD K7, K7
 
 #define ROWMAX4(b0, b1, b2, b3) \
@@ -541,8 +548,8 @@ plant:
 	VPCMPW $6, Z31, Z4, K7; \
 	KORTESTD K7, K7
 
-// FOLD folds the row maximum in Z4 to every lane: the new best (Z31,
-// BX) and the next threshold (Z26). BEST(b0, b1, b2, b3) and BEST2(b0,
+// FOLD folds the row maximum in Z4 to every lane: the new best (S_BEST,
+// BX) and the next threshold (S_THR). BEST(b0, b1, b2, b3) and BEST2(b0,
 // b1) add the first lane holding it (bestI, bestJ) among four and two
 // registers. A pruned cell is below the threshold and so below best: only
 // a survivor can hold it.
@@ -556,9 +563,9 @@ plant:
 	VPSHUFD $0xB1, Z4, Z5; \
 	VPMAXSW Z5, Z4, Z4; \
 	VPROLD $16, Z4, Z5; \
-	VPMAXSW Z5, Z4, Z31; \
-	VPSUBW Z27, Z31, Z26; \
-	VMOVD X31, AX; \
+	VPMAXSW Z5, Z4, S_BEST; \
+	VPSUBW S_X, S_BEST, S_THR; \
+	VMOVD S_BESTX, AX; \
 	MOVWQSX AX, BX
 
 #define BEST(b0, b1, b2, b3) \
@@ -588,18 +595,18 @@ plant:
 
 #define BEST2(b0, b1) \
 	FOLD; \
-	VPCMPEQW Z31, b0, K5; \
-	VPCMPEQW Z31, b1, K6; \
+	VPCMPEQW S_BEST, b0, K5; \
+	VPCMPEQW S_BEST, b1, K6; \
 	KMOVD K5, AX; \
-	KMOVD K6, SI; \
-	SHLQ $32, SI; \
-	ORQ  SI, AX; \
-	TZCNTQ AX, SI; \
-	ADDQ R8, SI; \
-	MOVQ SI, fusedState_bestI(DI); \
-	MOVQ R13, AX; \
-	SUBQ SI, AX; \
-	MOVQ AX, fusedState_bestJ(DI)
+	KMOVD K6, S_TMP; \
+	SHLQ $32, S_TMP; \
+	ORQ  S_TMP, AX; \
+	TZCNTQ AX, S_TMP; \
+	ADDQ S_F, S_TMP; \
+	MOVQ S_TMP, fusedState_bestI(S_ST); \
+	MOVQ S_D, AX; \
+	SUBQ S_TMP, AX; \
+	MOVQ AX, fusedState_bestJ(S_ST)
 
 reload:
 	// Memory to register mode before anti-diagonal d, AX = the width of
@@ -881,18 +888,6 @@ spill_rows:
 	STOREROW(AX, Z16, Z17, Z18, Z19)
 	MOVQ $0, fusedState_lanes(DI)
 	JMP  loop
-#undef LANES
-#undef LOADROW
-#undef STOREROW
-#undef SWAPROWS
-#undef ROT
-#undef FIX
-#undef CELLS
-#undef ROWMAX2
-#undef ROWMAX4
-#undef BEST
-#undef BEST2
-#undef FOLD
 #endif
 
 emptied:
@@ -928,7 +923,7 @@ paused:
 	SARQ $1, AX
 	MOVQ AX, fusedState_org3(DI)
 	XTOGPR(X14, AX)
-	MOVQ diags+8(FP), SI
+	MOVQ fusedState_v(DI), SI
 	XORL CX, CX
 	MOVQ $1, DX
 	CMPQ AX, 24(SI)
@@ -941,3 +936,297 @@ paused:
 	VZEROUPPER
 #endif
 	RET
+
+#ifdef FUSED_AVX512
+// func vectorExtendPairAVX512(a, b *fusedState)
+//
+// Two extensions, each in a 64-lane frame, one anti-diagonal of each per
+// turn of the loop: the rows of the solo register mode (CELLS, ROT, FIX,
+// ROWMAX2, BEST2) with the side macros S_* pointing at one extension's
+// registers or the other's. Registers, for the whole call:
+//
+//	                    a                b
+//	state               DI               SI
+//	F_d, d              R8, R13          R9, R10
+//	rows                Z16 Z17 Z20 Z21  Z18 Z19 Z22 Z23
+//	band                K1 K2            K3 K4
+//	match - mismatch    Z8               Z2
+//	mismatch, gap, x    Z9 Z10 Z27       Z3 Z6 Z7
+//	threshold, best     Z26 Z31          Z14 Z15
+//
+// b's rows are the upper halves of the solo routine's 128-lane frame;
+// each side's rows take turns as in the solo routine (odd d reads the
+// previous anti-diagonal from the first two). Shared: Z12 ninf, Z24 Z25
+// Z28 Z29 the rotations; scratch AX, BX, R11, R12, Z0, Z1, Z4, Z5, Z11,
+// Z13 and K5..K7; the survivors of a's row in R14 and R15, of b's in CX
+// and DX. Each side keeps lo, hi, best, the work counters and the trace
+// in its fusedState, as the solo routine does at a handoff; only the
+// band mask, F_d and d stay in registers from one of its rows to the
+// next.
+//
+// A turn computes a's cells, then b's (PAIRCELLS), and only then, b's
+// and a's best and next band (PAIRNEXT): both rows' vector work is issued
+// before the first branch on their scores, so a mispredicted one does not
+// throw the other row's work away. PAIRNEXT also makes the checks the
+// solo routine makes at the top of the next anti-diagonal: the rebase
+// mark, when the row moved best; the budget, here fusedBudget/64
+// anti-diagonals per call (no band is wider than the frame), only past
+// fusedState.edge, as the clip to the matrix, which no band needs before
+// it. The driver leaves neither due before the first. A side whose band
+// empties ends; one that ends, pauses or has a next band that leaves its
+// frame sets R12, and the turn returns to Go (pairout) with both sides
+// between two anti-diagonals.
+//
+// PAIRCELLS(a0, a1, b0, b1, k0, k1, g0, g1, widest, traced, even,
+// celled) counts anti-diagonal d (cells, widest band, trace) and computes
+// its cells, the survivors' masks into g0 and g1.
+#define PAIRCELLS(a0, a1, b0, b1, k0, k1, g0, g1, widest, traced, even, celled) \
+	MOVQ fusedState_hi(S_ST), AX; \
+	SUBQ fusedState_lo(S_ST), AX; \
+	INCQ AX; \
+	ADDQ AX, fusedState_cells(S_ST); \
+	CMPQ AX, fusedState_maxBand(S_ST); \
+	JLE  widest; \
+	MOVQ AX, fusedState_maxBand(S_ST); \
+widest: \
+	MOVQ fusedState_trace(S_ST), BX; \
+	TESTQ BX, BX; \
+	JZ   traced; \
+	MOVL AX, -4(BX)(S_D*4); \
+traced: \
+	MOVQ fusedState_q(S_ST), R11; \
+	MOVQ fusedState_rt(S_ST), R12; \
+	ADDQ fusedState_n(S_ST), R12; \
+	SUBQ S_D, R12; \
+	TESTQ $1, S_D; \
+	JZ   even; \
+	ROT(Z24, a0, Z0); \
+	ROT(Z24, a1, Z1); \
+	FIX(Z28, Z0, Z1); \
+	FIX(Z28, Z12, Z0); \
+	CELLS(-1, 0, a0, b0, Z0, k0, g0); \
+	CELLS(31, 32, a1, b1, Z1, k1, g1); \
+	JMP  celled; \
+even: \
+	ROT(Z25, b0, Z0); \
+	ROT(Z25, b1, Z1); \
+	FIX(Z29, Z1, Z0); \
+	FIX(Z29, Z12, Z1); \
+	CELLS(-1, 0, b0, a0, Z0, k0, g0); \
+	CELLS(31, 32, b1, a1, Z1, k1, g1); \
+celled:
+
+// PAIRNEXT(a0, a1, b0, b1, k0, k1, g0, g1, even, best, clip, clipping,
+// clipped, emptied, ended, stop, next) finishes anti-diagonal d: the
+// best if the row moved it; the survivors' span as the next band, one
+// cell longer at the top, in the next frame F_{d+1} = F_d + e (e = 1 if
+// d+1 is even), clipped to the matrix past edge, into k0 and k1; and the
+// top-of-row checks of d+1. Scratch: AX, BX, R11.
+#define PAIRNEXT(a0, a1, b0, b1, k0, k1, g0, g1, even, best, clip, clipping, clipped, emptied, ended, stop, next) \
+	TESTQ $1, S_D; \
+	JZ   even; \
+	ROWMAX2(b0, b1); \
+	JZ   best; \
+	BEST2(b0, b1); \
+	MOVQ BX, fusedState_best(S_ST); \
+	CMPQ BX, $const_vectorRebaseAt; \
+	JLT  best; \
+	MOVL $1, R12; \
+	JMP  best; \
+even: \
+	ROWMAX2(a0, a1); \
+	JZ   best; \
+	BEST2(a0, a1); \
+	MOVQ BX, fusedState_best(S_ST); \
+	CMPQ BX, $const_vectorRebaseAt; \
+	JLT  best; \
+	MOVL $1, R12; \
+best: \
+	SHLQ $32, g1; \
+	ORQ  g1, g0; \
+	JZ   emptied; \
+	BSFQ g0, AX; \
+	BSRQ g0, BX; \
+	LEAQ (S_F)(AX*1), g0; \
+	LEAQ 1(S_F)(BX*1), g1; \
+	MOVQ S_D, AX; \
+	ANDQ $1, AX; \
+	INCQ S_D; \
+	ADDQ AX, S_F; \
+	CMPQ S_D, fusedState_edge(S_ST); \
+	JGT  clip; \
+clipped: \
+	MOVQ g0, fusedState_lo(S_ST); \
+	MOVQ g1, fusedState_hi(S_ST); \
+	CMPQ g0, g1; \
+	JGT  ended; \
+	SUBQ S_F, g0; \
+	JLT  stop; \
+	SUBQ S_F, g1; \
+	CMPQ g1, $64; \
+	JGE  stop; \
+	INCQ g1; \
+	MOVQ $-1, R11; \
+	BZHIQ g1, R11, g1; \
+	BZHIQ g0, R11, g0; \
+	ANDNQ g1, g0, g1; \
+	KMOVD g1, k0; \
+	SHRQ $32, g1; \
+	KMOVD g1, k1; \
+	JMP  next; \
+clip: \
+	CMPQ S_D, fusedState_limit(S_ST); \
+	JLE  clipping; \
+	MOVL $1, R12; \
+clipping: \
+	MOVQ S_D, AX; \
+	SUBQ fusedState_n(S_ST), AX; \
+	CMPQ g0, AX; \
+	CMOVQLT AX, g0; \
+	MOVQ fusedState_m(S_ST), AX; \
+	CMPQ g1, AX; \
+	CMOVQGT AX, g1; \
+	JMP  clipped; \
+emptied: \
+	INCQ S_D; \
+ended: \
+	MOVB $1, fusedState_done(S_ST); \
+stop: \
+	MOVL $1, R12; \
+next:
+
+// PAIRLOAD(st, diff, mism, gap, x, thr, best, f0, f1, f2, f3, k0, k1)
+// loads one side's constants, frame, band and threshold from st.
+#define PAIRLOAD(st, diff, mism, gap, x, thr, best, f0, f1, f2, f3, k0, k1) \
+	MOVQ fusedState_match(st), AX; \
+	SUBQ fusedState_mismatch(st), AX; \
+	VPBROADCASTW AX, diff; \
+	MOVQ fusedState_mismatch(st), AX; \
+	VPBROADCASTW AX, mism; \
+	MOVQ fusedState_gap(st), AX; \
+	VPBROADCASTW AX, gap; \
+	MOVQ fusedState_x(st), AX; \
+	VPBROADCASTW AX, x; \
+	MOVQ fusedState_best(st), AX; \
+	VPBROADCASTW AX, best; \
+	VPSUBW x, best, thr; \
+	VMOVDQU64 fusedState_frame+0(st), f0; \
+	VMOVDQU64 fusedState_frame+64(st), f1; \
+	VMOVDQU64 fusedState_frame+128(st), f2; \
+	VMOVDQU64 fusedState_frame+192(st), f3; \
+	KMOVD fusedState_band+0(st), k0; \
+	KMOVD fusedState_band+4(st), k1
+
+// PAIRSAVE(st, f0, f1, f2, f3) stores one side's frame back to st.
+#define PAIRSAVE(st, f0, f1, f2, f3) \
+	VMOVDQU64 f0, fusedState_frame+0(st); \
+	VMOVDQU64 f1, fusedState_frame+64(st); \
+	VMOVDQU64 f2, fusedState_frame+128(st); \
+	VMOVDQU64 f3, fusedState_frame+192(st)
+
+TEXT ·vectorExtendPairAVX512(SB), NOSPLIT, $0-16
+	MOVQ a+0(FP), DI
+	MOVQ b+8(FP), SI
+	MOVQ $const_negInf16, AX
+	VPBROADCASTW AX, Z12
+	VMOVDQU64 regsConst<>+0(SB), Z24
+	VMOVDQU64 regsConst<>+64(SB), Z25
+	VMOVDQU64 regsConst<>+128(SB), Z28
+	VMOVDQU64 regsConst<>+192(SB), Z29
+	PAIRLOAD(DI, Z8, Z9, Z10, Z27, Z26, Z31, Z16, Z17, Z20, Z21, K1, K2)
+	PAIRLOAD(SI, Z2, Z3, Z6, Z7, Z14, Z15, Z18, Z19, Z22, Z23, K3, K4)
+	MOVQ fusedState_f(DI), R8
+	MOVQ fusedState_d(DI), R13
+	MOVQ fusedState_f(SI), R9
+	MOVQ fusedState_d(SI), R10
+#undef S_TMP
+#define S_TMP R11
+
+pair:
+	// a's cells (the side macros are still the solo routine's, a's)...
+	PAIRCELLS(Z16, Z17, Z20, Z21, K1, K2, R14, R15, a_widest, a_traced, a_even, a_celled)
+#undef S_ST
+#undef S_F
+#undef S_D
+#undef S_DIFF
+#undef S_MISM
+#undef S_GAP
+#undef S_X
+#undef S_THR
+#undef S_BEST
+#undef S_BESTX
+#define S_ST SI
+#define S_F R9
+#define S_D R10
+#define S_DIFF Z2
+#define S_MISM Z3
+#define S_GAP Z6
+#define S_X Z7
+#define S_THR Z14
+#define S_BEST Z15
+#define S_BESTX X15
+	// ... b's cells, then b's next band ...
+	PAIRCELLS(Z18, Z19, Z22, Z23, K3, K4, CX, DX, b_widest, b_traced, b_even, b_celled)
+	XORL R12, R12
+	PAIRNEXT(Z18, Z19, Z22, Z23, K3, K4, CX, DX, b_odd, b_best, b_clip, b_clipping, b_clipped, b_emptied, b_ended, b_stop, b_next)
+#undef S_ST
+#undef S_F
+#undef S_D
+#undef S_DIFF
+#undef S_MISM
+#undef S_GAP
+#undef S_X
+#undef S_THR
+#undef S_BEST
+#undef S_BESTX
+#define S_ST DI
+#define S_F R8
+#define S_D R13
+#define S_DIFF Z8
+#define S_MISM Z9
+#define S_GAP Z10
+#define S_X Z27
+#define S_THR Z26
+#define S_BEST Z31
+#define S_BESTX X31
+	// ... and a's.
+	PAIRNEXT(Z16, Z17, Z20, Z21, K1, K2, R14, R15, a_odd, a_best, a_clip, a_clipping, a_clipped, a_emptied, a_ended, a_stop, a_next)
+	TESTQ R12, R12
+	JZ   pair
+
+	MOVQ R8, fusedState_f(DI)
+	MOVQ R13, fusedState_d(DI)
+	MOVQ R9, fusedState_f(SI)
+	MOVQ R10, fusedState_d(SI)
+	PAIRSAVE(DI, Z16, Z17, Z20, Z21)
+	PAIRSAVE(SI, Z18, Z19, Z22, Z23)
+	VZEROUPPER
+	RET
+#undef PAIRCELLS
+#undef PAIRNEXT
+#undef PAIRLOAD
+#undef PAIRSAVE
+#undef S_ST
+#undef S_F
+#undef S_D
+#undef S_DIFF
+#undef S_MISM
+#undef S_GAP
+#undef S_X
+#undef S_THR
+#undef S_BEST
+#undef S_BESTX
+#undef S_TMP
+#undef LANES
+#undef LOADROW
+#undef STOREROW
+#undef SWAPROWS
+#undef ROT
+#undef FIX
+#undef CELLS
+#undef ROWMAX2
+#undef ROWMAX4
+#undef BEST
+#undef BEST2
+#undef FOLD
+#endif

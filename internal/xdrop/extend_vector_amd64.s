@@ -1,11 +1,13 @@
 // The fused int16 X-drop extension: wave (wave.go) over linearRow
 // (workspace.go) in int16 lanes, the whole anti-diagonal loop in one
 // call. The Go declarations and the driver that pauses and resumes it are
-// in extend_vector_amd64.go; the fields of fusedState are reached through the
-// offsets go_asm.h generates from its declaration.
+// in extend_vector_amd64.go; the fields of fusedState, which also holds
+// every pointer the routine reads through, are reached through the
+// offsets go_asm.h generates from its declaration. The paired AVX-512
+// routine, two extensions per loop, is at the end of
+// extend_vector_amd64.h.
 //
-// Per anti-diagonal d, in wave's order: fill rt[n-d] (and, on AVX-512,
-// the copy of q[d-1]), stop on an empty
+// Per anti-diagonal d, in wave's order: fill rt[n-d], stop on an empty
 // band, pause (return to Go) if the band-local best reached the rebase
 // mark or the cell budget ran out, the work counters and the trace, then
 // the border cell i = 0, the interior cells, the border cell j = 0, the
@@ -86,9 +88,10 @@
 // are never in the band, so the bytes the windows read beyond the
 // sequences never reach a score: the windows read the padding of the two
 // copies, fusedPad bytes before and after them, and the register mode
-// runs from d = 1 to the matrix edge. The copy of q is filled one base
-// per anti-diagonal, as rt is: no extension copies more of q than its
-// band reaches.
+// runs from d = 1 to the matrix edge. The copy of q is filled whole
+// before the call (reversed there for a seed's left extension); rt one
+// base per anti-diagonal, so no extension copies more of t than its band
+// reaches.
 //
 // A 128-lane row does twice the vector work of a 64-lane one, and at
 // x=25 and x=50 measured slower than the 64-lane row: a band of at most
@@ -136,8 +139,8 @@
 #include "go_asm.h"
 #include "textflag.h"
 
-// func vectorExtendSSE2(st *fusedState, diags *[3][]int16, q, t, rt *byte, trace *int32)
-TEXT ·vectorExtendSSE2(SB), NOSPLIT, $0-48
+// func vectorExtendSSE2(st *fusedState)
+TEXT ·vectorExtendSSE2(SB), NOSPLIT, $0-8
 #define LOADU(m, x)     MOVOU m, x
 #define STOREU(x, m)    MOVOU x, m
 #define LOADQ(m, x)     MOVQ m, x
@@ -203,12 +206,12 @@ TEXT ·vectorExtendSSE2(SB), NOSPLIT, $0-48
 #define SPLATW(r, x, y) VMOVQ r, x; VPBROADCASTW x, y
 #define FUSED_AVX2
 
-// func vectorExtendAVX2(st *fusedState, diags *[3][]int16, q, t, rt *byte, trace *int32)
+// func vectorExtendAVX2(st *fusedState)
 //
 // VEX-encoded throughout, so the 256-bit constants stay in Y8..Y12 for the
 // whole call, and ends in VZEROUPPER: one legacy-encoded SSE instruction
 // while the upper YMM halves are dirty costs a state transition per use.
-TEXT ·vectorExtendAVX2(SB), NOSPLIT, $0-48
+TEXT ·vectorExtendAVX2(SB), NOSPLIT, $0-8
 #include "extend_vector_amd64.h"
 
 // The register mode's constants: VPERMW indexes that rotate the 32
@@ -249,14 +252,14 @@ DATA regsConst<>+240(SB)/8, $0x0000000000000000
 DATA regsConst<>+248(SB)/8, $0xffff000000000000
 GLOBL regsConst<>(SB), RODATA|NOPTR, $256
 
-// func vectorExtendAVX512(st *fusedState, diags *[3][]int16, q, t, rt *byte, trace *int32, qp *byte)
+// func vectorExtendAVX512(st *fusedState)
 //
 // The AVX2 routine plus the register mode for bands of up to 128 cells
 // (FUSED_AVX512 in the body): EVEX-encoded there, in Z0..Z6, Z8..Z13,
 // Z16..Z29, Z31 and K1..K7. The VEX blocks read the constants in Y8..Y12
 // and never touch Z16..Z31.
 #define FUSED_AVX512
-TEXT ·vectorExtendAVX512(SB), NOSPLIT, $0-56
+TEXT ·vectorExtendAVX512(SB), NOSPLIT, $0-8
 #include "extend_vector_amd64.h"
 #undef FUSED_AVX512
 #undef FUSED_AVX2

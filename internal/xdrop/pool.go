@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	_ "unsafe" // for go:linkname
 
 	"logan/internal/seq"
 )
@@ -25,6 +26,7 @@ var ErrPoolClosed = errors.New("xdrop: pool is closed")
 // the v2 public API.
 type Pool struct {
 	workers int
+	ws      []*Workspace // one per worker; tests and poolRegRows read their regModes
 	jobs    chan *poolJob
 	// mu guards closed and the job-channel sends: submissions hold the
 	// read side, Close takes the write side, so a close can never race a
@@ -56,10 +58,11 @@ func NewPool(workers int) *Pool {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	p := &Pool{workers: workers, jobs: make(chan *poolJob)}
-	for i := 0; i < workers; i++ {
+	p := &Pool{workers: workers, ws: make([]*Workspace, workers), jobs: make(chan *poolJob)}
+	for i := range p.ws {
+		ws := NewWorkspace()
+		p.ws[i] = ws
 		go func() {
-			ws := NewWorkspace()
 			for j := range p.jobs {
 				j.run(ws)
 				j.wg.Done()
@@ -67,6 +70,19 @@ func NewPool(workers int) *Pool {
 		}()
 	}
 	return p
+}
+
+// poolRegRows sums over p's workers the anti-diagonals the AVX-512
+// routines computed in registers and, of those, in the paired routine.
+// BenchmarkExtendCandidates (internal/bella) reads it through a linkname.
+//
+//go:linkname poolRegRows
+func poolRegRows(p *Pool) (rows, paired int) {
+	for _, w := range p.ws {
+		rows += w.modes.rows
+		paired += w.modes.paired
+	}
+	return rows, paired
 }
 
 // Workers returns the pool's worker count.
@@ -95,6 +111,9 @@ func (j *poolJob) fail(idx int, err error) {
 }
 
 func (j *poolJob) run(ws *Workspace) {
+	if j.runPaired(ws) {
+		return
+	}
 	for {
 		// Cancellation check per pair: a canceled batch stops claiming
 		// work after the in-flight extensions finish, so Align(ctx, ...)

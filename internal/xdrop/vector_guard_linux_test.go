@@ -53,11 +53,15 @@ func guardedSeq(t *testing.T, s seq.Seq, tail bool) seq.Seq {
 // routines claim on each side.
 func guardedWorkspace(t *testing.T, m, n int, tail bool) *Workspace {
 	w := NewWorkspace()
-	for i := range w.v {
-		w.v[i] = guardedInt16(t, bandLen(m, n), tail)
+	for i := range w.fused {
+		s := &w.fused[i]
+		for k := range s.v {
+			s.v[k] = guardedInt16(t, bandLen(m, n), tail)
+		}
+		s.rt = guarded(t, n+2*fusedPad, tail)
+		s.qp = guarded(t, m+2*fusedPad, tail)
+		s.revQ, s.revT = guarded(t, m, tail)[:0], guarded(t, n, tail)[:0]
 	}
-	w.rt = guarded(t, n+2*fusedPad, tail)
-	w.qp = guarded(t, m+2*fusedPad, tail)
 	w.revQ, w.revT = guarded(t, m, tail)[:0], guarded(t, n, tail)[:0]
 	return w
 }
@@ -79,12 +83,14 @@ func guardedWorkspace(t *testing.T, m, n int, tail bool) *Workspace {
 // band reaches the end of the shorter one far from the matrix corner.
 func TestExtendVectorGuardPages(t *testing.T) {
 	const seedLen = 17
+	eachISA(func() { t.Logf("fused routine %s", VectorISA()) })
 	rng := rand.New(rand.NewSource(15))
 	sc := DefaultScoring()
 	ref := NewWorkspace()
 	var shapes [5]int  // widths < 8, 8-15, 16-31, >= 32, not a multiple of 8
 	var modes regModes // the AVX-512 routine's, over all its extensions
 	memRows := 0       // its anti-diagonals after the origin, less modes.rows
+	paired := 0        // the paired routine's anti-diagonals
 	for _, tail := range []bool{true, false} {
 		for pair := 0; pair < 12; pair++ {
 			x := []int32{3, 12, 25, 100}[pair/3]
@@ -135,6 +141,27 @@ func TestExtendVectorGuardPages(t *testing.T) {
 						modes.toWide += m.toWide
 						memRows -= m.rows
 					}
+					// The paired routine, on the long side of each seed: the
+					// left extension of the one at the end beside the right
+					// one of the one at the start, in ws's two guarded slots,
+					// traced.
+					ws.modes = regModes{}
+					cs := [2]pairCase{
+						{q[:seeds[1][0]], tt[:seeds[1][1]], true, sc, x},
+						{q[seedLen:], tt[seedLen:], false, sc, x},
+					}
+					var traces [2][]int32
+					got := pairDriver(ws, &cs, &traces)
+					if got[0] != wantSeed[1].Left || got[1] != wantSeed[0].Right {
+						t.Fatalf("tail=%v x=%d paired: got %+v, %+v want %+v, %+v",
+							tail, x, got[0], got[1], wantSeed[1].Left, wantSeed[0].Right)
+					}
+					for i := range cs {
+						if len(traces[i]) != max(got[i].AntiDiags-1, 0) {
+							t.Fatalf("tail=%v x=%d paired side %d: %d trace widths for %d anti-diagonals", tail, x, i, len(traces[i]), got[i].AntiDiags)
+						}
+					}
+					paired += ws.modes.paired
 				}
 			})
 			for _, wd := range wantTrace {
@@ -163,9 +190,12 @@ func TestExtendVectorGuardPages(t *testing.T) {
 		t.Log("no AVX-512 on this host: the register mode was not exercised")
 		return
 	}
+	if paired == 0 {
+		t.Error("the paired routine computed no anti-diagonal")
+	}
 	if modes.rows == 0 || modes.toRegs == modes.toWide || modes.toWide == 0 || modes.toMem == 0 || memRows <= 0 {
 		t.Errorf("AVX-512 routine: %d register rows, %d memory rows, %d moves into registers (%d into a 128-lane frame), %d back to memory; want all > 0, and moves into both frames: pick other X values",
 			modes.rows, memRows, modes.toRegs, modes.toWide, modes.toMem)
 	}
-	t.Logf("AVX-512 routine: %d register rows, %d memory rows, %d moves into registers (%d into a 128-lane frame), %d back to memory", modes.rows, memRows, modes.toRegs, modes.toWide, modes.toMem)
+	t.Logf("AVX-512 routine: %d register rows, %d memory rows, %d moves into registers (%d into a 128-lane frame), %d back to memory; paired routine: %d rows", modes.rows, memRows, modes.toRegs, modes.toWide, modes.toMem, paired)
 }

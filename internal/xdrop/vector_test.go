@@ -202,12 +202,15 @@ func TestExtendVectorFallback(t *testing.T) {
 	}
 }
 
-// TestRegisterModeCoverage pins where the AVX-512 routine computes the
-// anti-diagonals of the two served alignment shapes: seed extensions of
+// TestRegisterModeCoverage pins where the AVX-512 routines compute the
+// anti-diagonals of the served alignment shapes: seed extensions of
 // align-bulk-shaped pairs (2.5-7.5 kb, 15 % error, x=100) and of
 // align-small-shaped ones (100-400 bases, x=50) must run at least 95 % of
-// them in registers, from the first anti-diagonal to the matrix edge. On
-// a host without AVX-512 there is no register mode, and the test says so.
+// them in registers, from the first anti-diagonal to the matrix edge; and
+// a batch of overlap-job-shaped pairs (1.5-4.5 kb, 15 % error, x=25) on
+// a one-worker Pool at least 90 % of them in the paired routine, with
+// every result the scalar kernel's. On a host without AVX-512 there is no
+// register mode, and the test says so.
 func TestRegisterModeCoverage(t *testing.T) {
 	if detectISA() != isaAVX512 {
 		t.Skip("no AVX-512 on this host: there is no register mode")
@@ -218,26 +221,74 @@ func TestRegisterModeCoverage(t *testing.T) {
 		name           string
 		n, minLen, max int
 		x              int32
+		pool           bool // through NewPool(1), its paired stream
 	}{
-		{"align-bulk", 64, 2500, 7500, 100},
-		{"align-small", 256, 100, 400, 50},
+		{"align-bulk", 64, 2500, 7500, 100, false},
+		{"align-small", 256, 100, 400, 50, false},
+		{"overlap-job", 64, 1500, 4500, 25, true},
 	} {
 		rng := rand.New(rand.NewSource(45))
 		pairs := seq.RandPairSet(rng, seq.PairSetOptions{N: tc.n, MinLen: tc.minLen, MaxLen: tc.max, ErrorRate: 0.15, SeedLen: 17})
 		w := NewWorkspace()
+		got := make([]SeedResult, len(pairs))
+		var modes regModes
+		if tc.pool {
+			p := NewPool(1)
+			if _, err := p.ExtendBatch(pairs, got, DefaultScoring(), tc.x); err != nil {
+				t.Fatal(err)
+			}
+			p.Close()
+			modes = p.ws[0].modes
+		}
 		computed := 0 // anti-diagonals after the origin
-		for _, p := range pairs {
-			r, err := w.ExtendSeedKernel(p.Query, p.Target, p.SeedQPos, p.SeedTPos, p.SeedLen, DefaultScoring(), tc.x, KernelVector)
+		for i, p := range pairs {
+			k := KernelVector
+			if tc.pool {
+				k = KernelScalar
+			}
+			r, err := w.ExtendSeedKernel(p.Query, p.Target, p.SeedQPos, p.SeedTPos, p.SeedLen, DefaultScoring(), tc.x, k)
 			if err != nil {
 				t.Fatal(err)
 			}
+			if tc.pool && got[i] != r {
+				t.Fatalf("%s pair %d: pool %+v, scalar kernel %+v", tc.name, i, got[i], r)
+			}
 			computed += max(r.Left.AntiDiags-1, 0) + max(r.Right.AntiDiags-1, 0)
 		}
-		frac := float64(w.modes.rows) / float64(computed)
-		t.Logf("%s: %d of %d anti-diagonals in registers (%.1f %%), %d moves into registers, %d back to memory",
-			tc.name, w.modes.rows, computed, 100*frac, w.modes.toRegs, w.modes.toMem)
-		if frac < 0.95 {
+		if !tc.pool {
+			modes = w.modes
+		}
+		frac, paired := float64(modes.rows)/float64(computed), float64(modes.paired)/float64(computed)
+		t.Logf("%s: %d of %d anti-diagonals in registers (%.1f %%), %d in the paired routine (%.1f %%), %d moves into registers, %d back to memory",
+			tc.name, modes.rows, computed, 100*frac, modes.paired, 100*paired, modes.toRegs, modes.toMem)
+		switch {
+		case tc.pool && paired < 0.90:
+			t.Errorf("%s: %.1f %% of the anti-diagonals ran in the paired routine, want >= 90 %%", tc.name, 100*paired)
+		case !tc.pool && frac < 0.95:
 			t.Errorf("%s: %.1f %% of the anti-diagonals ran in registers, want >= 95 %%", tc.name, 100*frac)
 		}
 	}
 }
+
+// pairCase is one extension for the paired driver: q and t, extended
+// forward, or backward from their ends when rev is set (a seed's left
+// extension), under sc and x.
+type pairCase struct {
+	q, t seq.Seq
+	rev  bool
+	sc   Scoring
+	x    int32
+}
+
+// oriented returns the sequences the extension runs over: q and t, or
+// both reversed.
+func (c *pairCase) oriented() (seq.Seq, seq.Seq) {
+	if !c.rev {
+		return c.q, c.t
+	}
+	return seq.AppendReverse(nil, c.q), seq.AppendReverse(nil, c.t)
+}
+
+// pairDriver is pairRun (pair_amd64_test.go) where there is a paired
+// routine, nil elsewhere.
+var pairDriver func(w *Workspace, cs *[2]pairCase, traces *[2][]int32) [2]Result

@@ -8,8 +8,8 @@ import (
 )
 
 // Workspace is the reusable scratch of one X-drop lane: the three rolling
-// anti-diagonal buffers of the wavefront at both cell widths (wave's int32
-// ones and the fused routine's int16 ones), the reversal staging of the seed
+// anti-diagonal buffers of wave (int32) and the fused routine's two
+// extension slots (int16, amd64 only), the reversal staging of the seed
 // wrapper and the direction arena of traceback (ExtendSeedOps). A
 // Workspace makes repeated extensions allocation-free, under every
 // scheme, once the buffers have grown to the workload's sequence lengths.
@@ -17,10 +17,9 @@ import (
 // (see Pool).
 type Workspace struct {
 	d          [3][]int32 // scalar, matrix and affine (three planes) diagonals
-	v          [3][]int16 // fused-routine diagonals (amd64 only)
-	rt         seq.Seq    // reversed target, grown one base per anti-diagonal; padded by fusedPad for the fused routine
-	qp         seq.Seq    // the AVX-512 routine's padded copy of the query, grown one base per anti-diagonal
+	rt         seq.Seq    // wave's reversed target, grown one base per anti-diagonal
 	revQ, revT seq.Seq
+	fused      [2]fusedSlot
 
 	// Traceback directions: one byte per interior cell, located per
 	// anti-diagonal by rows (see opsRow).
@@ -32,10 +31,11 @@ type Workspace struct {
 	modes regModes
 }
 
-// regModes counts the anti-diagonals the AVX-512 routine computed in
-// registers, its handoffs between registers and memory, and the handoffs
-// into a 128-lane frame among the moves into registers.
-type regModes struct{ rows, toRegs, toMem, toWide int }
+// regModes counts the anti-diagonals the AVX-512 routines computed in
+// registers and, among them, in the paired routine; the handoffs between
+// registers and memory, and the handoffs into a 128-lane frame among the
+// moves into registers.
+type regModes struct{ rows, paired, toRegs, toMem, toWide int }
 
 // NewWorkspace returns an empty workspace; buffers grow on first use.
 func NewWorkspace() *Workspace { return &Workspace{} }
@@ -90,29 +90,58 @@ func (w *Workspace) extendSeed(q, t seq.Seq, qPos, tPos, seedLen int, sch Scheme
 	if err := sch.Validate(); err != nil {
 		return SeedResult{}, err
 	}
-	// qPos > len(q)-seedLen rather than qPos+seedLen > len(q): the sum can
-	// overflow for adversarial positions (e.g. MaxInt from a JSON payload),
-	// which would pass the check and panic on the slice below.
-	if qPos < 0 || tPos < 0 || seedLen <= 0 || qPos > len(q)-seedLen || tPos > len(t)-seedLen {
-		return SeedResult{}, fmt.Errorf("xdrop: seed (%d,%d,len %d) outside sequences (%d, %d)",
-			qPos, tPos, seedLen, len(q), len(t))
+	if err := checkSeed(q, t, qPos, tPos, seedLen); err != nil {
+		return SeedResult{}, err
 	}
-	w.revQ = seq.AppendReverse(w.revQ[:0], q[:qPos])
-	w.revT = seq.AppendReverse(w.revT[:0], t[:tPos])
 	qEnd, tEnd := qPos+seedLen, tPos+seedLen
 	r := SeedResult{SeedLen: seedLen}
-	if ops != nil {
+	switch {
+	case ops != nil:
+		w.revQ = seq.AppendReverse(w.revQ[:0], q[:qPos])
+		w.revT = seq.AppendReverse(w.revT[:0], t[:tPos])
 		r.Left, r.Right = w.seedOps(q[qPos:qEnd], t[tPos:tEnd], q[qEnd:], t[tEnd:], sch.Linear, x, ops)
-	} else {
+	case vectorSeed(sch, x, k):
+		// The vector kernel stages the reversed prefixes itself (on
+		// AVX-512 straight into the padded copy its windows read).
+		r.Left = w.extendVector(q[:qPos], t[:tPos], true, sch.Linear, int16(x), nil)
+		r.Right = w.extendVector(q[qEnd:], t[tEnd:], false, sch.Linear, int16(x), nil)
+	default:
+		w.revQ = seq.AppendReverse(w.revQ[:0], q[:qPos])
+		w.revT = seq.AppendReverse(w.revT[:0], t[:tPos])
 		r.Left = w.extend(w.revQ, w.revT, sch, x, k)
 		r.Right = w.extend(q[qEnd:], t[tEnd:], sch, x, k)
 	}
-	r.Score = r.Left.Score + r.Right.Score + sch.seedScore(q[qPos:qEnd], t[tPos:tEnd])
+	joinSeed(&r, qPos, tPos, sch.seedScore(q[qPos:qEnd], t[tPos:tEnd]))
+	return r, nil
+}
+
+// checkSeed reports a seed that does not lie inside both sequences.
+func checkSeed(q, t seq.Seq, qPos, tPos, seedLen int) error {
+	// qPos > len(q)-seedLen rather than qPos+seedLen > len(q): the sum can
+	// overflow for adversarial positions (e.g. MaxInt from a JSON payload),
+	// which would pass the check and panic on the slices after it.
+	if qPos < 0 || tPos < 0 || seedLen <= 0 || qPos > len(q)-seedLen || tPos > len(t)-seedLen {
+		return fmt.Errorf("xdrop: seed (%d,%d,len %d) outside sequences (%d, %d)",
+			qPos, tPos, seedLen, len(q), len(t))
+	}
+	return nil
+}
+
+// vectorSeed reports whether a seed's extensions run the int16 vector
+// kernel: k picks it and the scheme is inside its envelope.
+func vectorSeed(sch Scheme, x int32, k Kernel) bool {
+	return k == KernelVector && sch.Kind == SchemeLinear && VectorEligible(sch.Linear, x)
+}
+
+// joinSeed completes r, whose SeedLen, Left and Right are set, for the
+// seed at (qPos, tPos) scoring seedScore: the combined score and the
+// aligned intervals.
+func joinSeed(r *SeedResult, qPos, tPos int, seedScore int32) {
+	r.Score = r.Left.Score + r.Right.Score + seedScore
 	r.QBegin = qPos - r.Left.QueryEnd
 	r.TBegin = tPos - r.Left.TargetEnd
-	r.QEnd = qEnd + r.Right.QueryEnd
-	r.TEnd = tEnd + r.Right.TargetEnd
-	return r, nil
+	r.QEnd = qPos + r.SeedLen + r.Right.QueryEnd
+	r.TEnd = tPos + r.SeedLen + r.Right.TargetEnd
 }
 
 // extend runs one extension of a validated scheme through the wavefront

@@ -52,12 +52,14 @@ fi
 # The assembly of internal/xdrop is one detection probe per ISA past the
 # SSE2 baseline and the fused extension: one routine per ISA, all
 # expanded from one body that holds the one anti-diagonal loop (the
-# AVX-512 register mode included). Another TEXT symbol (a per-row routine
-# coming back) or a second loop label means the wavefront has forked in
+# AVX-512 register mode included), plus the paired AVX-512 routine, which
+# expands the register mode's row macros for two extensions and has no
+# memory rows of its own. Another TEXT symbol (a per-row routine coming
+# back) or a second loop label means the wavefront has forked in
 # assembly.
 asm=$(grep -hoE '^TEXT [^(]+' internal/xdrop/*.s internal/xdrop/*.h | sed 's/^TEXT ·//' | sort | tr '\n' ' ')
 asmloops=$(cat internal/xdrop/*.s internal/xdrop/*.h | grep -cE '^loop:' || true)
-want="cpuHasAVX2 cpuHasAVX512 vectorExtendAVX2 vectorExtendAVX512 vectorExtendSSE2 "
+want="cpuHasAVX2 cpuHasAVX512 vectorExtendAVX2 vectorExtendAVX512 vectorExtendPairAVX512 vectorExtendSSE2 "
 if [ "$asm" != "$want" ] || [ "$asmloops" != 1 ]; then
 	echo "doc-lint: internal/xdrop assembly defines [$asm] with $asmloops loop label(s) (want: ${want}and one loop)" >&2
 	exit 1
