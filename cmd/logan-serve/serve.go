@@ -678,9 +678,19 @@ func (s *server) handleStatz(w http.ResponseWriter, _ *http.Request) {
 		Errors:      snap.Int("logan_http_errors_total"),
 		Shed:        snap.Int("logan_http_shed_total"),
 		WriteErrors: snap.Int("logan_http_write_errors_total"),
-		Backends:    backendStatz(snap),
-		Kernels:     kernelStatz(snap),
-		SIMD:        xdrop.VectorISA(),
+		Backends: statzBreakdown(snap, "backend", map[string]func(*backendStatzJSON, float64){
+			"logan_backend_pairs_total":        func(b *backendStatzJSON, v float64) { b.Pairs = int64(v) },
+			"logan_backend_cells_total":        func(b *backendStatzJSON, v float64) { b.Cells = int64(v) },
+			"logan_backend_busy_seconds_total": func(b *backendStatzJSON, v float64) { b.TimeNS = int64(v * 1e9) },
+		}),
+		Kernels: statzBreakdown(snap, "variant", map[string]func(*kernelStatzJSON, float64){
+			"logan_kernel_pairs_total": func(k *kernelStatzJSON, v float64) { k.Pairs = int64(v) },
+			"logan_kernel_cells_total": func(k *kernelStatzJSON, v float64) { k.Cells = int64(v) },
+		}),
+		SIMD: xdrop.VectorISA(),
+	}
+	if out.Backends == nil {
+		out.Backends = map[string]backendStatzJSON{} // {} on the wire before the first batch
 	}
 	out.Coalescer = coalescerStatz(snap)
 	if s.cache != nil {
@@ -691,7 +701,14 @@ func (s *server) handleStatz(w http.ResponseWriter, _ *http.Request) {
 			Entries:   int(snap.Value("logan_cache_entries")),
 		}
 	}
-	out.Tenants = tenantStatz(snap)
+	out.Tenants = statzBreakdown(snap, "tenant", map[string]func(*tenantStatzJSON, float64){
+		"logan_tenant_requests_total":   func(t *tenantStatzJSON, v float64) { t.Requests = int64(v) },
+		"logan_tenant_pairs_total":      func(t *tenantStatzJSON, v float64) { t.Pairs = int64(v) },
+		"logan_tenant_shed_total":       func(t *tenantStatzJSON, v float64) { t.Shed = int64(v) },
+		"logan_tenant_cache_hits_total": func(t *tenantStatzJSON, v float64) { t.CacheHits = int64(v) },
+		"logan_tenant_queued_pairs":     func(t *tenantStatzJSON, v float64) { t.QueuedPairs = int(v) },
+		"logan_tenant_running_jobs":     func(t *tenantStatzJSON, v float64) { t.RunningJobs = int(v) },
+	})
 	if s.store != nil {
 		out.Jobs = jobsStatz(snap)
 	}
@@ -717,82 +734,26 @@ func (s *server) handleStatz(w http.ResponseWriter, _ *http.Request) {
 	}
 }
 
-// backendStatz folds the engine's per-backend series into the /statz
-// breakdown, keyed by the "backend" label.
-func backendStatz(snap *telemetry.Snapshot) map[string]backendStatzJSON {
-	out := map[string]backendStatzJSON{}
-	for _, ss := range snap.Series("logan_backend_pairs_total") {
-		name := ss.LabelValue("backend")
-		b := out[name]
-		b.Pairs = int64(ss.Value)
-		out[name] = b
-	}
-	for _, ss := range snap.Series("logan_backend_cells_total") {
-		name := ss.LabelValue("backend")
-		b := out[name]
-		b.Cells = int64(ss.Value)
-		out[name] = b
-	}
-	for _, ss := range snap.Series("logan_backend_busy_seconds_total") {
-		name := ss.LabelValue("backend")
-		b := out[name]
-		b.TimeNS = int64(ss.Value * 1e9)
-		out[name] = b
-	}
-	return out
-}
-
-// kernelStatz folds the engine's per-kernel-variant series into the
-// /statz breakdown, keyed by the "variant" label. Nil until the first
-// batch completes (the instruments register on first sight).
-func kernelStatz(snap *telemetry.Snapshot) map[string]kernelStatzJSON {
-	var out map[string]kernelStatzJSON
-	for _, ss := range snap.Series("logan_kernel_pairs_total") {
-		if out == nil {
-			out = map[string]kernelStatzJSON{}
-		}
-		name := ss.LabelValue("variant")
-		k := out[name]
-		k.Pairs = int64(ss.Value)
-		out[name] = k
-	}
-	for _, ss := range snap.Series("logan_kernel_cells_total") {
-		if out == nil {
-			out = map[string]kernelStatzJSON{}
-		}
-		name := ss.LabelValue("variant")
-		k := out[name]
-		k.Cells = int64(ss.Value)
-		out[name] = k
-	}
-	return out
-}
-
-// tenantStatz folds the per-tenant counter series and gauges into the
-// /statz tenant breakdown, keyed by the "tenant" label. Nil until the
-// first attributed request (the instruments register on first sight).
-func tenantStatz(snap *telemetry.Snapshot) map[string]tenantStatzJSON {
-	var out map[string]tenantStatzJSON
-	fold := func(metric string, set func(*tenantStatzJSON, float64)) {
+// statzBreakdown folds labelled series into a /statz breakdown: one entry
+// per value of label, each series in fields setting its part. A series
+// without the label is left out. Nil until some series has it (the
+// instruments register on first sight).
+func statzBreakdown[T any](snap *telemetry.Snapshot, label string, fields map[string]func(*T, float64)) map[string]T {
+	var out map[string]T
+	for metric, set := range fields {
 		for _, ss := range snap.Series(metric) {
-			name := ss.LabelValue("tenant")
+			name := ss.LabelValue(label)
 			if name == "" {
 				continue
 			}
 			if out == nil {
-				out = map[string]tenantStatzJSON{}
+				out = map[string]T{}
 			}
-			t := out[name]
-			set(&t, ss.Value)
-			out[name] = t
+			e := out[name]
+			set(&e, ss.Value)
+			out[name] = e
 		}
 	}
-	fold("logan_tenant_requests_total", func(t *tenantStatzJSON, v float64) { t.Requests = int64(v) })
-	fold("logan_tenant_pairs_total", func(t *tenantStatzJSON, v float64) { t.Pairs = int64(v) })
-	fold("logan_tenant_shed_total", func(t *tenantStatzJSON, v float64) { t.Shed = int64(v) })
-	fold("logan_tenant_cache_hits_total", func(t *tenantStatzJSON, v float64) { t.CacheHits = int64(v) })
-	fold("logan_tenant_queued_pairs", func(t *tenantStatzJSON, v float64) { t.QueuedPairs = int(v) })
-	fold("logan_tenant_running_jobs", func(t *tenantStatzJSON, v float64) { t.RunningJobs = int(v) })
 	return out
 }
 

@@ -70,18 +70,12 @@ type fusedState struct {
 	maxBand           int
 	done              bool
 
-	thr, uHi int
+	thr, uHi int // scratch of the memory rows
 
-	// The AVX-512 register mode: lanes is the width of the frame (64 or
-	// 128) while the carried anti-diagonals live in registers, or in frame
-	// below between two calls of the paired routine; 0 while they are in
-	// the diagonal buffers (always across a return of the solo routine).
-	// How many anti-diagonals ran in registers, how many of those in the
-	// paired routine, how often the rows moved into and out of a frame,
-	// and how many of the moves in were into a 128-lane frame. thr and
-	// uHi are the solo routine's scratch at its handoffs.
-	lanes                                  int
-	regRows, paired, toRegs, toMem, toWide int
+	// lanes is the width of the AVX-512 frame (64 or 128) while the
+	// carried anti-diagonals are in one, in the registers of a call or in
+	// frame between calls; 0 while they are in the diagonal buffers.
+	lanes int
 
 	// What the routines read: the diagonal buffers; q (on AVX-512 its
 	// padded copy), t, and rt at fusedPad into its buffer of n+2*fusedPad,
@@ -94,14 +88,16 @@ type fusedState struct {
 	fill     int
 	trace    *int32
 
-	// The paired routine's 64-lane frame while lanes is 64: F_d (lane l of
-	// anti-diagonal d holds cell F_d + l), the band of d as a lane mask,
-	// and the two carried anti-diagonals, frame[0] the one odd d reads as
-	// the previous (the other as the one before) and frame[1] the one even
-	// d reads as the previous.
+	// The frame while lanes is not 0: F_d (lane l of anti-diagonal d
+	// holds cell F_d + l), the band of d as a lane mask (the paired
+	// routine's, whose frames are 64 lanes), and the two carried
+	// anti-diagonals, frame[0] the one odd d reads as the previous (the
+	// other as the one before) and frame[1] the one even d reads as the
+	// previous. Go moves the rows into and out of it (see fusedSlot.frame
+	// and spill); the routines only load it on entry and store it on return.
 	f     int
 	band  uint64
-	frame [2][64]int16
+	frame [2][128]int16
 	// edge is the last anti-diagonal whose band the paired routine need
 	// not clip to the matrix (every lane of the frame the band is found in
 	// lies inside) and that does not pass limit: it checks both only
@@ -111,9 +107,10 @@ type fusedState struct {
 
 // fusedSlot is one extension's place on the fused routines: its state,
 // its three diagonal buffers, its padded copies of q (AVX-512) and of the
-// reversed target, the reversal staging of a left extension, and what
-// the rebase took off its scores. A Workspace has two: the solo routine
-// runs in the first, a Pool worker's paired stream in both.
+// reversed target, the reversal staging of a left extension, what the
+// rebase took off its scores, and what the register mode did for it
+// (added to the Workspace's when it ends). A Workspace has two: the solo
+// routine runs in the first, a Pool worker's paired stream in both.
 type fusedSlot struct {
 	st         fusedState
 	v          [3][]int16
@@ -122,6 +119,7 @@ type fusedSlot struct {
 	base       int32
 	trace      *[]int32
 	traced     int // len(*trace) when the extension started
+	modes      regModes
 }
 
 // rowISA names the routine an int16 extension runs on. It is set once at
@@ -133,7 +131,7 @@ const (
 	isaNone   rowISA = iota // no fused routine (every non-amd64 build): the vector kernel is the scalar one
 	isaSSE2                 // the fused routine with 8-lane blocks, the amd64 baseline
 	isaAVX2                 // the fused routine with 16-lane blocks for rows >= 32 cells
-	isaAVX512               // isaAVX2 plus the register mode for bands of up to 64 cells
+	isaAVX512               // isaAVX2 plus the register mode for bands of up to 128 cells
 )
 
 var vectorISA = detectISA()

@@ -39,8 +39,7 @@ const regReload = 112
 // regNarrow is the widest band that enters a 64-lane frame instead: a
 // 64-lane row does half the vector work, and at x=25 and x=50 the
 // 128-lane one measured slower (see extend_vector_amd64.s). A band that
-// outgrows the 64 lanes goes back to memory for one anti-diagonal and
-// returns in a 128-lane frame.
+// outgrows the 64 lanes moves into a 128-lane frame.
 const regNarrow = 48
 
 // fusedBudget is how many cells the fused routine computes before it
@@ -52,8 +51,10 @@ const fusedBudget = 1 << 20
 // call: scores, extents, tie order, work counters and trace are those of
 // wave over linearRow, bit for bit (FuzzExtendVectorDifferential). The call
 // returns early only to pause — once the band-local best reaches the
-// rebase mark, or once fusedBudget cells have run — and resumes from
-// fusedState. rev extends over q and t reversed; isa selects the routine.
+// rebase mark, or once fusedBudget cells have run — or, on AVX-512, for
+// Go to move the carried rows into or out of a register frame, and
+// resumes from fusedState. rev extends over q and t reversed; isa selects
+// the routine.
 func (w *Workspace) extendFused(q, t seq.Seq, rev bool, sc Scoring, x int16, trace *[]int32, isa rowISA) Result {
 	s := &w.fused[0]
 	if !s.start(q, t, rev, sc, x, trace, isa) {
@@ -74,9 +75,10 @@ func grow[E any](b []E, n int) []E {
 // start stages one extension on s for the fused routine isa names, from
 // anti-diagonal 1: its diagonal buffers, its reversed target rt (filled
 // by the routine one base per anti-diagonal), and on AVX-512 the padded
-// copy of q the routine reads, filled here whole. rev extends over q and
-// t reversed, staged into the slot. It reports false for an empty
-// extension, whose Result is the zero one.
+// copy of q the routine reads, filled here whole, and the carried rows
+// in a 64-lane frame. rev extends over q and t reversed, staged into the
+// slot. It reports false for an empty extension, whose Result is the
+// zero one.
 func (s *fusedSlot) start(q, t seq.Seq, rev bool, sc Scoring, x int16, trace *[]int32, isa rowISA) bool {
 	if len(q) == 0 || len(t) == 0 {
 		return false
@@ -92,9 +94,8 @@ func (s *fusedSlot) start(q, t seq.Seq, rev bool, sc Scoring, x int16, trace *[]
 
 // startPaired stages one extension on s for the paired routine, which
 // does not fill rt: rt is filled here whole (a left extension's rt is its
-// target prefix as it stands, so it stages no reversed target), and the
-// carried rows go into a 64-lane frame. It reports false for an empty
-// extension.
+// target prefix as it stands, so it stages no reversed target). It
+// reports false for an empty extension.
 func (s *fusedSlot) startPaired(q, t seq.Seq, rev bool, sc Scoring, x int16, trace *[]int32) bool {
 	if len(q) == 0 || len(t) == 0 {
 		return false
@@ -105,15 +106,14 @@ func (s *fusedSlot) startPaired(q, t seq.Seq, rev bool, sc Scoring, x int16, tra
 	} else {
 		seq.AppendReverse(rt, t)
 	}
-	s.frame() // d = 1: a band two cells wide
 	return true
 }
 
 // init is the staging start and startPaired share: q (on AVX-512 into
 // the padded copy, reversed there for rev; elsewhere reversed into revQ
 // for rev), the diagonal buffers with anti-diagonal 0 in place, rt's
-// buffer, the trace, and the state at anti-diagonal 1, with t and fill
-// left to the caller.
+// buffer, the trace, and the state at anti-diagonal 1, on AVX-512 framed,
+// with t and fill left to the caller.
 func (s *fusedSlot) init(q seq.Seq, rev bool, n int, sc Scoring, x int16, trace *[]int32, isa rowISA) {
 	m := len(q)
 	var qr *byte
@@ -157,18 +157,23 @@ func (s *fusedSlot) init(q seq.Seq, rev bool, n int, sc Scoring, x int16, trace 
 		v: &s.v, q: qr, rt: &s.rt[fusedPad], trace: tr,
 	}
 	s.base = 0
+	s.modes = regModes{}
+	if isa == isaAVX512 {
+		s.frame() // d = 1: a band two cells wide
+	}
 }
 
 // run runs the extension on s to its end on the solo routine isa names,
-// rebasing between calls. Rows held in the paired routine's frame go back
-// to the buffers first.
+// rebasing between calls. On AVX-512 the routine starts in the frame the
+// rows are in, if any, and returns whenever its band leaves that frame or,
+// in memory, narrows to fit one: the rows then move (reframe).
 func (s *fusedSlot) run(isa rowISA) {
-	s.spill()
 	for !s.st.done {
 		s.st.limit = s.st.cells + fusedBudget
 		switch isa {
 		case isaAVX512:
 			vectorExtendAVX512(&s.st)
+			s.reframe()
 		case isaAVX2:
 			vectorExtendAVX2(&s.st)
 		default:
@@ -190,7 +195,7 @@ func (s *fusedSlot) rebase() {
 	}
 	if s.st.lanes != 0 {
 		for i := range s.st.frame {
-			rebase(s.st.frame[i][:], best)
+			rebase(s.st.frame[i][:s.st.lanes], best)
 		}
 	} else {
 		for i := range s.v {
@@ -205,11 +210,14 @@ func (s *fusedSlot) rebase() {
 // its Result; the trace, if any, then holds its widths.
 func (s *fusedSlot) finish(modes *regModes) Result {
 	st := &s.st
-	modes.rows += st.regRows
-	modes.paired += st.paired
-	modes.toRegs += st.toRegs
-	modes.toMem += st.toMem
-	modes.toWide += st.toWide
+	if st.lanes != 0 { // it ended in a frame
+		s.modes.rows += st.d
+	}
+	modes.rows += s.modes.rows
+	modes.paired += s.modes.paired
+	modes.toRegs += s.modes.toRegs
+	modes.toMem += s.modes.toMem
+	modes.toWide += s.modes.toWide
 	// Anti-diagonals 0 .. st.d-1 ran; the trace holds the ones after 0.
 	if s.trace != nil {
 		*s.trace = (*s.trace)[:s.traced+st.d-1]
@@ -224,11 +232,11 @@ func (s *fusedSlot) finish(modes *regModes) Result {
 }
 
 // carried returns the buffers holding the previous anti-diagonal (a2) and
-// the one before (a3), and the lanes of the paired routine's frame that
-// hold them: a2 is frame[0] for odd d. Their cells the next anti-diagonal
-// reads are [A, B] of a2 and [A, B-1] of a3 (see the solo routine's
-// reload).
-func (s *fusedSlot) carried() (a2, a3 []int16, f2, f3 *[64]int16, A, B int) {
+// the one before (a3), and the rows of the frame that hold them: a2 is
+// frame[0] for odd d. The cells the next anti-diagonal reads are [A, B]
+// of a2 and [A, B-1] of a3: they lie within what the anti-diagonal
+// before it read and wrote.
+func (s *fusedSlot) carried() (a2, a3 []int16, f2, f3 *[128]int16, A, B int) {
 	st := &s.st
 	a2, a3 = s.v[(st.phase+1)%3], s.v[(st.phase+2)%3]
 	f2, f3 = &st.frame[0], &st.frame[1]
@@ -238,22 +246,28 @@ func (s *fusedSlot) carried() (a2, a3 []int16, f2, f3 *[64]int16, A, B int) {
 	return a2, a3, f2, f3, max(st.lo-1, 0), min(st.hi, st.d-1)
 }
 
-// frame moves the carried anti-diagonals from the buffers into a 64-lane
-// frame that centers the band, as the solo routine's reload does, and
-// reports true; a band wider than regNarrow stays in memory (false).
-// Lane l of the previous anti-diagonal holds cell F_d - e + l (e = 1 for
-// even d) and of the one before cell F_d - 1 + l; every lane holding no
-// carried cell holds the sentinel.
-func (s *fusedSlot) frame() bool {
+// frame moves the carried anti-diagonals from the buffers into a frame
+// that centers the band: 64 lanes for a band of at most regNarrow cells,
+// 128 for one of at most regReload; a wider band stays in memory. Lane l
+// of the previous anti-diagonal holds cell F_d - e + l (e = 1 for even d)
+// and of the one before cell F_d - 1 + l, so that the frame follows the
+// main diagonal; every lane holding no carried cell holds the sentinel.
+func (s *fusedSlot) frame() {
 	st := &s.st
 	width := st.hi - st.lo + 1
-	if width > regNarrow {
-		return false
+	switch {
+	case width > regReload:
+		return
+	case width > regNarrow:
+		st.lanes = 128
+		s.modes.toWide++
+	default:
+		st.lanes = 64
 	}
-	st.f = st.lo - (64-width)/2
+	st.f = st.lo - (st.lanes-width)/2
 	e := 1 - st.d%2
 	a2, a3, f2, f3, A, B := s.carried()
-	for l := range f2 {
+	for l := range st.lanes {
 		f2[l], f3[l] = negInf16, negInf16
 	}
 	for c := A; c <= B; c++ {
@@ -262,15 +276,14 @@ func (s *fusedSlot) frame() bool {
 	for c := A; c < B; c++ {
 		f3[c-st.f+1] = a3[c-st.org3]
 	}
-	st.lanes = 64
-	st.toRegs++
-	return true
+	s.modes.toRegs++
+	s.modes.rows -= st.d // the rows from d on run in registers
 }
 
-// spill moves the carried anti-diagonals from the paired routine's frame
-// back to the buffers, in the memory layout with cell A at slot 0 of
-// each, as the solo routine's spill does: a cell outside the frame is
-// dead (every live cell entered the frame with its band).
+// spill moves the carried anti-diagonals from the frame back to the
+// buffers, in the memory layout with cell A at slot 0 of each: a cell
+// outside the frame is dead (every live cell entered the frame with its
+// band).
 func (s *fusedSlot) spill() {
 	st := &s.st
 	if st.lanes == 0 {
@@ -278,8 +291,8 @@ func (s *fusedSlot) spill() {
 	}
 	e := 1 - st.d%2
 	a2, a3, f2, f3, A, B := s.carried()
-	lane := func(f *[64]int16, l int) int16 {
-		if l < 0 || l >= len(f) {
+	lane := func(f *[128]int16, l int) int16 {
+		if l < 0 || l >= st.lanes {
 			return negInf16
 		}
 		return f[l]
@@ -292,15 +305,29 @@ func (s *fusedSlot) spill() {
 	}
 	st.org2, st.org3 = A, A
 	st.lanes = 0
-	st.toMem++
+	s.modes.toMem++
+	s.modes.rows += st.d
 }
 
-// stepPair advances the extensions in w's two slots, both framed, in the
-// paired routine until one of them ends, pauses or leaves its frame, and
-// then settles each: one whose band drifted out of the frame moves into a
-// new one, or, when the band has grown past regNarrow, runs to its end on
-// the solo routine; one that reached the rebase mark is rebased.
-// Afterwards each slot is done or framed.
+// reframe settles the rows of an extension a routine returned from: one
+// that has not ended and whose band no longer fits the frame its rows are
+// in, or whose rows are in memory, has them moved (spill) into a frame
+// that centers the band, if one fits (frame).
+func (s *fusedSlot) reframe() {
+	st := &s.st
+	if st.done || st.lanes != 0 && st.lo >= st.f && st.hi < st.f+st.lanes {
+		return
+	}
+	s.spill()
+	s.frame()
+}
+
+// stepPair advances the extensions in w's two slots, both in 64-lane
+// frames, in the paired routine until one of them ends, pauses or leaves
+// its frame, and then settles each that has not ended: it is reframed
+// and rebased, and unless it is still in a 64-lane frame it runs to its
+// end on the solo routine. Afterwards each slot is done or in a 64-lane
+// frame.
 func (w *Workspace) stepPair() {
 	a, b := &w.fused[0].st, &w.fused[1].st
 	d0 := [2]int{a.d, b.d}
@@ -319,18 +346,11 @@ func (w *Workspace) stepPair() {
 	vectorExtendPairAVX512(a, b)
 	for i := range w.fused {
 		s := &w.fused[i]
-		st := &s.st
-		st.paired += st.d - d0[i]
-		st.regRows += st.d - d0[i]
-		switch {
-		case st.done:
-		case st.lo < st.f || st.hi >= st.f+64:
-			s.spill()
-			if !s.frame() {
-				s.run(isaAVX512)
-			}
-		default:
-			s.rebase()
+		s.modes.paired += s.st.d - d0[i]
+		s.reframe()
+		s.rebase()
+		if !s.st.done && s.st.lanes != 64 {
+			s.run(isaAVX512)
 		}
 	}
 }
@@ -353,13 +373,16 @@ func vectorExtendSSE2(st *fusedState)
 //go:noescape
 func vectorExtendAVX2(st *fusedState)
 
-// vectorExtendAVX512 is vectorExtendAVX2 with a register mode: while the
-// band fits a 64- or 128-lane frame, the two carried anti-diagonals live in ZMM
-// registers and each new one is computed from them with no store or
-// reload, from d = 1 to the matrix edge (see extend_vector_amd64.s). Its
-// q is the slot's padded copy, fusedPad bytes into a buffer of
-// m+2*fusedPad that start fills whole; its windows read the slack of that
-// copy and of rt, and never touch the buffers outside them.
+// vectorExtendAVX512 is vectorExtendAVX2 with a register mode: started
+// with the two carried anti-diagonals in a 64- or 128-lane frame
+// (st.lanes), it keeps them in ZMM registers and computes each new one
+// from them with no store or reload, and returns with them in st.frame
+// once the band leaves the frame or it pauses or ends (see
+// extend_vector_amd64.s); started in memory, it returns once the next
+// band is at most regReload cells wide. Its q is the slot's padded copy,
+// fusedPad bytes into a buffer of m+2*fusedPad that start fills whole;
+// its windows read the slack of that copy and of rt, and never touch the
+// buffers outside them.
 //
 //go:noescape
 func vectorExtendAVX512(st *fusedState)

@@ -76,13 +76,10 @@
 	SUBQ AX, R10
 
 #ifdef FUSED_AVX512
-	// The first band of the call may already fit the register frame: at
-	// d = 1 it is two cells wide.
-	MOVQ R15, AX
-	SUBQ R14, AX
-	INCQ AX
-	CMPQ AX, $const_regReload
-	JLE  reload
+	// Go moves the carried rows into and out of a frame: a call it starts
+	// with them in one (lanes != 0) runs in the register mode.
+	CMPQ fusedState_lanes(DI), $0
+	JNE  framed
 #endif
 
 loop:
@@ -101,10 +98,10 @@ filled:
 	JGT  done
 
 	CMPQ BX, $const_vectorRebaseAt
-	JGE  pause
+	JGE  paused
 	MOVQ fusedState_cells(DI), AX
 	CMPQ AX, fusedState_limit(DI)
-	JGE  pause
+	JGE  paused
 
 	// Cells and the widest band; the trace's entry for d is trace[d-1].
 	MOVQ R15, AX
@@ -417,80 +414,16 @@ plant:
 	CMPQ R15, AX
 	CMOVQGT AX, R15
 #ifdef FUSED_AVX512
+	// A next band of at most regReload cells goes back to Go, to a frame.
 	MOVQ R15, AX
 	SUBQ R14, AX
 	JLT  loop // empty: the loop top ends the extension
-	INCQ AX
 	CMPQ AX, $const_regReload
-	JLE  reload
+	JLT  paused
 #endif
 	JMP  loop
 
 #ifdef FUSED_AVX512
-// LANES(k0, k1, k2, k3) sets the mask of lanes [AX, CX) in k0 (lanes
-// 0..31) to k3 (96..127), dropping the lanes outside the frame (from 0
-// to fusedState.lanes-1). Clobbers AX, CX, DX and SI.
-#define LANES(k0, k1, k2, k3) \
-	CMPQ CX, fusedState_lanes(DI); \
-	CMOVQGT fusedState_lanes(DI), CX; \
-	XORL DX, DX; \
-	CMPQ AX, DX; \
-	CMOVQLT DX, AX; \
-	CMPQ CX, DX; \
-	CMOVQLT DX, CX; \
-	MOVQ $-1, SI; \
-	BZHIQ CX, SI, DX; \
-	BZHIQ AX, SI, SI; \
-	ANDNQ DX, SI, DX; \
-	KMOVD DX, k0; \
-	SHRQ $32, DX; \
-	KMOVD DX, k1; \
-	XORL DX, DX; \
-	MOVQ $-1, SI; \
-	SUBQ $64, CX; \
-	CMOVQLT DX, CX; \
-	SUBQ $64, AX; \
-	CMOVQLT DX, AX; \
-	BZHIQ CX, SI, CX; \
-	BZHIQ AX, SI, AX; \
-	ANDNQ CX, AX, CX; \
-	KMOVD CX, k2; \
-	SHRQ $32, CX; \
-	KMOVD CX, k3
-
-// LOADROW(r, z0, z1, z2, z3) loads the 128 lanes at r under K1..K4 into
-// z0..z3, the sentinel in every other lane; STOREROW stores them.
-#define LOADROW(r, z0, z1, z2, z3) \
-	VMOVDQA64 Z12, z0; \
-	VMOVDQU16 (r), K1, z0; \
-	VMOVDQA64 Z12, z1; \
-	VMOVDQU16 64(r), K2, z1; \
-	VMOVDQA64 Z12, z2; \
-	VMOVDQU16 128(r), K3, z2; \
-	VMOVDQA64 Z12, z3; \
-	VMOVDQU16 192(r), K4, z3
-
-#define STOREROW(r, z0, z1, z2, z3) \
-	VMOVDQU16 z0, K1, (r); \
-	VMOVDQU16 z1, K2, 64(r); \
-	VMOVDQU16 z2, K3, 128(r); \
-	VMOVDQU16 z3, K4, 192(r)
-
-// SWAPROWS exchanges the two carried rows, Z16..Z19 and Z20..Z23.
-#define SWAPROWS \
-	VMOVDQA64 Z16, Z0; \
-	VMOVDQA64 Z17, Z1; \
-	VMOVDQA64 Z18, Z2; \
-	VMOVDQA64 Z19, Z3; \
-	VMOVDQA64 Z20, Z16; \
-	VMOVDQA64 Z21, Z17; \
-	VMOVDQA64 Z22, Z18; \
-	VMOVDQA64 Z23, Z19; \
-	VMOVDQA64 Z0, Z20; \
-	VMOVDQA64 Z1, Z21; \
-	VMOVDQA64 Z2, Z22; \
-	VMOVDQA64 Z3, Z23
-
 // The register rows below are written once for one extension, its side:
 // S_ST its fusedState, S_F its F_d and S_D its d; S_DIFF, S_MISM, S_GAP
 // and S_X match - mismatch, mismatch, gap and x in every lane; S_THR the
@@ -608,65 +541,21 @@ plant:
 	SUBQ S_TMP, AX; \
 	MOVQ AX, fusedState_bestJ(S_ST)
 
-reload:
-	// Memory to register mode before anti-diagonal d, AX = the width of
-	// its band <= regReload: the cells d reads of the two carried rows (a2
-	// [A, B] and a3 [A, B-1], with A = max(lo-1, 0) and B = min(hi, d-1))
-	// are loaded into a frame F_d that centers the band, in lanes that
-	// hold the sentinel everywhere else. The buffers hold those cells:
-	// they lie within what d-1 read and wrote. The frame is 64 lanes for a
-	// band of at most regNarrow cells, 128 for a wider one.
-	MOVQ $64, CX
-	CMPQ AX, $const_regNarrow
-	JLE  reload_frame
-	MOVQ $128, CX
-	INCQ fusedState_toWide(DI)
-reload_frame:
-	MOVQ CX, fusedState_lanes(DI)
-	SUBQ AX, CX
-	SHRQ $1, CX
-	MOVQ R14, R8
-	SUBQ CX, R8 // F_d = lo - (lanes-width)/2
-	LEAQ -1(R14), SI
-	XORL CX, CX
-	CMPQ SI, CX
-	CMOVQLT CX, SI // A
-	LEAQ -1(R13), CX
-	CMPQ CX, R15
-	CMOVQGT R15, CX // B
-	SUBQ R8, SI
-	SUBQ R8, CX
-	MOVQ SI, fusedState_thr(DI) // A - F_d
-	MOVQ CX, fusedState_uHi(DI) // B - F_d
-	// a3 in frame F_{d-2} = F_d - 1: lanes [A-F_d+1, B-F_d+1).
-	LEAQ 1(SI), AX
-	INCQ CX
-	LANES(K1, K2, K3, K4)
-	LEAQ -2(R10)(R8*2), AX
-	LOADROW(AX, Z20, Z21, Z22, Z23)
-	// a2 in frame F_{d-1} = F_d - e, e = 1 if d is even: lanes
-	// [A-F_d+e, B-F_d+e+1).
-	MOVQ R13, SI
-	NOTQ SI
-	ANDQ $1, SI
-	LEAQ (R9)(R8*2), R9
-	SUBQ SI, R9
-	SUBQ SI, R9
-	MOVQ fusedState_thr(DI), AX
-	MOVQ fusedState_uHi(DI), CX
-	ADDQ SI, AX
-	LEAQ 1(CX)(SI*1), CX
-	LANES(K1, K2, K3, K4)
-	LOADROW(R9, Z16, Z17, Z18, Z19)
-	// Odd d reads a2 from Z16..Z19, even d from Z20..Z23.
-	TESTQ $1, R13
-	JNZ  reloaded
-	SWAPROWS
-reloaded:
+framed:
+	// The carried rows Go put in fusedState.frame, F_d in f: frame[0] is
+	// the row odd d reads as a2, in Z16..Z19, frame[1] the other, in
+	// Z20..Z23 (a 64-lane frame uses the first two of each).
+	VMOVDQU64 fusedState_frame+0(DI), Z16
+	VMOVDQU64 fusedState_frame+64(DI), Z17
+	VMOVDQU64 fusedState_frame+128(DI), Z18
+	VMOVDQU64 fusedState_frame+192(DI), Z19
+	VMOVDQU64 fusedState_frame+256(DI), Z20
+	VMOVDQU64 fusedState_frame+320(DI), Z21
+	VMOVDQU64 fusedState_frame+384(DI), Z22
+	VMOVDQU64 fusedState_frame+448(DI), Z23
+	MOVQ fusedState_f(DI), R8
 	VPBROADCASTW BX, Z31
 	VPSUBW Z27, Z31, Z26 // best - x
-	INCQ fusedState_toRegs(DI)
-	SUBQ R13, fusedState_regRows(DI)
 	JMP  regs_band
 
 regs:
@@ -791,16 +680,16 @@ regs_next:
 regs_band:
 	// Before anti-diagonal d: K1..K4 get its band, in lanes of F_d. An
 	// empty band ends the extension at the loop top; a band that does not
-	// fit the frame sends the rows to memory first.
+	// fit the frame goes back to Go with the rows (regs_out).
 	CMPQ R14, R15
 	JGT  loop
 	MOVQ R14, AX
 	SUBQ R8, AX
-	JLT  spill
+	JLT  paused
 	MOVQ R15, CX
 	SUBQ R8, CX
 	CMPQ CX, fusedState_lanes(DI)
-	JGE  spill
+	JGE  paused
 	// The mask of lanes [AX, CX], inside the frame: lanes 0..63, and in a
 	// 128-lane frame 64..127.
 	INCQ CX
@@ -826,93 +715,36 @@ regs_band:
 	KMOVD CX, K4
 	JMP  loop
 
-spill:
-	// Register to memory mode before d: the cells d reads of a2 (frame
-	// F_d - e, e = 1 if d is even) and a3 (frame F_d - 1) go to their
-	// buffers in the memory layout, cell A at slot 0 of each. A cell of
-	// those ranges outside its row's frame is dead (every live cell
-	// entered the frame with its band), and lies at one end of its range:
-	// the sentinel stored first at both ends of each range stands for it.
-	INCQ fusedState_toMem(DI)
-	ADDQ R13, fusedState_regRows(DI)
-	TESTQ $1, R13
-	JNZ  spill_odd
-	SWAPROWS // a2 in Z16..Z19, a3 in Z20..Z23
-spill_odd:
-	LEAQ -1(R14), SI
-	XORL CX, CX
-	CMPQ SI, CX
-	CMOVQLT CX, SI // A
-	LEAQ -1(R13), CX
-	CMPQ CX, R15
-	CMOVQGT R15, CX // B
-	// The buffers: a2's is Workspace.v[phase+1], a3's v[phase+2].
-	VMOVQ X15, R9
-	SUBQ SI, R9
-	SUBQ SI, R9
-	VMOVQ X7, R10
-	SUBQ SI, R10
-	SUBQ SI, R10
-	MOVW $const_negInf16, (R9)(SI*2)
-	MOVW $const_negInf16, (R9)(CX*2)
-	MOVW $const_negInf16, (R10)(SI*2)
-	CMPQ CX, SI
-	JEQ  spill_rows
-	MOVW $const_negInf16, -2(R10)(CX*2)
-spill_rows:
-	SUBQ R8, SI
-	SUBQ R8, CX
-	MOVQ SI, fusedState_thr(DI) // A - F_d
-	MOVQ CX, fusedState_uHi(DI) // B - F_d
-	// a3: lanes [A-F_d+1, B-F_d+1).
-	LEAQ 1(SI), AX
-	INCQ CX
-	LANES(K1, K2, K3, K4)
-	LEAQ -2(R10)(R8*2), AX
-	STOREROW(AX, Z20, Z21, Z22, Z23)
-	// a2: lanes [A-F_d+e, B-F_d+e+1).
-	MOVQ R13, SI
-	NOTQ SI
-	ANDQ $1, SI
-	MOVQ fusedState_thr(DI), AX
-	MOVQ fusedState_uHi(DI), CX
-	ADDQ SI, AX
-	LEAQ 1(CX)(SI*1), CX
-	LANES(K1, K2, K3, K4)
-	MOVQ R13, SI
-	NOTQ SI
-	ANDQ $1, SI
-	LEAQ (R9)(R8*2), AX
-	SUBQ SI, AX
-	SUBQ SI, AX
-	STOREROW(AX, Z16, Z17, Z18, Z19)
-	MOVQ $0, fusedState_lanes(DI)
-	JMP  loop
+regs_out:
+	// The register mode returns with the carried rows and F_d back in
+	// fusedState, frame[0] the row odd d reads as a2, and lanes as it was:
+	// Go moves them out of the frame, if need be.
+	MOVQ R8, fusedState_f(DI)
+	VMOVDQU64 Z16, fusedState_frame+0(DI)
+	VMOVDQU64 Z17, fusedState_frame+64(DI)
+	VMOVDQU64 Z18, fusedState_frame+128(DI)
+	VMOVDQU64 Z19, fusedState_frame+192(DI)
+	VMOVDQU64 Z20, fusedState_frame+256(DI)
+	VMOVDQU64 Z21, fusedState_frame+320(DI)
+	VMOVDQU64 Z22, fusedState_frame+384(DI)
+	VMOVDQU64 Z23, fusedState_frame+448(DI)
+	VZEROUPPER
+	RET
 #endif
 
 emptied:
 	INCQ R13 // band empty after d: X-drop termination
 done:
 	MOVB $1, fusedState_done(DI)
-#ifdef FUSED_AVX512
-	CMPQ fusedState_lanes(DI), $0
-	JEQ  paused
-	MOVQ $0, fusedState_lanes(DI)
-	ADDQ R13, fusedState_regRows(DI)
-#endif
-	JMP  paused
-pause:
-#ifdef FUSED_AVX512
-	// Go sees the carried rows only in memory: spill them first; the loop
-	// top then pauses again, in memory mode.
-	CMPQ fusedState_lanes(DI), $0
-	JNE  spill
-#endif
 paused:
 	MOVQ R13, fusedState_d(DI)
 	MOVQ R14, fusedState_lo(DI)
 	MOVQ R15, fusedState_hi(DI)
 	MOVQ BX, fusedState_best(DI)
+#ifdef FUSED_AVX512
+	CMPQ fusedState_lanes(DI), $0
+	JNE  regs_out
+#endif
 	// Back from bases to the roles and origins the next call starts from.
 	XTOGPR(X15, AX)
 	SUBQ R9, AX
@@ -960,9 +792,9 @@ paused:
 // Z28 Z29 the rotations; scratch AX, BX, R11, R12, Z0, Z1, Z4, Z5, Z11,
 // Z13 and K5..K7; the survivors of a's row in R14 and R15, of b's in CX
 // and DX. Each side keeps lo, hi, best, the work counters and the trace
-// in its fusedState, as the solo routine does at a handoff; only the
-// band mask, F_d and d stay in registers from one of its rows to the
-// next.
+// in its fusedState, where the solo routine stores them when it
+// returns; only the band mask, F_d and d stay in registers from one of
+// its rows to the next.
 //
 // A turn computes a's cells, then b's (PAIRCELLS), and only then, b's
 // and a's best and next band (PAIRNEXT): both rows' vector work is issued
@@ -1112,8 +944,8 @@ next:
 	VPSUBW x, best, thr; \
 	VMOVDQU64 fusedState_frame+0(st), f0; \
 	VMOVDQU64 fusedState_frame+64(st), f1; \
-	VMOVDQU64 fusedState_frame+128(st), f2; \
-	VMOVDQU64 fusedState_frame+192(st), f3; \
+	VMOVDQU64 fusedState_frame+256(st), f2; \
+	VMOVDQU64 fusedState_frame+320(st), f3; \
 	KMOVD fusedState_band+0(st), k0; \
 	KMOVD fusedState_band+4(st), k1
 
@@ -1121,8 +953,8 @@ next:
 #define PAIRSAVE(st, f0, f1, f2, f3) \
 	VMOVDQU64 f0, fusedState_frame+0(st); \
 	VMOVDQU64 f1, fusedState_frame+64(st); \
-	VMOVDQU64 f2, fusedState_frame+128(st); \
-	VMOVDQU64 f3, fusedState_frame+192(st)
+	VMOVDQU64 f2, fusedState_frame+256(st); \
+	VMOVDQU64 f3, fusedState_frame+320(st)
 
 TEXT ·vectorExtendPairAVX512(SB), NOSPLIT, $0-16
 	MOVQ a+0(FP), DI
@@ -1217,10 +1049,6 @@ pair:
 #undef S_BEST
 #undef S_BESTX
 #undef S_TMP
-#undef LANES
-#undef LOADROW
-#undef STOREROW
-#undef SWAPROWS
 #undef ROT
 #undef FIX
 #undef CELLS

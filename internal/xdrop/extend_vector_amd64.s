@@ -95,18 +95,18 @@
 //
 // A 128-lane row does twice the vector work of a 64-lane one, and at
 // x=25 and x=50 measured slower than the 64-lane row: a band of at most
-// regNarrow cells enters a 64-lane frame, a wider one a 128-lane frame,
-// and the two rows are the same macros (CELLS per register) expanded for
-// two and for four registers. The handoff: after a memory anti-diagonal
-// whose next band is at most regReload cells wide, and at the start of
-// every call, the cells the next one reads of a2 and a3 are loaded into a
-// frame that centers the band (reload). When a band does not fit its
-// frame — wider than the frame, or drifted off the main diagonal by
-// indels — or the routine pauses, those cells go back to their buffers in
-// the memory layout (spill) and the loop continues on the AVX2 blocks;
-// the next band of at most regReload cells reloads them, in a new frame.
-// The gaps between regNarrow and 64 and between regReload and 128 are the
-// hysteresis.
+// regNarrow cells enters a 64-lane frame, one of at most regReload cells
+// a 128-lane frame, and the two rows are the same macros (CELLS per
+// register) expanded for two and for four registers. The handoff is Go's
+// (fusedSlot.frame and spill in extend_vector_amd64.go): a call that
+// starts with the carried rows in fusedState.frame (lanes != 0) loads
+// them into Z16..Z23 (framed) and runs in the register mode; when the
+// band leaves the frame, or the routine pauses or ends, it stores them
+// back with F_d and returns (regs_out), and Go moves them to the buffers
+// or into a new frame. A call that starts in memory returns as soon as
+// the next band is at most regReload cells wide, for Go to frame it.
+// The gaps between regNarrow and 64 and between regReload and 128 are
+// the hysteresis.
 //
 // Registers, for the whole call:
 //
@@ -254,8 +254,8 @@ GLOBL regsConst<>(SB), RODATA|NOPTR, $256
 
 // func vectorExtendAVX512(st *fusedState)
 //
-// The AVX2 routine plus the register mode for bands of up to 128 cells
-// (FUSED_AVX512 in the body): EVEX-encoded there, in Z0..Z6, Z8..Z13,
+// The AVX2 routine plus the register mode for bands in a 64- or 128-lane
+// frame (FUSED_AVX512 in the body): EVEX-encoded there, in Z0..Z6, Z8..Z13,
 // Z16..Z29, Z31 and K1..K7. The VEX blocks read the constants in Y8..Y12
 // and never touch Z16..Z31.
 #define FUSED_AVX512

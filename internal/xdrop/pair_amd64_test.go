@@ -158,3 +158,84 @@ func TestExtendPairBudget(t *testing.T) {
 		t.Fatal("no anti-diagonal in the paired routine")
 	}
 }
+
+// TestExtendPairTailInFrame runs a paired stream's tail: two extensions
+// through the paired driver, one far longer than the other, so that the
+// long one runs on alone on the solo routine. It stays in the 64-lane
+// frame it entered at anti-diagonal 1, on both routines; both extensions
+// must equal ExtendReference, with the scalar kernel's band traces.
+func TestExtendPairTailInFrame(t *testing.T) {
+	if detectISA() != isaAVX512 {
+		t.Skip("no AVX-512 on this host: there is no paired routine")
+	}
+	rng := rand.New(rand.NewSource(49))
+	long, short := seq.RandSeq(rng, 3000), seq.RandSeq(rng, 200)
+	sc := DefaultScoring()
+	cs := [2]pairCase{{long, long, true, sc, 25}, {short, short, false, sc, 25}}
+	w, ref := NewWorkspace(), NewWorkspace()
+	var traces [2][]int32
+	got := pairRun(w, &cs, &traces)
+	rows := 0
+	for i := range cs {
+		q, tt := cs[i].oriented()
+		want := ExtendReference(q, tt, sc, cs[i].x)
+		var trace []int32
+		wave(&ref.d, &ref.rt, q, tt, cs[i].x, linearRow(sc), &trace)
+		if got[i] != want || !slices.Equal(traces[i], trace) {
+			t.Fatalf("side %d: paired %+v, reference %+v (traces equal: %v)", i, got[i], want, slices.Equal(traces[i], trace))
+		}
+		rows += want.AntiDiags - 1
+	}
+	m := w.modes
+	if m.toRegs != 2 || m.toMem != 0 || m.toWide != 0 || m.rows != rows || m.paired >= rows {
+		t.Errorf("modes %+v over %d anti-diagonals: want both extensions in one 64-lane frame each throughout, and the long one's tail on the solo routine", m, rows)
+	}
+}
+
+// TestExtendVectorPauseInFrame runs solo extensions on the AVX-512
+// routine that pause at the rebase mark and for the cell budget while
+// their carried rows are in a frame: once in the 64-lane frame they enter
+// at anti-diagonal 1, and once in a 128-lane frame, which the band enters
+// when it outgrows the 64 lanes. A pause returns to Go with the frame
+// held, so the rows go back to memory only when the band leaves a frame:
+// never in the first, once in the second. Each must equal
+// ExtendReference, with the scalar kernel's band trace.
+func TestExtendVectorPauseInFrame(t *testing.T) {
+	if detectISA() != isaAVX512 {
+		t.Skip("no AVX-512 on this host: there is no register mode")
+	}
+	defer func(prev rowISA) { vectorISA = prev }(vectorISA)
+	vectorISA = isaAVX512
+	// Identical sequences hold the band on the main diagonal, which the
+	// frames follow; 20000 matches pass the rebase mark, and their 40000
+	// anti-diagonals the cell budget.
+	q := seq.RandSeq(rand.New(rand.NewSource(48)), 20000)
+	sc := DefaultScoring()
+	ref := NewWorkspace()
+	for _, tc := range []struct {
+		x             int32
+		minBand, band int // the widest band: > minBand, <= band
+		moves         regModes
+	}{
+		{50, 0, regNarrow, regModes{toRegs: 1}},
+		{130, 64, regReload, regModes{toRegs: 2, toWide: 1, toMem: 1}},
+	} {
+		want := ExtendReference(q, q, sc, tc.x)
+		var wantTrace []int32
+		wave(&ref.d, &ref.rt, q, q, tc.x, linearRow(sc), &wantTrace)
+		w := NewWorkspace()
+		got, trace := w.ExtendTrace(q, q, sc, tc.x, nil)
+		if got != want || !slices.Equal(trace, wantTrace) {
+			t.Fatalf("x=%d: got %+v, want %+v (traces equal: %v)", tc.x, got, want, slices.Equal(trace, wantTrace))
+		}
+		if want.Score < int32(vectorRebaseAt) || want.Cells <= fusedBudget || want.MaxBand <= tc.minBand || want.MaxBand > tc.band {
+			t.Fatalf("x=%d: score %d, %d cells, widest band %d: want >= %d, > %d and in (%d, %d]",
+				tc.x, want.Score, want.Cells, want.MaxBand, vectorRebaseAt, fusedBudget, tc.minBand, tc.band)
+		}
+		m := w.modes
+		moves := regModes{toRegs: m.toRegs, toMem: m.toMem, toWide: m.toWide}
+		if moves != tc.moves || m.rows != want.AntiDiags-1 {
+			t.Errorf("x=%d: modes %+v over %d anti-diagonals, want moves %+v and every anti-diagonal in registers", tc.x, m, want.AntiDiags-1, tc.moves)
+		}
+	}
+}

@@ -82,33 +82,43 @@ func TestExtendVectorMatchesReference(t *testing.T) {
 // on every ISA; on an AVX-512 host the handoffs must have happened many
 // times over, in both frames, and bands over 128 cells must have run.
 func TestExtendVectorHandoffs(t *testing.T) {
-	forEachISA(t, func(t *testing.T) {
-		rng := rand.New(rand.NewSource(43))
-		w := NewWorkspace()
-		// A large match lets a cell live on its substitution source alone,
-		// so every carried cell a handoff moves can decide a result.
-		schemes := []Scoring{
-			DefaultScoring(),
-			{Match: 5, Mismatch: -1, Gap: -2},
-			{Match: 9, Mismatch: -4, Gap: -3},
+	// The trials and their references are built once, for every ISA.
+	rng := rand.New(rand.NewSource(43))
+	// A large match lets a cell live on its substitution source alone,
+	// so every carried cell a handoff moves can decide a result.
+	schemes := []Scoring{
+		DefaultScoring(),
+		{Match: 5, Mismatch: -1, Gap: -2},
+		{Match: 9, Mismatch: -4, Gap: -3},
+	}
+	type trial struct {
+		q, t seq.Seq
+		sc   Scoring
+		x    int32
+		want Result
+	}
+	trials := make([]trial, 900)
+	over128 := 0
+	for i := range trials {
+		q := seq.RandSeq(rng, 200+rng.Intn(400))
+		tt := seq.Mutate(rng, q, seq.UniformProfile(0.05+0.15*rng.Float64()))
+		sc := schemes[i%len(schemes)]
+		// Alternately bands around the 64-lane frame (48..64 cells)
+		// and around the 128-lane one (112..128).
+		x := int32(35+rng.Intn(60)) * -sc.Gap
+		if i/len(schemes)%2 == 1 {
+			x = int32(140+rng.Intn(60)) * -sc.Gap
 		}
-		over128 := 0
-		for trial := 0; trial < 900; trial++ {
-			q := seq.RandSeq(rng, 200+rng.Intn(400))
-			tt := seq.Mutate(rng, q, seq.UniformProfile(0.05+0.15*rng.Float64()))
-			sc := schemes[trial%len(schemes)]
-			// Alternately bands around the 64-lane frame (48..64 cells)
-			// and around the 128-lane one (112..128).
-			x := int32(35+rng.Intn(60)) * -sc.Gap
-			if trial/len(schemes)%2 == 1 {
-				x = int32(140+rng.Intn(60)) * -sc.Gap
-			}
-			want := ExtendReference(q, tt, sc, x)
-			if got := w.ExtendVector(q, tt, sc, x); got != want {
-				t.Fatalf("trial %d (lens %d/%d, sc %+v, x %d):\n got %+v\nwant %+v", trial, len(q), len(tt), sc, x, got, want)
-			}
-			if want.MaxBand > 128 {
-				over128++
+		trials[i] = trial{q, tt, sc, x, ExtendReference(q, tt, sc, x)}
+		if trials[i].want.MaxBand > 128 {
+			over128++
+		}
+	}
+	forEachISA(t, func(t *testing.T) {
+		w := NewWorkspace()
+		for i, tr := range trials {
+			if got := w.ExtendVector(tr.q, tr.t, tr.sc, tr.x); got != tr.want {
+				t.Fatalf("trial %d (lens %d/%d, sc %+v, x %d):\n got %+v\nwant %+v", i, len(tr.q), len(tr.t), tr.sc, tr.x, got, tr.want)
 			}
 		}
 		if vectorISA != isaAVX512 {

@@ -3,7 +3,8 @@
 # comment, and every exported symbol of the public root package must be
 # documented — and every documented logan_jobs_* series must have one
 # owner, the X-drop band loop one driver (the simulated device replays
-# its trace) and in assembly one fused loop, EXPERIMENTS.md the committed reproduction CSV, the device
+# its trace) and in assembly one fused loop, the register-frame handoff
+# one copy (in Go), EXPERIMENTS.md the committed reproduction CSV, the device
 # batch one executor, the root package no view of the kernel
 # configuration, the generated tables of docs/SERVING.md their
 # generators' output, request parameters one parser, the coalescer
@@ -62,6 +63,18 @@ asmloops=$(cat internal/xdrop/*.s internal/xdrop/*.h | grep -cE '^loop:' || true
 want="cpuHasAVX2 cpuHasAVX512 vectorExtendAVX2 vectorExtendAVX512 vectorExtendPairAVX512 vectorExtendSSE2 "
 if [ "$asm" != "$want" ] || [ "$asmloops" != 1 ]; then
 	echo "doc-lint: internal/xdrop assembly defines [$asm] with $asmloops loop label(s) (want: ${want}and one loop)" >&2
+	exit 1
+fi
+
+# The carried rows move into and out of an AVX-512 register frame in Go
+# alone (fusedSlot.frame and spill): the routines load the frame from
+# fusedState on entry and store it there on return. A reload or spill
+# label, or a handoff macro (LANES, LOADROW, STOREROW, SWAPROWS), in the
+# assembly means the handoff has forked into a second copy again.
+handoff=$(grep -nE '^(reload|spill):|^#define (LANES|LOADROW|STOREROW|SWAPROWS)([ (]|$)' internal/xdrop/*.s internal/xdrop/*.h || true)
+if [ -n "$handoff" ]; then
+	echo "doc-lint: the register-frame handoff is back in internal/xdrop assembly (Go's fusedSlot.frame and spill are its one copy):" >&2
+	echo "$handoff" >&2
 	exit 1
 fi
 
