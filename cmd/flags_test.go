@@ -94,7 +94,7 @@ func TestFlagSurface(t *testing.T) {
 		want int
 	}{
 		{"logan-serve", []string{"-h"}, 31},
-		{"logan-worker", []string{"-h"}, 7},
+		{"logan-worker", []string{"-h"}, 6},
 		{"bella", []string{"-h"}, 15},
 		{"logan-align", []string{"-h"}, 17},
 		{"logan-map", []string{"build-index", "-h"}, 5},

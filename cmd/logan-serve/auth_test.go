@@ -119,7 +119,7 @@ beta-key  beta 0.001 4
 	cfg := defaultServeConfig()
 	cfg.defCfg = logan.DefaultConfig(50)
 	cfg.apiKeys = keys
-	srv, _, _ := testServerCfg(t, cfg)
+	srv, s, _ := testServerCfg(t, cfg)
 
 	// Unknown key: refused, never downgraded to anonymous.
 	resp, _ := postAs(t, srv.URL, "wrong-key", alignBody(1, 0))
@@ -223,5 +223,27 @@ beta-key  beta 0.001 4
 	jresp.Body.Close()
 	if jresp.StatusCode != http.StatusUnauthorized {
 		t.Fatalf("jobs unknown key: status %d, want 401", jresp.StatusCode)
+	}
+
+	// So does the mapping API, on both POSTs: an unknown key neither maps
+	// reads nor starts an index build.
+	for _, path := range []string{"/map", "/map/index"} {
+		mreq, err := http.NewRequest("POST", srv.URL+path, strings.NewReader(">r1\nACGTACGTACGTACGTACGT\n"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		mreq.Header.Set("X-API-Key", "wrong-key")
+		mresp, err := http.DefaultClient.Do(mreq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, mresp.Body)
+		mresp.Body.Close()
+		if mresp.StatusCode != http.StatusUnauthorized {
+			t.Errorf("%s unknown key: status %d, want 401", path, mresp.StatusCode)
+		}
+	}
+	if st := s.maps.status(); st.State != "none" {
+		t.Errorf("index state %q after an unknown key's build request, want none", st.State)
 	}
 }

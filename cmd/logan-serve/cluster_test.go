@@ -50,7 +50,7 @@ func clusterTestServer(t *testing.T, queuePath string, mut func(*serveConfig)) (
 }
 
 // startWorker builds a logan-worker-equivalent in-process: its own
-// engine and overlapper, registered against the router, serving until
+// engine and overlapper, polling the router under name, serving until
 // the returned stop function is called (graceful) or Kill (abrupt).
 func startWorker(t *testing.T, routerURL, name string) (*cluster.Worker, func()) {
 	t.Helper()
@@ -202,7 +202,8 @@ func TestClusterWorkerDeathRetry(t *testing.T) {
 	}
 
 	// The /statz cluster block reflects the death: the requeue counted,
-	// the survivor is registered with a completion.
+	// the survivor is listed with a completion and the throughput gauge
+	// of its last telemetry snapshot.
 	var stz statzJSON
 	resp, err := http.Get(srv.URL + "/statz")
 	if err != nil {
@@ -221,8 +222,8 @@ func TestClusterWorkerDeathRetry(t *testing.T) {
 			stz.Cluster.Requeues, stz.Cluster.LeaseExpired)
 	}
 	ws, ok := stz.Cluster.Workers[survivor]
-	if !ok || ws.Completed < 1 {
-		t.Errorf("cluster statz workers %+v: want %s with >= 1 completion", stz.Cluster.Workers, survivor)
+	if !ok || ws.Completed < 1 || ws.CellsPerSec <= 0 {
+		t.Errorf("cluster statz workers %+v: want %s with >= 1 completion and its cellsPerSec", stz.Cluster.Workers, survivor)
 	}
 }
 
@@ -260,35 +261,41 @@ func TestClusterWALReplay(t *testing.T) {
 }
 
 // TestClusterReadyz: in router mode readiness requires both the local
-// engine warm-up and at least one registered worker; /healthz stays 200
-// throughout (pure liveness).
+// engine warm-up and at least one worker that has polled; /healthz stays
+// 200 throughout (pure liveness).
 func TestClusterReadyz(t *testing.T) {
 	srv, _, _ := clusterTestServer(t, filepath.Join(t.TempDir(), "queue.wal"), nil)
 
-	get := func(path string) int {
+	get := func(path string) (int, string) {
 		resp, err := http.Get(srv.URL + path)
 		if err != nil {
 			t.Fatal(err)
 		}
+		body, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		return resp.StatusCode
+		return resp.StatusCode, string(body)
 	}
-	if code := get("/healthz"); code != http.StatusOK {
+	if code, _ := get("/healthz"); code != http.StatusOK {
 		t.Errorf("healthz before workers: %d, want 200", code)
 	}
-	// No worker yet: readiness must be refused even once warm. Poll
-	// briefly to let the warm-up finish — the answer must stay 503.
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if code := get("/readyz"); code != http.StatusServiceUnavailable {
-			t.Fatalf("readyz with no workers: %d, want 503", code)
+	// No worker yet: readiness is refused while the engine warms up, and
+	// a warm engine alone is not ready either.
+	deadline := time.Now().Add(30 * time.Second)
+	code, body := get("/readyz")
+	for code == http.StatusServiceUnavailable && strings.Contains(body, "warming") {
+		if time.Now().After(deadline) {
+			t.Fatal("the engine never finished its warm-up")
 		}
-		time.Sleep(20 * time.Millisecond)
+		time.Sleep(5 * time.Millisecond)
+		code, body = get("/readyz")
+	}
+	if code != http.StatusServiceUnavailable || !strings.Contains(body, "no workers") {
+		t.Fatalf("readyz warm with no workers: %d %s, want 503 no workers", code, body)
 	}
 
 	startWorker(t, srv.URL, "w1")
 	waitReady(t, srv.URL)
-	if code := get("/healthz"); code != http.StatusOK {
+	if code, _ := get("/healthz"); code != http.StatusOK {
 		t.Errorf("healthz after workers: %d, want 200", code)
 	}
 }

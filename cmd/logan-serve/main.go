@@ -60,14 +60,15 @@
 // cluster: the front door (auth, quotas, admission) is unchanged, but
 // accepted /jobs are persisted to a durable file-backed queue
 // (-cluster-queue; replayed on restart) and executed by logan-worker
-// processes that register over HTTP and pull work under expiring
-// leases (-lease-ttl); a worker's polls and lease extensions are its
-// liveness and carry its telemetry. A worker that dies mid-job simply
-// stops extending its lease; the router requeues the job (at most
-// -max-requeues times) and a surviving worker produces byte-identical
-// output. /statz gains a "cluster" block and /metrics becomes the
-// fleet rollup: every worker's series re-exported under a
-// worker="<name>" label. See docs/SERVING.md ("Running a cluster").
+// processes that pull work over HTTP under expiring leases
+// (-lease-ttl). A worker is known by its name alone, from its first
+// poll on; its polls and lease extensions are its liveness and carry
+// its telemetry. A worker that dies mid-job simply stops extending its
+// lease; the router requeues the job (at most -max-requeues times) and
+// a surviving worker produces byte-identical output. /statz gains a
+// "cluster" block and /metrics becomes the fleet rollup: every worker's
+// series re-exported under a worker="<name>" label. See docs/SERVING.md
+// ("Running a cluster").
 //
 // The server also hosts the reference-mapping API (logan.Mapper): POST
 // a reference FASTA to /map/index (or start with -map-ref/-map-index)
@@ -98,9 +99,9 @@
 //	GET    /healthz      pure liveness: 200 while the process can serve
 //	GET    /readyz       readiness: 503 until the engine has run its
 //	                     warm-up alignment (and, in router mode, until at
-//	                     least one worker is registered), then 200
-//	POST   /cluster/...  worker protocol (register, poll, extend,
-//	                     complete, fail) — router mode only,
+//	                     least one worker has polled), then 200
+//	POST   /cluster/...  worker protocol (poll, extend, complete,
+//	                     fail) — router mode only,
 //	                     guarded by -cluster-token
 //	GET    /statz        process-lifetime totals (requests, pairs, cells,
 //	                     errors, shed, writeErrors), the per-backend

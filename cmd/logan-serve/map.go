@@ -111,8 +111,8 @@ func (s *server) mapConfig(q url.Values) (logan.MapConfig, error) {
 // handler is exactly that call. 409 until an index is installed.
 func (s *server) handleMap(w http.ResponseWriter, r *http.Request) {
 	s.m.requests.Inc()
-	if s.maps == nil {
-		s.fail(w, http.StatusNotFound, "mapping API disabled (-map=false)")
+	if _, ok := s.tenantFor(r); !ok {
+		s.fail(w, http.StatusUnauthorized, "unknown API key")
 		return
 	}
 	if !s.maps.mapper.Ready() {
@@ -158,8 +158,8 @@ func (s *server) handleMap(w http.ResponseWriter, r *http.Request) {
 // swap finish against the index they began with.
 func (s *server) handleMapIndexBuild(w http.ResponseWriter, r *http.Request) {
 	s.m.requests.Inc()
-	if s.maps == nil {
-		s.fail(w, http.StatusNotFound, "mapping API disabled (-map=false)")
+	if _, ok := s.tenantFor(r); !ok {
+		s.fail(w, http.StatusUnauthorized, "unknown API key")
 		return
 	}
 	var opt logan.IndexOptions
@@ -198,10 +198,6 @@ func (s *server) handleMapIndexBuild(w http.ResponseWriter, r *http.Request) {
 // handleMapIndexStatus is GET /map/index.
 func (s *server) handleMapIndexStatus(w http.ResponseWriter, _ *http.Request) {
 	s.m.requests.Inc()
-	if s.maps == nil {
-		s.fail(w, http.StatusNotFound, "mapping API disabled (-map=false)")
-		return
-	}
 	w.Header().Set("Content-Type", "application/json")
 	if err := json.NewEncoder(w).Encode(s.maps.status()); err != nil {
 		s.m.writeErrors.Inc()

@@ -170,7 +170,7 @@ type serveConfig struct {
 	maps bool
 	// cluster switches the /jobs subsystem from the in-process store to
 	// the router tier: accepted jobs persist to the write-ahead queue at
-	// clusterQueue and execute on registered logan-worker nodes under
+	// clusterQueue and execute on polling logan-worker nodes under
 	// expiring leases. leaseTTL/workerTTL/maxRequeues tune the failure
 	// detector (zero values select cluster.RouterOptions defaults), and
 	// clusterToken, when set, gates the worker API.
@@ -218,7 +218,7 @@ type server struct {
 	// cfg is the server's configuration, defaulted by newServer.
 	cfg serveConfig
 	// ready flips once the warmup alignment completes; /readyz also
-	// requires store.Ready() (in router mode: ≥1 registered worker).
+	// requires store.Ready() (in router mode: ≥1 live worker).
 	ready atomic.Bool
 	// tele is the engine's registry — the one store behind /metrics and
 	// /statz; stages is a handle on the engine's stage-latency histogram
@@ -273,7 +273,7 @@ func newServer(eng *logan.Aligner, cfg serveConfig) (*server, error) {
 	})
 	switch {
 	case cfg.jobs && cfg.cluster:
-		// Router mode: this node admits and persists jobs, registered
+		// Router mode: this node admits and persists jobs, polling
 		// logan-worker nodes execute them. The front tier's own engine
 		// still serves /align.
 		router, err := cluster.NewRouter(cluster.RouterOptions{
@@ -518,9 +518,9 @@ func (s *server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 }
 
 // handleReady is GET /readyz: 503 until the engine's warmup alignment
-// has completed and — in router mode — at least one worker is
-// registered, so load balancers never route to a node that would shed
-// or queue everything.
+// has completed and — in router mode — at least one worker has polled
+// or reported within its WorkerTTL, so load balancers never route to a
+// node that would shed or queue everything.
 func (s *server) handleReady(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	switch {
@@ -575,7 +575,9 @@ type clusterStatzJSON struct {
 	IdempotentReplays int64                        `json:"idempotentReplays"`
 }
 
-// clusterWorkerJSON is one registered worker's row in /statz.
+// clusterWorkerJSON is one live worker's row in /statz. CellsPerSec is
+// the engine throughput gauge of the worker's last telemetry snapshot,
+// omitted before it has sent one.
 type clusterWorkerJSON struct {
 	Backend     string  `json:"backend"`
 	CellsPerSec float64 `json:"cellsPerSec,omitempty"`

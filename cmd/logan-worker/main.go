@@ -1,14 +1,16 @@
 // Command logan-worker is the execution tier of a logan-serve cluster.
-// It builds a local logan.Aligner engine, registers with a router
-// (logan-serve -cluster) over HTTP, and pulls overlap jobs under
-// expiring leases: each leased job's FASTA payload runs through the
-// BELLA overlap pipeline (logan.Overlapper) on the local engine and the
-// resulting PAF streams back to the router. While a job executes, the
-// worker extends its lease at a third of the lease's TTL; idle, it
+// It builds a local logan.Aligner engine and pulls overlap jobs from a
+// router (logan-serve -cluster) over HTTP under expiring leases: each
+// leased job's FASTA payload runs through the BELLA overlap pipeline
+// (logan.Overlapper) on the local engine and the resulting PAF streams
+// back to the router. There is no handshake: the worker's -name is its
+// one identity, and its first poll introduces it. While a job executes,
+// the worker extends its lease at a third of the lease's TTL; idle, it
 // long-polls for work. The router knows the worker is alive from those
 // two requests alone, and each carries the worker's full telemetry
-// snapshot, so a single scrape of the router's /metrics covers the fleet
-// under worker="<name>" labels.
+// snapshot (its engine's throughput gauge included), so a single scrape
+// of the router's /metrics covers the fleet under worker="<name>"
+// labels.
 //
 // Failure semantics: if the process dies abruptly (SIGKILL, panic,
 // power loss) it simply stops extending its leases, and the router
@@ -22,7 +24,7 @@
 //
 //	logan-worker -router http://router:8080 [-name $(hostname)]
 //	             [-token secret] [-backend cpu|gpu|hybrid] [-gpus 1]
-//	             [-threads 0] [-cells-per-sec 0]
+//	             [-threads 0]
 package main
 
 import (
@@ -42,11 +44,10 @@ import (
 
 func main() {
 	var (
-		router  = flag.String("router", "", "router base URL, e.g. http://router:8080 (required)")
-		name    = flag.String("name", "", "worker name, the worker=\"...\" label in the cluster rollup (default: hostname)")
-		token   = flag.String("token", "", "shared cluster secret (the router's -cluster-token)")
-		cellsPS = flag.Float64("cells-per-sec", 0, "advertised throughput estimate in DP cells/second (0 = unreported)")
-		opt     logan.EngineOptions
+		router = flag.String("router", "", "router base URL, e.g. http://router:8080 (required)")
+		name   = flag.String("name", "", "worker name, the worker=\"...\" label in the cluster rollup (default: hostname)")
+		token  = flag.String("token", "", "shared cluster secret (the router's -cluster-token)")
+		opt    logan.EngineOptions
 	)
 	flag.TextVar(&opt.Backend, "backend", logan.CPU, "alignment backend: cpu, gpu or hybrid")
 	flag.IntVar(&opt.GPUs, "gpus", 1, "simulated GPU count (gpu and hybrid backends)")
@@ -82,7 +83,6 @@ func main() {
 		Token:      *token,
 		Overlapper: ov,
 		Backend:    opt.Backend.String(),
-		CellsPS:    *cellsPS,
 		Registry:   eng.Telemetry(),
 		Logf:       log.Printf,
 	})

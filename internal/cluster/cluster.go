@@ -1,9 +1,10 @@
 // Package cluster is the distributed scale-out layer: a router tier
 // that admits overlap jobs, persists them to a durable write-ahead
 // queue, and hands them to a fleet of alignment workers under expiring
-// leases — plus the worker client that registers, pulls work (its polls
-// and lease extensions are its liveness and carry its telemetry),
-// executes it on its local engine, and streams results back.
+// leases — plus the worker client that pulls work under its name (no
+// handshake: its polls and lease extensions are its liveness and carry
+// its telemetry), executes it on its local engine, and streams results
+// back.
 //
 // The package also owns the job lifecycle itself: Store is the one job
 // table behind the serve layer's /jobs handlers (states, admission,
@@ -208,8 +209,8 @@ type Submission struct {
 	IdempotencyKey string
 }
 
-// NewID returns a 16-hex-character random identifier, used for job IDs,
-// worker IDs and lease tokens alike.
+// NewID returns a 16-hex-character random identifier, used for job IDs
+// and lease tokens alike.
 func NewID() string {
 	var b [8]byte
 	if _, err := rand.Read(b[:]); err != nil {

@@ -15,7 +15,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -83,26 +82,16 @@ func submitBytes(t *testing.T, r *Router, fasta []byte, key string) JobStatus {
 	return st
 }
 
-// fakeWorker drives the worker protocol by hand, without an engine.
+// fakeWorker drives the worker protocol by hand, without an engine. The
+// router learns of it from its first poll.
 type fakeWorker struct {
 	t    *testing.T
 	url  string
-	id   string
 	name string
 }
 
-func registerFake(t *testing.T, url, name string) *fakeWorker {
-	t.Helper()
-	f := &fakeWorker{t: t, url: url, name: name}
-	resp := f.post("/cluster/register", registerRequest{Name: name, Backend: "cpu"}, nil)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("register: %s", resp.Status)
-	}
-	var out registerResponse
-	json.NewDecoder(resp.Body).Decode(&out)
-	resp.Body.Close()
-	f.id = out.WorkerID
-	return f
+func newFakeWorker(t *testing.T, url, name string) *fakeWorker {
+	return &fakeWorker{t: t, url: url, name: name}
 }
 
 func (f *fakeWorker) post(path string, body any, hdr map[string]string) *http.Response {
@@ -134,7 +123,7 @@ func (f *fakeWorker) post(path string, body any, hdr map[string]string) *http.Re
 // lease long-polls one job; ok=false on an empty poll.
 func (f *fakeWorker) lease(waitMs int64) (spec *Spec, jobID, lease string, ok bool) {
 	f.t.Helper()
-	resp := f.post("/cluster/poll", pollRequest{WorkerID: f.id, WaitMs: waitMs}, nil)
+	resp := f.post("/cluster/poll", pollRequest{Name: f.name, Backend: "cpu", WaitMs: waitMs}, nil)
 	defer resp.Body.Close()
 	if resp.StatusCode == http.StatusNoContent {
 		return nil, "", "", false
@@ -157,7 +146,7 @@ func (f *fakeWorker) lease(waitMs int64) (spec *Spec, jobID, lease string, ok bo
 // any lease it grants.
 func (f *fakeWorker) poll(waitMs int64, snap *telemetry.Snapshot) int {
 	f.t.Helper()
-	resp := f.post("/cluster/poll", pollRequest{WorkerID: f.id, WaitMs: waitMs, Snapshot: snap}, nil)
+	resp := f.post("/cluster/poll", pollRequest{Name: f.name, Backend: "cpu", WaitMs: waitMs, Snapshot: snap}, nil)
 	resp.Body.Close()
 	return resp.StatusCode
 }
@@ -165,16 +154,15 @@ func (f *fakeWorker) poll(waitMs int64, snap *telemetry.Snapshot) int {
 // extend renews a lease, carrying snap, and returns the status.
 func (f *fakeWorker) extend(jobID, lease string, snap *telemetry.Snapshot) int {
 	f.t.Helper()
-	resp := f.post("/cluster/jobs/"+jobID+"/extend", extendRequest{WorkerID: f.id, Lease: lease, Snapshot: snap}, nil)
+	resp := f.post("/cluster/jobs/"+jobID+"/extend", extendRequest{Lease: lease, Snapshot: snap}, nil)
 	resp.Body.Close()
 	return resp.StatusCode
 }
 
 func (f *fakeWorker) complete(jobID, lease string, paf []byte) int {
 	resp := f.post("/cluster/jobs/"+jobID+"/complete", paf, map[string]string{
-		"X-Logan-Lease":     lease,
-		"X-Logan-Worker-Id": f.id,
-		"X-Logan-Overlaps":  "1",
+		"X-Logan-Lease":    lease,
+		"X-Logan-Overlaps": "1",
 	})
 	resp.Body.Close()
 	return resp.StatusCode
@@ -271,7 +259,7 @@ func TestRouterLeaseLifecycle(t *testing.T) {
 		t.Fatalf("state %q after submit", st.State)
 	}
 
-	w := registerFake(t, srv.URL, "w1")
+	w := newFakeWorker(t, srv.URL, "w1")
 	spec, jobID, lease, ok := w.lease(1000)
 	if !ok || jobID != st.ID {
 		t.Fatalf("lease: ok=%v job=%q want %q", ok, jobID, st.ID)
@@ -311,13 +299,13 @@ func TestLeaseExpiryRequeues(t *testing.T) {
 	const ttl = 10 * time.Second
 	r, srv := testRouterAt(t, clock.Now, func(o *RouterOptions) {
 		o.LeaseTTL = ttl
-		// Registration must outlive many expired leases: a worker that
-		// leases-and-dies repeatedly is still registered, just useless.
+		// The worker's row must outlive many expired leases: a worker
+		// that leases-and-dies repeatedly is still listed, just useless.
 		o.WorkerTTL = time.Hour
 		o.MaxRequeues = 2
 	})
 	st := submitBytes(t, r, []byte(">r\nAC\n"), "")
-	dead := registerFake(t, srv.URL, "dead")
+	dead := newFakeWorker(t, srv.URL, "dead")
 	if _, id, _, ok := dead.lease(0); !ok || id != st.ID {
 		t.Fatal("dead worker failed to lease")
 	}
@@ -330,7 +318,7 @@ func TestLeaseExpiryRequeues(t *testing.T) {
 	// goes to the survivor with requeues=1.
 	clock.Advance(time.Second)
 	r.expire()
-	survivor := registerFake(t, srv.URL, "survivor")
+	survivor := newFakeWorker(t, srv.URL, "survivor")
 	_, id, lease, ok := survivor.lease(0)
 	if !ok || id != st.ID {
 		t.Fatalf("survivor lease: ok=%v id=%q", ok, id)
@@ -342,7 +330,7 @@ func TestLeaseExpiryRequeues(t *testing.T) {
 	// Extending moves the deadline: a full TTL after the lease was taken
 	// the job is still the survivor's.
 	clock.Advance(ttl - time.Second)
-	resp := survivor.post("/cluster/jobs/"+id+"/extend", extendRequest{WorkerID: survivor.id, Lease: lease}, nil)
+	resp := survivor.post("/cluster/jobs/"+id+"/extend", extendRequest{Lease: lease}, nil)
 	resp.Body.Close()
 	clock.Advance(2 * time.Second)
 	r.expire()
@@ -373,14 +361,18 @@ func TestLeaseExpiryRequeues(t *testing.T) {
 
 // TestWorkerTTL: a worker is alive while it polls or extends a lease —
 // there is no other liveness message. One silent for more than WorkerTTL
-// drops out of the registry (and readiness) and is told to re-register.
+// drops out of the registry (and readiness), and its next poll lists it
+// again as a fresh row.
 func TestWorkerTTL(t *testing.T) {
 	clock := newFakeClock()
 	r, srv := testRouterAt(t, clock.Now, func(o *RouterOptions) {
 		o.LeaseTTL = 10 * time.Second
 		o.WorkerTTL = 30 * time.Second
 	})
-	w := registerFake(t, srv.URL, "w1")
+	w := newFakeWorker(t, srv.URL, "w1")
+	if code := w.poll(0, nil); code != http.StatusNoContent {
+		t.Fatalf("first poll: %d", code)
+	}
 	clock.Advance(30 * time.Second)
 	if !r.Ready() {
 		t.Fatal("worker dropped at exactly WorkerTTL")
@@ -424,16 +416,25 @@ func TestWorkerTTL(t *testing.T) {
 	if r.Ready() || len(r.Workers()) != 0 {
 		t.Fatal("silent worker still listed after WorkerTTL")
 	}
-	// 410 before the expiry sweep has run as well as after it: a dropped
-	// worker must register again, not be revived by its next poll.
+	// The next poll lists the dropped worker again with zeroed counters,
+	// before the expiry sweep has run as well as after it: the row it had
+	// is not revived.
 	for sweep := 0; sweep < 2; sweep++ {
-		if code := w.poll(0, nil); code != http.StatusGone {
-			t.Fatalf("poll of a dropped worker (sweeps run: %d): %d, want 410", sweep, code)
+		if sweep == 1 {
+			st := submitBytes(t, r, []byte(">r2\nAC\n"), "")
+			_, id, lease, ok := w.lease(0)
+			if !ok || id != st.ID || w.complete(id, lease, []byte("ok\n")) != http.StatusOK {
+				t.Fatalf("second job: lease ok=%v id=%q", ok, id)
+			}
+			clock.Advance(31 * time.Second)
+			r.expire()
 		}
-		r.expire()
-	}
-	if len(r.Workers()) != 0 {
-		t.Fatal("a refused poll revived the dropped worker")
+		if code := w.poll(0, nil); code != http.StatusNoContent {
+			t.Fatalf("poll of a dropped worker (sweeps run: %d): %d", sweep, code)
+		}
+		if ws := r.Workers(); len(ws) != 1 || ws[0].Name != "w1" || ws[0].Completed != 0 || ws[0].Leases != 0 {
+			t.Fatalf("after the poll of a dropped worker (sweeps run: %d): %+v, want w1 with zeroed counters", sweep, ws)
+		}
 	}
 }
 
@@ -447,7 +448,7 @@ func TestWorkerTTLNotBelowLeaseTTL(t *testing.T) {
 		o.WorkerTTL = time.Second
 	})
 	submitBytes(t, r, []byte(">r\nAC\n"), "")
-	w := registerFake(t, srv.URL, "w1")
+	w := newFakeWorker(t, srv.URL, "w1")
 	_, id, lease, ok := w.lease(0)
 	if !ok {
 		t.Fatal("no lease")
@@ -466,7 +467,7 @@ func TestWorkerTTLNotBelowLeaseTTL(t *testing.T) {
 
 // TestWorkerSnapshotsRidePollAndExtend: the telemetry snapshot a worker
 // sends with a poll is what the rollup reads, a later lease extension's
-// snapshot replaces it, and a worker the router does not know stores
+// snapshot replaces it, and an extension under a stale lease stores
 // nothing.
 func TestWorkerSnapshotsRidePollAndExtend(t *testing.T) {
 	r, srv := testRouter(t, func(o *RouterOptions) { o.LeaseTTL = time.Minute })
@@ -482,7 +483,7 @@ func TestWorkerSnapshotsRidePollAndExtend(t *testing.T) {
 		}
 		return len(got), v
 	}
-	w := registerFake(t, srv.URL, "w1")
+	w := newFakeWorker(t, srv.URL, "w1")
 	if n, _ := reported(); n != 0 {
 		t.Fatalf("%d snapshots before any poll", n)
 	}
@@ -505,15 +506,11 @@ func TestWorkerSnapshotsRidePollAndExtend(t *testing.T) {
 		t.Fatalf("after an extend: %d snapshots, w1 reports %v; want 1, 2", n, v)
 	}
 
-	ghost := &fakeWorker{t: t, url: srv.URL, id: "not-registered", name: "ghost"}
-	if code := ghost.poll(0, snap(3)); code != http.StatusGone {
-		t.Fatalf("unknown worker's poll: %d, want 410", code)
-	}
-	if code := ghost.extend(id, lease, snap(4)); code != http.StatusOK {
-		t.Fatalf("unknown worker's extend of a live lease: %d", code)
+	if code := w.extend(id, "stale-"+lease, snap(3)); code != http.StatusConflict {
+		t.Fatalf("extend under a stale lease: %d, want 409", code)
 	}
 	if n, v := reported(); n != 1 || v != 2 {
-		t.Fatalf("after an unknown worker's reports: %d snapshots, w1 reports %v; want 1, 2", n, v)
+		t.Fatalf("after a stale extend: %d snapshots, w1 reports %v; want 1, 2", n, v)
 	}
 }
 
@@ -523,7 +520,7 @@ func TestWorkerSnapshotsRidePollAndExtend(t *testing.T) {
 func TestPollCappedAtWorkerTTL(t *testing.T) {
 	const ttl = 300 * time.Millisecond
 	r, srv := testRouter(t, func(o *RouterOptions) { o.WorkerTTL = ttl })
-	w := registerFake(t, srv.URL, "w1")
+	w := newFakeWorker(t, srv.URL, "w1")
 	start := time.Now()
 	code := w.poll(30_000, nil)
 	took := time.Since(start)
@@ -573,7 +570,7 @@ func TestWALReplayAcrossRestart(t *testing.T) {
 	// And the leased spec carries the original payload.
 	srv := httptest.NewServer(r2.Handler())
 	defer srv.Close()
-	w := registerFake(t, srv.URL, "w1")
+	w := newFakeWorker(t, srv.URL, "w1")
 	spec, id, _, ok := w.lease(1000)
 	if !ok || id != st.ID || !bytes.Equal(spec.Fasta, fasta) {
 		t.Fatalf("replayed lease: ok=%v id=%q fasta=%q", ok, id, spec.Fasta)
@@ -581,25 +578,25 @@ func TestWALReplayAcrossRestart(t *testing.T) {
 }
 
 func TestRouterAuthToken(t *testing.T) {
-	_, srv := testRouter(t, func(o *RouterOptions) { o.Token = "s3cret" })
-	resp, err := http.Post(srv.URL+"/cluster/register", "application/json",
+	r, srv := testRouter(t, func(o *RouterOptions) { o.Token = "s3cret" })
+	resp, err := http.Post(srv.URL+"/cluster/poll", "application/json",
 		strings.NewReader(`{"name":"w1"}`))
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusUnauthorized {
-		t.Fatalf("tokenless register: %s, want 401", resp.Status)
+	if resp.StatusCode != http.StatusUnauthorized || r.Ready() {
+		t.Fatalf("tokenless poll: %s (ready %v), want 401 and no worker", resp.Status, r.Ready())
 	}
-	req, _ := http.NewRequest(http.MethodPost, srv.URL+"/cluster/register", strings.NewReader(`{"name":"w1"}`))
+	req, _ := http.NewRequest(http.MethodPost, srv.URL+"/cluster/poll", strings.NewReader(`{"name":"w1"}`))
 	req.Header.Set("X-Logan-Cluster-Token", "s3cret")
 	resp2, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp2.Body.Close()
-	if resp2.StatusCode != http.StatusOK {
-		t.Fatalf("tokened register: %s", resp2.Status)
+	if resp2.StatusCode != http.StatusNoContent || !r.Ready() {
+		t.Fatalf("tokened poll: %s (ready %v), want 204 and a worker", resp2.Status, r.Ready())
 	}
 }
 
@@ -755,7 +752,7 @@ func TestSubmitUnavailable(t *testing.T) {
 	if n := r.t.submitted.Value(); n != 0 {
 		t.Fatalf("a refused append still counted %v submissions", n)
 	}
-	if _, _, _, ok := registerFake(t, srv.URL, "w1").lease(0); ok {
+	if _, _, _, ok := newFakeWorker(t, srv.URL, "w1").lease(0); ok {
 		t.Fatal("a refused append left a job in the queue")
 	}
 }
@@ -797,13 +794,25 @@ func TestRouterReadyNeedsWorker(t *testing.T) {
 	if r.Ready() {
 		t.Fatal("workerless router reports ready")
 	}
-	registerFake(t, srv.URL, "w1")
+	if code := newFakeWorker(t, srv.URL, "bad name").poll(0, nil); code != http.StatusBadRequest || r.Ready() {
+		t.Fatalf("poll under a name that is not label-safe: %d (ready %v), want 400 and no worker", code, r.Ready())
+	}
+	if code := newFakeWorker(t, srv.URL, "w1").poll(0, nil); code != http.StatusNoContent {
+		t.Fatalf("first poll: %d", code)
+	}
 	if !r.Ready() {
-		t.Fatal("router with a registered worker reports not ready")
+		t.Fatal("router with a polling worker reports not ready")
 	}
 	ws := r.Workers()
-	if len(ws) != 1 || ws[0].Name != "w1" || ws[0].Backend != "cpu" {
+	if len(ws) != 1 || ws[0].Name != "w1" || ws[0].Backend != "cpu" || ws[0].CellsPS != 0 {
 		t.Fatalf("workers: %+v", ws)
+	}
+	// CellsPS is the engine throughput gauge of the last snapshot.
+	reg := telemetry.NewRegistry()
+	reg.GaugeFunc("logan_engine_throughput_cells_per_second", "h", func() float64 { return 5e8 })
+	newFakeWorker(t, srv.URL, "w1").poll(0, reg.Snapshot())
+	if ws := r.Workers(); len(ws) != 1 || ws[0].CellsPS != 5e8 {
+		t.Fatalf("workers after a snapshot: %+v, want CellsPS 5e8", ws)
 	}
 }
 
@@ -820,11 +829,10 @@ func TestSubmitLimits(t *testing.T) {
 	}
 }
 
-// TestWorkerStopDuringRegister: a worker canceled or killed while its
-// register (or re-register, after the router forgot it) is in flight
-// stops gracefully — Run returns nil, as it does when the stop lands in a
-// poll. The router stub holds each register reply on a channel until the
-// stop has happened, so the stop always lands inside the request.
+// TestWorkerStopDuringRegister: a worker registers by its first poll, and
+// one canceled or killed while that poll is in flight stops gracefully —
+// Run returns nil. The router stub holds the poll until the stop has
+// happened, so the stop always lands inside the request.
 func TestWorkerStopDuringRegister(t *testing.T) {
 	eng, err := logan.NewAligner(logan.EngineOptions{Threads: 1})
 	if err != nil {
@@ -836,31 +844,20 @@ func TestWorkerStopDuringRegister(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
-		name       string
-		reregister bool // the stop lands in the register that follows a 410 poll
-		kill       bool // Kill instead of a context cancel
+		name string
+		kill bool // Kill instead of a context cancel
 	}{
-		{"register/cancel", false, false},
-		{"register/kill", false, true},
-		{"reregister/cancel", true, false},
-		{"reregister/kill", true, true},
+		{"register/cancel", false},
+		{"register/kill", true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			arrived := make(chan struct{}, 2)
+			arrived := make(chan struct{}, 1)
 			hold := make(chan struct{})
-			var registers atomic.Int32
 			mux := http.NewServeMux()
-			mux.HandleFunc("POST /cluster/register", func(w http.ResponseWriter, r *http.Request) {
-				if tc.reregister && registers.Add(1) == 1 {
-					writeJSON(w, registerResponse{WorkerID: "w-1"})
-					return
-				}
+			mux.HandleFunc("POST /cluster/poll", func(w http.ResponseWriter, r *http.Request) {
 				arrived <- struct{}{}
 				<-hold
-				writeJSON(w, registerResponse{WorkerID: "w-2"})
-			})
-			mux.HandleFunc("POST /cluster/poll", func(w http.ResponseWriter, r *http.Request) {
-				w.WriteHeader(http.StatusGone)
+				w.WriteHeader(http.StatusNoContent)
 			})
 			srv := httptest.NewServer(mux)
 			defer srv.Close()
@@ -881,8 +878,33 @@ func TestWorkerStopDuringRegister(t *testing.T) {
 				cancel()
 			}
 			if err := <-ran; err != nil {
-				t.Fatalf("Run after a stop during register: %v, want nil", err)
+				t.Fatalf("Run after a stop during the first poll: %v, want nil", err)
 			}
 		})
+	}
+}
+
+// TestWorkerRefusedPoll: a poll the router refuses for a bad token ends
+// Run with that error at once — a retry cannot fix it.
+func TestWorkerRefusedPoll(t *testing.T) {
+	eng, err := logan.NewAligner(logan.EngineOptions{Threads: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	ov, err := logan.NewOverlapper(eng, logan.OverlapperOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, srv := testRouter(t, func(o *RouterOptions) { o.Token = "s3cret" })
+	wk, err := NewWorker(WorkerOptions{RouterURL: srv.URL, Name: "w1", Token: "wrong", Overlapper: ov})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := wk.Run(context.Background()); !errors.Is(err, errRefused) || !strings.Contains(err.Error(), "401") {
+		t.Fatalf("Run with a bad token: %v, want the refused 401", err)
+	}
+	if r.Ready() {
+		t.Fatal("a refused poll listed the worker")
 	}
 }

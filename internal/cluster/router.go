@@ -25,8 +25,8 @@ type RouterOptions struct {
 	// its lease before the job requeues (default 10s). Workers extend
 	// at TTL/3, so a dead worker delays its job by at most one TTL.
 	LeaseTTL time.Duration
-	// WorkerTTL is how long a registered worker may go without a poll
-	// or a lease report before it is dropped from the registry and the
+	// WorkerTTL is how long a worker may go without a poll or a lease
+	// report before it is dropped from the registry and the
 	// readiness/rollup views (default 3x LeaseTTL, never less than
 	// LeaseTTL). A long-poll is held at most WorkerTTL/3, so an idle
 	// worker re-polls well inside it; a busy one is seen only at its
@@ -83,21 +83,18 @@ type lease struct {
 	expires time.Time
 }
 
-// workerState is one registered worker.
+// workerState is one worker's row in the registry, which is keyed by
+// the worker's name.
 type workerState struct {
-	id       string
-	name     string
 	backend  string
-	cellsPS  float64 // worker-reported throughput estimate
 	seen     time.Time
-	joined   time.Time
 	snapshot *telemetry.Snapshot // latest registry snapshot from a poll or extend
 	done     int64
 	failed   int64
 }
 
 // Router is the front tier's leased dispatcher: durable admission into
-// the write-ahead queue, leased dispatch to registered workers,
+// the write-ahead queue, leased dispatch to the workers that poll it,
 // lease-expiry requeue, and the cluster-wide telemetry rollup. The job
 // records themselves live in the embedded Store, whose mutex also guards
 // every field below it.
@@ -108,9 +105,9 @@ type Router struct {
 	// The dispatcher's own counters; the logan_jobs_* family is the Store's.
 	requeued, expired, replayed, staleLeases *telemetry.Counter
 
-	pending []string // queued job IDs, FIFO
-	workers map[string]*workerState
-	wake    chan struct{} // closed+replaced when work arrives
+	pending []string                // queued job IDs, FIFO
+	workers map[string]*workerState // by worker name
+	wake    chan struct{}           // closed+replaced when work arrives
 	done    chan struct{}
 	loopWG  sync.WaitGroup
 }
@@ -147,7 +144,7 @@ func newRouter(opt RouterOptions, now func() time.Time) (*Router, error) {
 		staleLeases: reg.Counter("logan_cluster_stale_lease_total", "Worker reports rejected for carrying a superseded lease token."),
 	}
 	r.Store.d = r
-	reg.GaugeFunc("logan_cluster_workers", "Live registered workers.", func() float64 {
+	reg.GaugeFunc("logan_cluster_workers", "Live workers (seen within WorkerTTL).", func() float64 {
 		return float64(len(r.Workers()))
 	})
 	reg.GaugeFunc("logan_cluster_queue_depth", "Pending records in the write-ahead queue.", func() float64 {
@@ -219,9 +216,9 @@ func (r *Router) expire() {
 		r.expired.Inc()
 		r.requeueLocked(j, fmt.Sprintf("lease expired on worker %q", j.worker))
 	}
-	for id, w := range r.workers {
+	for name, w := range r.workers {
 		if now.Sub(w.seen) > r.opt.WorkerTTL {
-			delete(r.workers, id)
+			delete(r.workers, name)
 		}
 	}
 }
@@ -305,13 +302,14 @@ func (r *Router) close() {
 	r.wal.Close()
 }
 
-// WorkerInfo is one registered worker's public state, for /statz.
+// WorkerInfo is one live worker's public state, for /statz. CellsPS is
+// the engine throughput gauge of the worker's last telemetry snapshot,
+// zero before it has sent one.
 type WorkerInfo struct {
 	Name      string
 	Backend   string
 	CellsPS   float64
 	LastSeen  time.Time
-	Joined    time.Time
 	Completed int64
 	Failed    int64
 	Leases    int
@@ -329,14 +327,17 @@ func (r *Router) Workers() []WorkerInfo {
 		}
 	}
 	var out []WorkerInfo
-	for _, w := range r.workers {
+	for name, w := range r.workers {
 		if now.Sub(w.seen) > r.opt.WorkerTTL {
 			continue
 		}
+		var cellsPS float64
+		if w.snapshot != nil {
+			cellsPS = w.snapshot.Value("logan_engine_throughput_cells_per_second")
+		}
 		out = append(out, WorkerInfo{
-			Name: w.name, Backend: w.backend, CellsPS: w.cellsPS,
-			LastSeen: w.seen, Joined: w.joined,
-			Completed: w.done, Failed: w.failed, Leases: leases[w.name],
+			Name: name, Backend: w.backend, CellsPS: cellsPS, LastSeen: w.seen,
+			Completed: w.done, Failed: w.failed, Leases: leases[name],
 		})
 	}
 	return out
@@ -350,9 +351,9 @@ func (r *Router) WorkerSnapshots() map[string]*telemetry.Snapshot {
 	defer r.mu.Unlock()
 	now := r.now()
 	out := map[string]*telemetry.Snapshot{}
-	for _, w := range r.workers {
+	for name, w := range r.workers {
 		if w.snapshot != nil && now.Sub(w.seen) <= r.opt.WorkerTTL {
-			out[w.name] = w.snapshot
+			out[name] = w.snapshot
 		}
 	}
 	return out
@@ -360,38 +361,28 @@ func (r *Router) WorkerSnapshots() map[string]*telemetry.Snapshot {
 
 // --- worker-facing HTTP API --------------------------------------------
 
-// Wire types of the worker protocol.
-type registerRequest struct {
-	Name    string  `json:"name"`
-	Backend string  `json:"backend"`
-	CellsPS float64 `json:"cellsPerSec,omitempty"`
-}
-
-type registerResponse struct {
-	WorkerID string `json:"workerId"`
-}
-
-// A poll and an extend are how the router knows a worker is alive, idle
-// or busy. Each carries the worker's whole telemetry registry as
-// Snapshot, which the router re-labels with worker=<name> in the cluster
-// rollup.
+// Wire types of the worker protocol. A poll and an extend are how the
+// router knows a worker is alive, idle or busy. Each carries the worker's
+// whole telemetry registry as Snapshot, which the router re-labels with
+// worker=<name> in the cluster rollup. A poll names its worker; an
+// extend, a completion and a failure report carry only the lease, whose
+// job names the worker it was leased to.
 type pollRequest struct {
-	WorkerID string              `json:"workerId"`
+	Name     string              `json:"name"`
+	Backend  string              `json:"backend"`
 	WaitMs   int64               `json:"waitMs"`
 	Snapshot *telemetry.Snapshot `json:"snapshot,omitempty"`
 }
 
 type extendRequest struct {
-	WorkerID string              `json:"workerId"`
 	Lease    string              `json:"lease"`
 	Progress Progress            `json:"progress"`
 	Snapshot *telemetry.Snapshot `json:"snapshot,omitempty"`
 }
 
 type failRequest struct {
-	WorkerID string `json:"workerId"`
-	Lease    string `json:"lease"`
-	Error    string `json:"error"`
+	Lease string `json:"lease"`
+	Error string `json:"error"`
 	// Requeue asks for the job back on the queue (graceful worker
 	// shutdown) instead of a terminal failure (execution error).
 	Requeue bool `json:"requeue"`
@@ -400,7 +391,6 @@ type failRequest struct {
 // Handler returns the worker-facing API, to be mounted under /cluster/.
 func (r *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /cluster/register", r.auth(r.handleRegister))
 	mux.HandleFunc("POST /cluster/poll", r.auth(r.handlePoll))
 	mux.HandleFunc("POST /cluster/jobs/{id}/extend", r.auth(r.handleExtend))
 	mux.HandleFunc("POST /cluster/jobs/{id}/complete", r.auth(r.handleComplete))
@@ -431,36 +421,13 @@ func decodeJSON(w http.ResponseWriter, req *http.Request, dst any, limit int64) 
 	return true
 }
 
-func (r *Router) handleRegister(w http.ResponseWriter, req *http.Request) {
-	var in registerRequest
-	if !decodeJSON(w, req, &in, 1<<20) {
+func (r *Router) handlePoll(w http.ResponseWriter, req *http.Request) {
+	var in pollRequest
+	if !decodeJSON(w, req, &in, 8<<20) {
 		return
 	}
 	if !workerNameRE.MatchString(in.Name) {
 		http.Error(w, fmt.Sprintf("worker name %q is not label-safe (want %s)", in.Name, workerNameRE), http.StatusBadRequest)
-		return
-	}
-	r.mu.Lock()
-	now := r.now()
-	ws := &workerState{
-		id: NewID(), name: in.Name, backend: in.Backend, cellsPS: in.CellsPS,
-		seen: now, joined: now,
-	}
-	// A re-registering worker (restart, silence past WorkerTTL) replaces
-	// its previous incarnation; the old ID's leases expire on their own.
-	for id, old := range r.workers {
-		if old.name == in.Name {
-			delete(r.workers, id)
-		}
-	}
-	r.workers[ws.id] = ws
-	r.mu.Unlock()
-	writeJSON(w, registerResponse{WorkerID: ws.id})
-}
-
-func (r *Router) handlePoll(w http.ResponseWriter, req *http.Request) {
-	var in pollRequest
-	if !decodeJSON(w, req, &in, 8<<20) {
 		return
 	}
 	// An idle worker is known alive only by its polls, so one is never
@@ -469,20 +436,19 @@ func (r *Router) handlePoll(w http.ResponseWriter, req *http.Request) {
 	deadline := time.Now().Add(wait)
 	for {
 		r.mu.Lock()
-		ws, known := r.workers[in.WorkerID]
-		if !known || r.now().Sub(ws.seen) > r.opt.WorkerTTL {
-			r.mu.Unlock()
-			// Tell the worker to re-register (router restarted, or the
-			// worker was declared dead, swept or not yet); 410
-			// distinguishes "you are unknown" from a malformed request.
-			http.Error(w, "unknown worker", http.StatusGone)
-			return
+		ws := r.workers[in.Name]
+		if ws == nil || r.now().Sub(ws.seen) > r.opt.WorkerTTL {
+			// A worker's first poll, or its first since it fell silent
+			// (router restart, or a sweep pending or done), starts a
+			// fresh row.
+			ws = &workerState{}
+			r.workers[in.Name] = ws
 		}
-		ws.seen = r.now()
+		ws.backend, ws.seen = in.Backend, r.now()
 		if in.Snapshot != nil {
 			ws.snapshot = in.Snapshot
 		}
-		if j := r.leaseLocked(ws.name); j != nil {
+		if j := r.leaseLocked(in.Name); j != nil {
 			id, lease, payload := j.id, j.lease.token, j.lease.payload
 			r.mu.Unlock()
 			w.Header().Set("Content-Type", "application/octet-stream")
@@ -529,15 +495,16 @@ func (r *Router) leaseLocked(workerName string) *record {
 }
 
 // leased reports whether (id, lease) names the job's current lease,
-// marking the reporting worker alive when it does and returning its
-// state (nil when the router no longer knows it). The record comes back
-// either way, for the duplicate-completion check. Caller holds mu.
-func (r *Router) leased(id, lease, workerID string) (*record, *workerState, bool) {
+// marking the worker the job is leased to alive when it does and
+// returning its row (nil when the router has dropped it). The record
+// comes back either way, for the duplicate-completion check. Caller
+// holds mu.
+func (r *Router) leased(id, lease string) (*record, *workerState, bool) {
 	j := r.jobs[id]
 	if j == nil || j.lease == nil || j.lease.token == "" || j.lease.token != lease {
 		return j, nil, false
 	}
-	ws := r.workers[workerID]
+	ws := r.workers[j.worker]
 	if ws != nil {
 		ws.seen = r.now()
 	}
@@ -556,7 +523,7 @@ func (r *Router) handleExtend(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	r.mu.Lock()
-	j, ws, ok := r.leased(req.PathValue("id"), in.Lease, in.WorkerID)
+	j, ws, ok := r.leased(req.PathValue("id"), in.Lease)
 	if ok {
 		j.lease.expires = r.now().Add(r.opt.LeaseTTL)
 		r.progress(j, in.Progress)
@@ -590,9 +557,8 @@ func (r *Router) handleComplete(w http.ResponseWriter, req *http.Request) {
 	sum.reads, _ = strconv.Atoi(req.Header.Get("X-Logan-Reads"))
 	sum.cells, _ = strconv.ParseInt(req.Header.Get("X-Logan-Cells"), 10, 64)
 
-	workerID := req.Header.Get("X-Logan-Worker-Id")
 	r.mu.Lock()
-	j, ws, ok := r.leased(req.PathValue("id"), req.Header.Get("X-Logan-Lease"), workerID)
+	j, ws, ok := r.leased(req.PathValue("id"), req.Header.Get("X-Logan-Lease"))
 	if ok {
 		r.complete(j, paf, sum)
 		if ws != nil {
@@ -617,7 +583,7 @@ func (r *Router) handleFail(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	r.mu.Lock()
-	j, ws, ok := r.leased(req.PathValue("id"), in.Lease, in.WorkerID)
+	j, ws, ok := r.leased(req.PathValue("id"), in.Lease)
 	if ok {
 		if ws != nil {
 			ws.failed++

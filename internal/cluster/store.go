@@ -421,7 +421,7 @@ func (s *Store) RetryAfter() time.Duration {
 }
 
 // Ready reports whether the store can make progress on accepted jobs (a
-// router with no registered workers cannot).
+// router with no live workers cannot).
 func (s *Store) Ready() bool { return s.d.slots() > 0 }
 
 // Close stops admitting, then stops the dispatcher: the local runner

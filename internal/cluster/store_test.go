@@ -241,7 +241,7 @@ func newLeasedHarness(t *testing.T, clock *fakeClock, lim limits, reg *telemetry
 	r, err := newRouter(RouterOptions{
 		QueuePath: filepath.Join(t.TempDir(), "jobs.wal"),
 		// The suite's clock jumps by minutes; neither a lease nor the
-		// worker's registration may lapse under a row that is not about that.
+		// worker's row may lapse under a row that is not about that.
 		LeaseTTL: time.Hour, WorkerTTL: 24 * time.Hour,
 		MaxJobs: lim.maxJobs, ResultBytes: lim.resultBytes,
 		PendingBytes: int64(lim.pendingJobs * float64(len(payload))),
@@ -256,7 +256,7 @@ func newLeasedHarness(t *testing.T, clock *fakeClock, lim limits, reg *telemetry
 		h.stop()
 		srv.Close()
 	})
-	h.w = registerFake(t, srv.URL, "w1")
+	h.w = newFakeWorker(t, srv.URL, "w1")
 	return h
 }
 
@@ -293,7 +293,7 @@ func (h *leasedHarness) ran(id string) bool { return h.leased[id] }
 func (e *leasedExec) id() string { return e.jobID }
 
 func (e *leasedExec) extend(p Progress) int {
-	resp := e.h.w.post("/cluster/jobs/"+e.jobID+"/extend", extendRequest{WorkerID: e.h.w.id, Lease: e.lease, Progress: p}, nil)
+	resp := e.h.w.post("/cluster/jobs/"+e.jobID+"/extend", extendRequest{Lease: e.lease, Progress: p}, nil)
 	resp.Body.Close()
 	return resp.StatusCode
 }
@@ -303,7 +303,7 @@ func (e *leasedExec) aborted() bool       { return e.extend(Progress{}) == http.
 func (e *leasedExec) complete(paf string) { e.h.w.complete(e.jobID, e.lease, []byte(paf)) }
 
 func (e *leasedExec) fail(msg string) {
-	resp := e.h.w.post("/cluster/jobs/"+e.jobID+"/fail", failRequest{WorkerID: e.h.w.id, Lease: e.lease, Error: msg}, nil)
+	resp := e.h.w.post("/cluster/jobs/"+e.jobID+"/fail", failRequest{Lease: e.lease, Error: msg}, nil)
 	resp.Body.Close()
 }
 

@@ -21,18 +21,17 @@ type WorkerOptions struct {
 	// RouterURL is the router's base URL (e.g. http://router:8080); the
 	// worker talks to RouterURL/cluster/*.
 	RouterURL string
-	// Name is the worker's cluster identity and its worker="..." label
-	// in the metrics rollup. Must be label-safe ([A-Za-z0-9_.-]+).
+	// Name is the worker's one cluster identity: every poll carries it,
+	// the router leases jobs to it, and it is the worker="..." label in
+	// the metrics rollup. Must be label-safe ([A-Za-z0-9_.-]+) and unique
+	// in the fleet.
 	Name string
 	// Token is the shared cluster secret, if the router requires one.
 	Token string
 	// Overlapper executes leased jobs on the local engine (required).
 	Overlapper *logan.Overlapper
-	// Backend names the local engine backend in capability reports.
+	// Backend names the local engine backend; each poll carries it.
 	Backend string
-	// CellsPS is the worker's advertised throughput estimate
-	// (cells/second), sent at registration; zero omits the report.
-	CellsPS float64
 	// Registry, when non-nil, is snapshotted into each poll and lease
 	// extension so the router can roll this worker's series into the
 	// cluster /metrics.
@@ -53,10 +52,6 @@ type WorkerOptions struct {
 type Worker struct {
 	opt    WorkerOptions
 	client *http.Client
-
-	// id is the current registration, written only by Run's goroutine
-	// (register) before the executions that read it start.
-	id string
 
 	mu        sync.Mutex
 	killCancl []context.CancelFunc
@@ -105,9 +100,12 @@ func (w *Worker) logf(format string, args ...any) {
 	}
 }
 
-// Run registers with the router and serves leased jobs until ctx is
-// canceled (graceful: the in-flight job is released back to the queue)
-// or Kill is called (abrupt: the router finds out via lease expiry).
+// Run serves leased jobs until ctx is canceled (graceful: the
+// in-flight job is released back to the queue) or Kill is called
+// (abrupt: the router finds out via lease expiry). There is no
+// handshake: the first poll introduces the worker to the router. A poll
+// the router refuses (bad name, bad token) ends Run with that error;
+// any other failed poll is retried after a second.
 func (w *Worker) Run(ctx context.Context) error {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -115,66 +113,30 @@ func (w *Worker) Run(ctx context.Context) error {
 	w.killCancl = append(w.killCancl, cancel)
 	w.mu.Unlock()
 
-	if err := w.register(ctx); err != nil {
-		return w.stopped(ctx, err)
-	}
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil
-		}
+	for ctx.Err() == nil {
 		job, err := w.poll(ctx)
-		if err != nil {
-			if ctx.Err() != nil || w.isKilled() {
-				return nil
-			}
-			var re *reregisterError
-			if errors.As(err, &re) {
-				// The router forgot us (restart, or silent past its
-				// WorkerTTL); re-register and carry on.
-				if err := w.register(ctx); err != nil {
-					return w.stopped(ctx, err)
-				}
-				continue
-			}
+		switch {
+		case err == nil && job != nil:
+			w.execute(ctx, job)
+		case err == nil: // long-poll timed out empty
+		case ctx.Err() != nil || w.isKilled():
+			return nil // the stop, not a failure
+		case errors.Is(err, errRefused):
+			return err
+		default:
 			w.logf("worker %s: poll: %v", w.opt.Name, err)
-			if !sleepCtx(ctx, time.Second) {
-				return nil
+			select {
+			case <-time.After(time.Second):
+			case <-ctx.Done():
 			}
-			continue
 		}
-		if job == nil {
-			continue // long-poll timed out empty
-		}
-		w.execute(ctx, job)
 	}
+	return nil
 }
 
-// stopped is what Run returns for an error from register: nil when the
-// worker was canceled or killed meanwhile (the error is then that stop,
-// not a failure), err otherwise.
-func (w *Worker) stopped(ctx context.Context, err error) error {
-	if ctx.Err() != nil || w.isKilled() {
-		return nil
-	}
-	return err
-}
-
-// reregisterError marks a 410 from the router: this worker ID is gone.
-type reregisterError struct{}
-
-func (*reregisterError) Error() string { return "router no longer knows this worker" }
-
-// sleepCtx sleeps d or until ctx cancels; false means canceled.
-func sleepCtx(ctx context.Context, d time.Duration) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-ctx.Done():
-		return false
-	}
-}
+// errRefused marks a poll the router answered 400 or 401: a
+// configuration error (bad name, bad token) that a retry cannot fix.
+var errRefused = errors.New("cluster: router refused this worker")
 
 func (w *Worker) isKilled() bool {
 	select {
@@ -222,42 +184,6 @@ func httpErr(resp *http.Response) error {
 	return fmt.Errorf("router returned %s: %s", resp.Status, bytes.TrimSpace(b))
 }
 
-// register announces the worker, retrying until the router answers or
-// ctx cancels.
-func (w *Worker) register(ctx context.Context) error {
-	req := registerRequest{Name: w.opt.Name, Backend: w.opt.Backend, CellsPS: w.opt.CellsPS}
-	for {
-		resp, err := w.do(ctx, "/cluster/register", req, nil)
-		if err == nil && resp.StatusCode == http.StatusOK {
-			var out registerResponse
-			err = json.NewDecoder(resp.Body).Decode(&out)
-			resp.Body.Close()
-			if err != nil {
-				return err
-			}
-			w.id = out.WorkerID
-			w.logf("worker %s: registered as %s", w.opt.Name, out.WorkerID)
-			return nil
-		}
-		if err == nil {
-			err = httpErr(resp)
-			resp.Body.Close()
-			// 4xx is a configuration error (bad name, bad token) that a
-			// retry cannot fix.
-			if resp.StatusCode >= 400 && resp.StatusCode < 500 {
-				return fmt.Errorf("cluster: register: %w", err)
-			}
-		}
-		if ctx.Err() != nil || w.isKilled() {
-			return ctx.Err()
-		}
-		w.logf("worker %s: register: %v (retrying)", w.opt.Name, err)
-		if !sleepCtx(ctx, time.Second) {
-			return ctx.Err()
-		}
-	}
-}
-
 // snapshot is the local telemetry registry's snapshot, nil without one.
 func (w *Worker) snapshot() *telemetry.Snapshot {
 	if w.opt.Registry == nil {
@@ -277,7 +203,8 @@ type leasedJob struct {
 // snapshot. A nil job means the poll returned empty.
 func (w *Worker) poll(ctx context.Context) (*leasedJob, error) {
 	resp, err := w.do(ctx, "/cluster/poll", pollRequest{
-		WorkerID: w.id, WaitMs: w.opt.PollWait.Milliseconds(), Snapshot: w.snapshot(),
+		Name: w.opt.Name, Backend: w.opt.Backend,
+		WaitMs: w.opt.PollWait.Milliseconds(), Snapshot: w.snapshot(),
 	}, nil)
 	if err != nil {
 		return nil, err
@@ -286,8 +213,8 @@ func (w *Worker) poll(ctx context.Context) (*leasedJob, error) {
 	switch resp.StatusCode {
 	case http.StatusNoContent:
 		return nil, nil
-	case http.StatusGone:
-		return nil, &reregisterError{}
+	case http.StatusBadRequest, http.StatusUnauthorized:
+		return nil, fmt.Errorf("%w: poll: %w", errRefused, httpErr(resp))
 	case http.StatusOK:
 	default:
 		return nil, httpErr(resp)
@@ -349,7 +276,7 @@ func (w *Worker) execute(ctx context.Context, job *leasedJob) {
 			p := prog
 			pmu.Unlock()
 			resp, err := w.do(runCtx, "/cluster/jobs/"+jobID+"/extend",
-				extendRequest{WorkerID: w.id, Lease: lease, Progress: p, Snapshot: w.snapshot()}, nil)
+				extendRequest{Lease: lease, Progress: p, Snapshot: w.snapshot()}, nil)
 			if err != nil {
 				continue // transient; the lease survives a missed beat or two
 			}
@@ -380,11 +307,10 @@ func (w *Worker) execute(ctx context.Context, job *leasedJob) {
 
 	if runErr == nil {
 		resp, err := w.do(ctx, "/cluster/jobs/"+jobID+"/complete", paf, map[string]string{
-			"X-Logan-Lease":     lease,
-			"X-Logan-Worker-Id": w.id,
-			"X-Logan-Overlaps":  strconv.Itoa(sum.overlaps),
-			"X-Logan-Reads":     strconv.Itoa(sum.reads),
-			"X-Logan-Cells":     strconv.FormatInt(sum.cells, 10),
+			"X-Logan-Lease":    lease,
+			"X-Logan-Overlaps": strconv.Itoa(sum.overlaps),
+			"X-Logan-Reads":    strconv.Itoa(sum.reads),
+			"X-Logan-Cells":    strconv.FormatInt(sum.cells, 10),
 		})
 		if err != nil {
 			w.logf("worker %s: job %s: complete: %v", w.opt.Name, jobID, err)
@@ -406,7 +332,7 @@ func (w *Worker) execute(ctx context.Context, job *leasedJob) {
 		runErr = fmt.Errorf("completion rejected: %w", httpErr(resp))
 	}
 
-	fr := failRequest{WorkerID: w.id, Lease: lease, Error: runErr.Error()}
+	fr := failRequest{Lease: lease, Error: runErr.Error()}
 	// A graceful shutdown mid-job releases the job for another worker; a
 	// genuine execution error is terminal.
 	if errors.Is(runErr, context.Canceled) && ctx.Err() != nil {

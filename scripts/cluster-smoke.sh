@@ -2,9 +2,10 @@
 # Cluster-level smoke test: boot one logan-serve router (-cluster, durable
 # queue, shared token) plus two logan-worker processes, and drive the
 # scale-out failure path end to end. Asserts the readiness gate (503 with
-# no workers, 200 once one registers), that the /metrics rollup carries
-# worker="w1" and worker="w2" series, that an Idempotency-Key retry maps
-# onto the original job, and — the core of it — that SIGKILLing the
+# no workers, 200 once one has polled: a worker has no handshake, its
+# name rides each poll), that the /metrics rollup carries worker="w1"
+# and worker="w2" series, that an Idempotency-Key retry maps onto the
+# original job, and — the core of it — that SIGKILLing the
 # worker that holds a job's lease mid-run requeues the job exactly once
 # onto the survivor, whose PAF is byte-identical to an offline cmd/bella
 # run of the same data set. Run from the repo root; CI runs it after the
@@ -56,7 +57,7 @@ W1_PID=$!
 "$WORK/logan-worker" -router "http://$ADDR" -name w2 -token "$TOKEN" &
 W2_PID=$!
 
-# Readiness flips once the engine is warm and a worker has registered.
+# Readiness flips once the engine is warm and a worker has polled.
 READY=""
 for _ in $(seq 1 100); do
   code=$(curl -s -o /dev/null -w '%{http_code}' "http://$ADDR/readyz")
@@ -67,7 +68,7 @@ for _ in $(seq 1 100); do
   sleep 0.1
 done
 if [ -z "$READY" ]; then
-  echo "cluster-smoke: /readyz never reached 200 with workers registered" >&2
+  echo "cluster-smoke: /readyz never reached 200 with workers polling" >&2
   exit 1
 fi
 

@@ -13,8 +13,8 @@
 # extraction one sweep, the pipelines one
 # radix sort and one alignment algorithm, BELLA's front end one k-mer
 # pass, the coalescer's flusher batches and no per-request work, and a
-# cluster worker no message but its work. Run from the repo root;
-# CI runs it alongside the unit tests.
+# cluster worker no message but its work and no identity but its name.
+# Run from the repo root; CI runs it alongside the unit tests.
 # The doc checker itself is scripts/doclint.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -289,13 +289,18 @@ fi
 # and lease extensions (busy) are its liveness and carry its telemetry
 # snapshot, and the lease TTL travels with each lease. The heartbeat
 # endpoint, its request type, the worker's loop and the register-time
-# cadence stay gone. The names are split so that this file does not
+# cadence stay gone. So does the handshake: a worker's name is its one
+# identity, its first poll introduces it and a lease token names its
+# holder, so the register endpoint, its request type, the worker's
+# re-register error, the worker-ID header and the advertised-throughput
+# flag stay gone too. The names are split so that this file does not
 # match itself.
 gone='/cluster/''heartbeat|heartbeat''Request|heartbeat''Loop|Heartbeat''Ms'
+gone="$gone"'|/cluster/''register|register''Request|reregister''Error|X-Logan-Worker''-Id|cells-per''-sec'
 back=$(grep -rnE --include='*.go' --include='*.md' --include='*.sh' "$gone" . |
 	grep -vE '^\./(CHANGES|ROADMAP|ISSUE)\.md:' || true)
 if [ -n "$back" ]; then
-	echo "doc-lint: a worker liveness message besides poll and extend is back (the heartbeat stays deleted):" >&2
+	echo "doc-lint: a worker message besides poll and extend, or a worker identity besides its name, is back (the heartbeat and the register handshake stay deleted):" >&2
 	echo "$back" >&2
 	exit 1
 fi
