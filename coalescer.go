@@ -222,8 +222,10 @@ func (tt *tenantTele) served(n int) {
 }
 
 // CoalescerMetrics is a snapshot of a Coalescer's lifetime counters and
-// current queue gauges, the observability surface behind logan-serve's
-// /statz "coalescer" block.
+// current queue gauges, for library callers. It reads the same telemetry
+// cells as the registry; logan-serve's /statz "coalescer" block reads
+// those cells from the registry snapshot that also backs /metrics, not
+// from this struct.
 type CoalescerMetrics struct {
 	// Enqueued counts requests admitted to the queue; Shed counts requests
 	// rejected with ErrOverloaded (the sum of the per-reason counters

@@ -53,43 +53,31 @@ func (c Config) Validate() error {
 	return c.Scoring.Validate()
 }
 
-// scoringMode tags the live payload of a Scoring. The zero value is
-// deliberately "unset", so a zero Config fails validation instead of
-// silently selecting a default scheme.
-type scoringMode uint8
-
-const (
-	scoringUnset scoringMode = iota
-	scoringLinear
-	scoringAffine
-	scoringMatrix
-)
-
 // Scoring is the scheme of a Config: linear match/mismatch/gap (the
 // paper's family, GPU-capable), Gotoh affine gaps, or a residue
 // substitution matrix such as BLOSUM62 (both CPU-engine families).
 // Construct values with LinearScoring, AffineScoring or MatrixScoring;
-// the zero value is invalid.
+// the zero value is invalid, and so is LinearScoring(0, 0, 0), which
+// equals it. A Scoring holds the scheme as the engine takes it, built
+// with only its live payload, so two Scorings that select the same scheme
+// are equal.
 type Scoring struct {
-	mode   scoringMode
-	linear xdrop.Scoring
-	affine xdrop.AffineScoring
-	matrix *Matrix
+	sch xdrop.Scheme
 }
 
 // LinearScoring selects the linear scheme: match > 0, mismatch < 0,
 // gap < 0. This is the only scheme the GPU backend executes.
 func LinearScoring(match, mismatch, gap int32) Scoring {
-	return Scoring{mode: scoringLinear, linear: xdrop.Scoring{Match: match, Mismatch: mismatch, Gap: gap}}
+	return Scoring{xdrop.LinearScheme(xdrop.Scoring{Match: match, Mismatch: mismatch, Gap: gap})}
 }
 
 // AffineScoring selects Gotoh affine-gap scoring: a gap of length l
 // costs gapOpen + l*gapExtend (both negative). CPU-engine only; on a
 // Hybrid engine these batches route to the CPU shards.
 func AffineScoring(match, mismatch, gapOpen, gapExtend int32) Scoring {
-	return Scoring{mode: scoringAffine, affine: xdrop.AffineScoring{
+	return Scoring{xdrop.AffineScheme(xdrop.AffineScoring{
 		Match: match, Mismatch: mismatch, GapOpen: gapOpen, GapExtend: gapExtend,
-	}}
+	})}
 }
 
 // MatrixScoring selects substitution-matrix scoring (e.g. Blosum62) with
@@ -97,22 +85,20 @@ func AffineScoring(match, mismatch, gapOpen, gapExtend int32) Scoring {
 // matrix alphabet instead of the DNA alphabet. CPU-engine only; on a
 // Hybrid engine these batches route to the CPU shards.
 func MatrixScoring(m *Matrix) Scoring {
-	return Scoring{mode: scoringMatrix, matrix: m}
+	var xm *xdrop.Matrix
+	if m != nil {
+		xm = m.m
+	}
+	return Scoring{xdrop.MatrixScheme(xm)}
 }
 
 // Mode names the selected scheme: "linear", "affine" or "matrix" ("" for
 // the invalid zero value).
 func (s Scoring) Mode() string {
-	switch s.mode {
-	case scoringLinear:
-		return "linear"
-	case scoringAffine:
-		return "affine"
-	case scoringMatrix:
-		return "matrix"
-	default:
+	if s == (Scoring{}) {
 		return ""
 	}
+	return s.sch.Kind.String()
 }
 
 // MaxAbsParam returns the largest magnitude among the scheme's score
@@ -127,40 +113,32 @@ func (s Scoring) MaxAbsParam() int32 {
 		}
 		return v
 	}
-	switch s.mode {
-	case scoringLinear:
-		return max(abs(s.linear.Match), abs(s.linear.Mismatch), abs(s.linear.Gap))
-	case scoringAffine:
-		return max(abs(s.affine.Match), abs(s.affine.Mismatch),
-			abs(s.affine.GapOpen)+abs(s.affine.GapExtend))
-	case scoringMatrix:
-		if s.matrix == nil || s.matrix.m == nil {
+	switch sch := s.sch; sch.Kind {
+	case xdrop.SchemeAffine:
+		return max(abs(sch.Affine.Match), abs(sch.Affine.Mismatch),
+			abs(sch.Affine.GapOpen)+abs(sch.Affine.GapExtend))
+	case xdrop.SchemeMatrix:
+		if sch.Matrix == nil {
 			return 0
 		}
 		// The matrix's real extreme entry (11 for BLOSUM62), not the int8
 		// type bound: an over-conservative figure would make front ends
 		// reject valid long-sequence requests.
-		return max(s.matrix.m.MaxAbsScore(), abs(s.matrix.m.Gap))
+		return max(sch.Matrix.MaxAbsScore(), abs(sch.Matrix.Gap))
 	default:
-		return 0
+		return max(abs(sch.Linear.Match), abs(sch.Linear.Mismatch), abs(sch.Linear.Gap))
 	}
 }
 
 // Validate rejects unset and nonsensical schemes.
 func (s Scoring) Validate() error {
-	switch s.mode {
-	case scoringLinear:
-		return s.linear.Validate()
-	case scoringAffine:
-		return s.affine.Validate()
-	case scoringMatrix:
-		if s.matrix == nil || s.matrix.m == nil {
-			return fmt.Errorf("logan: matrix scoring with nil matrix")
-		}
-		return nil
-	default:
+	switch {
+	case s == (Scoring{}):
 		return fmt.Errorf("logan: Config.Scoring is unset: construct it with LinearScoring, AffineScoring or MatrixScoring")
+	case s.sch.Kind == xdrop.SchemeMatrix && s.sch.Matrix == nil:
+		return fmt.Errorf("logan: matrix scoring with nil matrix")
 	}
+	return s.sch.Validate()
 }
 
 // Matrix is a residue substitution matrix plus a linear gap penalty —
@@ -242,26 +220,12 @@ func Blosum62(gap int32) *Matrix {
 	return m
 }
 
-// scheme lowers the Config's scoring onto xdrop.Scheme, the one form the
+// scheme is the Config's scoring as xdrop.Scheme, the one form the
 // family takes below this package: the backend argument, the CPU pool's
 // batch parameter and (with X) the coalescer lane and result-cache key are
-// all this value. Only the live payload is populated, so two Configs that
-// select the same scheme lower to equal values. An unset Scoring lowers to
-// the (invalid) all-zero linear scheme; Validate rejects it before any
-// execution.
-func (c Config) scheme() xdrop.Scheme {
-	switch c.Scoring.mode {
-	case scoringAffine:
-		return xdrop.AffineScheme(c.Scoring.affine)
-	case scoringMatrix:
-		if c.Scoring.matrix == nil {
-			return xdrop.MatrixScheme(nil)
-		}
-		return xdrop.MatrixScheme(c.Scoring.matrix.m)
-	default:
-		return xdrop.LinearScheme(c.Scoring.linear)
-	}
-}
+// all this value. An unset Scoring is the (invalid) all-zero linear
+// scheme; Validate rejects it before any execution.
+func (c Config) scheme() xdrop.Scheme { return c.Scoring.sch }
 
 // configKey is the comparable identity of a Config — the coalescer's
 // grouping key. Two requests merge into one engine batch exactly when
@@ -281,8 +245,8 @@ func (c Config) key() configKey { return configKey{x: c.X, sch: c.scheme()} }
 // always alias the raw bytes.
 func (c Config) ingestPair(p *Pair, i int) (seq.Pair, error) {
 	var q, t seq.Seq
-	if c.Scoring.mode == scoringMatrix {
-		m := c.Scoring.matrix.m
+	if c.Scoring.sch.Kind == xdrop.SchemeMatrix {
+		m := c.Scoring.sch.Matrix
 		if !m.ValidSeq(p.Query) {
 			return seq.Pair{}, fmt.Errorf("logan: pair %d query: residues outside the %s alphabet", i, m.Name)
 		}

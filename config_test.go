@@ -77,25 +77,45 @@ func TestBlosum62Interned(t *testing.T) {
 	}
 }
 
-// TestConfigKeyIgnoresDeadPayload: the key is {X, lowered scheme}, and the
-// lowering populates only the live payload — two configs that select the
-// same scheme share a coalescer lane and cache entries whatever is left in
-// the fields their mode does not read, and the key is exactly the value
-// the backend receives.
+// TestConfigKeyIgnoresDeadPayload: the key is {X, scheme}, and a Scoring
+// holds the one xdrop.Scheme its constructor builds, so no Scoring can
+// carry a payload its mode does not read: each constructor gives exactly
+// the xdrop constructor's value, every field but the live one zero. Two
+// configs that select the same scheme therefore share a coalescer lane
+// and cache entries, and the key is exactly the value the backend
+// receives.
 func TestConfigKeyIgnoresDeadPayload(t *testing.T) {
-	clean := Config{X: 40, Scoring: AffineScoring(1, -1, -2, -1)}
-	dirty := clean
-	dirty.Scoring.linear = xdrop.Scoring{Match: 7, Mismatch: -7, Gap: -7}
-	dirty.Scoring.matrix = Blosum62(-6)
-	if clean.key() != dirty.key() {
-		t.Fatalf("dead payload leaked into the key: %+v != %+v", clean.key(), dirty.key())
-	}
-	want := xdrop.AffineScheme(xdrop.AffineScoring{Match: 1, Mismatch: -1, GapOpen: -2, GapExtend: -1})
-	if k := dirty.key(); k.sch != want || k.sch != dirty.scheme() || k.x != 40 {
-		t.Fatalf("key %+v, want {40 %+v}", k, want)
-	}
-	if lin := DefaultConfig(40); lin.key() == clean.key() || lin.scheme() != xdrop.LinearScheme(xdrop.DefaultScoring()) {
-		t.Fatalf("linear config lowered to %+v", lin.scheme())
+	mat := Blosum62(-6)
+	keys := map[configKey]string{}
+	for _, tc := range []struct {
+		s    Scoring
+		want xdrop.Scheme
+	}{
+		{LinearScoring(1, -1, -1), xdrop.LinearScheme(xdrop.DefaultScoring())},
+		{AffineScoring(1, -1, -2, -1), xdrop.AffineScheme(xdrop.AffineScoring{Match: 1, Mismatch: -1, GapOpen: -2, GapExtend: -1})},
+		{MatrixScoring(mat), xdrop.MatrixScheme(mat.m)},
+	} {
+		c := Config{X: 40, Scoring: tc.s}
+		k := c.key()
+		if k.sch != tc.want || k.sch != c.scheme() || k.x != 40 {
+			t.Fatalf("%s: key %+v, want {40 %+v}", tc.s.Mode(), k, tc.want)
+		}
+		live := xdrop.Scheme{Kind: k.sch.Kind}
+		switch k.sch.Kind {
+		case xdrop.SchemeLinear:
+			live.Linear = k.sch.Linear
+		case xdrop.SchemeAffine:
+			live.Affine = k.sch.Affine
+		case xdrop.SchemeMatrix:
+			live.Matrix = k.sch.Matrix
+		}
+		if k.sch != live {
+			t.Fatalf("%s: dead payload in %+v", tc.s.Mode(), k.sch)
+		}
+		if other, dup := keys[k]; dup {
+			t.Fatalf("%s and %s share a key", tc.s.Mode(), other)
+		}
+		keys[k] = tc.s.Mode()
 	}
 }
 

@@ -72,10 +72,10 @@ func BenchmarkKernel(b *testing.B) {
 	}
 	for _, reg := range kernelRegimes {
 		b.Run(fmt.Sprintf("affine/%s", reg.name), wavefront(func(x int32) Result {
-			return w.extend(q, t, AffineScheme(aff), x, KernelScalar)
+			return w.extend(q, t, false, AffineScheme(aff), x, KernelScalar, nil)
 		}, reg.x))
 		b.Run(fmt.Sprintf("matrix/%s", reg.name), wavefront(func(x int32) Result {
-			return w.extend(q, t, MatrixScheme(mat), x, KernelScalar)
+			return w.extend(q, t, false, MatrixScheme(mat), x, KernelScalar, nil)
 		}, reg.x))
 		b.Run(fmt.Sprintf("scalar/%s", reg.name), wavefront(func(x int32) Result {
 			return w.Extend(q, t, sc, x)

@@ -41,12 +41,11 @@ func VectorEligible(sc Scoring, x int32) bool {
 		sc.Gap < 0 && sc.Gap >= -VectorMaxScore
 }
 
-// fusedPad is the readable slack on each side of the sequences the
-// AVX-512 routine's register mode reads, its padded copy of q and rt: a
-// 128-lane frame reads 128 bases of each from up to 128 bases before their
-// start to up to 128 after their end. Only the bases its band compares
-// need to be filled; the rest never reach a score. The fused routines
-// take rt at fusedPad bytes into a buffer of n+2*fusedPad.
+// fusedPad is the slack on each side of an extension's staged copies of
+// q and of the reversed target (see fusedSlot.stage): the AVX-512
+// routine's 128-lane frames read 128 bases of each from up to 128 bases
+// before their start to up to 128 after their end. The bytes in the slack
+// never reach a score, so staging leaves them as they are.
 const fusedPad = 128
 
 // fusedState is what a fused routine and its Go driver share: the
@@ -77,16 +76,13 @@ type fusedState struct {
 	// frame between calls; 0 while they are in the diagonal buffers.
 	lanes int
 
-	// What the routines read: the diagonal buffers; q (on AVX-512 its
-	// padded copy), t, and rt at fusedPad into its buffer of n+2*fusedPad,
-	// which the solo routines fill, rt[n-d] = t[d-1], while d <= fill (0
-	// once the driver has filled it whole); the trace, nil when untraced,
-	// else room for m+n widths with the one of anti-diagonal d at
-	// trace[d-1].
-	v        *[3][]int16
-	q, t, rt *byte
-	fill     int
-	trace    *int32
+	// What the routines read: the diagonal buffers; the slot's staged q
+	// and reversed target rt, each fusedPad bytes into its padded buffer;
+	// the trace, nil when untraced, else room for m+n widths with the one
+	// of anti-diagonal d at trace[d-1].
+	v     *[3][]int16
+	q, rt *byte
+	trace *int32
 
 	// The frame while lanes is not 0: F_d (lane l of anti-diagonal d
 	// holds cell F_d + l), the band of d as a lane mask (the paired
@@ -106,20 +102,51 @@ type fusedState struct {
 }
 
 // fusedSlot is one extension's place on the fused routines: its state,
-// its three diagonal buffers, its padded copies of q (AVX-512) and of the
-// reversed target, the reversal staging of a left extension, what the
-// rebase took off its scores, and what the register mode did for it
-// (added to the Workspace's when it ends). A Workspace has two: the solo
-// routine runs in the first, a Pool worker's paired stream in both.
+// its three diagonal buffers, the padded buffers its extension is staged
+// into, what the rebase took off its scores, and what the register mode
+// did for it (added to the Workspace's when it ends). A Workspace has two:
+// the solo routine runs in the first, which also stages the extensions of
+// every other kernel, and a Pool worker's paired stream in both.
 type fusedSlot struct {
-	st         fusedState
-	v          [3][]int16
-	rt, qp     seq.Seq
-	revQ, revT seq.Seq
-	base       int32
-	trace      *[]int32
-	traced     int // len(*trace) when the extension started
-	modes      regModes
+	st     fusedState
+	v      [3][]int16
+	q, rt  seq.Seq
+	base   int32
+	trace  *[]int32
+	traced int // len(*trace) when the extension started
+	modes  regModes
+}
+
+// stage lays out one extension for every kernel, once, in s's two padded
+// buffers: qs is q, reversed for rev, and rt the target reversed, so that
+// cell (i, j) of the extension compares qs[i-1] with rt[n-j] and the
+// kernels read both forward along an anti-diagonal. For rev (a seed's left
+// extension, over both prefixes reversed, paper Figs. 5-6) rt is the
+// target prefix as it stands. Each copy sits fusedPad bytes into its
+// buffer with fusedPad bytes of slack after it. stage reads q and t only
+// inside [0, m) and [0, n); the buffers are reallocated only when their
+// capacity is short.
+func (s *fusedSlot) stage(q, t seq.Seq, rev bool) (qs, rt seq.Seq) {
+	m, n := len(q), len(t)
+	s.q = grow(s.q, m+2*fusedPad)
+	s.rt = grow(s.rt, n+2*fusedPad)
+	qs, rt = s.q[fusedPad:][:m], s.rt[fusedPad:][:n]
+	if rev {
+		seq.AppendReverse(qs[:0], q)
+		copy(rt, t)
+	} else {
+		copy(qs, q)
+		seq.AppendReverse(rt[:0], t)
+	}
+	return qs, rt
+}
+
+// grow returns b resized to n, reallocated only when its capacity is short.
+func grow[E any](b []E, n int) []E {
+	if cap(b) < n {
+		return make([]E, n)
+	}
+	return b[:n]
 }
 
 // rowISA names the routine an int16 extension runs on. It is set once at
@@ -151,10 +178,7 @@ func VectorISA() string {
 // rebasing (see the constants above) keeps lane values exact in int16, so
 // no saturating clamp can ever touch a live score.
 func (w *Workspace) ExtendVector(q, t seq.Seq, sc Scoring, x int32) Result {
-	if !VectorEligible(sc, x) {
-		return w.Extend(q, t, sc, x)
-	}
-	return w.extendVector(q, t, false, sc, int16(x), nil)
+	return w.extend(q, t, false, LinearScheme(sc), x, KernelVector, nil)
 }
 
 // ExtendTrace is the linear extension with its band trace: it runs the
@@ -166,11 +190,6 @@ func (w *Workspace) ExtendVector(q, t seq.Seq, sc Scoring, x int32) Result {
 // none wider than MaxBand. Its caller is the simulated device
 // (internal/core), which replays the trace as a block's work accounting.
 func (w *Workspace) ExtendTrace(q, t seq.Seq, sc Scoring, x int32, trace []int32) (Result, []int32) {
-	var r Result
-	if VectorEligible(sc, x) {
-		r = w.extendVector(q, t, false, sc, int16(x), &trace)
-	} else {
-		r = wave(&w.d, &w.rt, q, t, x, linearRow(sc), &trace)
-	}
+	r := w.extend(q, t, false, LinearScheme(sc), x, KernelVector, &trace)
 	return r, trace
 }

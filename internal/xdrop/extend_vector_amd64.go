@@ -21,12 +21,6 @@ func detectISA() rowISA {
 	return isaSSE2
 }
 
-// extendVector runs one int16 extension on the fused routine vectorISA
-// names, in the workspace's first slot.
-func (w *Workspace) extendVector(q, t seq.Seq, rev bool, sc Scoring, x int16, trace *[]int32) Result {
-	return w.extendFused(q, t, rev, sc, x, trace, vectorISA)
-}
-
 // regReload is the widest band at which the AVX-512 routine moves the
 // carried anti-diagonals from memory into registers, where they stay while
 // the band fits the 128-lane frame. It must leave the frame two spare
@@ -47,96 +41,39 @@ const regNarrow = 48
 // every millisecond or so (assembly is never preempted asynchronously).
 const fusedBudget = 1 << 20
 
-// extendFused is wave for int16 cells with the whole loop in one assembly
-// call: scores, extents, tie order, work counters and trace are those of
-// wave over linearRow, bit for bit (FuzzExtendVectorDifferential). The call
-// returns early only to pause — once the band-local best reaches the
-// rebase mark, or once fusedBudget cells have run — or, on AVX-512, for
-// Go to move the carried rows into or out of a register frame, and
-// resumes from fusedState. rev extends over q and t reversed; isa selects
-// the routine.
-func (w *Workspace) extendFused(q, t seq.Seq, rev bool, sc Scoring, x int16, trace *[]int32, isa rowISA) Result {
+// extendVector is wave for int16 cells with the whole loop in one
+// assembly call, on the fused routine vectorISA names, in the workspace's
+// first slot: scores, extents, tie order, work counters and trace are
+// those of wave over linearRow, bit for bit (FuzzExtendVectorDifferential).
+// The call returns early only to pause — once the band-local best reaches
+// the rebase mark, or once fusedBudget cells have run — or, on AVX-512,
+// for Go to move the carried rows into or out of a register frame, and
+// resumes from fusedState. rev extends over q and t reversed.
+func (w *Workspace) extendVector(q, t seq.Seq, rev bool, sc Scoring, x int16, trace *[]int32) Result {
 	s := &w.fused[0]
-	if !s.start(q, t, rev, sc, x, trace, isa) {
+	if !s.start(q, t, rev, sc, x, trace, vectorISA) {
 		return Result{}
 	}
-	s.run(isa)
+	s.run(vectorISA)
 	return s.finish(&w.modes)
 }
 
-// grow returns b resized to n, reallocated only when its capacity is short.
-func grow[E any](b []E, n int) []E {
-	if cap(b) < n {
-		return make([]E, n)
-	}
-	return b[:n]
-}
-
 // start stages one extension on s for the fused routine isa names, from
-// anti-diagonal 1: its diagonal buffers, its reversed target rt (filled
-// by the routine one base per anti-diagonal), and on AVX-512 the padded
-// copy of q the routine reads, filled here whole, and the carried rows
-// in a 64-lane frame. rev extends over q and t reversed, staged into the
-// slot. It reports false for an empty extension, whose Result is the
-// zero one.
+// anti-diagonal 1: q and the reversed target (stage; rev extends over q
+// and t reversed), its diagonal buffers with anti-diagonal 0 in place, the
+// trace, and the state at anti-diagonal 1, on AVX-512 with the carried
+// rows in a 64-lane frame. It reports false for an empty extension, whose
+// Result is the zero one.
 func (s *fusedSlot) start(q, t seq.Seq, rev bool, sc Scoring, x int16, trace *[]int32, isa rowISA) bool {
-	if len(q) == 0 || len(t) == 0 {
+	m, n := len(q), len(t)
+	if m == 0 || n == 0 {
 		return false
 	}
-	if rev {
-		s.revT = seq.AppendReverse(s.revT[:0], t)
-		t = s.revT
-	}
-	s.init(q, rev, len(t), sc, x, trace, isa)
-	s.st.t, s.st.fill = &t[0], len(t)
-	return true
-}
-
-// startPaired stages one extension on s for the paired routine, which
-// does not fill rt: rt is filled here whole (a left extension's rt is its
-// target prefix as it stands, so it stages no reversed target). It
-// reports false for an empty extension.
-func (s *fusedSlot) startPaired(q, t seq.Seq, rev bool, sc Scoring, x int16, trace *[]int32) bool {
-	if len(q) == 0 || len(t) == 0 {
-		return false
-	}
-	s.init(q, rev, len(t), sc, x, trace, isaAVX512)
-	if rt := s.rt[fusedPad:fusedPad]; rev {
-		copy(rt[:len(t)], t)
-	} else {
-		seq.AppendReverse(rt, t)
-	}
-	return true
-}
-
-// init is the staging start and startPaired share: q (on AVX-512 into
-// the padded copy, reversed there for rev; elsewhere reversed into revQ
-// for rev), the diagonal buffers with anti-diagonal 0 in place, rt's
-// buffer, the trace, and the state at anti-diagonal 1, on AVX-512 framed,
-// with t and fill left to the caller.
-func (s *fusedSlot) init(q seq.Seq, rev bool, n int, sc Scoring, x int16, trace *[]int32, isa rowISA) {
-	m := len(q)
-	var qr *byte
-	if isa == isaAVX512 {
-		s.qp = grow(s.qp, m+2*fusedPad)
-		if qs := s.qp[fusedPad:fusedPad]; rev {
-			seq.AppendReverse(qs, q)
-		} else {
-			copy(qs[:m], q)
-		}
-		qr = &s.qp[fusedPad]
-	} else {
-		if rev {
-			s.revQ = seq.AppendReverse(s.revQ[:0], q)
-			q = s.revQ
-		}
-		qr = &q[0]
-	}
+	qs, rt := s.stage(q, t, rev)
 	stride := bandLen(m, n)
 	for i := range s.v {
 		s.v[i] = grow(s.v[i], stride)
 	}
-	s.rt = grow(s.rt, n+2*fusedPad)
 	// The trace gains at most one width per anti-diagonal after d = 0.
 	var tr *int32
 	s.trace = trace
@@ -154,13 +91,14 @@ func (s *fusedSlot) init(q seq.Seq, rev bool, n int, sc Scoring, x int16, trace 
 		d: 1, lo: 0, hi: 1,
 		phase: 0, org2: -1,
 		cells: 1, maxBand: 1,
-		v: &s.v, q: qr, rt: &s.rt[fusedPad], trace: tr,
+		v: &s.v, q: &qs[0], rt: &rt[0], trace: tr,
 	}
 	s.base = 0
 	s.modes = regModes{}
 	if isa == isaAVX512 {
 		s.frame() // d = 1: a band two cells wide
 	}
+	return true
 }
 
 // run runs the extension on s to its end on the solo routine isa names,
@@ -223,8 +161,8 @@ func (s *fusedSlot) finish(modes *regModes) Result {
 		*s.trace = (*s.trace)[:s.traced+st.d-1]
 		s.trace = nil
 	}
-	// The caller's sequences are not held past the extension.
-	st.q, st.t, st.trace = nil, nil, nil
+	// The caller's trace is not held past the extension.
+	st.trace = nil
 	return Result{
 		Score: s.base + int32(st.best), QueryEnd: st.bestI, TargetEnd: st.bestJ,
 		Cells: st.cells, AntiDiags: st.d, MaxBand: st.maxBand, SumBand: st.cells,
@@ -358,14 +296,14 @@ func (w *Workspace) stepPair() {
 // vectorExtendSSE2, vectorExtendAVX2 and vectorExtendAVX512
 // (extend_vector_amd64.s) are the fused routine: every anti-diagonal of
 // the extension from st.d on, in one call, until the band empties, the
-// matrix ends, or a pause condition (see extendFused) holds at the top of
-// an anti-diagonal; st holds every pointer they read through. The first
-// two differ only in the interior blocks of rows 16 cells or wider,
-// 16-lane AVX2 against 8-lane SSE2. None reads q or t outside [0, m) and
-// [0, n), touches rt outside [-fusedPad, n+fusedPad) (the AVX-512
-// routine's windows read the slack; the others touch only the bases the
-// extension reads), or the diagonal buffers outside their first
-// bandLen(m, n) slots (TestExtendVectorGuardPages).
+// matrix ends, or a pause condition (see extendVector) holds at the top
+// of an anti-diagonal; st holds every pointer they read through. The
+// first two differ only in the interior blocks of rows 16 cells or wider,
+// 16-lane AVX2 against 8-lane SSE2. All three read only the slot's staged
+// q and rt (see fusedSlot.stage), and those only inside their fusedPad
+// slack (the AVX-512 routine's windows read the slack; the others only
+// the bases the extension compares), and touch the diagonal buffers only
+// in their first bandLen(m, n) slots (TestExtendVectorGuardPages).
 //
 //go:noescape
 func vectorExtendSSE2(st *fusedState)
@@ -379,10 +317,7 @@ func vectorExtendAVX2(st *fusedState)
 // from them with no store or reload, and returns with them in st.frame
 // once the band leaves the frame or it pauses or ends (see
 // extend_vector_amd64.s); started in memory, it returns once the next
-// band is at most regReload cells wide. Its q is the slot's padded copy,
-// fusedPad bytes into a buffer of m+2*fusedPad that start fills whole;
-// its windows read the slack of that copy and of rt, and never touch the
-// buffers outside them.
+// band is at most regReload cells wide.
 //
 //go:noescape
 func vectorExtendAVX512(st *fusedState)
@@ -395,8 +330,8 @@ func vectorExtendAVX512(st *fusedState)
 // pauses (as the solo routine does) or has a next band that leaves its
 // frame, with both frames, their F_d and their loop variables back in
 // their fusedState. Scores, counters and traces are the solo routine's.
-// It reads q (the padded copy) and rt only inside their fusedPad slack,
-// fills rt as the solo routine does, and never touches the buffers.
+// It reads the staged q and rt of each only inside their fusedPad slack,
+// and never touches the diagonal buffers.
 //
 //go:noescape
 func vectorExtendPairAVX512(a, b *fusedState)

@@ -83,15 +83,6 @@
 #endif
 
 loop:
-	// rt mirrors t in reverse, filled one base per anti-diagonal (unless
-	// the driver filled it whole).
-	CMPQ R13, fusedState_fill(DI)
-	JGT  filled
-	MOVQ fusedState_t(DI), AX
-	MOVBLZX -1(AX)(R13*1), AX
-	MOVB AX, (R12)
-
-filled:
 	// The band arrives inside the matrix (plant and the register mode's
 	// trim clip it); past d = m+n it is empty.
 	CMPQ R14, R15

@@ -7,8 +7,10 @@
 // routine, two extensions per loop, is at the end of
 // extend_vector_amd64.h.
 //
-// Per anti-diagonal d, in wave's order: fill rt[n-d], stop on an empty
-// band, pause (return to Go) if the band-local best reached the rebase
+// The routines read the extension as fusedSlot.stage laid it out before
+// the call: q and the reversed target rt, each in a padded buffer.
+//
+// Per anti-diagonal d, in wave's order: stop on an empty band, pause (return to Go) if the band-local best reached the rebase
 // mark or the cell budget ran out, the work counters and the trace, then
 // the border cell i = 0, the interior cells, the border cell j = 0, the
 // trim of both band ends, the sentinels around the survivors, the
@@ -40,9 +42,9 @@
 // trimmed with the same compare against the sentinel, BSF from the front
 // and BSR from the back, in overlapped 8-lane blocks when the band is 8
 // cells or wider. Nothing outside the cells an extension reads is touched:
-// q[0, m), t and rt[0, n), and the first bandLen(m, n) slots of each
-// diagonal buffer; the AVX-512 routine's register mode also reads the
-// fusedPad bytes of padding around rt and around its copy of q.
+// the staged q[0, m) and rt[0, n), and the first bandLen(m, n) slots of
+// each diagonal buffer; the AVX-512 routine's register mode also reads
+// the fusedPad bytes of slack around both copies.
 //
 // All lane adds wrap (PADDW/PSUBW): the rebase invariant keeps live lanes
 // in (-8193, 16638) and sentinel-sourced lanes above -29256, so no int16
@@ -88,10 +90,7 @@
 // are never in the band, so the bytes the windows read beyond the
 // sequences never reach a score: the windows read the padding of the two
 // copies, fusedPad bytes before and after them, and the register mode
-// runs from d = 1 to the matrix edge. The copy of q is filled whole
-// before the call (reversed there for a seed's left extension); rt one
-// base per anti-diagonal, so no extension copies more of t than its band
-// reaches.
+// runs from d = 1 to the matrix edge.
 //
 // A 128-lane row does twice the vector work of a 64-lane one, and at
 // x=25 and x=50 measured slower than the 64-lane row: a band of at most
@@ -114,7 +113,7 @@
 //	R8   cell 0 of the diagonal being written (cell i at (R8)(i*2))
 //	R9   cell 0 of the previous diagonal (a2)
 //	R10  cell 0 of the one before (a3)
-//	R11  q (q[i-1] at -1(R11)(i*1)); the padded copy in vectorExtendAVX512
+//	R11  q (q[i-1] at -1(R11)(i*1))
 //	R12  &rt[n-d] (rt[n-d+i] at (R12)(i*1))
 //	R13  d
 //	R14  lo, R15 hi: the band, as cell indices i

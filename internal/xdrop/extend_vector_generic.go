@@ -11,12 +11,8 @@ func detectISA() rowISA { return isaNone }
 // routine: wave over the scalar row, the same result and band trace. rev
 // extends over q and t reversed (a seed's left extension).
 func (w *Workspace) extendVector(q, t seq.Seq, rev bool, sc Scoring, x int16, trace *[]int32) Result {
-	if rev {
-		w.revQ = seq.AppendReverse(w.revQ[:0], q)
-		w.revT = seq.AppendReverse(w.revT[:0], t)
-		q, t = w.revQ, w.revT
-	}
-	return wave(&w.d, &w.rt, q, t, int32(x), linearRow(sc), trace)
+	qs, rt := w.fused[0].stage(q, t, rev)
+	return wave(&w.d, qs, rt, int32(x), linearRow(sc), trace)
 }
 
 // runPaired: there is no paired routine off amd64.

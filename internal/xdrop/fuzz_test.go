@@ -104,7 +104,7 @@ func FuzzExtendVectorDifferential(f *testing.F) {
 		sc := fuzzScoring(mRaw, mmRaw, gRaw)
 		want := ExtendReference(q, tt, sc, x)
 		var scalar []int32
-		if got := wave(&ws.d, &ws.rt, q, tt, x, linearRow(sc), &scalar); got != want {
+		if got := ws.extend(q, tt, false, LinearScheme(sc), x, KernelScalar, &scalar); got != want {
 			t.Fatalf("scalar %+v != reference %+v (sc %+v x %d)", got, want, sc, x)
 		}
 		checkTrace(t, scalar, want)

@@ -21,7 +21,7 @@ func pairRun(w *Workspace, cs *[2]pairCase, traces *[2][]int32) (rs [2]Result) {
 		if traces != nil {
 			trace = &traces[i]
 		}
-		busy[i] = w.fused[i].startPaired(c.q, c.t, c.rev, c.sc, int16(c.x), trace)
+		busy[i] = w.fused[i].start(c.q, c.t, c.rev, c.sc, int16(c.x), trace, isaAVX512)
 	}
 	for busy[0] && busy[1] {
 		w.stepPair()
@@ -180,7 +180,7 @@ func TestExtendPairTailInFrame(t *testing.T) {
 		q, tt := cs[i].oriented()
 		want := ExtendReference(q, tt, sc, cs[i].x)
 		var trace []int32
-		wave(&ref.d, &ref.rt, q, tt, cs[i].x, linearRow(sc), &trace)
+		ref.extend(q, tt, false, LinearScheme(sc), cs[i].x, KernelScalar, &trace)
 		if got[i] != want || !slices.Equal(traces[i], trace) {
 			t.Fatalf("side %d: paired %+v, reference %+v (traces equal: %v)", i, got[i], want, slices.Equal(traces[i], trace))
 		}
@@ -222,7 +222,7 @@ func TestExtendVectorPauseInFrame(t *testing.T) {
 	} {
 		want := ExtendReference(q, q, sc, tc.x)
 		var wantTrace []int32
-		wave(&ref.d, &ref.rt, q, q, tc.x, linearRow(sc), &wantTrace)
+		ref.extend(q, q, false, LinearScheme(sc), tc.x, KernelScalar, &wantTrace)
 		w := NewWorkspace()
 		got, trace := w.ExtendTrace(q, q, sc, tc.x, nil)
 		if got != want || !slices.Equal(trace, wantTrace) {

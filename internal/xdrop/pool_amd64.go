@@ -92,7 +92,7 @@ func (ps *pairedStream) fill(i int) bool {
 	if e.right {
 		q, t = p.Query[sd.qPos+p.SeedLen:], p.Target[sd.tPos+p.SeedLen:]
 	}
-	if !ps.w.fused[i].startPaired(q, t, !e.right, j.sch.Linear, int16(j.x), nil) {
+	if !ps.w.fused[i].start(q, t, !e.right, j.sch.Linear, int16(j.x), nil, isaAVX512) {
 		ps.end(e, Result{})
 		return true
 	}

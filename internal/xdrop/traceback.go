@@ -33,9 +33,9 @@ type dirRow struct{ lo, off int }
 // opsRow is the linear int32 row kernel with direction recording:
 // linearRow's recurrence, tie order included (diagonal before up before
 // left), that also stores which source each interior cell's score came
-// from. wave hands the row qs = q[lo-1:] and ts = rt[n-d+lo:], so the
-// row's first cell lo and its anti-diagonal d follow from how far those
-// slices' capacities fall short of q's and rt's.
+// from. wave hands the row qs = q[lo-1:] and ts = rt[n-d+lo:] of the
+// staged q and rt, so the row's first cell lo and its anti-diagonal d
+// follow from how far those slices' capacities fall short of q's and rt's.
 type opsRow struct {
 	linearRow
 	w              *Workspace
@@ -87,26 +87,25 @@ func (r opsRow) row(d3, d2m1, out []int32, qs, ts seq.Seq, thr, best int32) (int
 
 // extendOps is Workspace.Extend with traceback: the same wavefront over
 // opsRow, then a walk from the best cell back to the origin that appends
-// the alignment's columns to ops, last column first. A live cell's source
-// is live, so the walk reads only directions this extension wrote.
-func (w *Workspace) extendOps(q, t seq.Seq, sc Scoring, x int32, ops []Op) (Result, []Op) {
-	// Grow rt here so wave does not replace it under opsRow's capacity.
-	if cap(w.rt) < len(t) {
-		w.rt = make(seq.Seq, len(t))
-	}
-	if need := len(q) + len(t) + 1; cap(w.rows) < need {
+// the alignment's columns to ops, last column first. rev extends over q
+// and t reversed, as extend does. A live cell's source is live, so the
+// walk reads only directions this extension wrote.
+func (w *Workspace) extendOps(q, t seq.Seq, rev bool, sc Scoring, x int32, ops []Op) (Result, []Op) {
+	qs, rt := w.fused[0].stage(q, t, rev)
+	n := len(rt)
+	if need := len(qs) + n + 1; cap(w.rows) < need {
 		w.rows = make([]dirRow, need)
 	}
 	w.rows = w.rows[:cap(w.rows)]
 	w.dirs = w.dirs[:0]
-	r := wave(&w.d, &w.rt, q, t, x, opsRow{linearRow(sc), w, cap(q), cap(w.rt), len(t)}, nil)
+	r := wave(&w.d, qs, rt, x, opsRow{linearRow(sc), w, cap(qs), cap(rt), n}, nil)
 	i, j := r.QueryEnd, r.TargetEnd
 	for i > 0 && j > 0 {
 		row := w.rows[i+j]
 		switch w.dirs[row.off+i-row.lo] {
 		case fromDiag:
 			i, j = i-1, j-1
-			ops = append(ops, column(q[i], t[j]))
+			ops = append(ops, column(qs[i], rt[n-1-j]))
 		case fromUp:
 			i--
 			ops = append(ops, OpInsert)
@@ -144,16 +143,18 @@ func (w *Workspace) ExtendSeedOps(q, t seq.Seq, qPos, tPos, seedLen int, sc Scor
 	return r, ops, err
 }
 
-// seedOps is extendSeed's traceback path: the left extension's columns
-// (it ran over the reversed prefixes, so its last-first walk is already
-// forward order), the seed's, then the right extension's, reversed.
-func (w *Workspace) seedOps(qSeed, tSeed, qRight, tRight seq.Seq, sc Scoring, x int32, ops *[]Op) (left, right Result) {
-	left, *ops = w.extendOps(w.revQ, w.revT, sc, x, *ops)
-	for k := range qSeed {
-		*ops = append(*ops, column(qSeed[k], tSeed[k]))
+// seedOps is extendSeed's traceback path for the seed at (qPos, tPos):
+// the left extension's columns (it ran over the reversed prefixes, so its
+// last-first walk is already forward order), the seed's, then the right
+// extension's, reversed.
+func (w *Workspace) seedOps(q, t seq.Seq, qPos, tPos, seedLen int, sc Scoring, x int32, ops *[]Op) (left, right Result) {
+	qEnd, tEnd := qPos+seedLen, tPos+seedLen
+	left, *ops = w.extendOps(q[:qPos], t[:tPos], true, sc, x, *ops)
+	for k := range seedLen {
+		*ops = append(*ops, column(q[qPos+k], t[tPos+k]))
 	}
 	mark := len(*ops)
-	right, *ops = w.extendOps(qRight, tRight, sc, x, *ops)
+	right, *ops = w.extendOps(q[qEnd:], t[tEnd:], false, sc, x, *ops)
 	slices.Reverse((*ops)[mark:])
 	return left, right
 }

@@ -14,7 +14,7 @@ import (
 // t[:TargetEnd]. It returns the columns in alignment order.
 func checkOps(t *testing.T, w *Workspace, q, tt seq.Seq, sc Scoring, x int32) (Result, []Op) {
 	t.Helper()
-	got, ops := w.extendOps(q, tt, sc, x, nil)
+	got, ops := w.extendOps(q, tt, false, sc, x, nil)
 	if want := ExtendReference(q, tt, sc, x); got != want {
 		t.Fatalf("recording extension %+v != reference %+v (sc %+v x %d)", got, want, sc, x)
 	}
@@ -132,7 +132,7 @@ func TestExtendOpsEmptyAndDegenerate(t *testing.T) {
 			t.Fatalf("empty side: %+v, %q", r, string(ops))
 		}
 	}
-	if r, ops := w.extendOps(s, s, DefaultScoring(), -1, nil); r != (Result{}) || len(ops) != 0 {
+	if r, ops := w.extendOps(s, s, false, DefaultScoring(), -1, nil); r != (Result{}) || len(ops) != 0 {
 		t.Fatalf("negative x: %+v, %q", r, string(ops))
 	}
 	// A heavy match weight makes a gap run along the border pay: four

@@ -46,11 +46,11 @@ func guardedSeq(t *testing.T, s seq.Seq, tail bool) seq.Seq {
 }
 
 // guardedWorkspace returns a workspace whose every buffer an m x n vector
-// extension touches — the three diagonals, the reversed target and the
-// padded copy of the query, and the reversal staging of a seed extension —
-// is exactly as long as that extension needs and flush against a guard
-// page: the padded copies by exactly the fusedPad bytes of slack the fused
-// routines claim on each side.
+// extension touches — the three diagonals and the two padded buffers an
+// extension is staged into, of both slots — is exactly as long as that
+// extension needs and flush against a guard page: the staging buffers by
+// exactly the fusedPad bytes of slack the fused routines claim on each
+// side of the staged copies.
 func guardedWorkspace(t *testing.T, m, n int, tail bool) *Workspace {
 	w := NewWorkspace()
 	for i := range w.fused {
@@ -58,23 +58,21 @@ func guardedWorkspace(t *testing.T, m, n int, tail bool) *Workspace {
 		for k := range s.v {
 			s.v[k] = guardedInt16(t, bandLen(m, n), tail)
 		}
+		s.q = guarded(t, m+2*fusedPad, tail)
 		s.rt = guarded(t, n+2*fusedPad, tail)
-		s.qp = guarded(t, m+2*fusedPad, tail)
-		s.revQ, s.revT = guarded(t, m, tail)[:0], guarded(t, n, tail)[:0]
 	}
-	w.revQ, w.revT = guarded(t, m, tail)[:0], guarded(t, n, tail)[:0]
 	return w
 }
 
 // TestExtendVectorGuardPages proves the memory envelope of the vector
 // kernel on every ISA instead of arguing it: whole extensions — plain,
-// traced, and seeded at either end of the pair, so that one direction
-// reads the caller's suffixes and the other the workspace's reversed
-// prefixes — run with every operand and every workspace buffer flush
+// traced, and seeded at either end of the pair, so that one direction is
+// staged from the caller's suffixes and the other from its prefixes,
+// reversed — run with every operand and every workspace buffer flush
 // against a PROT_NONE page, first at its end, then at its start, and
-// still equal the scalar kernel. The caller's q and t are read only
-// inside [0, m) and [0, n); the padded copies (rt, and the AVX-512
-// routine's copy of q) are read only inside their fusedPad slack. The X values put rows of every block
+// still equal the scalar kernel. Staging reads the caller's q and t only
+// inside [0, m) and [0, n), and every fused routine reads only the staged
+// copies, inside their fusedPad slack. The X values put rows of every block
 // shape on every ISA: scalar (< 8 cells), one or two 8-lane blocks,
 // 16-lane blocks, and widths that are no lane multiple; on an AVX-512
 // host they also put anti-diagonals in registers and in memory, and move
@@ -105,7 +103,7 @@ func TestExtendVectorGuardPages(t *testing.T) {
 			q, tt := guardedSeq(t, q0, tail), guardedSeq(t, t0, tail)
 			want := ExtendReference(q0, t0, sc, x)
 			var wantTrace []int32
-			wave(&ref.d, &ref.rt, q0, t0, x, linearRow(sc), &wantTrace)
+			ref.extend(q0, t0, false, LinearScheme(sc), x, KernelScalar, &wantTrace)
 			seeds := [2][2]int{{0, 0}, {len(q0) - seedLen, len(t0) - seedLen}}
 			var wantSeed [2]SeedResult
 			for i, p := range seeds {

@@ -202,7 +202,7 @@ func TestExtendVectorFallback(t *testing.T) {
 		t.Fatalf("no fused routine: SelectKernel picked %v on an eligible scheme", k)
 	}
 	var wantTrace []int32
-	want := wave(&w.d, &w.rt, q, tt, x, linearRow(sc), &wantTrace)
+	want := w.extend(q, tt, false, LinearScheme(sc), x, KernelScalar, &wantTrace)
 	if got := w.ExtendVector(q, tt, sc, x); got != want {
 		t.Fatalf("no fused routine: ExtendVector %+v, want Extend's %+v", got, want)
 	}

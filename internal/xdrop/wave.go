@@ -15,7 +15,7 @@ import "logan/internal/seq"
 // (21 cells on average) cost 58 ns, against 29 ns with the whole loop in
 // one assembly call (BenchmarkKernel/vector ns/antidiag, 2-core Xeon; 71
 // -> 37 ns at x=100). So wave drives the int32 kernels only; the int16
-// vector kernel is the fused routine (extendFused on amd64), which
+// vector kernel is the fused routine (extendVector on amd64), which
 // reproduces wave over linearRow bit for bit, and where there is no fused
 // routine the vector kernel is wave over linearRow itself.
 type rowKernel interface {
@@ -82,15 +82,18 @@ func plant(a []int32, s, stride int, v int32) {
 // its score is the previous border cell plus a gap step, and that step
 // carries the gap state, so its extra planes are stored pruned.
 //
-// bufs and rtBuf are the caller's scratch (see Workspace); they grow to
-// the workload and are never cleared — every slot read was written by
-// this extension.
+// q and rt are the extension as fusedSlot.stage lays it out, q and the
+// target reversed, so that the row kernels read both sequences forward:
+// cell (i, j=d-i) compares q[i-1] against rt[n-d+i]. wave reads them only
+// inside [0, m) and [0, n). bufs is the caller's scratch (see Workspace);
+// it grows to the workload and is never cleared — every slot read was
+// written by this extension.
 //
 // A non-nil trace receives the width of every anti-diagonal computed
 // after d = 0, in order (see ExtendTrace); the served paths pass nil and
 // pay one nil check per anti-diagonal.
-func wave[K rowKernel](bufs *[3][]int32, rtBuf *seq.Seq, q, t seq.Seq, x int32, k K, trace *[]int32) Result {
-	m, n := len(q), len(t)
+func wave[K rowKernel](bufs *[3][]int32, q, rt seq.Seq, x int32, k K, trace *[]int32) Result {
+	m, n := len(q), len(rt)
 	if m == 0 || n == 0 || x < 0 {
 		return Result{}
 	}
@@ -104,15 +107,6 @@ func wave[K rowKernel](bufs *[3][]int32, rtBuf *seq.Seq, q, t seq.Seq, x int32, 
 		}
 	}
 	a1, a2, a3 := bufs[0][:size], bufs[1][:size], bufs[2][:size]
-
-	// rt mirrors t in reverse order so the row kernels read both sequences
-	// forward: cell (i, j=d-i) compares q[i-1] against rt[n-d+i]. It is
-	// filled one symbol per anti-diagonal, so only the explored prefix of
-	// t is ever touched.
-	if cap(*rtBuf) < n {
-		*rtBuf = make(seq.Seq, n)
-	}
-	rt := (*rtBuf)[:n]
 
 	// Cell i of the diagonal stored in a_k lives at a_k[i-org_k]; the
 	// sentinels bracket the surviving cells.
@@ -129,9 +123,6 @@ func wave[K rowKernel](bufs *[3][]int32, rtBuf *seq.Seq, q, t seq.Seq, x int32, 
 	lo, hi := 0, 1
 
 	for d := 1; d <= m+n; d++ {
-		if d <= n {
-			rt[n-d] = t[d-1]
-		}
 		// Clip to the matrix.
 		if lo < d-n {
 			lo = d - n

@@ -8,18 +8,16 @@ import (
 )
 
 // Workspace is the reusable scratch of one X-drop lane: the three rolling
-// anti-diagonal buffers of wave (int32) and the fused routine's two
-// extension slots (int16, amd64 only), the reversal staging of the seed
-// wrapper and the direction arena of traceback (ExtendSeedOps). A
-// Workspace makes repeated extensions allocation-free, under every
-// scheme, once the buffers have grown to the workload's sequence lengths.
-// It is not safe for concurrent use; give each worker goroutine its own
-// (see Pool).
+// anti-diagonal buffers of wave (int32), the two extension slots of the
+// fused routines (int16 diagonals, amd64 only), whose first also stages
+// every extension the workspace runs (fusedSlot.stage), and the direction
+// arena of traceback (ExtendSeedOps). A Workspace makes repeated
+// extensions allocation-free, under every scheme, once the buffers have
+// grown to the workload's sequence lengths. It is not safe for concurrent
+// use; give each worker goroutine its own (see Pool).
 type Workspace struct {
-	d          [3][]int32 // scalar, matrix and affine (three planes) diagonals
-	rt         seq.Seq    // wave's reversed target, grown one base per anti-diagonal
-	revQ, revT seq.Seq
-	fused      [2]fusedSlot
+	d     [3][]int32 // scalar, matrix and affine (three planes) diagonals
+	fused [2]fusedSlot
 
 	// Traceback directions: one byte per interior cell, located per
 	// anti-diagonal by rows (see opsRow).
@@ -47,7 +45,7 @@ var wsPool = sync.Pool{New: func() any { return NewWorkspace() }}
 // extendPooled backs the package-level one-shot extension entry points.
 func extendPooled(q, t seq.Seq, sch Scheme, x int32) Result {
 	w := wsPool.Get().(*Workspace)
-	r := w.extend(q, t, sch, x, KernelScalar)
+	r := w.extend(q, t, false, sch, x, KernelScalar, nil)
 	wsPool.Put(w)
 	return r
 }
@@ -81,10 +79,10 @@ func (w *Workspace) ExtendSeedScheme(q, t seq.Seq, qPos, tPos, seedLen int, sch 
 
 // extendSeed is the one seed-and-extend wrapper (paper Fig. 5): split the
 // pair at the seed, extend right over the suffixes and left over the
-// reversed prefixes — staged into the workspace, so the row kernels walk
-// memory forward in both directions, the transformation LOGAN applies for
-// coalescing (Fig. 6) — and add the seed's own score under the scheme.
-// A non-nil ops takes the traceback path (seedOps, linear schemes only);
+// reversed prefixes (each staged once, so every kernel walks memory
+// forward in both directions, the transformation LOGAN applies for
+// coalescing, Fig. 6) and add the seed's own score under the scheme. A
+// non-nil ops takes the traceback path (seedOps, linear schemes only);
 // the served paths pass nil.
 func (w *Workspace) extendSeed(q, t seq.Seq, qPos, tPos, seedLen int, sch Scheme, x int32, k Kernel, ops *[]Op) (SeedResult, error) {
 	if err := sch.Validate(); err != nil {
@@ -95,21 +93,11 @@ func (w *Workspace) extendSeed(q, t seq.Seq, qPos, tPos, seedLen int, sch Scheme
 	}
 	qEnd, tEnd := qPos+seedLen, tPos+seedLen
 	r := SeedResult{SeedLen: seedLen}
-	switch {
-	case ops != nil:
-		w.revQ = seq.AppendReverse(w.revQ[:0], q[:qPos])
-		w.revT = seq.AppendReverse(w.revT[:0], t[:tPos])
-		r.Left, r.Right = w.seedOps(q[qPos:qEnd], t[tPos:tEnd], q[qEnd:], t[tEnd:], sch.Linear, x, ops)
-	case vectorSeed(sch, x, k):
-		// The vector kernel stages the reversed prefixes itself (on
-		// AVX-512 straight into the padded copy its windows read).
-		r.Left = w.extendVector(q[:qPos], t[:tPos], true, sch.Linear, int16(x), nil)
-		r.Right = w.extendVector(q[qEnd:], t[tEnd:], false, sch.Linear, int16(x), nil)
-	default:
-		w.revQ = seq.AppendReverse(w.revQ[:0], q[:qPos])
-		w.revT = seq.AppendReverse(w.revT[:0], t[:tPos])
-		r.Left = w.extend(w.revQ, w.revT, sch, x, k)
-		r.Right = w.extend(q[qEnd:], t[tEnd:], sch, x, k)
+	if ops != nil {
+		r.Left, r.Right = w.seedOps(q, t, qPos, tPos, seedLen, sch.Linear, x, ops)
+	} else {
+		r.Left = w.extend(q[:qPos], t[:tPos], true, sch, x, k, nil)
+		r.Right = w.extend(q[qEnd:], t[tEnd:], false, sch, x, k, nil)
 	}
 	joinSeed(&r, qPos, tPos, sch.seedScore(q[qPos:qEnd], t[tPos:tEnd]))
 	return r, nil
@@ -144,20 +132,27 @@ func joinSeed(r *SeedResult, qPos, tPos int, seedScore int32) {
 	r.TEnd = tPos + r.SeedLen + r.Right.TargetEnd
 }
 
-// extend runs one extension of a validated scheme through the wavefront
-// driver: the only scheme branch a pair takes, outside the per-cell loops.
-// k picks between the two linear kernels; the affine and matrix kernels
-// are scalar only.
-func (w *Workspace) extend(q, t seq.Seq, sch Scheme, x int32, k Kernel) Result {
-	switch {
-	case sch.Kind == SchemeAffine:
-		return wave(&w.d, &w.rt, q, t, x, affineRow{sch.Affine, bandLen(len(q), len(t))}, nil)
-	case sch.Kind == SchemeMatrix:
-		return wave(&w.d, &w.rt, q, t, x, matrixRow{sch.Matrix}, nil)
-	case k == KernelVector:
-		return w.ExtendVector(q, t, sch.Linear, x)
+// extend runs one extension of a validated scheme over q and t, or over
+// both reversed for rev (a seed's left extension): the only scheme branch
+// a pair takes, outside the per-cell loops. The vector kernel (k, inside
+// its envelope) stages the extension in its own slot; every other kernel
+// is wave over the first slot's staging. A non-nil trace receives the
+// band widths (see ExtendTrace).
+func (w *Workspace) extend(q, t seq.Seq, rev bool, sch Scheme, x int32, k Kernel, trace *[]int32) Result {
+	if len(q) == 0 || len(t) == 0 {
+		return Result{}
+	}
+	if vectorSeed(sch, x, k) {
+		return w.extendVector(q, t, rev, sch.Linear, int16(x), trace)
+	}
+	qs, rt := w.fused[0].stage(q, t, rev)
+	switch sch.Kind {
+	case SchemeAffine:
+		return wave(&w.d, qs, rt, x, affineRow{sch.Affine, bandLen(len(q), len(t))}, trace)
+	case SchemeMatrix:
+		return wave(&w.d, qs, rt, x, matrixRow{sch.Matrix}, trace)
 	default:
-		return w.Extend(q, t, sch.Linear, x)
+		return wave(&w.d, qs, rt, x, linearRow(sch.Linear), trace)
 	}
 }
 
@@ -165,7 +160,7 @@ func (w *Workspace) extend(q, t seq.Seq, sch Scheme, x int32, k Kernel) Result {
 // driver over the scalar int32 row kernel. Scores, extents and work
 // counters are bit-identical to ExtendReference on every input.
 func (w *Workspace) Extend(q, t seq.Seq, sc Scoring, x int32) Result {
-	return wave(&w.d, &w.rt, q, t, x, linearRow(sc), nil)
+	return w.extend(q, t, false, LinearScheme(sc), x, KernelScalar, nil)
 }
 
 // linearRow is the scalar int32 row kernel of the paper's linear DNA

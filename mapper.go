@@ -118,7 +118,7 @@ func (c MapConfig) Validate() error {
 	if err := c.Params().check(); err != nil {
 		return fmt.Errorf("logan: mapping %w", err)
 	}
-	if c.Scoring.mode != scoringLinear {
+	if c.Scoring.sch.Kind != xdrop.SchemeLinear {
 		return fmt.Errorf("logan: mapping scoring must be linear (got %q): mapping quality and match estimates are calibrated for the match/mismatch/gap family", c.Scoring.Mode())
 	}
 	return Config{X: c.X, Scoring: c.Scoring}.Validate()
@@ -384,7 +384,7 @@ func (m *Mapper) run(ctx context.Context, reads []Read, rs []seq.Seq, cfg MapCon
 
 	var n shedCount
 	extend := m.path.retrying(&n)
-	sch := xdrop.LinearScheme(cfg.Scoring.linear)
+	sch := cfg.Scoring.sch
 
 	res := &MapResult{}
 	st := &res.Stats

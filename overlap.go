@@ -167,7 +167,7 @@ func (c OverlapConfig) Validate() error {
 	if err := c.Params().check(); err != nil {
 		return fmt.Errorf("logan: overlap %w", err)
 	}
-	if c.Scoring.mode != scoringLinear {
+	if c.Scoring.sch.Kind != xdrop.SchemeLinear {
 		return fmt.Errorf("logan: overlap scoring must be linear (got %q): the adaptive threshold is calibrated for the paper's match/mismatch/gap family", c.Scoring.Mode())
 	}
 	return Config{X: c.X, Scoring: c.Scoring}.Validate()
@@ -178,7 +178,7 @@ func (c OverlapConfig) Validate() error {
 func (c OverlapConfig) bellaConfig() bella.Config {
 	return bella.Config{
 		K: c.K, Coverage: c.Coverage, ErrorRate: c.ErrorRate,
-		X: c.X, Scoring: c.Scoring.linear,
+		X: c.X, Scoring: c.Scoring.sch.Linear,
 		BinWidth: c.BinWidth, MinShared: c.MinShared, MaxSeeds: c.MaxSeeds,
 		Delta: c.Delta, Workers: c.Workers,
 		MinOverlap: c.MinOverlap, Traceback: c.Traceback,

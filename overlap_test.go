@@ -414,7 +414,7 @@ func TestOverlapperTraceback(t *testing.T) {
 				tgt = tgt.RevComp()
 			}
 			ops := expandCIGAR(t, r.CIGAR)
-			score, err := xdrop.Rescore(ops, q, tgt, cfg.Scoring.linear)
+			score, err := xdrop.Rescore(ops, q, tgt, cfg.Scoring.sch.Linear)
 			if err != nil || score != r.Score {
 				t.Fatalf("%s: record %d CIGAR rescores to %d, %v; AS:i:%d", tc.name, i, score, err, r.Score)
 			}

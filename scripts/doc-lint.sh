@@ -4,7 +4,8 @@
 # documented — and every documented logan_jobs_* series must have one
 # owner, the X-drop band loop one driver (the simulated device replays
 # its trace) and in assembly one fused loop, the register-frame handoff
-# one copy (in Go), EXPERIMENTS.md the committed reproduction CSV, the device
+# one copy (in Go), every extension one staging step (in Go),
+# EXPERIMENTS.md the committed reproduction CSV, the device
 # batch one executor, the root package no view of the kernel
 # configuration, the generated tables of docs/SERVING.md their
 # generators' output, request parameters one parser, the coalescer
@@ -75,6 +76,22 @@ handoff=$(grep -nE '^(reload|spill):|^#define (LANES|LOADROW|STOREROW|SWAPROWS)(
 if [ -n "$handoff" ]; then
 	echo "doc-lint: the register-frame handoff is back in internal/xdrop assembly (Go's fusedSlot.frame and spill are its one copy):" >&2
 	echo "$handoff" >&2
+	exit 1
+fi
+
+# Every extension is staged once, in Go: fusedSlot.stage lays out q and
+# the reversed target for every kernel, and the routines read only those
+# copies. fusedState's t or fill in the assembly (a routine filling rt
+# again), or revT, rtBuf or startPaired declared in non-test
+# internal/xdrop Go (a second reversal buffer, wave's own rt, the paired
+# routine's own staging), means the staging has forked again.
+staging=$( {
+	grep -nE 'fusedState_(t|fill)\b' internal/xdrop/*.s internal/xdrop/*.h
+	grep -nE '\b(revT|rtBuf|startPaired)\b' $(ls internal/xdrop/*.go | grep -v '_test\.go$') | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//'
+} || true)
+if [ -n "$staging" ]; then
+	echo "doc-lint: an extension is staged outside fusedSlot.stage again (the routines read only its copies of q and the reversed target):" >&2
+	echo "$staging" >&2
 	exit 1
 fi
 
