@@ -130,13 +130,12 @@ func (s Scoring) MaxAbsParam() int32 {
 	}
 }
 
-// Validate rejects unset and nonsensical schemes.
+// Validate rejects unset and nonsensical schemes. The zero value is both
+// an unset Scoring and the linear scheme a front end builds from all-zero
+// scores, so its error names both and carries the scheme's own reason.
 func (s Scoring) Validate() error {
-	switch {
-	case s == (Scoring{}):
-		return fmt.Errorf("logan: Config.Scoring is unset: construct it with LinearScoring, AffineScoring or MatrixScoring")
-	case s.sch.Kind == xdrop.SchemeMatrix && s.sch.Matrix == nil:
-		return fmt.Errorf("logan: matrix scoring with nil matrix")
+	if s == (Scoring{}) {
+		return fmt.Errorf("logan: scoring is unset or all zero: %w", s.sch.Validate())
 	}
 	return s.sch.Validate()
 }

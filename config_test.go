@@ -91,7 +91,7 @@ func TestConfigKeyIgnoresDeadPayload(t *testing.T) {
 		s    Scoring
 		want xdrop.Scheme
 	}{
-		{LinearScoring(1, -1, -1), xdrop.LinearScheme(xdrop.DefaultScoring())},
+		{DefaultConfig(40).Scoring, xdrop.LinearScheme(xdrop.DefaultScoring())},
 		{AffineScoring(1, -1, -2, -1), xdrop.AffineScheme(xdrop.AffineScoring{Match: 1, Mismatch: -1, GapOpen: -2, GapExtend: -1})},
 		{MatrixScoring(mat), xdrop.MatrixScheme(mat.m)},
 	} {
