@@ -73,7 +73,7 @@ func BenchmarkSeedPerCall10k(b *testing.B) {
 		}
 		pool := xdrop.NewPool(0)
 		results := make([]xdrop.SeedResult, len(in))
-		_, err := pool.ExtendBatch(in, results, xdrop.DefaultScoring(), 100)
+		_, err := pool.ExtendBatchScheme(context.Background(), in, results, xdrop.LinearScheme(xdrop.DefaultScoring()), 100)
 		pool.Close()
 		if err != nil {
 			b.Fatal(err)

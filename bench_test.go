@@ -121,7 +121,7 @@ func BenchmarkKernelCPU(b *testing.B) {
 	b.ResetTimer()
 	var cells int64
 	for i := 0; i < b.N; i++ {
-		stats, err := pool.ExtendBatch(pairs, results, sc, 100)
+		stats, err := pool.ExtendBatchScheme(context.Background(), pairs, results, xdrop.LinearScheme(sc), 100)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -145,9 +146,26 @@ func makeProteinPairs(n int, seed int64) []Pair {
 	return out
 }
 
+// poolOracle aligns pairs on a one-worker xdrop.Pool, the single-lane
+// oracle the engine's pooled batches are pinned to.
+func poolOracle(t *testing.T, pairs []Pair, sch xdrop.Scheme, x int32) []xdrop.SeedResult {
+	t.Helper()
+	in := make([]seq.Pair, len(pairs))
+	for i, p := range pairs {
+		in[i] = seq.Pair{Query: p.Query, Target: p.Target, SeedQPos: p.SeedQ, SeedTPos: p.SeedT, SeedLen: p.SeedLen}
+	}
+	pool := xdrop.NewPool(1)
+	defer pool.Close()
+	out := make([]xdrop.SeedResult, len(in))
+	if _, err := pool.ExtendBatchScheme(context.Background(), in, out, sch, x); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 // TestPooledAffineMatchesOracle pins the pooled affine batch path
-// bit-identical to the single-pair oracles: xdrop.ExtendSeedAffine and
-// its composition from raw ExtendAffine extensions.
+// bit-identical to the single-lane oracle, and each pair's score to its
+// two extensions plus the seed's.
 func TestPooledAffineMatchesOracle(t *testing.T) {
 	pairs := makePairs(24)
 	sc := xdrop.AffineScoring{Match: 1, Mismatch: -1, GapOpen: -3, GapExtend: -1}
@@ -162,29 +180,15 @@ func TestPooledAffineMatchesOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := poolOracle(t, pairs, xdrop.AffineScheme(sc), x)
 	var cells int64
 	for i, p := range pairs {
-		r, err := xdrop.ExtendSeedAffine(p.Query, p.Target, p.SeedQ, p.SeedT, p.SeedLen, sc, x)
-		if err != nil {
-			t.Fatal(err)
-		}
+		r := want[i]
 		if got[i] != toAlignment(r) {
-			t.Fatalf("pair %d: pooled %+v != ExtendSeedAffine %+v", i, got[i], toAlignment(r))
+			t.Fatalf("pair %d: pooled %+v != oracle %+v", i, got[i], toAlignment(r))
 		}
-		// Cross-check the seed-and-extend composition against the raw
-		// extension oracle.
-		left, err := xdrop.ExtendAffine(
-			append([]byte(nil), reverse(p.Query[:p.SeedQ])...),
-			reverse(p.Target[:p.SeedT]), sc, x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		right, err := xdrop.ExtendAffine(p.Query[p.SeedQ+p.SeedLen:], p.Target[p.SeedT+p.SeedLen:], sc, x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := left.Score + right.Score + int32(p.SeedLen)*sc.Match; got[i].Score != want {
-			t.Fatalf("pair %d: pooled score %d != ExtendAffine composition %d", i, got[i].Score, want)
+		if parts := r.Left.Score + r.Right.Score + int32(p.SeedLen)*sc.Match; got[i].Score != parts {
+			t.Fatalf("pair %d: pooled score %d != extension composition %d", i, got[i].Score, parts)
 		}
 		cells += got[i].Cells
 	}
@@ -193,16 +197,8 @@ func TestPooledAffineMatchesOracle(t *testing.T) {
 	}
 }
 
-func reverse(s []byte) []byte {
-	out := make([]byte, len(s))
-	for i, c := range s {
-		out[len(s)-1-i] = c
-	}
-	return out
-}
-
 // TestPooledMatrixMatchesOracle pins the pooled substitution-matrix batch
-// path bit-identical to the single-pair xdrop.ExtendSeedMatrix oracle.
+// path bit-identical to the single-lane oracle.
 func TestPooledMatrixMatchesOracle(t *testing.T) {
 	pairs := makeProteinPairs(24, 77)
 	m := Blosum62(-6)
@@ -216,13 +212,10 @@ func TestPooledMatrixMatchesOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, p := range pairs {
-		r, err := xdrop.ExtendSeedMatrix(p.Query, p.Target, p.SeedQ, p.SeedT, p.SeedLen, m.m, x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got[i] != toAlignment(r) {
-			t.Fatalf("pair %d: pooled %+v != ExtendSeedMatrix %+v", i, got[i], toAlignment(r))
+	want := poolOracle(t, pairs, xdrop.MatrixScheme(m.m), x)
+	for i := range pairs {
+		if got[i] != toAlignment(want[i]) {
+			t.Fatalf("pair %d: pooled %+v != oracle %+v", i, got[i], toAlignment(want[i]))
 		}
 	}
 }
@@ -318,9 +311,15 @@ func TestMatrixAlphabetValidation(t *testing.T) {
 	if _, _, err := eng.Align(ctxb, prot, DefaultConfig(20)); err == nil {
 		t.Fatal("protein residues accepted by the DNA path")
 	}
-	bad := []Pair{{Query: []byte("MKWV1TFIS"), Target: []byte("MKWVTFIS"), SeedLen: 4}}
-	if _, _, err := eng.Align(ctxb, bad, Config{X: 20, Scoring: MatrixScoring(Blosum62(-6))}); err == nil {
-		t.Fatal("out-of-alphabet byte accepted under matrix config")
+	for _, bad := range []Pair{
+		{Query: []byte("MKWV1TFIS"), Target: []byte("MKWVTFIS"), SeedLen: 4},
+		{Query: []byte("MKV1"), Target: []byte("MKV"), SeedLen: 3},
+		{Query: []byte("MKV"), Target: []byte("MO"), SeedLen: 2}, // O is outside the alphabet
+	} {
+		_, _, err := eng.Align(ctxb, []Pair{bad}, Config{X: 20, Scoring: MatrixScoring(Blosum62(-6))})
+		if err == nil || !strings.Contains(err.Error(), "alphabet") {
+			t.Fatalf("out-of-alphabet byte under matrix config %q/%q: err %v, want the alphabet check's", bad.Query, bad.Target, err)
+		}
 	}
 }
 

@@ -100,7 +100,8 @@ func BenchmarkPrepare(b *testing.B) {
 // (5,244 pairs), seed-extended with the int16 kernel at x=25, BELLA's
 // defaults otherwise, single-threaded, so the number is kernel time, not
 // throughput. workspace runs the pairs one by one on one Workspace (the
-// solo routine); pool1 runs them as one batch on a one-worker Pool, whose
+// solo routine), each side through ExtendTrace as the simulated device
+// runs it, so it also records the band trace; pool1 runs them as one batch on a one-worker Pool, whose
 // worker streams the extensions two at a time through the paired routine
 // on AVX-512. Each reports the milliseconds of one pass over the three
 // read sets and what one anti-diagonal costs, for the vector ISA this
@@ -123,15 +124,15 @@ func BenchmarkExtendCandidates(b *testing.B) {
 	}
 	b.Run("workspace", func(b *testing.B) {
 		w := xdrop.NewWorkspace()
+		var trace []int32
 		b.ReportAllocs()
 		var diags int64
 		for i := 0; i < b.N; i++ {
 			for _, p := range pairs {
-				r, err := w.ExtendSeedKernel(p.Query, p.Target, p.SeedQPos, p.SeedTPos, p.SeedLen, cfg.Scoring, cfg.X, xdrop.KernelVector)
-				if err != nil {
-					b.Fatal(err)
-				}
-				diags += int64(r.Left.AntiDiags + r.Right.AntiDiags)
+				var l, r xdrop.Result
+				l, trace = w.ExtendTrace(p.Query[:p.SeedQPos], p.Target[:p.SeedTPos], true, cfg.Scoring, cfg.X, trace[:0])
+				r, trace = w.ExtendTrace(p.Query[p.SeedQPos+p.SeedLen:], p.Target[p.SeedTPos+p.SeedLen:], false, cfg.Scoring, cfg.X, trace[:0])
+				diags += int64(l.AntiDiags + r.AntiDiags)
 			}
 		}
 		report(b, diags)

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -50,7 +51,7 @@ func MeasureSweep(scale Scale, withKsw2 bool) ([]SweepPoint, error) {
 	for _, x := range scale.XValues {
 		p := SweepPoint{X: x}
 
-		cpuStats, err := pool.ExtendBatch(pairs, cpuRes, xdrop.DefaultScoring(), x)
+		cpuStats, err := pool.ExtendBatchScheme(context.Background(), pairs, cpuRes, xdrop.LinearScheme(xdrop.DefaultScoring()), x)
 		if err != nil {
 			return nil, fmt.Errorf("bench: seqan sweep X=%d: %w", x, err)
 		}

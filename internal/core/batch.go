@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"logan/internal/cuda"
@@ -38,7 +37,7 @@ type BatchResult struct {
 const resultRecordBytes = 8 * 8
 
 // AlignBatch aligns all pairs on the device with the LOGAN kernel:
-// seed-split into left/right extension tasks, sequences staged into device
+// seed-split into left/right extension tasks, sequences charged to device
 // memory, the two extension grids launched on separate streams (paper
 // §IV-B), and results collected back. If the batch does not fit device
 // memory it is processed in chunks, as LOGAN's host code does for the
@@ -64,13 +63,8 @@ func AlignBatchContext(ctx context.Context, dev *cuda.Device, pairs []seq.Pair, 
 	}
 	for i := range pairs {
 		p := &pairs[i]
-		// SeedQPos > len-SeedLen rather than SeedQPos+SeedLen > len: the
-		// sum can overflow for adversarial positions, which would pass the
-		// check and panic in the kernel.
-		if p.SeedQPos < 0 || p.SeedTPos < 0 || p.SeedLen <= 0 ||
-			p.SeedQPos > len(p.Query)-p.SeedLen || p.SeedTPos > len(p.Target)-p.SeedLen {
-			return out, fmt.Errorf("core: pair %d: seed (%d,%d,len %d) outside sequences (%d,%d)",
-				i, p.SeedQPos, p.SeedTPos, p.SeedLen, len(p.Query), len(p.Target))
+		if err := xdrop.CheckSeed(p.Query, p.Target, p.SeedQPos, p.SeedTPos, p.SeedLen); err != nil {
+			return out, fmt.Errorf("core: pair %d: %w", i, err)
 		}
 	}
 
@@ -84,29 +78,25 @@ func AlignBatchContext(ctx context.Context, dev *cuda.Device, pairs []seq.Pair, 
 	left := dev.NewStream()
 	right := dev.NewStream()
 
-	// Per-pair device footprint: staged sequences + 3 anti-diagonal
+	// Per-pair device footprint: its bases + 3 anti-diagonal
 	// buffers per extension + the result records.
 	maxExtLen := 0
 	var maxPairBytes int64
 	for i := range pairs {
 		p := &pairs[i]
-		for _, l := range []int{p.SeedQPos, p.SeedTPos, len(p.Query) - p.SeedQPos - p.SeedLen, len(p.Target) - p.SeedTPos - p.SeedLen} {
-			if l > maxExtLen {
-				maxExtLen = l
-			}
-		}
-		if b := int64(len(p.Query) + len(p.Target)); b > maxPairBytes {
-			maxPairBytes = b
-		}
+		lq, lt := side(p, true)
+		rq, rt := side(p, false)
+		maxExtLen = max(maxExtLen, len(lq), len(lt), len(rq), len(rt))
+		maxPairBytes = max(maxPairBytes, int64(len(p.Query)+len(p.Target)))
 	}
 	bandAlloc := BandAlloc(cfg.X, maxExtLen)
 	// Conservative per-pair footprint (worst pair), so a chunk sized from
 	// it always fits the remaining capacity.
-	perPair := maxPairBytes + // staged bases
+	perPair := maxPairBytes + // bases
 		2*3*int64(bandAlloc)*4 + // anti-diagonals, both extensions
 		2*resultRecordBytes // result records
 	free := dev.Spec.HBMBytes - dev.Allocated()
-	chunkPairs := int(free * 9 / 10 / max64(perPair, 1))
+	chunkPairs := int(free * 9 / 10 / max(perPair, 1))
 	if chunkPairs < 1 {
 		return out, fmt.Errorf("core: device memory cannot hold a single pair (footprint %d bytes)", perPair)
 	}
@@ -130,77 +120,15 @@ func AlignBatchContext(ctx context.Context, dev *cuda.Device, pairs []seq.Pair, 
 	return out, nil
 }
 
-// hostScratch is the reusable host-side staging of one extension side:
-// the sequence arena, its offset tables and the extension results. Pooled
-// so that repeated batches on a long-lived device stage without
-// allocating.
-type hostScratch struct {
-	arena                  []byte
-	qOff, qLen, tOff, tLen []int32
-	exts                   []xdrop.Result
-}
-
-var scratchPool = sync.Pool{New: func() any { return new(hostScratch) }}
-
-// grow returns *p resized to n, reusing the backing array when wide
-// enough.
-func grow[T any](p *[]T, n int) []T {
-	if cap(*p) < n {
-		*p = make([]T, n)
+// side returns the query and target of one extension of p: the prefixes
+// before the seed for its left extension, the suffixes after it for its
+// right one. The left prefixes are passed as they stand; the extension
+// stages them reversed (Workspace.ExtendTrace with rev, paper Figs. 5-6).
+func side(p *seq.Pair, leftSide bool) (q, t seq.Seq) {
+	if leftSide {
+		return p.Query[:p.SeedQPos], p.Target[:p.SeedTPos]
 	}
-	return (*p)[:n]
-}
-
-// stage lays one extension side of pairs out in the arena with offset
-// tables: left extensions reversed (Figs. 5-6), right extensions forward.
-func (sc *hostScratch) stage(pairs []seq.Pair, leftSide bool) {
-	n := len(pairs)
-	sc.qOff = grow(&sc.qOff, n)
-	sc.qLen = grow(&sc.qLen, n)
-	sc.tOff = grow(&sc.tOff, n)
-	sc.tLen = grow(&sc.tLen, n)
-	total := 0
-	for i := range pairs {
-		p := &pairs[i]
-		if leftSide {
-			total += p.SeedQPos + p.SeedTPos
-		} else {
-			total += len(p.Query) + len(p.Target) - 2*p.SeedLen - p.SeedQPos - p.SeedTPos
-		}
-	}
-	if cap(sc.arena) < total {
-		sc.arena = make([]byte, 0, total)
-	}
-	arena := sc.arena[:0]
-	for i := range pairs {
-		p := &pairs[i]
-		var q, t seq.Seq
-		if leftSide {
-			q = p.Query.Sub(0, p.SeedQPos)
-			t = p.Target.Sub(0, p.SeedTPos)
-		} else {
-			q = p.Query.Sub(p.SeedQPos+p.SeedLen, len(p.Query))
-			t = p.Target.Sub(p.SeedTPos+p.SeedLen, len(p.Target))
-		}
-		sc.qOff[i], sc.qLen[i] = int32(len(arena)), int32(len(q))
-		if leftSide {
-			arena = seq.AppendReverse(arena, q)
-		} else {
-			arena = append(arena, q...)
-		}
-		sc.tOff[i], sc.tLen[i] = int32(len(arena)), int32(len(t))
-		if leftSide {
-			arena = seq.AppendReverse(arena, t)
-		} else {
-			arena = append(arena, t...)
-		}
-	}
-	sc.arena = arena
-}
-
-// extension returns the staged query and target of extension i.
-func (sc *hostScratch) extension(i int) (q, t []byte) {
-	return sc.arena[sc.qOff[i] : sc.qOff[i]+sc.qLen[i]], sc.arena[sc.tOff[i] : sc.tOff[i]+sc.tLen[i]]
+	return p.Query[p.SeedQPos+p.SeedLen:], p.Target[p.SeedTPos+p.SeedLen:]
 }
 
 // sideKernel returns the launch shape and ablation switches of one
@@ -221,28 +149,33 @@ func sideKernel(cfg Config, leftSide bool) (extKernelOpts, int) {
 	return opts, sharedBytes
 }
 
-// alignChunk stages one memory-sized chunk and runs the two extension
-// grids.
+// alignChunk charges one memory-sized chunk to the device and runs the
+// two extension grids, each block writing its extension into the pair's
+// result.
 func alignChunk(dev *cuda.Device, left, right *cuda.Stream, pairs []seq.Pair, results []xdrop.SeedResult,
 	cfg Config, threads, bandAlloc int, out *BatchResult) error {
 	n := len(pairs)
 
-	runSide := func(sc *hostScratch, stream *cuda.Stream, leftSide bool) error {
-		sc.stage(pairs, leftSide)
+	runSide := func(stream *cuda.Stream, leftSide bool) error {
 		name := "logan-right-ext"
 		if leftSide {
 			name = "logan-left-ext"
 		}
+		var seqBytes int64
+		for i := range pairs {
+			q, t := side(&pairs[i], leftSide)
+			seqBytes += int64(len(q) + len(t))
+		}
 		opts, sharedBytes := sideKernel(cfg, leftSide)
-		// Device memory is a ledger: the staged bases, every block's three
+		// Device memory is a ledger: the side's bases, every block's three
 		// rolling anti-diagonals and the result records hold HBM for the
 		// launch, and the transfers occupy the copy engine, but the blocks
-		// read the host arena.
+		// read the pairs in host memory.
 		for _, a := range []struct {
 			what  string
 			bytes int64
 		}{
-			{"sequences", int64(max(len(sc.arena), 1))},
+			{"sequences", max(seqBytes, 1)},
 			{"anti-diagonals", int64(n) * 3 * int64(bandAlloc) * 4},
 			{"results", int64(n) * resultRecordBytes},
 		} {
@@ -253,15 +186,19 @@ func alignChunk(dev *cuda.Device, left, right *cuda.Stream, pairs []seq.Pair, re
 			defer buf.Free()
 		}
 
-		stream.Memcpy(int64(len(sc.arena)))
-		out.TransferBytes += int64(len(sc.arena))
+		stream.Memcpy(seqBytes)
+		out.TransferBytes += seqBytes
 
-		sc.exts = grow(&sc.exts, n)
 		stats, err := stream.LaunchAsync(cuda.LaunchConfig{
 			Name: name, Grid: n, Block: threads, Shared: sharedBytes,
 		}, func(b *cuda.BlockCtx) {
-			q, t := sc.extension(b.BlockIdx)
-			sc.exts[b.BlockIdx] = extendOnBlock(b, q, t, cfg.Scoring, cfg.X, opts)
+			q, t := side(&pairs[b.BlockIdx], leftSide)
+			r := extendOnBlock(b, q, t, leftSide, cfg.Scoring, cfg.X, opts)
+			if leftSide {
+				results[b.BlockIdx].Left = r
+			} else {
+				results[b.BlockIdx].Right = r
+			}
 			b.GlobalWrite(cuda.TrafficStream, resultRecordBytes, true)
 		})
 		if err != nil {
@@ -276,36 +213,17 @@ func alignChunk(dev *cuda.Device, left, right *cuda.Stream, pairs []seq.Pair, re
 	}
 
 	// The two sides run on their own streams; kernels contend for the
-	// compute engine in the model, transfers for the copy engine. Each
-	// side's staging scratch is pooled and returned once the results have
-	// been merged.
-	ls := scratchPool.Get().(*hostScratch)
-	rs := scratchPool.Get().(*hostScratch)
-	defer scratchPool.Put(ls)
-	defer scratchPool.Put(rs)
-	if err := runSide(ls, left, true); err != nil {
+	// compute engine in the model, transfers for the copy engine.
+	if err := runSide(left, true); err != nil {
 		return err
 	}
-	if err := runSide(rs, right, false); err != nil {
+	if err := runSide(right, false); err != nil {
 		return err
 	}
-
 	for i := range pairs {
-		p := &pairs[i]
-		sr := xdrop.SeedResult{Left: ls.exts[i], Right: rs.exts[i], SeedLen: p.SeedLen}
-		sr.Score = sr.Left.Score + sr.Right.Score + int32(p.SeedLen)*cfg.Scoring.Match
-		sr.QBegin = p.SeedQPos - sr.Left.QueryEnd
-		sr.TBegin = p.SeedTPos - sr.Left.TargetEnd
-		sr.QEnd = p.SeedQPos + p.SeedLen + sr.Right.QueryEnd
-		sr.TEnd = p.SeedTPos + p.SeedLen + sr.Right.TargetEnd
-		results[i] = sr
+		p, r := &pairs[i], &results[i]
+		r.SeedLen = p.SeedLen
+		xdrop.JoinSeed(r, p.SeedQPos, p.SeedTPos, int32(p.SeedLen)*cfg.Scoring.Match)
 	}
 	return nil
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -14,16 +14,21 @@
 //     memory, so SM residency is not capped at one block (§IV-B).
 //   - Each pair is split at the seed into a left extension (both prefixes
 //     reversed, which also linearizes memory access — Figs. 5 and 6) and a
-//     right extension, dispatched on two device streams.
+//     right extension, dispatched on two device streams. The seed check,
+//     the reversal and the join of the two extensions are the CPU
+//     engine's own (xdrop.CheckSeed, the wavefront's one staging step,
+//     xdrop.JoinSeed); the host side here keeps only the device's memory
+//     and transfer ledger.
 //   - The number of threads per block is scheduled from X, since the band
 //     width is proportional to X (§IV-B).
 //
 // The device runs no DP loop of its own: each block takes its scores and
 // the width of every anti-diagonal from the internal/xdrop wavefront
-// (Workspace.ExtendTrace), so device results are the CPU engine's bit for
-// bit — the reproduction's "equivalent accuracy" guarantee — and replays
-// that band trace as the work the paper's kernel does, which the
-// simulator counts for the performance model.
+// (Workspace.ExtendTrace, over the pair's prefixes or suffixes), so
+// device results are the CPU engine's bit for bit — the reproduction's
+// "equivalent accuracy" guarantee — and replays that band trace as the
+// work the paper's kernel does, which the simulator counts for the
+// performance model.
 package core
 
 import "logan/internal/xdrop"

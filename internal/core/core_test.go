@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -25,7 +26,7 @@ func cpuResults(t *testing.T, pairs []seq.Pair, sc xdrop.Scoring, x int32) []xdr
 	p := xdrop.NewPool(0)
 	defer p.Close()
 	out := make([]xdrop.SeedResult, len(pairs))
-	if _, err := p.ExtendBatch(pairs, out, sc, x); err != nil {
+	if _, err := p.ExtendBatchScheme(context.Background(), pairs, out, xdrop.LinearScheme(sc), x); err != nil {
 		t.Fatal(err)
 	}
 	return out

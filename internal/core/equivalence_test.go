@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -37,7 +38,7 @@ func TestGPUEquivalenceRandomScoring(t *testing.T) {
 			return false
 		}
 		cpu := make([]xdrop.SeedResult, len(pairs))
-		if _, err := pool.ExtendBatch(pairs, cpu, sc, x); err != nil {
+		if _, err := pool.ExtendBatchScheme(context.Background(), pairs, cpu, xdrop.LinearScheme(sc), x); err != nil {
 			return false
 		}
 		for i := range pairs {
@@ -58,23 +59,9 @@ func TestGPUEquivalenceRandomScoring(t *testing.T) {
 // seeds flush against either end, single-base extensions, and wildly
 // asymmetric pair lengths.
 func TestGPUEquivalenceExtremeShapes(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
 	dev := cuda.MustV100()
 	sc := xdrop.DefaultScoring()
-	mk := func(qLen, tLen, qPos, tPos, seedLen int) seq.Pair {
-		q := seq.RandSeq(rng, qLen)
-		tt := seq.RandSeq(rng, tLen)
-		copy(tt[tPos:tPos+seedLen], q[qPos:qPos+seedLen])
-		return seq.Pair{Query: q, Target: tt, SeedQPos: qPos, SeedTPos: tPos, SeedLen: seedLen}
-	}
-	pairs := []seq.Pair{
-		mk(100, 100, 0, 0, 10),    // seed at both starts
-		mk(100, 100, 90, 90, 10),  // seed at both ends
-		mk(100, 100, 0, 90, 10),   // opposite corners
-		mk(11, 2000, 0, 1000, 11), // whole query is the seed
-		mk(2000, 12, 1000, 0, 12), // whole target is the seed
-		mk(1500, 30, 700, 10, 15), // extreme asymmetry
-	}
+	pairs := extremeShapePairs()
 	for _, x := range []int32{0, 1, 7, 100} {
 		gpu, err := AlignBatch(dev, pairs, Config{Scoring: sc, X: x})
 		if err != nil {
@@ -89,6 +76,26 @@ func TestGPUEquivalenceExtremeShapes(t *testing.T) {
 				t.Fatalf("X=%d pair %d: extents differ", x, i)
 			}
 		}
+	}
+}
+
+// extremeShapePairs returns the degenerate geometries of
+// TestGPUEquivalenceExtremeShapes, the same pairs on every call.
+func extremeShapePairs() []seq.Pair {
+	rng := rand.New(rand.NewSource(99))
+	mk := func(qLen, tLen, qPos, tPos, seedLen int) seq.Pair {
+		q := seq.RandSeq(rng, qLen)
+		tt := seq.RandSeq(rng, tLen)
+		copy(tt[tPos:tPos+seedLen], q[qPos:qPos+seedLen])
+		return seq.Pair{Query: q, Target: tt, SeedQPos: qPos, SeedTPos: tPos, SeedLen: seedLen}
+	}
+	return []seq.Pair{
+		mk(100, 100, 0, 0, 10),    // seed at both starts
+		mk(100, 100, 90, 90, 10),  // seed at both ends
+		mk(100, 100, 0, 90, 10),   // opposite corners
+		mk(11, 2000, 0, 1000, 11), // whole query is the seed
+		mk(2000, 12, 1000, 0, 12), // whole target is the seed
+		mk(1500, 30, 700, 10, 15), // extreme asymmetry
 	}
 }
 

@@ -29,12 +29,13 @@ var lanePool = sync.Pool{New: func() any { return &laneScratch{ws: xdrop.NewWork
 // the CPU engine computes; the block then charges the work the paper's
 // kernel does for that band (see replay).
 //
-// q and t are raw base bytes; for left extensions the caller has already
-// reversed them (paper Figs. 5-6), which is also why every sequence read
-// is coalesced unless the ablation switch says otherwise.
-func extendOnBlock(b *cuda.BlockCtx, q, t []byte, sc xdrop.Scoring, x int32, opts extKernelOpts) xdrop.Result {
+// q and t are the pair's prefixes for a left extension (rev), which the
+// wavefront stages reversed like every extension it runs (paper Figs.
+// 5-6), or its suffixes for a right one. The reversal is why every
+// sequence read is coalesced unless the ablation switch says otherwise.
+func extendOnBlock(b *cuda.BlockCtx, q, t []byte, rev bool, sc xdrop.Scoring, x int32, opts extKernelOpts) xdrop.Result {
 	ls := lanePool.Get().(*laneScratch)
-	r, trace := ls.ws.ExtendTrace(q, t, sc, x, ls.trace[:0])
+	r, trace := ls.ws.ExtendTrace(q, t, rev, sc, x, ls.trace[:0])
 	ls.trace = trace
 	if r.AntiDiags > 0 { // an empty extension returns before touching memory
 		replay(b, len(q)+len(t), trace, r.MaxBand, opts)

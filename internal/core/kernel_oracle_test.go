@@ -219,7 +219,7 @@ func extendOnBlockOracle(b *cuda.BlockCtx, q, t []byte, sc xdrop.Scoring, x int3
 }
 
 // TestBlockAccountingMatchesOracle launches the trace replay and the frozen
-// kernel over the same staged extensions and requires equal KernelStats
+// kernel over the same extensions and requires equal KernelStats
 // per launch, per block included, and equal results, across the ablation
 // switches and block sizes, on both extension sides. Both run on one
 // launch worker, so even the floating-point aggregates are summed in the
@@ -259,18 +259,26 @@ func TestBlockAccountingMatchesOracle(t *testing.T) {
 				threads = ThreadsForX(x)
 			}
 			for _, leftSide := range []bool{true, false} {
-				var sc hostScratch
-				sc.stage(pairs, leftSide)
+				// The frozen kernel reads a left extension's sides as the
+				// host used to stage them, reversed; the replay gets them
+				// as they stand and reverses them itself (rev).
+				staged := make([][2]seq.Seq, len(pairs))
+				for i := range pairs {
+					q, t := side(&pairs[i], leftSide)
+					if leftSide {
+						q, t = q.Reverse(), t.Reverse()
+					}
+					staged[i] = [2]seq.Seq{q, t}
+				}
 				opts, sharedBytes := sideKernel(cfg, leftSide)
 				lc := cuda.LaunchConfig{Name: "ext", Grid: len(pairs), Block: threads, Shared: sharedBytes, PerBlock: true}
 				bandAlloc := BandAlloc(x, 1000)
-				launch := func(workers int, ext func(b *cuda.BlockCtx, q, t []byte) xdrop.Result) (cuda.KernelStats, []xdrop.Result) {
+				launch := func(workers int, ext func(b *cuda.BlockCtx) xdrop.Result) (cuda.KernelStats, []xdrop.Result) {
 					dev := cuda.MustV100()
 					dev.Workers = workers
 					res := make([]xdrop.Result, len(pairs))
 					stats, err := dev.Launch(lc, func(b *cuda.BlockCtx) {
-						q, t := sc.extension(b.BlockIdx)
-						res[b.BlockIdx] = ext(b, q, t)
+						res[b.BlockIdx] = ext(b)
 						b.GlobalWrite(cuda.TrafficStream, resultRecordBytes, true)
 					})
 					if err != nil {
@@ -278,11 +286,13 @@ func TestBlockAccountingMatchesOracle(t *testing.T) {
 					}
 					return stats, res
 				}
-				replayed := func(b *cuda.BlockCtx, q, t []byte) xdrop.Result {
-					return extendOnBlock(b, q, t, cfg.Scoring, cfg.X, opts)
+				replayed := func(b *cuda.BlockCtx) xdrop.Result {
+					q, t := side(&pairs[b.BlockIdx], leftSide)
+					return extendOnBlock(b, q, t, leftSide, cfg.Scoring, cfg.X, opts)
 				}
 				got, gotRes := launch(1, replayed)
-				want, wantRes := launch(1, func(b *cuda.BlockCtx, q, t []byte) xdrop.Result {
+				want, wantRes := launch(1, func(b *cuda.BlockCtx) xdrop.Result {
+					q, t := staged[b.BlockIdx][0], staged[b.BlockIdx][1]
 					return extendOnBlockOracle(b, q, t, cfg.Scoring, cfg.X, make([]int32, 3*bandAlloc), bandAlloc, opts).result()
 				})
 				where := fmt.Sprintf("x=%d %s left=%v", x, v.name, leftSide)

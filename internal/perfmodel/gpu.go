@@ -45,9 +45,13 @@ type GPUTimer struct {
 }
 
 // NewV100Timer returns the timer tuned for the Tesla V100. DepLatency, ILP
-// and MemLatency are architecture figures; SyncCycles is calibrated once so
-// that the Table I intra-sequence ablation reproduces the paper's 9.3x
-// single-pair speed-up (see EXPERIMENTS.md).
+// and MemLatency are architecture figures. SyncCycles was calibrated once
+// against Table I's intra-sequence row, the paper's 9.3x single-pair
+// speed-up of one 128-thread block over one thread, and has not been
+// refit since: with today's kernel accounting it yields 12.1x (61.9 ms
+// against 748.6 ms for one pair, the Table I rows of EXPERIMENTS.md and
+// testdata/logan_bench_quick.csv), which the reproduction reports as a
+// prediction.
 func NewV100Timer() *GPUTimer {
 	return &GPUTimer{
 		DepLatency:     4,

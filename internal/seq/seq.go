@@ -185,8 +185,10 @@ func (s Seq) RevComp() Seq {
 func (s Seq) Sub(lo, hi int) Seq { return s[lo:hi:hi] }
 
 // AppendReverse appends s to dst in reverse base order (no complement):
-// the Fig. 6 staging reversal, shared by the CPU workspace and the GPU
-// host pipeline so neither allocates an intermediate sequence.
+// the Fig. 6 staging reversal. Its one caller is the extension staging
+// (xdrop's fusedSlot.stage), which every extension of the CPU engine and
+// of the simulated device goes through, so no intermediate sequence is
+// allocated.
 func AppendReverse(dst, s []byte) []byte {
 	n := len(s)
 	dst = slices.Grow(dst, n)

@@ -33,28 +33,11 @@ func (s AffineScoring) Validate() error {
 	return nil
 }
 
-// ExtendSeedAffine is seed-and-extend under affine gaps: the Gotoh
-// analogue of ExtendSeed, on a pooled Workspace. The seed — an exact k-mer
-// match from the overlapper — contributes seedLen*Match, exactly as in the
-// linear path.
-func ExtendSeedAffine(q, t seq.Seq, qPos, tPos, seedLen int, sc AffineScoring, x int32) (SeedResult, error) {
-	return extendSeedPooled(q, t, qPos, tPos, seedLen, AffineScheme(sc), x)
-}
-
-// ExtendAffine computes the highest-scoring semi-global prefix alignment
-// under affine gaps with X-drop pruning, on a pooled Workspace. H is the
-// match-ending state, E the gap-in-target state (horizontal), F the
-// gap-in-query state (vertical); pruning and band trimming operate on H.
-func ExtendAffine(q, t seq.Seq, sc AffineScoring, x int32) (Result, error) {
-	if err := sc.Validate(); err != nil {
-		return Result{}, err
-	}
-	return extendPooled(q, t, AffineScheme(sc), x), nil
-}
-
 // affineRow is the Gotoh row kernel. Each diagonal buffer carries three
 // planes stride slots apart — H, then E, then F — so the E/F states share
-// the H plane's slot geometry and rotation.
+// the H plane's slot geometry and rotation. H is the match-ending state, E
+// the gap-in-target state (horizontal), F the gap-in-query state
+// (vertical); pruning and band trimming operate on H.
 type affineRow struct {
 	AffineScoring
 	stride int // bandLen of the extension

@@ -6,7 +6,7 @@ import (
 	"logan/internal/seq"
 )
 
-// extendAffineReference is the pre-driver ExtendAffine, frozen as the
+// extendAffineReference is the pre-driver affine extension, frozen as the
 // differential oracle of the Gotoh row kernel the way ExtendReference is
 // for the linear ones: it allocates nine rows per call and reads every
 // source through a bounds-checking closure, so it shares no code — and no
@@ -177,15 +177,15 @@ func FuzzExtendAffineDifferential(f *testing.F) {
 			GapOpen:   -int32(oRaw) % 64,
 			GapExtend: -int32(eRaw)%64 - 1,
 		}
-		got, err := ExtendAffine(q, tt, sc, x)
-		if err != nil {
+		if err := sc.Validate(); err != nil {
 			t.Fatalf("valid scheme %+v rejected: %v", sc, err)
 		}
+		got := extendScalar(q, tt, AffineScheme(sc), x)
 		if want := extendAffineReference(q, tt, sc, x); got != want {
 			t.Fatalf("affine %+v != oracle %+v (sc %+v x %d)", got, want, sc, x)
 		}
 		sc.GapOpen = 0
-		got, _ = ExtendAffine(q, tt, sc, x)
+		got = extendScalar(q, tt, AffineScheme(sc), x)
 		lin := Scoring{Match: sc.Match, Mismatch: sc.Mismatch, Gap: sc.GapExtend}
 		if want := ExtendReference(q, tt, lin, x); got != want {
 			t.Fatalf("affine(open=0) %+v != linear reference %+v (sc %+v x %d)", got, want, sc, x)

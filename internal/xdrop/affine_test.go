@@ -87,10 +87,7 @@ func TestAffineValidate(t *testing.T) {
 
 func TestExtendAffineIdentical(t *testing.T) {
 	s := seq.MustNew("ACGTACGTACGTACGT")
-	r, err := ExtendAffine(s, s, affineDefault(), 100)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := extendScalar(s, s, AffineScheme(affineDefault()), 100)
 	if r.Score != 2*int32(len(s)) {
 		t.Fatalf("identical affine score %d, want %d", r.Score, 2*len(s))
 	}
@@ -102,10 +99,7 @@ func TestExtendAffineMatchesOracleLargeX(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		q := seq.RandSeq(rng, 1+rng.Intn(40))
 		tt := seq.RandSeq(rng, 1+rng.Intn(40))
-		r, err := ExtendAffine(q, tt, sc, 1<<28)
-		if err != nil {
-			t.Fatal(err)
-		}
+		r := extendScalar(q, tt, AffineScheme(sc), 1<<28)
 		want := affineOracle(q, tt, sc)
 		if r.Score != want {
 			t.Fatalf("trial %d: affine xdrop(inf)=%d oracle=%d\nq=%s\nt=%s",
@@ -121,10 +115,7 @@ func TestExtendAffineBounded(t *testing.T) {
 		q := seq.RandSeq(rng, 1+rng.Intn(60))
 		tt := seq.RandSeq(rng, 1+rng.Intn(60))
 		x := int32(rng.Intn(100))
-		r, err := ExtendAffine(q, tt, sc, x)
-		if err != nil {
-			t.Fatal(err)
-		}
+		r := extendScalar(q, tt, AffineScheme(sc), x)
 		if r.Score > affineOracle(q, tt, sc) {
 			t.Fatalf("pruned affine %d beats oracle", r.Score)
 		}
@@ -143,14 +134,8 @@ func TestExtendAffineGapStructure(t *testing.T) {
 	single := seq.MustNew("ACGTACGTCCTTACGTACGT") // drops AAGG (one gap of 4)
 	double := seq.MustNew("ACGTACGTGGTTACGTACGT") // drops AA and CC (two gaps of 2)
 	sc := affineDefault()
-	rs, err := ExtendAffine(q, single, sc, 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rd, err := ExtendAffine(q, double, sc, 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rs := extendScalar(q, single, AffineScheme(sc), 1<<20)
+	rd := extendScalar(q, double, AffineScheme(sc), 1<<20)
 	if rs.Score <= rd.Score {
 		t.Fatalf("single gap %d should beat split gaps %d under affine costs", rs.Score, rd.Score)
 	}
@@ -160,10 +145,7 @@ func TestExtendAffineDivergentPrunes(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	q := seq.RandSeq(rng, 2000)
 	tt := seq.RandSeq(rng, 2000)
-	r, err := ExtendAffine(q, tt, affineDefault(), 30)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := extendScalar(q, tt, AffineScheme(affineDefault()), 30)
 	full := int64(len(q)) * int64(len(tt))
 	if r.Cells > full/20 {
 		t.Fatalf("divergent affine explored %d of %d cells", r.Cells, full)
@@ -172,8 +154,7 @@ func TestExtendAffineDivergentPrunes(t *testing.T) {
 
 func TestExtendAffineEmpty(t *testing.T) {
 	s := seq.MustNew("ACGT")
-	r, err := ExtendAffine(nil, s, affineDefault(), 10)
-	if err != nil || r.Score != 0 {
-		t.Fatalf("empty affine: %+v, %v", r, err)
+	if r := extendScalar(nil, s, AffineScheme(affineDefault()), 10); r.Score != 0 {
+		t.Fatalf("empty affine: %+v", r)
 	}
 }

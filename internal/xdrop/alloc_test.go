@@ -1,6 +1,7 @@
 package xdrop
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -16,7 +17,7 @@ func TestSeedExtensionZeroAlloc(t *testing.T) {
 	lin := DefaultScoring()
 	w := NewWorkspace()
 	scheme := func(sch Scheme) func() (SeedResult, error) {
-		return func() (SeedResult, error) { return w.ExtendSeedScheme(q, tt, 300, 300, 17, sch, 50) }
+		return func() (SeedResult, error) { return w.extendSeed(q, tt, 300, 300, 17, sch, 50, KernelScalar, nil) }
 	}
 	cases := []struct {
 		name string
@@ -24,7 +25,7 @@ func TestSeedExtensionZeroAlloc(t *testing.T) {
 	}{
 		{"linear/scalar", scheme(LinearScheme(lin))},
 		{"linear/vector", func() (SeedResult, error) {
-			return w.ExtendSeedKernel(q, tt, 300, 300, 17, lin, 50, KernelVector)
+			return w.extendSeed(q, tt, 300, 300, 17, LinearScheme(lin), 50, KernelVector, nil)
 		}},
 		{"affine", scheme(AffineScheme(AffineScoring{Match: 1, Mismatch: -1, GapOpen: -2, GapExtend: -1}))},
 		{"matrix", scheme(MatrixScheme(dnaMatrix(t, lin)))},
@@ -52,7 +53,7 @@ func TestPoolBatchAllocs(t *testing.T) {
 	p := NewPool(1)
 	defer p.Close()
 	run := func() {
-		if _, err := p.ExtendBatch(pairs, results, DefaultScoring(), 25); err != nil {
+		if _, err := p.ExtendBatchScheme(context.Background(), pairs, results, LinearScheme(DefaultScoring()), 25); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -78,11 +78,11 @@ func BenchmarkKernel(b *testing.B) {
 			return w.extend(q, t, false, MatrixScheme(mat), x, KernelScalar, nil)
 		}, reg.x))
 		b.Run(fmt.Sprintf("scalar/%s", reg.name), wavefront(func(x int32) Result {
-			return w.Extend(q, t, sc, x)
+			return w.extend(q, t, false, LinearScheme(sc), x, KernelScalar, nil)
 		}, reg.x))
 		eachISA(func() {
 			b.Run(fmt.Sprintf("vector-%s/%s", VectorISA(), reg.name), wavefront(func(x int32) Result {
-				return w.ExtendVector(q, t, sc, x)
+				return w.extend(q, t, false, LinearScheme(sc), x, KernelVector, nil)
 			}, reg.x))
 		})
 		if pairDriver != nil && detectISA() == isaAVX512 {

@@ -25,7 +25,7 @@ func BenchmarkExtend(b *testing.B) {
 	b.ResetTimer()
 	var cells int64
 	for i := 0; i < b.N; i++ {
-		r := w.Extend(q, t, sc, 100)
+		r := w.extend(q, t, false, LinearScheme(sc), 100, KernelScalar, nil)
 		cells += r.Cells
 	}
 	b.ReportMetric(float64(cells)/float64(b.Elapsed().Nanoseconds()), "cells/ns")
@@ -41,7 +41,7 @@ func BenchmarkExtendSeedWorkspace(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := w.ExtendSeedKernel(q, t, 1000, 1000, 17, sc, 100, KernelScalar); err != nil {
+		if _, err := w.extendSeed(q, t, 1000, 1000, 17, LinearScheme(sc), 100, KernelScalar, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

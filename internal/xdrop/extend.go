@@ -16,25 +16,11 @@ type Result struct {
 	SumBand   int64 // sum of anti-diagonal widths (SumBand/AntiDiags = mean)
 }
 
-// Extend computes the highest-scoring semi-global alignment between
-// prefixes of q and t (paper §III-A), pruning the search with the X-drop
-// rule: any cell whose score falls more than x below the running best is
-// set to -inf and the band shrinks past it. Extension stops when the band
-// empties or the matrix is exhausted.
-//
-// The implementation keeps only three anti-diagonals (current, previous,
-// two-prior) exactly as Figure 1 prescribes, so memory is O(band), not
-// O(mn). The buffers come from a pooled Workspace; hold a Workspace of
-// your own (see Pool) to make repeated extensions allocation-free.
-func Extend(q, t seq.Seq, sc Scoring, x int32) Result {
-	return extendPooled(q, t, LinearScheme(sc), x)
-}
-
 // ExtendExhaustive computes the same objective with no pruning: the exact
 // maximum semi-global prefix score by filling the full m x n dynamic
 // program. It is quadratic and exists as the oracle for tests and for the
-// "full DP" comparisons; Extend(q, t, sc, x) with sufficiently large x must
-// return exactly this score.
+// "full DP" comparisons; an X-drop extension with sufficiently large x
+// must return exactly this score.
 func ExtendExhaustive(q, t seq.Seq, sc Scoring) Result {
 	m, n := len(q), len(t)
 	res := Result{}

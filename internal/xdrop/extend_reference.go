@@ -2,8 +2,9 @@ package xdrop
 
 import "logan/internal/seq"
 
-// ExtendReference is the pre-engine implementation of Extend, kept
-// verbatim as a differential oracle: Workspace.Extend must reproduce its
+// ExtendReference is the pre-engine implementation of the linear X-drop
+// extension, kept verbatim as a differential oracle: every kernel of
+// Workspace.extend must reproduce its
 // scores, extents and work counters bit for bit on every input (see
 // TestExtendMatchesReference), and the benchmarks compare against it to
 // quantify the kernel rewrite. It allocates its anti-diagonal buffers per

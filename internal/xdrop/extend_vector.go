@@ -32,8 +32,8 @@ const (
 // linear scoring configuration bit-identically: parameter magnitudes must
 // fit the rebased int16 range and x must leave saturation headroom. The
 // kernel-selection layer (SelectKernel, chosen once per batch) consults
-// this; ExtendVector also re-checks and falls back to the scalar kernel,
-// so a direct call is safe for any validated input.
+// this; Workspace.extend also re-checks and falls back to the scalar
+// kernel, so KernelVector is safe to force for any validated input.
 func VectorEligible(sc Scoring, x int32) bool {
 	return x >= 0 && x <= VectorMaxX &&
 		sc.Match > 0 && sc.Match <= VectorMaxScore &&
@@ -170,26 +170,18 @@ func VectorISA() string {
 	return [...]string{isaNone: "none", isaSSE2: "sse2", isaAVX2: "avx2", isaAVX512: "avx512"}[vectorISA]
 }
 
-// ExtendVector is the int16 SIMD form of Workspace.Extend: scores, extents
-// and work counters are bit-identical to the scalar kernel (and so to
-// ExtendReference) on every input. Inputs outside the vector envelope
-// (VectorEligible) fall back to the scalar kernel, and so does every
-// input where there is no fused routine (VectorISA "none"). Score-offset
-// rebasing (see the constants above) keeps lane values exact in int16, so
-// no saturating clamp can ever touch a live score.
-func (w *Workspace) ExtendVector(q, t seq.Seq, sc Scoring, x int32) Result {
-	return w.extend(q, t, false, LinearScheme(sc), x, KernelVector, nil)
-}
-
-// ExtendTrace is the linear extension with its band trace: it runs the
-// kernel SelectKernel picks for sc and x (this vector kernel inside its
-// envelope, the scalar one outside), appends to trace the width of every
+// ExtendTrace is one linear extension with its band trace: over q and t,
+// or over both reversed for rev (a seed's left extension, staged once by
+// fusedSlot.stage like every other extension). It runs the vector kernel
+// inside its envelope (VectorEligible) on a host with a fused routine,
+// the scalar one otherwise, appends to trace the width of every
 // anti-diagonal after the origin in the order they were computed, and
 // returns the result and the grown trace. The trace grows by
 // AntiDiags-1 widths (none for an empty extension) that sum to Cells-1,
 // none wider than MaxBand. Its caller is the simulated device
-// (internal/core), which replays the trace as a block's work accounting.
-func (w *Workspace) ExtendTrace(q, t seq.Seq, sc Scoring, x int32, trace []int32) (Result, []int32) {
-	r := w.extend(q, t, false, LinearScheme(sc), x, KernelVector, &trace)
+// (internal/core): each block passes its pair's raw prefixes or suffixes
+// and replays the trace as its work accounting.
+func (w *Workspace) ExtendTrace(q, t seq.Seq, rev bool, sc Scoring, x int32, trace []int32) (Result, []int32) {
+	r := w.extend(q, t, rev, LinearScheme(sc), x, KernelVector, &trace)
 	return r, trace
 }

@@ -38,7 +38,7 @@ func FuzzExtend(f *testing.F) {
 		q := sanitizeDNA(qRaw)
 		tt := sanitizeDNA(tRaw)
 		sc := DefaultScoring()
-		r := Extend(q, tt, sc, x)
+		r := extendScalar(q, tt, LinearScheme(sc), x)
 		if r.Score < 0 {
 			t.Fatalf("negative score %d", r.Score)
 		}
@@ -109,10 +109,10 @@ func FuzzExtendVectorDifferential(f *testing.F) {
 		}
 		checkTrace(t, scalar, want)
 		eachISA(func() {
-			if got := ws.ExtendVector(q, tt, sc, x); got != want {
+			if got := ws.extend(q, tt, false, LinearScheme(sc), x, KernelVector, nil); got != want {
 				t.Fatalf("%s vector %+v != reference %+v (sc %+v x %d)", VectorISA(), got, want, sc, x)
 			}
-			got, trace := ws.ExtendTrace(q, tt, sc, x, nil)
+			got, trace := ws.ExtendTrace(q, tt, false, sc, x, nil)
 			if got != want {
 				t.Fatalf("%s traced %+v != reference %+v (sc %+v x %d)", VectorISA(), got, want, sc, x)
 			}
@@ -150,7 +150,7 @@ func checkTrace(t *testing.T, trace []int32, r Result) {
 // FuzzExtendMatrix does the same for the protein path, and pins the
 // matrix row kernel to the frozen linear oracle: over a DNA alphabet with
 // match on the diagonal and mismatch off it, a matrix is the linear
-// scheme, so ExtendMatrix must equal ExtendReference field for field.
+// scheme, so the matrix kernel must equal ExtendReference field for field.
 func FuzzExtendMatrix(f *testing.F) {
 	f.Add([]byte("MKVL"), []byte("MKVL"), int32(20))
 	f.Add([]byte("W"), []byte("W"), int32(0))
@@ -174,10 +174,10 @@ func FuzzExtendMatrix(f *testing.F) {
 		for i, b := range tRaw {
 			tt[i] = residues[int(b)%len(residues)]
 		}
-		r, err := ExtendMatrix(q, tt, m, x)
-		if err != nil {
-			t.Fatalf("sanitized protein rejected: %v", err)
+		if !m.ValidSeq(q) || !m.ValidSeq(tt) {
+			t.Fatalf("sanitized protein rejected: %q %q", q, tt)
 		}
+		r := extendScalar(q, tt, MatrixScheme(m), x)
 		if r.Score < 0 {
 			t.Fatalf("negative protein score %d", r.Score)
 		}
@@ -190,10 +190,10 @@ func FuzzExtendMatrix(f *testing.F) {
 		}
 
 		dq, dt := sanitizeDNA(qRaw), sanitizeDNA(tRaw)
-		got, err := ExtendMatrix(dq, dt, dna, x)
-		if err != nil {
-			t.Fatalf("sanitized DNA rejected: %v", err)
+		if !dna.ValidSeq(dq) || !dna.ValidSeq(dt) {
+			t.Fatalf("sanitized DNA rejected: %q %q", dq, dt)
 		}
+		got := extendScalar(dq, dt, MatrixScheme(dna), x)
 		if want := ExtendReference(dq, dt, lin, x); got != want {
 			t.Fatalf("DNA-as-matrix %+v != reference %+v (x %d)", got, want, x)
 		}

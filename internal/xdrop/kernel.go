@@ -9,10 +9,10 @@ type Kernel uint8
 
 const (
 	// KernelScalar runs the int32 row kernels: every scheme family has
-	// one, and the linear one (Workspace.Extend) is the fallback when a
-	// configuration exceeds the vector envelope.
+	// one, and the linear one is the fallback when a configuration
+	// exceeds the vector envelope.
 	KernelScalar Kernel = iota
-	// KernelVector is the int16 lane kernel (ExtendVector): the fused
+	// KernelVector is the int16 lane kernel (extendVector): the fused
 	// assembly extension on amd64, AVX-512, AVX2 or SSE2 by CPU
 	// (VectorISA). Linear DNA configurations inside the vector envelope
 	// only; where there is no fused routine SelectKernel never picks it,

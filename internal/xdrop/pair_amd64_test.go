@@ -107,7 +107,7 @@ func FuzzExtendPairDifferential(f *testing.F) {
 			c := &cs[i]
 			q, tt := c.oriented()
 			want := ExtendReference(q, tt, c.sc, c.x)
-			r, trace := solo.ExtendTrace(q, tt, c.sc, c.x, nil)
+			r, trace := solo.ExtendTrace(q, tt, false, c.sc, c.x, nil)
 			if r != want {
 				t.Fatalf("side %d: solo %+v != reference %+v (sc %+v x %d)", i, r, want, c.sc, c.x)
 			}
@@ -224,7 +224,7 @@ func TestExtendVectorPauseInFrame(t *testing.T) {
 		var wantTrace []int32
 		ref.extend(q, q, false, LinearScheme(sc), tc.x, KernelScalar, &wantTrace)
 		w := NewWorkspace()
-		got, trace := w.ExtendTrace(q, q, sc, tc.x, nil)
+		got, trace := w.ExtendTrace(q, q, false, sc, tc.x, nil)
 		if got != want || !slices.Equal(trace, wantTrace) {
 			t.Fatalf("x=%d: got %+v, want %+v (traces equal: %v)", tc.x, got, want, slices.Equal(trace, wantTrace))
 		}

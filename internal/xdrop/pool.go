@@ -140,19 +140,13 @@ func (j *poolJob) run(ws *Workspace) {
 	}
 }
 
-// ExtendBatch aligns every pair into results (len(results) must equal
-// len(pairs)) under linear scoring, reusing the pool's workers and their
-// workspaces. On error (the lowest-index invalid seed) the surviving
-// entries of results are still valid but the batch must be considered
-// failed.
-func (p *Pool) ExtendBatch(pairs []seq.Pair, results []SeedResult, sc Scoring, x int32) (BatchStats, error) {
-	return p.ExtendBatchScheme(context.Background(), pairs, results, LinearScheme(sc), x)
-}
-
-// ExtendBatchScheme is ExtendBatch generalized over the scoring families
-// and a context: every family runs on the per-worker workspaces, through
-// the same seed wrapper and wavefront driver. A canceled ctx stops the
-// batch after the in-flight pairs finish and returns the context's error.
+// ExtendBatchScheme aligns every pair into results (len(results) must
+// equal len(pairs)) under any scoring family, reusing the pool's workers
+// and their workspaces: every family runs through the same seed wrapper
+// and wavefront driver. On error (the lowest-index invalid seed) the
+// surviving entries of results are still valid but the batch must be
+// considered failed. A canceled ctx stops the batch after the in-flight
+// pairs finish and returns the context's error.
 //
 // The extension kernel is chosen once per batch from the batch's config
 // key (SelectKernel on scheme + X): eligible linear batches run the
@@ -166,7 +160,7 @@ func (p *Pool) ExtendBatchScheme(ctx context.Context, pairs []seq.Pair, results 
 // caller instead of selected from the config key. Non-linear schemes
 // always run scalar regardless of k (the vector kernel only implements
 // linear scoring); an ineligible linear config handed KernelVector falls
-// back per pair inside ExtendVector. Scores are bit-identical across
+// back per pair inside Workspace.extend. Scores are bit-identical across
 // kernels — this entry point exists for benchmarks and differential
 // tests.
 func (p *Pool) ExtendBatchKernel(ctx context.Context, pairs []seq.Pair, results []SeedResult, sch Scheme, x int32, k Kernel) (BatchStats, error) {

@@ -118,7 +118,7 @@ func (ps *pairedStream) claim() (pairedExt, bool) {
 			return pairedExt{}, false
 		}
 		p := &j.pairs[idx]
-		if err := checkSeed(p.Query, p.Target, p.SeedQPos, p.SeedTPos, p.SeedLen); err != nil {
+		if err := CheckSeed(p.Query, p.Target, p.SeedQPos, p.SeedTPos, p.SeedLen); err != nil {
 			j.fail(idx, err)
 			continue
 		}
@@ -146,7 +146,7 @@ func (ps *pairedStream) end(e pairedExt, r Result) {
 		sd.r.Left = r
 	}
 	if sd.open--; sd.open == 0 {
-		joinSeed(&sd.r, sd.qPos, sd.tPos, sd.seedScore)
+		JoinSeed(&sd.r, sd.qPos, sd.tPos, sd.seedScore)
 		ps.j.results[sd.idx] = sd.r
 	}
 }

@@ -9,7 +9,6 @@ package xdrop
 import (
 	"fmt"
 	"math"
-	"strings"
 
 	"logan/internal/seq"
 )
@@ -154,30 +153,6 @@ func Blosum62(gap int32) *Matrix {
 	return m
 }
 
-// ExtendMatrix is Extend generalized to substitution-matrix scoring: the
-// highest-scoring semi-global alignment of prefixes of q and t under the
-// matrix and its linear gap penalty, with X-drop pruning, on a pooled
-// Workspace. Sequences are validated against the matrix alphabet.
-func ExtendMatrix(q, t []byte, m *Matrix, x int32) (Result, error) {
-	if !m.ValidSeq(q) || !m.ValidSeq(t) {
-		return Result{}, fmt.Errorf("xdrop: sequence contains residues outside the %s alphabet", m.Name)
-	}
-	return extendPooled(q, t, MatrixScheme(m), x), nil
-}
-
-// ExtendSeedMatrix is seed-and-extend under a substitution matrix: the
-// protein analogue of ExtendSeed, scoring the seed region explicitly
-// (protein seeds are rarely exact matches, so the seed contributes its
-// actual matrix score, not length x match). Unlike the batch path
-// (Workspace.ExtendSeedScheme) it scans both sequences against the
-// matrix alphabet first.
-func ExtendSeedMatrix(q, t []byte, qPos, tPos, seedLen int, m *Matrix, x int32) (SeedResult, error) {
-	if !m.ValidSeq(q) || !m.ValidSeq(t) {
-		return SeedResult{}, fmt.Errorf("xdrop: sequence contains residues outside the %s alphabet", m.Name)
-	}
-	return extendSeedPooled(q, t, qPos, tPos, seedLen, MatrixScheme(m), x)
-}
-
 // matrixRow is linearRow with the match/mismatch compare replaced by a
 // substitution-table lookup.
 type matrixRow struct{ m *Matrix }
@@ -216,23 +191,4 @@ func (r matrixRow) row(d3, d2m1, out []int32, qs, ts seq.Seq, thr, best int32) (
 		out[k] = s
 	}
 	return best, bestK
-}
-
-// FormatMatrix renders the matrix as the classic NCBI text table, mainly
-// for documentation and debugging.
-func FormatMatrix(m *Matrix) string {
-	var b strings.Builder
-	b.WriteString("  ")
-	for i := 0; i < len(m.alphabet); i++ {
-		fmt.Fprintf(&b, "%3c", m.alphabet[i])
-	}
-	b.WriteString("\n")
-	for i := 0; i < len(m.alphabet); i++ {
-		fmt.Fprintf(&b, "%c ", m.alphabet[i])
-		for j := 0; j < len(m.alphabet); j++ {
-			fmt.Fprintf(&b, "%3d", m.scores[i][j])
-		}
-		b.WriteString("\n")
-	}
-	return b.String()
 }

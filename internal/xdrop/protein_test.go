@@ -3,7 +3,6 @@ package xdrop
 import (
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 )
 
@@ -94,7 +93,7 @@ func TestMatrixUnknownResidueScoresMinimum(t *testing.T) {
 	// The row kernel uses the same lookup: one unknown residue in an
 	// otherwise identical pair costs the minimum, on the unvalidated path.
 	q, tt := []byte("AAAAAAAA"), []byte("AAA?AAAA")
-	r, err := NewWorkspace().ExtendSeedScheme(q, tt, 0, 0, 1, MatrixScheme(m), 100)
+	r, err := extendSeedScalar(q, tt, 0, 0, 1, MatrixScheme(m), 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,10 +105,7 @@ func TestMatrixUnknownResidueScoresMinimum(t *testing.T) {
 func TestExtendMatrixIdenticalProtein(t *testing.T) {
 	m := Blosum62(-6)
 	p := []byte("MKVLAAGICWQRSTNDEHYF")
-	r, err := ExtendMatrix(p, p, m, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := extendScalar(p, p, MatrixScheme(m), 100)
 	var want int32
 	for _, c := range p {
 		want += m.Score(c, c)
@@ -122,16 +118,20 @@ func TestExtendMatrixIdenticalProtein(t *testing.T) {
 	}
 }
 
+// TestExtendMatrixValidation holds the two checks a matrix extension's
+// inputs pass: the alphabet scan the engine runs at ingest (ValidSeq;
+// TestMatrixAlphabetValidation in package logan rejects both pairs below
+// through it) and the seed bounds.
 func TestExtendMatrixValidation(t *testing.T) {
 	m := Blosum62(-6)
-	if _, err := ExtendMatrix([]byte("MKV1"), []byte("MKV"), m, 10); err == nil {
+	if m.ValidSeq([]byte("MKV1")) {
 		t.Error("accepted invalid residue")
 	}
-	if _, err := ExtendMatrix([]byte("MKV"), []byte("MO"), m, 10); err == nil {
+	if m.ValidSeq([]byte("MO")) {
 		t.Error("accepted residue O outside alphabet")
 	}
 	// qPos+seedLen overflows int; the bounds check must not wrap.
-	if _, err := ExtendSeedMatrix([]byte("MKVL"), []byte("MKVL"), math.MaxInt-1, 0, 3, m, 10); err == nil {
+	if _, err := extendSeedScalar([]byte("MKVL"), []byte("MKVL"), math.MaxInt-1, 0, 3, MatrixScheme(m), 10); err == nil {
 		t.Error("accepted overflowing seed position")
 	}
 }
@@ -180,10 +180,7 @@ func TestExtendMatrixMatchesExhaustive(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		q := randProtein(rng, 1+rng.Intn(40))
 		tt := randProtein(rng, 1+rng.Intn(40))
-		got, err := ExtendMatrix(q, tt, m, 1<<28)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := extendScalar(q, tt, MatrixScheme(m), 1<<28)
 		want := exhaustiveMatrix(q, tt, m)
 		if got.Score != want {
 			t.Fatalf("trial %d: xdrop(inf)=%d exhaustive=%d\nq=%s\nt=%s", trial, got.Score, want, q, tt)
@@ -204,10 +201,7 @@ func TestExtendMatrixMonotoneInX(t *testing.T) {
 	}
 	prev := int32(-1 << 30)
 	for _, x := range []int32{0, 10, 50, 200, 1 << 20} {
-		r, err := ExtendMatrix(q, h, m, x)
-		if err != nil {
-			t.Fatal(err)
-		}
+		r := extendScalar(q, h, MatrixScheme(m), x)
 		if r.Score < prev {
 			t.Fatalf("score decreased at x=%d: %d < %d", x, r.Score, prev)
 		}
@@ -227,7 +221,7 @@ func TestExtendSeedMatrixProtein(t *testing.T) {
 	}
 	// Conserved seed region.
 	copy(h[150:160], q[150:160])
-	r, err := ExtendSeedMatrix(q, h, 150, 150, 10, m, 60)
+	r, err := extendSeedScalar(q, h, 150, 150, 10, MatrixScheme(m), 60)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,24 +239,14 @@ func TestExtendSeedMatrixProtein(t *testing.T) {
 	// nowhere past it at small X.
 	u := randProtein(rng, 300)
 	copy(u[150:160], q[150:160])
-	ru, err := ExtendSeedMatrix(q, u, 150, 150, 10, m, 15)
+	ru, err := extendSeedScalar(q, u, 150, 150, 10, MatrixScheme(m), 15)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ru.Score >= r.Score {
 		t.Fatalf("unrelated score %d >= homolog score %d", ru.Score, r.Score)
 	}
-	if _, err := ExtendSeedMatrix(q, h, 295, 150, 10, m, 15); err == nil {
+	if _, err := extendSeedScalar(q, h, 295, 150, 10, MatrixScheme(m), 15); err == nil {
 		t.Error("accepted out-of-range protein seed")
-	}
-}
-
-func TestFormatMatrix(t *testing.T) {
-	out := FormatMatrix(Blosum62(-6))
-	if !strings.Contains(out, "11") {
-		t.Error("formatted matrix missing W-W=11")
-	}
-	if len(strings.Split(strings.TrimSpace(out), "\n")) != 25 {
-		t.Error("formatted matrix row count")
 	}
 }

@@ -1,6 +1,7 @@
 package xdrop
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -32,7 +33,7 @@ func TestExtendMatchesReference(t *testing.T) {
 		sc := schemes[rng.Intn(len(schemes))]
 		x := int32(rng.Intn(60))
 		want := ExtendReference(q, tt, sc, x)
-		got := w.Extend(q, tt, sc, x)
+		got := w.extend(q, tt, false, LinearScheme(sc), x, KernelScalar, nil)
 		if got != want {
 			t.Fatalf("trial %d (m=%d n=%d x=%d sc=%+v):\n got %+v\nwant %+v",
 				trial, m, len(tt), x, sc, got, want)
@@ -62,7 +63,7 @@ func TestPoolMatchesExtendBatch(t *testing.T) {
 	defer p.Close()
 	results := make([]SeedResult, len(pairs))
 	for rep := 0; rep < 3; rep++ {
-		stats, err := p.ExtendBatch(pairs, results, sc, 50)
+		stats, err := p.ExtendBatchScheme(context.Background(), pairs, results, LinearScheme(sc), 50)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,7 +89,7 @@ func TestPoolReportsLowestErrorIndex(t *testing.T) {
 	p := NewPool(2)
 	defer p.Close()
 	results := make([]SeedResult, len(pairs))
-	if _, err := p.ExtendBatch(pairs, results, DefaultScoring(), 10); err == nil {
+	if _, err := p.ExtendBatchScheme(context.Background(), pairs, results, LinearScheme(DefaultScoring()), 10); err == nil {
 		t.Fatal("pool accepted out-of-range seeds")
 	}
 }
@@ -97,7 +98,7 @@ func TestPoolReportsLowestErrorIndex(t *testing.T) {
 func TestPoolEmptyBatch(t *testing.T) {
 	p := NewPool(2)
 	defer p.Close()
-	if stats, err := p.ExtendBatch(nil, nil, DefaultScoring(), 10); err != nil || stats != (BatchStats{}) {
+	if stats, err := p.ExtendBatchScheme(context.Background(), nil, nil, LinearScheme(DefaultScoring()), 10); err != nil || stats != (BatchStats{}) {
 		t.Fatalf("empty batch: %+v %v", stats, err)
 	}
 }
@@ -110,7 +111,7 @@ func TestPoolClosedSubmit(t *testing.T) {
 	p.Close()
 	good := seq.MustNew("ACGTACGT")
 	pairs := []seq.Pair{{Query: good, Target: good, SeedQPos: 0, SeedTPos: 0, SeedLen: 4}}
-	if _, err := p.ExtendBatch(pairs, make([]SeedResult, 1), DefaultScoring(), 10); err != ErrPoolClosed {
+	if _, err := p.ExtendBatchScheme(context.Background(), pairs, make([]SeedResult, 1), LinearScheme(DefaultScoring()), 10); err != ErrPoolClosed {
 		t.Fatalf("submit after close: %v", err)
 	}
 }

@@ -48,7 +48,7 @@ func TestSchemeValidate(t *testing.T) {
 func TestExtendSeedAffineIdentical(t *testing.T) {
 	s := seq.MustNew("ACGTACGTACGTACGTACGT")
 	sc := AffineScoring{Match: 1, Mismatch: -1, GapOpen: -2, GapExtend: -1}
-	r, err := ExtendSeedAffine(s, s, 8, 8, 5, sc, 30)
+	r, err := extendSeedScalar(s, s, 8, 8, 5, AffineScheme(sc), 30)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestExtendSeedAffineReducesToLinear(t *testing.T) {
 	sc := AffineScoring{Match: 1, Mismatch: -1, GapOpen: 0, GapExtend: -1}
 	lin := Scoring{Match: 1, Mismatch: -1, Gap: -1}
 	for i, p := range schemePairs(t, 24) {
-		aff, err := ExtendSeedAffine(p.Query, p.Target, p.SeedQPos, p.SeedTPos, p.SeedLen, sc, 50)
+		aff, err := extendSeedScalar(p.Query, p.Target, p.SeedQPos, p.SeedTPos, p.SeedLen, AffineScheme(sc), 50)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,11 +84,11 @@ func TestExtendSeedAffineBounds(t *testing.T) {
 	s := seq.MustNew("ACGTACGT")
 	sc := AffineScoring{Match: 1, Mismatch: -1, GapOpen: -2, GapExtend: -1}
 	for _, tc := range [][3]int{{7, 0, 4}, {0, 7, 4}, {-1, 0, 4}, {0, 0, 0}, {math.MaxInt, 0, 4}} {
-		if _, err := ExtendSeedAffine(s, s, tc[0], tc[1], tc[2], sc, 10); err == nil {
+		if _, err := extendSeedScalar(s, s, tc[0], tc[1], tc[2], AffineScheme(sc), 10); err == nil {
 			t.Fatalf("seed %v accepted", tc)
 		}
 	}
-	if _, err := ExtendSeedAffine(s, s, 0, 0, 4, AffineScoring{}, 10); err == nil {
+	if _, err := extendSeedScalar(s, s, 0, 0, 4, AffineScheme(AffineScoring{}), 10); err == nil {
 		t.Fatal("invalid scheme accepted")
 	}
 }
@@ -108,12 +108,19 @@ func TestPoolSchemeBatchesMatchOracles(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, pr := range pairs {
-		want, err := ExtendSeedAffine(pr.Query, pr.Target, pr.SeedQPos, pr.SeedTPos, pr.SeedLen, aff, x)
+		want, err := extendSeedScalar(pr.Query, pr.Target, pr.SeedQPos, pr.SeedTPos, pr.SeedLen, AffineScheme(aff), x)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if results[i] != want {
 			t.Fatalf("affine pair %d: pooled %+v != oracle %+v", i, results[i], want)
+		}
+		// The seed's extensions are plain extensions over the reversed
+		// prefixes and over the suffixes.
+		left := extendScalar(pr.Query[:pr.SeedQPos].Reverse(), pr.Target[:pr.SeedTPos].Reverse(), AffineScheme(aff), x)
+		right := extendScalar(pr.Query[pr.SeedQPos+pr.SeedLen:], pr.Target[pr.SeedTPos+pr.SeedLen:], AffineScheme(aff), x)
+		if want := left.Score + right.Score + int32(pr.SeedLen)*aff.Match; results[i].Score != want {
+			t.Fatalf("affine pair %d: pooled score %d != extension composition %d", i, results[i].Score, want)
 		}
 	}
 
@@ -122,7 +129,7 @@ func TestPoolSchemeBatchesMatchOracles(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, pr := range pairs {
-		want, err := ExtendSeedMatrix(pr.Query, pr.Target, pr.SeedQPos, pr.SeedTPos, pr.SeedLen, m, x)
+		want, err := extendSeedScalar(pr.Query, pr.Target, pr.SeedQPos, pr.SeedTPos, pr.SeedLen, MatrixScheme(m), x)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -18,7 +18,11 @@ type SeedResult struct {
 func (r SeedResult) Cells() int64 { return r.Left.Cells + r.Right.Cells }
 
 // ExtendSeed splits the pair at the seed (paper Fig. 5) and extends in both
-// directions under linear scoring, on a pooled Workspace.
+// directions under linear scoring on the scalar kernel, on a pooled
+// Workspace.
 func ExtendSeed(q, t seq.Seq, qPos, tPos, seedLen int, sc Scoring, x int32) (SeedResult, error) {
-	return extendSeedPooled(q, t, qPos, tPos, seedLen, LinearScheme(sc), x)
+	w := wsPool.Get().(*Workspace)
+	r, err := w.extendSeed(q, t, qPos, tPos, seedLen, LinearScheme(sc), x, KernelScalar, nil)
+	wsPool.Put(w)
+	return r, err
 }

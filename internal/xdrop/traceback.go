@@ -85,7 +85,7 @@ func (r opsRow) row(d3, d2m1, out []int32, qs, ts seq.Seq, thr, best int32) (int
 	return best, bestK
 }
 
-// extendOps is Workspace.Extend with traceback: the same wavefront over
+// extendOps is the scalar linear Workspace.extend with traceback: the same wavefront over
 // opsRow, then a walk from the best cell back to the origin that appends
 // the alignment's columns to ops, last column first. rev extends over q
 // and t reversed, as extend does. A live cell's source is live, so the
@@ -133,8 +133,8 @@ func column(a, b byte) Op {
 }
 
 // ExtendSeedOps is the linear seed-and-extend with traceback: the
-// SeedResult is ExtendSeedKernel's, field for field, and ops grows by the
-// alignment's columns over [QBegin,QEnd) x [TBegin,TEnd) in order. They
+// SeedResult is the scalar kernel's, field for field, and ops grows by
+// the alignment's columns over [QBegin,QEnd) x [TBegin,TEnd) in order. They
 // come from the wavefront that computed the score, so they rescore to
 // Score exactly (Rescore). Directions cost one byte per DP cell, held in
 // the workspace and reused across calls.

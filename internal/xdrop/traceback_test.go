@@ -31,8 +31,8 @@ func checkOps(t *testing.T, w *Workspace, q, tt seq.Seq, sc Scoring, x int32) (R
 
 // TestExtendOpsMatchesReference holds the recording extension to the
 // frozen oracle over random and related pairs, schemes and X values, and
-// the seed-and-extend entry point to ExtendSeedKernel with its columns
-// rescoring to the seed result's score over exactly its intervals.
+// ExtendSeedOps to the scalar seed-and-extend, its columns rescoring to
+// the seed result's score over exactly its intervals.
 func TestExtendOpsMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	w := NewWorkspace()
@@ -64,14 +64,14 @@ func TestExtendOpsMatchesReference(t *testing.T) {
 		}
 		tt = slices.Clone(tt)
 		copy(tt[tPos:], q[qPos:qPos+seedLen])
-		want, err := w.ExtendSeedKernel(q, tt, qPos, tPos, seedLen, sc, x, KernelScalar)
+		want, err := w.extendSeed(q, tt, qPos, tPos, seedLen, LinearScheme(sc), x, KernelScalar, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var got SeedResult
 		got, ops, err = w.ExtendSeedOps(q, tt, qPos, tPos, seedLen, sc, x, ops[:0])
 		if err != nil || got != want {
-			t.Fatalf("trial %d: ExtendSeedOps %+v, %v != ExtendSeedKernel %+v", trial, got, err, want)
+			t.Fatalf("trial %d: ExtendSeedOps %+v, %v != extendSeed %+v", trial, got, err, want)
 		}
 		score, err := Rescore(ops, q[got.QBegin:got.QEnd], tt[got.TBegin:got.TEnd], sc)
 		if err != nil || score != got.Score {

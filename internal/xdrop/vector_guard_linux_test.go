@@ -107,21 +107,21 @@ func TestExtendVectorGuardPages(t *testing.T) {
 			seeds := [2][2]int{{0, 0}, {len(q0) - seedLen, len(t0) - seedLen}}
 			var wantSeed [2]SeedResult
 			for i, p := range seeds {
-				wantSeed[i], _ = ref.ExtendSeedKernel(q0, t0, p[0], p[1], seedLen, sc, x, KernelScalar)
+				wantSeed[i], _ = ref.extendSeed(q0, t0, p[0], p[1], seedLen, LinearScheme(sc), x, KernelScalar, nil)
 			}
 			w := guardedWorkspace(t, len(q0), len(t0), tail)
 			ws := guardedWorkspace(t, len(q0)-seedLen, len(t0)-seedLen, tail)
 			eachISA(func() {
 				w.modes, ws.modes = regModes{}, regModes{}
-				if got := w.ExtendVector(q, tt, sc, x); got != want {
+				if got := w.extend(q, tt, false, LinearScheme(sc), x, KernelVector, nil); got != want {
 					t.Fatalf("%s tail=%v x=%d: got %+v want %+v", VectorISA(), tail, x, got, want)
 				}
-				got, trace := w.ExtendTrace(q, tt, sc, x, nil)
+				got, trace := w.ExtendTrace(q, tt, false, sc, x, nil)
 				if got != want || !slices.Equal(trace, wantTrace) {
 					t.Fatalf("%s tail=%v x=%d: traced %+v (trace %v), want %+v (trace %v)", VectorISA(), tail, x, got, trace, want, wantTrace)
 				}
 				for i, p := range seeds {
-					got, err := ws.ExtendSeedKernel(q, tt, p[0], p[1], seedLen, sc, x, KernelVector)
+					got, err := ws.extendSeed(q, tt, p[0], p[1], seedLen, LinearScheme(sc), x, KernelVector, nil)
 					if err != nil || got != wantSeed[i] {
 						t.Fatalf("%s tail=%v x=%d seed at %v: got %+v, %v want %+v", VectorISA(), tail, x, p, got, err, wantSeed[i])
 					}

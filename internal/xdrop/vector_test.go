@@ -1,6 +1,7 @@
 package xdrop
 
 import (
+	"context"
 	"math/rand"
 	"slices"
 	"testing"
@@ -42,7 +43,7 @@ func forEachISA(t *testing.T, f func(t *testing.T)) {
 }
 
 // TestExtendVectorMatchesReference pins the vector kernel bit-identical to
-// ExtendReference (and therefore to the scalar Workspace.Extend) across
+// ExtendReference (and therefore to the scalar kernel) across
 // lengths, X values and scoring schemes inside the vector envelope.
 func TestExtendVectorMatchesReference(t *testing.T) {
 	forEachISA(t, func(t *testing.T) {
@@ -63,7 +64,7 @@ func TestExtendVectorMatchesReference(t *testing.T) {
 			sc := schemes[trial%len(schemes)]
 			x := xs[trial%len(xs)]
 			want := ExtendReference(q, tt, sc, x)
-			got := w.ExtendVector(q, tt, sc, x)
+			got := w.extend(q, tt, false, LinearScheme(sc), x, KernelVector, nil)
 			if got != want {
 				t.Fatalf("trial %d (lens %d/%d, sc %+v, x %d):\n got %+v\nwant %+v",
 					trial, n, m, sc, x, got, want)
@@ -117,7 +118,7 @@ func TestExtendVectorHandoffs(t *testing.T) {
 	forEachISA(t, func(t *testing.T) {
 		w := NewWorkspace()
 		for i, tr := range trials {
-			if got := w.ExtendVector(tr.q, tr.t, tr.sc, tr.x); got != tr.want {
+			if got := w.extend(tr.q, tr.t, false, LinearScheme(tr.sc), tr.x, KernelVector, nil); got != tr.want {
 				t.Fatalf("trial %d (lens %d/%d, sc %+v, x %d):\n got %+v\nwant %+v", i, len(tr.q), len(tr.t), tr.sc, tr.x, got, tr.want)
 			}
 		}
@@ -143,7 +144,7 @@ func TestExtendVectorRebase(t *testing.T) {
 		tt := append(seq.Seq(nil), q...)
 		sc := Scoring{Match: 255, Mismatch: -255, Gap: -255}
 		want := ExtendReference(q, tt, sc, 500)
-		got := w.ExtendVector(q, tt, sc, 500)
+		got := w.extend(q, tt, false, LinearScheme(sc), 500, KernelVector, nil)
 		if got != want {
 			t.Fatalf("rebase run: got %+v want %+v", got, want)
 		}
@@ -157,7 +158,7 @@ func TestExtendVectorRebase(t *testing.T) {
 		sc = Scoring{Match: 200, Mismatch: -150, Gap: -180}
 		for _, x := range []int32{500, VectorMaxX} {
 			want := ExtendReference(q, tt, sc, x)
-			got := w.ExtendVector(q, tt, sc, x)
+			got := w.extend(q, tt, false, LinearScheme(sc), x, KernelVector, nil)
 			if got != want {
 				t.Fatalf("noisy rebase run x=%d: got %+v want %+v", x, got, want)
 			}
@@ -188,7 +189,7 @@ func TestExtendVectorFallback(t *testing.T) {
 			t.Fatalf("%s: unexpectedly eligible", tc.name)
 		}
 		want := ExtendReference(q, tt, tc.sc, tc.x)
-		got := w.ExtendVector(q, tt, tc.sc, tc.x)
+		got := w.extend(q, tt, false, LinearScheme(tc.sc), tc.x, KernelVector, nil)
 		if got != want {
 			t.Fatalf("%s: fallback got %+v want %+v", tc.name, got, want)
 		}
@@ -203,10 +204,10 @@ func TestExtendVectorFallback(t *testing.T) {
 	}
 	var wantTrace []int32
 	want := w.extend(q, tt, false, LinearScheme(sc), x, KernelScalar, &wantTrace)
-	if got := w.ExtendVector(q, tt, sc, x); got != want {
-		t.Fatalf("no fused routine: ExtendVector %+v, want Extend's %+v", got, want)
+	if got := w.extend(q, tt, false, LinearScheme(sc), x, KernelVector, nil); got != want {
+		t.Fatalf("no fused routine: vector kernel %+v, want the scalar kernel's %+v", got, want)
 	}
-	got, trace := w.ExtendTrace(q, tt, sc, x, nil)
+	got, trace := w.ExtendTrace(q, tt, false, sc, x, nil)
 	if got != want || !slices.Equal(trace, wantTrace) {
 		t.Fatalf("no fused routine: ExtendTrace %+v (trace %v), want %+v (trace %v)", got, trace, want, wantTrace)
 	}
@@ -244,7 +245,7 @@ func TestRegisterModeCoverage(t *testing.T) {
 		var modes regModes
 		if tc.pool {
 			p := NewPool(1)
-			if _, err := p.ExtendBatch(pairs, got, DefaultScoring(), tc.x); err != nil {
+			if _, err := p.ExtendBatchScheme(context.Background(), pairs, got, LinearScheme(DefaultScoring()), tc.x); err != nil {
 				t.Fatal(err)
 			}
 			p.Close()
@@ -256,7 +257,7 @@ func TestRegisterModeCoverage(t *testing.T) {
 			if tc.pool {
 				k = KernelScalar
 			}
-			r, err := w.ExtendSeedKernel(p.Query, p.Target, p.SeedQPos, p.SeedTPos, p.SeedLen, DefaultScoring(), tc.x, k)
+			r, err := w.extendSeed(p.Query, p.Target, p.SeedQPos, p.SeedTPos, p.SeedLen, LinearScheme(DefaultScoring()), tc.x, k, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

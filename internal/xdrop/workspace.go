@@ -38,44 +38,9 @@ type regModes struct{ rows, paired, toRegs, toMem, toWide int }
 // NewWorkspace returns an empty workspace; buffers grow on first use.
 func NewWorkspace() *Workspace { return &Workspace{} }
 
-// wsPool backs the package-level one-shot entry points so that their
-// callers still reuse scratch across calls.
+// wsPool backs ExtendSeed, the package-level one-shot entry point, so
+// that its callers still reuse scratch across calls.
 var wsPool = sync.Pool{New: func() any { return NewWorkspace() }}
-
-// extendPooled backs the package-level one-shot extension entry points.
-func extendPooled(q, t seq.Seq, sch Scheme, x int32) Result {
-	w := wsPool.Get().(*Workspace)
-	r := w.extend(q, t, false, sch, x, KernelScalar, nil)
-	wsPool.Put(w)
-	return r
-}
-
-// extendSeedPooled backs the package-level one-shot seed entry points.
-func extendSeedPooled(q, t seq.Seq, qPos, tPos, seedLen int, sch Scheme, x int32) (SeedResult, error) {
-	w := wsPool.Get().(*Workspace)
-	r, err := w.ExtendSeedScheme(q, t, qPos, tPos, seedLen, sch, x)
-	wsPool.Put(w)
-	return r, err
-}
-
-// ExtendSeedKernel is the workspace form of the package-level ExtendSeed
-// with the extension kernel chosen by the caller — the per-pair entry
-// point of the batch-level kernel selection (SelectKernel). Results are
-// bit-identical across kernels; forcing one is how the benchmarks and the
-// fallback tests compare them.
-func (w *Workspace) ExtendSeedKernel(q, t seq.Seq, qPos, tPos, seedLen int, sc Scoring, x int32, k Kernel) (SeedResult, error) {
-	return w.extendSeed(q, t, qPos, tPos, seedLen, LinearScheme(sc), x, k, nil)
-}
-
-// ExtendSeedScheme runs one seed-and-extend under any scheme family on
-// the scalar kernels. Matrix-mode sequences must already be validated
-// against the matrix alphabet (the engine validates at ingest, the
-// coalescer at admission; ExtendSeedMatrix scans them itself): an
-// unvalidated unknown residue scores as the matrix minimum instead of
-// erroring.
-func (w *Workspace) ExtendSeedScheme(q, t seq.Seq, qPos, tPos, seedLen int, sch Scheme, x int32) (SeedResult, error) {
-	return w.extendSeed(q, t, qPos, tPos, seedLen, sch, x, KernelScalar, nil)
-}
 
 // extendSeed is the one seed-and-extend wrapper (paper Fig. 5): split the
 // pair at the seed, extend right over the suffixes and left over the
@@ -83,12 +48,15 @@ func (w *Workspace) ExtendSeedScheme(q, t seq.Seq, qPos, tPos, seedLen int, sch 
 // forward in both directions, the transformation LOGAN applies for
 // coalescing, Fig. 6) and add the seed's own score under the scheme. A
 // non-nil ops takes the traceback path (seedOps, linear schemes only);
-// the served paths pass nil.
+// the served paths pass nil. Matrix-mode sequences must already be
+// validated against the matrix alphabet (the engine validates at ingest,
+// the coalescer at admission): an unvalidated unknown residue scores as
+// the matrix minimum instead of erroring.
 func (w *Workspace) extendSeed(q, t seq.Seq, qPos, tPos, seedLen int, sch Scheme, x int32, k Kernel, ops *[]Op) (SeedResult, error) {
 	if err := sch.Validate(); err != nil {
 		return SeedResult{}, err
 	}
-	if err := checkSeed(q, t, qPos, tPos, seedLen); err != nil {
+	if err := CheckSeed(q, t, qPos, tPos, seedLen); err != nil {
 		return SeedResult{}, err
 	}
 	qEnd, tEnd := qPos+seedLen, tPos+seedLen
@@ -99,12 +67,14 @@ func (w *Workspace) extendSeed(q, t seq.Seq, qPos, tPos, seedLen int, sch Scheme
 		r.Left = w.extend(q[:qPos], t[:tPos], true, sch, x, k, nil)
 		r.Right = w.extend(q[qEnd:], t[tEnd:], false, sch, x, k, nil)
 	}
-	joinSeed(&r, qPos, tPos, sch.seedScore(q[qPos:qEnd], t[tPos:tEnd]))
+	JoinSeed(&r, qPos, tPos, sch.seedScore(q[qPos:qEnd], t[tPos:tEnd]))
 	return r, nil
 }
 
-// checkSeed reports a seed that does not lie inside both sequences.
-func checkSeed(q, t seq.Seq, qPos, tPos, seedLen int) error {
+// CheckSeed reports a seed that does not lie inside both sequences: every
+// seed-and-extend path, the simulated device's included, rejects a pair
+// through it.
+func CheckSeed(q, t seq.Seq, qPos, tPos, seedLen int) error {
 	// qPos > len(q)-seedLen rather than qPos+seedLen > len(q): the sum can
 	// overflow for adversarial positions (e.g. MaxInt from a JSON payload),
 	// which would pass the check and panic on the slices after it.
@@ -121,10 +91,11 @@ func vectorSeed(sch Scheme, x int32, k Kernel) bool {
 	return k == KernelVector && sch.Kind == SchemeLinear && VectorEligible(sch.Linear, x)
 }
 
-// joinSeed completes r, whose SeedLen, Left and Right are set, for the
+// JoinSeed completes r, whose SeedLen, Left and Right are set, for the
 // seed at (qPos, tPos) scoring seedScore: the combined score and the
-// aligned intervals.
-func joinSeed(r *SeedResult, qPos, tPos int, seedScore int32) {
+// aligned intervals. Every seed-and-extend path, the simulated device's
+// included, joins a pair's two extensions through it.
+func JoinSeed(r *SeedResult, qPos, tPos int, seedScore int32) {
 	r.Score = r.Left.Score + r.Right.Score + seedScore
 	r.QBegin = qPos - r.Left.QueryEnd
 	r.TBegin = tPos - r.Left.TargetEnd
@@ -133,8 +104,14 @@ func joinSeed(r *SeedResult, qPos, tPos int, seedScore int32) {
 }
 
 // extend runs one extension of a validated scheme over q and t, or over
-// both reversed for rev (a seed's left extension): the only scheme branch
-// a pair takes, outside the per-cell loops. The vector kernel (k, inside
+// both reversed for rev (a seed's left extension): the highest-scoring
+// semi-global alignment between prefixes of the two (paper §III-A), with
+// the search pruned by the X-drop rule: a cell more than x below the
+// running best is set to -inf and the band shrinks past it, until the
+// band empties or the matrix is exhausted. Only three anti-diagonals are
+// kept (Fig. 1), so memory is O(band), not O(mn). Scores, extents and work
+// counters are ExtendReference's on every kernel. This is the only scheme
+// branch a pair takes, outside the per-cell loops. The vector kernel (k, inside
 // its envelope) stages the extension in its own slot; every other kernel
 // is wave over the first slot's staging. A non-nil trace receives the
 // band widths (see ExtendTrace).
@@ -154,13 +131,6 @@ func (w *Workspace) extend(q, t seq.Seq, rev bool, sch Scheme, x int32, k Kernel
 	default:
 		return wave(&w.d, qs, rt, x, linearRow(sch.Linear), trace)
 	}
-}
-
-// Extend is the workspace form of the package-level Extend: the wavefront
-// driver over the scalar int32 row kernel. Scores, extents and work
-// counters are bit-identical to ExtendReference on every input.
-func (w *Workspace) Extend(q, t seq.Seq, sc Scoring, x int32) Result {
-	return w.extend(q, t, false, LinearScheme(sc), x, KernelScalar, nil)
 }
 
 // linearRow is the scalar int32 row kernel of the paper's linear DNA

@@ -1,6 +1,7 @@
 package xdrop
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -8,6 +9,23 @@ import (
 
 	"logan/internal/seq"
 )
+
+// extendScalar runs one forward extension of sch on the scalar kernel, on
+// a workspace from ExtendSeed's pool, so that successive calls reuse
+// buffers a longer extension left behind.
+func extendScalar(q, t seq.Seq, sch Scheme, x int32) Result {
+	w := wsPool.Get().(*Workspace)
+	defer wsPool.Put(w)
+	return w.extend(q, t, false, sch, x, KernelScalar, nil)
+}
+
+// extendSeedScalar runs one seed-and-extend of sch on the scalar kernel,
+// on a workspace from ExtendSeed's pool.
+func extendSeedScalar(q, t seq.Seq, qPos, tPos, seedLen int, sch Scheme, x int32) (SeedResult, error) {
+	w := wsPool.Get().(*Workspace)
+	defer wsPool.Put(w)
+	return w.extendSeed(q, t, qPos, tPos, seedLen, sch, x, KernelScalar, nil)
+}
 
 func TestScoringValidate(t *testing.T) {
 	if err := DefaultScoring().Validate(); err != nil {
@@ -28,7 +46,7 @@ func TestScoringValidate(t *testing.T) {
 func TestExtendIdenticalSequences(t *testing.T) {
 	sc := DefaultScoring()
 	s := seq.MustNew("ACGTACGTACGTACGT")
-	r := Extend(s, s, sc, 10)
+	r := extendScalar(s, s, LinearScheme(sc), 10)
 	if r.Score != int32(len(s)) {
 		t.Fatalf("identical extend score = %d, want %d", r.Score, len(s))
 	}
@@ -43,7 +61,7 @@ func TestExtendEmptyInputs(t *testing.T) {
 	for _, tc := range []struct{ q, t seq.Seq }{
 		{nil, s}, {s, nil}, {nil, nil},
 	} {
-		r := Extend(tc.q, tc.t, sc, 10)
+		r := extendScalar(tc.q, tc.t, LinearScheme(sc), 10)
 		if r.Score != 0 || r.QueryEnd != 0 || r.TargetEnd != 0 {
 			t.Fatalf("empty extend = %+v, want zero result", r)
 		}
@@ -56,7 +74,7 @@ func TestExtendDivergentTerminatesEarly(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	q := seq.RandSeq(rng, 4000)
 	tt := seq.RandSeq(rng, 4000)
-	r := Extend(q, tt, DefaultScoring(), 20)
+	r := extendScalar(q, tt, LinearScheme(DefaultScoring()), 20)
 	full := int64(len(q)) * int64(len(tt))
 	if r.Cells > full/10 {
 		t.Fatalf("divergent pair explored %d cells, want far fewer than %d", r.Cells, full)
@@ -64,7 +82,7 @@ func TestExtendDivergentTerminatesEarly(t *testing.T) {
 	// And a related pair at the same X must explore far fewer cells per
 	// anti-diagonal than the divergent one wastes before terminating.
 	rel := seq.Mutate(rng, q, seq.UniformProfile(0.15))
-	related := Extend(q, rel, DefaultScoring(), 20)
+	related := extendScalar(q, rel, LinearScheme(DefaultScoring()), 20)
 	if related.AntiDiags < 10*r.AntiDiags/9 && r.AntiDiags > related.AntiDiags {
 		t.Fatalf("divergent pair ran longer (%d anti-diags) than related pair (%d)", r.AntiDiags, related.AntiDiags)
 	}
@@ -79,7 +97,7 @@ func TestExtendMatchesExhaustiveLargeX(t *testing.T) {
 		m, n := 1+rng.Intn(40), 1+rng.Intn(40)
 		q := seq.RandSeq(rng, m)
 		tt := seq.RandSeq(rng, n)
-		got := Extend(q, tt, sc, 1<<28)
+		got := extendScalar(q, tt, LinearScheme(sc), 1<<28)
 		want := ExtendExhaustive(q, tt, sc)
 		if got.Score != want.Score {
 			t.Fatalf("trial %d: xdrop(inf)=%d, exhaustive=%d\nq=%s\nt=%s",
@@ -97,7 +115,7 @@ func TestExtendMonotonicInX(t *testing.T) {
 		mut := seq.Mutate(rng, base, seq.UniformProfile(0.2))
 		prev := int32(-1)
 		for _, x := range []int32{0, 2, 5, 10, 25, 50, 100, 1 << 20} {
-			r := Extend(base, mut, sc, x)
+			r := extendScalar(base, mut, LinearScheme(sc), x)
 			if r.Score < prev {
 				t.Fatalf("trial %d: score decreased from %d to %d at x=%d", trial, prev, r.Score, x)
 			}
@@ -117,7 +135,7 @@ func TestExtendScoreUpperBound(t *testing.T) {
 		q := seq.RandSeq(r, m)
 		tt := seq.RandSeq(r, n)
 		x := int32(xRaw)
-		got := Extend(q, tt, sc, x)
+		got := extendScalar(q, tt, LinearScheme(sc), x)
 		exact := ExtendExhaustive(q, tt, sc)
 		limit := int32(min(m, n)) * sc.Match
 		return got.Score <= exact.Score && got.Score <= limit && got.Score >= 0
@@ -136,8 +154,8 @@ func TestExtendSymmetry(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		q := seq.RandSeq(rng, 1+rng.Intn(60))
 		tt := seq.RandSeq(rng, 1+rng.Intn(60))
-		a := Extend(q, tt, sc, 15)
-		b := Extend(tt, q, sc, 15)
+		a := extendScalar(q, tt, LinearScheme(sc), 15)
+		b := extendScalar(tt, q, LinearScheme(sc), 15)
 		if a.Score != b.Score {
 			t.Fatalf("asymmetric scores %d vs %d\nq=%s\nt=%s", a.Score, b.Score, q, tt)
 		}
@@ -152,7 +170,7 @@ func TestExtendEndsAreConsistent(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		base := seq.RandSeq(rng, 150)
 		mut := seq.Mutate(rng, base, seq.UniformProfile(0.1))
-		r := Extend(base, mut, sc, 30)
+		r := extendScalar(base, mut, LinearScheme(sc), 30)
 		if r.QueryEnd == 0 && r.TargetEnd == 0 {
 			if r.Score != 0 {
 				t.Fatalf("zero ends but score %d", r.Score)
@@ -172,8 +190,8 @@ func TestExtendBandNarrowsWithSmallX(t *testing.T) {
 	base := seq.RandSeq(rng, 2000)
 	mut := seq.Mutate(rng, base, seq.UniformProfile(0.15))
 	sc := DefaultScoring()
-	small := Extend(base, mut, sc, 10)
-	large := Extend(base, mut, sc, 500)
+	small := extendScalar(base, mut, LinearScheme(sc), 10)
+	large := extendScalar(base, mut, LinearScheme(sc), 500)
 	if small.MaxBand >= large.MaxBand {
 		t.Fatalf("band did not grow with X: %d (X=10) vs %d (X=500)", small.MaxBand, large.MaxBand)
 	}
@@ -186,7 +204,7 @@ func TestExtendWorkCountersConsistent(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	q := seq.RandSeq(rng, 300)
 	tt := seq.Mutate(rng, q, seq.UniformProfile(0.1))
-	r := Extend(q, tt, DefaultScoring(), 50)
+	r := extendScalar(q, tt, LinearScheme(DefaultScoring()), 50)
 	if r.Cells != r.SumBand {
 		t.Fatalf("cells %d != sum of band widths %d", r.Cells, r.SumBand)
 	}
@@ -269,7 +287,7 @@ func TestExtendBatchMatchesSerial(t *testing.T) {
 		p := NewPool(workers)
 		defer p.Close()
 		out := make([]SeedResult, len(pairs))
-		stats, err := p.ExtendBatch(pairs, out, sc, 30)
+		stats, err := p.ExtendBatchScheme(context.Background(), pairs, out, LinearScheme(sc), 30)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -294,12 +312,12 @@ func TestExtendBatchEmptyAndErrors(t *testing.T) {
 	sc := DefaultScoring()
 	p := NewPool(4)
 	defer p.Close()
-	stats, err := p.ExtendBatch(nil, nil, sc, 10)
+	stats, err := p.ExtendBatchScheme(context.Background(), nil, nil, LinearScheme(sc), 10)
 	if err != nil || stats.Pairs != 0 {
 		t.Fatalf("empty batch: stats=%+v err=%v", stats, err)
 	}
 	bad := []seq.Pair{{Query: seq.MustNew("ACGT"), Target: seq.MustNew("ACGT"), SeedQPos: 3, SeedTPos: 0, SeedLen: 4}}
-	if _, err := p.ExtendBatch(bad, make([]SeedResult, len(bad)), sc, 10); err == nil {
+	if _, err := p.ExtendBatchScheme(context.Background(), bad, make([]SeedResult, len(bad)), LinearScheme(sc), 10); err == nil {
 		t.Fatal("batch accepted out-of-range seed")
 	}
 }
@@ -310,7 +328,7 @@ func TestNoExplorationPastTermination(t *testing.T) {
 	sc := DefaultScoring()
 	q := append(seq.MustNew("ACGTACGTACGTACGTACGT"), seq.MustNew("TTTTTTTTTTTTTTTTTTTTTTTTTTTTTTTTTTTT")...)
 	tt := append(seq.MustNew("ACGTACGTACGTACGTACGT"), seq.MustNew("GGGGGGGGGGGGGGGGGGGGGGGGGGGGGGGGGGGG")...)
-	r := Extend(q, tt, sc, 5)
+	r := extendScalar(q, tt, LinearScheme(sc), 5)
 	if r.Score != 20 {
 		t.Fatalf("score = %d, want 20 (the shared prefix)", r.Score)
 	}
@@ -323,11 +341,12 @@ func BenchmarkExtendRelated(b *testing.B) {
 	rng := rand.New(rand.NewSource(11))
 	base := seq.RandSeq(rng, 5000)
 	mut := seq.Mutate(rng, base, seq.PacBioProfile(0.15))
-	sc := DefaultScoring()
+	sch := LinearScheme(DefaultScoring())
+	w := NewWorkspace()
 	b.ResetTimer()
 	var cells int64
 	for i := 0; i < b.N; i++ {
-		r := Extend(base, mut, sc, 100)
+		r := w.extend(base, mut, false, sch, 100, KernelScalar, nil)
 		cells += r.Cells
 	}
 	b.ReportMetric(float64(cells)/b.Elapsed().Seconds()/1e9, "GCUPS")
@@ -337,9 +356,10 @@ func BenchmarkExtendDivergent(b *testing.B) {
 	rng := rand.New(rand.NewSource(12))
 	q := seq.RandSeq(rng, 5000)
 	tt := seq.RandSeq(rng, 5000)
-	sc := DefaultScoring()
+	sch := LinearScheme(DefaultScoring())
+	w := NewWorkspace()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Extend(q, tt, sc, 100)
+		w.extend(q, tt, false, sch, 100, KernelScalar, nil)
 	}
 }

@@ -4,7 +4,9 @@
 # documented — and every documented logan_jobs_* series must have one
 # owner, the X-drop band loop one driver (the simulated device replays
 # its trace) and in assembly one fused loop, the register-frame handoff
-# one copy (in Go), every extension one staging step (in Go),
+# one copy (in Go), every extension one staging step (in Go, the
+# simulated device's included: no seq.AppendReverse outside
+# internal/xdrop and internal/seq, no hostScratch in internal/core),
 # EXPERIMENTS.md the committed reproduction CSV, the device
 # batch one executor, the root package no view of the kernel
 # configuration, the generated tables of docs/SERVING.md their
@@ -15,10 +17,16 @@
 # radix sort and one alignment algorithm, BELLA's front end one k-mer
 # pass, the coalescer's flusher batches and no per-request work, and a
 # cluster worker no message but its work and no identity but its name.
-# Run from the repo root; CI runs it alongside the unit tests.
-# The doc checker itself is scripts/doclint.
+# It runs on the repository it sits in, from any directory; CI runs it
+# alongside the unit tests. The doc checker itself is scripts/doclint.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+# Every check below searches the working directory recursively: refuse
+# to start anywhere but the root of this module.
+if ! grep -qx 'module logan' go.mod 2>/dev/null; then
+	echo "doc-lint: $(pwd) is not the root of module logan (no go.mod declaring it); run the script from its place in the repository" >&2
+	exit 1
+fi
 
 # The logan_jobs_* family belongs to cluster.Store alone: a series name
 # registered at a second call site means the job store has forked again.
@@ -81,13 +89,20 @@ fi
 
 # Every extension is staged once, in Go: fusedSlot.stage lays out q and
 # the reversed target for every kernel, and the routines read only those
-# copies. fusedState's t or fill in the assembly (a routine filling rt
-# again), or revT, rtBuf or startPaired declared in non-test
-# internal/xdrop Go (a second reversal buffer, wave's own rt, the paired
-# routine's own staging), means the staging has forked again.
+# copies; the simulated device hands its blocks the raw prefixes and
+# suffixes (Workspace.ExtendTrace with rev). fusedState's t or fill in
+# the assembly (a routine filling rt again), revT, rtBuf or startPaired
+# declared in non-test internal/xdrop Go (a second reversal buffer,
+# wave's own rt, the paired routine's own staging), a seq.AppendReverse
+# call in non-test Go outside internal/xdrop and internal/seq (a host
+# reversing sequences for the kernel), or hostScratch in non-test
+# internal/core Go (the device's staging arena) means the staging has
+# forked again.
 staging=$( {
 	grep -nE 'fusedState_(t|fill)\b' internal/xdrop/*.s internal/xdrop/*.h
 	grep -nE '\b(revT|rtBuf|startPaired)\b' $(ls internal/xdrop/*.go | grep -v '_test\.go$') | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//'
+	grep -rnE --include='*.go' --exclude='*_test.go' '\bseq\.AppendReverse\(' . | grep -vE '^\./internal/(xdrop|seq)/' | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//'
+	grep -nE '\bhostScratch\b' $(ls internal/core/*.go | grep -v '_test\.go$') | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//'
 } || true)
 if [ -n "$staging" ]; then
 	echo "doc-lint: an extension is staged outside fusedSlot.stage again (the routines read only its copies of q and the reversed target):" >&2
