@@ -264,11 +264,9 @@ func (c Config) ingestPair(p *Pair, i int) (seq.Pair, error) {
 			return seq.Pair{}, fmt.Errorf("logan: pair %d target: %w", i, err)
 		}
 	}
-	// Overflow-safe seed bounds: SeedQ+SeedLen can wrap for adversarial
-	// inputs, and a pair that slips through here would fail deep in the
-	// backend, or inside a merged batch it shares with other requests.
-	if p.SeedQ < 0 || p.SeedT < 0 || p.SeedLen <= 0 ||
-		p.SeedQ > len(q)-p.SeedLen || p.SeedT > len(t)-p.SeedLen {
+	// A pair that slipped through here would fail deep in the backend, or
+	// inside a merged batch it shares with other requests.
+	if !seq.SeedInside(len(q), len(t), p.SeedQ, p.SeedT, p.SeedLen) {
 		return seq.Pair{}, fmt.Errorf("logan: pair %d: seed (%d,%d,len %d) outside sequences (%d, %d)",
 			i, p.SeedQ, p.SeedT, p.SeedLen, len(q), len(t))
 	}

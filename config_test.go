@@ -3,6 +3,8 @@ package logan
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -436,5 +438,59 @@ func TestAlignRejectsOverflowBudget(t *testing.T) {
 	// Sane parameters on the same pair are fine.
 	if _, _, err := eng.Align(ctxb, pairs, DefaultConfig(10)); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSeedBounds pins the three seed checks built on seq.SeedInside —
+// pair ingest, the pair format and xdrop's entry points — each with its
+// own message, on one table of seeds against an 8-base query and target.
+func TestSeedBounds(t *testing.T) {
+	const acgt = "ACGTACGT"
+	for _, tc := range []struct {
+		name           string
+		q, t, len      int
+		logan, sq, xdr string // "" = inside
+	}{
+		{"inside", 2, 3, 4, "", "", ""},
+		{"flush with both ends", 4, 4, 4, "", "", ""},
+		{"one past the query", 5, 0, 4,
+			"logan: pair 0: seed (5,0,len 4) outside sequences (8, 8)", "seq: line 1: seed (5,0,4) outside sequences (8,8)", "xdrop: seed (5,0,len 4) outside sequences (8, 8)"},
+		{"empty seed", 0, 0, 0,
+			"logan: pair 0: seed (0,0,len 0) outside sequences (8, 8)", "seq: line 1: seed (0,0,0) outside sequences (8,8)", "xdrop: seed (0,0,len 0) outside sequences (8, 8)"},
+		{"negative length", 2, 2, -3,
+			"logan: pair 0: seed (2,2,len -3) outside sequences (8, 8)", "seq: line 1: seed (2,2,-3) outside sequences (8,8)", "xdrop: seed (2,2,len -3) outside sequences (8, 8)"},
+		{"negative query position", -1, 0, 4,
+			"logan: pair 0: seed (-1,0,len 4) outside sequences (8, 8)", "seq: line 1: seed (-1,0,4) outside sequences (8,8)", "xdrop: seed (-1,0,len 4) outside sequences (8, 8)"},
+		{"negative target position", 0, -1, 4,
+			"logan: pair 0: seed (0,-1,len 4) outside sequences (8, 8)", "seq: line 1: seed (0,-1,4) outside sequences (8,8)", "xdrop: seed (0,-1,len 4) outside sequences (8, 8)"},
+		{"query position near MaxInt", math.MaxInt - 1, 0, 4,
+			fmt.Sprintf("logan: pair 0: seed (%d,0,len 4) outside sequences (8, 8)", math.MaxInt-1),
+			fmt.Sprintf("seq: line 1: seed (%d,0,4) outside sequences (8,8)", math.MaxInt-1),
+			fmt.Sprintf("xdrop: seed (%d,0,len 4) outside sequences (8, 8)", math.MaxInt-1)},
+		{"length near MaxInt", 2, 2, math.MaxInt,
+			fmt.Sprintf("logan: pair 0: seed (2,2,len %d) outside sequences (8, 8)", math.MaxInt),
+			fmt.Sprintf("seq: line 1: seed (2,2,%d) outside sequences (8,8)", math.MaxInt),
+			fmt.Sprintf("xdrop: seed (2,2,len %d) outside sequences (8, 8)", math.MaxInt)},
+	} {
+		errText := func(err error) string {
+			if err == nil {
+				return ""
+			}
+			return err.Error()
+		}
+		_, err := cfgT.ingestPair(&Pair{Query: []byte(acgt), Target: []byte(acgt), SeedQ: tc.q, SeedT: tc.t, SeedLen: tc.len}, 0)
+		if got := errText(err); got != tc.logan {
+			t.Errorf("%s: ingestPair: %q, want %q", tc.name, got, tc.logan)
+		}
+		_, err = seq.ReadPairs(strings.NewReader(fmt.Sprintf("%s\t%s\t%d\t%d\t%d\n", acgt, acgt, tc.q, tc.t, tc.len)))
+		if got := errText(err); got != tc.sq {
+			t.Errorf("%s: ReadPairs: %q, want %q", tc.name, got, tc.sq)
+		}
+		if got := errText(xdrop.CheckSeed(seq.Seq(acgt), seq.Seq(acgt), tc.q, tc.t, tc.len)); got != tc.xdr {
+			t.Errorf("%s: CheckSeed: %q, want %q", tc.name, got, tc.xdr)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = xdrop.CheckSeed(seq.Seq(acgt), seq.Seq(acgt), 2, 3, 4) }); n != 0 {
+		t.Errorf("a valid seed's check allocates %v times", n)
 	}
 }

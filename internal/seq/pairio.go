@@ -29,6 +29,16 @@ func WritePairs(w io.Writer, pairs []Pair) error {
 	return bw.Flush()
 }
 
+// SeedInside reports whether a seed of seedLen bases at qPos and tPos lies
+// inside a query of qLen and a target of tLen bases. It compares qPos with
+// qLen-seedLen rather than qPos+seedLen with qLen: the sum can overflow for
+// adversarial positions (MaxInt from a JSON payload or a parsed line) and
+// pass the check, while the difference cannot once seedLen > 0. Every seed
+// check (pair ingest, the pair format, the extension entry points) is this.
+func SeedInside(qLen, tLen, qPos, tPos, seedLen int) bool {
+	return qPos >= 0 && tPos >= 0 && seedLen > 0 && qPos <= qLen-seedLen && tPos <= tLen-seedLen
+}
+
 // ReadPairs parses the interchange format, validating sequences against
 // the DNA alphabet and checking seed geometry.
 func ReadPairs(r io.Reader) ([]Pair, error) {
@@ -81,9 +91,7 @@ func readPairs(r io.Reader, dna bool) ([]Pair, error) {
 			nums[i] = v
 		}
 		p := Pair{Query: q, Target: t, SeedQPos: nums[0], SeedTPos: nums[1], SeedLen: nums[2], ID: len(pairs)}
-		// Overflow-safe form: the sum of two parsed ints can wrap.
-		if p.SeedQPos < 0 || p.SeedTPos < 0 || p.SeedLen <= 0 ||
-			p.SeedQPos > len(q)-p.SeedLen || p.SeedTPos > len(t)-p.SeedLen {
+		if !SeedInside(len(q), len(t), p.SeedQPos, p.SeedTPos, p.SeedLen) {
 			return nil, fmt.Errorf("seq: line %d: seed (%d,%d,%d) outside sequences (%d,%d)",
 				line, p.SeedQPos, p.SeedTPos, p.SeedLen, len(q), len(t))
 		}

@@ -75,10 +75,7 @@ func (w *Workspace) extendSeed(q, t seq.Seq, qPos, tPos, seedLen int, sch Scheme
 // seed-and-extend path, the simulated device's included, rejects a pair
 // through it.
 func CheckSeed(q, t seq.Seq, qPos, tPos, seedLen int) error {
-	// qPos > len(q)-seedLen rather than qPos+seedLen > len(q): the sum can
-	// overflow for adversarial positions (e.g. MaxInt from a JSON payload),
-	// which would pass the check and panic on the slices after it.
-	if qPos < 0 || tPos < 0 || seedLen <= 0 || qPos > len(q)-seedLen || tPos > len(t)-seedLen {
+	if !seq.SeedInside(len(q), len(t), qPos, tPos, seedLen) {
 		return fmt.Errorf("xdrop: seed (%d,%d,len %d) outside sequences (%d, %d)",
 			qPos, tPos, seedLen, len(q), len(t))
 	}

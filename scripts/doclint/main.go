@@ -1,35 +1,29 @@
-// Command doclint enforces the repository's documentation contract:
+// Command doclint runs the repository's structural gates: one table of
+// rules (rules.go), each row naming the invariant it guards and checking
+// it over its own files. Go files are read with go/parser, so a rule sees
+// code with its comments removed, and _test.go files only where its row
+// includes them; other files are read as text. No rule scans
+// scripts/doclint, so the table can spell out the names it forbids.
 //
-//  1. Every package — the root API, every internal package, every command
-//     and example — carries a package-level doc comment.
-//  2. Every exported symbol of the root package (the public v2 API:
-//     types, functions, methods, constants, variables) carries a doc
-//     comment.
-//
-// It exits non-zero listing each violation as file:line, so CI can gate
-// on it (scripts/doc-lint.sh).
-//
-// A second mode, "logan-serve -h 2>&1 | doclint serving", prints the
-// generated blocks of docs/SERVING.md (see serving.go).
+// "doclint [root]" lists each failing rule with its sites and exits 1; it
+// refuses a root whose go.mod does not declare module logan.
+// "logan-serve -h 2>&1 | doclint serving" prints the generated blocks of
+// docs/SERVING.md (serving.go).
 package main
 
 import (
+	"errors"
 	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
 	"os"
-	"path/filepath"
-	"sort"
+	"path"
+	"regexp"
+	"slices"
 	"strings"
 )
-
-// violation is one missing doc comment.
-type violation struct {
-	pos token.Position
-	msg string
-}
 
 func main() {
 	if len(os.Args) > 1 && os.Args[1] == "serving" {
@@ -39,152 +33,199 @@ func main() {
 	if len(os.Args) > 1 {
 		root = os.Args[1]
 	}
-	dirs, err := goDirs(root)
+	failing, err := lint(os.DirFS(root))
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "doclint: %v\n", err)
+		fmt.Fprintf(os.Stderr, "doclint: %s: %v\n", root, err)
 		os.Exit(2)
 	}
-	var violations []violation
-	for _, dir := range dirs {
-		vs, err := lintDir(root, dir)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "doclint: %s: %v\n", dir, err)
-			os.Exit(2)
+	for _, r := range rules {
+		if sites := failing[r.name]; sites != nil {
+			fmt.Printf("%s: %s\n\t%s\n", r.name, r.why, strings.Join(sites, "\n\t"))
 		}
-		violations = append(violations, vs...)
 	}
-	sort.Slice(violations, func(a, b int) bool {
-		if violations[a].pos.Filename != violations[b].pos.Filename {
-			return violations[a].pos.Filename < violations[b].pos.Filename
-		}
-		return violations[a].pos.Line < violations[b].pos.Line
-	})
-	for _, v := range violations {
-		fmt.Printf("%s:%d: %s\n", v.pos.Filename, v.pos.Line, v.msg)
-	}
-	if len(violations) > 0 {
-		fmt.Fprintf(os.Stderr, "doclint: %d undocumented declarations\n", len(violations))
+	if len(failing) > 0 {
+		fmt.Fprintf(os.Stderr, "doclint: %d rules fail\n", len(failing))
 		os.Exit(1)
 	}
 }
 
-// goDirs lists every directory under root holding non-test Go files.
-func goDirs(root string) ([]string, error) {
-	seen := map[string]bool{}
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+// lint runs the table over the repository in fsys and returns the sites
+// that break each failing rule.
+func lint(fsys fs.FS) (map[string][]string, error) {
+	t, err := load(fsys)
+	if err != nil {
+		return nil, err
+	}
+	failing := map[string][]string{}
+	for _, r := range rules {
+		for _, c := range r.checks {
+			if sites := c(t); len(sites) > 0 {
+				failing[r.name] = append(failing[r.name], sites...)
+			}
+		}
+	}
+	return failing, nil
+}
+
+// self is the table's own source, which no pattern rule scans.
+const self = "scripts/doclint/"
+
+// loaded are the extensions of the files the rules read.
+var loaded = []string{".go", ".s", ".h", ".md", ".sh", ".txt", ".yml", ".csv"}
+
+// tree is the repository as the rules read it, every file loaded once.
+type tree struct {
+	fset  *token.FileSet
+	paths []string // in lexical order
+	files map[string]*file
+}
+
+// file is one loaded file: Go with its comments blanked (lines keep their
+// numbers), its syntax tree and the function around each line (Name or
+// Recv.Name), anything else as it is.
+type file struct {
+	text      string
+	lines, fn []string
+	ast       *ast.File
+}
+
+// load reads every file of fsys the rules read, refusing a tree that is
+// not module logan: every rule reads the tree recursively.
+func load(fsys fs.FS) (*tree, error) {
+	if mod, _ := fs.ReadFile(fsys, "go.mod"); !regexp.MustCompile(`(?m)^module logan$`).Match(mod) {
+		return nil, errors.New("not the root of module logan (no go.mod declaring it)")
+	}
+	t := &tree{fset: token.NewFileSet(), files: map[string]*file{}}
+	return t, fs.WalkDir(fsys, ".", func(p string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			if err == nil && d.Name() == ".git" {
+				return fs.SkipDir
+			}
+			return err
+		}
+		if !slices.Contains(loaded, path.Ext(p)) {
+			return nil
+		}
+		src, err := fs.ReadFile(fsys, p)
 		if err != nil {
 			return err
 		}
-		if d.IsDir() {
-			name := d.Name()
-			if name == ".git" || name == "testdata" || (strings.HasPrefix(name, ".") && path != root) {
-				return filepath.SkipDir
+		f := &file{text: string(src)}
+		if path.Ext(p) == ".go" {
+			if f.ast, err = parser.ParseFile(t.fset, p, src, parser.ParseComments|parser.SkipObjectResolution); err != nil {
+				return err
 			}
-			return nil
+			tf := t.fset.File(f.ast.Pos())
+			for _, c := range f.ast.Comments {
+				for i := tf.Offset(c.Pos()); i < tf.Offset(c.End()); i++ {
+					if src[i] != '\n' {
+						src[i] = ' '
+					}
+				}
+			}
+			f.text = string(src)
+			f.fn = make([]string, strings.Count(f.text, "\n")+1)
+			for _, d := range f.ast.Decls {
+				if fd, ok := d.(*ast.FuncDecl); ok {
+					for i := tf.Line(fd.Pos()) - 1; i < tf.Line(fd.End()); i++ {
+						f.fn[i] = funcName(fd)
+					}
+				}
+			}
 		}
-		if strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go") {
-			seen[filepath.Dir(path)] = true
-		}
+		f.lines = strings.Split(f.text, "\n")
+		t.paths = append(t.paths, p)
+		t.files[p] = f
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	dirs := make([]string, 0, len(seen))
-	for d := range seen {
-		dirs = append(dirs, d)
-	}
-	sort.Strings(dirs)
-	return dirs, nil
 }
 
-// lintDir checks one package directory. Exported-symbol coverage is
-// enforced only for the public root package; package docs everywhere.
-func lintDir(root, dir string) ([]violation, error) {
-	fset := token.NewFileSet()
-	pkgs, err := parser.ParseDir(fset, dir, func(fi fs.FileInfo) bool {
-		return !strings.HasSuffix(fi.Name(), "_test.go")
-	}, parser.ParseComments)
-	if err != nil {
-		return nil, err
+// funcName is Name for a function and Recv.Name for a method.
+func funcName(d *ast.FuncDecl) string {
+	if d.Recv == nil || len(d.Recv.List) == 0 {
+		return d.Name.Name
 	}
-	isRoot := filepath.Clean(dir) == filepath.Clean(root)
-	var out []violation
-	for _, pkg := range pkgs {
-		// Rule 1: a package doc comment on some file of the package.
-		documented := false
-		var first *ast.File
-		var firstName string
-		for name, f := range pkg.Files {
-			if f.Doc != nil && strings.TrimSpace(f.Doc.Text()) != "" {
-				documented = true
-			}
-			if first == nil || name < firstName {
-				first, firstName = f, name
-			}
+	return recvType(d.Recv.List[0].Type).Name + "." + d.Name.Name
+}
+
+// recvType is the named type of a method receiver, generic or not.
+func recvType(e ast.Expr) *ast.Ident {
+	for {
+		switch x := e.(type) {
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.IndexListExpr:
+			e = x.X
+		case *ast.Ident:
+			return x
+		default:
+			return ast.NewIdent("_")
 		}
-		if !documented && first != nil {
-			out = append(out, violation{
-				pos: fset.Position(first.Package),
-				msg: fmt.Sprintf("package %s has no package-level doc comment (add one, e.g. in a doc.go)", pkg.Name),
-			})
-		}
-		if !isRoot {
+	}
+}
+
+// packageDocs checks that every package with non-test Go files, outside
+// testdata and hidden directories, has a package doc comment on one file.
+func packageDocs(t *tree) (out []string) {
+	documented, first := map[string]bool{}, map[string]token.Pos{}
+	for _, p := range t.paths {
+		f := t.files[p]
+		if f.ast == nil || strings.HasSuffix(p, "_test.go") || hidden(p) {
 			continue
 		}
-		// Rule 2: exported symbols of the root package.
-		for _, f := range pkg.Files {
-			for _, decl := range f.Decls {
-				out = append(out, lintDecl(fset, decl)...)
-			}
+		pkg := path.Dir(p) + ": package " + f.ast.Name.Name
+		if _, ok := first[pkg]; !ok {
+			first[pkg] = f.ast.Package
+		}
+		documented[pkg] = documented[pkg] || hasDoc(f.ast.Doc)
+	}
+	for pkg, pos := range first {
+		if !documented[pkg] {
+			out = append(out, fmt.Sprintf("%s: %s has no package doc comment (add one, e.g. in a doc.go)", t.fset.Position(pos), pkg))
 		}
 	}
-	return out, nil
+	slices.Sort(out)
+	return out
 }
 
-// lintDecl flags undocumented exported top-level declarations.
-func lintDecl(fset *token.FileSet, decl ast.Decl) []violation {
-	var out []violation
-	switch d := decl.(type) {
-	case *ast.FuncDecl:
-		if !d.Name.IsExported() || exportedRecv(d) == false {
-			return nil
+// hidden reports a path under a testdata or dot directory.
+func hidden(p string) bool {
+	for _, d := range strings.Split(path.Dir(p), "/") {
+		if d == "testdata" || strings.HasPrefix(d, ".") && d != "." {
+			return true
 		}
-		if d.Doc == nil || strings.TrimSpace(d.Doc.Text()) == "" {
-			kind := "function"
-			if d.Recv != nil {
-				kind = "method"
-			}
-			out = append(out, violation{
-				pos: fset.Position(d.Pos()),
-				msg: fmt.Sprintf("exported %s %s is undocumented", kind, d.Name.Name),
-			})
+	}
+	return false
+}
+
+// rootExports checks that every exported top-level declaration of the
+// root package — a method's only if its receiver type is exported too —
+// has a doc comment, its own or its declaration group's.
+func rootExports(t *tree) (out []string) {
+	check := func(name *ast.Ident, docs ...*ast.CommentGroup) {
+		if name.IsExported() && !slices.ContainsFunc(docs, hasDoc) {
+			out = append(out, fmt.Sprintf("%s: exported %s is undocumented", t.fset.Position(name.Pos()), name.Name))
 		}
-	case *ast.GenDecl:
-		groupDoc := d.Doc != nil && strings.TrimSpace(d.Doc.Text()) != ""
-		for _, spec := range d.Specs {
-			switch sp := spec.(type) {
-			case *ast.TypeSpec:
-				if !sp.Name.IsExported() {
-					continue
-				}
-				if !groupDoc && (sp.Doc == nil || strings.TrimSpace(sp.Doc.Text()) == "") {
-					out = append(out, violation{
-						pos: fset.Position(sp.Pos()),
-						msg: fmt.Sprintf("exported type %s is undocumented", sp.Name.Name),
-					})
-				}
-			case *ast.ValueSpec:
-				specDoc := sp.Doc != nil && strings.TrimSpace(sp.Doc.Text()) != ""
-				for _, name := range sp.Names {
-					if !name.IsExported() {
-						continue
+	}
+	for _, p := range t.paths {
+		if f := t.files[p]; f.ast != nil && path.Dir(p) == "." && !strings.HasSuffix(p, "_test.go") {
+			for _, d := range f.ast.Decls {
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					if d.Recv == nil || recvType(d.Recv.List[0].Type).IsExported() {
+						check(d.Name, d.Doc)
 					}
-					if !groupDoc && !specDoc {
-						out = append(out, violation{
-							pos: fset.Position(name.Pos()),
-							msg: fmt.Sprintf("exported %s %s is undocumented (document it or its declaration group)", kindOf(d.Tok), name.Name),
-						})
+				case *ast.GenDecl:
+					for _, s := range d.Specs {
+						if ts, ok := s.(*ast.TypeSpec); ok {
+							check(ts.Name, d.Doc, ts.Doc)
+						} else if vs, ok := s.(*ast.ValueSpec); ok {
+							for _, n := range vs.Names {
+								check(n, d.Doc, vs.Doc)
+							}
+						}
 					}
 				}
 			}
@@ -193,32 +234,7 @@ func lintDecl(fset *token.FileSet, decl ast.Decl) []violation {
 	return out
 }
 
-// exportedRecv reports whether a method's receiver type is exported (or
-// the declaration is a plain function). Methods on unexported types are
-// not part of the public surface.
-func exportedRecv(d *ast.FuncDecl) bool {
-	if d.Recv == nil || len(d.Recv.List) == 0 {
-		return true
-	}
-	t := d.Recv.List[0].Type
-	for {
-		switch tt := t.(type) {
-		case *ast.StarExpr:
-			t = tt.X
-		case *ast.IndexExpr: // generic receiver
-			t = tt.X
-		case *ast.Ident:
-			return tt.IsExported()
-		default:
-			return true
-		}
-	}
-}
-
-// kindOf names a const/var token for messages.
-func kindOf(tok token.Token) string {
-	if tok == token.CONST {
-		return "constant"
-	}
-	return "variable"
+// hasDoc reports a doc comment with text in it.
+func hasDoc(g *ast.CommentGroup) bool {
+	return g != nil && strings.TrimSpace(g.Text()) != ""
 }
