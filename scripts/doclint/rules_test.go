@@ -140,7 +140,8 @@ var fixtures = []fixture{
 	{"one-admission-policy", "the budget's flag in a doc", true, map[string]string{"docs/SERVING.md": "Start with `-max-pending 64`.\n"}},
 	{"one-admission-policy", "the shed counter in CI", true, map[string]string{".github/workflows/ci.yml": "# ShedBudget\n"}},
 	{"one-admission-policy", "the flag in the flag list", true, map[string]string{"cmd/testdata/flags.txt": "logan-serve -maxPending\n"}},
-	{"one-admission-policy", "the notes", false, map[string]string{"CHANGES.md": "MaxPending was deleted.\n", "ROADMAP.md": "maxPending\n", "ISSUE.md": "shedBudget\n"}},
+	{"one-admission-policy", "the notes", false, map[string]string{"CHANGES.md": "MaxPending was deleted.\n", "ROADMAP.md": "maxPending\n", "NOTES.md": "shedBudget\n"}},
+	{"one-admission-policy", "the budget's flag in the README", true, map[string]string{"README.md": "Start with `-max-pending 64`.\n"}},
 	{"one-extension-path", "MapStageTimes", false, map[string]string{"mapper.go": "package logan\n\n// MapStageTimes is a fixture.\ntype MapStageTimes struct{}\n", "docs/ARCHITECTURE.md": "`MapStageTimes` stays, and so do extendFuncs.\n"}},
 	{"one-extension-path", "a deleted name in the notes", false, map[string]string{"CHANGES.md": "engineExtender, alignPrepared and MapProgress were deleted.\n"}},
 	{"one-fasta-loop", "no call site", true, map[string]string{"overlap.go": "package logan\n\nfunc readFasta() {\n\t// seq.NewFastaReader(r)\n}\n"}},
