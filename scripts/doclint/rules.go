@@ -91,11 +91,10 @@ var rules = []rule{
 // scope selects files. A pattern is "dir" for the files in dir, "dir/..."
 // for the tree under it, or a file; "." is the root.
 type scope struct {
-	in, out  []string
-	ext      []string
-	tests    bool   // _test.go files are in
-	fn       string // only the lines of this function, Name or Recv.Name
-	notesOut bool   // the root's .md files but README.md are out
+	in, out []string
+	ext     []string
+	tests   bool   // _test.go files are in
+	fn      string // only the lines of this function, Name or Recv.Name
 }
 
 // asm is internal/xdrop's assembly.
@@ -105,10 +104,9 @@ var asm = scope{in: []string{"internal/xdrop"}, ext: []string{".s", ".h"}}
 func code(in ...string) scope { return scope{in: in, ext: []string{".go"}} }
 
 // gone is every file with one of the extensions, tests included, but the
-// notes that record what was deleted: the root's .md files other than
-// README.md.
+// notes that record what was deleted.
 func gone(ext ...string) scope {
-	return scope{in: []string{"./..."}, ext: ext, tests: true, notesOut: true}
+	return scope{in: []string{"./..."}, ext: ext, tests: true}.but("CHANGES.md", "ROADMAP.md", "ISSUE.md")
 }
 
 func (s scope) but(out ...string) scope { s.out = out; return s }
@@ -116,12 +114,8 @@ func (s scope) withTests() scope        { s.tests = true; return s }
 
 func (s scope) has(p string) bool {
 	return !strings.HasPrefix(p, self) && slices.Contains(s.ext, path.Ext(p)) &&
-		(s.tests || !strings.HasSuffix(p, "_test.go")) && matches(s.in, p) && !matches(s.out, p) && !(s.notesOut && isNote(p))
+		(s.tests || !strings.HasSuffix(p, "_test.go")) && matches(s.in, p) && !matches(s.out, p)
 }
-
-// isNote reports whether p is one of the root's notes, a .md file in the
-// root other than README.md.
-func isNote(p string) bool { return path.Dir(p) == "." && path.Ext(p) == ".md" && p != "README.md" }
 
 func matches(pats []string, p string) bool {
 	for _, pat := range pats {
@@ -209,8 +203,6 @@ func literals(re *syntax.Regexp) (best []string) {
 }
 
 func byLen(a, b string) int { return len(a) - len(b) }
-
-func (h hit) String() string { return h.at + ": " + h.line }
 
 // absent: no line of the files matches.
 func absent(s scope, expr string) check { return count(s, expr, 0) }
