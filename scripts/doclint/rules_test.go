@@ -326,8 +326,8 @@ func TestRepository(t *testing.T) {
 
 // tracked is the files git tracks in the repository, as the working tree
 // has them, so that an untracked scratch file does not fail the test
-// (doc-lint.sh reads the working tree whole); where git cannot list them,
-// as in an exported copy, it is the whole directory.
+// (doc-lint.sh reads the working tree whole); where git does not track
+// the module, as in an exported copy, it is the whole directory.
 func tracked(t *testing.T) fs.FS {
 	root := os.DirFS("../..")
 	out, err := exec.Command("git", "-C", "../..", "ls-files", "-z").Output()
@@ -346,6 +346,9 @@ func tracked(t *testing.T) fs.FS {
 			t.Fatal(err)
 		}
 		fsys[p] = &fstest.MapFile{Data: src}
+	}
+	if fsys["go.mod"] == nil {
+		return root
 	}
 	return fsys
 }
